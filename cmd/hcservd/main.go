@@ -75,24 +75,6 @@ func newLogger(json bool, level string) (*slog.Logger, error) {
 	return slog.New(h), nil
 }
 
-// swapStore moves recovered state into the journaled system by
-// snapshotting through memory. The core-level snapshot carries the
-// calibration sidecar, so gold expectations, reputation tallies and
-// estimator statistics survive the swap alongside the task state (leases
-// are ephemeral by design and stay behind).
-func swapStore(dst, src *core.System) {
-	var buf bytes.Buffer
-	if err := src.Snapshot(&buf); err != nil {
-		fatal("adopting recovered state", "err", err)
-	}
-	if err := dst.Restore(&buf); err != nil {
-		fatal("adopting recovered state", "err", err)
-	}
-	if err := dst.RequeueOpen(); err != nil {
-		fatal("requeueing recovered tasks", "err", err)
-	}
-}
-
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
@@ -167,44 +149,41 @@ func main() {
 		fatal("-confidence-target requires -quality-online")
 	}
 
-	// Recovery order (leader): snapshot first, then the WAL tail written
-	// after it (torn or corrupt tails are truncated, not fatal), then a
-	// fresh snapshot so the WAL can start empty. The boot snapshot plus
-	// the current WAL is therefore always the complete state — the
-	// contract replication bootstrap relies on.
+	// One boot sequence for every role. The system is built once, over an
+	// attach-later journal, and state is loaded straight into it: a leader
+	// restores its snapshot, replays the WAL tail written after it (a torn
+	// or corrupt tail is truncated, not fatal), requeues and checkpoints; a
+	// follower adopts the leader's sequence-0 snapshot. Then the WAL starts
+	// empty and becomes the journal once the node leads — at boot for a
+	// leader, at promotion for a follower. The boot snapshot plus the
+	// current WAL is therefore always the complete state — the contract
+	// replication bootstrap relies on.
 	var (
 		wal        *store.WAL
 		walFile    *os.File
 		walStats   *store.ReplayStats
 		replSource *repl.Source
 		follower   *repl.Follower
-		switchable *repl.SwitchableJournal
+		journal    *repl.SwitchableJournal
 		termPath   string
 		stopFollow context.CancelFunc
 		followDone chan struct{}
 		followErr  error
-		sys        *core.System
 	)
+	if *follow != "" && (*walPath == "" || *snapshot == "") {
+		fatal("-follow requires -wal and -snapshot")
+	}
 	if *walPath != "" {
 		termPath = *walPath + ".term"
+		journal = &repl.SwitchableJournal{}
+		cfg.Journal = journal
 	}
+	sys := core.New(cfg)
+	logger.Info("dispatch core ready", "shards", sys.Shards())
 	if *follow != "" {
-		// Follower boot: fetch the leader's sequence-0 snapshot, adopt it
-		// as our own (so chained followers can bootstrap from us), start a
-		// fresh local WAL, and tail the stream read-only.
-		if *walPath == "" || *snapshot == "" {
-			fatal("-follow requires -wal and -snapshot")
-		}
-		term, err := repl.LoadTerm(termPath)
-		if err != nil {
-			fatal("loading replication term", "err", err)
-		}
-		switchable = &repl.SwitchableJournal{}
-		cfg.Journal = switchable
-		sys = core.New(cfg)
 		sys.SetReadOnly(true)
-		logger.Info("dispatch core ready (follower)", "shards", sys.Shards(), "leader", *follow, "term", term)
-
+		// Adopt the leader's snapshot as our own, so chained followers can
+		// bootstrap from us.
 		snapBytes, err := fetchLeaderSnapshot(*follow)
 		if err != nil {
 			fatal("bootstrapping from leader snapshot", "leader", *follow, "err", err)
@@ -217,119 +196,84 @@ func main() {
 		}
 		logger.Info("bootstrapped from leader snapshot",
 			"tasks", sys.Store().Len(), "bytes", len(snapBytes))
-
-		walFile, err = os.Create(*walPath) // fresh log: sequence 1 = leader sequence 1
-		if err != nil {
-			fatal("creating wal", "err", err)
-		}
-		defer walFile.Close()
-		replSource = repl.NewSource(repl.SourceOptions{
-			Term:     term,
-			WALPath:  *walPath,
-			Snapshot: repl.SnapshotFile(*snapshot),
-		})
-		wal = store.NewWALWith(walFile, store.WALOptions{
-			Policy:   syncPolicy,
-			Interval: *walSyncIv,
-			OnRecord: replSource.OnRecord,
-		})
-		defer wal.Close()
-
-		follower = repl.NewFollower(repl.FollowerOptions{
-			Leader: *follow,
-			Term:   term,
-			Apply: func(seq int64, e store.Event) error {
-				if err := store.ApplyEvent(sys.Store(), e); err != nil {
-					return err
-				}
-				sys.ObserveRecoveredEvent(e)
-				return wal.Append(e)
-			},
-			OnTermChange: func(t int64) error {
-				replSource.SetTerm(t)
-				return repl.SaveTerm(termPath, t)
-			},
-			Logger: logger,
-		})
-		var followCtx context.Context
-		followCtx, stopFollow = context.WithCancel(context.Background())
-		followDone = make(chan struct{})
-		go func() {
-			followErr = follower.Run(followCtx)
-			if followErr != nil {
-				logger.Error("replication stream ended", "err", followErr)
-			}
-			close(followDone)
-		}()
 	} else {
-		sys = core.New(cfg)
-		logger.Info("dispatch core ready", "shards", sys.Shards())
 		if *snapshot != "" {
 			if err := restore(sys, *snapshot); err != nil {
 				fatal("restoring snapshot", "err", err)
 			}
 		}
 		if *walPath != "" {
-			if tail, err := os.OpenFile(*walPath, os.O_RDWR, 0); err == nil {
-				st, rerr := store.RecoverWALObserved(tail, sys.Store(), sys.ObserveRecoveredEvent)
-				tail.Close()
-				if rerr != nil {
-					fatal("recovering wal", "err", rerr)
-				}
-				walStats = &st
-				if st.TruncatedBytes > 0 {
-					logger.Warn("truncated damaged wal tail",
-						"bytes", st.TruncatedBytes, "good_bytes", st.GoodBytes)
-				}
-				if st.Applied > 0 {
-					logger.Info("replayed wal events",
-						"events", st.Applied, "legacy_v1", st.LegacyEvents)
-					if err := sys.RequeueOpen(); err != nil {
-						fatal("requeueing after wal replay", "err", err)
+			walStats = recoverWAL(sys, *walPath)
+		}
+		if err := sys.RequeueOpen(); err != nil {
+			fatal("requeueing recovered tasks", "err", err)
+		}
+		if *walPath != "" && *snapshot != "" {
+			if err := save(sys, *snapshot); err != nil {
+				fatal("checkpointing after replay", "err", err)
+			}
+		}
+	}
+	if *walPath != "" {
+		term, err := repl.LoadTerm(termPath)
+		if err != nil {
+			fatal("loading replication term", "err", err)
+		}
+		srcOpts := repl.SourceOptions{Term: term, WALPath: *walPath}
+		if *snapshot != "" {
+			srcOpts.Snapshot = repl.SnapshotFile(*snapshot)
+		}
+		replSource = repl.NewSource(srcOpts)
+		// Truncate: the snapshot covers history, so sequence 1 is the first
+		// record after it (on a follower: leader sequence 1).
+		walFile, err = os.Create(*walPath)
+		if err != nil {
+			fatal("creating wal", "err", err)
+		}
+		defer walFile.Close()
+		wal = store.NewWALWith(walFile, store.WALOptions{
+			Policy:   syncPolicy,
+			Interval: *walSyncIv,
+			OnRecord: replSource.OnRecord,
+		})
+		defer wal.Close()
+		logger.Info("wal open", "path", *walPath, "sync", syncPolicy.String(), "term", term)
+
+		if *follow == "" {
+			journal.Set(wal)
+		} else {
+			follower = repl.NewFollower(repl.FollowerOptions{
+				Leader: *follow,
+				Term:   term,
+				Apply: func(seq int64, e store.Event) error {
+					if err := store.ApplyEvent(sys.Store(), e); err != nil {
+						return err
 					}
-				}
-			} else if !errors.Is(err, os.ErrNotExist) {
-				fatal("opening wal", "err", err)
-			}
-			if *snapshot != "" {
-				if err := save(sys, *snapshot); err != nil {
-					fatal("checkpointing after replay", "err", err)
-				}
-			}
-			term, err := repl.LoadTerm(termPath)
-			if err != nil {
-				fatal("loading replication term", "err", err)
-			}
-			srcOpts := repl.SourceOptions{Term: term, WALPath: *walPath}
-			if *snapshot != "" {
-				srcOpts.Snapshot = repl.SnapshotFile(*snapshot)
-			}
-			replSource = repl.NewSource(srcOpts)
-			walFile, err = os.Create(*walPath) // truncate: the snapshot covers history
-			if err != nil {
-				fatal("creating wal", "err", err)
-			}
-			defer walFile.Close()
-			wal = store.NewWALWith(walFile, store.WALOptions{
-				Policy:   syncPolicy,
-				Interval: *walSyncIv,
-				OnRecord: replSource.OnRecord,
+					sys.ObserveRecoveredEvent(e)
+					return wal.Append(e)
+				},
+				OnTermChange: func(t int64) error {
+					replSource.SetTerm(t)
+					return repl.SaveTerm(termPath, t)
+				},
+				Logger: logger,
 			})
-			defer wal.Close()
-			cfg.Journal = wal
-			logger.Info("wal open", "path", *walPath, "sync", syncPolicy.String(), "term", term)
-			// Rebuild the system with the journal attached, re-adopting the
-			// recovered store contents.
-			recovered := sys
-			sys = core.New(cfg)
-			swapStore(sys, recovered)
+			var followCtx context.Context
+			followCtx, stopFollow = context.WithCancel(context.Background())
+			followDone = make(chan struct{})
+			go func() {
+				followErr = follower.Run(followCtx)
+				if followErr != nil {
+					logger.Error("replication stream ended", "err", followErr)
+				}
+				close(followDone)
+			}()
 		}
 	}
 
 	// The live session plane is leader-local, in-memory state: games and
 	// matchmaking queues are not replicated, players reconnect after a
-	// failover. It rides on the final sys (post-WAL rebuild) so session
-	// agreements journal like any other answer.
+	// failover. Session agreements journal like any other answer.
 	var (
 		sessions      *session.Plane
 		sessionBridge *dispatch.SessionBridge
@@ -413,7 +357,7 @@ func main() {
 				fatal("persisting promotion term", "err", err)
 			}
 			replSource.SetTerm(newTerm)
-			switchable.Set(wal)
+			journal.Set(wal)
 			if err := sys.RequeueOpen(); err != nil {
 				fatal("requeueing after promotion", "err", err)
 			}
@@ -656,8 +600,7 @@ func writeFileDurable(path string, data []byte) error {
 	return nil
 }
 
-// restore loads a snapshot and re-enqueues open tasks; a missing file is
-// a clean first start.
+// restore loads a snapshot; a missing file is a clean first start.
 func restore(sys *core.System, path string) error {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -670,9 +613,36 @@ func restore(sys *core.System, path string) error {
 	if err := sys.Restore(f); err != nil {
 		return err
 	}
-	open := sys.Store().ViewByStatus(task.Open)
-	logger.Info("restored snapshot", "tasks", sys.Store().Len(), "open", len(open))
-	return sys.RequeueOpen()
+	logger.Info("restored snapshot", "tasks", sys.Store().Len(),
+		"open", len(sys.Store().ByStatus(task.Open)))
+	return nil
+}
+
+// recoverWAL replays the WAL tail at path onto sys, calibration state
+// included, truncating a torn or corrupt tail; a missing file is a clean
+// first start (nil stats).
+func recoverWAL(sys *core.System, path string) *store.ReplayStats {
+	tail, err := os.OpenFile(path, os.O_RDWR, 0)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		fatal("opening wal", "err", err)
+	}
+	defer tail.Close()
+	st, err := store.RecoverWALObserved(tail, sys.Store(), sys.ObserveRecoveredEvent)
+	if err != nil {
+		fatal("recovering wal", "err", err)
+	}
+	if st.TruncatedBytes > 0 {
+		logger.Warn("truncated damaged wal tail",
+			"bytes", st.TruncatedBytes, "good_bytes", st.GoodBytes)
+	}
+	if st.Applied > 0 {
+		logger.Info("replayed wal events",
+			"events", st.Applied, "legacy_v1", st.LegacyEvents)
+	}
+	return &st
 }
 
 // save checkpoints atomically: write to a temp file, fsync it, rename

@@ -9,16 +9,18 @@ import (
 )
 
 // ErrNotWritable is returned by a SwitchableJournal with no WAL attached:
-// the node is a follower and its write path is fenced off. The dispatch
+// the node is a follower (or still booting) and its write path is fenced off. The dispatch
 // layer normally blocks writes before they reach the journal (read-only
 // mode); this is the backstop underneath it.
 var ErrNotWritable = errors.New("repl: node is not writable (follower)")
 
-// SwitchableJournal is a core journal whose backing WAL can be attached
-// atomically at promotion time: a follower's System is built over an empty
-// one, and promotion Sets the local WAL so the first accepted write lands
-// on the same log the replication stream was feeding. It satisfies all
-// four journal capabilities (plain, batch, observed, observed-batch).
+// SwitchableJournal is a core journal whose backing WAL is attached
+// atomically after the System exists: every node builds its System over an
+// empty one and recovers into it; a leader Sets the fresh WAL once the
+// recovered state is checkpointed, a follower at promotion, so the first
+// accepted write lands on the same log the replication stream was feeding.
+// It satisfies all four journal capabilities (plain, batch, observed,
+// observed-batch).
 type SwitchableJournal struct {
 	wal atomic.Pointer[store.WAL]
 }

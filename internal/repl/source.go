@@ -65,14 +65,12 @@ func (r *bytesReader) Read(p []byte) (int, error) {
 // can run one — followers included, so a promoted follower's own followers
 // (or fresh ones) can attach without a restart.
 type Source struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	term     int64
-	frames   [][]byte // frames[i] holds sequence firstSeq+i
-	firstSeq int64    // sequence of frames[0]; meaningful when len(frames)>0
-	lastSeq  int64
-	tailSize int
-	closed   bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	term    int64
+	frames  [][]byte // fixed ring of the newest len(frames) records: sequence q sits at frames[q%len(frames)]
+	lastSeq int64
+	closed  bool
 
 	walPath  string
 	snapshot func() (io.ReadCloser, error)
@@ -81,14 +79,15 @@ type Source struct {
 // NewSource returns a Source at sequence 0 of the current WAL. Install its
 // OnRecord method as the WAL's record tap.
 func NewSource(opts SourceOptions) *Source {
+	tailSize := opts.TailSize
+	if tailSize <= 0 {
+		tailSize = DefaultTailSize
+	}
 	s := &Source{
 		term:     opts.Term,
-		tailSize: opts.TailSize,
+		frames:   make([][]byte, tailSize),
 		walPath:  opts.WALPath,
 		snapshot: opts.Snapshot,
-	}
-	if s.tailSize <= 0 {
-		s.tailSize = DefaultTailSize
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -96,7 +95,10 @@ func NewSource(opts SourceOptions) *Source {
 
 // OnRecord feeds one flushed WAL frame into the tail. It matches
 // store.WALOptions.OnRecord and is called with the WAL's append lock held,
-// so it only moves pointers and wakes waiters.
+// so it only stores into the ring — overwriting the oldest frame once the
+// ring is full, with no allocation or copy at any fill — and wakes waiters.
+// Sequences run 1, 2, … without gaps, so lastSeq alone says what the ring
+// holds.
 func (s *Source) OnRecord(seq int64, frame []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -105,20 +107,8 @@ func (s *Source) OnRecord(seq int64, frame []byte) {
 		// strictly ordered, so this only trips if a tap outlives a Reset.
 		return
 	}
-	if len(s.frames) == 0 {
-		s.firstSeq = seq
-	}
-	s.frames = append(s.frames, frame)
+	s.frames[seq%int64(len(s.frames))] = frame
 	s.lastSeq = seq
-	if len(s.frames) > s.tailSize {
-		drop := len(s.frames) - s.tailSize
-		// Copy to release the dropped frames' backing memory instead of
-		// pinning it under a re-sliced prefix.
-		kept := make([][]byte, s.tailSize)
-		copy(kept, s.frames[drop:])
-		s.frames = kept
-		s.firstSeq += int64(drop)
-	}
 	s.cond.Broadcast()
 }
 
@@ -269,8 +259,8 @@ func (s *Source) next(ctx context.Context, cur int64) ([]byte, bool, error) {
 			return nil, false, nil
 		}
 		if cur <= s.lastSeq {
-			if len(s.frames) > 0 && cur >= s.firstSeq {
-				return s.frames[cur-s.firstSeq], true, nil
+			if cur > 0 && cur > s.lastSeq-int64(len(s.frames)) {
+				return s.frames[cur%int64(len(s.frames))], true, nil
 			}
 			if s.walPath == "" {
 				return nil, false, fmt.Errorf("repl: seq %d evicted and no wal file", cur)

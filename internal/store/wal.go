@@ -108,12 +108,14 @@ type WALOptions struct {
 	// writer itself.
 	Syncer Syncer
 	// OnRecord, when set, is called once per appended record after the
-	// record has been flushed to the OS (i.e. once the append will be
+	// record has been handed to the OS (i.e. once the append will be
 	// acknowledged), in sequence order, with the record's 1-based sequence
 	// number and its framed bytes (length prefix, checksum, payload). The
-	// frame is a fresh copy the callee may retain. Called with the WAL's
-	// append lock held: keep it short — replication uses it to feed an
-	// in-memory tail, never to block on I/O.
+	// callee may retain the frame but not write to it: the frames of one
+	// append are sub-slices of one allocation, which stays reachable while
+	// any of them is. Called with the WAL's append lock held: keep it
+	// short — replication uses it to feed an in-memory tail, never to
+	// block on I/O.
 	OnRecord func(seq int64, frame []byte)
 }
 
@@ -124,11 +126,12 @@ type WALOptions struct {
 // the WAL covers the tail.
 type WAL struct {
 	mu       sync.Mutex
-	w        *bufio.Writer
+	w        io.Writer
 	n        int64
 	bytes    int64
 	wroteHdr bool
-	writeSeq int64 // appends flushed to the OS
+	writeSeq int64 // appends handed to the OS
+	writeErr error // first failed write; sticky, see writeRecords
 	lastErr  error // most recent append/sync failure; nil once healthy again
 	closed   bool  // Close called; further appends fail with ErrWALClosed
 
@@ -186,7 +189,7 @@ func NewWAL(w io.Writer) *WAL { return NewWALWith(w, WALOptions{Policy: SyncNeve
 // stop the background sync loop and flush the tail.
 func NewWALWith(w io.Writer, opts WALOptions) *WAL {
 	l := &WAL{
-		w:        bufio.NewWriter(w),
+		w:        w,
 		policy:   opts.Policy,
 		syncer:   opts.Syncer,
 		onRecord: opts.OnRecord,
@@ -208,94 +211,82 @@ func NewWALWith(w io.Writer, opts WALOptions) *WAL {
 	return l
 }
 
-// Append writes one event, flushes it to the OS and — under SyncAlways —
+// Append writes one event, hands it to the OS and — under SyncAlways —
 // fsyncs (sharing the fsync with concurrent appends) before returning.
 // An event is acknowledged if and only if Append returns nil.
 func (l *WAL) Append(e Event) error {
-	enc, err := encodeEvent(e)
-	if err != nil {
-		return err
-	}
-	return l.appendPayloads([][]byte{enc})
+	_, _, err := l.appendEvents([]Event{e}, false)
+	return err
 }
 
 // AppendBatch writes many events as one group: all records are framed into
-// the write buffer and handed to the OS with a single flush, and under
+// one buffer and handed to the OS with a single write, and under
 // SyncAlways the whole group shares a single fsync (composing with the
 // group-commit path, so concurrent batches can share that fsync too). The
 // batch is acknowledged as a unit — a nil return means every event is on
 // the log; a non-nil return means none of them is acknowledged, and any
 // partially written tail is cut off by recovery like any torn record.
 func (l *WAL) AppendBatch(events []Event) error {
-	if len(events) == 0 {
-		return nil
-	}
-	payloads := make([][]byte, len(events))
-	for i, e := range events {
-		enc, err := encodeEvent(e)
-		if err != nil {
-			return err
-		}
-		payloads[i] = enc
-	}
-	return l.appendPayloads(payloads)
-}
-
-// encodeEvent validates and marshals one event into a record payload.
-func encodeEvent(e Event) ([]byte, error) {
-	if err := validateEvent(e); err != nil {
-		return nil, err
-	}
-	enc, err := json.Marshal(e)
-	if err != nil {
-		return nil, fmt.Errorf("store: encoding wal event: %w", err)
-	}
-	if len(enc) > maxWALRecord {
-		return nil, fmt.Errorf("store: wal record of %d bytes exceeds limit", len(enc))
-	}
-	return enc, nil
+	_, _, err := l.appendEvents(events, false)
+	return err
 }
 
 // AppendObserved is Append, additionally reporting where the time went:
-// write covers the wait for the write lock plus framing, buffered write
-// and flush; sync is the fsync-group wait (zero except under SyncAlways).
-// The span plane uses the split to record wal.append and wal.fsync as
-// separate child spans.
+// write covers the wait for the write lock plus the write itself; sync is
+// the fsync-group wait (zero except under SyncAlways). The span plane uses
+// the split to record wal.append and wal.fsync as separate child spans.
 func (l *WAL) AppendObserved(e Event) (write, sync time.Duration, err error) {
-	enc, err := encodeEvent(e)
-	if err != nil {
-		return 0, 0, err
-	}
-	return l.appendPayloadsTimed([][]byte{enc}, true)
+	return l.appendEvents([]Event{e}, true)
 }
 
 // AppendBatchObserved is AppendBatch with AppendObserved's timing split.
 func (l *WAL) AppendBatchObserved(events []Event) (write, sync time.Duration, err error) {
+	return l.appendEvents(events, true)
+}
+
+// walRecordHint sizes the framing buffer: a typical record (header plus a
+// submit or answer event) fits, so most appends allocate exactly once.
+const walRecordHint = 320
+
+// frameEvents validates events and encodes them into one contiguous
+// buffer: len(walMagic) bytes reserved for the file header, then each
+// event's record header and JSON payload, encoded in place.
+func frameEvents(events []Event) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, len(walMagic), len(walMagic)+len(events)*walRecordHint))
+	enc := json.NewEncoder(buf)
+	for i := range events {
+		if err := validateEvent(events[i]); err != nil {
+			return nil, err
+		}
+		start := buf.Len()
+		buf.Write(make([]byte, walRecordHeader))
+		if err := enc.Encode(&events[i]); err != nil { // by pointer: no boxed copy per event
+			return nil, fmt.Errorf("store: encoding wal event: %w", err)
+		}
+		buf.Truncate(buf.Len() - 1) // Encode's trailing newline is not payload
+		rec := buf.Bytes()[start:]
+		payload := rec[walRecordHeader:]
+		if len(payload) > maxWALRecord {
+			return nil, fmt.Errorf("store: wal record of %d bytes exceeds limit", len(payload))
+		}
+		binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(payload, castagnoli))
+	}
+	return buf.Bytes(), nil
+}
+
+// appendEvents is the shared append path: frame outside the lock, then one
+// lock acquisition, one write and (under SyncAlways) one shared fsync.
+// timed selects whether the write/sync phases are clocked (untraced
+// appends skip the time.Now calls entirely).
+func (l *WAL) appendEvents(events []Event, timed bool) (write, sync time.Duration, err error) {
 	if len(events) == 0 {
 		return 0, 0, nil
 	}
-	payloads := make([][]byte, len(events))
-	for i, e := range events {
-		enc, err := encodeEvent(e)
-		if err != nil {
-			return 0, 0, err
-		}
-		payloads[i] = enc
+	buf, err := frameEvents(events)
+	if err != nil {
+		return 0, 0, err
 	}
-	return l.appendPayloadsTimed(payloads, true)
-}
-
-// appendPayloads frames and writes the encoded events under one lock
-// acquisition, one flush and (under SyncAlways) one shared fsync.
-func (l *WAL) appendPayloads(payloads [][]byte) error {
-	_, _, err := l.appendPayloadsTimed(payloads, false)
-	return err
-}
-
-// appendPayloadsTimed is the shared append path; timed selects whether
-// the write/sync phases are clocked (untraced appends skip the
-// time.Now calls entirely).
-func (l *WAL) appendPayloadsTimed(payloads [][]byte, timed bool) (write, sync time.Duration, err error) {
 	var t0 time.Time
 	if timed {
 		t0 = time.Now()
@@ -305,7 +296,7 @@ func (l *WAL) appendPayloadsTimed(payloads [][]byte, timed bool) (write, sync ti
 		l.mu.Unlock()
 		return 0, 0, ErrWALClosed
 	}
-	if err := l.writeRecords(payloads); err != nil {
+	if err := l.writeRecords(buf, int64(len(events))); err != nil {
 		l.lastErr = err
 		l.mu.Unlock()
 		l.failures.Add(1)
@@ -336,55 +327,40 @@ func (l *WAL) appendPayloadsTimed(payloads [][]byte, timed bool) (write, sync ti
 	return write, sync, nil
 }
 
-// writeRecords frames and writes the payloads with a single trailing
-// flush. Caller holds mu.
-func (l *WAL) writeRecords(payloads [][]byte) error {
+// writeRecords hands the n records frameEvents laid out in buf to the OS
+// with one Write (the file header riding along on the first), then feeds
+// the tap sub-slices of buf. Caller holds mu.
+func (l *WAL) writeRecords(buf []byte, n int64) error {
+	if l.writeErr != nil {
+		return l.writeErr
+	}
+	recs := buf[len(walMagic):]
+	out := recs
 	if !l.wroteHdr {
-		if _, err := l.w.Write(walMagic[:]); err != nil {
-			return err
-		}
-		l.wroteHdr = true
-		l.bytes += int64(len(walMagic))
+		copy(buf, walMagic[:])
+		out = buf
 	}
-	var frames [][]byte // retained copies for the OnRecord tap, if installed
-	if l.onRecord != nil {
-		frames = make([][]byte, 0, len(payloads))
-	}
-	for _, payload := range payloads {
-		if frames != nil {
-			frame := make([]byte, walRecordHeader+len(payload))
-			binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-			binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-			copy(frame[walRecordHeader:], payload)
-			if _, err := l.w.Write(frame); err != nil {
-				return err
-			}
-			frames = append(frames, frame)
-			continue
-		}
-		var hdr [walRecordHeader]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-		if _, err := l.w.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := l.w.Write(payload); err != nil {
-			return err
-		}
-	}
-	if err := l.w.Flush(); err != nil {
+	if _, err := l.w.Write(out); err != nil {
+		// Part of out may be on the log as a torn record. Recovery cuts the
+		// log there, so nothing appended behind it could be recovered:
+		// the log stays failed rather than acknowledge such a record.
+		l.writeErr = err
 		return err
 	}
-	n := int64(len(payloads))
+	l.wroteHdr = true
+	l.bytes += int64(len(out))
+	seq := l.writeSeq
 	l.n += n
-	base := l.writeSeq
 	l.writeSeq += n
-	for _, payload := range payloads {
-		l.bytes += walRecordHeader + int64(len(payload))
-	}
 	l.dirty = true
-	for i, frame := range frames {
-		l.onRecord(base+int64(i)+1, frame)
+	if l.onRecord == nil {
+		return nil
+	}
+	for len(recs) > 0 {
+		end := walRecordHeader + int(binary.LittleEndian.Uint32(recs))
+		seq++
+		l.onRecord(seq, recs[:end:end])
+		recs = recs[end:]
 	}
 	return nil
 }
@@ -436,7 +412,7 @@ func (l *WAL) syncLoop(interval time.Duration) {
 	}
 }
 
-// Close stops the background sync loop and performs a final flush+fsync.
+// Close stops the background sync loop and performs a final fsync.
 // It does not close the underlying writer. Appends after Close fail with
 // ErrWALClosed.
 func (l *WAL) Close() error {
@@ -444,7 +420,7 @@ func (l *WAL) Close() error {
 	<-l.done
 	l.mu.Lock()
 	l.closed = true
-	err := l.w.Flush()
+	err := l.writeErr
 	l.mu.Unlock()
 	if l.syncer != nil && l.policy != SyncNever {
 		if serr := l.syncer.Sync(); err == nil {
@@ -482,8 +458,9 @@ func (l *WAL) Size() int64 {
 }
 
 // Healthy reports whether the write path is working: true until an append
-// or fsync fails, true again once a later append succeeds. The service's
-// readiness probe degrades on false.
+// or fsync fails, true again once a later append succeeds — which after a
+// failed write none does (see writeRecords). The service's readiness probe
+// degrades on false.
 func (l *WAL) Healthy() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()

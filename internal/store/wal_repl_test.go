@@ -2,7 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -198,5 +201,129 @@ func TestWALOnRecordTap(t *testing.T) {
 	}
 	if sc.Err() != nil || n != 3 {
 		t.Fatalf("frame stream scan: %d records, err %v", n, sc.Err())
+	}
+}
+
+// writeLog is a writer that remembers each Write separately and can be
+// told to fail from a given Write on.
+type writeLog struct {
+	writes [][]byte
+	failAt int // 1-based Write that starts failing; 0 never fails
+}
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	if w.failAt > 0 && len(w.writes)+1 >= w.failAt {
+		return 0, errors.New("disk gone")
+	}
+	w.writes = append(w.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+func (w *writeLog) bytes() []byte { return bytes.Join(w.writes, nil) }
+
+// TestWALAppendIsOneWrite pins the write path's shape: each Append or
+// AppendBatch reaches the writer as exactly one Write (the file header
+// riding on the first), and the tap's frames, concatenated, are the file's
+// bytes after the header.
+func TestWALAppendIsOneWrite(t *testing.T) {
+	out := &writeLog{}
+	var tapped []byte
+	var seqs []int64
+	wal := NewWALWith(out, WALOptions{OnRecord: func(seq int64, frame []byte) {
+		seqs = append(seqs, seq)
+		tapped = append(tapped, frame...)
+	}})
+	if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.writes) != 1 || !bytes.HasPrefix(out.writes[0], walMagic[:]) {
+		t.Fatalf("first append: %d writes, header first = %v", len(out.writes),
+			len(out.writes) > 0 && bytes.HasPrefix(out.writes[0], walMagic[:]))
+	}
+	batch := make([]Event, 64)
+	for i := range batch {
+		batch[i] = Event{Kind: EventSubmit, At: t0, Task: walTask(t, task.ID(i+2), 1)}
+	}
+	if err := wal.AppendBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := wal.AppendObserved(Event{Kind: EventCancel, At: t0, TaskID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := wal.AppendBatchObserved(batch[:0]); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.writes) != 3 {
+		t.Fatalf("3 appends (and one empty batch) cost %d writes, want 3", len(out.writes))
+	}
+	if bytes.HasPrefix(out.writes[1], walMagic[:]) {
+		t.Fatal("file header written twice")
+	}
+	file := out.bytes()
+	if !bytes.Equal(tapped, file[len(walMagic):]) {
+		t.Fatalf("tap frames (%d bytes) differ from the file after its header (%d bytes)",
+			len(tapped), len(file)-len(walMagic))
+	}
+	const records = 1 + 64 + 1
+	if len(seqs) != records || seqs[0] != 1 || seqs[records-1] != records {
+		t.Fatalf("tap saw %d records (%v…), want 1..%d", len(seqs), seqs[:min(3, len(seqs))], records)
+	}
+	if wal.LastSeq() != records || wal.Len() != records || wal.Size() != int64(len(file)) {
+		t.Fatalf("LastSeq %d Len %d Size %d, want %d %d %d",
+			wal.LastSeq(), wal.Len(), wal.Size(), records, records, len(file))
+	}
+	// The format is what it always was: header, then per event the length
+	// and CRC32C of its json.Marshal encoding, then that encoding.
+	want := append([]byte(nil), walMagic[:]...)
+	first := Event{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 2)}
+	for _, e := range append(append([]Event{first}, batch...), Event{Kind: EventCancel, At: t0, TaskID: 1}) {
+		payload, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = binary.LittleEndian.AppendUint32(want, uint32(len(payload)))
+		want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(payload, castagnoli))
+		want = append(want, payload...)
+	}
+	if !bytes.Equal(file, want) {
+		t.Fatal("written bytes differ from the marshal-then-frame reference encoding")
+	}
+	st, err := ReplayWAL(bytes.NewReader(file), New())
+	if err != nil || st.Applied != records || st.TruncatedBytes != 0 {
+		t.Fatalf("replay of the written bytes: %+v, %v", st, err)
+	}
+}
+
+// TestWALFailedWriteAcknowledgesNothing: a write the OS refused moves no
+// counter, reaches no tap, and leaves the log failed for good — its torn
+// bytes may be on disk, and recovery would cut off anything behind them.
+func TestWALFailedWriteAcknowledgesNothing(t *testing.T) {
+	out := &writeLog{failAt: 2}
+	taps := 0
+	wal := NewWALWith(out, WALOptions{OnRecord: func(int64, []byte) { taps++ }})
+	if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	size := wal.Size()
+	err := wal.AppendBatch([]Event{
+		{Kind: EventSubmit, At: t0, Task: walTask(t, 2, 1)},
+		{Kind: EventSubmit, At: t0, Task: walTask(t, 3, 1)},
+	})
+	if err == nil {
+		t.Fatal("append on a failing writer succeeded")
+	}
+	if wal.Healthy() || wal.Err() == nil || wal.Failures() != 1 {
+		t.Fatalf("Healthy %v Err %v Failures %d after a failed write", wal.Healthy(), wal.Err(), wal.Failures())
+	}
+	if taps != 1 || wal.LastSeq() != 1 || wal.Len() != 1 || wal.Size() != size {
+		t.Fatalf("failed write moved state: taps %d LastSeq %d Len %d Size %d (was %d)",
+			taps, wal.LastSeq(), wal.Len(), wal.Size(), size)
+	}
+	out.failAt = 0 // the disk comes back; the log must not
+	if err := wal.Append(Event{Kind: EventCancel, At: t0, TaskID: 1}); err == nil {
+		t.Fatal("append after a failed write succeeded behind a possibly torn record")
+	}
+	if len(out.writes) != 1 || taps != 1 || wal.LastSeq() != 1 {
+		t.Fatalf("writes %d taps %d LastSeq %d after the log failed", len(out.writes), taps, wal.LastSeq())
 	}
 }

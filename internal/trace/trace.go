@@ -214,9 +214,11 @@ func (r *Recorder) Append(e Event) {
 	if r == nil {
 		return
 	}
-	e.Seq = r.seq.Add(1)
 	s := r.stripeFor(e.TaskID)
 	s.mu.Lock()
+	// Drawn under the stripe lock: a task's events all land on one stripe,
+	// so its ring order is its seq order.
+	e.Seq = r.seq.Add(1)
 	if len(s.ring) < cap(s.ring) {
 		s.ring = append(s.ring, e)
 	} else {
