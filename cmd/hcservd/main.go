@@ -14,7 +14,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -150,14 +149,15 @@ func main() {
 	}
 
 	// One boot sequence for every role. The system is built once, over an
-	// attach-later journal, and state is loaded straight into it: a leader
-	// restores its snapshot, replays the WAL tail written after it (a torn
-	// or corrupt tail is truncated, not fatal), requeues and checkpoints; a
-	// follower adopts the leader's sequence-0 snapshot. Then the WAL starts
-	// empty and becomes the journal once the node leads — at boot for a
-	// leader, at promotion for a follower. The boot snapshot plus the
-	// current WAL is therefore always the complete state — the contract
-	// replication bootstrap relies on.
+	// attach-later journal, and state is loaded straight into it: a
+	// follower first downloads the leader's sequence-0 snapshot to its own
+	// snapshot path; every node restores its snapshot; a leader then replays
+	// the WAL tail written after it (a torn or corrupt tail is truncated,
+	// not fatal), requeues and checkpoints. Then the WAL starts empty and
+	// becomes the journal once the node leads — at boot for a leader, at
+	// promotion for a follower. The boot snapshot plus the current WAL is
+	// therefore always the complete state — the contract replication
+	// bootstrap relies on.
 	var (
 		wal        *store.WAL
 		walFile    *os.File
@@ -182,26 +182,21 @@ func main() {
 	logger.Info("dispatch core ready", "shards", sys.Shards())
 	if *follow != "" {
 		sys.SetReadOnly(true)
-		// Adopt the leader's snapshot as our own, so chained followers can
-		// bootstrap from us.
-		snapBytes, err := fetchLeaderSnapshot(*follow)
+		// Adopt the leader's snapshot as our own (chained followers can
+		// bootstrap from us) and boot from that file as a leader would.
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err := fetchLeaderSnapshot(ctx, nil, *follow, *snapshot, time.Second)
+		cancel()
 		if err != nil {
 			fatal("bootstrapping from leader snapshot", "leader", *follow, "err", err)
 		}
-		if err := sys.Restore(bytes.NewReader(snapBytes)); err != nil {
-			fatal("restoring leader snapshot", "err", err)
+	}
+	if *snapshot != "" {
+		if err := restore(sys, *snapshot); err != nil {
+			fatal("restoring snapshot", "err", err)
 		}
-		if err := writeFileDurable(*snapshot, snapBytes); err != nil {
-			fatal("saving bootstrap snapshot", "err", err)
-		}
-		logger.Info("bootstrapped from leader snapshot",
-			"tasks", sys.Store().Len(), "bytes", len(snapBytes))
-	} else {
-		if *snapshot != "" {
-			if err := restore(sys, *snapshot); err != nil {
-				fatal("restoring snapshot", "err", err)
-			}
-		}
+	}
+	if *follow == "" {
 		if *walPath != "" {
 			walStats = recoverWAL(sys, *walPath)
 		}
@@ -541,63 +536,31 @@ func main() {
 	}
 }
 
-// fetchLeaderSnapshot pulls the leader's bootstrap snapshot, retrying for
-// up to 30 seconds so a follower can start slightly before its leader.
-func fetchLeaderSnapshot(leader string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	var lastErr error
+// fetchLeaderSnapshot streams the leader's bootstrap snapshot into the file
+// at path, retrying every retry until ctx ends so a follower can start
+// slightly before its leader. A download that dies partway never shows at
+// path: writeDurable renames only a complete body into place.
+func fetchLeaderSnapshot(ctx context.Context, hc *http.Client, leader, path string, retry time.Duration) error {
 	for {
-		rc, err := repl.FetchSnapshot(ctx, nil, leader)
-		if err == nil {
-			data, rerr := io.ReadAll(rc)
-			rc.Close()
-			if rerr == nil {
-				return data, nil
+		err := writeDurable(path, func(w io.Writer) error {
+			rc, err := repl.FetchSnapshot(ctx, hc, leader)
+			if err != nil {
+				return err
 			}
-			err = rerr
+			defer rc.Close()
+			_, err = io.Copy(w, rc)
+			return err
+		})
+		if err == nil {
+			return nil
 		}
-		lastErr = err
 		logger.Warn("leader snapshot fetch failed; retrying", "err", err)
 		select {
 		case <-ctx.Done():
-			return nil, lastErr
-		case <-time.After(time.Second):
+			return err
+		case <-time.After(retry):
 		}
 	}
-}
-
-// writeFileDurable writes data atomically: temp file, fsync, rename,
-// directory sync — the same contract as save().
-func writeFileDurable(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	dir, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	defer dir.Close()
-	if err := dir.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) {
-		return err
-	}
-	return nil
 }
 
 // restore loads a snapshot; a missing file is a clean first start.
@@ -614,7 +577,7 @@ func restore(sys *core.System, path string) error {
 		return err
 	}
 	logger.Info("restored snapshot", "tasks", sys.Store().Len(),
-		"open", len(sys.Store().ByStatus(task.Open)))
+		"open", len(sys.Store().IDs(task.Open)))
 	return nil
 }
 
@@ -645,17 +608,22 @@ func recoverWAL(sys *core.System, path string) *store.ReplayStats {
 	return &st
 }
 
-// save checkpoints atomically: write to a temp file, fsync it, rename
-// over the target, fsync the directory. A crash at any point leaves
-// either the old snapshot or the new one — never a truncated file that
+// save checkpoints sys to the snapshot file at path.
+func save(sys *core.System, path string) error { return writeDurable(path, sys.Snapshot) }
+
+// writeDurable replaces the file at path atomically: write streams the new
+// contents into a temp file beside it, which is fsynced and renamed over the
+// target, and the directory is fsynced. A crash or a failed write at any
+// point — both snapshot writers stream, so a failure leaves a prefix behind —
+// leaves the old file or the new one at path, never a truncated one that
 // would poison the next boot.
-func save(sys *core.System, path string) error {
+func writeDurable(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := sys.Snapshot(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

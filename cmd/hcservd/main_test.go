@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"math"
 	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -26,9 +25,9 @@ type node struct {
 	done chan struct{}
 }
 
-// startNode execs the binary on a free loopback port over dir's WAL and
-// snapshot and returns once it serves.
-func startNode(t *testing.T, bin, dir string) *node {
+// launch execs the binary on a free loopback port over dir's WAL and
+// snapshot; it is not serving yet.
+func launch(t *testing.T, bin, dir string) *node {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -41,7 +40,7 @@ func startNode(t *testing.T, bin, dir string) *node {
 		t.Fatal(err)
 	}
 	defer logf.Close()
-	n := &node{done: make(chan struct{})}
+	n := &node{done: make(chan struct{}), c: dispatch.NewClient("http://"+addr, nil)}
 	n.cmd = exec.Command(bin,
 		"-addr", addr,
 		"-wal", filepath.Join(dir, "wal.log"),
@@ -57,14 +56,14 @@ func startNode(t *testing.T, bin, dir string) *node {
 		close(n.done)
 	}()
 	t.Cleanup(func() { n.stop(t, syscall.SIGKILL) })
-	base := "http://" + addr
-	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		if resp, err := http.Get(base + "/healthz"); err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				break
-			}
-		}
+	return n
+}
+
+// startNode launches the binary over dir and returns once it serves.
+func startNode(t *testing.T, bin, dir string) *node {
+	t.Helper()
+	n := launch(t, bin, dir)
+	for deadline := time.Now().Add(20 * time.Second); !n.c.Healthy(); time.Sleep(5 * time.Millisecond) {
 		select {
 		case <-n.done:
 			t.Fatalf("hcservd exited before serving; log:\n%s", readLog(dir))
@@ -74,7 +73,6 @@ func startNode(t *testing.T, bin, dir string) *node {
 			t.Fatalf("hcservd not serving after 20s; log:\n%s", readLog(dir))
 		}
 	}
-	n.c = dispatch.NewClient(base, nil)
 	return n
 }
 

@@ -898,7 +898,11 @@ func (s *System) ShardLockCounts() (queueLocks, storeLocks []int64) {
 // snapshot restore to rebuild the dispatch queue; tasks already enqueued
 // are left alone.
 func (s *System) RequeueOpen() error {
-	for _, t := range s.store.ByStatus(task.Open) {
+	for _, id := range s.store.IDs(task.Open) {
+		t, err := s.store.Get(id)
+		if err != nil {
+			continue // deleted since the IDs were listed
+		}
 		if err := s.queue.Add(t); err != nil && !errors.Is(err, queue.ErrDuplicateID) {
 			return err
 		}

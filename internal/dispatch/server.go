@@ -51,6 +51,7 @@ import (
 	"humancomp/internal/match"
 	"humancomp/internal/queue"
 	"humancomp/internal/session"
+	"humancomp/internal/store"
 	"humancomp/internal/task"
 	"humancomp/internal/trace"
 )
@@ -460,25 +461,21 @@ type TaskList struct {
 
 // handleListTasks serves GET /v1/tasks?status=open&offset=0&limit=50.
 // Tasks are ordered by ID; Total counts all matches before pagination.
+// Only the requested page is copied out of the store: the request costs the
+// matching IDs plus one page of views, not a copy of the table.
 func (s *Server) handleListTasks(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	var all []task.View
+	st := store.AnyStatus
 	if raw := q.Get("status"); raw != "" {
-		var st task.Status
-		switch raw {
-		case task.Open.String():
-			st = task.Open
-		case task.Done.String():
-			st = task.Done
-		case task.Canceled.String():
-			st = task.Canceled
-		default:
+		for _, known := range []task.Status{task.Open, task.Done, task.Canceled} {
+			if raw == known.String() {
+				st = known
+			}
+		}
+		if st == store.AnyStatus {
 			badRequest(w, r, "dispatch: unknown status %q", raw)
 			return
 		}
-		all = s.sys.Store().ViewByStatus(st)
-	} else {
-		all = s.sys.Store().ViewAll()
 	}
 
 	offset, limit := 0, 50
@@ -498,13 +495,15 @@ func (s *Server) handleListTasks(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	out := TaskList{Total: len(all), Tasks: []task.View{}}
-	if offset < len(all) {
-		end := offset + limit
-		if end > len(all) {
-			end = len(all)
-		}
-		out.Tasks = all[offset:end]
+	ids := s.sys.Store().IDs(st)
+	out := TaskList{Total: len(ids), Tasks: []task.View{}}
+	if offset < len(ids) {
+		_ = s.sys.Store().Walk(ids[offset:min(offset+limit, len(ids))], func(v *task.View) error {
+			if st == store.AnyStatus || v.Status == st { // it may have moved on since the IDs were listed
+				out.Tasks = append(out.Tasks, *v)
+			}
+			return nil
+		})
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -496,12 +496,18 @@ func (p *Plane) startSession(mode Mode, item int, players [2]string, rep *match.
 }
 
 func (p *Plane) joinInfo(s *session, seat int) JoinInfo {
+	// The session is already published: a promotion on its item may be
+	// adding to the round's taboo set (propagateTaboo, under this lock).
+	sh := p.shardFor(s.id)
+	sh.mu.Lock()
+	taboo := s.round.Taboo()
+	sh.mu.Unlock()
 	return JoinInfo{
 		Session:  s.id,
 		Seat:     seat,
 		Mode:     s.mode.String(),
 		Item:     s.item,
-		Taboo:    s.round.Taboo(),
+		Taboo:    taboo,
 		Deadline: s.deadline.Sub(p.now()),
 	}
 }

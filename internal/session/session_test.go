@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -274,6 +275,40 @@ func TestTabooPropagatesAcrossSessions(t *testing.T) {
 	infoC, _ := joinPair(t, p, "c1", "c2")
 	if len(infoC.Taboo) != 1 || infoC.Taboo[0] != 20 {
 		t.Fatalf("new session taboo list = %v", infoC.Taboo)
+	}
+}
+
+// TestJoinWhileTabooPropagates is a -race regression: a session is visible
+// to taboo propagation from the moment it is created, so building its
+// JoinInfo (which lists the round's taboo words) has to read them under the
+// session's shard lock. Players join on one item while every agreement
+// promotes a fresh word into all of that item's open sessions.
+func TestJoinWhileTabooPropagates(t *testing.T) {
+	p := newPlane(t, func(c *Config) {
+		c.PromoteAfter = 1
+		c.MatchTimeout = 50 * time.Millisecond
+	})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				player := fmt.Sprintf("p%d-%d", g, i)
+				info, err := p.Join(context.Background(), player)
+				if err != nil {
+					continue // the odd one out, with no replay to fall back on
+				}
+				// Both seats derive the same word from the session, so most
+				// rounds agree; a round whose word was promoted meanwhile
+				// stays open and keeps receiving promotions.
+				_, _ = p.Guess(info.Session, player, 10+int(info.Session)%400)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := p.Stats(); st.TabooPromotions < 10 {
+		t.Fatalf("only %d taboo promotions ran beside the joins", st.TabooPromotions)
 	}
 }
 

@@ -59,11 +59,7 @@ func fill(s *Store, specs []taskSpec) {
 
 func snapshotBytes(t *testing.T, s *Store) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	return buf.Bytes()
+	return streamedBytes(t, s, nil)
 }
 
 // TestShardedSnapshotMatchesSingleShard: for any task population and any

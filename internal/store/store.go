@@ -8,19 +8,27 @@
 // The table is sharded by task ID across a power-of-two number of
 // independently locked shards (default: GOMAXPROCS rounded up), so
 // concurrent writers on different tasks never contend on one global lock.
-// Whole-table reads (ViewAll, ViewByStatus, Snapshot) visit one shard at a
-// time — never holding two shard locks at once — and merge-sort the
-// per-shard snapshots by task ID, which keeps the snapshot wire format
-// byte-identical to a single-shard store over the same contents.
+//
+// Every whole-table path — ViewAll, ViewByStatus, Snapshot, the dispatch
+// task list, the requeue after recovery — is one ordered walk: collect the
+// task IDs (8 bytes a task, the only whole-table allocation), sort them,
+// then visit the tasks in that order, copying each under its own shard's
+// read lock and never holding two locks at once. The order is the one-shard
+// order at any shard count (so the snapshot bytes are too), and a walk over
+// a live store is consistent per task, not per shard or across the table: a
+// task is copied whole, two tasks may be copied either side of a concurrent
+// write. Nothing that needs more walks the table under traffic — a node
+// snapshots at boot, before it serves, and after it has drained.
 package store
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -58,8 +66,8 @@ func shardCount(n int) int {
 // Locking discipline: mu guards the shard's map AND the contents of every
 // task stored in it. Components that mutate stored tasks in place (the
 // queue, via LockerFor) take the shard's write lock around each mutation,
-// which lets View, ViewAll, ViewByStatus and Snapshot hand out consistent
-// deep copies under the read lock. Tasks are placed by id & mask, so a
+// which lets View and the ordered walk hand out consistent deep copies
+// under the read lock. Tasks are placed by id & mask, so a
 // task's stored record and the lock guarding it are determined by its ID
 // alone.
 type shard struct {
@@ -230,36 +238,62 @@ func (s *Store) View(id task.ID) (task.View, error) {
 	return t.View(), nil
 }
 
-// ViewAll returns a snapshot of every task, ordered by ID. Shards are
-// visited one at a time (no stop-the-world lock); the merged result is
-// sorted by ID afterwards, matching the single-shard ordering exactly.
-func (s *Store) ViewAll() []task.View {
-	var out []task.View
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, t := range sh.tasks {
-			out = append(out, t.View())
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// AnyStatus makes IDs and ViewByStatus select every task.
+const AnyStatus task.Status = -1
 
-// ViewByStatus returns a snapshot of every task with the given status,
-// ordered by ID.
-func (s *Store) ViewByStatus(st task.Status) []task.View {
-	var out []task.View
+// IDs returns, in ascending order, the ID of every stored task that had
+// status st (or any, for AnyStatus) when its shard was visited.
+func (s *Store) IDs(st task.Status) []task.ID {
+	var out []task.ID
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		for _, t := range sh.tasks {
-			if t.Status == st {
-				out = append(out, t.View())
+		if st == AnyStatus {
+			out = slices.Grow(out, len(sh.tasks))
+		}
+		for id, t := range sh.tasks {
+			if st == AnyStatus || t.Status == st {
+				out = append(out, id)
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.Sort(out)
+	return out
+}
+
+// Walk calls fn with a deep copy of each listed task, in list order. Each
+// copy is taken under its own shard's read lock, released before fn runs,
+// so fn may block on I/O. IDs deleted since the list was made are skipped.
+// v is reused between calls: fn keeps *v, never v. The first error from fn
+// ends the walk and is returned.
+func (s *Store) Walk(ids []task.ID, fn func(v *task.View) error) error {
+	var v task.View
+	for _, id := range ids {
+		var err error
+		if v, err = s.View(id); err != nil {
+			continue
+		}
+		if err := fn(&v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ViewAll returns a snapshot of every task, ordered by ID.
+func (s *Store) ViewAll() []task.View { return s.ViewByStatus(AnyStatus) }
+
+// ViewByStatus returns a snapshot of every task with the given status,
+// ordered by ID.
+func (s *Store) ViewByStatus(st task.Status) []task.View {
+	ids := s.IDs(st)
+	out := make([]task.View, 0, len(ids))
+	_ = s.Walk(ids, func(v *task.View) error {
+		if st == AnyStatus || v.Status == st { // it may have moved on since the IDs were listed
+			out = append(out, *v)
+		}
+		return nil
+	})
 	return out
 }
 
@@ -286,90 +320,66 @@ func (s *Store) Len() int {
 	return n
 }
 
-// All returns every live task ordered by ID. Ownership-transfer use only;
-// concurrent readers must use ViewAll.
-func (s *Store) All() []*task.Task {
-	var out []*task.Task
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, t := range sh.tasks {
-			out = append(out, t)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// The snapshot is one JSON document,
+//
+//	{"version":1,"next_id":N,"tasks":[…ascending by ID…],"calibration":{…}}
+//
+// followed by a newline: byte for byte what json.Encoder makes of a struct
+// with those four fields, calibration omitted when empty. The calibration
+// is an opaque sidecar the quality plane stores alongside task state (gold
+// expectations, reputation tallies, estimator state); the store carries it
+// verbatim, older snapshots simply lack the field and older readers ignore
+// it.
+const (
+	snapshotVersion = 1
+	// snapshotBufSize is the most a snapshot holds back before writing.
+	snapshotBufSize = 64 << 10
+)
 
-// ByStatus returns every live task with the given status, ordered by ID.
-// Ownership-transfer use only (e.g. re-enqueueing open tasks at recovery);
-// concurrent readers must use ViewByStatus.
-func (s *Store) ByStatus(st task.Status) []*task.Task {
-	var out []*task.Task
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, t := range sh.tasks {
-			if t.Status == st {
-				out = append(out, t)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// snapshot is the JSON wire format of a store (decode side).
-type snapshot struct {
-	Version int          `json:"version"`
-	NextID  task.ID      `json:"next_id"`
-	Tasks   []*task.Task `json:"tasks"`
-	// Calibration is an opaque sidecar the quality plane stores alongside
-	// task state (gold expectations, reputation tallies, estimator state).
-	// The store carries it verbatim; older snapshots simply lack the field
-	// and older readers ignore it.
-	Calibration json.RawMessage `json:"calibration,omitempty"`
-}
-
-// viewSnapshot is the encode-side twin of snapshot: it carries deep-copied
-// views so encoding happens entirely outside the locks, racing with
-// nothing. task.View marshals identically to task.Task, so the wire format
-// is unchanged.
-type viewSnapshot struct {
-	Version     int             `json:"version"`
-	NextID      task.ID         `json:"next_id"`
-	Tasks       []task.View     `json:"tasks"`
-	Calibration json.RawMessage `json:"calibration,omitempty"`
-}
-
-const snapshotVersion = 1
-
-// Snapshot writes the store as JSON to w. Task state is deep-copied one
-// shard at a time under each shard's read lock and encoded after releasing
-// them, so a snapshot can be taken while the service keeps answering
-// traffic, and no global stop-the-world lock exists. The post-merge sort
-// by task ID keeps the wire format byte-identical to a one-shard store
-// over the same contents.
+// Snapshot writes the store as JSON to w.
 func (s *Store) Snapshot(w io.Writer) error { return s.SnapshotWith(w, nil) }
 
 // SnapshotWith is Snapshot with an opaque calibration sidecar embedded in
-// the same document, so task state and quality-plane state are captured
-// atomically in one file.
+// the same document, so task state and quality-plane state are captured in
+// one file. The document is streamed — an ordered walk encodes one task at
+// a time through a snapshotBufSize buffer — so a snapshot costs the ID list
+// and a buffer, not a copy of the table, and on an error w is left holding
+// a prefix: write files beside their target and rename. Taken from a live
+// store the cut is per task, not per shard.
 func (s *Store) SnapshotWith(w io.Writer, calibration json.RawMessage) error {
-	snap := viewSnapshot{Version: snapshotVersion, NextID: task.ID(s.nextID.Load()), Calibration: calibration}
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, t := range sh.tasks {
-			snap.Tasks = append(snap.Tasks, t.View())
+	bw := bufio.NewWriterSize(w, snapshotBufSize)
+	enc := json.NewEncoder(valueWriter{bw})
+	fmt.Fprintf(bw, `{"version":%d,"next_id":%d,"tasks":[`, snapshotVersion, s.nextID.Load())
+	first := true
+	err := s.Walk(s.IDs(AnyStatus), func(v *task.View) error {
+		if !first {
+			bw.WriteByte(',')
 		}
-		sh.mu.RUnlock()
+		first = false
+		return enc.Encode(v)
+	})
+	if err != nil {
+		return err
 	}
-	if snap.Tasks == nil {
-		snap.Tasks = []task.View{}
+	bw.WriteByte(']')
+	if len(calibration) > 0 {
+		bw.WriteString(`,"calibration":`)
+		if err := enc.Encode(calibration); err != nil {
+			return err
+		}
 	}
-	sort.Slice(snap.Tasks, func(i, j int) bool { return snap.Tasks[i].ID < snap.Tasks[j].ID })
-	enc := json.NewEncoder(w)
-	return enc.Encode(snap)
+	bw.WriteString("}\n")
+	return bw.Flush() // bufio errors are sticky: this reports the first failed write
+}
+
+// valueWriter drops the last byte of every Write. json.Encoder hands each
+// value to its writer in one Write ending in the newline Encode appends,
+// which has no place inside a document.
+type valueWriter struct{ w *bufio.Writer }
+
+func (vw valueWriter) Write(p []byte) (int, error) {
+	_, err := vw.w.Write(p[:len(p)-1])
+	return len(p), err
 }
 
 // Restore replaces the store's contents with the snapshot read from r and
@@ -381,36 +391,88 @@ func (s *Store) Restore(r io.Reader) error {
 }
 
 // RestoreWith is Restore returning the snapshot's calibration sidecar (nil
-// when the snapshot predates it) for the quality plane to rebuild from.
+// when the snapshot predates it) for the quality plane to rebuild from. The
+// document is read a token at a time and each task decoded straight into
+// the shard map it will live in, so a restore holds the state it builds and
+// one task's text, not the document. Fields may come in any order and
+// unknown ones are skipped; nothing is swapped in until the whole document,
+// its version included, has been accepted, so a failed restore leaves the
+// store as it was.
 func (s *Store) RestoreWith(r io.Reader) (json.RawMessage, error) {
-	var snap snapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("store: decoding snapshot: %w", err)
-	}
-	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("store: unsupported snapshot version %d", snap.Version)
-	}
-	fresh := make([]map[task.ID]*task.Task, len(s.shards))
+	var (
+		dec           = json.NewDecoder(r)
+		version       int
+		nextID, maxID task.ID
+		calibration   json.RawMessage
+		fresh         = make([]map[task.ID]*task.Task, len(s.shards))
+	)
 	for i := range fresh {
 		fresh[i] = make(map[task.ID]*task.Task)
 	}
-	nextID := snap.NextID
-	seen := make(map[task.ID]bool, len(snap.Tasks))
-	for _, t := range snap.Tasks {
-		if seen[t.ID] {
-			return nil, fmt.Errorf("store: duplicate task ID %d in snapshot", t.ID)
+	tok, err := dec.Token()
+	if err == nil && tok != json.Delim('{') {
+		err = errors.New("not an object")
+	}
+	for err == nil && dec.More() {
+		if tok, err = dec.Token(); err != nil {
+			break
 		}
-		seen[t.ID] = true
-		fresh[uint64(t.ID)&s.mask][t.ID] = t
-		if t.ID > nextID {
-			nextID = t.ID
+		switch tok {
+		case "version":
+			err = dec.Decode(&version)
+		case "next_id":
+			err = dec.Decode(&nextID)
+		case "calibration":
+			err = dec.Decode(&calibration)
+		case "tasks":
+			var largest task.ID
+			largest, err = s.decodeTasks(dec, fresh)
+			maxID = max(maxID, largest)
+		default:
+			var skipped json.RawMessage
+			err = dec.Decode(&skipped)
 		}
+	}
+	if err == nil {
+		_, err = dec.Token() // the closing brace: a document cut short fails here
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: decoding snapshot: %w", err)
+	}
+	if version != snapshotVersion {
+		return nil, fmt.Errorf("store: unsupported snapshot version %d", version)
 	}
 	for i, sh := range s.shards {
 		sh.mu.Lock()
 		sh.tasks = fresh[i]
 		sh.mu.Unlock()
 	}
-	s.nextID.Store(int64(nextID))
-	return snap.Calibration, nil
+	s.nextID.Store(int64(max(nextID, maxID)))
+	return calibration, nil
+}
+
+// decodeTasks reads the tasks array next in dec, one task at a time, into
+// the shard maps in fresh, and returns the largest task ID it held.
+func (s *Store) decodeTasks(dec *json.Decoder, fresh []map[task.ID]*task.Task) (largest task.ID, err error) {
+	tok, err := dec.Token()
+	if err != nil || tok == nil { // null is an empty table
+		return 0, err
+	}
+	if tok != json.Delim('[') {
+		return 0, errors.New("tasks is not an array")
+	}
+	for dec.More() {
+		t := new(task.Task)
+		if err := dec.Decode(t); err != nil {
+			return 0, err
+		}
+		into := fresh[uint64(t.ID)&s.mask]
+		if _, dup := into[t.ID]; dup {
+			return 0, fmt.Errorf("duplicate task ID %d", t.ID)
+		}
+		into[t.ID] = t
+		largest = max(largest, t.ID)
+	}
+	_, err = dec.Token() // the closing bracket
+	return largest, err
 }

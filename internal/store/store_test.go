@@ -59,21 +59,22 @@ func TestPutAdvancesAllocator(t *testing.T) {
 	}
 }
 
-func TestAllSortedAndByStatus(t *testing.T) {
+func TestIDsSortedAndByStatus(t *testing.T) {
 	s := New()
 	a := mk(t, s, task.Label)
 	b := mk(t, s, task.Locate)
 	_ = b.Cancel(t0)
-	all := s.All()
-	if len(all) != 2 || all[0].ID > all[1].ID {
-		t.Fatalf("All = %v", all)
+	if all := s.IDs(AnyStatus); len(all) != 2 || all[0] != a.ID || all[1] != b.ID {
+		t.Fatalf("IDs = %v", all)
 	}
-	open := s.ByStatus(task.Open)
-	if len(open) != 1 || open[0] != a {
-		t.Fatalf("ByStatus(Open) = %v", open)
+	if open := s.IDs(task.Open); len(open) != 1 || open[0] != a.ID {
+		t.Fatalf("IDs(Open) = %v", open)
 	}
-	if got := s.ByStatus(task.Canceled); len(got) != 1 || got[0] != b {
-		t.Fatalf("ByStatus(Canceled) = %v", got)
+	if got := s.IDs(task.Canceled); len(got) != 1 || got[0] != b.ID {
+		t.Fatalf("IDs(Canceled) = %v", got)
+	}
+	if got := s.IDs(task.Done); len(got) != 0 {
+		t.Fatalf("IDs(Done) = %v", got)
 	}
 }
 

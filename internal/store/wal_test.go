@@ -214,7 +214,7 @@ func TestWALRoundTripProperty(t *testing.T) {
 		if _, err := ReplayWAL(bytes.NewReader(buf.Bytes()), replayed); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		for _, want := range reference.All() {
+		for _, want := range reference.ViewAll() {
 			got, err := replayed.Get(want.ID)
 			if err != nil {
 				t.Fatalf("trial %d: task %d missing", trial, want.ID)
