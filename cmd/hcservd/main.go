@@ -602,8 +602,7 @@ func recoverWAL(sys *core.System, path string) *store.ReplayStats {
 			"bytes", st.TruncatedBytes, "good_bytes", st.GoodBytes)
 	}
 	if st.Applied > 0 {
-		logger.Info("replayed wal events",
-			"events", st.Applied, "legacy_v1", st.LegacyEvents)
+		logger.Info("replayed wal events", "events", st.Applied)
 	}
 	return &st
 }

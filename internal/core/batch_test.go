@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"humancomp/internal/queue"
 	"humancomp/internal/store"
@@ -113,70 +114,20 @@ func TestSubmitBatchRegistersGold(t *testing.T) {
 	}
 }
 
-// prefixJournal acknowledges the first ok appends, then fails forever.
-type prefixJournal struct{ ok int }
-
-func (j *prefixJournal) Append(store.Event) error {
-	if j.ok > 0 {
-		j.ok--
-		return nil
-	}
-	return errors.New("journal: disk full")
-}
-
-func TestSubmitBatchJournalPrefixRollback(t *testing.T) {
-	clk := &fakeClock{now: t0}
-	cfg := DefaultConfig()
-	cfg.Clock = clk
-	cfg.Journal = &prefixJournal{ok: 2}
-	s := New(cfg)
-
-	specs := make([]SubmitSpec, 4)
-	for i := range specs {
-		specs[i] = SubmitSpec{Kind: task.Label, Payload: task.Payload{ImageID: i}, Redundancy: 1}
-	}
-	out := s.SubmitBatch(specs)
-	var okN, failN int
-	for _, o := range out {
-		if o.Err == nil {
-			okN++
-			if _, err := s.Task(o.ID); err != nil {
-				t.Fatalf("acked task %d missing: %v", o.ID, err)
-			}
-		} else {
-			failN++
-		}
-	}
-	if okN != 2 || failN != 2 {
-		t.Fatalf("acked %d / failed %d, want 2 / 2", okN, failN)
-	}
-	// The withdrawn tasks are neither stored nor leasable nor counted.
-	if st := s.Stats(); st.TasksSubmitted != 2 || st.StoredTasks != 2 {
-		t.Fatalf("stats after prefix rollback = %+v", st)
-	}
-	if grants := s.LeaseBatch("w", 8); len(grants) != 2 {
-		t.Fatalf("leasable after rollback = %d, want 2", len(grants))
-	}
-}
-
-// batchJournal records AppendBatch groups and can fail whole batches.
+// batchJournal records the groups it is handed and can fail whole batches.
 type batchJournal struct {
 	batches [][]store.Event
 	fail    bool
 }
 
-func (j *batchJournal) Append(e store.Event) error {
-	return j.AppendBatch([]store.Event{e})
-}
-
-func (j *batchJournal) AppendBatch(events []store.Event) error {
+func (j *batchJournal) AppendBatchObserved(events []store.Event) (write, sync time.Duration, err error) {
 	if j.fail {
-		return errors.New("journal: disk full")
+		return 0, 0, errors.New("journal: disk full")
 	}
 	cp := make([]store.Event, len(events))
 	copy(cp, events)
 	j.batches = append(j.batches, cp)
-	return nil
+	return 0, 0, nil
 }
 
 func TestSubmitBatchUsesGroupAppend(t *testing.T) {

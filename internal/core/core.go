@@ -70,31 +70,13 @@ type Config struct {
 	Spans trace.SpanConfig
 }
 
-// Journal is the event sink a System writes through (see store.WAL).
-type Journal interface {
-	Append(store.Event) error
-}
-
-// BatchJournal is the optional batched extension of Journal: the events
-// are appended as one group, sharing one write and (under a sync-always
-// policy) one fsync. *store.WAL satisfies it; journals without it fall
-// back to per-event Append.
-type BatchJournal interface {
-	AppendBatch([]store.Event) error
-}
-
-// ObservedJournal is the optional timing extension of Journal: the append
-// reports how long the write+flush and the fsync-group wait took, so a
-// traced request records wal.append and wal.fsync as separate child
-// spans. *store.WAL satisfies it; journals without it are timed as one
-// undifferentiated wal.append span.
-type ObservedJournal interface {
-	AppendObserved(store.Event) (write, sync time.Duration, err error)
-}
-
-// ObservedBatchJournal is the batched ObservedJournal. *store.WAL
+// Journal is the event sink a System writes through: one batched, timed
+// append. The events are acknowledged as a unit — a nil error means every
+// one of them is on the log, a non-nil error that none is — and the call
+// reports how long the write and the fsync-group wait took, which a traced
+// request records as its wal.append and wal.fsync spans. *store.WAL
 // satisfies it.
-type ObservedBatchJournal interface {
+type Journal interface {
 	AppendBatchObserved([]store.Event) (write, sync time.Duration, err error)
 }
 
@@ -194,31 +176,47 @@ func (s *System) Spans() *trace.SpanPlane { return s.spans }
 // Reputation exposes the worker reputation tracker.
 func (s *System) Reputation() *quality.Reputation { return s.rep }
 
-// SubmitTask creates and enqueues a task, returning its ID. On any
-// failure after the task reaches the store, the partial state is rolled
-// back so store, queue and journal never disagree about which tasks exist.
+// SubmitTask is SubmitTaskCtx without a request context.
 func (s *System) SubmitTask(kind task.Kind, p task.Payload, redundancy, priority int) (task.ID, error) {
-	return s.submit(kind, p, redundancy, priority, nil, trace.Handle{})
+	return s.SubmitTaskCtx(context.Background(), kind, p, redundancy, priority)
 }
 
-// SubmitTaskCtx is SubmitTask under the span handle carried by ctx: the
-// core work runs inside a core.submit child span, with queue.lockwait and
-// wal.append/wal.fsync children beneath it. A context without a handle
-// behaves exactly like SubmitTask.
+// SubmitTaskCtx creates and enqueues a task, returning its ID: a
+// SubmitBatchCtx of one under the span handle carried by ctx, inside a
+// core.submit child span that is marked failed when the submit is. A
+// context without a handle records nothing.
 func (s *System) SubmitTaskCtx(ctx context.Context, kind task.Kind, p task.Payload, redundancy, priority int) (task.ID, error) {
+	return s.submitOne(ctx, SubmitSpec{Kind: kind, Payload: p, Redundancy: redundancy, Priority: priority})
+}
+
+// SubmitGold is SubmitGoldCtx without a request context.
+func (s *System) SubmitGold(kind task.Kind, p task.Payload, redundancy, priority int, expected task.Answer) (task.ID, error) {
+	return s.SubmitGoldCtx(context.Background(), kind, p, redundancy, priority, expected)
+}
+
+// SubmitGoldCtx creates a gold probe: a task whose answer is already known.
+// Workers cannot tell it apart from real work; their answers update their
+// reputation instead of producing new results. The expected answer is
+// validated like any worker answer — a malformed expectation would score
+// every honest worker wrong and silently poison reputations.
+func (s *System) SubmitGoldCtx(ctx context.Context, kind task.Kind, p task.Payload, redundancy, priority int, expected task.Answer) (task.ID, error) {
+	return s.submitOne(ctx, SubmitSpec{Kind: kind, Payload: p, Redundancy: redundancy, Priority: priority, Gold: true, Expected: expected})
+}
+
+// submitOne runs submitAll on a batch of one under the single route's op
+// span; spec and outcome stay on the stack.
+func (s *System) submitOne(ctx context.Context, spec SubmitSpec) (task.ID, error) {
 	h, ref := startOp(trace.FromContext(ctx), "core.submit")
-	id, err := s.submit(kind, p, redundancy, priority, nil, h)
-	endOp(h, ref, err)
-	return id, err
+	var out [1]SubmitOutcome
+	s.submitAll(h, []SubmitSpec{spec}, out[:])
+	endOp(h, ref, out[0].Err)
+	return out[0].ID, out[0].Err
 }
 
 // startOp opens the core-op child span named op and rebases the handle
 // under it, so every span the callee records nests beneath the op span.
-// Invalid handles pass through untouched at zero cost.
+// The invalid handle — the untraced caller — passes through untouched.
 func startOp(h trace.Handle, op string) (trace.Handle, trace.SpanRef) {
-	if !h.Valid() {
-		return h, trace.NoSpan
-	}
 	ref := h.StartSpan(op, trace.NoSpan)
 	return h.Under(ref), ref
 }
@@ -226,9 +224,6 @@ func startOp(h trace.Handle, op string) (trace.Handle, trace.SpanRef) {
 // endOp closes the op span opened by startOp, marking it failed when err
 // is non-nil.
 func endOp(h trace.Handle, ref trace.SpanRef, err error) {
-	if ref < 0 {
-		return
-	}
 	if err != nil {
 		h.FailSpan(ref, err.Error())
 	} else {
@@ -236,139 +231,21 @@ func endOp(h trace.Handle, ref trace.SpanRef, err error) {
 	}
 }
 
-// submit is the shared submit path. A non-nil gold answer registers the
-// task as a reputation probe *before* it becomes leasable — a worker who
-// leases and answers the probe in the window between Add and registration
-// would otherwise escape scoring — and rides in the journal event so the
-// probe survives replay.
-func (s *System) submit(kind task.Kind, p task.Payload, redundancy, priority int, gold *task.Answer, h trace.Handle) (task.ID, error) {
-	if s.readOnly.Load() {
-		return 0, ErrReadOnly
-	}
-	now := s.clock.Now()
-	t, err := task.New(s.store.NextID(), kind, p, redundancy, now)
-	if err != nil {
-		return 0, err
-	}
-	t.Priority = priority
-	s.emit(trace.StageSubmit, t.ID, "", now, h.Trace())
-	// Snapshot for the journal before the task becomes leasable: once Add
-	// succeeds a concurrent worker may already be mutating t.
-	clean := task.Task(t.View())
-	s.store.Put(t)
-	if gold != nil {
-		s.mu.Lock()
-		s.gold[t.ID] = *gold
-		s.mu.Unlock()
-	}
-	dropGold := func() {
-		if gold != nil {
-			s.mu.Lock()
-			delete(s.gold, t.ID)
-			s.mu.Unlock()
-		}
-	}
-	if err := s.queue.AddTraced(t, h); err != nil {
-		s.store.Delete(t.ID)
-		dropGold()
-		return 0, err
-	}
-	if err := s.journalTraced(h, store.Event{Kind: store.EventSubmit, At: now, Task: &clean, Gold: gold}); err != nil {
-		// Unacknowledged and unjournaled: a crash here would lose the task
-		// anyway, so withdraw it rather than strand it half-submitted.
-		_ = s.queue.Remove(t.ID)
-		s.store.Delete(t.ID)
-		dropGold()
-		return 0, err
-	}
-	s.tasksSubmitted.Inc()
-	return t.ID, nil
-}
-
-// journal writes e to the configured journal, if any.
-func (s *System) journal(e store.Event) error {
-	if s.cfg.Journal == nil {
+// journal appends events to the configured journal, if any, as one
+// all-or-nothing group; under a valid handle the append is recorded as a
+// wal.append span (write+flush; attr: events in the group) and, when the
+// journal waited on an fsync group, a wal.fsync span behind it.
+func (s *System) journal(h trace.Handle, events []store.Event) error {
+	if s.cfg.Journal == nil || len(events) == 0 {
 		return nil
 	}
-	return s.cfg.Journal.Append(e)
-}
-
-// journalTraced is journal under a span handle: through an
-// ObservedJournal the append splits into wal.append (write+flush) and
-// wal.fsync (group-commit wait) child spans; other journals get one
-// wal.append span covering the whole call. An invalid handle makes it
-// exactly journal.
-func (s *System) journalTraced(h trace.Handle, e store.Event) error {
-	if s.cfg.Journal == nil {
-		return nil
+	start := h.Now()
+	w, sy, err := s.cfg.Journal.AppendBatchObserved(events)
+	h.Observe("wal.append", trace.NoSpan, start, w, int64(len(events)))
+	if sy > 0 {
+		h.Observe("wal.fsync", trace.NoSpan, start.Add(w), sy, 0)
 	}
-	if !h.Valid() {
-		return s.cfg.Journal.Append(e)
-	}
-	if oj, ok := s.cfg.Journal.(ObservedJournal); ok {
-		start := time.Now()
-		w, sy, err := oj.AppendObserved(e)
-		h.Observe("wal.append", trace.NoSpan, start, w, 1)
-		if sy > 0 {
-			h.Observe("wal.fsync", trace.NoSpan, start.Add(w), sy, 0)
-		}
-		return err
-	}
-	start := time.Now()
-	err := s.cfg.Journal.Append(e)
-	h.Observe("wal.append", trace.NoSpan, start, time.Since(start), 1)
 	return err
-}
-
-// journalBatch writes events to the configured journal, preferring the
-// batched append. It returns how many leading events were acknowledged:
-// all of them on success, all-or-nothing through a BatchJournal, and the
-// prefix before the first failure through the per-event fallback — the
-// caller rolls back exactly the unacknowledged suffix.
-func (s *System) journalBatch(events []store.Event) (int, error) {
-	if s.cfg.Journal == nil || len(events) == 0 {
-		return len(events), nil
-	}
-	if bj, ok := s.cfg.Journal.(BatchJournal); ok {
-		if err := bj.AppendBatch(events); err != nil {
-			return 0, err
-		}
-		return len(events), nil
-	}
-	for i, e := range events {
-		if err := s.cfg.Journal.Append(e); err != nil {
-			return i, err
-		}
-	}
-	return len(events), nil
-}
-
-// journalBatchTraced is journalBatch under a span handle, with the same
-// wal.append/wal.fsync split as journalTraced (attr on wal.append: events
-// in the group).
-func (s *System) journalBatchTraced(h trace.Handle, events []store.Event) (int, error) {
-	if s.cfg.Journal == nil || len(events) == 0 {
-		return len(events), nil
-	}
-	if !h.Valid() {
-		return s.journalBatch(events)
-	}
-	if obj, ok := s.cfg.Journal.(ObservedBatchJournal); ok {
-		start := time.Now()
-		w, sy, err := obj.AppendBatchObserved(events)
-		h.Observe("wal.append", trace.NoSpan, start, w, int64(len(events)))
-		if sy > 0 {
-			h.Observe("wal.fsync", trace.NoSpan, start.Add(w), sy, 0)
-		}
-		if err != nil {
-			return 0, err
-		}
-		return len(events), nil
-	}
-	start := time.Now()
-	n, err := s.journalBatch(events)
-	h.Observe("wal.append", trace.NoSpan, start, time.Since(start), int64(len(events)))
-	return n, err
 }
 
 // SubmitSpec is one task of a SubmitBatch call.
@@ -389,127 +266,136 @@ type SubmitOutcome struct {
 	Err error
 }
 
-// SubmitBatch creates and enqueues many tasks in one pass: tasks are
-// grouped by shard so each store and queue shard lock is taken once per
-// batch instead of once per task, and all journal events are appended as
-// one group (one write, one fsync under sync-always). The returned slice
-// is index-aligned with specs; an invalid item never fails the rest. Items
-// whose journal append was not acknowledged are withdrawn, so store, queue
-// and journal agree about which tasks exist — exactly the single-submit
-// contract, batched.
+// SubmitBatch is SubmitBatchCtx without a request context.
 func (s *System) SubmitBatch(specs []SubmitSpec) []SubmitOutcome {
-	return s.submitBatch(specs, trace.Handle{})
+	return s.SubmitBatchCtx(context.Background(), specs)
 }
 
-// SubmitBatchCtx is SubmitBatch under the span handle carried by ctx; the
-// whole batch runs inside one core.submit_batch child span.
+// SubmitBatchCtx creates and enqueues many tasks in one pass, inside one
+// core.submit_batch child span of the handle carried by ctx: each store and
+// queue shard lock is taken once per batch instead of once per task, and
+// all journal events are appended as one group (one write, one fsync under
+// sync-always). The returned slice is index-aligned with specs; an invalid
+// item never fails the rest. When the journal refuses the group every task
+// in it is withdrawn, so store, queue and journal never disagree about
+// which tasks exist.
 func (s *System) SubmitBatchCtx(ctx context.Context, specs []SubmitSpec) []SubmitOutcome {
 	h, ref := startOp(trace.FromContext(ctx), "core.submit_batch")
-	out := s.submitBatch(specs, h)
+	out := make([]SubmitOutcome, len(specs))
+	s.submitAll(h, specs, out)
 	endOp(h, ref, nil)
 	return out
 }
 
-func (s *System) submitBatch(specs []SubmitSpec, h trace.Handle) []SubmitOutcome {
-	out := make([]SubmitOutcome, len(specs))
-	if len(specs) == 0 {
-		return out
-	}
+// submitItem is one valid task on its way through submitAll.
+type submitItem struct {
+	at    int          // index of its spec and outcome
+	t     *task.Task   // the live task, owned by the queue once enqueued
+	clean task.Task    // journal copy, taken before a worker can touch t
+	gold  *task.Answer // expected answer of a gold probe
+}
+
+// submitAll is the one submit body, for a batch of any size (a single
+// submit is a batch of one): validate → store → register gold → enqueue →
+// journal, withdrawing whatever was not acknowledged. out is index-aligned
+// with specs. A gold expectation is registered *before* its task becomes
+// leasable — a worker who leased and answered the probe between enqueue
+// and registration would escape scoring — and rides in the journal event
+// so the probe survives replay.
+func (s *System) submitAll(h trace.Handle, specs []SubmitSpec, out []SubmitOutcome) {
 	if s.readOnly.Load() {
 		for i := range out {
 			out[i].Err = ErrReadOnly
 		}
-		return out
+		return
 	}
-	tr := h.Trace()
-	now := s.clock.Now()
-	tasks := make([]*task.Task, 0, len(specs))
-	specIdx := make([]int, 0, len(specs)) // spec index of each created task
-	for i, sp := range specs {
+	tr, now := h.Trace(), s.clock.Now()
+	items := make([]submitItem, 0, len(specs))
+	for i := range specs {
+		sp := &specs[i]
+		it := submitItem{at: i}
 		if sp.Gold {
-			// A malformed gold expectation would score every honest worker
-			// wrong; reject it before the task exists anywhere.
-			if err := task.ValidateAnswer(sp.Kind, sp.Expected); err != nil {
-				out[i].Err = err
+			// A malformed expectation would score every honest worker wrong;
+			// reject it before the task exists anywhere.
+			if out[i].Err = task.ValidateAnswer(sp.Kind, sp.Expected); out[i].Err != nil {
 				continue
 			}
+			expected := sp.Expected
+			it.gold = &expected
 		}
-		t, err := task.New(s.store.NextID(), sp.Kind, sp.Payload, sp.Redundancy, now)
-		if err != nil {
-			out[i].Err = err
+		if it.t, out[i].Err = task.New(s.store.NextID(), sp.Kind, sp.Payload, sp.Redundancy, now); out[i].Err != nil {
 			continue
 		}
-		t.Priority = sp.Priority
-		s.emit(trace.StageSubmit, t.ID, "", now, tr)
-		tasks = append(tasks, t)
-		specIdx = append(specIdx, i)
+		it.t.Priority = sp.Priority
+		it.clean = task.Task(it.t.View())
+		s.emit(trace.StageSubmit, it.t.ID, "", now, tr)
+		items = append(items, it)
 	}
-	if len(tasks) == 0 {
-		return out
+	if len(items) == 0 {
+		return
 	}
-	// Snapshot for the journal before the tasks become leasable: once
-	// AddBatch succeeds a concurrent worker may already be mutating them.
-	cleans := make([]task.Task, len(tasks))
-	events := make([]store.Event, len(tasks))
-	golds := make([]*task.Answer, len(tasks))
-	for j, t := range tasks {
-		cleans[j] = task.Task(t.View())
-		events[j] = store.Event{Kind: store.EventSubmit, At: now, Task: &cleans[j]}
-		if sp := specs[specIdx[j]]; sp.Gold {
-			g := sp.Expected
-			golds[j] = &g
-			events[j].Gold = golds[j]
-		}
+	var few [8]*task.Task // a batch this small keeps its task list on the stack
+	tasks := few[:0]
+	for j := range items {
+		tasks = append(tasks, items[j].t)
 	}
 	s.store.PutBatch(tasks)
-	// Gold expectations register before the tasks become leasable, so no
-	// worker can answer a probe unscored (mirrors the single-submit path).
-	s.mu.Lock()
-	for j, g := range golds {
-		if g != nil {
-			s.gold[tasks[j].ID] = *g
+	s.setGold(items, true)
+	if refused := s.queue.AddBatchTraced(tasks, h); refused != nil {
+		for j := range items {
+			out[items[j].at].Err = refused[j]
 		}
 	}
-	s.mu.Unlock()
-	dropGold := func(id task.ID, g *task.Answer) {
-		if g != nil {
+	var events []store.Event
+	if s.cfg.Journal != nil { // a system that journals nothing does not build the group
+		events = make([]store.Event, 0, len(items))
+		for j := range items {
+			if it := &items[j]; out[it.at].Err == nil {
+				events = append(events, store.Event{Kind: store.EventSubmit, At: now, Task: &it.clean, Gold: it.gold})
+			}
+		}
+	}
+	jerr := s.journal(h, events)
+	for j := range items {
+		it := &items[j]
+		queued := out[it.at].Err == nil
+		if queued && jerr == nil {
+			out[it.at].ID = it.t.ID
+			s.tasksSubmitted.Inc()
+			continue
+		}
+		// Unacknowledged and unjournaled: a crash here would lose the task
+		// anyway, so withdraw it rather than strand it half-submitted.
+		if queued {
+			out[it.at].Err = jerr
+			_ = s.queue.Remove(it.t.ID)
+		}
+		s.store.Delete(it.t.ID)
+		s.setGold(items[j:j+1], false)
+	}
+}
+
+// setGold registers (on) or withdraws the gold expectations among items,
+// taking the gold lock only when there is one.
+func (s *System) setGold(items []submitItem, on bool) {
+	locked := false
+	for j := range items {
+		if items[j].gold == nil {
+			continue
+		}
+		if !locked {
 			s.mu.Lock()
-			delete(s.gold, id)
-			s.mu.Unlock()
+			locked = true
+		}
+		if on {
+			s.gold[items[j].t.ID] = *items[j].gold
+		} else {
+			delete(s.gold, items[j].t.ID)
 		}
 	}
-	addErrs := s.queue.AddBatchTraced(tasks, h)
-	okTasks := make([]*task.Task, 0, len(tasks))
-	okEvents := make([]store.Event, 0, len(tasks))
-	okGolds := make([]*task.Answer, 0, len(tasks))
-	okIdx := make([]int, 0, len(tasks))
-	for j, t := range tasks {
-		if addErrs[j] != nil {
-			s.store.Delete(t.ID)
-			dropGold(t.ID, golds[j])
-			out[specIdx[j]].Err = addErrs[j]
-			continue
-		}
-		okTasks = append(okTasks, t)
-		okEvents = append(okEvents, events[j])
-		okGolds = append(okGolds, golds[j])
-		okIdx = append(okIdx, specIdx[j])
+	if locked {
+		s.mu.Unlock()
 	}
-	acked, jerr := s.journalBatchTraced(h, okEvents)
-	for j, t := range okTasks {
-		if j >= acked {
-			// Unacknowledged and unjournaled: withdraw rather than strand
-			// half-submitted (mirrors the single-submit rollback).
-			_ = s.queue.Remove(t.ID)
-			s.store.Delete(t.ID)
-			dropGold(t.ID, okGolds[j])
-			out[okIdx[j]].Err = jerr
-			continue
-		}
-		out[okIdx[j]].ID = t.ID
-		s.tasksSubmitted.Inc()
-	}
-	return out
 }
 
 // emit appends one lifecycle event to the trace recorder, if tracing is on.
@@ -524,29 +410,6 @@ func (s *System) emit(stage trace.Stage, id task.ID, worker string, at time.Time
 	})
 }
 
-// SubmitGold creates a gold probe: a task whose answer is already known.
-// Workers cannot tell it apart from real work; their answers update their
-// reputation instead of producing new results. The expected answer is
-// validated like any worker answer — a malformed expectation would score
-// every honest worker wrong and silently poison reputations.
-func (s *System) SubmitGold(kind task.Kind, p task.Payload, redundancy, priority int, expected task.Answer) (task.ID, error) {
-	if err := task.ValidateAnswer(kind, expected); err != nil {
-		return 0, err
-	}
-	return s.submit(kind, p, redundancy, priority, &expected, trace.Handle{})
-}
-
-// SubmitGoldCtx is SubmitGold under the span handle carried by ctx.
-func (s *System) SubmitGoldCtx(ctx context.Context, kind task.Kind, p task.Payload, redundancy, priority int, expected task.Answer) (task.ID, error) {
-	if err := task.ValidateAnswer(kind, expected); err != nil {
-		return 0, err
-	}
-	h, ref := startOp(trace.FromContext(ctx), "core.submit")
-	id, err := s.submit(kind, p, redundancy, priority, &expected, h)
-	endOp(h, ref, err)
-	return id, err
-}
-
 // IsGold reports whether id is a gold probe.
 func (s *System) IsGold(id task.ID) bool {
 	s.mu.RLock()
@@ -558,23 +421,17 @@ func (s *System) IsGold(id task.ID) bool {
 // Shards returns the effective shard count of the dispatch data plane.
 func (s *System) Shards() int { return s.store.Shards() }
 
-// NextTask leases the best available task to workerID, returning an
-// immutable snapshot of it. It returns queue.ErrEmpty when nothing is
-// available.
+// NextTask is NextTaskCtx without a request context.
 func (s *System) NextTask(workerID string) (task.View, queue.LeaseID, error) {
-	if workerID == "" {
-		return task.View{}, 0, errors.New("core: worker ID required")
-	}
-	if s.readOnly.Load() {
-		return task.View{}, 0, ErrReadOnly
-	}
-	return s.queue.Lease(workerID, s.clock.Now())
+	return s.NextTaskCtx(context.Background(), workerID)
 }
 
-// NextTaskCtx is NextTask under the span handle carried by ctx: the lease
-// runs inside a core.lease child span with the queue's shard-lock wait
-// recorded beneath it. queue.ErrEmpty does not mark the span failed — an
-// empty queue is an answer, not an error.
+// NextTaskCtx leases the best available task to workerID, returning an
+// immutable snapshot of it, or queue.ErrEmpty when nothing is available.
+// Under the span handle carried by ctx the lease runs inside a core.lease
+// child span with the queue's shard-lock wait recorded beneath it.
+// queue.ErrEmpty does not mark the span failed — an empty queue is an
+// answer, not an error.
 func (s *System) NextTaskCtx(ctx context.Context, workerID string) (task.View, queue.LeaseID, error) {
 	if workerID == "" {
 		return task.View{}, 0, errors.New("core: worker ID required")
@@ -608,21 +465,18 @@ func (s *System) LeaseTaskFor(id task.ID, workerID string) (task.View, queue.Lea
 	return s.queue.LeaseTask(id, workerID, s.clock.Now())
 }
 
-// LeaseBatch leases up to max available tasks to workerID in one call
-// (each queue shard lock taken at most twice per batch). It returns
+// LeaseBatch is LeaseBatchCtx without a request context.
+func (s *System) LeaseBatch(workerID string, max int) []queue.LeaseGrant {
+	return s.LeaseBatchCtx(context.Background(), workerID, max)
+}
+
+// LeaseBatchCtx leases up to max available tasks to workerID in one call
+// (each queue shard lock taken at most twice per batch), inside one
+// core.lease_batch child span of the handle carried by ctx. It returns
 // however many grants were available; an empty batch is not an error.
 // Within a shard grants come out best-first; across shards the batch
 // draws round-robin from a rotating start, trading exact global priority
 // order for one-lock-per-shard batching (see queue.LeaseBatch).
-func (s *System) LeaseBatch(workerID string, max int) []queue.LeaseGrant {
-	if workerID == "" || s.readOnly.Load() {
-		return nil
-	}
-	return s.queue.LeaseBatch(workerID, max, s.clock.Now())
-}
-
-// LeaseBatchCtx is LeaseBatch under the span handle carried by ctx; the
-// batch runs inside one core.lease_batch child span.
 func (s *System) LeaseBatchCtx(ctx context.Context, workerID string, max int) []queue.LeaseGrant {
 	if workerID == "" || s.readOnly.Load() {
 		return nil
@@ -633,65 +487,30 @@ func (s *System) LeaseBatchCtx(ctx context.Context, workerID string, max int) []
 	return out
 }
 
-// SubmitAnswer records the leaseholder's answer. Gold probes additionally
-// update the worker's reputation. The journal record and the gold check
-// both use the answer the queue returned by value — core never re-reads
-// the task's answer list, so two interleaved submissions can never journal
-// or credit each other's answers.
+// SubmitAnswer is SubmitAnswerCtx without a request context.
 func (s *System) SubmitAnswer(lease queue.LeaseID, a task.Answer) error {
-	return s.submitAnswer(lease, a, trace.Handle{})
+	return s.SubmitAnswerCtx(context.Background(), lease, a)
 }
 
-// SubmitAnswerCtx is SubmitAnswer under the span handle carried by ctx:
-// the work runs inside a core.answer child span, with queue.lockwait,
-// wal.append/wal.fsync and quality.update children beneath it.
+// SubmitAnswerCtx records the leaseholder's answer: an
+// AnswerBatchDetailedCtx of one under the span handle carried by ctx,
+// inside a core.answer child span that is marked failed when the answer
+// is, with queue.lockwait, wal.append/wal.fsync and quality.update
+// children beneath it.
 func (s *System) SubmitAnswerCtx(ctx context.Context, lease queue.LeaseID, a task.Answer) error {
 	h, ref := startOp(trace.FromContext(ctx), "core.answer")
-	err := s.submitAnswer(lease, a, h)
-	endOp(h, ref, err)
-	return err
+	var out [1]AnswerOutcome
+	s.answerAll(h, []queue.CompleteItem{{Lease: lease, Answer: a}}, out[:])
+	endOp(h, ref, out[0].Err)
+	return out[0].Err
 }
 
-func (s *System) submitAnswer(lease queue.LeaseID, a task.Answer, h trace.Handle) error {
-	if s.readOnly.Load() {
-		return ErrReadOnly
-	}
-	now := s.clock.Now()
-	res, err := s.queue.CompleteTraced(lease, a, now, h)
-	if err != nil {
-		return err
-	}
-	recorded := res.Answer
-	if err := s.journalTraced(h, store.Event{Kind: store.EventAnswer, At: now, TaskID: res.TaskID, Answer: &recorded}); err != nil {
-		return err
-	}
-	s.answersTotal.Inc()
-	// Live GWAP accounting: the lease-to-answer span is this worker's play
-	// time for the round, and a task reaching redundancy is one solved
-	// problem instance. Throughput, ALP and expected contribution on the
-	// admin /metrics endpoint derive from exactly these two records.
-	s.gwap.RecordSession(res.Answer.WorkerID, now.Sub(res.LeasedAt))
-	if res.Status == task.Done {
-		s.gwap.RecordOutputs(1)
-	}
-	if h.Valid() {
-		qs := time.Now()
-		s.checkGold(res, h.Trace())
-		s.observeAnswer(res, now)
-		h.Observe("quality.update", trace.NoSpan, qs, time.Since(qs), 0)
-	} else {
-		s.checkGold(res, trace.TraceID{})
-		s.observeAnswer(res, now)
-	}
-	return nil
-}
-
-// AnswerBatch records many lease answers in one call: the queue groups
-// items by shard (one lock per shard per batch) and the journal receives
-// all answer events as one group append. The returned slice is
-// index-aligned with items; one bad item (unknown lease, repeat worker)
-// never fails the rest. Items whose journal append was not acknowledged
-// report that error, exactly as a single SubmitAnswer would.
+// AnswerBatch records many lease answers in one call: the queue takes one
+// lock per shard per batch and the journal receives all answer events as
+// one group append. The returned slice is index-aligned with items; one
+// bad item (unknown lease, repeat worker) never fails the rest. When the
+// journal refuses the group, every item in it reports that error, exactly
+// as a single SubmitAnswer would.
 func (s *System) AnswerBatch(items []queue.CompleteItem) []error {
 	outcomes := s.AnswerBatchDetailed(items)
 	errs := make([]error, len(outcomes))
@@ -716,84 +535,88 @@ type AnswerOutcome struct {
 	EarlyDone  bool
 }
 
-// AnswerBatchDetailed is AnswerBatch returning per-item outcomes with the
-// quality plane's posterior view of each answered task.
+// AnswerBatchDetailed is AnswerBatchDetailedCtx without a request context.
 func (s *System) AnswerBatchDetailed(items []queue.CompleteItem) []AnswerOutcome {
-	return s.answerBatchDetailed(items, trace.Handle{})
+	return s.AnswerBatchDetailedCtx(context.Background(), items)
 }
 
-// AnswerBatchDetailedCtx is AnswerBatchDetailed under the span handle
-// carried by ctx; the batch runs inside one core.answer_batch child span
-// with a single quality.update span covering the whole post-journal pass.
+// AnswerBatchDetailedCtx is AnswerBatch returning per-item outcomes with
+// the quality plane's posterior view of each answered task; the batch runs
+// inside one core.answer_batch child span of the handle carried by ctx.
 func (s *System) AnswerBatchDetailedCtx(ctx context.Context, items []queue.CompleteItem) []AnswerOutcome {
 	h, ref := startOp(trace.FromContext(ctx), "core.answer_batch")
-	out := s.answerBatchDetailed(items, h)
+	out := make([]AnswerOutcome, len(items))
+	s.answerAll(h, items, out)
 	endOp(h, ref, nil)
 	return out
 }
 
-func (s *System) answerBatchDetailed(items []queue.CompleteItem, h trace.Handle) []AnswerOutcome {
-	out := make([]AnswerOutcome, len(items))
-	if len(items) == 0 {
-		return out
-	}
+// answerAll is the one answer body, for a batch of any size (a single
+// answer is a batch of one): record in the queue → journal → count, score
+// gold, feed the quality plane. out is index-aligned with items. The
+// journal record and the gold check both use the answer the queue returned
+// by value — core never re-reads the task's answer list, so two
+// interleaved submissions can never journal or credit each other's
+// answers. The post-journal pass is one quality.update span (attr: answers
+// acknowledged), recorded only when there were any.
+func (s *System) answerAll(h trace.Handle, items []queue.CompleteItem, out []AnswerOutcome) {
 	if s.readOnly.Load() {
 		for i := range out {
 			out[i].Err = ErrReadOnly
 		}
-		return out
+		return
 	}
 	now := s.clock.Now()
-	outcomes := s.queue.CompleteBatchTraced(items, now, h)
-	// recorded answers need stable addresses for the journal events; the
-	// slice is pre-sized so appends never reallocate.
-	recorded := make([]task.Answer, 0, len(items))
-	events := make([]store.Event, 0, len(items))
-	okIdx := make([]int, 0, len(items))
-	for i, o := range outcomes {
-		if o.Err != nil {
-			out[i].Err = o.Err
+	recorded := s.queue.CompleteBatchTraced(items, now, h)
+	acked := 0
+	for i := range recorded {
+		if out[i].Err = recorded[i].Err; out[i].Err == nil {
+			acked++
+		}
+	}
+	if acked == 0 {
+		return
+	}
+	var events []store.Event
+	if s.cfg.Journal != nil { // a system that journals nothing does not build the group
+		events = make([]store.Event, 0, acked)
+		for i := range recorded {
+			if res := &recorded[i].Result; out[i].Err == nil {
+				events = append(events, store.Event{Kind: store.EventAnswer, At: now, TaskID: res.TaskID, Answer: &res.Answer})
+			}
+		}
+	}
+	if err := s.journal(h, events); err != nil {
+		for i := range out {
+			if out[i].Err == nil {
+				out[i].Err = err
+			}
+		}
+		return
+	}
+	qs, tr := h.Now(), h.Trace()
+	for i := range recorded {
+		if out[i].Err != nil {
 			continue
 		}
-		recorded = append(recorded, o.Result.Answer)
-		events = append(events, store.Event{
-			Kind: store.EventAnswer, At: now,
-			TaskID: o.Result.TaskID, Answer: &recorded[len(recorded)-1],
-		})
-		okIdx = append(okIdx, i)
-	}
-	acked, jerr := s.journalBatchTraced(h, events)
-	var qs time.Time
-	tr := h.Trace()
-	if h.Valid() {
-		qs = time.Now()
-	}
-	for j, i := range okIdx {
-		if j >= acked {
-			out[i].Err = jerr
-			continue
-		}
-		res := outcomes[i].Result
+		res := recorded[i].Result
 		s.answersTotal.Inc()
+		// Live GWAP accounting: the lease-to-answer span is this worker's play
+		// time for the round, and a task reaching redundancy is one solved
+		// problem instance. Throughput, ALP and expected contribution on the
+		// admin /metrics endpoint derive from exactly these two records.
 		s.gwap.RecordSession(res.Answer.WorkerID, now.Sub(res.LeasedAt))
 		if res.Status == task.Done {
 			s.gwap.RecordOutputs(1)
 		}
 		s.checkGold(res, tr)
 		conf, post, early := s.observeAnswer(res, now)
-		out[i].TaskID = res.TaskID
-		out[i].Status = res.Status
-		out[i].Confidence = conf
-		out[i].Posterior = post
-		out[i].EarlyDone = early
+		out[i] = AnswerOutcome{TaskID: res.TaskID, Status: res.Status, Confidence: conf, Posterior: post, EarlyDone: early}
 		if early {
 			out[i].Status = task.Done
 		}
 	}
-	if h.Valid() {
-		h.Observe("quality.update", trace.NoSpan, qs, time.Since(qs), int64(len(okIdx)))
-	}
-	return out
+	h.ObserveSince("quality.update", trace.NoSpan, qs, int64(acked))
 }
 
 // checkGold scores a just-recorded answer against its task's gold
@@ -867,7 +690,7 @@ func (s *System) CancelTask(id task.ID) error {
 	if err != nil {
 		return err
 	}
-	return s.journal(store.Event{Kind: store.EventCancel, At: now, TaskID: id})
+	return s.journal(trace.Handle{}, []store.Event{{Kind: store.EventCancel, At: now, TaskID: id}})
 }
 
 // Task returns an immutable snapshot of the stored task (any status).

@@ -386,20 +386,20 @@ func TestCancelTaskEdgeCases(t *testing.T) {
 	if err != nil || got.Status != task.Canceled {
 		t.Fatalf("status after cancel while leased: %+v, %v", got, err)
 	}
-	if err := s.SubmitAnswer(lease3, task.Answer{Words: []int{1}}); !errors.Is(err, queue.ErrUnknownTask) {
+	if err := s.SubmitAnswer(lease3, task.Answer{Words: []int{1}}); !errors.Is(err, task.ErrWrongStatus) {
 		t.Fatalf("answer after cancel: %v", err)
 	}
 }
 
-// flakyJournal fails its first Append calls, then recovers.
+// flakyJournal fails its first appends, then recovers.
 type flakyJournal struct{ failures int }
 
-func (j *flakyJournal) Append(store.Event) error {
+func (j *flakyJournal) AppendBatchObserved([]store.Event) (write, sync time.Duration, err error) {
 	if j.failures > 0 {
 		j.failures--
-		return errors.New("journal: disk full")
+		return 0, 0, errors.New("journal: disk full")
 	}
-	return nil
+	return 0, 0, nil
 }
 
 func TestSubmitTaskJournalErrorRollsBack(t *testing.T) {

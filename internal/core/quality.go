@@ -19,6 +19,7 @@ import (
 	"humancomp/internal/queue"
 	"humancomp/internal/store"
 	"humancomp/internal/task"
+	"humancomp/internal/trace"
 )
 
 // choiceClasses is the label space of Compare/Judge tasks: {0, 1}.
@@ -111,7 +112,7 @@ func (s *System) observeAnswer(res queue.CompleteResult, now time.Time) (conf fl
 			// Best-effort journal: the answers that justified the finish are
 			// already on the log, so a lost finish record merely replays the
 			// task as open and lets the completion rule fire again.
-			_ = s.journal(store.Event{Kind: store.EventFinish, At: now, TaskID: res.TaskID})
+			_ = s.journal(trace.Handle{}, []store.Event{{Kind: store.EventFinish, At: now, TaskID: res.TaskID}})
 			return conf, post, true
 		}
 	}

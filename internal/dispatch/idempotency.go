@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"net/http"
 	"sync"
-	"time"
 
 	"humancomp/internal/trace"
 )
@@ -153,16 +152,13 @@ func principalScope(r *http.Request) string {
 // replay hit, 0 on a miss) when the request carries a span handle.
 func (c *idemCache) lookupSpanned(r *http.Request, scoped string) (*idemResponse, bool) {
 	sh := trace.FromContext(r.Context())
-	if !sh.Valid() {
-		return c.get(scoped)
-	}
-	t0 := time.Now()
+	t0 := sh.Now()
 	rec, ok := c.get(scoped)
 	var hit int64
 	if ok {
 		hit = 1
 	}
-	sh.Observe("idem.lookup", trace.NoSpan, t0, time.Since(t0), hit)
+	sh.ObserveSince("idem.lookup", trace.NoSpan, t0, hit)
 	return rec, ok
 }
 

@@ -234,9 +234,7 @@ func (s *Server) serveRecovered(rec *statusRecorder, r *http.Request, route stri
 			// suppressing it would hide the abort from the server.
 			panic(p)
 		}
-		if sh.Valid() {
-			sh.FailSpan(sh.Root(), fmt.Sprintf("panic: %v", p))
-		}
+		sh.FailSpan(sh.Root(), fmt.Sprintf("panic: %v", p))
 		s.logger.LogAttrs(r.Context(), slog.LevelError, "handler panic",
 			slog.String("route", route),
 			slog.Any("panic", p),

@@ -44,7 +44,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 
 	"humancomp/internal/core"
 	"humancomp/internal/jsonx"
@@ -376,28 +375,21 @@ func (c *reqCarrier) decodeInto(w http.ResponseWriter, r *http.Request, v any, l
 }
 
 // decodeSpanned is decodeInto plus an "http.decode" child span (attr =
-// body bytes) when the request carries a span handle; the invalid-handle
-// path costs nothing beyond the Valid check.
+// body bytes) when the request carries a span handle; under the invalid
+// handle neither the clock read nor the span happens.
 func (c *reqCarrier) decodeSpanned(w http.ResponseWriter, r *http.Request, sh trace.Handle, v any, limit int64) bool {
-	if !sh.Valid() {
-		return c.decodeInto(w, r, v, limit)
-	}
-	t0 := time.Now()
+	t0 := sh.Now()
 	ok := c.decodeInto(w, r, v, limit)
-	sh.Observe("http.decode", trace.NoSpan, t0, time.Since(t0), int64(c.buf.Len()))
+	sh.ObserveSince("http.decode", trace.NoSpan, t0, int64(c.buf.Len()))
 	return ok
 }
 
 // writeJSONSpanned is writeJSON plus an "http.encode" child span (attr =
 // response status) when the request carries a span handle.
 func writeJSONSpanned(w http.ResponseWriter, sh trace.Handle, status int, v any) {
-	if !sh.Valid() {
-		writeJSON(w, status, v)
-		return
-	}
-	t0 := time.Now()
+	t0 := sh.Now()
 	writeJSON(w, status, v)
-	sh.Observe("http.encode", trace.NoSpan, t0, time.Since(t0), int64(status))
+	sh.ObserveSince("http.encode", trace.NoSpan, t0, int64(status))
 }
 
 // decode parses a bounded request body into a fresh T; the cold-route

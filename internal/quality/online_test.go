@@ -2,8 +2,8 @@ package quality
 
 import (
 	"fmt"
+	"sort"
 	"testing"
-	"testing/quick"
 
 	"humancomp/internal/rng"
 )
@@ -82,15 +82,27 @@ func streamCorpus(src *rng.Source, k, numTasks, votesPer int, bias float64) (vot
 	return votes, truth
 }
 
+// sortedIDs returns the corpus's task IDs in a fixed order: the online
+// estimator's result depends on the order votes arrive in, so a test that
+// streamed them in map order would measure a different stream every run.
+func sortedIDs(votes map[string][]Vote) []string {
+	ids := make([]string, 0, len(votes))
+	for id := range votes {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
 // feedOnline streams the corpus into a fresh online estimator one vote at a
-// time, interleaving across tasks (round-robin by vote index) the way a
-// live answer stream would, and returns the final posteriors.
+// time, interleaving across tasks (round-robin by vote index, tasks in ID
+// order) the way a live answer stream would, and returns the final
+// posteriors.
 func feedOnline(votes map[string][]Vote, k int) map[string][]float64 {
 	o := NewOnlineDawidSkene(OnlineDSConfig{Classes: k})
 	maxVotes := 0
-	ids := make([]string, 0, len(votes))
-	for id, vs := range votes {
-		ids = append(ids, id)
+	ids := sortedIDs(votes)
+	for _, vs := range votes {
 		if len(vs) > maxVotes {
 			maxVotes = len(vs)
 		}
@@ -136,10 +148,26 @@ func agreement(online map[string][]float64, batch DSResult) (labelAgree, meanL1 
 	return labelAgree / float64(n), meanL1 / float64(n)
 }
 
+// convergenceSeeds is the fixed draw list of TestOnlineConvergesToBatch:
+// twelve ordinary seeds and the twelve worst draws of seeds 1, 3, …, 2001
+// (lowest label agreement, highest L1 or lowest batch accuracy in one of
+// the three cases). The test used to draw eight time-seeded corpora per
+// case and stream them in map order, and failed about one run in three.
+var convergenceSeeds = []uint64{1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23,
+	45, 373, 411, 425, 455, 523, 717, 815, 1291, 1465, 1783, 1955}
+
 // TestOnlineConvergesToBatch is the satellite property test: streaming the
 // same vote set one answer at a time must land within tolerance of a full
 // batch Dawid–Skene run, including with biased workers (the population has
 // always-vote-0 raters) and imbalanced classes.
+//
+// The tolerances are what the estimator achieves, not what one would like.
+// Per draw: over those 1001 seeds the worst corpus has label agreement
+// 0.82, mean L1 0.354 and batch accuracy 0.787, so a single draw must stay
+// inside 0.80 / 0.37 / 0.77. Across the list: the means are 0.945–0.955
+// and 0.103–0.112 even with the worst draws in it, so the typical draw is
+// held to 0.93 / 0.13 — tighter than the 0.90 / 0.20 every draw used to be
+// held to, which about one draw in sixty misses.
 func TestOnlineConvergesToBatch(t *testing.T) {
 	cases := []struct {
 		name string
@@ -152,16 +180,17 @@ func TestOnlineConvergesToBatch(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			property := func(seed uint64) bool {
-				src := rng.New(seed | 1)
-				votes, truth := streamCorpus(src, tc.k, 150, 5, tc.bias)
+			var sumAgree, sumL1 float64
+			for _, seed := range convergenceSeeds {
+				votes, truth := streamCorpus(rng.New(seed), tc.k, 150, 5, tc.bias)
 				online := feedOnline(votes, tc.k)
 				batch := DawidSkene(votes, tc.k, EMConfig{})
 				labelAgree, meanL1 := agreement(online, batch)
-				if labelAgree < 0.90 || meanL1 > 0.20 {
-					t.Logf("seed %d: label agreement %.3f, mean L1 %.3f", seed, labelAgree, meanL1)
-					return false
+				if labelAgree < 0.80 || meanL1 > 0.37 {
+					t.Errorf("seed %d: label agreement %.3f, mean L1 %.3f", seed, labelAgree, meanL1)
 				}
+				sumAgree += labelAgree
+				sumL1 += meanL1
 				// Both estimators must actually be good, not agreeing on
 				// garbage: check batch accuracy against ground truth.
 				hit := 0
@@ -170,14 +199,13 @@ func TestOnlineConvergesToBatch(t *testing.T) {
 						hit++
 					}
 				}
-				if acc := float64(hit) / float64(len(truth)); acc < 0.78 {
-					t.Logf("seed %d: batch accuracy %.3f suspiciously low", seed, acc)
-					return false
+				if acc := float64(hit) / float64(len(truth)); acc < 0.77 {
+					t.Errorf("seed %d: batch accuracy %.3f suspiciously low", seed, acc)
 				}
-				return true
 			}
-			if err := quick.Check(property, &quick.Config{MaxCount: 8}); err != nil {
-				t.Fatal(err)
+			n := float64(len(convergenceSeeds))
+			if sumAgree/n < 0.93 || sumL1/n > 0.13 {
+				t.Errorf("over %d draws: mean label agreement %.3f, mean L1 %.3f", len(convergenceSeeds), sumAgree/n, sumL1/n)
 			}
 		})
 	}
@@ -291,8 +319,8 @@ func TestDivergenceSmallOnConvergedSample(t *testing.T) {
 	src := rng.New(7)
 	votes, _ := streamCorpus(src, 2, 120, 5, 0.6)
 	o := NewOnlineDawidSkene(OnlineDSConfig{Classes: 2, HistoryCap: 256})
-	for id, vs := range votes {
-		for _, v := range vs {
+	for _, id := range sortedIDs(votes) { // map order would stream a different corpus every run
+		for _, v := range votes[id] {
 			o.Observe(id, v.Worker, v.Class)
 		}
 		o.Complete(id)

@@ -188,17 +188,29 @@ func (q *Queue) emit(stage trace.Stage, id task.ID, worker string, at time.Time,
 	q.rec.Append(trace.Event{TaskID: id, Stage: stage, At: at, Shard: q.shardIndex(id), Worker: worker, Trace: tr})
 }
 
-// lockShard acquires sh's lock, clocking the wait into *wait when the
-// caller is traced; a nil wait — the untraced path — never reads the
-// clock.
-func (q *Queue) lockShard(sh *qshard, wait *time.Duration) {
-	if wait == nil {
-		sh.lock()
-		return
-	}
-	t0 := time.Now()
+// lockwait accumulates the shard-lock waits of one queue call and records
+// them as the call's single queue.lockwait span (attr: shard locks taken —
+// 1 for a one-item call, the shards touched for a batch, every scan and
+// retry for a lease). Under the invalid handle — the untraced caller — Now
+// is the zero time, every wait is zero and done records nothing.
+type lockwait struct {
+	h     trace.Handle
+	start time.Time
+	wait  time.Duration
+	locks int64
+}
+
+func waitsOf(h trace.Handle) lockwait { return lockwait{h: h, start: h.Now()} }
+
+func (lw *lockwait) lock(sh *qshard) {
+	t0 := lw.h.Now()
 	sh.lock()
-	*wait += time.Since(t0)
+	lw.wait += lw.h.Now().Sub(t0)
+	lw.locks++
+}
+
+func (lw *lockwait) done() {
+	lw.h.Observe("queue.lockwait", trace.NoSpan, lw.start, lw.wait, lw.locks)
 }
 
 // leaseShard returns the shard a lease ID was allocated on.
@@ -223,33 +235,14 @@ func (q *Queue) unlockTask(id task.ID) {
 // Add enqueues an open task. The queue takes ownership of the task; callers
 // must not mutate it afterwards except through queue methods.
 func (q *Queue) Add(t *task.Task) error {
-	return q.AddTraced(t, trace.Handle{})
-}
-
-// AddTraced is Add under a request-scoped span handle: the shard-lock wait
-// is recorded as a queue.lockwait child span (attr: shard index) and the
-// enqueue lifecycle event carries the request's trace ID. An invalid
-// handle makes it exactly Add.
-func (q *Queue) AddTraced(t *task.Task, h trace.Handle) error {
-	var tr trace.TraceID
-	var wait *time.Duration
-	var start time.Time
-	if h.Valid() {
-		tr = h.Trace()
-		wait = new(time.Duration)
-		start = time.Now()
-	}
-	err := q.add(t, tr, wait)
-	if wait != nil {
-		h.Observe("queue.lockwait", trace.NoSpan, start, *wait, int64(q.shardIndex(t.ID)))
-	}
-	return err
-}
-
-func (q *Queue) add(t *task.Task, tr trace.TraceID, wait *time.Duration) error {
 	sh := q.shardFor(t.ID)
-	q.lockShard(sh, wait)
+	sh.lock()
 	defer sh.mu.Unlock()
+	return q.insertLocked(sh, t, trace.TraceID{})
+}
+
+// insertLocked is the one enqueue step; caller holds sh's lock.
+func (q *Queue) insertLocked(sh *qshard, t *task.Task, tr trace.TraceID) error {
 	if _, dup := sh.entries[t.ID]; dup {
 		return ErrDuplicateID
 	}
@@ -263,64 +256,47 @@ func (q *Queue) add(t *task.Task, tr trace.TraceID, wait *time.Duration) error {
 	return nil
 }
 
-// AddBatch enqueues many open tasks, grouping them by shard so each
-// shard's lock is taken at most once per call. The returned slice is
-// index-aligned with ts: a nil entry means that task was enqueued, a
-// non-nil one carries the same error Add would have returned. One bad
-// task never fails the rest of the batch.
+// AddBatch enqueues many open tasks, taking each shard's lock at most once
+// per call. A nil result means every task was enqueued; otherwise the slice
+// is index-aligned with ts, a nil entry meaning that task was enqueued and
+// a non-nil one carrying the error Add would have returned. One bad task
+// never fails the rest of the batch.
 func (q *Queue) AddBatch(ts []*task.Task) []error {
 	return q.AddBatchTraced(ts, trace.Handle{})
 }
 
-// AddBatchTraced is AddBatch under a span handle: the waits for every
-// shard lock the batch touches accumulate into one queue.lockwait span
-// (attr: shards locked), and each enqueue event carries the trace ID.
+// AddBatchTraced is AddBatch under a request-scoped span handle: the waits
+// for every shard lock the batch touches accumulate into one queue.lockwait
+// child span and each enqueue lifecycle event carries the request's trace
+// ID. The invalid handle makes it exactly AddBatch. Shards are visited in
+// index order, each picking its own tasks out of ts, so a batch of one
+// costs what Add costs.
 func (q *Queue) AddBatchTraced(ts []*task.Task, h trace.Handle) []error {
-	var tr trace.TraceID
-	var wait *time.Duration
-	var start time.Time
-	if h.Valid() {
-		tr = h.Trace()
-		wait = new(time.Duration)
-		start = time.Now()
-	}
-	errs, shards := q.addBatch(ts, tr, wait)
-	if wait != nil {
-		h.Observe("queue.lockwait", trace.NoSpan, start, *wait, int64(shards))
-	}
-	return errs
-}
-
-func (q *Queue) addBatch(ts []*task.Task, tr trace.TraceID, wait *time.Duration) ([]error, int) {
-	errs := make([]error, len(ts))
-	if len(ts) == 0 {
-		return errs, 0
-	}
-	byShard := make(map[*qshard][]int, len(q.shards))
-	for i, t := range ts {
-		sh := q.shardFor(t.ID)
-		byShard[sh] = append(byShard[sh], i)
-	}
-	for sh, idxs := range byShard {
-		q.lockShard(sh, wait)
-		for _, i := range idxs {
-			t := ts[i]
-			if _, dup := sh.entries[t.ID]; dup {
-				errs[i] = ErrDuplicateID
+	var errs []error
+	lw, tr := waitsOf(h), h.Trace()
+	for si, sh := range q.shards {
+		locked := false
+		for i, t := range ts {
+			if q.shardIndex(t.ID) != si {
 				continue
 			}
-			if t.Status != task.Open {
-				errs[i] = fmt.Errorf("queue: cannot enqueue task %d with status %v", t.ID, t.Status)
-				continue
+			if !locked {
+				lw.lock(sh)
+				locked = true
 			}
-			e := &entry{t: t, index: -1, holders: make(map[string]bool)}
-			sh.entries[t.ID] = e
-			heap.Push(&sh.heap, e)
-			q.emit(trace.StageEnqueue, t.ID, "", t.CreatedAt, tr)
+			if err := q.insertLocked(sh, t, tr); err != nil {
+				if errs == nil {
+					errs = make([]error, len(ts))
+				}
+				errs[i] = err
+			}
 		}
-		sh.mu.Unlock()
+		if locked {
+			sh.mu.Unlock()
+		}
 	}
-	return errs, len(byShard)
+	lw.done()
+	return errs
 }
 
 // leaseKey is the heap ordering key of a candidate entry, captured under
@@ -368,55 +344,39 @@ func (q *Queue) Lease(workerID string, now time.Time) (task.View, LeaseID, error
 // lock the scan takes accumulate into one queue.lockwait span and the
 // lease lifecycle event carries the request's trace ID.
 func (q *Queue) LeaseTraced(workerID string, now time.Time, h trace.Handle) (task.View, LeaseID, error) {
-	var tr trace.TraceID
-	var wait *time.Duration
-	var start time.Time
-	if h.Valid() {
-		tr = h.Trace()
-		wait = new(time.Duration)
-		start = time.Now()
-	}
-	v, id, err := q.lease(workerID, now, tr, wait)
-	if wait != nil {
-		h.Observe("queue.lockwait", trace.NoSpan, start, *wait, 0)
-	}
-	return v, id, err
-}
-
-func (q *Queue) lease(workerID string, now time.Time, tr trace.TraceID, wait *time.Duration) (task.View, LeaseID, error) {
+	lw, tr := waitsOf(h), h.Trace()
+	defer lw.done()
 	const exactAttempts = 4
-	for attempt := 0; ; attempt++ {
+	for attempt := 0; attempt <= exactAttempts; attempt++ {
 		best := -1
 		var bestKey leaseKey
 		for i, sh := range q.shards {
-			q.lockShard(sh, wait)
+			lw.lock(sh)
 			q.expireShardLocked(sh, now)
-			if attempt >= exactAttempts {
-				// Racing writers keep invalidating peeked candidates; take
-				// the first eligible task directly so Lease always
-				// terminates.
-				if v, id, ok := q.leaseBestLocked(sh, workerID, now, tr); ok {
-					sh.mu.Unlock()
-					return v, id, nil
-				}
+			if attempt == exactAttempts {
+				// Racing writers kept invalidating the peeked candidates:
+				// take the first shard's best directly so Lease terminates.
+				var g LeaseGrant
+				n := q.scanLocked(sh, workerID, 1, func(e *entry) {
+					g.Task, g.Lease = q.leaseEntryLocked(sh, e, workerID, now, tr)
+				})
 				sh.mu.Unlock()
+				if n > 0 {
+					return g.Task, g.Lease, nil
+				}
 				continue
 			}
-			if k, ok := q.peekEligibleLocked(sh, workerID); ok {
-				if best < 0 || k.before(bestKey) {
-					best, bestKey = i, k
-				}
+			var k leaseKey
+			if q.scanLocked(sh, workerID, 1, func(e *entry) { k = keyOf(e.t) }) > 0 && (best < 0 || k.before(bestKey)) {
+				best, bestKey = i, k
 			}
 			sh.mu.Unlock()
 		}
-		if attempt >= exactAttempts {
-			return task.View{}, 0, ErrEmpty
-		}
 		if best < 0 {
-			return task.View{}, 0, ErrEmpty
+			break
 		}
 		sh := q.shards[best]
-		q.lockShard(sh, wait)
+		lw.lock(sh)
 		if e, ok := sh.entries[bestKey.id]; ok && q.eligibleLocked(e, workerID) {
 			v, id := q.leaseEntryLocked(sh, e, workerID, now, tr)
 			sh.mu.Unlock()
@@ -425,62 +385,35 @@ func (q *Queue) lease(workerID string, now time.Time, tr trace.TraceID, wait *ti
 		sh.mu.Unlock()
 		// The peeked candidate was taken or finished between scans; retry.
 	}
+	return task.View{}, 0, ErrEmpty
 }
 
-// peekEligibleLocked finds the shard's best eligible entry without leasing
-// it: entries are popped until one is eligible, then everything popped is
-// pushed back. Finished tasks encountered on the way are drained, exactly
-// as the historical single-heap code did.
-func (q *Queue) peekEligibleLocked(sh *qshard, workerID string) (leaseKey, bool) {
+// scanLocked is the one walk over a shard's heap: entries are popped
+// best-first and take is called on each one workerID may lease, until want
+// have been taken or the heap is exhausted. Open entries the worker may not
+// lease are skipped, finished ones are drained from the table, and
+// everything still open — taken or skipped — is pushed back, since an entry
+// stays in the heap while leased. It returns how many were taken. Caller
+// holds sh's lock.
+func (q *Queue) scanLocked(sh *qshard, workerID string, want int, take func(*entry)) int {
 	var popped []*entry
-	var found *entry
-	for sh.heap.Len() > 0 {
+	taken := 0
+	for taken < want && sh.heap.Len() > 0 {
 		e := heap.Pop(&sh.heap).(*entry)
-		if q.eligibleLocked(e, workerID) {
-			popped = append(popped, e)
-			found = e
-			break
-		}
-		if e.t.Status == task.Open {
-			popped = append(popped, e)
+		switch {
+		case q.eligibleLocked(e, workerID):
+			take(e)
+			taken++
+		case e.t.Status != task.Open:
+			delete(sh.entries, e.t.ID)
 			continue
 		}
-		delete(sh.entries, e.t.ID) // finished task drained from heap
+		popped = append(popped, e)
 	}
 	for _, e := range popped {
 		heap.Push(&sh.heap, e)
 	}
-	if found == nil {
-		return leaseKey{}, false
-	}
-	return keyOf(found.t), true
-}
-
-// leaseBestLocked pops until an eligible entry is found and leases it —
-// the historical single-shard algorithm, used as the guaranteed-progress
-// fallback when exact global selection keeps losing races.
-func (q *Queue) leaseBestLocked(sh *qshard, workerID string, now time.Time, tr trace.TraceID) (task.View, LeaseID, bool) {
-	var skipped []*entry
-	defer func() {
-		for _, e := range skipped {
-			heap.Push(&sh.heap, e)
-		}
-	}()
-	for sh.heap.Len() > 0 {
-		e := heap.Pop(&sh.heap).(*entry)
-		if !q.eligibleLocked(e, workerID) {
-			if e.t.Status == task.Open {
-				skipped = append(skipped, e)
-				continue
-			}
-			delete(sh.entries, e.t.ID)
-			continue
-		}
-		heap.Push(&sh.heap, e)
-		v, id := q.leaseEntryLocked(sh, e, workerID, now, tr)
-		return v, id, true
-	}
-	return task.View{}, 0, false
+	return taken
 }
 
 // LeaseTask leases the specific task id to workerID, bypassing priority
@@ -536,22 +469,8 @@ func (q *Queue) LeaseBatch(workerID string, max int, now time.Time) []LeaseGrant
 // accumulate into one queue.lockwait span and every granted lease's
 // lifecycle event carries the trace ID.
 func (q *Queue) LeaseBatchTraced(workerID string, max int, now time.Time, h trace.Handle) []LeaseGrant {
-	var tr trace.TraceID
-	var wait *time.Duration
-	var start time.Time
-	if h.Valid() {
-		tr = h.Trace()
-		wait = new(time.Duration)
-		start = time.Now()
-	}
-	out := q.leaseBatch(workerID, max, now, tr, wait)
-	if wait != nil {
-		h.Observe("queue.lockwait", trace.NoSpan, start, *wait, int64(len(out)))
-	}
-	return out
-}
-
-func (q *Queue) leaseBatch(workerID string, max int, now time.Time, tr trace.TraceID, wait *time.Duration) []LeaseGrant {
+	lw, tr := waitsOf(h), h.Trace()
+	defer lw.done()
 	if max <= 0 || workerID == "" {
 		return nil
 	}
@@ -566,38 +485,16 @@ func (q *Queue) leaseBatch(workerID string, max int, now time.Time, tr trace.Tra
 			if pass == 0 && want > quota {
 				want = quota
 			}
-			q.lockShard(sh, wait)
+			lw.lock(sh)
 			if pass == 0 {
 				q.expireShardLocked(sh, now)
 			}
-			out = append(out, q.leaseManyLocked(sh, workerID, now, want, tr)...)
+			q.scanLocked(sh, workerID, want, func(e *entry) {
+				v, id := q.leaseEntryLocked(sh, e, workerID, now, tr)
+				out = append(out, LeaseGrant{Task: v, Lease: id})
+			})
 			sh.mu.Unlock()
 		}
-	}
-	return out
-}
-
-// leaseManyLocked leases up to want eligible entries from sh, best-first.
-// Caller holds the shard lock.
-func (q *Queue) leaseManyLocked(sh *qshard, workerID string, now time.Time, want int, tr trace.TraceID) []LeaseGrant {
-	var out []LeaseGrant
-	var popped []*entry
-	for sh.heap.Len() > 0 && len(out) < want {
-		e := heap.Pop(&sh.heap).(*entry)
-		if q.eligibleLocked(e, workerID) {
-			popped = append(popped, e)
-			v, id := q.leaseEntryLocked(sh, e, workerID, now, tr)
-			out = append(out, LeaseGrant{Task: v, Lease: id})
-			continue
-		}
-		if e.t.Status == task.Open {
-			popped = append(popped, e)
-			continue
-		}
-		delete(sh.entries, e.t.ID) // finished task drained from heap
-	}
-	for _, e := range popped {
-		heap.Push(&sh.heap, e)
 	}
 	return out
 }
@@ -652,29 +549,11 @@ type CompleteResult struct {
 // Complete records the leaseholder's answer and releases the lease. If the
 // answer fulfills the task's redundancy the task leaves the queue as Done.
 func (q *Queue) Complete(id LeaseID, a task.Answer, now time.Time) (CompleteResult, error) {
-	return q.CompleteTraced(id, a, now, trace.Handle{})
-}
-
-// CompleteTraced is Complete under a span handle: the shard-lock wait is
-// recorded as a queue.lockwait child span and the answer/complete
-// lifecycle events carry the request's trace ID.
-func (q *Queue) CompleteTraced(id LeaseID, a task.Answer, now time.Time, h trace.Handle) (CompleteResult, error) {
-	var tr trace.TraceID
-	var wait *time.Duration
-	var start time.Time
-	if h.Valid() {
-		tr = h.Trace()
-		wait = new(time.Duration)
-		start = time.Now()
-	}
 	sh := q.leaseShard(id)
-	q.lockShard(sh, wait)
-	if wait != nil {
-		h.Observe("queue.lockwait", trace.NoSpan, start, *wait, int64(uint64(id)&q.mask))
-	}
+	sh.lock()
 	defer sh.mu.Unlock()
 	q.expireShardLocked(sh, now)
-	return q.completeLocked(sh, id, a, now, tr)
+	return q.completeLocked(sh, id, a, now, trace.TraceID{})
 }
 
 // completeLocked is the body of Complete; caller holds sh's lock and has
@@ -686,8 +565,11 @@ func (q *Queue) completeLocked(sh *qshard, id LeaseID, a task.Answer, now time.T
 	}
 	e, ok := sh.entries[l.TaskID]
 	if !ok {
+		// An entry only leaves the table under an outstanding lease because
+		// its task finished or was cancelled: the same late answer Record
+		// refuses while the entry is still there.
 		delete(sh.leases, id)
-		return CompleteResult{}, ErrUnknownTask
+		return CompleteResult{}, task.ErrWrongStatus
 	}
 	a.WorkerID = l.WorkerID
 	q.lockTask(e.t.ID)
@@ -732,52 +614,41 @@ type CompleteOutcome struct {
 	Err    error
 }
 
-// CompleteBatch records many answers in one call, grouping items by the
-// shard their lease lives on so each shard's lock is taken once per batch.
-// The returned slice is index-aligned with items; one bad item (unknown
-// lease, repeat worker) never fails the rest.
+// CompleteBatch records many answers in one call, taking the lock of each
+// shard a lease lives on once per batch. The returned slice is
+// index-aligned with items; one bad item (unknown lease, repeat worker)
+// never fails the rest.
 func (q *Queue) CompleteBatch(items []CompleteItem, now time.Time) []CompleteOutcome {
 	return q.CompleteBatchTraced(items, now, trace.Handle{})
 }
 
 // CompleteBatchTraced is CompleteBatch under a span handle: shard-lock
-// waits accumulate into one queue.lockwait span (attr: shards locked) and
-// every answer/complete lifecycle event carries the trace ID.
+// waits accumulate into one queue.lockwait span and every answer/complete
+// lifecycle event carries the trace ID. Shards are visited in index order,
+// each picking its own leases out of items, so a batch of one costs what
+// Complete costs.
 func (q *Queue) CompleteBatchTraced(items []CompleteItem, now time.Time, h trace.Handle) []CompleteOutcome {
-	var tr trace.TraceID
-	var wait *time.Duration
-	var start time.Time
-	if h.Valid() {
-		tr = h.Trace()
-		wait = new(time.Duration)
-		start = time.Now()
-	}
-	out, shards := q.completeBatch(items, now, tr, wait)
-	if wait != nil {
-		h.Observe("queue.lockwait", trace.NoSpan, start, *wait, int64(shards))
-	}
-	return out
-}
-
-func (q *Queue) completeBatch(items []CompleteItem, now time.Time, tr trace.TraceID, wait *time.Duration) ([]CompleteOutcome, int) {
 	out := make([]CompleteOutcome, len(items))
-	if len(items) == 0 {
-		return out, 0
-	}
-	byShard := make(map[*qshard][]int, len(q.shards))
-	for i, it := range items {
-		sh := q.leaseShard(it.Lease)
-		byShard[sh] = append(byShard[sh], i)
-	}
-	for sh, idxs := range byShard {
-		q.lockShard(sh, wait)
-		q.expireShardLocked(sh, now)
-		for _, i := range idxs {
+	lw, tr := waitsOf(h), h.Trace()
+	for si, sh := range q.shards {
+		locked := false
+		for i := range items {
+			if int(uint64(items[i].Lease)&q.mask) != si {
+				continue
+			}
+			if !locked {
+				lw.lock(sh)
+				q.expireShardLocked(sh, now)
+				locked = true
+			}
 			out[i].Result, out[i].Err = q.completeLocked(sh, items[i].Lease, items[i].Answer, now, tr)
 		}
-		sh.mu.Unlock()
+		if locked {
+			sh.mu.Unlock()
+		}
 	}
-	return out, len(byShard)
+	lw.done()
+	return out
 }
 
 // Release returns a leased task to the pool without an answer (the worker

@@ -251,7 +251,7 @@ func TestTermPersistence(t *testing.T) {
 
 func TestSwitchableJournal(t *testing.T) {
 	var sj SwitchableJournal
-	err := sj.Append(store.Event{Kind: store.EventCancel, TaskID: 1})
+	_, _, err := sj.AppendBatchObserved([]store.Event{{Kind: store.EventCancel, TaskID: 1}})
 	if !errors.Is(err, ErrNotWritable) {
 		t.Fatalf("append before Set = %v, want ErrNotWritable", err)
 	}
@@ -259,8 +259,7 @@ func TestSwitchableJournal(t *testing.T) {
 	wal := store.NewWAL(&buf)
 	defer wal.Close()
 	sj.Set(wal)
-	e := submitEvent(t, 1)
-	if err := sj.Append(e); err != nil {
+	if _, _, err := sj.AppendBatchObserved([]store.Event{submitEvent(t, 1)}); err != nil {
 		t.Fatalf("append after Set = %v", err)
 	}
 	if wal.LastSeq() != 1 {

@@ -17,14 +17,25 @@ import (
 // and the consumer should resume from the last good sequence.
 var ErrTornRecord = errors.New("store: torn wal record")
 
+// errCorruptRecord marks a record that framed but failed its length,
+// checksum or decode check; replay drops it and everything behind it.
+var errCorruptRecord = errors.New("corrupt wal record")
+
+// errLegacyWAL refuses a v1 log (bare JSON lines, no header, no checksums).
+// No such log exists outside old test fixtures; refusing it — rather than
+// misreading its head as a damaged v2 record — keeps recovery from
+// truncating a file it does not understand.
+var errLegacyWAL = errors.New("store: wal is in the v1 JSON-line format, which is no longer read (want \"HCWL\" v2 records)")
+
 // RecordScanner reads consecutive v2 WAL records from a stream, verifying
 // each frame's checksum before surfacing it. An optional file header
 // ("HCWL" magic) at the start is consumed transparently, so the scanner
 // reads both whole WAL files and headerless record streams (the
-// replication wire format). Unlike replay, which silently truncates a
-// damaged tail, the scanner reports how the stream ended: Err returns nil
-// after a clean end-of-stream, ErrTornRecord after a mid-record cut, and a
-// descriptive error for a corrupt (checksum or decode failure) record.
+// replication wire format). It is the one v2 decoder: replay is a loop over
+// it. The scanner reports how the stream ended: Err returns nil after a
+// clean end-of-stream, ErrTornRecord after a mid-record cut, and a
+// descriptive error for a corrupt (checksum or decode failure) record or a
+// v1 log.
 //
 //	sc := store.NewRecordScanner(r)
 //	for sc.Scan() {
@@ -35,6 +46,8 @@ type RecordScanner struct {
 	br      *bufio.Reader
 	started bool
 	seq     int64
+	off     int64 // stream offset just past the current record
+	read    int64 // bytes consumed from br, damaged ones included
 	event   Event
 	frame   []byte
 	err     error
@@ -54,64 +67,78 @@ func (sc *RecordScanner) Scan() bool {
 	if sc.done {
 		return false
 	}
+	if err := sc.next(); err != nil {
+		sc.done = true
+		if err != io.EOF {
+			sc.err = err
+		}
+		return false
+	}
+	return true
+}
+
+// readFull fills p from the stream, counting what it consumed. A stream
+// that ends inside p is torn; one that ends before it is io.EOF.
+func (sc *RecordScanner) readFull(p []byte) error {
+	n, err := io.ReadFull(sc.br, p)
+	sc.read += int64(n)
+	if err == io.ErrUnexpectedEOF {
+		return ErrTornRecord
+	}
+	return err
+}
+
+// next decodes one record; io.EOF is the clean end of the stream.
+func (sc *RecordScanner) next() error {
 	if !sc.started {
 		sc.started = true
-		head, err := sc.br.Peek(len(walMagic))
-		if err == nil && bytes.Equal(head, walMagic[:]) {
+		head, _ := sc.br.Peek(len(walMagic))
+		switch {
+		case bytes.Equal(head, walMagic[:]):
 			sc.br.Discard(len(walMagic))
+			sc.read, sc.off = int64(len(walMagic)), int64(len(walMagic))
+		case len(head) > 0 && head[0] == '{' && (len(head) < 4 || binary.LittleEndian.Uint32(head) > maxWALRecord):
+			// A JSON line, not a record whose length happens to start 0x7B.
+			return errLegacyWAL
 		}
 	}
 	var hdr [walRecordHeader]byte
-	if _, err := io.ReadFull(sc.br, hdr[:]); err != nil {
-		sc.done = true
-		switch err {
-		case io.EOF:
-			// clean end
-		case io.ErrUnexpectedEOF:
-			sc.err = ErrTornRecord
-		default:
-			sc.err = err
-		}
-		return false
+	if err := sc.readFull(hdr[:]); err != nil {
+		return err
 	}
 	length := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
 	if length == 0 || length > maxWALRecord {
-		sc.done = true
-		sc.err = fmt.Errorf("store: record %d: implausible length %d", sc.seq+1, length)
-		return false
+		return fmt.Errorf("store: record %d: implausible length %d: %w", sc.seq+1, length, errCorruptRecord)
 	}
 	frame := make([]byte, walRecordHeader+int(length))
 	copy(frame, hdr[:])
-	if _, err := io.ReadFull(sc.br, frame[walRecordHeader:]); err != nil {
-		sc.done = true
-		if err == io.ErrUnexpectedEOF || err == io.EOF {
-			sc.err = ErrTornRecord
-		} else {
-			sc.err = err
-		}
-		return false
-	}
 	payload := frame[walRecordHeader:]
-	if crc32.Checksum(payload, castagnoli) != sum {
-		sc.done = true
-		sc.err = fmt.Errorf("store: record %d: checksum mismatch", sc.seq+1)
-		return false
+	if err := sc.readFull(payload); err != nil {
+		if err == io.EOF {
+			err = ErrTornRecord
+		}
+		return err
+	}
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
+		return fmt.Errorf("store: record %d: checksum mismatch: %w", sc.seq+1, errCorruptRecord)
 	}
 	var e Event
 	if err := json.Unmarshal(payload, &e); err != nil {
-		sc.done = true
-		sc.err = fmt.Errorf("store: record %d: decode: %w", sc.seq+1, err)
-		return false
+		return fmt.Errorf("store: record %d: decode: %v: %w", sc.seq+1, err, errCorruptRecord)
 	}
 	sc.seq++
+	sc.off = sc.read
 	sc.event = e
 	sc.frame = frame
-	return true
+	return nil
 }
 
 // Seq returns the sequence number of the current record.
 func (sc *RecordScanner) Seq() int64 { return sc.seq }
+
+// Offset returns the stream offset just past the current record (the file
+// header included): the length of the prefix that has scanned clean.
+func (sc *RecordScanner) Offset() int64 { return sc.off }
 
 // Event returns the decoded current record.
 func (sc *RecordScanner) Event() Event { return sc.event }

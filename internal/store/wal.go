@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -28,10 +27,9 @@ import (
 // The checksum makes every torn or bit-flipped record detectable, so
 // recovery scans forward, applies the longest valid prefix, and truncates
 // at the first record that fails to frame or verify — a crash mid-append
-// can only ever lose the one record that was never acknowledged. Legacy v1
-// logs (bare JSON lines, no header) are replayed transparently; a v1 file
-// that later gained a v2 section (an in-place upgrade) switches formats at
-// the header.
+// can only ever lose the one record that was never acknowledged. It is the
+// only format read: a v1 log (bare JSON lines, no header) is refused with an
+// error and left untouched.
 var walMagic = [8]byte{'H', 'C', 'W', 'L', 2, 0, 0, 0}
 
 // walRecordHeader is the per-record framing overhead: length + checksum.
@@ -215,7 +213,7 @@ func NewWALWith(w io.Writer, opts WALOptions) *WAL {
 // fsyncs (sharing the fsync with concurrent appends) before returning.
 // An event is acknowledged if and only if Append returns nil.
 func (l *WAL) Append(e Event) error {
-	_, _, err := l.appendEvents([]Event{e}, false)
+	_, _, err := l.appendEvents([]Event{e})
 	return err
 }
 
@@ -227,7 +225,7 @@ func (l *WAL) Append(e Event) error {
 // the log; a non-nil return means none of them is acknowledged, and any
 // partially written tail is cut off by recovery like any torn record.
 func (l *WAL) AppendBatch(events []Event) error {
-	_, _, err := l.appendEvents(events, false)
+	_, _, err := l.appendEvents(events)
 	return err
 }
 
@@ -236,12 +234,13 @@ func (l *WAL) AppendBatch(events []Event) error {
 // the fsync-group wait (zero except under SyncAlways). The span plane uses
 // the split to record wal.append and wal.fsync as separate child spans.
 func (l *WAL) AppendObserved(e Event) (write, sync time.Duration, err error) {
-	return l.appendEvents([]Event{e}, true)
+	return l.appendEvents([]Event{e})
 }
 
-// AppendBatchObserved is AppendBatch with AppendObserved's timing split.
+// AppendBatchObserved is AppendBatch with AppendObserved's timing split —
+// the one method core.Journal asks for.
 func (l *WAL) AppendBatchObserved(events []Event) (write, sync time.Duration, err error) {
-	return l.appendEvents(events, true)
+	return l.appendEvents(events)
 }
 
 // walRecordHint sizes the framing buffer: a typical record (header plus a
@@ -275,11 +274,10 @@ func frameEvents(events []Event) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// appendEvents is the shared append path: frame outside the lock, then one
-// lock acquisition, one write and (under SyncAlways) one shared fsync.
-// timed selects whether the write/sync phases are clocked (untraced
-// appends skip the time.Now calls entirely).
-func (l *WAL) appendEvents(events []Event, timed bool) (write, sync time.Duration, err error) {
+// appendEvents is the one append path: frame outside the lock, then one
+// lock acquisition, one write and (under SyncAlways) one shared fsync, with
+// the write and sync phases clocked for whoever wants the split.
+func (l *WAL) appendEvents(events []Event) (write, sync time.Duration, err error) {
 	if len(events) == 0 {
 		return 0, 0, nil
 	}
@@ -287,10 +285,7 @@ func (l *WAL) appendEvents(events []Event, timed bool) (write, sync time.Duratio
 	if err != nil {
 		return 0, 0, err
 	}
-	var t0 time.Time
-	if timed {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -305,14 +300,9 @@ func (l *WAL) appendEvents(events []Event, timed bool) (write, sync time.Duratio
 	l.lastErr = nil
 	seq := l.writeSeq
 	l.mu.Unlock()
-	if timed {
-		write = time.Since(t0)
-	}
+	t1 := time.Now()
+	write = t1.Sub(t0)
 	if l.policy == SyncAlways && l.syncer != nil {
-		var t1 time.Time
-		if timed {
-			t1 = time.Now()
-		}
 		if err := l.syncTo(seq); err != nil {
 			l.mu.Lock()
 			l.lastErr = err
@@ -320,9 +310,7 @@ func (l *WAL) appendEvents(events []Event, timed bool) (write, sync time.Duratio
 			l.failures.Add(1)
 			return write, 0, err
 		}
-		if timed {
-			sync = time.Since(t1)
-		}
+		sync = time.Since(t1)
 	}
 	return write, sync, nil
 }
@@ -512,19 +500,18 @@ type ReplayStats struct {
 	// checksum or decode and were dropped. Non-zero means the log ended in
 	// a torn or corrupt record (the usual crash artifact).
 	TruncatedBytes int64
-	// LegacyEvents counts events applied from v1 JSON-line sections.
-	LegacyEvents int
 }
 
-// ReplayWAL applies every valid event from r onto the store, in order. It
-// reads both formats — v2 checksummed records and legacy v1 JSON lines —
-// switching at a v2 header if a v1 log was upgraded in place. Replay stops
-// at the first record that fails to frame, checksum or decode; everything
-// before it is applied, everything from it on is reported in
-// TruncatedBytes, and no error is returned for damage (an unacknowledged
-// tail is dropped by design). A structurally valid record that fails to
-// apply (an answer to a task the log never submitted, a duplicate submit)
-// is real inconsistency, not tearing, and fails replay with an error.
+// ReplayWAL applies every valid event from r onto the store, in order: a
+// loop over RecordScanner, so r may be a whole log or a headerless record
+// stream (a log tail cut at a record boundary). Replay stops at the first
+// record that fails to frame, checksum or decode; everything before it is
+// applied, everything from it on is reported in TruncatedBytes, and no
+// error is returned for damage (an unacknowledged tail is dropped by
+// design). A structurally valid record that fails to apply (an answer to a
+// task the log never submitted, a duplicate submit) is real inconsistency,
+// not tearing, and fails replay with an error — as does a log in the v1
+// JSON-line format, which is refused rather than mistaken for damage.
 func ReplayWAL(r io.Reader, s *Store) (ReplayStats, error) {
 	return ReplayWALObserved(r, s, nil)
 }
@@ -535,173 +522,27 @@ func ReplayWAL(r io.Reader, s *Store) (ReplayStats, error) {
 // gold probes, which answers scored against them, which tasks finished
 // early — that lives outside the task store proper.
 func ReplayWALObserved(r io.Reader, s *Store, obs func(Event)) (ReplayStats, error) {
-	apply := func(e Event) error {
+	sc := NewRecordScanner(r, 0)
+	var st ReplayStats
+	for sc.Scan() {
+		e := sc.Event()
 		if err := applyEvent(s, e); err != nil {
-			return err
+			return st, fmt.Errorf("store: wal event %d: %w", st.Applied+1, err)
 		}
 		if obs != nil {
 			obs(e)
 		}
-		return nil
+		st.Applied++
+		st.GoodBytes = sc.Offset()
 	}
-	br := bufio.NewReaderSize(r, 64*1024)
-	var st ReplayStats
-	for {
-		head, err := br.Peek(len(walMagic))
-		if len(head) == 0 {
-			// Clean end of log (or an unreadable source; surface the
-			// latter).
-			if err != nil && err != io.EOF {
-				return st, err
-			}
-			return st, nil
-		}
-		if bytes.Equal(head, walMagic[:]) {
-			return replayV2(br, apply, st)
-		}
-		if len(head) >= 4 && bytes.Equal(head[:4], walMagic[:4]) {
-			// A foreign or future "HCWL" header version: don't guess at
-			// its framing, treat the section as unreadable tail.
-			st, _, err := discardTail(br, st, 0)
-			return st, err
-		}
-		if v2RecordAt(br) {
-			// A v2 record stream without the file header: a log tail cut
-			// at a record boundary (snapshot + tail replay). The CRC has
-			// already vouched for the first record.
-			return replayV2Records(br, apply, st)
-		}
-		if len(head) < len(walMagic) && !bytes.ContainsRune(head, '\n') {
-			// Short tail that is neither a complete header nor a complete
-			// v1 line: torn.
-			st, _, err := discardTail(br, st, 0)
-			return st, err
-		}
-		var ok bool
-		st, ok, err = replayV1Line(br, apply, st)
-		if !ok || err != nil {
-			return st, err
-		}
-	}
-}
-
-// replayV1Line consumes one legacy JSON line. ok=false ends replay (stats
-// already account for the tail).
-func replayV1Line(br *bufio.Reader, apply func(Event) error, st ReplayStats) (ReplayStats, bool, error) {
-	line, err := br.ReadBytes('\n')
-	if err != nil {
-		// No trailing newline: torn final line, never acknowledged.
-		st.TruncatedBytes += int64(len(line))
-		return st, false, nil
-	}
-	trimmed := bytes.TrimSpace(line)
-	if len(trimmed) == 0 {
-		st.GoodBytes += int64(len(line))
-		return st, true, nil
-	}
-	var e Event
-	if err := json.Unmarshal(trimmed, &e); err != nil {
-		// Corrupt line: stop here, drop it and everything after.
-		final, _, derr := discardTail(br, st, int64(len(line)))
-		return final, false, derr
-	}
-	if err := apply(e); err != nil {
-		return st, false, fmt.Errorf("store: wal event %d: %w", st.Applied+1, err)
-	}
-	st.Applied++
-	st.LegacyEvents++
-	st.GoodBytes += int64(len(line))
-	return st, true, nil
-}
-
-// replayV2 consumes a v2 section: header then records until EOF or the
-// first damaged record.
-func replayV2(br *bufio.Reader, apply func(Event) error, st ReplayStats) (ReplayStats, error) {
-	if _, err := br.Discard(len(walMagic)); err != nil {
+	st.GoodBytes = sc.Offset() // a log that is only its header has 8 good bytes
+	err := sc.Err()
+	if err == nil || !(errors.Is(err, ErrTornRecord) || errors.Is(err, errCorruptRecord)) {
 		return st, err
 	}
-	st.GoodBytes += int64(len(walMagic))
-	return replayV2Records(br, apply, st)
-}
-
-// replayV2Records decodes length-prefixed checksummed records until the
-// stream ends (cleanly or torn) or a record fails verification.
-func replayV2Records(br *bufio.Reader, apply func(Event) error, st ReplayStats) (ReplayStats, error) {
-	for {
-		var hdr [walRecordHeader]byte
-		n, err := io.ReadFull(br, hdr[:])
-		if err == io.EOF {
-			return st, nil // clean end
-		}
-		if err == io.ErrUnexpectedEOF {
-			st.TruncatedBytes += int64(n)
-			return st, nil // torn record header
-		}
-		if err != nil {
-			return st, err
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if length == 0 || length > maxWALRecord {
-			st, _, err := discardTail(br, st, walRecordHeader)
-			return st, err
-		}
-		payload := make([]byte, length)
-		pn, err := io.ReadFull(br, payload)
-		if err == io.ErrUnexpectedEOF || err == io.EOF {
-			st.TruncatedBytes += walRecordHeader + int64(pn)
-			return st, nil // torn payload
-		}
-		if err != nil {
-			return st, err
-		}
-		if crc32.Checksum(payload, castagnoli) != sum {
-			st, _, err := discardTail(br, st, walRecordHeader+int64(length))
-			return st, err
-		}
-		var e Event
-		if err := json.Unmarshal(payload, &e); err != nil {
-			st, _, err := discardTail(br, st, walRecordHeader+int64(length))
-			return st, err
-		}
-		if err := apply(e); err != nil {
-			return st, fmt.Errorf("store: wal event %d: %w", st.Applied+1, err)
-		}
-		st.Applied++
-		st.GoodBytes += walRecordHeader + int64(length)
-	}
-}
-
-// v2RecordAt reports whether br is positioned at a verifiable v2 record:
-// a sane length prefix whose full payload fits the peek window and whose
-// checksum matches. Used to recognize headerless record streams; a false
-// answer only means "not provably v2", and replay falls back to the v1
-// path, which treats unparsable bytes as truncated tail.
-func v2RecordAt(br *bufio.Reader) bool {
-	hdr, err := br.Peek(walRecordHeader)
-	if err != nil {
-		return false
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	if length == 0 || length > maxWALRecord {
-		return false
-	}
-	full, err := br.Peek(walRecordHeader + int(length))
-	if err != nil {
-		// Record longer than the buffered window (or stream ends inside
-		// it): cannot verify, don't guess.
-		return false
-	}
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	return crc32.Checksum(full[walRecordHeader:], castagnoli) == sum
-}
-
-// discardTail counts `consumed` already-read bytes plus everything left in
-// br as truncated and ends replay.
-func discardTail(br *bufio.Reader, st ReplayStats, consumed int64) (ReplayStats, bool, error) {
-	rest, err := io.Copy(io.Discard, br)
-	st.TruncatedBytes += consumed + rest
-	return st, false, err
+	rest, err := io.Copy(io.Discard, sc.br)
+	st.TruncatedBytes = sc.read - sc.off + rest
+	return st, err
 }
 
 // RecoverWAL replays f onto the store and truncates the file to the last

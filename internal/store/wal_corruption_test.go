@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -106,55 +107,89 @@ func TestWALCorruptionEmptyFile(t *testing.T) {
 	}
 }
 
-func TestWALReplayMixedV1ThenV2(t *testing.T) {
-	// A legacy v1 log (bare JSON lines) later upgraded in place: v2
-	// records appended after the v1 section, starting with the v2 header.
-	var buf bytes.Buffer
-	for i := 1; i <= 2; i++ {
+// TestWALRefusesLegacyV1 pins what happens to a log in the removed v1
+// format (bare JSON lines): it is refused with an error naming the format,
+// nothing is applied, nothing is counted as torn tail — so RecoverWAL
+// leaves the file exactly as it found it instead of truncating it to zero.
+func TestWALRefusesLegacyV1(t *testing.T) {
+	var v1 bytes.Buffer
+	for i := 1; i <= 3; i++ {
 		line, err := json.Marshal(Event{Kind: EventSubmit, At: t0, Task: walTask(t, task.ID(i), 1)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf.Write(line)
-		buf.WriteByte('\n')
+		v1.Write(line)
+		v1.WriteByte('\n')
 	}
-	wal := NewWAL(&buf)
-	for i := 3; i <= 4; i++ {
-		if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, task.ID(i), 1)}); err != nil {
-			t.Fatal(err)
-		}
+	whole := append([]byte(nil), v1.Bytes()...)
+	// A v1 file that later had v2 records appended behind a v2 header.
+	mixed := bytes.NewBuffer(append([]byte(nil), whole...))
+	wal := NewWAL(mixed)
+	if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 4, 1)}); err != nil {
+		t.Fatal(err)
 	}
-	st := replayPrefix(t, buf.Bytes(), 4)
-	if st.LegacyEvents != 2 {
-		t.Fatalf("LegacyEvents = %d, want 2", st.LegacyEvents)
-	}
+	corrupt := append([]byte(nil), whole...)
+	corrupt[bytes.IndexByte(corrupt, '\n')-3] = 0xFF
 
-	// The same mixed log with a torn v2 tail still recovers its prefix.
-	torn := buf.Bytes()[:buf.Len()-3]
-	st = replayPrefix(t, torn, 3)
-	if st.TruncatedBytes == 0 {
-		t.Fatal("torn v2 tail not reported")
+	for name, log := range map[string][]byte{
+		"whole":        whole,
+		"torn line":    whole[:len(whole)-5],
+		"corrupt line": corrupt,
+		"mixed v1+v2":  mixed.Bytes(),
+		"three bytes":  whole[:3],
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := New()
+			st, err := ReplayWAL(bytes.NewReader(log), s)
+			if err == nil || !strings.Contains(err.Error(), "v1 JSON-line") {
+				t.Fatalf("replay err = %v, want one naming the v1 format", err)
+			}
+			if st != (ReplayStats{}) || s.Len() != 0 {
+				t.Fatalf("refused log left stats %+v, %d tasks", st, s.Len())
+			}
+
+			path := filepath.Join(t.TempDir(), "wal")
+			if err := os.WriteFile(path, log, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(path, os.O_RDWR, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := RecoverWAL(f, New()); err == nil {
+				t.Fatal("RecoverWAL accepted a v1 log")
+			}
+			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, log) {
+				t.Fatalf("refused file was modified: %d bytes, want %d (err %v)", len(after), len(log), err)
+			}
+		})
 	}
 }
 
-func TestWALReplayLegacyV1TornAndCorrupt(t *testing.T) {
-	// Pure v1 logs keep their recovery semantics: a torn final line and a
-	// corrupt mid-log line both recover the exact prefix.
-	var buf bytes.Buffer
-	for i := 1; i <= 3; i++ {
-		line, _ := json.Marshal(Event{Kind: EventSubmit, At: t0, Task: walTask(t, task.ID(i), 1)})
-		buf.Write(line)
-		buf.WriteByte('\n')
+// TestWALHeaderlessStreamStartingWithBrace: a headerless v2 stream (the
+// replication wire format, a log tail cut at a record boundary) whose
+// first record is 0x7B (123) bytes long starts with '{' too. It is v2 and
+// replays as such.
+func TestWALHeaderlessStreamStartingWithBrace(t *testing.T) {
+	for pad := 0; pad < 400; pad++ {
+		var buf bytes.Buffer
+		wal := NewWAL(&buf)
+		tk := walTask(t, 1, 1)
+		tk.Payload.WordImg = strings.Repeat("x", pad)
+		if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: tk}); err != nil {
+			t.Fatal(err)
+		}
+		stream := buf.Bytes()[len(walMagic):]
+		if stream[0] != '{' {
+			continue
+		}
+		if st, err := ReplayWAL(bytes.NewReader(stream), New()); err != nil || st.Applied != 1 || st.TruncatedBytes != 0 {
+			t.Fatalf("headerless stream with a %d-byte first record: %+v, %v", len(stream)-walRecordHeader, st, err)
+		}
+		return
 	}
-	whole := buf.Bytes()
-	st := replayPrefix(t, whole[:len(whole)-5], 2) // torn final line
-	if st.TruncatedBytes == 0 {
-		t.Fatal("torn v1 tail not reported")
-	}
-
-	mutated := append([]byte(nil), whole...)
-	mutated[bytes.IndexByte(mutated, '\n')-3] = 0xFF // corrupt line 1
-	replayPrefix(t, mutated, 0)
+	t.Fatal("no payload length with a 0x7B low byte found")
 }
 
 func TestRecoverWALTruncatesFile(t *testing.T) {

@@ -123,6 +123,9 @@ func TestRecordScannerResumesAfterMidRecordCut(t *testing.T) {
 	for sc.Scan() {
 		off += len(sc.Frame())
 		offsets = append(offsets, off)
+		if sc.Offset() != int64(off) {
+			t.Fatalf("record %d: Offset = %d, want %d (header + frames so far)", sc.Seq(), sc.Offset(), off)
+		}
 	}
 	if sc.Err() != nil || len(offsets) != total {
 		t.Fatalf("baseline scan: %d records, err %v", len(offsets), sc.Err())
@@ -136,6 +139,19 @@ func TestRecordScannerResumesAfterMidRecordCut(t *testing.T) {
 	}
 	if err := sc.Err(); err != ErrTornRecord {
 		t.Fatalf("cut stream err = %v, want ErrTornRecord", err)
+	}
+	if sc.Offset() != int64(offsets[4]) {
+		t.Fatalf("Offset after a torn record = %d, want the end of the last good one, %d", sc.Offset(), offsets[4])
+	}
+	// A headerless stream counts from its first record; a log that is only
+	// its header has scanned clean up to the header's end.
+	sc = NewRecordScanner(bytes.NewReader(full[len(walMagic):offsets[0]]), 0)
+	if !sc.Scan() || sc.Offset() != int64(offsets[0]-len(walMagic)) {
+		t.Fatalf("headerless Offset = %d, want %d", sc.Offset(), offsets[0]-len(walMagic))
+	}
+	sc = NewRecordScanner(bytes.NewReader(full[:len(walMagic)]), 0)
+	if sc.Scan() || sc.Err() != nil || sc.Offset() != int64(len(walMagic)) {
+		t.Fatalf("header-only log: Offset = %d, err %v", sc.Offset(), sc.Err())
 	}
 	if len(applied) != 5 || !applied[5] || applied[6] {
 		t.Fatalf("cut stream applied %v, want exactly seqs 1-5", applied)

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 	"time"
 
@@ -93,9 +92,12 @@ func TestWALReplayToleratesTornTail(t *testing.T) {
 
 func TestWALReplayRejectsInconsistentEvents(t *testing.T) {
 	// Answer for a task that was never submitted.
-	line := `{"kind":"answer","at":"2026-07-06T12:00:00Z","task_id":7,"answer":{"worker_id":"w","words":[1]}}` + "\n"
-	s := New()
-	if _, err := ReplayWAL(strings.NewReader(line), s); err == nil {
+	var orphan bytes.Buffer
+	a := task.Answer{WorkerID: "w", Words: []int{1}}
+	if err := NewWAL(&orphan).Append(Event{Kind: EventAnswer, At: t0, TaskID: 7, Answer: &a}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReplayWAL(&orphan, New()); err == nil {
 		t.Fatal("orphan answer accepted")
 	}
 	// Duplicate submit.

@@ -222,7 +222,7 @@ type SpanData struct {
 	Op     string
 	Start  time.Time
 	Dur    time.Duration
-	Attr   int64 // op-specific: shard index, attempt number, byte count
+	Attr   int64 // op-specific: shard locks taken, events in a group, byte count
 	Err    string
 }
 
@@ -251,10 +251,12 @@ type SpanRef int32
 const NoSpan SpanRef = -1
 
 // Handle is a by-value, generation-checked reference to an in-flight
-// span tree. The zero Handle is invalid and every method on it no-ops,
-// so call sites never need a nil guard. A Handle is safe to use from the
-// goroutines serving one request; mutations are serialized by the tree's
-// mutex.
+// span tree. The zero Handle is invalid and every method on it no-ops —
+// it is the untraced case: layers below the HTTP middleware take a Handle
+// and run one straight-line body, never an untraced twin or a Valid()
+// branch (Now and ObserveSince keep even the clock reads away). A Handle
+// is safe to use from the goroutines serving one request; mutations are
+// serialized by the tree's mutex.
 type Handle struct {
 	a   *active
 	gen uint64
@@ -351,6 +353,24 @@ func (h Handle) Observe(op string, parent SpanRef, start time.Time, d time.Durat
 	a.mu.Lock()
 	a.addLocked(h.gen, op, parent, start, d, attr)
 	a.mu.Unlock()
+}
+
+// Now reads the clock for a duration the handle will record: the zero time
+// on an invalid handle, so untraced callers time nothing and write the same
+// straight-line code as traced ones (zero.Sub(zero) is a zero wait).
+func (h Handle) Now() time.Time {
+	if h.a == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// ObserveSince is Observe for a span that began at start (a Now reading)
+// and ends at the call.
+func (h Handle) ObserveSince(op string, parent SpanRef, start time.Time, attr int64) {
+	if h.a != nil {
+		h.Observe(op, parent, start, time.Since(start), attr)
+	}
 }
 
 // SetAttr attaches an op-specific integer attribute to ref.

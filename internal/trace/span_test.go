@@ -205,6 +205,25 @@ func TestUnderRebasesDefaultParent(t *testing.T) {
 	}
 }
 
+func TestObserveSinceRecordsElapsed(t *testing.T) {
+	p := NewSpanPlane(SpanConfig{Enabled: true, SlowThreshold: -1, SampleEvery: -1})
+	h := p.StartTrace(TraceID{}, SpanID{}, "root")
+	t0 := h.Now()
+	if t0.IsZero() {
+		t.Fatal("valid handle's Now is the zero time")
+	}
+	time.Sleep(2 * time.Millisecond)
+	h.ObserveSince("http.decode", NoSpan, t0, 7)
+	p.Finish(h, "force-keep")
+	spans := p.Snapshot(SpanFilter{})[0].Spans
+	if len(spans) != 2 || spans[1].Op != "http.decode" || spans[1].Attr != 7 || spans[1].Parent != spans[0].ID {
+		t.Fatalf("spans = %+v", spans)
+	}
+	if spans[1].DurUs < 2000 {
+		t.Errorf("observed %dus since a reading taken 2ms earlier", spans[1].DurUs)
+	}
+}
+
 func TestSpanCapCountsDropped(t *testing.T) {
 	p := NewSpanPlane(SpanConfig{Enabled: true, SlowThreshold: -1, SampleEvery: -1})
 	h := p.StartTrace(TraceID{}, SpanID{}, "root")
@@ -256,6 +275,13 @@ func TestNilPlaneAndInvalidHandle(t *testing.T) {
 	h.FailSpan(ref, "e")
 	h.Observe("y", NoSpan, time.Now(), 0, 0)
 	h.SetAttr(ref, 1)
+	// The untraced case never reads the clock: Now is the zero time, so a
+	// wait computed from two readings is zero, and ObserveSince records
+	// nothing.
+	if t0 := h.Now(); !t0.IsZero() || h.Now().Sub(t0) != 0 {
+		t.Errorf("invalid handle's Now = %v, want the zero time", t0)
+	}
+	h.ObserveSince("z", NoSpan, h.Now(), 1)
 	p.Finish(h, "")
 	if s, r, d := p.Stats(); s+r+d != 0 {
 		t.Error("nil plane stats non-zero")
