@@ -18,8 +18,8 @@ import (
 	"humancomp/internal/trace"
 )
 
-// node is one running hcservd over the state in a directory.
-type node struct {
+// proc is one running hcservd over the state in a directory.
+type proc struct {
 	cmd  *exec.Cmd
 	c    *dispatch.Client
 	done chan struct{}
@@ -27,7 +27,7 @@ type node struct {
 
 // launch execs the binary on a free loopback port over dir's WAL and
 // snapshot; it is not serving yet.
-func launch(t *testing.T, bin, dir string) *node {
+func launch(t *testing.T, bin, dir string) *proc {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -40,7 +40,7 @@ func launch(t *testing.T, bin, dir string) *node {
 		t.Fatal(err)
 	}
 	defer logf.Close()
-	n := &node{done: make(chan struct{}), c: dispatch.NewClient("http://"+addr, nil)}
+	n := &proc{done: make(chan struct{}), c: dispatch.NewClient("http://"+addr, nil)}
 	n.cmd = exec.Command(bin,
 		"-addr", addr,
 		"-wal", filepath.Join(dir, "wal.log"),
@@ -60,7 +60,7 @@ func launch(t *testing.T, bin, dir string) *node {
 }
 
 // startNode launches the binary over dir and returns once it serves.
-func startNode(t *testing.T, bin, dir string) *node {
+func startNode(t *testing.T, bin, dir string) *proc {
 	t.Helper()
 	n := launch(t, bin, dir)
 	for deadline := time.Now().Add(20 * time.Second); !n.c.Healthy(); time.Sleep(5 * time.Millisecond) {
@@ -77,7 +77,7 @@ func startNode(t *testing.T, bin, dir string) *node {
 }
 
 // stop signals the process and waits until it is gone.
-func (n *node) stop(t *testing.T, sig syscall.Signal) {
+func (n *proc) stop(t *testing.T, sig syscall.Signal) {
 	t.Helper()
 	_ = n.cmd.Process.Signal(sig)
 	select {
@@ -104,7 +104,7 @@ type durable struct {
 	Calibration                  string
 }
 
-func observe(t *testing.T, n *node, dir string, open task.ID) durable {
+func observe(t *testing.T, n *proc, dir string, open task.ID) durable {
 	t.Helper()
 	st, err := n.c.Stats()
 	if err != nil {
@@ -175,7 +175,7 @@ func decodeSidecar(t *testing.T, d durable) sidecar {
 // replayed is what a boot leaves in the serving system's process-lifetime
 // observability, which no snapshot carries: gold answers scored, and
 // whether the task's timeline opens with the store's persist event.
-func replayed(t *testing.T, n *node, id task.ID) (goldChecked int64, persisted bool) {
+func replayed(t *testing.T, n *proc, id task.ID) (goldChecked int64, persisted bool) {
 	t.Helper()
 	st, err := n.c.Stats()
 	if err != nil {

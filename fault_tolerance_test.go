@@ -3,6 +3,7 @@ package humancomp_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"humancomp/internal/core"
 	"humancomp/internal/dispatch"
 	"humancomp/internal/faultinject"
+	"humancomp/internal/node"
 	"humancomp/internal/repl"
 	"humancomp/internal/store"
 	"humancomp/internal/task"
@@ -139,6 +141,22 @@ func TestCrashRecoverySoak(t *testing.T) {
 	}
 }
 
+// nodeConfig is hcservd's defaults over the state in dir, on a free loopback
+// port, with the online estimator on.
+func nodeConfig(dir string) node.Config {
+	cfg := node.Config{
+		Addr:            "127.0.0.1:0",
+		Snapshot:        filepath.Join(dir, "snap.json"),
+		WAL:             filepath.Join(dir, "wal.log"),
+		WALSync:         "interval",
+		WALSyncInterval: 100 * time.Millisecond,
+		ExpiryInterval:  time.Hour,
+		Core:            core.DefaultConfig(),
+	}
+	cfg.Core.OnlineQuality = true
+	return cfg
+}
+
 // TestCalibrationSurvivesCrashRecovery is the regression test for the
 // quality plane's durability: gold-probe expectations, reputation tallies
 // and the online estimator's posteriors must all be rebuilt from the
@@ -146,12 +164,13 @@ func TestCrashRecoverySoak(t *testing.T) {
 // silently forgot every gold expectation and reputation tally, so this
 // test fails against it.
 func TestCalibrationSurvivesCrashRecovery(t *testing.T) {
-	var journal bytes.Buffer
-	cfg := core.DefaultConfig()
-	cfg.Journal = store.NewWAL(&journal)
-	cfg.OnlineQuality = true
-	cfg.QualityMinAnswers = 2
-	sys := core.New(cfg)
+	dir := t.TempDir()
+	n, err := node.Open(nodeConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	sys := n.System()
 
 	// Calibrate two workers on gold probes: good always right, bad always
 	// wrong.
@@ -201,18 +220,25 @@ func TestCalibrationSurvivesCrashRecovery(t *testing.T) {
 		t.Fatalf("calibration failed before crash: good=%v bad=%v", wantGoodAcc, wantBadAcc)
 	}
 
-	// Crash: only the journal survives. Recover with the calibration
-	// observer attached, the way hcservd boots.
-	rcfg := core.DefaultConfig()
-	rcfg.OnlineQuality = true
-	rcfg.QualityMinAnswers = 2
-	recovered := core.New(rcfg)
-	if _, err := store.ReplayWALObserved(bytes.NewReader(journal.Bytes()), recovered.Store(), recovered.ObserveRecoveredEvent); err != nil {
-		t.Fatalf("replay failed: %v", err)
+	// Crash: what survives is the boot snapshot of an empty system and the
+	// journal, as they sit on disk this instant. A second node boots from a
+	// copy of the two.
+	image := t.TempDir()
+	for _, name := range []string{"snap.json", "wal.log"} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(image, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := recovered.RequeueOpen(); err != nil {
-		t.Fatal(err)
+	rn, err := node.Open(nodeConfig(image))
+	if err != nil {
+		t.Fatalf("booting from the crash image: %v", err)
 	}
+	defer rn.Close()
+	recovered := rn.System()
 
 	rep := recovered.Reputation()
 	if got := rep.Probes("good"); got != probes {
@@ -256,72 +282,6 @@ func TestCalibrationSurvivesCrashRecovery(t *testing.T) {
 	}
 	if got := rep.Probes("late"); got != 1 {
 		t.Fatalf("late worker has %d probes, want 1 (recovered gold no longer scores)", got)
-	}
-}
-
-// TestShutdownExpiresLeasesBeforeSnapshot mirrors hcservd's shutdown and
-// restart sequence: leases abandoned by workers are reclaimed before the
-// shutdown snapshot, so after a restore-plus-requeue the tasks are
-// immediately leasable instead of waiting out TTLs that died with the
-// process. The snapshot carries the calibration sidecar, so reputation
-// survives alongside.
-func TestShutdownExpiresLeasesBeforeSnapshot(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.LeaseTTL = time.Millisecond
-	cfg.OnlineQuality = true
-	sys := core.New(cfg)
-
-	if _, err := sys.SubmitGold(task.Judge, task.Payload{ImageID: 1}, 1, 0, task.Answer{Choice: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if _, lease, err := sys.NextTask("w"); err != nil {
-		t.Fatal(err)
-	} else if err := sys.SubmitAnswer(lease, task.Answer{Choice: 0}); err != nil {
-		t.Fatal(err)
-	}
-	id, err := sys.SubmitTask(task.Judge, task.Payload{ImageID: 2}, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A ghost worker leases the task and disappears; the lease expires.
-	if _, _, err := sys.NextTask("ghost"); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(5 * time.Millisecond)
-
-	// Shutdown: expire leases, then snapshot — the order main() uses.
-	if n := sys.ExpireLeases(); n != 1 {
-		t.Fatalf("expired %d leases at shutdown, want 1", n)
-	}
-	var snap bytes.Buffer
-	if err := sys.Snapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restart.
-	rcfg := core.DefaultConfig()
-	rcfg.OnlineQuality = true
-	restarted := core.New(rcfg)
-	if err := restarted.Restore(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := restarted.RequeueOpen(); err != nil {
-		t.Fatal(err)
-	}
-	// The abandoned task must be leasable right away.
-	tv, lease, err := restarted.NextTask("fresh")
-	if err != nil {
-		t.Fatalf("abandoned task not leasable after restart: %v", err)
-	}
-	if tv.ID != id {
-		t.Fatalf("leased task %d, want %d", tv.ID, id)
-	}
-	if err := restarted.SubmitAnswer(lease, task.Answer{Choice: 1}); err != nil {
-		t.Fatal(err)
-	}
-	// Reputation rode the snapshot.
-	if got := restarted.Reputation().Probes("w"); got != 1 {
-		t.Fatalf("worker has %d probes after restart, want 1", got)
 	}
 }
 
@@ -439,47 +399,33 @@ func killLeaderTrial(t *testing.T, cut int64) {
 	defer leaderSrv.Close()
 	defer src.Close() // runs before leaderSrv.Close: ends blocked streams
 
-	// Follower: bootstrap from the leader's snapshot, own WAL (also
-	// tapped, so the promoted node can serve its own followers), read-only
-	// core behind a switchable journal.
-	followerWALPath := filepath.Join(dir, "follower.wal")
-	ff, err := os.Create(followerWALPath)
+	// Follower: a real node in -follow mode. It bootstraps from the
+	// leader's snapshot, tails the stream into its own WAL and refuses
+	// writes until promoted — by the boot and promotion sequences hcservd
+	// runs.
+	fcfg := nodeConfig(filepath.Join(dir, "follower"))
+	fcfg.Follow = leaderSrv.URL
+	if err := os.Mkdir(filepath.Dir(fcfg.WAL), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	fnode, err := node.Open(fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ff.Close()
-	fsrc := repl.NewSource(repl.SourceOptions{Term: 1, WALPath: followerWALPath})
-	defer fsrc.Close()
-	fwal := store.NewWALWith(ff, store.WALOptions{OnRecord: fsrc.OnRecord})
-	defer fwal.Close()
-	sj := &repl.SwitchableJournal{}
-	fcfg := core.DefaultConfig()
-	fcfg.Journal = sj
-	fsys := core.New(fcfg)
-	fsys.SetReadOnly(true)
-	snap, err := repl.FetchSnapshot(context.Background(), nil, leaderSrv.URL)
-	if err != nil {
-		t.Fatal(err)
+	defer fnode.Close()
+	fsys := fnode.System()
+	applied := func() int64 {
+		var st repl.Status
+		resp, err := http.Get("http://" + fnode.Addr() + "/v1/repl/status")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st.LastSeq
 	}
-	if err := fsys.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	snap.Close()
-	follower := repl.NewFollower(repl.FollowerOptions{
-		Leader: leaderSrv.URL,
-		Term:   1,
-		Apply: func(seq int64, e store.Event) error {
-			if err := store.ApplyEvent(fsys.Store(), e); err != nil {
-				return err
-			}
-			fsys.ObserveRecoveredEvent(e)
-			return fwal.Append(e)
-		},
-	})
-	fctx, fcancel := context.WithCancel(context.Background())
-	followDone := make(chan error, 1)
-	go func() { followDone <- follower.Run(fctx) }()
-	defer fcancel()
 
 	// Drive traffic until the WAL dies (or the run completes, for late
 	// cuts). Acked == durable == replicable.
@@ -492,36 +438,37 @@ func killLeaderTrial(t *testing.T, cut int64) {
 
 	failed := func() {
 		saveArtifact(t, leaderWALPath, fmt.Sprintf("leader-cut%d.wal", cut))
-		saveArtifact(t, followerWALPath, fmt.Sprintf("follower-cut%d.wal", cut))
+		saveArtifact(t, fcfg.WAL, fmt.Sprintf("follower-cut%d.wal", cut))
 	}
 
 	// The follower drains everything the leader acknowledged. The leader's
 	// LastSeq counts exactly the flushed (acked) records — the cut write
-	// was never acked and never tapped.
+	// was never acked and never tapped — and the follower's counts what it
+	// has applied and logged.
 	lastAcked := wal.LastSeq()
 	if lastAcked != int64(ackedEvents) {
 		failed()
 		t.Fatalf("leader acked %d events but LastSeq=%d", ackedEvents, lastAcked)
 	}
 	replWaitFor(t, 10*time.Second, "follower to drain the acked log", func() bool {
-		return follower.Applied() >= lastAcked
+		return applied() >= lastAcked
 	})
 
 	// Kill the leader and promote the follower.
-	fcancel()
-	if err := <-followDone; err != nil {
-		failed()
-		t.Fatalf("follower ended with %v", err)
-	}
 	leaderSrv.CloseClientConnections()
-	newTerm := follower.Term() + 1
-	fsrc.SetTerm(newTerm)
-	sj.Set(fwal)
-	if err := fsys.RequeueOpen(); err != nil {
+	if err := fnode.Promote(); err != nil {
 		failed()
-		t.Fatal(err)
+		t.Fatalf("promotion: %v", err)
 	}
-	fsys.SetReadOnly(false)
+	newTerm, err := repl.LoadTerm(fcfg.WAL + ".term")
+	if err != nil || newTerm != 2 {
+		failed()
+		t.Fatalf("persisted term after promotion = %d, %v; want the leader's 1 bumped to 2", newTerm, err)
+	}
+	if got := applied(); got != lastAcked {
+		failed()
+		t.Fatalf("promoted follower logged %d records, leader acked %d", got, lastAcked)
+	}
 
 	// Contract 1: every acked submit and answer survived the failover.
 	if got := fsys.Store().Len(); got != len(ackedTasks) {

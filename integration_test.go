@@ -700,7 +700,7 @@ func TestObservabilityOverHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics = %d, want 200", resp.StatusCode)
 	}
-	sampleLine := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (-?[0-9.eE+-]+|[+-]Inf|NaN)$`)
+	sampleLine := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{([a-zA-Z_][a-zA-Z0-9_]*="[^"]*",?)*\})? (-?[0-9.eE+-]+|[+-]Inf|NaN)$`)
 	values := map[string]string{}
 	for _, line := range strings.Split(string(body), "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -709,8 +709,10 @@ func TestObservabilityOverHTTP(t *testing.T) {
 		if !sampleLine.MatchString(line) {
 			t.Fatalf("malformed exposition line: %q", line)
 		}
-		fields := strings.Fields(line)
-		values[fields[0]] = fields[1]
+		// A label value may hold spaces and braces (route="GET
+		// /v1/tasks/{id}"); the sample value follows the last space.
+		i := strings.LastIndexByte(line, ' ')
+		values[line[:i]] = line[i+1:]
 	}
 	for name, want := range map[string]string{
 		"hc_tasks_submitted_total": "1",

@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -392,30 +391,27 @@ func promFamilies(sys *core.System, api *Server, opts AdminOptions) []metrics.Pr
 	return fams
 }
 
-// routeFamilies renders per-route HTTP stats. The exposition encoder is
-// label-free by design, so the route pattern is folded into the metric
-// name (POST /v1/tasks -> hc_http_requests_total_post_v1_tasks) instead
-// of a route label.
-func routeFamilies(snap map[string]*routeStats) []metrics.PromFamily {
-	routes := make([]string, 0, len(snap))
-	for r := range snap {
-		routes = append(routes, r)
+// routeFamilies renders per-route HTTP stats as two families labelled
+// with the route pattern — the string the request log, GET /v1/metrics and
+// a span tree's root op carry — and, on the counter, the status class.
+func routeFamilies(snap []*routeStats) []metrics.PromFamily {
+	requests := metrics.PromFamily{Name: "hc_http_requests_total",
+		Help: "Responses sent, by route and status class.", Kind: metrics.PromCounter}
+	duration := metrics.PromFamily{Name: "hc_http_request_duration_seconds",
+		Help: "Request latency, by route.", Kind: metrics.PromHistogram}
+	for _, rs := range snap {
+		label := metrics.PromLabel{Name: "route", Value: rs.route}
+		for i, class := range codeClasses {
+			requests.Samples = append(requests.Samples, metrics.PromSample{
+				Shard:  -1,
+				Labels: []metrics.PromLabel{label, {Name: "code_class", Value: class}},
+				Value:  float64(rs.byClass[i].Value()),
+			})
+		}
+		duration.Samples = append(duration.Samples,
+			metrics.PromHistogramSamples(rs.latency, &rs.exemplars, label)...)
 	}
-	sort.Strings(routes)
-	fams := make([]metrics.PromFamily, 0, 3*len(routes))
-	for _, route := range routes {
-		rs := snap[route]
-		suffix := promRouteName(route)
-		fams = append(fams,
-			metrics.PromCounterFamily("hc_http_requests_total_"+suffix,
-				"Requests served: "+route, rs.requests.Value()),
-			metrics.PromCounterFamily("hc_http_request_errors_total_"+suffix,
-				"Responses with status >= 400: "+route, rs.errors.Value()),
-			metrics.PromHistogramFamily("hc_http_request_duration_seconds_"+suffix,
-				"Request latency: "+route, rs.latency, &rs.exemplars),
-		)
-	}
-	return fams
+	return []metrics.PromFamily{requests, duration}
 }
 
 // buildInfoFamily is the constant-1 hc_build_info gauge whose labels
@@ -441,32 +437,4 @@ func buildInfoFamily(sys *core.System, opts AdminOptions) metrics.PromFamily {
 			Value: 1,
 		}},
 	}
-}
-
-// promRouteName folds a mux pattern into a metric-name fragment:
-// lowercase, every run of non-[a-z0-9] characters collapsed to one '_'.
-// "GET /v1/tasks/{id}/trace" becomes "get_v1_tasks_id_trace".
-func promRouteName(route string) string {
-	out := make([]byte, 0, len(route))
-	pendingSep := false
-	for i := 0; i < len(route); i++ {
-		c := route[i]
-		switch {
-		case c >= 'A' && c <= 'Z':
-			c += 'a' - 'A'
-			fallthrough
-		case c >= 'a' && c <= 'z', c >= '0' && c <= '9':
-			if pendingSep && len(out) > 0 {
-				out = append(out, '_')
-			}
-			pendingSep = false
-			out = append(out, c)
-		default:
-			pendingSep = true
-		}
-	}
-	if len(out) == 0 {
-		return "unknown"
-	}
-	return string(out)
 }

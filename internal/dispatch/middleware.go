@@ -33,14 +33,28 @@ type endpointStats struct {
 }
 
 type routeStats struct {
-	requests metrics.Counter
-	errors   metrics.Counter // responses with status >= 400
-	latency  *metrics.LatencyHist
+	route string // the mux pattern, e.g. "POST /v1/tasks"
+	// byClass counts responses per status class, indexed as codeClasses:
+	// a shed (429) and a fault (5xx) stay apart.
+	byClass [len(codeClasses)]metrics.Counter
+	latency *metrics.LatencyHist
 	// exemplars pairs the latency histogram's exposition buckets with the
 	// trace ID of the most recent observation that landed in each, so a
 	// scrape can jump from a latency bucket to GET /v1/debug/spans.
 	exemplars metrics.ExemplarSet
 }
+
+// codeClasses are the code_class label values of hc_http_requests_total.
+var codeClasses = [...]string{"2xx", "3xx", "4xx", "5xx"}
+
+// count records one response; statuses outside 200..599 land in the
+// nearest class.
+func (rs *routeStats) count(status int) {
+	rs.byClass[min(max(status/100-2, 0), len(codeClasses)-1)].Inc()
+}
+
+// errors returns the responses with status >= 400.
+func (rs *routeStats) errors() int64 { return rs.byClass[2].Value() + rs.byClass[3].Value() }
 
 func newEndpointStats() *endpointStats {
 	return &endpointStats{byRoute: make(map[string]*routeStats)}
@@ -51,22 +65,23 @@ func (s *endpointStats) get(route string) *routeStats {
 	defer s.mu.Unlock()
 	rs := s.byRoute[route]
 	if rs == nil {
-		rs = &routeStats{latency: new(metrics.LatencyHist)}
+		rs = &routeStats{route: route, latency: new(metrics.LatencyHist)}
 		s.byRoute[route] = rs
 	}
 	return rs
 }
 
-// snapshot copies the route table under one lock acquisition. The
-// *routeStats values are internally synchronized, so readers work the
-// copy without ever re-taking the registration mutex.
-func (s *endpointStats) snapshot() map[string]*routeStats {
+// snapshot lists the routes in pattern order under one lock acquisition.
+// The *routeStats values are internally synchronized, so readers work the
+// list without ever re-taking the registration mutex.
+func (s *endpointStats) snapshot() []*routeStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := make(map[string]*routeStats, len(s.byRoute))
-	for r, rs := range s.byRoute {
-		snap[r] = rs
+	snap := make([]*routeStats, 0, len(s.byRoute))
+	for _, rs := range s.byRoute {
+		snap = append(snap, rs)
 	}
+	sort.Slice(snap, func(i, j int) bool { return snap[i].route < snap[j].route })
 	return snap
 }
 
@@ -194,10 +209,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		start := time.Now()
 		s.serveRecovered(rec, r, route, sh, h)
 		dur := time.Since(start)
-		rs.requests.Inc()
-		if rec.status >= 400 {
-			rs.errors.Inc()
-		}
+		rs.count(rec.status)
 		rs.latency.Observe(dur)
 		if sh.Valid() {
 			rs.exemplars.Observe(dur, sh.Trace().Hex())
@@ -264,20 +276,13 @@ type RouteMetrics struct {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	snap := s.stats.snapshot()
-	routes := make([]string, 0, len(snap))
-	for r := range snap {
-		routes = append(routes, r)
-	}
-	sort.Strings(routes)
-
-	out := make([]RouteMetrics, 0, len(routes))
-	for _, route := range routes {
-		rs := snap[route]
+	out := make([]RouteMetrics, 0, len(snap))
+	for _, rs := range snap {
 		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 		out = append(out, RouteMetrics{
-			Route:    route,
-			Requests: rs.requests.Value(),
-			Errors:   rs.errors.Value(),
+			Route:    rs.route,
+			Requests: rs.latency.Count(),
+			Errors:   rs.errors(),
 			MeanMs:   ms(rs.latency.Mean()),
 			P50Ms:    ms(rs.latency.Quantile(0.5)),
 			P99Ms:    ms(rs.latency.Quantile(0.99)),

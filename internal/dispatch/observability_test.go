@@ -160,10 +160,28 @@ func TestPanicRecovery(t *testing.T) {
 		t.Errorf("panic record = %+v, want panic value and stack", panics[0])
 	}
 
-	// The route error counter saw the 500.
+	// The route's counters saw the 500 as a fault.
 	rs := s.stats.get("GET /v1/boom")
-	if rs.errors.Value() != 1 {
-		t.Errorf("route errors = %d, want 1", rs.errors.Value())
+	if rs.latency.Count() != 1 || rs.errors() != 1 || rs.byClass[3].Value() != 1 {
+		t.Errorf("route saw %d requests, %d errors, %d 5xx; want 1 of each", rs.latency.Count(), rs.errors(), rs.byClass[3].Value())
+	}
+}
+
+// TestRouteStatsCountByStatusClass: each response lands in its status
+// class, so a 429 shed is a 4xx and not a fault, and the errors figure of
+// GET /v1/metrics stays the 4xx+5xx sum.
+func TestRouteStatsCountByStatusClass(t *testing.T) {
+	rs := &routeStats{}
+	for _, status := range []int{200, 201, 204, 304, 400, 404, 429, 500, 503, 101, 999} {
+		rs.count(status)
+	}
+	for i, want := range []int64{4, 1, 3, 3} {
+		if got := rs.byClass[i].Value(); got != want {
+			t.Errorf("%s = %d, want %d", codeClasses[i], got, want)
+		}
+	}
+	if errs := rs.errors(); errs != 6 {
+		t.Errorf("errors = %d, want the 6 responses that were 4xx or 5xx", errs)
 	}
 }
 
@@ -235,8 +253,9 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 }
 
-// promLine matches one valid exposition sample line.
-var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (-?[0-9.eE+-]+|[+-]Inf|NaN)$`)
+// promLine matches one valid exposition sample line; label values are
+// quoted strings, which may hold spaces and braces (a route pattern does).
+var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{([a-zA-Z_][a-zA-Z0-9_]*="[^"]*",?)*\})? (-?[0-9.eE+-]+|[+-]Inf|NaN)$`)
 
 func TestAdminHandlerMetricsAndProbes(t *testing.T) {
 	sys := core.New(core.DefaultConfig())
@@ -308,8 +327,10 @@ func TestAdminHandlerMetricsAndProbes(t *testing.T) {
 		if !promLine.MatchString(line) {
 			t.Fatalf("malformed exposition line: %q", line)
 		}
-		fields := strings.Fields(line)
-		values[fields[0]] = fields[1]
+		// Label values may hold spaces (route="POST /v1/tasks"); the value
+		// is what follows the last one.
+		i := strings.LastIndexByte(line, ' ')
+		values[line[:i]] = line[i+1:]
 	}
 	for name, want := range map[string]string{
 		"hc_tasks_submitted_total": "1",
@@ -319,6 +340,9 @@ func TestAdminHandlerMetricsAndProbes(t *testing.T) {
 		"hc_store_tasks":           "1",
 		"hc_gwap_outputs_total":    "1",
 		"hc_gwap_sessions_total":   "1",
+		`hc_http_requests_total{route="POST /v1/tasks",code_class="2xx"}`:      "1",
+		`hc_http_requests_total{route="POST /v1/tasks",code_class="5xx"}`:      "0",
+		`hc_http_request_duration_seconds_count{route="POST /v1/leases/{id}"}`: "1",
 	} {
 		if got := values[name]; got != want {
 			t.Errorf("%s = %q, want %q", name, got, want)
@@ -336,30 +360,23 @@ func TestAdminHandlerMetricsAndProbes(t *testing.T) {
 		"hc_task_time_in_queue_seconds_count",
 		"hc_task_lease_to_answer_seconds_count",
 		"hc_task_answers_to_completion_seconds_count",
-		"hc_http_requests_total_post_v1_tasks",
-		"hc_http_request_duration_seconds_post_v1_next_count",
+		`hc_http_requests_total{route="GET /v1/tasks/{id}",code_class="2xx"}`,
+		`hc_http_request_duration_seconds_bucket{route="POST /v1/next",le="+Inf"}`,
 	} {
 		if _, ok := values[name]; !ok {
 			t.Errorf("metric %s missing from exposition", name)
 		}
 	}
 
+	// Every route shares one family each; the route is a label.
+	for _, fam := range []string{"hc_http_requests_total counter", "hc_http_request_duration_seconds histogram"} {
+		if n := strings.Count(body, "# TYPE "+fam+"\n"); n != 1 {
+			t.Errorf("%d TYPE lines for %q, want 1", n, fam)
+		}
+	}
+
 	// pprof index answers on the same listener.
 	if resp, _ := get("/debug/pprof/"); resp.StatusCode != http.StatusOK {
 		t.Errorf("/debug/pprof/ = %d, want 200", resp.StatusCode)
-	}
-}
-
-func TestPromRouteName(t *testing.T) {
-	cases := map[string]string{
-		"POST /v1/tasks":           "post_v1_tasks",
-		"GET /v1/tasks/{id}/trace": "get_v1_tasks_id_trace",
-		"DELETE /v1/leases/{id}":   "delete_v1_leases_id",
-		"///":                      "unknown",
-	}
-	for in, want := range cases {
-		if got := promRouteName(in); got != want {
-			t.Errorf("promRouteName(%q) = %q, want %q", in, got, want)
-		}
 	}
 }

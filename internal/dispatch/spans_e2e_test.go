@@ -155,7 +155,7 @@ func TestSpanPropagationEndToEnd(t *testing.T) {
 	}
 	found := false
 	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, "hc_http_request_duration_seconds_post_v1_tasks_bucket") &&
+		if strings.HasPrefix(line, `hc_http_request_duration_seconds_bucket{route="POST /v1/tasks",`) &&
 			strings.Contains(line, `# {trace_id="`+pinned.String()+`"}`) {
 			found = true
 			break

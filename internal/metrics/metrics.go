@@ -196,15 +196,11 @@ type GWAP struct {
 	totalPlay  time.Duration
 	outputs    int64
 	sessions   int64
-	sessionLen *Histogram
 }
 
 // NewGWAP returns an empty metrics accumulator.
 func NewGWAP() *GWAP {
-	return &GWAP{
-		playByUser: make(map[string]time.Duration),
-		sessionLen: NewHistogram(4096),
-	}
+	return &GWAP{playByUser: make(map[string]time.Duration)}
 }
 
 // RecordSession adds one play session of the given length for the player.
@@ -217,7 +213,6 @@ func (g *GWAP) RecordSession(playerID string, length time.Duration) {
 	g.playByUser[playerID] += length
 	g.totalPlay += length
 	g.sessions++
-	g.sessionLen.Observe(length.Seconds())
 }
 
 // RecordOutputs adds n solved problem instances (labels, boxes, facts...).
@@ -287,9 +282,6 @@ func (g *GWAP) ALP() time.Duration {
 func (g *GWAP) ExpectedContribution() float64 {
 	return g.Throughput() * g.ALP().Hours()
 }
-
-// SessionLengths exposes the session-length histogram (seconds).
-func (g *GWAP) SessionLengths() *Histogram { return g.sessionLen }
 
 // Report is a flattened snapshot of the GWAP metrics, ready for printing
 // or JSON encoding by the bench harness.

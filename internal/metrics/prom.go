@@ -33,12 +33,9 @@ func (g *Gauge) Dec() { g.n.Add(-1) }
 // Value returns the current gauge value.
 func (g *Gauge) Value() int64 { return g.n.Load() }
 
-// Prometheus text exposition (version 0.0.4). The encoder is label-free by
-// design: a sample is one "name value" line, with only the two structural
-// labels the format itself calls for — the quantile label on summaries and
-// an optional shard index on per-shard families. Anything richer belongs in
-// a real client library; this one exists so GET /metrics can be served from
-// the standard library alone.
+// Prometheus text exposition (version 0.0.4), written by hand so GET
+// /metrics can be served from the standard library alone. A sample is one
+// "name{labels} value" line; a family holds its samples in order.
 
 // PromKind is the TYPE annotation of a family.
 type PromKind string
@@ -132,33 +129,35 @@ func PromSummaryFamily(name, help string, h *Histogram) PromFamily {
 // _count. When ex is non-nil, each bucket sample carries the exemplar of
 // the most recent observation that landed in it.
 func PromHistogramFamily(name, help string, h *LatencyHist, ex *ExemplarSet) PromFamily {
-	f := PromFamily{Name: name, Help: help, Kind: PromHistogram}
-	attach := func(s PromSample, slot int) PromSample {
+	return PromFamily{Name: name, Help: help, Kind: PromHistogram, Samples: PromHistogramSamples(h, ex)}
+}
+
+// PromHistogramSamples is the sample list of one histogram, each sample
+// carrying labels (ahead of le on the buckets) — what a family holding
+// several labelled histograms is assembled from.
+func PromHistogramSamples(h *LatencyHist, ex *ExemplarSet, labels ...PromLabel) []PromSample {
+	bucket := func(le string, count int64, slot int) PromSample {
+		s := PromSample{
+			Suffix: "_bucket",
+			Shard:  -1,
+			Labels: append(labels[:len(labels):len(labels)], PromLabel{Name: "le", Value: le}),
+			Value:  float64(count),
+		}
 		if e, ok := ex.Load(slot); ok {
 			s.Exemplar = &PromExemplar{TraceID: e.TraceID, Value: e.Value, At: e.At}
 		}
 		return s
 	}
+	samples := make([]PromSample, 0, len(ExemplarBounds)+3)
 	for i, ub := range ExemplarBounds {
-		f.Samples = append(f.Samples, attach(PromSample{
-			Suffix: "_bucket",
-			Shard:  -1,
-			Labels: []PromLabel{{Name: "le", Value: formatPromValue(ub)}},
-			Value:  float64(h.CountLE(time.Duration(ub * float64(time.Second)))),
-		}, i))
+		samples = append(samples, bucket(formatPromValue(ub), h.CountLE(time.Duration(ub*float64(time.Second))), i))
 	}
 	count := h.Count()
-	f.Samples = append(f.Samples, attach(PromSample{
-		Suffix: "_bucket",
-		Shard:  -1,
-		Labels: []PromLabel{{Name: "le", Value: "+Inf"}},
-		Value:  float64(count),
-	}, len(ExemplarBounds)))
-	f.Samples = append(f.Samples,
-		PromSample{Suffix: "_sum", Shard: -1, Value: h.Sum().Seconds()},
-		PromSample{Suffix: "_count", Shard: -1, Value: float64(count)},
+	return append(samples,
+		bucket("+Inf", count, len(ExemplarBounds)),
+		PromSample{Suffix: "_sum", Shard: -1, Labels: labels, Value: h.Sum().Seconds()},
+		PromSample{Suffix: "_count", Shard: -1, Labels: labels, Value: float64(count)},
 	)
-	return f
 }
 
 // validPromName reports whether s matches [a-zA-Z_:][a-zA-Z0-9_:]*.

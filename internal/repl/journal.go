@@ -27,9 +27,6 @@ type SwitchableJournal struct {
 // Set attaches the backing WAL, flipping the journal writable.
 func (j *SwitchableJournal) Set(w *store.WAL) { j.wal.Store(w) }
 
-// WAL returns the attached log, or nil before promotion.
-func (j *SwitchableJournal) WAL() *store.WAL { return j.wal.Load() }
-
 // AppendBatchObserved implements core.Journal.
 func (j *SwitchableJournal) AppendBatchObserved(events []store.Event) (write, sync time.Duration, err error) {
 	w := j.wal.Load()

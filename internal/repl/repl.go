@@ -24,10 +24,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
+
+	"humancomp/internal/store"
 )
 
 // StreamHeader is the first line of a /v1/repl/wal response body (JSON,
@@ -71,31 +73,10 @@ func LoadTerm(path string) (int64, error) {
 // SaveTerm durably persists term to path (write-temp, fsync, rename), so a
 // promoted node still fences the old epoch after its own restart.
 func SaveTerm(path string, term int64) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
+	return store.WriteDurable(path, func(w io.Writer) error {
+		_, err := fmt.Fprintf(w, "%d\n", term)
 		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := fmt.Fprintf(tmp, "%d\n", term); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	})
 }
 
 // writeJSONLine writes v as one newline-terminated JSON document.
