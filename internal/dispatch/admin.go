@@ -148,7 +148,7 @@ func serveDebugSpans(w http.ResponseWriter, r *http.Request, sys *core.System) {
 	if raw := q.Get("trace"); raw != "" {
 		id, ok := trace.ParseTraceID(raw)
 		if !ok {
-			badRequest(w, nil, "dispatch: invalid trace id %q", raw)
+			badRequest(w, r, "dispatch: invalid trace id %q", raw)
 			return
 		}
 		f.Trace = id
@@ -157,7 +157,7 @@ func serveDebugSpans(w http.ResponseWriter, r *http.Request, sys *core.System) {
 	if raw := q.Get("min_ms"); raw != "" {
 		ms, err := strconv.ParseFloat(raw, 64)
 		if err != nil || ms < 0 {
-			badRequest(w, nil, "dispatch: invalid min_ms %q", raw)
+			badRequest(w, r, "dispatch: invalid min_ms %q", raw)
 			return
 		}
 		f.MinDur = time.Duration(ms * float64(time.Millisecond))
@@ -165,7 +165,7 @@ func serveDebugSpans(w http.ResponseWriter, r *http.Request, sys *core.System) {
 	if raw := q.Get("errors_only"); raw != "" {
 		v, err := strconv.ParseBool(raw)
 		if err != nil {
-			badRequest(w, nil, "dispatch: invalid errors_only %q", raw)
+			badRequest(w, r, "dispatch: invalid errors_only %q", raw)
 			return
 		}
 		f.ErrorsOnly = v
@@ -173,7 +173,7 @@ func serveDebugSpans(w http.ResponseWriter, r *http.Request, sys *core.System) {
 	if raw := q.Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 1 || n > 1000 {
-			badRequest(w, nil, "dispatch: invalid limit %q (1..1000)", raw)
+			badRequest(w, r, "dispatch: invalid limit %q (1..1000)", raw)
 			return
 		}
 		f.Limit = n

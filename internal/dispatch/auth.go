@@ -1,7 +1,8 @@
 package dispatch
 
 import (
-	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -25,8 +26,11 @@ type Options struct {
 	// Logger receives structured request and error logs. Nil discards
 	// them, which keeps tests and embedded uses quiet by default.
 	Logger *slog.Logger
-	// RequestTimeout bounds each request end to end; a handler still
-	// running at the deadline is cut off with a 503. 0 disables.
+	// RequestTimeout is each request's deadline: the request context
+	// reports it, a body still arriving at it is cut off, and a handler
+	// that returns past it with nothing written is answered 503. A
+	// handler that cannot be cancelled is not abandoned; it answers for
+	// itself when it returns. Session routes carry none. 0 disables.
 	RequestTimeout time.Duration
 	// MaxInFlight caps concurrently executing requests per route. Excess
 	// load is shed immediately with 429 + Retry-After instead of
@@ -97,20 +101,23 @@ func (l *stripedLimiter) Allow(key string, now time.Time) bool {
 
 // authLimiter implements the auth + rate-limit middleware.
 type authLimiter struct {
-	keys    map[string]bool
+	// keys maps each accepted API key to its idempotency scope (see
+	// principalScope), hashed here once instead of on every write.
+	keys    map[string]string
+	anon    string // the scope of an open server's one anonymous caller
 	limiter *stripedLimiter
 }
 
 func newAuthLimiter(o Options) *authLimiter {
-	a := &authLimiter{}
+	a := &authLimiter{anon: principalScope("")}
 	// Blank keys are dropped, not registered: a list like "a,b," (a flag
 	// split artifact) must never let the empty bearer token through. A key
 	// list with only blanks fails closed — auth on, nothing accepted.
 	if len(o.APIKeys) > 0 {
-		a.keys = make(map[string]bool, len(o.APIKeys))
+		a.keys = make(map[string]string, len(o.APIKeys))
 		for _, k := range o.APIKeys {
 			if k = strings.TrimSpace(k); k != "" {
-				a.keys[k] = true
+				a.keys[k] = principalScope(k)
 			}
 		}
 	}
@@ -130,50 +137,43 @@ func bearer(r *http.Request) string {
 	return ""
 }
 
-// principalOf returns the authenticated caller identity the auth
-// middleware attached to the request context: the API key on an
-// authenticated server, "" on an open one (or outside a request).
-func principalOf(r *http.Request) string {
-	if r == nil {
-		return ""
-	}
-	p, _ := r.Context().Value(principalKey).(string)
-	return p
+// principalScope condenses a caller's principal — the API key on an
+// authenticated server, "" on an open one — into a fixed-width segment of
+// the idempotency cache key. Hashing keeps raw API keys out of cache
+// memory; the empty principal hashes too, so the key shape is uniform.
+func principalScope(principal string) string {
+	sum := sha256.Sum256([]byte(principal))
+	return hex.EncodeToString(sum[:8])
 }
 
-// wrap guards h with key auth and rate limiting when configured. On an
-// authenticated server the validated API key is attached to the request
-// context as the caller's principal, so downstream middleware (the
-// idempotency replay cache) can scope per-caller state by it.
-func (a *authLimiter) wrap(h http.HandlerFunc) http.HandlerFunc {
-	if a.keys == nil && a.limiter == nil {
-		return h
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
+// wrap guards next with key auth and rate limiting when configured, and
+// names the caller on the exchange: downstream middleware (the
+// idempotency replay cache) scopes per-caller state by e.scope.
+func (a *authLimiter) wrap(next handler) handler {
+	return func(e *exchange, r *http.Request) {
 		principal := r.RemoteAddr
+		e.scope = a.anon
 		if a.keys != nil {
 			// bearer() returns "" for an absent or malformed header; reject
 			// it before the map lookup so no key-set mishap (an empty string
 			// slipping into the keys) can ever open the server.
 			key := bearer(r)
-			if key == "" || !a.keys[key] {
-				writeJSON(w, http.StatusUnauthorized, errorResponse{
-					Error: "dispatch: missing or invalid API key", RequestID: requestIDOf(r)})
+			scope, ok := a.keys[key]
+			if key == "" || !ok {
+				writeJSON(e, http.StatusUnauthorized, errorResponse{
+					Error: "dispatch: missing or invalid API key", RequestID: e.id})
 				return
 			}
-			principal = key
-			r = r.WithContext(context.WithValue(r.Context(), principalKey, key))
+			principal, e.scope = key, scope
 		}
-		if a.limiter != nil {
-			if !a.limiter.Allow(principal, time.Now()) {
-				// The hint a well-behaved client (Client's retry loop
-				// included) waits out before trying again.
-				w.Header().Set("Retry-After", "1")
-				writeJSON(w, http.StatusTooManyRequests, errorResponse{
-					Error: "dispatch: rate limit exceeded", RequestID: requestIDOf(r)})
-				return
-			}
+		if a.limiter != nil && !a.limiter.Allow(principal, time.Now()) {
+			// The hint a well-behaved client (Client's retry loop
+			// included) waits out before trying again.
+			e.Header().Set("Retry-After", "1")
+			writeJSON(e, http.StatusTooManyRequests, errorResponse{
+				Error: "dispatch: rate limit exceeded", RequestID: e.id})
+			return
 		}
-		h(w, r)
+		next(e, r)
 	}
 }

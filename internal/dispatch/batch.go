@@ -6,7 +6,6 @@ import (
 	"humancomp/internal/core"
 	"humancomp/internal/queue"
 	"humancomp/internal/task"
-	"humancomp/internal/trace"
 )
 
 // The batched data plane: POST /v1/tasks:batch, /v1/leases:batch and
@@ -102,13 +101,12 @@ func checkBatchSize(w http.ResponseWriter, r *http.Request, n int) bool {
 // validation (unknown kind, gold without expected answer) are reported in
 // their envelope without reaching the core; the remaining items go down as
 // one core.SubmitBatch, which takes each shard lock and the WAL once.
-func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
-	sh := trace.FromContext(r.Context())
-	req, ok := decode[BatchSubmitRequest](w, r, sh, maxBatchBody)
-	if !ok {
+func (s *Server) handleSubmitBatch(e *exchange, r *http.Request) {
+	var req BatchSubmitRequest
+	if !e.decode(r, &req, maxBatchBody) {
 		return
 	}
-	if !checkBatchSize(w, r, len(req.Tasks)) {
+	if !checkBatchSize(e, r, len(req.Tasks)) {
 		return
 	}
 	results := make([]BatchSubmitResult, len(req.Tasks))
@@ -145,23 +143,22 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		results[i] = BatchSubmitResult{Status: http.StatusCreated, ID: out.ID}
 	}
-	writeJSONSpanned(w, sh, http.StatusOK, BatchSubmitResponse{Results: results})
+	writeJSONSpanned(e, http.StatusOK, BatchSubmitResponse{Results: results})
 }
 
 // handleNextBatch serves POST /v1/leases:batch: up to Max leases for one
 // worker in one exchange.
-func (s *Server) handleNextBatch(w http.ResponseWriter, r *http.Request) {
-	sh := trace.FromContext(r.Context())
-	req, ok := decode[BatchNextRequest](w, r, sh, maxBatchBody)
-	if !ok {
+func (s *Server) handleNextBatch(e *exchange, r *http.Request) {
+	var req BatchNextRequest
+	if !e.decode(r, &req, maxBatchBody) {
 		return
 	}
 	if req.WorkerID == "" {
-		badRequest(w, r, "dispatch: worker_id required")
+		badRequest(e, r, "dispatch: worker_id required")
 		return
 	}
 	if req.Max < 1 {
-		badRequest(w, r, "dispatch: max must be positive")
+		badRequest(e, r, "dispatch: max must be positive")
 		return
 	}
 	max := req.Max
@@ -173,19 +170,18 @@ func (s *Server) handleNextBatch(w http.ResponseWriter, r *http.Request) {
 	for i, g := range grants {
 		out.Leases[i] = NextResponse{Task: g.Task, Lease: g.Lease}
 	}
-	writeJSONSpanned(w, sh, http.StatusOK, out)
+	writeJSONSpanned(e, http.StatusOK, out)
 }
 
 // handleAnswerBatch serves POST /v1/leases:answers: each item's outcome
 // mirrors what the equivalent POST /v1/leases/{id} would have returned
 // (204 on success).
-func (s *Server) handleAnswerBatch(w http.ResponseWriter, r *http.Request) {
-	sh := trace.FromContext(r.Context())
-	req, ok := decode[BatchAnswerRequest](w, r, sh, maxBatchBody)
-	if !ok {
+func (s *Server) handleAnswerBatch(e *exchange, r *http.Request) {
+	var req BatchAnswerRequest
+	if !e.decode(r, &req, maxBatchBody) {
 		return
 	}
-	if !checkBatchSize(w, r, len(req.Answers)) {
+	if !checkBatchSize(e, r, len(req.Answers)) {
 		return
 	}
 	items := make([]queue.CompleteItem, len(req.Answers))
@@ -205,5 +201,5 @@ func (s *Server) handleAnswerBatch(w http.ResponseWriter, r *http.Request) {
 			EarlyDone:  out.EarlyDone,
 		}
 	}
-	writeJSONSpanned(w, sh, http.StatusOK, BatchAnswerResponse{Results: results})
+	writeJSONSpanned(e, http.StatusOK, BatchAnswerResponse{Results: results})
 }

@@ -496,9 +496,10 @@ func TestWriteErrorTable(t *testing.T) {
 		{fmt.Errorf("aggregate: %w", core.ErrWrongKind), http.StatusUnprocessableEntity},
 		{errors.New("disk on fire"), http.StatusInternalServerError},
 	}
+	req := httptest.NewRequest(http.MethodGet, "/", nil) // outside a server: no request ID
 	for _, c := range cases {
 		rec := httptest.NewRecorder()
-		writeError(rec, nil, c.err)
+		writeError(rec, req, c.err)
 		if rec.Code != c.status {
 			t.Errorf("writeError(%v) = %d, want %d", c.err, rec.Code, c.status)
 		}
@@ -509,7 +510,7 @@ func TestWriteErrorTable(t *testing.T) {
 	}
 	// ErrEmpty is the one bodyless mapping: 204, not an error envelope.
 	rec := httptest.NewRecorder()
-	writeError(rec, nil, queue.ErrEmpty)
+	writeError(rec, req, queue.ErrEmpty)
 	if rec.Code != http.StatusNoContent || rec.Body.Len() != 0 {
 		t.Errorf("writeError(ErrEmpty) = %d with %q, want bare 204", rec.Code, rec.Body)
 	}

@@ -3,9 +3,8 @@ package dispatch
 import (
 	"bytes"
 	"container/list"
-	"crypto/sha256"
-	"encoding/hex"
 	"net/http"
+	"strconv"
 	"sync"
 
 	"humancomp/internal/trace"
@@ -93,113 +92,61 @@ func (c *idemCache) len() int {
 // maxIdemBody bounds how large a response body the replay cache will
 // buffer: a response past the cap streams through uncached instead of
 // bloating the LRU (one oversized task listing must not pin megabytes).
+// The exchange stops teeing there and the response itself always passes
+// through untouched.
 const maxIdemBody = 256 << 10
 
-// responseCapture tees status and body while the handler writes, so a
-// successful response can be cached for replay. Bodies past maxIdemBody
-// stop being buffered (overflow is set and the partial buffer released);
-// the response itself always passes through untouched.
-type responseCapture struct {
-	http.ResponseWriter
-	status   int
-	wrote    bool
-	overflow bool // body exceeded maxIdemBody; do not cache
-	buf      bytes.Buffer
-}
-
-func (r *responseCapture) WriteHeader(status int) {
-	if !r.wrote {
-		r.status = status
-		r.wrote = true
-	}
-	r.ResponseWriter.WriteHeader(status)
-}
-
-func (r *responseCapture) Write(b []byte) (int, error) {
-	if !r.wrote {
-		r.status = http.StatusOK
-		r.wrote = true
-	}
-	if !r.overflow {
-		if r.buf.Len()+len(b) > maxIdemBody {
-			r.overflow = true
-			r.buf = bytes.Buffer{} // release what was buffered so far
-		} else {
-			r.buf.Write(b)
-		}
-	}
-	return r.ResponseWriter.Write(b)
-}
-
-// Flush implements http.Flusher when the underlying writer does, so
-// wrapping a streaming handler keeps its streaming semantics (mirrors
-// statusRecorder).
-func (r *responseCapture) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// principalScope condenses the caller's principal into a fixed-width cache
-// key segment. Hashing keeps raw API keys out of cache memory; the empty
-// principal (open server) hashes too, so the key shape is uniform.
-func principalScope(r *http.Request) string {
-	sum := sha256.Sum256([]byte(principalOf(r)))
-	return hex.EncodeToString(sum[:8])
-}
-
-// lookupSpanned is get plus an "idem.lookup" child span (attr = 1 on a
-// replay hit, 0 on a miss) when the request carries a span handle.
-func (c *idemCache) lookupSpanned(r *http.Request, scoped string) (*idemResponse, bool) {
-	sh := trace.FromContext(r.Context())
-	t0 := sh.Now()
-	rec, ok := c.get(scoped)
-	var hit int64
-	if ok {
-		hit = 1
-	}
-	sh.ObserveSince("idem.lookup", trace.NoSpan, t0, hit)
-	return rec, ok
-}
-
-// wrap makes h idempotent under the given route scope: requests carrying a
-// usable Idempotency-Key replay the cached response of the first completed
-// attempt. Keys are scoped per route AND per authenticated principal: a
-// Submit key can never collide with an Answer key, and — the bug this
-// closes — one API key can never replay a response cached for another
-// caller who happened to pick the same Idempotency-Key value. Only
+// wrap makes next idempotent under the given route scope: requests
+// carrying a usable Idempotency-Key replay the cached response of the
+// first completed attempt. Keys are scoped per route AND per authenticated
+// principal: a Submit key can never collide with an Answer key, and — the
+// bug this closes — one API key can never replay a response cached for
+// another caller who happened to pick the same Idempotency-Key value. Only
 // successful (2xx) responses are cached — a failed attempt must
 // re-execute, because it changed nothing. Responses whose body overflowed
-// the capture bound are served but not cached.
-func (c *idemCache) wrap(route string, h http.HandlerFunc) http.HandlerFunc {
+// the capture bound (the exchange has stopped capturing) are served but
+// not cached.
+func (c *idemCache) wrap(route string, next handler) handler {
 	if c == nil {
-		return h
+		return next
 	}
-	return func(w http.ResponseWriter, r *http.Request) {
+	return func(e *exchange, r *http.Request) {
 		key := r.Header.Get(idempotencyKeyHeader)
 		if !usableRequestID(key) { // same shape rules as request IDs
-			h(w, r)
+			next(e, r)
 			return
 		}
-		scoped := route + "\x00" + principalScope(r) + "\x00" + key
-		rec, ok := c.lookupSpanned(r, scoped)
+		scoped := route + "\x00" + e.scope + "\x00" + key
+		// The lookup is an "idem.lookup" child span on a traced request:
+		// attr 1 on a replay hit, 0 on a miss.
+		t0 := e.sh.Now()
+		rec, ok := c.get(scoped)
+		var hit int64
 		if ok {
-			w.Header().Set(idempotentReplayHdr, "true")
+			hit = 1
+		}
+		e.sh.ObserveSince("idem.lookup", trace.NoSpan, t0, hit)
+		if ok {
+			h := e.Header()
+			h.Set(idempotentReplayHdr, "true")
 			if rec.contentType != "" {
-				w.Header().Set("Content-Type", rec.contentType)
+				h.Set("Content-Type", rec.contentType)
 			}
-			w.WriteHeader(rec.status)
-			_, _ = w.Write(rec.body)
+			if len(rec.body) > 0 { // as writeJSON did on the first attempt
+				h.Set("Content-Length", strconv.Itoa(len(rec.body)))
+			}
+			e.WriteHeader(rec.status)
+			_, _ = e.Write(rec.body)
 			return
 		}
-		cap := &responseCapture{ResponseWriter: w, status: http.StatusOK}
-		h(cap, r)
-		if cap.status >= 200 && cap.status < 300 && !cap.overflow {
+		e.capture = true
+		next(e, r)
+		if e.capture && e.status >= 200 && e.status < 300 {
 			c.put(&idemResponse{
 				key:         scoped,
-				status:      cap.status,
-				contentType: cap.Header().Get("Content-Type"),
-				body:        append([]byte(nil), cap.buf.Bytes()...),
+				status:      e.status,
+				contentType: e.Header().Get("Content-Type"),
+				body:        bytes.Clone(e.buf), // the exchange's buffer goes back to the pool
 			})
 		}
 	}

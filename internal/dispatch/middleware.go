@@ -88,27 +88,19 @@ func (s *endpointStats) snapshot() []*routeStats {
 // requestIDHeader is the header request IDs arrive and leave on.
 const requestIDHeader = "X-Request-Id"
 
-type ctxKey int
-
-const (
-	requestIDKey ctxKey = iota
-	principalKey
-)
-
-// RequestIDFromContext returns the request ID the middleware attached to
-// the context, or "" outside a request.
+// RequestIDFromContext returns the ID of the request ctx belongs to — the
+// request's own context or anything derived from it — or "" outside a
+// request.
 func RequestIDFromContext(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey).(string)
-	return id
+	if e, _ := ctx.Value(exchangeKey{}).(*exchange); e != nil {
+		return e.id
+	}
+	return ""
 }
 
-// requestIDOf is RequestIDFromContext tolerant of a nil request.
-func requestIDOf(r *http.Request) string {
-	if r == nil {
-		return ""
-	}
-	return RequestIDFromContext(r.Context())
-}
+// requestIDOf is the ID of the request r, "" on a server that assigns none
+// (the admin listener).
+func requestIDOf(r *http.Request) string { return RequestIDFromContext(r.Context()) }
 
 // newRequestID returns a fresh 16-hex-digit request ID.
 func newRequestID() string {
@@ -118,7 +110,9 @@ func newRequestID() string {
 		// constant rather than panicking in the serving path.
 		return "0000000000000000"
 	}
-	return hex.EncodeToString(b[:])
+	var id [2 * len(b)]byte
+	hex.Encode(id[:], b[:])
+	return string(id[:])
 }
 
 // usableRequestID reports whether a client-supplied ID is safe to adopt:
@@ -136,106 +130,92 @@ func usableRequestID(id string) bool {
 	return true
 }
 
-// withRequestID accepts or generates the request ID, echoes it on the
-// response, and attaches it to the request context. It wraps the whole
+// handler is one layer of the middleware chain, or the route handler at
+// the end of it: an http.HandlerFunc that knows its ResponseWriter is the
+// request's exchange, which is also r's context.
+type handler func(e *exchange, r *http.Request)
+
+// ServeHTTP implements http.Handler. It checks out the request's exchange
+// — accepting or generating the request ID and echoing it on the response
+// — and routes the one copy of r that carries it. That wraps the whole
 // mux, so even 404s and auth rejections carry an ID.
-func withRequestID(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get(requestIDHeader)
-		if !usableRequestID(id) {
-			id = newRequestID()
-		}
-		w.Header().Set(requestIDHeader, id)
-		h.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), requestIDKey, id)))
-	})
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	e := newExchange(w, r)
+	defer e.release()
+	w.Header().Set(requestIDHeader, e.id)
+	s.mux.ServeHTTP(e, r.WithContext(e))
 }
 
-// statusRecorder captures the response status for the metrics middleware.
-// It passes http.Flusher through so streaming handlers keep working, and
-// records the implicit 200 a first Write sends, so large or streamed
-// responses are counted with the status that actually went out.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-	wrote  bool // header sent (explicitly or via first Write)
+// mount registers a chain on the mux, which hands every handler the
+// exchange ServeHTTP passed it.
+func (s *Server) mount(pattern string, h handler) {
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) { h(w.(*exchange), r) })
 }
 
-func (r *statusRecorder) WriteHeader(status int) {
-	if !r.wrote {
-		r.status = status
-		r.wrote = true
-	}
-	r.ResponseWriter.WriteHeader(status)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	if !r.wrote {
-		// net/http sends an implicit 200 on the first Write.
-		r.status = http.StatusOK
-		r.wrote = true
-	}
-	return r.ResponseWriter.Write(b)
-}
-
-// Flush implements http.Flusher when the underlying writer does.
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// instrument wraps a handler with per-route metrics, the request-scoped
+// instrument wraps a chain with per-route metrics, the request-scoped
 // span tree, panic recovery and the structured request log. The
-// routeStats is resolved once, at registration, so the per-request path
-// touches only atomics and the striped latency histogram. With the span
-// plane enabled, every request gets a root span — adopting the client's
-// traceparent when one arrives, minting a fresh trace otherwise — and the
-// handle rides the request context for handlers to hang child spans on.
-func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
+// routeStats and the route's log handler are resolved once, at
+// registration, so the per-request path touches only atomics and the
+// striped latency histogram. With the span plane enabled, every request
+// gets a root span — adopting the client's traceparent when one arrives,
+// minting a fresh trace otherwise — and the handle rides the exchange for
+// handlers to hang child spans on.
+func (s *Server) instrument(route string, next handler) handler {
 	rs := s.stats.get(route)
-	return func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		var sh trace.Handle
+	// The route is the same on every line, so it is bound (and formatted)
+	// once; the five attributes that vary fit a slog.Record's inline
+	// storage, which is what keeps a logged request from allocating.
+	logs := s.logger.Handler().WithAttrs([]slog.Attr{slog.String("route", route)})
+	return func(e *exchange, r *http.Request) {
 		if s.spans != nil {
 			tid, parent, ok := trace.ParseTraceParent(r.Header.Get(traceParentHeader))
 			if !ok {
 				tid, parent = trace.NewTraceID(), trace.SpanID{}
 			}
-			sh = s.spans.StartTrace(tid, parent, route)
-			if sh.Valid() {
-				r = r.WithContext(trace.NewContext(r.Context(), sh))
-			}
+			e.sh = s.spans.StartTrace(tid, parent, route)
 		}
 		start := time.Now()
-		s.serveRecovered(rec, r, route, sh, h)
+		s.serveRecovered(e, r, route, next)
 		dur := time.Since(start)
-		rs.count(rec.status)
+		rs.count(e.status)
 		rs.latency.Observe(dur)
-		if sh.Valid() {
-			rs.exemplars.Observe(dur, sh.Trace().Hex())
+		if e.sh.Valid() {
+			rs.exemplars.Observe(dur, e.sh.Trace().Hex())
 			var errMsg string
-			if rec.status >= 500 {
-				errMsg = "http " + strconv.Itoa(rec.status)
+			if e.status >= 500 {
+				errMsg = "http " + strconv.Itoa(e.status)
 			}
-			s.spans.Finish(sh, errMsg)
+			s.spans.Finish(e.sh, errMsg)
 		}
-		s.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
-			slog.String("method", r.Method),
-			slog.String("route", route),
-			slog.Int("status", rec.status),
-			slog.Duration("duration", dur),
-			slog.String("request_id", RequestIDFromContext(r.Context())),
-			slog.String("remote", r.RemoteAddr),
-		)
+		logRequest(logs, e, r, start.Add(dur), dur)
 	}
 }
 
-// serveRecovered runs the handler, converting a panic into a logged JSON
-// 500. The recorder is marked 500 even when the handler panicked after
+// logRequest writes the request log line: message "request" with method,
+// route (bound into logs), status, duration, request_id and remote. It
+// builds the record itself instead of going through Logger.LogAttrs,
+// which would look up a caller pc no handler here prints.
+func logRequest(logs slog.Handler, e *exchange, r *http.Request, now time.Time, dur time.Duration) {
+	if !logs.Enabled(e, slog.LevelInfo) {
+		return
+	}
+	rec := slog.NewRecord(now, slog.LevelInfo, "request", 0)
+	rec.AddAttrs(
+		slog.String("method", r.Method),
+		slog.Int("status", e.status),
+		slog.Duration("duration", dur),
+		slog.String("request_id", e.id),
+		slog.String("remote", r.RemoteAddr),
+	)
+	_ = logs.Handle(e, rec) // a log line that cannot be written has nowhere to be reported
+}
+
+// serveRecovered runs the chain, converting a panic into a logged JSON
+// 500. The exchange is marked 500 even when the handler panicked after
 // writing its header, so mid-response panics still count as route errors.
 // A valid span handle gets its root span failed with the panic value, so
 // the trace survives tail sampling and records how the request died.
-func (s *Server) serveRecovered(rec *statusRecorder, r *http.Request, route string, sh trace.Handle, h http.HandlerFunc) {
+func (s *Server) serveRecovered(e *exchange, r *http.Request, route string, next handler) {
 	defer func() {
 		p := recover()
 		if p == nil {
@@ -246,21 +226,21 @@ func (s *Server) serveRecovered(rec *statusRecorder, r *http.Request, route stri
 			// suppressing it would hide the abort from the server.
 			panic(p)
 		}
-		sh.FailSpan(sh.Root(), fmt.Sprintf("panic: %v", p))
-		s.logger.LogAttrs(r.Context(), slog.LevelError, "handler panic",
+		e.sh.FailSpan(e.sh.Root(), fmt.Sprintf("panic: %v", p))
+		s.logger.LogAttrs(e, slog.LevelError, "handler panic",
 			slog.String("route", route),
 			slog.Any("panic", p),
-			slog.String("request_id", RequestIDFromContext(r.Context())),
+			slog.String("request_id", e.id),
 			slog.String("stack", string(debug.Stack())),
 		)
-		if rec.wrote {
-			rec.status = http.StatusInternalServerError
+		if e.wrote {
+			e.status = http.StatusInternalServerError
 			return
 		}
-		writeJSON(rec, http.StatusInternalServerError,
-			errorResponse{Error: "dispatch: internal server error", RequestID: requestIDOf(r)})
+		writeJSON(e, http.StatusInternalServerError,
+			errorResponse{Error: "dispatch: internal server error", RequestID: e.id})
 	}()
-	h(rec, r)
+	next(e, r)
 }
 
 // RouteMetrics is the per-endpoint block of GET /v1/metrics.
@@ -274,7 +254,7 @@ type RouteMetrics struct {
 	MaxMs    float64 `json:"max_ms"`
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleMetrics(e *exchange, _ *http.Request) {
 	snap := s.stats.snapshot()
 	out := make([]RouteMetrics, 0, len(snap))
 	for _, rs := range snap {
@@ -289,5 +269,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			MaxMs:    ms(rs.latency.Max()),
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(e, http.StatusOK, out)
 }

@@ -130,7 +130,7 @@ func TestPanicRecovery(t *testing.T) {
 	sys := core.New(core.DefaultConfig())
 	s := NewServerWith(sys, Options{Logger: slog.New(logs)})
 	// Register a panicking route through the same instrumentation chain.
-	s.mux.HandleFunc("GET /v1/boom", s.instrument("GET /v1/boom", func(http.ResponseWriter, *http.Request) {
+	s.mount("GET /v1/boom", s.instrument("GET /v1/boom", func(*exchange, *http.Request) {
 		panic("kaboom")
 	}))
 	srv := httptest.NewServer(s)
@@ -185,22 +185,23 @@ func TestRouteStatsCountByStatusClass(t *testing.T) {
 	}
 }
 
-func TestStatusRecorderImplicitWriteAndFlush(t *testing.T) {
+func TestExchangeImplicitWriteAndFlush(t *testing.T) {
 	inner := httptest.NewRecorder()
-	rec := &statusRecorder{ResponseWriter: inner, status: http.StatusOK}
-	if _, err := rec.Write([]byte("hi")); err != nil {
+	e := newExchange(inner, httptest.NewRequest(http.MethodGet, "/x", nil))
+	defer e.release()
+	if _, err := e.Write([]byte("hi")); err != nil {
 		t.Fatal(err)
 	}
-	if !rec.wrote || rec.status != http.StatusOK {
-		t.Errorf("after implicit Write: wrote=%v status=%d, want true/200", rec.wrote, rec.status)
+	if !e.wrote || e.status != http.StatusOK {
+		t.Errorf("after implicit Write: wrote=%v status=%d, want true/200", e.wrote, e.status)
 	}
 	// A late WriteHeader must not overwrite the recorded status.
-	rec.WriteHeader(http.StatusTeapot)
-	if rec.status != http.StatusOK {
-		t.Errorf("late WriteHeader changed recorded status to %d", rec.status)
+	e.WriteHeader(http.StatusTeapot)
+	if e.status != http.StatusOK {
+		t.Errorf("late WriteHeader changed recorded status to %d", e.status)
 	}
-	// The recorder must implement http.Flusher over a flushable writer.
-	var f http.Flusher = rec
+	// The exchange must implement http.Flusher over a flushable writer.
+	var f http.Flusher = e
 	f.Flush()
 	if !inner.Flushed {
 		t.Error("Flush did not reach the underlying writer")

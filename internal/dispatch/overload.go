@@ -22,20 +22,22 @@ func newShedder(n int) *shedder {
 	return &shedder{sem: make(chan struct{}, n)}
 }
 
-// wrap guards h with the concurrency cap.
-func (s *shedder) wrap(h http.HandlerFunc) http.HandlerFunc {
+// wrap guards next with the concurrency cap. A slot is held until next
+// returns, whatever the request's deadline says: a handler that is still
+// running is still load.
+func (s *shedder) wrap(next handler) handler {
 	if s == nil {
-		return h
+		return next
 	}
-	return func(w http.ResponseWriter, r *http.Request) {
+	return func(e *exchange, r *http.Request) {
 		select {
 		case s.sem <- struct{}{}:
 			defer func() { <-s.sem }()
-			h(w, r)
+			next(e, r)
 		default:
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, errorResponse{
-				Error: "dispatch: server overloaded, retry later", RequestID: requestIDOf(r)})
+			e.Header().Set("Retry-After", "1")
+			writeJSON(e, http.StatusTooManyRequests, errorResponse{
+				Error: "dispatch: server overloaded, retry later", RequestID: e.id})
 		}
 	}
 }
@@ -48,15 +50,22 @@ func (s *shedder) inFlight() int {
 	return len(s.sem)
 }
 
-// withTimeout bounds a handler's total run time. It leans on
-// http.TimeoutHandler, which runs the handler in a goroutine with a
-// buffered response and answers 503 itself when the deadline passes —
-// the only race-safe way to cut off a handler that is still writing.
-// d <= 0 disables the bound.
-func withTimeout(d time.Duration, h http.HandlerFunc) http.HandlerFunc {
+// withDeadline gives the request d to finish in. Nothing watches the
+// clock while next runs on the connection's goroutine: the deadline is
+// what the request's context reports (an operation that honours ctx gives
+// up at it), what readBody sets the connection's read deadline to, and
+// what a handler that comes back past it with nothing written is answered
+// 503 by. A handler stuck past it in a call that cannot be cancelled
+// reports its real outcome when it returns. d <= 0 sets no deadline.
+func withDeadline(d time.Duration, next handler) handler {
 	if d <= 0 {
-		return h
+		return next
 	}
-	th := http.TimeoutHandler(h, d, `{"error":"dispatch: request timed out"}`)
-	return func(w http.ResponseWriter, r *http.Request) { th.ServeHTTP(w, r) }
+	return func(e *exchange, r *http.Request) {
+		e.deadline = time.Now().Add(d)
+		next(e, r)
+		if !e.wrote && e.timedOut() {
+			answerTimeout(e)
+		}
+	}
 }

@@ -29,9 +29,10 @@
 //
 // Every request carries an ID: the server adopts a well-formed
 // X-Request-Id from the client or generates one, echoes it on the
-// response, threads it through the request context into the structured
-// log line, and includes it in JSON error envelopes, so a failing call
-// can be matched to its server-side log entry from either end.
+// response, carries it on the request's exchange (which is the request
+// context) into the structured log line, and includes it in JSON error
+// envelopes, so a failing call can be matched to its server-side log
+// entry from either end.
 package dispatch
 
 import (
@@ -44,6 +45,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"time"
 
 	"humancomp/internal/core"
 	"humancomp/internal/jsonx"
@@ -118,8 +120,7 @@ func DiscardLogger() *slog.Logger { return slog.New(discardHandler{}) }
 // Server wires a core.System into an http.Handler.
 type Server struct {
 	sys      *core.System
-	mux      *http.ServeMux
-	handler  http.Handler // mux wrapped with the request-ID middleware
+	mux      *http.ServeMux // reached through ServeHTTP, which hands it the request's exchange
 	stats    *endpointStats
 	logger   *slog.Logger
 	idem     *idemCache       // Idempotency-Key replay cache; nil when disabled
@@ -145,38 +146,38 @@ func NewServerWith(sys *core.System, opts Options) *Server {
 		s.idem = newIdemCache(opts.IdempotencyCapacity)
 	}
 	guard := newAuthLimiter(opts)
-	// Middleware order, outermost first: request ID (whole mux), auth/rate
-	// limit, metrics+log, concurrency shedding, request timeout, then —
-	// on the mutating routes — idempotency replay around the handler, so
-	// a replayed response is counted and logged like any other.
-	route := func(pattern string, h http.HandlerFunc) {
-		h = withTimeout(opts.RequestTimeout, h)
-		h = newShedder(opts.MaxInFlight).wrap(h) // one limiter per route
-		s.mux.HandleFunc(pattern, guard.wrap(s.instrument(pattern, h)))
+	// Middleware order, outermost first: the exchange with its request ID
+	// (ServeHTTP, whole mux), auth/rate limit, metrics+log, concurrency
+	// shedding, request deadline, then — on the mutating routes —
+	// idempotency replay around the handler, so a replayed response is
+	// counted and logged like any other. Every layer runs on the
+	// connection's goroutine and keeps its per-request state on the
+	// exchange.
+	serve := func(pattern string, h handler) { s.mount(pattern, guard.wrap(s.instrument(pattern, h))) }
+	route := func(pattern string, h handler) { // one limiter per route
+		serve(pattern, newShedder(opts.MaxInFlight).wrap(withDeadline(opts.RequestTimeout, h)))
 	}
-	routeIdem := func(pattern string, h http.HandlerFunc) {
-		route(pattern, s.idem.wrap(pattern, h))
-	}
+	routeIdem := func(pattern string, h handler) { route(pattern, s.idem.wrap(pattern, h)) }
 	// write gates a mutating route behind Options.Writable: a follower
 	// answers 503 + X-Leader before reading the body. It sits inside the
 	// idempotency wrapper, which caches only 2xx responses, so a rejected
 	// write is never replayed as a success after promotion.
-	write := func(h http.HandlerFunc) http.HandlerFunc {
+	write := func(next handler) handler {
 		if opts.Writable == nil {
-			return h
+			return next
 		}
-		return func(w http.ResponseWriter, r *http.Request) {
+		return func(e *exchange, r *http.Request) {
 			if opts.Writable() {
-				h(w, r)
+				next(e, r)
 				return
 			}
 			if opts.LeaderHint != nil {
 				if leader := opts.LeaderHint(); leader != "" {
-					w.Header().Set("X-Leader", leader)
+					e.Header().Set("X-Leader", leader)
 				}
 			}
-			writeJSON(w, http.StatusServiceUnavailable,
-				errorResponse{Error: core.ErrReadOnly.Error(), RequestID: requestIDOf(r)})
+			writeJSON(e, http.StatusServiceUnavailable,
+				errorResponse{Error: core.ErrReadOnly.Error(), RequestID: e.id})
 		}
 	}
 	routeIdem("POST /v1/tasks", write(s.handleSubmit))
@@ -198,30 +199,23 @@ func NewServerWith(sys *core.System, opts Options) *Server {
 		s.sessions = opts.Sessions
 		// Session routes block by design (matchmaking deadline, long-poll
 		// wait): they keep the auth/rate-limit guard and instrumentation
-		// but skip the shedder and request timeout — a parked long-poll is
+		// but skip the shedder and request deadline — a parked long-poll is
 		// idle, not stuck, and must not eat the in-flight budget or be cut
 		// off mid-wait.
-		live := func(pattern string, h http.HandlerFunc) {
-			s.mux.HandleFunc(pattern, guard.wrap(s.instrument(pattern, h)))
-		}
-		live("POST /v1/sessions/join", s.handleSessionJoin)
-		live("GET /v1/sessions/{id}/events", s.handleSessionEvents)
-		live("POST /v1/sessions/{id}/guess", s.handleSessionGuess)
-		live("POST /v1/sessions/{id}/pass", s.handleSessionPass)
-		live("POST /v1/sessions/{id}/leave", s.handleSessionLeave)
-		live("GET /v1/sessions/stats", s.handleSessionStats)
+		serve("POST /v1/sessions/join", s.handleSessionJoin)
+		serve("GET /v1/sessions/{id}/events", s.handleSessionEvents)
+		serve("POST /v1/sessions/{id}/guess", s.handleSessionGuess)
+		serve("POST /v1/sessions/{id}/pass", s.handleSessionPass)
+		serve("POST /v1/sessions/{id}/leave", s.handleSessionLeave)
+		serve("GET /v1/sessions/stats", s.handleSessionStats)
 	}
-	s.mux.HandleFunc("GET /v1/metrics", guard.wrap(s.handleMetrics))
+	s.mount("GET /v1/metrics", guard.wrap(s.handleMetrics))
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write([]byte("ok\n"))
 	})
-	s.handler = withRequestID(s.mux)
 	return s
 }
-
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
 // jsonBufPool recycles response encoding buffers across requests, so the
 // hot path does not allocate a fresh encoder buffer per response. Buffers
@@ -291,8 +285,8 @@ func statusOf(err error) int {
 	return http.StatusInternalServerError
 }
 
-// writeError maps domain errors onto HTTP status codes. The request (nil
-// tolerated) supplies the ID echoed in the error envelope.
+// writeError maps domain errors onto HTTP status codes. The request
+// supplies the ID echoed in the error envelope.
 func writeError(w http.ResponseWriter, r *http.Request, err error) {
 	status := statusOf(err)
 	if status == http.StatusNoContent {
@@ -307,23 +301,6 @@ func badRequest(w http.ResponseWriter, r *http.Request, format string, args ...a
 		errorResponse{Error: fmt.Sprintf(format, args...), RequestID: requestIDOf(r)})
 }
 
-// Request decode fast path. Every POST body is slurped into a pooled
-// buffer bounded by http.MaxBytesReader (oversized bodies get a 413 JSON
-// envelope instead of an unbounded read), then parsed in place with
-// jsonx.UnmarshalStrict — the allocation-free twin of the old per-request
-// json.Decoder with DisallowUnknownFields. The carrier also holds
-// preallocated request structs for the hot single-call routes (submit /
-// next / answer), so a steady-state request allocates only the decoded
-// field values, not the decode machinery.
-type reqCarrier struct {
-	buf    bytes.Buffer
-	submit SubmitRequest
-	next   NextRequest
-	answer AnswerRequest
-}
-
-var carrierPool = sync.Pool{New: func() any { return new(reqCarrier) }}
-
 const (
 	// maxSingleBody bounds single-item POST bodies. The largest legal
 	// payloads (a gold task with expected answer) are well under 1 KiB;
@@ -333,75 +310,67 @@ const (
 	maxBatchBody = 16 << 20
 )
 
-func getCarrier() *reqCarrier { return carrierPool.Get().(*reqCarrier) }
-
-func putCarrier(c *reqCarrier) {
-	// A buffer grown by one oversized batch must not stay pinned forever.
-	if c.buf.Cap() <= 4*maxPooledBuf {
-		carrierPool.Put(c)
+// readBody reads the bounded request body into the exchange's buffer,
+// answering 413 (JSON envelope) when the limit is exceeded. A request
+// with a deadline hands it to the connection first, so a body that
+// trickles in is cut off there — the read is the one place a request
+// waits on its client — and answered 503 like any other timeout.
+func (e *exchange) readBody(r *http.Request, limit int64) bool {
+	if !e.deadline.IsZero() {
+		// Asked of the connection's writer directly, not through an
+		// http.ResponseController: a writer with no connection behind it
+		// (tests, the in-process bench rung — their bodies are already in
+		// memory) would have the controller allocate a not-supported
+		// error per request.
+		if c, ok := e.w.(interface{ SetReadDeadline(time.Time) error }); ok {
+			_ = c.SetReadDeadline(e.deadline) // a read past it fails, which is the point
+		}
 	}
-}
-
-// readBody reads the bounded request body into the carrier's buffer,
-// answering 413 (JSON envelope) when the limit is exceeded.
-func (c *reqCarrier) readBody(w http.ResponseWriter, r *http.Request, limit int64) bool {
-	c.buf.Reset()
-	body := http.MaxBytesReader(w, r.Body, limit)
-	if _, err := c.buf.ReadFrom(body); err != nil {
+	body := http.MaxBytesReader(e, r.Body, limit)
+	if _, err := e.body.ReadFrom(body); err != nil {
 		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
-				Error:     fmt.Sprintf("dispatch: request body exceeds %d bytes", tooBig.Limit),
-				RequestID: requestIDOf(r),
-			})
-		} else {
-			badRequest(w, r, "dispatch: reading request body: %v", err)
+		switch {
+		case errors.As(err, &tooBig):
+			writeJSON(e, http.StatusRequestEntityTooLarge, errorResponse{
+				Error: fmt.Sprintf("dispatch: request body exceeds %d bytes", tooBig.Limit), RequestID: e.id})
+		case e.timedOut():
+			answerTimeout(e)
+		default:
+			badRequest(e, r, "dispatch: reading request body: %v", err)
 		}
 		return false
 	}
 	return true
 }
 
-// decodeInto reads the bounded body and strictly parses it into v.
-func (c *reqCarrier) decodeInto(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
-	if !c.readBody(w, r, limit) {
-		return false
+// decode is the request decode fast path: the body is slurped into the
+// exchange's pooled buffer, bounded by http.MaxBytesReader, and parsed in
+// place with jsonx.UnmarshalStrict — the allocation-free twin of a
+// per-request json.Decoder with DisallowUnknownFields — under an
+// "http.decode" child span (attr = body bytes) when the request is traced.
+// The decoded value owns all its memory (json copies strings and
+// allocates slices), so it outlives the buffer. The hot single-call
+// routes decode into the request structs the exchange carries, so a
+// steady-state request allocates only the decoded field values.
+func (e *exchange) decode(r *http.Request, v any, limit int64) bool {
+	t0 := e.sh.Now()
+	ok := e.readBody(r, limit)
+	if ok {
+		if err := jsonx.UnmarshalStrict(e.body.Bytes(), v); err != nil {
+			badRequest(e, r, "dispatch: invalid request body: %v", err)
+			ok = false
+		}
 	}
-	if err := jsonx.UnmarshalStrict(c.buf.Bytes(), v); err != nil {
-		badRequest(w, r, "dispatch: invalid request body: %v", err)
-		return false
-	}
-	return true
-}
-
-// decodeSpanned is decodeInto plus an "http.decode" child span (attr =
-// body bytes) when the request carries a span handle; under the invalid
-// handle neither the clock read nor the span happens.
-func (c *reqCarrier) decodeSpanned(w http.ResponseWriter, r *http.Request, sh trace.Handle, v any, limit int64) bool {
-	t0 := sh.Now()
-	ok := c.decodeInto(w, r, v, limit)
-	sh.ObserveSince("http.decode", trace.NoSpan, t0, int64(c.buf.Len()))
+	e.sh.ObserveSince("http.decode", trace.NoSpan, t0, int64(e.body.Len()))
 	return ok
 }
 
 // writeJSONSpanned is writeJSON plus an "http.encode" child span (attr =
-// response status) when the request carries a span handle.
-func writeJSONSpanned(w http.ResponseWriter, sh trace.Handle, status int, v any) {
-	t0 := sh.Now()
-	writeJSON(w, status, v)
-	sh.ObserveSince("http.encode", trace.NoSpan, t0, int64(status))
-}
-
-// decode parses a bounded request body into a fresh T; the cold-route
-// form (batch requests and anything without a carrier slot). The decoded
-// value owns all its memory — json copies strings and allocates slices —
-// so it outlives the pooled buffer.
-func decode[T any](w http.ResponseWriter, r *http.Request, sh trace.Handle, limit int64) (T, bool) {
-	var v T
-	c := getCarrier()
-	defer putCarrier(c)
-	ok := c.decodeSpanned(w, r, sh, &v, limit)
-	return v, ok
+// response status) when the request is traced.
+func writeJSONSpanned(e *exchange, status int, v any) {
+	t0 := e.sh.Now()
+	writeJSON(e, status, v)
+	e.sh.ObserveSince("http.encode", trace.NoSpan, t0, int64(status))
 }
 
 func pathID[T ~int64](w http.ResponseWriter, r *http.Request) (T, bool) {
@@ -414,24 +383,20 @@ func pathID[T ~int64](w http.ResponseWriter, r *http.Request) (T, bool) {
 	return T(n), true
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	sh := trace.FromContext(r.Context())
-	c := getCarrier()
-	defer putCarrier(c)
-	c.submit = SubmitRequest{}
-	req := &c.submit
-	if !c.decodeSpanned(w, r, sh, req, maxSingleBody) {
+func (s *Server) handleSubmit(e *exchange, r *http.Request) {
+	req := &e.submit
+	if !e.decode(r, req, maxSingleBody) {
 		return
 	}
 	kind, err := task.ParseKind(req.Kind)
 	if err != nil {
-		badRequest(w, r, "%v", err)
+		badRequest(e, r, "%v", err)
 		return
 	}
 	var id task.ID
 	if req.Gold {
 		if req.Expected == nil {
-			badRequest(w, r, "dispatch: gold task requires expected answer")
+			badRequest(e, r, "dispatch: gold task requires expected answer")
 			return
 		}
 		id, err = s.sys.SubmitGoldCtx(r.Context(), kind, req.Payload, req.Redundancy, req.Priority, *req.Expected)
@@ -439,10 +404,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		id, err = s.sys.SubmitTaskCtx(r.Context(), kind, req.Payload, req.Redundancy, req.Priority)
 	}
 	if err != nil {
-		writeError(w, r, err)
+		writeError(e, r, err)
 		return
 	}
-	writeJSONSpanned(w, sh, http.StatusCreated, SubmitResponse{ID: id})
+	writeJSONSpanned(e, http.StatusCreated, SubmitResponse{ID: id})
 }
 
 // TaskList is the body returned by GET /v1/tasks.
@@ -455,7 +420,7 @@ type TaskList struct {
 // Tasks are ordered by ID; Total counts all matches before pagination.
 // Only the requested page is copied out of the store: the request costs the
 // matching IDs plus one page of views, not a copy of the table.
-func (s *Server) handleListTasks(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleListTasks(e *exchange, r *http.Request) {
 	q := r.URL.Query()
 	st := store.AnyStatus
 	if raw := q.Get("status"); raw != "" {
@@ -465,7 +430,7 @@ func (s *Server) handleListTasks(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if st == store.AnyStatus {
-			badRequest(w, r, "dispatch: unknown status %q", raw)
+			badRequest(e, r, "dispatch: unknown status %q", raw)
 			return
 		}
 	}
@@ -474,7 +439,7 @@ func (s *Server) handleListTasks(w http.ResponseWriter, r *http.Request) {
 	if raw := q.Get("offset"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 0 {
-			badRequest(w, r, "dispatch: invalid offset %q", raw)
+			badRequest(e, r, "dispatch: invalid offset %q", raw)
 			return
 		}
 		offset = n
@@ -482,7 +447,7 @@ func (s *Server) handleListTasks(w http.ResponseWriter, r *http.Request) {
 	if raw := q.Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 1 || n > 1000 {
-			badRequest(w, r, "dispatch: invalid limit %q (1..1000)", raw)
+			badRequest(e, r, "dispatch: invalid limit %q (1..1000)", raw)
 			return
 		}
 		limit = n
@@ -497,150 +462,142 @@ func (s *Server) handleListTasks(w http.ResponseWriter, r *http.Request) {
 			return nil
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(e, http.StatusOK, out)
 }
 
-func (s *Server) handleGetTask(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID[task.ID](w, r)
+func (s *Server) handleGetTask(e *exchange, r *http.Request) {
+	id, ok := pathID[task.ID](e, r)
 	if !ok {
 		return
 	}
 	t, err := s.sys.Task(id)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error(), RequestID: requestIDOf(r)})
+		writeJSON(e, http.StatusNotFound, errorResponse{Error: err.Error(), RequestID: requestIDOf(r)})
 		return
 	}
-	writeJSON(w, http.StatusOK, t)
+	writeJSON(e, http.StatusOK, t)
 }
 
 // handleTrace serves GET /v1/tasks/{id}/trace: the retained lifecycle
 // events for one task, oldest first. A task the ring has fully evicted
 // returns an empty event list (not 404) as long as the task itself
 // exists; an unknown task is 404.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID[task.ID](w, r)
+func (s *Server) handleTrace(e *exchange, r *http.Request) {
+	id, ok := pathID[task.ID](e, r)
 	if !ok {
 		return
 	}
 	events := s.sys.TaskTrace(id)
 	if len(events) == 0 {
 		if _, err := s.sys.Task(id); err != nil {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error(), RequestID: requestIDOf(r)})
+			writeJSON(e, http.StatusNotFound, errorResponse{Error: err.Error(), RequestID: requestIDOf(r)})
 			return
 		}
 		events = []trace.Event{}
 	}
-	writeJSON(w, http.StatusOK, TraceResponse{TaskID: id, Events: events})
+	writeJSON(e, http.StatusOK, TraceResponse{TaskID: id, Events: events})
 }
 
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID[task.ID](w, r)
+func (s *Server) handleCancel(e *exchange, r *http.Request) {
+	id, ok := pathID[task.ID](e, r)
 	if !ok {
 		return
 	}
 	if err := s.sys.CancelTask(id); err != nil {
-		writeError(w, r, err)
+		writeError(e, r, err)
 		return
 	}
-	w.WriteHeader(http.StatusNoContent)
+	e.WriteHeader(http.StatusNoContent)
 }
 
-func (s *Server) handleWords(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID[task.ID](w, r)
+func (s *Server) handleWords(e *exchange, r *http.Request) {
+	id, ok := pathID[task.ID](e, r)
 	if !ok {
 		return
 	}
 	words, err := s.sys.AggregateWords(id)
 	if err != nil {
-		writeError(w, r, err)
+		writeError(e, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, words)
+	writeJSON(e, http.StatusOK, words)
 }
 
-func (s *Server) handleChoice(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID[task.ID](w, r)
+func (s *Server) handleChoice(e *exchange, r *http.Request) {
+	id, ok := pathID[task.ID](e, r)
 	if !ok {
 		return
 	}
 	res, err := s.sys.AggregateChoice(id)
 	if err != nil {
-		writeError(w, r, err)
+		writeError(e, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	writeJSON(e, http.StatusOK, res)
 }
 
 // handlePosterior serves GET /v1/tasks/{id}/posterior: the online
 // estimator's class posterior and confidence for a choice task. 422 when
 // the system runs without the quality plane, 404 when the estimator holds
 // no state for the task (non-choice kind, no answers yet, evicted).
-func (s *Server) handlePosterior(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID[task.ID](w, r)
+func (s *Server) handlePosterior(e *exchange, r *http.Request) {
+	id, ok := pathID[task.ID](e, r)
 	if !ok {
 		return
 	}
 	info, err := s.sys.TaskPosterior(id)
 	if err != nil {
-		writeError(w, r, err)
+		writeError(e, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	writeJSON(e, http.StatusOK, info)
 }
 
-func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
-	sh := trace.FromContext(r.Context())
-	c := getCarrier()
-	defer putCarrier(c)
-	c.next = NextRequest{}
-	req := &c.next
-	if !c.decodeSpanned(w, r, sh, req, maxSingleBody) {
+func (s *Server) handleNext(e *exchange, r *http.Request) {
+	req := &e.next
+	if !e.decode(r, req, maxSingleBody) {
 		return
 	}
 	if req.WorkerID == "" {
-		badRequest(w, r, "dispatch: worker_id required")
+		badRequest(e, r, "dispatch: worker_id required")
 		return
 	}
 	t, lease, err := s.sys.NextTaskCtx(r.Context(), req.WorkerID)
 	if err != nil {
-		writeError(w, r, err)
+		writeError(e, r, err)
 		return
 	}
-	writeJSONSpanned(w, sh, http.StatusOK, NextResponse{Task: t, Lease: lease})
+	writeJSONSpanned(e, http.StatusOK, NextResponse{Task: t, Lease: lease})
 }
 
-func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID[queue.LeaseID](w, r)
+func (s *Server) handleAnswer(e *exchange, r *http.Request) {
+	id, ok := pathID[queue.LeaseID](e, r)
 	if !ok {
 		return
 	}
-	sh := trace.FromContext(r.Context())
-	c := getCarrier()
-	defer putCarrier(c)
-	c.answer = AnswerRequest{}
-	req := &c.answer
-	if !c.decodeSpanned(w, r, sh, req, maxSingleBody) {
+	req := &e.answer
+	if !e.decode(r, req, maxSingleBody) {
 		return
 	}
 	if err := s.sys.SubmitAnswerCtx(r.Context(), id, req.Answer); err != nil {
-		writeError(w, r, err)
+		writeError(e, r, err)
 		return
 	}
-	w.WriteHeader(http.StatusNoContent)
+	e.WriteHeader(http.StatusNoContent)
 }
 
-func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID[queue.LeaseID](w, r)
+func (s *Server) handleRelease(e *exchange, r *http.Request) {
+	id, ok := pathID[queue.LeaseID](e, r)
 	if !ok {
 		return
 	}
 	if err := s.sys.ReleaseTask(id); err != nil {
-		writeError(w, r, err)
+		writeError(e, r, err)
 		return
 	}
-	w.WriteHeader(http.StatusNoContent)
+	e.WriteHeader(http.StatusNoContent)
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.sys.Stats())
+func (s *Server) handleStats(e *exchange, r *http.Request) {
+	writeJSON(e, http.StatusOK, s.sys.Stats())
 }

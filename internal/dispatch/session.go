@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"humancomp/internal/session"
-	"humancomp/internal/trace"
 )
 
 // Session routes, registered only when Options.Sessions is set:
@@ -76,39 +75,39 @@ func sessionID(w http.ResponseWriter, r *http.Request) (session.ID, bool) {
 	return session.ID(n), true
 }
 
-func (s *Server) handleSessionJoin(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[SessionJoinRequest](w, r, trace.FromContext(r.Context()), maxSingleBody)
-	if !ok {
+func (s *Server) handleSessionJoin(e *exchange, r *http.Request) {
+	var req SessionJoinRequest
+	if !e.decode(r, &req, maxSingleBody) {
 		return
 	}
 	if req.Player == "" {
-		badRequest(w, r, "dispatch: player required")
+		badRequest(e, r, "dispatch: player required")
 		return
 	}
 	info, err := s.sessions.Join(r.Context(), req.Player)
 	if err != nil {
-		writeError(w, r, err)
+		writeError(e, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	writeJSON(e, http.StatusOK, info)
 }
 
-func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
-	id, ok := sessionID(w, r)
+func (s *Server) handleSessionEvents(e *exchange, r *http.Request) {
+	id, ok := sessionID(e, r)
 	if !ok {
 		return
 	}
 	q := r.URL.Query()
 	player := q.Get("player")
 	if player == "" {
-		badRequest(w, r, "dispatch: player required")
+		badRequest(e, r, "dispatch: player required")
 		return
 	}
 	after := 0
 	if raw := q.Get("after"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 0 {
-			badRequest(w, r, "dispatch: invalid after %q", raw)
+			badRequest(e, r, "dispatch: invalid after %q", raw)
 			return
 		}
 		after = n
@@ -117,7 +116,7 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	if raw := q.Get("wait_ms"); raw != "" {
 		ms, err := strconv.Atoi(raw)
 		if err != nil || ms < 0 {
-			badRequest(w, r, "dispatch: invalid wait_ms %q", raw)
+			badRequest(e, r, "dispatch: invalid wait_ms %q", raw)
 			return
 		}
 		wait = time.Duration(ms) * time.Millisecond
@@ -127,77 +126,77 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	evs, done, err := s.sessions.Events(r.Context(), id, player, after, wait)
 	if err != nil {
-		writeError(w, r, err)
+		writeError(e, r, err)
 		return
 	}
 	if evs == nil {
 		evs = []session.Event{}
 	}
-	writeJSON(w, http.StatusOK, SessionEventsResponse{Events: evs, Done: done})
+	writeJSON(e, http.StatusOK, SessionEventsResponse{Events: evs, Done: done})
 }
 
-func (s *Server) handleSessionGuess(w http.ResponseWriter, r *http.Request) {
-	id, ok := sessionID(w, r)
+func (s *Server) handleSessionGuess(e *exchange, r *http.Request) {
+	id, ok := sessionID(e, r)
 	if !ok {
 		return
 	}
-	req, ok := decode[SessionGuessRequest](w, r, trace.FromContext(r.Context()), maxSingleBody)
-	if !ok {
+	var req SessionGuessRequest
+	if !e.decode(r, &req, maxSingleBody) {
 		return
 	}
 	if req.Player == "" {
-		badRequest(w, r, "dispatch: player required")
+		badRequest(e, r, "dispatch: player required")
 		return
 	}
 	res, err := s.sessions.Guess(id, req.Player, req.Word)
 	if err != nil {
-		writeError(w, r, err)
+		writeError(e, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	writeJSON(e, http.StatusOK, res)
 }
 
-func (s *Server) handleSessionPass(w http.ResponseWriter, r *http.Request) {
-	id, ok := sessionID(w, r)
+func (s *Server) handleSessionPass(e *exchange, r *http.Request) {
+	id, ok := sessionID(e, r)
 	if !ok {
 		return
 	}
-	req, ok := decode[SessionPlayerRequest](w, r, trace.FromContext(r.Context()), maxSingleBody)
-	if !ok {
+	var req SessionPlayerRequest
+	if !e.decode(r, &req, maxSingleBody) {
 		return
 	}
 	if req.Player == "" {
-		badRequest(w, r, "dispatch: player required")
+		badRequest(e, r, "dispatch: player required")
 		return
 	}
 	done, err := s.sessions.Pass(id, req.Player)
 	if err != nil {
-		writeError(w, r, err)
+		writeError(e, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SessionPassResponse{Done: done})
+	writeJSON(e, http.StatusOK, SessionPassResponse{Done: done})
 }
 
-func (s *Server) handleSessionLeave(w http.ResponseWriter, r *http.Request) {
-	id, ok := sessionID(w, r)
+func (s *Server) handleSessionLeave(e *exchange, r *http.Request) {
+	id, ok := sessionID(e, r)
 	if !ok {
 		return
 	}
-	req, ok := decode[SessionPlayerRequest](w, r, trace.FromContext(r.Context()), maxSingleBody)
-	if !ok {
+	var req SessionPlayerRequest
+	if !e.decode(r, &req, maxSingleBody) {
 		return
 	}
 	if req.Player == "" {
-		badRequest(w, r, "dispatch: player required")
+		badRequest(e, r, "dispatch: player required")
 		return
 	}
 	if err := s.sessions.Leave(id, req.Player); err != nil {
-		writeError(w, r, err)
+		writeError(e, r, err)
 		return
 	}
-	w.WriteHeader(http.StatusNoContent)
+	e.WriteHeader(http.StatusNoContent)
 }
 
-func (s *Server) handleSessionStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.sessions.Stats())
+func (s *Server) handleSessionStats(e *exchange, r *http.Request) {
+	writeJSON(e, http.StatusOK, s.sessions.Stats())
 }

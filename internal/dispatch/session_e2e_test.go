@@ -20,6 +20,13 @@ import (
 // server + client: the full live-session wire path.
 func newSessionTestStack(t *testing.T, matchTimeout time.Duration) (*core.System, *SessionBridge, *session.Plane, *Client) {
 	t.Helper()
+	return newSessionTestStackWith(t, matchTimeout, Options{})
+}
+
+// newSessionTestStackWith is newSessionTestStack with server options
+// beside the session plane.
+func newSessionTestStackWith(t *testing.T, matchTimeout time.Duration, opts Options) (*core.System, *SessionBridge, *session.Plane, *Client) {
+	t.Helper()
 	sys := core.New(core.DefaultConfig())
 	bridge := NewSessionBridge(sys, 4, 2, 1)
 	plane, err := session.New(session.Config{
@@ -37,7 +44,8 @@ func newSessionTestStack(t *testing.T, matchTimeout time.Duration) (*core.System
 		t.Fatal(err)
 	}
 	t.Cleanup(plane.Close)
-	srv := httptest.NewServer(NewServerWith(sys, Options{Sessions: plane}))
+	opts.Sessions = plane
+	srv := httptest.NewServer(NewServerWith(sys, opts))
 	t.Cleanup(srv.Close)
 	return sys, bridge, plane, NewClient(srv.URL, nil)
 }

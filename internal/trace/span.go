@@ -711,7 +711,11 @@ func (a *active) view(f SpanFilter) (TraceView, bool) {
 	return tv, true
 }
 
-type spanCtxKey struct{}
+// ContextKey is the context key a request's *Handle travels under. It is
+// exported so a context that keeps the handle in a field of its own
+// (dispatch's pooled per-request exchange) can answer Value for it without
+// a context.WithValue layer per request.
+type ContextKey struct{}
 
 // NewContext returns ctx carrying h; an invalid handle returns ctx
 // unchanged.
@@ -719,12 +723,14 @@ func NewContext(ctx context.Context, h Handle) context.Context {
 	if !h.Valid() {
 		return ctx
 	}
-	return context.WithValue(ctx, spanCtxKey{}, h)
+	return context.WithValue(ctx, ContextKey{}, &h)
 }
 
 // FromContext extracts the request's span handle, the invalid Handle
 // when none is attached.
 func FromContext(ctx context.Context) Handle {
-	h, _ := ctx.Value(spanCtxKey{}).(Handle)
-	return h
+	if h, _ := ctx.Value(ContextKey{}).(*Handle); h != nil {
+		return *h
+	}
+	return Handle{}
 }
