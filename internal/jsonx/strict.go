@@ -19,6 +19,10 @@
 // Keys containing escape sequences are rare enough that the scanner does
 // not decode them; it falls back to the stdlib Decoder for that request,
 // so behavior stays bit-identical to DisallowUnknownFields in every case.
+//
+// canon.go holds the other place encoding/json is kept as the authority
+// while being kept off a hot path: the pieces the storage codecs
+// (internal/task, internal/store) are built from.
 package jsonx
 
 import (

@@ -568,7 +568,7 @@ func restore(log *slog.Logger, sys *core.System, path string) error {
 		return err
 	}
 	log.Info("restored snapshot", "tasks", sys.Store().Len(),
-		"open", len(sys.Store().IDs(task.Open)))
+		"open", sys.Store().Count(task.Open))
 	return nil
 }
 

@@ -61,7 +61,7 @@ type entry struct {
 	t        *task.Task
 	inFlight int             // outstanding leases on this task
 	index    int             // heap index, -1 when not in heap
-	holders  map[string]bool // workers currently holding a lease on this task
+	holders  map[string]bool // workers currently holding a lease on this task; nil until the first lease
 }
 
 // TaskLocks hands out the lock guarding a given task's stored contents.
@@ -83,6 +83,14 @@ type qshard struct {
 	leases  map[LeaseID]*Lease
 	seq     int64 // per-shard lease sequence, guarded by mu
 	lockN   int64 // lock acquisitions through lock(), guarded by mu
+
+	// nextExpiry is no later than the earliest Expiry in leases: lowered by
+	// every grant, recomputed by the sweep it lets through, and left alone
+	// (early, so still a bound) when a lease is answered or released. While
+	// now is before it no lease can be overdue and expireShardLocked
+	// returns without looking at one. sweeps counts the times it did look.
+	nextExpiry time.Time
+	sweeps     int64
 }
 
 // lock acquires the shard mutex and counts the acquisition; the counter
@@ -249,7 +257,7 @@ func (q *Queue) insertLocked(sh *qshard, t *task.Task, tr trace.TraceID) error {
 	if t.Status != task.Open {
 		return fmt.Errorf("queue: cannot enqueue task %d with status %v", t.ID, t.Status)
 	}
-	e := &entry{t: t, index: -1, holders: make(map[string]bool)}
+	e := &entry{t: t, index: -1}
 	sh.entries[t.ID] = e
 	heap.Push(&sh.heap, e)
 	q.emit(trace.StageEnqueue, t.ID, "", t.CreatedAt, tr)
@@ -504,10 +512,16 @@ func (q *Queue) LeaseBatchTraced(workerID string, max int, now time.Time, h trac
 // slots concurrently, and the heap key does not depend on lease state.
 func (q *Queue) leaseEntryLocked(sh *qshard, e *entry, workerID string, now time.Time, tr trace.TraceID) (task.View, LeaseID) {
 	e.inFlight++
+	if e.holders == nil {
+		e.holders = make(map[string]bool)
+	}
 	e.holders[workerID] = true
 	sh.seq++
 	id := LeaseID(sh.seq<<q.shardBits | int64(uint64(e.t.ID)&q.mask))
 	l := &Lease{ID: id, TaskID: e.t.ID, WorkerID: workerID, LeasedAt: now, Expiry: now.Add(q.ttl)}
+	if len(sh.leases) == 0 || l.Expiry.Before(sh.nextExpiry) {
+		sh.nextExpiry = l.Expiry
+	}
 	sh.leases[id] = l
 	q.emit(trace.StageLease, e.t.ID, workerID, now, tr)
 	return e.t.View(), id
@@ -755,9 +769,21 @@ func (q *Queue) ExpireLeases(now time.Time) int {
 	return int(q.expired.Load() - before)
 }
 
+// expireShardLocked reclaims the shard's overdue leases. Every lease,
+// complete and release calls it first, so it must cost nothing while nothing
+// is due: the walk over the lease table — O(outstanding leases), thousands
+// with a real crowd — runs only once now has reached sh.nextExpiry.
 func (q *Queue) expireShardLocked(sh *qshard, now time.Time) {
+	if len(sh.leases) == 0 || now.Before(sh.nextExpiry) {
+		return
+	}
+	sh.sweeps++
+	var next time.Time
 	for id, l := range sh.leases {
 		if l.Expiry.After(now) {
+			if next.IsZero() || l.Expiry.Before(next) {
+				next = l.Expiry
+			}
 			continue
 		}
 		delete(sh.leases, id)
@@ -769,6 +795,7 @@ func (q *Queue) expireShardLocked(sh *qshard, now time.Time) {
 		}
 		q.emit(trace.StageExpire, l.TaskID, l.WorkerID, now, trace.TraceID{})
 	}
+	sh.nextExpiry = next
 }
 
 // fixLocked re-establishes heap order for e after its scheduling state

@@ -500,3 +500,64 @@ func TestLeaseTaskExpiresStaleLeases(t *testing.T) {
 		t.Fatalf("post-expiry targeted lease: %v", err)
 	}
 }
+
+// TestCompleteSkipsSweepUntilALeaseIsDue: with 10 000 leases outstanding
+// and none due, a Complete (like every Lease and Release) must not walk the
+// lease table — and the one overdue lease among them must still be reclaimed
+// by the first call made once it is due.
+func TestCompleteSkipsSweepUntilALeaseIsDue(t *testing.T) {
+	const n = 10_000
+	q := NewSharded(time.Minute, 1, nil)
+	sh := q.shards[0]
+	for i := 1; i <= n+1; i++ {
+		if err := q.Add(newTask(t, task.ID(i), 0, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One lease taken 30 s before the others: the first to fall due.
+	// (LeaseTask throughout: Lease scans past every fully leased entry.)
+	early, _, err := q.LeaseTask(n+1, "early", t0.Add(-30*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leases := make([]LeaseID, n)
+	for i := range leases {
+		if _, leases[i], err = q.LeaseTask(task.ID(i+1), "w", t0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sh.sweeps != 0 {
+		t.Fatalf("%d sweeps while granting leases with none due", sh.sweeps)
+	}
+	if _, err := q.Complete(leases[0], answer(1), t0.Add(29*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Release(leases[1], t0.Add(29*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if sh.sweeps != 0 {
+		t.Fatalf("Complete and Release swept the lease table %d times with nothing due", sh.sweeps)
+	}
+	// The early lease is due at t0+30s. The next call — whatever it is —
+	// reclaims it, and only it.
+	if _, err := q.Complete(leases[2], answer(1), t0.Add(30*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if got := q.Stats(); sh.sweeps != 1 || got.ExpiredLeases != 1 || got.InFlight != n-3 {
+		t.Fatalf("after the early lease fell due: %d sweeps, stats %+v; want 1 sweep, 1 expired, %d in flight", sh.sweeps, got, n-3)
+	}
+	if tk, _, err := q.LeaseTask(early.ID, "late", t0.Add(30*time.Second)); err != nil || tk.ID != early.ID {
+		t.Fatalf("reclaimed task not leasable again: %v, %v", tk, err)
+	}
+	// That sweep recomputed the bound from the survivors (all due at
+	// t0+60s), so the table is left alone again until then.
+	if _, err := q.Complete(leases[3], answer(1), t0.Add(59*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if sh.sweeps != 1 {
+		t.Fatalf("%d sweeps, want still 1 before the next lease is due", sh.sweeps)
+	}
+	if reclaimed := q.ExpireLeases(t0.Add(60 * time.Second)); reclaimed != n-4 {
+		t.Fatalf("reclaimed %d leases at their expiry, want %d", reclaimed, n-4)
+	}
+}

@@ -1,0 +1,107 @@
+package store
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"runtime"
+	"testing"
+	"time"
+
+	"humancomp/internal/task"
+)
+
+// mallocs runs fn and returns the heap objects and bytes it allocated.
+func mallocs(fn func()) (objects, bytes int64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return int64(after.Mallocs - before.Mallocs), int64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// TestReplayAllocatesWhatItKeeps: replaying a record allocates the state
+// the record adds to the store and no decoding scratch. A submit record
+// leaves a task.Task (192 B); through encoding/json it cost 12 allocations
+// and some 900 B. An answer record
+// leaves the answer's worker ID and word list, and once a task the answers
+// slice; the Answer it is decoded into belongs to the scanner.
+func TestReplayAllocatesWhatItKeeps(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not the production ones under the race detector")
+	}
+	const n = 6000
+	var submits, answers bytes.Buffer
+	wal := NewWAL(&submits)
+	for i := 1; i <= n; i++ {
+		tk, err := task.New(task.ID(i), task.Label, task.Payload{ImageID: i}, 3, t0.Add(time.Duration(i)*time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wal.Append(Event{Kind: EventSubmit, At: tk.CreatedAt, Task: tk}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wal = NewWAL(&answers)
+	for i := 1; i <= n; i++ {
+		a := task.Answer{WorkerID: fmt.Sprintf("worker-%04d", i), Words: []int{i, 7}}
+		if err := wal.Append(Event{Kind: EventAnswer, At: t0.Add(time.Hour), TaskID: task.ID(1 + i%(n/3)), Answer: &a}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := NewSharded(4)
+	replay := func(log *bytes.Buffer) func() {
+		return func() {
+			if st, err := ReplayWAL(bytes.NewReader(log.Bytes()), s); err != nil || st.Applied != n {
+				t.Fatalf("replay: %+v, %v", st, err)
+			}
+		}
+	}
+	// Replay once and empty the store again, so that the shard maps have
+	// their slots (a Go map never shrinks) and the measured replay is not
+	// charged for growing them.
+	replay(&submits)()
+	for id := task.ID(1); id <= n; id++ {
+		s.Delete(id)
+	}
+	objects, size := mallocs(replay(&submits))
+	t.Logf("submit records: %.2f allocs, %.0f B per record", float64(objects)/n, float64(size)/n)
+	if objects > 2*n || size > 256*n {
+		t.Fatalf("replaying %d submit records took %d allocations and %d B; want at most 2 and 256 B a record", n, objects, size)
+	}
+	// Three answers to each of n/3 tasks: per record a worker ID (16 B), a
+	// two-word list (16 B), a third of a three-slot answers slice (128 B).
+	objects, size = mallocs(replay(&answers))
+	t.Logf("answer records: %.2f allocs, %.0f B per record", float64(objects)/n, float64(size)/n)
+	if objects > 3*n || size > 192*n {
+		t.Fatalf("replaying %d answer records took %d allocations and %d B; want at most 3 and 192 B a record", n, objects, size)
+	}
+}
+
+// TestCheckpointEncodeDoesNotAllocate: a checkpoint encodes each task from
+// where it is stored into one reused buffer, so what it allocates — the
+// sorted ID list, two buffers — does not grow with the table.
+func TestCheckpointEncodeDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not the production ones under the race detector")
+	}
+	for _, n := range []int{1000, 16000} {
+		s := NewSharded(4)
+		for i := 1; i <= n; i++ {
+			s.Put(&task.Task{ID: task.ID(i), Kind: task.Compare, Payload: task.Payload{ImageID: i, ImageB: i + 1}, Redundancy: 3, Priority: i % 4, CreatedAt: t0})
+		}
+		objects, size := mallocs(func() {
+			if err := s.Snapshot(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+		ids := int64(8 * n)
+		t.Logf("%d tasks: %d allocs, %d B (the ID list is %d B)", n, objects, size, ids)
+		// The ID list doubles its way up across the shards: under 3× its size.
+		if objects > 40 || size > 3*ids+snapshotBufSize+8<<10 {
+			t.Fatalf("snapshot of %d answer-less tasks took %d allocations and %d B; want a constant few and the ID list", n, objects, size)
+		}
+	}
+}

@@ -1,0 +1,271 @@
+package store
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"reflect"
+	"testing"
+	"time"
+
+	"humancomp/internal/jsonx"
+	"humancomp/internal/task"
+)
+
+// FuzzTaskCodecMatchesStdlib is the storage codec's contract: on every
+// input it is encoding/json. Each fuzz input is used twice. As text, it is
+// decoded as an event, a task and an answer by the codec and by
+// json.Unmarshal, which must agree on error-or-not and on the value. As a
+// source of field values, it is turned into an event (with its task and
+// answers), whose encoding by the codec must be json.Marshal's bytes — or
+// json.Marshal's refusal — and those bytes are then decoded both ways too.
+func FuzzTaskCodecMatchesStdlib(f *testing.F) {
+	// Canonical records of every shape, then each way text can be valid JSON
+	// without being canonical, then text that is not JSON at all.
+	for _, tk := range richTasks(8) {
+		doc, err := json.Marshal(tk)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(doc)
+		f.Add(doc[:len(doc)*2/3])
+		ev, _ := json.Marshal(Event{Kind: EventSubmit, At: tk.CreatedAt, Task: tk})
+		f.Add(ev)
+		for i := range tk.Answers {
+			a := &tk.Answers[i]
+			doc, _ := json.Marshal(a)
+			f.Add(doc)
+			ev, _ := json.Marshal(Event{Kind: EventAnswer, At: a.At, TaskID: tk.ID, Answer: a})
+			f.Add(ev)
+			ev, _ = json.Marshal(Event{Kind: EventSubmit, At: a.At, Task: tk, Gold: a})
+			f.Add(ev)
+			f.Add(ev[:len(ev)-1])
+		}
+	}
+	for _, s := range []string{
+		`{"kind":"cancel","at":"2026-07-06T12:00:00Z","task_id":3}`,
+		`{"kind":"finish","at":"2026-07-06T14:00:00.000000001+02:00","task_id":3}`,
+		`{"at":"2026-07-06T12:00:00Z","task_id":3,"kind":"cancel"}`,
+		`{"kind":"cancel","at":"2026-07-06T12:00:00Z","task_id":3}`,
+		` { "kind" : "cancel" , "at" : "2026-07-06T12:00:00Z" , "task_id" : 3 } `,
+		`{"kind":"answer","at":"2026-07-06T12:00:00Z","task":null,"task_id":2,"answer":null,"gold":null}`,
+		`{"kind":"cancel","at":"2026-07-06T12:00:00Z","task_id":3,"later":{"x":[1,"]}"]}}`,
+		`{"Kind":"cancel","AT":"2026-07-06T12:00:00Z","Task_ID":3}`,
+		`{"kind":"cancel","at":"2026-07-06T12:00:00Z","task_id":3,"task_id":4}`,
+		`{"kind":"cancel","at":"2026-07-06T12:00:00Z","task_id":3}{}`,
+		`{"kind":"cancel","at":"2026-07-06T12:00:00Z","task_id":0}`,
+		`{"kind":"cancel","at":"2026-07-06T12:00:00Z","task_id":-0}`,
+		`{"kind":"cancel","at":"2026-07-06T12:00:00Z","task_id":03}`,
+		`{"kind":"cancel","at":"2026-07-06T12:00:00Z","task_id":3.0}`,
+		`{"kind":"cancel","at":"2026-07-06T12:00:00Z","task_id":3e0}`,
+		`{"kind":"cancel","at":"2026-07-06T12:00:00Z","task_id":9223372036854775807}`,
+		`{"kind":"cancel","at":"2026-07-06T12:00:00Z","task_id":9223372036854775808}`,
+		`{"kind":"cancel","at":"2026-07-06T12:00:00Z","task_id":-9223372036854775808}`,
+		`{"kind":"cancel","at":"2026-07-06T12:00:00Z","task_id":"3"}`,
+		`{"kind":"cancel","at":"2026-07-06 12:00:00","task_id":3}`,
+		`{"kind":"cancel","at":"2026-02-30T12:00:00Z","task_id":3}`,
+		`{"kind":"cancel","at":"2026-07-06T12:00:00+24:00","task_id":3}`,
+		`{"kind":"cancel","at":null,"task_id":3}`,
+		`{"kind":"can` + "\xff" + `cel","at":"2026-07-06T12:00:00Z","task_id":3}`,
+		`{"kind":"can` + "\n" + `cel","at":"2026-07-06T12:00:00Z","task_id":3}`,
+		`{"kind":"` + "\u00e9\u2028\u2029" + `","at":"2026-07-06T12:00:00Z","task_id":3}`,
+		`{"id":1,"kind":0,"payload":{},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z","answers":[]}`,
+		`{"id":1,"kind":0,"payload":{"taboo":[]},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
+		`{"id":1,"kind":0,"payload":{"image_id":1,},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
+		`{"id":1,"kind":0,"payload":{,"image_id":1},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
+		`{"id":1,"kind":0,"payload":{"taboo":[1,,2]},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
+		`{"id":1,"kind":0,"payload":{"clip_b":2,"clip_a":1},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
+		`{"id":1,"kind":"label","redundancy":1}`,
+		`{"task_id":1,"worker_id":"w","at":"2026-07-06T12:00:00Z","box":{"X":1,"Y":2,"W":3,"H":4}}`,
+		`{"task_id":1,"worker_id":"w","at":"2026-07-06T12:00:00Z","box":{"x":1,"Y":2,"W":3,"H":4}}`,
+		`{"task_id":1,"worker_id":"w","at":"2026-07-06T12:00:00Z","words":null,"box":{"X":1,"Y":2,"W":3,"H":4}}`,
+		`null`, `{}`, `[]`, `7`, `"x"`, `{`, ``, `{"kind":`, "\x00",
+	} {
+		f.Add([]byte(s))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		decodesLikeStdlib(t, data)
+
+		g := gen{data}
+		e := g.event()
+		want, wantErr := json.Marshal(&e)
+		got, gotErr := appendEvent([]byte("prefix"), &e)
+		encodesLikeStdlib(t, "event", got, gotErr, want, wantErr)
+		if wantErr == nil {
+			decodesLikeStdlib(t, want)
+		}
+		if e.Task != nil {
+			want, wantErr := json.Marshal(e.Task)
+			got, gotErr := e.Task.AppendJSON([]byte("prefix"))
+			encodesLikeStdlib(t, "task", got, gotErr, want, wantErr)
+			if wantErr == nil {
+				decodesLikeStdlib(t, want)
+			}
+		}
+		if e.Answer != nil {
+			want, wantErr := json.Marshal(e.Answer)
+			got, ok := task.AppendAnswer([]byte("prefix"), e.Answer)
+			if ok != (wantErr == nil) {
+				t.Fatalf("answer %+v: AppendAnswer ok=%v, json.Marshal error %v", e.Answer, ok, wantErr)
+			}
+			if ok {
+				encodesLikeStdlib(t, "answer", got, nil, want, nil)
+				decodesLikeStdlib(t, want)
+			}
+		}
+	})
+}
+
+func encodesLikeStdlib(t *testing.T, what string, got []byte, gotErr error, want []byte, wantErr error) {
+	t.Helper()
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%s: codec error %v, json.Marshal error %v", what, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return
+	}
+	if !bytes.HasPrefix(got, []byte("prefix")) || !bytes.Equal(got[len("prefix"):], want) {
+		t.Fatalf("%s encodes as\n%s\njson.Marshal writes\n%s", what, got, want)
+	}
+}
+
+// decodesLikeStdlib decodes doc as each record type, by the codec and by
+// json.Unmarshal, and requires one outcome. The codec's targets start out
+// dirty: it must replace, not merge.
+func decodesLikeStdlib(t *testing.T, doc []byte) {
+	t.Helper()
+	dirty := task.Answer{TaskID: 99, WorkerID: "stale", At: t0, Words: []int{9}, Text: "stale", Choice: 9}
+	dirty.Box.W = 9
+
+	var wantEvent Event
+	wantErr := json.Unmarshal(doc, &wantEvent)
+	gotEvent, gotErr := decodeEvent(doc, &answerBox{answer: dirty, gold: dirty})
+	if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(gotEvent, wantEvent) {
+		t.Fatalf("event %q\n codec: %+v, %v\nstdlib: %+v, %v", doc, gotEvent, gotErr, wantEvent, wantErr)
+	}
+
+	var wantTask task.Task
+	wantErr = json.Unmarshal(doc, &wantTask)
+	gotTask := task.Task{ID: 99, Payload: task.Payload{WordImg: "stale", Taboo: []int{9}, ClipB: 9}, DoneAt: t0, Answers: []task.Answer{dirty}}
+	gotErr = gotTask.DecodeJSON(doc)
+	if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(gotTask, wantTask) {
+		t.Fatalf("task %q\n codec: %+v, %v\nstdlib: %+v, %v", doc, gotTask, gotErr, wantTask, wantErr)
+	}
+
+	// An answer has no document-level decoder of its own (it only ever
+	// arrives inside an event or a task): what the canonical reader accepts
+	// must be what json.Unmarshal makes of it.
+	c := jsonx.NewCanon(doc)
+	gotAnswer := dirty
+	task.DecodeAnswer(&c, &gotAnswer)
+	if c.Done() {
+		var wantAnswer task.Answer
+		if err := json.Unmarshal(doc, &wantAnswer); err != nil || !reflect.DeepEqual(gotAnswer, wantAnswer) {
+			t.Fatalf("answer %q\n codec: %+v\nstdlib: %+v, %v", doc, gotAnswer, wantAnswer, err)
+		}
+	}
+}
+
+// gen spends fuzz input on field values. Out of input, everything is zero.
+type gen struct{ b []byte }
+
+func (g *gen) byte() byte {
+	if len(g.b) == 0 {
+		return 0
+	}
+	c := g.b[0]
+	g.b = g.b[1:]
+	return c
+}
+
+func (g *gen) take(n int) []byte {
+	n = min(n, len(g.b))
+	out := g.b[:n]
+	g.b = g.b[n:]
+	return out
+}
+
+func (g *gen) int() int {
+	switch g.byte() % 4 {
+	case 0:
+		return 0
+	case 1:
+		return int(int8(g.byte()))
+	case 2:
+		return int(int32(binary.LittleEndian.Uint32(append(g.take(4), 0, 0, 0, 0))))
+	default:
+		return int(int64(binary.LittleEndian.Uint64(append(g.take(8), 0, 0, 0, 0, 0, 0, 0, 0))))
+	}
+}
+
+// str returns raw input bytes: invalid UTF-8, control characters, quotes
+// and HTML characters included.
+func (g *gen) str() string { return string(g.take(int(g.byte() % 24))) }
+
+func (g *gen) ints() []int {
+	n := int(g.byte() % 5)
+	if n == 4 {
+		return []int{} // empty but not nil: omitempty drops it all the same
+	}
+	var out []int
+	for i := 0; i < n; i++ {
+		out = append(out, g.int())
+	}
+	return out
+}
+
+func (g *gen) time() time.Time {
+	sec, nsec := int64(1_700_000_000+g.int()%1_000_000_000), int64(g.int()%1_000_000_000)
+	switch g.byte() % 6 {
+	case 0:
+		return time.Time{}
+	case 1:
+		return time.Unix(sec, nsec).UTC()
+	case 2:
+		return time.Unix(sec, 0).UTC()
+	case 3: // any zone offset, whole minutes or not, in range or not
+		return time.Unix(sec, nsec).In(time.FixedZone("", g.int()%200_000))
+	case 4: // any year, in range or not
+		return time.Date(g.int()%20_000, 2, 3, 4, 5, 6, int(nsec), time.UTC)
+	default:
+		return time.Unix(sec, nsec) // local zone
+	}
+}
+
+func (g *gen) answer() *task.Answer {
+	a := &task.Answer{TaskID: task.ID(g.int()), WorkerID: g.str(), At: g.time(), Words: g.ints(), Text: g.str(), Choice: g.int()}
+	a.Box.X, a.Box.Y, a.Box.W, a.Box.H = g.int(), g.int(), g.int(), g.int()
+	return a
+}
+
+func (g *gen) task() *task.Task {
+	tk := &task.Task{
+		ID: task.ID(g.int()), Kind: task.Kind(g.int()),
+		Payload:    task.Payload{ImageID: g.int(), ImageB: g.int(), Word: g.int(), WordImg: g.str(), Taboo: g.ints(), ClipA: g.int(), ClipB: g.int()},
+		Redundancy: g.int(), Priority: g.int(), Status: task.Status(g.int()),
+		CreatedAt: g.time(), DoneAt: g.time(),
+	}
+	for n := g.byte() % 4; n > 0; n-- {
+		tk.Answers = append(tk.Answers, *g.answer())
+	}
+	return tk
+}
+
+func (g *gen) event() Event {
+	e := Event{Kind: EventKind(g.str()), At: g.time(), TaskID: task.ID(g.int())}
+	if k := g.byte() % 8; k < 4 {
+		e.Kind = []EventKind{EventSubmit, EventAnswer, EventCancel, EventFinish}[k]
+	}
+	shape := g.byte()
+	if shape&1 != 0 {
+		e.Task = g.task()
+	}
+	if shape&2 != 0 {
+		e.Answer = g.answer()
+	}
+	if shape&4 != 0 {
+		e.Gold = g.answer()
+	}
+	return e
+}

@@ -1,0 +1,130 @@
+package store
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+	"testing/iotest"
+
+	"humancomp/internal/task"
+)
+
+// decoderRestore is the restore path as it was while json.Decoder read the
+// document — a token at a time, each task through Decode — kept as the
+// reference the hand-written reader is fuzzed against.
+func decoderRestore(doc []byte) (tasks map[task.ID]*task.Task, version int, nextID task.ID, calibration json.RawMessage, err error) {
+	dec := json.NewDecoder(bytes.NewReader(doc))
+	tasks = make(map[task.ID]*task.Task)
+	tok, err := dec.Token()
+	if err == nil && tok != json.Delim('{') {
+		err = errors.New("not an object")
+	}
+	for err == nil && dec.More() {
+		if tok, err = dec.Token(); err != nil {
+			break
+		}
+		switch tok {
+		case "version":
+			err = dec.Decode(&version)
+		case "next_id":
+			err = dec.Decode(&nextID)
+		case "calibration":
+			err = dec.Decode(&calibration)
+		case "tasks":
+			if tok, err = dec.Token(); err != nil || tok == nil {
+				break
+			}
+			if tok != json.Delim('[') {
+				err = errors.New("tasks is not an array")
+				break
+			}
+			for err == nil && dec.More() {
+				t := new(task.Task)
+				if err = dec.Decode(t); err != nil {
+					break
+				}
+				if _, dup := tasks[t.ID]; dup {
+					err = fmt.Errorf("duplicate task ID %d", t.ID)
+				}
+				tasks[t.ID] = t
+			}
+			if err == nil {
+				_, err = dec.Token()
+			}
+		default:
+			var skipped json.RawMessage
+			err = dec.Decode(&skipped)
+		}
+	}
+	if err == nil {
+		_, err = dec.Token()
+	}
+	if err == nil && version != snapshotVersion {
+		err = fmt.Errorf("unsupported snapshot version %d", version)
+	}
+	return tasks, version, nextID, calibration, err
+}
+
+// FuzzRestoreMatchesDecoder: on any bytes, Restore accepts exactly the
+// documents the json.Decoder-based restore accepted and builds the same
+// tasks, allocator position and sidecar from them.
+func FuzzRestoreMatchesDecoder(f *testing.F) {
+	src := NewSharded(2)
+	for _, tk := range richTasks(4) {
+		src.Put(tk)
+	}
+	var snap bytes.Buffer
+	if err := src.SnapshotWith(&snap, json.RawMessage(messyCalibration)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snap.Bytes())
+	f.Add(snap.Bytes()[:snap.Len()/2])
+	for _, s := range []string{
+		`{"calibration":{"k":1},"next_id":7,"tasks":[` + manyTasks(3) + `],"version":1}`,
+		`{"version":1,"later":{"deep":[1,{"x":"]}"}]},"tasks":[` + manyTasks(2) + `],"more":null}`,
+		" {\n\"version\" : 1 , \"tasks\" : [ ] }\n{\"version\":99}",
+		`{"version":1,"next_id":4,"tasks":null}`,
+		`{"version":1,"tasks":[null, {"redundancy":1,"id":7} ]}`,
+		`{"version":1,"tasks":[` + manyTasks(2) + `],"tasks":[{"id":3}]}`,
+		`{"version":1,"tasks":[],}`, `{,"version":1}`, `{"version":1 "tasks":[]}`, `{"version" 1}`,
+		`{"version":1,"tasks":[{"id":1} {"id":2}]}`, `{"version":1,"tasks":[{"id":1]}}`,
+		`{"version":1,"later":tru}`, `{"version":1,"calibration":null}`, `{"version":1,"tasks":[7]}`,
+		`{"version":1,"tasks":{"id":1}}`, `{"version":1.0}`, `[1,2]`, `{}`, `{`, ``, `nul`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		wantTasks, _, wantNext, wantCal, wantErr := decoderRestore(doc)
+		s := NewSharded(4)
+		gotCal, gotErr := s.RestoreWith(bytes.NewReader(doc))
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("document %q\nRestore: %v\njson.Decoder: %v", doc, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			return
+		}
+		gotTasks := make(map[task.ID]*task.Task)
+		for _, sh := range s.shards {
+			for id, tk := range sh.tasks {
+				gotTasks[id] = tk
+			}
+		}
+		if !reflect.DeepEqual(gotTasks, wantTasks) || !bytes.Equal(gotCal, wantCal) {
+			t.Fatalf("document %q\nRestore: %d tasks, sidecar %q\njson.Decoder: %d tasks, sidecar %q", doc, len(gotTasks), gotCal, len(wantTasks), wantCal)
+		}
+		var maxID task.ID
+		for id := range wantTasks {
+			maxID = max(maxID, id)
+		}
+		if got, want := task.ID(s.nextID.Load()), max(wantNext, maxID); got != want {
+			t.Fatalf("document %q: allocator at %d, want %d", doc, got, want)
+		}
+		// A reader that delivers a byte at a time exercises every refill.
+		if _, err := NewSharded(1).RestoreWith(iotest.OneByteReader(bytes.NewReader(doc))); err != nil {
+			t.Fatalf("document %q restores whole but not a byte at a time: %v", doc, err)
+		}
+	})
+}

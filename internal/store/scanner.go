@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -49,7 +48,9 @@ type RecordScanner struct {
 	off     int64 // stream offset just past the current record
 	read    int64 // bytes consumed from br, damaged ones included
 	event   Event
-	frame   []byte
+	frame   []byte    // the current record; a prefix of buf
+	buf     []byte    // every record is read into this one buffer
+	box     answerBox // where a record's answer and gold answer are decoded
 	err     error
 	done    bool
 }
@@ -58,7 +59,7 @@ type RecordScanner struct {
 // base+1: pass 0 for a whole file, or the from-1 cursor of a replication
 // stream so Seq matches the leader's sequence numbers.
 func NewRecordScanner(r io.Reader, base int64) *RecordScanner {
-	return &RecordScanner{br: bufio.NewReaderSize(r, 64*1024), seq: base}
+	return &RecordScanner{br: bufio.NewReaderSize(r, 64*1024), seq: base, buf: make([]byte, walRecordHint)}
 }
 
 // Scan advances to the next record. It returns false at the end of the
@@ -102,16 +103,18 @@ func (sc *RecordScanner) next() error {
 			return errLegacyWAL
 		}
 	}
-	var hdr [walRecordHeader]byte
-	if err := sc.readFull(hdr[:]); err != nil {
+	hdr := sc.buf[:walRecordHeader]
+	if err := sc.readFull(hdr); err != nil {
 		return err
 	}
 	length := binary.LittleEndian.Uint32(hdr[0:4])
 	if length == 0 || length > maxWALRecord {
 		return fmt.Errorf("store: record %d: implausible length %d: %w", sc.seq+1, length, errCorruptRecord)
 	}
-	frame := make([]byte, walRecordHeader+int(length))
-	copy(frame, hdr[:])
+	if need := walRecordHeader + int(length); cap(sc.buf) < need {
+		sc.buf = append(make([]byte, 0, max(need, 2*cap(sc.buf))), hdr...)
+	}
+	frame := sc.buf[:walRecordHeader+int(length)]
 	payload := frame[walRecordHeader:]
 	if err := sc.readFull(payload); err != nil {
 		if err == io.EOF {
@@ -119,11 +122,11 @@ func (sc *RecordScanner) next() error {
 		}
 		return err
 	}
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(frame[4:8]) {
 		return fmt.Errorf("store: record %d: checksum mismatch: %w", sc.seq+1, errCorruptRecord)
 	}
-	var e Event
-	if err := json.Unmarshal(payload, &e); err != nil {
+	e, err := decodeEvent(payload, &sc.box)
+	if err != nil {
 		return fmt.Errorf("store: record %d: decode: %v: %w", sc.seq+1, err, errCorruptRecord)
 	}
 	sc.seq++
@@ -140,11 +143,15 @@ func (sc *RecordScanner) Seq() int64 { return sc.seq }
 // header included): the length of the prefix that has scanned clean.
 func (sc *RecordScanner) Offset() int64 { return sc.off }
 
-// Event returns the decoded current record.
+// Event returns the decoded current record. Its Task is the record's own
+// (replay puts it in the store); its Answer and Gold point into storage the
+// next Scan overwrites, so a caller that keeps an answer copies it out —
+// which Task.Record and every other consumer does by taking it by value.
 func (sc *RecordScanner) Event() Event { return sc.event }
 
 // Frame returns the current record's framed bytes (length prefix, checksum,
-// payload). The slice is freshly allocated per record and may be retained.
+// payload). Every record is read into one buffer: the slice is valid until
+// the next Scan.
 func (sc *RecordScanner) Frame() []byte { return sc.frame }
 
 // Err returns nil if the stream ended cleanly at a record boundary, and

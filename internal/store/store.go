@@ -12,13 +12,14 @@
 // Every whole-table path — ViewAll, ViewByStatus, Snapshot, the dispatch
 // task list, the requeue after recovery — is one ordered walk: collect the
 // task IDs (8 bytes a task, the only whole-table allocation), sort them,
-// then visit the tasks in that order, copying each under its own shard's
-// read lock and never holding two locks at once. The order is the one-shard
-// order at any shard count (so the snapshot bytes are too), and a walk over
-// a live store is consistent per task, not per shard or across the table: a
-// task is copied whole, two tasks may be copied either side of a concurrent
-// write. Nothing that needs more walks the table under traffic — a node
-// snapshots at boot, before it serves, and after it has drained.
+// then visit the tasks in that order, copying each (Snapshot: encoding
+// each) under its own shard's read lock and never holding two locks at
+// once. The order is the one-shard order at any shard count (so the
+// snapshot bytes are too), and a walk over a live store is consistent per
+// task, not per shard or across the table: a task is copied whole, two
+// tasks may be copied either side of a concurrent write. Nothing that needs
+// more walks the table under traffic — a node snapshots at boot, before it
+// serves, and after it has drained.
 package store
 
 import (
@@ -312,6 +313,22 @@ func (s *Store) Get(id task.ID) (*task.Task, error) {
 	return t, nil
 }
 
+// Count returns how many stored tasks had status st when their shard was
+// visited: len(IDs(st)) without building the list.
+func (s *Store) Count(st task.Status) int {
+	n := 0
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		for _, t := range sh.tasks {
+			if t.Status == st {
+				n++
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
 // Len returns the number of stored tasks.
 func (s *Store) Len() int {
 	n := 0
@@ -345,44 +362,57 @@ func (s *Store) Snapshot(w io.Writer) error { return s.SnapshotWith(w, nil) }
 // SnapshotWith is Snapshot with an opaque calibration sidecar embedded in
 // the same document, so task state and quality-plane state are captured in
 // one file. The document is streamed — an ordered walk encodes one task at
-// a time through a snapshotBufSize buffer — so a snapshot costs the ID list
-// and a buffer, not a copy of the table, and on an error w is left holding
-// a prefix: write files beside their target and rename. Taken from a live
-// store the cut is per task, not per shard.
+// a time, straight from the stored task under its shard's read lock, into a
+// reused buffer and from there through a snapshotBufSize writer — so a
+// snapshot costs the ID list and two buffers, not a copy of the table or of
+// any task, and on an error w is left holding a prefix: write files beside
+// their target and rename. Taken from a live store the cut is per task, not
+// per shard.
 func (s *Store) SnapshotWith(w io.Writer, calibration json.RawMessage) error {
 	bw := bufio.NewWriterSize(w, snapshotBufSize)
-	enc := json.NewEncoder(valueWriter{bw})
 	fmt.Fprintf(bw, `{"version":%d,"next_id":%d,"tasks":[`, snapshotVersion, s.nextID.Load())
+	var doc []byte // one task's text; the lock is not held across a Write
 	first := true
-	err := s.Walk(s.IDs(AnyStatus), func(v *task.View) error {
+	for _, id := range s.IDs(AnyStatus) {
+		var err error
+		if doc, err = s.appendTaskJSON(doc[:0], id); err != nil {
+			return err
+		}
+		if len(doc) == 0 { // deleted since the IDs were listed
+			continue
+		}
 		if !first {
 			bw.WriteByte(',')
 		}
 		first = false
-		return enc.Encode(v)
-	})
-	if err != nil {
-		return err
+		bw.Write(doc)
 	}
 	bw.WriteByte(']')
 	if len(calibration) > 0 {
-		bw.WriteString(`,"calibration":`)
-		if err := enc.Encode(calibration); err != nil {
+		// Once a document, not once a task: encoding/json compacts and
+		// escapes whatever JSON the sidecar's producer wrote.
+		cal, err := json.Marshal(calibration)
+		if err != nil {
 			return err
 		}
+		bw.WriteString(`,"calibration":`)
+		bw.Write(cal)
 	}
 	bw.WriteString("}\n")
 	return bw.Flush() // bufio errors are sticky: this reports the first failed write
 }
 
-// valueWriter drops the last byte of every Write. json.Encoder hands each
-// value to its writer in one Write ending in the newline Encode appends,
-// which has no place inside a document.
-type valueWriter struct{ w *bufio.Writer }
-
-func (vw valueWriter) Write(p []byte) (int, error) {
-	_, err := vw.w.Write(p[:len(p)-1])
-	return len(p), err
+// appendTaskJSON appends the JSON of the stored task id to b, encoding it
+// under its shard's read lock; an ID no longer stored appends nothing.
+func (s *Store) appendTaskJSON(b []byte, id task.ID) ([]byte, error) {
+	sh := s.shardFor(id)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	t, ok := sh.tasks[id]
+	if !ok {
+		return b, nil
+	}
+	return t.AppendJSON(b)
 }
 
 // Restore replaces the store's contents with the snapshot read from r and
@@ -395,7 +425,7 @@ func (s *Store) Restore(r io.Reader) error {
 
 // RestoreWith is Restore returning the snapshot's calibration sidecar (nil
 // when the snapshot predates it) for the quality plane to rebuild from. The
-// document is read a token at a time and each task decoded straight into
+// document is read a value at a time and each task decoded straight into
 // the shard map it will live in, so a restore holds the state it builds and
 // one task's text, not the document. Fields may come in any order and
 // unknown ones are skipped; nothing is swapped in until the whole document,
@@ -403,7 +433,7 @@ func (s *Store) Restore(r io.Reader) error {
 // store as it was.
 func (s *Store) RestoreWith(r io.Reader) (json.RawMessage, error) {
 	var (
-		dec           = json.NewDecoder(r)
+		d             = docReader{r: r, buf: make([]byte, 0, snapshotBufSize)}
 		version       int
 		nextID, maxID task.ID
 		calibration   json.RawMessage
@@ -412,33 +442,31 @@ func (s *Store) RestoreWith(r io.Reader) (json.RawMessage, error) {
 	for i := range fresh {
 		fresh[i] = make(map[task.ID]*task.Task)
 	}
-	tok, err := dec.Token()
-	if err == nil && tok != json.Delim('{') {
-		err = errors.New("not an object")
-	}
-	for err == nil && dec.More() {
-		if tok, err = dec.Token(); err != nil {
-			break
-		}
-		switch tok {
-		case "version":
-			err = dec.Decode(&version)
-		case "next_id":
-			err = dec.Decode(&nextID)
-		case "calibration":
-			err = dec.Decode(&calibration)
-		case "tasks":
-			var largest task.ID
-			largest, err = s.decodeTasks(dec, fresh)
+	err := d.object(func(key string) error {
+		if key == "tasks" {
+			largest, err := s.decodeTasks(&d, fresh)
 			maxID = max(maxID, largest)
-		default:
-			var skipped json.RawMessage
-			err = dec.Decode(&skipped)
+			return err
 		}
-	}
-	if err == nil {
-		_, err = dec.Token() // the closing brace: a document cut short fails here
-	}
+		// The document's own few fields: once a restore, so encoding/json
+		// reads (and, for the fields skipped, only checks) them.
+		raw, err := d.value()
+		if err != nil {
+			return err
+		}
+		switch key {
+		case "version":
+			return json.Unmarshal(raw, &version)
+		case "next_id":
+			return json.Unmarshal(raw, &nextID)
+		case "calibration":
+			return json.Unmarshal(raw, &calibration)
+		}
+		if !json.Valid(raw) {
+			return fmt.Errorf("field %q is not JSON", key)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("store: decoding snapshot: %w", err)
 	}
@@ -454,28 +482,21 @@ func (s *Store) RestoreWith(r io.Reader) (json.RawMessage, error) {
 	return calibration, nil
 }
 
-// decodeTasks reads the tasks array next in dec, one task at a time, into
-// the shard maps in fresh, and returns the largest task ID it held.
-func (s *Store) decodeTasks(dec *json.Decoder, fresh []map[task.ID]*task.Task) (largest task.ID, err error) {
-	tok, err := dec.Token()
-	if err != nil || tok == nil { // null is an empty table
-		return 0, err
-	}
-	if tok != json.Delim('[') {
-		return 0, errors.New("tasks is not an array")
-	}
-	for dec.More() {
+// decodeTasks reads the tasks array next in d, one task at a time, into the
+// shard maps in fresh, and returns the largest task ID it held.
+func (s *Store) decodeTasks(d *docReader, fresh []map[task.ID]*task.Task) (largest task.ID, err error) {
+	err = d.array(func(raw []byte) error {
 		t := new(task.Task)
-		if err := dec.Decode(t); err != nil {
-			return 0, err
+		if err := t.DecodeJSON(raw); err != nil {
+			return err
 		}
 		into := fresh[uint64(t.ID)&s.mask]
 		if _, dup := into[t.ID]; dup {
-			return 0, fmt.Errorf("duplicate task ID %d", t.ID)
+			return fmt.Errorf("duplicate task ID %d", t.ID)
 		}
 		into[t.ID] = t
 		largest = max(largest, t.ID)
-	}
-	_, err = dec.Token() // the closing bracket
+		return nil
+	})
 	return largest, err
 }

@@ -76,6 +76,11 @@ func TestIDsSortedAndByStatus(t *testing.T) {
 	if got := s.IDs(task.Done); len(got) != 0 {
 		t.Fatalf("IDs(Done) = %v", got)
 	}
+	for _, st := range []task.Status{task.Open, task.Done, task.Canceled} {
+		if got, want := s.Count(st), len(s.IDs(st)); got != want {
+			t.Fatalf("Count(%v) = %d, IDs lists %d", st, got, want)
+		}
+	}
 }
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {

@@ -1,9 +1,7 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -251,19 +249,18 @@ const walRecordHint = 320
 // buffer: len(walMagic) bytes reserved for the file header, then each
 // event's record header and JSON payload, encoded in place.
 func frameEvents(events []Event) ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, len(walMagic), len(walMagic)+len(events)*walRecordHint))
-	enc := json.NewEncoder(buf)
+	buf := make([]byte, len(walMagic), len(walMagic)+len(events)*walRecordHint)
 	for i := range events {
 		if err := validateEvent(events[i]); err != nil {
 			return nil, err
 		}
-		start := buf.Len()
-		buf.Write(make([]byte, walRecordHeader))
-		if err := enc.Encode(&events[i]); err != nil { // by pointer: no boxed copy per event
+		start := len(buf)
+		buf = append(buf, make([]byte, walRecordHeader)...)
+		var err error
+		if buf, err = appendEvent(buf, &events[i]); err != nil {
 			return nil, fmt.Errorf("store: encoding wal event: %w", err)
 		}
-		buf.Truncate(buf.Len() - 1) // Encode's trailing newline is not payload
-		rec := buf.Bytes()[start:]
+		rec := buf[start:]
 		payload := rec[walRecordHeader:]
 		if len(payload) > maxWALRecord {
 			return nil, fmt.Errorf("store: wal record of %d bytes exceeds limit", len(payload))
@@ -271,7 +268,7 @@ func frameEvents(events []Event) ([]byte, error) {
 		binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
 		binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(payload, castagnoli))
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // appendEvents is the one append path: frame outside the lock, then one

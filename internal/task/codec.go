@@ -1,0 +1,254 @@
+package task
+
+import (
+	"encoding/json"
+	"strconv"
+
+	"humancomp/internal/jsonx"
+)
+
+// The storage codec. A task record is written and read millions of times
+// by a node's storage path — every WAL append, every replayed record, every
+// task of every checkpoint and restore — and always in one shape: the one
+// encoding/json gives the struct tags above. These functions are that shape
+// written out by hand (see jsonx.Canon for the rule they follow). The
+// encoders produce encoding/json's bytes exactly, so the formats on disk
+// and on the replication wire are unchanged; the decoders allocate what the
+// decoded value keeps and nothing else. HTTP bodies stay on encoding/json:
+// they arrive in whatever form a client chose, and the request path's
+// budget is not spent in the codec (ROADMAP, request-path item).
+//
+// A field added to Task, Answer or Payload must be added here, in struct
+// order; FuzzTaskCodecMatchesStdlib fails until it is.
+
+// AppendJSON appends t's JSON encoding to b: byte for byte what
+// json.Marshal(t) returns, including its error for a task encoding/json
+// cannot encode (a timestamp outside years 0–9999).
+func (t *Task) AppendJSON(b []byte) ([]byte, error) {
+	if out, ok := AppendTask(b, t); ok {
+		return out, nil
+	}
+	doc, err := json.Marshal(t)
+	return append(b, doc...), err
+}
+
+// DecodeJSON replaces *t with the task encoded in doc: json.Unmarshal into
+// a zero Task, on every input. A document in the form AppendJSON writes is
+// decoded in place; any other is handed to encoding/json unchanged.
+func (t *Task) DecodeJSON(doc []byte) error {
+	c := jsonx.NewCanon(doc)
+	DecodeTask(&c, t)
+	if c.Done() {
+		return nil
+	}
+	*t = Task{}
+	return json.Unmarshal(doc, t)
+}
+
+// AppendTask appends t in canonical form; ok is false when encoding/json
+// would not have encoded t, and b's new tail is then garbage.
+func AppendTask(b []byte, t *Task) (_ []byte, ok bool) {
+	b = append(b, `{"id":`...)
+	b = strconv.AppendInt(b, int64(t.ID), 10)
+	b = append(b, `,"kind":`...)
+	b = strconv.AppendInt(b, int64(t.Kind), 10)
+	b = append(b, `,"payload":`...)
+	b = appendPayload(b, &t.Payload)
+	b = append(b, `,"redundancy":`...)
+	b = strconv.AppendInt(b, int64(t.Redundancy), 10)
+	b = append(b, `,"priority":`...)
+	b = strconv.AppendInt(b, int64(t.Priority), 10)
+	b = append(b, `,"status":`...)
+	b = strconv.AppendInt(b, int64(t.Status), 10)
+	b = append(b, `,"created_at":`...)
+	b, ok = jsonx.AppendTime(b, t.CreatedAt)
+	if !ok {
+		return b, false
+	}
+	b = append(b, `,"done_at":`...)
+	if b, ok = jsonx.AppendTime(b, t.DoneAt); !ok {
+		return b, false
+	}
+	if len(t.Answers) > 0 {
+		b = append(b, `,"answers":[`...)
+		for i := range t.Answers {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if b, ok = AppendAnswer(b, &t.Answers[i]); !ok {
+				return b, false
+			}
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}'), true
+}
+
+// Every Payload field is omitempty, so which key opens the object varies:
+// keys are spelled with the comma that precedes all but the first, and
+// appendKey and tryKey drop it there.
+func appendPayload(b []byte, p *Payload) []byte {
+	b = append(b, '{')
+	first := len(b)
+	b = appendIntField(b, first, `,"image_id":`, p.ImageID)
+	b = appendIntField(b, first, `,"image_b":`, p.ImageB)
+	b = appendIntField(b, first, `,"word":`, p.Word)
+	if p.WordImg != "" {
+		b = jsonx.AppendString(appendKey(b, first, `,"word_img":`), p.WordImg)
+	}
+	if len(p.Taboo) > 0 {
+		b = jsonx.AppendInts(appendKey(b, first, `,"taboo":`), p.Taboo)
+	}
+	b = appendIntField(b, first, `,"clip_a":`, p.ClipA)
+	b = appendIntField(b, first, `,"clip_b":`, p.ClipB)
+	return append(b, '}')
+}
+
+func appendKey(b []byte, first int, key string) []byte {
+	if len(b) == first {
+		key = key[1:]
+	}
+	return append(b, key...)
+}
+
+func appendIntField(b []byte, first int, key string, n int) []byte {
+	if n == 0 {
+		return b
+	}
+	return strconv.AppendInt(appendKey(b, first, key), int64(n), 10)
+}
+
+// AppendAnswer is AppendTask for an answer.
+func AppendAnswer(b []byte, a *Answer) (_ []byte, ok bool) {
+	b = append(b, `{"task_id":`...)
+	b = strconv.AppendInt(b, int64(a.TaskID), 10)
+	b = append(b, `,"worker_id":`...)
+	b = jsonx.AppendString(b, a.WorkerID)
+	b = append(b, `,"at":`...)
+	if b, ok = jsonx.AppendTime(b, a.At); !ok {
+		return b, false
+	}
+	if len(a.Words) > 0 {
+		b = append(b, `,"words":`...)
+		b = jsonx.AppendInts(b, a.Words)
+	}
+	b = append(b, `,"box":{"X":`...)
+	b = strconv.AppendInt(b, int64(a.Box.X), 10)
+	b = append(b, `,"Y":`...)
+	b = strconv.AppendInt(b, int64(a.Box.Y), 10)
+	b = append(b, `,"W":`...)
+	b = strconv.AppendInt(b, int64(a.Box.W), 10)
+	b = append(b, `,"H":`...)
+	b = strconv.AppendInt(b, int64(a.Box.H), 10)
+	b = append(b, '}')
+	if a.Text != "" {
+		b = append(b, `,"text":`...)
+		b = jsonx.AppendString(b, a.Text)
+	}
+	if a.Choice != 0 {
+		b = append(b, `,"choice":`...)
+		b = strconv.AppendInt(b, int64(a.Choice), 10)
+	}
+	return append(b, '}'), true
+}
+
+// DecodeTask reads one canonical task from c into *t, overwriting every
+// field. Whether the input was canonical is c's to report; when it was not,
+// *t holds garbage.
+func DecodeTask(c *jsonx.Canon, t *Task) {
+	c.Lit(`{"id":`)
+	t.ID = ID(c.Int64())
+	c.Lit(`,"kind":`)
+	t.Kind = Kind(c.Int())
+	c.Lit(`,"payload":`)
+	decodePayload(c, &t.Payload)
+	c.Lit(`,"redundancy":`)
+	t.Redundancy = c.Int()
+	c.Lit(`,"priority":`)
+	t.Priority = c.Int()
+	c.Lit(`,"status":`)
+	t.Status = Status(c.Int())
+	c.Lit(`,"created_at":`)
+	c.Time(&t.CreatedAt)
+	c.Lit(`,"done_at":`)
+	c.Time(&t.DoneAt)
+	t.Answers = nil
+	if c.Try(`,"answers":[`) {
+		t.Answers = make([]Answer, 0, answersCap(t.Redundancy))
+		for more := true; more && c.OK(); more = c.Try(",") {
+			t.Answers = append(t.Answers, Answer{})
+			DecodeAnswer(c, &t.Answers[len(t.Answers)-1])
+		}
+		c.Lit("]")
+	}
+	c.Lit("}")
+}
+
+func decodePayload(c *jsonx.Canon, p *Payload) {
+	*p = Payload{}
+	c.Lit("{")
+	first := true
+	if tryKey(c, &first, `,"image_id":`) {
+		p.ImageID = c.Int()
+	}
+	if tryKey(c, &first, `,"image_b":`) {
+		p.ImageB = c.Int()
+	}
+	if tryKey(c, &first, `,"word":`) {
+		p.Word = c.Int()
+	}
+	if tryKey(c, &first, `,"word_img":`) {
+		p.WordImg = c.Str()
+	}
+	if tryKey(c, &first, `,"taboo":`) {
+		p.Taboo = c.Ints()
+	}
+	if tryKey(c, &first, `,"clip_a":`) {
+		p.ClipA = c.Int()
+	}
+	if tryKey(c, &first, `,"clip_b":`) {
+		p.ClipB = c.Int()
+	}
+	c.Lit("}")
+}
+
+func tryKey(c *jsonx.Canon, first *bool, key string) bool {
+	if *first {
+		key = key[1:]
+	}
+	if !c.Try(key) {
+		return false
+	}
+	*first = false
+	return true
+}
+
+// DecodeAnswer is DecodeTask for an answer.
+func DecodeAnswer(c *jsonx.Canon, a *Answer) {
+	*a = Answer{}
+	c.Lit(`{"task_id":`)
+	a.TaskID = ID(c.Int64())
+	c.Lit(`,"worker_id":`)
+	a.WorkerID = c.Str()
+	c.Lit(`,"at":`)
+	c.Time(&a.At)
+	if c.Try(`,"words":`) {
+		a.Words = c.Ints()
+	}
+	c.Lit(`,"box":{"X":`)
+	a.Box.X = c.Int()
+	c.Lit(`,"Y":`)
+	a.Box.Y = c.Int()
+	c.Lit(`,"W":`)
+	a.Box.W = c.Int()
+	c.Lit(`,"H":`)
+	a.Box.H = c.Int()
+	c.Lit("}")
+	if c.Try(`,"text":`) {
+		a.Text = c.Str()
+	}
+	if c.Try(`,"choice":`) {
+		a.Choice = c.Int()
+	}
+	c.Lit("}")
+}

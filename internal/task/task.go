@@ -189,6 +189,12 @@ func ValidateAnswer(kind Kind, a Answer) error {
 	return nil
 }
 
+// answersCap is the capacity Answers is given when the first answer
+// arrives: room for every answer the task wants, so append never grows it
+// 1→2→4 and a redundancy-3 task does not end up holding four slots. Past
+// eight, append's doubling takes over.
+func answersCap(redundancy int) int { return max(1, min(redundancy, 8)) }
+
 // Record validates and appends a worker's answer. When the task has
 // collected Redundancy answers it transitions to Done and records DoneAt.
 // Each worker may answer a given task at most once — independent judgments
@@ -207,6 +213,9 @@ func (t *Task) Record(a Answer, now time.Time) error {
 	}
 	a.TaskID = t.ID
 	a.At = now
+	if want := answersCap(t.Redundancy); cap(t.Answers) < want {
+		t.Answers = append(make([]Answer, 0, want), t.Answers...)
+	}
 	t.Answers = append(t.Answers, a)
 	if len(t.Answers) >= t.Redundancy {
 		t.Status = Done
