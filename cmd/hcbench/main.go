@@ -1,25 +1,17 @@
-// Command hcbench regenerates the evaluation tables and figures, and
-// benchmarks the dispatch data plane.
+// Command hcbench regenerates the evaluation tables and figures.
 //
 //	hcbench                     # run every experiment at full scale
 //	hcbench -experiment T2      # one experiment
 //	hcbench -scale 0.2 -seed 7  # smaller, different randomness
-//	hcbench -dispatch           # parallel dispatch sweep → BENCH_dispatch.json
-//	hcbench -dispatch -baseline BENCH_dispatch.json   # + regression gate
 //
 // Each experiment prints an aligned table plus a note describing the
 // published shape it reproduces; EXPERIMENTS.md records the comparison.
-// The dispatch sweep drives submit / lease / answer with b.RunParallel at
-// 1..64 goroutines over the single-shard (historical global-lock) and
-// auto-sharded cores, and fails when throughput regresses against the
-// committed baseline.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -32,21 +24,8 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "random seed; equal seeds give identical tables")
 		scale      = flag.Float64("scale", 1.0, "workload scale factor (1.0 = full experiment)")
 		list       = flag.Bool("list", false, "list experiments and exit")
-		dispatch   = flag.Bool("dispatch", false, "run the parallel dispatch benchmark sweep instead of experiments")
-		out        = flag.String("out", "BENCH_dispatch.json", "dispatch sweep: output file")
-		baseline   = flag.String("baseline", "", "dispatch sweep: committed baseline to gate against (empty skips the gate)")
-		maxRegress = flag.Float64("max-regress", 0.20, "dispatch sweep: allowed fractional throughput regression")
-		gomaxprocs = flag.Int("gomaxprocs", 0, "override GOMAXPROCS for the dispatch sweep; 0 keeps the environment's value")
 	)
 	flag.Parse()
-
-	if *gomaxprocs > 0 {
-		runtime.GOMAXPROCS(*gomaxprocs)
-	}
-
-	if *dispatch {
-		os.Exit(runDispatchBench(*out, *baseline, *maxRegress))
-	}
 
 	if *list {
 		for _, r := range experiments.All() {

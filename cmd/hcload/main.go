@@ -5,8 +5,7 @@
 // trajectory.
 //
 //	hcload -addr http://127.0.0.1:8080            # against a running server
-//	hcload -servd ./hcservd                       # spawn the matrix itself:
-//	       -gomaxprocs 1,4 -shard-modes 1,auto    #   one server per cell
+//	hcload -servd ./hcservd -gomaxprocs 1,4       # spawn one server per value
 //	hcload -servd ./hcservd -decode-allocs \
 //	       -baseline BENCH_wire.json -assert-clean  # the CI smoke invocation
 //
@@ -63,10 +62,9 @@ type wireRun struct {
 	Cells        []wireCell        `json:"cells"`
 }
 
-// wireCell is one (GOMAXPROCS, shard-mode) point of the matrix.
+// wireCell is one GOMAXPROCS point of the matrix.
 type wireCell struct {
 	GOMAXPROCS  int                `json:"gomaxprocs"`
-	ShardMode   string             `json:"shard_mode"`
 	Scheduled   int64              `json:"scheduled"`
 	Completed   int64              `json:"completed"`
 	AchievedRPS float64            `json:"achieved_rps"`
@@ -75,27 +73,26 @@ type wireCell struct {
 
 func main() {
 	var (
-		addr       = flag.String("addr", "", "base URL of a running dispatch server; empty spawns servers via -servd")
-		servd      = flag.String("servd", "", "path to an hcservd binary to spawn per matrix cell")
-		gmpList    = flag.String("gomaxprocs", "1,4", "comma-separated GOMAXPROCS values for spawned servers")
-		shardModes = flag.String("shard-modes", "1,auto", "comma-separated shard modes for spawned servers: 1 (global lock) and/or auto")
-		rate       = flag.Float64("rate", 2000, "offered load in operations per second")
-		duration   = flag.Duration("duration", 10*time.Second, "measurement window per cell")
-		warmup     = flag.Duration("warmup", 2*time.Second, "warmup before measurement (recorded separately, discarded)")
-		conc       = flag.Int("concurrency", 256, "max in-flight operations (bounds parallelism, not arrivals)")
-		mixFlag    = flag.String("mix", "submit=2,lease=2,answer=2,submit_batch=1,lease_batch=1,answer_batch=1", "op=weight list")
-		keys       = flag.Int("keys", 1024, "key space size")
-		zipfS      = flag.Float64("zipf", 1.1, "Zipf skew exponent over keys; 0 = uniform")
-		batch      = flag.Int("batch", 16, "items per *_batch operation")
-		seed       = flag.Uint64("seed", 1, "seed for the arrival schedule and key draws")
-		arrival    = flag.String("arrival", "poisson", "inter-arrival law: poisson or uniform")
-		out        = flag.String("out", "BENCH_wire.json", "trajectory file to append the run to; empty skips writing")
-		doAllocs   = flag.Bool("decode-allocs", false, "measure server-side allocs/op for the pooled-decode hot paths")
-		baseline   = flag.String("baseline", "", "committed BENCH_wire.json to gate decode allocs against (with -decode-allocs)")
-		maxAlloc   = flag.Float64("max-alloc-regress", 0.20, "allowed fractional allocs/op regression on the submit decode path")
-		clean      = flag.Bool("assert-clean", false, "exit nonzero if any operation returned a non-2xx response other than 429")
-		doTrace    = flag.Bool("trace", false, "send traceparent headers and report each op's slowest calls' trace IDs")
-		slowN      = flag.Int("slow-traces", 5, "slowest traced calls to keep per operation (with -trace)")
+		addr     = flag.String("addr", "", "base URL of a running dispatch server; empty spawns servers via -servd")
+		servd    = flag.String("servd", "", "path to an hcservd binary to spawn per matrix cell")
+		gmpList  = flag.String("gomaxprocs", "1,4", "comma-separated GOMAXPROCS values for spawned servers")
+		rate     = flag.Float64("rate", 2000, "offered load in operations per second")
+		duration = flag.Duration("duration", 10*time.Second, "measurement window per cell")
+		warmup   = flag.Duration("warmup", 2*time.Second, "warmup before measurement (recorded separately, discarded)")
+		conc     = flag.Int("concurrency", 256, "max in-flight operations (bounds parallelism, not arrivals)")
+		mixFlag  = flag.String("mix", "submit=2,lease=2,answer=2,submit_batch=1,lease_batch=1,answer_batch=1", "op=weight list")
+		keys     = flag.Int("keys", 1024, "key space size")
+		zipfS    = flag.Float64("zipf", 1.1, "Zipf skew exponent over keys; 0 = uniform")
+		batch    = flag.Int("batch", 16, "items per *_batch operation")
+		seed     = flag.Uint64("seed", 1, "seed for the arrival schedule and key draws")
+		arrival  = flag.String("arrival", "poisson", "inter-arrival law: poisson or uniform")
+		out      = flag.String("out", "BENCH_wire.json", "trajectory file to append the run to; empty skips writing")
+		doAllocs = flag.Bool("decode-allocs", false, "measure server-side allocs/op for the pooled-decode hot paths")
+		baseline = flag.String("baseline", "", "committed BENCH_wire.json to gate decode allocs against (with -decode-allocs)")
+		maxAlloc = flag.Float64("max-alloc-regress", 0.20, "allowed fractional allocs/op regression on the submit decode path")
+		clean    = flag.Bool("assert-clean", false, "exit nonzero if any operation returned a non-2xx response other than 429")
+		doTrace  = flag.Bool("trace", false, "send traceparent headers and report each op's slowest calls' trace IDs")
+		slowN    = flag.Int("slow-traces", 5, "slowest traced calls to keep per operation (with -trace)")
 	)
 	flag.Parse()
 
@@ -147,7 +144,6 @@ func main() {
 		}
 		cell := wireCell{
 			GOMAXPROCS:  runtime.GOMAXPROCS(0),
-			ShardMode:   "external",
 			Scheduled:   rep.Scheduled,
 			Completed:   rep.Completed,
 			AchievedRPS: rep.AchievedRPS,
@@ -161,15 +157,12 @@ func main() {
 			fail("-gomaxprocs: %v", err)
 		}
 		for _, gmp := range gmps {
-			for _, mode := range strings.Split(*shardModes, ",") {
-				mode = strings.TrimSpace(mode)
-				cell, err := runCell(*servd, gmp, mode, cfg)
-				if err != nil {
-					fail("cell gomaxprocs=%d shards=%s: %v", gmp, mode, err)
-				}
-				printCell(cell)
-				run.Cells = append(run.Cells, cell)
+			cell, err := runCell(*servd, gmp, cfg)
+			if err != nil {
+				fail("cell gomaxprocs=%d: %v", gmp, err)
 			}
+			printCell(cell)
+			run.Cells = append(run.Cells, cell)
 		}
 	default:
 		fail("one of -addr or -servd is required")
@@ -194,8 +187,8 @@ func main() {
 			for _, op := range cell.Ops {
 				if op.Errors > 0 {
 					fmt.Fprintf(os.Stderr,
-						"hcload: -assert-clean: %s at gomaxprocs=%d shards=%s returned %d errors\n",
-						op.Op, cell.GOMAXPROCS, cell.ShardMode, op.Errors)
+						"hcload: -assert-clean: %s at gomaxprocs=%d returned %d errors\n",
+						op.Op, cell.GOMAXPROCS, op.Errors)
 					code = 1
 				}
 			}
@@ -262,14 +255,7 @@ func parseInts(s string) ([]int, error) {
 // runCell boots one hcservd configured for the cell, loads it, and tears
 // it down. The server's GOMAXPROCS comes from the environment so the
 // binary needs no extra flags.
-func runCell(servd string, gmp int, shardMode string, cfg loadgen.Config) (wireCell, error) {
-	shards := "0"
-	if shardMode != "auto" {
-		if _, err := strconv.Atoi(shardMode); err != nil {
-			return wireCell{}, fmt.Errorf("bad shard mode %q (want a number or auto)", shardMode)
-		}
-		shards = shardMode
-	}
+func runCell(servd string, gmp int, cfg loadgen.Config) (wireCell, error) {
 	port, err := freePort()
 	if err != nil {
 		return wireCell{}, err
@@ -277,7 +263,7 @@ func runCell(servd string, gmp int, shardMode string, cfg loadgen.Config) (wireC
 	listen := fmt.Sprintf("127.0.0.1:%d", port)
 	base := "http://" + listen
 
-	args := []string{"-addr", listen, "-shards", shards, "-log-level", "warn"}
+	args := []string{"-addr", listen, "-log-level", "warn"}
 	if _, ok := cfg.Mix[loadgen.OpSession]; ok {
 		// The session op needs the live session plane; a short matchmaking
 		// wait keeps lone stragglers from idling out the cell.
@@ -295,14 +281,13 @@ func runCell(servd string, gmp int, shardMode string, cfg loadgen.Config) (wireC
 	if err := waitHealthy(base, 15*time.Second); err != nil {
 		return wireCell{}, err
 	}
-	fmt.Printf("--- gomaxprocs=%d shards=%s (%s)\n", gmp, shardMode, base)
+	fmt.Printf("--- gomaxprocs=%d (%s)\n", gmp, base)
 	rep, err := loadgen.Run(context.Background(), withBase(cfg, base))
 	if err != nil {
 		return wireCell{}, err
 	}
 	return wireCell{
 		GOMAXPROCS:  gmp,
-		ShardMode:   shardMode,
 		Scheduled:   rep.Scheduled,
 		Completed:   rep.Completed,
 		AchievedRPS: rep.AchievedRPS,
@@ -352,8 +337,8 @@ func stopServer(cmd *exec.Cmd) {
 }
 
 func printCell(cell wireCell) {
-	fmt.Printf("gomaxprocs=%d shards=%-8s scheduled=%d completed=%d achieved=%.0f op/s\n",
-		cell.GOMAXPROCS, cell.ShardMode, cell.Scheduled, cell.Completed, cell.AchievedRPS)
+	fmt.Printf("gomaxprocs=%d scheduled=%d completed=%d achieved=%.0f op/s\n",
+		cell.GOMAXPROCS, cell.Scheduled, cell.Completed, cell.AchievedRPS)
 	fmt.Printf("  %-13s %8s %6s %6s %6s %7s  %8s %8s %8s %8s %9s\n",
 		"op", "count", "err", "shed", "empty", "skipped", "mean_ms", "p50_ms", "p99_ms", "p999_ms", "max_ms")
 	for _, op := range cell.Ops {

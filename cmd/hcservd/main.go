@@ -52,7 +52,6 @@ func main() {
 	flag.StringVar(&cfg.APIKeys, "api-keys", "", "comma-separated API keys; empty leaves the server open")
 	flag.Float64Var(&cfg.API.RatePerSec, "rate", 0, "per-key request rate limit (req/s); 0 disables")
 	flag.Float64Var(&cfg.API.Burst, "burst", 20, "rate-limit burst size")
-	flag.IntVar(&cfg.Core.Shards, "shards", 0, "store/queue lock shards, rounded up to a power of two; 0 = auto (GOMAXPROCS)")
 	flag.IntVar(&cfg.Core.TraceCapacity, "trace-capacity", 0, "lifecycle trace ring capacity in events; 0 = default, negative disables tracing")
 
 	flag.BoolVar(&cfg.Core.Spans.Enabled, "spans", true, "record request-scoped span trees, tail-sampled and served at admin GET /v1/debug/spans")

@@ -12,76 +12,49 @@ import (
 )
 
 // Parallel dispatch data-plane benchmarks: every goroutine RunParallel
-// spawns is one dispatch client hammering submit / lease / answer. The
-// shards=1 variants pin the core to the historical single-lock layout;
-// shards=auto uses the sharded data plane. Run with -benchmem; the sweep
-// that varies client concurrency 1..64 and records BENCH_dispatch.json is
-// `go run ./cmd/hcbench -dispatch`.
-
-func benchSystem(shards int) *core.System {
-	cfg := core.DefaultConfig()
-	cfg.Shards = shards
-	return core.New(cfg)
-}
-
-func shardModes() []struct {
-	name   string
-	shards int
-} {
-	return []struct {
-		name   string
-		shards int
-	}{{"shards=1", 1}, {"shards=auto", 0}}
-}
+// spawns is one dispatch client hammering submit / lease / answer. Run
+// with -benchmem.
 
 // BenchmarkDispatchSubmit measures task submission alone: atomic ID
-// allocation, store shard insert, queue shard insert.
+// allocation, store insert, queue insert.
 func BenchmarkDispatchSubmit(b *testing.B) {
-	for _, m := range shardModes() {
-		b.Run(m.name, func(b *testing.B) {
-			sys := benchSystem(m.shards)
-			b.ReportAllocs()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, err := sys.SubmitTask(task.Label, task.Payload{ImageID: 1}, 1, 0); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
+	sys := core.New(core.DefaultConfig())
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := sys.SubmitTask(task.Label, task.Payload{ImageID: 1}, 1, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkDispatchSubmitLeaseAnswer measures the full round trip behind
 // POST /v1/tasks + POST /v1/next + POST /v1/leases/{id}: submissions and
 // completions balance, so the queue stays near-empty while allocator,
-// shard tables, heap and lease table are all exercised every iteration.
+// tables, heap and lease table are all exercised every iteration.
 func BenchmarkDispatchSubmitLeaseAnswer(b *testing.B) {
-	for _, m := range shardModes() {
-		b.Run(m.name, func(b *testing.B) {
-			sys := benchSystem(m.shards)
-			var wid atomic.Int64
-			b.ReportAllocs()
-			b.RunParallel(func(pb *testing.PB) {
-				worker := fmt.Sprintf("bench-w%d", wid.Add(1))
-				for pb.Next() {
-					if _, err := sys.SubmitTask(task.Label, task.Payload{ImageID: 1}, 1, 0); err != nil {
-						b.Fatal(err)
-					}
-					_, lease, err := sys.NextTask(worker)
-					if errors.Is(err, queue.ErrEmpty) {
-						continue // another goroutine leased our submission first
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := sys.SubmitAnswer(lease, task.Answer{Words: []int{1}}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
+	sys := core.New(core.DefaultConfig())
+	var wid atomic.Int64
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		worker := fmt.Sprintf("bench-w%d", wid.Add(1))
+		for pb.Next() {
+			if _, err := sys.SubmitTask(task.Label, task.Payload{ImageID: 1}, 1, 0); err != nil {
+				b.Fatal(err)
+			}
+			_, lease, err := sys.NextTask(worker)
+			if errors.Is(err, queue.ErrEmpty) {
+				continue // another goroutine leased our submission first
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := sys.SubmitAnswer(lease, task.Answer{Words: []int{1}}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // benchBatch is the batch the *Batch benchmarks move per iteration — the
@@ -89,28 +62,24 @@ func BenchmarkDispatchSubmitLeaseAnswer(b *testing.B) {
 const benchBatch = 64
 
 // BenchmarkDispatchSubmitBatch measures batched submission: one iteration
-// moves benchBatch tasks through SubmitBatch, which takes each shard lock
-// once per batch and appends one WAL group instead of 64 records.
+// moves benchBatch tasks through SubmitBatch, which takes each lock once
+// per batch and appends one WAL group instead of 64 records.
 func BenchmarkDispatchSubmitBatch(b *testing.B) {
-	for _, m := range shardModes() {
-		b.Run(m.name, func(b *testing.B) {
-			sys := benchSystem(m.shards)
-			specs := make([]core.SubmitSpec, benchBatch)
-			for i := range specs {
-				specs[i] = core.SubmitSpec{Kind: task.Label, Payload: task.Payload{ImageID: 1}, Redundancy: 1}
-			}
-			b.ReportAllocs()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					for _, out := range sys.SubmitBatch(specs) {
-						if out.Err != nil {
-							b.Fatal(out.Err)
-						}
-					}
-				}
-			})
-		})
+	sys := core.New(core.DefaultConfig())
+	specs := make([]core.SubmitSpec, benchBatch)
+	for i := range specs {
+		specs[i] = core.SubmitSpec{Kind: task.Label, Payload: task.Payload{ImageID: 1}, Redundancy: 1}
 	}
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			for _, out := range sys.SubmitBatch(specs) {
+				if out.Err != nil {
+					b.Fatal(out.Err)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkDispatchSubmitLeaseAnswerBatch measures the batched round trip
@@ -118,36 +87,32 @@ func BenchmarkDispatchSubmitBatch(b *testing.B) {
 // each iteration submits a batch, leases up to a batch for one worker and
 // answers every granted lease.
 func BenchmarkDispatchSubmitLeaseAnswerBatch(b *testing.B) {
-	for _, m := range shardModes() {
-		b.Run(m.name, func(b *testing.B) {
-			sys := benchSystem(m.shards)
-			specs := make([]core.SubmitSpec, benchBatch)
-			for i := range specs {
-				specs[i] = core.SubmitSpec{Kind: task.Label, Payload: task.Payload{ImageID: 1}, Redundancy: 1}
-			}
-			var wid atomic.Int64
-			b.ReportAllocs()
-			b.RunParallel(func(pb *testing.PB) {
-				worker := fmt.Sprintf("bench-w%d", wid.Add(1))
-				items := make([]queue.CompleteItem, 0, benchBatch)
-				for pb.Next() {
-					for _, out := range sys.SubmitBatch(specs) {
-						if out.Err != nil {
-							b.Fatal(out.Err)
-						}
-					}
-					grants := sys.LeaseBatch(worker, benchBatch)
-					items = items[:0]
-					for _, g := range grants {
-						items = append(items, queue.CompleteItem{Lease: g.Lease, Answer: task.Answer{Words: []int{1}}})
-					}
-					for _, err := range sys.AnswerBatch(items) {
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			})
-		})
+	sys := core.New(core.DefaultConfig())
+	specs := make([]core.SubmitSpec, benchBatch)
+	for i := range specs {
+		specs[i] = core.SubmitSpec{Kind: task.Label, Payload: task.Payload{ImageID: 1}, Redundancy: 1}
 	}
+	var wid atomic.Int64
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		worker := fmt.Sprintf("bench-w%d", wid.Add(1))
+		items := make([]queue.CompleteItem, 0, benchBatch)
+		for pb.Next() {
+			for _, out := range sys.SubmitBatch(specs) {
+				if out.Err != nil {
+					b.Fatal(out.Err)
+				}
+			}
+			grants := sys.LeaseBatch(worker, benchBatch)
+			items = items[:0]
+			for _, g := range grants {
+				items = append(items, queue.CompleteItem{Lease: g.Lease, Answer: task.Answer{Words: []int{1}}})
+			}
+			for _, err := range sys.AnswerBatch(items) {
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }

@@ -35,16 +35,13 @@ func TestSubmitBatchPartialFailureRoundTrip(t *testing.T) {
 	if len(grants) != 2 {
 		t.Fatalf("leased %d, want 2", len(grants))
 	}
-	// Priority 9 comes out first within its shard ordering; both tasks
-	// must be the two successfully submitted IDs.
-	seen := map[task.ID]bool{}
+	// The two submitted tasks, best first: priority 9 ahead of priority 0.
+	if grants[0].Task.ID != out[2].ID || grants[1].Task.ID != out[0].ID {
+		t.Fatalf("leased %d then %d, want %d then %d", grants[0].Task.ID, grants[1].Task.ID, out[2].ID, out[0].ID)
+	}
 	items := make([]queue.CompleteItem, len(grants))
 	for i, g := range grants {
-		seen[g.Task.ID] = true
 		items[i] = queue.CompleteItem{Lease: g.Lease, Answer: task.Answer{Words: []int{int(g.Task.ID)}}}
-	}
-	if !seen[out[0].ID] || !seen[out[2].ID] {
-		t.Fatalf("leased %v, want %d and %d", seen, out[0].ID, out[2].ID)
 	}
 
 	errs := s.AnswerBatch(items)
@@ -53,10 +50,10 @@ func TestSubmitBatchPartialFailureRoundTrip(t *testing.T) {
 			t.Fatalf("answer %d: %v", i, err)
 		}
 	}
-	for id := range seen {
-		got, err := s.Task(id)
+	for _, g := range grants {
+		got, err := s.Task(g.Task.ID)
 		if err != nil || got.Status != task.Done {
-			t.Fatalf("task %d after batch answer: %+v, %v", id, got, err)
+			t.Fatalf("task %d after batch answer: %+v, %v", g.Task.ID, got, err)
 		}
 	}
 	if st := s.Stats(); st.AnswersTotal != 2 {
@@ -84,12 +81,10 @@ func TestAnswerBatchPartialFailure(t *testing.T) {
 	if !errors.Is(errs[1], queue.ErrUnknownLease) {
 		t.Fatalf("bogus lease: got %v", errs[1])
 	}
-	// Only the good answer landed. LeaseBatch's sweep starts at a rotating
-	// shard, so grants[0] may be either submitted task.
-	answered := grants[0].Task.ID
-	other := out[0].ID
-	if other == answered {
-		other = out[1].ID
+	// Only the good answer landed: equal priority and age lease in ID order.
+	answered, other := out[0].ID, out[1].ID
+	if grants[0].Task.ID != answered {
+		t.Fatalf("first grant is task %d, want %d", grants[0].Task.ID, answered)
 	}
 	if got, _ := s.Task(answered); got.Status != task.Done {
 		t.Fatalf("answered task: %+v", got)

@@ -42,11 +42,6 @@ type Config struct {
 	// that lets a crashed service recover snapshot + journal tail.
 	// *store.WAL satisfies it.
 	Journal Journal
-	// Shards selects how many lock shards the store and queue are split
-	// into (rounded up to a power of two). 0 selects the auto default:
-	// GOMAXPROCS rounded up. 1 reproduces the historical single-lock
-	// behavior exactly.
-	Shards int
 	// TraceCapacity bounds the lifecycle trace ring buffer (total events
 	// retained). 0 selects trace.DefaultCapacity; negative disables
 	// tracing entirely.
@@ -129,17 +124,14 @@ func New(cfg Config) *System {
 	if cfg.Clock == nil {
 		cfg.Clock = sim.WallClock{}
 	}
-	// The queue holds the write lock of the store shard owning a task
-	// while mutating its state, so every store-side view read (handlers,
-	// snapshots, aggregators) is race-free under that shard's read lock.
-	// Store and queue use the same shard count and the same id&mask
-	// placement, so a task's queue entry, its leases and its stored
-	// record always live on the same shard index.
-	st := store.NewSharded(cfg.Shards)
+	// The queue holds the store's write lock while mutating a task's state,
+	// so every store-side view read (handlers, snapshots, aggregators) is
+	// race-free under the read lock.
+	st := store.New()
 	s := &System{
 		cfg:   cfg,
 		store: st,
-		queue: queue.NewSharded(cfg.LeaseTTL, st.Shards(), st),
+		queue: queue.NewLocked(cfg.LeaseTTL, st),
 		rep:   quality.NewReputation(cfg.ReputationPrior, cfg.ReputationWeight),
 		clock: cfg.Clock,
 		gold:  make(map[task.ID]task.Answer),
@@ -272,9 +264,9 @@ func (s *System) SubmitBatch(specs []SubmitSpec) []SubmitOutcome {
 }
 
 // SubmitBatchCtx creates and enqueues many tasks in one pass, inside one
-// core.submit_batch child span of the handle carried by ctx: each store and
-// queue shard lock is taken once per batch instead of once per task, and
-// all journal events are appended as one group (one write, one fsync under
+// core.submit_batch child span of the handle carried by ctx: the store and
+// queue locks are taken once per batch instead of once per task, and all
+// journal events are appended as one group (one write, one fsync under
 // sync-always). The returned slice is index-aligned with specs; an invalid
 // item never fails the rest. When the journal refuses the group every task
 // in it is withdrawn, so store, queue and journal never disagree about
@@ -399,15 +391,9 @@ func (s *System) setGold(items []submitItem, on bool) {
 }
 
 // emit appends one lifecycle event to the trace recorder, if tracing is on.
-// Core-level events carry the task's store-shard index, which matches the
-// queue-shard index by construction (same count, same id&mask placement).
 // A non-zero tr links the event to the request-scoped span tree.
 func (s *System) emit(stage trace.Stage, id task.ID, worker string, at time.Time, tr trace.TraceID) {
-	s.trace.Append(trace.Event{
-		TaskID: id, Stage: stage, At: at, Worker: worker,
-		Shard: int(id) & (s.store.Shards() - 1),
-		Trace: tr,
-	})
+	s.trace.Append(trace.Event{TaskID: id, Stage: stage, At: at, Worker: worker, Trace: tr})
 }
 
 // IsGold reports whether id is a gold probe.
@@ -418,9 +404,6 @@ func (s *System) IsGold(id task.ID) bool {
 	return ok
 }
 
-// Shards returns the effective shard count of the dispatch data plane.
-func (s *System) Shards() int { return s.store.Shards() }
-
 // NextTask is NextTaskCtx without a request context.
 func (s *System) NextTask(workerID string) (task.View, queue.LeaseID, error) {
 	return s.NextTaskCtx(context.Background(), workerID)
@@ -429,7 +412,7 @@ func (s *System) NextTask(workerID string) (task.View, queue.LeaseID, error) {
 // NextTaskCtx leases the best available task to workerID, returning an
 // immutable snapshot of it, or queue.ErrEmpty when nothing is available.
 // Under the span handle carried by ctx the lease runs inside a core.lease
-// child span with the queue's shard-lock wait recorded beneath it.
+// child span with the queue's lock wait recorded beneath it.
 // queue.ErrEmpty does not mark the span failed — an empty queue is an
 // answer, not an error.
 func (s *System) NextTaskCtx(ctx context.Context, workerID string) (task.View, queue.LeaseID, error) {
@@ -471,12 +454,9 @@ func (s *System) LeaseBatch(workerID string, max int) []queue.LeaseGrant {
 }
 
 // LeaseBatchCtx leases up to max available tasks to workerID in one call
-// (each queue shard lock taken at most twice per batch), inside one
-// core.lease_batch child span of the handle carried by ctx. It returns
-// however many grants were available; an empty batch is not an error.
-// Within a shard grants come out best-first; across shards the batch
-// draws round-robin from a rotating start, trading exact global priority
-// order for one-lock-per-shard batching (see queue.LeaseBatch).
+// (one hold of the queue lock), inside one core.lease_batch child span of
+// the handle carried by ctx. It returns however many grants were available,
+// best first; an empty batch is not an error.
 func (s *System) LeaseBatchCtx(ctx context.Context, workerID string, max int) []queue.LeaseGrant {
 	if workerID == "" || s.readOnly.Load() {
 		return nil
@@ -505,8 +485,8 @@ func (s *System) SubmitAnswerCtx(ctx context.Context, lease queue.LeaseID, a tas
 	return out[0].Err
 }
 
-// AnswerBatch records many lease answers in one call: the queue takes one
-// lock per shard per batch and the journal receives all answer events as
+// AnswerBatch records many lease answers in one call: the queue takes its
+// lock once per batch and the journal receives all answer events as
 // one group append. The returned slice is index-aligned with items; one
 // bad item (unknown lease, repeat worker) never fails the rest. When the
 // journal refuses the group, every item in it reports that error, exactly
@@ -710,11 +690,19 @@ func (s *System) TaskTrace(id task.ID) []trace.Event { return s.trace.TaskEvents
 // lease-to-answer spans as play time, completed tasks as outputs.
 func (s *System) GWAP() metrics.Report { return s.gwap.Report() }
 
-// ShardLockCounts returns the per-shard lock-acquisition counts of the
-// queue and the store, the raw material of the contention gauges on the
-// admin /metrics endpoint.
+// LockCounts returns the lock-acquisition counts of the queue and the
+// store, the raw material of the contention gauges on the admin /metrics
+// endpoint.
+func (s *System) LockCounts() (queueLocks, storeLocks int64) {
+	return s.queue.LockCount(), s.store.LockCount()
+}
+
+// ShardLockCounts is LockCounts as one-element slices. Kept for bench/
+// only, which is frozen while this lands; the next benchmark PR calls
+// LockCounts and deletes it.
 func (s *System) ShardLockCounts() (queueLocks, storeLocks []int64) {
-	return s.queue.ShardLockCounts(), s.store.ShardLockCounts()
+	q, st := s.LockCounts()
+	return []int64{q}, []int64{st}
 }
 
 // RequeueOpen re-enqueues every open task in the store. It is used after a

@@ -186,7 +186,7 @@ func serveDebugSpans(w http.ResponseWriter, r *http.Request, sys *core.System) {
 }
 
 // promFamilies gathers the system's observable state into Prometheus
-// families: lifecycle counters, queue/store occupancy, per-shard lock
+// families: lifecycle counters, queue/store occupancy, lock
 // acquisitions, stage-latency summaries from the trace recorder, live
 // GWAP throughput, WAL growth and per-route HTTP request stats.
 func promFamilies(sys *core.System, api *Server, opts AdminOptions) []metrics.PromFamily {
@@ -213,12 +213,12 @@ func promFamilies(sys *core.System, api *Server, opts AdminOptions) []metrics.Pr
 			"Seconds since the process started serving.", time.Since(opts.Start).Seconds()))
 	}
 
-	qLocks, sLocks := sys.ShardLockCounts()
+	qLocks, sLocks := sys.LockCounts()
 	fams = append(fams,
-		metrics.PromShardCounterFamily("hc_queue_shard_lock_acquisitions_total",
-			"Queue shard mutex acquisitions on the dispatch write path.", qLocks),
-		metrics.PromShardCounterFamily("hc_store_shard_lock_acquisitions_total",
-			"Store shard write-lock acquisitions.", sLocks),
+		metrics.PromCounterFamily("hc_queue_lock_acquisitions_total",
+			"Queue mutex acquisitions on the dispatch write path.", qLocks),
+		metrics.PromCounterFamily("hc_store_lock_acquisitions_total",
+			"Store write-lock acquisitions.", sLocks),
 	)
 
 	if rec := sys.Trace(); rec != nil {
@@ -403,7 +403,6 @@ func routeFamilies(snap []*routeStats) []metrics.PromFamily {
 		label := metrics.PromLabel{Name: "route", Value: rs.route}
 		for i, class := range codeClasses {
 			requests.Samples = append(requests.Samples, metrics.PromSample{
-				Shard:  -1,
 				Labels: []metrics.PromLabel{label, {Name: "code_class", Value: class}},
 				Value:  float64(rs.byClass[i].Value()),
 			})
@@ -421,18 +420,15 @@ func buildInfoFamily(sys *core.System, opts AdminOptions) metrics.PromFamily {
 	if version == "" {
 		version = "dev"
 	}
-	qLocks, _ := sys.ShardLockCounts()
 	return metrics.PromFamily{
 		Name: "hc_build_info",
 		Help: "Build and runtime identity; value is always 1.",
 		Kind: metrics.PromGauge,
 		Samples: []metrics.PromSample{{
-			Shard: -1,
 			Labels: []metrics.PromLabel{
 				{Name: "version", Value: version},
 				{Name: "goversion", Value: runtime.Version()},
 				{Name: "gomaxprocs", Value: strconv.Itoa(runtime.GOMAXPROCS(0))},
-				{Name: "shards", Value: strconv.Itoa(len(qLocks))},
 			},
 			Value: 1,
 		}},

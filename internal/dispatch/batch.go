@@ -12,7 +12,7 @@ import (
 // /v1/leases:answers move N submits, leases or answers in one HTTP
 // exchange. Each item carries its own status/error envelope, so one bad
 // item never fails the batch — the response is always 200 with
-// index-aligned per-item results. Underneath, core takes each shard lock
+// index-aligned per-item results. Underneath, core takes each lock
 // once per batch and the WAL appends the whole batch with one write and
 // one fsync, which is where the throughput multiple over the single-call
 // path comes from.
@@ -100,7 +100,7 @@ func checkBatchSize(w http.ResponseWriter, r *http.Request, n int) bool {
 // handleSubmitBatch serves POST /v1/tasks:batch. Items that fail request
 // validation (unknown kind, gold without expected answer) are reported in
 // their envelope without reaching the core; the remaining items go down as
-// one core.SubmitBatch, which takes each shard lock and the WAL once.
+// one core.SubmitBatch, which takes each lock and the WAL once.
 func (s *Server) handleSubmitBatch(e *exchange, r *http.Request) {
 	var req BatchSubmitRequest
 	if !e.decode(r, &req, maxBatchBody) {

@@ -276,8 +276,8 @@ func TestIdemSkipsOversizedBodies(t *testing.T) {
 }
 
 // TestBatchMixedWithSingleCallsRace soaks the batched and single-call
-// paths together; run with -race it pins down that batch shard grouping
-// does not break the locking discipline.
+// paths together; run with -race it pins down that holding the locks
+// across a batch does not break the locking discipline.
 func TestBatchMixedWithSingleCallsRace(t *testing.T) {
 	c, _ := newTestServer(t)
 	const workers = 4

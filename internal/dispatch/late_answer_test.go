@@ -10,6 +10,7 @@ import (
 
 	"humancomp/internal/core"
 	"humancomp/internal/queue"
+	"humancomp/internal/sim"
 	"humancomp/internal/task"
 )
 
@@ -96,6 +97,54 @@ func TestLateAnswerIs409(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestOldFormLeaseIDIsAnUnknownLease: a lease ID used to carry the index of
+// one of several lock shards in its low bits (seq<<3 | 5 on an eight-shard
+// node); it is now the sequence number alone. Leases are never persisted, so
+// a worker that kept such an ID across a restart holds a number this process
+// never granted, and gets exactly what a worker whose lease has expired gets
+// — 404 "queue: unknown or expired lease" — on answer, release and as a
+// batch item, with a live lease outstanding beside it.
+func TestOldFormLeaseIDIsAnUnknownLease(t *testing.T) {
+	clk := sim.NewSimulator(time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC))
+	cfg := core.DefaultConfig()
+	cfg.Clock = clk
+	srv := httptest.NewServer(NewServer(core.New(cfg)))
+	t.Cleanup(srv.Close)
+	c := NewClient(srv.URL, srv.Client())
+
+	for i := 0; i < 2; i++ {
+		if _, err := c.Submit(task.Label, task.Payload{ImageID: 1 + i}, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, expired, err := c.Next("gone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.Run(clk.Now().Add(cfg.LeaseTTL + time.Second))
+	if _, _, err := c.Next("here"); err != nil { // a live lease in the table
+		t.Fatal(err)
+	}
+
+	const oldForm = queue.LeaseID(41<<3 | 5)
+	a := task.Answer{Words: []int{1}}
+	for _, lease := range []queue.LeaseID{expired, oldForm} {
+		for op, err := range map[string]error{"answer": c.Answer(lease, a), "release": c.Release(lease)} {
+			var apiErr *APIError
+			if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound || apiErr.Message != queue.ErrUnknownLease.Error() {
+				t.Errorf("%s on lease %d = %v, want 404 %q", op, lease, err, queue.ErrUnknownLease)
+			}
+		}
+		res, err := c.AnswerBatch([]BatchAnswerItem{{Lease: lease, Answer: a}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[0].Status != http.StatusNotFound || res[0].Error != queue.ErrUnknownLease.Error() {
+			t.Errorf("batch answer on lease %d = %+v, want 404 %q", lease, res[0], queue.ErrUnknownLease)
 		}
 	}
 }

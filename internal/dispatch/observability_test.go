@@ -341,6 +341,9 @@ func TestAdminHandlerMetricsAndProbes(t *testing.T) {
 		"hc_store_tasks":           "1",
 		"hc_gwap_outputs_total":    "1",
 		"hc_gwap_sessions_total":   "1",
+		// One lock hold per request: enqueue, lease, answer; put, record.
+		"hc_queue_lock_acquisitions_total":                                     "3",
+		"hc_store_lock_acquisitions_total":                                     "2",
 		`hc_http_requests_total{route="POST /v1/tasks",code_class="2xx"}`:      "1",
 		`hc_http_requests_total{route="POST /v1/tasks",code_class="5xx"}`:      "0",
 		`hc_http_request_duration_seconds_count{route="POST /v1/leases/{id}"}`: "1",
@@ -355,8 +358,6 @@ func TestAdminHandlerMetricsAndProbes(t *testing.T) {
 		"hc_gwap_alp_minutes",
 		"hc_gwap_expected_contribution",
 		"hc_trace_events_retained",
-		`hc_queue_shard_lock_acquisitions_total{shard="0"}`,
-		`hc_store_shard_lock_acquisitions_total{shard="0"}`,
 		`hc_task_time_in_queue_seconds_bucket{le="+Inf"}`,
 		"hc_task_time_in_queue_seconds_count",
 		"hc_task_lease_to_answer_seconds_count",

@@ -72,14 +72,14 @@ func TestWriteOpenMetricsGolden(t *testing.T) {
 	at := time.Unix(1754000000, 250_000_000).UTC()
 	fams := []PromFamily{
 		PromCounterFamily("hc_spans_started_total", "Span trees checked out.", 3),
-		{Name: "hc_custom", Kind: PromUntyped, Samples: []PromSample{{Shard: -1, Value: 1.5}}},
+		{Name: "hc_custom", Kind: PromUntyped, Samples: []PromSample{{Value: 1.5}}},
 		{Name: "hc_req_seconds", Help: "Request latency.", Kind: PromHistogram, Samples: []PromSample{
-			{Suffix: "_bucket", Shard: -1, Labels: []PromLabel{{Name: "le", Value: "0.001"}},
+			{Suffix: "_bucket", Labels: []PromLabel{{Name: "le", Value: "0.001"}},
 				Value: 1, Exemplar: &PromExemplar{
 					TraceID: "0123456789abcdef0123456789abcdef", Value: 0.0007, At: at}},
-			{Suffix: "_bucket", Shard: -1, Labels: []PromLabel{{Name: "le", Value: "+Inf"}}, Value: 2},
-			{Suffix: "_sum", Shard: -1, Value: 0.1},
-			{Suffix: "_count", Shard: -1, Value: 2},
+			{Suffix: "_bucket", Labels: []PromLabel{{Name: "le", Value: "+Inf"}}, Value: 2},
+			{Suffix: "_sum", Value: 0.1},
+			{Suffix: "_count", Value: 2},
 		}},
 	}
 	var sb strings.Builder

@@ -71,10 +71,8 @@ type PromSample struct {
 	Suffix string
 	// Quantile, when non-empty, emits a {quantile="..."} label (summaries).
 	Quantile string
-	// Shard, when >= 0, emits a {shard="N"} label. Use -1 for none.
-	Shard int
 	// Labels are additional name="value" pairs, rendered before the
-	// structural quantile/shard labels.
+	// quantile label.
 	Labels []PromLabel
 	Value  float64
 	// Exemplar, when non-nil, attaches an OpenMetrics exemplar.
@@ -93,22 +91,13 @@ type PromFamily struct {
 // PromCounterFamily is a single-sample counter family.
 func PromCounterFamily(name, help string, v int64) PromFamily {
 	return PromFamily{Name: name, Help: help, Kind: PromCounter,
-		Samples: []PromSample{{Shard: -1, Value: float64(v)}}}
+		Samples: []PromSample{{Value: float64(v)}}}
 }
 
 // PromGaugeFamily is a single-sample gauge family.
 func PromGaugeFamily(name, help string, v float64) PromFamily {
 	return PromFamily{Name: name, Help: help, Kind: PromGauge,
-		Samples: []PromSample{{Shard: -1, Value: v}}}
-}
-
-// PromShardCounterFamily spreads per-shard counts over {shard="i"} samples.
-func PromShardCounterFamily(name, help string, counts []int64) PromFamily {
-	f := PromFamily{Name: name, Help: help, Kind: PromCounter}
-	for i, c := range counts {
-		f.Samples = append(f.Samples, PromSample{Shard: i, Value: float64(c)})
-	}
-	return f
+		Samples: []PromSample{{Value: v}}}
 }
 
 // PromSummaryFamily renders a histogram as a summary: p50/p90/p99 quantile
@@ -116,11 +105,11 @@ func PromShardCounterFamily(name, help string, counts []int64) PromFamily {
 func PromSummaryFamily(name, help string, h *Histogram) PromFamily {
 	count := h.Count()
 	return PromFamily{Name: name, Help: help, Kind: PromSummary, Samples: []PromSample{
-		{Quantile: "0.5", Shard: -1, Value: h.Quantile(0.5)},
-		{Quantile: "0.9", Shard: -1, Value: h.Quantile(0.9)},
-		{Quantile: "0.99", Shard: -1, Value: h.Quantile(0.99)},
-		{Suffix: "_sum", Shard: -1, Value: h.Mean() * float64(count)},
-		{Suffix: "_count", Shard: -1, Value: float64(count)},
+		{Quantile: "0.5", Value: h.Quantile(0.5)},
+		{Quantile: "0.9", Value: h.Quantile(0.9)},
+		{Quantile: "0.99", Value: h.Quantile(0.99)},
+		{Suffix: "_sum", Value: h.Mean() * float64(count)},
+		{Suffix: "_count", Value: float64(count)},
 	}}
 }
 
@@ -139,7 +128,6 @@ func PromHistogramSamples(h *LatencyHist, ex *ExemplarSet, labels ...PromLabel) 
 	bucket := func(le string, count int64, slot int) PromSample {
 		s := PromSample{
 			Suffix: "_bucket",
-			Shard:  -1,
 			Labels: append(labels[:len(labels):len(labels)], PromLabel{Name: "le", Value: le}),
 			Value:  float64(count),
 		}
@@ -155,8 +143,8 @@ func PromHistogramSamples(h *LatencyHist, ex *ExemplarSet, labels ...PromLabel) 
 	count := h.Count()
 	return append(samples,
 		bucket("+Inf", count, len(ExemplarBounds)),
-		PromSample{Suffix: "_sum", Shard: -1, Labels: labels, Value: h.Sum().Seconds()},
-		PromSample{Suffix: "_count", Shard: -1, Labels: labels, Value: float64(count)},
+		PromSample{Suffix: "_sum", Labels: labels, Value: h.Sum().Seconds()},
+		PromSample{Suffix: "_count", Labels: labels, Value: float64(count)},
 	)
 }
 
@@ -207,14 +195,11 @@ func escapeLabelValue(s string) string {
 }
 
 // writeLabels renders the merged label set of s: explicit Labels first,
-// then the structural quantile/shard label.
+// then the quantile label.
 func writeLabels(b *strings.Builder, s PromSample) {
 	extra := ""
-	switch {
-	case s.Quantile != "":
+	if s.Quantile != "" {
 		extra = `quantile="` + s.Quantile + `"`
-	case s.Shard >= 0:
-		extra = `shard="` + strconv.Itoa(s.Shard) + `"`
 	}
 	if len(s.Labels) == 0 && extra == "" {
 		return

@@ -20,7 +20,7 @@ func TestGauge(t *testing.T) {
 }
 
 // TestWritePromGolden pins the exact exposition bytes: HELP/TYPE comments,
-// plain samples, shard and quantile labels, summary suffixes. Any format
+// plain samples, explicit and quantile labels, summary suffixes. Any format
 // drift that would break a scraper breaks this test first.
 func TestWritePromGolden(t *testing.T) {
 	h := NewHistogram(64)
@@ -30,9 +30,12 @@ func TestWritePromGolden(t *testing.T) {
 	fams := []PromFamily{
 		PromCounterFamily("hc_tasks_submitted_total", "Tasks accepted.", 42),
 		PromGaugeFamily("hc_queue_open_tasks", "Tasks still collecting answers.", 7),
-		PromShardCounterFamily("hc_queue_shard_lock_acquisitions_total", "Lock grabs.", []int64{3, 0}),
+		{Name: "hc_http_requests_total", Help: "Responses sent.", Kind: PromCounter, Samples: []PromSample{
+			{Labels: []PromLabel{{Name: "route", Value: "GET /v1/tasks/{id}"}, {Name: "code_class", Value: "2xx"}}, Value: 3},
+			{Labels: []PromLabel{{Name: "route", Value: "GET /v1/tasks/{id}"}, {Name: "code_class", Value: "4xx"}}, Value: 0},
+		}},
 		PromSummaryFamily("hc_task_time_in_queue_seconds", "Enqueue to first lease.", h),
-		{Name: "hc_custom", Kind: PromUntyped, Samples: []PromSample{{Shard: -1, Value: 1.5}}},
+		{Name: "hc_custom", Kind: PromUntyped, Samples: []PromSample{{Value: 1.5}}},
 	}
 	var sb strings.Builder
 	if err := WriteProm(&sb, fams); err != nil {
@@ -44,10 +47,10 @@ hc_tasks_submitted_total 42
 # HELP hc_queue_open_tasks Tasks still collecting answers.
 # TYPE hc_queue_open_tasks gauge
 hc_queue_open_tasks 7
-# HELP hc_queue_shard_lock_acquisitions_total Lock grabs.
-# TYPE hc_queue_shard_lock_acquisitions_total counter
-hc_queue_shard_lock_acquisitions_total{shard="0"} 3
-hc_queue_shard_lock_acquisitions_total{shard="1"} 0
+# HELP hc_http_requests_total Responses sent.
+# TYPE hc_http_requests_total counter
+hc_http_requests_total{route="GET /v1/tasks/{id}",code_class="2xx"} 3
+hc_http_requests_total{route="GET /v1/tasks/{id}",code_class="4xx"} 0
 # HELP hc_task_time_in_queue_seconds Enqueue to first lease.
 # TYPE hc_task_time_in_queue_seconds summary
 hc_task_time_in_queue_seconds{quantile="0.5"} 0.25
@@ -65,9 +68,9 @@ hc_custom 1.5
 
 func TestWritePromSpecialValues(t *testing.T) {
 	fams := []PromFamily{{Name: "x", Kind: PromGauge, Samples: []PromSample{
-		{Shard: -1, Value: math.Inf(1)},
-		{Suffix: "_neg", Shard: -1, Value: math.Inf(-1)},
-		{Suffix: "_nan", Shard: -1, Value: math.NaN()},
+		{Value: math.Inf(1)},
+		{Suffix: "_neg", Value: math.Inf(-1)},
+		{Suffix: "_nan", Value: math.NaN()},
 	}}}
 	var sb strings.Builder
 	if err := WriteProm(&sb, fams); err != nil {
@@ -81,7 +84,7 @@ func TestWritePromSpecialValues(t *testing.T) {
 
 func TestWritePromHelpEscaping(t *testing.T) {
 	fams := []PromFamily{{Name: "x", Help: "line\nbreak \\ slash", Kind: PromCounter,
-		Samples: []PromSample{{Shard: -1, Value: 0}}}}
+		Samples: []PromSample{{Value: 0}}}}
 	var sb strings.Builder
 	if err := WriteProm(&sb, fams); err != nil {
 		t.Fatalf("WriteProm: %v", err)
@@ -100,7 +103,7 @@ func TestWritePromRejectsInvalidNames(t *testing.T) {
 	}
 	// A bad suffix must be caught too.
 	err := WriteProm(&strings.Builder{}, []PromFamily{{Name: "ok", Kind: PromCounter,
-		Samples: []PromSample{{Suffix: "-bad", Shard: -1}}}})
+		Samples: []PromSample{{Suffix: "-bad"}}}})
 	if err == nil {
 		t.Error("WriteProm accepted invalid sample suffix")
 	}

@@ -50,7 +50,7 @@ type Config struct {
 	ReadHeaderTimeout, ReadTimeout, WriteTimeout, IdleTimeout time.Duration
 	MaxHeaderBytes                                            int
 
-	// Core carries -lease-ttl, -shards, -trace-capacity, -quality-*,
+	// Core carries -lease-ttl, -trace-capacity, -quality-*,
 	// -confidence-target and -span*; Open supplies Journal.
 	Core core.Config
 	// API carries -rate, -burst, -request-timeout, -max-inflight and
@@ -173,7 +173,7 @@ func (n *Node) boot(policy store.SyncPolicy) error {
 		cfg.Core.Journal = n.journal
 	}
 	n.sys = core.New(cfg.Core)
-	n.log.Info("dispatch core ready", "shards", n.sys.Shards())
+	n.log.Info("dispatch core ready")
 	if following {
 		n.sys.SetReadOnly(true)
 		// Adopt the leader's snapshot as our own (chained followers can

@@ -2,14 +2,16 @@ package queue
 
 import (
 	"errors"
+	"slices"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"humancomp/internal/task"
 )
 
 func TestAddBatchPartialFailure(t *testing.T) {
-	q := NewSharded(time.Minute, 4, nil)
+	q := New(time.Minute)
 	if err := q.Add(newTask(t, 2, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -44,50 +46,56 @@ func TestAddBatchPartialFailure(t *testing.T) {
 	}
 }
 
-func TestLeaseBatchSpreadsAcrossShards(t *testing.T) {
-	const shards = 4
-	q := NewSharded(time.Minute, shards, nil)
-	// Four tasks per shard: placement is id & (shards-1).
-	for id := task.ID(1); id <= 16; id++ {
-		if err := q.Add(newTask(t, id, 0, 1)); err != nil {
-			t.Fatal(err)
+// TestLeaseBatchMatchesSingleLeases: for any backlog — mixed priority, age
+// and redundancy, some slots already held by another worker — LeaseBatch(max)
+// grants the tasks max consecutive Lease calls grant on an identical queue,
+// in the same order.
+func TestLeaseBatchMatchesSingleLeases(t *testing.T) {
+	type spec struct {
+		Priority   int8
+		Age        uint8
+		Redundancy uint8
+		Held       bool // another worker leases a slot first
+	}
+	build := func(specs []spec) *Queue {
+		q := New(time.Minute)
+		for i, sp := range specs {
+			tk := newTask(t, task.ID(i+1), int(sp.Priority), int(sp.Redundancy%3)+1)
+			tk.CreatedAt = t0.Add(time.Duration(sp.Age) * time.Second)
+			if err := q.Add(tk); err != nil {
+				t.Fatal(err)
+			}
+			if sp.Held {
+				if _, _, err := q.LeaseTask(tk.ID, "other", t0); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
+		return q
 	}
-	grants := q.LeaseBatch("w", 8, t0)
-	if len(grants) != 8 {
-		t.Fatalf("leased %d, want 8", len(grants))
-	}
-	perShard := make(map[uint64]int)
-	for _, g := range grants {
-		perShard[uint64(g.Task.ID)&(shards-1)]++
-	}
-	// Pass 0 caps each shard at ceil(8/4) = 2, and every shard has work,
-	// so the batch must draw exactly evenly.
-	for sh := uint64(0); sh < shards; sh++ {
-		if perShard[sh] != 2 {
-			t.Fatalf("shard %d contributed %d leases, want 2 (dist %v)", sh, perShard[sh], perShard)
+	prop := func(specs []spec, maxRaw uint8) bool {
+		max := int(maxRaw%16) + 1
+		var single []task.ID
+		for q := build(specs); len(single) < max; {
+			v, _, err := q.Lease("w", t0)
+			if err != nil {
+				break
+			}
+			single = append(single, v.ID)
 		}
-	}
-}
-
-func TestLeaseBatchTopsUpFromSkewedShards(t *testing.T) {
-	const shards = 4
-	q := NewSharded(time.Minute, shards, nil)
-	// All work lives on shard 0 (IDs divisible by 4).
-	for i := 1; i <= 6; i++ {
-		if err := q.Add(newTask(t, task.ID(i*shards), 0, 1)); err != nil {
-			t.Fatal(err)
+		var batch []task.ID
+		for _, g := range build(specs).LeaseBatch("w", max, t0) {
+			batch = append(batch, g.Task.ID)
 		}
+		return slices.Equal(batch, single)
 	}
-	// Quota alone would allow only ceil(6/4)=2 from shard 0; the top-up
-	// pass must still fill the batch.
-	if grants := q.LeaseBatch("w", 6, t0); len(grants) != 6 {
-		t.Fatalf("leased %d from skewed queue, want 6", len(grants))
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestLeaseBatchRespectsEligibility(t *testing.T) {
-	q := NewSharded(time.Minute, 2, nil)
+	q := New(time.Minute)
 	// Redundancy 1: one lease consumes the only slot.
 	if err := q.Add(newTask(t, 1, 0, 1)); err != nil {
 		t.Fatal(err)
@@ -102,7 +110,7 @@ func TestLeaseBatchRespectsEligibility(t *testing.T) {
 }
 
 func TestCompleteBatchPartialFailure(t *testing.T) {
-	q := NewSharded(time.Minute, 4, nil)
+	q := New(time.Minute)
 	for id := task.ID(1); id <= 3; id++ {
 		if err := q.Add(newTask(t, id, 0, 1)); err != nil {
 			t.Fatal(err)

@@ -20,7 +20,7 @@ func TestLateAnswerIsWrongStatus(t *testing.T) {
 		for _, dropped := range []bool{false, true} {
 			for _, batch := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/dropped=%v/batch=%v", end, dropped, batch), func(t *testing.T) {
-					q := NewSharded(time.Minute, 2, nil)
+					q := New(time.Minute)
 					tk := newTask(t, 1, 0, 3)
 					if err := q.Add(tk); err != nil {
 						t.Fatal(err)

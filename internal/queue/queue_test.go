@@ -3,6 +3,7 @@ package queue
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -482,7 +483,7 @@ func TestLeaseTaskTargeted(t *testing.T) {
 }
 
 // TestLeaseTaskExpiresStaleLeases checks a targeted lease reclaims expired
-// leases on its shard first, so a crashed holder does not block the slot.
+// leases first, so a crashed holder does not block the slot.
 func TestLeaseTaskExpiresStaleLeases(t *testing.T) {
 	q := New(time.Minute)
 	if err := q.Add(newTask(t, 1, 0, 1)); err != nil {
@@ -507,8 +508,7 @@ func TestLeaseTaskExpiresStaleLeases(t *testing.T) {
 // by the first call made once it is due.
 func TestCompleteSkipsSweepUntilALeaseIsDue(t *testing.T) {
 	const n = 10_000
-	q := NewSharded(time.Minute, 1, nil)
-	sh := q.shards[0]
+	q := New(time.Minute)
 	for i := 1; i <= n+1; i++ {
 		if err := q.Add(newTask(t, task.ID(i), 0, 1)); err != nil {
 			t.Fatal(err)
@@ -526,8 +526,8 @@ func TestCompleteSkipsSweepUntilALeaseIsDue(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if sh.sweeps != 0 {
-		t.Fatalf("%d sweeps while granting leases with none due", sh.sweeps)
+	if q.sweeps != 0 {
+		t.Fatalf("%d sweeps while granting leases with none due", q.sweeps)
 	}
 	if _, err := q.Complete(leases[0], answer(1), t0.Add(29*time.Second)); err != nil {
 		t.Fatal(err)
@@ -535,16 +535,16 @@ func TestCompleteSkipsSweepUntilALeaseIsDue(t *testing.T) {
 	if err := q.Release(leases[1], t0.Add(29*time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if sh.sweeps != 0 {
-		t.Fatalf("Complete and Release swept the lease table %d times with nothing due", sh.sweeps)
+	if q.sweeps != 0 {
+		t.Fatalf("Complete and Release swept the lease table %d times with nothing due", q.sweeps)
 	}
 	// The early lease is due at t0+30s. The next call — whatever it is —
 	// reclaims it, and only it.
 	if _, err := q.Complete(leases[2], answer(1), t0.Add(30*time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if got := q.Stats(); sh.sweeps != 1 || got.ExpiredLeases != 1 || got.InFlight != n-3 {
-		t.Fatalf("after the early lease fell due: %d sweeps, stats %+v; want 1 sweep, 1 expired, %d in flight", sh.sweeps, got, n-3)
+	if got := q.Stats(); q.sweeps != 1 || got.ExpiredLeases != 1 || got.InFlight != n-3 {
+		t.Fatalf("after the early lease fell due: %d sweeps, stats %+v; want 1 sweep, 1 expired, %d in flight", q.sweeps, got, n-3)
 	}
 	if tk, _, err := q.LeaseTask(early.ID, "late", t0.Add(30*time.Second)); err != nil || tk.ID != early.ID {
 		t.Fatalf("reclaimed task not leasable again: %v, %v", tk, err)
@@ -554,10 +554,141 @@ func TestCompleteSkipsSweepUntilALeaseIsDue(t *testing.T) {
 	if _, err := q.Complete(leases[3], answer(1), t0.Add(59*time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if sh.sweeps != 1 {
-		t.Fatalf("%d sweeps, want still 1 before the next lease is due", sh.sweeps)
+	if q.sweeps != 1 {
+		t.Fatalf("%d sweeps, want still 1 before the next lease is due", q.sweeps)
 	}
 	if reclaimed := q.ExpireLeases(t0.Add(60 * time.Second)); reclaimed != n-4 {
 		t.Fatalf("reclaimed %d leases at their expiry, want %d", reclaimed, n-4)
+	}
+}
+
+// TestConcurrentLeasesAreExactBestFirst: leases are granted under the one
+// lock, in lease-ID order, so however many workers lease at once no grant
+// ever passes over a strictly better task that was still unleased.
+func TestConcurrentLeasesAreExactBestFirst(t *testing.T) {
+	const nTasks, nWorkers = 400, 8 // a lease scans past every fully leased task: keep the backlog small
+	q := New(time.Minute)
+	r := rand.New(rand.NewSource(7))
+	for i := 1; i <= nTasks; i++ {
+		tk := newTask(t, task.ID(i), r.Intn(5), 1)
+		tk.CreatedAt = t0.Add(time.Duration(r.Intn(50)) * time.Second)
+		if err := q.Add(tk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	granted := make([]*task.Task, nTasks+1) // by lease ID, which counts grants from 1
+	var wg sync.WaitGroup
+	for w := 0; w < nWorkers; w++ {
+		wg.Add(1)
+		go func(worker string) {
+			defer wg.Done()
+			for {
+				v, lease, err := q.Lease(worker, t0)
+				if err != nil {
+					return
+				}
+				tk := task.Task(v)
+				granted[lease] = &tk
+			}
+		}(fmt.Sprintf("w%d", w))
+	}
+	wg.Wait()
+	h := taskHeap{{t: granted[1]}, nil}
+	for lease := 2; lease <= nTasks; lease++ {
+		if granted[lease] == nil {
+			t.Fatalf("lease %d of %d never granted", lease, nTasks)
+		}
+		h[1] = &entry{t: granted[lease]}
+		if h.Less(1, 0) {
+			t.Fatalf("lease %d went to task %d (priority %d, created %v) while the better task %d (priority %d, created %v) of lease %d was unleased",
+				lease-1, h[0].t.ID, h[0].t.Priority, h[0].t.CreatedAt, h[1].t.ID, h[1].t.Priority, h[1].t.CreatedAt, lease)
+		}
+		h[0] = h[1]
+	}
+}
+
+// openByWalk is what Stats().Open used to compute: a walk over every entry.
+func openByWalk(q *Queue) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	n := 0
+	for _, e := range q.entries {
+		if e.t.Status == task.Open {
+			n++
+		}
+	}
+	return n
+}
+
+// TestStatsOpenMatchesWalk drives a seeded mix of every operation that
+// moves a task into or out of Open and checks the O(1) count against the
+// brute-force walk after each step.
+func TestStatsOpenMatchesWalk(t *testing.T) {
+	q := New(time.Minute)
+	r := rand.New(rand.NewSource(11))
+	now, next := t0, task.ID(1)
+	var held []LeaseID
+	for step := 0; step < 3000; step++ {
+		now = now.Add(time.Duration(r.Intn(4)) * time.Second)
+		switch op := r.Intn(16); {
+		case op < 4:
+			if err := q.Add(newTask(t, next, r.Intn(3), 1+r.Intn(3))); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		case op < 9:
+			if _, l, err := q.Lease(fmt.Sprintf("w%d", r.Intn(6)), now); err == nil {
+				held = append(held, l)
+			}
+		case op < 13:
+			if len(held) > 0 {
+				i := r.Intn(len(held))
+				_, _ = q.Complete(held[i], answer(step), now) // an expired lease is refused: also a case
+				held = append(held[:i], held[i+1:]...)
+			}
+		case op < 14:
+			_ = q.Cancel(task.ID(1+r.Intn(int(next))), now)
+		case op < 15:
+			q.FinishEarly(task.ID(1+r.Intn(int(next))), now)
+		default:
+			_ = q.Remove(task.ID(1 + r.Intn(int(next))))
+			now = now.Add(time.Minute) // and let every outstanding lease fall due
+			q.ExpireLeases(now)
+		}
+		if got, want := q.Stats().Open, openByWalk(q); got != want {
+			t.Fatalf("step %d: Stats().Open = %d, a walk finds %d", step, got, want)
+		}
+	}
+	if q.Stats().Open == 0 || int(next) < 500 {
+		t.Fatalf("the mix left nothing to count: %+v after %d adds", q.Stats(), next-1)
+	}
+}
+
+// TestStatsVisitsNoEntry: Stats runs on every /metrics scrape and every GET
+// /v1/stats under the lock every lease and answer needs, so it must not
+// walk the backlog. With 50 000 open tasks it allocates nothing, and it
+// still answers after every entry has lost its task — a walk would
+// dereference them.
+func TestStatsVisitsNoEntry(t *testing.T) {
+	const n = 50_000
+	q := New(time.Minute)
+	for i := 1; i <= n; i++ {
+		if err := q.Add(newTask(t, task.ID(i), 0, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := q.Lease("w", t0); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range q.entries {
+		e.t = nil
+	}
+	want := Stats{Open: n, InFlight: 1}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if got := q.Stats(); got != want {
+			t.Fatalf("Stats() = %+v, want %+v", got, want)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Stats allocates %.0f times", allocs)
 	}
 }

@@ -51,7 +51,7 @@ func TestReplayAllocatesWhatItKeeps(t *testing.T) {
 		}
 	}
 
-	s := NewSharded(4)
+	s := New()
 	replay := func(log *bytes.Buffer) func() {
 		return func() {
 			if st, err := ReplayWAL(bytes.NewReader(log.Bytes()), s); err != nil || st.Applied != n {
@@ -59,9 +59,9 @@ func TestReplayAllocatesWhatItKeeps(t *testing.T) {
 			}
 		}
 	}
-	// Replay once and empty the store again, so that the shard maps have
-	// their slots (a Go map never shrinks) and the measured replay is not
-	// charged for growing them.
+	// Replay once and empty the store again, so that the task map has
+	// its slots (a Go map never shrinks) and the measured replay is not
+	// charged for growing it.
 	replay(&submits)()
 	for id := task.ID(1); id <= n; id++ {
 		s.Delete(id)
@@ -88,7 +88,7 @@ func TestCheckpointEncodeDoesNotAllocate(t *testing.T) {
 		t.Skip("allocation counts are not the production ones under the race detector")
 	}
 	for _, n := range []int{1000, 16000} {
-		s := NewSharded(4)
+		s := New()
 		for i := 1; i <= n; i++ {
 			s.Put(&task.Task{ID: task.ID(i), Kind: task.Compare, Payload: task.Payload{ImageID: i, ImageB: i + 1}, Redundancy: 3, Priority: i % 4, CreatedAt: t0})
 		}
@@ -99,7 +99,7 @@ func TestCheckpointEncodeDoesNotAllocate(t *testing.T) {
 		})
 		ids := int64(8 * n)
 		t.Logf("%d tasks: %d allocs, %d B (the ID list is %d B)", n, objects, size, ids)
-		// The ID list doubles its way up across the shards: under 3× its size.
+		// The ID list is sized once; the bound is the one it met when it grew by doubling.
 		if objects > 40 || size > 3*ids+snapshotBufSize+8<<10 {
 			t.Fatalf("snapshot of %d answer-less tasks took %d allocations and %d B; want a constant few and the ID list", n, objects, size)
 		}

@@ -72,7 +72,7 @@ func decoderRestore(doc []byte) (tasks map[task.ID]*task.Task, version int, next
 // documents the json.Decoder-based restore accepted and builds the same
 // tasks, allocator position and sidecar from them.
 func FuzzRestoreMatchesDecoder(f *testing.F) {
-	src := NewSharded(2)
+	src := New()
 	for _, tk := range richTasks(4) {
 		src.Put(tk)
 	}
@@ -98,7 +98,7 @@ func FuzzRestoreMatchesDecoder(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		wantTasks, _, wantNext, wantCal, wantErr := decoderRestore(doc)
-		s := NewSharded(4)
+		s := New()
 		gotCal, gotErr := s.RestoreWith(bytes.NewReader(doc))
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("document %q\nRestore: %v\njson.Decoder: %v", doc, gotErr, wantErr)
@@ -106,12 +106,7 @@ func FuzzRestoreMatchesDecoder(f *testing.F) {
 		if gotErr != nil {
 			return
 		}
-		gotTasks := make(map[task.ID]*task.Task)
-		for _, sh := range s.shards {
-			for id, tk := range sh.tasks {
-				gotTasks[id] = tk
-			}
-		}
+		gotTasks := s.tasks
 		if !reflect.DeepEqual(gotTasks, wantTasks) || !bytes.Equal(gotCal, wantCal) {
 			t.Fatalf("document %q\nRestore: %d tasks, sidecar %q\njson.Decoder: %d tasks, sidecar %q", doc, len(gotTasks), gotCal, len(wantTasks), wantCal)
 		}
@@ -123,7 +118,7 @@ func FuzzRestoreMatchesDecoder(f *testing.F) {
 			t.Fatalf("document %q: allocator at %d, want %d", doc, got, want)
 		}
 		// A reader that delivers a byte at a time exercises every refill.
-		if _, err := NewSharded(1).RestoreWith(iotest.OneByteReader(bytes.NewReader(doc))); err != nil {
+		if _, err := New().RestoreWith(iotest.OneByteReader(bytes.NewReader(doc))); err != nil {
 			t.Fatalf("document %q restores whole but not a byte at a time: %v", doc, err)
 		}
 	})

@@ -49,7 +49,7 @@ func streamedBytes(t *testing.T, s *Store, calibration json.RawMessage) []byte {
 func richTasks(n int) []*task.Task {
 	out := make([]*task.Task, 0, n)
 	for i := 1; i <= n; i++ {
-		id := task.ID(i * 3) // gaps, so shard placement is uneven
+		id := task.ID(i * 3) // gaps in the ID space
 		tk := &task.Task{
 			ID:         id,
 			Kind:       task.Kind(i % 6),
@@ -89,24 +89,22 @@ func richTasks(n int) []*task.Task {
 const messyCalibration = "{ \"gold\" : {\"3\": {\"text\": \"a<b && c>d e\"}},\n\t\"reputation\": [1, 2.50, 3e2 ] }"
 
 // TestSnapshotMatchesReferenceEncoding pins the streamed writer to the
-// bytes json.Encoder produces for the whole document, at several shard
-// counts, with and without a sidecar, and for the empty store.
+// bytes json.Encoder produces for the whole document, with and without a
+// sidecar, and for the empty store.
 func TestSnapshotMatchesReferenceEncoding(t *testing.T) {
-	for _, shards := range []int{1, 2, 8} {
-		for _, n := range []int{0, 1, 257} {
-			for _, cal := range []json.RawMessage{nil, json.RawMessage(messyCalibration), json.RawMessage("null")} {
-				s := NewSharded(shards)
-				for _, tk := range richTasks(n) {
-					s.Put(tk)
-				}
-				got, want := streamedBytes(t, s, cal), referenceBytes(t, s, cal)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("shards=%d tasks=%d calibration=%q: streamed snapshot differs from the reference encoding\n got %s\nwant %s",
-						shards, n, cal, clip(got), clip(want))
-				}
-				if n == 0 && !bytes.Contains(got, []byte(`"tasks":[]`)) {
-					t.Fatalf("empty store encodes its tasks as %s", got)
-				}
+	for _, n := range []int{0, 1, 257} {
+		for _, cal := range []json.RawMessage{nil, json.RawMessage(messyCalibration), json.RawMessage("null")} {
+			s := New()
+			for _, tk := range richTasks(n) {
+				s.Put(tk)
+			}
+			got, want := streamedBytes(t, s, cal), referenceBytes(t, s, cal)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("tasks=%d calibration=%q: streamed snapshot differs from the reference encoding\n got %s\nwant %s",
+					n, cal, clip(got), clip(want))
+			}
+			if n == 0 && !bytes.Contains(got, []byte(`"tasks":[]`)) {
+				t.Fatalf("empty store encodes its tasks as %s", got)
 			}
 		}
 	}
@@ -132,31 +130,28 @@ func TestSnapshotGolden(t *testing.T) {
 		`{"task_id":2,"worker_id":"b \u003c\u0026\u003e","at":"2026-07-06T12:01:00Z","box":{"X":1,"Y":2,"W":3,"H":4},"text":"x","choice":1}]},` +
 		`{"id":5,"kind":3,"payload":{"word_img":"w.png"},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}` +
 		`],"calibration":{"gold":{"5":{"text":"w"}}}}` + "\n"
-	for _, shards := range []int{1, 4} {
-		s := NewSharded(shards)
-		cal, err := s.RestoreWith(strings.NewReader(golden))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := string(streamedBytes(t, s, cal)); got != golden {
-			t.Fatalf("shards=%d: golden snapshot came back as\n%s\nwant\n%s", shards, got, golden)
-		}
-		if id := s.NextID(); id != 10 {
-			t.Fatalf("NextID after restoring next_id 9 = %d", id)
-		}
+	s := New()
+	cal, err := s.RestoreWith(strings.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(streamedBytes(t, s, cal)); got != golden {
+		t.Fatalf("golden snapshot came back as\n%s\nwant\n%s", got, golden)
+	}
+	if id := s.NextID(); id != 10 {
+		t.Fatalf("NextID after restoring next_id 9 = %d", id)
 	}
 }
 
-// TestSnapshotRestoreIsAFixedPoint: streamed write → streamed restore (into
-// another shard count) → streamed write reproduces the bytes, sidecar
-// included.
+// TestSnapshotRestoreIsAFixedPoint: streamed write → streamed restore →
+// streamed write reproduces the bytes, sidecar included.
 func TestSnapshotRestoreIsAFixedPoint(t *testing.T) {
-	src := NewSharded(2)
+	src := New()
 	for _, tk := range richTasks(300) {
 		src.Put(tk)
 	}
 	first := streamedBytes(t, src, json.RawMessage(messyCalibration))
-	dst := NewSharded(8)
+	dst := New()
 	cal, err := dst.RestoreWith(bytes.NewReader(first))
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +226,7 @@ func TestRestoreDocumentShapes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := NewSharded(4)
+			s := New()
 			for _, tk := range richTasks(20) {
 				s.Put(tk)
 			}
@@ -288,7 +283,7 @@ func fillPlain(s *Store, n int) {
 // buffer at a time — never the table's worth of bytes in one Write, which is
 // what encoding the whole document first did.
 func TestSnapshotStreamsInBoundedWrites(t *testing.T) {
-	s := NewSharded(4)
+	s := New()
 	fillPlain(s, 20_000)
 	var w maxWrite
 	if err := s.Snapshot(&w); err != nil {
@@ -307,15 +302,15 @@ func TestSnapshotStreamsInBoundedWrites(t *testing.T) {
 // nor anything per field. Buffering the document before decoding it costs its
 // size again at the very least; decoding each task through encoding/json
 // cost 0.40 of it (answer and word slices grown an element at a time). The
-// hand-written decoder sizes every slice once, so what is left is the shard
-// maps doubling their way up and one read buffer — 0.08 of the document on
+// hand-written decoder sizes every slice once, so what is left is the task
+// map doubling its way up and one read buffer — 0.08 of the document on
 // these two-answer tasks, 0.12 under -race — and the bound sits at a fifth.
 func TestRestoreAllocatesStateNotDocument(t *testing.T) {
-	src := NewSharded(4)
+	src := New()
 	fillPlain(src, 20_000)
 	doc := streamedBytes(t, src, nil)
 
-	dst := NewSharded(4)
+	dst := New()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

@@ -5,21 +5,19 @@
 // with standard tools and stable across versions that do not change the
 // task schema.
 //
-// The table is sharded by task ID across a power-of-two number of
-// independently locked shards (default: GOMAXPROCS rounded up), so
-// concurrent writers on different tasks never contend on one global lock.
+// One RWMutex guards the table and the contents of every task in it; the
+// critical sections are a map operation or one task's copy.
 //
 // Every whole-table path — ViewAll, ViewByStatus, Snapshot, the dispatch
 // task list, the requeue after recovery — is one ordered walk: collect the
 // task IDs (8 bytes a task, the only whole-table allocation), sort them,
 // then visit the tasks in that order, copying each (Snapshot: encoding
-// each) under its own shard's read lock and never holding two locks at
-// once. The order is the one-shard order at any shard count (so the
-// snapshot bytes are too), and a walk over a live store is consistent per
-// task, not per shard or across the table: a task is copied whole, two
-// tasks may be copied either side of a concurrent write. Nothing that needs
-// more walks the table under traffic — a node snapshots at boot, before it
-// serves, and after it has drained.
+// each) under the read lock, which is taken per task and released before
+// the copy is handed on. A walk over a live store is therefore consistent
+// per task, not across the table: a task is copied whole, two tasks may be
+// copied either side of a concurrent write. Nothing that needs more walks
+// the table under traffic — a node snapshots at boot, before it serves,
+// and after it has drained.
 package store
 
 import (
@@ -28,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -40,111 +37,48 @@ import (
 // ErrNotFound is returned by Get for unknown task IDs.
 var ErrNotFound = errors.New("store: task not found")
 
-// AutoShards returns the default shard count: GOMAXPROCS rounded up to the
-// next power of two, capped at 64.
-func AutoShards() int {
-	n := shardCount(runtime.GOMAXPROCS(0))
-	if n > 64 {
-		n = 64
-	}
-	return n
-}
-
-// shardCount rounds n up to a power of two, with a floor of 1.
-func shardCount(n int) int {
-	if n < 1 {
-		return 1
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// shard is one independently locked slice of the task table.
+// Store is an in-memory task table. Safe for concurrent use.
 //
-// Locking discipline: mu guards the shard's map AND the contents of every
-// task stored in it. Components that mutate stored tasks in place (the
-// queue, via LockerFor) take the shard's write lock around each mutation,
-// which lets View and the ordered walk hand out consistent deep copies
-// under the read lock. Tasks are placed by id & mask, so a
-// task's stored record and the lock guarding it are determined by its ID
-// alone.
-type shard struct {
+// Locking discipline: mu guards the map AND the contents of every task
+// stored in it. Components that mutate stored tasks in place (the queue,
+// via LockerFor) take the write lock around each mutation, which lets View
+// and the ordered walk hand out consistent deep copies under the read lock.
+type Store struct {
 	mu     sync.RWMutex
 	tasks  map[task.ID]*task.Task
 	lockN  int64 // write-lock acquisitions, guarded by mu
-	locker shardLocker
-}
-
-// shardLocker is the sync.Locker LockerFor hands out: the shard's write
-// lock plus the acquisition counter behind the per-shard contention
-// metrics. One lives inside each shard, so LockerFor never allocates.
-type shardLocker struct {
-	sh *shard
-}
-
-// Lock acquires the shard's write lock and counts the acquisition.
-func (l *shardLocker) Lock() {
-	l.sh.mu.Lock()
-	l.sh.lockN++
-}
-
-// Unlock releases the shard's write lock.
-func (l *shardLocker) Unlock() { l.sh.mu.Unlock() }
-
-// Store is an in-memory task table. Safe for concurrent use.
-type Store struct {
-	shards []*shard
-	mask   uint64
 	nextID atomic.Int64
 	rec    *trace.Recorder // lifecycle event sink; nil records nothing
 }
 
-// New returns an empty store with the default (auto) shard count.
-func New() *Store { return NewSharded(0) }
+// New returns an empty store.
+func New() *Store { return &Store{tasks: make(map[task.ID]*task.Task)} }
 
-// NewSharded returns an empty store with n shards, rounded up to a power
-// of two; n <= 0 selects the auto default. NewSharded(1) behaves exactly
-// like the historical single-lock store.
-func NewSharded(n int) *Store {
-	if n <= 0 {
-		n = AutoShards()
-	}
-	n = shardCount(n)
-	s := &Store{shards: make([]*shard, n), mask: uint64(n - 1)}
-	for i := range s.shards {
-		sh := &shard{tasks: make(map[task.ID]*task.Task)}
-		sh.locker.sh = sh
-		s.shards[i] = sh
-	}
-	return s
-}
+// NewSharded is New. Kept for bench/ only, which is frozen while this
+// lands; the next benchmark PR calls New and deletes it.
+func NewSharded(int) *Store { return New() }
 
-// Shards returns the number of shards the store was built with.
-func (s *Store) Shards() int { return len(s.shards) }
+// Shards is 1. Kept for bench/ only; see NewSharded.
+func (s *Store) Shards() int { return 1 }
 
 // SetRecorder attaches a lifecycle trace recorder. It must be called
 // before the store sees traffic (the core does so at construction); a nil
 // recorder — the default — records nothing.
 func (s *Store) SetRecorder(rec *trace.Recorder) { s.rec = rec }
 
-// ShardLockCounts returns how many times each shard's write lock has been
-// acquired for a mutation (Put, Delete, or through LockerFor), indexed by
-// shard.
-func (s *Store) ShardLockCounts() []int64 {
-	out := make([]int64, len(s.shards))
-	for i, sh := range s.shards {
-		sh.mu.RLock()
-		out[i] = sh.lockN
-		sh.mu.RUnlock()
-	}
-	return out
+// LockCount returns how many times the write lock has been acquired for a
+// mutation (Put, PutBatch, Delete, or through LockerFor).
+func (s *Store) LockCount() int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.lockN
 }
 
-// shardFor returns the shard owning the given task ID.
-func (s *Store) shardFor(id task.ID) *shard { return s.shards[uint64(id)&s.mask] }
+// lock acquires the write lock and counts the acquisition.
+func (s *Store) lock() {
+	s.mu.Lock()
+	s.lockN++
+}
 
 // NextID allocates a fresh task ID. The allocator is a single atomic
 // word — no lock is taken on the submit path.
@@ -163,79 +97,56 @@ func (s *Store) advanceNextID(id task.ID) {
 
 // Put inserts or replaces a task.
 func (s *Store) Put(t *task.Task) {
-	sh := s.shardFor(t.ID)
-	sh.mu.Lock()
-	sh.lockN++
-	sh.tasks[t.ID] = t
-	sh.mu.Unlock()
+	s.lock()
+	s.tasks[t.ID] = t
+	s.mu.Unlock()
 	s.advanceNextID(t.ID)
-	s.rec.Append(trace.Event{
-		TaskID: t.ID, Stage: trace.StagePersist, At: t.CreatedAt,
-		Shard: int(uint64(t.ID) & s.mask),
-	})
+	s.rec.Append(trace.Event{TaskID: t.ID, Stage: trace.StagePersist, At: t.CreatedAt})
 }
 
-// PutBatch inserts or replaces many tasks, taking each shard's write lock
-// at most once per call instead of once per task: shards are visited in
-// index order and each picks its own tasks out of ts (no grouping map —
-// a batch of one costs what Put costs). Per-task trace events are still
-// emitted individually.
+// PutBatch inserts or replaces many tasks under one hold of the write
+// lock. Per-task trace events are still emitted individually.
 func (s *Store) PutBatch(ts []*task.Task) {
 	maxID := task.ID(0)
-	for i, sh := range s.shards {
-		locked := false
-		for _, t := range ts {
-			if uint64(t.ID)&s.mask != uint64(i) {
-				continue
-			}
-			if !locked {
-				sh.mu.Lock()
-				sh.lockN++
-				locked = true
-			}
-			sh.tasks[t.ID] = t
-			if t.ID > maxID {
-				maxID = t.ID
-			}
-		}
-		if locked {
-			sh.mu.Unlock()
-		}
+	s.lock()
+	for _, t := range ts {
+		s.tasks[t.ID] = t
+		maxID = max(maxID, t.ID)
 	}
+	s.mu.Unlock()
 	s.advanceNextID(maxID)
 	for _, t := range ts {
-		s.rec.Append(trace.Event{
-			TaskID: t.ID, Stage: trace.StagePersist, At: t.CreatedAt,
-			Shard: int(uint64(t.ID) & s.mask),
-		})
+		s.rec.Append(trace.Event{TaskID: t.ID, Stage: trace.StagePersist, At: t.CreatedAt})
 	}
 }
 
 // Delete removes a task; deleting an absent ID is a no-op. It is the
 // rollback half of Put for submissions that fail partway.
 func (s *Store) Delete(id task.ID) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	sh.lockN++
-	delete(sh.tasks, id)
-	sh.mu.Unlock()
+	s.lock()
+	delete(s.tasks, id)
+	s.mu.Unlock()
 }
 
-// LockerFor exposes the write lock of the shard guarding the given task's
-// contents. The queue holds it while recording answers or canceling, so
-// that concurrent view readers (which copy under the shard's read lock)
-// never race with a mutation. Callers must never hold two shard locks at
-// once; each mutation touches exactly one task, hence exactly one shard.
-func (s *Store) LockerFor(id task.ID) sync.Locker { return &s.shardFor(id).locker }
+// writeLocker is the sync.Locker LockerFor hands out: the store's write
+// lock plus the acquisition count.
+type writeLocker Store
+
+func (l *writeLocker) Lock()   { (*Store)(l).lock() }
+func (l *writeLocker) Unlock() { l.mu.Unlock() }
+
+// LockerFor exposes the write lock guarding the given task's contents. The
+// queue holds it while recording answers or canceling, so that concurrent
+// view readers (which copy under the read lock) never race with a mutation.
+func (s *Store) LockerFor(task.ID) sync.Locker { return (*writeLocker)(s) }
 
 // View returns an immutable deep-copy snapshot of the task with the given
 // ID, or ErrNotFound. This is the only safe way to read a task while the
 // queue is running.
 func (s *Store) View(id task.ID) (task.View, error) {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	t, ok := sh.tasks[id]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	t, ok := s.tasks[id]
 	if !ok {
 		return task.View{}, ErrNotFound
 	}
@@ -245,28 +156,26 @@ func (s *Store) View(id task.ID) (task.View, error) {
 // AnyStatus makes IDs and ViewByStatus select every task.
 const AnyStatus task.Status = -1
 
-// IDs returns, in ascending order, the ID of every stored task that had
-// status st (or any, for AnyStatus) when its shard was visited.
+// IDs returns, in ascending order, the ID of every stored task that has
+// status st (or any, for AnyStatus).
 func (s *Store) IDs(st task.Status) []task.ID {
 	var out []task.ID
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		if st == AnyStatus {
-			out = slices.Grow(out, len(sh.tasks))
-		}
-		for id, t := range sh.tasks {
-			if st == AnyStatus || t.Status == st {
-				out = append(out, id)
-			}
-		}
-		sh.mu.RUnlock()
+	s.mu.RLock()
+	if st == AnyStatus {
+		out = make([]task.ID, 0, len(s.tasks))
 	}
+	for id, t := range s.tasks {
+		if st == AnyStatus || t.Status == st {
+			out = append(out, id)
+		}
+	}
+	s.mu.RUnlock()
 	slices.Sort(out)
 	return out
 }
 
 // Walk calls fn with a deep copy of each listed task, in list order. Each
-// copy is taken under its own shard's read lock, released before fn runs,
+// copy is taken under the read lock, released before fn runs,
 // so fn may block on I/O. IDs deleted since the list was made are skipped.
 // v is reused between calls: fn keeps *v, never v. The first error from fn
 // ends the walk and is returned.
@@ -303,41 +212,34 @@ func (s *Store) ViewByStatus(st task.Status) []task.View {
 
 // Get returns the task with the given ID or ErrNotFound.
 func (s *Store) Get(id task.ID) (*task.Task, error) {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	t, ok := sh.tasks[id]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	t, ok := s.tasks[id]
 	if !ok {
 		return nil, ErrNotFound
 	}
 	return t, nil
 }
 
-// Count returns how many stored tasks had status st when their shard was
-// visited: len(IDs(st)) without building the list.
+// Count returns how many stored tasks have status st: len(IDs(st)) without
+// building the list.
 func (s *Store) Count(st task.Status) int {
 	n := 0
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, t := range sh.tasks {
-			if t.Status == st {
-				n++
-			}
+	s.mu.RLock()
+	for _, t := range s.tasks {
+		if t.Status == st {
+			n++
 		}
-		sh.mu.RUnlock()
 	}
+	s.mu.RUnlock()
 	return n
 }
 
 // Len returns the number of stored tasks.
 func (s *Store) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		n += len(sh.tasks)
-		sh.mu.RUnlock()
-	}
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.tasks)
 }
 
 // The snapshot is one JSON document,
@@ -362,12 +264,11 @@ func (s *Store) Snapshot(w io.Writer) error { return s.SnapshotWith(w, nil) }
 // SnapshotWith is Snapshot with an opaque calibration sidecar embedded in
 // the same document, so task state and quality-plane state are captured in
 // one file. The document is streamed — an ordered walk encodes one task at
-// a time, straight from the stored task under its shard's read lock, into a
+// a time, straight from the stored task under the read lock, into a
 // reused buffer and from there through a snapshotBufSize writer — so a
 // snapshot costs the ID list and two buffers, not a copy of the table or of
 // any task, and on an error w is left holding a prefix: write files beside
-// their target and rename. Taken from a live store the cut is per task, not
-// per shard.
+// their target and rename. Taken from a live store the cut is per task.
 func (s *Store) SnapshotWith(w io.Writer, calibration json.RawMessage) error {
 	bw := bufio.NewWriterSize(w, snapshotBufSize)
 	fmt.Fprintf(bw, `{"version":%d,"next_id":%d,"tasks":[`, snapshotVersion, s.nextID.Load())
@@ -403,12 +304,11 @@ func (s *Store) SnapshotWith(w io.Writer, calibration json.RawMessage) error {
 }
 
 // appendTaskJSON appends the JSON of the stored task id to b, encoding it
-// under its shard's read lock; an ID no longer stored appends nothing.
+// under the read lock; an ID no longer stored appends nothing.
 func (s *Store) appendTaskJSON(b []byte, id task.ID) ([]byte, error) {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	t, ok := sh.tasks[id]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	t, ok := s.tasks[id]
 	if !ok {
 		return b, nil
 	}
@@ -426,7 +326,7 @@ func (s *Store) Restore(r io.Reader) error {
 // RestoreWith is Restore returning the snapshot's calibration sidecar (nil
 // when the snapshot predates it) for the quality plane to rebuild from. The
 // document is read a value at a time and each task decoded straight into
-// the shard map it will live in, so a restore holds the state it builds and
+// the map it will live in, so a restore holds the state it builds and
 // one task's text, not the document. Fields may come in any order and
 // unknown ones are skipped; nothing is swapped in until the whole document,
 // its version included, has been accepted, so a failed restore leaves the
@@ -437,14 +337,11 @@ func (s *Store) RestoreWith(r io.Reader) (json.RawMessage, error) {
 		version       int
 		nextID, maxID task.ID
 		calibration   json.RawMessage
-		fresh         = make([]map[task.ID]*task.Task, len(s.shards))
+		fresh         = make(map[task.ID]*task.Task)
 	)
-	for i := range fresh {
-		fresh[i] = make(map[task.ID]*task.Task)
-	}
 	err := d.object(func(key string) error {
 		if key == "tasks" {
-			largest, err := s.decodeTasks(&d, fresh)
+			largest, err := decodeTasks(&d, fresh)
 			maxID = max(maxID, largest)
 			return err
 		}
@@ -473,28 +370,25 @@ func (s *Store) RestoreWith(r io.Reader) (json.RawMessage, error) {
 	if version != snapshotVersion {
 		return nil, fmt.Errorf("store: unsupported snapshot version %d", version)
 	}
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		sh.tasks = fresh[i]
-		sh.mu.Unlock()
-	}
+	s.mu.Lock()
+	s.tasks = fresh
+	s.mu.Unlock()
 	s.nextID.Store(int64(max(nextID, maxID)))
 	return calibration, nil
 }
 
-// decodeTasks reads the tasks array next in d, one task at a time, into the
-// shard maps in fresh, and returns the largest task ID it held.
-func (s *Store) decodeTasks(d *docReader, fresh []map[task.ID]*task.Task) (largest task.ID, err error) {
+// decodeTasks reads the tasks array next in d, one task at a time, into
+// fresh, and returns the largest task ID it held.
+func decodeTasks(d *docReader, fresh map[task.ID]*task.Task) (largest task.ID, err error) {
 	err = d.array(func(raw []byte) error {
 		t := new(task.Task)
 		if err := t.DecodeJSON(raw); err != nil {
 			return err
 		}
-		into := fresh[uint64(t.ID)&s.mask]
-		if _, dup := into[t.ID]; dup {
+		if _, dup := fresh[t.ID]; dup {
 			return fmt.Errorf("duplicate task ID %d", t.ID)
 		}
-		into[t.ID] = t
+		fresh[t.ID] = t
 		largest = max(largest, t.ID)
 		return nil
 	})

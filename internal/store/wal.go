@@ -593,6 +593,12 @@ func applyEvent(s *Store, e Event) error {
 		if err != nil {
 			return err
 		}
+		// The live path journals an answer after the queue has recorded it,
+		// with nothing held across the two, so an answer taken while the task
+		// was open can sit behind the finish or cancel that closed it.
+		if t.Status != task.Open {
+			return t.RecordClosed(*e.Answer, e.At)
+		}
 		if err := t.Record(*e.Answer, e.At); err != nil {
 			return err
 		}

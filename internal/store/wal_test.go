@@ -111,6 +111,55 @@ func TestWALReplayRejectsInconsistentEvents(t *testing.T) {
 	}
 }
 
+// TestReplayAppliesAnAnswerLoggedBehindItsClose: the live path journals an
+// answer after the queue has recorded it, with nothing held across the two,
+// so an acknowledged answer can sit in the log behind the finish or cancel
+// that closed its task. Replay (and a follower's apply) keeps it without
+// reopening anything; what no live interleaving can produce — the same
+// worker twice, an answer beyond redundancy — is still refused.
+func TestReplayAppliesAnAnswerLoggedBehindItsClose(t *testing.T) {
+	answerBy := func(w string) Event {
+		return Event{Kind: EventAnswer, At: t0.Add(2 * time.Second), TaskID: 1, Answer: &task.Answer{WorkerID: w, Words: []int{1}}}
+	}
+	for _, closing := range []EventKind{EventFinish, EventCancel} {
+		closed := t0.Add(time.Second)
+		logOf := func(tail ...Event) *bytes.Buffer {
+			var buf bytes.Buffer
+			wal := NewWAL(&buf)
+			events := append([]Event{
+				{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 3)},
+				answerBy("a"),
+				{Kind: closing, At: closed, TaskID: 1},
+			}, tail...)
+			for _, e := range events {
+				if err := wal.Append(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return &buf
+		}
+
+		s := New()
+		if _, err := ReplayWAL(logOf(answerBy("b")), s); err != nil {
+			t.Fatalf("%s then a second worker's answer: %v", closing, err)
+		}
+		v, err := s.View(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(v.Answers) != 2 || v.Answers[1].WorkerID != "b" || v.Status == task.Open || !v.DoneAt.Equal(closed) {
+			t.Fatalf("%s: task replayed as %+v; want both answers, closed at %v", closing, v, closed)
+		}
+
+		if _, err := ReplayWAL(logOf(answerBy("a")), New()); err == nil {
+			t.Fatalf("%s: a second answer from the same worker accepted", closing)
+		}
+		if _, err := ReplayWAL(logOf(answerBy("b"), answerBy("c"), answerBy("d")), New()); err == nil {
+			t.Fatalf("%s: an answer beyond redundancy accepted", closing)
+		}
+	}
+}
+
 func TestWALAppendValidation(t *testing.T) {
 	wal := NewWAL(&bytes.Buffer{})
 	cases := map[string]Event{

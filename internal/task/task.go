@@ -203,6 +203,30 @@ func (t *Task) Record(a Answer, now time.Time) error {
 	if t.Status != Open {
 		return ErrWrongStatus
 	}
+	if err := t.appendAnswer(a, now); err != nil {
+		return err
+	}
+	if len(t.Answers) >= t.Redundancy {
+		t.Status = Done
+		t.DoneAt = now
+	}
+	return nil
+}
+
+// RecordClosed appends an answer to a task that has already finished early
+// or been canceled, leaving Status and DoneAt as the close set them. It is
+// for replaying a log, never for a worker: the answer was accepted while
+// the task was open and only its record trails the close's. A task that is
+// open or already holds Redundancy answers returns ErrWrongStatus.
+func (t *Task) RecordClosed(a Answer, now time.Time) error {
+	if t.Status == Open || len(t.Answers) >= t.Redundancy {
+		return ErrWrongStatus
+	}
+	return t.appendAnswer(a, now)
+}
+
+// appendAnswer is the part of recording that does not depend on Status.
+func (t *Task) appendAnswer(a Answer, now time.Time) error {
 	if err := ValidateAnswer(t.Kind, a); err != nil {
 		return err
 	}
@@ -217,10 +241,6 @@ func (t *Task) Record(a Answer, now time.Time) error {
 		t.Answers = append(make([]Answer, 0, want), t.Answers...)
 	}
 	t.Answers = append(t.Answers, a)
-	if len(t.Answers) >= t.Redundancy {
-		t.Status = Done
-		t.DoneAt = now
-	}
 	return nil
 }
 

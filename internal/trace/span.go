@@ -3,7 +3,7 @@
 // Where the Recorder answers "what happened to task 17", the SpanPlane
 // answers "where did request X spend its time": every API request checks
 // out a span tree (root span + children for decode, idempotency lookup,
-// shard-lock wait, core op, WAL append/fsync wait, quality update,
+// queue-lock wait, core op, WAL append/fsync wait, quality update,
 // response encode), identified by W3C traceparent-style IDs so one
 // logical client call — including its retries — shares a single trace ID
 // across processes.
@@ -222,7 +222,7 @@ type SpanData struct {
 	Op     string
 	Start  time.Time
 	Dur    time.Duration
-	Attr   int64 // op-specific: shard locks taken, events in a group, byte count
+	Attr   int64 // op-specific: locks taken, events in a group, byte count
 	Err    string
 }
 

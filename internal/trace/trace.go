@@ -58,7 +58,6 @@ type Event struct {
 	TaskID task.ID   `json:"task_id"`
 	Stage  Stage     `json:"stage"`
 	At     time.Time `json:"at"`
-	Shard  int       `json:"shard"`
 	Worker string    `json:"worker,omitempty"`
 	Trace  TraceID   `json:"trace,omitempty"`
 }
