@@ -706,15 +706,13 @@ func (s *System) ShardLockCounts() (queueLocks, storeLocks []int64) {
 }
 
 // RequeueOpen re-enqueues every open task in the store. It is used after a
-// snapshot restore to rebuild the dispatch queue; tasks already enqueued
-// are left alone.
+// snapshot restore or WAL replay to rebuild the dispatch queue; tasks
+// already enqueued are left alone. One pass: the open tasks are collected
+// once, in ID order, and handed to the queue as one batch, which grows its
+// heap and entry table once.
 func (s *System) RequeueOpen() error {
-	for _, id := range s.store.IDs(task.Open) {
-		t, err := s.store.Get(id)
-		if err != nil {
-			continue // deleted since the IDs were listed
-		}
-		if err := s.queue.Add(t); err != nil && !errors.Is(err, queue.ErrDuplicateID) {
+	for _, err := range s.queue.AddBatch(s.store.Tasks(task.Open)) {
+		if err != nil && !errors.Is(err, queue.ErrDuplicateID) {
 			return err
 		}
 	}

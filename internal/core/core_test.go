@@ -342,6 +342,31 @@ func TestRequeueOpenAfterRestore(t *testing.T) {
 	}
 }
 
+// TestTimeInQueueCoversEveryOpenTask: every first lease is observed as time
+// in queue, however large the backlog — more open tasks than the trace ring
+// holds events included.
+func TestTimeInQueueCoversEveryOpenTask(t *testing.T) {
+	const n = 20000 // > trace.DefaultCapacity
+	s, clk := newSystem()
+	specs := make([]SubmitSpec, n)
+	for i := range specs {
+		specs[i] = SubmitSpec{Kind: task.Label, Payload: task.Payload{ImageID: i}, Redundancy: 2}
+	}
+	for i, o := range s.SubmitBatch(specs) {
+		if o.Err != nil {
+			t.Fatalf("submit %d: %v", i, o.Err)
+		}
+	}
+	clk.now = t0.Add(time.Second)
+	if got := len(s.LeaseBatch("w", n)); got != n {
+		t.Fatalf("leased %d tasks, want %d", got, n)
+	}
+	inQueue, _, _ := s.Trace().Latencies()
+	if inQueue.Count() != n || inQueue.Sum() != n*time.Second {
+		t.Fatalf("time in queue: %d observations totalling %v, want %d of 1s", inQueue.Count(), inQueue.Sum(), n)
+	}
+}
+
 func TestCancelTaskEdgeCases(t *testing.T) {
 	s, _ := newSystem()
 

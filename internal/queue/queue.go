@@ -18,6 +18,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -209,11 +210,19 @@ func (q *Queue) AddBatch(ts []*task.Task) []error {
 // for the lock is the call's queue.lockwait child span and each enqueue
 // lifecycle event carries the request's trace ID. The invalid handle makes
 // it exactly AddBatch.
+//
+// The heap grows once for the whole batch, and a batch landing in an empty
+// queue — the requeue after a restart — sizes the entry table up front
+// instead of growing it by doubling.
 func (q *Queue) AddBatchTraced(ts []*task.Task, h trace.Handle) []error {
 	var errs []error
 	tr := h.Trace()
 	q.lockTraced(h)
 	defer q.mu.Unlock()
+	if len(q.entries) == 0 {
+		q.entries = make(map[task.ID]*entry, len(ts))
+	}
+	q.heap = slices.Grow(q.heap, len(ts))
 	for i, t := range ts {
 		if err := q.insertLocked(t, tr); err != nil {
 			if errs == nil {
@@ -340,7 +349,8 @@ func (q *Queue) LeaseBatchTraced(workerID string, max int, now time.Time, h trac
 // slots concurrently, and the heap key does not depend on lease state.
 func (q *Queue) leaseEntryLocked(e *entry, workerID string, now time.Time, tr trace.TraceID) (task.View, LeaseID) {
 	e.inFlight++
-	if e.holders == nil {
+	if e.holders == nil { // never leased: its time in queue, from the enqueue event's At, ends here
+		q.rec.ObserveStage(trace.StageLease, now.Sub(e.t.CreatedAt), tr)
 		e.holders = make(map[string]bool)
 	}
 	e.holders[workerID] = true
@@ -416,7 +426,9 @@ func (q *Queue) completeLocked(id LeaseID, a task.Answer, now time.Time, tr trac
 	q.lockTask(e.t.ID)
 	err := e.t.Record(a, now)
 	var res CompleteResult
+	var firstAnswer time.Time
 	if err == nil {
+		firstAnswer = e.t.Answers[0].At
 		res = CompleteResult{
 			TaskID:     e.t.ID,
 			Kind:       e.t.Kind,
@@ -436,8 +448,10 @@ func (q *Queue) completeLocked(id LeaseID, a task.Answer, now time.Time, tr trac
 	delete(e.holders, l.WorkerID)
 	q.fixLocked(e)
 	q.emit(trace.StageAnswer, res.TaskID, l.WorkerID, now, tr)
+	q.rec.ObserveStage(trace.StageAnswer, now.Sub(l.LeasedAt), tr)
 	if res.Status == task.Done {
 		q.emit(trace.StageComplete, res.TaskID, "", now, tr)
+		q.rec.ObserveStage(trace.StageComplete, now.Sub(firstAnswer), tr)
 	}
 	return res, nil
 }
@@ -548,6 +562,9 @@ func (q *Queue) FinishEarly(id task.ID, now time.Time) (task.View, bool) {
 	}
 	q.fixLocked(e)
 	q.emit(trace.StageComplete, id, "", now, trace.TraceID{})
+	if len(v.Answers) > 0 {
+		q.rec.ObserveStage(trace.StageComplete, now.Sub(v.Answers[0].At), trace.TraceID{})
+	}
 	return v, true
 }
 

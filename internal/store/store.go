@@ -8,20 +8,22 @@
 // One RWMutex guards the table and the contents of every task in it; the
 // critical sections are a map operation or one task's copy.
 //
-// Every whole-table path — ViewAll, ViewByStatus, Snapshot, the dispatch
-// task list, the requeue after recovery — is one ordered walk: collect the
-// task IDs (8 bytes a task, the only whole-table allocation), sort them,
-// then visit the tasks in that order, copying each (Snapshot: encoding
-// each) under the read lock, which is taken per task and released before
-// the copy is handed on. A walk over a live store is therefore consistent
-// per task, not across the table: a task is copied whole, two tasks may be
-// copied either side of a concurrent write. Nothing that needs more walks
-// the table under traffic — a node snapshots at boot, before it serves,
-// and after it has drained.
+// Every whole-table read — ViewAll, ViewByStatus, Snapshot, the dispatch
+// task list — is one ordered walk: collect the task IDs (8 bytes a task,
+// the only whole-table allocation), sort them, then visit the tasks in that
+// order, copying each (Snapshot: encoding each) under the read lock, which
+// is taken per task and released before the copy is handed on. A walk over
+// a live store is therefore consistent per task, not across the table: a
+// task is copied whole, two tasks may be copied either side of a concurrent
+// write. Nothing that needs more walks the table under traffic — a node
+// snapshots at boot, before it serves, and after it has drained. The
+// requeue after recovery copies nothing: Tasks hands the live open tasks,
+// in ID order, to the queue that will own them.
 package store
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -224,15 +226,36 @@ func (s *Store) Get(id task.ID) (*task.Task, error) {
 // Count returns how many stored tasks have status st: len(IDs(st)) without
 // building the list.
 func (s *Store) Count(st task.Status) int {
-	n := 0
 	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.countLocked(st)
+}
+
+func (s *Store) countLocked(st task.Status) int {
+	n := 0
 	for _, t := range s.tasks {
 		if t.Status == st {
 			n++
 		}
 	}
-	s.mu.RUnlock()
 	return n
+}
+
+// Tasks returns, in ascending ID order, the stored tasks that have status
+// st: the live tasks, not copies, collected under one hold of the read lock
+// into a list sized once. It is for handing a restored store's open tasks
+// to the queue, which then owns their mutation.
+func (s *Store) Tasks(st task.Status) []*task.Task {
+	s.mu.RLock()
+	out := make([]*task.Task, 0, s.countLocked(st))
+	for _, t := range s.tasks {
+		if t.Status == st {
+			out = append(out, t)
+		}
+	}
+	s.mu.RUnlock()
+	slices.SortFunc(out, func(a, b *task.Task) int { return cmp.Compare(a.ID, b.ID) })
+	return out
 }
 
 // Len returns the number of stored tasks.

@@ -11,11 +11,12 @@
 // append order. A global atomic sequence number gives every event a total
 // order that survives merging stripes.
 //
-// The recorder also derives the three stage-latency distributions the GWAP
+// The recorder also holds the three stage-latency distributions the GWAP
 // evaluation cares about — time-in-queue (enqueue → first lease),
 // lease-to-answer (per worker), and answers-to-completion (first answer →
-// done) — from the event stream itself, under the same stripe lock the
-// append already holds, so no second lock is ever taken on the hot path.
+// done). The queue measures each from the task and lease state it already
+// holds and hands it over as the stage ends (ObserveStage), so the recorder
+// keeps nothing per task and every open task is measured, however many.
 //
 // All methods are nil-safe: a nil *Recorder records nothing and answers
 // every query empty, so call sites never need a guard.
@@ -68,108 +69,37 @@ const traceStripes = 16
 
 // DefaultCapacity is the total event capacity a zero-configured recorder
 // gets: enough for the recent history of tens of thousands of task steps
-// at ~64 bytes per slot.
+// at 88 bytes per slot.
 const DefaultCapacity = 1 << 14
 
-// pending carries the per-task timestamps the stage-latency histograms are
-// derived from. It lives in the stripe map only while the task is open and
-// is recycled through the stripe's freelist afterwards, so steady-state
-// tracing allocates nothing. The single outstanding lease of the common
-// case is held inline; concurrent extra leases spill to a lazily
-// allocated overflow map.
-type pending struct {
-	enqueuedAt  time.Time
-	firstAnswer time.Time
-	leased      bool // first lease observed
-	// Inline slot for one outstanding lease.
-	has0 bool
-	w0   string
-	t0   time.Time
-	// Overflow for additional concurrent leases; nil until needed.
-	more map[string]time.Time
-}
-
-// setLease records an outstanding lease for the worker.
-func (p *pending) setLease(worker string, at time.Time) {
-	if !p.has0 || p.w0 == worker {
-		p.has0, p.w0, p.t0 = true, worker, at
-		return
-	}
-	if p.more == nil {
-		p.more = make(map[string]time.Time, 2)
-	}
-	p.more[worker] = at
-}
-
-// takeLease removes and returns the worker's outstanding lease time.
-func (p *pending) takeLease(worker string) (time.Time, bool) {
-	if p.has0 && p.w0 == worker {
-		p.has0 = false
-		return p.t0, true
-	}
-	if at, ok := p.more[worker]; ok {
-		delete(p.more, worker)
-		return at, true
-	}
-	return time.Time{}, false
-}
-
-// reset clears the entry for reuse, keeping the overflow map's storage.
-func (p *pending) reset() {
-	for w := range p.more {
-		delete(p.more, w)
-	}
-	*p = pending{more: p.more}
-}
-
 // stripe is one independently locked slice of the recorder: a fixed-size
-// ring of events plus the open-task latency table for the task IDs that
-// hash here.
+// ring of events for the task IDs that hash here.
 type stripe struct {
 	mu   sync.Mutex
 	ring []Event // fixed capacity, len == cap once full
 	next int     // ring slot the next event overwrites
 	full bool
-	open map[task.ID]*pending
-	free []*pending // recycled pending entries, bounded by maxPending
 
 	_ [32]byte // keep adjacent stripe mutexes off one cache line
 }
 
-// getPending returns a cleared entry, reusing a recycled one when possible.
-func (s *stripe) getPending() *pending {
-	if n := len(s.free); n > 0 {
-		p := s.free[n-1]
-		s.free = s.free[:n-1]
-		return p
-	}
-	return &pending{}
-}
-
-// putPending recycles an entry closed by complete/cancel.
-func (s *stripe) putPending(p *pending, limit int) {
-	if len(s.free) < limit {
-		p.reset()
-		s.free = append(s.free, p)
-	}
-}
-
-// Recorder is a bounded, striped ring buffer of task lifecycle events.
+// Recorder is a bounded, striped ring buffer of task lifecycle events,
+// plus the three stage-latency distributions.
 type Recorder struct {
-	seq        atomic.Uint64
-	perStripe  int // ring slots per stripe
-	maxPending int // open-task latency entries per stripe
-	stripes    [traceStripes]stripe
+	seq       atomic.Uint64
+	perStripe int // ring slots per stripe
+	stripes   [traceStripes]stripe
 
-	inQueue       *metrics.LatencyHist // enqueue → first lease
-	leaseToAnswer *metrics.LatencyHist // lease → answer per worker
-	toCompletion  *metrics.LatencyHist // first answer → done
+	inQueue       stageLatency // enqueue → first lease
+	leaseToAnswer stageLatency // lease → answer per worker
+	toCompletion  stageLatency // first answer → done
+}
 
-	// Exemplars pair each stage histogram with the trace ID of the most
-	// recent observation per bucket, fed from Event.Trace.
-	exInQueue       metrics.ExemplarSet
-	exLeaseToAnswer metrics.ExemplarSet
-	exToCompletion  metrics.ExemplarSet
+// stageLatency is one stage histogram paired with the trace ID of the most
+// recent observation per bucket. Both halves are lock-free.
+type stageLatency struct {
+	hist metrics.LatencyHist
+	ex   metrics.ExemplarSet
 }
 
 // NewRecorder returns a recorder bounded at capacity events in total
@@ -180,16 +110,9 @@ func NewRecorder(capacity int) *Recorder {
 		capacity = DefaultCapacity
 	}
 	per := (capacity + traceStripes - 1) / traceStripes
-	r := &Recorder{
-		perStripe:     per,
-		maxPending:    per,
-		inQueue:       new(metrics.LatencyHist),
-		leaseToAnswer: new(metrics.LatencyHist),
-		toCompletion:  new(metrics.LatencyHist),
-	}
+	r := &Recorder{perStripe: per}
 	for i := range r.stripes {
 		r.stripes[i].ring = make([]Event, 0, per)
-		r.stripes[i].open = make(map[task.ID]*pending)
 	}
 	return r
 }
@@ -228,70 +151,33 @@ func (r *Recorder) Append(e Event) {
 			s.next = 0
 		}
 	}
-	r.observeLocked(s, e)
 	s.mu.Unlock()
 }
 
-// observeLocked updates the open-task latency table for e and feeds the
-// stage histograms. Called with the stripe lock held.
-func (r *Recorder) observeLocked(s *stripe, e Event) {
-	switch e.Stage {
-	case StageEnqueue:
-		if len(s.open) < r.maxPending {
-			p := s.getPending()
-			p.enqueuedAt = e.At
-			s.open[e.TaskID] = p
-		}
+// ObserveStage records one stage latency as the stage ends: StageLease
+// observes time-in-queue (enqueue → first lease), StageAnswer
+// lease-to-answer, StageComplete answers-to-completion (first answer →
+// done); any other stage is ignored. A non-zero tr becomes the bucket's
+// exemplar. The queue calls it with timestamps it already holds under its
+// own lock, so the recorder keeps no per-task state. Nil-safe, lock-free.
+func (r *Recorder) ObserveStage(stage Stage, d time.Duration, tr TraceID) {
+	if r == nil {
+		return
+	}
+	var l *stageLatency
+	switch stage {
 	case StageLease:
-		p := s.open[e.TaskID]
-		if p == nil {
-			return
-		}
-		if !p.leased {
-			p.leased = true
-			d := e.At.Sub(p.enqueuedAt)
-			r.inQueue.Observe(d)
-			if !e.Trace.IsZero() {
-				r.exInQueue.Observe(d, e.Trace.Hex())
-			}
-		}
-		p.setLease(e.Worker, e.At)
+		l = &r.inQueue
 	case StageAnswer:
-		p := s.open[e.TaskID]
-		if p == nil {
-			return
-		}
-		if at, ok := p.takeLease(e.Worker); ok {
-			d := e.At.Sub(at)
-			r.leaseToAnswer.Observe(d)
-			if !e.Trace.IsZero() {
-				r.exLeaseToAnswer.Observe(d, e.Trace.Hex())
-			}
-		}
-		if p.firstAnswer.IsZero() {
-			p.firstAnswer = e.At
-		}
-	case StageRelease, StageExpire:
-		if p := s.open[e.TaskID]; p != nil {
-			p.takeLease(e.Worker)
-		}
+		l = &r.leaseToAnswer
 	case StageComplete:
-		if p := s.open[e.TaskID]; p != nil {
-			if !p.firstAnswer.IsZero() {
-				d := e.At.Sub(p.firstAnswer)
-				r.toCompletion.Observe(d)
-				if !e.Trace.IsZero() {
-					r.exToCompletion.Observe(d, e.Trace.Hex())
-				}
-			}
-			delete(s.open, e.TaskID)
-			s.putPending(p, r.maxPending)
-		}
-	case StageCancel:
-		if p := s.open[e.TaskID]; p != nil {
-			delete(s.open, e.TaskID)
-			s.putPending(p, r.maxPending)
-		}
+		l = &r.toCompletion
+	default:
+		return
+	}
+	l.hist.Observe(d)
+	if !tr.IsZero() {
+		l.ex.Observe(d, tr.Hex())
 	}
 }
 
@@ -351,7 +237,7 @@ func (r *Recorder) Latencies() (inQueue, leaseToAnswer, answersToCompletion *met
 	if r == nil {
 		return nil, nil, nil
 	}
-	return r.inQueue, r.leaseToAnswer, r.toCompletion
+	return &r.inQueue.hist, &r.leaseToAnswer.hist, &r.toCompletion.hist
 }
 
 // StageExemplars exposes the exemplar sets paired with the stage
@@ -360,5 +246,5 @@ func (r *Recorder) StageExemplars() (inQueue, leaseToAnswer, answersToCompletion
 	if r == nil {
 		return nil, nil, nil
 	}
-	return &r.exInQueue, &r.exLeaseToAnswer, &r.exToCompletion
+	return &r.inQueue.ex, &r.leaseToAnswer.ex, &r.toCompletion.ex
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"humancomp/internal/metrics"
 	"humancomp/internal/task"
 )
 
@@ -19,6 +20,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if r.Len() != 0 || r.Capacity() != 0 {
 		t.Errorf("nil recorder Len/Capacity = %d/%d, want 0/0", r.Len(), r.Capacity())
 	}
+	r.ObserveStage(StageLease, time.Second, TraceID{})
 	a, b, c := r.Latencies()
 	if a != nil || b != nil || c != nil {
 		t.Error("nil recorder Latencies should be all nil")
@@ -136,50 +138,34 @@ func TestConcurrentAppendAndQuery(t *testing.T) {
 	}
 }
 
-func TestStageLatencies(t *testing.T) {
+// TestObserveStageRoutes: each stage that ends a latency lands in its own
+// histogram, with a traced observation as the bucket's exemplar; every
+// other stage is ignored. (The rules for when a stage is observed live in
+// the queue, which measures them: internal/queue/latency_test.go.)
+func TestObserveStageRoutes(t *testing.T) {
 	r := NewRecorder(0)
-	id := task.ID(9)
-	r.Append(Event{TaskID: id, Stage: StageEnqueue, At: t0})
-	r.Append(Event{TaskID: id, Stage: StageLease, At: t0.Add(2 * time.Second), Worker: "a"})
-	r.Append(Event{TaskID: id, Stage: StageAnswer, At: t0.Add(5 * time.Second), Worker: "a"})
-	r.Append(Event{TaskID: id, Stage: StageLease, At: t0.Add(6 * time.Second), Worker: "b"})
-	r.Append(Event{TaskID: id, Stage: StageAnswer, At: t0.Add(10 * time.Second), Worker: "b"})
-	r.Append(Event{TaskID: id, Stage: StageComplete, At: t0.Add(10 * time.Second)})
-
-	inQueue, leaseToAnswer, toCompletion := r.Latencies()
-	if got := inQueue.Count(); got != 1 {
-		t.Errorf("inQueue count = %d, want 1 (first lease only)", got)
+	tr := TraceID{1}
+	r.ObserveStage(StageLease, 2*time.Second, tr)
+	r.ObserveStage(StageAnswer, 3*time.Second, TraceID{})
+	r.ObserveStage(StageComplete, 5*time.Second, tr)
+	r.ObserveStage(StageRelease, time.Hour, tr)
+	hists := [3]*metrics.LatencyHist{}
+	hists[0], hists[1], hists[2] = r.Latencies()
+	for i, want := range []time.Duration{2 * time.Second, 3 * time.Second, 5 * time.Second} {
+		if hists[i].Count() != 1 || hists[i].Sum() != want {
+			t.Errorf("histogram %d: %d observations totalling %v, want 1 of %v", i, hists[i].Count(), hists[i].Sum(), want)
+		}
 	}
-	if got := inQueue.Max(); got != 2*time.Second {
-		t.Errorf("inQueue = %v, want 2s", got)
-	}
-	if got := leaseToAnswer.Count(); got != 2 {
-		t.Errorf("leaseToAnswer count = %d, want 2", got)
-	}
-	if got := leaseToAnswer.Max(); got != 4*time.Second {
-		t.Errorf("leaseToAnswer max = %v, want 4s", got)
-	}
-	// First answer at +5s, completion at +10s.
-	if got := toCompletion.Max(); got != 5*time.Second {
-		t.Errorf("toCompletion = %v, want 5s", got)
-	}
-	// Completion closes the pending entry: later events observe nothing.
-	r.Append(Event{TaskID: id, Stage: StageLease, At: t0.Add(20 * time.Second), Worker: "c"})
-	if got := inQueue.Count(); got != 1 {
-		t.Errorf("inQueue count after completion = %d, want 1", got)
-	}
-}
-
-func TestReleaseAndExpireDropLeaseSpans(t *testing.T) {
-	r := NewRecorder(0)
-	id := task.ID(11)
-	r.Append(Event{TaskID: id, Stage: StageEnqueue, At: t0})
-	r.Append(Event{TaskID: id, Stage: StageLease, At: t0.Add(time.Second), Worker: "a"})
-	r.Append(Event{TaskID: id, Stage: StageRelease, At: t0.Add(2 * time.Second), Worker: "a"})
-	// The worker answers long after releasing: no lease span may be recorded.
-	r.Append(Event{TaskID: id, Stage: StageAnswer, At: t0.Add(90 * time.Second), Worker: "a"})
-	_, leaseToAnswer, _ := r.Latencies()
-	if got := leaseToAnswer.Count(); got != 0 {
-		t.Errorf("leaseToAnswer count after release = %d, want 0", got)
+	exs := [3]*metrics.ExemplarSet{}
+	exs[0], exs[1], exs[2] = r.StageExemplars()
+	for i, want := range []bool{true, false, true} {
+		got := false
+		for b := 0; b <= len(metrics.ExemplarBounds); b++ {
+			_, ok := exs[i].Load(b)
+			got = got || ok
+		}
+		if got != want {
+			t.Errorf("exemplar set %d holds an exemplar: %v, want %v", i, got, want)
+		}
 	}
 }
