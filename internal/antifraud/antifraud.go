@@ -18,11 +18,15 @@ import (
 	"time"
 )
 
-// RateLimiter is a per-key token bucket.
+// RateLimiter is a per-key token bucket. Buckets that have refilled to
+// burst are swept once per refill window, so the map holds only keys seen
+// within about the last two windows.
 type RateLimiter struct {
-	rate  float64 // tokens per second
-	burst float64
-	state map[string]*bucket
+	rate   float64 // tokens per second
+	burst  float64
+	window time.Duration // burst/rate: the time an empty bucket takes to refill
+	swept  time.Time
+	state  map[string]*bucket
 }
 
 type bucket struct {
@@ -36,11 +40,19 @@ func NewRateLimiter(rate, burst float64) *RateLimiter {
 	if rate <= 0 || burst < 1 {
 		panic("antifraud: rate must be positive and burst >= 1")
 	}
-	return &RateLimiter{rate: rate, burst: burst, state: make(map[string]*bucket)}
+	return &RateLimiter{
+		rate:   rate,
+		burst:  burst,
+		window: time.Duration(math.Ceil(burst / rate * float64(time.Second))),
+		state:  make(map[string]*bucket),
+	}
 }
 
 // Allow reports whether key may act at time now, consuming a token if so.
 func (l *RateLimiter) Allow(key string, now time.Time) bool {
+	if now.Sub(l.swept) >= l.window {
+		l.sweep(now)
+	}
 	b := l.state[key]
 	if b == nil {
 		b = &bucket{tokens: l.burst, last: now}
@@ -59,6 +71,18 @@ func (l *RateLimiter) Allow(key string, now time.Time) bool {
 	}
 	b.tokens--
 	return true
+}
+
+// sweep drops every bucket that has refilled to burst by now. Such a
+// bucket cannot be told apart from an absent one (Allow would create it
+// full), so no limiting decision changes.
+func (l *RateLimiter) sweep(now time.Time) {
+	for k, b := range l.state {
+		if b.tokens+now.Sub(b.last).Seconds()*l.rate >= l.burst {
+			delete(l.state, k)
+		}
+	}
+	l.swept = now
 }
 
 // EntropyDetector flags players whose agreed outputs have suspiciously low

@@ -1,6 +1,7 @@
 package antifraud
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -53,6 +54,32 @@ func TestRateLimiterCapsAtBurst(t *testing.T) {
 	}
 	if allowed != 2 {
 		t.Fatalf("allowed %d after idle, want burst=2", allowed)
+	}
+}
+
+func TestRateLimiterSweepsIdleKeys(t *testing.T) {
+	l := NewRateLimiter(10, 2) // refills from empty in 200ms
+	for i := 0; i < 1000; i++ {
+		// One fresh key every 10ms: about two windows' worth stay resident.
+		now := t0.Add(time.Duration(i) * 10 * time.Millisecond)
+		if !l.Allow(fmt.Sprintf("k%d", i), now) {
+			t.Fatalf("fresh key %d denied", i)
+		}
+		if n := len(l.state); n > 41 {
+			t.Fatalf("after %d keys the limiter holds %d buckets", i+1, n)
+		}
+	}
+	// A bucket drained after one sweep and not yet refilled at the next
+	// survives it.
+	now := t0.Add(time.Hour)
+	l.Allow("x", now) // sweeps
+	now = now.Add(150 * time.Millisecond)
+	l.Allow("hot", now)
+	l.Allow("hot", now)
+	now = now.Add(50 * time.Millisecond) // half a token back
+	l.Allow("y", now)                    // sweeps
+	if l.Allow("hot", now) {
+		t.Fatal("sweep reset a bucket that had not refilled")
 	}
 }
 

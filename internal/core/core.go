@@ -97,10 +97,10 @@ type System struct {
 	mu   sync.RWMutex // guards gold; read-mostly (checked on every answer)
 	gold map[task.ID]task.Answer
 
-	trace *trace.Recorder      // lifecycle event ring; nil when disabled
-	spans *trace.SpanPlane     // request-scoped span trees; nil when disabled
-	gwap  *metrics.ShardedGWAP // live play metrics derived from leases
-	qp    *qualityPlane        // streaming quality plane; nil when disabled
+	trace *trace.Recorder  // lifecycle event ring; nil when disabled
+	spans *trace.SpanPlane // request-scoped span trees; nil when disabled
+	gwap  *metrics.GWAP    // live play metrics derived from leases
+	qp    *qualityPlane    // streaming quality plane; nil when disabled
 
 	tasksSubmitted metrics.Counter
 	answersTotal   metrics.Counter
@@ -135,10 +135,10 @@ func New(cfg Config) *System {
 		rep:   quality.NewReputation(cfg.ReputationPrior, cfg.ReputationWeight),
 		clock: cfg.Clock,
 		gold:  make(map[task.ID]task.Answer),
-		gwap:  metrics.NewShardedGWAP(),
+		gwap:  metrics.NewGWAP(),
 	}
 	// Lifecycle tracing is on by default: the ring is bounded and every
-	// append is one striped lock, cheap enough for the hot path. A
+	// append takes one lock, cheap enough for the hot path. A
 	// negative capacity opts out (the recorder stays nil; every emit
 	// site is nil-safe).
 	if cfg.TraceCapacity >= 0 {
@@ -584,8 +584,10 @@ func (s *System) answerAll(h trace.Handle, items []queue.CompleteItem, out []Ans
 		// Live GWAP accounting: the lease-to-answer span is this worker's play
 		// time for the round, and a task reaching redundancy is one solved
 		// problem instance. Throughput, ALP and expected contribution on the
-		// admin /metrics endpoint derive from exactly these two records.
-		s.gwap.RecordSession(res.Answer.WorkerID, now.Sub(res.LeasedAt))
+		// admin /metrics endpoint derive from exactly these two records. A
+		// clock reading before the lease (a stepped wall clock) counts as
+		// zero play.
+		s.gwap.RecordSession(res.Answer.WorkerID, max(0, now.Sub(res.LeasedAt)))
 		if res.Status == task.Done {
 			s.gwap.RecordOutputs(1)
 		}

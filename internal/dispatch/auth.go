@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"log/slog"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -20,7 +21,7 @@ type Options struct {
 	// "Authorization: Bearer <key>" with one of the listed keys.
 	APIKeys []string
 	// RatePerSec and Burst, when positive, rate-limit requests per API key
-	// (or per remote address on an open server).
+	// (or per remote host on an open server).
 	RatePerSec float64
 	Burst      float64
 	// Logger receives structured request and error logs. Nil discards
@@ -55,57 +56,15 @@ type Options struct {
 	Sessions *session.Plane
 }
 
-// limiterStripes is the number of independently locked token-bucket
-// stripes. Keys are spread by FNV-1a hash, so one hot API key saturating
-// its own bucket contends only with the 1/limiterStripes of keys sharing
-// its stripe — it can no longer serialize every other key's requests
-// behind one mutex.
-const limiterStripes = 16
-
-// stripedLimiter shards a per-key token-bucket rate limiter. Each stripe
-// owns a disjoint set of keys (by key hash), so a key's bucket state
-// always lives on exactly one stripe and per-key accounting is exact.
-type stripedLimiter struct {
-	stripes [limiterStripes]struct {
-		mu  sync.Mutex
-		lim *antifraud.RateLimiter
-	}
-}
-
-func newStripedLimiter(rate, burst float64) *stripedLimiter {
-	l := &stripedLimiter{}
-	for i := range l.stripes {
-		l.stripes[i].lim = antifraud.NewRateLimiter(rate, burst)
-	}
-	return l
-}
-
-// fnv32a hashes a key without allocating (hash/fnv would force a []byte).
-func fnv32a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// Allow reports whether key may act at time now, consuming a token if so.
-func (l *stripedLimiter) Allow(key string, now time.Time) bool {
-	s := &l.stripes[fnv32a(key)%limiterStripes]
-	s.mu.Lock()
-	ok := s.lim.Allow(key, now)
-	s.mu.Unlock()
-	return ok
-}
-
 // authLimiter implements the auth + rate-limit middleware.
 type authLimiter struct {
 	// keys maps each accepted API key to its idempotency scope (see
 	// principalScope), hashed here once instead of on every write.
-	keys    map[string]string
-	anon    string // the scope of an open server's one anonymous caller
-	limiter *stripedLimiter
+	keys map[string]string
+	anon string // the scope of an open server's one anonymous caller
+
+	mu      sync.Mutex // guards limiter
+	limiter *antifraud.RateLimiter
 }
 
 func newAuthLimiter(o Options) *authLimiter {
@@ -122,7 +81,7 @@ func newAuthLimiter(o Options) *authLimiter {
 		}
 	}
 	if o.RatePerSec > 0 && o.Burst >= 1 {
-		a.limiter = newStripedLimiter(o.RatePerSec, o.Burst)
+		a.limiter = antifraud.NewRateLimiter(o.RatePerSec, o.Burst)
 	}
 	return a
 }
@@ -146,12 +105,24 @@ func principalScope(principal string) string {
 	return hex.EncodeToString(sum[:8])
 }
 
+// allow reports whether principal may act now, consuming a token if so.
+func (a *authLimiter) allow(principal string) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.limiter.Allow(principal, time.Now())
+}
+
 // wrap guards next with key auth and rate limiting when configured, and
 // names the caller on the exchange: downstream middleware (the
 // idempotency replay cache) scopes per-caller state by e.scope.
 func (a *authLimiter) wrap(next handler) handler {
 	return func(e *exchange, r *http.Request) {
-		principal := r.RemoteAddr
+		// An open server limits by host: keying by host:port would hand
+		// every new connection a fresh bucket.
+		principal, _, err := net.SplitHostPort(r.RemoteAddr)
+		if err != nil {
+			principal = r.RemoteAddr
+		}
 		e.scope = a.anon
 		if a.keys != nil {
 			// bearer() returns "" for an absent or malformed header; reject
@@ -166,7 +137,7 @@ func (a *authLimiter) wrap(next handler) handler {
 			}
 			principal, e.scope = key, scope
 		}
-		if a.limiter != nil && !a.limiter.Allow(principal, time.Now()) {
+		if a.limiter != nil && !a.allow(principal) {
 			// The hint a well-behaved client (Client's retry loop
 			// included) waits out before trying again.
 			e.Header().Set("Retry-After", "1")

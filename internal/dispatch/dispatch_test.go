@@ -476,6 +476,22 @@ func TestRateLimitPerKey(t *testing.T) {
 	}
 }
 
+// TestRateLimitOpenServerPerHost: without API keys the bucket belongs to
+// the caller's host, so a second connection from another port shares it.
+func TestRateLimitOpenServerPerHost(t *testing.T) {
+	h := NewServerWith(core.New(core.DefaultConfig()), Options{RatePerSec: 0.001, Burst: 1})
+	want := []int{http.StatusOK, http.StatusTooManyRequests}
+	for i, addr := range []string{"192.0.2.7:40001", "192.0.2.7:40002"} {
+		req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
+		req.RemoteAddr = addr
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != want[i] {
+			t.Fatalf("request %d from %s = %d, want %d", i, addr, rec.Code, want[i])
+		}
+	}
+}
+
 // TestWriteErrorTable pins the full domain-error → HTTP status mapping,
 // including wrapped errors and the generic fallback.
 func TestWriteErrorTable(t *testing.T) {

@@ -25,7 +25,7 @@ const traceParentHeader = "traceparent"
 
 // endpointStats accumulates request counts and latency per route pattern.
 // Routes are registered once at server construction; the hot path writes
-// through a pre-resolved *routeStats (atomic counters, striped histogram),
+// through a pre-resolved *routeStats (atomic counters, atomic-bucket histogram),
 // so no request ever takes the registration mutex.
 type endpointStats struct {
 	mu      sync.Mutex // guards byRoute registration; never taken per request
@@ -155,8 +155,8 @@ func (s *Server) mount(pattern string, h handler) {
 // instrument wraps a chain with per-route metrics, the request-scoped
 // span tree, panic recovery and the structured request log. The
 // routeStats and the route's log handler are resolved once, at
-// registration, so the per-request path touches only atomics and the
-// striped latency histogram. With the span plane enabled, every request
+// registration, so the per-request path touches only atomics (counters
+// and the latency histogram's buckets). With the span plane enabled, every request
 // gets a root span — adopting the client's traceparent when one arrives,
 // minting a fresh trace otherwise — and the handle rides the exchange for
 // handlers to hang child spans on.

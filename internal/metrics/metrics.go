@@ -7,7 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,24 +36,11 @@ func (c *Counter) Inc() { c.n.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n.Load() }
 
-// histStripes is the number of independently locked stripes a Histogram
-// spreads its observations over. Writers on different stripes never
-// contend; readers merge all stripes, so the aggregate statistics are
-// unchanged. Kept a fixed power of two so stripe selection is a mask and
-// single-threaded observation order stays deterministic across machines.
-const histStripes = 8
-
 // Histogram summarizes a stream of float64 observations: exact count, sum,
 // min and max, with quantiles estimated from a fixed-size uniform reservoir
 // sample so memory stays bounded on simulations with millions of rounds.
-// It is safe for concurrent use; observations round-robin over independently
-// locked stripes so concurrent writers do not serialize on one mutex.
+// It is safe for concurrent use.
 type Histogram struct {
-	next    atomic.Uint64 // round-robin stripe cursor
-	stripes [histStripes]histStripe
-}
-
-type histStripe struct {
 	mu        sync.Mutex
 	count     int64
 	sum       float64
@@ -61,130 +48,88 @@ type histStripe struct {
 	reservoir []float64
 	cap       int
 	src       *rng.Source
-
-	// Pad stripes apart so adjacent mutexes do not share a cache line.
-	_ [40]byte
 }
 
-// NewHistogram returns a histogram with the given total reservoir capacity.
+// NewHistogram returns a histogram with the given reservoir capacity.
 func NewHistogram(reservoirCap int) *Histogram {
 	if reservoirCap <= 0 {
 		panic("metrics: histogram reservoir capacity must be positive")
 	}
-	h := &Histogram{}
-	perStripe := (reservoirCap + histStripes - 1) / histStripes
-	for i := range h.stripes {
-		h.stripes[i].cap = perStripe
-		h.stripes[i].src = rng.New(0x48495354 + uint64(i))
-	}
-	return h
+	return &Histogram{cap: reservoirCap, src: rng.New(0x48495354)}
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	s := &h.stripes[h.next.Add(1)&(histStripes-1)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.count == 0 || v < s.min {
-		s.min = v
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.count == 0 || v < h.min {
+		h.min = v
 	}
-	if s.count == 0 || v > s.max {
-		s.max = v
+	if h.count == 0 || v > h.max {
+		h.max = v
 	}
-	s.count++
-	s.sum += v
-	if len(s.reservoir) < s.cap {
-		s.reservoir = append(s.reservoir, v)
+	h.count++
+	h.sum += v
+	if len(h.reservoir) < h.cap {
+		h.reservoir = append(h.reservoir, v)
 		return
 	}
-	// Vitter's algorithm R: keep each of the stripe's count observations
-	// with equal probability cap/count. Round-robin assignment keeps each
-	// stripe a uniform subsample of the whole stream, so the merged
-	// reservoir remains a uniform sample.
-	if i := s.src.Intn(int(s.count)); i < s.cap {
-		s.reservoir[i] = v
+	// Vitter's algorithm R: keep each of the count observations with equal
+	// probability cap/count.
+	if i := h.src.Intn(int(h.count)); i < h.cap {
+		h.reservoir[i] = v
 	}
 }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 {
-	var n int64
-	for i := range h.stripes {
-		s := &h.stripes[i]
-		s.mu.Lock()
-		n += s.count
-		s.mu.Unlock()
-	}
-	return n
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.count
 }
 
 // Mean returns the arithmetic mean, or 0 for an empty histogram.
 func (h *Histogram) Mean() float64 {
-	var n int64
-	var sum float64
-	for i := range h.stripes {
-		s := &h.stripes[i]
-		s.mu.Lock()
-		n += s.count
-		sum += s.sum
-		s.mu.Unlock()
-	}
-	if n == 0 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.count == 0 {
 		return 0
 	}
-	return sum / float64(n)
+	return h.sum / float64(h.count)
 }
 
 // Min returns the smallest observation, or 0 for an empty histogram.
 func (h *Histogram) Min() float64 {
-	min, seen := 0.0, false
-	for i := range h.stripes {
-		s := &h.stripes[i]
-		s.mu.Lock()
-		if s.count > 0 && (!seen || s.min < min) {
-			min, seen = s.min, true
-		}
-		s.mu.Unlock()
-	}
-	return min
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.min
 }
 
 // Max returns the largest observation, or 0 for an empty histogram.
 func (h *Histogram) Max() float64 {
-	max, seen := 0.0, false
-	for i := range h.stripes {
-		s := &h.stripes[i]
-		s.mu.Lock()
-		if s.count > 0 && (!seen || s.max > max) {
-			max, seen = s.max, true
-		}
-		s.mu.Unlock()
-	}
-	return max
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.max
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) estimated from the merged
-// stripe reservoirs, or 0 for an empty histogram.
+// Quantile returns the q-quantile (0 <= q <= 1) estimated from the
+// reservoir, or 0 for an empty histogram.
 func (h *Histogram) Quantile(q float64) float64 {
 	if q < 0 || q > 1 {
 		panic(fmt.Sprintf("metrics: quantile %v out of [0,1]", q))
 	}
-	var merged []float64
-	for i := range h.stripes {
-		s := &h.stripes[i]
-		s.mu.Lock()
-		merged = append(merged, s.reservoir...)
-		s.mu.Unlock()
-	}
-	if len(merged) == 0 {
+	h.mu.Lock()
+	sorted := slices.Clone(h.reservoir)
+	h.mu.Unlock()
+	if len(sorted) == 0 {
 		return 0
 	}
-	sort.Float64s(merged)
-	i := int(math.Ceil(q*float64(len(merged)))) - 1
+	slices.Sort(sorted)
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
 	if i < 0 {
 		i = 0
 	}
-	return merged[i]
+	return sorted[i]
 }
 
 // GWAP accumulates the game-with-a-purpose evaluation metrics for one game.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestGauge(t *testing.T) {
@@ -112,44 +111,5 @@ func TestWritePromRejectsInvalidNames(t *testing.T) {
 func TestWritePromEmptyErrors(t *testing.T) {
 	if err := WriteProm(&strings.Builder{}, nil); err == nil {
 		t.Error("WriteProm with no families should error")
-	}
-}
-
-func TestShardedGWAPMatchesPlainGWAP(t *testing.T) {
-	sharded := NewShardedGWAP()
-	plain := NewGWAP()
-	players := []string{"ann", "bob", "cat", "dee", "eve"}
-	for i, p := range players {
-		d := time.Duration(i+1) * 12 * time.Minute
-		sharded.RecordSession(p, d)
-		plain.RecordSession(p, d)
-		// Second session for some players exercises the per-player merge.
-		if i%2 == 0 {
-			sharded.RecordSession(p, d)
-			plain.RecordSession(p, d)
-		}
-	}
-	sharded.RecordOutputs(90)
-	plain.RecordOutputs(90)
-
-	got, want := sharded.Report(), plain.Report()
-	if got.Players != want.Players || got.Sessions != want.Sessions || got.Outputs != want.Outputs {
-		t.Errorf("counts: got %+v, want %+v", got, want)
-	}
-	approx := func(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
-	if !approx(got.TotalPlayHours, want.TotalPlayHours) ||
-		!approx(got.ThroughputPerHour, want.ThroughputPerHour) ||
-		!approx(got.ALPMinutes, want.ALPMinutes) ||
-		!approx(got.ExpectedContribution, want.ExpectedContribution) {
-		t.Errorf("rates: got %+v, want %+v", got, want)
-	}
-}
-
-func TestShardedGWAPClampsNegative(t *testing.T) {
-	g := NewShardedGWAP()
-	g.RecordSession("p", -time.Minute)
-	rep := g.Report()
-	if rep.TotalPlayHours != 0 || rep.Sessions != 1 || rep.Players != 1 {
-		t.Errorf("negative session report = %+v, want zero play, 1 session, 1 player", rep)
 	}
 }

@@ -25,17 +25,18 @@
 // a guess happened, not what it was — so the event stream cannot be used
 // to copy the partner; only the agreed word is revealed.
 //
-// Per-session state lives in power-of-two lock shards keyed by session ID
-// (the core's shard discipline): every mutation takes exactly one shard
-// lock, and cross-session work (taboo propagation, sweeping) never holds
-// two shard locks at once.
+// One mutex, Plane.mu, guards the session table, the per-item index and
+// the taboo tracker, so reading an item's taboo set, publishing a session
+// and promoting plus propagating a word are atomic with respect to each
+// other. The matchmaker has its own lock, joinMu; the order is joinMu → mu.
+// Work that calls out (OnResult, transcript recording) runs after mu is
+// released.
 package session
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -157,9 +158,6 @@ type GuessResult struct {
 // Config parameterizes a Plane. The zero value of every field except
 // Lexicon and NextItem is usable.
 type Config struct {
-	// Shards is the number of session shards, rounded up to a power of
-	// two; <= 0 selects GOMAXPROCS rounded up, capped at 64.
-	Shards int
 	// MatchTimeout is how long Join waits for a live partner before
 	// falling back to replay mode. Default 2s.
 	MatchTimeout time.Duration
@@ -201,8 +199,8 @@ type Config struct {
 	Now func() time.Time
 }
 
-// session is one open or lingering round. All fields are guarded by the
-// owning shard's lock; the notify channel is replaced (old one closed)
+// session is one open or lingering round. All fields are guarded by
+// Plane.mu; the notify channel is replaced (old one closed)
 // each time events grows, which is the long-poll broadcast.
 type session struct {
 	id       ID
@@ -233,12 +231,6 @@ func (s *session) seatOf(player string) int {
 	return -1
 }
 
-// shard is one independently locked slice of the session table.
-type shard struct {
-	mu   sync.Mutex
-	sess map[ID]*session
-}
-
 // waiter is a player blocked in Join waiting for a partner.
 type waiter struct {
 	ch    chan JoinInfo
@@ -248,20 +240,17 @@ type waiter struct {
 // Plane is the live session manager. Safe for concurrent use.
 type Plane struct {
 	cfg    Config
-	shards []*shard
-	mask   uint64
 	nextID atomic.Uint64
 
 	mm      *match.Matchmaker
 	replays *match.ReplayStore
 
-	tabooMu sync.Mutex
-	taboo   *agree.TabooTracker
+	mu     sync.Mutex
+	sess   map[ID]*session
+	byItem map[int]map[ID]struct{} // sessions per item, for taboo propagation
+	taboo  *agree.TabooTracker
 
-	itemMu sync.Mutex
-	byItem map[int]map[ID]struct{} // open sessions per item, for taboo propagation
-
-	joinMu  sync.Mutex
+	joinMu  sync.Mutex // guards mm's pool and waiters; taken before mu
 	waiters map[string]*waiter
 
 	stop    chan struct{}
@@ -319,34 +308,19 @@ func New(cfg Config) (*Plane, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	n := cfg.Shards
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-		if n > 64 {
-			n = 64
-		}
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
 	src := rng.New(cfg.Seed + 1)
 	pl := &Plane{
 		cfg:     cfg,
-		shards:  make([]*shard, p),
-		mask:    uint64(p - 1),
 		mm:      match.NewMatchmaker(src),
 		replays: match.NewReplayStore(src, cfg.ReplayPerItem),
-		taboo:   agree.NewTabooTracker(cfg.Lexicon, cfg.PromoteAfter, cfg.RetireAt),
+		sess:    make(map[ID]*session),
 		byItem:  make(map[int]map[ID]struct{}),
+		taboo:   agree.NewTabooTracker(cfg.Lexicon, cfg.PromoteAfter, cfg.RetireAt),
 		waiters: make(map[string]*waiter),
 		stop:    make(chan struct{}),
 	}
 	pl.mm.MaxRepeats = cfg.MaxRepeats
 	pl.mm.SetNow(cfg.Now)
-	for i := range pl.shards {
-		pl.shards[i] = &shard{sess: make(map[ID]*session)}
-	}
 	pl.stopped.Add(1)
 	go pl.sweep()
 	return pl, nil
@@ -366,14 +340,7 @@ func (p *Plane) Close() {
 // (e.g. from a previous process's recordings) before traffic arrives.
 func (p *Plane) Replays() *match.ReplayStore { return p.replays }
 
-func (p *Plane) now() time.Time        { return p.cfg.Now() }
-func (p *Plane) shardFor(id ID) *shard { return p.shards[uint64(id)&p.mask] }
-
-func (p *Plane) tabooFor(item int) []int {
-	p.tabooMu.Lock()
-	defer p.tabooMu.Unlock()
-	return p.taboo.TabooFor(item)
-}
+func (p *Plane) now() time.Time { return p.cfg.Now() }
 
 // Join enters player into the matchmaker and blocks until a session
 // starts: paired with a live stranger, or — when no partner arrives
@@ -449,8 +416,7 @@ func (p *Plane) Join(ctx context.Context, player string) (JoinInfo, error) {
 }
 
 // startLive creates a live session for seats (a, b) and returns their
-// JoinInfos. Called with joinMu held (session creation itself takes only
-// the owning shard lock).
+// JoinInfos. Called with joinMu held; session creation takes mu.
 func (p *Plane) startLive(a, b string) (JoinInfo, JoinInfo) {
 	item := p.cfg.NextItem()
 	s := p.startSession(Live, item, [2]string{a, b}, nil)
@@ -472,36 +438,35 @@ func (p *Plane) startSession(mode Mode, item int, players [2]string, rep *match.
 		mode:     mode,
 		item:     item,
 		players:  players,
-		round:    agree.NewOutputRound(p.cfg.Lexicon, p.cfg.Match, p.tabooFor(item)),
 		replayer: rep,
 		start:    now,
 		deadline: now.Add(p.cfg.RoundTimeout),
 		notify:   make(chan struct{}),
 	}
-	sh := p.shardFor(s.id)
-	sh.mu.Lock()
-	sh.sess[s.id] = s
+	// Reading the taboo set and publishing in byItem under one lock: a
+	// promotion on this item lands either in the initial set or, via
+	// propagateTabooLocked, as an EvTaboo.
+	p.mu.Lock()
+	s.round = agree.NewOutputRound(p.cfg.Lexicon, p.cfg.Match, p.taboo.TabooFor(item))
+	p.sess[s.id] = s
 	p.appendEventLocked(s, Event{Type: EvStart, Seat: -1})
-	sh.mu.Unlock()
-	p.itemMu.Lock()
 	set := p.byItem[item]
 	if set == nil {
 		set = make(map[ID]struct{})
 		p.byItem[item] = set
 	}
 	set[s.id] = struct{}{}
-	p.itemMu.Unlock()
+	p.mu.Unlock()
 	p.open.Add(1)
 	return s
 }
 
 func (p *Plane) joinInfo(s *session, seat int) JoinInfo {
 	// The session is already published: a promotion on its item may be
-	// adding to the round's taboo set (propagateTaboo, under this lock).
-	sh := p.shardFor(s.id)
-	sh.mu.Lock()
+	// adding to the round's taboo set (propagateTabooLocked, under mu).
+	p.mu.Lock()
 	taboo := s.round.Taboo()
-	sh.mu.Unlock()
+	p.mu.Unlock()
 	return JoinInfo{
 		Session:  s.id,
 		Seat:     seat,
@@ -513,7 +478,7 @@ func (p *Plane) joinInfo(s *session, seat int) JoinInfo {
 }
 
 // appendEventLocked stamps and appends ev, waking every long-poller.
-// Caller holds the owning shard's lock.
+// Caller holds mu.
 func (p *Plane) appendEventLocked(s *session, ev Event) {
 	ev.Seq = len(s.events) + 1
 	ev.AtMs = p.now().Sub(s.start).Milliseconds()
@@ -522,16 +487,17 @@ func (p *Plane) appendEventLocked(s *session, ev Event) {
 	s.notify = make(chan struct{})
 }
 
-// finish holds the cross-session work a round end defers until after the
-// shard lock is released: the OnResult callback, transcript recording,
-// and taboo promotion/propagation.
+// finish holds the work a round end defers until after mu is released:
+// the OnResult callback and transcript recording.
 type finish struct {
 	res         Result
 	transcripts []match.ReplaySession
 }
 
-// endLocked closes the round. Caller holds the shard lock and runs the
-// returned finish via p.finalize after releasing it.
+// endLocked closes the round and, on agreement, records the word with the
+// taboo tracker, propagating a promotion to the item's other sessions.
+// Caller holds mu and runs the returned finish via p.finalize after
+// releasing it.
 func (p *Plane) endLocked(s *session, reason string) finish {
 	s.done = true
 	s.reason = reason
@@ -540,6 +506,10 @@ func (p *Plane) endLocked(s *session, reason string) finish {
 	if agreed {
 		p.appendEventLocked(s, Event{Type: EvAgreed, Seat: -1, Word: word})
 		p.agreements.Add(1)
+		if p.taboo.Record(s.item, word) {
+			p.promotions.Add(1)
+			p.propagateTabooLocked(s.item, word, s.id)
+		}
 	} else {
 		word = -1
 	}
@@ -583,46 +553,24 @@ func (p *Plane) endLocked(s *session, reason string) finish {
 	return f
 }
 
-// finalize runs a round's deferred work outside all shard locks.
+// finalize runs a round's deferred work outside mu.
 func (p *Plane) finalize(f finish) {
 	for _, tr := range f.transcripts {
 		p.replays.Record(tr)
-	}
-	if f.res.Agreed {
-		p.tabooMu.Lock()
-		promoted := p.taboo.Record(f.res.Item, f.res.Word)
-		p.tabooMu.Unlock()
-		if promoted {
-			p.promotions.Add(1)
-			p.propagateTaboo(f.res.Item, f.res.Word, f.res.Session)
-		}
 	}
 	if p.cfg.OnResult != nil {
 		p.cfg.OnResult(f.res)
 	}
 }
 
-// propagateTaboo pushes a freshly promoted taboo word into every other
-// open session on the same item, mid-game. Session IDs are snapshotted
-// under itemMu, then each session is updated under its own shard lock —
-// never two locks at once.
-func (p *Plane) propagateTaboo(item, word int, from ID) {
-	p.itemMu.Lock()
-	ids := make([]ID, 0, len(p.byItem[item]))
+// propagateTabooLocked pushes a freshly promoted taboo word into every
+// other open session on the same item, mid-game. Caller holds mu.
+func (p *Plane) propagateTabooLocked(item, word int, from ID) {
 	for id := range p.byItem[item] {
-		if id != from {
-			ids = append(ids, id)
-		}
-	}
-	p.itemMu.Unlock()
-	for _, id := range ids {
-		sh := p.shardFor(id)
-		sh.mu.Lock()
-		if s := sh.sess[id]; s != nil && !s.done {
+		if s := p.sess[id]; id != from && !s.done {
 			s.round.AddTaboo(word)
 			p.appendEventLocked(s, Event{Type: EvTaboo, Seat: -1, Words: []int{word}})
 		}
-		sh.mu.Unlock()
 	}
 }
 
@@ -631,48 +579,47 @@ func (p *Plane) propagateTaboo(item, word int, from ID) {
 // the real game's UI would; unknown sessions, non-players, and finished
 // rounds are errors.
 func (p *Plane) Guess(id ID, player string, word int) (GuessResult, error) {
-	sh := p.shardFor(id)
-	sh.mu.Lock()
-	s := sh.sess[id]
+	p.mu.Lock()
+	s := p.sess[id]
 	if s == nil {
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		return GuessResult{}, ErrUnknown
 	}
 	seat := s.seatOf(player)
 	if seat < 0 {
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		return GuessResult{}, ErrNotPlayer
 	}
 	if s.done {
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		return GuessResult{Done: true}, ErrEnded
 	}
 	if word < 0 || word >= p.cfg.Lexicon.Size() {
 		// Guard the lexicon lookup: word IDs come straight off the wire,
 		// and Canonical indexes by ID without a bounds check.
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		return GuessResult{}, ErrBadWord
 	}
 	if s.guesses[seat] >= p.cfg.MaxGuesses {
 		res := GuessResult{Reason: "limit", Guesses: s.guesses[seat]}
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		return res, nil
 	}
 	matched, err := s.round.Submit(seat, word)
 	switch {
 	case errors.Is(err, agree.ErrTabooWord):
 		res := GuessResult{Reason: "taboo", Guesses: s.guesses[seat]}
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		return res, nil
 	case errors.Is(err, agree.ErrRepeatWord):
 		res := GuessResult{Reason: "repeat", Guesses: s.guesses[seat]}
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		return res, nil
 	case errors.Is(err, agree.ErrRoundOver):
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		return GuessResult{Done: true}, ErrEnded
 	case err != nil:
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		return GuessResult{}, err
 	}
 	s.guesses[seat]++
@@ -693,7 +640,7 @@ func (p *Plane) Guess(id ID, player string, word int) (GuessResult, error) {
 		fin = &f
 	}
 	res.Done = s.done
-	sh.mu.Unlock()
+	p.mu.Unlock()
 	if fin != nil {
 		p.finalize(*fin)
 	}
@@ -703,7 +650,7 @@ func (p *Plane) Guess(id ID, player string, word int) (GuessResult, error) {
 // advanceReplayLocked plays the pre-recorded partner's next usable guess
 // after each accepted live guess, skipping recorded words the current
 // round refuses (taboo promoted since recording, repeats). Returns true
-// when the replayed guess matches. Caller holds the shard lock.
+// when the replayed guess matches. Caller holds mu.
 func (p *Plane) advanceReplayLocked(s *session) bool {
 	for {
 		w, ok := s.replayer.Next()
@@ -739,20 +686,19 @@ func (p *Plane) exhaustedLocked(s *session) bool {
 // Pass records player giving up on the round. A live round ends when both
 // seats pass; a replay round ends on the lone player's pass.
 func (p *Plane) Pass(id ID, player string) (bool, error) {
-	sh := p.shardFor(id)
-	sh.mu.Lock()
-	s := sh.sess[id]
+	p.mu.Lock()
+	s := p.sess[id]
 	if s == nil {
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		return false, ErrUnknown
 	}
 	seat := s.seatOf(player)
 	if seat < 0 {
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		return false, ErrNotPlayer
 	}
 	if s.done {
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		return true, nil
 	}
 	if !s.passed[seat] {
@@ -765,7 +711,7 @@ func (p *Plane) Pass(id ID, player string) (bool, error) {
 		fin = &f
 	}
 	done := s.done
-	sh.mu.Unlock()
+	p.mu.Unlock()
 	if fin != nil {
 		p.finalize(*fin)
 	}
@@ -776,15 +722,14 @@ func (p *Plane) Pass(id ID, player string) (bool, error) {
 // EvEnd with reason "partner_left". Leaving an already finished session
 // is a no-op.
 func (p *Plane) Leave(id ID, player string) error {
-	sh := p.shardFor(id)
-	sh.mu.Lock()
-	s := sh.sess[id]
+	p.mu.Lock()
+	s := p.sess[id]
 	if s == nil {
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		return ErrUnknown
 	}
 	if s.seatOf(player) < 0 {
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		return ErrNotPlayer
 	}
 	var fin *finish
@@ -792,7 +737,7 @@ func (p *Plane) Leave(id ID, player string) error {
 		f := p.endLocked(s, EndLeft)
 		fin = &f
 	}
-	sh.mu.Unlock()
+	p.mu.Unlock()
 	if fin != nil {
 		p.finalize(*fin)
 	}
@@ -806,15 +751,14 @@ func (p *Plane) Leave(id ID, player string) error {
 func (p *Plane) Events(ctx context.Context, id ID, player string, after int, wait time.Duration) ([]Event, bool, error) {
 	deadline := time.Now().Add(wait)
 	for {
-		sh := p.shardFor(id)
-		sh.mu.Lock()
-		s := sh.sess[id]
+		p.mu.Lock()
+		s := p.sess[id]
 		if s == nil {
-			sh.mu.Unlock()
+			p.mu.Unlock()
 			return nil, false, ErrUnknown
 		}
 		if s.seatOf(player) < 0 {
-			sh.mu.Unlock()
+			p.mu.Unlock()
 			return nil, false, ErrNotPlayer
 		}
 		if after < 0 {
@@ -824,15 +768,15 @@ func (p *Plane) Events(ctx context.Context, id ID, player string, after int, wai
 			evs := make([]Event, len(s.events)-after)
 			copy(evs, s.events[after:])
 			done := s.done
-			sh.mu.Unlock()
+			p.mu.Unlock()
 			return evs, done, nil
 		}
 		if s.done {
-			sh.mu.Unlock()
+			p.mu.Unlock()
 			return nil, true, nil
 		}
 		ch := s.notify
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		remain := time.Until(deadline)
 		if remain <= 0 {
 			return nil, false, nil
@@ -857,8 +801,8 @@ func (p *Plane) Events(ctx context.Context, id ID, player string, after int, wai
 }
 
 // sweep is the background timer loop: it expires round deadlines and
-// frees finished sessions once their linger has passed. One shard lock at
-// a time; finalize work runs outside all locks.
+// frees finished sessions once their linger has passed; finalize work runs
+// after mu is released.
 func (p *Plane) sweep() {
 	defer p.stopped.Done()
 	ticker := time.NewTicker(p.cfg.SweepEvery)
@@ -871,38 +815,23 @@ func (p *Plane) sweep() {
 		}
 		now := p.now()
 		var fins []finish
-		type removal struct {
-			id   ID
-			item int
-		}
-		var removals []removal
-		for _, sh := range p.shards {
-			sh.mu.Lock()
-			for id, s := range sh.sess {
-				switch {
-				case !s.done && now.After(s.deadline):
-					fins = append(fins, p.endLocked(s, EndTimeout))
-				case s.done && now.Sub(s.endedAt) > p.cfg.EndLinger:
-					delete(sh.sess, id)
-					removals = append(removals, removal{id: id, item: s.item})
+		p.mu.Lock()
+		for id, s := range p.sess {
+			switch {
+			case !s.done && now.After(s.deadline):
+				fins = append(fins, p.endLocked(s, EndTimeout))
+			case s.done && now.Sub(s.endedAt) > p.cfg.EndLinger:
+				delete(p.sess, id)
+				set := p.byItem[s.item]
+				delete(set, id)
+				if len(set) == 0 {
+					delete(p.byItem, s.item)
 				}
 			}
-			sh.mu.Unlock()
 		}
+		p.mu.Unlock()
 		for _, f := range fins {
 			p.finalize(f)
-		}
-		if len(removals) > 0 {
-			p.itemMu.Lock()
-			for _, rm := range removals {
-				if set := p.byItem[rm.item]; set != nil {
-					delete(set, rm.id)
-					if len(set) == 0 {
-						delete(p.byItem, rm.item)
-					}
-				}
-			}
-			p.itemMu.Unlock()
 		}
 	}
 }
@@ -927,15 +856,11 @@ type Stats struct {
 	MatchWait       metrics.LatencySummary `json:"match_wait"`
 }
 
-// Stats returns a point-in-time snapshot. Resident visits every shard
-// once; counters are atomics.
+// Stats returns a point-in-time snapshot; counters are atomics.
 func (p *Plane) Stats() Stats {
-	var resident int64
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		resident += int64(len(sh.sess))
-		sh.mu.Unlock()
-	}
+	p.mu.Lock()
+	resident := int64(len(p.sess))
+	p.mu.Unlock()
 	live, repl := p.liveTotal.Load(), p.replTotal.Load()
 	var ratio float64
 	if live+repl > 0 {
@@ -964,9 +889,6 @@ func (p *Plane) Stats() Stats {
 // MatchWaitHist exposes the matchmaking-latency histogram for the admin
 // metrics exposition.
 func (p *Plane) MatchWaitHist() *metrics.LatencyHist { return &p.matchWait }
-
-// Shards returns the shard count the plane was built with.
-func (p *Plane) Shards() int { return len(p.shards) }
 
 // String renders an ID in the decimal form used in URLs.
 func (id ID) String() string { return fmt.Sprintf("%d", uint64(id)) }

@@ -4,7 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -191,10 +195,9 @@ func TestReplayPartnerSkipsUnusableWords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := p.shardFor(info.Session)
-	sh.mu.Lock()
-	sh.sess[info.Session].round.AddTaboo(50)
-	sh.mu.Unlock()
+	p.mu.Lock()
+	p.sess[info.Session].round.AddTaboo(50)
+	p.mu.Unlock()
 	if res, err := p.Guess(info.Session, "dave", 51); err != nil || !res.Matched || res.Word != 51 {
 		t.Fatalf("guess = %+v err=%v", res, err)
 	}
@@ -280,8 +283,8 @@ func TestTabooPropagatesAcrossSessions(t *testing.T) {
 
 // TestJoinWhileTabooPropagates is a -race regression: a session is visible
 // to taboo propagation from the moment it is created, so building its
-// JoinInfo (which lists the round's taboo words) has to read them under the
-// session's shard lock. Players join on one item while every agreement
+// JoinInfo (which lists the round's taboo words) has to read them under
+// mu. Players join on one item while every agreement
 // promotes a fresh word into all of that item's open sessions.
 func TestJoinWhileTabooPropagates(t *testing.T) {
 	p := newPlane(t, func(c *Config) {
@@ -310,6 +313,80 @@ func TestJoinWhileTabooPropagates(t *testing.T) {
 	if st := p.Stats(); st.TabooPromotions < 10 {
 		t.Fatalf("only %d taboo promotions ran beside the joins", st.TabooPromotions)
 	}
+}
+
+// TestTabooPromotionDuringSessionStart forces a promotion on the item
+// while a new session on it is being started — from the clock hook that
+// runs after the session's taboo set is read and before it is published.
+// The new session must still learn the word: the promotion either lands in
+// its initial taboo set or reaches it as an EvTaboo.
+func TestTabooPromotionDuringSessionStart(t *testing.T) {
+	var (
+		armed    atomic.Bool
+		plane    *Plane
+		a        JoinInfo
+		promoted = make(chan struct{})
+	)
+	p := newPlane(t, func(c *Config) {
+		c.PromoteAfter = 1
+		c.Now = func() time.Time {
+			if armed.Load() && calledFrom("startSession", "appendEventLocked") && armed.CompareAndSwap(true, false) {
+				// Session A agrees on 20 concurrently; wait for it unless
+				// it is blocked behind the session being started.
+				go func() {
+					defer close(promoted)
+					_, _ = plane.Guess(a.Session, "a1", 20)
+					_, _ = plane.Guess(a.Session, "a2", 20)
+				}()
+				select {
+				case <-promoted:
+				case <-time.After(200 * time.Millisecond):
+				}
+			}
+			return time.Now()
+		}
+	})
+	plane = p
+	a, _ = joinPair(t, p, "a1", "a2")
+	armed.Store(true)
+	b, _ := joinPair(t, p, "b1", "b2")
+	<-promoted
+	if p.Stats().TabooPromotions != 1 {
+		t.Fatalf("TabooPromotions = %d, want 1", p.Stats().TabooPromotions)
+	}
+	res, err := p.Guess(b.Session, "b1", 20)
+	if err != nil || res.Accepted || res.Reason != "taboo" {
+		t.Fatalf("word promoted during session start accepted: %+v err=%v", res, err)
+	}
+	evs, _, err := p.Events(context.Background(), b.Session, "b1", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	told := slices.Contains(b.Taboo, 20)
+	for _, ev := range evs {
+		told = told || (ev.Type == EvTaboo && slices.Contains(ev.Words, 20))
+	}
+	if !told {
+		t.Fatalf("session started during the promotion never heard of it: taboo %v, events %v", b.Taboo, evs)
+	}
+}
+
+// calledFrom reports whether the calling goroutine's stack holds, caller
+// first, functions whose names end in each of names.
+func calledFrom(names ...string) bool {
+	pcs := make([]uintptr, 32)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	want := len(names) - 1
+	for want >= 0 {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, "."+names[want]) {
+			want--
+		}
+		if !more {
+			break
+		}
+	}
+	return want < 0
 }
 
 func TestRoundTimeoutAndLingerExpiry(t *testing.T) {
@@ -500,15 +577,5 @@ func TestJoinValidation(t *testing.T) {
 	p.Close()
 	if _, err := p.Join(context.Background(), "late"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("join after close: %v", err)
-	}
-}
-
-func TestShardsRoundUpToPowerOfTwo(t *testing.T) {
-	p := newPlane(t, func(c *Config) { c.Shards = 5 })
-	if got := p.Shards(); got != 8 {
-		t.Fatalf("Shards() = %d, want 8", got)
-	}
-	if p.mask != 7 {
-		t.Fatalf("mask = %d", p.mask)
 	}
 }

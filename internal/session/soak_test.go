@@ -29,7 +29,6 @@ func TestSessionSoak(t *testing.T) {
 	var item atomic.Int64
 	var results atomic.Int64
 	cfg := Config{
-		Shards:       8,
 		MatchTimeout: 300 * time.Millisecond,
 		RoundTimeout: 2 * time.Second,
 		EndLinger:    50 * time.Millisecond,

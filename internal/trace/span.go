@@ -9,7 +9,7 @@
 // across processes.
 //
 // The plane follows the same discipline as the trace ring: span trees are
-// freelist-recycled and striped, so the steady state allocates nothing;
+// freelist-recycled, so the steady state allocates nothing;
 // retention is tail-based — a bounded ring keeps every tree whose root
 // errored or exceeded a latency threshold, plus a deterministic 1-in-N
 // sample of the rest — and the retained set is served at
@@ -230,7 +230,7 @@ type SpanData struct {
 // dropped rather than grown, keeping tree memory fixed.
 const maxSpansPerTrace = 32
 
-// active is one checkout-able span tree. It cycles between the stripe
+// active is one checkout-able span tree. It cycles between the plane's
 // freelist, an in-flight request, and the retained ring; gen increments
 // at every checkout so stale Handles become no-ops instead of writing
 // into a recycled tree.
@@ -409,8 +409,7 @@ type SpanConfig struct {
 	// Enabled turns the plane on; when false NewSpanPlane returns nil and
 	// every call site degrades to a pointer test.
 	Enabled bool
-	// Capacity is the total retained span trees across all stripes
-	// (default 512).
+	// Capacity is the number of retained span trees (default 512).
 	Capacity int
 	// SlowThreshold retains every tree whose root duration reaches it
 	// (default 100ms; negative disables slow retention).
@@ -420,35 +419,19 @@ type SpanConfig struct {
 	SampleEvery int
 }
 
-// spanStripes is the number of independently locked plane stripes; a
-// power of two so stripe selection is a mask on the trace ID.
-const spanStripes = 16
+// SpanPlane owns the freelist and the tail-sampled retention ring under
+// one lock. All methods are nil-safe; a nil plane records nothing.
+type SpanPlane struct {
+	slow      time.Duration // negative: slow retention disabled
+	sample    uint64        // 0: sampling disabled
+	started   atomic.Uint64
+	retained  atomic.Uint64
+	discarded atomic.Uint64
 
-type spanStripe struct {
 	mu   sync.Mutex
 	free []*active
 	ring []*active // retained trees, fixed capacity, oldest overwritten
 	next int
-
-	_ [32]byte // keep adjacent stripe mutexes off one cache line
-}
-
-func (st *spanStripe) putFree(a *active, limit int) {
-	if len(st.free) < limit {
-		st.free = append(st.free, a)
-	}
-}
-
-// SpanPlane owns the freelists and the tail-sampled retention ring. All
-// methods are nil-safe; a nil plane records nothing.
-type SpanPlane struct {
-	slow      time.Duration // negative: slow retention disabled
-	sample    uint64        // 0: sampling disabled
-	perRing   int
-	started   atomic.Uint64
-	retained  atomic.Uint64
-	discarded atomic.Uint64
-	stripes   [spanStripes]spanStripe
 }
 
 // NewSpanPlane builds a plane from cfg, or returns nil when disabled.
@@ -460,7 +443,6 @@ func NewSpanPlane(cfg SpanConfig) *SpanPlane {
 	if capacity <= 0 {
 		capacity = 512
 	}
-	per := (capacity + spanStripes - 1) / spanStripes
 	slow := cfg.SlowThreshold
 	if slow == 0 {
 		slow = 100 * time.Millisecond
@@ -472,15 +454,15 @@ func NewSpanPlane(cfg SpanConfig) *SpanPlane {
 	case cfg.SampleEvery > 0:
 		sample = uint64(cfg.SampleEvery)
 	}
-	p := &SpanPlane{slow: slow, sample: sample, perRing: per}
-	for i := range p.stripes {
-		p.stripes[i].ring = make([]*active, 0, per)
-	}
-	return p
+	return &SpanPlane{slow: slow, sample: sample, ring: make([]*active, 0, capacity)}
 }
 
-func (p *SpanPlane) stripeFor(t TraceID) *spanStripe {
-	return &p.stripes[t[15]&(spanStripes-1)]
+// putFreeLocked recycles a; the freelist holds at most twice the ring.
+// Caller holds p.mu.
+func (p *SpanPlane) putFreeLocked(a *active) {
+	if len(p.free) < 2*cap(p.ring) {
+		p.free = append(p.free, a)
+	}
 }
 
 // StartTrace checks out a span tree for one request and opens its root
@@ -495,15 +477,14 @@ func (p *SpanPlane) StartTrace(id TraceID, parent SpanID, op string) Handle {
 		id = NewTraceID()
 	}
 	p.started.Add(1)
-	st := p.stripeFor(id)
-	st.mu.Lock()
+	p.mu.Lock()
 	var a *active
-	if n := len(st.free); n > 0 {
-		a = st.free[n-1]
-		st.free[n-1] = nil
-		st.free = st.free[:n-1]
+	if n := len(p.free); n > 0 {
+		a = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
 	}
-	st.mu.Unlock()
+	p.mu.Unlock()
 	if a == nil {
 		a = &active{spans: make([]SpanData, 0, maxSpansPerTrace)}
 	}
@@ -546,29 +527,27 @@ func (p *SpanPlane) Finish(h Handle, errMsg string) {
 	keep := root.Err != "" ||
 		(p.slow >= 0 && root.Dur >= p.slow) ||
 		p.sampleHit(a.trace)
-	tr := a.trace
 	a.mu.Unlock()
 
-	st := p.stripeFor(tr)
-	st.mu.Lock()
+	p.mu.Lock()
 	if keep {
 		p.retained.Add(1)
-		if len(st.ring) < cap(st.ring) {
-			st.ring = append(st.ring, a)
+		if len(p.ring) < cap(p.ring) {
+			p.ring = append(p.ring, a)
 		} else {
-			old := st.ring[st.next]
-			st.ring[st.next] = a
-			st.next++
-			if st.next == cap(st.ring) {
-				st.next = 0
+			old := p.ring[p.next]
+			p.ring[p.next] = a
+			p.next++
+			if p.next == cap(p.ring) {
+				p.next = 0
 			}
-			st.putFree(old, 2*p.perRing)
+			p.putFreeLocked(old)
 		}
 	} else {
 		p.discarded.Add(1)
-		st.putFree(a, 2*p.perRing)
+		p.putFreeLocked(a)
 	}
-	st.mu.Unlock()
+	p.mu.Unlock()
 }
 
 // sampleHit is the deterministic 1-in-N decision, keyed on trace ID bits
@@ -594,14 +573,9 @@ func (p *SpanPlane) Retained() int {
 	if p == nil {
 		return 0
 	}
-	n := 0
-	for i := range p.stripes {
-		st := &p.stripes[i]
-		st.mu.Lock()
-		n += len(st.ring)
-		st.mu.Unlock()
-	}
-	return n
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.ring)
 }
 
 // SpanView is the JSON shape of one span inside a retained tree.
@@ -646,21 +620,13 @@ func (p *SpanPlane) Snapshot(f SpanFilter) []TraceView {
 		limit = 100
 	}
 	var out []TraceView
-	lo, hi := 0, spanStripes
-	if !f.Trace.IsZero() {
-		i := int(f.Trace[15] & (spanStripes - 1))
-		lo, hi = i, i+1
-	}
-	for i := lo; i < hi; i++ {
-		st := &p.stripes[i]
-		st.mu.Lock()
-		for _, a := range st.ring {
-			if tv, ok := a.view(f); ok {
-				out = append(out, tv)
-			}
+	p.mu.Lock()
+	for _, a := range p.ring {
+		if tv, ok := a.view(f); ok {
+			out = append(out, tv)
 		}
-		st.mu.Unlock()
 	}
+	p.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Start.After(out[j].Start) })
 	if len(out) > limit {
 		out = out[:limit]

@@ -120,9 +120,9 @@ func TestTailSamplingDeterministic1InN(t *testing.T) {
 }
 
 func TestRetentionRingBounded(t *testing.T) {
-	// Capacity spanStripes gives one ring slot per stripe; three errored
-	// trees on one stripe must leave exactly one retained tree — the newest.
-	p := NewSpanPlane(SpanConfig{Enabled: true, Capacity: spanStripes, SlowThreshold: -1, SampleEvery: -1})
+	// Capacity 1 gives one ring slot; three errored trees must leave
+	// exactly one retained tree — the newest.
+	p := NewSpanPlane(SpanConfig{Enabled: true, Capacity: 1, SlowThreshold: -1, SampleEvery: -1})
 	for i := uint64(1); i <= 3; i++ {
 		h := p.StartTrace(mkTrace(i, 7), SpanID{}, "op")
 		p.Finish(h, "err")
@@ -146,7 +146,7 @@ func TestFreelistRecyclesTrees(t *testing.T) {
 	p.Finish(h1, "") // discarded -> freelist
 	h2 := p.StartTrace(mkTrace(2, 3), SpanID{}, "second")
 	if h2.a != a1 {
-		t.Fatal("discarded tree not recycled from the stripe freelist")
+		t.Fatal("discarded tree not recycled from the freelist")
 	}
 	if h2.gen == h1.gen {
 		t.Fatal("recycled tree kept its generation")
