@@ -69,8 +69,9 @@ type Config struct {
 // append. The events are acknowledged as a unit — a nil error means every
 // one of them is on the log, a non-nil error that none is — and the call
 // reports how long the write and the fsync-group wait took, which a traced
-// request records as its wal.append and wal.fsync spans. *store.WAL
-// satisfies it.
+// request records as its wal.append and wal.fsync spans. The events, and
+// the tasks and answers they point at, are the caller's again once the
+// call returns. *store.WAL satisfies it.
 type Journal interface {
 	AppendBatchObserved([]store.Event) (write, sync time.Duration, err error)
 }
@@ -268,9 +269,9 @@ func (s *System) SubmitBatch(specs []SubmitSpec) []SubmitOutcome {
 // queue locks are taken once per batch instead of once per task, and all
 // journal events are appended as one group (one write, one fsync under
 // sync-always). The returned slice is index-aligned with specs; an invalid
-// item never fails the rest. When the journal refuses the group every task
-// in it is withdrawn, so store, queue and journal never disagree about
-// which tasks exist.
+// item never fails the rest. When the journal refuses the group no task in
+// it is stored or enqueued, so store, queue and journal never disagree
+// about which tasks exist.
 func (s *System) SubmitBatchCtx(ctx context.Context, specs []SubmitSpec) []SubmitOutcome {
 	h, ref := startOp(trace.FromContext(ctx), "core.submit_batch")
 	out := make([]SubmitOutcome, len(specs))
@@ -281,19 +282,20 @@ func (s *System) SubmitBatchCtx(ctx context.Context, specs []SubmitSpec) []Submi
 
 // submitItem is one valid task on its way through submitAll.
 type submitItem struct {
-	at    int          // index of its spec and outcome
-	t     *task.Task   // the live task, owned by the queue once enqueued
-	clean task.Task    // journal copy, taken before a worker can touch t
-	gold  *task.Answer // expected answer of a gold probe
+	at   int          // index of its spec and outcome
+	t    *task.Task   // the live task, owned by the queue once enqueued
+	gold *task.Answer // expected answer of a gold probe
 }
 
 // submitAll is the one submit body, for a batch of any size (a single
-// submit is a batch of one): validate → store → register gold → enqueue →
-// journal, withdrawing whatever was not acknowledged. out is index-aligned
-// with specs. A gold expectation is registered *before* its task becomes
-// leasable — a worker who leased and answered the probe between enqueue
-// and registration would escape scoring — and rides in the journal event
-// so the probe survives replay.
+// submit is a batch of one): validate → journal → store → register gold →
+// enqueue. out is index-aligned with specs. A task is on the log before any
+// worker can lease it, so no answer can be journalled ahead of its task,
+// and the journal event reads the task itself: nothing else holds it yet. A
+// gold expectation rides in the journal event, so the probe survives
+// replay, and is registered *before* its task becomes leasable — a worker
+// who leased and answered the probe between enqueue and registration would
+// escape scoring.
 func (s *System) submitAll(h trace.Handle, specs []SubmitSpec, out []SubmitOutcome) {
 	if s.readOnly.Load() {
 		for i := range out {
@@ -319,11 +321,24 @@ func (s *System) submitAll(h trace.Handle, specs []SubmitSpec, out []SubmitOutco
 			continue
 		}
 		it.t.Priority = sp.Priority
-		it.clean = task.Task(it.t.View())
 		s.emit(trace.StageSubmit, it.t.ID, "", now, tr)
 		items = append(items, it)
 	}
 	if len(items) == 0 {
+		return
+	}
+	var events []store.Event
+	if s.cfg.Journal != nil { // a system that journals nothing does not build the group
+		events = make([]store.Event, len(items))
+		for j, it := range items {
+			events[j] = store.Event{Kind: store.EventSubmit, At: now, Task: it.t, Gold: it.gold}
+		}
+	}
+	if err := s.journal(h, events); err != nil {
+		// Unacknowledged and unjournaled: the tasks exist nowhere else yet.
+		for _, it := range items {
+			out[it.at].Err = err
+		}
 		return
 	}
 	var few [8]*task.Task // a batch this small keeps its task list on the stack
@@ -332,44 +347,19 @@ func (s *System) submitAll(h trace.Handle, specs []SubmitSpec, out []SubmitOutco
 		tasks = append(tasks, items[j].t)
 	}
 	s.store.PutBatch(tasks)
-	s.setGold(items, true)
-	if refused := s.queue.AddBatchTraced(tasks, h); refused != nil {
-		for j := range items {
-			out[items[j].at].Err = refused[j]
-		}
-	}
-	var events []store.Event
-	if s.cfg.Journal != nil { // a system that journals nothing does not build the group
-		events = make([]store.Event, 0, len(items))
-		for j := range items {
-			if it := &items[j]; out[it.at].Err == nil {
-				events = append(events, store.Event{Kind: store.EventSubmit, At: now, Task: &it.clean, Gold: it.gold})
-			}
-		}
-	}
-	jerr := s.journal(h, events)
-	for j := range items {
-		it := &items[j]
-		queued := out[it.at].Err == nil
-		if queued && jerr == nil {
-			out[it.at].ID = it.t.ID
-			s.tasksSubmitted.Inc()
-			continue
-		}
-		// Unacknowledged and unjournaled: a crash here would lose the task
-		// anyway, so withdraw it rather than strand it half-submitted.
-		if queued {
-			out[it.at].Err = jerr
-			_ = s.queue.Remove(it.t.ID)
-		}
-		s.store.Delete(it.t.ID)
-		s.setGold(items[j:j+1], false)
+	s.setGold(items)
+	// The queue refuses only a duplicate ID or a task that is not open, and
+	// every task here is open under an ID fresh from NextID.
+	s.queue.AddBatchTraced(tasks, h)
+	for _, it := range items {
+		out[it.at].ID = it.t.ID
+		s.tasksSubmitted.Inc()
 	}
 }
 
-// setGold registers (on) or withdraws the gold expectations among items,
-// taking the gold lock only when there is one.
-func (s *System) setGold(items []submitItem, on bool) {
+// setGold registers the gold expectations among items, taking the gold
+// lock only when there is one.
+func (s *System) setGold(items []submitItem) {
 	locked := false
 	for j := range items {
 		if items[j].gold == nil {
@@ -379,11 +369,7 @@ func (s *System) setGold(items []submitItem, on bool) {
 			s.mu.Lock()
 			locked = true
 		}
-		if on {
-			s.gold[items[j].t.ID] = *items[j].gold
-		} else {
-			delete(s.gold, items[j].t.ID)
-		}
+		s.gold[items[j].t.ID] = *items[j].gold
 	}
 	if locked {
 		s.mu.Unlock()

@@ -485,3 +485,60 @@ func TestLateJournalledAnswerRecovers(t *testing.T) {
 		})
 	}
 }
+
+// TestSubmitIsJournalledBeforeItIsLeasable: another connection leasing
+// while a submit is on its way to the log must not get the task. Stored and
+// enqueued before its submit was journalled, the task could be leased and
+// answered in that window, its answer journalled ahead of it, and the log of
+// acknowledged writes would no longer replay.
+func TestSubmitIsJournalledBeforeItIsLeasable(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Clock = sim.NewSimulator(time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC))
+	recovered := New(cfg)
+
+	var (
+		wal   bytes.Buffer
+		s     *System
+		raced error
+	)
+	cfg.Journal = &hookJournal{
+		Journal: store.NewWAL(&wal),
+		before: func(e store.Event) {
+			if e.Kind != store.EventSubmit {
+				return
+			}
+			_, lease, err := s.NextTask("early")
+			if err == nil {
+				err = s.SubmitAnswer(lease, task.Answer{Words: []int{1}})
+			}
+			raced = err
+		},
+		after: func(store.Event) {},
+	}
+	s = New(cfg)
+	id, err := s.SubmitTask(task.Label, task.Payload{ImageID: 1}, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Acknowledged, the task leases and answers as any other.
+	_, lease, err := s.NextTask("late")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SubmitAnswer(lease, task.Answer{Words: []int{2}}); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := store.ReplayWAL(bytes.NewReader(wal.Bytes()), recovered.Store()); err != nil {
+		t.Fatalf("the log of acknowledged writes does not replay: %v", err)
+	}
+	if !errors.Is(raced, queue.ErrEmpty) {
+		t.Fatalf("a lease during the submit's append got %v, want queue.ErrEmpty", raced)
+	}
+	if live, got := s.Store().Count(task.Open), recovered.Store().Count(task.Open); live != 1 || got != 1 {
+		t.Fatalf("open tasks: live %d, recovered %d; want 1 each", live, got)
+	}
+	if v, err := recovered.Task(id); err != nil || len(v.Answers) != 1 || v.Answers[0].WorkerID != "late" {
+		t.Fatalf("recovered task %+v, %v; want late's answer alone", v, err)
+	}
+}

@@ -9,9 +9,11 @@
 // well under the discrete-event simulator's virtual clock and the dispatch
 // service's wall clock. The queue is safe for concurrent use.
 //
-// One mutex guards the heap, the entry table and the lease table; every
+// One mutex guards the heap, the task table and the lease table; every
 // operation is one hold of it, so a lease is always the exact best eligible
-// task at the moment it is granted.
+// task at the moment it is granted. A queued task costs the queue one
+// pointer in the heap and one in the table: what is leased, and to whom, is
+// read from the lease table.
 package queue
 
 import (
@@ -47,13 +49,8 @@ type Lease struct {
 	WorkerID string
 	LeasedAt time.Time
 	Expiry   time.Time
-}
 
-type entry struct {
-	t        *task.Task
-	inFlight int             // outstanding leases on this task
-	index    int             // heap index, -1 when not in heap
-	holders  map[string]bool // workers currently holding a lease on this task; nil until the first lease
+	next *Lease // the task's next outstanding lease, in Queue.held
 }
 
 // TaskLocks hands out the lock guarding a given task's stored contents.
@@ -77,14 +74,23 @@ type Queue struct {
 	rec   *trace.Recorder // lifecycle event sink; nil records nothing
 
 	mu sync.Mutex
-	// entries holds the queued tasks, every one of them open: an entry
-	// leaves the table in the critical section in which its task leaves Open
-	// (fixLocked), so Stats reads occupancy off the table's length. Only a
-	// task closed behind the queue's back — the tests do it, nothing else —
-	// is still counted until the next scan drains it.
-	entries map[task.ID]*entry
-	heap    taskHeap
+	// tasks holds the queued tasks, every one of them open: a task leaves
+	// the table in the critical section in which it leaves Open (closeLocked),
+	// so Stats reads occupancy off the table's length. Only a task closed
+	// behind the queue's back — the tests do it, nothing else — is still
+	// counted until a scan drains it.
+	tasks map[task.ID]*task.Task
+	// heap orders the queued tasks best-first by a key that never changes
+	// while a task is queued. A closed task leaves it lazily: a scan drops
+	// it when popped, and the heap is rebuilt from its open tasks whenever
+	// it grows past twice the table (compactLocked).
+	heap taskHeap
+	// leases is the lease table; held indexes it by task, each value the
+	// head of a list through Lease.next. A task has a key from its first
+	// lease until it leaves the queue, nil once every lease on it is gone,
+	// so a task without one has never been leased since it was enqueued.
 	leases  map[LeaseID]*Lease
+	held    map[task.ID]*Lease
 	seq     int64 // last lease ID granted
 	lockN   int64 // lock acquisitions through lock()
 	expired int64 // total leases reclaimed by expiry
@@ -119,10 +125,11 @@ func NewLocked(ttl time.Duration, locks TaskLocks) *Queue {
 		panic("queue: lease TTL must be positive")
 	}
 	return &Queue{
-		ttl:     ttl,
-		locks:   locks,
-		entries: make(map[task.ID]*entry),
-		leases:  make(map[LeaseID]*Lease),
+		ttl:    ttl,
+		locks:  locks,
+		tasks:  make(map[task.ID]*task.Task),
+		leases: make(map[LeaseID]*Lease),
+		held:   make(map[task.ID]*Lease),
 	}
 }
 
@@ -184,15 +191,14 @@ func (q *Queue) Add(t *task.Task) error {
 
 // insertLocked is the one enqueue step; caller holds the lock.
 func (q *Queue) insertLocked(t *task.Task, tr trace.TraceID) error {
-	if _, dup := q.entries[t.ID]; dup {
+	if _, dup := q.tasks[t.ID]; dup {
 		return ErrDuplicateID
 	}
 	if t.Status != task.Open {
 		return fmt.Errorf("queue: cannot enqueue task %d with status %v", t.ID, t.Status)
 	}
-	e := &entry{t: t, index: -1}
-	q.entries[t.ID] = e
-	heap.Push(&q.heap, e)
+	q.tasks[t.ID] = t
+	heap.Push(&q.heap, t)
 	q.emit(trace.StageEnqueue, t.ID, "", t.CreatedAt, tr)
 	return nil
 }
@@ -212,15 +218,15 @@ func (q *Queue) AddBatch(ts []*task.Task) []error {
 // it exactly AddBatch.
 //
 // The heap grows once for the whole batch, and a batch landing in an empty
-// queue — the requeue after a restart — sizes the entry table up front
+// queue — the requeue after a restart — sizes the task table up front
 // instead of growing it by doubling.
 func (q *Queue) AddBatchTraced(ts []*task.Task, h trace.Handle) []error {
 	var errs []error
 	tr := h.Trace()
 	q.lockTraced(h)
 	defer q.mu.Unlock()
-	if len(q.entries) == 0 {
-		q.entries = make(map[task.ID]*entry, len(ts))
+	if len(q.tasks) == 0 {
+		q.tasks = make(map[task.ID]*task.Task, len(ts))
 	}
 	q.heap = slices.Grow(q.heap, len(ts))
 	for i, t := range ts {
@@ -253,35 +259,36 @@ func (q *Queue) LeaseTraced(workerID string, now time.Time, h trace.Handle) (tas
 	defer q.mu.Unlock()
 	q.expireLocked(now)
 	var g LeaseGrant
-	if q.scanLocked(workerID, 1, func(e *entry) { g.Task, g.Lease = q.leaseEntryLocked(e, workerID, now, tr) }) == 0 {
+	if q.scanLocked(workerID, 1, func(t *task.Task) { g.Task, g.Lease = q.leaseLocked(t, workerID, now, tr) }) == 0 {
 		return task.View{}, 0, ErrEmpty
 	}
 	return g.Task, g.Lease, nil
 }
 
-// scanLocked is the one walk over the heap: entries are popped best-first
+// scanLocked is the one walk over the heap: tasks are popped best-first
 // and take is called on each one workerID may lease, until want have been
-// taken or the heap is exhausted. Open entries the worker may not lease are
-// skipped, finished ones are drained from the table, and everything still
-// open — taken or skipped — is pushed back, since an entry stays in the heap
-// while leased. It returns how many were taken. Caller holds the lock.
-func (q *Queue) scanLocked(workerID string, want int, take func(*entry)) int {
-	var popped []*entry
+// taken or the heap is exhausted. Open tasks the worker may not lease are
+// skipped, closed ones are drained, and everything still open — taken or
+// skipped — is pushed back, since a task stays in the heap while leased. It
+// returns how many were taken. Caller holds the lock.
+func (q *Queue) scanLocked(workerID string, want int, take func(*task.Task)) int {
+	var few [8]*task.Task // a short scan keeps what it pops on the stack
+	popped := few[:0]
 	taken := 0
 	for taken < want && q.heap.Len() > 0 {
-		e := heap.Pop(&q.heap).(*entry)
+		t := heap.Pop(&q.heap).(*task.Task)
 		switch {
-		case q.eligibleLocked(e, workerID):
-			take(e)
+		case q.eligibleLocked(t, workerID):
+			take(t)
 			taken++
-		case e.t.Status != task.Open:
-			delete(q.entries, e.t.ID)
+		case t.Status != task.Open:
+			q.dropLocked(t)
 			continue
 		}
-		popped = append(popped, e)
+		popped = append(popped, t)
 	}
-	for _, e := range popped {
-		heap.Push(&q.heap, e)
+	for _, t := range popped {
+		heap.Push(&q.heap, t)
 	}
 	return taken
 }
@@ -299,14 +306,14 @@ func (q *Queue) LeaseTask(id task.ID, workerID string, now time.Time) (task.View
 	q.lock()
 	defer q.mu.Unlock()
 	q.expireLocked(now)
-	e, ok := q.entries[id]
+	t, ok := q.tasks[id]
 	if !ok {
 		return task.View{}, 0, ErrUnknownTask
 	}
-	if !q.eligibleLocked(e, workerID) {
+	if !q.eligibleLocked(t, workerID) {
 		return task.View{}, 0, ErrEmpty
 	}
-	v, lid := q.leaseEntryLocked(e, workerID, now, trace.TraceID{})
+	v, lid := q.leaseLocked(t, workerID, now, trace.TraceID{})
 	return v, lid, nil
 }
 
@@ -337,45 +344,51 @@ func (q *Queue) LeaseBatchTraced(workerID string, max int, now time.Time, h trac
 	defer q.mu.Unlock()
 	q.expireLocked(now)
 	var out []LeaseGrant
-	q.scanLocked(workerID, max, func(e *entry) {
-		v, id := q.leaseEntryLocked(e, workerID, now, tr)
+	q.scanLocked(workerID, max, func(t *task.Task) {
+		v, id := q.leaseLocked(t, workerID, now, tr)
 		out = append(out, LeaseGrant{Task: v, Lease: id})
 	})
 	return out
 }
 
-// leaseEntryLocked records a lease on e for workerID. The entry stays in
-// the heap while leased: other workers may take the remaining redundancy
-// slots concurrently, and the heap key does not depend on lease state.
-func (q *Queue) leaseEntryLocked(e *entry, workerID string, now time.Time, tr trace.TraceID) (task.View, LeaseID) {
-	e.inFlight++
-	if e.holders == nil { // never leased: its time in queue, from the enqueue event's At, ends here
-		q.rec.ObserveStage(trace.StageLease, now.Sub(e.t.CreatedAt), tr)
-		e.holders = make(map[string]bool)
+// leaseLocked records a lease on t for workerID. The task stays in the
+// heap while leased: other workers may take the remaining redundancy slots
+// concurrently, and the heap key does not depend on lease state.
+func (q *Queue) leaseLocked(t *task.Task, workerID string, now time.Time, tr trace.TraceID) (task.View, LeaseID) {
+	first, leased := q.held[t.ID]
+	if !leased { // never leased: its time in queue, from the enqueue event's At, ends here
+		q.rec.ObserveStage(trace.StageLease, now.Sub(t.CreatedAt), tr)
 	}
-	e.holders[workerID] = true
 	q.seq++
 	id := LeaseID(q.seq)
-	l := &Lease{ID: id, TaskID: e.t.ID, WorkerID: workerID, LeasedAt: now, Expiry: now.Add(q.ttl)}
+	l := &Lease{ID: id, TaskID: t.ID, WorkerID: workerID, LeasedAt: now, Expiry: now.Add(q.ttl), next: first}
 	if len(q.leases) == 0 || l.Expiry.Before(q.nextExpiry) {
 		q.nextExpiry = l.Expiry
 	}
 	q.leases[id] = l
-	q.emit(trace.StageLease, e.t.ID, workerID, now, tr)
-	return e.t.View(), id
+	q.held[t.ID] = l
+	q.emit(trace.StageLease, t.ID, workerID, now, tr)
+	return t.View(), id
 }
 
-func (q *Queue) eligibleLocked(e *entry, workerID string) bool {
-	if e.t.Status != task.Open {
+// eligibleLocked reports whether workerID may lease t: t is open, has a
+// redundancy slot no outstanding lease holds, and neither holds a lease of
+// workerID's nor carries an answer of theirs.
+func (q *Queue) eligibleLocked(t *task.Task, workerID string) bool {
+	if t.Status != task.Open {
 		return false
 	}
-	if e.inFlight >= e.t.Remaining() {
+	inFlight := 0
+	for l := q.held[t.ID]; l != nil; l = l.next {
+		if l.WorkerID == workerID {
+			return false
+		}
+		inFlight++
+	}
+	if inFlight >= t.Remaining() {
 		return false
 	}
-	if e.holders[workerID] {
-		return false
-	}
-	for _, a := range e.t.Answers {
+	for _, a := range t.Answers {
 		if a.WorkerID == workerID {
 			return false
 		}
@@ -414,42 +427,40 @@ func (q *Queue) completeLocked(id LeaseID, a task.Answer, now time.Time, tr trac
 	if !ok {
 		return CompleteResult{}, ErrUnknownLease
 	}
-	e, ok := q.entries[l.TaskID]
+	t, ok := q.tasks[l.TaskID]
 	if !ok {
-		// An entry only leaves the table under an outstanding lease because
-		// its task finished or was cancelled: the same late answer Record
-		// refuses while the entry is still there.
+		// A task only leaves the table under an outstanding lease because it
+		// finished or was cancelled: the same late answer Record refuses
+		// while the task is still there.
 		delete(q.leases, id)
 		return CompleteResult{}, task.ErrWrongStatus
 	}
 	a.WorkerID = l.WorkerID
-	q.lockTask(e.t.ID)
-	err := e.t.Record(a, now)
+	q.lockTask(t.ID)
+	err := t.Record(a, now)
 	var res CompleteResult
 	var firstAnswer time.Time
 	if err == nil {
-		firstAnswer = e.t.Answers[0].At
+		firstAnswer = t.Answers[0].At
 		res = CompleteResult{
-			TaskID:     e.t.ID,
-			Kind:       e.t.Kind,
-			Status:     e.t.Status,
-			Answer:     e.t.Answers[len(e.t.Answers)-1],
+			TaskID:     t.ID,
+			Kind:       t.Kind,
+			Status:     t.Status,
+			Answer:     t.Answers[len(t.Answers)-1],
 			LeasedAt:   l.LeasedAt,
-			Answers:    len(e.t.Answers),
-			Redundancy: e.t.Redundancy,
+			Answers:    len(t.Answers),
+			Redundancy: t.Redundancy,
 		}
 	}
-	q.unlockTask(e.t.ID)
+	q.unlockTask(t.ID)
 	if err != nil {
 		return CompleteResult{}, err
 	}
-	delete(q.leases, id)
-	e.inFlight--
-	delete(e.holders, l.WorkerID)
-	q.fixLocked(e)
+	q.dropLeaseLocked(l)
 	q.emit(trace.StageAnswer, res.TaskID, l.WorkerID, now, tr)
 	q.rec.ObserveStage(trace.StageAnswer, now.Sub(l.LeasedAt), tr)
 	if res.Status == task.Done {
+		q.closeLocked(t)
 		q.emit(trace.StageComplete, res.TaskID, "", now, tr)
 		q.rec.ObserveStage(trace.StageComplete, now.Sub(firstAnswer), tr)
 	}
@@ -506,14 +517,20 @@ func (q *Queue) Release(id LeaseID, now time.Time) error {
 	return nil
 }
 
-// dropLeaseLocked retires an unanswered lease and gives its slot back to
-// the task, if the task is still queued.
+// dropLeaseLocked retires a lease and gives its slot back to the task, if
+// the task is still queued.
 func (q *Queue) dropLeaseLocked(l *Lease) {
 	delete(q.leases, l.ID)
-	if e, ok := q.entries[l.TaskID]; ok {
-		e.inFlight--
-		delete(e.holders, l.WorkerID)
-		q.fixLocked(e)
+	first := q.held[l.TaskID]
+	if first == l {
+		q.held[l.TaskID] = l.next
+		return
+	}
+	for p := first; p != nil; p = p.next {
+		if p.next == l {
+			p.next = l.next
+			return
+		}
 	}
 }
 
@@ -521,17 +538,17 @@ func (q *Queue) dropLeaseLocked(l *Lease) {
 func (q *Queue) Cancel(id task.ID, now time.Time) error {
 	q.lock()
 	defer q.mu.Unlock()
-	e, ok := q.entries[id]
+	t, ok := q.tasks[id]
 	if !ok {
 		return ErrUnknownTask
 	}
 	q.lockTask(id)
-	err := e.t.Cancel(now)
+	err := t.Cancel(now)
 	q.unlockTask(id)
 	if err != nil {
 		return err
 	}
-	q.fixLocked(e)
+	q.closeLocked(t)
 	q.emit(trace.StageCancel, id, "", now, trace.TraceID{})
 	return nil
 }
@@ -546,44 +563,26 @@ func (q *Queue) Cancel(id task.ID, now time.Time) error {
 func (q *Queue) FinishEarly(id task.ID, now time.Time) (task.View, bool) {
 	q.lock()
 	defer q.mu.Unlock()
-	e, ok := q.entries[id]
+	t, ok := q.tasks[id]
 	if !ok {
 		return task.View{}, false
 	}
 	q.lockTask(id)
-	err := e.t.Finish(now)
+	err := t.Finish(now)
 	var v task.View
 	if err == nil {
-		v = e.t.View()
+		v = t.View()
 	}
 	q.unlockTask(id)
 	if err != nil {
 		return task.View{}, false
 	}
-	q.fixLocked(e)
+	q.closeLocked(t)
 	q.emit(trace.StageComplete, id, "", now, trace.TraceID{})
 	if len(v.Answers) > 0 {
 		q.rec.ObserveStage(trace.StageComplete, now.Sub(v.Answers[0].At), trace.TraceID{})
 	}
 	return v, true
-}
-
-// Remove withdraws a task from the queue entirely without touching its
-// status — the rollback half of Add for submissions that fail partway.
-// Outstanding leases on the task (none exist on the submit path) are left
-// to expire.
-func (q *Queue) Remove(id task.ID) error {
-	q.lock()
-	defer q.mu.Unlock()
-	e, ok := q.entries[id]
-	if !ok {
-		return ErrUnknownTask
-	}
-	if e.index >= 0 {
-		heap.Remove(&q.heap, e.index)
-	}
-	delete(q.entries, id)
-	return nil
 }
 
 // ExpireLeases reclaims all leases that expired at or before now and
@@ -622,18 +621,39 @@ func (q *Queue) expireLocked(now time.Time) {
 	q.nextExpiry = next
 }
 
-// fixLocked re-establishes heap order for e after its scheduling state
-// changed, removing it when it is no longer Open.
-func (q *Queue) fixLocked(e *entry) {
-	if e.index < 0 {
+// closeLocked takes a task that has just left Open out of the queue: out of
+// the table and the lease index at once, out of the heap lazily.
+func (q *Queue) closeLocked(t *task.Task) {
+	q.dropLocked(t)
+	q.compactLocked()
+}
+
+// dropLocked deletes a closed task's table and lease-index keys. Its
+// outstanding leases stay in the lease table until answered, released or
+// expired; an answer on one is refused.
+func (q *Queue) dropLocked(t *task.Task) {
+	delete(q.tasks, t.ID)
+	delete(q.held, t.ID)
+}
+
+// compactLocked rebuilds the heap from its open tasks once closed ones
+// outnumber them by more than 64, which keeps the heap within twice the
+// table plus 64 slots at a cost amortized over the closes that filled it.
+func (q *Queue) compactLocked() {
+	if len(q.heap) <= 2*len(q.tasks)+64 {
 		return
 	}
-	if e.t.Status != task.Open {
-		heap.Remove(&q.heap, e.index)
-		delete(q.entries, e.t.ID)
-		return
+	open := q.heap[:0]
+	for _, t := range q.heap {
+		if t.Status == task.Open {
+			open = append(open, t)
+		} else {
+			q.dropLocked(t)
+		}
 	}
-	heap.Fix(&q.heap, e.index)
+	clear(q.heap[len(open):])
+	q.heap = open
+	heap.Init(&q.heap)
 }
 
 // Task returns a snapshot of the task with the given ID regardless of
@@ -642,11 +662,11 @@ func (q *Queue) fixLocked(e *entry) {
 func (q *Queue) Task(id task.ID) (task.View, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	e, ok := q.entries[id]
+	t, ok := q.tasks[id]
 	if !ok {
 		return task.View{}, ErrUnknownTask
 	}
-	return e.t.View(), nil
+	return t.View(), nil
 }
 
 // Stats is a snapshot of queue occupancy.
@@ -661,17 +681,17 @@ type Stats struct {
 func (q *Queue) Stats() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return Stats{Open: len(q.entries), InFlight: len(q.leases), ExpiredLeases: q.expired}
+	return Stats{Open: len(q.tasks), InFlight: len(q.leases), ExpiredLeases: q.expired}
 }
 
-// taskHeap orders entries by priority (desc), then creation time (asc),
-// then ID (asc) for determinism.
-type taskHeap []*entry
+// taskHeap orders tasks by priority (desc), then creation time (asc), then
+// ID (asc) for determinism.
+type taskHeap []*task.Task
 
 func (h taskHeap) Len() int { return len(h) }
 
 func (h taskHeap) Less(i, j int) bool {
-	a, b := h[i].t, h[j].t
+	a, b := h[i], h[j]
 	if a.Priority != b.Priority {
 		return a.Priority > b.Priority
 	}
@@ -681,24 +701,15 @@ func (h taskHeap) Less(i, j int) bool {
 	return a.ID < b.ID
 }
 
-func (h taskHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
+func (h taskHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-func (h *taskHeap) Push(x any) {
-	e := x.(*entry)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
+func (h *taskHeap) Push(x any) { *h = append(*h, x.(*task.Task)) }
 
 func (h *taskHeap) Pop() any {
 	old := *h
 	n := len(old)
-	e := old[n-1]
+	t := old[n-1]
 	old[n-1] = nil
-	e.index = -1
 	*h = old[:n-1]
-	return e
+	return t
 }

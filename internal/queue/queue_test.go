@@ -593,27 +593,28 @@ func TestConcurrentLeasesAreExactBestFirst(t *testing.T) {
 		}(fmt.Sprintf("w%d", w))
 	}
 	wg.Wait()
-	h := taskHeap{{t: granted[1]}, nil}
+	h := taskHeap{granted[1], nil}
 	for lease := 2; lease <= nTasks; lease++ {
 		if granted[lease] == nil {
 			t.Fatalf("lease %d of %d never granted", lease, nTasks)
 		}
-		h[1] = &entry{t: granted[lease]}
+		h[1] = granted[lease]
 		if h.Less(1, 0) {
 			t.Fatalf("lease %d went to task %d (priority %d, created %v) while the better task %d (priority %d, created %v) of lease %d was unleased",
-				lease-1, h[0].t.ID, h[0].t.Priority, h[0].t.CreatedAt, h[1].t.ID, h[1].t.Priority, h[1].t.CreatedAt, lease)
+				lease-1, h[0].ID, h[0].Priority, h[0].CreatedAt, h[1].ID, h[1].Priority, h[1].CreatedAt, lease)
 		}
 		h[0] = h[1]
 	}
 }
 
-// openByWalk is what Stats().Open used to compute: a walk over every entry.
+// openByWalk is what Stats().Open used to compute: a walk over every queued
+// task.
 func openByWalk(q *Queue) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	n := 0
-	for _, e := range q.entries {
-		if e.t.Status == task.Open {
+	for _, tk := range q.tasks {
+		if tk.Status == task.Open {
 			n++
 		}
 	}
@@ -622,7 +623,11 @@ func openByWalk(q *Queue) int {
 
 // TestStatsOpenMatchesWalk drives a seeded mix of every operation that
 // moves a task into or out of Open and checks the O(1) count against the
-// brute-force walk after each step.
+// brute-force walk after each step, and that the heap, which closed tasks
+// leave lazily, stays within twice the open count plus 64 slots. Cancels
+// and early finishes pick the newest tasks, last in line at their priority,
+// where no scan reaches them; without the rebuild the bound breaks by step
+// 2100.
 func TestStatsOpenMatchesWalk(t *testing.T) {
 	q := New(time.Minute)
 	r := rand.New(rand.NewSource(11))
@@ -630,33 +635,38 @@ func TestStatsOpenMatchesWalk(t *testing.T) {
 	var held []LeaseID
 	for step := 0; step < 3000; step++ {
 		now = now.Add(time.Duration(r.Intn(4)) * time.Second)
+		// deep picks one of the newest tasks: last in line at its priority.
+		deep := func() task.ID { return next - 1 - task.ID(r.Intn(min(int(next)-1, 48)+1)) }
 		switch op := r.Intn(16); {
-		case op < 4:
+		case op < 3:
 			if err := q.Add(newTask(t, next, r.Intn(3), 1+r.Intn(3))); err != nil {
 				t.Fatal(err)
 			}
 			next++
-		case op < 9:
+		case op < 7:
 			if _, l, err := q.Lease(fmt.Sprintf("w%d", r.Intn(6)), now); err == nil {
 				held = append(held, l)
 			}
-		case op < 13:
+		case op < 11:
 			if len(held) > 0 {
 				i := r.Intn(len(held))
 				_, _ = q.Complete(held[i], answer(step), now) // an expired lease is refused: also a case
 				held = append(held[:i], held[i+1:]...)
 			}
 		case op < 14:
-			_ = q.Cancel(task.ID(1+r.Intn(int(next))), now)
+			_ = q.Cancel(deep(), now)
 		case op < 15:
-			q.FinishEarly(task.ID(1+r.Intn(int(next))), now)
+			q.FinishEarly(deep(), now)
 		default:
-			_ = q.Remove(task.ID(1 + r.Intn(int(next))))
-			now = now.Add(time.Minute) // and let every outstanding lease fall due
+			now = now.Add(time.Minute) // let every outstanding lease fall due
 			q.ExpireLeases(now)
 		}
-		if got, want := q.Stats().Open, openByWalk(q); got != want {
-			t.Fatalf("step %d: Stats().Open = %d, a walk finds %d", step, got, want)
+		open := q.Stats().Open
+		if want := openByWalk(q); open != want {
+			t.Fatalf("step %d: Stats().Open = %d, a walk finds %d", step, open, want)
+		}
+		if n := len(q.heap); n > 2*open+64 {
+			t.Fatalf("step %d: the heap holds %d slots for %d open tasks", step, n, open)
 		}
 	}
 	if q.Stats().Open == 0 || int(next) < 500 {
@@ -667,8 +677,8 @@ func TestStatsOpenMatchesWalk(t *testing.T) {
 // TestStatsVisitsNoEntry: Stats runs on every /metrics scrape and every GET
 // /v1/stats under the lock every lease and answer needs, so it must not
 // walk the backlog. With 50 000 open tasks it allocates nothing, and it
-// still answers after every entry has lost its task — a walk would
-// dereference them.
+// still answers after every slot of the task table has been nilled — a walk
+// would dereference them.
 func TestStatsVisitsNoEntry(t *testing.T) {
 	const n = 50_000
 	q := New(time.Minute)
@@ -680,8 +690,8 @@ func TestStatsVisitsNoEntry(t *testing.T) {
 	if _, _, err := q.Lease("w", t0); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range q.entries {
-		e.t = nil
+	for id := range q.tasks {
+		q.tasks[id] = nil
 	}
 	want := Stats{Open: n, InFlight: 1}
 	if allocs := testing.AllocsPerRun(10, func() {

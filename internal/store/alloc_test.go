@@ -63,9 +63,7 @@ func TestReplayAllocatesWhatItKeeps(t *testing.T) {
 	// its slots (a Go map never shrinks) and the measured replay is not
 	// charged for growing it.
 	replay(&submits)()
-	for id := task.ID(1); id <= n; id++ {
-		s.Delete(id)
-	}
+	clear(s.tasks)
 	objects, size := mallocs(replay(&submits))
 	t.Logf("submit records: %.2f allocs, %.0f B per record", float64(objects)/n, float64(size)/n)
 	if objects > 2*n || size > 256*n {

@@ -69,7 +69,7 @@ func (s *Store) Shards() int { return 1 }
 func (s *Store) SetRecorder(rec *trace.Recorder) { s.rec = rec }
 
 // LockCount returns how many times the write lock has been acquired for a
-// mutation (Put, PutBatch, Delete, or through LockerFor).
+// mutation (Put, PutBatch, or through LockerFor).
 func (s *Store) LockCount() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -120,14 +120,6 @@ func (s *Store) PutBatch(ts []*task.Task) {
 	for _, t := range ts {
 		s.rec.Append(trace.Event{TaskID: t.ID, Stage: trace.StagePersist, At: t.CreatedAt})
 	}
-}
-
-// Delete removes a task; deleting an absent ID is a no-op. It is the
-// rollback half of Put for submissions that fail partway.
-func (s *Store) Delete(id task.ID) {
-	s.lock()
-	delete(s.tasks, id)
-	s.mu.Unlock()
 }
 
 // writeLocker is the sync.Locker LockerFor hands out: the store's write
