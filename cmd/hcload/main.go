@@ -6,8 +6,7 @@
 //
 //	hcload -addr http://127.0.0.1:8080            # against a running server
 //	hcload -servd ./hcservd -gomaxprocs 1,4       # spawn one server per value
-//	hcload -servd ./hcservd -decode-allocs \
-//	       -baseline BENCH_wire.json -assert-clean  # the CI smoke invocation
+//	hcload -servd ./hcservd -assert-clean         # the CI smoke invocation
 //
 // Open loop means arrivals never wait for completions: a stalled server
 // accumulates scheduled requests whose queueing delay is charged to their
@@ -37,29 +36,29 @@ import (
 
 // wireFile is the schema of BENCH_wire.json: a trajectory of runs, one
 // appended per invocation, so successive PRs accumulate comparable
-// wire-level history.
+// wire-level history. Earlier runs are carried as written, so an append
+// never rewrites fields a later hcload no longer records.
 type wireFile struct {
-	Schema int       `json:"schema"`
-	Runs   []wireRun `json:"runs"`
+	Schema int               `json:"schema"`
+	Runs   []json.RawMessage `json:"runs"`
 }
 
 type wireRun struct {
-	Time         string            `json:"time"`
-	GoVersion    string            `json:"go_version"`
-	NumCPU       int               `json:"num_cpu"`
-	Rate         float64           `json:"rate"`
-	Duration     string            `json:"duration"`
-	Warmup       string            `json:"warmup"`
-	Concurrency  int               `json:"concurrency"`
-	Mix          string            `json:"mix"`
-	Keys         int               `json:"keys"`
-	ZipfS        float64           `json:"zipf_s"`
-	BatchSize    int               `json:"batch_size"`
-	Arrival      string            `json:"arrival"`
-	Seed         uint64            `json:"seed"`
-	Note         string            `json:"note"`
-	DecodeAllocs *decodeAllocStats `json:"decode_allocs,omitempty"`
-	Cells        []wireCell        `json:"cells"`
+	Time        string     `json:"time"`
+	GoVersion   string     `json:"go_version"`
+	NumCPU      int        `json:"num_cpu"`
+	Rate        float64    `json:"rate"`
+	Duration    string     `json:"duration"`
+	Warmup      string     `json:"warmup"`
+	Concurrency int        `json:"concurrency"`
+	Mix         string     `json:"mix"`
+	Keys        int        `json:"keys"`
+	ZipfS       float64    `json:"zipf_s"`
+	BatchSize   int        `json:"batch_size"`
+	Arrival     string     `json:"arrival"`
+	Seed        uint64     `json:"seed"`
+	Note        string     `json:"note"`
+	Cells       []wireCell `json:"cells"`
 }
 
 // wireCell is one GOMAXPROCS point of the matrix.
@@ -87,9 +86,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "seed for the arrival schedule and key draws")
 		arrival  = flag.String("arrival", "poisson", "inter-arrival law: poisson or uniform")
 		out      = flag.String("out", "BENCH_wire.json", "trajectory file to append the run to; empty skips writing")
-		doAllocs = flag.Bool("decode-allocs", false, "measure server-side allocs/op for the pooled-decode hot paths")
-		baseline = flag.String("baseline", "", "committed BENCH_wire.json to gate decode allocs against (with -decode-allocs)")
-		maxAlloc = flag.Float64("max-alloc-regress", 0.20, "allowed fractional allocs/op regression on the submit decode path")
 		clean    = flag.Bool("assert-clean", false, "exit nonzero if any operation returned a non-2xx response other than 429")
 		doTrace  = flag.Bool("trace", false, "send traceparent headers and report each op's slowest calls' trace IDs")
 		slowN    = flag.Int("slow-traces", 5, "slowest traced calls to keep per operation (with -trace)")
@@ -169,19 +165,6 @@ func main() {
 	}
 
 	code := 0
-	if *doAllocs {
-		st := measureDecodeAllocs()
-		run.DecodeAllocs = &st
-		fmt.Printf("decode allocs/op: submit %.1f  next %.1f  answer %.1f\n",
-			st.SubmitAllocsPerOp, st.NextAllocsPerOp, st.AnswerAllocsPerOp)
-		if *baseline != "" {
-			if err := checkAllocRegression(*baseline, st, *maxAlloc); err != nil {
-				fmt.Fprintf(os.Stderr, "hcload: %v\n", err)
-				code = 1
-			}
-		}
-	}
-
 	if *clean {
 		for _, cell := range run.Cells {
 			for _, op := range cell.Ops {
@@ -370,45 +353,14 @@ func appendRun(path string, run wireRun) error {
 	if file.Schema == 0 {
 		file.Schema = 1
 	}
-	file.Runs = append(file.Runs, run)
+	rec, err := json.Marshal(run)
+	if err != nil {
+		return err
+	}
+	file.Runs = append(file.Runs, rec)
 	data, err := json.MarshalIndent(file, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// checkAllocRegression gates the submit decode path's allocs/op against
-// the latest baseline run that recorded them. A missing baseline or one
-// without alloc records is reported and skipped, not failed (first
-// generation).
-func checkAllocRegression(path string, fresh decodeAllocStats, maxRegress float64) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Printf("hcload: no baseline at %s (%v); skipping alloc gate\n", path, err)
-		return nil
-	}
-	var base wireFile
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	var old *decodeAllocStats
-	for i := len(base.Runs) - 1; i >= 0; i-- {
-		if base.Runs[i].DecodeAllocs != nil {
-			old = base.Runs[i].DecodeAllocs
-			break
-		}
-	}
-	if old == nil {
-		fmt.Println("hcload: baseline has no decode-alloc record; skipping alloc gate")
-		return nil
-	}
-	ceiling := old.SubmitAllocsPerOp * (1 + maxRegress)
-	fmt.Printf("hcload: alloc gate: submit decode %.1f allocs/op vs baseline %.1f (ceiling %.1f)\n",
-		fresh.SubmitAllocsPerOp, old.SubmitAllocsPerOp, ceiling)
-	if fresh.SubmitAllocsPerOp > ceiling {
-		return fmt.Errorf("submit decode path allocates %.1f/op, over the %.0f%% ceiling %.1f (baseline %.1f)",
-			fresh.SubmitAllocsPerOp, maxRegress*100, ceiling, old.SubmitAllocsPerOp)
-	}
-	return nil
 }

@@ -187,15 +187,6 @@ func (s *System) QualityStats() QualityStats {
 	}
 }
 
-// ConfidenceQuantile returns the q-quantile of observed posterior
-// confidences (NaN when none observed or quality is disabled).
-func (s *System) ConfidenceQuantile(q float64) float64 {
-	if s.qp == nil {
-		return 0
-	}
-	return s.qp.confidence.Quantile(q)
-}
-
 // ConfidenceHistogram exposes the posterior-confidence histogram for
 // metric exposition; nil when quality is disabled.
 func (s *System) ConfidenceHistogram() *metrics.Histogram {

@@ -48,10 +48,14 @@ func (m *memWriter) reset() {
 // the options hcservd runs with (API key, text request log at info,
 // 30 s request timeout, 1024 in flight, spans on). The figures include
 // core and the JSON codec, which this package does not own. The ceilings
-// are the floor the pooled exchange and a one-pointer queue left — submit
-// lost the queue's per-task entry (21 → 20), next the scan's slice of
-// popped tasks (18 → 17) — each under 60 % of what the same table read
-// before the pooled exchange (submit 53, next 44, answer 45, get-task 39).
+// are the measured floor. The three body-carrying routes pay for the
+// json.Decoder that jsonx.UnmarshalStrict builds per request — the
+// Decoder, its reader and its read buffer — which cost submit 4, next 3
+// and answer 5 over the hand-written key scanner it replaced (20, 17, 19).
+// No end-to-end metric moved with them: the paired svc_p50_ms runs in
+// CHANGES.md are why they are accepted. Each is still under 55 % of what
+// the same table read before the pooled exchange (submit 53, next 44,
+// answer 45, get-task 39).
 func TestRouteAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not the production ones under the race detector")
@@ -118,9 +122,9 @@ func TestRouteAllocCeilings(t *testing.T) {
 		status  int
 		ceiling float64
 	}{
-		{"POST /v1/tasks", submits[:], http.StatusCreated, 20},
-		{"POST /v1/next", nexts[:], http.StatusOK, 17},
-		{"POST /v1/leases/{id}", answers[:], http.StatusNoContent, 19},
+		{"POST /v1/tasks", submits[:], http.StatusCreated, 24},
+		{"POST /v1/next", nexts[:], http.StatusOK, 20},
+		{"POST /v1/leases/{id}", answers[:], http.StatusNoContent, 24},
 		{"GET /v1/tasks/{id}", gets[:], http.StatusOK, 14},
 	} {
 		i := 0

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -200,31 +201,45 @@ func TestMalformedRequests(t *testing.T) {
 	srv := httptest.NewServer(NewServer(sys))
 	defer srv.Close()
 
-	post := func(path, body string) int {
+	post := func(path, body string) (int, string) {
 		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		return resp.StatusCode
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
 	}
-	if got := post("/v1/tasks", "{not json"); got != http.StatusBadRequest {
-		t.Errorf("bad JSON: %d", got)
+	// The body decode is encoding/json with DisallowUnknownFields over the
+	// whole request type, nested structs and slice items included, plus a
+	// rule of its own: nothing but whitespace after the value.
+	for _, tc := range []struct {
+		name, path, body string
+		unknownField     bool
+	}{
+		{"bad JSON", "/v1/tasks", "{not json", false},
+		{"empty body", "/v1/next", "", false},
+		{"trailing data", "/v1/next", `{"worker_id":"w"} {}`, false},
+		{"bad kind", "/v1/tasks", `{"kind":"nonsense","redundancy":1}`, false},
+		{"unknown field", "/v1/tasks", `{"kind":"label","redundancy":1,"bogus_field":1}`, true},
+		{"unknown field in payload", "/v1/tasks", `{"kind":"label","redundancy":1,"payload":{"image_id":1,"bogus":2}}`, true},
+		{"unknown field in batch item", "/v1/tasks:batch", `{"tasks":[{"kind":"label","redundancy":1},{"kind":"label","redundancy":1,"bogus":1}]}`, true},
+		{"escaped unknown field", "/v1/next", `{"worker_id":"w","bogu\u0073":1}`, true},
+		{"missing worker", "/v1/next", `{}`, false},
+		{"gold without expected", "/v1/tasks", `{"kind":"label","redundancy":1,"gold":true}`, false},
+		{"non-numeric lease", "/v1/leases/abc", `{"answer":{}}`, false},
+	} {
+		got, msg := post(tc.path, tc.body)
+		if got != http.StatusBadRequest {
+			t.Errorf("%s: %d, want 400: %s", tc.name, got, msg)
+		}
+		if tc.unknownField && !strings.Contains(msg, "unknown field") {
+			t.Errorf("%s: error %q does not name the unknown field", tc.name, msg)
+		}
 	}
-	if got := post("/v1/tasks", `{"kind":"nonsense","redundancy":1}`); got != http.StatusBadRequest {
-		t.Errorf("bad kind: %d", got)
-	}
-	if got := post("/v1/tasks", `{"kind":"label","redundancy":1,"bogus_field":1}`); got != http.StatusBadRequest {
-		t.Errorf("unknown field: %d", got)
-	}
-	if got := post("/v1/next", `{}`); got != http.StatusBadRequest {
-		t.Errorf("missing worker: %d", got)
-	}
-	if got := post("/v1/tasks", `{"kind":"label","redundancy":1,"gold":true}`); got != http.StatusBadRequest {
-		t.Errorf("gold without expected: %d", got)
-	}
-	if got := post("/v1/leases/abc", `{"answer":{}}`); got != http.StatusBadRequest {
-		t.Errorf("non-numeric lease: %d", got)
+	// Keys match fields case-insensitively, as encoding/json matches them.
+	if got, msg := post("/v1/next", `{"WORKER_ID":"w"}`); got != http.StatusOK && got != http.StatusNoContent {
+		t.Errorf("case-insensitive known key: %d: %s", got, msg)
 	}
 }
 

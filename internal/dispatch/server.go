@@ -343,15 +343,14 @@ func (e *exchange) readBody(r *http.Request, limit int64) bool {
 	return true
 }
 
-// decode is the request decode fast path: the body is slurped into the
-// exchange's pooled buffer, bounded by http.MaxBytesReader, and parsed in
-// place with jsonx.UnmarshalStrict — the allocation-free twin of a
-// per-request json.Decoder with DisallowUnknownFields — under an
-// "http.decode" child span (attr = body bytes) when the request is traced.
-// The decoded value owns all its memory (json copies strings and
+// decode reads the request body: it is slurped into the exchange's pooled
+// buffer, bounded by http.MaxBytesReader, and parsed with
+// jsonx.UnmarshalStrict — a json.Decoder with DisallowUnknownFields — under
+// an "http.decode" child span (attr = body bytes) when the request is
+// traced. The decoded value owns all its memory (json copies strings and
 // allocates slices), so it outlives the buffer. The hot single-call
 // routes decode into the request structs the exchange carries, so a
-// steady-state request allocates only the decoded field values.
+// steady-state request allocates the Decoder and the decoded field values.
 func (e *exchange) decode(r *http.Request, v any, limit int64) bool {
 	t0 := e.sh.Now()
 	ok := e.readBody(r, limit)

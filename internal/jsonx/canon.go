@@ -1,11 +1,7 @@
-package jsonx
-
-import (
-	"strconv"
-	"time"
-	"unicode/utf8"
-)
-
+// Package jsonx holds UnmarshalStrict, the strict decode every request
+// body goes through, and the canonical form the storage codecs
+// (internal/task, internal/store) are built from.
+//
 // The canonical form of a value is the byte sequence encoding/json writes
 // for it: no whitespace, struct fields in declaration order, omitempty
 // fields absent, integers in plain decimal, strings escaped the way
@@ -15,8 +11,14 @@ import (
 // canonical form, a Canon reads it. Neither is a JSON implementation. An
 // Append function that cannot reproduce encoding/json says so, a Canon that
 // meets any byte it does not expect says so, and the caller hands the whole
-// value to encoding/json — the rule UnmarshalStrict follows for escaped
-// keys — so results are the stdlib's on every input.
+// value to encoding/json, so results are the stdlib's on every input.
+package jsonx
+
+import (
+	"strconv"
+	"time"
+	"unicode/utf8"
+)
 
 // AppendString appends s as a JSON string, byte for byte what json.Marshal
 // writes: HTML-sensitive characters, control characters, U+2028 and U+2029
