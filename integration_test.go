@@ -105,9 +105,7 @@ func TestServiceLifecycleWithJournalRecovery(t *testing.T) {
 	if rep.Applied != nTasks+answered {
 		t.Fatalf("replayed %d events, want %d", rep.Applied, nTasks+answered)
 	}
-	if err := recovered.RequeueOpen(); err != nil {
-		t.Fatal(err)
-	}
+	recovered.RequeueOpen()
 	for _, id := range ids {
 		tk, err := recovered.Task(id)
 		if err != nil {

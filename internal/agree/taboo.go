@@ -66,19 +66,6 @@ func (t *TabooTracker) Record(item, word int) bool {
 	return false
 }
 
-// ForceTaboo marks word taboo for item regardless of agreement counts.
-// The taboo-sweep experiment uses it to pin the taboo list; deployments
-// use it to blocklist offensive labels.
-func (t *TabooTracker) ForceTaboo(item, word int) {
-	can := t.lex.Canonical(word)
-	s := t.taboo[item]
-	if s == nil {
-		s = make(map[int]bool)
-		t.taboo[item] = s
-	}
-	s[can] = true
-}
-
 func (t *TabooTracker) tabooHas(item, can int) bool {
 	s, ok := t.taboo[item]
 	return ok && s[can]

@@ -125,9 +125,9 @@ func New(cfg Config) *System {
 	if cfg.Clock == nil {
 		cfg.Clock = sim.WallClock{}
 	}
-	// The queue holds the store's write lock while mutating a task's state,
-	// so every store-side view read (handlers, snapshots, aggregators) is
-	// race-free under the read lock.
+	// The queue stores what it enqueues and holds the store's write lock
+	// while mutating a task's state, so every store-side view read
+	// (handlers, snapshots, aggregators) is race-free under the read lock.
 	st := store.New()
 	s := &System{
 		cfg:   cfg,
@@ -288,9 +288,10 @@ type submitItem struct {
 }
 
 // submitAll is the one submit body, for a batch of any size (a single
-// submit is a batch of one): validate → journal → store → register gold →
-// enqueue. out is index-aligned with specs. A task is on the log before any
-// worker can lease it, so no answer can be journalled ahead of its task,
+// submit is a batch of one): validate → journal → register gold → store and
+// enqueue, the last in one hold of the queue lock. out is index-aligned
+// with specs. A task is on the log before any worker can lease it, or
+// cancel it, so no answer or cancel can be journalled ahead of its task,
 // and the journal event reads the task itself: nothing else holds it yet. A
 // gold expectation rides in the journal event, so the probe survives
 // replay, and is registered *before* its task becomes leasable — a worker
@@ -346,10 +347,9 @@ func (s *System) submitAll(h trace.Handle, specs []SubmitSpec, out []SubmitOutco
 	for j := range items {
 		tasks = append(tasks, items[j].t)
 	}
-	s.store.PutBatch(tasks)
 	s.setGold(items)
-	// The queue refuses only a duplicate ID or a task that is not open, and
-	// every task here is open under an ID fresh from NextID.
+	// The queue refuses only a task that is not open or whose ID the store
+	// holds, and every task here is open under an ID fresh from NextID.
 	s.queue.AddBatchTraced(tasks, h)
 	for _, it := range items {
 		out[it.at].ID = it.t.ID
@@ -648,14 +648,7 @@ func (s *System) CancelTask(id task.ID) error {
 		return ErrReadOnly
 	}
 	now := s.clock.Now()
-	err := s.queue.Cancel(id, now)
-	if errors.Is(err, queue.ErrUnknownTask) {
-		// The queue drops finished tasks; the store remembers them.
-		if v, serr := s.store.View(id); serr == nil && v.Status != task.Open {
-			return task.ErrWrongStatus
-		}
-	}
-	if err != nil {
+	if err := s.queue.Cancel(id, now); err != nil {
 		return err
 	}
 	return s.journal(trace.Handle{}, []store.Event{{Kind: store.EventCancel, At: now, TaskID: id}})
@@ -693,19 +686,11 @@ func (s *System) ShardLockCounts() (queueLocks, storeLocks []int64) {
 	return []int64{q}, []int64{st}
 }
 
-// RequeueOpen re-enqueues every open task in the store. It is used after a
-// snapshot restore or WAL replay to rebuild the dispatch queue; tasks
-// already enqueued are left alone. One pass: the open tasks are collected
-// once, in ID order, and handed to the queue as one batch, which grows its
-// heap and entry table once.
-func (s *System) RequeueOpen() error {
-	for _, err := range s.queue.AddBatch(s.store.Tasks(task.Open)) {
-		if err != nil && !errors.Is(err, queue.ErrDuplicateID) {
-			return err
-		}
-	}
-	return nil
-}
+// RequeueOpen enqueues every open task in the store. It is used after a
+// snapshot restore or WAL replay, and at promotion, to rebuild the dispatch
+// queue; on a queue that already holds open tasks it does nothing. The
+// store's list of open tasks becomes the queue's heap: nothing is copied.
+func (s *System) RequeueOpen() { s.queue.RequeueOpen() }
 
 // ExpireLeases reclaims overdue leases; the dispatch service calls this
 // periodically.

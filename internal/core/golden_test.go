@@ -10,7 +10,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -483,6 +486,121 @@ func TestLateJournalledAnswerRecovers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSubmitIsUnknownUntilItIsQueued: a submit stores and enqueues its task
+// in one hold of the queue lock, after the journal append. Until then the
+// ID resolves nowhere: a cancel or a targeted lease of the ID being
+// submitted, made from the journal just before the append and just after
+// it, gets queue.ErrUnknownTask, so nothing about the task can be decided,
+// or journalled, ahead of it. Once the submit returns, the task leases as
+// any other and the queue counts what the store holds open.
+func TestSubmitIsUnknownUntilItIsQueued(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Clock = sim.NewSimulator(time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC))
+	var (
+		wal   bytes.Buffer
+		s     *System
+		early []error
+	)
+	probe := func(e store.Event) {
+		if e.Kind != store.EventSubmit {
+			return
+		}
+		_, _, err := s.LeaseTaskFor(e.Task.ID, "early")
+		early = append(early, err, s.CancelTask(e.Task.ID))
+	}
+	cfg.Journal = &hookJournal{Journal: store.NewWAL(&wal), before: probe, after: probe}
+	s = New(cfg)
+	id, err := s.SubmitTask(task.Label, task.Payload{ImageID: 1}, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(early) != 4 {
+		t.Fatalf("the journal saw %d probes, want 4", len(early))
+	}
+	for i, err := range early {
+		if !errors.Is(err, queue.ErrUnknownTask) {
+			t.Errorf("%s %s the append: %v, want queue.ErrUnknownTask",
+				[]string{"lease", "cancel"}[i%2], []string{"before", "after"}[i/2], err)
+		}
+	}
+	if v, _, err := s.LeaseTaskFor(id, "late"); err != nil || v.ID != id {
+		t.Fatalf("lease after the submit: task %d, %v", v.ID, err)
+	}
+	if open, stored := s.Stats().Queue.Open, s.Store().Count(task.Open); open != 1 || stored != 1 {
+		t.Fatalf("the queue counts %d open tasks, the store holds %d; want 1 each", open, stored)
+	}
+}
+
+// TestConcurrentWriteMixKeepsOneOpenSet: submits, cancels of the newest
+// IDs (the one a submit may be journalling included), leases and answers,
+// from goroutines that each draw their operations from a seeded source.
+// Once they are done, the queue counts exactly the open tasks the store
+// holds, and the WAL of acknowledged writes replays to the same open set.
+func TestConcurrentWriteMixKeepsOneOpenSet(t *testing.T) {
+	var wal bytes.Buffer
+	cfg := DefaultConfig()
+	cfg.Journal = store.NewWAL(&wal)
+	s := New(cfg)
+	var newest atomic.Int64 // the ID a submit returned last, give or take a racing goroutine
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := rng.New(uint64(31 + g))
+			worker := fmt.Sprintf("w%d", g)
+			var held []queue.LeaseID
+			for step := 0; step < 400; step++ {
+				switch op := r.Intn(10); {
+				case op < 3:
+					specs := make([]SubmitSpec, 1+r.Intn(3))
+					for i := range specs {
+						specs[i] = SubmitSpec{Kind: task.Label, Payload: task.Payload{ImageID: step}, Redundancy: 1 + r.Intn(3), Priority: r.Intn(3)}
+					}
+					for _, o := range s.SubmitBatch(specs) {
+						if o.Err != nil {
+							t.Errorf("submit: %v", o.Err)
+							return
+						}
+						newest.Store(int64(o.ID))
+					}
+				case op < 5:
+					id := task.ID(newest.Load() + 1 - int64(r.Intn(4)))
+					if err := s.CancelTask(id); err != nil && !errors.Is(err, task.ErrWrongStatus) && !errors.Is(err, queue.ErrUnknownTask) {
+						t.Errorf("cancel %d: %v", id, err)
+					}
+				case op < 8:
+					if _, l, err := s.NextTask(worker); err == nil {
+						held = append(held, l)
+					}
+				default:
+					if len(held) == 0 {
+						continue
+					}
+					i := r.Intn(len(held))
+					if err := s.SubmitAnswer(held[i], task.Answer{Words: []int{step}}); err != nil && !errors.Is(err, task.ErrWrongStatus) {
+						t.Errorf("answer: %v", err)
+					}
+					held = append(held[:i], held[i+1:]...)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	open := s.Store().IDs(task.Open)
+	if got := s.Stats().Queue.Open; got != len(open) || got == 0 {
+		t.Fatalf("the queue counts %d open tasks, the store holds %d", got, len(open))
+	}
+	recovered := New(DefaultConfig())
+	if _, err := store.ReplayWAL(bytes.NewReader(wal.Bytes()), recovered.Store()); err != nil {
+		t.Fatalf("the log of acknowledged writes does not replay: %v", err)
+	}
+	if got := recovered.Store().IDs(task.Open); !slices.Equal(got, open) {
+		t.Fatalf("replay recovers %d open tasks, the live store holds %d", len(got), len(open))
 	}
 }
 

@@ -240,9 +240,7 @@ func TestCalibrationSnapshotRoundTrip(t *testing.T) {
 	if err := s2.Restore(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.RequeueOpen(); err != nil {
-		t.Fatal(err)
-	}
+	s2.RequeueOpen()
 	// Gold expectations survive.
 	goldSeen := 0
 	for _, v := range s2.Store().ViewAll() {
@@ -333,9 +331,7 @@ func TestCalibrationJournalReplay(t *testing.T) {
 	if _, err := store.ReplayWALObserved(bytes.NewReader(log.Bytes()), s2.Store(), s2.ObserveRecoveredEvent); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.RequeueOpen(); err != nil {
-		t.Fatal(err)
-	}
+	s2.RequeueOpen()
 	// The early finish replayed: task is Done with only two answers.
 	v, err := s2.Task(id)
 	if err != nil {

@@ -156,13 +156,8 @@ func NewTransport() *http.Transport {
 // same keep-alive connection pool instead of fragmenting it.
 var defaultClient = &http.Client{Transport: NewTransport()}
 
-// DefaultHTTPClient returns the shared tuned client a nil httpClient
-// selects; exported so callers composing their own http.Client options
-// can start from the same transport pool.
-func DefaultHTTPClient() *http.Client { return defaultClient }
-
 // NewClient returns a client for the service at baseURL (no trailing
-// slash). A nil httpClient selects DefaultHTTPClient — a shared client
+// slash). A nil httpClient selects defaultClient — a shared client
 // over a transport tuned for connection reuse (keep-alives,
 // MaxIdleConnsPerHost raised past the stdlib's 2). The client performs no
 // retries; see NewClientWith / NewResilientClient.

@@ -81,11 +81,6 @@ func (c *Client) SessionPassContext(ctx context.Context, id session.ID, player s
 	return resp.Done, nil
 }
 
-// SessionPass gives up on the round.
-func (c *Client) SessionPass(id session.ID, player string) (bool, error) {
-	return c.SessionPassContext(context.Background(), id, player)
-}
-
 // SessionLeaveContext disconnects player from the session, ending it for
 // the partner too.
 func (c *Client) SessionLeaveContext(ctx context.Context, id session.ID, player string) error {

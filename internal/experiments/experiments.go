@@ -19,9 +19,6 @@ type Options struct {
 	Scale float64
 }
 
-// DefaultOptions returns the full-scale configuration.
-func DefaultOptions() Options { return Options{Seed: 1, Scale: 1} }
-
 // n scales a workload size, with a floor to keep tiny scales meaningful.
 func (o Options) n(full int, minimum int) int {
 	v := int(float64(full) * o.Scale)

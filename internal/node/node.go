@@ -196,9 +196,7 @@ func (n *Node) boot(policy store.SyncPolicy) error {
 				return err
 			}
 		}
-		if err = n.sys.RequeueOpen(); err != nil {
-			return fmt.Errorf("requeueing recovered tasks: %w", err)
-		}
+		n.sys.RequeueOpen()
 		if cfg.WAL != "" && cfg.Snapshot != "" {
 			if err = save(n.sys, cfg.Snapshot); err != nil {
 				return fmt.Errorf("checkpointing after replay: %w", err)
@@ -435,9 +433,7 @@ func (n *Node) promote() error {
 	}
 	n.source.SetTerm(term)
 	n.journal.Set(n.wal)
-	if err := n.sys.RequeueOpen(); err != nil {
-		return fmt.Errorf("requeueing after promotion: %w", err)
-	}
+	n.sys.RequeueOpen()
 	n.sys.SetReadOnly(false)
 	n.log.Info("promoted to leader", "term", term, "applied", n.follower.Applied())
 	return nil

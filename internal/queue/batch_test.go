@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"humancomp/internal/store"
 	"humancomp/internal/task"
 )
 
@@ -43,6 +44,29 @@ func TestAddBatchPartialFailure(t *testing.T) {
 	}
 	if !got[1] || !got[4] || len(got) != 3 { // 1, 4, and pre-added 2
 		t.Fatalf("leasable after AddBatch = %v", got)
+	}
+}
+
+// TestAddAfterPutOnlyEnqueues: tasks already in the queue's store — put
+// there first, as the layer benchmark's preload does — are only enqueued,
+// counted and leasable once each.
+func TestAddAfterPutOnlyEnqueues(t *testing.T) {
+	st := store.New()
+	q := NewLocked(time.Minute, st)
+	ts := []*task.Task{newTask(t, 1, 0, 1), newTask(t, 2, 1, 1)}
+	st.PutBatch(ts)
+	if errs := q.AddBatch(ts); errs != nil {
+		t.Fatalf("AddBatch after PutBatch: %v", errs)
+	}
+	if open := q.Stats().Open; open != 2 {
+		t.Fatalf("Stats().Open = %d, want 2", open)
+	}
+	var got []task.ID
+	for _, g := range q.LeaseBatch("w", 8, t0) {
+		got = append(got, g.Task.ID)
+	}
+	if !slices.Equal(got, []task.ID{2, 1}) {
+		t.Fatalf("leased %v, want [2 1]", got)
 	}
 }
 

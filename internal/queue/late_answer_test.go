@@ -11,10 +11,10 @@ import (
 
 // TestLateAnswerIsWrongStatus: an answer on a live lease whose task has
 // finished or been cancelled is refused with task.ErrWrongStatus whether
-// the queue still has the task's entry or has already dropped it — it used
-// to be ErrUnknownTask (a 404 on the wire) once the entry was gone, and
-// ErrWrongStatus (409) a moment earlier. Single and batch completion
-// agree, and the dropped-entry path still retires the lease.
+// the queue closed the task itself or it was closed in place behind the
+// queue's back — it used to be ErrUnknownTask (a 404 on the wire) once the
+// queue had dropped the task, and ErrWrongStatus (409) a moment earlier.
+// Single and batch completion agree, and the refusal retires the lease.
 func TestLateAnswerIsWrongStatus(t *testing.T) {
 	for _, end := range []string{"finish", "cancel"} {
 		for _, dropped := range []bool{false, true} {
@@ -45,8 +45,14 @@ func TestLateAnswerIsWrongStatus(t *testing.T) {
 					default:
 						_ = tk.Cancel(t0)
 					}
-					if _, err := q.Task(tk.ID); dropped != errors.Is(err, ErrUnknownTask) {
-						t.Fatalf("entry dropped = %v, Task() err = %v", dropped, err)
+					// Closed through the queue, the task is uncounted at once; in
+					// place, it stays counted (see Queue.open).
+					want := 1
+					if dropped {
+						want = 0
+					}
+					if open := q.Stats().Open; open != want {
+						t.Fatalf("closed through the queue = %v, Stats().Open = %d, want %d", dropped, open, want)
 					}
 
 					complete := func() error {
@@ -60,10 +66,8 @@ func TestLateAnswerIsWrongStatus(t *testing.T) {
 					if err := complete(); !errors.Is(err, task.ErrWrongStatus) {
 						t.Fatalf("late answer err = %v, want task.ErrWrongStatus", err)
 					}
-					if dropped {
-						if err := complete(); !errors.Is(err, ErrUnknownLease) {
-							t.Fatalf("second late answer err = %v, want ErrUnknownLease (lease retired)", err)
-						}
+					if err := complete(); !errors.Is(err, ErrUnknownLease) {
+						t.Fatalf("second late answer err = %v, want ErrUnknownLease (lease retired)", err)
 					}
 				})
 			}

@@ -9,11 +9,14 @@
 // well under the discrete-event simulator's virtual clock and the dispatch
 // service's wall clock. The queue is safe for concurrent use.
 //
-// One mutex guards the heap, the task table and the lease table; every
-// operation is one hold of it, so a lease is always the exact best eligible
-// task at the moment it is granted. A queued task costs the queue one
-// pointer in the heap and one in the table: what is leased, and to whom, is
-// read from the lease table.
+// One mutex guards the heap and the lease table; every operation is one
+// hold of it, so a lease is always the exact best eligible task at the
+// moment it is granted. The queue keeps no index of its own: it is built
+// over the task store, which is the one ID → task index, and a submit
+// stores and enqueues its tasks in one hold of the queue lock, so on a
+// writable node a task is open in the store exactly when it is in the heap
+// each time the lock is released. A queued task costs the queue one pointer,
+// its heap slot: what is leased, and to whom, is read from the lease table.
 package queue
 
 import (
@@ -24,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"humancomp/internal/store"
 	"humancomp/internal/task"
 	"humancomp/internal/trace"
 )
@@ -33,7 +37,7 @@ var (
 	ErrEmpty        = errors.New("queue: no task available for this worker")
 	ErrUnknownLease = errors.New("queue: unknown or expired lease")
 	ErrUnknownTask  = errors.New("queue: unknown task")
-	ErrDuplicateID  = errors.New("queue: task ID already enqueued")
+	ErrDuplicateID  = errors.New("queue: task ID already stored")
 )
 
 // LeaseID identifies one outstanding lease: a sequence number, never
@@ -45,45 +49,38 @@ type LeaseID int64
 // into live play-time metrics.
 type Lease struct {
 	ID       LeaseID
-	TaskID   task.ID
 	WorkerID string
 	LeasedAt time.Time
 	Expiry   time.Time
 
-	next *Lease // the task's next outstanding lease, in Queue.held
-}
-
-// TaskLocks hands out the lock guarding a given task's stored contents.
-// *store.Store satisfies it; the queue holds the task's lock while
-// mutating task state so concurrent view readers never race with a
-// mutation. Lock order is always queue lock → task lock; the store never
-// calls back into the queue, so this ordering cannot deadlock.
-type TaskLocks interface {
-	LockerFor(id task.ID) sync.Locker
+	task *task.Task // the leased task: an answer needs no lookup
+	next *Lease     // the task's next outstanding lease, in Queue.held
 }
 
 // Queue is a redundancy-aware priority work queue with leases.
 //
 // The queue owns all mutation of task state while the system runs: Record
-// and Cancel are only ever called under mu (plus the task's store lock,
-// when configured), and no method returns a live *task.Task — lookups hand
-// out deep-copied task.View snapshots instead.
+// and Cancel are only ever called under mu plus the store's write lock, and
+// no method returns a live *task.Task — lookups hand out deep-copied
+// task.View snapshots instead. Lock order is queue → store; the store never
+// calls back into the queue, so it cannot deadlock.
 type Queue struct {
-	ttl   time.Duration
-	locks TaskLocks       // extra per-task lock held while mutating task state; nil for standalone queues
-	rec   *trace.Recorder // lifecycle event sink; nil records nothing
+	ttl time.Duration
+	st  *store.Store    // the one ID → task index; holds every queued task
+	rec *trace.Recorder // lifecycle event sink; nil records nothing
 
 	mu sync.Mutex
-	// tasks holds the queued tasks, every one of them open: a task leaves
-	// the table in the critical section in which it leaves Open (closeLocked),
-	// so Stats reads occupancy off the table's length. Only a task closed
-	// behind the queue's back — the tests do it, nothing else — is still
-	// counted until a scan drains it.
-	tasks map[task.ID]*task.Task
+	// open counts the queued tasks, every one of them open: it moves in the
+	// critical section in which a task enters the heap (insertLocked) or
+	// leaves Open (closeLocked), so Stats reads occupancy without a walk. A
+	// task closed behind the queue's back — the tests do it, nothing else;
+	// a follower applies to the store and never enqueues — is drained from
+	// the heap by the next scan that pops it but stays counted.
+	open int
 	// heap orders the queued tasks best-first by a key that never changes
 	// while a task is queued. A closed task leaves it lazily: a scan drops
 	// it when popped, and the heap is rebuilt from its open tasks whenever
-	// it grows past twice the table (compactLocked).
+	// it grows past twice the open count (compactLocked).
 	heap taskHeap
 	// leases is the lease table; held indexes it by task, each value the
 	// head of a list through Lease.next. A task has a key from its first
@@ -111,23 +108,23 @@ func (q *Queue) lock() {
 	q.lockN++
 }
 
-// New returns an empty queue whose leases expire after ttl. It panics if
-// ttl is not positive.
-func New(ttl time.Duration) *Queue { return NewLocked(ttl, nil) }
+// New returns an empty queue over a fresh store whose leases expire after
+// ttl. It panics if ttl is not positive.
+func New(ttl time.Duration) *Queue { return NewLocked(ttl, store.New()) }
 
-// NewLocked returns an empty queue that additionally holds the task's
-// lock (locks.LockerFor) while mutating task state (recording answers,
-// canceling). Passing the store here is what makes the store's view reads
-// race-free: every writer holds the store's write lock, every view reader
-// copies under its read lock. A nil locks behaves like New.
-func NewLocked(ttl time.Duration, locks TaskLocks) *Queue {
+// NewLocked returns an empty queue over st, which must not be nil: the
+// queue stores what it enqueues there, resolves task IDs through it, and
+// holds its write lock while mutating task state (recording answers,
+// canceling), which is what makes the store's view reads race-free —
+// every writer holds the write lock, every view reader copies under the
+// read lock.
+func NewLocked(ttl time.Duration, st *store.Store) *Queue {
 	if ttl <= 0 {
 		panic("queue: lease TTL must be positive")
 	}
 	return &Queue{
 		ttl:    ttl,
-		locks:  locks,
-		tasks:  make(map[task.ID]*task.Task),
+		st:     st,
 		leases: make(map[LeaseID]*Lease),
 		held:   make(map[task.ID]*Lease),
 	}
@@ -135,7 +132,7 @@ func NewLocked(ttl time.Duration, locks TaskLocks) *Queue {
 
 // NewSharded is NewLocked. Kept for bench/ only, which is frozen while
 // this lands; the next benchmark PR calls NewLocked and deletes it.
-func NewSharded(ttl time.Duration, _ int, locks TaskLocks) *Queue { return NewLocked(ttl, locks) }
+func NewSharded(ttl time.Duration, _ int, st *store.Store) *Queue { return NewLocked(ttl, st) }
 
 // SetRecorder attaches a lifecycle trace recorder. It must be called
 // before the queue sees traffic (the core does so at construction); a nil
@@ -143,7 +140,7 @@ func NewSharded(ttl time.Duration, _ int, locks TaskLocks) *Queue { return NewLo
 func (q *Queue) SetRecorder(rec *trace.Recorder) { q.rec = rec }
 
 // LockCount returns how many times the queue lock has been acquired by an
-// operation (reads through Task, Stats and LockCount itself not counted).
+// operation (reads through Stats and LockCount itself not counted).
 func (q *Queue) LockCount() int64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -167,47 +164,23 @@ func (q *Queue) lockTraced(h trace.Handle) {
 	h.Observe("queue.lockwait", trace.NoSpan, start, h.Now().Sub(start), 1)
 }
 
-// lockTask/unlockTask bracket in-place task mutations with the task's
-// store lock, when one was configured.
-func (q *Queue) lockTask(id task.ID) {
-	if q.locks != nil {
-		q.locks.LockerFor(id).Lock()
-	}
-}
-
-func (q *Queue) unlockTask(id task.ID) {
-	if q.locks != nil {
-		q.locks.LockerFor(id).Unlock()
-	}
-}
-
-// Add enqueues an open task. The queue takes ownership of the task; callers
-// must not mutate it afterwards except through queue methods.
+// Add stores an open task and enqueues it. The queue takes ownership of
+// the task; callers must not mutate it afterwards except through queue
+// methods. A task already in the store is only enqueued; it must not be in
+// the queue already.
 func (q *Queue) Add(t *task.Task) error {
-	q.lock()
-	defer q.mu.Unlock()
-	return q.insertLocked(t, trace.TraceID{})
-}
-
-// insertLocked is the one enqueue step; caller holds the lock.
-func (q *Queue) insertLocked(t *task.Task, tr trace.TraceID) error {
-	if _, dup := q.tasks[t.ID]; dup {
-		return ErrDuplicateID
+	if errs := q.AddBatch([]*task.Task{t}); errs != nil {
+		return errs[0]
 	}
-	if t.Status != task.Open {
-		return fmt.Errorf("queue: cannot enqueue task %d with status %v", t.ID, t.Status)
-	}
-	q.tasks[t.ID] = t
-	heap.Push(&q.heap, t)
-	q.emit(trace.StageEnqueue, t.ID, "", t.CreatedAt, tr)
 	return nil
 }
 
-// AddBatch enqueues many open tasks under one hold of the lock. A nil
-// result means every task was enqueued; otherwise the slice is
+// AddBatch stores and enqueues many open tasks under one hold of the lock.
+// A nil result means every task was enqueued; otherwise the slice is
 // index-aligned with ts, a nil entry meaning that task was enqueued and a
-// non-nil one carrying the error Add would have returned. One bad task
-// never fails the rest of the batch.
+// non-nil one carrying the error Add would have returned: ErrDuplicateID
+// when the store holds a different task under its ID. One bad task never
+// fails the rest of the batch.
 func (q *Queue) AddBatch(ts []*task.Task) []error {
 	return q.AddBatchTraced(ts, trace.Handle{})
 }
@@ -215,29 +188,57 @@ func (q *Queue) AddBatch(ts []*task.Task) []error {
 // AddBatchTraced is AddBatch under a request-scoped span handle: the wait
 // for the lock is the call's queue.lockwait child span and each enqueue
 // lifecycle event carries the request's trace ID. The invalid handle makes
-// it exactly AddBatch.
-//
-// The heap grows once for the whole batch, and a batch landing in an empty
-// queue — the requeue after a restart — sizes the task table up front
-// instead of growing it by doubling.
+// it exactly AddBatch. The store's write lock is taken once for the batch
+// and the heap grows once.
 func (q *Queue) AddBatchTraced(ts []*task.Task, h trace.Handle) []error {
 	var errs []error
 	tr := h.Trace()
 	q.lockTraced(h)
 	defer q.mu.Unlock()
-	if len(q.tasks) == 0 {
-		q.tasks = make(map[task.ID]*task.Task, len(ts))
-	}
-	q.heap = slices.Grow(q.heap, len(ts))
-	for i, t := range ts {
-		if err := q.insertLocked(t, tr); err != nil {
-			if errs == nil {
-				errs = make([]error, len(ts))
+	refused := q.st.Insert(ts)
+	if len(refused) > 0 {
+		errs = make([]error, len(ts))
+		for _, i := range refused {
+			errs[i] = ErrDuplicateID
+			if t := ts[i]; t.Status != task.Open {
+				errs[i] = fmt.Errorf("queue: cannot enqueue task %d with status %v", t.ID, t.Status)
 			}
-			errs[i] = err
+		}
+	}
+	q.heap = slices.Grow(q.heap, len(ts)-len(refused))
+	for i, t := range ts {
+		if errs == nil || errs[i] == nil {
+			q.insertLocked(t, tr)
 		}
 	}
 	return errs
+}
+
+// insertLocked is the one enqueue step, for a stored open task; caller
+// holds the lock.
+func (q *Queue) insertLocked(t *task.Task, tr trace.TraceID) {
+	heap.Push(&q.heap, t)
+	q.open++
+	q.emit(trace.StageEnqueue, t.ID, "", t.CreatedAt, tr)
+}
+
+// RequeueOpen makes the store's open tasks the heap, with one heap.Init
+// over the list the store hands out: the requeue after a restore or a
+// replay, and at a follower's promotion. It is for a queue that holds no
+// open task — a follower never enqueues — and does nothing to one that
+// does, which on a writable node holds every open task already.
+func (q *Queue) RequeueOpen() {
+	q.lock()
+	defer q.mu.Unlock()
+	if q.open > 0 {
+		return
+	}
+	q.heap = q.st.Tasks(task.Open)
+	q.open = len(q.heap)
+	for _, t := range q.heap {
+		q.emit(trace.StageEnqueue, t.ID, "", t.CreatedAt, trace.TraceID{})
+	}
+	heap.Init(&q.heap)
 }
 
 // Lease hands workerID the best available task and records a lease expiring
@@ -282,7 +283,7 @@ func (q *Queue) scanLocked(workerID string, want int, take func(*task.Task)) int
 			take(t)
 			taken++
 		case t.Status != task.Open:
-			q.dropLocked(t)
+			delete(q.held, t.ID)
 			continue
 		}
 		popped = append(popped, t)
@@ -306,8 +307,8 @@ func (q *Queue) LeaseTask(id task.ID, workerID string, now time.Time) (task.View
 	q.lock()
 	defer q.mu.Unlock()
 	q.expireLocked(now)
-	t, ok := q.tasks[id]
-	if !ok {
+	t, err := q.st.Get(id)
+	if err != nil {
 		return task.View{}, 0, ErrUnknownTask
 	}
 	if !q.eligibleLocked(t, workerID) {
@@ -361,7 +362,7 @@ func (q *Queue) leaseLocked(t *task.Task, workerID string, now time.Time, tr tra
 	}
 	q.seq++
 	id := LeaseID(q.seq)
-	l := &Lease{ID: id, TaskID: t.ID, WorkerID: workerID, LeasedAt: now, Expiry: now.Add(q.ttl), next: first}
+	l := &Lease{ID: id, WorkerID: workerID, LeasedAt: now, Expiry: now.Add(q.ttl), task: t, next: first}
 	if len(q.leases) == 0 || l.Expiry.Before(q.nextExpiry) {
 		q.nextExpiry = l.Expiry
 	}
@@ -427,16 +428,16 @@ func (q *Queue) completeLocked(id LeaseID, a task.Answer, now time.Time, tr trac
 	if !ok {
 		return CompleteResult{}, ErrUnknownLease
 	}
-	t, ok := q.tasks[l.TaskID]
-	if !ok {
-		// A task only leaves the table under an outstanding lease because it
-		// finished or was cancelled: the same late answer Record refuses
-		// while the task is still there.
-		delete(q.leases, id)
+	t := l.task
+	if t.Status != task.Open {
+		// Finished or cancelled under an outstanding lease: the answer is
+		// late, and the lease goes with it.
+		q.dropLeaseLocked(l)
 		return CompleteResult{}, task.ErrWrongStatus
 	}
 	a.WorkerID = l.WorkerID
-	q.lockTask(t.ID)
+	lk := q.st.LockerFor(t.ID)
+	lk.Lock()
 	err := t.Record(a, now)
 	var res CompleteResult
 	var firstAnswer time.Time
@@ -452,7 +453,7 @@ func (q *Queue) completeLocked(id LeaseID, a task.Answer, now time.Time, tr trac
 			Redundancy: t.Redundancy,
 		}
 	}
-	q.unlockTask(t.ID)
+	lk.Unlock()
 	if err != nil {
 		return CompleteResult{}, err
 	}
@@ -513,7 +514,7 @@ func (q *Queue) Release(id LeaseID, now time.Time) error {
 		return ErrUnknownLease
 	}
 	q.dropLeaseLocked(l)
-	q.emit(trace.StageRelease, l.TaskID, l.WorkerID, now, trace.TraceID{})
+	q.emit(trace.StageRelease, l.task.ID, l.WorkerID, now, trace.TraceID{})
 	return nil
 }
 
@@ -521,9 +522,9 @@ func (q *Queue) Release(id LeaseID, now time.Time) error {
 // the task is still queued.
 func (q *Queue) dropLeaseLocked(l *Lease) {
 	delete(q.leases, l.ID)
-	first := q.held[l.TaskID]
+	first := q.held[l.task.ID]
 	if first == l {
-		q.held[l.TaskID] = l.next
+		q.held[l.task.ID] = l.next
 		return
 	}
 	for p := first; p != nil; p = p.next {
@@ -534,17 +535,19 @@ func (q *Queue) dropLeaseLocked(l *Lease) {
 	}
 }
 
-// Cancel removes an open task from the queue.
+// Cancel removes an open task from the queue. A task the store does not
+// hold is ErrUnknownTask; one that is no longer open, task.ErrWrongStatus.
 func (q *Queue) Cancel(id task.ID, now time.Time) error {
 	q.lock()
 	defer q.mu.Unlock()
-	t, ok := q.tasks[id]
-	if !ok {
+	t, err := q.st.Get(id)
+	if err != nil {
 		return ErrUnknownTask
 	}
-	q.lockTask(id)
-	err := t.Cancel(now)
-	q.unlockTask(id)
+	lk := q.st.LockerFor(id)
+	lk.Lock()
+	err = t.Cancel(now)
+	lk.Unlock()
 	if err != nil {
 		return err
 	}
@@ -556,24 +559,24 @@ func (q *Queue) Cancel(id task.ID, now time.Time) error {
 // FinishEarly completes an open task before it has collected its full
 // redundancy — the quality plane's confidence-crossed path. The returned
 // view is the finished task. ok is false when the task is unknown to the
-// queue or no longer open (e.g. a racing answer just completed it), which
+// store or no longer open (e.g. a racing answer just completed it), which
 // callers treat as "nothing to do", keeping the call idempotent.
 // Outstanding leases on the task are left to expire; their late answers
 // are rejected by the task's status check.
 func (q *Queue) FinishEarly(id task.ID, now time.Time) (task.View, bool) {
 	q.lock()
 	defer q.mu.Unlock()
-	t, ok := q.tasks[id]
-	if !ok {
+	t, err := q.st.Get(id)
+	if err != nil {
 		return task.View{}, false
 	}
-	q.lockTask(id)
-	err := t.Finish(now)
+	lk := q.st.LockerFor(id)
+	lk.Lock()
 	var v task.View
-	if err == nil {
+	if err = t.Finish(now); err == nil {
 		v = t.View()
 	}
-	q.unlockTask(id)
+	lk.Unlock()
 	if err != nil {
 		return task.View{}, false
 	}
@@ -616,31 +619,25 @@ func (q *Queue) expireLocked(now time.Time) {
 		}
 		q.dropLeaseLocked(l)
 		q.expired++
-		q.emit(trace.StageExpire, l.TaskID, l.WorkerID, now, trace.TraceID{})
+		q.emit(trace.StageExpire, l.task.ID, l.WorkerID, now, trace.TraceID{})
 	}
 	q.nextExpiry = next
 }
 
 // closeLocked takes a task that has just left Open out of the queue: out of
-// the table and the lease index at once, out of the heap lazily.
+// the open count and the lease index at once, out of the heap lazily.
 func (q *Queue) closeLocked(t *task.Task) {
-	q.dropLocked(t)
+	q.open--
+	delete(q.held, t.ID) // its outstanding leases stay until answered (and refused), released or expired
 	q.compactLocked()
-}
-
-// dropLocked deletes a closed task's table and lease-index keys. Its
-// outstanding leases stay in the lease table until answered, released or
-// expired; an answer on one is refused.
-func (q *Queue) dropLocked(t *task.Task) {
-	delete(q.tasks, t.ID)
-	delete(q.held, t.ID)
 }
 
 // compactLocked rebuilds the heap from its open tasks once closed ones
 // outnumber them by more than 64, which keeps the heap within twice the
-// table plus 64 slots at a cost amortized over the closes that filled it.
+// open count plus 64 slots at a cost amortized over the closes that filled
+// it.
 func (q *Queue) compactLocked() {
-	if len(q.heap) <= 2*len(q.tasks)+64 {
+	if len(q.heap) <= 2*q.open+64 {
 		return
 	}
 	open := q.heap[:0]
@@ -648,25 +645,12 @@ func (q *Queue) compactLocked() {
 		if t.Status == task.Open {
 			open = append(open, t)
 		} else {
-			q.dropLocked(t)
+			delete(q.held, t.ID)
 		}
 	}
 	clear(q.heap[len(open):])
 	q.heap = open
 	heap.Init(&q.heap)
-}
-
-// Task returns a snapshot of the task with the given ID regardless of
-// status, or ErrUnknownTask if the queue never saw it or has already
-// dropped it.
-func (q *Queue) Task(id task.ID) (task.View, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	t, ok := q.tasks[id]
-	if !ok {
-		return task.View{}, ErrUnknownTask
-	}
-	return t.View(), nil
 }
 
 // Stats is a snapshot of queue occupancy.
@@ -681,7 +665,7 @@ type Stats struct {
 func (q *Queue) Stats() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return Stats{Open: len(q.tasks), InFlight: len(q.leases), ExpiredLeases: q.expired}
+	return Stats{Open: q.open, InFlight: len(q.leases), ExpiredLeases: q.expired}
 }
 
 // taskHeap orders tasks by priority (desc), then creation time (asc), then

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"humancomp/internal/store"
 	"humancomp/internal/task"
 )
 
@@ -248,20 +249,6 @@ func TestCancelRemovesTask(t *testing.T) {
 	}
 }
 
-func TestTaskLookup(t *testing.T) {
-	q := New(time.Minute)
-	if err := q.Add(newTask(t, 7, 0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	tk, err := q.Task(7)
-	if err != nil || tk.ID != 7 {
-		t.Fatalf("Task(7) = %v, %v", tk, err)
-	}
-	if _, err := q.Task(8); !errors.Is(err, ErrUnknownTask) {
-		t.Fatalf("Task(8): err = %v", err)
-	}
-}
-
 func TestNewPanicsOnBadTTL(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -311,9 +298,9 @@ func TestNoDoubleLeaseProperty(t *testing.T) {
 			}
 		}
 		for i := 0; i < nTasks; i++ {
-			tk, err := q.Task(task.ID(i))
-			if errors.Is(err, ErrUnknownTask) {
-				continue // drained after completion; fine
+			tk, err := q.st.View(task.ID(i))
+			if err != nil {
+				return false
 			}
 			if len(tk.Answers) > redundancy {
 				return false
@@ -607,23 +594,10 @@ func TestConcurrentLeasesAreExactBestFirst(t *testing.T) {
 	}
 }
 
-// openByWalk is what Stats().Open used to compute: a walk over every queued
-// task.
-func openByWalk(q *Queue) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := 0
-	for _, tk := range q.tasks {
-		if tk.Status == task.Open {
-			n++
-		}
-	}
-	return n
-}
-
 // TestStatsOpenMatchesWalk drives a seeded mix of every operation that
-// moves a task into or out of Open and checks the O(1) count against the
-// brute-force walk after each step, and that the heap, which closed tasks
+// moves a task into or out of Open and checks the O(1) count against a
+// brute-force walk over the store's open tasks after each step, and that
+// the heap, which closed tasks
 // leave lazily, stays within twice the open count plus 64 slots. Cancels
 // and early finishes pick the newest tasks, last in line at their priority,
 // where no scan reaches them; without the rebuild the bound breaks by step
@@ -662,7 +636,7 @@ func TestStatsOpenMatchesWalk(t *testing.T) {
 			q.ExpireLeases(now)
 		}
 		open := q.Stats().Open
-		if want := openByWalk(q); open != want {
+		if want := len(q.st.Tasks(task.Open)); open != want {
 			t.Fatalf("step %d: Stats().Open = %d, a walk finds %d", step, open, want)
 		}
 		if n := len(q.heap); n > 2*open+64 {
@@ -677,8 +651,9 @@ func TestStatsOpenMatchesWalk(t *testing.T) {
 // TestStatsVisitsNoEntry: Stats runs on every /metrics scrape and every GET
 // /v1/stats under the lock every lease and answer needs, so it must not
 // walk the backlog. With 50 000 open tasks it allocates nothing, and it
-// still answers after every slot of the task table has been nilled — a walk
-// would dereference them.
+// still answers exactly after every heap slot has been nilled — a walk
+// would dereference them — and the store swapped for an empty one, which a
+// count through the store would read as no open task.
 func TestStatsVisitsNoEntry(t *testing.T) {
 	const n = 50_000
 	q := New(time.Minute)
@@ -690,9 +665,8 @@ func TestStatsVisitsNoEntry(t *testing.T) {
 	if _, _, err := q.Lease("w", t0); err != nil {
 		t.Fatal(err)
 	}
-	for id := range q.tasks {
-		q.tasks[id] = nil
-	}
+	clear(q.heap)
+	q.st = store.New()
 	want := Stats{Open: n, InFlight: 1}
 	if allocs := testing.AllocsPerRun(10, func() {
 		if got := q.Stats(); got != want {

@@ -229,16 +229,6 @@ func (p *Pipeline) NextChallenge() (Challenge, bool) {
 	return Challenge{}, false
 }
 
-func (p *Pipeline) compactPending() {
-	live := p.pending[:0]
-	for _, id := range p.pending {
-		if p.words[id].status == Pending {
-			live = append(live, id)
-		}
-	}
-	p.pending = live
-}
-
 // Submit processes one user's answers to a challenge: the control answer
 // first (humanity check), then — if it passes — the unknown-word answer as
 // a vote, weighted by the user's control-word track record. userID ties
@@ -353,12 +343,6 @@ func (p *Pipeline) Truth(id WordID) (text string, degradation float64) {
 
 // ControlPoolSize returns the number of words available as controls.
 func (p *Pipeline) ControlPoolSize() int { return len(p.control) }
-
-// PendingCount returns the number of words still collecting votes.
-func (p *Pipeline) PendingCount() int {
-	p.compactPending()
-	return len(p.pending)
-}
 
 // BaselineOneOCR transcribes the document with a single engine and returns
 // the word accuracy — the "standard OCR" baseline of the evaluation.

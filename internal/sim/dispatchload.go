@@ -57,16 +57,6 @@ func ChoiceAnswer(w *worker.Worker, v task.View, truthOf func(imageID int) int) 
 	return task.Answer{Choice: w.Vote(truthOf(v.Payload.ImageID), 2)}
 }
 
-// ChoiceAnswers answers a whole leased batch of choice tasks,
-// index-aligned with views.
-func ChoiceAnswers(w *worker.Worker, views []task.View, truthOf func(imageID int) int) []task.Answer {
-	out := make([]task.Answer, len(views))
-	for i, v := range views {
-		out[i] = ChoiceAnswer(w, v, truthOf)
-	}
-	return out
-}
-
 // ChoiceVotes precomputes every worker's would-be vote on every choice
 // task: votes[t][w] is worker w's vote on task t whose true class is
 // truth[t]. Experiments that compare completion policies over the same

@@ -18,7 +18,7 @@
 // write. Nothing that needs more walks the table under traffic — a node
 // snapshots at boot, before it serves, and after it has drained. The
 // requeue after recovery copies nothing: Tasks hands the live open tasks,
-// in ID order, to the queue that will own them.
+// in ID order, to the queue, which makes the list its heap.
 package store
 
 import (
@@ -69,7 +69,7 @@ func (s *Store) Shards() int { return 1 }
 func (s *Store) SetRecorder(rec *trace.Recorder) { s.rec = rec }
 
 // LockCount returns how many times the write lock has been acquired for a
-// mutation (Put, PutBatch, or through LockerFor).
+// mutation (Put, PutBatch, Insert, or through LockerFor).
 func (s *Store) LockCount() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -120,6 +120,30 @@ func (s *Store) PutBatch(ts []*task.Task) {
 	for _, t := range ts {
 		s.rec.Append(trace.Event{TaskID: t.ID, Stage: trace.StagePersist, At: t.CreatedAt})
 	}
+}
+
+// Insert stores each open task of ts whose ID is free, under one hold of
+// the write lock, and returns the indices of the tasks it refused, in
+// order: those not open and those whose ID holds a different task. A task
+// already stored under its ID is left as it is and not refused. It is the
+// queue's half of a submit, which stores and enqueues under the queue lock.
+func (s *Store) Insert(ts []*task.Task) (refused []int) {
+	maxID := task.ID(0)
+	s.lock()
+	for i, t := range ts {
+		held, ok := s.tasks[t.ID]
+		switch {
+		case t.Status != task.Open || ok && held != t:
+			refused = append(refused, i)
+		case !ok:
+			s.tasks[t.ID] = t
+			maxID = max(maxID, t.ID)
+			s.rec.Append(trace.Event{TaskID: t.ID, Stage: trace.StagePersist, At: t.CreatedAt})
+		}
+	}
+	s.mu.Unlock()
+	s.advanceNextID(maxID)
+	return refused
 }
 
 // writeLocker is the sync.Locker LockerFor hands out: the store's write
@@ -235,8 +259,9 @@ func (s *Store) countLocked(st task.Status) int {
 
 // Tasks returns, in ascending ID order, the stored tasks that have status
 // st: the live tasks, not copies, collected under one hold of the read lock
-// into a list sized once. It is for handing a restored store's open tasks
-// to the queue, which then owns their mutation.
+// into a list sized once. The requeue after a restore or a promotion takes
+// the open ones as the queue's heap, so this list is the requeue's one
+// allocation.
 func (s *Store) Tasks(st task.Status) []*task.Task {
 	s.mu.RLock()
 	out := make([]*task.Task, 0, s.countLocked(st))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"humancomp/internal/task"
+	"humancomp/internal/trace"
 )
 
 var t0 = time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
@@ -58,6 +60,47 @@ func TestPutAdvancesAllocator(t *testing.T) {
 	s.Put(tk)
 	if id := s.NextID(); id <= 50 {
 		t.Fatalf("NextID = %d after Put(50)", id)
+	}
+}
+
+// TestInsertRefusesOnlyAnotherTask: Insert stores open tasks under free
+// IDs, once each — one persist event a task — and advances the allocator;
+// a task already stored is left as it is, with no second event, and only
+// a task that is not open, or another task under a stored ID, is refused.
+func TestInsertRefusesOnlyAnotherTask(t *testing.T) {
+	s := New()
+	rec := trace.NewRecorder(0)
+	s.SetRecorder(rec)
+	newTask := func(id task.ID) *task.Task {
+		tk, err := task.New(id, task.Label, task.Payload{ImageID: int(id)}, 1, t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tk
+	}
+	stored, done := newTask(1), newTask(3)
+	s.Put(stored)
+	done.Status = task.Done
+	ts := []*task.Task{stored, newTask(1), done, newTask(40)}
+	if refused := s.Insert(ts); !slices.Equal(refused, []int{1, 2}) {
+		t.Fatalf("Insert refused %v, want [1 2]", refused)
+	}
+	if got, err := s.Get(1); err != nil || got != stored {
+		t.Fatalf("Get(1) = %p, %v; want the task stored first", got, err)
+	}
+	if _, err := s.Get(3); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("the done task was stored: %v", err)
+	}
+	if got, err := s.Get(40); err != nil || got != ts[3] {
+		t.Fatalf("Get(40) = %p, %v", got, err)
+	}
+	for _, id := range []task.ID{1, 40} {
+		if n := len(rec.TaskEvents(id)); n != 1 {
+			t.Fatalf("task %d has %d persist events, want 1", id, n)
+		}
+	}
+	if id := s.NextID(); id <= 40 {
+		t.Fatalf("NextID = %d after inserting 40", id)
 	}
 }
 
