@@ -57,8 +57,7 @@ func BenchmarkDispatchSubmitLeaseAnswer(b *testing.B) {
 	})
 }
 
-// benchBatch is the batch the *Batch benchmarks move per iteration — the
-// default SubmitBatcher flush size.
+// benchBatch is the batch the *Batch benchmarks move per iteration.
 const benchBatch = 64
 
 // BenchmarkDispatchSubmitBatch measures batched submission: one iteration

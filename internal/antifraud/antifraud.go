@@ -14,7 +14,6 @@ package antifraud
 
 import (
 	"math"
-	"sort"
 	"time"
 )
 
@@ -281,24 +280,6 @@ func (p *PairBias) outside(id string, pairT *tally) tally {
 		return tally{}
 	}
 	return tally{agreed: pt.agreed - pairT.agreed, total: pt.total - pairT.total}
-}
-
-// SuspiciousPairs returns every currently suspicious pair, sorted for
-// deterministic reports.
-func (p *PairBias) SuspiciousPairs() [][2]string {
-	var out [][2]string
-	for k := range p.pair {
-		if p.Suspicious(k[0], k[1]) {
-			out = append(out, k)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
 }
 
 // ReplayProbe scores players against pre-recorded games: when a player is

@@ -3,6 +3,7 @@ package antifraud
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -289,4 +290,22 @@ func TestReplayProbePanics(t *testing.T) {
 			f()
 		}()
 	}
+}
+
+// SuspiciousPairs returns every currently suspicious pair, sorted for
+// deterministic reports.
+func (p *PairBias) SuspiciousPairs() [][2]string {
+	var out [][2]string
+	for k := range p.pair {
+		if p.Suspicious(k[0], k[1]) {
+			out = append(out, k)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i][0] != out[j][0] {
+			return out[i][0] < out[j][0]
+		}
+		return out[i][1] < out[j][1]
+	})
+	return out
 }

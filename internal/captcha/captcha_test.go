@@ -178,80 +178,3 @@ func BenchmarkIssueVerify(b *testing.B) {
 		_, _ = g.Verify(ch.ID, ch.Secret())
 	}
 }
-
-func TestAudioGateRoundTrip(t *testing.T) {
-	g := NewAudioGate(6, 0.5, 31)
-	ch := g.Issue()
-	if len(ch.Secret()) != 6 {
-		t.Fatalf("secret = %q", ch.Secret())
-	}
-	for _, c := range ch.Secret() {
-		if c < '0' || c > '9' {
-			t.Fatalf("non-digit in secret %q", ch.Secret())
-		}
-	}
-	ok, err := g.Verify(ch.ID, " "+ch.Secret()+" ")
-	if err != nil || !ok {
-		t.Fatalf("correct answer rejected: %v %v", ok, err)
-	}
-	if _, err := g.Verify(ch.ID, ch.Secret()); !errors.Is(err, ErrUnknownChallenge) {
-		t.Fatal("audio challenge reusable")
-	}
-	issued, passed := g.Stats()
-	if issued != 1 || passed != 1 {
-		t.Fatalf("stats = %d, %d", issued, passed)
-	}
-	if g.String() == "" {
-		t.Fatal("empty String()")
-	}
-}
-
-func TestAudioHumanASRAsymmetry(t *testing.T) {
-	src := rng.New(32)
-	rate := func(noise float64, solve func(AudioChallenge) string) float64 {
-		g := NewAudioGate(6, noise, 33)
-		passed := 0
-		const n = 2000
-		for i := 0; i < n; i++ {
-			ch := g.Issue()
-			if ok, _ := g.Verify(ch.ID, solve(ch)); ok {
-				passed++
-			}
-		}
-		return float64(passed) / n
-	}
-	human := func(ch AudioChallenge) string { return ListenHuman(ch, 0.97, src) }
-	asr := func(ch AudioChallenge) string { return ListenASR(ch, 0.95, src) }
-
-	// Clean audio: ASR is competitive — the gate is broken without noise.
-	hClean, aClean := rate(0, human), rate(0, asr)
-	if aClean < 0.5*hClean {
-		t.Errorf("clean audio should be ASR-solvable: human %.2f asr %.2f", hClean, aClean)
-	}
-	// Babble noise: humans degrade but stay usable (deployed audio
-	// CAPTCHAs sat in the 30-50%% pass range and were still shipped, with
-	// retry as the pressure valve); ASR collapses outright.
-	hNoisy, aNoisy := rate(0.8, human), rate(0.8, asr)
-	if hNoisy < 0.2 {
-		t.Errorf("human pass under babble = %.2f; gate unusable", hNoisy)
-	}
-	if aNoisy > hNoisy/4 {
-		t.Errorf("asymmetry too weak under babble: human %.2f asr %.2f", hNoisy, aNoisy)
-	}
-}
-
-func TestAudioGatePanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"digits 0": func() { NewAudioGate(0, 0.5, 1) },
-		"noise 2":  func() { NewAudioGate(4, 2, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}

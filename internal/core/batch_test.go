@@ -115,15 +115,17 @@ type batchJournal struct {
 	fail    bool
 }
 
-func (j *batchJournal) AppendBatchObserved(events []store.Event) (write, sync time.Duration, err error) {
+func (j *batchJournal) WriteEvents(events []store.Event) (int64, error) {
 	if j.fail {
-		return 0, 0, errors.New("journal: disk full")
+		return 0, errors.New("journal: disk full")
 	}
 	cp := make([]store.Event, len(events))
 	copy(cp, events)
 	j.batches = append(j.batches, cp)
-	return 0, 0, nil
+	return int64(len(j.batches)), nil
 }
+
+func (j *batchJournal) WaitDurable(int64) (time.Duration, error) { return 0, nil }
 
 func TestSubmitBatchUsesGroupAppend(t *testing.T) {
 	clk := &fakeClock{now: t0}

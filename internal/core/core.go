@@ -38,9 +38,9 @@ type Config struct {
 	// injects its virtual clock here.
 	Clock sim.Clock
 	// Journal, when set, receives every state-changing event (submit,
-	// answer, cancel) before the call returns success — the ack barrier
-	// that lets a crashed service recover snapshot + journal tail.
-	// *store.WAL satisfies it.
+	// answer, cancel, early finish) before the call returns success — the
+	// ack barrier that lets a crashed service recover snapshot + journal
+	// tail. *store.WAL satisfies it.
 	Journal Journal
 	// TraceCapacity bounds the lifecycle trace ring buffer (total events
 	// retained). 0 selects trace.DefaultCapacity; negative disables
@@ -65,16 +65,13 @@ type Config struct {
 	Spans trace.SpanConfig
 }
 
-// Journal is the event sink a System writes through: one batched, timed
-// append. The events are acknowledged as a unit — a nil error means every
-// one of them is on the log, a non-nil error that none is — and the call
-// reports how long the write and the fsync-group wait took, which a traced
-// request records as its wal.append and wal.fsync spans. The events, and
-// the tasks and answers they point at, are the caller's again once the
-// call returns. *store.WAL satisfies it.
-type Journal interface {
-	AppendBatchObserved([]store.Event) (write, sync time.Duration, err error)
-}
+// Journal is the event sink a System writes through, in the queue's two
+// halves (see queue.Journal): a write, which for answers, cancels and
+// early finishes runs in the queue critical section that applied them, so
+// log order is apply order, and a wait until the write is durable, which
+// never does. A traced request records them as its wal.append and
+// wal.fsync spans. *store.WAL satisfies it.
+type Journal = queue.Journal
 
 // DefaultConfig returns production-shaped defaults: two-minute leases and
 // a 0.75/4 reputation prior.
@@ -125,14 +122,15 @@ func New(cfg Config) *System {
 	if cfg.Clock == nil {
 		cfg.Clock = sim.WallClock{}
 	}
-	// The queue stores what it enqueues and holds the store's write lock
-	// while mutating a task's state, so every store-side view read
-	// (handlers, snapshots, aggregators) is race-free under the read lock.
+	// The queue stores what it enqueues and changes a task only through
+	// store.Apply, under the store's write lock, so every store-side view
+	// read (handlers, snapshots, aggregators) is race-free under the read
+	// lock; it journals each change before it releases its own.
 	st := store.New()
 	s := &System{
 		cfg:   cfg,
 		store: st,
-		queue: queue.NewLocked(cfg.LeaseTTL, st),
+		queue: queue.NewLocked(cfg.LeaseTTL, st, cfg.Journal),
 		rep:   quality.NewReputation(cfg.ReputationPrior, cfg.ReputationWeight),
 		clock: cfg.Clock,
 		gold:  make(map[task.ID]task.Answer),
@@ -222,23 +220,6 @@ func endOp(h trace.Handle, ref trace.SpanRef, err error) {
 	} else {
 		h.EndSpan(ref)
 	}
-}
-
-// journal appends events to the configured journal, if any, as one
-// all-or-nothing group; under a valid handle the append is recorded as a
-// wal.append span (write+flush; attr: events in the group) and, when the
-// journal waited on an fsync group, a wal.fsync span behind it.
-func (s *System) journal(h trace.Handle, events []store.Event) error {
-	if s.cfg.Journal == nil || len(events) == 0 {
-		return nil
-	}
-	start := h.Now()
-	w, sy, err := s.cfg.Journal.AppendBatchObserved(events)
-	h.Observe("wal.append", trace.NoSpan, start, w, int64(len(events)))
-	if sy > 0 {
-		h.Observe("wal.fsync", trace.NoSpan, start.Add(w), sy, 0)
-	}
-	return err
 }
 
 // SubmitSpec is one task of a SubmitBatch call.
@@ -335,7 +316,7 @@ func (s *System) submitAll(h trace.Handle, specs []SubmitSpec, out []SubmitOutco
 			events[j] = store.Event{Kind: store.EventSubmit, At: now, Task: it.t, Gold: it.gold}
 		}
 	}
-	if err := s.journal(h, events); err != nil {
+	if err := s.queue.Journal(h, events); err != nil {
 		// Unacknowledged and unjournaled: the tasks exist nowhere else yet.
 		for _, it := range items {
 			out[it.at].Err = err
@@ -472,11 +453,11 @@ func (s *System) SubmitAnswerCtx(ctx context.Context, lease queue.LeaseID, a tas
 }
 
 // AnswerBatch records many lease answers in one call: the queue takes its
-// lock once per batch and the journal receives all answer events as
-// one group append. The returned slice is index-aligned with items; one
-// bad item (unknown lease, repeat worker) never fails the rest. When the
-// journal refuses the group, every item in it reports that error, exactly
-// as a single SubmitAnswer would.
+// lock once per batch and writes all answer events to the journal as one
+// group before it releases it. The returned slice is index-aligned with
+// items; one bad item (unknown lease, repeat worker) never fails the rest.
+// When the journal refuses the group, every item in it reports that error,
+// exactly as a single SubmitAnswer would.
 func (s *System) AnswerBatch(items []queue.CompleteItem) []error {
 	outcomes := s.AnswerBatchDetailed(items)
 	errs := make([]error, len(outcomes))
@@ -518,13 +499,13 @@ func (s *System) AnswerBatchDetailedCtx(ctx context.Context, items []queue.Compl
 }
 
 // answerAll is the one answer body, for a batch of any size (a single
-// answer is a batch of one): record in the queue → journal → count, score
-// gold, feed the quality plane. out is index-aligned with items. The
-// journal record and the gold check both use the answer the queue returned
-// by value — core never re-reads the task's answer list, so two
-// interleaved submissions can never journal or credit each other's
-// answers. The post-journal pass is one quality.update span (attr: answers
-// acknowledged), recorded only when there were any.
+// answer is a batch of one): record and journal in the queue → count,
+// score gold, feed the quality plane. out is index-aligned with items. The
+// gold check uses the answer the queue returned by value — core never
+// re-reads the task's answer list, so two interleaved submissions can
+// never credit each other's answers. The pass over the acknowledged
+// answers is one quality.update span (attr: answers acknowledged),
+// recorded only when there were any.
 func (s *System) answerAll(h trace.Handle, items []queue.CompleteItem, out []AnswerOutcome) {
 	if s.readOnly.Load() {
 		for i := range out {
@@ -541,23 +522,6 @@ func (s *System) answerAll(h trace.Handle, items []queue.CompleteItem, out []Ans
 		}
 	}
 	if acked == 0 {
-		return
-	}
-	var events []store.Event
-	if s.cfg.Journal != nil { // a system that journals nothing does not build the group
-		events = make([]store.Event, 0, acked)
-		for i := range recorded {
-			if res := &recorded[i].Result; out[i].Err == nil {
-				events = append(events, store.Event{Kind: store.EventAnswer, At: now, TaskID: res.TaskID, Answer: &res.Answer})
-			}
-		}
-	}
-	if err := s.journal(h, events); err != nil {
-		for i := range out {
-			if out[i].Err == nil {
-				out[i].Err = err
-			}
-		}
 		return
 	}
 	qs, tr := h.Now(), h.Trace()
@@ -647,11 +611,7 @@ func (s *System) CancelTask(id task.ID) error {
 	if s.readOnly.Load() {
 		return ErrReadOnly
 	}
-	now := s.clock.Now()
-	if err := s.queue.Cancel(id, now); err != nil {
-		return err
-	}
-	return s.journal(trace.Handle{}, []store.Event{{Kind: store.EventCancel, At: now, TaskID: id}})
+	return s.queue.Cancel(id, s.clock.Now())
 }
 
 // Task returns an immutable snapshot of the stored task (any status).

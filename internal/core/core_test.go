@@ -436,13 +436,15 @@ func TestCancelTaskEdgeCases(t *testing.T) {
 // flakyJournal fails its first appends, then recovers.
 type flakyJournal struct{ failures int }
 
-func (j *flakyJournal) AppendBatchObserved([]store.Event) (write, sync time.Duration, err error) {
+func (j *flakyJournal) WriteEvents([]store.Event) (int64, error) {
 	if j.failures > 0 {
 		j.failures--
-		return 0, 0, errors.New("journal: disk full")
+		return 0, errors.New("journal: disk full")
 	}
-	return 0, 0, nil
+	return 1, nil
 }
+
+func (j *flakyJournal) WaitDurable(int64) (time.Duration, error) { return 0, nil }
 
 func TestSubmitTaskJournalErrorRollsBack(t *testing.T) {
 	clk := &fakeClock{now: t0}

@@ -371,29 +371,39 @@ func stripEstimatorState(t *testing.T, snap []byte) []byte {
 	return out
 }
 
-// hookJournal runs before ahead of each one-event append, on the appender's
-// goroutine, and after once the event is on the log.
+// hookJournal runs before ahead of each write of a group, on the writer's
+// goroutine, and after once the group is on the log, each with the group's
+// first event. A submit is written before the queue lock is taken; an
+// answer, cancel or finish in the critical section that applied it. When
+// set, durable runs ahead of each durable wait, with the lock released.
 type hookJournal struct {
 	Journal
 	before, after func(store.Event)
+	durable       func(seq int64)
 }
 
-func (j *hookJournal) AppendBatchObserved(events []store.Event) (write, sync time.Duration, err error) {
+func (j *hookJournal) WriteEvents(events []store.Event) (int64, error) {
 	j.before(events[0])
-	write, sync, err = j.Journal.AppendBatchObserved(events)
+	seq, err := j.Journal.WriteEvents(events)
 	j.after(events[0])
-	return write, sync, err
+	return seq, err
 }
 
-// TestLateJournalledAnswerRecovers pins acked ⟺ recovered for the one
-// schedule the write path cannot order: answers are journalled after the
-// queue has recorded them with nothing held across the two, so an answer
-// the queue took while the task was open can reach the log behind the
-// finish (or cancel) that closed it. Two writers, made deterministic by
-// holding cy's append until the close is written: cy's answer was
-// acknowledged, so the log must replay, the recovered store must checkpoint
-// to the live store's bytes, and the estimator must end with the task
-// completed.
+func (j *hookJournal) WaitDurable(seq int64) (time.Duration, error) {
+	if j.durable != nil {
+		j.durable(seq)
+	}
+	return j.Journal.WaitDurable(seq)
+}
+
+// TestLateJournalledAnswerRecovers pins acked ⟺ recovered for an answer
+// acknowledged after the finish (or cancel) that closed its task: cy's
+// answer is applied and written while the task is open — behind bob's, in
+// the finish case, whose answer crosses the confidence target — and cy's
+// wait for durability is held until the close is written. cy's answer was
+// acknowledged, so the log must replay, in the order the live queue
+// applied it, the recovered store must checkpoint to the live store's
+// bytes, and the estimator must end with the task completed.
 func TestLateJournalledAnswerRecovers(t *testing.T) {
 	for _, closing := range []store.EventKind{store.EventFinish, store.EventCancel} {
 		t.Run(string(closing), func(t *testing.T) {
@@ -404,36 +414,46 @@ func TestLateJournalledAnswerRecovers(t *testing.T) {
 			recovered := New(cfg)
 
 			var (
-				wal       bytes.Buffer
-				s         *System
-				leases    = map[string]queue.LeaseID{}
-				cyArrived = make(chan struct{})
-				closed    = make(chan struct{})
-				cyAcked   = make(chan error, 1)
+				wal           bytes.Buffer
+				log           = store.NewWAL(&wal)
+				s             *System
+				leases        = map[string]queue.LeaseID{}
+				bobSeq, cySeq atomic.Int64
+				cyWritten     = make(chan struct{})
+				closed        = make(chan struct{})
+				cyAcked       = make(chan error, 1)
 			)
-			// cyAnswers returns once the queue holds cy's answer and its append
-			// is waiting at the journal.
+			// cyAnswers returns once the queue has applied and written cy's
+			// answer and cy is waiting for it to be durable.
 			cyAnswers := func() {
 				go func() { cyAcked <- s.SubmitAnswer(leases["cy"], task.Answer{Choice: 1}) }()
-				<-cyArrived
+				<-cyWritten
 			}
 			cfg.Journal = &hookJournal{
-				Journal: store.NewWAL(&wal),
-				before: func(e store.Event) {
+				Journal: log,
+				before:  func(store.Event) {},
+				after: func(e store.Event) {
 					switch {
+					case e.Kind == closing:
+						close(closed)
 					case e.Kind != store.EventAnswer:
 					case e.Answer.WorkerID == "cy":
-						close(cyArrived)
-						<-closed
-					case e.Answer.WorkerID == "bob" && closing == store.EventFinish:
-						// bob is in the queue and about to finish the task:
-						// cy goes in behind him, ahead of the finish.
-						cyAnswers()
+						cySeq.Store(log.LastSeq())
+						close(cyWritten)
+					case e.Answer.WorkerID == "bob":
+						bobSeq.Store(log.LastSeq())
 					}
 				},
-				after: func(e store.Event) {
-					if e.Kind == closing {
-						close(closed)
+				durable: func(seq int64) {
+					switch seq {
+					case cySeq.Load():
+						<-closed
+					case bobSeq.Load():
+						if closing == store.EventFinish {
+							// bob's answer is applied and about to finish the
+							// task: cy goes in behind him, ahead of the finish.
+							cyAnswers()
+						}
 					}
 				},
 			}
@@ -467,17 +487,35 @@ func TestLateJournalledAnswerRecovers(t *testing.T) {
 				t.Fatalf("live task after the schedule: %+v, %v; want closed with cy's answer last", v, err)
 			}
 
+			// The queue's lifecycle events are emitted as it applies each
+			// change: the log must hold the same changes in the same order.
+			var applied, logged []string
+			for _, e := range s.TaskTrace(id) {
+				switch e.Stage {
+				case trace.StageAnswer:
+					applied = append(applied, "answer "+e.Worker)
+				case trace.StageComplete:
+					applied = append(applied, string(store.EventFinish))
+				case trace.StageCancel:
+					applied = append(applied, string(store.EventCancel))
+				}
+			}
+			for sc := store.NewRecordScanner(bytes.NewReader(wal.Bytes()), 0); sc.Scan(); {
+				switch e := sc.Event(); e.Kind {
+				case store.EventAnswer:
+					logged = append(logged, "answer "+e.Answer.WorkerID)
+				case store.EventFinish, store.EventCancel:
+					logged = append(logged, string(e.Kind))
+				}
+			}
+			if !slices.Equal(logged, applied) {
+				t.Fatalf("log order %q, live apply order %q", logged, applied)
+			}
+
 			if _, err := store.ReplayWALObserved(bytes.NewReader(wal.Bytes()), recovered.Store(), recovered.ObserveRecoveredEvent); err != nil {
 				t.Fatalf("the log of acknowledged writes does not replay: %v", err)
 			}
-			sum := func(st *store.Store) [sha256.Size]byte {
-				var b bytes.Buffer
-				if err := st.Snapshot(&b); err != nil {
-					t.Fatal(err)
-				}
-				return sha256.Sum256(b.Bytes())
-			}
-			if live, got := sum(s.Store()), sum(recovered.Store()); live != got {
+			if live, got := checkpointSum(t, s.Store()), checkpointSum(t, recovered.Store()); live != got {
 				t.Fatalf("recovered checkpoint %x, live %x", got, live)
 			}
 			if closing == store.EventFinish {
@@ -487,6 +525,95 @@ func TestLateJournalledAnswerRecovers(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAnswerCannotOvertakeInTheLog: answers a and b to one task, b sent
+// while a is at the journal, where a's hook waits up to 50 ms for b to get
+// there too. Written after the queue lock was released, b would be logged
+// ahead of a though applied behind it, and the log would replay the two
+// answers in the other order. Written in the critical section that applied
+// them, b waits for the lock until a is on the log: the log order is the
+// apply order and the recovered checkpoint is the live one.
+func TestAnswerCannotOvertakeInTheLog(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Clock = sim.NewSimulator(time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC))
+	recovered := New(cfg)
+
+	var (
+		wal        bytes.Buffer
+		aAtJournal = make(chan struct{})
+		bAtJournal = make(chan struct{})
+	)
+	worker := func(e store.Event) string {
+		if e.Kind != store.EventAnswer {
+			return ""
+		}
+		return e.Answer.WorkerID
+	}
+	cfg.Journal = &hookJournal{
+		Journal: store.NewWAL(&wal),
+		before: func(e store.Event) {
+			switch worker(e) {
+			case "a":
+				close(aAtJournal)
+				select {
+				case <-bAtJournal:
+				case <-time.After(50 * time.Millisecond):
+				}
+			case "b":
+				close(bAtJournal)
+			}
+		},
+		after: func(store.Event) {},
+	}
+	s := New(cfg)
+	id, err := s.SubmitTask(task.Label, task.Payload{ImageID: 1}, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leases := map[string]queue.LeaseID{}
+	for _, w := range []string{"a", "b"} {
+		if _, leases[w], err = s.NextTask(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	aAcked := make(chan error, 1)
+	go func() { aAcked <- s.SubmitAnswer(leases["a"], task.Answer{Words: []int{1}}) }()
+	<-aAtJournal
+	if err := s.SubmitAnswer(leases["b"], task.Answer{Words: []int{2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-aAcked; err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := store.ReplayWAL(bytes.NewReader(wal.Bytes()), recovered.Store()); err != nil {
+		t.Fatalf("the log of acknowledged writes does not replay: %v", err)
+	}
+	live, _ := s.Task(id)
+	got, _ := recovered.Task(id)
+	order := func(v task.View) (ws []string) {
+		for _, a := range v.Answers {
+			ws = append(ws, a.WorkerID)
+		}
+		return ws
+	}
+	if !slices.Equal(order(got), order(live)) {
+		t.Errorf("answers replay in the order %q, were applied in the order %q", order(got), order(live))
+	}
+	if live, got := checkpointSum(t, s.Store()), checkpointSum(t, recovered.Store()); live != got {
+		t.Fatalf("recovered checkpoint %x, live %x", got, live)
+	}
+}
+
+// checkpointSum is the SHA-256 of st's checkpoint.
+func checkpointSum(t *testing.T, st *store.Store) [sha256.Size]byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := st.Snapshot(&b); err != nil {
+		t.Fatal(err)
+	}
+	return sha256.Sum256(b.Bytes())
 }
 
 // TestSubmitIsUnknownUntilItIsQueued: a submit stores and enqueues its task
@@ -534,15 +661,22 @@ func TestSubmitIsUnknownUntilItIsQueued(t *testing.T) {
 	}
 }
 
-// TestConcurrentWriteMixKeepsOneOpenSet: submits, cancels of the newest
-// IDs (the one a submit may be journalling included), leases and answers,
-// from goroutines that each draw their operations from a seeded source.
-// Once they are done, the queue counts exactly the open tasks the store
-// holds, and the WAL of acknowledged writes replays to the same open set.
+// TestConcurrentWriteMixKeepsOneOpenSet: submits of label and compare
+// tasks, cancels of the newest IDs (the one a submit may be journalling
+// included), leases, answers and — the quality plane on, with a target two
+// agreeing votes cross — early finishes, from goroutines that each draw
+// their operations from a seeded source. Once they are done, the queue
+// counts exactly the open tasks the store holds, and the WAL of
+// acknowledged writes replays to the same checkpoint, byte for byte: every
+// answer, cancel and finish is on the log in the order it was applied.
+// (The calibration sidecar is left out: the estimator observes outside the
+// queue lock.)
 func TestConcurrentWriteMixKeepsOneOpenSet(t *testing.T) {
 	var wal bytes.Buffer
 	cfg := DefaultConfig()
 	cfg.Journal = store.NewWAL(&wal)
+	cfg.OnlineQuality = true
+	cfg.ConfidenceTarget = 0.6
 	s := New(cfg)
 	var newest atomic.Int64 // the ID a submit returned last, give or take a racing goroutine
 	var wg sync.WaitGroup
@@ -552,13 +686,20 @@ func TestConcurrentWriteMixKeepsOneOpenSet(t *testing.T) {
 			defer wg.Done()
 			r := rng.New(uint64(31 + g))
 			worker := fmt.Sprintf("w%d", g)
-			var held []queue.LeaseID
+			type held struct {
+				lease queue.LeaseID
+				kind  task.Kind
+			}
+			var leases []held
 			for step := 0; step < 400; step++ {
 				switch op := r.Intn(10); {
 				case op < 3:
 					specs := make([]SubmitSpec, 1+r.Intn(3))
 					for i := range specs {
 						specs[i] = SubmitSpec{Kind: task.Label, Payload: task.Payload{ImageID: step}, Redundancy: 1 + r.Intn(3), Priority: r.Intn(3)}
+						if r.Intn(2) == 0 {
+							specs[i].Kind, specs[i].Payload = task.Compare, task.Payload{ImageID: step, ImageB: step + 1}
+						}
 					}
 					for _, o := range s.SubmitBatch(specs) {
 						if o.Err != nil {
@@ -573,18 +714,22 @@ func TestConcurrentWriteMixKeepsOneOpenSet(t *testing.T) {
 						t.Errorf("cancel %d: %v", id, err)
 					}
 				case op < 8:
-					if _, l, err := s.NextTask(worker); err == nil {
-						held = append(held, l)
+					if v, l, err := s.NextTask(worker); err == nil {
+						leases = append(leases, held{l, v.Kind})
 					}
 				default:
-					if len(held) == 0 {
+					if len(leases) == 0 {
 						continue
 					}
-					i := r.Intn(len(held))
-					if err := s.SubmitAnswer(held[i], task.Answer{Words: []int{step}}); err != nil && !errors.Is(err, task.ErrWrongStatus) {
+					i := r.Intn(len(leases))
+					a := task.Answer{Words: []int{step}}
+					if leases[i].kind == task.Compare {
+						a = task.Answer{Choice: min(1, r.Intn(4))} // mostly agreeing
+					}
+					if err := s.SubmitAnswer(leases[i].lease, a); err != nil && !errors.Is(err, task.ErrWrongStatus) {
 						t.Errorf("answer: %v", err)
 					}
-					held = append(held[:i], held[i+1:]...)
+					leases = append(leases[:i], leases[i+1:]...)
 				}
 			}
 		}(g)
@@ -595,12 +740,18 @@ func TestConcurrentWriteMixKeepsOneOpenSet(t *testing.T) {
 	if got := s.Stats().Queue.Open; got != len(open) || got == 0 {
 		t.Fatalf("the queue counts %d open tasks, the store holds %d", got, len(open))
 	}
+	if s.QualityStats().EarlyCompleted == 0 {
+		t.Fatal("no task finished early: the mix does not cover early finishes")
+	}
 	recovered := New(DefaultConfig())
 	if _, err := store.ReplayWAL(bytes.NewReader(wal.Bytes()), recovered.Store()); err != nil {
 		t.Fatalf("the log of acknowledged writes does not replay: %v", err)
 	}
 	if got := recovered.Store().IDs(task.Open); !slices.Equal(got, open) {
 		t.Fatalf("replay recovers %d open tasks, the live store holds %d", len(got), len(open))
+	}
+	if live, got := checkpointSum(t, s.Store()), checkpointSum(t, recovered.Store()); live != got {
+		t.Fatalf("recovered checkpoint %x, live %x", got, live)
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"humancomp/internal/queue"
 	"humancomp/internal/store"
 	"humancomp/internal/task"
-	"humancomp/internal/trace"
 )
 
 // choiceClasses is the label space of Compare/Judge tasks: {0, 1}.
@@ -80,9 +79,10 @@ func estKey(id task.ID) string { return strconv.FormatInt(int64(id), 10) }
 // observeAnswer folds one recorded answer into the quality plane and
 // applies the completion rule: a choice task finishes when its posterior
 // confidence crosses the configured target (with at least MinAnswers
-// votes) OR when redundancy is met — whichever comes first. It is called
-// after the answer has been journaled and acknowledged, so the estimator
-// never learns answers the log could lose. Gold probes are observed (their
+// votes) OR when redundancy is met — whichever comes first; the queue
+// journals an early finish as it journals an answer. It is called after
+// the answer has been journaled and acknowledged, so the estimator never
+// learns answers the log could lose. Gold probes are observed (their
 // votes calibrate confusion matrices) but never finished early: they exist
 // to probe as many workers as possible.
 func (s *System) observeAnswer(res queue.CompleteResult, now time.Time) (conf float64, post []float64, early bool) {
@@ -109,10 +109,6 @@ func (s *System) observeAnswer(res queue.CompleteResult, now time.Time) (conf fl
 			}
 			s.qp.earlyCompleted.Inc()
 			s.gwap.RecordOutputs(1)
-			// Best-effort journal: the answers that justified the finish are
-			// already on the log, so a lost finish record merely replays the
-			// task as open and lets the completion rule fire again.
-			_ = s.journal(trace.Handle{}, []store.Event{{Kind: store.EventFinish, At: now, TaskID: res.TaskID}})
 			return conf, post, true
 		}
 	}

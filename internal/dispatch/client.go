@@ -152,8 +152,8 @@ func NewTransport() *http.Transport {
 
 // defaultClient is the process-wide HTTP client used when callers pass a
 // nil *http.Client: one shared tuned transport, so every dispatch.Client
-// in the process (including each SubmitBatcher's flushes) draws from the
-// same keep-alive connection pool instead of fragmenting it.
+// in the process draws from the same keep-alive connection pool instead of
+// fragmenting it.
 var defaultClient = &http.Client{Transport: NewTransport()}
 
 // NewClient returns a client for the service at baseURL (no trailing

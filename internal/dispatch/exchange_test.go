@@ -143,11 +143,13 @@ type gateJournal struct {
 	release chan struct{}
 }
 
-func (j *gateJournal) AppendBatchObserved([]store.Event) (write, sync time.Duration, err error) {
+func (j *gateJournal) WriteEvents([]store.Event) (int64, error) {
 	j.entered <- struct{}{}
 	<-j.release
-	return 0, 0, nil
+	return 1, nil
 }
+
+func (j *gateJournal) WaitDurable(int64) (time.Duration, error) { return 0, nil }
 
 // TestMaxInFlightBoundsStalledServer: a handler that outlives the request
 // deadline in a call nothing can cancel keeps its shedder slot until it

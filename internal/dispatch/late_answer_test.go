@@ -11,6 +11,7 @@ import (
 	"humancomp/internal/core"
 	"humancomp/internal/queue"
 	"humancomp/internal/sim"
+	"humancomp/internal/store"
 	"humancomp/internal/task"
 )
 
@@ -59,19 +60,11 @@ func TestLateAnswerIs409(t *testing.T) {
 					default:
 						// Finished or cancelled in place, as a replica's apply
 						// loop does: the queue has not dropped the entry yet.
-						live, err := sys.Store().Get(id)
-						if err != nil {
-							t.Fatal(err)
-						}
-						lock := sys.Store().LockerFor(id)
-						lock.Lock()
+						kind := store.EventCancel
 						if end == "finish" {
-							err = live.Finish(time.Now())
-						} else {
-							err = live.Cancel(time.Now())
+							kind = store.EventFinish
 						}
-						lock.Unlock()
-						if err != nil {
+						if err := store.ApplyEvent(sys.Store(), store.Event{Kind: kind, At: time.Now(), TaskID: id}); err != nil {
 							t.Fatal(err)
 						}
 					}

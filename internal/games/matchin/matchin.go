@@ -150,39 +150,3 @@ func (e *Elo) Top(n int) []int {
 
 // Rated returns the number of images with at least one game.
 func (e *Elo) Rated() int { return len(e.ratings) }
-
-// KendallTau computes the Kendall rank correlation between the Elo ranking
-// and a ground-truth score function over the rated images — the evaluation
-// metric for "did the game learn the true preference order". Images with
-// fewer than minGames comparisons are ignored. Returns 0 when fewer than
-// two images qualify.
-func (e *Elo) KendallTau(truth func(id int) float64, minGames int) float64 {
-	var ids []int
-	for id := range e.ratings {
-		if e.games[id] >= minGames {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	if len(ids) < 2 {
-		return 0
-	}
-	concordant, discordant := 0, 0
-	for i := 0; i < len(ids); i++ {
-		for j := i + 1; j < len(ids); j++ {
-			dr := e.Rating(ids[i]) - e.Rating(ids[j])
-			dt := truth(ids[i]) - truth(ids[j])
-			switch {
-			case dr*dt > 0:
-				concordant++
-			case dr*dt < 0:
-				discordant++
-			}
-		}
-	}
-	total := concordant + discordant
-	if total == 0 {
-		return 0
-	}
-	return float64(concordant-discordant) / float64(total)
-}

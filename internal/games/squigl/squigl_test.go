@@ -1,6 +1,7 @@
 package squigl
 
 import (
+	"sort"
 	"testing"
 
 	"humancomp/internal/rng"
@@ -177,4 +178,28 @@ func BenchmarkPlayRound(b *testing.B) {
 		img, word := g.PickTask()
 		g.PlayRound(wa, wb, img, word)
 	}
+}
+
+// Outline returns the median-corner outline, or ok == false below the
+// trace minimum.
+func (s *TraceStore) Outline(image, word int) (vocab.Rect, bool) {
+	list := s.traces[key{image, word}]
+	if len(list) < s.minTraces {
+		return vocab.Rect{}, false
+	}
+	n := len(list)
+	x1s := make([]int, n)
+	y1s := make([]int, n)
+	x2s := make([]int, n)
+	y2s := make([]int, n)
+	for i, r := range list {
+		x1s[i], y1s[i] = r.X, r.Y
+		x2s[i], y2s[i] = r.X+r.W, r.Y+r.H
+	}
+	med := func(v []int) int {
+		sort.Ints(v)
+		return v[len(v)/2]
+	}
+	x1, y1, x2, y2 := med(x1s), med(y1s), med(x2s), med(y2s)
+	return vocab.Rect{X: x1, Y: y1, W: max(x2-x1, 1), H: max(y2-y1, 1)}, true
 }

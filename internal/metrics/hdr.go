@@ -141,24 +141,6 @@ func (h *LatencyHist) Quantile(q float64) time.Duration {
 	return h.Max()
 }
 
-// Merge folds other's observations into h. The merged max is exact; the
-// merged quantiles are as tight as each input's buckets.
-func (h *LatencyHist) Merge(other *LatencyHist) {
-	for i := range other.buckets {
-		if n := other.buckets[i].Load(); n > 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(other.count.Load())
-	h.sum.Add(other.sum.Load())
-	for {
-		cur, om := h.max.Load(), other.max.Load()
-		if om <= cur || h.max.CompareAndSwap(cur, om) {
-			return
-		}
-	}
-}
-
 // LatencySummary is the flattened extraction of a LatencyHist, in
 // milliseconds, ready for JSON encoding by bench harnesses.
 type LatencySummary struct {

@@ -122,3 +122,21 @@ func TestLatencySummary(t *testing.T) {
 		t.Fatalf("summary = %+v", s)
 	}
 }
+
+// Merge folds other's observations into h. The merged max is exact; the
+// merged quantiles are as tight as each input's buckets.
+func (h *LatencyHist) Merge(other *LatencyHist) {
+	for i := range other.buckets {
+		if n := other.buckets[i].Load(); n > 0 {
+			h.buckets[i].Add(n)
+		}
+	}
+	h.count.Add(other.count.Load())
+	h.sum.Add(other.sum.Load())
+	for {
+		cur, om := h.max.Load(), other.max.Load()
+		if om <= cur || h.max.CompareAndSwap(cur, om) {
+			return
+		}
+	}
+}

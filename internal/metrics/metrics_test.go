@@ -307,3 +307,20 @@ func TestRetentionOutOfOrderAndPanics(t *testing.T) {
 	}()
 	r.RecordVisit("q", -1)
 }
+
+// Peak returns the largest bucket value and its start time; ok is false
+// for an empty series.
+func (ts *TimeSeries) Peak() (at time.Time, v float64, ok bool) {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	if len(ts.buckets) == 0 {
+		return time.Time{}, 0, false
+	}
+	best := 0
+	for i, b := range ts.buckets {
+		if b > ts.buckets[best] {
+			best = i
+		}
+	}
+	return ts.start.Add(time.Duration(best) * ts.width), ts.buckets[best], true
+}

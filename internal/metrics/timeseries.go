@@ -60,23 +60,6 @@ func (ts *TimeSeries) Total() float64 {
 	return sum
 }
 
-// Peak returns the largest bucket value and its start time; ok is false
-// for an empty series.
-func (ts *TimeSeries) Peak() (at time.Time, v float64, ok bool) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if len(ts.buckets) == 0 {
-		return time.Time{}, 0, false
-	}
-	best := 0
-	for i, b := range ts.buckets {
-		if b > ts.buckets[best] {
-			best = i
-		}
-	}
-	return ts.start.Add(time.Duration(best) * ts.width), ts.buckets[best], true
-}
-
 // String renders a compact sparkline-style summary for logs.
 func (ts *TimeSeries) String() string {
 	b := ts.Buckets()

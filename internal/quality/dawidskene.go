@@ -185,17 +185,3 @@ func newMatrix(n int, fill float64) [][]float64 {
 	}
 	return m
 }
-
-// WorkerAccuracyFromConfusion reduces a confusion matrix to a scalar
-// accuracy under the given class priors (diagonal mass).
-func WorkerAccuracyFromConfusion(confusion [][]float64, priors []float64) float64 {
-	acc := 0.0
-	for j := range confusion {
-		p := 1.0 / float64(len(confusion))
-		if j < len(priors) {
-			p = priors[j]
-		}
-		acc += p * confusion[j][j]
-	}
-	return acc
-}

@@ -52,7 +52,7 @@ func TestAddBatchPartialFailure(t *testing.T) {
 // counted and leasable once each.
 func TestAddAfterPutOnlyEnqueues(t *testing.T) {
 	st := store.New()
-	q := NewLocked(time.Minute, st)
+	q := NewLocked(time.Minute, st, nil)
 	ts := []*task.Task{newTask(t, 1, 0, 1), newTask(t, 2, 1, 1)}
 	st.PutBatch(ts)
 	if errs := q.AddBatch(ts); errs != nil {

@@ -17,6 +17,14 @@
 // writable node a task is open in the store exactly when it is in the heap
 // each time the lock is released. A queued task costs the queue one pointer,
 // its heap slot: what is leased, and to whom, is read from the lease table.
+//
+// The queue is the journal's one writer. A submit is written first, without
+// the lock (Journal), and only then stored and enqueued. An answer, cancel
+// or early finish is decided under the queue lock, applied through
+// store.Apply — the function replay and followers apply the log with — and
+// written to the journal before the lock is released, so the log holds
+// every task's changes in the order they were applied. No fsync ever runs
+// under the lock: the wait for one comes after it is released.
 package queue
 
 import (
@@ -40,6 +48,21 @@ var (
 	ErrDuplicateID  = errors.New("queue: task ID already stored")
 )
 
+// Journal is the log the queue writes what it applies to, in two halves.
+// WriteEvents frames the events and hands them to the OS as one group,
+// returning the positive sequence number of the last; it is called under
+// the queue lock and must not fsync. WaitDurable returns once every event
+// up to seq is durable, reporting how long it waited (zero when the
+// journal's policy does not wait); it is called with the lock released.
+// The events are acknowledged as a unit once both have returned nil — a
+// failed write or wait acknowledges none of them. The events, and the tasks
+// and answers they point at, are the caller's again once WriteEvents
+// returns. *store.WAL satisfies it.
+type Journal interface {
+	WriteEvents(events []store.Event) (seq int64, err error)
+	WaitDurable(seq int64) (wait time.Duration, err error)
+}
+
 // LeaseID identifies one outstanding lease: a sequence number, never
 // reused within a process and never persisted.
 type LeaseID int64
@@ -59,15 +82,16 @@ type Lease struct {
 
 // Queue is a redundancy-aware priority work queue with leases.
 //
-// The queue owns all mutation of task state while the system runs: Record
-// and Cancel are only ever called under mu plus the store's write lock, and
-// no method returns a live *task.Task — lookups hand out deep-copied
-// task.View snapshots instead. Lock order is queue → store; the store never
-// calls back into the queue, so it cannot deadlock.
+// The queue owns all mutation of task state while the system runs: every
+// change goes through store.Apply under mu, and no method returns a live
+// *task.Task — lookups hand out deep-copied task.View snapshots instead.
+// Lock order is queue → store and queue → journal; neither calls back into
+// the queue, so it cannot deadlock.
 type Queue struct {
-	ttl time.Duration
-	st  *store.Store    // the one ID → task index; holds every queued task
-	rec *trace.Recorder // lifecycle event sink; nil records nothing
+	ttl     time.Duration
+	st      *store.Store    // the one ID → task index; holds every queued task
+	journal Journal         // where applied changes are written; nil writes nothing
+	rec     *trace.Recorder // lifecycle event sink; nil records nothing
 
 	mu sync.Mutex
 	// open counts the queued tasks, every one of them open: it moves in the
@@ -110,29 +134,31 @@ func (q *Queue) lock() {
 
 // New returns an empty queue over a fresh store whose leases expire after
 // ttl. It panics if ttl is not positive.
-func New(ttl time.Duration) *Queue { return NewLocked(ttl, store.New()) }
+func New(ttl time.Duration) *Queue { return NewLocked(ttl, store.New(), nil) }
 
-// NewLocked returns an empty queue over st, which must not be nil: the
-// queue stores what it enqueues there, resolves task IDs through it, and
-// holds its write lock while mutating task state (recording answers,
-// canceling), which is what makes the store's view reads race-free —
-// every writer holds the write lock, every view reader copies under the
-// read lock.
-func NewLocked(ttl time.Duration, st *store.Store) *Queue {
+// NewLocked returns an empty queue over st, which must not be nil, writing
+// each answer, cancel and early finish it applies to j; a nil j writes
+// nothing. The queue stores what it enqueues in st, resolves task IDs
+// through it and changes tasks only through st.Apply, which holds the
+// store's write lock — what makes the store's view reads, which copy under
+// the read lock, race-free.
+func NewLocked(ttl time.Duration, st *store.Store, j Journal) *Queue {
 	if ttl <= 0 {
 		panic("queue: lease TTL must be positive")
 	}
 	return &Queue{
-		ttl:    ttl,
-		st:     st,
-		leases: make(map[LeaseID]*Lease),
-		held:   make(map[task.ID]*Lease),
+		ttl:     ttl,
+		st:      st,
+		journal: j,
+		leases:  make(map[LeaseID]*Lease),
+		held:    make(map[task.ID]*Lease),
 	}
 }
 
-// NewSharded is NewLocked. Kept for bench/ only, which is frozen while
-// this lands; the next benchmark PR calls NewLocked and deletes it.
-func NewSharded(ttl time.Duration, _ int, st *store.Store) *Queue { return NewLocked(ttl, st) }
+// NewSharded is NewLocked without a journal. Kept for bench/ only, which is
+// frozen while this lands; the next benchmark PR calls NewLocked and
+// deletes it.
+func NewSharded(ttl time.Duration, _ int, st *store.Store) *Queue { return NewLocked(ttl, st, nil) }
 
 // SetRecorder attaches a lifecycle trace recorder. It must be called
 // before the queue sees traffic (the core does so at construction); a nil
@@ -162,6 +188,40 @@ func (q *Queue) lockTraced(h trace.Handle) {
 	start := h.Now()
 	q.lock()
 	h.Observe("queue.lockwait", trace.NoSpan, start, h.Now().Sub(start), 1)
+}
+
+// Journal writes events to the journal and waits until they are durable,
+// without the lock: a submit's journal step, taken before its tasks are
+// stored and enqueued.
+func (q *Queue) Journal(h trace.Handle, events []store.Event) error {
+	return q.writeThen(h, events, func() {})
+}
+
+// writeThen hands events to the journal, as the call's wal.append span
+// (attr: events in the group), calls release, then waits until they are
+// durable, as its wal.fsync span when the journal waited. Called with
+// q.mu.Unlock it ends a critical section that applied the events: writing
+// them before the lock is released is what makes log order apply order,
+// and only the fsync wait, if the journal has one, runs outside it.
+// Without a journal, or events, it only releases.
+func (q *Queue) writeThen(h trace.Handle, events []store.Event, release func()) error {
+	if q.journal == nil || len(events) == 0 {
+		release()
+		return nil
+	}
+	start := h.Now()
+	seq, err := q.journal.WriteEvents(events)
+	h.ObserveSince("wal.append", trace.NoSpan, start, int64(len(events)))
+	release()
+	if err != nil {
+		return err
+	}
+	start = h.Now()
+	wait, err := q.journal.WaitDurable(seq)
+	if wait > 0 {
+		h.Observe("wal.fsync", trace.NoSpan, start, wait, 0)
+	}
+	return err
 }
 
 // Add stores an open task and enqueues it. The queue takes ownership of
@@ -412,60 +472,55 @@ type CompleteResult struct {
 	Redundancy int         // the task's requested redundancy
 }
 
-// Complete records the leaseholder's answer and releases the lease. If the
-// answer fulfills the task's redundancy the task leaves the queue as Done.
+// Complete records the leaseholder's answer, journals it and releases the
+// lease: a CompleteBatch of one. If the answer fulfills the task's
+// redundancy the task leaves the queue as Done.
 func (q *Queue) Complete(id LeaseID, a task.Answer, now time.Time) (CompleteResult, error) {
-	q.lock()
-	defer q.mu.Unlock()
-	q.expireLocked(now)
-	return q.completeLocked(id, a, now, trace.TraceID{})
+	var out [1]CompleteOutcome
+	q.completeAll([]CompleteItem{{Lease: id, Answer: a}}, now, trace.Handle{}, out[:])
+	return out[0].Result, out[0].Err
 }
 
-// completeLocked is the body of Complete; caller holds the lock and has
-// already expired overdue leases.
-func (q *Queue) completeLocked(id LeaseID, a task.Answer, now time.Time, tr trace.TraceID) (CompleteResult, error) {
+// completeLocked applies the answer a to the task leased as id and returns
+// the result and the answer event as recorded, for the journal; caller
+// holds the lock and has already expired overdue leases.
+func (q *Queue) completeLocked(id LeaseID, a task.Answer, now time.Time, tr trace.TraceID) (CompleteResult, store.Event, error) {
 	l, ok := q.leases[id]
 	if !ok {
-		return CompleteResult{}, ErrUnknownLease
+		return CompleteResult{}, store.Event{}, ErrUnknownLease
 	}
-	t := l.task
-	if t.Status != task.Open {
+	a.WorkerID = l.WorkerID
+	t, err := q.st.Apply(store.EventAnswer, l.task.ID, &a, now)
+	if errors.Is(err, task.ErrWrongStatus) {
 		// Finished or cancelled under an outstanding lease: the answer is
 		// late, and the lease goes with it.
 		q.dropLeaseLocked(l)
-		return CompleteResult{}, task.ErrWrongStatus
 	}
-	a.WorkerID = l.WorkerID
-	lk := q.st.LockerFor(t.ID)
-	lk.Lock()
-	err := t.Record(a, now)
-	var res CompleteResult
-	var firstAnswer time.Time
-	if err == nil {
-		firstAnswer = t.Answers[0].At
-		res = CompleteResult{
-			TaskID:     t.ID,
-			Kind:       t.Kind,
-			Status:     t.Status,
-			Answer:     t.Answers[len(t.Answers)-1],
-			LeasedAt:   l.LeasedAt,
-			Answers:    len(t.Answers),
-			Redundancy: t.Redundancy,
-		}
-	}
-	lk.Unlock()
 	if err != nil {
-		return CompleteResult{}, err
+		return CompleteResult{}, store.Event{}, err
+	}
+	// The journal gets the answer as the task holds it, stamped: a pointer
+	// into the task's answer list, which only grows, and only under this
+	// lock.
+	recorded := &t.Answers[len(t.Answers)-1]
+	res := CompleteResult{
+		TaskID:     t.ID,
+		Kind:       t.Kind,
+		Status:     t.Status,
+		Answer:     *recorded,
+		LeasedAt:   l.LeasedAt,
+		Answers:    len(t.Answers),
+		Redundancy: t.Redundancy,
 	}
 	q.dropLeaseLocked(l)
-	q.emit(trace.StageAnswer, res.TaskID, l.WorkerID, now, tr)
+	q.emit(trace.StageAnswer, t.ID, l.WorkerID, now, tr)
 	q.rec.ObserveStage(trace.StageAnswer, now.Sub(l.LeasedAt), tr)
-	if res.Status == task.Done {
+	if t.Status == task.Done {
 		q.closeLocked(t)
-		q.emit(trace.StageComplete, res.TaskID, "", now, tr)
-		q.rec.ObserveStage(trace.StageComplete, now.Sub(firstAnswer), tr)
+		q.emit(trace.StageComplete, t.ID, "", now, tr)
+		q.rec.ObserveStage(trace.StageComplete, now.Sub(t.Answers[0].At), tr)
 	}
-	return res, nil
+	return res, store.Event{Kind: store.EventAnswer, At: now, TaskID: t.ID, Answer: recorded}, nil
 }
 
 // CompleteItem is one lease-plus-answer of a CompleteBatch call.
@@ -481,26 +536,50 @@ type CompleteOutcome struct {
 	Err    error
 }
 
-// CompleteBatch records many answers under one hold of the lock. The
-// returned slice is index-aligned with items; one bad item (unknown lease,
-// repeat worker) never fails the rest.
+// CompleteBatch records and journals many answers under one hold of the
+// lock. The returned slice is index-aligned with items; one bad item
+// (unknown lease, repeat worker) never fails the rest. The recorded answers
+// are journalled as one group: when the journal refuses it, every one of
+// them reports that error.
 func (q *Queue) CompleteBatch(items []CompleteItem, now time.Time) []CompleteOutcome {
 	return q.CompleteBatchTraced(items, now, trace.Handle{})
 }
 
 // CompleteBatchTraced is CompleteBatch under a span handle: the wait for
-// the lock is the call's queue.lockwait span and every answer/complete
-// lifecycle event carries the trace ID.
+// the lock is the call's queue.lockwait span, the journal write and wait
+// its wal.append and wal.fsync spans, and every answer/complete lifecycle
+// event carries the trace ID.
 func (q *Queue) CompleteBatchTraced(items []CompleteItem, now time.Time, h trace.Handle) []CompleteOutcome {
 	out := make([]CompleteOutcome, len(items))
+	q.completeAll(items, now, h, out)
+	return out
+}
+
+// completeAll is the one answer body: apply each item, then journal the
+// applied ones in the same hold of the lock. out is index-aligned with
+// items.
+func (q *Queue) completeAll(items []CompleteItem, now time.Time, h trace.Handle, out []CompleteOutcome) {
+	var events []store.Event
+	if q.journal != nil { // a queue that journals nothing does not build the group
+		events = make([]store.Event, 0, len(items))
+	}
 	tr := h.Trace()
 	q.lockTraced(h)
-	defer q.mu.Unlock()
 	q.expireLocked(now)
 	for i := range items {
-		out[i].Result, out[i].Err = q.completeLocked(items[i].Lease, items[i].Answer, now, tr)
+		var e store.Event
+		out[i].Result, e, out[i].Err = q.completeLocked(items[i].Lease, items[i].Answer, now, tr)
+		if out[i].Err == nil && q.journal != nil {
+			events = append(events, e)
+		}
 	}
-	return out
+	if err := q.writeThen(h, events, q.mu.Unlock); err != nil {
+		for i := range out {
+			if out[i].Err == nil {
+				out[i].Err = err
+			}
+		}
+	}
 }
 
 // Release returns a leased task to the pool without an answer (the worker
@@ -535,57 +614,57 @@ func (q *Queue) dropLeaseLocked(l *Lease) {
 	}
 }
 
-// Cancel removes an open task from the queue. A task the store does not
-// hold is ErrUnknownTask; one that is no longer open, task.ErrWrongStatus.
+// Cancel removes an open task from the queue and journals the cancel. A
+// task the store does not hold is ErrUnknownTask; one that is no longer
+// open, task.ErrWrongStatus.
 func (q *Queue) Cancel(id task.ID, now time.Time) error {
 	q.lock()
-	defer q.mu.Unlock()
-	t, err := q.st.Get(id)
-	if err != nil {
-		return ErrUnknownTask
-	}
-	lk := q.st.LockerFor(id)
-	lk.Lock()
-	err = t.Cancel(now)
-	lk.Unlock()
-	if err != nil {
+	if _, err := q.closeTaskLocked(store.EventCancel, id, now); err != nil {
+		q.mu.Unlock()
 		return err
 	}
-	q.closeLocked(t)
 	q.emit(trace.StageCancel, id, "", now, trace.TraceID{})
-	return nil
+	return q.writeThen(trace.Handle{}, []store.Event{{Kind: store.EventCancel, At: now, TaskID: id}}, q.mu.Unlock)
 }
 
 // FinishEarly completes an open task before it has collected its full
-// redundancy — the quality plane's confidence-crossed path. The returned
-// view is the finished task. ok is false when the task is unknown to the
-// store or no longer open (e.g. a racing answer just completed it), which
-// callers treat as "nothing to do", keeping the call idempotent.
+// redundancy — the quality plane's confidence-crossed path — and journals
+// the finish. The returned view is the finished task. ok is false when the
+// task is unknown to the store or no longer open (e.g. a racing answer just
+// completed it), which callers treat as "nothing to do", keeping the call
+// idempotent. A finish the journal refuses stays applied, and ok: a WAL
+// that refuses a write has failed for good and reports it, and its log
+// replays the task open, for the completion rule to finish again.
 // Outstanding leases on the task are left to expire; their late answers
 // are rejected by the task's status check.
 func (q *Queue) FinishEarly(id task.ID, now time.Time) (task.View, bool) {
 	q.lock()
-	defer q.mu.Unlock()
-	t, err := q.st.Get(id)
+	t, err := q.closeTaskLocked(store.EventFinish, id, now)
 	if err != nil {
+		q.mu.Unlock()
 		return task.View{}, false
 	}
-	lk := q.st.LockerFor(id)
-	lk.Lock()
-	var v task.View
-	if err = t.Finish(now); err == nil {
-		v = t.View()
-	}
-	lk.Unlock()
-	if err != nil {
-		return task.View{}, false
-	}
-	q.closeLocked(t)
+	v := t.View()
 	q.emit(trace.StageComplete, id, "", now, trace.TraceID{})
 	if len(v.Answers) > 0 {
 		q.rec.ObserveStage(trace.StageComplete, now.Sub(v.Answers[0].At), trace.TraceID{})
 	}
+	_ = q.writeThen(trace.Handle{}, []store.Event{{Kind: store.EventFinish, At: now, TaskID: id}}, q.mu.Unlock)
 	return v, true
+}
+
+// closeTaskLocked applies a cancel or finish to the task id and takes it
+// out of the queue; caller holds the lock.
+func (q *Queue) closeTaskLocked(kind store.EventKind, id task.ID, now time.Time) (*task.Task, error) {
+	t, err := q.st.Apply(kind, id, nil, now)
+	if errors.Is(err, store.ErrNotFound) {
+		return nil, ErrUnknownTask
+	}
+	if err != nil {
+		return nil, err
+	}
+	q.closeLocked(t)
+	return t, nil
 }
 
 // ExpireLeases reclaims all leases that expired at or before now and

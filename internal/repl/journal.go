@@ -19,7 +19,7 @@ var ErrNotWritable = errors.New("repl: node is not writable (follower)")
 // empty one and recovers into it; a leader Sets the fresh WAL once the
 // recovered state is checkpointed, a follower at promotion, so the first
 // accepted write lands on the same log the replication stream was feeding.
-// It forwards core.Journal's one method.
+// It forwards core.Journal's two halves.
 type SwitchableJournal struct {
 	wal atomic.Pointer[store.WAL]
 }
@@ -27,11 +27,20 @@ type SwitchableJournal struct {
 // Set attaches the backing WAL, flipping the journal writable.
 func (j *SwitchableJournal) Set(w *store.WAL) { j.wal.Store(w) }
 
-// AppendBatchObserved implements core.Journal.
-func (j *SwitchableJournal) AppendBatchObserved(events []store.Event) (write, sync time.Duration, err error) {
+// WriteEvents implements core.Journal.
+func (j *SwitchableJournal) WriteEvents(events []store.Event) (int64, error) {
 	w := j.wal.Load()
 	if w == nil {
-		return 0, 0, ErrNotWritable
+		return 0, ErrNotWritable
 	}
-	return w.AppendBatchObserved(events)
+	return w.WriteEvents(events)
+}
+
+// WaitDurable implements core.Journal.
+func (j *SwitchableJournal) WaitDurable(seq int64) (time.Duration, error) {
+	w := j.wal.Load()
+	if w == nil {
+		return 0, ErrNotWritable
+	}
+	return w.WaitDurable(seq)
 }

@@ -251,16 +251,23 @@ func TestTermPersistence(t *testing.T) {
 
 func TestSwitchableJournal(t *testing.T) {
 	var sj SwitchableJournal
-	_, _, err := sj.AppendBatchObserved([]store.Event{{Kind: store.EventCancel, TaskID: 1}})
+	_, err := sj.WriteEvents([]store.Event{{Kind: store.EventCancel, TaskID: 1}})
 	if !errors.Is(err, ErrNotWritable) {
-		t.Fatalf("append before Set = %v, want ErrNotWritable", err)
+		t.Fatalf("write before Set = %v, want ErrNotWritable", err)
+	}
+	if _, err := sj.WaitDurable(1); !errors.Is(err, ErrNotWritable) {
+		t.Fatalf("wait before Set = %v, want ErrNotWritable", err)
 	}
 	var buf bytes.Buffer
 	wal := store.NewWAL(&buf)
 	defer wal.Close()
 	sj.Set(wal)
-	if _, _, err := sj.AppendBatchObserved([]store.Event{submitEvent(t, 1)}); err != nil {
-		t.Fatalf("append after Set = %v", err)
+	seq, err := sj.WriteEvents([]store.Event{submitEvent(t, 1)})
+	if err != nil || seq != 1 {
+		t.Fatalf("write after Set = %d, %v; want sequence 1", seq, err)
+	}
+	if _, err := sj.WaitDurable(seq); err != nil {
+		t.Fatalf("wait after Set = %v", err)
 	}
 	if wal.LastSeq() != 1 {
 		t.Fatalf("record did not reach the WAL")

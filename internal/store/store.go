@@ -31,6 +31,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"humancomp/internal/task"
 	"humancomp/internal/trace"
@@ -42,9 +43,9 @@ var ErrNotFound = errors.New("store: task not found")
 // Store is an in-memory task table. Safe for concurrent use.
 //
 // Locking discipline: mu guards the map AND the contents of every task
-// stored in it. Components that mutate stored tasks in place (the queue,
-// via LockerFor) take the write lock around each mutation, which lets View
-// and the ordered walk hand out consistent deep copies under the read lock.
+// stored in it. A stored task changes only through Apply, which holds the
+// write lock, so View and the ordered walk hand out consistent deep copies
+// under the read lock.
 type Store struct {
 	mu     sync.RWMutex
 	tasks  map[task.ID]*task.Task
@@ -69,7 +70,7 @@ func (s *Store) Shards() int { return 1 }
 func (s *Store) SetRecorder(rec *trace.Recorder) { s.rec = rec }
 
 // LockCount returns how many times the write lock has been acquired for a
-// mutation (Put, PutBatch, Insert, or through LockerFor).
+// mutation (Put, PutBatch, Insert, Apply).
 func (s *Store) LockCount() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -146,17 +147,40 @@ func (s *Store) Insert(ts []*task.Task) (refused []int) {
 	return refused
 }
 
-// writeLocker is the sync.Locker LockerFor hands out: the store's write
-// lock plus the acquisition count.
-type writeLocker Store
-
-func (l *writeLocker) Lock()   { (*Store)(l).lock() }
-func (l *writeLocker) Unlock() { l.mu.Unlock() }
-
-// LockerFor exposes the write lock guarding the given task's contents. The
-// queue holds it while recording answers or canceling, so that concurrent
-// view readers (which copy under the read lock) never race with a mutation.
-func (s *Store) LockerFor(task.ID) sync.Locker { return (*writeLocker)(s) }
+// Apply is the one function that changes a stored task: it applies the
+// event of kind — an answer a, a cancel or a finish — to task id at time
+// at, under the write lock, and returns the task. The queue calls it under
+// its own lock and journals the event only once it has returned nil;
+// replay and follower apply call it through ApplyEvent, so the live state
+// and the recovered one are made by the same code in the same order. An
+// event the task refuses changes nothing and returns the task's error —
+// task.ErrWrongStatus for a task that is not open, task.ErrWorkerRepeat,
+// an invalid answer — and an unknown task is ErrNotFound. The event comes
+// as its fields, not as an Event: a struct whose time is kept would take
+// the answer's address with it to the heap, an allocation an answer.
+func (s *Store) Apply(kind EventKind, id task.ID, a *task.Answer, at time.Time) (*task.Task, error) {
+	s.lock()
+	defer s.mu.Unlock()
+	t, ok := s.tasks[id]
+	if !ok {
+		return nil, ErrNotFound
+	}
+	var err error
+	switch kind {
+	case EventAnswer:
+		err = t.Record(*a, at)
+	case EventCancel:
+		err = t.Cancel(at)
+	case EventFinish:
+		err = t.Finish(at)
+	default:
+		err = fmt.Errorf("store: %q is not a change to a stored task", kind)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
+}
 
 // View returns an immutable deep-copy snapshot of the task with the given
 // ID, or ErrNotFound. This is the only safe way to read a task while the

@@ -337,7 +337,7 @@ func TestRestoreSeedsNextID(t *testing.T) {
 }
 
 // TestViewByStatusNeverTorn hammers a store with concurrent mutators
-// (recording answers under LockerFor, exactly as the queue does) while
+// (recording answers through Apply, exactly as the queue does) while
 // readers take status views, and asserts every view is internally
 // consistent: Done implies the redundancy quorum is present in the copied
 // answer list, Open implies it is not, and results stay ID-ordered and
@@ -366,18 +366,10 @@ func TestViewByStatusNeverTorn(t *testing.T) {
 			defer wg.Done()
 			worker := fmt.Sprintf("w%d", w)
 			for i := 1; i <= nTasks; i++ {
-				id := task.ID(i)
-				tk, err := s.Get(id)
-				if err != nil {
-					continue
-				}
-				l := s.LockerFor(id)
-				l.Lock()
 				// ErrWrongStatus / ErrWorkerRepeat are expected races
 				// between writers; the invariant under test is the
 				// reader's, not the writer's.
-				_ = tk.Record(task.Answer{WorkerID: worker, Words: []int{i}}, time.Unix(int64(i), 1))
-				l.Unlock()
+				_, _ = s.Apply(EventAnswer, task.ID(i), &task.Answer{WorkerID: worker, Words: []int{i}}, time.Unix(int64(i), 1))
 			}
 		}(w)
 	}

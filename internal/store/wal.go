@@ -228,17 +228,79 @@ func (l *WAL) AppendBatch(events []Event) error {
 }
 
 // AppendObserved is Append, additionally reporting where the time went:
-// write covers the wait for the write lock plus the write itself; sync is
-// the fsync-group wait (zero except under SyncAlways). The span plane uses
-// the split to record wal.append and wal.fsync as separate child spans.
+// write covers framing, the wait for the write lock and the write itself;
+// sync is the fsync-group wait (zero except under SyncAlways).
 func (l *WAL) AppendObserved(e Event) (write, sync time.Duration, err error) {
 	return l.appendEvents([]Event{e})
 }
 
-// AppendBatchObserved is AppendBatch with AppendObserved's timing split —
-// the one method core.Journal asks for.
+// AppendBatchObserved is AppendBatch with AppendObserved's timing split.
 func (l *WAL) AppendBatchObserved(events []Event) (write, sync time.Duration, err error) {
 	return l.appendEvents(events)
+}
+
+// appendEvents is every Append form: WriteEvents, then WaitDurable, each
+// clocked.
+func (l *WAL) appendEvents(events []Event) (write, sync time.Duration, err error) {
+	if len(events) == 0 {
+		return 0, 0, nil
+	}
+	t0 := time.Now()
+	seq, err := l.WriteEvents(events)
+	if err != nil {
+		return 0, 0, err
+	}
+	write = time.Since(t0)
+	sync, err = l.WaitDurable(seq)
+	return write, sync, err
+}
+
+// WriteEvents is the first half of an append: it frames events, hands them
+// to the OS with one write and returns the sequence number of the last of
+// them (1-based; 0 for no events). It never fsyncs, so it may run inside a
+// caller's critical section: the queue writes what it has just applied
+// before it releases its lock, which makes log order apply order. The
+// events are acknowledged once WaitDurable(seq) returns nil. A failed write
+// fails the log for good (see writeRecords).
+func (l *WAL) WriteEvents(events []Event) (int64, error) {
+	if len(events) == 0 {
+		return 0, nil
+	}
+	buf, err := frameEvents(events)
+	if err != nil {
+		return 0, err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return 0, ErrWALClosed
+	}
+	if err := l.writeRecords(buf, int64(len(events))); err != nil {
+		l.lastErr = err
+		l.failures.Add(1)
+		return 0, err
+	}
+	l.lastErr = nil
+	return l.writeSeq, nil
+}
+
+// WaitDurable is the second half of an append: under SyncAlways it returns
+// once every record up to seq is fsynced, sharing one fsync with concurrent
+// callers, and reports how long it waited; under the other policies it
+// returns at once, as it does for a seq already durable.
+func (l *WAL) WaitDurable(seq int64) (time.Duration, error) {
+	if l.policy != SyncAlways || l.syncer == nil {
+		return 0, nil
+	}
+	t0 := time.Now()
+	if err := l.syncTo(seq); err != nil {
+		l.mu.Lock()
+		l.lastErr = err
+		l.mu.Unlock()
+		l.failures.Add(1)
+		return 0, err
+	}
+	return time.Since(t0), nil
 }
 
 // walRecordHint sizes the framing buffer: a typical record (header plus a
@@ -269,47 +331,6 @@ func frameEvents(events []Event) ([]byte, error) {
 		binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(payload, castagnoli))
 	}
 	return buf, nil
-}
-
-// appendEvents is the one append path: frame outside the lock, then one
-// lock acquisition, one write and (under SyncAlways) one shared fsync, with
-// the write and sync phases clocked for whoever wants the split.
-func (l *WAL) appendEvents(events []Event) (write, sync time.Duration, err error) {
-	if len(events) == 0 {
-		return 0, 0, nil
-	}
-	buf, err := frameEvents(events)
-	if err != nil {
-		return 0, 0, err
-	}
-	t0 := time.Now()
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return 0, 0, ErrWALClosed
-	}
-	if err := l.writeRecords(buf, int64(len(events))); err != nil {
-		l.lastErr = err
-		l.mu.Unlock()
-		l.failures.Add(1)
-		return 0, 0, err
-	}
-	l.lastErr = nil
-	seq := l.writeSeq
-	l.mu.Unlock()
-	t1 := time.Now()
-	write = t1.Sub(t0)
-	if l.policy == SyncAlways && l.syncer != nil {
-		if err := l.syncTo(seq); err != nil {
-			l.mu.Lock()
-			l.lastErr = err
-			l.mu.Unlock()
-			l.failures.Add(1)
-			return write, 0, err
-		}
-		sync = time.Since(t1)
-	}
-	return write, sync, nil
 }
 
 // writeRecords hands the n records frameEvents laid out in buf to the OS
@@ -523,7 +544,7 @@ func ReplayWALObserved(r io.Reader, s *Store, obs func(Event)) (ReplayStats, err
 	var st ReplayStats
 	for sc.Scan() {
 		e := sc.Event()
-		if err := applyEvent(s, e); err != nil {
+		if err := ApplyEvent(s, e); err != nil {
 			return st, fmt.Errorf("store: wal event %d: %w", st.Applied+1, err)
 		}
 		if obs != nil {
@@ -572,57 +593,21 @@ func RecoverWALObserved(f *os.File, s *Store, obs func(Event)) (ReplayStats, err
 	return st, nil
 }
 
-// ApplyEvent applies one decoded WAL event onto the store under the same
-// rules as replay: duplicate submits and answers to unknown tasks are real
-// inconsistency and fail. Replication followers use it to apply records one
-// at a time as they arrive, instead of replaying a whole log.
-func ApplyEvent(s *Store, e Event) error { return applyEvent(s, e) }
-
-func applyEvent(s *Store, e Event) error {
+// ApplyEvent applies one decoded WAL event onto the store: a submit stores
+// its task, and any other event is Apply. Replay and replication followers
+// call it; a duplicate submit or an event the store refuses is real
+// inconsistency and fails.
+func ApplyEvent(s *Store, e Event) error {
 	if err := validateEvent(e); err != nil {
 		return err
 	}
-	switch e.Kind {
-	case EventSubmit:
-		if _, err := s.Get(e.Task.ID); err == nil {
-			return fmt.Errorf("duplicate submit for task %d", e.Task.ID)
-		}
-		s.Put(e.Task)
-	case EventAnswer:
-		t, err := s.Get(e.TaskID)
-		if err != nil {
-			return err
-		}
-		// The live path journals an answer after the queue has recorded it,
-		// with nothing held across the two, so an answer taken while the task
-		// was open can sit behind the finish or cancel that closed it.
-		if t.Status != task.Open {
-			return t.RecordClosed(*e.Answer, e.At)
-		}
-		if err := t.Record(*e.Answer, e.At); err != nil {
-			return err
-		}
-	case EventCancel:
-		t, err := s.Get(e.TaskID)
-		if err != nil {
-			return err
-		}
-		if err := t.Cancel(e.At); err != nil {
-			return err
-		}
-	case EventFinish:
-		t, err := s.Get(e.TaskID)
-		if err != nil {
-			return err
-		}
-		// A finish on an already-Done task is benign: the answer that was
-		// journaled just before it may itself have met redundancy.
-		if t.Status == task.Done {
-			return nil
-		}
-		if err := t.Finish(e.At); err != nil {
-			return err
-		}
+	if e.Kind != EventSubmit {
+		_, err := s.Apply(e.Kind, e.TaskID, e.Answer, e.At)
+		return err
 	}
+	if _, err := s.Get(e.Task.ID); err == nil {
+		return fmt.Errorf("duplicate submit for task %d", e.Task.ID)
+	}
+	s.Put(e.Task)
 	return nil
 }

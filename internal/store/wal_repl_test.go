@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -341,5 +342,55 @@ func TestWALFailedWriteAcknowledgesNothing(t *testing.T) {
 	}
 	if len(out.writes) != 1 || taps != 1 || wal.LastSeq() != 1 {
 		t.Fatalf("writes %d taps %d LastSeq %d after the log failed", len(out.writes), taps, wal.LastSeq())
+	}
+}
+
+// TestApplyEventBesideViews: a follower applies the leader's log with
+// ApplyEvent while it serves task reads with View. Every apply holds the
+// store's write lock, so under -race the two never race, and a view is a
+// task as some prefix of the log left it: Open with fewer answers than its
+// redundancy, Done with all of them.
+func TestApplyEventBesideViews(t *testing.T) {
+	const (
+		tasks      = 64
+		redundancy = 3
+	)
+	s := New()
+	for id := task.ID(1); id <= tasks; id++ {
+		if err := ApplyEvent(s, Event{Kind: EventSubmit, At: t0, Task: walTask(t, id, redundancy)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for w := 0; w < redundancy; w++ {
+			for id := task.ID(1); id <= tasks; id++ {
+				a := &task.Answer{WorkerID: fmt.Sprintf("w%d", w), Words: []int{int(id)}}
+				if err := ApplyEvent(s, Event{Kind: EventAnswer, At: t0.Add(time.Second), TaskID: id, Answer: a}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		for id := task.ID(1); id <= tasks; id++ {
+			v, err := s.View(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (v.Status == task.Done) != (len(v.Answers) == redundancy) {
+				t.Fatalf("task %d viewed %v with %d/%d answers", id, v.Status, len(v.Answers), redundancy)
+			}
+		}
+	}
+	if got := s.Count(task.Done); got != tasks {
+		t.Fatalf("%d tasks done after the log, want %d", got, tasks)
 	}
 }

@@ -111,52 +111,48 @@ func TestWALReplayRejectsInconsistentEvents(t *testing.T) {
 	}
 }
 
-// TestReplayAppliesAnAnswerLoggedBehindItsClose: the live path journals an
-// answer after the queue has recorded it, with nothing held across the two,
-// so an acknowledged answer can sit in the log behind the finish or cancel
-// that closed its task. Replay (and a follower's apply) keeps it without
-// reopening anything; what no live interleaving can produce — the same
-// worker twice, an answer beyond redundancy — is still refused.
-func TestReplayAppliesAnAnswerLoggedBehindItsClose(t *testing.T) {
+// TestReplayRefusesWhatNoLiveOrderLogs: the live queue applies an answer,
+// cancel or finish and writes it to the log in one hold of its lock, so
+// the log is in apply order and replay applies it with the same function,
+// under the same rules. An answer behind its task's close, a finish of a
+// task its last answer completed, the same worker twice and an answer
+// beyond redundancy are therefore inconsistency, and fail replay.
+func TestReplayRefusesWhatNoLiveOrderLogs(t *testing.T) {
 	answerBy := func(w string) Event {
 		return Event{Kind: EventAnswer, At: t0.Add(2 * time.Second), TaskID: 1, Answer: &task.Answer{WorkerID: w, Words: []int{1}}}
 	}
-	for _, closing := range []EventKind{EventFinish, EventCancel} {
-		closed := t0.Add(time.Second)
-		logOf := func(tail ...Event) *bytes.Buffer {
-			var buf bytes.Buffer
-			wal := NewWAL(&buf)
-			events := append([]Event{
-				{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 3)},
-				answerBy("a"),
-				{Kind: closing, At: closed, TaskID: 1},
-			}, tail...)
-			for _, e := range events {
-				if err := wal.Append(e); err != nil {
-					t.Fatal(err)
-				}
+	closeBy := func(k EventKind) Event { return Event{Kind: k, At: t0.Add(time.Second), TaskID: 1} }
+	logOf := func(events ...Event) *bytes.Buffer {
+		var buf bytes.Buffer
+		wal := NewWAL(&buf)
+		events = append([]Event{{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 2)}}, events...)
+		for _, e := range events {
+			if err := wal.Append(e); err != nil {
+				t.Fatal(err)
 			}
-			return &buf
 		}
-
-		s := New()
-		if _, err := ReplayWAL(logOf(answerBy("b")), s); err != nil {
-			t.Fatalf("%s then a second worker's answer: %v", closing, err)
+		return &buf
+	}
+	for name, tail := range map[string][]Event{
+		"answer behind a finish":     {answerBy("a"), closeBy(EventFinish), answerBy("b")},
+		"answer behind a cancel":     {answerBy("a"), closeBy(EventCancel), answerBy("b")},
+		"finish of a completed task": {answerBy("a"), answerBy("b"), closeBy(EventFinish)},
+		"same worker twice":          {answerBy("a"), answerBy("a")},
+		"answer beyond redundancy":   {answerBy("a"), answerBy("b"), answerBy("c")},
+		"cancel of a cancelled task": {closeBy(EventCancel), closeBy(EventCancel)},
+		"answer to an unknown task":  {{Kind: EventAnswer, At: t0, TaskID: 9, Answer: &task.Answer{WorkerID: "a", Words: []int{1}}}},
+		"finish behind a cancel":     {closeBy(EventCancel), closeBy(EventFinish)},
+	} {
+		if st, err := ReplayWAL(logOf(tail...), New()); err == nil {
+			t.Errorf("%s: replayed (%d events applied), want an error", name, st.Applied)
 		}
-		v, err := s.View(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(v.Answers) != 2 || v.Answers[1].WorkerID != "b" || v.Status == task.Open || !v.DoneAt.Equal(closed) {
-			t.Fatalf("%s: task replayed as %+v; want both answers, closed at %v", closing, v, closed)
-		}
-
-		if _, err := ReplayWAL(logOf(answerBy("a")), New()); err == nil {
-			t.Fatalf("%s: a second answer from the same worker accepted", closing)
-		}
-		if _, err := ReplayWAL(logOf(answerBy("b"), answerBy("c"), answerBy("d")), New()); err == nil {
-			t.Fatalf("%s: an answer beyond redundancy accepted", closing)
-		}
+	}
+	s := New()
+	if _, err := ReplayWAL(logOf(answerBy("a"), closeBy(EventFinish)), s); err != nil {
+		t.Fatalf("answer, then finish: %v", err)
+	}
+	if v, err := s.View(1); err != nil || v.Status != task.Done || len(v.Answers) != 1 || !v.DoneAt.Equal(t0.Add(time.Second)) {
+		t.Fatalf("answer, then finish: replayed as %+v, %v", v, err)
 	}
 }
 
