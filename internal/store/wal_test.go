@@ -122,7 +122,8 @@ func TestReplayRefusesWhatNoLiveOrderLogs(t *testing.T) {
 		return Event{Kind: EventAnswer, At: t0.Add(2 * time.Second), TaskID: 1, Answer: &task.Answer{WorkerID: w, Words: []int{1}}}
 	}
 	closeBy := func(k EventKind) Event { return Event{Kind: k, At: t0.Add(time.Second), TaskID: 1} }
-	logOf := func(events ...Event) *bytes.Buffer {
+	logOf := func(t *testing.T, events ...Event) *bytes.Buffer {
+		t.Helper()
 		var buf bytes.Buffer
 		wal := NewWAL(&buf)
 		events = append([]Event{{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 2)}}, events...)
@@ -143,17 +144,21 @@ func TestReplayRefusesWhatNoLiveOrderLogs(t *testing.T) {
 		"answer to an unknown task":  {{Kind: EventAnswer, At: t0, TaskID: 9, Answer: &task.Answer{WorkerID: "a", Words: []int{1}}}},
 		"finish behind a cancel":     {closeBy(EventCancel), closeBy(EventFinish)},
 	} {
-		if st, err := ReplayWAL(logOf(tail...), New()); err == nil {
-			t.Errorf("%s: replayed (%d events applied), want an error", name, st.Applied)
+		t.Run(name, func(t *testing.T) {
+			if st, err := ReplayWAL(logOf(t, tail...), New()); err == nil {
+				t.Errorf("replayed (%d events applied), want an error", st.Applied)
+			}
+		})
+	}
+	t.Run("answer then finish replays", func(t *testing.T) {
+		s := New()
+		if _, err := ReplayWAL(logOf(t, answerBy("a"), closeBy(EventFinish)), s); err != nil {
+			t.Fatal(err)
 		}
-	}
-	s := New()
-	if _, err := ReplayWAL(logOf(answerBy("a"), closeBy(EventFinish)), s); err != nil {
-		t.Fatalf("answer, then finish: %v", err)
-	}
-	if v, err := s.View(1); err != nil || v.Status != task.Done || len(v.Answers) != 1 || !v.DoneAt.Equal(t0.Add(time.Second)) {
-		t.Fatalf("answer, then finish: replayed as %+v, %v", v, err)
-	}
+		if v, err := s.View(1); err != nil || v.Status != task.Done || len(v.Answers) != 1 || !v.DoneAt.Equal(t0.Add(time.Second)) {
+			t.Fatalf("replayed as %+v, %v", v, err)
+		}
+	})
 }
 
 func TestWALAppendValidation(t *testing.T) {
