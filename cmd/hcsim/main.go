@@ -9,6 +9,10 @@
 // scores the aggregated results against ground truth:
 //
 //	hcsim -mode http -url http://localhost:8080 -tasks 200 -workers 8
+//
+// The http and session modes exit 1 on the first failed call (session mode
+// also when no round reached agreement), so they double as wire smoke tests
+// against a real binary.
 package main
 
 import (
@@ -56,7 +60,9 @@ func main() {
 	case "local":
 		runLocal(*game, *players, *hours, *seed)
 	case "http":
-		runHTTP(*url, *tasks, *workers, *batch, *seed)
+		if _, _, err := runHTTP(*url, *tasks, *workers, *batch, *seed); err != nil {
+			log.Fatalf("hcsim: %v", err)
+		}
 	case "session":
 		n := *players
 		if n == 200 {
@@ -64,7 +70,9 @@ func main() {
 			// HTTP sessions want a smaller concurrent crowd.
 			n = 40
 		}
-		runSession(*url, n, *rounds, *seed)
+		if _, err := runSession(*url, n, *rounds, *seed); err != nil {
+			log.Fatalf("hcsim: %v", err)
+		}
 	case "quality":
 		n := *tasks
 		if n == 100 && *workers == 8 {
@@ -149,12 +157,15 @@ func runLocal(game string, players int, hours float64, seed uint64) {
 	fmt.Printf("  expected contribution: %.1f outputs/player\n", rep.ExpectedContribution)
 }
 
-func runHTTP(url string, nTasks, nWorkers, batch int, seed uint64) {
+// runHTTP submits nTasks labeling tasks, drains them with the modeled
+// crowd and scores the agreed labels. It returns how many tasks were
+// submitted and answers given, and the first call that failed.
+func runHTTP(url string, nTasks, nWorkers, batch int, seed uint64) (submitted, answered int, err error) {
 	// Traceparent headers cost one header per request and let a server
 	// running with -spans attribute any slow call to this driver.
 	client := dispatch.NewClientWith(url, nil, dispatch.ClientOptions{Trace: true})
 	if !client.Healthy() {
-		log.Fatalf("hcsim: no healthy service at %s (start cmd/hcservd first)", url)
+		return 0, 0, fmt.Errorf("no healthy service at %s (start cmd/hcservd first)", url)
 	}
 	if batch < 1 {
 		batch = 1
@@ -172,21 +183,27 @@ func runHTTP(url string, nTasks, nWorkers, batch int, seed uint64) {
 		w.Profile.ThinkMean = 0 // network time replaces think time here
 	}
 
-	ids := submitTasks(client, corpus, nTasks, batch)
+	ids, err := submitTasks(client, corpus, nTasks, batch)
+	if err != nil {
+		return len(ids), 0, err
+	}
 	log.Printf("hcsim: submitted %d labeling tasks (batch=%d)", len(ids), batch)
 
-	answered := answerTasks(client, corpus, ws, batch)
+	answered, err = answerTasks(client, corpus, ws, batch)
+	if err != nil {
+		return len(ids), answered, err
+	}
 	log.Printf("hcsim: submitted %d answers", answered)
 
 	good, total := 0, 0
 	for _, id := range ids {
 		words, err := client.Words(id)
 		if err != nil {
-			log.Fatalf("hcsim: aggregating: %v", err)
+			return len(ids), answered, fmt.Errorf("aggregating: %w", err)
 		}
 		t, err := client.Task(id)
 		if err != nil {
-			log.Fatalf("hcsim: fetching: %v", err)
+			return len(ids), answered, fmt.Errorf("fetching: %w", err)
 		}
 		for _, wc := range words {
 			if wc.Count < 2 {
@@ -200,29 +217,30 @@ func runHTTP(url string, nTasks, nWorkers, batch int, seed uint64) {
 	}
 	st, err := client.Stats()
 	if err != nil {
-		log.Fatalf("hcsim: stats: %v", err)
+		return len(ids), answered, fmt.Errorf("stats: %w", err)
 	}
 	fmt.Printf("tasks=%d answers=%d agreed-labels=%d true=%d\n", nTasks, answered, total, good)
 	if total > 0 {
 		fmt.Printf("label precision at agreement>=2: %.1f%%\n", 100*float64(good)/float64(total))
 	}
 	fmt.Printf("service stats: %+v\n", st)
+	return len(ids), answered, nil
 }
 
 // submitTasks creates the labeling workload, one request per task when
 // batch is 1 and POST /v1/tasks:batch chunks otherwise.
-func submitTasks(client *dispatch.Client, corpus *vocab.Corpus, nTasks, batch int) []task.ID {
+func submitTasks(client *dispatch.Client, corpus *vocab.Corpus, nTasks, batch int) ([]task.ID, error) {
 	ids := make([]task.ID, 0, nTasks)
 	if batch <= 1 {
 		for i := 0; i < nTasks; i++ {
 			img := i % len(corpus.Images)
 			id, err := client.Submit(task.Label, task.Payload{ImageID: img}, 3, 0)
 			if err != nil {
-				log.Fatalf("hcsim: submitting task: %v", err)
+				return ids, fmt.Errorf("submitting task: %w", err)
 			}
 			ids = append(ids, id)
 		}
-		return ids
+		return ids, nil
 	}
 	for off := 0; off < nTasks; off += batch {
 		n := batch
@@ -239,22 +257,22 @@ func submitTasks(client *dispatch.Client, corpus *vocab.Corpus, nTasks, batch in
 		}
 		results, err := client.SubmitBatch(reqs)
 		if err != nil {
-			log.Fatalf("hcsim: submitting batch: %v", err)
+			return ids, fmt.Errorf("submitting batch: %w", err)
 		}
 		for _, res := range results {
 			if res.Error != "" {
-				log.Fatalf("hcsim: batch item rejected (%d): %s", res.Status, res.Error)
+				return ids, fmt.Errorf("batch item rejected (%d): %s", res.Status, res.Error)
 			}
 			ids = append(ids, res.ID)
 		}
 	}
-	return ids
+	return ids, nil
 }
 
 // answerTasks drains the queue with the modeled crowd, leasing and
 // answering one task per request when batch is 1 and whole batches over
 // /v1/leases:batch + /v1/leases:answers otherwise.
-func answerTasks(client *dispatch.Client, corpus *vocab.Corpus, ws []*worker.Worker, batch int) int {
+func answerTasks(client *dispatch.Client, corpus *vocab.Corpus, ws []*worker.Worker, batch int) (int, error) {
 	answered := 0
 	if batch <= 1 {
 		for i := 0; ; i++ {
@@ -264,20 +282,20 @@ func answerTasks(client *dispatch.Client, corpus *vocab.Corpus, ws []*worker.Wor
 				break
 			}
 			if err != nil {
-				log.Fatalf("hcsim: leasing: %v", err)
+				return answered, fmt.Errorf("leasing: %w", err)
 			}
 			if err := client.Answer(lease, sim.LabelAnswer(w, corpus, t)); err != nil {
-				log.Fatalf("hcsim: answering: %v", err)
+				return answered, fmt.Errorf("answering: %w", err)
 			}
 			answered++
 		}
-		return answered
+		return answered, nil
 	}
 	for i := 0; ; i++ {
 		w := ws[i%len(ws)]
 		leases, err := client.NextBatch(w.ID, batch)
 		if err != nil {
-			log.Fatalf("hcsim: leasing batch: %v", err)
+			return answered, fmt.Errorf("leasing batch: %w", err)
 		}
 		if len(leases) == 0 {
 			break
@@ -292,14 +310,14 @@ func answerTasks(client *dispatch.Client, corpus *vocab.Corpus, ws []*worker.Wor
 		}
 		statuses, err := client.AnswerBatch(items)
 		if err != nil {
-			log.Fatalf("hcsim: answering batch: %v", err)
+			return answered, fmt.Errorf("answering batch: %w", err)
 		}
 		for _, st := range statuses {
 			if st.Error != "" {
-				log.Fatalf("hcsim: batch answer rejected (%d): %s", st.Status, st.Error)
+				return answered, fmt.Errorf("batch answer rejected (%d): %s", st.Status, st.Error)
 			}
 			answered++
 		}
 	}
-	return answered
+	return answered, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -26,18 +25,17 @@ const sessionWordSpan = 256
 // and rejoins for the next round. Partner-message latency (a guess to
 // the partner observing it over the event long-poll) is measured from
 // seat 1 of every live pairing.
-func runSession(url string, players, rounds int, seed uint64) {
+//
+// The run fails when a join (other than a 503 "no partner yet") or an
+// event poll errored, or when no round reached agreement.
+func runSession(url string, players, rounds int, seed uint64) (*sessionTally, error) {
 	client := dispatch.NewClientWith(url, nil, dispatch.ClientOptions{Trace: true})
 	if !client.Healthy() {
-		log.Fatalf("hcsim: no healthy service at %s (start cmd/hcservd -sessions first)", url)
+		return nil, fmt.Errorf("no healthy service at %s (start cmd/hcservd -sessions first)", url)
 	}
 
-	var (
-		agreed, live, replays, errs atomic.Int64
-		hist                        metrics.LatencyHist
-		sendAt                      sync.Map // session.ID -> time.Time
-		wg                          sync.WaitGroup
-	)
+	tally := &sessionTally{}
+	var wg sync.WaitGroup
 	start := time.Now()
 	for p := 0; p < players; p++ {
 		wg.Add(1)
@@ -45,32 +43,45 @@ func runSession(url string, players, rounds int, seed uint64) {
 			defer wg.Done()
 			name := fmt.Sprintf("sim-%d-%04d", seed, p)
 			for r := 0; r < rounds; r++ {
-				playRound(client, name, &agreed, &live, &replays, &errs, &hist, &sendAt)
+				tally.playRound(client, name)
 			}
 		}(p)
 	}
 	wg.Wait()
 
 	fmt.Printf("players=%d rounds=%d wall=%s\n", players, rounds, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("  live rounds:     %d\n", live.Load())
-	fmt.Printf("  replay rounds:   %d\n", replays.Load())
-	fmt.Printf("  agreements:      %d\n", agreed.Load())
-	fmt.Printf("  errors:          %d\n", errs.Load())
-	if sum := hist.Summary(); sum.Count > 0 {
+	fmt.Printf("  live rounds:     %d\n", tally.live.Load())
+	fmt.Printf("  replay rounds:   %d\n", tally.replays.Load())
+	fmt.Printf("  agreements:      %d\n", tally.agreed.Load())
+	fmt.Printf("  errors:          %d\n", tally.errs.Load())
+	if sum := tally.hist.Summary(); sum.Count > 0 {
 		fmt.Printf("  partner-message latency: p50=%.2fms p99=%.2fms max=%.2fms (%d samples)\n",
 			sum.P50Ms, sum.P99Ms, sum.MaxMs, sum.Count)
 	}
 	if st, err := client.SessionStats(); err == nil {
 		fmt.Printf("  server session stats: %+v\n", st)
 	}
+	switch {
+	case tally.errs.Load() > 0:
+		return tally, fmt.Errorf("%d session calls failed", tally.errs.Load())
+	case tally.agreed.Load() == 0:
+		return tally, errors.New("no session round reached agreement")
+	}
+	return tally, nil
+}
+
+// sessionTally accumulates one runSession's outcomes across its players.
+type sessionTally struct {
+	agreed, live, replays, errs atomic.Int64
+	// hist holds partner-message delivery latencies.
+	hist   metrics.LatencyHist
+	sendAt sync.Map // session.ID -> time.Time
 }
 
 // playRound runs one join-to-end round for one player. The guess
 // sequence derives from the session and item, which both partners share,
 // so strangers converge on the same word without coordination.
-func playRound(client *dispatch.Client, name string,
-	agreed, live, replays, errs *atomic.Int64,
-	hist *metrics.LatencyHist, sendAt *sync.Map) {
+func (tl *sessionTally) playRound(client *dispatch.Client, name string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	info, err := client.JoinSessionContext(ctx, name)
@@ -78,32 +89,32 @@ func playRound(client *dispatch.Client, name string,
 		// 503 = no partner and no transcript yet; everything else is real.
 		var api *dispatch.APIError
 		if !errors.As(err, &api) || api.Status != http.StatusServiceUnavailable {
-			errs.Add(1)
+			tl.errs.Add(1)
 		}
 		return
 	}
 	id := info.Session
 	base := (info.Item*31 + int(uint64(id)%97)) % sessionWordSpan
 	if info.Mode != "live" {
-		replays.Add(1)
+		tl.replays.Add(1)
 		if res, err := client.SessionGuessContext(ctx, id, name, base); err == nil {
 			if res.Matched {
-				agreed.Add(1)
+				tl.agreed.Add(1)
 			} else if !res.Done {
 				_, _ = client.SessionPassContext(ctx, id, name)
 			}
 		}
 		return
 	}
-	live.Add(1)
+	tl.live.Add(1)
 	// Exactly one seat submits the guess that matches, so counting
 	// agreements on res.Matched never double-counts a round.
 	if info.Seat == 0 {
-		defer sendAt.Delete(id)
-		sendAt.Store(id, time.Now())
+		defer tl.sendAt.Delete(id)
+		tl.sendAt.Store(id, time.Now())
 		if done, matched := guessUntil(ctx, client, id, name, base, true); done {
 			if matched {
-				agreed.Add(1)
+				tl.agreed.Add(1)
 			}
 			return
 		}
@@ -116,7 +127,7 @@ func playRound(client *dispatch.Client, name string,
 	for {
 		evs, done, err := client.SessionEventsContext(ctx, id, name, after, 10*time.Second)
 		if err != nil {
-			errs.Add(1)
+			tl.errs.Add(1)
 			return
 		}
 		seen := false
@@ -127,8 +138,8 @@ func playRound(client *dispatch.Client, name string,
 			}
 		}
 		if seen {
-			if t0, ok := sendAt.LoadAndDelete(id); ok {
-				hist.Observe(time.Since(t0.(time.Time)))
+			if t0, ok := tl.sendAt.LoadAndDelete(id); ok {
+				tl.hist.Observe(time.Since(t0.(time.Time)))
 			}
 			break
 		}
@@ -137,7 +148,7 @@ func playRound(client *dispatch.Client, name string,
 		}
 	}
 	if done, matched := guessUntil(ctx, client, id, name, base, false); done && matched {
-		agreed.Add(1)
+		tl.agreed.Add(1)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -382,10 +383,11 @@ func killLeaderTrial(t *testing.T, cut int64) {
 		t.Fatal(err)
 	}
 	defer lf.Close()
+	snap := emptySnapshot(t)
 	src := repl.NewSource(repl.SourceOptions{
 		Term:     1,
 		WALPath:  leaderWALPath,
-		Snapshot: repl.SnapshotBytes(emptySnapshot(t)),
+		Snapshot: func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(snap)), nil },
 	})
 	wal := store.NewWALWith(faultinject.NewCutWriter(lf, cut), store.WALOptions{OnRecord: src.OnRecord})
 	defer wal.Close()

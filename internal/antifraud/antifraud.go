@@ -324,9 +324,6 @@ func (p *ReplayProbe) Probes(player string) int {
 	return 0
 }
 
-// Rate returns the player's agreement rate against recordings.
-func (p *ReplayProbe) Rate(player string) float64 { return rate(p.probes[player]) }
-
 // Suspicious reports whether the player has enough probes and too low an
 // agreement rate against recorded strangers.
 func (p *ReplayProbe) Suspicious(player string) bool {

@@ -252,10 +252,10 @@ func TestReplayProbeSeparatesHonestFromScripted(t *testing.T) {
 		p.Record("colluder", src.Bool(0.05))
 	}
 	if p.Suspicious("honest") {
-		t.Errorf("honest flagged at rate %.2f", p.Rate("honest"))
+		t.Errorf("honest flagged at rate %.2f", rate(p.probes["honest"]))
 	}
 	if !p.Suspicious("colluder") {
-		t.Errorf("colluder not flagged at rate %.2f", p.Rate("colluder"))
+		t.Errorf("colluder not flagged at rate %.2f", rate(p.probes["colluder"]))
 	}
 	if p.Probes("honest") != 50 {
 		t.Errorf("Probes = %d", p.Probes("honest"))
@@ -270,7 +270,7 @@ func TestReplayProbeNeedsMinProbes(t *testing.T) {
 	if p.Suspicious("new") {
 		t.Error("flagged below minProbes")
 	}
-	if p.Suspicious("unseen") || p.Probes("unseen") != 0 || p.Rate("unseen") != 0 {
+	if p.Suspicious("unseen") || p.Probes("unseen") != 0 || rate(p.probes["unseen"]) != 0 {
 		t.Error("unseen player state wrong")
 	}
 }

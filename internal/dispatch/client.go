@@ -66,21 +66,6 @@ type RetryPolicy struct {
 // 100ms base, 5s cap.
 var DefaultRetry = RetryPolicy{MaxAttempts: 4, BaseDelay: 100 * time.Millisecond, MaxDelay: 5 * time.Second}
 
-// CallObservation describes one completed logical call (after retries),
-// delivered to ClientOptions.Observer.
-type CallObservation struct {
-	// Path is the request path of the call ("/v1/tasks", "/v1/next", ...).
-	Path string
-	// Status is the final HTTP status (0 when no attempt reached the wire).
-	Status int
-	// Err is the call's final error, nil on success.
-	Err error
-	// Duration covers the whole logical call, backoff sleeps included.
-	Duration time.Duration
-	// Trace is the call's trace ID; zero unless ClientOptions.Trace is set.
-	Trace trace.TraceID
-}
-
 // ClientOptions configures optional client behavior.
 type ClientOptions struct {
 	// Retry selects the retry policy; the zero value performs exactly one
@@ -91,10 +76,6 @@ type ClientOptions struct {
 	// fresh span ID per attempt, so the server's span trees stitch all
 	// attempts of one call into a single distributed trace.
 	Trace bool
-	// Observer, when set, is called once per completed logical call with
-	// its path, final status, duration and trace ID. It runs on the
-	// calling goroutine and must be safe for concurrent use.
-	Observer func(CallObservation)
 }
 
 // Client is a typed client for the dispatch API. Every logical call
@@ -119,8 +100,6 @@ type Client struct {
 	sleep func(ctx context.Context, d time.Duration) error
 	// injectTrace mirrors ClientOptions.Trace.
 	injectTrace bool
-	// observer mirrors ClientOptions.Observer.
-	observer func(CallObservation)
 	// newTraceID/newSpanID override trace identifier generation; tests
 	// pin them for deterministic propagation checks.
 	newTraceID func() trace.TraceID
@@ -183,7 +162,6 @@ func NewClientWith(baseURL string, httpClient *http.Client, opts ClientOptions) 
 		newIdemKey:  newRequestID,
 		sleep:       sleepCtx,
 		injectTrace: opts.Trace,
-		observer:    opts.Observer,
 		newTraceID:  trace.NewTraceID,
 		newSpanID:   trace.NewSpanID,
 	}
@@ -287,16 +265,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, idemK
 	if c.injectTrace {
 		traceID = c.newTraceID()
 	}
-	if c.observer == nil {
-		return c.doAttempts(ctx, method, path, payload, out, idemKey, requestID, traceID)
-	}
-	t0 := time.Now()
-	status, err := c.doAttempts(ctx, method, path, payload, out, idemKey, requestID, traceID)
-	c.observer(CallObservation{
-		Path: path, Status: status, Err: err,
-		Duration: time.Since(t0), Trace: traceID,
-	})
-	return status, err
+	return c.doAttempts(ctx, method, path, payload, out, idemKey, requestID, traceID)
 }
 
 // doAttempts is do's retry loop, after the per-call identity is fixed. A

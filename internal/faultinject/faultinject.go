@@ -144,13 +144,6 @@ func (fw *Writer) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Ops returns how many writes have been attempted.
-func (fw *Writer) Ops() int {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	return fw.op
-}
-
 // Written returns how many bytes reached the underlying writer.
 func (fw *Writer) Written() int64 {
 	fw.mu.Lock()
@@ -208,11 +201,4 @@ func (frt *RoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 	default: // Fail, ShortWrite
 		return nil, ErrInjected
 	}
-}
-
-// Ops returns how many requests have been attempted.
-func (frt *RoundTripper) Ops() int {
-	frt.mu.Lock()
-	defer frt.mu.Unlock()
-	return frt.op
 }

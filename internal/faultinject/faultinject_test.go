@@ -116,7 +116,7 @@ func TestRoundTripperFaults(t *testing.T) {
 		t.Fatalf("op 3 should pass: %v", err)
 	}
 	resp.Body.Close()
-	if frt.Ops() != 3 {
-		t.Fatalf("Ops = %d", frt.Ops())
+	if frt.op != 3 {
+		t.Fatalf("ops = %d", frt.op)
 	}
 }

@@ -50,7 +50,7 @@ func newLeader(t *testing.T, tailSize int) *leaderHarness {
 	src := NewSource(SourceOptions{
 		Term:     1,
 		WALPath:  walPath,
-		Snapshot: SnapshotBytes([]byte("{}")),
+		Snapshot: func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader([]byte("{}"))), nil },
 		TailSize: tailSize,
 	})
 	wal := store.NewWALWith(f, store.WALOptions{OnRecord: src.OnRecord})

@@ -36,29 +36,6 @@ func SnapshotFile(path string) func() (io.ReadCloser, error) {
 	return func() (io.ReadCloser, error) { return os.Open(path) }
 }
 
-// SnapshotBytes adapts an in-memory snapshot to SourceOptions.Snapshot.
-func SnapshotBytes(b []byte) func() (io.ReadCloser, error) {
-	return func() (io.ReadCloser, error) {
-		return io.NopCloser(newBytesReader(b)), nil
-	}
-}
-
-type bytesReader struct {
-	b []byte
-	i int
-}
-
-func newBytesReader(b []byte) *bytesReader { return &bytesReader{b: b} }
-
-func (r *bytesReader) Read(p []byte) (int, error) {
-	if r.i >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.i:])
-	r.i += n
-	return n, nil
-}
-
 // Source is the sending half of WAL shipping: it shadows a node's WAL via
 // the store.WALOptions.OnRecord tap, keeps a bounded in-memory tail of
 // framed records, and serves them to followers over chunked HTTP. Any node

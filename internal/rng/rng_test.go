@@ -244,37 +244,6 @@ func TestZipfProbSumsToOne(t *testing.T) {
 	}
 }
 
-func TestCategoricalRespectsWeights(t *testing.T) {
-	r := New(53)
-	c := NewCategorical(r, []float64{1, 0, 3})
-	const draws = 100000
-	counts := make([]int, 3)
-	for i := 0; i < draws; i++ {
-		counts[c.Draw()]++
-	}
-	if counts[1] != 0 {
-		t.Errorf("zero-weight outcome drawn %d times", counts[1])
-	}
-	ratio := float64(counts[2]) / float64(counts[0])
-	if math.Abs(ratio-3) > 0.2 {
-		t.Errorf("weight-3 / weight-1 ratio = %v, want ~3", ratio)
-	}
-}
-
-func TestCategoricalPanics(t *testing.T) {
-	cases := [][]float64{nil, {}, {0, 0}, {-1, 2}, {math.NaN()}}
-	for _, w := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewCategorical(%v) did not panic", w)
-				}
-			}()
-			NewCategorical(New(1), w)
-		}()
-	}
-}
-
 func TestLogNormPositive(t *testing.T) {
 	r := New(59)
 	for i := 0; i < 1000; i++ {

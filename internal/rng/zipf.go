@@ -64,43 +64,3 @@ func (z *Zipf) Prob(i int) float64 {
 	}
 	return z.cdf[i] - z.cdf[i-1]
 }
-
-// Categorical samples indexes with fixed, explicitly supplied weights.
-type Categorical struct {
-	src *Source
-	cdf []float64
-}
-
-// NewCategorical builds a sampler over len(weights) outcomes. Weights must
-// be non-negative with a positive sum; it panics otherwise.
-func NewCategorical(src *Source, weights []float64) *Categorical {
-	if len(weights) == 0 {
-		panic("rng: NewCategorical called with no weights")
-	}
-	cdf := make([]float64, len(weights))
-	sum := 0.0
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			panic("rng: NewCategorical called with negative or NaN weight")
-		}
-		sum += w
-		cdf[i] = sum
-	}
-	if sum <= 0 {
-		panic("rng: NewCategorical called with zero total weight")
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Categorical{src: src, cdf: cdf}
-}
-
-// Draw returns an outcome index with probability proportional to its weight.
-func (c *Categorical) Draw() int {
-	u := c.src.Float64()
-	i := sort.SearchFloat64s(c.cdf, u)
-	if i >= len(c.cdf) { // guard against u landing exactly on 1.0 rounding
-		i = len(c.cdf) - 1
-	}
-	return i
-}
