@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/<ID>.txt from this run")
 
 // smallOpts is the test-scale configuration.
 func smallOpts() Options { return Options{Seed: 1, Scale: 0.08} }
@@ -47,7 +52,37 @@ func TestAllExperimentsRun(t *testing.T) {
 			if !strings.Contains(res.String(), res.Title) {
 				t.Error("String() missing title")
 			}
+			if r.ID == "T3" {
+				return // its table is wall-clock throughput
+			}
+			checkGolden(t, filepath.Join("testdata", r.ID+".txt"), res.String())
 		})
+	}
+}
+
+// checkGolden compares an experiment's table with the one committed under
+// testdata, so a refactor that moves a single random draw shows up as a
+// changed number. The files are what "go test -run TestAllExperimentsRun
+// -update" writes; the numbers are printed from float64 arithmetic, so
+// they hold for builds that do not fuse multiply-adds (amd64 at the
+// default GOAMD64 level).
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("table differs from %s:\n--- got\n%s--- want\n%s", path, got, want)
 	}
 }
 
