@@ -12,7 +12,7 @@ import (
 	"log"
 	"os"
 
-	"humancomp/internal/games/esp"
+	"humancomp/internal/games"
 	"humancomp/internal/rng"
 	"humancomp/internal/vocab"
 	"humancomp/internal/worker"
@@ -105,10 +105,10 @@ func inspectCorpus(path string) {
 
 func labelCorpus(path string, rounds int, seed uint64) {
 	c, _ := load(path)
-	cfg := esp.DefaultConfig()
+	cfg := games.DefaultESPConfig()
 	cfg.Seed = seed
 	cfg.RetireAt = 0
-	g := esp.New(c, cfg)
+	g := games.NewESP(c, cfg)
 	src := rng.New(seed + 1)
 	popCfg := worker.DefaultPopulationConfig(2)
 	agreed := 0
@@ -136,7 +136,7 @@ func labelCorpus(path string, rounds int, seed uint64) {
 		}
 	}
 	fmt.Printf("played %d rounds: %d agreements, %d distinct labels on %d images\n",
-		rounds, agreed, total, g.Labels.Images())
+		rounds, agreed, total, g.Labels.Items())
 	if total > 0 {
 		fmt.Printf("label precision: %.1f%%\n", 100*float64(good)/float64(total))
 	}

@@ -23,13 +23,7 @@ import (
 	"time"
 
 	"humancomp/internal/dispatch"
-	"humancomp/internal/games/esp"
-	"humancomp/internal/games/matchin"
-	"humancomp/internal/games/peekaboom"
-	"humancomp/internal/games/phetch"
-	"humancomp/internal/games/squigl"
-	"humancomp/internal/games/tagatune"
-	"humancomp/internal/games/verbosity"
+	"humancomp/internal/games"
 	"humancomp/internal/search"
 	"humancomp/internal/sim"
 	"humancomp/internal/task"
@@ -96,33 +90,34 @@ func runLocal(game string, players int, hours float64, seed uint64) {
 	var solo sim.SoloGame
 	switch game {
 	case "esp":
-		cfg := esp.DefaultConfig()
+		cfg := games.DefaultESPConfig()
 		cfg.Seed = seed + 2
 		cfg.RetireAt = 0
-		a := sim.NewESPAdapter(esp.New(corpus, cfg), seed+3)
-		pair, solo = a, a
+		cfg.ReplaySeed = seed + 3
+		g := games.NewESP(corpus, cfg)
+		pair, solo = g, g
 	case "peekaboom":
-		cfg := peekaboom.DefaultConfig()
+		cfg := games.DefaultPeekaboomConfig()
 		cfg.Seed = seed + 2
-		pair = &sim.PeekaboomAdapter{Game: peekaboom.New(corpus, cfg)}
+		pair = games.NewPeekaboom(corpus, cfg)
 	case "verbosity":
 		fbCfg := vocab.DefaultFactBaseConfig()
 		fbCfg.Seed = seed + 2
-		cfg := verbosity.DefaultConfig()
+		cfg := games.DefaultVerbosityConfig()
 		cfg.Seed = seed + 3
-		pair = &sim.VerbosityAdapter{Game: verbosity.New(vocab.NewFactBase(fbCfg), cfg)}
+		pair = games.NewVerbosity(vocab.NewFactBase(fbCfg), cfg)
 	case "tagatune":
-		cfg := tagatune.DefaultConfig()
+		cfg := games.DefaultTagATuneConfig()
 		cfg.Seed = seed + 2
-		pair = &sim.TagATuneAdapter{Game: tagatune.New(corpus, cfg)}
+		pair = games.NewTagATune(corpus, cfg)
 	case "matchin":
-		cfg := matchin.DefaultConfig()
+		cfg := games.DefaultMatchinConfig()
 		cfg.Seed = seed + 2
-		pair = &sim.MatchinAdapter{Game: matchin.New(corpus, cfg)}
+		pair = games.NewMatchin(corpus, cfg)
 	case "squigl":
-		cfg := squigl.DefaultConfig()
+		cfg := games.DefaultSquiglConfig()
 		cfg.Seed = seed + 2
-		pair = &sim.SquiglAdapter{Game: squigl.New(corpus, cfg)}
+		pair = games.NewSquigl(corpus, cfg)
 	case "phetch":
 		ix := search.NewIndex()
 		for _, img := range corpus.Images {
@@ -130,9 +125,9 @@ func runLocal(game string, players int, hours float64, seed uint64) {
 				ix.Add(img.ID, corpus.Lexicon.Canonical(obj.Tag), 2)
 			}
 		}
-		cfg := phetch.DefaultConfig()
+		cfg := games.DefaultPhetchConfig()
 		cfg.Seed = seed + 2
-		pair = &sim.PhetchAdapter{Game: phetch.New(corpus, ix, cfg)}
+		pair = games.NewPhetch(corpus, ix, cfg)
 	default:
 		log.Fatalf("hcsim: unknown game %q", game)
 	}

@@ -8,7 +8,7 @@ package main
 import (
 	"fmt"
 
-	"humancomp/internal/games/esp"
+	"humancomp/internal/games"
 	"humancomp/internal/rng"
 	"humancomp/internal/vocab"
 	"humancomp/internal/worker"
@@ -19,10 +19,10 @@ func main() {
 	corpusCfg.NumImages = 400
 	corpus := vocab.NewCorpus(corpusCfg)
 
-	cfg := esp.DefaultConfig()
+	cfg := games.DefaultESPConfig()
 	cfg.PromoteAfter = 3 // a word needs three agreements before going taboo
 	cfg.RetireAt = 6     // an image with six taboo words is fully labeled
-	game := esp.New(corpus, cfg)
+	game := games.NewESP(corpus, cfg)
 
 	src := rng.New(42)
 	popCfg := worker.DefaultPopulationConfig(2)

@@ -12,7 +12,7 @@ import (
 	"strings"
 	"time"
 
-	"humancomp/internal/games/esp"
+	"humancomp/internal/games"
 	"humancomp/internal/metrics"
 	"humancomp/internal/score"
 	"humancomp/internal/sim"
@@ -27,29 +27,21 @@ func main() {
 	corpusCfg.NumImages = 3000
 	corpus := vocab.NewCorpus(corpusCfg)
 
-	espCfg := esp.DefaultConfig()
+	espCfg := games.DefaultESPConfig()
 	espCfg.RetireAt = 0
-	game := esp.New(corpus, espCfg)
-
-	adapter := sim.NewESPAdapter(game, 7)
+	espCfg.ReplaySeed = 7
+	game := games.NewESP(corpus, espCfg)
 	board := score.NewBoard(score.DefaultRules())
-	adapter.Board = board
-
 	hourly := metrics.NewTimeSeries(start, time.Hour)
-	var clockRef *sim.Crowd // set below; observer reads its virtual clock
-	adapter.Observer = func(a, b *worker.Worker, res esp.RoundResult) {
-		if res.Agreed && clockRef != nil {
-			hourly.Add(clockRef.Now(), 1)
-		}
-	}
+	live := &dashboard{ESP: game, board: board, hourly: hourly}
 
 	players := worker.NewPopulation(worker.DefaultPopulationConfig(250))
-	cfg := sim.DefaultCrowdConfig(players, adapter)
+	cfg := sim.DefaultCrowdConfig(players, live)
 	cfg.Horizon = 3 * 24 * time.Hour
 	cfg.BreakMean = 10 * time.Hour
-	cfg.Solo = adapter
+	cfg.Solo = game
 	crowd := sim.NewCrowd(cfg, start)
-	clockRef = crowd
+	live.crowd = crowd
 	rep := crowd.Run()
 
 	fmt.Println("═══ GWAP dashboard — ESP Game, 3 simulated days ═══")
@@ -94,4 +86,24 @@ func main() {
 		fmt.Printf("  %d. %-8s %7d pts  (streak %d, %d rounds)\n",
 			i+1, e.Player, e.Points, board.Streak(e.Player), board.Rounds(e.Player))
 	}
+}
+
+// dashboard plays the game's live rounds and keeps the operator's books:
+// each round scores both players on the leaderboard, and each agreement
+// lands in the hourly label series at the crowd's virtual time.
+type dashboard struct {
+	*games.ESP
+	board  *score.Board
+	hourly *metrics.TimeSeries
+	crowd  *sim.Crowd
+}
+
+func (d *dashboard) Play(a, b *worker.Worker) (int, time.Duration) {
+	labels, took := d.ESP.Play(a, b)
+	if labels > 0 {
+		d.hourly.Add(d.crowd.Now(), 1)
+	}
+	d.board.RecordRound(a.ID, labels > 0, took)
+	d.board.RecordRound(b.ID, labels > 0, took)
+	return labels, took
 }

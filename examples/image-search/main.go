@@ -11,8 +11,7 @@ import (
 	"fmt"
 	"time"
 
-	"humancomp/internal/games/esp"
-	"humancomp/internal/games/phetch"
+	"humancomp/internal/games"
 	"humancomp/internal/rng"
 	"humancomp/internal/search"
 	"humancomp/internal/sim"
@@ -26,17 +25,17 @@ func main() {
 	corpus := vocab.NewCorpus(corpusCfg)
 
 	// Stage 1: an ESP crowd labels the corpus.
-	espCfg := esp.DefaultConfig()
+	espCfg := games.DefaultESPConfig()
 	espCfg.PromoteAfter = 2 // let labels accumulate a little weight
 	espCfg.RetireAt = 0
-	game := esp.New(corpus, espCfg)
+	espCfg.ReplaySeed = 5
+	game := games.NewESP(corpus, espCfg)
 	players := worker.NewPopulation(worker.DefaultPopulationConfig(300))
-	adapter := sim.NewESPAdapter(game, 5)
-	crowdCfg := sim.DefaultCrowdConfig(players, adapter)
+	crowdCfg := sim.DefaultCrowdConfig(players, game)
 	crowdCfg.Horizon = 10 * time.Hour
 	rep := sim.NewCrowd(crowdCfg, time.Now()).Run()
 	fmt.Printf("stage 1 — ESP crowd: %d labels across %d images (%.1f labels/human-hour)\n",
-		rep.Outputs, game.Labels.Images(), rep.ThroughputPerHour)
+		rep.Outputs, game.Labels.Items(), rep.ThroughputPerHour)
 
 	// Stage 2: the labels become a search index.
 	ix := search.NewIndex()
@@ -68,8 +67,8 @@ func main() {
 		100*float64(top1)/float64(queries), 100*float64(top5)/float64(queries), queries)
 
 	// Stage 4: Phetch rides the index to validate captions.
-	phCfg := phetch.DefaultConfig()
-	ph := phetch.New(corpus, ix, phCfg)
+	phCfg := games.DefaultPhetchConfig()
+	ph := games.NewPhetch(corpus, ix, phCfg)
 	src := rng.New(9)
 	p := worker.SampleProfile(worker.DefaultPopulationConfig(4), src)
 	p.ThinkMean = 0

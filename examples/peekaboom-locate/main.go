@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"sort"
 
-	"humancomp/internal/games/peekaboom"
+	"humancomp/internal/games"
 	"humancomp/internal/rng"
 	"humancomp/internal/vocab"
 	"humancomp/internal/worker"
@@ -19,7 +19,7 @@ func main() {
 	corpusCfg := vocab.DefaultCorpusConfig()
 	corpusCfg.NumImages = 100
 	corpus := vocab.NewCorpus(corpusCfg)
-	game := peekaboom.New(corpus, peekaboom.DefaultConfig())
+	game := games.NewPeekaboom(corpus, games.DefaultPeekaboomConfig())
 
 	src := rng.New(21)
 	popCfg := worker.DefaultPopulationConfig(2)
@@ -34,7 +34,7 @@ func main() {
 	// Play rounds until every target has enough validated pings for a box.
 	solved, rounds := 0, 0
 	for _, tg := range targets {
-		for game.Boxes.Pings(tg.img, tg.word) < peekaboom.DefaultConfig().MinPingsForBox {
+		for game.Boxes.Pings(tg.img, tg.word) < games.DefaultPeekaboomConfig().MinPingsForBox {
 			pBoom := worker.SampleProfile(popCfg, src)
 			pPeek := worker.SampleProfile(popCfg, src)
 			pBoom.ThinkMean, pPeek.ThinkMean = 0, 0

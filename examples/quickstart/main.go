@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"time"
 
-	"humancomp/internal/games/esp"
+	"humancomp/internal/games"
 	"humancomp/internal/sim"
 	"humancomp/internal/vocab"
 	"humancomp/internal/worker"
@@ -20,14 +20,15 @@ func main() {
 	corpus := vocab.NewCorpus(vocab.DefaultCorpusConfig())
 
 	// The ESP Game over that corpus, with deployed-style taboo rules.
-	game := esp.New(corpus, esp.DefaultConfig())
+	espCfg := games.DefaultESPConfig()
+	espCfg.ReplaySeed = 7
+	game := games.NewESP(corpus, espCfg)
 
 	// A crowd of 200 simulated players runs for 6 simulated hours.
 	players := worker.NewPopulation(worker.DefaultPopulationConfig(200))
-	adapter := sim.NewESPAdapter(game, 7)
-	cfg := sim.DefaultCrowdConfig(players, adapter)
+	cfg := sim.DefaultCrowdConfig(players, game)
 	cfg.Horizon = 6 * time.Hour
-	cfg.Solo = adapter // lone players get a pre-recorded partner
+	cfg.Solo = game // lone players get a pre-recorded partner
 	report := sim.NewCrowd(cfg, time.Now()).Run()
 
 	fmt.Printf("crowd: %d players, %d sessions, %.1f human-hours of play\n",

@@ -17,8 +17,7 @@ import (
 
 	"humancomp/internal/core"
 	"humancomp/internal/dispatch"
-	"humancomp/internal/games/esp"
-	"humancomp/internal/games/phetch"
+	"humancomp/internal/games"
 	"humancomp/internal/rng"
 	"humancomp/internal/search"
 	"humancomp/internal/sim"
@@ -453,13 +452,13 @@ func TestEcosystemLabelsToSearchToCaptions(t *testing.T) {
 	corpusCfg.NumImages = 300
 	corpus := vocab.NewCorpus(corpusCfg)
 
-	espCfg := esp.DefaultConfig()
+	espCfg := games.DefaultESPConfig()
 	espCfg.PromoteAfter = 2
 	espCfg.RetireAt = 0
-	game := esp.New(corpus, espCfg)
+	espCfg.ReplaySeed = 7
+	game := games.NewESP(corpus, espCfg)
 	players := worker.NewPopulation(worker.DefaultPopulationConfig(150))
-	adapter := sim.NewESPAdapter(game, 7)
-	crowdCfg := sim.DefaultCrowdConfig(players, adapter)
+	crowdCfg := sim.DefaultCrowdConfig(players, game)
 	crowdCfg.Horizon = 6 * time.Hour
 	rep := sim.NewCrowd(crowdCfg, time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC)).Run()
 	if rep.Outputs < 1000 {
@@ -491,7 +490,7 @@ func TestEcosystemLabelsToSearchToCaptions(t *testing.T) {
 		t.Errorf("top-5 retrieval = %.2f over crowd-built index", frac)
 	}
 
-	ph := phetch.New(corpus, ix, phetch.DefaultConfig())
+	ph := games.NewPhetch(corpus, ix, games.DefaultPhetchConfig())
 	src := rng.New(9)
 	p := worker.SampleProfile(worker.DefaultPopulationConfig(4), src)
 	p.ThinkMean = 0

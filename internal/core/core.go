@@ -19,11 +19,22 @@ import (
 	"humancomp/internal/metrics"
 	"humancomp/internal/quality"
 	"humancomp/internal/queue"
-	"humancomp/internal/sim"
 	"humancomp/internal/store"
 	"humancomp/internal/task"
 	"humancomp/internal/trace"
 )
+
+// Clock exposes the current time; the wall clock serves, and the crowd
+// simulator's virtual clock stands in for it in tests.
+type Clock interface {
+	Now() time.Time
+}
+
+// WallClock is the real-time clock.
+type WallClock struct{}
+
+// Now returns time.Now().
+func (WallClock) Now() time.Time { return time.Now() }
 
 // Config parameterizes a System.
 type Config struct {
@@ -36,7 +47,7 @@ type Config struct {
 	ReputationWeight float64
 	// Clock supplies time; defaults to the wall clock. The simulator
 	// injects its virtual clock here.
-	Clock sim.Clock
+	Clock Clock
 	// Journal, when set, receives every state-changing event (submit,
 	// answer, cancel, early finish) before the call returns success — the
 	// ack barrier that lets a crashed service recover snapshot + journal
@@ -80,7 +91,7 @@ func DefaultConfig() Config {
 		LeaseTTL:         2 * time.Minute,
 		ReputationPrior:  0.75,
 		ReputationWeight: 4,
-		Clock:            sim.WallClock{},
+		Clock:            WallClock{},
 	}
 }
 
@@ -90,7 +101,7 @@ type System struct {
 	store *store.Store
 	queue *queue.Queue
 	rep   *quality.Reputation
-	clock sim.Clock
+	clock Clock
 
 	mu   sync.RWMutex // guards gold; read-mostly (checked on every answer)
 	gold map[task.ID]task.Answer
@@ -120,7 +131,7 @@ func New(cfg Config) *System {
 		panic("core: LeaseTTL must be positive")
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = sim.WallClock{}
+		cfg.Clock = WallClock{}
 	}
 	// The queue stores what it enqueues and changes a task only through
 	// store.Apply, under the store's write lock, so every store-side view

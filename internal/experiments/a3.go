@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"humancomp/internal/games/verbosity"
+	"humancomp/internal/games"
 	"humancomp/internal/rng"
 	"humancomp/internal/vocab"
 	"humancomp/internal/worker"
@@ -23,9 +23,9 @@ func A3(o Options) Result {
 	fbCfg.Seed = o.Seed + 901
 	fb := vocab.NewFactBase(fbCfg)
 
-	cfg := verbosity.DefaultConfig()
+	cfg := games.DefaultVerbosityConfig()
 	cfg.Seed = o.Seed + 902
-	g := verbosity.New(fb, cfg)
+	g := games.NewVerbosity(fb, cfg)
 
 	src := rng.New(o.Seed + 903)
 	narrator := worker.New("n", worker.Honest, worker.Profile{Accuracy: 0.85}, src)

@@ -4,7 +4,7 @@ import (
 	"time"
 
 	"humancomp/internal/agree"
-	"humancomp/internal/games/esp"
+	"humancomp/internal/games"
 	"humancomp/internal/rng"
 	"humancomp/internal/worker"
 )
@@ -38,14 +38,14 @@ func A4(o Options) Result {
 
 	for i, a := range arms {
 		corpus := expCorpus(o, uint64(950+10*i))
-		cfg := esp.DefaultConfig()
+		cfg := games.DefaultESPConfig()
 		cfg.Seed = o.Seed + uint64(951+10*i)
 		cfg.RetireAt = 0
 		cfg.PromoteAfter = 1 << 30
 		// Machines emit canonical class names; humans type synonyms, so
 		// the pairing only works under intelligent matching.
 		cfg.Mode = agree.Canonical
-		g := esp.New(corpus, cfg)
+		g := games.NewESP(corpus, cfg)
 		src := rng.New(o.Seed + uint64(952+10*i))
 		popCfg := worker.DefaultPopulationConfig(2)
 

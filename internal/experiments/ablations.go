@@ -3,9 +3,7 @@ package experiments
 import (
 	"time"
 
-	"humancomp/internal/games/esp"
-	"humancomp/internal/games/tagatune"
-	"humancomp/internal/games/verbosity"
+	"humancomp/internal/games"
 	"humancomp/internal/match"
 	"humancomp/internal/metrics"
 	"humancomp/internal/rng"
@@ -36,28 +34,29 @@ func A1(o Options) Result {
 
 	// Output agreement: ESP, with taboo off — the taboo knob is studied in
 	// F2 and would otherwise handicap this mechanism's precision here.
-	espCfg := esp.DefaultConfig()
+	espCfg := games.DefaultESPConfig()
 	espCfg.Seed = o.Seed + 802
 	espCfg.RetireAt = 0
 	espCfg.PromoteAfter = 1 << 30
-	espGame := esp.New(corpus, espCfg)
-	espRep := runCrowd(o, popSize, sim.NewESPAdapter(espGame, o.Seed+803), horizon, 820)
+	espCfg.ReplaySeed = o.Seed + 803
+	espGame := games.NewESP(corpus, espCfg)
+	espRep := runCrowd(o, popSize, espGame, horizon, 820)
 	espPrecision := labelPrecision(corpus, espGame)
 	res.AddRow("output agreement", "esp", d64(espRep.Outputs), f1(espRep.ThroughputPerHour), pct(espPrecision))
 
 	// Input agreement: TagATune.
-	ttCfg := tagatune.DefaultConfig()
+	ttCfg := games.DefaultTagATuneConfig()
 	ttCfg.Seed = o.Seed + 804
-	ttGame := tagatune.New(corpus, ttCfg)
-	ttRep := runCrowd(o, popSize, &sim.TagATuneAdapter{Game: ttGame}, horizon, 830)
+	ttGame := games.NewTagATune(corpus, ttCfg)
+	ttRep := runCrowd(o, popSize, ttGame, horizon, 830)
 	ttPrecision := annotationPrecision(corpus, ttGame)
 	res.AddRow("input agreement", "tagatune", d64(ttRep.Outputs), f1(ttRep.ThroughputPerHour), pct(ttPrecision))
 
 	// Inversion problem: Verbosity.
-	vbCfg := verbosity.DefaultConfig()
+	vbCfg := games.DefaultVerbosityConfig()
 	vbCfg.Seed = o.Seed + 805
-	vbGame := verbosity.New(fb, vbCfg)
-	vbRep := runCrowd(o, popSize, &sim.VerbosityAdapter{Game: vbGame}, horizon, 840)
+	vbGame := games.NewVerbosity(fb, vbCfg)
+	vbRep := runCrowd(o, popSize, vbGame, horizon, 840)
 	vbPrecision := factPrecision(fb, vbGame)
 	res.AddRow("inversion problem", "verbosity", d64(vbRep.Outputs), f1(vbRep.ThroughputPerHour), pct(vbPrecision))
 
@@ -73,7 +72,7 @@ func runCrowd(o Options, popSize int, game sim.PairGame, horizon time.Duration, 
 	return sim.NewCrowd(cfg, simStart).Run()
 }
 
-func labelPrecision(corpus *vocab.Corpus, g *esp.Game) float64 {
+func labelPrecision(corpus *vocab.Corpus, g *games.ESP) float64 {
 	good, total := 0, 0
 	for img := range corpus.Images {
 		for _, l := range g.Labels.LabelsFor(img) {
@@ -89,7 +88,7 @@ func labelPrecision(corpus *vocab.Corpus, g *esp.Game) float64 {
 	return float64(good) / float64(total)
 }
 
-func annotationPrecision(corpus *vocab.Corpus, g *tagatune.Game) float64 {
+func annotationPrecision(corpus *vocab.Corpus, g *games.TagATune) float64 {
 	good, total := 0, 0
 	for img := range corpus.Images {
 		image := corpus.Image(img)
@@ -110,7 +109,7 @@ func annotationPrecision(corpus *vocab.Corpus, g *tagatune.Game) float64 {
 	return float64(good) / float64(total)
 }
 
-func factPrecision(fb *vocab.FactBase, g *verbosity.Game) float64 {
+func factPrecision(fb *vocab.FactBase, g *games.Verbosity) float64 {
 	good, total := 0, 0
 	for _, f := range g.Facts.Confirmed(1) {
 		c := g.Facts.Count(f)
@@ -141,11 +140,11 @@ func A2(o Options) Result {
 
 	for i, fracReplay := range []float64{0, 0.25, 0.5, 0.75, 1.0} {
 		corpus := expCorpus(o, 850)
-		cfg := esp.DefaultConfig()
+		cfg := games.DefaultESPConfig()
 		cfg.Seed = o.Seed + uint64(851+i)
 		cfg.PromoteAfter = 1 << 30
 		cfg.RetireAt = 0
-		g := esp.New(corpus, cfg)
+		g := games.NewESP(corpus, cfg)
 		src := rng.New(o.Seed + uint64(860+i))
 		store := match.NewReplayStore(src, 8)
 
@@ -166,7 +165,7 @@ func A2(o Options) Result {
 		for r := 0; r < rounds; r++ {
 			img := src.Intn(len(corpus.Images))
 			a, b := freshPair(src, popCfg)
-			var out esp.RoundResult
+			var out games.ESPRound
 			if src.Bool(fracReplay) {
 				sess, ok := store.Get(img)
 				if !ok {

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"humancomp/internal/games/esp"
+	"humancomp/internal/games"
 	"humancomp/internal/rng"
 	"humancomp/internal/worker"
 )
@@ -26,11 +26,11 @@ func F1(o Options) Result {
 		Header: []string{"threshold k", "labels >= k", "true fraction"},
 	}
 	corpus := expCorpus(o, 200)
-	cfg := esp.DefaultConfig()
+	cfg := games.DefaultESPConfig()
 	cfg.Seed = o.Seed + 201
 	cfg.PromoteAfter = 1 << 30 // never taboo: we want repeat agreements
 	cfg.RetireAt = 0
-	g := esp.New(corpus, cfg)
+	g := games.NewESP(corpus, cfg)
 
 	src := rng.New(o.Seed + 202)
 	popCfg := worker.DefaultPopulationConfig(2)
@@ -83,7 +83,7 @@ func F2(o Options) Result {
 
 	for _, tabooN := range []int{0, 1, 2, 4, 6} {
 		corpus := expCorpus(o, 210) // same corpus at every sweep point, fresh game
-		cfg := esp.DefaultConfig()
+		cfg := games.DefaultESPConfig()
 		cfg.Seed = o.Seed + 211
 		cfg.RetireAt = 0
 		if tabooN == 0 {
@@ -91,7 +91,7 @@ func F2(o Options) Result {
 		} else {
 			cfg.PromoteAfter = 1
 		}
-		g := esp.New(corpus, cfg)
+		g := games.NewESP(corpus, cfg)
 		g.Taboo.SetMaxPerItem(tabooN)
 		src := rng.New(o.Seed + uint64(212+tabooN))
 

@@ -3,7 +3,7 @@ package experiments
 import (
 	"time"
 
-	"humancomp/internal/games/esp"
+	"humancomp/internal/games"
 	"humancomp/internal/sim"
 )
 
@@ -27,18 +27,19 @@ func F3(o Options) Result {
 	for i, size := range sizes {
 		run := func(withReplay bool) int64 {
 			corpus := expCorpus(o, 300)
-			cfg := esp.DefaultConfig()
+			cfg := games.DefaultESPConfig()
 			cfg.Seed = o.Seed + uint64(301+i)
 			cfg.RetireAt = 0
 			// Taboo off: at the largest populations taboo depth (studied
 			// in F2) would confound the matchmaking-scaling claim.
 			cfg.PromoteAfter = 1 << 30
-			adapter := sim.NewESPAdapter(esp.New(corpus, cfg), o.Seed+uint64(302+i))
+			cfg.ReplaySeed = o.Seed + uint64(302+i)
+			game := games.NewESP(corpus, cfg)
 			// Warm the replay store from an independent seed crowd, as the
 			// deployed game bootstrapped single-player mode from live play.
 			if withReplay {
 				warmWs := population(o, 20, 2.8, uint64(310+i))
-				warm := sim.DefaultCrowdConfig(warmWs, adapter)
+				warm := sim.DefaultCrowdConfig(warmWs, game)
 				warm.Horizon = 2 * time.Hour
 				warm.Seed = o.Seed + uint64(320+i)
 				sim.NewCrowd(warm, simStart).Run()
@@ -51,12 +52,12 @@ func F3(o Options) Result {
 				// scaling trend this figure is about.
 				w.Profile.SessionSigma = 0.5
 			}
-			cc := sim.DefaultCrowdConfig(ws, adapter)
+			cc := sim.DefaultCrowdConfig(ws, game)
 			cc.Horizon = horizon
 			cc.BreakMean = 3 * time.Hour
 			cc.Seed = o.Seed + uint64(340+i)
 			if withReplay {
-				cc.Solo = adapter
+				cc.Solo = game
 			}
 			return sim.NewCrowd(cc, simStart).Run().Outputs
 		}

@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"humancomp/internal/antifraud"
-	"humancomp/internal/games/esp"
+	"humancomp/internal/games"
 	"humancomp/internal/rng"
 	"humancomp/internal/worker"
 )
@@ -56,13 +56,13 @@ func f4Run(o Options, seedOff uint64, colluderFrac float64, rounds int, defended
 		}
 	}
 
-	cfg := esp.DefaultConfig()
+	cfg := games.DefaultESPConfig()
 	cfg.Seed = o.Seed + seedOff + 2
 	cfg.RetireAt = 0
 	// Taboo is off in both arms: its diversity/precision trade is studied
 	// in F2, and leaving it on would confound the anti-collusion signal.
 	cfg.PromoteAfter = 1 << 30
-	g := esp.New(corpus, cfg)
+	g := games.NewESP(corpus, cfg)
 	src := rng.New(o.Seed + seedOff + 3)
 
 	entropy := antifraud.NewEntropyDetector(5, 1.8)

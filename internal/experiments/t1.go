@@ -3,13 +3,7 @@ package experiments
 import (
 	"time"
 
-	"humancomp/internal/games/esp"
-	"humancomp/internal/games/matchin"
-	"humancomp/internal/games/peekaboom"
-	"humancomp/internal/games/phetch"
-	"humancomp/internal/games/squigl"
-	"humancomp/internal/games/tagatune"
-	"humancomp/internal/games/verbosity"
+	"humancomp/internal/games"
 	"humancomp/internal/search"
 	"humancomp/internal/sim"
 	"humancomp/internal/vocab"
@@ -73,23 +67,24 @@ func T1(o Options) Result {
 		Seed:         o.Seed + 20,
 	})
 
-	espCfg := esp.DefaultConfig()
+	espCfg := games.DefaultESPConfig()
 	espCfg.Seed = o.Seed + 30
+	espCfg.ReplaySeed = o.Seed + 40
 	espCfg.RetireAt = 0 // a day of play must not exhaust the corpus
 
-	pbCfg := peekaboom.DefaultConfig()
+	pbCfg := games.DefaultPeekaboomConfig()
 	pbCfg.Seed = o.Seed + 31
 
-	vbCfg := verbosity.DefaultConfig()
+	vbCfg := games.DefaultVerbosityConfig()
 	vbCfg.Seed = o.Seed + 32
 
-	ttCfg := tagatune.DefaultConfig()
+	ttCfg := games.DefaultTagATuneConfig()
 	ttCfg.Seed = o.Seed + 33
 
-	mcCfg := matchin.DefaultConfig()
+	mcCfg := games.DefaultMatchinConfig()
 	mcCfg.Seed = o.Seed + 34
 
-	sqCfg := squigl.DefaultConfig()
+	sqCfg := games.DefaultSquiglConfig()
 	sqCfg.Seed = o.Seed + 35
 
 	// Phetch's seekers query an index built from the corpus ground truth —
@@ -100,20 +95,20 @@ func T1(o Options) Result {
 			phIndex.Add(img.ID, corpus.Lexicon.Canonical(obj.Tag), 2)
 		}
 	}
-	phCfg := phetch.DefaultConfig()
+	phCfg := games.DefaultPhetchConfig()
 	phCfg.Seed = o.Seed + 36
 
 	// Session engagement (log-normal mu, in log-minutes) is calibrated to
 	// the published ALP ordering: ESP was the stickiest game (~91 min
 	// lifetime play), Peekaboom close behind (~72), Verbosity brief (~23).
 	entries := []entry{
-		{"esp", 3.4, sim.NewESPAdapter(esp.New(espCorpus, espCfg), o.Seed+40)},
-		{"peekaboom", 3.2, &sim.PeekaboomAdapter{Game: peekaboom.New(corpus, pbCfg)}},
-		{"verbosity", 2.1, &sim.VerbosityAdapter{Game: verbosity.New(fb, vbCfg)}},
-		{"tagatune", 2.7, &sim.TagATuneAdapter{Game: tagatune.New(corpus, ttCfg)}},
-		{"matchin", 2.5, &sim.MatchinAdapter{Game: matchin.New(corpus, mcCfg)}},
-		{"squigl", 2.4, &sim.SquiglAdapter{Game: squigl.New(corpus, sqCfg)}},
-		{"phetch", 2.6, &sim.PhetchAdapter{Game: phetch.New(corpus, phIndex, phCfg)}},
+		{"esp", 3.4, games.NewESP(espCorpus, espCfg)},
+		{"peekaboom", 3.2, games.NewPeekaboom(corpus, pbCfg)},
+		{"verbosity", 2.1, games.NewVerbosity(fb, vbCfg)},
+		{"tagatune", 2.7, games.NewTagATune(corpus, ttCfg)},
+		{"matchin", 2.5, games.NewMatchin(corpus, mcCfg)},
+		{"squigl", 2.4, games.NewSquigl(corpus, sqCfg)},
+		{"phetch", 2.6, games.NewPhetch(corpus, phIndex, phCfg)},
 	}
 
 	for i, e := range entries {
@@ -121,8 +116,8 @@ func T1(o Options) Result {
 		cfg := sim.DefaultCrowdConfig(ws, e.game)
 		cfg.Horizon = horizon
 		cfg.Seed = o.Seed + uint64(60+i)
-		if a, ok := e.game.(*sim.ESPAdapter); ok {
-			cfg.Solo = a
+		if solo, ok := e.game.(sim.SoloGame); ok {
+			cfg.Solo = solo
 		}
 		rep := sim.NewCrowd(cfg, simStart).Run()
 		res.AddRow(e.name, d(rep.Players), d64(rep.Sessions), d64(rep.Outputs),

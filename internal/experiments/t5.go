@@ -3,7 +3,7 @@ package experiments
 import (
 	"time"
 
-	"humancomp/internal/games/esp"
+	"humancomp/internal/games"
 	"humancomp/internal/sim"
 )
 
@@ -32,16 +32,16 @@ func T5(o Options) Result {
 		{"bland (return 0.3)", 0.3},
 	} {
 		corpus := expCorpus(o, uint64(970+10*i))
-		cfg := esp.DefaultConfig()
+		cfg := games.DefaultESPConfig()
 		cfg.Seed = o.Seed + uint64(971+10*i)
 		cfg.RetireAt = 0
-		adapter := sim.NewESPAdapter(esp.New(corpus, cfg), o.Seed+uint64(972+10*i))
+		cfg.ReplaySeed = o.Seed + uint64(972+10*i)
 
 		ws := population(o, popSize, 2.8, uint64(980+10*i))
 		for _, w := range ws {
 			w.Profile.ReturnProb = arm.returnProb
 		}
-		cc := sim.DefaultCrowdConfig(ws, adapter)
+		cc := sim.DefaultCrowdConfig(ws, games.NewESP(corpus, cfg))
 		cc.Horizon = horizon
 		cc.BreakMean = 10 * time.Hour
 		cc.Seed = o.Seed + uint64(990+10*i)

@@ -3,10 +3,7 @@ package search
 import (
 	"testing"
 
-	"humancomp/internal/games/esp"
 	"humancomp/internal/rng"
-	"humancomp/internal/vocab"
-	"humancomp/internal/worker"
 )
 
 func TestEmptyIndex(t *testing.T) {
@@ -96,62 +93,6 @@ func TestAddPanicsOnBadWeight(t *testing.T) {
 		}
 	}()
 	NewIndex().Add(1, 1, 0)
-}
-
-// TestESPLabelsMakeImagesFindable is the closing-the-loop integration test:
-// labels collected by simulated ESP play must put the right image at or
-// near the top when queried with its own ground-truth tags.
-func TestESPLabelsMakeImagesFindable(t *testing.T) {
-	corpus := vocab.NewCorpus(vocab.CorpusConfig{
-		Lexicon:     vocab.LexiconConfig{Size: 500, ZipfS: 1, SynonymRate: 0.2, Seed: 1},
-		NumImages:   150,
-		MeanObjects: 4,
-		CanvasW:     640, CanvasH: 480,
-		Seed: 2,
-	})
-	cfg := esp.DefaultConfig()
-	cfg.PromoteAfter = 1 << 30
-	cfg.RetireAt = 0
-	g := esp.New(corpus, cfg)
-	src := rng.New(3)
-	popCfg := worker.DefaultPopulationConfig(2)
-	for img := 0; img < len(corpus.Images); img++ {
-		for r := 0; r < 8; r++ {
-			pa := worker.SampleProfile(popCfg, src)
-			pb := worker.SampleProfile(popCfg, src)
-			pa.ThinkMean, pb.ThinkMean = 0, 0
-			a := worker.New("a", worker.Honest, pa, src)
-			b := worker.New("b", worker.Honest, pb, src)
-			g.PlayRound(a, b, img)
-		}
-	}
-
-	ix := NewIndex()
-	for img := 0; img < len(corpus.Images); img++ {
-		for _, l := range g.Labels.LabelsFor(img) {
-			ix.Add(img, l.Word, l.Count)
-		}
-	}
-	if ix.Items() < 100 {
-		t.Fatalf("only %d images got labels", ix.Items())
-	}
-
-	top5 := 0
-	queries := 0
-	for img := 0; img < len(corpus.Images); img++ {
-		objs := corpus.Image(img).Objects
-		query := make([]int, 0, len(objs))
-		for _, o := range objs {
-			query = append(query, corpus.Lexicon.Canonical(o.Tag))
-		}
-		queries++
-		if r := ix.Rank(query, img); r >= 1 && r <= 5 {
-			top5++
-		}
-	}
-	if frac := float64(top5) / float64(queries); frac < 0.5 {
-		t.Errorf("only %.0f%% of images found in top-5 by their own tags", 100*frac)
-	}
 }
 
 func BenchmarkSearch(b *testing.B) {

@@ -9,15 +9,15 @@ import (
 	"humancomp/internal/worker"
 )
 
-// PairGame adapts a two-player game to the crowd simulator: play one round
-// between a and b, returning how many problem instances it solved and how
-// much simulated time it took.
+// PairGame is a two-player game as the crowd simulator plays it: play one
+// round between a and b, returning how many problem instances it solved and
+// how much simulated time it took.
 type PairGame interface {
-	PlayRound(a, b *worker.Worker) (outputs int, d time.Duration)
+	Play(a, b *worker.Worker) (outputs int, d time.Duration)
 }
 
-// SoloGame adapts single-player (replayed-partner) play: one round for a,
-// or ok == false when no recorded material is available.
+// SoloGame is single-player (replayed-partner) play: one round for a, or
+// ok == false when no recorded material is available.
 type SoloGame interface {
 	PlaySolo(a *worker.Worker) (outputs int, d time.Duration, ok bool)
 }
@@ -262,7 +262,7 @@ func (c *Crowd) pairRound(a, b *worker.Worker, end time.Time) {
 		}
 		return
 	}
-	outputs, d := c.cfg.Game.PlayRound(a, b)
+	outputs, d := c.cfg.Game.Play(a, b)
 	c.gwap.RecordOutputs(outputs)
 	if d < c.cfg.MinRoundTime {
 		d = c.cfg.MinRoundTime

@@ -4,12 +4,12 @@ import (
 	"testing"
 	"time"
 
-	"humancomp/internal/games/esp"
+	"humancomp/internal/games"
 	"humancomp/internal/vocab"
 	"humancomp/internal/worker"
 )
 
-func espAdapter(tb testing.TB, seed uint64) *ESPAdapter {
+func espGame(tb testing.TB, seed uint64) *games.ESP {
 	tb.Helper()
 	c := vocab.NewCorpus(vocab.CorpusConfig{
 		Lexicon:     vocab.LexiconConfig{Size: 400, ZipfS: 1, SynonymRate: 0.25, Seed: 1},
@@ -19,14 +19,15 @@ func espAdapter(tb testing.TB, seed uint64) *ESPAdapter {
 		CanvasH:     480,
 		Seed:        2,
 	})
-	cfg := esp.DefaultConfig()
+	cfg := games.DefaultESPConfig()
 	cfg.Seed = seed
-	return NewESPAdapter(esp.New(c, cfg), seed)
+	cfg.ReplaySeed = seed
+	return games.NewESP(c, cfg)
 }
 
 func TestCrowdProducesPlayAndOutputs(t *testing.T) {
 	ws := worker.NewPopulation(worker.DefaultPopulationConfig(60))
-	cfg := DefaultCrowdConfig(ws, espAdapter(t, 3))
+	cfg := DefaultCrowdConfig(ws, espGame(t, 3))
 	cfg.Horizon = 8 * time.Hour
 	crowd := NewCrowd(cfg, t0)
 	rep := crowd.Run()
@@ -53,7 +54,7 @@ func TestCrowdProducesPlayAndOutputs(t *testing.T) {
 func TestCrowdDeterministic(t *testing.T) {
 	run := func() any {
 		ws := worker.NewPopulation(worker.DefaultPopulationConfig(30))
-		cfg := DefaultCrowdConfig(ws, espAdapter(t, 7))
+		cfg := DefaultCrowdConfig(ws, espGame(t, 7))
 		cfg.Horizon = 4 * time.Hour
 		cfg.Seed = 42
 		return NewCrowd(cfg, t0).Run()
@@ -65,29 +66,29 @@ func TestCrowdDeterministic(t *testing.T) {
 
 func TestSoloFallbackRescuesOddPlayer(t *testing.T) {
 	// One player alone: without solo fallback they can never play.
-	mkCfg := func(adapter *ESPAdapter, solo bool) CrowdConfig {
+	mkCfg := func(game *games.ESP, solo bool) CrowdConfig {
 		ws := worker.NewPopulation(worker.DefaultPopulationConfig(1))
-		cfg := DefaultCrowdConfig(ws, adapter)
+		cfg := DefaultCrowdConfig(ws, game)
 		cfg.Horizon = 6 * time.Hour
 		cfg.WaitTimeout = time.Minute
 		if solo {
-			cfg.Solo = adapter
+			cfg.Solo = game
 		}
 		return cfg
 	}
 
 	// Seed the replay store with a real two-player run first.
-	adapter := espAdapter(t, 9)
+	game := espGame(t, 9)
 	ws2 := worker.NewPopulation(worker.DefaultPopulationConfig(10))
-	warm := DefaultCrowdConfig(ws2, adapter)
+	warm := DefaultCrowdConfig(ws2, game)
 	warm.Horizon = 4 * time.Hour
 	NewCrowd(warm, t0).Run()
-	if adapter.Replay.Size() == 0 {
+	if game.Replay.Size() == 0 {
 		t.Fatal("warm-up produced no replay transcripts")
 	}
 
-	repNoSolo := NewCrowd(mkCfg(adapter, false), t0).Run()
-	repSolo := NewCrowd(mkCfg(adapter, true), t0).Run()
+	repNoSolo := NewCrowd(mkCfg(game, false), t0).Run()
+	repSolo := NewCrowd(mkCfg(game, true), t0).Run()
 	if repNoSolo.Outputs != 0 {
 		t.Fatalf("lone player produced %d outputs without solo mode", repNoSolo.Outputs)
 	}
@@ -96,23 +97,10 @@ func TestSoloFallbackRescuesOddPlayer(t *testing.T) {
 	}
 }
 
-func TestObserverSeesRounds(t *testing.T) {
-	adapter := espAdapter(t, 11)
-	rounds := 0
-	adapter.Observer = func(a, b *worker.Worker, res esp.RoundResult) { rounds++ }
-	ws := worker.NewPopulation(worker.DefaultPopulationConfig(20))
-	cfg := DefaultCrowdConfig(ws, adapter)
-	cfg.Horizon = 2 * time.Hour
-	NewCrowd(cfg, t0).Run()
-	if rounds == 0 {
-		t.Fatal("observer saw no rounds")
-	}
-}
-
 func TestMoreWorkersMoreThroughputTotal(t *testing.T) {
 	run := func(n int) int64 {
 		ws := worker.NewPopulation(worker.DefaultPopulationConfig(n))
-		cfg := DefaultCrowdConfig(ws, espAdapter(t, 13))
+		cfg := DefaultCrowdConfig(ws, espGame(t, 13))
 		cfg.Horizon = 4 * time.Hour
 		return NewCrowd(cfg, t0).Run().Outputs
 	}
@@ -124,7 +112,7 @@ func TestMoreWorkersMoreThroughputTotal(t *testing.T) {
 
 func TestCrowdPanics(t *testing.T) {
 	ws := worker.NewPopulation(worker.DefaultPopulationConfig(2))
-	ad := espAdapter(t, 15)
+	ad := espGame(t, 15)
 	for name, cfg := range map[string]CrowdConfig{
 		"no workers":   {Game: ad, Horizon: time.Hour, MinRoundTime: time.Second},
 		"no game":      {Workers: ws, Horizon: time.Hour, MinRoundTime: time.Second},
@@ -145,7 +133,7 @@ func TestCrowdPanics(t *testing.T) {
 func BenchmarkCrowdHour(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ws := worker.NewPopulation(worker.DefaultPopulationConfig(50))
-		cfg := DefaultCrowdConfig(ws, espAdapter(b, uint64(i+1)))
+		cfg := DefaultCrowdConfig(ws, espGame(b, uint64(i+1)))
 		cfg.Horizon = time.Hour
 		NewCrowd(cfg, t0).Run()
 	}
@@ -153,7 +141,7 @@ func BenchmarkCrowdHour(b *testing.B) {
 
 func TestCrowdRetentionTracked(t *testing.T) {
 	ws := worker.NewPopulation(worker.DefaultPopulationConfig(40))
-	cfg := DefaultCrowdConfig(ws, espAdapter(t, 17))
+	cfg := DefaultCrowdConfig(ws, espGame(t, 17))
 	cfg.Horizon = 72 * time.Hour // three days so returns land on later days
 	cfg.BreakMean = 12 * time.Hour
 	crowd := NewCrowd(cfg, t0)

@@ -49,14 +49,6 @@ func LabelAnswers(w *worker.Worker, corpus *vocab.Corpus, views []task.View) []t
 	return out
 }
 
-// ChoiceAnswer produces one modeled human vote for a leased choice task
-// (Compare/Judge): the worker votes on the binary truth supplied by the
-// experiment's ground-truth table. truthOf maps a task's ImageID to its
-// true class.
-func ChoiceAnswer(w *worker.Worker, v task.View, truthOf func(imageID int) int) task.Answer {
-	return task.Answer{Choice: w.Vote(truthOf(v.Payload.ImageID), 2)}
-}
-
 // ChoiceVotes precomputes every worker's would-be vote on every choice
 // task: votes[t][w] is worker w's vote on task t whose true class is
 // truth[t]. Experiments that compare completion policies over the same

@@ -12,18 +12,6 @@ import (
 	"time"
 )
 
-// Clock exposes the current time; the simulator's virtual clock and the
-// dispatch service's wall clock both satisfy it.
-type Clock interface {
-	Now() time.Time
-}
-
-// WallClock is the real-time clock.
-type WallClock struct{}
-
-// Now returns time.Now().
-func (WallClock) Now() time.Time { return time.Now() }
-
 // Simulator is a deterministic discrete-event scheduler with a virtual
 // clock. It is not safe for concurrent use: all events run on the caller's
 // goroutine, which is what makes runs reproducible.
