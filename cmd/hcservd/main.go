@@ -44,7 +44,7 @@ func main() {
 	flag.StringVar(&cfg.Addr, "addr", ":8080", "listen address")
 	flag.StringVar(&cfg.AdminAddr, "admin-addr", "", "admin listen address for /metrics, /healthz, /readyz and /debug/pprof; empty disables")
 	flag.StringVar(&cfg.Snapshot, "snapshot", "", "snapshot file to restore on start and write on shutdown")
-	flag.StringVar(&cfg.WAL, "wal", "", "write-ahead log file: recovered after the snapshot on start, appended to while running")
+	flag.StringVar(&cfg.WAL, "wal", "", "write-ahead log file (requires -snapshot): replayed after the snapshot on start, checkpointed into it, then appended to while running")
 	flag.StringVar(&cfg.WALSync, "wal-sync", "interval", "WAL durability: always (fsync per append, group-committed), interval (background fsync), never")
 	flag.DurationVar(&cfg.WALSyncInterval, "wal-sync-interval", 100*time.Millisecond, "background fsync period under -wal-sync=interval")
 	flag.DurationVar(&cfg.Core.LeaseTTL, "lease-ttl", 2*time.Minute, "worker lease duration")

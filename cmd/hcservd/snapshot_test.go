@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"os"
 	"os/exec"
@@ -100,7 +101,7 @@ func TestKillDuringBootCheckpoint(t *testing.T) {
 		t.Fatalf("after the kill mid-checkpoint: %d stored, %d open; want %d; log:\n%s",
 			st.StoredTasks, st.Queue.Open, inSnapshot+inWAL, readLog(dir))
 	}
-	last, err := n.c.ListTasks("", inSnapshot+inWAL-1, 10)
+	last, err := get[dispatch.TaskList](n, fmt.Sprintf("/v1/tasks?offset=%d&limit=10", inSnapshot+inWAL-1))
 	if err != nil || last.Total != inSnapshot+inWAL || len(last.Tasks) != 1 || last.Tasks[0].Payload.ImageID != inWAL-1 {
 		t.Fatalf("last task after recovery: %+v, %v", last, err)
 	}

@@ -1,6 +1,7 @@
 package humancomp_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -61,9 +62,10 @@ func BenchmarkDispatchSubmitLeaseAnswer(b *testing.B) {
 const benchBatch = 64
 
 // BenchmarkDispatchSubmitBatch measures batched submission: one iteration
-// moves benchBatch tasks through SubmitBatch, which takes each lock once
+// moves benchBatch tasks through SubmitBatchCtx, which takes each lock once
 // per batch and appends one WAL group instead of 64 records.
 func BenchmarkDispatchSubmitBatch(b *testing.B) {
+	ctx := context.Background()
 	sys := core.New(core.DefaultConfig())
 	specs := make([]core.SubmitSpec, benchBatch)
 	for i := range specs {
@@ -72,7 +74,7 @@ func BenchmarkDispatchSubmitBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			for _, out := range sys.SubmitBatch(specs) {
+			for _, out := range sys.SubmitBatchCtx(ctx, specs) {
 				if out.Err != nil {
 					b.Fatal(out.Err)
 				}
@@ -86,6 +88,7 @@ func BenchmarkDispatchSubmitBatch(b *testing.B) {
 // each iteration submits a batch, leases up to a batch for one worker and
 // answers every granted lease.
 func BenchmarkDispatchSubmitLeaseAnswerBatch(b *testing.B) {
+	ctx := context.Background()
 	sys := core.New(core.DefaultConfig())
 	specs := make([]core.SubmitSpec, benchBatch)
 	for i := range specs {
@@ -97,19 +100,19 @@ func BenchmarkDispatchSubmitLeaseAnswerBatch(b *testing.B) {
 		worker := fmt.Sprintf("bench-w%d", wid.Add(1))
 		items := make([]queue.CompleteItem, 0, benchBatch)
 		for pb.Next() {
-			for _, out := range sys.SubmitBatch(specs) {
+			for _, out := range sys.SubmitBatchCtx(ctx, specs) {
 				if out.Err != nil {
 					b.Fatal(out.Err)
 				}
 			}
-			grants := sys.LeaseBatch(worker, benchBatch)
+			grants := sys.LeaseBatchCtx(ctx, worker, benchBatch)
 			items = items[:0]
 			for _, g := range grants {
 				items = append(items, queue.CompleteItem{Lease: g.Lease, Answer: task.Answer{Words: []int{1}}})
 			}
-			for _, err := range sys.AnswerBatch(items) {
-				if err != nil {
-					b.Fatal(err)
+			for _, o := range sys.AnswerBatchDetailedCtx(ctx, items) {
+				if o.Err != nil {
+					b.Fatal(o.Err)
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package humancomp_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -97,7 +98,7 @@ func TestServiceLifecycleWithJournalRecovery(t *testing.T) {
 
 	// Recovery: a brand-new system, journal replay only.
 	recovered := core.New(core.DefaultConfig())
-	rep, err := store.ReplayWAL(bytes.NewReader(journal.Bytes()), recovered.Store())
+	rep, err := store.ReplayWALObserved(bytes.NewReader(journal.Bytes()), recovered.Store(), nil)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -149,8 +150,8 @@ func TestConcurrentDispatchSoak(t *testing.T) {
 	// a shared transport would serialize requests through the pool mutex,
 	// creating happens-before edges that mask server-side races from the
 	// race detector.
-	newClient := func() *dispatch.Client {
-		return dispatch.NewClient(srv.URL, &http.Client{Transport: &http.Transport{}})
+	newClient := func() routeClient {
+		return newRouteClient(srv.URL, &http.Client{Transport: &http.Transport{}})
 	}
 	client := newClient()
 
@@ -520,7 +521,7 @@ func TestAbandonedLeasesRecycleOverHTTP(t *testing.T) {
 	sys := core.New(cfg)
 	srv := httptest.NewServer(dispatch.NewServer(sys))
 	defer srv.Close()
-	client := dispatch.NewClient(srv.URL, srv.Client())
+	client := newRouteClient(srv.URL, srv.Client())
 
 	const nTasks = 10
 	for i := 0; i < nTasks; i++ {
@@ -609,7 +610,7 @@ func TestSnapshotJournalCheckpointCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	tail := journal.Bytes()[journalAtSnapshot:]
-	if _, err := store.ReplayWAL(bytes.NewReader(tail), recovered.Store()); err != nil {
+	if _, err := store.ReplayWALObserved(bytes.NewReader(tail), recovered.Store(), nil); err != nil {
 		t.Fatal(err)
 	}
 	got1, err := recovered.Task(id1)
@@ -636,7 +637,7 @@ func TestObservabilityOverHTTP(t *testing.T) {
 	api := dispatch.NewServer(sys)
 	srv := httptest.NewServer(api)
 	defer srv.Close()
-	client := dispatch.NewClient(srv.URL, srv.Client())
+	client := newRouteClient(srv.URL, srv.Client())
 
 	admin := httptest.NewServer(dispatch.NewAdminHandler(sys, api, dispatch.AdminOptions{
 		WAL:   wal,
@@ -749,4 +750,62 @@ func TestObservabilityOverHTTP(t *testing.T) {
 	} else {
 		resp.Body.Close()
 	}
+}
+
+// routeClient is a dispatch.Client plus the routes it has no method for,
+// called over the same base URL and HTTP client.
+type routeClient struct {
+	*dispatch.Client
+	base string
+	hc   *http.Client
+}
+
+func newRouteClient(base string, hc *http.Client) routeClient {
+	return routeClient{dispatch.NewClient(base, hc), base, hc}
+}
+
+// call sends a bodiless request and decodes a 2xx JSON answer into out
+// (when non-nil); any other status is a *dispatch.APIError.
+func (c routeClient) call(method, path string, out any) error {
+	req, err := http.NewRequest(method, c.base+path, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		msg, _ := io.ReadAll(resp.Body)
+		return &dispatch.APIError{Status: resp.StatusCode, Message: string(msg)}
+	}
+	if out == nil {
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+func (c routeClient) Cancel(id task.ID) error {
+	return c.call(http.MethodDelete, fmt.Sprintf("/v1/tasks/%d", id), nil)
+}
+
+func (c routeClient) Choice(id task.ID) (res core.ChoiceResult, err error) {
+	err = c.call(http.MethodGet, fmt.Sprintf("/v1/tasks/%d/choice", id), &res)
+	return res, err
+}
+
+func (c routeClient) ListTasks(status string, offset, limit int) (list dispatch.TaskList, err error) {
+	err = c.call(http.MethodGet, fmt.Sprintf("/v1/tasks?offset=%d&limit=%d&status=%s", offset, limit, status), &list)
+	return list, err
+}
+
+func (c routeClient) Metrics() (ms []dispatch.RouteMetrics, err error) {
+	err = c.call(http.MethodGet, "/v1/metrics", &ms)
+	return ms, err
+}
+
+func (c routeClient) Trace(id task.ID) (tr dispatch.TraceResponse, err error) {
+	err = c.call(http.MethodGet, fmt.Sprintf("/v1/tasks/%d/trace", id), &tr)
+	return tr, err
 }

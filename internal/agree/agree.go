@@ -136,9 +136,6 @@ func (r *OutputRound) Guesses(player int) []int { return r.order[player] }
 // Pass ends the round without agreement (both players gave up).
 func (r *OutputRound) Pass() { r.done = true }
 
-// Done reports whether the round has ended (by match or pass).
-func (r *OutputRound) Done() bool { return r.done }
-
 // InversionRound is a describer/guesser round: the describer reveals hints
 // about a secret target word; the guesser's guesses are checked against it.
 // The hint type is game-specific (Peekaboom pings, Verbosity facts).
@@ -188,9 +185,6 @@ func (r *InversionRound[H]) Tries() int { return r.tries }
 
 // Solved reports whether the guesser reached the target.
 func (r *InversionRound[H]) Solved() bool { return r.solved }
-
-// Target returns the secret word (for scoring after the round).
-func (r *InversionRound[H]) Target() int { return r.target }
 
 // InputRound is one input-agreement round: the system knows whether the two
 // players' inputs are the same; each player votes "same" (0) or
@@ -249,6 +243,3 @@ func (r *InputRound) Success() bool {
 
 // Tags returns the descriptions player contributed.
 func (r *InputRound) Tags(player int) []int { return r.tags[player] }
-
-// Same exposes the hidden ground truth (for scoring).
-func (r *InputRound) Same() bool { return r.same }

@@ -42,7 +42,7 @@ func TestOutputAgreementExactMatch(t *testing.T) {
 	if w, ok := r.Agreed(); !ok || w != 5 {
 		t.Fatalf("Agreed = %d, %v", w, ok)
 	}
-	if !r.Done() {
+	if !r.done {
 		t.Fatal("round should be done after match")
 	}
 	if _, err := r.Submit(0, 9); !errors.Is(err, ErrRoundOver) {
@@ -107,7 +107,7 @@ func TestOutputAgreementPass(t *testing.T) {
 	r := NewOutputRound(lex(t), Exact, nil)
 	_, _ = r.Submit(0, 1)
 	r.Pass()
-	if !r.Done() {
+	if !r.done {
 		t.Fatal("pass should end round")
 	}
 	if _, ok := r.Agreed(); ok {
@@ -156,7 +156,7 @@ func TestInversionRound(t *testing.T) {
 	if err != nil || !solved {
 		t.Fatalf("target guess: %v %v", solved, err)
 	}
-	if r.Tries() != 2 || !r.Solved() || len(r.Hints()) != 2 || r.Target() != 9 {
+	if r.Tries() != 2 || !r.Solved() || len(r.Hints()) != 2 || r.target != 9 {
 		t.Fatalf("round state: tries=%d solved=%v hints=%d", r.Tries(), r.Solved(), len(r.Hints()))
 	}
 	if err := r.AddHint("late"); !errors.Is(err, ErrRoundOver) {
@@ -238,8 +238,8 @@ func TestInputRoundValidation(t *testing.T) {
 	if got := r.Tags(0); len(got) != 1 || got[0] != 42 {
 		t.Fatalf("Tags = %v", got)
 	}
-	if !r.Same() {
-		t.Fatal("Same() lost ground truth")
+	if !r.same {
+		t.Fatal("round lost its ground truth")
 	}
 }
 
@@ -266,8 +266,8 @@ func TestTabooTrackerPromotionAndRetirement(t *testing.T) {
 	if !tr.Retired(1) {
 		t.Fatal("not retired with 2 taboo words")
 	}
-	if tr.Agreements(1, 5) != 3 {
-		t.Fatalf("Agreements = %d", tr.Agreements(1, 5))
+	if n := tr.counts[1][l.Canonical(5)]; n != 3 {
+		t.Fatalf("agreements = %d", n)
 	}
 	// Other items unaffected.
 	if tr.TabooFor(2) != nil || tr.Retired(2) {
@@ -366,7 +366,7 @@ func TestOutputRoundAddTaboo(t *testing.T) {
 	if len(r.Taboo()) != 1 || r.Taboo()[0] != l.Canonical(a) {
 		t.Fatalf("Taboo() = %v, want [%d]", r.Taboo(), l.Canonical(a))
 	}
-	if r.Done() {
+	if r.done {
 		t.Fatal("AddTaboo ended the round")
 	}
 }

@@ -91,8 +91,3 @@ func (t *TabooTracker) TabooFor(item int) []int {
 func (t *TabooTracker) Retired(item int) bool {
 	return t.retireAt > 0 && len(t.taboo[item]) >= t.retireAt
 }
-
-// Agreements returns how many agreements word (by concept) has on item.
-func (t *TabooTracker) Agreements(item, word int) int {
-	return t.counts[item][t.lex.Canonical(word)]
-}

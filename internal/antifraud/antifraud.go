@@ -167,9 +167,6 @@ func (d *EntropyDetector) Suspicious(player string) bool {
 	return d.totals[player] >= 2*d.minSamples && d.ModalShare(player) > 0.3
 }
 
-// Observations returns the player's recorded agreement count.
-func (d *EntropyDetector) Observations(player string) int { return d.totals[player] }
-
 // PairBias flags pairs of players who agree with each other far more often
 // than their individual agreement rates predict.
 type PairBias struct {
@@ -240,12 +237,6 @@ func rate(t *tally) float64 {
 	return float64(t.agreed) / float64(t.total)
 }
 
-// PairRate returns the agreement rate of the pair.
-func (p *PairBias) PairRate(a, b string) float64 { return rate(p.pair[pairKey(a, b)]) }
-
-// PlayerRate returns the overall agreement rate of the player.
-func (p *PairBias) PlayerRate(id string) float64 { return rate(p.player[id]) }
-
 // Suspicious reports whether the pair has enough games together and an
 // agreement rate exceeding factor × the geometric mean of the two players'
 // agreement rates with *other* partners (the rate independence would
@@ -280,53 +271,4 @@ func (p *PairBias) outside(id string, pairT *tally) tally {
 		return tally{}
 	}
 	return tally{agreed: pt.agreed - pairT.agreed, total: pt.total - pairT.total}
-}
-
-// ReplayProbe scores players against pre-recorded games: when a player is
-// paired with a replayed transcript (which they cannot distinguish from a
-// live partner), the system already knows an honest stranger's answers for
-// that item. Honest players agree with recordings at roughly their live
-// rate; scripted players almost never do, because the recording was made
-// by someone outside the conspiracy.
-type ReplayProbe struct {
-	minProbes int
-	minRate   float64
-	probes    map[string]*tally
-}
-
-// NewReplayProbe flags players with at least minProbes replayed rounds
-// whose agreement rate against recordings is below minRate.
-func NewReplayProbe(minProbes int, minRate float64) *ReplayProbe {
-	if minProbes < 1 || minRate <= 0 || minRate >= 1 {
-		panic("antifraud: minProbes must be >= 1 and minRate in (0, 1)")
-	}
-	return &ReplayProbe{minProbes: minProbes, minRate: minRate, probes: make(map[string]*tally)}
-}
-
-// Record notes one replayed round for player and whether it agreed.
-func (p *ReplayProbe) Record(player string, agreed bool) {
-	t := p.probes[player]
-	if t == nil {
-		t = &tally{}
-		p.probes[player] = t
-	}
-	t.total++
-	if agreed {
-		t.agreed++
-	}
-}
-
-// Probes returns how many replayed rounds the player has seen.
-func (p *ReplayProbe) Probes(player string) int {
-	if t := p.probes[player]; t != nil {
-		return t.total
-	}
-	return 0
-}
-
-// Suspicious reports whether the player has enough probes and too low an
-// agreement rate against recorded strangers.
-func (p *ReplayProbe) Suspicious(player string) bool {
-	t := p.probes[player]
-	return t != nil && t.total >= p.minProbes && rate(t) < p.minRate
 }

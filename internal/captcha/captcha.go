@@ -103,13 +103,6 @@ func (g *Gate) Stats() (issued, passed int64) {
 	return g.issued, g.passed
 }
 
-// Pending returns the number of unanswered challenges.
-func (g *Gate) Pending() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.pending)
-}
-
 // BotSolver models an OCR-based CAPTCHA attack: per-character recognition
 // that starts mediocre and collapses with distortion.
 type BotSolver struct {

@@ -121,8 +121,8 @@ func TestPendingCount(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		g.Issue()
 	}
-	if g.Pending() != 5 {
-		t.Fatalf("Pending = %d", g.Pending())
+	if len(g.pending) != 5 {
+		t.Fatalf("pending = %d", len(g.pending))
 	}
 }
 

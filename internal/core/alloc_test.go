@@ -35,7 +35,7 @@ func TestRequeueAllocatesWhatItKeeps(t *testing.T) {
 		}
 	}
 	s, _ := newSystem()
-	if _, err := store.ReplayWAL(bytes.NewReader(log.Bytes()), s.Store()); err != nil {
+	if _, err := store.ReplayWALObserved(bytes.NewReader(log.Bytes()), s.Store(), nil); err != nil {
 		t.Fatal(err)
 	}
 

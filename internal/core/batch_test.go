@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -168,4 +169,29 @@ func TestSubmitBatchAllOrNothingWithBatchJournal(t *testing.T) {
 	if st := s.Stats(); st.TasksSubmitted != 0 || st.StoredTasks != 0 {
 		t.Fatalf("failed batch left residue: %+v", st)
 	}
+}
+
+// SubmitBatch is SubmitBatchCtx without a request context.
+func (s *System) SubmitBatch(specs []SubmitSpec) []SubmitOutcome {
+	return s.SubmitBatchCtx(context.Background(), specs)
+}
+
+// LeaseBatch is LeaseBatchCtx without a request context.
+func (s *System) LeaseBatch(workerID string, max int) []queue.LeaseGrant {
+	return s.LeaseBatchCtx(context.Background(), workerID, max)
+}
+
+// AnswerBatch is AnswerBatchDetailed reduced to the per-item errors.
+func (s *System) AnswerBatch(items []queue.CompleteItem) []error {
+	outcomes := s.AnswerBatchDetailed(items)
+	errs := make([]error, len(outcomes))
+	for i, o := range outcomes {
+		errs[i] = o.Err
+	}
+	return errs
+}
+
+// AnswerBatchDetailed is AnswerBatchDetailedCtx without a request context.
+func (s *System) AnswerBatchDetailed(items []queue.CompleteItem) []AnswerOutcome {
+	return s.AnswerBatchDetailedCtx(context.Background(), items)
 }

@@ -244,16 +244,11 @@ type SubmitSpec struct {
 	Expected task.Answer
 }
 
-// SubmitOutcome is the per-item result of SubmitBatch: ID is valid exactly
+// SubmitOutcome is the per-item result of SubmitBatchCtx: ID is valid exactly
 // when Err is nil.
 type SubmitOutcome struct {
 	ID  task.ID
 	Err error
-}
-
-// SubmitBatch is SubmitBatchCtx without a request context.
-func (s *System) SubmitBatch(specs []SubmitSpec) []SubmitOutcome {
-	return s.SubmitBatchCtx(context.Background(), specs)
 }
 
 // SubmitBatchCtx creates and enqueues many tasks in one pass, inside one
@@ -426,11 +421,6 @@ func (s *System) LeaseTaskFor(id task.ID, workerID string) (task.View, queue.Lea
 	return s.queue.LeaseTask(id, workerID, s.clock.Now())
 }
 
-// LeaseBatch is LeaseBatchCtx without a request context.
-func (s *System) LeaseBatch(workerID string, max int) []queue.LeaseGrant {
-	return s.LeaseBatchCtx(context.Background(), workerID, max)
-}
-
 // LeaseBatchCtx leases up to max available tasks to workerID in one call
 // (one hold of the queue lock), inside one core.lease_batch child span of
 // the handle carried by ctx. It returns however many grants were available,
@@ -463,22 +453,7 @@ func (s *System) SubmitAnswerCtx(ctx context.Context, lease queue.LeaseID, a tas
 	return out[0].Err
 }
 
-// AnswerBatch records many lease answers in one call: the queue takes its
-// lock once per batch and writes all answer events to the journal as one
-// group before it releases it. The returned slice is index-aligned with
-// items; one bad item (unknown lease, repeat worker) never fails the rest.
-// When the journal refuses the group, every item in it reports that error,
-// exactly as a single SubmitAnswer would.
-func (s *System) AnswerBatch(items []queue.CompleteItem) []error {
-	outcomes := s.AnswerBatchDetailed(items)
-	errs := make([]error, len(outcomes))
-	for i, o := range outcomes {
-		errs[i] = o.Err
-	}
-	return errs
-}
-
-// AnswerOutcome is the per-item result of AnswerBatchDetailed. The quality
+// AnswerOutcome is the per-item result of AnswerBatchDetailedCtx. The quality
 // fields are populated only when the online estimator observed the answer
 // (a Compare/Judge task on a quality-enabled system): Posterior is the
 // task's class posterior after this answer, Confidence its maximum, and
@@ -493,14 +468,14 @@ type AnswerOutcome struct {
 	EarlyDone  bool
 }
 
-// AnswerBatchDetailed is AnswerBatchDetailedCtx without a request context.
-func (s *System) AnswerBatchDetailed(items []queue.CompleteItem) []AnswerOutcome {
-	return s.AnswerBatchDetailedCtx(context.Background(), items)
-}
-
-// AnswerBatchDetailedCtx is AnswerBatch returning per-item outcomes with
-// the quality plane's posterior view of each answered task; the batch runs
-// inside one core.answer_batch child span of the handle carried by ctx.
+// AnswerBatchDetailedCtx records many lease answers in one call, inside
+// one core.answer_batch child span of the handle carried by ctx: the queue
+// takes its lock once per batch and writes all answer events to the
+// journal as one group before it releases it. The returned outcomes are
+// index-aligned with items, each with the quality plane's posterior view
+// of its task; one bad item (unknown lease, repeat worker) never fails the
+// rest. When the journal refuses the group, every item in it reports that
+// error, exactly as a single SubmitAnswer would.
 func (s *System) AnswerBatchDetailedCtx(ctx context.Context, items []queue.CompleteItem) []AnswerOutcome {
 	h, ref := startOp(trace.FromContext(ctx), "core.answer_batch")
 	out := make([]AnswerOutcome, len(items))

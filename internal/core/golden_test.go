@@ -587,7 +587,7 @@ func TestAnswerCannotOvertakeInTheLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := store.ReplayWAL(bytes.NewReader(wal.Bytes()), recovered.Store()); err != nil {
+	if _, err := store.ReplayWALObserved(bytes.NewReader(wal.Bytes()), recovered.Store(), nil); err != nil {
 		t.Fatalf("the log of acknowledged writes does not replay: %v", err)
 	}
 	live, _ := s.Task(id)
@@ -744,7 +744,7 @@ func TestConcurrentWriteMixKeepsOneOpenSet(t *testing.T) {
 		t.Fatal("no task finished early: the mix does not cover early finishes")
 	}
 	recovered := New(DefaultConfig())
-	if _, err := store.ReplayWAL(bytes.NewReader(wal.Bytes()), recovered.Store()); err != nil {
+	if _, err := store.ReplayWALObserved(bytes.NewReader(wal.Bytes()), recovered.Store(), nil); err != nil {
 		t.Fatalf("the log of acknowledged writes does not replay: %v", err)
 	}
 	if got := recovered.Store().IDs(task.Open); !slices.Equal(got, open) {
@@ -798,7 +798,7 @@ func TestSubmitIsJournalledBeforeItIsLeasable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := store.ReplayWAL(bytes.NewReader(wal.Bytes()), recovered.Store()); err != nil {
+	if _, err := store.ReplayWALObserved(bytes.NewReader(wal.Bytes()), recovered.Store(), nil); err != nil {
 		t.Fatalf("the log of acknowledged writes does not replay: %v", err)
 	}
 	if !errors.Is(raced, queue.ErrEmpty) {

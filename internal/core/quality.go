@@ -39,9 +39,9 @@ type qualityPlane struct {
 	est        *quality.OnlineDawidSkene
 	minAnswers int
 
-	confidence      *metrics.Histogram // max-posterior at each observed answer
-	earlyCompleted  metrics.Counter    // tasks finished by confidence, not redundancy
-	redundancySaved metrics.Counter    // answers not collected thanks to early finishes
+	confidence      *metrics.BucketHist // max-posterior at each observed answer
+	earlyCompleted  metrics.Counter     // tasks finished by confidence, not redundancy
+	redundancySaved metrics.Counter     // answers not collected thanks to early finishes
 }
 
 func newQualityPlane(rep *quality.Reputation, minAnswers int) *qualityPlane {
@@ -69,7 +69,8 @@ func newQualityPlane(rep *quality.Reputation, minAnswers int) *qualityPlane {
 			HistoryCap: 16384,
 		}),
 		minAnswers: minAnswers,
-		confidence: metrics.NewHistogram(1024),
+		// A choice posterior's maximum is at least 0.5 (two classes).
+		confidence: metrics.NewBucketHist(0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99),
 	}
 }
 
@@ -172,20 +173,23 @@ func (s *System) QualityStats() QualityStats {
 		return QualityStats{}
 	}
 	tasks, workers := s.qp.est.Tracked()
-	return QualityStats{
+	st := QualityStats{
 		Enabled:         true,
 		EarlyCompleted:  s.qp.earlyCompleted.Value(),
 		RedundancySaved: s.qp.redundancySaved.Value(),
 		TrackedTasks:    tasks,
 		TrackedWorkers:  workers,
 		ConfidenceCount: s.qp.confidence.Count(),
-		ConfidenceMean:  s.qp.confidence.Mean(),
 	}
+	if st.ConfidenceCount > 0 {
+		st.ConfidenceMean = s.qp.confidence.Sum() / float64(st.ConfidenceCount)
+	}
+	return st
 }
 
 // ConfidenceHistogram exposes the posterior-confidence histogram for
 // metric exposition; nil when quality is disabled.
-func (s *System) ConfidenceHistogram() *metrics.Histogram {
+func (s *System) ConfidenceHistogram() *metrics.BucketHist {
 	if s.qp == nil {
 		return nil
 	}

@@ -243,8 +243,8 @@ func TestCalibrationSnapshotRoundTrip(t *testing.T) {
 	s2.RequeueOpen()
 	// Gold expectations survive.
 	goldSeen := 0
-	for _, v := range s2.Store().ViewAll() {
-		if s2.IsGold(v.ID) {
+	for _, id := range s2.Store().IDs(store.AnyStatus) {
+		if s2.IsGold(id) {
 			goldSeen++
 		}
 	}
@@ -350,8 +350,8 @@ func TestCalibrationJournalReplay(t *testing.T) {
 		}
 	}
 	goldCount := 0
-	for _, tv := range s2.Store().ViewAll() {
-		if s2.IsGold(tv.ID) {
+	for _, id := range s2.Store().IDs(store.AnyStatus) {
+		if s2.IsGold(id) {
 			goldCount++
 		}
 	}

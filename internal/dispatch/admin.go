@@ -262,7 +262,7 @@ func promFamilies(sys *core.System, api *Server, opts AdminOptions) []metrics.Pr
 				"Choice tasks the online estimator currently tracks.", float64(q.TrackedTasks)),
 			metrics.PromGaugeFamily("hc_quality_tracked_workers",
 				"Workers with a confusion matrix in the online estimator.", float64(q.TrackedWorkers)),
-			metrics.PromSummaryFamily("hc_quality_posterior_confidence",
+			metrics.PromBucketFamily("hc_quality_posterior_confidence",
 				"Max-posterior confidence observed at each recorded choice answer.",
 				sys.ConfidenceHistogram()),
 		)

@@ -62,10 +62,6 @@ type RetryPolicy struct {
 	MaxDelay time.Duration
 }
 
-// DefaultRetry is the policy NewResilientClient installs: four attempts,
-// 100ms base, 5s cap.
-var DefaultRetry = RetryPolicy{MaxAttempts: 4, BaseDelay: 100 * time.Millisecond, MaxDelay: 5 * time.Second}
-
 // ClientOptions configures optional client behavior.
 type ClientOptions struct {
 	// Retry selects the retry policy; the zero value performs exactly one
@@ -139,14 +135,9 @@ var defaultClient = &http.Client{Transport: NewTransport()}
 // slash). A nil httpClient selects defaultClient — a shared client
 // over a transport tuned for connection reuse (keep-alives,
 // MaxIdleConnsPerHost raised past the stdlib's 2). The client performs no
-// retries; see NewClientWith / NewResilientClient.
+// retries; see NewClientWith.
 func NewClient(baseURL string, httpClient *http.Client) *Client {
 	return NewClientWith(baseURL, httpClient, ClientOptions{})
-}
-
-// NewResilientClient returns a client with the default retry policy.
-func NewResilientClient(baseURL string, httpClient *http.Client) *Client {
-	return NewClientWith(baseURL, httpClient, ClientOptions{Retry: DefaultRetry})
 }
 
 // NewClientWith returns a client with explicit options.
@@ -500,17 +491,6 @@ func (c *Client) Answer(lease queue.LeaseID, a task.Answer) error {
 	return c.AnswerContext(context.Background(), lease, a)
 }
 
-// ReleaseContext returns a lease unanswered.
-func (c *Client) ReleaseContext(ctx context.Context, lease queue.LeaseID) error {
-	_, err := c.do(ctx, http.MethodDelete, fmt.Sprintf("/v1/leases/%d", lease), nil, nil, "")
-	return err
-}
-
-// Release returns a lease unanswered.
-func (c *Client) Release(lease queue.LeaseID) error {
-	return c.ReleaseContext(context.Background(), lease)
-}
-
 // TaskContext fetches a snapshot of a task with its answers.
 func (c *Client) TaskContext(ctx context.Context, id task.ID) (task.View, error) {
 	var t task.View
@@ -525,48 +505,6 @@ func (c *Client) Task(id task.ID) (task.View, error) {
 	return c.TaskContext(context.Background(), id)
 }
 
-// CancelContext cancels an open task.
-func (c *Client) CancelContext(ctx context.Context, id task.ID) error {
-	_, err := c.do(ctx, http.MethodDelete, fmt.Sprintf("/v1/tasks/%d", id), nil, nil, "")
-	return err
-}
-
-// Cancel cancels an open task.
-func (c *Client) Cancel(id task.ID) error {
-	return c.CancelContext(context.Background(), id)
-}
-
-// PosteriorContext fetches the online estimator's class posterior and
-// confidence for a choice task.
-func (c *Client) PosteriorContext(ctx context.Context, id task.ID) (core.PosteriorInfo, error) {
-	var out core.PosteriorInfo
-	if _, err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/tasks/%d/posterior", id), nil, &out, ""); err != nil {
-		return core.PosteriorInfo{}, err
-	}
-	return out, nil
-}
-
-// Posterior fetches the online estimator's class posterior and confidence
-// for a choice task.
-func (c *Client) Posterior(id task.ID) (core.PosteriorInfo, error) {
-	return c.PosteriorContext(context.Background(), id)
-}
-
-// TraceContext fetches the retained lifecycle events of a task, oldest
-// first.
-func (c *Client) TraceContext(ctx context.Context, id task.ID) (TraceResponse, error) {
-	var out TraceResponse
-	if _, err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/tasks/%d/trace", id), nil, &out, ""); err != nil {
-		return TraceResponse{}, err
-	}
-	return out, nil
-}
-
-// Trace fetches the retained lifecycle events of a task, oldest first.
-func (c *Client) Trace(id task.ID) (TraceResponse, error) {
-	return c.TraceContext(context.Background(), id)
-}
-
 // WordsContext fetches the aggregated word votes of a label/describe task.
 func (c *Client) WordsContext(ctx context.Context, id task.ID) ([]core.WordCount, error) {
 	var out []core.WordCount
@@ -579,20 +517,6 @@ func (c *Client) WordsContext(ctx context.Context, id task.ID) ([]core.WordCount
 // Words fetches the aggregated word votes of a label/describe task.
 func (c *Client) Words(id task.ID) ([]core.WordCount, error) {
 	return c.WordsContext(context.Background(), id)
-}
-
-// ChoiceContext fetches the aggregated choice of a compare/judge task.
-func (c *Client) ChoiceContext(ctx context.Context, id task.ID) (core.ChoiceResult, error) {
-	var out core.ChoiceResult
-	if _, err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/tasks/%d/choice", id), nil, &out, ""); err != nil {
-		return core.ChoiceResult{}, err
-	}
-	return out, nil
-}
-
-// Choice fetches the aggregated choice of a compare/judge task.
-func (c *Client) Choice(id task.ID) (core.ChoiceResult, error) {
-	return c.ChoiceContext(context.Background(), id)
 }
 
 // StatsContext fetches system counters.
@@ -626,37 +550,3 @@ func (c *Client) HealthyContext(ctx context.Context) bool {
 
 // Healthy reports whether the service answers its liveness probe.
 func (c *Client) Healthy() bool { return c.HealthyContext(context.Background()) }
-
-// MetricsContext fetches per-endpoint request metrics from the service.
-func (c *Client) MetricsContext(ctx context.Context) ([]RouteMetrics, error) {
-	var out []RouteMetrics
-	if _, err := c.do(ctx, http.MethodGet, "/v1/metrics", nil, &out, ""); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Metrics fetches per-endpoint request metrics from the service.
-func (c *Client) Metrics() ([]RouteMetrics, error) {
-	return c.MetricsContext(context.Background())
-}
-
-// ListTasksContext fetches a page of tasks, optionally filtered by status
-// ("open", "done", "canceled"; empty for all).
-func (c *Client) ListTasksContext(ctx context.Context, status string, offset, limit int) (TaskList, error) {
-	path := fmt.Sprintf("/v1/tasks?offset=%d&limit=%d", offset, limit)
-	if status != "" {
-		path += "&status=" + status
-	}
-	var out TaskList
-	if _, err := c.do(ctx, http.MethodGet, path, nil, &out, ""); err != nil {
-		return TaskList{}, err
-	}
-	return out, nil
-}
-
-// ListTasks fetches a page of tasks, optionally filtered by status
-// ("open", "done", "canceled"; empty for all).
-func (c *Client) ListTasks(status string, offset, limit int) (TaskList, error) {
-	return c.ListTasksContext(context.Background(), status, offset, limit)
-}

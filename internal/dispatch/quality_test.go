@@ -222,10 +222,16 @@ func TestAdminQualityMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(body)
+	n := sys.QualityStats().ConfidenceCount
+	if n == 0 {
+		t.Fatal("no confidence observed")
+	}
 	for _, fam := range []string{
 		"hc_quality_early_completed_total 1",
 		"hc_redundancy_saved_total 3",
-		"hc_quality_posterior_confidence",
+		"# TYPE hc_quality_posterior_confidence histogram",
+		fmt.Sprintf("hc_quality_posterior_confidence_bucket{le=\"+Inf\"} %d\n", n),
+		fmt.Sprintf("hc_quality_posterior_confidence_count %d\n", n),
 		"hc_quality_online_batch_divergence",
 		"hc_quality_tracked_workers 2",
 	} {

@@ -29,12 +29,6 @@ func (c *Client) JoinSessionContext(ctx context.Context, player string) (session
 	return info, nil
 }
 
-// JoinSession enters player into matchmaking and blocks until a session
-// starts.
-func (c *Client) JoinSession(player string) (session.JoinInfo, error) {
-	return c.JoinSessionContext(context.Background(), player)
-}
-
 // SessionEventsContext long-polls the session's event stream for events
 // with Seq > after, waiting up to wait server-side (0 returns
 // immediately; the server caps the wait). done=true means the round has
@@ -49,11 +43,6 @@ func (c *Client) SessionEventsContext(ctx context.Context, id session.ID, player
 	return resp.Events, resp.Done, nil
 }
 
-// SessionEvents long-polls the session's event stream.
-func (c *Client) SessionEvents(id session.ID, player string, after int, wait time.Duration) ([]session.Event, bool, error) {
-	return c.SessionEventsContext(context.Background(), id, player, after, wait)
-}
-
 // SessionGuessContext submits one guess. Rejections (taboo, repeat, guess
 // limit) come back in-band on the result, not as errors.
 func (c *Client) SessionGuessContext(ctx context.Context, id session.ID, player string, word int) (session.GuessResult, error) {
@@ -63,11 +52,6 @@ func (c *Client) SessionGuessContext(ctx context.Context, id session.ID, player 
 		return session.GuessResult{}, err
 	}
 	return res, nil
-}
-
-// SessionGuess submits one guess.
-func (c *Client) SessionGuess(id session.ID, player string, word int) (session.GuessResult, error) {
-	return c.SessionGuessContext(context.Background(), id, player, word)
 }
 
 // SessionPassContext gives up on the round; done reports whether the
@@ -87,11 +71,6 @@ func (c *Client) SessionLeaveContext(ctx context.Context, id session.ID, player 
 	req := SessionPlayerRequest{Player: player}
 	_, err := c.do(ctx, http.MethodPost, fmt.Sprintf("/v1/sessions/%d/leave", uint64(id)), req, nil, "")
 	return err
-}
-
-// SessionLeave disconnects player from the session.
-func (c *Client) SessionLeave(id session.ID, player string) error {
-	return c.SessionLeaveContext(context.Background(), id, player)
 }
 
 // SessionStatsContext fetches the session plane's gauges and counters.

@@ -78,9 +78,6 @@ func TestAgreementUpdatesStores(t *testing.T) {
 	if g.Labels.Count(imgID, res.Word) != 1 {
 		t.Error("agreed label not recorded")
 	}
-	if g.Taboo.Agreements(imgID, res.Word) != 1 {
-		t.Error("agreement not recorded in taboo tracker")
-	}
 	// With PromoteAfter=1 the word is immediately taboo for that image.
 	found := false
 	for _, w := range g.Taboo.TabooFor(imgID) {

@@ -2,7 +2,6 @@ package games
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"humancomp/internal/rng"
@@ -131,23 +130,4 @@ func (e *Elo) Update(winner, loser int) {
 	e.ratings[loser] = rl - e.k*(1-expected)
 	e.games[winner]++
 	e.games[loser]++
-}
-
-// Top returns the n highest-rated image IDs, best first (ties by ID).
-func (e *Elo) Top(n int) []int {
-	ids := make([]int, 0, len(e.ratings))
-	for id := range e.ratings {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		ri, rj := e.ratings[ids[i]], e.ratings[ids[j]]
-		if ri != rj {
-			return ri > rj
-		}
-		return ids[i] < ids[j]
-	})
-	if n > len(ids) {
-		n = len(ids)
-	}
-	return ids[:n]
 }

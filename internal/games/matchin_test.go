@@ -248,3 +248,22 @@ func (e *Elo) Games(id int) int { return e.games[id] }
 
 // Rated returns the number of images with at least one game.
 func (e *Elo) Rated() int { return len(e.ratings) }
+
+// Top returns the n highest-rated image IDs, best first (ties by ID).
+func (e *Elo) Top(n int) []int {
+	ids := make([]int, 0, len(e.ratings))
+	for id := range e.ratings {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		ri, rj := e.ratings[ids[i]], e.ratings[ids[j]]
+		if ri != rj {
+			return ri > rj
+		}
+		return ids[i] < ids[j]
+	})
+	if n > len(ids) {
+		n = len(ids)
+	}
+	return ids[:n]
+}

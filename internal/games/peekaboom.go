@@ -177,6 +177,3 @@ func (s *BoxStore) Box(image, word int) (vocab.Rect, bool) {
 	}
 	return r, true
 }
-
-// Objects returns the number of (image, word) pairs with any pings.
-func (s *BoxStore) Objects() int { return len(s.pings) }

@@ -79,8 +79,8 @@ func TestBoxRequiresMinPings(t *testing.T) {
 	if _, ok := s.Box(1, 2); !ok {
 		t.Fatal("box not emitted at MinPings")
 	}
-	if s.Objects() != 1 {
-		t.Fatalf("Objects = %d", s.Objects())
+	if len(s.pings) != 1 {
+		t.Fatalf("objects = %d", len(s.pings))
 	}
 }
 

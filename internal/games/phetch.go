@@ -142,7 +142,6 @@ func (g *Phetch) seekerPick(seeker *worker.Worker, hits []search.Hit, target int
 // CaptionStore accumulates validated captions by image.
 type CaptionStore struct {
 	byImage map[int][][]int
-	total   int
 }
 
 // NewCaptionStore returns an empty store.
@@ -155,14 +154,7 @@ func (s *CaptionStore) Record(image int, caption []int) {
 	cp := make([]int, len(caption))
 	copy(cp, caption)
 	s.byImage[image] = append(s.byImage[image], cp)
-	s.total++
 }
-
-// Captions returns the validated captions for image.
-func (s *CaptionStore) Captions(image int) [][]int { return s.byImage[image] }
 
 // Images returns the number of captioned images.
 func (s *CaptionStore) Images() int { return len(s.byImage) }
-
-// Total returns the total number of validated captions.
-func (s *CaptionStore) Total() int { return s.total }

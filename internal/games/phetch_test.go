@@ -61,8 +61,12 @@ func TestRoundsSolveAndStoreCaptions(t *testing.T) {
 	if frac := float64(solved) / float64(rounds); frac < 0.5 {
 		t.Errorf("solve rate = %.2f with a ground-truth index", frac)
 	}
-	if g.Captions.Total() != solved {
-		t.Errorf("caption store %d != solved %d", g.Captions.Total(), solved)
+	captions := 0
+	for _, cs := range g.Captions.byImage {
+		captions += len(cs)
+	}
+	if captions != solved {
+		t.Errorf("caption store %d != solved %d", captions, solved)
 	}
 	if g.Captions.Images() == 0 {
 		t.Fatal("no images captioned")
@@ -164,7 +168,7 @@ func TestCaptionStoreCopiesInput(t *testing.T) {
 	caption := []int{1, 2, 3}
 	s.Record(5, caption)
 	caption[0] = 99 // caller mutation must not leak into the store
-	if got := s.Captions(5)[0][0]; got != 1 {
+	if got := s.byImage[5][0][0]; got != 1 {
 		t.Fatalf("stored caption mutated: %d", got)
 	}
 }

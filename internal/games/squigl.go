@@ -117,9 +117,3 @@ func (s *TraceStore) Record(image, word int, r vocab.Rect) {
 	k := objectKey{image, word}
 	s.traces[k] = append(s.traces[k], r)
 }
-
-// Count returns how many agreed traces the object has.
-func (s *TraceStore) Count(image, word int) int { return len(s.traces[objectKey{image, word}]) }
-
-// Objects returns the number of objects with at least one trace.
-func (s *TraceStore) Objects() int { return len(s.traces) }

@@ -49,12 +49,12 @@ func TestOutlineMatchesTruth(t *testing.T) {
 	a, b := players(t, 4, 0.95)
 	img := 0
 	word := c.Image(img).Objects[0].Tag
-	for i := 0; i < 60 && g.Traces.Count(img, word) < DefaultSquiglConfig().MinTracesForOutline; i++ {
+	for i := 0; i < 60 && len(g.Traces.traces[objectKey{img, word}]) < DefaultSquiglConfig().MinTracesForOutline; i++ {
 		g.PlayRound(a, b, img, word)
 	}
 	outline, ok := g.Traces.Outline(img, word)
 	if !ok {
-		t.Fatalf("no outline after %d traces", g.Traces.Count(img, word))
+		t.Fatalf("no outline after %d traces", len(g.Traces.traces[objectKey{img, word}]))
 	}
 	truth, _ := c.TrueBox(img, word)
 	if iou := outline.IoU(truth); iou < 0.6 {
@@ -72,7 +72,7 @@ func TestSquiglTighterThanSinglePair(t *testing.T) {
 	singles := 0
 	for imgID := 0; imgID < 80; imgID++ {
 		word := c.Image(imgID).Objects[0].Tag
-		for i := 0; i < 30 && g.Traces.Count(imgID, word) < 5; i++ {
+		for i := 0; i < 30 && len(g.Traces.traces[objectKey{imgID, word}]) < 5; i++ {
 			res := g.PlayRound(a, b, imgID, word)
 			if res.Agreed {
 				truth, _ := c.TrueBox(imgID, word)
@@ -139,8 +139,8 @@ func TestOutlineRequiresMinTraces(t *testing.T) {
 	if out.X != 1 || out.Y != 1 {
 		t.Errorf("median outline = %+v", out)
 	}
-	if s.Objects() != 1 {
-		t.Errorf("Objects = %d", s.Objects())
+	if len(s.traces) != 1 {
+		t.Errorf("objects = %d", len(s.traces))
 	}
 }
 

@@ -174,11 +174,6 @@ func (s *FactStore) Assess(f vocab.Fact, endorsed bool) {
 	}
 }
 
-// Votes returns f's (endorse, reject) assessment counts.
-func (s *FactStore) Votes(f vocab.Fact) (endorse, reject int) {
-	return s.endorse[f], s.reject[f]
-}
-
 // Verified returns the facts with at least minCount collection rounds whose
 // assessment votes are at least minVotes total with an endorse share of at
 // least minShare, in the same deterministic order as Confirmed.
@@ -198,15 +193,6 @@ func (s *FactStore) Verified(minCount, minVotes int, minShare float64) []vocab.F
 
 // Count returns f's validation count.
 func (s *FactStore) Count(f vocab.Fact) int { return s.counts[f] }
-
-// Total returns the total number of validations recorded.
-func (s *FactStore) Total() int {
-	n := 0
-	for _, c := range s.counts {
-		n += c
-	}
-	return n
-}
 
 // Confirmed returns all facts validated by at least minCount rounds, in a
 // deterministic order.

@@ -220,7 +220,7 @@ func TestAssessmentVoteBookkeeping(t *testing.T) {
 	s.Assess(f, true)
 	s.Assess(f, true)
 	s.Assess(f, false)
-	e, r := s.Votes(f)
+	e, r := s.endorse[f], s.reject[f]
 	if e != 2 || r != 1 {
 		t.Fatalf("votes = %d, %d", e, r)
 	}
@@ -240,3 +240,12 @@ func TestAssessmentVoteBookkeeping(t *testing.T) {
 
 // Distinct returns the number of distinct facts seen.
 func (s *FactStore) Distinct() int { return len(s.counts) }
+
+// Total returns the total number of validations recorded.
+func (s *FactStore) Total() int {
+	n := 0
+	for _, c := range s.counts {
+		n += c
+	}
+	return n
+}

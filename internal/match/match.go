@@ -30,23 +30,16 @@ type Matchmaker struct {
 	waiting []string
 	index   map[string]int       // player -> position in waiting
 	since   map[string]time.Time // player -> when they entered the pool
-	played  map[[2]string]int
 	now     func() time.Time
-	// MaxRepeats bounds how many times the same two players may be paired;
-	// 0 means unlimited. Bounding repeats frustrates colluders who try to
-	// meet by enqueueing simultaneously from two browsers. Set it before
-	// the matchmaker sees traffic.
-	MaxRepeats int
 }
 
 // NewMatchmaker returns an empty matchmaker drawing randomness from src.
 func NewMatchmaker(src *rng.Source) *Matchmaker {
 	return &Matchmaker{
-		src:    src.Split(),
-		index:  make(map[string]int),
-		since:  make(map[string]time.Time),
-		played: make(map[[2]string]int),
-		now:    time.Now,
+		src:   src.Split(),
+		index: make(map[string]int),
+		since: make(map[string]time.Time),
+		now:   time.Now,
 	}
 }
 
@@ -61,48 +54,24 @@ func (m *Matchmaker) SetNow(now func() time.Time) {
 	m.mu.Unlock()
 }
 
-func pairKey(a, b string) [2]string {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]string{a, b}
-}
-
-// Enqueue adds id to the pool. If a compatible partner is waiting, both are
-// removed and the partner is returned with ok == true; otherwise id waits.
-//
-// Note that "otherwise id waits" can mean waiting indefinitely: when every
-// current candidate is excluded by MaxRepeats, id stays pooled even as new
-// arrivals keep pairing around it. Callers that must not strand players
-// (the session plane's replay fallback) watch WaitingSince and pull
-// over-age players out with Leave.
+// Enqueue adds id to the pool. If anyone is waiting, a partner drawn
+// uniformly at random is removed and returned with ok == true; otherwise
+// id waits.
 func (m *Matchmaker) Enqueue(id string) (partner string, ok bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, waiting := m.index[id]; waiting {
 		return "", false, ErrAlreadyWaiting
 	}
-	// Collect compatible candidates, then pick one uniformly at random.
-	var candidates []int
-	for i, w := range m.waiting {
-		if w == id {
-			continue
-		}
-		if m.MaxRepeats > 0 && m.played[pairKey(id, w)] >= m.MaxRepeats {
-			continue
-		}
-		candidates = append(candidates, i)
-	}
-	if len(candidates) == 0 {
-		m.index[id] = len(m.waiting)
+	if len(m.waiting) == 0 {
+		m.index[id] = 0
 		m.waiting = append(m.waiting, id)
 		m.since[id] = m.now()
 		return "", false, nil
 	}
-	i := candidates[m.src.Intn(len(candidates))]
+	i := m.src.Intn(len(m.waiting))
 	partner = m.waiting[i]
 	m.removeAt(i)
-	m.played[pairKey(id, partner)]++
 	return partner, true, nil
 }
 
@@ -131,19 +100,6 @@ func (m *Matchmaker) removeAt(i int) {
 	delete(m.since, id)
 }
 
-// WaitingSince returns how long id has been in the pool, and false when id
-// is not waiting. The session plane uses it to route starved players —
-// those every candidate avoids under MaxRepeats — into replay mode.
-func (m *Matchmaker) WaitingSince(id string) (time.Duration, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	at, ok := m.since[id]
-	if !ok {
-		return 0, false
-	}
-	return m.now().Sub(at), true
-}
-
 // OldestWait returns the longest current requeue age across the pool, or
 // zero when nobody is waiting — the starvation gauge on /metrics.
 func (m *Matchmaker) OldestWait() time.Duration {
@@ -164,11 +120,4 @@ func (m *Matchmaker) Waiting() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.waiting)
-}
-
-// TimesPlayed returns how many times a and b have been paired.
-func (m *Matchmaker) TimesPlayed(a, b string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.played[pairKey(a, b)]
 }

@@ -25,9 +25,6 @@ func TestEnqueuePairsTwoPlayers(t *testing.T) {
 	if m.Waiting() != 0 {
 		t.Fatalf("Waiting = %d after pair", m.Waiting())
 	}
-	if m.TimesPlayed("a", "b") != 1 || m.TimesPlayed("b", "a") != 1 {
-		t.Fatal("TimesPlayed not symmetric")
-	}
 }
 
 func TestEnqueueTwiceRejected(t *testing.T) {
@@ -84,28 +81,6 @@ func TestRandomPairingIsUniform(t *testing.T) {
 	}
 }
 
-func TestMaxRepeatsBlocksSerialPartners(t *testing.T) {
-	m := NewMatchmaker(rng.New(5))
-	m.MaxRepeats = 2
-	for round := 0; round < 2; round++ {
-		_, _, _ = m.Enqueue("x")
-		p, ok, _ := m.Enqueue("y")
-		if !ok || p != "x" {
-			t.Fatalf("round %d: pairing failed", round)
-		}
-	}
-	// Third attempt: x and y have exhausted their repeat budget.
-	_, _, _ = m.Enqueue("x")
-	if _, ok, _ := m.Enqueue("y"); ok {
-		t.Fatal("pair exceeded MaxRepeats")
-	}
-	// A third player can still pair with either.
-	p, ok, _ := m.Enqueue("z")
-	if !ok || (p != "x" && p != "y") {
-		t.Fatalf("fresh player failed to pair: %q %v", p, ok)
-	}
-}
-
 func TestManyPlayersAllPair(t *testing.T) {
 	m := NewMatchmaker(rng.New(6))
 	paired := 0
@@ -133,8 +108,8 @@ func TestReplayStoreRecordGet(t *testing.T) {
 	s.Record(ReplaySession{Item: 1, Player: "b", Words: []int{4}})
 	s.Record(ReplaySession{Item: 2, Player: "c", Words: []int{5}})
 	s.Record(ReplaySession{Item: 3, Player: "d", Words: nil}) // ignored
-	if s.Items() != 2 || s.Size() != 3 {
-		t.Fatalf("Items=%d Size=%d", s.Items(), s.Size())
+	if len(s.sessions) != 2 || s.Size() != 3 {
+		t.Fatalf("items=%d Size=%d", len(s.sessions), s.Size())
 	}
 	sess, ok := s.Get(1)
 	if !ok || sess.Item != 1 {
@@ -196,21 +171,15 @@ func TestWaitingSince(t *testing.T) {
 	m := NewMatchmaker(rng.New(9))
 	now := time.Unix(1000, 0)
 	m.SetNow(func() time.Time { return now })
-	if _, ok := m.WaitingSince("a"); ok {
-		t.Fatal("WaitingSince reported a player who never enqueued")
-	}
 	_, _, _ = m.Enqueue("a")
 	now = now.Add(3 * time.Second)
-	if d, ok := m.WaitingSince("a"); !ok || d != 3*time.Second {
-		t.Fatalf("WaitingSince(a) = %v, %v", d, ok)
-	}
 	if d := m.OldestWait(); d != 3*time.Second {
 		t.Fatalf("OldestWait = %v", d)
 	}
 	// Pairing clears the age.
 	_, _, _ = m.Enqueue("b")
-	if _, ok := m.WaitingSince("a"); ok {
-		t.Fatal("WaitingSince survived pairing")
+	if _, ok := m.since["a"]; ok {
+		t.Fatal("wait age survived pairing")
 	}
 	if d := m.OldestWait(); d != 0 {
 		t.Fatalf("OldestWait = %v with empty pool", d)
@@ -218,43 +187,8 @@ func TestWaitingSince(t *testing.T) {
 	// Leaving clears it too.
 	_, _, _ = m.Enqueue("c")
 	m.Leave("c")
-	if _, ok := m.WaitingSince("c"); ok {
-		t.Fatal("WaitingSince survived Leave")
-	}
-}
-
-// TestStarvedPlayerAgeKeepsGrowing pins the starvation mode the session
-// plane must route around: a player whose only candidates are excluded by
-// MaxRepeats stays pooled while fresh pairs form around them, and
-// WaitingSince is the signal that they need a replay partner.
-func TestStarvedPlayerAgeKeepsGrowing(t *testing.T) {
-	m := NewMatchmaker(rng.New(10))
-	m.MaxRepeats = 1
-	now := time.Unix(0, 0)
-	m.SetNow(func() time.Time { return now })
-	// x and y exhaust their repeat budget, then both requeue.
-	_, _, _ = m.Enqueue("x")
-	if _, ok, _ := m.Enqueue("y"); !ok {
-		t.Fatal("first pairing failed")
-	}
-	_, _, _ = m.Enqueue("x")
-	if _, ok, _ := m.Enqueue("y"); ok {
-		t.Fatal("repeat pairing exceeded MaxRepeats")
-	}
-	// Fresh players keep pairing with each other around the starved pair:
-	// exhaust the fresh players' budgets against x and y up front so the
-	// only possible pairing is fresh-fresh.
-	for _, fresh := range []string{"f1", "f2"} {
-		m.played[pairKey(fresh, "x")] = 1
-		m.played[pairKey(fresh, "y")] = 1
-	}
-	now = now.Add(time.Minute)
-	_, _, _ = m.Enqueue("f1")
-	if p, ok, _ := m.Enqueue("f2"); !ok || p != "f1" {
-		t.Fatalf("fresh pair: partner=%q ok=%v", p, ok)
-	}
-	if d, ok := m.WaitingSince("x"); !ok || d < time.Minute {
-		t.Fatalf("starved player age = %v, %v; want >= 1m", d, ok)
+	if _, ok := m.since["c"]; ok {
+		t.Fatal("wait age survived Leave")
 	}
 }
 
@@ -263,7 +197,6 @@ func TestStarvedPlayerAgeKeepsGrowing(t *testing.T) {
 // still exactly consistent.
 func TestMatchmakerChurnRace(t *testing.T) {
 	m := NewMatchmaker(rng.New(11))
-	m.MaxRepeats = 2
 	const workers = 8
 	const rounds = 400
 	var wg sync.WaitGroup
@@ -275,15 +208,11 @@ func TestMatchmakerChurnRace(t *testing.T) {
 				// Two goroutines share each identity, so concurrent
 				// enqueue/leave of the same player really happens.
 				id := fmt.Sprintf("p%d-%d", w/2, i%13)
-				if _, ok, err := m.Enqueue(id); err == nil && !ok {
-					_, _ = m.WaitingSince(id)
-					if i%3 == 0 {
-						m.Leave(id)
-					}
+				if _, ok, err := m.Enqueue(id); err == nil && !ok && i%3 == 0 {
+					m.Leave(id)
 				}
 				_ = m.Waiting()
 				_ = m.OldestWait()
-				_ = m.TimesPlayed("p0-0", "p1-0")
 			}
 		}(w)
 	}

@@ -98,26 +98,11 @@ func (s *ReplayStore) Any() (ReplaySession, bool) {
 	return s.getLocked(item)
 }
 
-// Items returns the number of items with at least one recording.
-func (s *ReplayStore) Items() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.sessions)
-}
-
 // Size returns the total number of stored recordings.
 func (s *ReplayStore) Size() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.total
-}
-
-// Seen returns how many recordings have ever been offered for item,
-// including those the reservoir later evicted.
-func (s *ReplayStore) Seen(item int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seen[item]
 }
 
 // Replayer steps through a recorded session as the "pre-recorded partner"
@@ -143,6 +128,3 @@ func (r *Replayer) Next() (word int, ok bool) {
 
 // Remaining returns how many recorded guesses are left.
 func (r *Replayer) Remaining() int { return len(r.sess.Words) - r.next }
-
-// Session returns the transcript being replayed.
-func (r *Replayer) Session() ReplaySession { return r.sess }

@@ -28,8 +28,8 @@ func TestReservoirDistribution(t *testing.T) {
 		for _, sess := range s.sessions[1] {
 			counts[sess.Words[0]]++
 		}
-		if got := s.Seen(1); got != n {
-			t.Fatalf("Seen(1) = %d, want %d", got, n)
+		if got := s.seen[1]; got != n {
+			t.Fatalf("seen[1] = %d, want %d", got, n)
 		}
 	}
 	// Each of the n recordings is expected in trials*k/n final reservoirs.
@@ -89,8 +89,8 @@ func TestSizeUsesCounter(t *testing.T) {
 	if s.Size() != 4 {
 		t.Fatalf("Size = %d, want 4 (2 items x cap 2)", s.Size())
 	}
-	if s.Items() != 2 {
-		t.Fatalf("Items = %d", s.Items())
+	if len(s.sessions) != 2 {
+		t.Fatalf("items = %d", len(s.sessions))
 	}
 }
 
@@ -123,8 +123,8 @@ func TestReplayerEdgeCases(t *testing.T) {
 			t.Fatalf("Remaining = %d past end", r.Remaining())
 		}
 	}
-	if r.Session().Item != 3 {
-		t.Fatalf("Session().Item = %d", r.Session().Item)
+	if r.sess.Item != 3 {
+		t.Fatalf("sess.Item = %d", r.sess.Item)
 	}
 }
 
@@ -142,7 +142,6 @@ func TestReplayStoreConcurrent(t *testing.T) {
 				_, _ = s.Get(i % 5)
 				_, _ = s.Any()
 				_ = s.Size()
-				_ = s.Items()
 			}
 		}(w)
 	}

@@ -5,14 +5,11 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"humancomp/internal/rng"
 )
 
 // Counter is a monotonically increasing event count, safe for concurrent
@@ -36,101 +33,46 @@ func (c *Counter) Inc() { c.n.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n.Load() }
 
-// Histogram summarizes a stream of float64 observations: exact count, sum,
-// min and max, with quantiles estimated from a fixed-size uniform reservoir
-// sample so memory stays bounded on simulations with millions of rounds.
-// It is safe for concurrent use.
-type Histogram struct {
-	mu        sync.Mutex
-	count     int64
-	sum       float64
-	min, max  float64
-	reservoir []float64
-	cap       int
-	src       *rng.Source
+// BucketHist is a fixed-bucket histogram of float64 observations: one
+// atomic counter per upper bound plus one for +Inf, and an atomic sum, so
+// observing never takes a lock. It is safe for concurrent use.
+type BucketHist struct {
+	bounds []float64      // ascending upper bounds
+	counts []atomic.Int64 // counts[i]: bounds[i-1] < v <= bounds[i]; the last is +Inf
+	sum    atomic.Uint64  // float64 bits
 }
 
-// NewHistogram returns a histogram with the given reservoir capacity.
-func NewHistogram(reservoirCap int) *Histogram {
-	if reservoirCap <= 0 {
-		panic("metrics: histogram reservoir capacity must be positive")
+// NewBucketHist returns an empty histogram over the ascending bounds.
+func NewBucketHist(bounds ...float64) *BucketHist {
+	if !slices.IsSorted(bounds) {
+		panic("metrics: histogram bounds must ascend")
 	}
-	return &Histogram{cap: reservoirCap, src: rng.New(0x48495354)}
+	return &BucketHist{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
-	if len(h.reservoir) < h.cap {
-		h.reservoir = append(h.reservoir, v)
-		return
-	}
-	// Vitter's algorithm R: keep each of the count observations with equal
-	// probability cap/count.
-	if i := h.src.Intn(int(h.count)); i < h.cap {
-		h.reservoir[i] = v
+func (h *BucketHist) Observe(v float64) {
+	i, _ := slices.BinarySearch(h.bounds, v)
+	h.counts[i].Add(1)
+	for {
+		old := h.sum.Load()
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
 	}
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
+func (h *BucketHist) Count() int64 {
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }
 
-// Mean returns the arithmetic mean, or 0 for an empty histogram.
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Min returns the smallest observation, or 0 for an empty histogram.
-func (h *Histogram) Min() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
-}
-
-// Max returns the largest observation, or 0 for an empty histogram.
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) estimated from the
-// reservoir, or 0 for an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("metrics: quantile %v out of [0,1]", q))
-	}
-	h.mu.Lock()
-	sorted := slices.Clone(h.reservoir)
-	h.mu.Unlock()
-	if len(sorted) == 0 {
-		return 0
-	}
-	slices.Sort(sorted)
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return sorted[i]
-}
+// Sum returns the sum of the observations.
+func (h *BucketHist) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
 // GWAP accumulates the game-with-a-purpose evaluation metrics for one game.
 // Sessions contribute play time; outputs contribute solved problem

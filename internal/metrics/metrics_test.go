@@ -40,70 +40,47 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestHistogramExactStats(t *testing.T) {
-	h := NewHistogram(100)
-	for _, v := range []float64{3, 1, 4, 1, 5} {
+func TestBucketHist(t *testing.T) {
+	h := NewBucketHist(0.5, 0.875)
+	for _, v := range []float64{0.25, 0.5, 0.75, 0.875, 1} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 {
-		t.Errorf("Count = %d", h.Count())
+	// A value on a bound lands in that bound's bucket (le is inclusive).
+	for i, want := range []int64{2, 2, 1} {
+		if got := h.counts[i].Load(); got != want {
+			t.Errorf("bucket %d = %d, want %d", i, got, want)
+		}
 	}
-	if h.Min() != 1 || h.Max() != 5 {
-		t.Errorf("Min/Max = %v/%v", h.Min(), h.Max())
-	}
-	if math.Abs(h.Mean()-2.8) > 1e-12 {
-		t.Errorf("Mean = %v", h.Mean())
-	}
-	if med := h.Quantile(0.5); med != 3 {
-		t.Errorf("median = %v", med)
-	}
-	if h.Quantile(0) != 1 || h.Quantile(1) != 5 {
-		t.Errorf("extreme quantiles = %v, %v", h.Quantile(0), h.Quantile(1))
+	if h.Count() != 5 || h.Sum() != 3.375 {
+		t.Errorf("Count, Sum = %d, %v; want 5, 3.375", h.Count(), h.Sum())
 	}
 }
 
-func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram(10)
-	if h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Min() != 0 || h.Max() != 0 {
-		t.Error("empty histogram should report zeros")
+func TestBucketHistConcurrent(t *testing.T) {
+	h := NewBucketHist(0.5)
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 1000; j++ {
+				h.Observe(0.75)
+			}
+		}()
+	}
+	wg.Wait()
+	if h.Count() != 16000 || h.Sum() != 12000 {
+		t.Fatalf("Count, Sum = %d, %v; want 16000, 12000", h.Count(), h.Sum())
 	}
 }
 
-func TestHistogramReservoirQuantiles(t *testing.T) {
-	h := NewHistogram(1000)
-	// 100k uniform values in [0,1): reservoir quantiles should be close.
-	src := newTestSource()
-	for i := 0; i < 100000; i++ {
-		h.Observe(src())
-	}
-	if q := h.Quantile(0.5); math.Abs(q-0.5) > 0.06 {
-		t.Errorf("median of uniform = %v", q)
-	}
-	if q := h.Quantile(0.9); math.Abs(q-0.9) > 0.06 {
-		t.Errorf("p90 of uniform = %v", q)
-	}
-}
-
-// newTestSource returns a tiny deterministic uniform generator without
-// importing rng (avoids test-only import cycles if rng ever uses metrics).
-func newTestSource() func() float64 {
-	s := uint64(0x9e3779b97f4a7c15)
-	return func() float64 {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-		return float64(s>>11) / (1 << 53)
-	}
-}
-
-func TestHistogramQuantilePanics(t *testing.T) {
-	h := NewHistogram(10)
+func TestBucketHistPanicsOnUnsortedBounds(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Quantile(2) did not panic")
+			t.Fatal("descending bounds did not panic")
 		}
 	}()
-	h.Quantile(2)
+	NewBucketHist(0.9, 0.5)
 }
 
 func TestGWAPMetrics(t *testing.T) {
@@ -188,13 +165,6 @@ func TestGWAPConcurrent(t *testing.T) {
 	wg.Wait()
 	if g.Outputs() != 1600 || g.TotalPlay() != 800*time.Minute {
 		t.Fatalf("outputs=%d play=%v", g.Outputs(), g.TotalPlay())
-	}
-}
-
-func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewHistogram(4096)
-	for i := 0; i < b.N; i++ {
-		h.Observe(float64(i % 1000))
 	}
 }
 

@@ -7,31 +7,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 )
-
-// Gauge is a value that can go up and down — queue depth, in-flight
-// leases, bytes on disk. Like Counter it is a single atomic word, so the
-// hot path never takes a lock.
-type Gauge struct {
-	n atomic.Int64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v int64) { g.n.Store(v) }
-
-// Add moves the gauge by delta (which may be negative).
-func (g *Gauge) Add(delta int64) { g.n.Add(delta) }
-
-// Inc increments the gauge by one.
-func (g *Gauge) Inc() { g.n.Add(1) }
-
-// Dec decrements the gauge by one.
-func (g *Gauge) Dec() { g.n.Add(-1) }
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() int64 { return g.n.Load() }
 
 // Prometheus text exposition (version 0.0.4), written by hand so GET
 // /metrics can be served from the standard library alone. A sample is one
@@ -44,7 +21,6 @@ type PromKind string
 const (
 	PromCounter   PromKind = "counter"
 	PromGauge     PromKind = "gauge"
-	PromSummary   PromKind = "summary"
 	PromHistogram PromKind = "histogram"
 	PromUntyped   PromKind = "untyped"
 )
@@ -69,10 +45,7 @@ type PromSample struct {
 	// Suffix is appended to the family name ("_sum", "_count"); empty for
 	// the plain sample.
 	Suffix string
-	// Quantile, when non-empty, emits a {quantile="..."} label (summaries).
-	Quantile string
-	// Labels are additional name="value" pairs, rendered before the
-	// quantile label.
+	// Labels are the sample's name="value" pairs.
 	Labels []PromLabel
 	Value  float64
 	// Exemplar, when non-nil, attaches an OpenMetrics exemplar.
@@ -100,17 +73,23 @@ func PromGaugeFamily(name, help string, v float64) PromFamily {
 		Samples: []PromSample{{Value: v}}}
 }
 
-// PromSummaryFamily renders a histogram as a summary: p50/p90/p99 quantile
-// samples plus _sum and _count.
-func PromSummaryFamily(name, help string, h *Histogram) PromFamily {
-	count := h.Count()
-	return PromFamily{Name: name, Help: help, Kind: PromSummary, Samples: []PromSample{
-		{Quantile: "0.5", Value: h.Quantile(0.5)},
-		{Quantile: "0.9", Value: h.Quantile(0.9)},
-		{Quantile: "0.99", Value: h.Quantile(0.99)},
-		{Suffix: "_sum", Value: h.Mean() * float64(count)},
-		{Suffix: "_count", Value: float64(count)},
-	}}
+// PromBucketFamily renders a BucketHist as a Prometheus histogram:
+// cumulative buckets at its bounds, a +Inf bucket, _sum and _count.
+func PromBucketFamily(name, help string, h *BucketHist) PromFamily {
+	samples := make([]PromSample, 0, len(h.bounds)+3)
+	var cum int64
+	for i := range h.counts {
+		cum += h.counts[i].Load()
+		le := "+Inf"
+		if i < len(h.bounds) {
+			le = formatPromValue(h.bounds[i])
+		}
+		samples = append(samples, PromSample{Suffix: "_bucket", Labels: []PromLabel{{Name: "le", Value: le}}, Value: float64(cum)})
+	}
+	samples = append(samples,
+		PromSample{Suffix: "_sum", Value: h.Sum()},
+		PromSample{Suffix: "_count", Value: float64(cum)})
+	return PromFamily{Name: name, Help: help, Kind: PromHistogram, Samples: samples}
 }
 
 // PromHistogramFamily renders a LatencyHist as a Prometheus histogram:
@@ -194,14 +173,9 @@ func escapeLabelValue(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-// writeLabels renders the merged label set of s: explicit Labels first,
-// then the quantile label.
+// writeLabels renders the label set of s.
 func writeLabels(b *strings.Builder, s PromSample) {
-	extra := ""
-	if s.Quantile != "" {
-		extra = `quantile="` + s.Quantile + `"`
-	}
-	if len(s.Labels) == 0 && extra == "" {
+	if len(s.Labels) == 0 {
 		return
 	}
 	b.WriteByte('{')
@@ -213,12 +187,6 @@ func writeLabels(b *strings.Builder, s PromSample) {
 		b.WriteString(`="`)
 		b.WriteString(escapeLabelValue(l.Value))
 		b.WriteByte('"')
-	}
-	if extra != "" {
-		if len(s.Labels) > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(extra)
 	}
 	b.WriteByte('}')
 }

@@ -6,25 +6,13 @@ import (
 	"testing"
 )
 
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(10)
-	g.Add(5)
-	g.Inc()
-	g.Dec()
-	g.Add(-3)
-	if got := g.Value(); got != 12 {
-		t.Errorf("Gauge value = %d, want 12", got)
-	}
-}
-
 // TestWritePromGolden pins the exact exposition bytes: HELP/TYPE comments,
-// plain samples, explicit and quantile labels, summary suffixes. Any format
+// plain samples, explicit labels, histogram buckets and suffixes. Any format
 // drift that would break a scraper breaks this test first.
 func TestWritePromGolden(t *testing.T) {
-	h := NewHistogram(64)
-	for i := 0; i < 4; i++ {
-		h.Observe(0.25)
+	h := NewBucketHist(0.5, 0.9)
+	for _, v := range []float64{0.25, 0.25, 0.75, 1} {
+		h.Observe(v)
 	}
 	fams := []PromFamily{
 		PromCounterFamily("hc_tasks_submitted_total", "Tasks accepted.", 42),
@@ -33,7 +21,7 @@ func TestWritePromGolden(t *testing.T) {
 			{Labels: []PromLabel{{Name: "route", Value: "GET /v1/tasks/{id}"}, {Name: "code_class", Value: "2xx"}}, Value: 3},
 			{Labels: []PromLabel{{Name: "route", Value: "GET /v1/tasks/{id}"}, {Name: "code_class", Value: "4xx"}}, Value: 0},
 		}},
-		PromSummaryFamily("hc_task_time_in_queue_seconds", "Enqueue to first lease.", h),
+		PromBucketFamily("hc_quality_posterior_confidence", "Max-posterior confidence.", h),
 		{Name: "hc_custom", Kind: PromUntyped, Samples: []PromSample{{Value: 1.5}}},
 	}
 	var sb strings.Builder
@@ -50,13 +38,13 @@ hc_queue_open_tasks 7
 # TYPE hc_http_requests_total counter
 hc_http_requests_total{route="GET /v1/tasks/{id}",code_class="2xx"} 3
 hc_http_requests_total{route="GET /v1/tasks/{id}",code_class="4xx"} 0
-# HELP hc_task_time_in_queue_seconds Enqueue to first lease.
-# TYPE hc_task_time_in_queue_seconds summary
-hc_task_time_in_queue_seconds{quantile="0.5"} 0.25
-hc_task_time_in_queue_seconds{quantile="0.9"} 0.25
-hc_task_time_in_queue_seconds{quantile="0.99"} 0.25
-hc_task_time_in_queue_seconds_sum 1
-hc_task_time_in_queue_seconds_count 4
+# HELP hc_quality_posterior_confidence Max-posterior confidence.
+# TYPE hc_quality_posterior_confidence histogram
+hc_quality_posterior_confidence_bucket{le="0.5"} 2
+hc_quality_posterior_confidence_bucket{le="0.9"} 3
+hc_quality_posterior_confidence_bucket{le="+Inf"} 4
+hc_quality_posterior_confidence_sum 2.25
+hc_quality_posterior_confidence_count 4
 # TYPE hc_custom untyped
 hc_custom 1.5
 `

@@ -73,6 +73,10 @@ func (c *Config) validate() (store.SyncPolicy, error) {
 		return 0, errors.New("-confidence-target requires -quality-online")
 	case c.Follow != "" && (c.WAL == "" || c.Snapshot == ""):
 		return 0, errors.New("-follow requires -wal and -snapshot")
+	case c.WAL != "" && c.Snapshot == "":
+		// Boot truncates the WAL after checkpointing what it replayed; with
+		// no snapshot to checkpoint into, a second crash would lose it.
+		return 0, errors.New("-wal requires -snapshot")
 	case c.Follow != "" && c.Sessions > 0:
 		return 0, errors.New("-sessions cannot be combined with -follow (sessions are leader-local)")
 	}
@@ -112,7 +116,6 @@ type Node struct {
 	followDone chan struct{}
 
 	apiLn, adminLn   net.Listener // bound by Open; adminLn nil without -admin-addr
-	adminAddr        string
 	apiSrv, adminSrv *http.Server // serving once boot is through
 	adminOpts        dispatch.AdminOptions
 	// ready is true from the moment the API listener is served until Close;
@@ -146,7 +149,6 @@ func Open(cfg Config) (*Node, error) {
 			n.apiLn.Close()
 			return nil, fmt.Errorf("binding -admin-addr: %w", err)
 		}
-		n.adminAddr = n.adminLn.Addr().String()
 	}
 	if err := n.boot(policy); err != nil {
 		n.close(false)
@@ -197,7 +199,7 @@ func (n *Node) boot(policy store.SyncPolicy) error {
 			}
 		}
 		n.sys.RequeueOpen()
-		if cfg.WAL != "" && cfg.Snapshot != "" {
+		if cfg.WAL != "" {
 			if err = save(n.sys, cfg.Snapshot); err != nil {
 				return fmt.Errorf("checkpointing after replay: %w", err)
 			}
@@ -247,14 +249,14 @@ func (n *Node) openWAL(policy store.SyncPolicy) error {
 	if err != nil {
 		return fmt.Errorf("loading replication term: %w", err)
 	}
-	opts := repl.SourceOptions{Term: term, WALPath: cfg.WAL}
-	if cfg.Snapshot != "" {
-		opts.Snapshot = repl.SnapshotFile(cfg.Snapshot)
-	}
 	if n.walFile, err = os.Create(cfg.WAL); err != nil {
 		return fmt.Errorf("creating wal: %w", err)
 	}
-	n.source = repl.NewSource(opts)
+	n.source = repl.NewSource(repl.SourceOptions{
+		Term:     term,
+		WALPath:  cfg.WAL,
+		Snapshot: repl.SnapshotFile(cfg.Snapshot),
+	})
 	n.wal = store.NewWALWith(n.walFile, store.WALOptions{
 		Policy:   policy,
 		Interval: cfg.WALSyncInterval,
@@ -390,15 +392,6 @@ func (n *Node) replState() dispatch.ReplState {
 	lag := n.follower.Lag()
 	return dispatch.ReplState{Term: n.source.Term(), Follower: true, LagSeq: lag.Seq, LagSeconds: lag.Seconds}
 }
-
-// Addr is the address the API listener is bound to.
-func (n *Node) Addr() string { return n.apiLn.Addr().String() }
-
-// AdminAddr is the admin listener's bound address, "" without -admin-addr.
-func (n *Node) AdminAddr() string { return n.adminAddr }
-
-// System is the core the node serves from and recovered into.
-func (n *Node) System() *core.System { return n.sys }
 
 // Err delivers what goes wrong after Open: a listener that stopped
 // serving, a promotion that failed. The node is then not worth keeping;

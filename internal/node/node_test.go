@@ -3,6 +3,7 @@ package node
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"math"
@@ -50,6 +51,15 @@ func open(t *testing.T, cfg Config) *Node {
 }
 
 func client(n *Node) *dispatch.Client { return dispatch.NewClient("http://"+n.Addr(), nil) }
+
+// Addr is the address the API listener is bound to.
+func (n *Node) Addr() string { return n.apiLn.Addr().String() }
+
+// AdminAddr is the admin listener's bound address.
+func (n *Node) AdminAddr() string { return n.adminLn.Addr().String() }
+
+// System is the core the node serves from and recovered into.
+func (n *Node) System() *core.System { return n.sys }
 
 // get returns the status and body of GET url.
 func get(t *testing.T, url string) (int, string) {
@@ -151,6 +161,7 @@ func TestOpenRefusesBeforeTouchingState(t *testing.T) {
 	}{
 		{"follow without wal", func(c *Config) { c.Follow, c.WAL = "http://127.0.0.1:1", "" }, "-follow requires -wal and -snapshot"},
 		{"follow without snapshot", func(c *Config) { c.Follow, c.Snapshot = "http://127.0.0.1:1", "" }, "-follow requires -wal and -snapshot"},
+		{"wal without snapshot", func(c *Config) { c.Snapshot = "" }, "-wal requires -snapshot"},
 		{"sessions on a follower", func(c *Config) { c.Follow, c.Sessions = "http://127.0.0.1:1", 4 }, "-sessions cannot be combined with -follow (sessions are leader-local)"},
 		{"confidence target without the estimator", func(c *Config) { c.Core.ConfidenceTarget, c.Core.OnlineQuality = 0.9, false }, "-confidence-target requires -quality-online"},
 		{"blank api keys", func(c *Config) { c.APIKeys = " , ," }, "-api-keys contains no usable keys"},
@@ -220,7 +231,7 @@ func TestReopenServesTheSameState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		post, err = client(n).Posterior(plain)
+		post, err = n.sys.TaskPosterior(plain)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -425,7 +436,7 @@ func TestClosePromptWithParkedLongPoll(t *testing.T) {
 	c := client(n)
 	joined := make(chan session.JoinInfo, 1)
 	go func() {
-		info, err := c.JoinSession("alice")
+		info, err := c.JoinSessionContext(context.Background(), "alice")
 		if err != nil {
 			t.Errorf("alice: %v", err)
 		}
@@ -435,7 +446,7 @@ func TestClosePromptWithParkedLongPoll(t *testing.T) {
 		st, err := c.SessionStats()
 		return err == nil && st.Waiting == 1
 	})
-	info, err := c.JoinSession("bob")
+	info, err := c.JoinSessionContext(context.Background(), "bob")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +455,7 @@ func TestClosePromptWithParkedLongPoll(t *testing.T) {
 	}
 	polled := make(chan error, 1)
 	go func() {
-		_, _, err := c.SessionEvents(info.Session, "bob", 1<<20, 30*time.Second)
+		_, _, err := c.SessionEventsContext(context.Background(), info.Session, "bob", 1<<20, 30*time.Second)
 		polled <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let the poll park; Close is prompt either way

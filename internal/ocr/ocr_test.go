@@ -131,6 +131,10 @@ func TestSyntheticDocument(t *testing.T) {
 	if len(doc.Words) != 500 {
 		t.Fatalf("words = %d", len(doc.Words))
 	}
+	texts := map[string]bool{}
+	for i := 0; i < l.Size(); i++ {
+		texts[l.Word(i).Text] = true
+	}
 	for _, w := range doc.Words {
 		if w.Text == "" {
 			t.Fatal("empty word")
@@ -138,7 +142,7 @@ func TestSyntheticDocument(t *testing.T) {
 		if w.Degradation < 0 || w.Degradation > 1 {
 			t.Fatalf("degradation %v out of range", w.Degradation)
 		}
-		if l.Lookup(w.Text) < 0 {
+		if !texts[w.Text] {
 			t.Fatalf("word %q not from lexicon", w.Text)
 		}
 	}

@@ -114,9 +114,6 @@ func NewOnlineDawidSkene(cfg OnlineDSConfig) *OnlineDawidSkene {
 	return o
 }
 
-// Classes returns the size of the label space.
-func (o *OnlineDawidSkene) Classes() int { return o.k }
-
 // Observe folds one vote into the estimator and returns the task's updated
 // posterior (a private copy) and how many votes it now carries. A class
 // outside [0, Classes) is rejected with ok=false and changes nothing.
@@ -189,24 +186,6 @@ func (o *OnlineDawidSkene) Posterior(taskID string) (post []float64, votes int, 
 		return nil, 0, false, false
 	}
 	return append([]float64(nil), t.post...), len(t.votes), t.done, true
-}
-
-// Confusion returns a private copy of the worker's normalized confusion
-// matrix (rows sum to one), or ok=false for a never-seen worker.
-func (o *OnlineDawidSkene) Confusion(worker string) (m [][]float64, ok bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	w := o.workers[worker]
-	if w == nil {
-		return nil, false
-	}
-	m = make([][]float64, o.k)
-	for j := range m {
-		row := append([]float64(nil), w.counts[j]...)
-		normalize(row)
-		m[j] = row
-	}
-	return m, true
 }
 
 // Tracked returns how many active tasks and distinct workers the estimator

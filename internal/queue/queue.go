@@ -132,10 +132,6 @@ func (q *Queue) lock() {
 	q.lockN++
 }
 
-// New returns an empty queue over a fresh store whose leases expire after
-// ttl. It panics if ttl is not positive.
-func New(ttl time.Duration) *Queue { return NewLocked(ttl, store.New(), nil) }
-
 // NewLocked returns an empty queue over st, which must not be nil, writing
 // each answer, cancel and early finish it applies to j; a nil j writes
 // nothing. The queue stores what it enqueues in st, resolves task IDs

@@ -15,6 +15,10 @@ import (
 
 var t0 = time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
 
+// New returns an empty queue over a fresh store whose leases expire after
+// ttl. It panics if ttl is not positive.
+func New(ttl time.Duration) *Queue { return NewLocked(ttl, store.New(), nil) }
+
 func newTask(t *testing.T, id task.ID, priority, redundancy int) *task.Task {
 	t.Helper()
 	tk, err := task.New(id, task.Label, task.Payload{ImageID: int(id)}, redundancy, t0)

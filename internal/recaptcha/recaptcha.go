@@ -331,18 +331,12 @@ func (p *Pipeline) Report() Report {
 	return r
 }
 
-// Status returns the current status of a word.
-func (p *Pipeline) Status(id WordID) WordStatus { return p.words[id].status }
-
 // Truth exposes a word's ground truth for simulation drivers (the workers
 // must "see" the rendering to transcribe it).
 func (p *Pipeline) Truth(id WordID) (text string, degradation float64) {
 	w := &p.words[id]
 	return w.truth, w.degradation
 }
-
-// ControlPoolSize returns the number of words available as controls.
-func (p *Pipeline) ControlPoolSize() int { return len(p.control) }
 
 // BaselineOneOCR transcribes the document with a single engine and returns
 // the word accuracy — the "standard OCR" baseline of the evaluation.
@@ -373,10 +367,4 @@ func BaselineTwoOCR(a, b *ocr.Engine, doc ocr.Document) float64 {
 		}
 	}
 	return ocr.WordAccuracy(want, got)
-}
-
-// UserAccuracy returns the smoothed control-word accuracy estimate for a
-// user (the vote-weight multiplier), and how many controls they have seen.
-func (p *Pipeline) UserAccuracy(userID string) (accuracy float64, probes int) {
-	return p.rep.Accuracy(userID), p.rep.Probes(userID)
 }

@@ -130,9 +130,9 @@ func TestAcceptedWordJoinsControlPool(t *testing.T) {
 	p, l := newPipeline(t)
 	doc := ocr.SyntheticDocument(l, ocr.DocumentConfig{NumWords: 300, DegMean: 0.7, DegSD: 0.1, Seed: 6})
 	p.Ingest(doc)
-	before := p.ControlPoolSize()
+	before := len(p.control)
 	drive(p, humans(20, 0.97, 7), 50000)
-	if p.ControlPoolSize() <= before {
+	if len(p.control) <= before {
 		t.Error("no accepted word entered the control pool")
 	}
 }
@@ -165,14 +165,14 @@ func TestSubmitOnResolvedWordRejected(t *testing.T) {
 	}
 	truth, _ := p.Truth(ch.Word)
 	// Vote the word through with perfect answers.
-	for i := 0; i < 5 && p.Status(ch.Word) == Pending; i++ {
+	for i := 0; i < 5 && p.words[ch.Word].status == Pending; i++ {
 		_, _, err := p.Submit(ch, "perfect", truth, ch.ControlTruth)
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	if p.Status(ch.Word) != Accepted {
-		t.Fatalf("word not accepted after perfect votes: %v", p.Status(ch.Word))
+	if p.words[ch.Word].status != Accepted {
+		t.Fatalf("word not accepted after perfect votes: %v", p.words[ch.Word].status)
 	}
 	if _, _, err := p.Submit(ch, "perfect", truth, ch.ControlTruth); !errors.Is(err, ErrNotPending) {
 		t.Fatalf("vote on accepted word: %v", err)
@@ -276,7 +276,7 @@ func TestSloppyUsersVoteLighter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	acc, probes := p.UserAccuracy("sloppy")
+	acc, probes := p.rep.Accuracy("sloppy"), p.rep.Probes("sloppy")
 	if probes != 30 || acc > 0.2 {
 		t.Fatalf("sloppy accuracy = %.2f after %d failed controls", acc, probes)
 	}

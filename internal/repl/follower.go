@@ -31,9 +31,6 @@ type Lag struct {
 type FollowerOptions struct {
 	// Leader is the leader's base URL (scheme://host:port).
 	Leader string
-	// Client is the HTTP client for the stream; nil selects a default with
-	// no overall timeout (the stream is long-lived).
-	Client *http.Client
 	// Term is the follower's current epoch (from its term file). Streams
 	// with a lower term are refused.
 	Term int64
@@ -45,8 +42,6 @@ type FollowerOptions struct {
 	// the stream header carries a higher term than the follower's own, so
 	// the caller can persist the new epoch.
 	OnTermChange func(term int64) error
-	// ReconnectDelay is the pause between stream attempts; 0 selects 100ms.
-	ReconnectDelay time.Duration
 	// Logger receives reconnect/refusal diagnostics; nil discards them.
 	Logger *slog.Logger
 }
@@ -58,10 +53,8 @@ type FollowerOptions struct {
 // right base state.
 type Follower struct {
 	leader  string
-	hc      *http.Client
 	apply   func(seq int64, e store.Event) error
 	onTerm  func(term int64) error
-	delay   time.Duration
 	log     *slog.Logger
 	term    atomic.Int64
 	applied atomic.Int64
@@ -73,21 +66,16 @@ type Follower struct {
 	connected  atomic.Bool
 }
 
+// reconnectDelay is the pause between stream attempts.
+const reconnectDelay = 100 * time.Millisecond
+
 // NewFollower returns a follower ready to Run.
 func NewFollower(opts FollowerOptions) *Follower {
 	f := &Follower{
 		leader: opts.Leader,
-		hc:     opts.Client,
 		apply:  opts.Apply,
 		onTerm: opts.OnTermChange,
-		delay:  opts.ReconnectDelay,
 		log:    opts.Logger,
-	}
-	if f.hc == nil {
-		f.hc = &http.Client{}
-	}
-	if f.delay <= 0 {
-		f.delay = 100 * time.Millisecond
 	}
 	if f.log == nil {
 		f.log = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -165,7 +153,7 @@ func (f *Follower) Run(ctx context.Context) error {
 		select {
 		case <-ctx.Done():
 			return nil
-		case <-time.After(f.delay):
+		case <-time.After(reconnectDelay):
 		}
 	}
 }
@@ -190,7 +178,8 @@ func (f *Follower) stream(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	resp, err := f.hc.Do(req)
+	// The default client has no overall timeout: the stream is long-lived.
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}

@@ -233,13 +233,13 @@ func TestZipfProbSumsToOne(t *testing.T) {
 	r := New(47)
 	z := NewZipf(r, 37, 1.3)
 	sum := 0.0
-	for i := 0; i < z.N(); i++ {
+	for i := 0; i < len(z.cdf); i++ {
 		sum += z.Prob(i)
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("probabilities sum to %v", sum)
 	}
-	if z.Prob(-1) != 0 || z.Prob(z.N()) != 0 {
+	if z.Prob(-1) != 0 || z.Prob(len(z.cdf)) != 0 {
 		t.Error("out-of-range Prob should be 0")
 	}
 }
@@ -267,4 +267,15 @@ func BenchmarkZipfDraw(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = z.Draw()
 	}
+}
+
+// Prob returns the probability of drawing rank i.
+func (z *Zipf) Prob(i int) float64 {
+	if i < 0 || i >= len(z.cdf) {
+		return 0
+	}
+	if i == 0 {
+		return z.cdf[0]
+	}
+	return z.cdf[i] - z.cdf[i-1]
 }

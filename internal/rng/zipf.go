@@ -33,9 +33,6 @@ func NewZipf(src *Source, n int, s float64) *Zipf {
 	return &Zipf{src: src, cdf: cdf}
 }
 
-// N returns the number of ranks the sampler draws from.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Draw returns a rank in [0, N) with Zipfian probability (rank 0 most likely).
 func (z *Zipf) Draw() int {
 	u := z.src.Float64()
@@ -52,15 +49,4 @@ func (z *Zipf) DrawWith(src *Source) int {
 		i = len(z.cdf) - 1
 	}
 	return i
-}
-
-// Prob returns the probability of drawing rank i.
-func (z *Zipf) Prob(i int) float64 {
-	if i < 0 || i >= len(z.cdf) {
-		return 0
-	}
-	if i == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[i] - z.cdf[i-1]
 }

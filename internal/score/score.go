@@ -83,13 +83,6 @@ func (b *Board) RecordRound(player string, success bool, duration time.Duration)
 	return award
 }
 
-// Points returns player's total points.
-func (b *Board) Points(player string) int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.points[player]
-}
-
 // Streak returns player's current streak.
 func (b *Board) Streak(player string) int {
 	b.mu.Lock()
@@ -129,18 +122,4 @@ func (b *Board) Top(n int) []Entry {
 		entries = entries[:n]
 	}
 	return entries
-}
-
-// Rank returns player's 1-based leaderboard position, or 0 for a player
-// with no points.
-func (b *Board) Rank(player string) int {
-	if b.Points(player) == 0 {
-		return 0
-	}
-	for i, e := range b.Top(1 << 30) {
-		if e.Player == player {
-			return i + 1
-		}
-	}
-	return 0
 }

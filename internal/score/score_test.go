@@ -130,3 +130,24 @@ func TestNewBoardPanics(t *testing.T) {
 	}()
 	NewBoard(Rules{})
 }
+
+// Rank returns player's 1-based leaderboard position, or 0 for a player
+// with no points.
+func (b *Board) Rank(player string) int {
+	if b.Points(player) == 0 {
+		return 0
+	}
+	for i, e := range b.Top(1 << 30) {
+		if e.Player == player {
+			return i + 1
+		}
+	}
+	return 0
+}
+
+// Points returns player's total points.
+func (b *Board) Points(player string) int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.points[player]
+}

@@ -176,16 +176,8 @@ type Config struct {
 	// Match selects exact or canonical word matching.
 	Match agree.MatchMode
 	// PromoteAfter is the agreement count that promotes a word to taboo
-	// for its item (default 2); RetireAt retires an item once it has that
-	// many taboo words (default 6, 0 disables).
+	// for its item. Default 2.
 	PromoteAfter int
-	RetireAt     int
-	// ReplayPerItem bounds stored transcripts per item (reservoir
-	// sampled). Default 8.
-	ReplayPerItem int
-	// MaxRepeats bounds how often the same two players may be paired; 0
-	// means unlimited.
-	MaxRepeats int
 	// Seed fixes the matchmaker and replay-store randomness.
 	Seed uint64
 	// Lexicon canonicalizes words for matching and taboo. Required.
@@ -271,6 +263,13 @@ type Plane struct {
 	matchWait  metrics.LatencyHist
 }
 
+const (
+	// retireAt is the taboo-word count at which an item is fully labeled.
+	retireAt = 6
+	// replayPerItem bounds stored transcripts per item (reservoir sampled).
+	replayPerItem = 8
+)
+
 // New returns a running Plane; callers must Close it to stop the sweeper.
 func New(cfg Config) (*Plane, error) {
 	if cfg.Lexicon == nil {
@@ -297,14 +296,6 @@ func New(cfg Config) (*Plane, error) {
 	if cfg.PromoteAfter <= 0 {
 		cfg.PromoteAfter = 2
 	}
-	if cfg.RetireAt < 0 {
-		cfg.RetireAt = 0
-	} else if cfg.RetireAt == 0 {
-		cfg.RetireAt = 6
-	}
-	if cfg.ReplayPerItem <= 0 {
-		cfg.ReplayPerItem = 8
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -312,14 +303,13 @@ func New(cfg Config) (*Plane, error) {
 	pl := &Plane{
 		cfg:     cfg,
 		mm:      match.NewMatchmaker(src),
-		replays: match.NewReplayStore(src, cfg.ReplayPerItem),
+		replays: match.NewReplayStore(src, replayPerItem),
 		sess:    make(map[ID]*session),
 		byItem:  make(map[int]map[ID]struct{}),
-		taboo:   agree.NewTabooTracker(cfg.Lexicon, cfg.PromoteAfter, cfg.RetireAt),
+		taboo:   agree.NewTabooTracker(cfg.Lexicon, cfg.PromoteAfter, retireAt),
 		waiters: make(map[string]*waiter),
 		stop:    make(chan struct{}),
 	}
-	pl.mm.MaxRepeats = cfg.MaxRepeats
 	pl.mm.SetNow(cfg.Now)
 	pl.stopped.Add(1)
 	go pl.sweep()
@@ -335,10 +325,6 @@ func (p *Plane) Close() {
 		p.stopped.Wait()
 	}
 }
-
-// Replays exposes the replay store, so servers can pre-seed transcripts
-// (e.g. from a previous process's recordings) before traffic arrives.
-func (p *Plane) Replays() *match.ReplayStore { return p.replays }
 
 func (p *Plane) now() time.Time { return p.cfg.Now() }
 

@@ -160,7 +160,7 @@ func TestReplayFallback(t *testing.T) {
 	if p.Stats().NoPartner != 1 {
 		t.Fatalf("NoPartner = %d", p.Stats().NoPartner)
 	}
-	p.Replays().Record(match.ReplaySession{Item: 3, Player: "ghost", Words: []int{40, 41}})
+	p.replays.Record(match.ReplaySession{Item: 3, Player: "ghost", Words: []int{40, 41}})
 	info, err := p.Join(context.Background(), "carol")
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestReplayPartnerSkipsUnusableWords(t *testing.T) {
 	p := newPlane(t, func(c *Config) { c.MatchTimeout = 20 * time.Millisecond })
 	// The recording opens with a word that has since become taboo; the
 	// replayed partner must skip it and play the next one.
-	p.Replays().Record(match.ReplaySession{Item: 3, Player: "ghost", Words: []int{50, 51}})
+	p.replays.Record(match.ReplaySession{Item: 3, Player: "ghost", Words: []int{50, 51}})
 	info, err := p.Join(context.Background(), "dave")
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestReplayPartnerSkipsUnusableWords(t *testing.T) {
 
 func TestReplayPartnerExhaustion(t *testing.T) {
 	p := newPlane(t, func(c *Config) { c.MatchTimeout = 20 * time.Millisecond })
-	p.Replays().Record(match.ReplaySession{Item: 3, Player: "ghost", Words: []int{60}})
+	p.replays.Record(match.ReplaySession{Item: 3, Player: "ghost", Words: []int{60}})
 	info, err := p.Join(context.Background(), "erin")
 	if err != nil {
 		t.Fatal(err)

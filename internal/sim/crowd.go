@@ -114,9 +114,6 @@ func NewCrowd(cfg CrowdConfig, start time.Time) *Crowd {
 	return c
 }
 
-// Metrics exposes the accumulated GWAP metrics.
-func (c *Crowd) Metrics() *metrics.GWAP { return c.gwap }
-
 // Retention exposes the cohort-retention tracker (visit days are counted
 // in simulated days from the crowd's start).
 func (c *Crowd) Retention() *metrics.Retention { return c.retention }

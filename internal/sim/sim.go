@@ -67,9 +67,6 @@ func (s *Simulator) Run(until time.Time) int64 {
 	return s.ran - before
 }
 
-// Pending returns the number of queued events.
-func (s *Simulator) Pending() int { return s.events.Len() }
-
 type event struct {
 	at  time.Time
 	seq int64

@@ -56,8 +56,8 @@ func TestSimulatorEventsCanSchedule(t *testing.T) {
 	if count != 10 {
 		t.Fatalf("count = %d", count)
 	}
-	if s.Pending() != 0 {
-		t.Fatalf("pending = %d", s.Pending())
+	if s.events.Len() != 0 {
+		t.Fatalf("pending = %d", s.events.Len())
 	}
 }
 
@@ -69,8 +69,8 @@ func TestSimulatorStopsAtHorizon(t *testing.T) {
 	if ran {
 		t.Fatal("event beyond horizon executed")
 	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending = %d", s.Pending())
+	if s.events.Len() != 1 {
+		t.Fatalf("pending = %d", s.events.Len())
 	}
 	if s.Now() != t0.Add(time.Hour) {
 		t.Fatalf("clock = %v", s.Now())
@@ -85,7 +85,7 @@ func TestSchedulePastClampsToNow(t *testing.T) {
 		_ = ranAt
 	})
 	s.Run(t0.Add(time.Hour))
-	if s.Pending() != 0 {
+	if s.events.Len() != 0 {
 		t.Fatal("past event never ran")
 	}
 }

@@ -54,7 +54,7 @@ func TestReplayAllocatesWhatItKeeps(t *testing.T) {
 	s := New()
 	replay := func(log *bytes.Buffer) func() {
 		return func() {
-			if st, err := ReplayWAL(bytes.NewReader(log.Bytes()), s); err != nil || st.Applied != n {
+			if st, err := ReplayWALObserved(bytes.NewReader(log.Bytes()), s, nil); err != nil || st.Applied != n {
 				t.Fatalf("replay: %+v, %v", st, err)
 			}
 		}

@@ -8,11 +8,11 @@
 // One RWMutex guards the table and the contents of every task in it; the
 // critical sections are a map operation or one task's copy.
 //
-// Every whole-table read — ViewAll, ViewByStatus, Snapshot, the dispatch
-// task list — is one ordered walk: collect the task IDs (8 bytes a task,
-// the only whole-table allocation), sort them, then visit the tasks in that
-// order, copying each (Snapshot: encoding each) under the read lock, which
-// is taken per task and released before the copy is handed on. A walk over
+// Every whole-table read — Snapshot, the dispatch task list — is one
+// ordered walk: collect the task IDs (8 bytes a task, the only whole-table
+// allocation), sort them, then visit the tasks in that order, copying each
+// (Snapshot: encoding each) under the read lock, which is taken per task
+// and released before the copy is handed on. A walk over
 // a live store is therefore consistent per task, not across the table: a
 // task is copied whole, two tasks may be copied either side of a concurrent
 // write. Nothing that needs more walks the table under traffic — a node
@@ -233,23 +233,6 @@ func (s *Store) Walk(ids []task.ID, fn func(v *task.View) error) error {
 		}
 	}
 	return nil
-}
-
-// ViewAll returns a snapshot of every task, ordered by ID.
-func (s *Store) ViewAll() []task.View { return s.ViewByStatus(AnyStatus) }
-
-// ViewByStatus returns a snapshot of every task with the given status,
-// ordered by ID.
-func (s *Store) ViewByStatus(st task.Status) []task.View {
-	ids := s.IDs(st)
-	out := make([]task.View, 0, len(ids))
-	_ = s.Walk(ids, func(v *task.View) error {
-		if st == AnyStatus || v.Status == st { // it may have moved on since the IDs were listed
-			out = append(out, *v)
-		}
-		return nil
-	})
-	return out
 }
 
 // Get returns the task with the given ID or ErrNotFound.

@@ -255,9 +255,9 @@ func TestViewAllAndByStatus(t *testing.T) {
 	if err := b.Cancel(t0); err != nil {
 		t.Fatal(err)
 	}
-	all := s.ViewAll()
+	all := s.ViewByStatus(AnyStatus)
 	if len(all) != 2 || all[0].ID != a.ID || all[1].ID != b.ID {
-		t.Fatalf("ViewAll = %+v", all)
+		t.Fatalf("ViewByStatus(any) = %+v", all)
 	}
 	open := s.ViewByStatus(task.Open)
 	if len(open) != 1 || open[0].ID != a.ID {
@@ -324,7 +324,7 @@ func TestRestoreSeedsNextID(t *testing.T) {
 		if next <= 0 {
 			return false
 		}
-		for _, v := range dst.ViewAll() {
+		for _, v := range dst.ViewByStatus(AnyStatus) {
 			if next <= v.ID {
 				return false
 			}
@@ -405,4 +405,18 @@ func TestViewByStatusNeverTorn(t *testing.T) {
 			check(s.ViewByStatus(task.Open), task.Open)
 		}
 	}
+}
+
+// ViewByStatus returns a snapshot of every task with the given status,
+// ordered by ID.
+func (s *Store) ViewByStatus(st task.Status) []task.View {
+	ids := s.IDs(st)
+	out := make([]task.View, 0, len(ids))
+	_ = s.Walk(ids, func(v *task.View) error {
+		if st == AnyStatus || v.Status == st { // it may have moved on since the IDs were listed
+			out = append(out, *v)
+		}
+		return nil
+	})
+	return out
 }

@@ -520,9 +520,9 @@ type ReplayStats struct {
 	TruncatedBytes int64
 }
 
-// ReplayWAL applies every valid event from r onto the store, in order: a
-// loop over RecordScanner, so r may be a whole log or a headerless record
-// stream (a log tail cut at a record boundary). Replay stops at the first
+// ReplayWALObserved applies every valid event from r onto the store, in
+// order: a loop over RecordScanner, so r may be a whole log or a headerless
+// record stream (a log tail cut at a record boundary). Replay stops at the first
 // record that fails to frame, checksum or decode; everything before it is
 // applied, everything from it on is reported in TruncatedBytes, and no
 // error is returned for damage (an unacknowledged tail is dropped by
@@ -530,15 +530,12 @@ type ReplayStats struct {
 // task the log never submitted, a duplicate submit) is real inconsistency,
 // not tearing, and fails replay with an error — as does a log in the v1
 // JSON-line format, which is refused rather than mistaken for damage.
-func ReplayWAL(r io.Reader, s *Store) (ReplayStats, error) {
-	return ReplayWALObserved(r, s, nil)
-}
-
-// ReplayWALObserved is ReplayWAL with a hook: obs (when non-nil) is called
-// with every event after it has been applied to the store, in log order.
-// The quality plane uses it to rebuild calibration state — which tasks are
-// gold probes, which answers scored against them, which tasks finished
-// early — that lives outside the task store proper.
+//
+// obs (when non-nil) is called with every event after it has been applied
+// to the store, in log order. The quality plane uses it to rebuild
+// calibration state — which tasks are gold probes, which answers scored
+// against them, which tasks finished early — that lives outside the task
+// store proper.
 func ReplayWALObserved(r io.Reader, s *Store, obs func(Event)) (ReplayStats, error) {
 	sc := NewRecordScanner(r, 0)
 	var st ReplayStats
@@ -563,17 +560,12 @@ func ReplayWALObserved(r io.Reader, s *Store, obs func(Event)) (ReplayStats, err
 	return st, err
 }
 
-// RecoverWAL replays f onto the store and truncates the file to the last
-// fully applied record, so the next append continues a clean log. This is
-// the boot path for a WAL that survived a crash: the longest valid prefix
-// is applied, the torn or corrupt tail (never acknowledged) is cut off,
-// and the stats report both so they can be exported as metrics.
-func RecoverWAL(f *os.File, s *Store) (ReplayStats, error) {
-	return RecoverWALObserved(f, s, nil)
-}
-
-// RecoverWALObserved is RecoverWAL with the same event hook as
-// ReplayWALObserved.
+// RecoverWALObserved replays f onto the store, calling obs as
+// ReplayWALObserved does, and truncates the file to the last fully applied
+// record, so the next append continues a clean log. This is the boot path
+// for a WAL that survived a crash: the longest valid prefix is applied, the
+// torn or corrupt tail (never acknowledged) is cut off, and the stats
+// report both so they can be exported as metrics.
 func RecoverWALObserved(f *os.File, s *Store, obs func(Event)) (ReplayStats, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return ReplayStats{}, err

@@ -38,7 +38,7 @@ func buildV2Log(t *testing.T, n int) ([]byte, []int64) {
 func replayPrefix(t *testing.T, log []byte, want int) ReplayStats {
 	t.Helper()
 	s := New()
-	st, err := ReplayWAL(bytes.NewReader(log), s)
+	st, err := ReplayWALObserved(bytes.NewReader(log), s, nil)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestWALCorruptionEmptyFile(t *testing.T) {
 
 // TestWALRefusesLegacyV1 pins what happens to a log in the removed v1
 // format (bare JSON lines): it is refused with an error naming the format,
-// nothing is applied, nothing is counted as torn tail — so RecoverWAL
+// nothing is applied, nothing is counted as torn tail — so RecoverWALObserved
 // leaves the file exactly as it found it instead of truncating it to zero.
 func TestWALRefusesLegacyV1(t *testing.T) {
 	var v1 bytes.Buffer
@@ -140,7 +140,7 @@ func TestWALRefusesLegacyV1(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := New()
-			st, err := ReplayWAL(bytes.NewReader(log), s)
+			st, err := ReplayWALObserved(bytes.NewReader(log), s, nil)
 			if err == nil || !strings.Contains(err.Error(), "v1 JSON-line") {
 				t.Fatalf("replay err = %v, want one naming the v1 format", err)
 			}
@@ -157,8 +157,8 @@ func TestWALRefusesLegacyV1(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer f.Close()
-			if _, err := RecoverWAL(f, New()); err == nil {
-				t.Fatal("RecoverWAL accepted a v1 log")
+			if _, err := RecoverWALObserved(f, New(), nil); err == nil {
+				t.Fatal("RecoverWALObserved accepted a v1 log")
 			}
 			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, log) {
 				t.Fatalf("refused file was modified: %d bytes, want %d (err %v)", len(after), len(log), err)
@@ -184,7 +184,7 @@ func TestWALHeaderlessStreamStartingWithBrace(t *testing.T) {
 		if stream[0] != '{' {
 			continue
 		}
-		if st, err := ReplayWAL(bytes.NewReader(stream), New()); err != nil || st.Applied != 1 || st.TruncatedBytes != 0 {
+		if st, err := ReplayWALObserved(bytes.NewReader(stream), New(), nil); err != nil || st.Applied != 1 || st.TruncatedBytes != 0 {
 			t.Fatalf("headerless stream with a %d-byte first record: %+v, %v", len(stream)-walRecordHeader, st, err)
 		}
 		return
@@ -207,7 +207,7 @@ func TestRecoverWALTruncatesFile(t *testing.T) {
 	defer f.Close()
 
 	s := New()
-	st, err := RecoverWAL(f, s)
+	st, err := RecoverWALObserved(f, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestRecoverWALTruncatesFile(t *testing.T) {
 	if _, err := f.Seek(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if st, err := ReplayWAL(f, New()); err != nil || st.Applied != 2 || st.TruncatedBytes != 0 {
+	if st, err := ReplayWALObserved(f, New(), nil); err != nil || st.Applied != 2 || st.TruncatedBytes != 0 {
 		t.Fatalf("post-recovery replay: %+v, %v", st, err)
 	}
 }
@@ -294,7 +294,7 @@ func TestWALSyncAlwaysGroupCommit(t *testing.T) {
 	sc.mu.Lock()
 	log := append([]byte(nil), sc.buf.Bytes()...)
 	sc.mu.Unlock()
-	st, err := ReplayWAL(bytes.NewReader(log), New())
+	st, err := ReplayWALObserved(bytes.NewReader(log), New(), nil)
 	if err != nil || st.Applied != 3+writers*each {
 		t.Fatalf("replay after group commit: %+v, %v", st, err)
 	}

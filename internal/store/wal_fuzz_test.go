@@ -42,7 +42,7 @@ func FuzzWALDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := New()
-		st, err := ReplayWAL(bytes.NewReader(data), s)
+		st, err := ReplayWALObserved(bytes.NewReader(data), s, nil)
 		if st.Applied < 0 || st.GoodBytes < 0 || st.TruncatedBytes < 0 {
 			t.Fatalf("negative stats: %+v", st)
 		}

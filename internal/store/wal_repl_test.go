@@ -74,7 +74,7 @@ func TestRecoverWALReadOnlyFile(t *testing.T) {
 	}
 	defer f.Close()
 	s := New()
-	st, err := RecoverWAL(f, s)
+	st, err := RecoverWALObserved(f, s, nil)
 	if err != nil || st.Applied != 2 {
 		t.Fatalf("clean read-only recovery: %+v, %v", st, err)
 	}
@@ -87,7 +87,7 @@ func TestRecoverWALReadOnlyFile(t *testing.T) {
 	}
 	defer f2.Close()
 	s2 := New()
-	st2, err := RecoverWAL(f2, s2)
+	st2, err := RecoverWALObserved(f2, s2, nil)
 	if err == nil {
 		t.Fatal("torn tail on read-only file recovered without error")
 	}
@@ -305,7 +305,7 @@ func TestWALAppendIsOneWrite(t *testing.T) {
 	if !bytes.Equal(file, want) {
 		t.Fatal("written bytes differ from the marshal-then-frame reference encoding")
 	}
-	st, err := ReplayWAL(bytes.NewReader(file), New())
+	st, err := ReplayWALObserved(bytes.NewReader(file), New(), nil)
 	if err != nil || st.Applied != records || st.TruncatedBytes != 0 {
 		t.Fatalf("replay of the written bytes: %+v, %v", st, err)
 	}

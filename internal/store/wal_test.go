@@ -41,7 +41,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 	}
 
 	s := New()
-	st, err := ReplayWAL(&buf, s)
+	st, err := ReplayWALObserved(&buf, s, nil)
 	if err != nil || st.Applied != 4 {
 		t.Fatalf("replay: %+v, %v", st, err)
 	}
@@ -75,7 +75,7 @@ func TestWALReplayToleratesTornTail(t *testing.T) {
 	buf.WriteString(`{"kind":"answer","task_id":1,"ans`)
 
 	s := New()
-	st, err := ReplayWAL(&buf, s)
+	st, err := ReplayWALObserved(&buf, s, nil)
 	if err != nil {
 		t.Fatalf("torn tail should end replay cleanly: %v", err)
 	}
@@ -97,7 +97,7 @@ func TestWALReplayRejectsInconsistentEvents(t *testing.T) {
 	if err := NewWAL(&orphan).Append(Event{Kind: EventAnswer, At: t0, TaskID: 7, Answer: &a}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReplayWAL(&orphan, New()); err == nil {
+	if _, err := ReplayWALObserved(&orphan, New(), nil); err == nil {
 		t.Fatal("orphan answer accepted")
 	}
 	// Duplicate submit.
@@ -106,7 +106,7 @@ func TestWALReplayRejectsInconsistentEvents(t *testing.T) {
 	_ = wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)})
 	_ = wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)})
 	s2 := New()
-	if _, err := ReplayWAL(&buf, s2); err == nil {
+	if _, err := ReplayWALObserved(&buf, s2, nil); err == nil {
 		t.Fatal("duplicate submit accepted")
 	}
 }
@@ -145,14 +145,14 @@ func TestReplayRefusesWhatNoLiveOrderLogs(t *testing.T) {
 		"finish behind a cancel":     {closeBy(EventCancel), closeBy(EventFinish)},
 	} {
 		t.Run(name, func(t *testing.T) {
-			if st, err := ReplayWAL(logOf(t, tail...), New()); err == nil {
+			if st, err := ReplayWALObserved(logOf(t, tail...), New(), nil); err == nil {
 				t.Errorf("replayed (%d events applied), want an error", st.Applied)
 			}
 		})
 	}
 	t.Run("answer then finish replays", func(t *testing.T) {
 		s := New()
-		if _, err := ReplayWAL(logOf(t, answerBy("a"), closeBy(EventFinish)), s); err != nil {
+		if _, err := ReplayWALObserved(logOf(t, answerBy("a"), closeBy(EventFinish)), s, nil); err != nil {
 			t.Fatal(err)
 		}
 		if v, err := s.View(1); err != nil || v.Status != task.Done || len(v.Answers) != 1 || !v.DoneAt.Equal(t0.Add(time.Second)) {
@@ -202,7 +202,7 @@ func TestWALSnapshotPlusTailRecovery(t *testing.T) {
 	if err := recovered.Restore(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReplayWAL(&tail, recovered); err != nil {
+	if _, err := ReplayWALObserved(&tail, recovered, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := recovered.Get(1)
@@ -263,10 +263,10 @@ func TestWALRoundTripProperty(t *testing.T) {
 			}
 		}
 		replayed := New()
-		if _, err := ReplayWAL(bytes.NewReader(buf.Bytes()), replayed); err != nil {
+		if _, err := ReplayWALObserved(bytes.NewReader(buf.Bytes()), replayed, nil); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		for _, want := range reference.ViewAll() {
+		for _, want := range reference.ViewByStatus(AnyStatus) {
 			got, err := replayed.Get(want.ID)
 			if err != nil {
 				t.Fatalf("trial %d: task %d missing", trial, want.ID)
@@ -320,7 +320,7 @@ func TestWALAppendBatchReplayRoundTrip(t *testing.T) {
 	}
 
 	s := New()
-	st, err := ReplayWAL(&buf, s)
+	st, err := ReplayWALObserved(&buf, s, nil)
 	if err != nil || st.Applied != 4 || st.TruncatedBytes != 0 {
 		t.Fatalf("replay: %+v, %v", st, err)
 	}
@@ -347,7 +347,7 @@ func TestWALAppendBatchRejectsInvalidEventUpFront(t *testing.T) {
 	if wal.Len() != 0 {
 		t.Fatalf("Len = %d after rejected batch, want 0", wal.Len())
 	}
-	if st, err := ReplayWAL(&buf, New()); err != nil || st.Applied != 0 {
+	if st, err := ReplayWALObserved(&buf, New(), nil); err != nil || st.Applied != 0 {
 		t.Fatalf("replay after rejected batch: %+v, %v", st, err)
 	}
 }

@@ -248,14 +248,6 @@ func (t *Task) View() View {
 	return v
 }
 
-// Remaining returns how many more answers the viewed task needs.
-func (v View) Remaining() int {
-	if r := v.Redundancy - len(v.Answers); r > 0 {
-		return r
-	}
-	return 0
-}
-
 // Finish transitions an Open task to Done before it has collected its full
 // redundancy — the quality plane's early-completion path, taken when the
 // posterior confidence over the answers already in hand crosses the

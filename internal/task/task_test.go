@@ -206,7 +206,7 @@ func TestViewIsDeepCopy(t *testing.T) {
 		t.Fatalf("task sees view mutation: %+v", tk)
 	}
 
-	if v.Remaining() != 1 {
-		t.Fatalf("view Remaining = %d, want 1", v.Remaining())
+	if n := v.Redundancy - len(v.Answers); n != 1 {
+		t.Fatalf("view needs %d more answers, want 1", n)
 	}
 }

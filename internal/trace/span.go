@@ -373,19 +373,6 @@ func (h Handle) ObserveSince(op string, parent SpanRef, start time.Time, attr in
 	}
 }
 
-// SetAttr attaches an op-specific integer attribute to ref.
-func (h Handle) SetAttr(ref SpanRef, v int64) {
-	if h.a == nil || ref < 0 {
-		return
-	}
-	a := h.a
-	a.mu.Lock()
-	if a.gen == h.gen && !a.done && int(ref) < len(a.spans) {
-		a.spans[ref].Attr = v
-	}
-	a.mu.Unlock()
-}
-
 // addLocked appends a span; caller holds a.mu.
 func (a *active) addLocked(gen uint64, op string, parent SpanRef, start time.Time, d time.Duration, attr int64) SpanRef {
 	if a.gen != gen || a.done {

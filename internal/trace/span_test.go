@@ -366,3 +366,16 @@ func TestConcurrentSpanPlaneSoak(t *testing.T) {
 		}
 	}
 }
+
+// SetAttr attaches an op-specific integer attribute to ref.
+func (h Handle) SetAttr(ref SpanRef, v int64) {
+	if h.a == nil || ref < 0 {
+		return
+	}
+	a := h.a
+	a.mu.Lock()
+	if a.gen == h.gen && !a.done && int(ref) < len(a.spans) {
+		a.spans[ref].Attr = v
+	}
+	a.mu.Unlock()
+}

@@ -12,11 +12,6 @@ type Rect struct {
 	X, Y, W, H int
 }
 
-// Contains reports whether the point (x, y) lies inside r.
-func (r Rect) Contains(x, y int) bool {
-	return x >= r.X && x < r.X+r.W && y >= r.Y && y < r.Y+r.H
-}
-
 // Area returns the rectangle's area in pixels.
 func (r Rect) Area() int {
 	if r.W <= 0 || r.H <= 0 {

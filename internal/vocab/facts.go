@@ -120,6 +120,3 @@ func (fb *FactBase) IsTrue(f Fact) bool {
 	}
 	return false
 }
-
-// NumFacts returns the total number of facts in the base.
-func (fb *FactBase) NumFacts() int { return len(fb.index) }

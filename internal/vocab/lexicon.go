@@ -28,7 +28,6 @@ type Lexicon struct {
 	canonical []int   // canonical[id] = representative ID of id's synonym group
 	groups    [][]int // groups[g] = member IDs; indexed via groupOf
 	groupOf   []int
-	byText    map[string]int
 	zipf      *rng.Zipf
 	src       *rng.Source
 }
@@ -58,13 +57,11 @@ func NewLexicon(cfg LexiconConfig) *Lexicon {
 		words:     make([]Word, cfg.Size),
 		canonical: make([]int, cfg.Size),
 		groupOf:   make([]int, cfg.Size),
-		byText:    make(map[string]int, cfg.Size),
 		src:       src,
 	}
 	for i := 0; i < cfg.Size; i++ {
 		text := syntheticWord(i)
 		lex.words[i] = Word{ID: i, Text: text, Rank: i}
-		lex.byText[text] = i
 	}
 	// Build synonym groups: consecutive words merge with probability
 	// SynonymRate, giving geometric group sizes like real thesauri.
@@ -113,14 +110,6 @@ func (l *Lexicon) Word(id int) Word {
 		panic(fmt.Sprintf("vocab: word ID %d out of range [0,%d)", id, len(l.words)))
 	}
 	return l.words[id]
-}
-
-// Lookup returns the ID for text, or -1 if the text is not in the lexicon.
-func (l *Lexicon) Lookup(text string) int {
-	if id, ok := l.byText[text]; ok {
-		return id
-	}
-	return -1
 }
 
 // Sample draws a word ID with Zipfian popularity (head words most likely).

@@ -88,12 +88,3 @@ func SampleProfile(cfg PopulationConfig, src *rng.Source) Profile {
 		ReturnProb:   0.55,
 	}
 }
-
-// CountByBehavior tallies a population by strategy.
-func CountByBehavior(ws []*Worker) map[Behavior]int {
-	m := make(map[Behavior]int, 3)
-	for _, w := range ws {
-		m[w.Behavior]++
-	}
-	return m
-}

@@ -131,7 +131,7 @@ func TestPingAccuracy(t *testing.T) {
 				t.Fatalf("ping (%d,%d) off canvas", x, y)
 			}
 			total++
-			if box.Contains(x, y) {
+			if x >= box.X && x < box.X+box.W && y >= box.Y && y < box.Y+box.H {
 				inBox++
 			}
 		}
@@ -288,7 +288,10 @@ func TestPopulationComposition(t *testing.T) {
 	cfg.ColluderFrac = 0.2
 	cfg.ColludeWord = 42
 	ws := NewPopulation(cfg)
-	counts := CountByBehavior(ws)
+	counts := map[Behavior]int{}
+	for _, w := range ws {
+		counts[w.Behavior]++
+	}
 	if counts[Spammer] != 100 || counts[Colluder] != 200 || counts[Honest] != 700 {
 		t.Fatalf("composition = %v", counts)
 	}
