@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -82,7 +83,7 @@ func launch(t *testing.T, bin, dir string) *proc {
 func startNode(t *testing.T, bin, dir string) *proc {
 	t.Helper()
 	n := launch(t, bin, dir)
-	for deadline := time.Now().Add(20 * time.Second); !n.c.Healthy(); time.Sleep(5 * time.Millisecond) {
+	for deadline := time.Now().Add(20 * time.Second); !n.c.HealthyContext(context.Background()); time.Sleep(5 * time.Millisecond) {
 		select {
 		case <-n.done:
 			t.Fatalf("hcservd exited before serving; log:\n%s", readLog(dir))
@@ -125,7 +126,7 @@ type durable struct {
 
 func observe(t *testing.T, n *proc, dir string, open task.ID) durable {
 	t.Helper()
-	st, err := n.c.Stats()
+	st, err := n.c.StatsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func decodeSidecar(t *testing.T, d durable) sidecar {
 // whether the task's timeline opens with the store's persist event.
 func replayed(t *testing.T, n *proc, id task.ID) (goldChecked int64, persisted bool) {
 	t.Helper()
-	st, err := n.c.Stats()
+	st, err := n.c.StatsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestCrashRestartKeepsRecoveredState(t *testing.T) {
 	const probes, plain = 4, 3
 	gold := map[task.ID]int{}
 	for i := 0; i < probes; i++ {
-		id, err := n.c.SubmitGold(task.Judge, task.Payload{ImageID: 100 + i}, 3, 1, task.Answer{Choice: i % 2})
+		id, err := n.c.SubmitGoldContext(context.Background(), task.Judge, task.Payload{ImageID: 100 + i}, 3, 1, task.Answer{Choice: i % 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +244,7 @@ func TestCrashRestartKeepsRecoveredState(t *testing.T) {
 	}
 	for i := 0; i < probes+plain; i++ {
 		for _, w := range []string{"good", "bad"} {
-			tv, lease, err := n.c.Next(w)
+			tv, lease, err := n.c.NextContext(context.Background(), w)
 			if err != nil {
 				t.Fatalf("leasing for %s: %v", w, err)
 			}
@@ -251,7 +252,7 @@ func TestCrashRestartKeepsRecoveredState(t *testing.T) {
 			if w == "bad" {
 				choice = 1 - choice
 			}
-			if err := n.c.Answer(lease, task.Answer{Choice: choice}); err != nil {
+			if err := n.c.AnswerContext(context.Background(), lease, task.Answer{Choice: choice}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -311,14 +312,14 @@ func TestCrashRestartKeepsRecoveredState(t *testing.T) {
 	// The recovered system is the journaled one: a recovered gold probe
 	// still scores the worker who takes it, and that answer, acknowledged,
 	// survives the next crash.
-	tv, lease, err := n.c.Next("late")
+	tv, lease, err := n.c.NextContext(context.Background(), "late")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, isGold := gold[tv.ID]; !isGold {
 		t.Fatalf("leased task %d, want a gold probe", tv.ID)
 	}
-	if err := n.c.Answer(lease, task.Answer{Choice: tv.Payload.ImageID % 2}); err != nil {
+	if err := n.c.AnswerContext(context.Background(), lease, task.Answer{Choice: tv.Payload.ImageID % 2}); err != nil {
 		t.Fatal(err)
 	}
 	n.stop(t, syscall.SIGKILL)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"os"
@@ -34,7 +35,7 @@ func TestKillDuringBootCheckpoint(t *testing.T) {
 			for i := range reqs {
 				reqs[i] = dispatch.SubmitRequest{Kind: "label", Payload: task.Payload{ImageID: sent + i, Taboo: []int{1, 2, 3, 4}}, Redundancy: 3}
 			}
-			res, err := n.c.SubmitBatch(reqs)
+			res, err := n.c.SubmitBatchContext(context.Background(), reqs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +94,7 @@ func TestKillDuringBootCheckpoint(t *testing.T) {
 	}
 
 	n = startNode(t, bin, dir)
-	st, err := n.c.Stats()
+	st, err := n.c.StatsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -156,10 +157,11 @@ func runLocal(game string, players int, hours float64, seed uint64) {
 // crowd and scores the agreed labels. It returns how many tasks were
 // submitted and answers given, and the first call that failed.
 func runHTTP(url string, nTasks, nWorkers, batch int, seed uint64) (submitted, answered int, err error) {
+	ctx := context.Background()
 	// Traceparent headers cost one header per request and let a server
 	// running with -spans attribute any slow call to this driver.
 	client := dispatch.NewClientWith(url, nil, dispatch.ClientOptions{Trace: true})
-	if !client.Healthy() {
+	if !client.HealthyContext(ctx) {
 		return 0, 0, fmt.Errorf("no healthy service at %s (start cmd/hcservd first)", url)
 	}
 	if batch < 1 {
@@ -178,13 +180,13 @@ func runHTTP(url string, nTasks, nWorkers, batch int, seed uint64) (submitted, a
 		w.Profile.ThinkMean = 0 // network time replaces think time here
 	}
 
-	ids, err := submitTasks(client, corpus, nTasks, batch)
+	ids, err := submitTasks(ctx, client, corpus, nTasks, batch)
 	if err != nil {
 		return len(ids), 0, err
 	}
 	log.Printf("hcsim: submitted %d labeling tasks (batch=%d)", len(ids), batch)
 
-	answered, err = answerTasks(client, corpus, ws, batch)
+	answered, err = answerTasks(ctx, client, corpus, ws, batch)
 	if err != nil {
 		return len(ids), answered, err
 	}
@@ -192,11 +194,11 @@ func runHTTP(url string, nTasks, nWorkers, batch int, seed uint64) (submitted, a
 
 	good, total := 0, 0
 	for _, id := range ids {
-		words, err := client.Words(id)
+		words, err := client.WordsContext(ctx, id)
 		if err != nil {
 			return len(ids), answered, fmt.Errorf("aggregating: %w", err)
 		}
-		t, err := client.Task(id)
+		t, err := client.TaskContext(ctx, id)
 		if err != nil {
 			return len(ids), answered, fmt.Errorf("fetching: %w", err)
 		}
@@ -210,7 +212,7 @@ func runHTTP(url string, nTasks, nWorkers, batch int, seed uint64) (submitted, a
 			}
 		}
 	}
-	st, err := client.Stats()
+	st, err := client.StatsContext(ctx)
 	if err != nil {
 		return len(ids), answered, fmt.Errorf("stats: %w", err)
 	}
@@ -224,12 +226,12 @@ func runHTTP(url string, nTasks, nWorkers, batch int, seed uint64) (submitted, a
 
 // submitTasks creates the labeling workload, one request per task when
 // batch is 1 and POST /v1/tasks:batch chunks otherwise.
-func submitTasks(client *dispatch.Client, corpus *vocab.Corpus, nTasks, batch int) ([]task.ID, error) {
+func submitTasks(ctx context.Context, client *dispatch.Client, corpus *vocab.Corpus, nTasks, batch int) ([]task.ID, error) {
 	ids := make([]task.ID, 0, nTasks)
 	if batch <= 1 {
 		for i := 0; i < nTasks; i++ {
 			img := i % len(corpus.Images)
-			id, err := client.Submit(task.Label, task.Payload{ImageID: img}, 3, 0)
+			id, err := client.SubmitContext(ctx, task.Label, task.Payload{ImageID: img}, 3, 0)
 			if err != nil {
 				return ids, fmt.Errorf("submitting task: %w", err)
 			}
@@ -250,7 +252,7 @@ func submitTasks(client *dispatch.Client, corpus *vocab.Corpus, nTasks, batch in
 				Redundancy: 3,
 			}
 		}
-		results, err := client.SubmitBatch(reqs)
+		results, err := client.SubmitBatchContext(ctx, reqs)
 		if err != nil {
 			return ids, fmt.Errorf("submitting batch: %w", err)
 		}
@@ -267,19 +269,19 @@ func submitTasks(client *dispatch.Client, corpus *vocab.Corpus, nTasks, batch in
 // answerTasks drains the queue with the modeled crowd, leasing and
 // answering one task per request when batch is 1 and whole batches over
 // /v1/leases:batch + /v1/leases:answers otherwise.
-func answerTasks(client *dispatch.Client, corpus *vocab.Corpus, ws []*worker.Worker, batch int) (int, error) {
+func answerTasks(ctx context.Context, client *dispatch.Client, corpus *vocab.Corpus, ws []*worker.Worker, batch int) (int, error) {
 	answered := 0
 	if batch <= 1 {
 		for i := 0; ; i++ {
 			w := ws[i%len(ws)]
-			t, lease, err := client.Next(w.ID)
+			t, lease, err := client.NextContext(ctx, w.ID)
 			if errors.Is(err, dispatch.ErrNoTask) {
 				break
 			}
 			if err != nil {
 				return answered, fmt.Errorf("leasing: %w", err)
 			}
-			if err := client.Answer(lease, sim.LabelAnswer(w, corpus, t)); err != nil {
+			if err := client.AnswerContext(ctx, lease, sim.LabelAnswer(w, corpus, t)); err != nil {
 				return answered, fmt.Errorf("answering: %w", err)
 			}
 			answered++
@@ -288,7 +290,7 @@ func answerTasks(client *dispatch.Client, corpus *vocab.Corpus, ws []*worker.Wor
 	}
 	for i := 0; ; i++ {
 		w := ws[i%len(ws)]
-		leases, err := client.NextBatch(w.ID, batch)
+		leases, err := client.NextBatchContext(ctx, w.ID, batch)
 		if err != nil {
 			return answered, fmt.Errorf("leasing batch: %w", err)
 		}
@@ -303,7 +305,7 @@ func answerTasks(client *dispatch.Client, corpus *vocab.Corpus, ws []*worker.Wor
 		for j, a := range sim.LabelAnswers(w, corpus, views) {
 			items[j] = dispatch.BatchAnswerItem{Lease: leases[j].Lease, Answer: a}
 		}
-		statuses, err := client.AnswerBatch(items)
+		statuses, err := client.AnswerBatchContext(ctx, items)
 		if err != nil {
 			return answered, fmt.Errorf("answering batch: %w", err)
 		}

@@ -29,8 +29,9 @@ const sessionWordSpan = 256
 // The run fails when a join (other than a 503 "no partner yet") or an
 // event poll errored, or when no round reached agreement.
 func runSession(url string, players, rounds int, seed uint64) (*sessionTally, error) {
+	ctx := context.Background()
 	client := dispatch.NewClientWith(url, nil, dispatch.ClientOptions{Trace: true})
-	if !client.Healthy() {
+	if !client.HealthyContext(ctx) {
 		return nil, fmt.Errorf("no healthy service at %s (start cmd/hcservd -sessions first)", url)
 	}
 
@@ -58,7 +59,7 @@ func runSession(url string, players, rounds int, seed uint64) (*sessionTally, er
 		fmt.Printf("  partner-message latency: p50=%.2fms p99=%.2fms max=%.2fms (%d samples)\n",
 			sum.P50Ms, sum.P99Ms, sum.MaxMs, sum.Count)
 	}
-	if st, err := client.SessionStats(); err == nil {
+	if st, err := client.SessionStatsContext(ctx); err == nil {
 		fmt.Printf("  server session stats: %+v\n", st)
 	}
 	switch {

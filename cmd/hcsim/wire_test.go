@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"humancomp/internal/agree"
 	"humancomp/internal/core"
 	"humancomp/internal/dispatch"
 	"humancomp/internal/session"
@@ -19,14 +18,13 @@ import (
 // the agreed answers reach the task plane.
 func TestRunSession(t *testing.T) {
 	sys := core.New(core.DefaultConfig())
-	bridge := dispatch.NewSessionBridge(sys, 8, 2, 1)
+	bridge := dispatch.NewSessionBridge(sys)
 	plane, err := session.New(session.Config{
 		MatchTimeout: 250 * time.Millisecond,
 		RoundTimeout: 10 * time.Second,
 		SweepEvery:   5 * time.Millisecond,
-		Match:        agree.Exact,
 		Lexicon:      vocab.NewLexicon(vocab.LexiconConfig{Size: 500, ZipfS: 1, SynonymRate: 0, Seed: 1}),
-		NextItem:     bridge.NextItem,
+		Items:        8,
 		OnResult:     bridge.OnResult,
 		Seed:         5,
 	})

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http/httptest"
@@ -20,13 +21,14 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// Service side: a core system behind the HTTP handler. (A real
 	// deployment runs cmd/hcservd; httptest keeps the example portable.)
 	sys := core.New(core.DefaultConfig())
 	server := httptest.NewServer(dispatch.NewServer(sys))
 	defer server.Close()
 	client := dispatch.NewClient(server.URL, server.Client())
-	fmt.Printf("dispatch service at %s (healthy: %v)\n\n", server.URL, client.Healthy())
+	fmt.Printf("dispatch service at %s (healthy: %v)\n\n", server.URL, client.HealthyContext(ctx))
 
 	corpus := vocab.NewCorpus(vocab.DefaultCorpusConfig())
 	src := rng.New(9)
@@ -50,16 +52,16 @@ func main() {
 		if same {
 			expected.Choice = 0
 		}
-		if _, err := client.SubmitGold(task.Judge,
+		if _, err := client.SubmitGoldContext(ctx, task.Judge,
 			task.Payload{ClipA: g, ClipB: g + 1}, len(workers), 10, expected); err != nil {
 			panic(err)
 		}
 		for _, w := range workers {
-			_, lease, err := client.Next(w.ID)
+			_, lease, err := client.NextContext(ctx, w.ID)
 			if err != nil {
 				panic(err)
 			}
-			if err := client.Answer(lease, task.Answer{Choice: w.Judge(same)}); err != nil {
+			if err := client.AnswerContext(ctx, lease, task.Answer{Choice: w.Judge(same)}); err != nil {
 				panic(err)
 			}
 		}
@@ -74,7 +76,7 @@ func main() {
 	const nTasks = 40
 	ids := make([]task.ID, 0, nTasks)
 	for i := 0; i < nTasks; i++ {
-		id, err := client.Submit(task.Label, task.Payload{ImageID: i}, 3, 0)
+		id, err := client.SubmitContext(ctx, task.Label, task.Payload{ImageID: i}, 3, 0)
 		if err != nil {
 			panic(err)
 		}
@@ -82,7 +84,7 @@ func main() {
 	}
 	for round := 0; ; round++ {
 		w := workers[round%len(workers)]
-		t, lease, err := client.Next(w.ID)
+		t, lease, err := client.NextContext(ctx, w.ID)
 		if errors.Is(err, dispatch.ErrNoTask) {
 			break
 		}
@@ -101,7 +103,7 @@ func main() {
 		if len(words) == 0 {
 			words = []int{corpus.Lexicon.Sample()}
 		}
-		if err := client.Answer(lease, task.Answer{Words: words}); err != nil {
+		if err := client.AnswerContext(ctx, lease, task.Answer{Words: words}); err != nil {
 			panic(err)
 		}
 	}
@@ -109,11 +111,11 @@ func main() {
 	// Read the aggregates back.
 	good, total := 0, 0
 	for _, id := range ids {
-		t, err := client.Task(id)
+		t, err := client.TaskContext(ctx, id)
 		if err != nil {
 			panic(err)
 		}
-		words, err := client.Words(id)
+		words, err := client.WordsContext(ctx, id)
 		if err != nil {
 			panic(err)
 		}
@@ -126,7 +128,7 @@ func main() {
 			}
 		}
 	}
-	stats, err := client.Stats()
+	stats, err := client.StatsContext(ctx)
 	if err != nil {
 		panic(err)
 	}

@@ -2,6 +2,7 @@ package humancomp_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -67,7 +68,7 @@ func TestServiceLifecycleWithJournalRecovery(t *testing.T) {
 	answered := 0
 	for i := 0; ; i++ {
 		w := workers[i%len(workers)]
-		tk, lease, err := client.Next(w.ID)
+		tk, lease, err := client.NextContext(context.Background(), w.ID)
 		if errors.Is(err, dispatch.ErrNoTask) {
 			break
 		}
@@ -86,7 +87,7 @@ func TestServiceLifecycleWithJournalRecovery(t *testing.T) {
 		if len(words) == 0 {
 			words = []int{corpus.Lexicon.Sample()}
 		}
-		if err := client.Answer(lease, task.Answer{Words: words}); err != nil {
+		if err := client.AnswerContext(context.Background(), lease, task.Answer{Words: words}); err != nil {
 			t.Fatal(err)
 		}
 		answered++
@@ -192,7 +193,7 @@ func TestConcurrentDispatchSoak(t *testing.T) {
 				var id task.ID
 				var err error
 				if i%10 == 9 {
-					id, err = client.SubmitGold(task.Judge,
+					id, err = client.SubmitGoldContext(context.Background(), task.Judge,
 						task.Payload{ClipA: i, ClipB: i + 1}, 2, i%3, task.Answer{Choice: 1})
 				} else {
 					id, err = client.Submit(task.Label,
@@ -220,7 +221,7 @@ func TestConcurrentDispatchSoak(t *testing.T) {
 	work := func(workerID string) {
 		client := newClient()
 		for {
-			tk, lease, err := client.Next(workerID)
+			tk, lease, err := client.NextContext(context.Background(), workerID)
 			if errors.Is(err, dispatch.ErrNoTask) {
 				if submitted.Load() {
 					return
@@ -242,7 +243,7 @@ func TestConcurrentDispatchSoak(t *testing.T) {
 			default:
 				a = task.Answer{Words: []int{tk.Payload.ImageID%7 + 1}}
 			}
-			if err := client.Answer(lease, a); !tolerable(err) {
+			if err := client.AnswerContext(context.Background(), lease, a); !tolerable(err) {
 				t.Errorf("answer: %v", err)
 				return
 			}
@@ -275,11 +276,11 @@ func TestConcurrentDispatchSoak(t *testing.T) {
 				}
 				mu.Unlock()
 				if id != 0 {
-					if _, err := client.Task(id); !tolerable(err) {
+					if _, err := client.TaskContext(context.Background(), id); !tolerable(err) {
 						t.Errorf("get: %v", err)
 						return
 					}
-					if _, err := client.Words(id); !tolerable(err) {
+					if _, err := client.WordsContext(context.Background(), id); !tolerable(err) {
 						t.Errorf("words: %v", err)
 						return
 					}
@@ -302,7 +303,7 @@ func TestConcurrentDispatchSoak(t *testing.T) {
 				// this goroutine's later task reads, which would hide the
 				// very races the pure readers exist to expose.
 				if r == 0 {
-					if _, err := client.Stats(); err != nil {
+					if _, err := client.StatsContext(context.Background()); err != nil {
 						t.Errorf("stats: %v", err)
 						return
 					}
@@ -357,7 +358,7 @@ func TestConcurrentDispatchSoak(t *testing.T) {
 						return
 					default:
 					}
-					if _, err := client.Task(hotID); !tolerable(err) {
+					if _, err := client.TaskContext(context.Background(), hotID); !tolerable(err) {
 						t.Errorf("hot get: %v", err)
 						return
 					}
@@ -375,7 +376,7 @@ func TestConcurrentDispatchSoak(t *testing.T) {
 				client := newClient()
 				workerID := fmt.Sprintf("hot-%d-%d", round, w)
 				for attempt := 0; attempt < 10000; attempt++ {
-					tk, lease, err := client.Next(workerID)
+					tk, lease, err := client.NextContext(context.Background(), workerID)
 					if errors.Is(err, dispatch.ErrNoTask) {
 						time.Sleep(200 * time.Microsecond)
 						continue
@@ -387,7 +388,7 @@ func TestConcurrentDispatchSoak(t *testing.T) {
 					if err != nil {
 						continue
 					}
-					if err := client.Answer(lease, task.Answer{Words: []int{w + 1, w + 2, w + 3}}); !tolerable(err) {
+					if err := client.AnswerContext(context.Background(), lease, task.Answer{Words: []int{w + 1, w + 2, w + 3}}); !tolerable(err) {
 						t.Errorf("hot answer: %v", err)
 						return
 					}
@@ -436,7 +437,7 @@ func TestConcurrentDispatchSoak(t *testing.T) {
 		}
 	}
 	// The journal saw every submit and every recorded answer.
-	st, err := client.Stats()
+	st, err := client.StatsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +533,7 @@ func TestAbandonedLeasesRecycleOverHTTP(t *testing.T) {
 	// The flaky worker leases everything and disappears.
 	leased := 0
 	for {
-		_, _, err := client.Next("ghost")
+		_, _, err := client.NextContext(context.Background(), "ghost")
 		if errors.Is(err, dispatch.ErrNoTask) {
 			break
 		}
@@ -545,20 +546,20 @@ func TestAbandonedLeasesRecycleOverHTTP(t *testing.T) {
 		t.Fatalf("ghost leased %d", leased)
 	}
 	// Nothing available until the TTL passes.
-	if _, _, err := client.Next("diligent"); !errors.Is(err, dispatch.ErrNoTask) {
+	if _, _, err := client.NextContext(context.Background(), "diligent"); !errors.Is(err, dispatch.ErrNoTask) {
 		t.Fatalf("pre-expiry: %v", err)
 	}
 	time.Sleep(80 * time.Millisecond)
 	done := 0
 	for {
-		_, lease, err := client.Next("diligent")
+		_, lease, err := client.NextContext(context.Background(), "diligent")
 		if errors.Is(err, dispatch.ErrNoTask) {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := client.Answer(lease, task.Answer{Words: []int{1}}); err != nil {
+		if err := client.AnswerContext(context.Background(), lease, task.Answer{Words: []int{1}}); err != nil {
 			t.Fatal(err)
 		}
 		done++
@@ -651,15 +652,15 @@ func TestObservabilityOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []string{"ann", "bob"} {
-		_, lease, err := client.Next(w)
+		_, lease, err := client.NextContext(context.Background(), w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := client.Answer(lease, task.Answer{Words: []int{5}}); err != nil {
+		if err := client.AnswerContext(context.Background(), lease, task.Answer{Words: []int{5}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := client.Task(id)
+	got, err := client.TaskContext(context.Background(), id)
 	if err != nil || got.Status != task.Done {
 		t.Fatalf("task after answers: %+v, %v", got, err)
 	}

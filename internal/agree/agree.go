@@ -45,32 +45,82 @@ func (m MatchMode) String() string {
 // Errors returned by round submissions.
 var (
 	ErrBadPlayer   = errors.New("agree: player index out of range")
-	ErrTabooWord   = errors.New("agree: word is taboo for this round")
-	ErrRepeatWord  = errors.New("agree: player already entered this word")
 	ErrRoundOver   = errors.New("agree: round already finished")
 	ErrAlreadyVote = errors.New("agree: player already voted")
 )
 
-// OutputRound is one two-player output-agreement round over a shared input.
+// Refusal is a guess an output-agreement round turned down in-band, as the
+// game's UI would; its value is the reason a player is shown.
+type Refusal string
+
+func (r Refusal) Error() string { return "agree: guess refused: " + string(r) }
+
+// The refusals of OutputRound.Guess.
+const (
+	ErrTabooWord  Refusal = "taboo"  // the word, or a synonym, is taboo this round
+	ErrRepeatWord Refusal = "repeat" // the player already entered the word
+	ErrNoGuesses  Refusal = "limit"  // the player has no guesses left
+	ErrNoWord     Refusal = "empty"  // a beat in which the player typed nothing
+)
+
+// The deployed ESP Game's rules, the defaults of both the simulator and
+// the live session plane: a word turns taboo on an item at its first
+// agreement there, an item with six taboo words is fully labelled, and
+// each player has a dozen guesses per round.
+const (
+	DefaultPromoteAfter = 1
+	DefaultRetireAt     = 6
+	DefaultMaxGuesses   = 12
+)
+
+// Reasons a round ends by its own rules; Ended reports them, and a driver
+// adds its own through Stop.
+const (
+	EndAgreed    = "agreed"
+	EndPassed    = "passed"
+	EndExhausted = "exhausted"
+)
+
+// OutputRound is one two-player ESP output-agreement round over a shared
+// input. It holds every rule of the round, so a simulated crowd and a live
+// service play the same game:
+//   - every beat uses one of the player's guesses, whether the round enters
+//     the word or refuses it as taboo or a repeat;
+//   - in a replay round seat 1 is a recorded transcript, which plays its
+//     next word before each of the live player's beats, and a recorded word
+//     the round refuses is lost;
+//   - the round ends on agreement, when its live players have all passed,
+//     or when they have no guesses left;
+//   - only a live round yields transcripts for future replays.
 type OutputRound struct {
-	lex    *vocab.Lexicon
-	mode   MatchMode
-	taboo  map[int]bool    // canonical IDs barred this round
-	said   [2]map[int]bool // match keys each player has entered
-	order  [2][]int        // words in submission order, for inspection
-	agreed int
-	done   bool
+	lex      *vocab.Lexicon
+	mode     MatchMode
+	taboo    map[int]bool    // canonical IDs barred this round
+	said     [2]map[int]bool // match keys each player has entered
+	order    [2][]int        // words in submission order, for inspection
+	left     [2]int          // guesses each seat may still use
+	recorded []int           // seat 1's transcript in a replay round, nil in a live one
+	passed   [2]bool
+	agreed   int
+	end      string // why the round ended; "" while it runs
 }
 
 // NewOutputRound starts a round with the given taboo words (any word whose
-// canonical form is listed is rejected).
-func NewOutputRound(lex *vocab.Lexicon, mode MatchMode, taboo []int) *OutputRound {
+// canonical form is listed is rejected) and maxGuesses guesses per player.
+// A nil recorded seats two live players; otherwise seat 1 replays recorded,
+// a past player's transcript, one word per beat of seat 0.
+func NewOutputRound(lex *vocab.Lexicon, mode MatchMode, taboo []int, maxGuesses int, recorded []int) *OutputRound {
 	r := &OutputRound{lex: lex, mode: mode, taboo: make(map[int]bool, len(taboo)), agreed: -1}
 	for _, w := range taboo {
 		r.taboo[lex.Canonical(w)] = true
 	}
 	r.said[0] = make(map[int]bool)
 	r.said[1] = make(map[int]bool)
+	r.left = [2]int{maxGuesses, maxGuesses}
+	if recorded != nil {
+		r.recorded, r.left[1] = recorded, len(recorded)
+		r.replay()
+	}
 	return r
 }
 
@@ -82,32 +132,93 @@ func (r *OutputRound) key(word int) int {
 	return word
 }
 
-// Submit enters player's next guess. It returns true when the guess matches
-// a word the partner already entered, which ends the round. Taboo words and
-// repeats are rejected with an error (the real game's UI refuses them).
-func (r *OutputRound) Submit(player, word int) (matched bool, err error) {
-	if player < 0 || player > 1 {
-		return false, ErrBadPlayer
+// Guess plays seat's next beat with word; a negative word is a beat in
+// which the player typed nothing. The beat uses one of the seat's guesses
+// and returns nil when the word was entered, or the Refusal that kept it
+// out. In a replay round the recorded partner then types its next word,
+// unless the round has ended. The recorded seat takes no input: naming it
+// is ErrBadPlayer.
+func (r *OutputRound) Guess(seat, word int) error {
+	if seat < 0 || seat > 1 || seat == 1 && r.recorded != nil {
+		return ErrBadPlayer
 	}
-	if r.done {
-		return false, ErrRoundOver
+	if r.end != "" {
+		return ErrRoundOver
+	}
+	if r.left[seat] == 0 {
+		return ErrNoGuesses
+	}
+	r.left[seat]--
+	err := r.enter(seat, word)
+	if r.recorded != nil && r.end == "" {
+		r.replay()
+	}
+	if r.end == "" && r.left[0] == 0 && (r.recorded != nil || r.left[1] == 0) {
+		r.end = EndExhausted
+	}
+	return err
+}
+
+// replay plays the recorded partner's next word while seat 0 still has a
+// beat for it to precede.
+func (r *OutputRound) replay() {
+	if r.left[0] == 0 || r.left[1] == 0 {
+		return
+	}
+	w := r.recorded[len(r.recorded)-r.left[1]]
+	r.left[1]--
+	_ = r.enter(1, w) // a refused recorded word is lost
+}
+
+// enter submits word for seat, ending the round when it matches a word the
+// partner already entered.
+func (r *OutputRound) enter(seat, word int) error {
+	if word < 0 {
+		return ErrNoWord
 	}
 	if r.taboo[r.lex.Canonical(word)] {
-		return false, ErrTabooWord
+		return ErrTabooWord
 	}
 	k := r.key(word)
-	if r.said[player][k] {
-		return false, ErrRepeatWord
+	if r.said[seat][k] {
+		return ErrRepeatWord
 	}
-	r.said[player][k] = true
-	r.order[player] = append(r.order[player], word)
-	if r.said[1-player][k] {
-		r.agreed = word
-		r.done = true
-		return true, nil
+	r.said[seat][k] = true
+	r.order[seat] = append(r.order[seat], word)
+	if r.said[1-seat][k] {
+		r.agreed, r.end = word, EndAgreed
 	}
-	return false, nil
+	return nil
 }
+
+// Pass records seat giving up and reports whether it had not passed
+// before. A live round ends once both seats have passed, a replay round
+// once its live seat has.
+func (r *OutputRound) Pass(seat int) bool {
+	if seat < 0 || seat > 1 || r.passed[seat] || r.end != "" {
+		return false
+	}
+	r.passed[seat] = true
+	if r.passed[0] && (r.recorded != nil || r.passed[1]) {
+		r.end = EndPassed
+	}
+	return true
+}
+
+// Stop ends a running round for a reason outside its rules, such as a
+// deadline or a player leaving. An ended round keeps its reason.
+func (r *OutputRound) Stop(reason string) {
+	if r.end == "" {
+		r.end = reason
+	}
+}
+
+// Ended returns why the round ended, or "" while it runs.
+func (r *OutputRound) Ended() string { return r.end }
+
+// Left returns how many guesses seat may still use; for the recorded seat
+// of a replay round, how many recorded words it has not played.
+func (r *OutputRound) Left(seat int) int { return r.left[seat] }
 
 // AddTaboo bars word (by its canonical form) for the rest of the round —
 // the live-session path for taboo promotions that land mid-game on other
@@ -117,24 +228,26 @@ func (r *OutputRound) AddTaboo(word int) {
 	r.taboo[r.lex.Canonical(word)] = true
 }
 
-// Taboo returns the canonical IDs barred this round, in no particular
-// order.
-func (r *OutputRound) Taboo() []int {
-	out := make([]int, 0, len(r.taboo))
-	for w := range r.taboo {
-		out = append(out, w)
-	}
-	return out
-}
+// Taboo returns the set of canonical IDs barred this round. It is the
+// round's own set, current as AddTaboo grows it; callers only read it.
+func (r *OutputRound) Taboo() map[int]bool { return r.taboo }
 
 // Agreed returns the agreed word and true once the round has matched.
-func (r *OutputRound) Agreed() (int, bool) { return r.agreed, r.done && r.agreed >= 0 }
+func (r *OutputRound) Agreed() (int, bool) { return r.agreed, r.end == EndAgreed }
 
 // Guesses returns the words player has entered, in order.
 func (r *OutputRound) Guesses(player int) []int { return r.order[player] }
 
-// Pass ends the round without agreement (both players gave up).
-func (r *OutputRound) Pass() { r.done = true }
+// Transcripts returns a copy of the words each seat entered, indexed by
+// seat, for the replay store. A replay round returns none: its recorded
+// seat is old material, and its live seat played a recording, not a
+// stranger.
+func (r *OutputRound) Transcripts() [][]int {
+	if r.recorded != nil {
+		return nil
+	}
+	return [][]int{append([]int(nil), r.order[0]...), append([]int(nil), r.order[1]...)}
+}
 
 // InversionRound is a describer/guesser round: the describer reveals hints
 // about a secret target word; the guesser's guesses are checked against it.

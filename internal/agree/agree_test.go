@@ -26,26 +26,34 @@ func synonymPair(t *testing.T, l *vocab.Lexicon) (int, int) {
 	return 0, 0
 }
 
+// submit plays one beat and reports whether it ended the round in
+// agreement.
+func submit(r *OutputRound, seat, word int) (bool, error) {
+	err := r.Guess(seat, word)
+	_, agreed := r.Agreed()
+	return agreed && err == nil, err
+}
+
 func TestOutputAgreementExactMatch(t *testing.T) {
 	l := lex(t)
-	r := NewOutputRound(l, Exact, nil)
-	if m, err := r.Submit(0, 5); err != nil || m {
+	r := NewOutputRound(l, Exact, nil, DefaultMaxGuesses, nil)
+	if m, err := submit(r, 0, 5); err != nil || m {
 		t.Fatalf("first guess: %v %v", m, err)
 	}
-	if m, err := r.Submit(1, 7); err != nil || m {
+	if m, err := submit(r, 1, 7); err != nil || m {
 		t.Fatalf("non-matching guess: %v %v", m, err)
 	}
-	m, err := r.Submit(1, 5)
+	m, err := submit(r, 1, 5)
 	if err != nil || !m {
 		t.Fatalf("matching guess: %v %v", m, err)
 	}
 	if w, ok := r.Agreed(); !ok || w != 5 {
 		t.Fatalf("Agreed = %d, %v", w, ok)
 	}
-	if !r.done {
-		t.Fatal("round should be done after match")
+	if r.Ended() != EndAgreed {
+		t.Fatalf("Ended = %q after a match", r.Ended())
 	}
-	if _, err := r.Submit(0, 9); !errors.Is(err, ErrRoundOver) {
+	if _, err := submit(r, 0, 9); !errors.Is(err, ErrRoundOver) {
 		t.Fatalf("submit after match: %v", err)
 	}
 }
@@ -53,9 +61,9 @@ func TestOutputAgreementExactMatch(t *testing.T) {
 func TestOutputAgreementExactRejectsSynonyms(t *testing.T) {
 	l := lex(t)
 	a, b := synonymPair(t, l)
-	r := NewOutputRound(l, Exact, nil)
-	_, _ = r.Submit(0, a)
-	if m, _ := r.Submit(1, b); m {
+	r := NewOutputRound(l, Exact, nil, DefaultMaxGuesses, nil)
+	_, _ = submit(r, 0, a)
+	if m, _ := submit(r, 1, b); m {
 		t.Fatal("exact mode matched synonyms")
 	}
 }
@@ -63,9 +71,9 @@ func TestOutputAgreementExactRejectsSynonyms(t *testing.T) {
 func TestOutputAgreementCanonicalMatchesSynonyms(t *testing.T) {
 	l := lex(t)
 	a, b := synonymPair(t, l)
-	r := NewOutputRound(l, Canonical, nil)
-	_, _ = r.Submit(0, a)
-	if m, _ := r.Submit(1, b); !m {
+	r := NewOutputRound(l, Canonical, nil, DefaultMaxGuesses, nil)
+	_, _ = submit(r, 0, a)
+	if m, _ := submit(r, 1, b); !m {
 		t.Fatal("canonical mode did not match synonyms")
 	}
 }
@@ -73,42 +81,48 @@ func TestOutputAgreementCanonicalMatchesSynonyms(t *testing.T) {
 func TestOutputAgreementTaboo(t *testing.T) {
 	l := lex(t)
 	a, b := synonymPair(t, l)
-	r := NewOutputRound(l, Exact, []int{a})
-	if _, err := r.Submit(0, a); !errors.Is(err, ErrTabooWord) {
+	r := NewOutputRound(l, Exact, []int{a}, DefaultMaxGuesses, nil)
+	if _, err := submit(r, 0, a); !errors.Is(err, ErrTabooWord) {
 		t.Fatalf("taboo word accepted: %v", err)
 	}
 	// A synonym of a taboo word is also rejected: taboo is by concept.
-	if _, err := r.Submit(0, b); !errors.Is(err, ErrTabooWord) {
+	if _, err := submit(r, 0, b); !errors.Is(err, ErrTabooWord) {
 		t.Fatalf("synonym of taboo accepted: %v", err)
 	}
 }
 
 func TestOutputAgreementRepeatRejected(t *testing.T) {
 	l := lex(t)
-	r := NewOutputRound(l, Exact, nil)
-	_, _ = r.Submit(0, 5)
-	if _, err := r.Submit(0, 5); !errors.Is(err, ErrRepeatWord) {
+	r := NewOutputRound(l, Exact, nil, DefaultMaxGuesses, nil)
+	_, _ = submit(r, 0, 5)
+	if _, err := submit(r, 0, 5); !errors.Is(err, ErrRepeatWord) {
 		t.Fatalf("repeat accepted: %v", err)
 	}
 	// The partner repeating the word is a match, not a repeat.
-	if m, err := r.Submit(1, 5); err != nil || !m {
+	if m, err := submit(r, 1, 5); err != nil || !m {
 		t.Fatalf("partner match: %v %v", m, err)
 	}
 }
 
 func TestOutputAgreementBadPlayer(t *testing.T) {
-	r := NewOutputRound(lex(t), Exact, nil)
-	if _, err := r.Submit(2, 5); !errors.Is(err, ErrBadPlayer) {
+	r := NewOutputRound(lex(t), Exact, nil, DefaultMaxGuesses, nil)
+	if _, err := submit(r, 2, 5); !errors.Is(err, ErrBadPlayer) {
 		t.Fatalf("bad player: %v", err)
 	}
 }
 
 func TestOutputAgreementPass(t *testing.T) {
-	r := NewOutputRound(lex(t), Exact, nil)
-	_, _ = r.Submit(0, 1)
-	r.Pass()
-	if !r.done {
-		t.Fatal("pass should end round")
+	r := NewOutputRound(lex(t), Exact, nil, DefaultMaxGuesses, nil)
+	_, _ = submit(r, 0, 1)
+	if !r.Pass(0) || r.Pass(0) {
+		t.Fatal("Pass must report only a seat's first pass")
+	}
+	if r.Ended() != "" {
+		t.Fatal("one live seat's pass ended the round")
+	}
+	r.Pass(1)
+	if r.Ended() != EndPassed {
+		t.Fatalf("Ended = %q after both passed", r.Ended())
 	}
 	if _, ok := r.Agreed(); ok {
 		t.Fatal("passed round must not report agreement")
@@ -124,15 +138,15 @@ func TestOutputAgreementSymmetric(t *testing.T) {
 	l := lex(t)
 	f := func(wordRaw uint8, order bool) bool {
 		w := int(wordRaw) % l.Size()
-		r := NewOutputRound(l, Exact, nil)
+		r := NewOutputRound(l, Exact, nil, DefaultMaxGuesses, nil)
 		p0, p1 := 0, 1
 		if order {
 			p0, p1 = 1, 0
 		}
-		if _, err := r.Submit(p0, w); err != nil {
+		if _, err := submit(r, p0, w); err != nil {
 			return false
 		}
-		m, err := r.Submit(p1, w)
+		m, err := submit(r, p1, w)
 		return err == nil && m
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -320,13 +334,13 @@ func TestOutputRoundTabooNonCanonicalExact(t *testing.T) {
 	if l.Canonical(a) == a {
 		nonCanon = b
 	}
-	r := NewOutputRound(l, Exact, []int{nonCanon})
+	r := NewOutputRound(l, Exact, []int{nonCanon}, DefaultMaxGuesses, nil)
 	for _, w := range l.Synonyms(nonCanon) {
-		if _, err := r.Submit(0, w); !errors.Is(err, ErrTabooWord) {
+		if _, err := submit(r, 0, w); !errors.Is(err, ErrTabooWord) {
 			t.Fatalf("group member %d accepted despite taboo on %d: %v", w, nonCanon, err)
 		}
 	}
-	if _, err := r.Submit(0, l.Canonical(nonCanon)); !errors.Is(err, ErrTabooWord) {
+	if _, err := submit(r, 0, l.Canonical(nonCanon)); !errors.Is(err, ErrTabooWord) {
 		t.Fatalf("canonical form accepted despite non-canonical taboo: %v", err)
 	}
 	// An unrelated word still goes through.
@@ -337,7 +351,7 @@ func TestOutputRoundTabooNonCanonicalExact(t *testing.T) {
 			break
 		}
 	}
-	if _, err := r.Submit(0, other); err != nil {
+	if _, err := submit(r, 0, other); err != nil {
 		t.Fatalf("unrelated word rejected: %v", err)
 	}
 }
@@ -348,25 +362,142 @@ func TestOutputRoundTabooNonCanonicalExact(t *testing.T) {
 func TestOutputRoundAddTaboo(t *testing.T) {
 	l := lex(t)
 	a, b := synonymPair(t, l)
-	r := NewOutputRound(l, Exact, nil)
-	if _, err := r.Submit(0, a); err != nil {
+	r := NewOutputRound(l, Exact, nil, DefaultMaxGuesses, nil)
+	if _, err := submit(r, 0, a); err != nil {
 		t.Fatalf("pre-promotion guess rejected: %v", err)
 	}
 	r.AddTaboo(a)
-	if _, err := r.Submit(1, a); !errors.Is(err, ErrTabooWord) {
+	if _, err := submit(r, 1, a); !errors.Is(err, ErrTabooWord) {
 		t.Fatalf("promoted word accepted: %v", err)
 	}
-	if _, err := r.Submit(1, b); !errors.Is(err, ErrTabooWord) {
+	if _, err := submit(r, 1, b); !errors.Is(err, ErrTabooWord) {
 		t.Fatalf("synonym of promoted word accepted: %v", err)
 	}
 	// The earlier guess is still on the record.
 	if g := r.Guesses(0); len(g) != 1 || g[0] != a {
 		t.Fatalf("Guesses(0) = %v", g)
 	}
-	if len(r.Taboo()) != 1 || r.Taboo()[0] != l.Canonical(a) {
-		t.Fatalf("Taboo() = %v, want [%d]", r.Taboo(), l.Canonical(a))
+	if len(r.Taboo()) != 1 || !r.Taboo()[l.Canonical(a)] {
+		t.Fatalf("Taboo() = %v, want {%d}", r.Taboo(), l.Canonical(a))
 	}
-	if r.done {
+	if r.Ended() != "" {
 		t.Fatal("AddTaboo ended the round")
+	}
+}
+
+// plainLex is a lexicon without synonyms, so distinct IDs never share a
+// concept.
+func plainLex() *vocab.Lexicon {
+	return vocab.NewLexicon(vocab.LexiconConfig{Size: 200, ZipfS: 1, SynonymRate: 0, Seed: 1})
+}
+
+// TestOutputRoundRefusalsUseGuesses pins the guess budget: a taboo word, a
+// repeat and an empty beat each use a guess, and a live round is
+// exhausted only when both seats have none left.
+func TestOutputRoundRefusalsUseGuesses(t *testing.T) {
+	r := NewOutputRound(plainLex(), Exact, []int{9}, 3, nil)
+	if err := r.Guess(0, 5); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		word int
+		want error
+	}{{9, ErrTabooWord}, {5, ErrRepeatWord}} {
+		if err := r.Guess(0, c.word); !errors.Is(err, c.want) {
+			t.Fatalf("guess %d: %v, want %v", c.word, err, c.want)
+		}
+	}
+	if r.Left(0) != 0 {
+		t.Fatalf("Left(0) = %d after three beats", r.Left(0))
+	}
+	if err := r.Guess(0, 6); !errors.Is(err, ErrNoGuesses) {
+		t.Fatalf("guess past the budget: %v", err)
+	}
+	var ref Refusal
+	if err := r.Guess(1, -1); !errors.As(err, &ref) || ref != "empty" {
+		t.Fatalf("empty beat: %v", err)
+	}
+	_ = r.Guess(1, 7)
+	if r.Ended() != "" {
+		t.Fatalf("round ended with a guess left: %q", r.Ended())
+	}
+	_ = r.Guess(1, 8)
+	if r.Ended() != EndExhausted {
+		t.Fatalf("Ended = %q, want exhausted", r.Ended())
+	}
+	if err := r.Guess(1, 1); !errors.Is(err, ErrRoundOver) {
+		t.Fatalf("guess after the end: %v", err)
+	}
+}
+
+// TestOutputRoundReplay pins the recorded partner: it plays one word before
+// each live beat, a recorded word the round refuses is lost, the recorded
+// seat takes no input, the round is exhausted when the live seat runs out,
+// and a replay round yields no transcripts.
+func TestOutputRoundReplay(t *testing.T) {
+	l := plainLex()
+	// The recording's first word is taboo now: lost, not retried.
+	r := NewOutputRound(l, Exact, []int{40}, 3, []int{40, 41, 43, 44, 45})
+	if g := r.Guesses(1); len(g) != 0 || r.Left(1) != 4 {
+		t.Fatalf("after the opening beat: entered %v, %d left", g, r.Left(1))
+	}
+	if err := r.Guess(1, 41); !errors.Is(err, ErrBadPlayer) {
+		t.Fatalf("input on the recorded seat: %v", err)
+	}
+	// The partner typed 41 before this beat; 43 is its next word.
+	if err := r.Guess(0, 43); err != nil || r.Ended() != "" {
+		t.Fatalf("first beat: %v, ended %q", err, r.Ended())
+	}
+	if g := r.Guesses(1); len(g) != 1 || g[0] != 41 {
+		t.Fatalf("recorded seat entered %v, want [41]", g)
+	}
+	// The partner's next word, typed after this beat, matches the first.
+	if err := r.Guess(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if w, ok := r.Agreed(); !ok || w != 43 {
+		t.Fatalf("Agreed = %d, %v", w, ok)
+	}
+	if r.Transcripts() != nil {
+		t.Fatal("a replay round yielded transcripts")
+	}
+
+	r = NewOutputRound(l, Exact, nil, 2, []int{50, 51, 52})
+	_ = r.Guess(0, 1)
+	_ = r.Guess(0, 2)
+	if r.Ended() != EndExhausted || len(r.Guesses(1)) != 2 {
+		t.Fatalf("Ended = %q with recorded words %v", r.Ended(), r.Guesses(1))
+	}
+	if r.Pass(0) {
+		t.Fatal("pass after the end")
+	}
+}
+
+func TestOutputRoundTranscriptsAndStop(t *testing.T) {
+	r := NewOutputRound(plainLex(), Exact, nil, 4, nil)
+	_ = r.Guess(0, 3)
+	_ = r.Guess(1, 4)
+	// One seat passing leaves a live round running.
+	if !r.Pass(0) || r.Ended() != "" {
+		t.Fatalf("one live seat's pass: ended %q", r.Ended())
+	}
+	r.Stop("timeout")
+	r.Stop("partner_left")
+	if r.Ended() != "timeout" {
+		t.Fatalf("Ended = %q, want the first stop's reason", r.Ended())
+	}
+	tr := r.Transcripts()
+	if len(tr) != 2 || len(tr[0]) != 1 || tr[0][0] != 3 || tr[1][0] != 4 {
+		t.Fatalf("Transcripts = %v", tr)
+	}
+	tr[0][0] = 99
+	if r.Guesses(0)[0] != 3 {
+		t.Fatal("Transcripts shares the round's storage")
+	}
+	// A replay round ends on its live seat's pass.
+	rp := NewOutputRound(plainLex(), Exact, nil, 4, []int{7})
+	rp.Pass(0)
+	if rp.Ended() != EndPassed {
+		t.Fatalf("replay round after the live pass: %q", rp.Ended())
 	}
 }

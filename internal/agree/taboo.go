@@ -3,6 +3,7 @@ package agree
 import (
 	"sort"
 
+	"humancomp/internal/rng"
 	"humancomp/internal/vocab"
 )
 
@@ -90,4 +91,17 @@ func (t *TabooTracker) TabooFor(item int) []int {
 // considered fully labeled.
 func (t *TabooTracker) Retired(item int) bool {
 	return t.retireAt > 0 && len(t.taboo[item]) >= t.retireAt
+}
+
+// Pick returns an item of 0..n-1 that has not retired — the first one at
+// or after a start drawn from src, wrapping — or ok == false once all n
+// have retired.
+func (t *TabooTracker) Pick(src *rng.Source, n int) (int, bool) {
+	start := src.Intn(n)
+	for i := 0; i < n; i++ {
+		if id := (start + i) % n; !t.Retired(id) {
+			return id, true
+		}
+	}
+	return 0, false
 }

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -20,7 +21,7 @@ func TestBatchSubmitLeaseAnswerRoundTrip(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = SubmitRequest{Kind: "label", Payload: task.Payload{ImageID: i}, Redundancy: 1}
 	}
-	results, err := c.SubmitBatch(reqs)
+	results, err := c.SubmitBatchContext(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestBatchSubmitLeaseAnswerRoundTrip(t *testing.T) {
 		}
 	}
 
-	leases, err := c.NextBatch("alice", 8)
+	leases, err := c.NextBatchContext(context.Background(), "alice", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestBatchSubmitLeaseAnswerRoundTrip(t *testing.T) {
 	for i, l := range leases {
 		items[i] = BatchAnswerItem{Lease: l.Lease, Answer: task.Answer{Words: []int{l.Task.Payload.ImageID}}}
 	}
-	statuses, err := c.AnswerBatch(items)
+	statuses, err := c.AnswerBatchContext(context.Background(), items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestBatchSubmitLeaseAnswerRoundTrip(t *testing.T) {
 
 func TestBatchSubmitPartialFailureEnvelopes(t *testing.T) {
 	c, sys := newTestServer(t)
-	results, err := c.SubmitBatch([]SubmitRequest{
+	results, err := c.SubmitBatchContext(context.Background(), []SubmitRequest{
 		{Kind: "label", Payload: task.Payload{ImageID: 1}, Redundancy: 1},
 		{Kind: "no-such-kind", Redundancy: 1},
 		{Kind: "label", Payload: task.Payload{ImageID: 2}, Redundancy: -3},
@@ -106,16 +107,16 @@ func TestBatchSubmitPartialFailureEnvelopes(t *testing.T) {
 
 func TestBatchAnswerPartialFailureEnvelopes(t *testing.T) {
 	c, _ := newTestServer(t)
-	if _, err := c.SubmitBatch([]SubmitRequest{
+	if _, err := c.SubmitBatchContext(context.Background(), []SubmitRequest{
 		{Kind: "label", Payload: task.Payload{ImageID: 1}, Redundancy: 1},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	leases, err := c.NextBatch("w", 4)
+	leases, err := c.NextBatchContext(context.Background(), "w", 4)
 	if err != nil || len(leases) != 1 {
 		t.Fatalf("NextBatch = %v, %v", leases, err)
 	}
-	statuses, err := c.AnswerBatch([]BatchAnswerItem{
+	statuses, err := c.AnswerBatchContext(context.Background(), []BatchAnswerItem{
 		{Lease: leases[0].Lease, Answer: task.Answer{Words: []int{1}}},
 		{Lease: 1 << 40, Answer: task.Answer{Words: []int{2}}}, // unknown lease
 		{Lease: leases[0].Lease},                               // empty answer on settled lease
@@ -136,24 +137,24 @@ func TestBatchAnswerPartialFailureEnvelopes(t *testing.T) {
 
 func TestBatchSizeAndShapeValidation(t *testing.T) {
 	c, _ := newTestServer(t)
-	if _, err := c.SubmitBatch(nil); err == nil {
+	if _, err := c.SubmitBatchContext(context.Background(), nil); err == nil {
 		t.Fatal("empty batch accepted")
 	}
 	big := make([]SubmitRequest, maxBatchItems+1)
 	for i := range big {
 		big[i] = SubmitRequest{Kind: "label", Redundancy: 1}
 	}
-	if _, err := c.SubmitBatch(big); err == nil {
+	if _, err := c.SubmitBatchContext(context.Background(), big); err == nil {
 		t.Fatal("oversized batch accepted")
 	}
-	if _, err := c.NextBatch("", 4); err == nil {
+	if _, err := c.NextBatchContext(context.Background(), "", 4); err == nil {
 		t.Fatal("missing worker_id accepted")
 	}
-	if _, err := c.NextBatch("w", 0); err == nil {
+	if _, err := c.NextBatchContext(context.Background(), "w", 0); err == nil {
 		t.Fatal("non-positive max accepted")
 	}
 	// An empty lease result is success, not an error.
-	leases, err := c.NextBatch("w", 4)
+	leases, err := c.NextBatchContext(context.Background(), "w", 4)
 	if err != nil || len(leases) != 0 {
 		t.Fatalf("empty queue NextBatch = %v, %v", leases, err)
 	}
@@ -293,11 +294,11 @@ func TestBatchMixedWithSingleCallsRace(t *testing.T) {
 					for j := range reqs {
 						reqs[j] = SubmitRequest{Kind: "label", Payload: task.Payload{ImageID: i}, Redundancy: 1}
 					}
-					if _, err := c.SubmitBatch(reqs); err != nil {
+					if _, err := c.SubmitBatchContext(context.Background(), reqs); err != nil {
 						t.Error(err)
 						return
 					}
-					leases, err := c.NextBatch(who, 4)
+					leases, err := c.NextBatchContext(context.Background(), who, 4)
 					if err != nil {
 						t.Error(err)
 						return
@@ -307,7 +308,7 @@ func TestBatchMixedWithSingleCallsRace(t *testing.T) {
 						items[j] = BatchAnswerItem{Lease: l.Lease, Answer: task.Answer{Words: []int{1}}}
 					}
 					if len(items) > 0 {
-						if _, err := c.AnswerBatch(items); err != nil {
+						if _, err := c.AnswerBatchContext(context.Background(), items); err != nil {
 							t.Error(err)
 							return
 						}
@@ -318,7 +319,7 @@ func TestBatchMixedWithSingleCallsRace(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				tk, lease, err := c.Next(who)
+				tk, lease, err := c.NextContext(context.Background(), who)
 				if err != nil {
 					if errIsNoTask(err) {
 						continue
@@ -326,7 +327,7 @@ func TestBatchMixedWithSingleCallsRace(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := c.Answer(lease, task.Answer{Words: []int{tk.Payload.ImageID}}); err != nil {
+				if err := c.AnswerContext(context.Background(), lease, task.Answer{Words: []int{tk.Payload.ImageID}}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -384,7 +384,9 @@ func (c *Client) SubmitContext(ctx context.Context, kind task.Kind, p task.Paylo
 	return resp.ID, nil
 }
 
-// Submit creates a task and returns its ID.
+// Submit creates a task and returns its ID. It is SubmitContext without
+// a deadline, kept because the benchmark harness (bench/) calls it and
+// that code does not change with the program.
 func (c *Client) Submit(kind task.Kind, p task.Payload, redundancy, priority int) (task.ID, error) {
 	return c.SubmitContext(context.Background(), kind, p, redundancy, priority)
 }
@@ -402,11 +404,6 @@ func (c *Client) SubmitGoldContext(ctx context.Context, kind task.Kind, p task.P
 	return resp.ID, nil
 }
 
-// SubmitGold creates a gold probe task with a known expected answer.
-func (c *Client) SubmitGold(kind task.Kind, p task.Payload, redundancy, priority int, expected task.Answer) (task.ID, error) {
-	return c.SubmitGoldContext(context.Background(), kind, p, redundancy, priority, expected)
-}
-
 // SubmitBatchContext submits up to 256 tasks in one request. The returned
 // results are index-aligned with reqs; each item carries the status and ID
 // or error the equivalent single Submit would have produced. The whole
@@ -422,11 +419,6 @@ func (c *Client) SubmitBatchContext(ctx context.Context, reqs []SubmitRequest) (
 	return resp.Results, nil
 }
 
-// SubmitBatch submits up to 256 tasks in one request.
-func (c *Client) SubmitBatch(reqs []SubmitRequest) ([]BatchSubmitResult, error) {
-	return c.SubmitBatchContext(context.Background(), reqs)
-}
-
 // NextBatchContext leases up to max tasks for workerID in one request. An
 // empty result means nothing was available (no error, unlike Next).
 func (c *Client) NextBatchContext(ctx context.Context, workerID string, max int) ([]NextResponse, error) {
@@ -438,11 +430,6 @@ func (c *Client) NextBatchContext(ctx context.Context, workerID string, max int)
 	return resp.Leases, nil
 }
 
-// NextBatch leases up to max tasks for workerID in one request.
-func (c *Client) NextBatch(workerID string, max int) ([]NextResponse, error) {
-	return c.NextBatchContext(context.Background(), workerID, max)
-}
-
 // AnswerBatchContext answers up to 256 leases in one request, atomically
 // idempotent across retries (one key covers the whole batch). Results are
 // index-aligned with items.
@@ -452,11 +439,6 @@ func (c *Client) AnswerBatchContext(ctx context.Context, items []BatchAnswerItem
 		return nil, err
 	}
 	return resp.Results, nil
-}
-
-// AnswerBatch answers up to 256 leases in one request.
-func (c *Client) AnswerBatch(items []BatchAnswerItem) ([]BatchItemStatus, error) {
-	return c.AnswerBatchContext(context.Background(), items)
 }
 
 // NextContext leases the next available task for workerID, returning a
@@ -473,22 +455,11 @@ func (c *Client) NextContext(ctx context.Context, workerID string) (task.View, q
 	return resp.Task, resp.Lease, nil
 }
 
-// Next leases the next available task for workerID, returning a snapshot
-// of it. It returns ErrNoTask when nothing is available.
-func (c *Client) Next(workerID string) (task.View, queue.LeaseID, error) {
-	return c.NextContext(context.Background(), workerID)
-}
-
 // AnswerContext submits the answer for a lease, idempotently across
 // retries.
 func (c *Client) AnswerContext(ctx context.Context, lease queue.LeaseID, a task.Answer) error {
 	_, err := c.do(ctx, http.MethodPost, fmt.Sprintf("/v1/leases/%d", lease), AnswerRequest{Answer: a}, nil, c.newIdemKey())
 	return err
-}
-
-// Answer submits the answer for a lease.
-func (c *Client) Answer(lease queue.LeaseID, a task.Answer) error {
-	return c.AnswerContext(context.Background(), lease, a)
 }
 
 // TaskContext fetches a snapshot of a task with its answers.
@@ -500,11 +471,6 @@ func (c *Client) TaskContext(ctx context.Context, id task.ID) (task.View, error)
 	return t, nil
 }
 
-// Task fetches a snapshot of a task with its answers.
-func (c *Client) Task(id task.ID) (task.View, error) {
-	return c.TaskContext(context.Background(), id)
-}
-
 // WordsContext fetches the aggregated word votes of a label/describe task.
 func (c *Client) WordsContext(ctx context.Context, id task.ID) ([]core.WordCount, error) {
 	var out []core.WordCount
@@ -514,11 +480,6 @@ func (c *Client) WordsContext(ctx context.Context, id task.ID) ([]core.WordCount
 	return out, nil
 }
 
-// Words fetches the aggregated word votes of a label/describe task.
-func (c *Client) Words(id task.ID) ([]core.WordCount, error) {
-	return c.WordsContext(context.Background(), id)
-}
-
 // StatsContext fetches system counters.
 func (c *Client) StatsContext(ctx context.Context) (core.Stats, error) {
 	var out core.Stats
@@ -526,11 +487,6 @@ func (c *Client) StatsContext(ctx context.Context) (core.Stats, error) {
 		return core.Stats{}, err
 	}
 	return out, nil
-}
-
-// Stats fetches system counters.
-func (c *Client) Stats() (core.Stats, error) {
-	return c.StatsContext(context.Background())
 }
 
 // HealthyContext reports whether the service answers its liveness probe.
@@ -547,6 +503,3 @@ func (c *Client) HealthyContext(ctx context.Context) bool {
 	_, _ = io.Copy(io.Discard, resp.Body)
 	return resp.StatusCode == http.StatusOK
 }
-
-// Healthy reports whether the service answers its liveness probe.
-func (c *Client) Healthy() bool { return c.HealthyContext(context.Background()) }

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,7 +29,7 @@ func newTestServer(t testing.TB) (*Client, *core.System) {
 
 func TestHealthz(t *testing.T) {
 	c, _ := newTestServer(t)
-	if !c.Healthy() {
+	if !c.HealthyContext(context.Background()) {
 		t.Fatal("service not healthy")
 	}
 }
@@ -39,7 +40,7 @@ func TestSubmitNextAnswerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk, lease, err := c.Next("alice")
+	tk, lease, err := c.NextContext(context.Background(), "alice")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,18 +50,18 @@ func TestSubmitNextAnswerRoundTrip(t *testing.T) {
 	if len(tk.Payload.Taboo) != 2 {
 		t.Fatal("payload taboo lost in transit")
 	}
-	if err := c.Answer(lease, task.Answer{Words: []int{7}}); err != nil {
+	if err := c.AnswerContext(context.Background(), lease, task.Answer{Words: []int{7}}); err != nil {
 		t.Fatal(err)
 	}
 	// Second worker completes it.
-	_, lease2, err := c.Next("bob")
+	_, lease2, err := c.NextContext(context.Background(), "bob")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Answer(lease2, task.Answer{Words: []int{7, 9}}); err != nil {
+	if err := c.AnswerContext(context.Background(), lease2, task.Answer{Words: []int{7, 9}}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Task(id)
+	got, err := c.TaskContext(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestSubmitNextAnswerRoundTrip(t *testing.T) {
 	if got.Answers[0].WorkerID != "alice" {
 		t.Fatalf("worker attribution lost: %+v", got.Answers[0])
 	}
-	words, err := c.Words(id)
+	words, err := c.WordsContext(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,27 +82,27 @@ func TestSubmitNextAnswerRoundTrip(t *testing.T) {
 
 func TestNextEmptyReturnsErrNoTask(t *testing.T) {
 	c, _ := newTestServer(t)
-	if _, _, err := c.Next("w"); !errors.Is(err, ErrNoTask) {
+	if _, _, err := c.NextContext(context.Background(), "w"); !errors.Is(err, ErrNoTask) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestGoldOverHTTPUpdatesReputation(t *testing.T) {
 	c, sys := newTestServer(t)
-	if _, err := c.SubmitGold(task.Judge, task.Payload{ClipA: 1, ClipB: 2}, 1, 0, task.Answer{Choice: 1}); err != nil {
+	if _, err := c.SubmitGoldContext(context.Background(), task.Judge, task.Payload{ClipA: 1, ClipB: 2}, 1, 0, task.Answer{Choice: 1}); err != nil {
 		t.Fatal(err)
 	}
-	_, lease, err := c.Next("w")
+	_, lease, err := c.NextContext(context.Background(), "w")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Answer(lease, task.Answer{Choice: 1}); err != nil {
+	if err := c.AnswerContext(context.Background(), lease, task.Answer{Choice: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if sys.Reputation().Probes("w") != 1 {
 		t.Fatal("gold answer did not reach reputation")
 	}
-	st, err := c.Stats()
+	st, err := c.StatsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +118,11 @@ func TestChoiceAggregateOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, choice := range []int{0, 0, 1} {
-		_, lease, err := c.Next(fmt.Sprintf("w%d", i))
+		_, lease, err := c.NextContext(context.Background(), fmt.Sprintf("w%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Answer(lease, task.Answer{Choice: choice}); err != nil {
+		if err := c.AnswerContext(context.Background(), lease, task.Answer{Choice: choice}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,15 +141,15 @@ func TestLocatePayloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, lease, err := c.Next("w")
+	_, lease, err := c.NextContext(context.Background(), "w")
 	if err != nil {
 		t.Fatal(err)
 	}
 	box := vocab.Rect{X: 10, Y: 20, W: 30, H: 40}
-	if err := c.Answer(lease, task.Answer{Box: box}); err != nil {
+	if err := c.AnswerContext(context.Background(), lease, task.Answer{Box: box}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Task(id)
+	got, err := c.TaskContext(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestErrorMapping(t *testing.T) {
 	c, _ := newTestServer(t)
 
 	// Unknown lease → 404.
-	err := c.Answer(999, task.Answer{Words: []int{1}})
+	err := c.AnswerContext(context.Background(), 999, task.Answer{Words: []int{1}})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
 		t.Fatalf("unknown lease: %v", err)
@@ -176,22 +177,22 @@ func TestErrorMapping(t *testing.T) {
 	if _, err := c.Submit(task.Label, task.Payload{}, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	_, lease, err := c.Next("w")
+	_, lease, err := c.NextContext(context.Background(), "w")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Answer(lease, task.Answer{}); !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnprocessableEntity {
+	if err := c.AnswerContext(context.Background(), lease, task.Answer{}); !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnprocessableEntity {
 		t.Fatalf("empty answer: %v", err)
 	}
 
 	// Unknown task → 404.
-	if _, err := c.Task(12345); !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
+	if _, err := c.TaskContext(context.Background(), 12345); !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
 		t.Fatalf("unknown task: %v", err)
 	}
 
 	// Wrong aggregation kind → 422.
 	id, _ := c.Submit(task.Transcribe, task.Payload{WordImg: "x"}, 1, 0)
-	if _, err := c.Words(id); !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnprocessableEntity {
+	if _, err := c.WordsContext(context.Background(), id); !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnprocessableEntity {
 		t.Fatalf("wrong-kind aggregate: %v", err)
 	}
 }
@@ -256,7 +257,7 @@ func TestCancelOverHTTP(t *testing.T) {
 	if err := c.Cancel(id); !errors.As(err, &apiErr) || apiErr.Status != http.StatusConflict {
 		t.Fatalf("double cancel: %v", err)
 	}
-	if _, _, err := c.Next("w"); !errors.Is(err, ErrNoTask) {
+	if _, _, err := c.NextContext(context.Background(), "w"); !errors.Is(err, ErrNoTask) {
 		t.Fatal("canceled task still dispatched")
 	}
 }
@@ -266,14 +267,14 @@ func TestReleaseOverHTTP(t *testing.T) {
 	if _, err := c.Submit(task.Label, task.Payload{}, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	_, lease, err := c.Next("w")
+	_, lease, err := c.NextContext(context.Background(), "w")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Release(lease); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Next("w"); err != nil {
+	if _, _, err := c.NextContext(context.Background(), "w"); err != nil {
 		t.Fatalf("released task not re-dispatchable: %v", err)
 	}
 }
@@ -295,7 +296,7 @@ func TestConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			worker := fmt.Sprintf("w%d", w)
 			for {
-				_, lease, err := c.Next(worker)
+				_, lease, err := c.NextContext(context.Background(), worker)
 				if errors.Is(err, ErrNoTask) {
 					return
 				}
@@ -303,7 +304,7 @@ func TestConcurrentClients(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := c.Answer(lease, task.Answer{Words: []int{w}}); err != nil {
+				if err := c.AnswerContext(context.Background(), lease, task.Answer{Words: []int{w}}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -326,11 +327,11 @@ func BenchmarkHTTPSubmitNextAnswer(b *testing.B) {
 		if _, err := c.Submit(task.Label, task.Payload{ImageID: i}, 1, 0); err != nil {
 			b.Fatal(err)
 		}
-		_, lease, err := c.Next("w")
+		_, lease, err := c.NextContext(context.Background(), "w")
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := c.Answer(lease, task.Answer{Words: []int{1}}); err != nil {
+		if err := c.AnswerContext(context.Background(), lease, task.Answer{Words: []int{1}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -341,15 +342,15 @@ func TestEndpointMetrics(t *testing.T) {
 	if _, err := c.Submit(task.Label, task.Payload{}, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	_, lease, err := c.Next("w")
+	_, lease, err := c.NextContext(context.Background(), "w")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Answer(lease, task.Answer{Words: []int{1}}); err != nil {
+	if err := c.AnswerContext(context.Background(), lease, task.Answer{Words: []int{1}}); err != nil {
 		t.Fatal(err)
 	}
 	// An error response must be counted.
-	_ = c.Answer(999, task.Answer{Words: []int{1}})
+	_ = c.AnswerContext(context.Background(), 999, task.Answer{Words: []int{1}})
 
 	ms, err := c.Metrics()
 	if err != nil {
@@ -384,11 +385,11 @@ func TestListTasksPaginationAndFilter(t *testing.T) {
 	}
 	// Complete the first two.
 	for i := 0; i < 2; i++ {
-		_, lease, err := c.Next(fmt.Sprintf("w%d", i))
+		_, lease, err := c.NextContext(context.Background(), fmt.Sprintf("w%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Answer(lease, task.Answer{Words: []int{1}}); err != nil {
+		if err := c.AnswerContext(context.Background(), lease, task.Answer{Words: []int{1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -442,7 +443,7 @@ func TestAPIKeyAuth(t *testing.T) {
 	if _, err := open.Submit(task.Label, task.Payload{}, 1, 0); !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnauthorized {
 		t.Fatalf("keyless submit: %v", err)
 	}
-	if !open.Healthy() {
+	if !open.HealthyContext(context.Background()) {
 		t.Fatal("healthz should not require a key")
 	}
 

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -40,7 +41,7 @@ func TestLateAnswerIs409(t *testing.T) {
 					}
 					leases := map[string]queue.LeaseID{}
 					for _, w := range []string{"ann", "bob", "late"} {
-						if _, leases[w], err = c.Next(w); err != nil {
+						if _, leases[w], err = c.NextContext(context.Background(), w); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -49,7 +50,7 @@ func TestLateAnswerIs409(t *testing.T) {
 						// Two agreeing votes cross the 0.6 target: the quality
 						// plane finishes the task with three answers to spare.
 						for _, w := range []string{"ann", "bob"} {
-							if err := c.Answer(leases[w], task.Answer{Choice: 1}); err != nil {
+							if err := c.AnswerContext(context.Background(), leases[w], task.Answer{Choice: 1}); err != nil {
 								t.Fatal(err)
 							}
 						}
@@ -74,7 +75,7 @@ func TestLateAnswerIs409(t *testing.T) {
 
 					late := task.Answer{Choice: 0}
 					if batch {
-						res, err := c.AnswerBatch([]BatchAnswerItem{{Lease: leases["late"], Answer: late}})
+						res, err := c.AnswerBatchContext(context.Background(), []BatchAnswerItem{{Lease: leases["late"], Answer: late}})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -84,7 +85,7 @@ func TestLateAnswerIs409(t *testing.T) {
 						return
 					}
 					var apiErr *APIError
-					if err := c.Answer(leases["late"], late); !errors.As(err, &apiErr) ||
+					if err := c.AnswerContext(context.Background(), leases["late"], late); !errors.As(err, &apiErr) ||
 						apiErr.Status != http.StatusConflict || apiErr.Message != task.ErrWrongStatus.Error() {
 						t.Fatalf("late answer = %v, want 409 %q", err, task.ErrWrongStatus)
 					}
@@ -114,25 +115,25 @@ func TestOldFormLeaseIDIsAnUnknownLease(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, expired, err := c.Next("gone")
+	_, expired, err := c.NextContext(context.Background(), "gone")
 	if err != nil {
 		t.Fatal(err)
 	}
 	clk.Run(clk.Now().Add(cfg.LeaseTTL + time.Second))
-	if _, _, err := c.Next("here"); err != nil { // a live lease in the table
+	if _, _, err := c.NextContext(context.Background(), "here"); err != nil { // a live lease in the table
 		t.Fatal(err)
 	}
 
 	const oldForm = queue.LeaseID(41<<3 | 5)
 	a := task.Answer{Words: []int{1}}
 	for _, lease := range []queue.LeaseID{expired, oldForm} {
-		for op, err := range map[string]error{"answer": c.Answer(lease, a), "release": c.Release(lease)} {
+		for op, err := range map[string]error{"answer": c.AnswerContext(context.Background(), lease, a), "release": c.Release(lease)} {
 			var apiErr *APIError
 			if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound || apiErr.Message != queue.ErrUnknownLease.Error() {
 				t.Errorf("%s on lease %d = %v, want 404 %q", op, lease, err, queue.ErrUnknownLease)
 			}
 		}
-		res, err := c.AnswerBatch([]BatchAnswerItem{{Lease: lease, Answer: a}})
+		res, err := c.AnswerBatchContext(context.Background(), []BatchAnswerItem{{Lease: lease, Answer: a}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,7 +81,7 @@ func TestRequestIDPropagationEndToEnd(t *testing.T) {
 	c.newID = func() string { return pinned }
 
 	// An error response must carry the ID in the envelope and the APIError.
-	_, err := c.Task(999999)
+	_, err := c.TaskContext(context.Background(), 999999)
 	apiErr, ok := err.(*APIError)
 	if !ok {
 		t.Fatalf("Task(unknown) error = %v, want *APIError", err)
@@ -214,11 +214,11 @@ func TestTraceEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, lease, err := c.Next("w1")
+	_, lease, err := c.NextContext(context.Background(), "w1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Answer(lease, task.Answer{Words: []int{3}}); err != nil {
+	if err := c.AnswerContext(context.Background(), lease, task.Answer{Words: []int{3}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -270,11 +270,11 @@ func TestAdminHandlerMetricsAndProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, lease, err := c.Next("w1")
+	_, lease, err := c.NextContext(context.Background(), "w1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Answer(lease, task.Answer{Words: []int{1}}); err != nil {
+	if err := c.AnswerContext(context.Background(), lease, task.Answer{Words: []int{1}}); err != nil {
 		t.Fatal(err)
 	}
 	_ = id

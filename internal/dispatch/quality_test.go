@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -34,17 +35,17 @@ func calibrateOverHTTP(t *testing.T, c *Client, workers []string, probes int) {
 	t.Helper()
 	for i := 0; i < probes; i++ {
 		expected := task.Answer{Choice: i % 2}
-		id, err := c.SubmitGold(task.Judge, task.Payload{ImageID: 9000 + i}, len(workers), 0, expected)
+		id, err := c.SubmitGoldContext(context.Background(), task.Judge, task.Payload{ImageID: 9000 + i}, len(workers), 0, expected)
 		if err != nil {
 			t.Fatalf("submit gold probe: %v", err)
 		}
 		_ = id
 		for _, w := range workers {
-			tk, lease, err := c.Next(w)
+			tk, lease, err := c.NextContext(context.Background(), w)
 			if err != nil {
 				t.Fatalf("lease probe for %s: %v", w, err)
 			}
-			if err := c.Answer(lease, task.Answer{Choice: tk.Payload.ImageID % 2}); err != nil {
+			if err := c.AnswerContext(context.Background(), lease, task.Answer{Choice: tk.Payload.ImageID % 2}); err != nil {
 				t.Fatalf("answer probe: %v", err)
 			}
 		}
@@ -70,11 +71,11 @@ func TestPosteriorEndpoint(t *testing.T) {
 		}
 	}
 
-	_, lease, err := c.Next("w1")
+	_, lease, err := c.NextContext(context.Background(), "w1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Answer(lease, task.Answer{Choice: 1}); err != nil {
+	if err := c.AnswerContext(context.Background(), lease, task.Answer{Choice: 1}); err != nil {
 		t.Fatal(err)
 	}
 	info, err := c.Posterior(id)
@@ -122,13 +123,13 @@ func TestBatchAnswerCarriesPosterior(t *testing.T) {
 	}
 	var items []BatchAnswerItem
 	for _, w := range workers[:2] {
-		_, lease, err := c.Next(w)
+		_, lease, err := c.NextContext(context.Background(), w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		items = append(items, BatchAnswerItem{Lease: lease, Answer: task.Answer{Choice: 1}})
 	}
-	results, err := c.AnswerBatch(items)
+	results, err := c.AnswerBatchContext(context.Background(), items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestBatchAnswerCarriesPosterior(t *testing.T) {
 	if !last.EarlyDone {
 		t.Fatalf("second vote did not complete early: %+v (confidence %v)", last, last.Confidence)
 	}
-	v, err := c.Task(id)
+	v, err := c.TaskContext(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +166,11 @@ func TestBadChoiceRejectedOverHTTP(t *testing.T) {
 	if _, err := c.Submit(task.Judge, task.Payload{ImageID: 3}, 2, 0); err != nil {
 		t.Fatal(err)
 	}
-	_, lease, err := c.Next("w1")
+	_, lease, err := c.NextContext(context.Background(), "w1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = c.Answer(lease, task.Answer{Choice: 7})
+	err = c.AnswerContext(context.Background(), lease, task.Answer{Choice: 7})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnprocessableEntity {
 		t.Fatalf("want 422 for out-of-range choice, got %v", err)
@@ -178,7 +179,7 @@ func TestBadChoiceRejectedOverHTTP(t *testing.T) {
 		t.Fatalf("error message %q does not name the bad choice", apiErr.Message)
 	}
 	// Batch path carries the same per-item status.
-	results, err := c.AnswerBatch([]BatchAnswerItem{{Lease: lease, Answer: task.Answer{Choice: -1}}})
+	results, err := c.AnswerBatchContext(context.Background(), []BatchAnswerItem{{Lease: lease, Answer: task.Answer{Choice: -1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,15 +199,15 @@ func TestAdminQualityMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []string{"w1", "w2"} {
-		_, lease, err := c.Next(w)
+		_, lease, err := c.NextContext(context.Background(), w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Answer(lease, task.Answer{Choice: 0}); err != nil {
+		if err := c.AnswerContext(context.Background(), lease, task.Answer{Choice: 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if v, err := c.Task(id); err != nil || v.Status != task.Done {
+	if v, err := c.TaskContext(context.Background(), id); err != nil || v.Status != task.Done {
 		t.Fatalf("task not early-finished: %+v, %v", v, err)
 	}
 
@@ -245,7 +246,7 @@ func TestAdminQualityMetrics(t *testing.T) {
 func TestQualityStatsOverHTTP(t *testing.T) {
 	c, _ := newQualityServer(t, 0)
 	calibrateOverHTTP(t, c, []string{"w1"}, 2)
-	st, err := c.Stats()
+	st, err := c.StatsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -94,7 +95,7 @@ func TestFollowerRejectsWritesServesReads(t *testing.T) {
 	// A plain client (no re-route happens on reads) can read from the
 	// follower's store — here empty, so expect 404 rather than 503.
 	fc := NewClient(follower.URL, follower.Client())
-	if _, err := fc.Task(id); err == nil {
+	if _, err := fc.TaskContext(context.Background(), id); err == nil {
 		t.Fatal("follower unexpectedly has the task (no replication in this test)")
 	} else if apiErr := new(APIError); errors.As(err, &apiErr) && apiErr.Status == http.StatusServiceUnavailable {
 		t.Fatalf("read path returned 503: %v", err)

@@ -80,7 +80,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	var waits []time.Duration
 	instantSleep(c, &waits)
 
-	if _, err := c.Stats(); err != nil {
+	if _, err := c.StatsContext(context.Background()); err != nil {
 		t.Fatalf("stats call failed after retry: %v", err)
 	}
 	if len(waits) != 1 {
@@ -401,7 +401,7 @@ func TestClientClampsHostileRetryAfter(t *testing.T) {
 	var waits []time.Duration
 	instantSleep(c, &waits)
 
-	if _, err := c.Stats(); err != nil {
+	if _, err := c.StatsContext(context.Background()); err != nil {
 		t.Fatalf("stats call failed after retry: %v", err)
 	}
 	if len(waits) != 1 {

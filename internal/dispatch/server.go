@@ -261,6 +261,7 @@ func statusOf(err error) int {
 		errors.Is(err, task.ErrWorkerRepeat),
 		errors.Is(err, queue.ErrDuplicateID),
 		errors.Is(err, session.ErrEnded),
+		errors.Is(err, session.ErrRetired),
 		errors.Is(err, match.ErrAlreadyWaiting):
 		return http.StatusConflict
 	case errors.Is(err, session.ErrBadWord),

@@ -7,60 +7,37 @@ import (
 
 	"humancomp/internal/core"
 	"humancomp/internal/queue"
-	"humancomp/internal/rng"
 	"humancomp/internal/session"
 	"humancomp/internal/task"
 )
 
 // SessionBridge connects the live session plane to the task plane: its
-// NextItem feeds fresh pairings an item backed by an open Label task, and
-// its OnResult turns every agreement into per-player answers on that task
-// — through the normal targeted-lease path (core.LeaseTaskFor +
-// SubmitAnswer), so session output hits the WAL, the quality plane, and
-// the GWAP accounting exactly like any worker answer.
+// OnResult turns every agreement into per-player answers on a Label task
+// backing the session's item — through the normal targeted-lease path
+// (core.LeaseTaskFor + SubmitAnswer), so session output hits the WAL, the
+// quality plane, and the GWAP accounting exactly like any worker answer.
 //
 // Each item maps to one open Label task at a time; when the task fills
 // its redundancy (or is otherwise unleasable) the bridge submits a fresh
 // one for the item and retries once. Answers it still cannot place are
 // counted in Dropped rather than blocking the session path.
 type SessionBridge struct {
-	sys        *core.System
-	items      int
-	redundancy int
+	sys *core.System
 
 	mu    sync.Mutex
-	src   *rng.Source
 	tasks map[int]task.ID
 
 	submitted atomic.Int64
 	dropped   atomic.Int64
 }
 
-// NewSessionBridge returns a bridge over items distinct item IDs whose
-// backing tasks collect redundancy answers each (minimum 2, so both
-// seats of one agreement land on the same task).
-func NewSessionBridge(sys *core.System, items, redundancy int, seed uint64) *SessionBridge {
-	if items <= 0 {
-		items = 1
-	}
-	if redundancy < 2 {
-		redundancy = 2
-	}
-	return &SessionBridge{
-		sys:        sys,
-		items:      items,
-		redundancy: redundancy,
-		src:        rng.New(seed),
-		tasks:      make(map[int]task.ID),
-	}
-}
+// bridgeRedundancy is the answers each backing task collects: both seats
+// of one agreement land on the same task.
+const bridgeRedundancy = 2
 
-// NextItem picks the item for a fresh pairing; plug into
-// session.Config.NextItem.
-func (b *SessionBridge) NextItem() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.src.Intn(b.items)
+// NewSessionBridge returns a bridge answering into sys.
+func NewSessionBridge(sys *core.System) *SessionBridge {
+	return &SessionBridge{sys: sys, tasks: make(map[int]task.ID)}
 }
 
 // OnResult records an agreement as answers from its players; plug into
@@ -121,7 +98,7 @@ func (b *SessionBridge) taskFor(item int, refresh bool) (task.ID, error) {
 	if ok && !refresh {
 		return id, nil
 	}
-	fresh, err := b.sys.SubmitTask(task.Label, task.Payload{ImageID: item}, b.redundancy, 0)
+	fresh, err := b.sys.SubmitTask(task.Label, task.Payload{ImageID: item}, bridgeRedundancy, 0)
 	if err != nil {
 		return 0, err
 	}

@@ -81,8 +81,3 @@ func (c *Client) SessionStatsContext(ctx context.Context) (session.Stats, error)
 	}
 	return st, nil
 }
-
-// SessionStats fetches the session plane's gauges and counters.
-func (c *Client) SessionStats() (session.Stats, error) {
-	return c.SessionStatsContext(context.Background())
-}

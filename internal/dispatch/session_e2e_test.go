@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -28,15 +29,14 @@ func newSessionTestStack(t *testing.T, matchTimeout time.Duration) (*core.System
 func newSessionTestStackWith(t *testing.T, matchTimeout time.Duration, opts Options) (*core.System, *SessionBridge, *session.Plane, *Client) {
 	t.Helper()
 	sys := core.New(core.DefaultConfig())
-	bridge := NewSessionBridge(sys, 4, 2, 1)
+	bridge := NewSessionBridge(sys)
 	plane, err := session.New(session.Config{
 		MatchTimeout: matchTimeout,
 		RoundTimeout: 10 * time.Second,
 		SweepEvery:   5 * time.Millisecond,
 		EndLinger:    time.Minute,
-		Match:        agree.Exact,
 		Lexicon:      vocab.NewLexicon(vocab.LexiconConfig{Size: 500, ZipfS: 1, SynonymRate: 0, Seed: 1}),
-		NextItem:     bridge.NextItem,
+		Items:        4,
 		OnResult:     bridge.OnResult,
 		Seed:         3,
 	})
@@ -83,8 +83,9 @@ func TestSessionE2E(t *testing.T) {
 	word := 30
 
 	// Alice guesses; bob long-polls and must see the guess happened but
-	// not what it was.
-	if res, err := client.SessionGuess(id, "alice", word); err != nil || !res.Accepted || res.Matched {
+	// not what it was. Each player opens with a word of their own, which
+	// a later replay of their transcript plays first.
+	if res, err := client.SessionGuess(id, "alice", word+1); err != nil || !res.Accepted || res.Matched {
 		t.Fatalf("alice guess: %+v err=%v", res, err)
 	}
 	evs, done, err := client.SessionEvents(id, "bob", 1, 2*time.Second)
@@ -95,6 +96,14 @@ func TestSessionE2E(t *testing.T) {
 		t.Fatalf("partner guess event leaked or missing: %+v", evs[0])
 	}
 
+	for _, g := range []struct {
+		player string
+		word   int
+	}{{"alice", word}, {"bob", word + 2}} {
+		if res, err := client.SessionGuess(id, g.player, g.word); err != nil || !res.Accepted || res.Matched {
+			t.Fatalf("%s guess: %+v err=%v", g.player, res, err)
+		}
+	}
 	// Bob matches; the round ends in agreement.
 	res, err := client.SessionGuess(id, "bob", word)
 	if err != nil || !res.Matched || res.Word != word || !res.Done {
@@ -104,7 +113,7 @@ func TestSessionE2E(t *testing.T) {
 	if err != nil || !done {
 		t.Fatalf("alice final events: done=%v err=%v", done, err)
 	}
-	if last := evs[len(evs)-1]; last.Type != session.EvEnd || last.Reason != session.EndAgreed {
+	if last := evs[len(evs)-1]; last.Type != session.EvEnd || last.Reason != agree.EndAgreed {
 		t.Fatalf("final event = %+v", last)
 	}
 
@@ -164,13 +173,18 @@ func TestSessionE2E(t *testing.T) {
 	if infoC.Item != item {
 		t.Fatalf("replay item = %d, want %d", infoC.Item, item)
 	}
-	// Both recorded transcripts are [30], so guessing it agrees.
-	resC, err := client.SessionGuess(infoC.Session, "carol", word)
+	// The recorded transcripts are [31 30] and [32 30], and 30 turned
+	// taboo at the agreement. The partner typed its opening word before
+	// carol's first guess; the one typed after it is the refused 30.
+	resC, err := client.SessionGuess(infoC.Session, "carol", word+1)
+	if err == nil && !resC.Matched {
+		resC, err = client.SessionGuess(infoC.Session, "carol", word+2)
+	}
 	if err != nil || !resC.Matched {
 		t.Fatalf("carol guess: %+v err=%v", resC, err)
 	}
 
-	st, err := client.SessionStats()
+	st, err := client.SessionStatsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

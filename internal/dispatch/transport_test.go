@@ -98,7 +98,7 @@ func TestBatchBodyLimitIsWider(t *testing.T) {
 		}
 	}
 	// 64 × 32 KiB ≈ 2 MiB: over maxSingleBody, under maxBatchBody.
-	results, err := c.SubmitBatch(reqs)
+	results, err := c.SubmitBatchContext(context.Background(), reqs)
 	if err != nil {
 		t.Fatalf("SubmitBatch over 1 MiB: %v", err)
 	}
@@ -133,7 +133,7 @@ func TestPooledDecodeNoCrossRequestBleed(t *testing.T) {
 					errs <- fmt.Errorf("submit g%d/%d: %w", g, i, err)
 					return
 				}
-				got, err := c.Task(id)
+				got, err := c.TaskContext(context.Background(), id)
 				if err != nil {
 					errs <- fmt.Errorf("fetch g%d/%d: %w", g, i, err)
 					return

@@ -171,7 +171,7 @@ func A2(o Options) Result {
 				if !ok {
 					continue
 				}
-				out = g.PlayRoundReplay(a, match.NewReplayer(sess), img)
+				out = g.PlayRoundReplay(a, sess)
 			} else {
 				out = g.PlayRound(a, b, img)
 			}

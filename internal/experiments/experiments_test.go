@@ -286,3 +286,21 @@ func TestA3ShapeAssessmentRaisesPrecision(t *testing.T) {
 		t.Errorf("assessment did not raise precision: %.2f -> %.2f", p0, pLast)
 	}
 }
+
+// TestT1ShapeESPLongestALP pins T1's note: ESP, the stickiest game, has
+// the longest average lifetime play of the seven.
+func TestT1ShapeESPLongestALP(t *testing.T) {
+	res := T1(smallOpts())
+	alp := map[string]float64{}
+	for _, row := range res.Rows {
+		alp[row[0]] = parseF(t, row[5])
+	}
+	if len(alp) != 7 {
+		t.Fatalf("T1 has %d games, want 7: %v", len(alp), alp)
+	}
+	for game, v := range alp {
+		if game != "esp" && v >= alp["esp"] {
+			t.Errorf("%s ALP %.1f min >= esp's %.1f", game, v, alp["esp"])
+		}
+	}
+}

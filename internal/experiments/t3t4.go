@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http/httptest"
@@ -25,6 +26,7 @@ func T3(o Options) Result {
 		Title:  "Dispatch service throughput (lease+answer round trips)",
 		Header: []string{"clients", "round trips", "wall time", "req/s"},
 	}
+	ctx := context.Background()
 	for _, clients := range []int{1, 4, 16, 64} {
 		perClient := o.n(500, 50)
 		sys := core.New(core.DefaultConfig())
@@ -33,7 +35,7 @@ func T3(o Options) Result {
 
 		total := clients * perClient
 		for i := 0; i < total; i++ {
-			if _, err := cl.Submit(task.Label, task.Payload{ImageID: i}, 1, 0); err != nil {
+			if _, err := cl.SubmitContext(ctx, task.Label, task.Payload{ImageID: i}, 1, 0); err != nil {
 				srv.Close()
 				res.AddNote("submit failed: %v", err)
 				return res
@@ -47,14 +49,14 @@ func T3(o Options) Result {
 				defer wg.Done()
 				id := fmt.Sprintf("w%d", c)
 				for {
-					_, lease, err := cl.Next(id)
+					_, lease, err := cl.NextContext(ctx, id)
 					if errors.Is(err, dispatch.ErrNoTask) {
 						return
 					}
 					if err != nil {
 						return
 					}
-					if err := cl.Answer(lease, task.Answer{Words: []int{1}}); err != nil {
+					if err := cl.AnswerContext(ctx, lease, task.Answer{Words: []int{1}}); err != nil {
 						return
 					}
 				}

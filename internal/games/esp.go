@@ -16,27 +16,26 @@ type ESPConfig struct {
 	// exact string matching; Canonical models later intelligent matching.
 	Mode agree.MatchMode
 	// PromoteAfter is how many agreements a word needs on an image before
-	// it becomes taboo there. The deployed game promoted after the first.
+	// it becomes taboo there.
 	PromoteAfter int
 	// RetireAt is the number of taboo words at which an image is
 	// considered fully labeled; 0 disables retirement.
 	RetireAt int
-	// MaxGuesses bounds each player's guesses per round; the pair passes
-	// when both run out.
+	// MaxGuesses bounds each player's guesses per round.
 	MaxGuesses int
 	Seed       uint64
 	// ReplaySeed seeds the replay store's reservoir sampling.
 	ReplaySeed uint64
 }
 
-// DefaultESPConfig mirrors the deployed game: taboo after one agreement,
-// retirement at six taboo words, around a dozen guesses per round.
+// DefaultESPConfig mirrors the deployed game, with the rules the live
+// session plane also defaults to.
 func DefaultESPConfig() ESPConfig {
 	return ESPConfig{
 		Mode:         agree.Exact,
-		PromoteAfter: 1,
-		RetireAt:     6,
-		MaxGuesses:   12,
+		PromoteAfter: agree.DefaultPromoteAfter,
+		RetireAt:     agree.DefaultRetireAt,
+		MaxGuesses:   agree.DefaultMaxGuesses,
 		Seed:         1,
 	}
 }
@@ -47,7 +46,17 @@ type ESPRound struct {
 	Agreed   bool
 	Word     int           // the agreed label, meaningful iff Agreed
 	Guesses  [2][]int      // each player's guesses in order
+	End      string        // why the round ended (agree.EndAgreed, ...)
 	Duration time.Duration // simulated wall time of the round
+}
+
+// Player is one seat of a simulated ESP round: it takes a think time
+// before each beat and then types a tag for the image, given the words
+// barred this round and the ones it has entered. *worker.Worker is the
+// simulated crowd's player.
+type Player interface {
+	ThinkTime() time.Duration
+	GuessTag(lex *vocab.Lexicon, img *vocab.Image, taboo, said map[int]bool) int
 }
 
 // ESP is the ESP Game, the canonical output-agreement game: two randomly
@@ -56,7 +65,8 @@ type ESPRound struct {
 // communicate and independently type the same word are almost certainly
 // describing something in the image. Taboo words push later pairs past the
 // labels already collected, and fully taboo'd images retire. Transcripts of
-// live rounds become the recorded partners of single-player rounds.
+// live rounds become the recorded partners of single-player rounds. The
+// rules are agree.OutputRound's; ESP drives it on a simulated clock.
 type ESP struct {
 	Corpus *vocab.Corpus
 	Taboo  *agree.TabooTracker
@@ -82,19 +92,9 @@ func NewESP(corpus *vocab.Corpus, cfg ESPConfig) *ESP {
 	}
 }
 
-// PickImage returns a uniformly random image that has not retired, or
-// ok == false if the whole corpus is fully labeled.
-func (g *ESP) PickImage() (int, bool) {
-	n := len(g.Corpus.Images)
-	start := g.src.Intn(n)
-	for i := 0; i < n; i++ {
-		id := (start + i) % n
-		if !g.Taboo.Retired(id) {
-			return id, true
-		}
-	}
-	return 0, false
-}
+// PickImage returns a random image that has not retired, or ok == false
+// if the whole corpus is fully labeled.
+func (g *ESP) PickImage() (int, bool) { return g.Taboo.Pick(g.src, len(g.Corpus.Images)) }
 
 // Play plays one live round on a random unretired image and records both
 // players' transcripts for replay; an agreement is one output.
@@ -103,130 +103,96 @@ func (g *ESP) Play(a, b *worker.Worker) (int, time.Duration) {
 	if !ok {
 		return 0, time.Minute // corpus exhausted; idle beat
 	}
-	res := g.PlayRound(a, b, imgID)
-	for i, w := range [2]*worker.Worker{a, b} {
-		g.Replay.Record(match.ReplaySession{Item: imgID, Player: w.ID, Words: res.Guesses[i]})
+	round, res := g.playLive(a, b, imgID)
+	ids := [2]string{a.ID, b.ID}
+	for seat, words := range round.Transcripts() {
+		g.Replay.Record(match.ReplaySession{Item: imgID, Player: ids[seat], Words: words})
 	}
 	return oneIf(res.Agreed), res.Duration
 }
 
-// PlaySolo plays one round against a recorded partner, on an item that
-// has a transcript, skipping retired images and the player's own
-// recordings; ok is false when no such transcript turns up.
+// PlaySolo plays one round against a recorded partner that
+// match.ReplayStore.Partner picks for w; ok is false when it finds none.
 func (g *ESP) PlaySolo(w *worker.Worker) (int, time.Duration, bool) {
-	for attempts := 0; attempts < 8; attempts++ {
-		s, ok := g.Replay.Any()
-		if !ok {
-			return 0, 0, false
-		}
-		if s.Player == w.ID || g.Taboo.Retired(s.Item) {
-			continue
-		}
-		res := g.PlayRoundReplay(w, match.NewReplayer(s), s.Item)
-		return oneIf(res.Agreed), res.Duration, true
+	s, ok := g.Replay.Partner(w.ID, g.Taboo.Retired)
+	if !ok {
+		return 0, 0, false
 	}
-	return 0, 0, false
+	res := g.PlayRoundReplay(w, s)
+	return oneIf(res.Agreed), res.Duration, true
 }
 
-// PlayRound runs one round between two workers on the image, interleaving
+// PlayRound runs one round between two players on the image, interleaving
 // their guesses in think-time order as the live game does. On agreement
 // the label and taboo stores are updated.
-func (g *ESP) PlayRound(a, b *worker.Worker, imageID int) ESPRound {
-	img, round, tabooSet := g.begin(imageID)
-	players := [2]*worker.Worker{a, b}
+func (g *ESP) PlayRound(a, b Player, imageID int) ESPRound {
+	_, res := g.playLive(a, b, imageID)
+	return res
+}
+
+func (g *ESP) playLive(a, b Player, imageID int) (*agree.OutputRound, ESPRound) {
+	round, img := g.open(imageID, nil)
+	players := [2]Player{a, b}
 	said := [2]map[int]bool{{}, {}}
 	// next[i] is the simulated clock at which player i produces their next
 	// guess; the earlier player acts first, exactly like interleaved typing.
-	next := [2]time.Duration{players[0].ThinkTime(), players[1].ThinkTime()}
-	budget := [2]int{g.cfg.MaxGuesses, g.cfg.MaxGuesses}
+	next := [2]time.Duration{a.ThinkTime(), b.ThinkTime()}
 	var elapsed time.Duration
-
-	res := ESPRound{ImageID: imageID}
-	for budget[0] > 0 || budget[1] > 0 {
+	for round.Ended() == "" {
 		i := 0
-		if budget[0] <= 0 || (budget[1] > 0 && next[1] < next[0]) {
+		if round.Left(0) == 0 || (round.Left(1) > 0 && next[1] < next[0]) {
 			i = 1
 		}
 		elapsed = next[i]
-		w := players[i]
-		word := w.GuessTag(g.Corpus.Lexicon, img, tabooSet, said[i])
-		budget[i]--
-		next[i] += w.ThinkTime()
-		if word < 0 {
-			continue // player has nothing new to say this beat
-		}
-		matched, err := round.Submit(i, word)
-		if err != nil {
-			// Taboo violations (spammers) and repeats burn the guess.
-			continue
-		}
-		said[i][g.Corpus.Lexicon.Canonical(word)] = true
-		if matched {
-			res.Agreed, res.Word = true, word
-			break
-		}
+		word := players[i].GuessTag(g.Corpus.Lexicon, img, round.Taboo(), said[i])
+		next[i] += players[i].ThinkTime()
+		g.guess(round, i, word, said[i])
 	}
-	return g.finish(round, res, elapsed)
+	return round, g.finish(round, imageID, elapsed)
 }
 
 // PlayRoundReplay runs a single-player round against a pre-recorded
-// partner transcript, the mechanism that keeps the game playable when no
-// live partner is available. The recorded partner "types" its guesses at
-// the pace they appear in the transcript (one per live-player beat).
-func (g *ESP) PlayRoundReplay(a *worker.Worker, rp *match.Replayer, imageID int) ESPRound {
-	img, round, tabooSet := g.begin(imageID)
+// partner transcript on its image, the mechanism that keeps the game
+// playable when no live partner is available.
+func (g *ESP) PlayRoundReplay(a Player, partner match.ReplaySession) ESPRound {
+	round, img := g.open(partner.Item, partner.Words)
 	said := map[int]bool{}
 	var elapsed time.Duration
-
-	res := ESPRound{ImageID: imageID}
-	for guess := 0; guess < g.cfg.MaxGuesses; guess++ {
-		// Recorded partner plays its next line first (it "typed" already).
-		if w, ok := rp.Next(); ok {
-			if matched, err := round.Submit(1, w); err == nil && matched {
-				res.Agreed, res.Word = true, w
-				break
-			}
-		}
+	for round.Ended() == "" {
 		elapsed += a.ThinkTime()
-		word := a.GuessTag(g.Corpus.Lexicon, img, tabooSet, said)
-		if word < 0 {
-			continue
-		}
-		matched, err := round.Submit(0, word)
-		if err != nil {
-			continue
-		}
+		g.guess(round, 0, a.GuessTag(g.Corpus.Lexicon, img, round.Taboo(), said), said)
+	}
+	return g.finish(round, partner.Item, elapsed)
+}
+
+// open starts a round on imageID under the image's current taboo list;
+// recorded is seat 1's transcript in a replay round.
+func (g *ESP) open(imageID int, recorded []int) (*agree.OutputRound, *vocab.Image) {
+	round := agree.NewOutputRound(g.Corpus.Lexicon, g.cfg.Mode, g.Taboo.TabooFor(imageID), g.cfg.MaxGuesses, recorded)
+	return round, g.Corpus.Image(imageID)
+}
+
+// guess plays a player's beat and, when the round enters the word, adds
+// it to what the player remembers saying.
+func (g *ESP) guess(round *agree.OutputRound, seat, word int, said map[int]bool) {
+	if round.Guess(seat, word) == nil {
 		said[g.Corpus.Lexicon.Canonical(word)] = true
-		if matched {
-			res.Agreed, res.Word = true, word
-			break
-		}
 	}
-	return g.finish(round, res, elapsed)
 }
 
-// begin opens a round on imageID under the image's current taboo list,
-// which it also returns as a set for the players' guessing.
-func (g *ESP) begin(imageID int) (*vocab.Image, *agree.OutputRound, map[int]bool) {
-	tabooList := g.Taboo.TabooFor(imageID)
-	tabooSet := make(map[int]bool, len(tabooList))
-	for _, w := range tabooList {
-		tabooSet[w] = true
+// finish summarizes an ended round; an agreement enters the label and
+// taboo stores.
+func (g *ESP) finish(round *agree.OutputRound, imageID int, elapsed time.Duration) ESPRound {
+	res := ESPRound{
+		ImageID:  imageID,
+		Guesses:  [2][]int{round.Guesses(0), round.Guesses(1)},
+		End:      round.Ended(),
+		Duration: elapsed,
 	}
-	return g.Corpus.Image(imageID), agree.NewOutputRound(g.Corpus.Lexicon, g.cfg.Mode, tabooList), tabooSet
-}
-
-// finish ends a round: a pair that did not agree passes, and an agreement
-// enters the label and taboo stores.
-func (g *ESP) finish(round *agree.OutputRound, res ESPRound, elapsed time.Duration) ESPRound {
-	if !res.Agreed {
-		round.Pass()
-	}
-	res.Guesses = [2][]int{round.Guesses(0), round.Guesses(1)}
-	res.Duration = elapsed
-	if res.Agreed {
-		g.Labels.Record(res.ImageID, res.Word)
-		g.Taboo.Record(res.ImageID, res.Word)
+	if w, ok := round.Agreed(); ok {
+		res.Agreed, res.Word = true, w
+		g.Labels.Record(imageID, w)
+		g.Taboo.Record(imageID, w)
 	}
 	return res
 }

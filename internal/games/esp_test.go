@@ -195,11 +195,9 @@ func TestReplayRoundAgreesWithRecordedPartner(t *testing.T) {
 	p.ThinkMean = 0
 	solo := worker.New("solo", worker.Honest, p, src)
 
-	rp := match.NewReplayer(match.ReplaySession{Item: imgID, Player: "a", Words: live.Guesses[0]})
 	agreedOnce := false
 	for i := 0; i < 10 && !agreedOnce; i++ {
-		rp = match.NewReplayer(match.ReplaySession{Item: imgID, Player: "a", Words: live.Guesses[0]})
-		res := g2.PlayRoundReplay(solo, rp, imgID)
+		res := g2.PlayRoundReplay(solo, match.ReplaySession{Item: imgID, Player: "a", Words: live.Guesses[0]})
 		agreedOnce = res.Agreed
 		g2 = NewESP(c, DefaultESPConfig()) // reset taboo between attempts
 	}

@@ -137,27 +137,6 @@ func TestReplayStoreEvictionKeepsCapacity(t *testing.T) {
 	}
 }
 
-func TestReplayer(t *testing.T) {
-	r := NewReplayer(ReplaySession{Item: 1, Words: []int{10, 20}})
-	if r.Remaining() != 2 {
-		t.Fatalf("Remaining = %d", r.Remaining())
-	}
-	w, ok := r.Next()
-	if !ok || w != 10 {
-		t.Fatalf("Next = %d, %v", w, ok)
-	}
-	w, ok = r.Next()
-	if !ok || w != 20 {
-		t.Fatalf("Next = %d, %v", w, ok)
-	}
-	if _, ok := r.Next(); ok {
-		t.Fatal("Next past end succeeded")
-	}
-	if r.Remaining() != 0 {
-		t.Fatalf("Remaining = %d at end", r.Remaining())
-	}
-}
-
 func TestReplayStorePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

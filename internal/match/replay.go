@@ -85,17 +85,33 @@ func (s *ReplayStore) getLocked(item int) (ReplaySession, bool) {
 	return list[s.src.Intn(len(list))], true
 }
 
-// Any returns a random recorded session from a random recorded item, or
-// ok == false when the store is empty. Single-player mode serves whatever
-// items have transcripts, not a random corpus item.
-func (s *ReplayStore) Any() (ReplaySession, bool) {
+// Partner picks a recorded partner for player, the pre-recorded partner
+// of single-player play. It draws up to eight transcripts, each from a
+// random recorded item, and returns the first that is neither player's own
+// nor on an item retired reports; ok is false when none qualifies or the
+// store is empty. retired runs outside the store's lock.
+func (s *ReplayStore) Partner(player string, retired func(item int) bool) (ReplaySession, bool) {
+	for draw := 0; draw < 8; draw++ {
+		rs, ok := s.any()
+		if !ok {
+			break
+		}
+		if rs.Player != player && !retired(rs.Item) {
+			return rs, true
+		}
+	}
+	return ReplaySession{}, false
+}
+
+// any returns a random recorded session from a random recorded item, or
+// ok == false when the store is empty.
+func (s *ReplayStore) any() (ReplaySession, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.items) == 0 {
 		return ReplaySession{}, false
 	}
-	item := s.items[s.src.Intn(len(s.items))]
-	return s.getLocked(item)
+	return s.getLocked(s.items[s.src.Intn(len(s.items))])
 }
 
 // Size returns the total number of stored recordings.
@@ -104,27 +120,3 @@ func (s *ReplayStore) Size() int {
 	defer s.mu.Unlock()
 	return s.total
 }
-
-// Replayer steps through a recorded session as the "pre-recorded partner"
-// of a single-player game.
-type Replayer struct {
-	sess ReplaySession
-	next int
-}
-
-// NewReplayer returns a replayer over sess.
-func NewReplayer(sess ReplaySession) *Replayer { return &Replayer{sess: sess} }
-
-// Next returns the recorded partner's next guess, or ok == false when the
-// transcript is exhausted.
-func (r *Replayer) Next() (word int, ok bool) {
-	if r.next >= len(r.sess.Words) {
-		return 0, false
-	}
-	w := r.sess.Words[r.next]
-	r.next++
-	return w, true
-}
-
-// Remaining returns how many recorded guesses are left.
-func (r *Replayer) Remaining() int { return len(r.sess.Words) - r.next }

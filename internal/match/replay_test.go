@@ -94,41 +94,31 @@ func TestSizeUsesCounter(t *testing.T) {
 	}
 }
 
-func TestReplayerEdgeCases(t *testing.T) {
-	// Empty transcript: exhausted from the start.
-	r := NewReplayer(ReplaySession{Item: 3})
-	if r.Remaining() != 0 {
-		t.Fatalf("Remaining = %d on empty transcript", r.Remaining())
+// TestPartnerSkipsOwnAndRetired pins the replay-partner choice: never the
+// player's own transcript, never a retired item, and nothing when only
+// those are stored.
+func TestPartnerSkipsOwnAndRetired(t *testing.T) {
+	s := NewReplayStore(rng.New(14), 4)
+	if _, ok := s.Partner("dora", func(int) bool { return false }); ok {
+		t.Fatal("partner from an empty store")
 	}
-	if _, ok := r.Next(); ok {
-		t.Fatal("Next on empty transcript succeeded")
-	}
-	if r.Remaining() != 0 {
-		t.Fatalf("Remaining = %d after failed Next", r.Remaining())
-	}
-	// Single-word transcript: Remaining steps 1 -> 0, repeated Next at the
-	// end keeps failing without going negative.
-	r = NewReplayer(ReplaySession{Item: 3, Words: []int{42}})
-	if r.Remaining() != 1 {
-		t.Fatalf("Remaining = %d", r.Remaining())
-	}
-	if w, ok := r.Next(); !ok || w != 42 {
-		t.Fatalf("Next = %d, %v", w, ok)
-	}
-	for i := 0; i < 3; i++ {
-		if _, ok := r.Next(); ok {
-			t.Fatal("Next past end succeeded")
-		}
-		if r.Remaining() != 0 {
-			t.Fatalf("Remaining = %d past end", r.Remaining())
+	s.Record(ReplaySession{Item: 1, Player: "dora", Words: []int{5}})
+	s.Record(ReplaySession{Item: 2, Player: "ghost", Words: []int{6}})
+	retired := map[int]bool{}
+	isRetired := func(item int) bool { return retired[item] }
+	for i := 0; i < 50; i++ {
+		rs, ok := s.Partner("dora", isRetired)
+		if !ok || rs.Player != "ghost" {
+			t.Fatalf("dora got %+v, %v", rs, ok)
 		}
 	}
-	if r.sess.Item != 3 {
-		t.Fatalf("sess.Item = %d", r.sess.Item)
+	retired[2] = true
+	if rs, ok := s.Partner("dora", isRetired); ok {
+		t.Fatalf("dora got %+v on a retired item", rs)
 	}
 }
 
-// TestReplayStoreConcurrent drives Record/Get/Any/Size from many
+// TestReplayStoreConcurrent drives Record/Get/Partner/Size from many
 // goroutines under -race.
 func TestReplayStoreConcurrent(t *testing.T) {
 	s := NewReplayStore(rng.New(13), 4)
@@ -140,7 +130,7 @@ func TestReplayStoreConcurrent(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				s.Record(ReplaySession{Item: i % 5, Player: fmt.Sprintf("w%d", w), Words: []int{i}})
 				_, _ = s.Get(i % 5)
-				_, _ = s.Any()
+				_, _ = s.Partner("w", func(int) bool { return false })
 				_ = s.Size()
 			}
 		}(w)

@@ -162,11 +162,11 @@ func replSoakTraffic(c *dispatch.Client) (ackedTasks map[task.ID]bool, ackedAnsw
 		if err == nil {
 			ackedTasks[id] = true
 		}
-		tv, lease, err := c.Next("w")
+		tv, lease, err := c.NextContext(context.Background(), "w")
 		if err != nil {
 			continue
 		}
-		if err := c.Answer(lease, task.Answer{Words: []int{int(tv.ID)}}); err == nil {
+		if err := c.AnswerContext(context.Background(), lease, task.Answer{Words: []int{int(tv.ID)}}); err == nil {
 			ackedAnswers[tv.ID]++
 		}
 	}

@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"humancomp/internal/agree"
 	"humancomp/internal/core"
 	"humancomp/internal/dispatch"
 	"humancomp/internal/repl"
@@ -215,13 +214,12 @@ func (n *Node) boot(policy store.SyncPolicy) error {
 	// matchmaking queues are not replicated, players reconnect after a
 	// failover. Session agreements journal like any other answer.
 	if cfg.Sessions > 0 {
-		bridge := dispatch.NewSessionBridge(n.sys, cfg.Sessions, 2, 1)
+		bridge := dispatch.NewSessionBridge(n.sys)
 		plane, err := session.New(session.Config{
 			MatchTimeout: cfg.MatchTimeout,
 			RoundTimeout: cfg.RoundTimeout,
-			Match:        agree.Exact,
 			Lexicon:      vocab.NewLexicon(vocab.DefaultLexiconConfig()),
-			NextItem:     bridge.NextItem,
+			Items:        cfg.Sessions,
 			OnResult:     bridge.OnResult,
 			Seed:         1,
 		})

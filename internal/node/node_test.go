@@ -202,7 +202,7 @@ func TestReopenServesTheSameState(t *testing.T) {
 	dir := t.TempDir()
 	n := open(t, config(dir))
 	c := client(n)
-	if _, err := c.SubmitGold(task.Judge, task.Payload{ImageID: 100}, 3, 1, task.Answer{Choice: 1}); err != nil {
+	if _, err := c.SubmitGoldContext(context.Background(), task.Judge, task.Payload{ImageID: 100}, 3, 1, task.Answer{Choice: 1}); err != nil {
 		t.Fatal(err)
 	}
 	var plain task.ID
@@ -215,11 +215,11 @@ func TestReopenServesTheSameState(t *testing.T) {
 	}
 	for _, w := range []string{"ann", "bo"} {
 		for i := 0; i < 6; i++ {
-			tv, lease, err := c.Next(w)
+			tv, lease, err := c.NextContext(context.Background(), w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := c.Answer(lease, task.Answer{Choice: tv.Payload.ImageID % 2}); err != nil {
+			if err := c.AnswerContext(context.Background(), lease, task.Answer{Choice: tv.Payload.ImageID % 2}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -227,7 +227,7 @@ func TestReopenServesTheSameState(t *testing.T) {
 	observe := func(n *Node) (list string, st core.Stats, post core.PosteriorInfo) {
 		t.Helper()
 		_, list = get(t, "http://"+n.Addr()+"/v1/tasks?limit=100")
-		st, err := client(n).Stats()
+		st, err := client(n).StatsContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +284,7 @@ func TestCloseReclaimsExpiredLeasesBeforeSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := client(n).Next("ghost"); err != nil {
+	if _, _, err := client(n).NextContext(context.Background(), "ghost"); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
@@ -296,14 +296,14 @@ func TestCloseReclaimsExpiredLeasesBeforeSnapshot(t *testing.T) {
 	}
 
 	re := open(t, config(dir))
-	tv, lease, err := client(re).Next("fresh")
+	tv, lease, err := client(re).NextContext(context.Background(), "fresh")
 	if err != nil {
 		t.Fatalf("the abandoned task is not leasable right after reopen: %v", err)
 	}
 	if tv.ID != id {
 		t.Fatalf("leased task %d, want the abandoned %d", tv.ID, id)
 	}
-	if err := client(re).Answer(lease, task.Answer{Choice: 1}); err != nil {
+	if err := client(re).AnswerContext(context.Background(), lease, task.Answer{Choice: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -443,7 +443,7 @@ func TestClosePromptWithParkedLongPoll(t *testing.T) {
 		joined <- info
 	}()
 	waitFor(t, "alice to wait for a partner", func() bool {
-		st, err := c.SessionStats()
+		st, err := c.SessionStatsContext(context.Background())
 		return err == nil && st.Waiting == 1
 	})
 	info, err := c.JoinSessionContext(context.Background(), "bob")

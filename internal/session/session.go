@@ -11,32 +11,37 @@
 //	               (pre-recorded partner from the replay store, per the
 //	                paper; ErrNoPartner when no transcript exists yet)
 //
-// A session is one timed ESP output-agreement round: players submit
+// A session is one timed ESP output-agreement round, agree.OutputRound,
+// whose rules are the ones the simulator's games.ESP plays: players submit
 // guesses, the round matches them server-side, taboo promotions from
 // concurrent games on the same item land mid-round, and the round ends on
 // agreement, double pass, guess exhaustion, a player leaving, or the
-// monotonic round deadline. Completed live games are recorded into the
-// replay store (feeding future lone players) and reported through
-// Config.OnResult, which the dispatch bridge turns into answers on the
-// quality plane.
+// monotonic round deadline. The plane adds only the wall clock, the
+// event stream and the locking. Completed live games are recorded into
+// the replay store (feeding future lone players) and every game is
+// reported through Config.OnResult, which the dispatch bridge turns into
+// answers on the quality plane.
 //
 // Partner events are delivered by long-polling Events with a cursor. In
 // the ESP tradition a partner's guess content is hidden — the event says
 // a guess happened, not what it was — so the event stream cannot be used
 // to copy the partner; only the agreed word is revealed.
 //
-// One mutex, Plane.mu, guards the session table, the per-item index and
-// the taboo tracker, so reading an item's taboo set, publishing a session
-// and promoting plus propagating a word are atomic with respect to each
-// other. The matchmaker has its own lock, joinMu; the order is joinMu → mu.
-// Work that calls out (OnResult, transcript recording) runs after mu is
-// released.
+// One mutex, Plane.mu, guards the session table, the per-item index, the
+// item source and the taboo tracker, so reading an item's taboo set,
+// publishing a session and promoting plus propagating a word are atomic
+// with respect to each other. The matchmaker has its own lock, joinMu.
+// Picking a replay partner reads the taboo tracker, so it runs under mu
+// and takes the replay store's lock inside it. The order is
+// joinMu → mu → replay store. Work that calls out (OnResult, transcript
+// recording) runs after mu is released.
 package session
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,6 +62,7 @@ var (
 	ErrNoPartner = errors.New("session: no partner arrived and no replay transcript is available")
 	ErrNoPlayer  = errors.New("session: player id required")
 	ErrBadWord   = errors.New("session: word outside the lexicon")
+	ErrRetired   = errors.New("session: every item is fully labeled")
 )
 
 // ID identifies one session.
@@ -84,8 +90,9 @@ func (m Mode) String() string {
 const (
 	// EvStart opens every stream: the session exists and the round runs.
 	EvStart = "start"
-	// EvPartnerGuess says the seat entered an accepted guess. The word is
-	// deliberately omitted: ESP partners cannot see each other's guesses.
+	// EvPartnerGuess says the seat entered a guess the round accepted. The
+	// word is deliberately omitted: ESP partners cannot see each other's
+	// guesses.
 	EvPartnerGuess = "partner_guess"
 	// EvAgreed reveals the agreed word; the round is over.
 	EvAgreed = "agreed"
@@ -100,13 +107,12 @@ const (
 	EvEnd = "end"
 )
 
-// Round-end reasons carried by EvEnd and Result.Reason.
+// Round-end reasons carried by EvEnd and Result.Reason: the round's own
+// (agree.EndAgreed, agree.EndPassed, agree.EndExhausted), and the two the
+// plane adds.
 const (
-	EndAgreed    = "agreed"
-	EndPassed    = "passed"
-	EndTimeout   = "timeout"
-	EndLeft      = "partner_left"
-	EndExhausted = "exhausted"
+	EndTimeout = "timeout"
+	EndLeft    = "partner_left"
 )
 
 // Event is one entry on a session's ordered stream. Seq starts at 1 and
@@ -151,12 +157,12 @@ type GuessResult struct {
 	Reason   string `json:"reason,omitempty"` // "taboo" | "repeat" | "limit"
 	Matched  bool   `json:"matched"`
 	Word     int    `json:"word,omitempty"` // agreed word when Matched
-	Guesses  int    `json:"guesses"`        // caller's accepted guesses so far
+	Guesses  int    `json:"guesses"`        // caller's guesses used so far, refused ones included
 	Done     bool   `json:"done"`
 }
 
 // Config parameterizes a Plane. The zero value of every field except
-// Lexicon and NextItem is usable.
+// Lexicon and Items is usable.
 type Config struct {
 	// MatchTimeout is how long Join waits for a live partner before
 	// falling back to replay mode. Default 2s.
@@ -171,19 +177,19 @@ type Config struct {
 	// SweepEvery is the sweeper cadence for round timeouts and linger
 	// expiry. Default 250ms.
 	SweepEvery time.Duration
-	// MaxGuesses bounds accepted guesses per seat per round. Default 12.
+	// MaxGuesses bounds the guesses per seat per round, refused ones
+	// included. Default agree.DefaultMaxGuesses.
 	MaxGuesses int
-	// Match selects exact or canonical word matching.
-	Match agree.MatchMode
 	// PromoteAfter is the agreement count that promotes a word to taboo
-	// for its item. Default 2.
+	// for its item. Default agree.DefaultPromoteAfter.
 	PromoteAfter int
 	// Seed fixes the matchmaker and replay-store randomness.
 	Seed uint64
 	// Lexicon canonicalizes words for matching and taboo. Required.
 	Lexicon *vocab.Lexicon
-	// NextItem supplies the item a fresh live pairing plays on. Required.
-	NextItem func() int
+	// Items is how many items, 0..Items-1, live pairings play on; each
+	// pairing gets an unretired one drawn from the seeded source. Required.
+	Items int
 	// OnResult receives every finished session, outside all plane locks.
 	// Optional.
 	OnResult func(Result)
@@ -200,28 +206,26 @@ type session struct {
 	item     int
 	players  [2]string
 	round    *agree.OutputRound
-	replayer *match.Replayer
 	start    time.Time
 	deadline time.Time
 	endedAt  time.Time
 	events   []Event
 	notify   chan struct{}
-	guesses  [2]int
-	passed   [2]bool
-	replayed bool // EvPartnerDone already emitted
-	done     bool
-	reason   string
 }
 
+// seatOf returns player's seat, or -1 for anyone else. The recorded seat
+// of a replay round is driven by the round alone, so naming it is -1 too.
 func (s *session) seatOf(player string) int {
-	switch player {
-	case s.players[0]:
+	switch {
+	case player == s.players[0]:
 		return 0
-	case s.players[1]:
+	case player == s.players[1] && s.mode == Live:
 		return 1
 	}
 	return -1
 }
+
+func (s *session) done() bool { return s.round.Ended() != "" }
 
 // waiter is a player blocked in Join waiting for a partner.
 type waiter struct {
@@ -241,6 +245,7 @@ type Plane struct {
 	sess   map[ID]*session
 	byItem map[int]map[ID]struct{} // sessions per item, for taboo propagation
 	taboo  *agree.TabooTracker
+	items  *rng.Source // draws the item of each live pairing
 
 	joinMu  sync.Mutex // guards mm's pool and waiters; taken before mu
 	waiters map[string]*waiter
@@ -263,20 +268,16 @@ type Plane struct {
 	matchWait  metrics.LatencyHist
 }
 
-const (
-	// retireAt is the taboo-word count at which an item is fully labeled.
-	retireAt = 6
-	// replayPerItem bounds stored transcripts per item (reservoir sampled).
-	replayPerItem = 8
-)
+// replayPerItem bounds stored transcripts per item (reservoir sampled).
+const replayPerItem = 8
 
 // New returns a running Plane; callers must Close it to stop the sweeper.
 func New(cfg Config) (*Plane, error) {
 	if cfg.Lexicon == nil {
 		return nil, errors.New("session: Config.Lexicon is required")
 	}
-	if cfg.NextItem == nil {
-		return nil, errors.New("session: Config.NextItem is required")
+	if cfg.Items <= 0 {
+		return nil, errors.New("session: Config.Items is required")
 	}
 	if cfg.MatchTimeout <= 0 {
 		cfg.MatchTimeout = 2 * time.Second
@@ -291,10 +292,10 @@ func New(cfg Config) (*Plane, error) {
 		cfg.SweepEvery = 250 * time.Millisecond
 	}
 	if cfg.MaxGuesses <= 0 {
-		cfg.MaxGuesses = 12
+		cfg.MaxGuesses = agree.DefaultMaxGuesses
 	}
 	if cfg.PromoteAfter <= 0 {
-		cfg.PromoteAfter = 2
+		cfg.PromoteAfter = agree.DefaultPromoteAfter
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -306,7 +307,8 @@ func New(cfg Config) (*Plane, error) {
 		replays: match.NewReplayStore(src, replayPerItem),
 		sess:    make(map[ID]*session),
 		byItem:  make(map[int]map[ID]struct{}),
-		taboo:   agree.NewTabooTracker(cfg.Lexicon, cfg.PromoteAfter, retireAt),
+		taboo:   agree.NewTabooTracker(cfg.Lexicon, cfg.PromoteAfter, agree.DefaultRetireAt),
+		items:   src.Split(),
 		waiters: make(map[string]*waiter),
 		stop:    make(chan struct{}),
 	}
@@ -331,14 +333,21 @@ func (p *Plane) now() time.Time { return p.cfg.Now() }
 // Join enters player into the matchmaker and blocks until a session
 // starts: paired with a live stranger, or — when no partner arrives
 // within MatchTimeout — against a replayed transcript. ErrNoPartner means
-// the deadline passed and the replay store is empty; the caller should
-// retry later. Cancelling ctx withdraws the player cleanly.
+// the deadline passed and no transcript qualifies; the caller should
+// retry later. ErrRetired means every item is fully labeled. Cancelling
+// ctx withdraws the player cleanly.
 func (p *Plane) Join(ctx context.Context, player string) (JoinInfo, error) {
 	if player == "" {
 		return JoinInfo{}, ErrNoPlayer
 	}
 	if p.closed.Load() {
 		return JoinInfo{}, ErrClosed
+	}
+	p.mu.Lock()
+	_, open := p.taboo.Pick(p.items, p.cfg.Items)
+	p.mu.Unlock()
+	if !open {
+		return JoinInfo{}, ErrRetired
 	}
 	joinStart := p.now()
 	p.joinMu.Lock()
@@ -390,7 +399,9 @@ func (p *Plane) Join(ctx context.Context, player string) (JoinInfo, error) {
 		return JoinInfo{}, err
 	}
 	// Replay fallback: the paper's pre-recorded partner.
-	rs, found := p.replays.Any()
+	p.mu.Lock()
+	rs, found := p.replays.Partner(player, p.taboo.Retired)
+	p.mu.Unlock()
 	if !found {
 		p.noPartner.Add(1)
 		return JoinInfo{}, ErrNoPartner
@@ -404,7 +415,11 @@ func (p *Plane) Join(ctx context.Context, player string) (JoinInfo, error) {
 // startLive creates a live session for seats (a, b) and returns their
 // JoinInfos. Called with joinMu held; session creation takes mu.
 func (p *Plane) startLive(a, b string) (JoinInfo, JoinInfo) {
-	item := p.cfg.NextItem()
+	p.mu.Lock()
+	// Should the last item have retired since Join checked, the pair
+	// plays a retired one: one more label, nothing lost.
+	item, _ := p.taboo.Pick(p.items, p.cfg.Items)
+	p.mu.Unlock()
 	s := p.startSession(Live, item, [2]string{a, b}, nil)
 	p.liveTotal.Add(1)
 	return p.joinInfo(s, 0), p.joinInfo(s, 1)
@@ -412,19 +427,20 @@ func (p *Plane) startLive(a, b string) (JoinInfo, JoinInfo) {
 
 // startReplay creates a replay session for player against transcript rs.
 func (p *Plane) startReplay(player string, rs match.ReplaySession) JoinInfo {
-	s := p.startSession(Replay, rs.Item, [2]string{player, "replay:" + rs.Player}, match.NewReplayer(rs))
+	s := p.startSession(Replay, rs.Item, [2]string{player, "replay:" + rs.Player}, rs.Words)
 	p.replTotal.Add(1)
 	return p.joinInfo(s, 0)
 }
 
-func (p *Plane) startSession(mode Mode, item int, players [2]string, rep *match.Replayer) *session {
+// startSession publishes a session on item; recorded is seat 1's
+// transcript in a replay round, nil in a live one.
+func (p *Plane) startSession(mode Mode, item int, players [2]string, recorded []int) *session {
 	now := p.now()
 	s := &session{
 		id:       ID(p.nextID.Add(1)),
 		mode:     mode,
 		item:     item,
 		players:  players,
-		replayer: rep,
 		start:    now,
 		deadline: now.Add(p.cfg.RoundTimeout),
 		notify:   make(chan struct{}),
@@ -433,9 +449,10 @@ func (p *Plane) startSession(mode Mode, item int, players [2]string, rep *match.
 	// promotion on this item lands either in the initial set or, via
 	// propagateTabooLocked, as an EvTaboo.
 	p.mu.Lock()
-	s.round = agree.NewOutputRound(p.cfg.Lexicon, p.cfg.Match, p.taboo.TabooFor(item))
+	s.round = agree.NewOutputRound(p.cfg.Lexicon, agree.Exact, p.taboo.TabooFor(item), p.cfg.MaxGuesses, recorded)
 	p.sess[s.id] = s
 	p.appendEventLocked(s, Event{Type: EvStart, Seat: -1})
+	p.partnerEventsLocked(s, len(recorded), 0)
 	set := p.byItem[item]
 	if set == nil {
 		set = make(map[ID]struct{})
@@ -450,9 +467,13 @@ func (p *Plane) startSession(mode Mode, item int, players [2]string, rep *match.
 func (p *Plane) joinInfo(s *session, seat int) JoinInfo {
 	// The session is already published: a promotion on its item may be
 	// adding to the round's taboo set (propagateTabooLocked, under mu).
+	var taboo []int
 	p.mu.Lock()
-	taboo := s.round.Taboo()
+	for w := range s.round.Taboo() {
+		taboo = append(taboo, w)
+	}
 	p.mu.Unlock()
+	sort.Ints(taboo)
 	return JoinInfo{
 		Session:  s.id,
 		Seat:     seat,
@@ -480,13 +501,12 @@ type finish struct {
 	transcripts []match.ReplaySession
 }
 
-// endLocked closes the round and, on agreement, records the word with the
-// taboo tracker, propagating a promotion to the item's other sessions.
-// Caller holds mu and runs the returned finish via p.finalize after
-// releasing it.
-func (p *Plane) endLocked(s *session, reason string) finish {
-	s.done = true
-	s.reason = reason
+// endLocked closes a session whose round has ended and, on agreement,
+// records the word with the taboo tracker, propagating a promotion to the
+// item's other sessions. Caller holds mu and runs the returned finish via
+// p.finalize after releasing it.
+func (p *Plane) endLocked(s *session) *finish {
+	reason := s.round.Ended()
 	s.endedAt = p.now()
 	word, agreed := s.round.Agreed()
 	if agreed {
@@ -504,14 +524,14 @@ func (p *Plane) endLocked(s *session, reason string) finish {
 	switch reason {
 	case EndTimeout:
 		p.timeouts.Add(1)
-	case EndPassed:
+	case agree.EndPassed:
 		p.passes.Add(1)
 	case EndLeft:
 		p.abandons.Add(1)
-	case EndExhausted:
+	case agree.EndExhausted:
 		p.exhausted.Add(1)
 	}
-	f := finish{res: Result{
+	f := &finish{res: Result{
 		Session:  s.id,
 		Item:     s.item,
 		Mode:     s.mode,
@@ -521,26 +541,27 @@ func (p *Plane) endLocked(s *session, reason string) finish {
 		Reason:   reason,
 		Duration: s.endedAt.Sub(s.start),
 	}}
-	// Record live transcripts (both seats) so future lone players have
-	// partners; in replay mode only the live seat adds fresh material.
-	seats := 2
-	if s.mode == Replay {
-		seats = 1
-	}
-	for seat := 0; seat < seats; seat++ {
-		if g := s.round.Guesses(seat); len(g) > 0 {
-			words := make([]int, len(g))
-			copy(words, g)
-			f.transcripts = append(f.transcripts, match.ReplaySession{
-				Item: s.item, Player: s.players[seat], Words: words,
-			})
-		}
+	for seat, words := range s.round.Transcripts() {
+		f.transcripts = append(f.transcripts, match.ReplaySession{Item: s.item, Player: s.players[seat], Words: words})
 	}
 	return f
 }
 
-// finalize runs a round's deferred work outside mu.
-func (p *Plane) finalize(f finish) {
+// endIfOverLocked runs endLocked when the round has just ended by its
+// rules; otherwise it returns nil. Caller holds mu.
+func (p *Plane) endIfOverLocked(s *session) *finish {
+	if !s.done() {
+		return nil
+	}
+	return p.endLocked(s)
+}
+
+// finalize runs a round's deferred work outside mu; nil is a round that
+// has not ended.
+func (p *Plane) finalize(f *finish) {
+	if f == nil {
+		return
+	}
 	for _, tr := range f.transcripts {
 		p.replays.Record(tr)
 	}
@@ -553,154 +574,103 @@ func (p *Plane) finalize(f finish) {
 // other open session on the same item, mid-game. Caller holds mu.
 func (p *Plane) propagateTabooLocked(item, word int, from ID) {
 	for id := range p.byItem[item] {
-		if s := p.sess[id]; id != from && !s.done {
+		if s := p.sess[id]; id != from && !s.done() {
 			s.round.AddTaboo(word)
 			p.appendEventLocked(s, Event{Type: EvTaboo, Seat: -1, Words: []int{word}})
 		}
 	}
 }
 
-// Guess submits one guess for player. Taboo words, repeats, and guesses
-// past MaxGuesses are rejected in-band (Accepted=false with a reason), as
-// the real game's UI would; unknown sessions, non-players, and finished
-// rounds are errors.
-func (p *Plane) Guess(id ID, player string, word int) (GuessResult, error) {
-	p.mu.Lock()
+// partnerEventsLocked announces the recorded partner's play since a
+// snapshot of it (left words unplayed, entered words entered): one
+// EvPartnerGuess per word the round has entered since, and EvPartnerDone
+// once the transcript has run out. Caller holds mu.
+func (p *Plane) partnerEventsLocked(s *session, left, entered int) {
+	if s.mode != Replay {
+		return
+	}
+	for n := len(s.round.Guesses(1)); entered < n; entered++ {
+		p.appendEventLocked(s, Event{Type: EvPartnerGuess, Seat: 1})
+	}
+	if left > 0 && s.round.Left(1) == 0 {
+		p.appendEventLocked(s, Event{Type: EvPartnerDone, Seat: 1})
+	}
+}
+
+// seatLocked finds session id and player's seat in it. Caller holds mu.
+func (p *Plane) seatLocked(id ID, player string) (*session, int, error) {
 	s := p.sess[id]
 	if s == nil {
-		p.mu.Unlock()
-		return GuessResult{}, ErrUnknown
+		return nil, 0, ErrUnknown
 	}
 	seat := s.seatOf(player)
 	if seat < 0 {
-		p.mu.Unlock()
-		return GuessResult{}, ErrNotPlayer
+		return nil, 0, ErrNotPlayer
 	}
-	if s.done {
+	return s, seat, nil
+}
+
+// Guess submits one guess for player. Taboo words, repeats, and guesses
+// past MaxGuesses are rejected in-band (Accepted=false with a reason), as
+// the real game's UI would; the first two still use a guess. Unknown
+// sessions, non-players, and finished rounds are errors.
+func (p *Plane) Guess(id ID, player string, word int) (GuessResult, error) {
+	p.mu.Lock()
+	s, seat, err := p.seatLocked(id, player)
+	switch {
+	case err != nil:
+		p.mu.Unlock()
+		return GuessResult{}, err
+	case s.done():
 		p.mu.Unlock()
 		return GuessResult{Done: true}, ErrEnded
-	}
-	if word < 0 || word >= p.cfg.Lexicon.Size() {
+	case word < 0 || word >= p.cfg.Lexicon.Size():
 		// Guard the lexicon lookup: word IDs come straight off the wire,
 		// and Canonical indexes by ID without a bounds check.
 		p.mu.Unlock()
 		return GuessResult{}, ErrBadWord
 	}
-	if s.guesses[seat] >= p.cfg.MaxGuesses {
-		res := GuessResult{Reason: "limit", Guesses: s.guesses[seat]}
-		p.mu.Unlock()
-		return res, nil
-	}
-	matched, err := s.round.Submit(seat, word)
+	left, entered := s.round.Left(1), len(s.round.Guesses(1))
+	err = s.round.Guess(seat, word)
+	res := GuessResult{Accepted: err == nil, Guesses: p.cfg.MaxGuesses - s.round.Left(seat)}
+	var refused agree.Refusal
 	switch {
-	case errors.Is(err, agree.ErrTabooWord):
-		res := GuessResult{Reason: "taboo", Guesses: s.guesses[seat]}
-		p.mu.Unlock()
-		return res, nil
-	case errors.Is(err, agree.ErrRepeatWord):
-		res := GuessResult{Reason: "repeat", Guesses: s.guesses[seat]}
-		p.mu.Unlock()
-		return res, nil
-	case errors.Is(err, agree.ErrRoundOver):
-		p.mu.Unlock()
-		return GuessResult{Done: true}, ErrEnded
+	case errors.As(err, &refused):
+		res.Reason = string(refused)
 	case err != nil:
 		p.mu.Unlock()
 		return GuessResult{}, err
+	default:
+		p.appendEventLocked(s, Event{Type: EvPartnerGuess, Seat: seat})
 	}
-	s.guesses[seat]++
-	res := GuessResult{Accepted: true, Guesses: s.guesses[seat]}
-	p.appendEventLocked(s, Event{Type: EvPartnerGuess, Seat: seat})
-	if !matched && s.mode == Replay {
-		matched = p.advanceReplayLocked(s)
+	p.partnerEventsLocked(s, left, entered)
+	if w, ok := s.round.Agreed(); ok {
+		res.Matched, res.Word = true, w
 	}
-	var fin *finish
-	switch {
-	case matched:
-		res.Matched = true
-		res.Word, _ = s.round.Agreed()
-		f := p.endLocked(s, EndAgreed)
-		fin = &f
-	case p.exhaustedLocked(s):
-		f := p.endLocked(s, EndExhausted)
-		fin = &f
-	}
-	res.Done = s.done
+	fin := p.endIfOverLocked(s)
+	res.Done = s.done()
 	p.mu.Unlock()
-	if fin != nil {
-		p.finalize(*fin)
-	}
+	p.finalize(fin)
 	return res, nil
-}
-
-// advanceReplayLocked plays the pre-recorded partner's next usable guess
-// after each accepted live guess, skipping recorded words the current
-// round refuses (taboo promoted since recording, repeats). Returns true
-// when the replayed guess matches. Caller holds mu.
-func (p *Plane) advanceReplayLocked(s *session) bool {
-	for {
-		w, ok := s.replayer.Next()
-		if !ok {
-			if !s.replayed {
-				s.replayed = true
-				p.appendEventLocked(s, Event{Type: EvPartnerDone, Seat: 1})
-			}
-			return false
-		}
-		matched, err := s.round.Submit(1, w)
-		if err != nil {
-			continue
-		}
-		s.guesses[1]++
-		p.appendEventLocked(s, Event{Type: EvPartnerGuess, Seat: 1})
-		return matched
-	}
-}
-
-// exhaustedLocked reports whether nobody can guess anymore: every live
-// seat is at MaxGuesses (and a replayed partner's transcript is spent).
-func (p *Plane) exhaustedLocked(s *session) bool {
-	if s.guesses[0] < p.cfg.MaxGuesses {
-		return false
-	}
-	if s.mode == Replay {
-		return s.replayer.Remaining() == 0
-	}
-	return s.guesses[1] >= p.cfg.MaxGuesses
 }
 
 // Pass records player giving up on the round. A live round ends when both
 // seats pass; a replay round ends on the lone player's pass.
 func (p *Plane) Pass(id ID, player string) (bool, error) {
 	p.mu.Lock()
-	s := p.sess[id]
-	if s == nil {
+	s, seat, err := p.seatLocked(id, player)
+	if err != nil {
 		p.mu.Unlock()
-		return false, ErrUnknown
-	}
-	seat := s.seatOf(player)
-	if seat < 0 {
-		p.mu.Unlock()
-		return false, ErrNotPlayer
-	}
-	if s.done {
-		p.mu.Unlock()
-		return true, nil
-	}
-	if !s.passed[seat] {
-		s.passed[seat] = true
-		p.appendEventLocked(s, Event{Type: EvPass, Seat: seat})
+		return false, err
 	}
 	var fin *finish
-	if s.passed[0] && (s.mode == Replay || s.passed[1]) {
-		f := p.endLocked(s, EndPassed)
-		fin = &f
+	if s.round.Pass(seat) {
+		p.appendEventLocked(s, Event{Type: EvPass, Seat: seat})
+		fin = p.endIfOverLocked(s)
 	}
-	done := s.done
+	done := s.done()
 	p.mu.Unlock()
-	if fin != nil {
-		p.finalize(*fin)
-	}
+	p.finalize(fin)
 	return done, nil
 }
 
@@ -709,24 +679,18 @@ func (p *Plane) Pass(id ID, player string) (bool, error) {
 // is a no-op.
 func (p *Plane) Leave(id ID, player string) error {
 	p.mu.Lock()
-	s := p.sess[id]
-	if s == nil {
+	s, _, err := p.seatLocked(id, player)
+	if err != nil {
 		p.mu.Unlock()
-		return ErrUnknown
-	}
-	if s.seatOf(player) < 0 {
-		p.mu.Unlock()
-		return ErrNotPlayer
+		return err
 	}
 	var fin *finish
-	if !s.done {
-		f := p.endLocked(s, EndLeft)
-		fin = &f
+	if !s.done() {
+		s.round.Stop(EndLeft)
+		fin = p.endLocked(s)
 	}
 	p.mu.Unlock()
-	if fin != nil {
-		p.finalize(*fin)
-	}
+	p.finalize(fin)
 	return nil
 }
 
@@ -738,14 +702,10 @@ func (p *Plane) Events(ctx context.Context, id ID, player string, after int, wai
 	deadline := time.Now().Add(wait)
 	for {
 		p.mu.Lock()
-		s := p.sess[id]
-		if s == nil {
+		s, _, err := p.seatLocked(id, player)
+		if err != nil {
 			p.mu.Unlock()
-			return nil, false, ErrUnknown
-		}
-		if s.seatOf(player) < 0 {
-			p.mu.Unlock()
-			return nil, false, ErrNotPlayer
+			return nil, false, err
 		}
 		if after < 0 {
 			after = 0
@@ -753,11 +713,11 @@ func (p *Plane) Events(ctx context.Context, id ID, player string, after int, wai
 		if len(s.events) > after {
 			evs := make([]Event, len(s.events)-after)
 			copy(evs, s.events[after:])
-			done := s.done
+			done := s.done()
 			p.mu.Unlock()
 			return evs, done, nil
 		}
-		if s.done {
+		if s.done() {
 			p.mu.Unlock()
 			return nil, true, nil
 		}
@@ -800,13 +760,14 @@ func (p *Plane) sweep() {
 		case <-ticker.C:
 		}
 		now := p.now()
-		var fins []finish
+		var fins []*finish
 		p.mu.Lock()
 		for id, s := range p.sess {
 			switch {
-			case !s.done && now.After(s.deadline):
-				fins = append(fins, p.endLocked(s, EndTimeout))
-			case s.done && now.Sub(s.endedAt) > p.cfg.EndLinger:
+			case !s.done() && now.After(s.deadline):
+				s.round.Stop(EndTimeout)
+				fins = append(fins, p.endLocked(s))
+			case s.done() && now.Sub(s.endedAt) > p.cfg.EndLinger:
 				delete(p.sess, id)
 				set := p.byItem[s.item]
 				delete(set, id)

@@ -31,9 +31,8 @@ func newPlane(t testing.TB, fn func(*Config)) *Plane {
 		RoundTimeout: time.Minute,
 		EndLinger:    time.Minute,
 		SweepEvery:   5 * time.Millisecond,
-		Match:        agree.Exact,
 		Lexicon:      testLexicon(t),
-		NextItem:     func() int { return 7 },
+		Items:        1,
 		Seed:         1,
 	}
 	if fn != nil {
@@ -86,7 +85,7 @@ func TestLivePairingAndAgreement(t *testing.T) {
 	if infoA.Mode != "live" || infoB.Mode != "live" {
 		t.Fatalf("modes = %q / %q", infoA.Mode, infoB.Mode)
 	}
-	if infoA.Item != 7 || infoB.Item != 7 {
+	if infoA.Item != 0 || infoB.Item != 0 {
 		t.Fatalf("items = %d / %d", infoA.Item, infoB.Item)
 	}
 	id := infoA.Session
@@ -138,7 +137,7 @@ func TestLivePairingAndAgreement(t *testing.T) {
 		t.Fatalf("OnResult fired %d times", len(results))
 	}
 	r := results[0]
-	if !r.Agreed || r.Word != 11 || r.Mode != Live || r.Reason != EndAgreed {
+	if !r.Agreed || r.Word != 11 || r.Mode != Live || r.Reason != agree.EndAgreed {
 		t.Fatalf("result = %+v", r)
 	}
 	st := p.Stats()
@@ -168,8 +167,8 @@ func TestReplayFallback(t *testing.T) {
 	if info.Mode != "replay" || info.Item != 3 || info.Seat != 0 {
 		t.Fatalf("replay join info = %+v", info)
 	}
-	// Each accepted live guess advances the recording one word; carol's
-	// second guess matches the recording's first word.
+	// The recording plays one word before each of carol's guesses; her
+	// second guess matches the second word, played after her first.
 	if res, err := p.Guess(info.Session, "carol", 99); err != nil || !res.Accepted || res.Matched {
 		t.Fatalf("first guess: %+v err=%v", res, err)
 	}
@@ -186,20 +185,77 @@ func TestReplayFallback(t *testing.T) {
 	}
 }
 
-func TestReplayPartnerSkipsUnusableWords(t *testing.T) {
-	p := newPlane(t, func(c *Config) { c.MatchTimeout = 20 * time.Millisecond })
-	// The recording opens with a word that has since become taboo; the
-	// replayed partner must skip it and play the next one.
-	p.replays.Record(match.ReplaySession{Item: 3, Player: "ghost", Words: []int{50, 51}})
+func TestReplayPartnerLosesRefusedWords(t *testing.T) {
+	p := newPlane(t, func(c *Config) {
+		c.MatchTimeout = 20 * time.Millisecond
+		c.MaxGuesses = 1
+	})
+	// The recording opens with a word that has since become taboo. The
+	// partner types it before dave's one guess and the round refuses it;
+	// it is lost, not retried, so dave's 51 stays unmatched.
+	p.replays.Record(match.ReplaySession{Item: 0, Player: "ghost", Words: []int{50, 51}})
+	p.mu.Lock()
+	p.taboo.Record(0, 50)
+	p.mu.Unlock()
 	info, err := p.Join(context.Background(), "dave")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.mu.Lock()
-	p.sess[info.Session].round.AddTaboo(50)
-	p.mu.Unlock()
-	if res, err := p.Guess(info.Session, "dave", 51); err != nil || !res.Matched || res.Word != 51 {
+	res, err := p.Guess(info.Session, "dave", 51)
+	if err != nil || !res.Accepted || res.Matched || !res.Done {
 		t.Fatalf("guess = %+v err=%v", res, err)
+	}
+	evs, _, err := p.Events(context.Background(), info.Session, "dave", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := evs[len(evs)-1]; last.Reason != agree.EndExhausted {
+		t.Fatalf("round ended %q, want exhausted", last.Reason)
+	}
+	for _, ev := range evs {
+		if ev.Type == EvPartnerGuess && ev.Seat == 1 {
+			t.Fatalf("the refused recorded word was announced: %v", evs)
+		}
+	}
+}
+
+// TestRecordedSeatTakesNoInput pins that a replay round's recorded seat
+// is driven by the round alone: a caller naming it cannot guess (forging
+// an agreement the recording never typed), pass, leave or read events.
+func TestRecordedSeatTakesNoInput(t *testing.T) {
+	var results []Result
+	var mu sync.Mutex
+	p := newPlane(t, func(c *Config) {
+		c.MatchTimeout = 20 * time.Millisecond
+		c.OnResult = func(r Result) { mu.Lock(); results = append(results, r); mu.Unlock() }
+	})
+	p.replays.Record(match.ReplaySession{Item: 0, Player: "ghost", Words: []int{40, 41, 42}})
+	info, err := p.Join(context.Background(), "carol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := p.Guess(info.Session, "carol", 7); err != nil || res.Matched {
+		t.Fatalf("carol's guess: %+v err=%v", res, err)
+	}
+	if res, err := p.Guess(info.Session, "replay:ghost", 7); !errors.Is(err, ErrNotPlayer) {
+		t.Fatalf("guess as the recorded seat: %+v err=%v", res, err)
+	}
+	if _, err := p.Pass(info.Session, "replay:ghost"); !errors.Is(err, ErrNotPlayer) {
+		t.Fatalf("pass as the recorded seat: %v", err)
+	}
+	if err := p.Leave(info.Session, "replay:ghost"); !errors.Is(err, ErrNotPlayer) {
+		t.Fatalf("leave as the recorded seat: %v", err)
+	}
+	if _, _, err := p.Events(context.Background(), info.Session, "replay:ghost", 0, 0); !errors.Is(err, ErrNotPlayer) {
+		t.Fatalf("events as the recorded seat: %v", err)
+	}
+	if st := p.Stats(); st.Open != 1 || st.Agreements != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(results) != 0 {
+		t.Fatalf("round reported: %+v", results)
 	}
 }
 
@@ -240,13 +296,13 @@ func TestReplayPartnerExhaustion(t *testing.T) {
 }
 
 func TestTabooPropagatesAcrossSessions(t *testing.T) {
-	p := newPlane(t, func(c *Config) { c.PromoteAfter = 1 })
+	p := newPlane(t, nil)
 	infoA, _ := joinPair(t, p, "a1", "a2")
 	infoB, _ := joinPair(t, p, "b1", "b2")
 	if infoA.Session == infoB.Session {
 		t.Fatal("pairs shared a session")
 	}
-	// Session A agrees on 20; PromoteAfter=1 promotes it immediately.
+	// Session A agrees on 20; the first agreement promotes it.
 	if _, err := p.Guess(infoA.Session, "a1", 20); err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +344,7 @@ func TestTabooPropagatesAcrossSessions(t *testing.T) {
 // promotes a fresh word into all of that item's open sessions.
 func TestJoinWhileTabooPropagates(t *testing.T) {
 	p := newPlane(t, func(c *Config) {
-		c.PromoteAfter = 1
+		c.Items = 4 // each retires at its sixth taboo word
 		c.MatchTimeout = 50 * time.Millisecond
 	})
 	var wg sync.WaitGroup
@@ -300,7 +356,7 @@ func TestJoinWhileTabooPropagates(t *testing.T) {
 				player := fmt.Sprintf("p%d-%d", g, i)
 				info, err := p.Join(context.Background(), player)
 				if err != nil {
-					continue // the odd one out, with no replay to fall back on
+					continue // the odd one out, or every item retired
 				}
 				// Both seats derive the same word from the session, so most
 				// rounds agree; a round whose word was promoted meanwhile
@@ -328,7 +384,6 @@ func TestTabooPromotionDuringSessionStart(t *testing.T) {
 		promoted = make(chan struct{})
 	)
 	p := newPlane(t, func(c *Config) {
-		c.PromoteAfter = 1
 		c.Now = func() time.Time {
 			if armed.Load() && calledFrom("startSession", "appendEventLocked") && armed.CompareAndSwap(true, false) {
 				// Session A agrees on 20 concurrently; wait for it unless
@@ -471,13 +526,11 @@ func TestGuessValidation(t *testing.T) {
 	if res, err := p.Guess(id, "v1", 1); err != nil || !res.Accepted {
 		t.Fatalf("guess 1: %+v err=%v", res, err)
 	}
-	if res, err := p.Guess(id, "v1", 1); err != nil || res.Accepted || res.Reason != "repeat" {
+	// A refused guess uses one of the seat's guesses.
+	if res, err := p.Guess(id, "v1", 1); err != nil || res.Accepted || res.Reason != "repeat" || res.Guesses != 2 {
 		t.Fatalf("repeat guess: %+v err=%v", res, err)
 	}
-	if res, err := p.Guess(id, "v1", 2); err != nil || !res.Accepted {
-		t.Fatalf("guess 2: %+v err=%v", res, err)
-	}
-	if res, err := p.Guess(id, "v1", 3); err != nil || res.Accepted || res.Reason != "limit" {
+	if res, err := p.Guess(id, "v1", 2); err != nil || res.Accepted || res.Reason != "limit" || res.Guesses != 2 {
 		t.Fatalf("guess past MaxGuesses: %+v err=%v", res, err)
 	}
 	// Partner exhausts too without matching: round ends "exhausted".

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"humancomp/internal/agree"
 	"humancomp/internal/rng"
 	"humancomp/internal/vocab"
 )
@@ -26,7 +25,6 @@ func TestSessionSoak(t *testing.T) {
 		items       = 16
 		disconnects = 25 // players who vanish mid-round (seeded)
 	)
-	var item atomic.Int64
 	var results atomic.Int64
 	cfg := Config{
 		MatchTimeout: 300 * time.Millisecond,
@@ -34,11 +32,10 @@ func TestSessionSoak(t *testing.T) {
 		EndLinger:    50 * time.Millisecond,
 		SweepEvery:   5 * time.Millisecond,
 		MaxGuesses:   8,
-		Match:        agree.Exact,
 		PromoteAfter: 3,
 		Seed:         42,
 		Lexicon:      vocab.NewLexicon(vocab.LexiconConfig{Size: 2000, ZipfS: 1, SynonymRate: 0, Seed: 2}),
-		NextItem:     func() int { return int(item.Add(1)) % items },
+		Items:        items,
 		OnResult:     func(Result) { results.Add(1) },
 	}
 	p, err := New(cfg)
