@@ -243,8 +243,8 @@ func TestCalibrationSnapshotRoundTrip(t *testing.T) {
 	s2.RequeueOpen()
 	// Gold expectations survive.
 	goldSeen := 0
-	for _, id := range s2.Store().IDs(store.AnyStatus) {
-		if s2.IsGold(id) {
+	for _, tk := range s2.Store().Tasks(store.AnyStatus) {
+		if s2.IsGold(tk.ID) {
 			goldSeen++
 		}
 	}
@@ -350,8 +350,8 @@ func TestCalibrationJournalReplay(t *testing.T) {
 		}
 	}
 	goldCount := 0
-	for _, id := range s2.Store().IDs(store.AnyStatus) {
-		if s2.IsGold(id) {
+	for _, tk := range s2.Store().Tasks(store.AnyStatus) {
+		if s2.IsGold(tk.ID) {
 			goldCount++
 		}
 	}

@@ -225,6 +225,10 @@ var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledBuf = 64 << 10
 
+// encodeFailed is the body sent, with a 500, in place of a response that
+// cannot be encoded.
+const encodeFailed = `{"error":"dispatch: response encoding failed"}`
+
 // writeJSON encodes v with the given status. Encoding goes through a
 // pooled buffer, which also yields an exact Content-Length header.
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -232,9 +236,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	buf.Reset()
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		jsonBufPool.Put(buf)
-		http.Error(w, `{"error":"dispatch: response encoding failed"}`, http.StatusInternalServerError)
+		http.Error(w, encodeFailed, http.StatusInternalServerError)
 		return
 	}
+	writeBuffer(w, status, buf)
+}
+
+// writeBuffer sends buf, a pooled buffer holding a JSON body, with the
+// given status, and returns it to the pool.
+func writeBuffer(w http.ResponseWriter, status int, buf *bytes.Buffer) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
@@ -418,8 +428,8 @@ type TaskList struct {
 
 // handleListTasks serves GET /v1/tasks?status=open&offset=0&limit=50.
 // Tasks are ordered by ID; Total counts all matches before pagination.
-// Only the requested page is copied out of the store: the request costs the
-// matching IDs plus one page of views, not a copy of the table.
+// Only the requested page is copied out of the store: the request costs one
+// page of views, not a copy of the table or a list of its IDs.
 func (s *Server) handleListTasks(e *exchange, r *http.Request) {
 	q := r.URL.Query()
 	st := store.AnyStatus
@@ -452,30 +462,33 @@ func (s *Server) handleListTasks(e *exchange, r *http.Request) {
 		}
 		limit = n
 	}
-	ids := s.sys.Store().IDs(st)
-	out := TaskList{Total: len(ids), Tasks: []task.View{}}
-	if offset < len(ids) {
-		_ = s.sys.Store().Walk(ids[offset:min(offset+limit, len(ids))], func(v *task.View) error {
-			if st == store.AnyStatus || v.Status == st { // it may have moved on since the IDs were listed
-				out.Tasks = append(out.Tasks, *v)
-			}
-			return nil
-		})
-	}
+	var out TaskList
+	out.Tasks, out.Total = s.sys.Store().Views(st, offset, limit)
 	writeJSON(e, http.StatusOK, out)
 }
 
+// handleGetTask serves GET /v1/tasks/{id}. The task is encoded where it is
+// stored, under the store's read lock, by the storage codec: the bytes
+// json.Encoder makes of its view, without the copy or the reflection.
 func (s *Server) handleGetTask(e *exchange, r *http.Request) {
 	id, ok := pathID[task.ID](e, r)
 	if !ok {
 		return
 	}
-	t, err := s.sys.Task(id)
+	buf := jsonBufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	doc, err := s.sys.Store().AppendJSON(buf.AvailableBuffer(), id)
 	if err != nil {
-		writeJSON(e, http.StatusNotFound, errorResponse{Error: err.Error(), RequestID: requestIDOf(r)})
+		jsonBufPool.Put(buf)
+		if errors.Is(err, store.ErrNotFound) {
+			writeJSON(e, http.StatusNotFound, errorResponse{Error: err.Error(), RequestID: requestIDOf(r)})
+		} else {
+			http.Error(e, encodeFailed, http.StatusInternalServerError)
+		}
 		return
 	}
-	writeJSON(e, http.StatusOK, t)
+	buf.Write(append(doc, '\n')) // json.Encoder ends a value with a newline
+	writeBuffer(e, http.StatusOK, buf)
 }
 
 // handleTrace serves GET /v1/tasks/{id}/trace: the retained lifecycle

@@ -23,10 +23,13 @@ func mallocs(fn func()) (objects, bytes int64) {
 
 // TestReplayAllocatesWhatItKeeps: replaying a record allocates the state
 // the record adds to the store and no decoding scratch. A submit record
-// leaves a task.Task (192 B); through encoding/json it cost 12 allocations
-// and some 900 B. An answer record
-// leaves the answer's worker ID and word list, and once a task the answers
-// slice; the Answer it is decoded into belongs to the scanner.
+// leaves a task.Task (192 B) and fills an 8-byte slot of a table page,
+// which is allocated once per 1024 tasks and never regrown; through
+// encoding/json it cost 12 allocations and some 900 B, and into a Go map,
+// which doubles its way up, 1.01 allocations and 252 B. The scanner's read
+// buffer is charged to the records too. An answer record leaves the
+// answer's worker ID and word list, and once a task the answers slice; the
+// Answer it is decoded into belongs to the scanner.
 func TestReplayAllocatesWhatItKeeps(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not the production ones under the race detector")
@@ -59,15 +62,12 @@ func TestReplayAllocatesWhatItKeeps(t *testing.T) {
 			}
 		}
 	}
-	// Replay once and empty the store again, so that the task map has
-	// its slots (a Go map never shrinks) and the measured replay is not
-	// charged for growing it.
-	replay(&submits)()
-	clear(s.tasks)
 	objects, size := mallocs(replay(&submits))
-	t.Logf("submit records: %.2f allocs, %.0f B per record", float64(objects)/n, float64(size)/n)
-	if objects > 2*n || size > 256*n {
-		t.Fatalf("replaying %d submit records took %d allocations and %d B; want at most 2 and 256 B a record", n, objects, size)
+	t.Logf("submit records: %d allocs, %.0f B per record", objects, float64(size)/n)
+	// Beyond the tasks: the pages, the page map, the key list and whatever
+	// else the process allocates meanwhile, 19 to 25 on a quiet host.
+	if objects > n+n/100 || size > 224*n {
+		t.Fatalf("replaying %d submit records took %d allocations and %d B; want at most 1.01 and 224 B a record", n, objects, size)
 	}
 	// Three answers to each of n/3 tasks: per record a worker ID (16 B), a
 	// two-word list (16 B), a third of a three-slot answers slice (128 B).
@@ -78,9 +78,11 @@ func TestReplayAllocatesWhatItKeeps(t *testing.T) {
 	}
 }
 
-// TestCheckpointEncodeDoesNotAllocate: a checkpoint encodes each task from
-// where it is stored into one reused buffer, so what it allocates — the
-// sorted ID list, two buffers — does not grow with the table.
+// TestCheckpointEncodeDoesNotAllocate: a checkpoint walks the table in ID
+// order and encodes each task from where it is stored into one reused
+// buffer, so what it allocates — two buffers — does not grow with the
+// table. Collecting and sorting the IDs first cost a list of 8 B a task
+// besides.
 func TestCheckpointEncodeDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not the production ones under the race detector")
@@ -95,11 +97,9 @@ func TestCheckpointEncodeDoesNotAllocate(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		ids := int64(8 * n)
-		t.Logf("%d tasks: %d allocs, %d B (the ID list is %d B)", n, objects, size, ids)
-		// The ID list is sized once; the bound is the one it met when it grew by doubling.
-		if objects > 40 || size > 3*ids+snapshotBufSize+8<<10 {
-			t.Fatalf("snapshot of %d answer-less tasks took %d allocations and %d B; want a constant few and the ID list", n, objects, size)
+		t.Logf("%d tasks: %d allocs, %d B", n, objects, size)
+		if objects > 24 || size > snapshotBufSize+4<<10 {
+			t.Fatalf("snapshot of %d answer-less tasks took %d allocations and %d B; want a constant few and the write buffer", n, objects, size)
 		}
 	}
 }

@@ -93,6 +93,12 @@ func FuzzRestoreMatchesDecoder(f *testing.F) {
 		`{"version":1,"tasks":[{"id":1} {"id":2}]}`, `{"version":1,"tasks":[{"id":1]}}`,
 		`{"version":1,"later":tru}`, `{"version":1,"calibration":null}`, `{"version":1,"tasks":[7]}`,
 		`{"version":1,"tasks":{"id":1}}`, `{"version":1.0}`, `[1,2]`, `{}`, `{`, ``, `nul`,
+		// Every ID the table must take: the extremes, negative IDs, zero,
+		// both sides of a page boundary, IDs pages apart, and a duplicate
+		// a page's width below zero.
+		`{"version":1,"tasks":[{"id":-4}]}`,
+		`{"version":1,"next_id":-7,"tasks":[{"id":1024},{"id":-9223372036854775808},{"id":1023},{"id":4611686018427387904},{"id":0},{"id":9223372036854775807},{"id":1},{"id":-4}]}`,
+		`{"version":1,"tasks":[{"id":-1025},{"id":-1},{"id":-1025}]}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -106,9 +112,28 @@ func FuzzRestoreMatchesDecoder(f *testing.F) {
 		if gotErr != nil {
 			return
 		}
-		gotTasks := s.tasks
+		restored := s.Tasks(AnyStatus)
+		gotTasks := make(map[task.ID]*task.Task)
+		for i, tk := range restored {
+			if i > 0 && tk.ID <= restored[i-1].ID {
+				t.Fatalf("document %q: restored tasks out of ID order at %d", doc, tk.ID)
+			}
+			gotTasks[tk.ID] = tk
+		}
 		if !reflect.DeepEqual(gotTasks, wantTasks) || !bytes.Equal(gotCal, wantCal) {
 			t.Fatalf("document %q\nRestore: %d tasks, sidecar %q\njson.Decoder: %d tasks, sidecar %q", doc, len(gotTasks), gotCal, len(wantTasks), wantCal)
+		}
+		counts := make(map[task.Status]int)
+		for _, tk := range wantTasks {
+			counts[tk.Status]++
+		}
+		for st, n := range counts {
+			if got := s.Count(st); st != AnyStatus && got != n {
+				t.Fatalf("document %q: Count(%v) = %d, want %d", doc, st, got, n)
+			}
+		}
+		if s.Len() != len(wantTasks) {
+			t.Fatalf("document %q: Len = %d, want %d", doc, s.Len(), len(wantTasks))
 		}
 		var maxID task.ID
 		for id := range wantTasks {

@@ -301,10 +301,12 @@ func TestSnapshotStreamsInBoundedWrites(t *testing.T) {
 // plus decoding scratch, and the scratch holds neither a copy of the document
 // nor anything per field. Buffering the document before decoding it costs its
 // size again at the very least; decoding each task through encoding/json
-// cost 0.40 of it (answer and word slices grown an element at a time). The
-// hand-written decoder sizes every slice once, so what is left is the task
-// map doubling its way up and one read buffer — 0.08 of the document on
-// these two-answer tasks, 0.12 under -race — and the bound sits at a fifth.
+// cost 0.40 of it (answer and word slices grown an element at a time), and
+// a task map doubling its way up 0.08 (0.12 under -race). The hand-written
+// decoder sizes every slice once and the table's pages are never regrown,
+// so what is left is one read buffer — 0.008 of the document on these
+// two-answer tasks, 0.047 under -race, whose own bookkeeping the bound
+// there allows for.
 func TestRestoreAllocatesStateNotDocument(t *testing.T) {
 	src := New()
 	fillPlain(src, 20_000)
@@ -322,9 +324,13 @@ func TestRestoreAllocatesStateNotDocument(t *testing.T) {
 	allocated := int64(after.TotalAlloc - before.TotalAlloc)
 	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	t.Logf("document %d B, allocated %d B, retained %d B, scratch %d B", len(doc), allocated, retained, allocated-retained)
-	if scratch := allocated - retained; scratch > int64(len(doc))/5 {
-		t.Fatalf("restore of a %d-byte snapshot allocated %d bytes beyond the %d it retains; want under a fifth of the document",
-			len(doc), scratch, retained)
+	share := int64(50)
+	if raceEnabled {
+		share = 10
+	}
+	if scratch := allocated - retained; scratch > int64(len(doc))/share {
+		t.Fatalf("restore of a %d-byte snapshot allocated %d bytes beyond the %d it retains; want under 1/%d of the document",
+			len(doc), scratch, retained, share)
 	}
 	// Alive across both readings, so the difference is what dst holds.
 	runtime.KeepAlive(src)

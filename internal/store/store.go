@@ -5,17 +5,17 @@
 // with standard tools and stable across versions that do not change the
 // task schema.
 //
-// One RWMutex guards the table and the contents of every task in it; the
-// critical sections are a map operation or one task's copy.
-//
-// Every whole-table read — Snapshot, the dispatch task list — is one
-// ordered walk: collect the task IDs (8 bytes a task, the only whole-table
-// allocation), sort them, then visit the tasks in that order, copying each
-// (Snapshot: encoding each) under the read lock, which is taken per task
-// and released before the copy is handed on. A walk over
-// a live store is therefore consistent per task, not across the table: a
-// task is copied whole, two tasks may be copied either side of a concurrent
-// write. Nothing that needs more walks the table under traffic — a node
+// The table is paged by ID (see table): a stored task costs one slot of a
+// page, and the tasks of each status are counted as they come and change,
+// so Len and Count are lookups and every whole-table read — Tasks (the
+// requeue's heap), Views (a page of the dispatch task list), Snapshot, the
+// restore that fills a fresh table — is one walk in ID order, with no ID
+// list and no sort. One RWMutex guards the table and the contents of every
+// task in it. Tasks and Views walk under one hold of the read lock;
+// Snapshot takes it once a task and writes with it released, so a snapshot
+// of a live store is consistent per task, not across the table: a task is
+// encoded whole, two tasks may be encoded either side of a concurrent
+// write. Nothing that needs more snapshots the table under traffic — a node
 // snapshots at boot, before it serves, and after it has drained. The
 // requeue after recovery copies nothing: Tasks hands the live open tasks,
 // in ID order, to the queue, which makes the list its heap.
@@ -23,12 +23,11 @@ package store
 
 import (
 	"bufio"
-	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"slices"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,20 +41,21 @@ var ErrNotFound = errors.New("store: task not found")
 
 // Store is an in-memory task table. Safe for concurrent use.
 //
-// Locking discipline: mu guards the map AND the contents of every task
-// stored in it. A stored task changes only through Apply, which holds the
-// write lock, so View and the ordered walk hand out consistent deep copies
+// Locking discipline: mu guards the table — its pages, their order and its
+// counts — AND the contents of every task stored in it. A stored task
+// changes only through Apply, which holds the write lock and recounts its
+// status, so View, Views and AppendJSON copy or encode a consistent task
 // under the read lock.
 type Store struct {
 	mu     sync.RWMutex
-	tasks  map[task.ID]*task.Task
+	tab    table
 	lockN  int64 // write-lock acquisitions, guarded by mu
 	nextID atomic.Int64
 	rec    *trace.Recorder // lifecycle event sink; nil records nothing
 }
 
 // New returns an empty store.
-func New() *Store { return &Store{tasks: make(map[task.ID]*task.Task)} }
+func New() *Store { return new(Store) }
 
 // NewSharded is New. Kept for bench/ only, which is frozen while this
 // lands; the next benchmark PR calls New and deletes it.
@@ -101,7 +101,7 @@ func (s *Store) advanceNextID(id task.ID) {
 // Put inserts or replaces a task.
 func (s *Store) Put(t *task.Task) {
 	s.lock()
-	s.tasks[t.ID] = t
+	s.tab.put(t)
 	s.mu.Unlock()
 	s.advanceNextID(t.ID)
 	s.rec.Append(trace.Event{TaskID: t.ID, Stage: trace.StagePersist, At: t.CreatedAt})
@@ -113,7 +113,7 @@ func (s *Store) PutBatch(ts []*task.Task) {
 	maxID := task.ID(0)
 	s.lock()
 	for _, t := range ts {
-		s.tasks[t.ID] = t
+		s.tab.put(t)
 		maxID = max(maxID, t.ID)
 	}
 	s.mu.Unlock()
@@ -132,12 +132,12 @@ func (s *Store) Insert(ts []*task.Task) (refused []int) {
 	maxID := task.ID(0)
 	s.lock()
 	for i, t := range ts {
-		held, ok := s.tasks[t.ID]
+		held := s.tab.get(t.ID)
 		switch {
-		case t.Status != task.Open || ok && held != t:
+		case t.Status != task.Open || held != nil && held != t:
 			refused = append(refused, i)
-		case !ok:
-			s.tasks[t.ID] = t
+		case held == nil:
+			s.tab.put(t)
 			maxID = max(maxID, t.ID)
 			s.rec.Append(trace.Event{TaskID: t.ID, Stage: trace.StagePersist, At: t.CreatedAt})
 		}
@@ -161,10 +161,11 @@ func (s *Store) Insert(ts []*task.Task) (refused []int) {
 func (s *Store) Apply(kind EventKind, id task.ID, a *task.Answer, at time.Time) (*task.Task, error) {
 	s.lock()
 	defer s.mu.Unlock()
-	t, ok := s.tasks[id]
-	if !ok {
+	t := s.tab.get(id)
+	if t == nil {
 		return nil, ErrNotFound
 	}
+	was := t.Status
 	var err error
 	switch kind {
 	case EventAnswer:
@@ -179,114 +180,100 @@ func (s *Store) Apply(kind EventKind, id task.ID, a *task.Answer, at time.Time) 
 	if err != nil {
 		return nil, err
 	}
+	s.tab.moved(was, t.Status)
 	return t, nil
 }
 
 // View returns an immutable deep-copy snapshot of the task with the given
-// ID, or ErrNotFound. This is the only safe way to read a task while the
-// queue is running.
+// ID, or ErrNotFound. View, Views and AppendJSON are the safe ways to read
+// a task while the queue is running.
 func (s *Store) View(id task.ID) (task.View, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	t, ok := s.tasks[id]
-	if !ok {
+	t := s.tab.get(id)
+	if t == nil {
 		return task.View{}, ErrNotFound
 	}
 	return t.View(), nil
 }
 
-// AnyStatus makes IDs and ViewByStatus select every task.
-const AnyStatus task.Status = -1
-
-// IDs returns, in ascending order, the ID of every stored task that has
-// status st (or any, for AnyStatus).
-func (s *Store) IDs(st task.Status) []task.ID {
-	var out []task.ID
+// AppendJSON appends the JSON of the stored task id to b — byte for byte
+// what json.Marshal makes of it, its error included — encoding the task
+// where it is stored, under the read lock, rather than a copy of it. An
+// unknown ID is ErrNotFound.
+func (s *Store) AppendJSON(b []byte, id task.ID) ([]byte, error) {
 	s.mu.RLock()
-	if st == AnyStatus {
-		out = make([]task.ID, 0, len(s.tasks))
+	defer s.mu.RUnlock()
+	t := s.tab.get(id)
+	if t == nil {
+		return b, ErrNotFound
 	}
-	for id, t := range s.tasks {
-		if st == AnyStatus || t.Status == st {
-			out = append(out, id)
-		}
-	}
-	s.mu.RUnlock()
-	slices.Sort(out)
-	return out
+	return t.AppendJSON(b)
 }
 
-// Walk calls fn with a deep copy of each listed task, in list order. Each
-// copy is taken under the read lock, released before fn runs,
-// so fn may block on I/O. IDs deleted since the list was made are skipped.
-// v is reused between calls: fn keeps *v, never v. The first error from fn
-// ends the walk and is returned.
-func (s *Store) Walk(ids []task.ID, fn func(v *task.View) error) error {
-	var v task.View
-	for _, id := range ids {
-		var err error
-		if v, err = s.View(id); err != nil {
-			continue
-		}
-		if err := fn(&v); err != nil {
-			return err
-		}
+// AnyStatus makes Count, Tasks and Views select every task.
+const AnyStatus task.Status = -1
+
+// Views returns one page of a listing: deep copies of the stored tasks that
+// have status st (or any, for AnyStatus), in ascending ID order, skipping
+// the first offset of them and copying at most limit, and total, how many
+// there are. The page is copied and counted under one hold of the read
+// lock, so it and its total agree.
+func (s *Store) Views(st task.Status, offset, limit int) (page []task.View, total int) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	total = s.tab.count(st)
+	page = make([]task.View, 0, max(0, min(limit, total-offset)))
+	if cap(page) == 0 {
+		return page, total
 	}
-	return nil
+	s.tab.walk(math.MinInt64, st, func(t *task.Task) bool {
+		if offset > 0 {
+			offset--
+			return true
+		}
+		page = append(page, t.View())
+		return len(page) < cap(page)
+	})
+	return page, total
 }
 
 // Get returns the task with the given ID or ErrNotFound.
 func (s *Store) Get(id task.ID) (*task.Task, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	t, ok := s.tasks[id]
-	if !ok {
+	t := s.tab.get(id)
+	if t == nil {
 		return nil, ErrNotFound
 	}
 	return t, nil
 }
 
-// Count returns how many stored tasks have status st: len(IDs(st)) without
-// building the list.
+// Count returns how many stored tasks have status st (or any, for
+// AnyStatus).
 func (s *Store) Count(st task.Status) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.countLocked(st)
-}
-
-func (s *Store) countLocked(st task.Status) int {
-	n := 0
-	for _, t := range s.tasks {
-		if t.Status == st {
-			n++
-		}
-	}
-	return n
-}
-
-// Tasks returns, in ascending ID order, the stored tasks that have status
-// st: the live tasks, not copies, collected under one hold of the read lock
-// into a list sized once. The requeue after a restore or a promotion takes
-// the open ones as the queue's heap, so this list is the requeue's one
-// allocation.
-func (s *Store) Tasks(st task.Status) []*task.Task {
-	s.mu.RLock()
-	out := make([]*task.Task, 0, s.countLocked(st))
-	for _, t := range s.tasks {
-		if t.Status == st {
-			out = append(out, t)
-		}
-	}
-	s.mu.RUnlock()
-	slices.SortFunc(out, func(a, b *task.Task) int { return cmp.Compare(a.ID, b.ID) })
-	return out
+	return s.tab.count(st)
 }
 
 // Len returns the number of stored tasks.
-func (s *Store) Len() int {
+func (s *Store) Len() int { return s.Count(AnyStatus) }
+
+// Tasks returns, in ascending ID order, the stored tasks that have status
+// st (or any, for AnyStatus): the live tasks, not copies, collected under
+// one hold of the read lock into a list sized from the count. The requeue
+// after a restore or a promotion takes the open ones as the queue's heap,
+// so this list is the requeue's one allocation.
+func (s *Store) Tasks(st task.Status) []*task.Task {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.tasks)
+	out := make([]*task.Task, 0, s.tab.count(st))
+	s.tab.walk(math.MinInt64, st, func(t *task.Task) bool {
+		out = append(out, t)
+		return true
+	})
+	return out
 }
 
 // The snapshot is one JSON document,
@@ -310,30 +297,42 @@ func (s *Store) Snapshot(w io.Writer) error { return s.SnapshotWith(w, nil) }
 
 // SnapshotWith is Snapshot with an opaque calibration sidecar embedded in
 // the same document, so task state and quality-plane state are captured in
-// one file. The document is streamed — an ordered walk encodes one task at
-// a time, straight from the stored task under the read lock, into a
-// reused buffer and from there through a snapshotBufSize writer — so a
-// snapshot costs the ID list and two buffers, not a copy of the table or of
-// any task, and on an error w is left holding a prefix: write files beside
-// their target and rename. Taken from a live store the cut is per task.
+// one file. The document is streamed — a walk in ID order takes the read
+// lock once a task, encodes the task where it is stored into a reused
+// buffer and writes it on with the lock released, through a
+// snapshotBufSize writer — so a snapshot costs two buffers, not a copy of
+// the table, of any task or of its IDs, and on an error w is left holding
+// a prefix: write files beside their target and rename. Taken from a live
+// store the cut is per task.
 func (s *Store) SnapshotWith(w io.Writer, calibration json.RawMessage) error {
 	bw := bufio.NewWriterSize(w, snapshotBufSize)
 	fmt.Fprintf(bw, `{"version":%d,"next_id":%d,"tasks":[`, snapshotVersion, s.nextID.Load())
 	var doc []byte // one task's text; the lock is not held across a Write
-	first := true
-	for _, id := range s.IDs(AnyStatus) {
-		var err error
-		if doc, err = s.appendTaskJSON(doc[:0], id); err != nil {
-			return err
+	for from, first := task.ID(math.MinInt64), true; ; first = false {
+		var (
+			found bool
+			err   error
+		)
+		s.mu.RLock()
+		s.tab.walk(from, AnyStatus, func(t *task.Task) bool {
+			doc, err = t.AppendJSON(doc[:0])
+			found, from = true, t.ID+1
+			return false
+		})
+		s.mu.RUnlock()
+		if !found {
+			break
 		}
-		if len(doc) == 0 { // deleted since the IDs were listed
-			continue
+		if err != nil {
+			return err
 		}
 		if !first {
 			bw.WriteByte(',')
 		}
-		first = false
 		bw.Write(doc)
+		if from == math.MinInt64 { // the task just written holds the largest ID there is
+			break
+		}
 	}
 	bw.WriteByte(']')
 	if len(calibration) > 0 {
@@ -350,18 +349,6 @@ func (s *Store) SnapshotWith(w io.Writer, calibration json.RawMessage) error {
 	return bw.Flush() // bufio errors are sticky: this reports the first failed write
 }
 
-// appendTaskJSON appends the JSON of the stored task id to b, encoding it
-// under the read lock; an ID no longer stored appends nothing.
-func (s *Store) appendTaskJSON(b []byte, id task.ID) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, ok := s.tasks[id]
-	if !ok {
-		return b, nil
-	}
-	return t.AppendJSON(b)
-}
-
 // Restore replaces the store's contents with the snapshot read from r and
 // seeds the ID allocator past both the snapshot's recorded next_id and the
 // largest restored task ID, so post-restore NextID calls never collide.
@@ -373,8 +360,8 @@ func (s *Store) Restore(r io.Reader) error {
 // RestoreWith is Restore returning the snapshot's calibration sidecar (nil
 // when the snapshot predates it) for the quality plane to rebuild from. The
 // document is read a value at a time and each task decoded straight into
-// the map it will live in, so a restore holds the state it builds and
-// one task's text, not the document. Fields may come in any order and
+// the fresh table it will live in, so a restore holds the state it builds
+// and one task's text, not the document. Fields may come in any order and
 // unknown ones are skipped; nothing is swapped in until the whole document,
 // its version included, has been accepted, so a failed restore leaves the
 // store as it was.
@@ -384,11 +371,11 @@ func (s *Store) RestoreWith(r io.Reader) (json.RawMessage, error) {
 		version       int
 		nextID, maxID task.ID
 		calibration   json.RawMessage
-		fresh         = make(map[task.ID]*task.Task)
+		fresh         table
 	)
 	err := d.object(func(key string) error {
 		if key == "tasks" {
-			largest, err := decodeTasks(&d, fresh)
+			largest, err := decodeTasks(&d, &fresh)
 			maxID = max(maxID, largest)
 			return err
 		}
@@ -418,7 +405,7 @@ func (s *Store) RestoreWith(r io.Reader) (json.RawMessage, error) {
 		return nil, fmt.Errorf("store: unsupported snapshot version %d", version)
 	}
 	s.mu.Lock()
-	s.tasks = fresh
+	s.tab = fresh
 	s.mu.Unlock()
 	s.nextID.Store(int64(max(nextID, maxID)))
 	return calibration, nil
@@ -426,16 +413,16 @@ func (s *Store) RestoreWith(r io.Reader) (json.RawMessage, error) {
 
 // decodeTasks reads the tasks array next in d, one task at a time, into
 // fresh, and returns the largest task ID it held.
-func decodeTasks(d *docReader, fresh map[task.ID]*task.Task) (largest task.ID, err error) {
+func decodeTasks(d *docReader, fresh *table) (largest task.ID, err error) {
 	err = d.array(func(raw []byte) error {
 		t := new(task.Task)
 		if err := t.DecodeJSON(raw); err != nil {
 			return err
 		}
-		if _, dup := fresh[t.ID]; dup {
+		if fresh.get(t.ID) != nil {
 			return fmt.Errorf("duplicate task ID %d", t.ID)
 		}
-		fresh[t.ID] = t
+		fresh.put(t)
 		largest = max(largest, t.ID)
 		return nil
 	})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -108,7 +109,9 @@ func TestIDsSortedAndByStatus(t *testing.T) {
 	s := New()
 	a := mk(t, s, task.Label)
 	b := mk(t, s, task.Locate)
-	_ = b.Cancel(t0)
+	if _, err := s.Apply(EventCancel, b.ID, nil, t0); err != nil {
+		t.Fatal(err)
+	}
 	if all := s.IDs(AnyStatus); len(all) != 2 || all[0] != a.ID || all[1] != b.ID {
 		t.Fatalf("IDs = %v", all)
 	}
@@ -252,7 +255,7 @@ func TestViewAllAndByStatus(t *testing.T) {
 	s := New()
 	a := mk(t, s, task.Label)
 	b := mk(t, s, task.Judge)
-	if err := b.Cancel(t0); err != nil {
+	if _, err := s.Apply(EventCancel, b.ID, nil, t0); err != nil {
 		t.Fatal(err)
 	}
 	all := s.ViewByStatus(AnyStatus)
@@ -410,13 +413,16 @@ func TestViewByStatusNeverTorn(t *testing.T) {
 // ViewByStatus returns a snapshot of every task with the given status,
 // ordered by ID.
 func (s *Store) ViewByStatus(st task.Status) []task.View {
-	ids := s.IDs(st)
-	out := make([]task.View, 0, len(ids))
-	_ = s.Walk(ids, func(v *task.View) error {
-		if st == AnyStatus || v.Status == st { // it may have moved on since the IDs were listed
-			out = append(out, *v)
-		}
-		return nil
-	})
-	return out
+	views, _ := s.Views(st, 0, math.MaxInt)
+	return views
+}
+
+// IDs returns, in ascending order, the ID of every stored task that has
+// status st (or any, for AnyStatus).
+func (s *Store) IDs(st task.Status) []task.ID {
+	var ids []task.ID
+	for _, t := range s.Tasks(st) {
+		ids = append(ids, t.ID)
+	}
+	return ids
 }

@@ -14,9 +14,10 @@ import (
 // written out by hand (see jsonx.Canon for the rule they follow). The
 // encoders produce encoding/json's bytes exactly, so the formats on disk
 // and on the replication wire are unchanged; the decoders allocate what the
-// decoded value keeps and nothing else. HTTP bodies stay on encoding/json:
-// they arrive in whatever form a client chose, and the request path's
-// budget is not spent in the codec (ROADMAP, request-path item).
+// decoded value keeps and nothing else. HTTP bodies stay on encoding/json —
+// they arrive in whatever form a client chose — but for the one response
+// that is a stored task and nothing else, GET /v1/tasks/{id}, which is
+// this encoder's bytes plus json.Encoder's newline.
 //
 // A field added to Task, Answer or Payload must be added here, in struct
 // order; FuzzTaskCodecMatchesStdlib fails until it is.
