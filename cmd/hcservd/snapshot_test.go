@@ -33,7 +33,7 @@ func TestKillDuringBootCheckpoint(t *testing.T) {
 		for sent := 0; sent < total; {
 			reqs := make([]dispatch.SubmitRequest, min(256, total-sent))
 			for i := range reqs {
-				reqs[i] = dispatch.SubmitRequest{Kind: "label", Payload: task.Payload{ImageID: sent + i, Taboo: []int{1, 2, 3, 4}}, Redundancy: 3}
+				reqs[i] = dispatch.SubmitRequest{Kind: "label", Payload: task.Payload{ImageID: sent + i, Detail: &task.Detail{Taboo: []int{1, 2, 3, 4}}}, Redundancy: 3}
 			}
 			res, err := n.c.SubmitBatchContext(context.Background(), reqs)
 			if err != nil {

@@ -53,7 +53,7 @@ func main() {
 			expected.Choice = 0
 		}
 		if _, err := client.SubmitGoldContext(ctx, task.Judge,
-			task.Payload{ClipA: g, ClipB: g + 1}, len(workers), 10, expected); err != nil {
+			task.Payload{Detail: &task.Detail{ClipA: g, ClipB: g + 1}}, len(workers), 10, expected); err != nil {
 			panic(err)
 		}
 		for _, w := range workers {

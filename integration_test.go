@@ -194,10 +194,10 @@ func TestConcurrentDispatchSoak(t *testing.T) {
 				var err error
 				if i%10 == 9 {
 					id, err = client.SubmitGoldContext(context.Background(), task.Judge,
-						task.Payload{ClipA: i, ClipB: i + 1}, 2, i%3, task.Answer{Choice: 1})
+						task.Payload{Detail: &task.Detail{ClipA: i, ClipB: i + 1}}, 2, i%3, task.Answer{Choice: 1})
 				} else {
 					id, err = client.Submit(task.Label,
-						task.Payload{ImageID: 100*s + i, Taboo: []int{1, 2}}, 2, i%5)
+						task.Payload{ImageID: 100*s + i, Detail: &task.Detail{Taboo: []int{1, 2}}}, 2, i%5)
 				}
 				if err != nil {
 					t.Errorf("submit: %v", err)
@@ -338,7 +338,7 @@ func TestConcurrentDispatchSoak(t *testing.T) {
 	)
 	for round := 0; round < hotRounds; round++ {
 		hotID, err := client.Submit(task.Label,
-			task.Payload{ImageID: 9000 + round, Taboo: []int{1, 2, 3}}, hotWorkers, 0)
+			task.Payload{ImageID: 9000 + round, Detail: &task.Detail{Taboo: []int{1, 2, 3}}}, hotWorkers, 0)
 		if err != nil {
 			t.Fatalf("hot submit: %v", err)
 		}

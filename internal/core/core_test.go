@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -24,6 +25,45 @@ func newSystem() (*System, *fakeClock) {
 	cfg := DefaultConfig()
 	cfg.Clock = clk
 	return New(cfg), clk
+}
+
+// TestSubmitKeepsItsOwnDetail: a caller that reuses one payload Detail
+// across submits, changing it between them, does not rewrite the tasks
+// already stored, nor does the submit write into the caller's Detail; and
+// a leased view's Detail is the worker's to change.
+func TestSubmitKeepsItsOwnDetail(t *testing.T) {
+	s, _ := newSystem()
+	d := &task.Detail{Taboo: []int{}}
+	var ids []task.ID
+	for i := 1; i <= 3; i++ {
+		d.ClipA, d.ClipB = i, i+1
+		id, err := s.SubmitTask(task.Judge, task.Payload{Detail: d}, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if d.Taboo == nil {
+		t.Fatal("submit made the caller's empty taboo list nil")
+	}
+	for i, id := range ids {
+		got, err := s.Task(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (task.Detail{ClipA: i + 1, ClipB: i + 2}); got.Payload.Detail == nil || !reflect.DeepEqual(*got.Payload.Detail, want) {
+			t.Fatalf("task %d stores Detail %+v, want %+v", id, got.Payload.Detail, want)
+		}
+	}
+
+	v, _, err := s.NextTask("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Payload.ClipA = 99
+	if got, _ := s.Task(v.ID); got.Payload.ClipA == 99 {
+		t.Fatalf("a change to a leased view reached the stored task: %+v", got.Payload.Detail)
+	}
 }
 
 func TestSubmitLeaseAnswerFlow(t *testing.T) {
@@ -93,7 +133,7 @@ func TestNextTaskValidation(t *testing.T) {
 func TestGoldUpdatesReputation(t *testing.T) {
 	s, _ := newSystem()
 	expected := task.Answer{Choice: 1}
-	id, err := s.SubmitGold(task.Judge, task.Payload{ClipA: 1, ClipB: 2}, 2, 0, expected)
+	id, err := s.SubmitGold(task.Judge, task.Payload{Detail: &task.Detail{ClipA: 1, ClipB: 2}}, 2, 0, expected)
 	if err != nil {
 		t.Fatal(err)
 	}

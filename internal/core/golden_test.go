@@ -143,9 +143,9 @@ func runGoldenSchedule(t *testing.T) (walBytes, snapBytes, text []byte) {
 		sp := SubmitSpec{Redundancy: 1 + r.Intn(3), Priority: r.Intn(4)}
 		switch r.Intn(3) {
 		case 0:
-			sp.Kind, sp.Payload = task.Label, task.Payload{ImageID: 1 + r.Intn(50), Taboo: []int{r.Intn(9)}}
+			sp.Kind, sp.Payload = task.Label, task.Payload{ImageID: 1 + r.Intn(50), Detail: &task.Detail{Taboo: []int{r.Intn(9)}}}
 		case 1:
-			sp.Kind, sp.Payload = task.Judge, task.Payload{ClipA: 1 + r.Intn(50), ClipB: 1 + r.Intn(50)}
+			sp.Kind, sp.Payload = task.Judge, task.Payload{Detail: &task.Detail{ClipA: 1 + r.Intn(50), ClipB: 1 + r.Intn(50)}}
 		default:
 			sp.Kind, sp.Payload = task.Compare, task.Payload{ImageID: 1 + r.Intn(50), ImageB: 1 + r.Intn(50)}
 		}
@@ -459,7 +459,7 @@ func TestLateJournalledAnswerRecovers(t *testing.T) {
 			}
 			s = New(cfg)
 
-			id, err := s.SubmitTask(task.Judge, task.Payload{ClipA: 1, ClipB: 2}, 5, 0)
+			id, err := s.SubmitTask(task.Judge, task.Payload{Detail: &task.Detail{ClipA: 1, ClipB: 2}}, 5, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

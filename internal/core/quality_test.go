@@ -27,7 +27,7 @@ func calibrate(t *testing.T, s *System, workers []string, probes int) {
 	t.Helper()
 	for i := 0; i < probes; i++ {
 		expected := task.Answer{Choice: i % 2}
-		id, err := s.SubmitGold(task.Judge, task.Payload{ClipA: i, ClipB: i + 1}, len(workers), 0, expected)
+		id, err := s.SubmitGold(task.Judge, task.Payload{Detail: &task.Detail{ClipA: i, ClipB: i + 1}}, len(workers), 0, expected)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestEarlyCompletionOnConfidence(t *testing.T) {
 	workers := []string{"w1", "w2"}
 	calibrate(t, s, workers, 10)
 
-	id, err := s.SubmitTask(task.Judge, task.Payload{ClipA: 100, ClipB: 101}, 5, 0)
+	id, err := s.SubmitTask(task.Judge, task.Payload{Detail: &task.Detail{ClipA: 100, ClipB: 101}}, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestNoEarlyCompletionWithoutTarget(t *testing.T) {
 	s, _ := newQualitySystem(0) // estimator on, early completion off
 	workers := []string{"w1", "w2"}
 	calibrate(t, s, workers, 10)
-	id, err := s.SubmitTask(task.Judge, task.Payload{ClipA: 100, ClipB: 101}, 3, 0)
+	id, err := s.SubmitTask(task.Judge, task.Payload{Detail: &task.Detail{ClipA: 100, ClipB: 101}}, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestGoldProbesNeverFinishEarly(t *testing.T) {
 	calibrate(t, s, workers, 8)
 	// A fresh gold probe with room for all four workers: even at high
 	// confidence it must keep collecting answers.
-	id, err := s.SubmitGold(task.Judge, task.Payload{ClipA: 50, ClipB: 51}, len(workers), 0, task.Answer{Choice: 1})
+	id, err := s.SubmitGold(task.Judge, task.Payload{Detail: &task.Detail{ClipA: 50, ClipB: 51}}, len(workers), 0, task.Answer{Choice: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestTaskPosteriorErrors(t *testing.T) {
 		t.Fatalf("disabled system: %v", err)
 	}
 	qs, _ := newQualitySystem(0)
-	id, err := qs.SubmitTask(task.Judge, task.Payload{ClipA: 1, ClipB: 2}, 2, 0)
+	id, err := qs.SubmitTask(task.Judge, task.Payload{Detail: &task.Detail{ClipA: 1, ClipB: 2}}, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestTaskPosteriorErrors(t *testing.T) {
 
 func TestBadChoiceRejectedAtSubmission(t *testing.T) {
 	s, _ := newSystem()
-	id, err := s.SubmitTask(task.Judge, task.Payload{ClipA: 1, ClipB: 2}, 2, 0)
+	id, err := s.SubmitTask(task.Judge, task.Payload{Detail: &task.Detail{ClipA: 1, ClipB: 2}}, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,15 +194,15 @@ func TestBadChoiceRejectedAtSubmission(t *testing.T) {
 
 func TestGoldExpectedValidated(t *testing.T) {
 	s, _ := newSystem()
-	if _, err := s.SubmitGold(task.Judge, task.Payload{ClipA: 1, ClipB: 2}, 2, 0, task.Answer{Choice: 5}); !errors.Is(err, task.ErrBadChoice) {
+	if _, err := s.SubmitGold(task.Judge, task.Payload{Detail: &task.Detail{ClipA: 1, ClipB: 2}}, 2, 0, task.Answer{Choice: 5}); !errors.Is(err, task.ErrBadChoice) {
 		t.Fatalf("poisoned gold expectation accepted: %v", err)
 	}
-	if _, err := s.SubmitGold(task.Transcribe, task.Payload{WordImg: "x"}, 2, 0, task.Answer{}); !errors.Is(err, task.ErrEmptyAnswer) {
+	if _, err := s.SubmitGold(task.Transcribe, task.Payload{Detail: &task.Detail{WordImg: "x"}}, 2, 0, task.Answer{}); !errors.Is(err, task.ErrEmptyAnswer) {
 		t.Fatalf("empty gold expectation accepted: %v", err)
 	}
 	outs := s.SubmitBatch([]SubmitSpec{
-		{Kind: task.Judge, Payload: task.Payload{ClipA: 1, ClipB: 2}, Redundancy: 2, Gold: true, Expected: task.Answer{Choice: 3}},
-		{Kind: task.Judge, Payload: task.Payload{ClipA: 3, ClipB: 4}, Redundancy: 2, Gold: true, Expected: task.Answer{Choice: 1}},
+		{Kind: task.Judge, Payload: task.Payload{Detail: &task.Detail{ClipA: 1, ClipB: 2}}, Redundancy: 2, Gold: true, Expected: task.Answer{Choice: 3}},
+		{Kind: task.Judge, Payload: task.Payload{Detail: &task.Detail{ClipA: 3, ClipB: 4}}, Redundancy: 2, Gold: true, Expected: task.Answer{Choice: 1}},
 	})
 	if !errors.Is(outs[0].Err, task.ErrBadChoice) {
 		t.Fatalf("batch poisoned gold: %v", outs[0].Err)
@@ -220,7 +220,7 @@ func TestCalibrationSnapshotRoundTrip(t *testing.T) {
 	workers := []string{"w1", "w2"}
 	calibrate(t, s, workers, 6)
 	// Leave one choice task mid-stream so active estimator state is in play.
-	id, err := s.SubmitTask(task.Judge, task.Payload{ClipA: 9, ClipB: 10}, 3, 0)
+	id, err := s.SubmitTask(task.Judge, task.Payload{Detail: &task.Detail{ClipA: 9, ClipB: 10}}, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestCalibrationJournalReplay(t *testing.T) {
 
 	workers := []string{"w1", "w2"}
 	calibrate(t, s, workers, 10)
-	id, err := s.SubmitTask(task.Judge, task.Payload{ClipA: 100, ClipB: 101}, 5, 0)
+	id, err := s.SubmitTask(task.Judge, task.Payload{Detail: &task.Detail{ClipA: 100, ClipB: 101}}, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

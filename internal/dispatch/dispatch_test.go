@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -17,6 +18,8 @@ import (
 
 	"humancomp/internal/core"
 	"humancomp/internal/queue"
+	"humancomp/internal/sim"
+	"humancomp/internal/store"
 	"humancomp/internal/task"
 	"humancomp/internal/vocab"
 )
@@ -38,7 +41,7 @@ func TestHealthz(t *testing.T) {
 
 func TestSubmitNextAnswerRoundTrip(t *testing.T) {
 	c, _ := newTestServer(t)
-	id, err := c.Submit(task.Label, task.Payload{ImageID: 42, Taboo: []int{1, 2}}, 2, 5)
+	id, err := c.Submit(task.Label, task.Payload{ImageID: 42, Detail: &task.Detail{Taboo: []int{1, 2}}}, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +94,7 @@ func TestNextEmptyReturnsErrNoTask(t *testing.T) {
 
 func TestGoldOverHTTPUpdatesReputation(t *testing.T) {
 	c, sys := newTestServer(t)
-	if _, err := c.SubmitGoldContext(context.Background(), task.Judge, task.Payload{ClipA: 1, ClipB: 2}, 1, 0, task.Answer{Choice: 1}); err != nil {
+	if _, err := c.SubmitGoldContext(context.Background(), task.Judge, task.Payload{Detail: &task.Detail{ClipA: 1, ClipB: 2}}, 1, 0, task.Answer{Choice: 1}); err != nil {
 		t.Fatal(err)
 	}
 	_, lease, err := c.NextContext(context.Background(), "w")
@@ -115,7 +118,7 @@ func TestGoldOverHTTPUpdatesReputation(t *testing.T) {
 
 func TestChoiceAggregateOverHTTP(t *testing.T) {
 	c, _ := newTestServer(t)
-	id, err := c.Submit(task.Judge, task.Payload{ClipA: 1, ClipB: 1}, 3, 0)
+	id, err := c.Submit(task.Judge, task.Payload{Detail: &task.Detail{ClipA: 1, ClipB: 1}}, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +142,7 @@ func TestChoiceAggregateOverHTTP(t *testing.T) {
 
 func TestLocatePayloadRoundTrip(t *testing.T) {
 	c, _ := newTestServer(t)
-	id, err := c.Submit(task.Locate, task.Payload{ImageID: 3, Word: 9}, 1, 0)
+	id, err := c.Submit(task.Locate, task.Payload{ImageID: 3, Detail: &task.Detail{Word: 9}}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +196,7 @@ func TestErrorMapping(t *testing.T) {
 	}
 
 	// Wrong aggregation kind → 422.
-	id, _ := c.Submit(task.Transcribe, task.Payload{WordImg: "x"}, 1, 0)
+	id, _ := c.Submit(task.Transcribe, task.Payload{Detail: &task.Detail{WordImg: "x"}}, 1, 0)
 	if _, err := c.WordsContext(context.Background(), id); !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnprocessableEntity {
 		t.Fatalf("wrong-kind aggregate: %v", err)
 	}
@@ -613,7 +616,7 @@ func TestListTasksCopiesOnlyThePage(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		id := task.ID(i)
 		tk := &task.Task{
-			ID: id, Kind: task.Label, Payload: task.Payload{ImageID: i, Taboo: []int{1}}, Redundancy: 3, CreatedAt: at,
+			ID: id, Kind: task.Label, Payload: task.Payload{ImageID: i, Detail: &task.Detail{Taboo: []int{1}}}, Redundancy: 3, CreatedAt: at,
 			Answers: []task.Answer{
 				{TaskID: id, WorkerID: "a", At: at, Words: []int{i}},
 				{TaskID: id, WorkerID: "b", At: at, Words: []int{i + 1}},
@@ -688,14 +691,14 @@ func TestGetTaskBodyIsTheEncodersBytes(t *testing.T) {
 	at := time.Date(2026, 7, 6, 12, 0, 0, 5, time.FixedZone("", 3600))
 	odd := "a<b>&c\u2028d\u2029\"é"
 	stored := []*task.Task{
-		{ID: 1, Kind: task.Label, Payload: task.Payload{ImageID: 3, Taboo: []int{4, 5}}, Redundancy: 3, Priority: 2, CreatedAt: at,
+		{ID: 1, Kind: task.Label, Payload: task.Payload{ImageID: 3, Detail: &task.Detail{Taboo: []int{4, 5}}}, Redundancy: 3, Priority: 2, CreatedAt: at,
 			Answers: []task.Answer{
 				{TaskID: 1, WorkerID: odd, At: at, Words: []int{7, 8}},
 				{TaskID: 1, WorkerID: "b", At: at.Add(time.Second), Words: []int{9}},
 			}},
-		{ID: 2, Kind: task.Transcribe, Payload: task.Payload{WordImg: odd}, Redundancy: 1, Status: task.Done, CreatedAt: at, DoneAt: at.Add(time.Minute),
+		{ID: 2, Kind: task.Transcribe, Payload: task.Payload{Detail: &task.Detail{WordImg: odd}}, Redundancy: 1, Status: task.Done, CreatedAt: at, DoneAt: at.Add(time.Minute),
 			Answers: []task.Answer{{TaskID: 2, WorkerID: "w", At: at, Text: odd}}},
-		{ID: 3, Kind: task.Locate, Payload: task.Payload{ImageID: 1, Word: 2}, Redundancy: 2, Status: task.Canceled, CreatedAt: at, DoneAt: at,
+		{ID: 3, Kind: task.Locate, Payload: task.Payload{ImageID: 1, Detail: &task.Detail{Word: 2}}, Redundancy: 2, Status: task.Canceled, CreatedAt: at, DoneAt: at,
 			Answers: []task.Answer{{TaskID: 3, WorkerID: "x", At: at, Box: vocab.Rect{X: 1, Y: 2, W: 3, H: 4}}}},
 		{ID: 4, Kind: task.Compare, Payload: task.Payload{ImageID: 1, ImageB: 2}, Redundancy: 1, CreatedAt: at},
 	}
@@ -727,5 +730,72 @@ func TestGetTaskBodyIsTheEncodersBytes(t *testing.T) {
 	sys.Store().Put(&task.Task{ID: 5, Kind: task.Label, Redundancy: 1, CreatedAt: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)})
 	if rec := get(5); rec.Code != http.StatusInternalServerError || rec.Body.String() != encodeFailed+"\n" {
 		t.Fatalf("GET a task encoding/json refuses: %d %q", rec.Code, rec.Body)
+	}
+}
+
+// TestEmptyDetailIsNil: a submitted payload that names a Detail field but
+// sets nothing in it — an empty taboo list, a zero word — is stored with
+// no Detail, and an empty taboo list beside a word as none, which is what
+// their journal records decode to, so a node that replays the journal
+// holds the live node's tasks and writes its checkpoint byte for byte. A
+// "Detail" key is an unknown field like any other.
+func TestEmptyDetailIsNil(t *testing.T) {
+	var journal bytes.Buffer
+	cfg := core.DefaultConfig()
+	cfg.Journal = store.NewWAL(&journal)
+	// A wall-clock time carries a monotonic reading its record does not.
+	cfg.Clock = sim.NewSimulator(time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC))
+	sys := core.New(cfg)
+	srv := httptest.NewServer(NewServer(sys))
+	defer srv.Close()
+	post := func(payload string) int {
+		resp, err := http.Post(srv.URL+"/v1/tasks", "application/json",
+			strings.NewReader(`{"kind":"label","redundancy":1,"payload":`+payload+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, payload := range []string{`{"image_id":1,"taboo":[]}`, `{"word":0}`, `{"word":3,"taboo":[]}`} {
+		if code := post(payload); code != http.StatusCreated {
+			t.Fatalf("submit %s: status %d", payload, code)
+		}
+	}
+	if code := post(`{"Detail":{"word":1}}`); code != http.StatusBadRequest {
+		t.Fatalf(`submit {"Detail":…}: status %d, want 400`, code)
+	}
+
+	live := sys.Store().Tasks(store.AnyStatus)
+	if len(live) != 3 {
+		t.Fatalf("%d tasks stored, want 3", len(live))
+	}
+	for _, tk := range live[:2] {
+		if tk.Payload.Detail != nil {
+			t.Errorf("task %d stored with Detail %+v, want nil", tk.ID, *tk.Payload.Detail)
+		}
+	}
+	replayed := core.New(core.DefaultConfig())
+	if _, err := store.ReplayWALObserved(bytes.NewReader(journal.Bytes()), replayed.Store(), nil); err != nil {
+		t.Fatal(err)
+	}
+	got := replayed.Store().Tasks(store.AnyStatus)
+	if len(got) != len(live) {
+		t.Fatalf("%d tasks replayed, want %d", len(got), len(live))
+	}
+	for i := range live {
+		if !reflect.DeepEqual(*got[i], *live[i]) {
+			t.Errorf("task %d replays as\n%+v\nlive it is\n%+v", live[i].ID, *got[i], *live[i])
+		}
+	}
+	var liveSnap, replayedSnap bytes.Buffer
+	if err := sys.Store().Snapshot(&liveSnap); err != nil {
+		t.Fatal(err)
+	}
+	if err := replayed.Store().Snapshot(&replayedSnap); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(liveSnap.Bytes(), replayedSnap.Bytes()) {
+		t.Errorf("checkpoints differ:\n live: %s\nreplay: %s", liveSnap.Bytes(), replayedSnap.Bytes())
 	}
 }

@@ -35,7 +35,7 @@ func TestLateAnswerIs409(t *testing.T) {
 					t.Cleanup(srv.Close)
 					c := NewClient(srv.URL, srv.Client())
 
-					id, err := c.Submit(task.Judge, task.Payload{ClipA: 1, ClipB: 2}, 5, 0)
+					id, err := c.Submit(task.Judge, task.Payload{Detail: &task.Detail{ClipA: 1, ClipB: 2}}, 5, 0)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -93,7 +94,7 @@ func TestBatchBodyLimitIsWider(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = SubmitRequest{
 			Kind:       task.Label.String(),
-			Payload:    task.Payload{WordImg: filler},
+			Payload:    task.Payload{Detail: &task.Detail{WordImg: filler}},
 			Redundancy: 1,
 		}
 	}
@@ -124,11 +125,11 @@ func TestPooledDecodeNoCrossRequestBleed(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				imageID := g*1000 + i
-				var taboo []int
-				if i%2 == 0 { // alternate shapes so stale slices would show
-					taboo = []int{g, i, imageID}
+				p := task.Payload{ImageID: imageID}
+				if i%2 == 0 { // alternate shapes so a stale Detail or slice would show
+					p.Detail = &task.Detail{Taboo: []int{g, i, imageID}}
 				}
-				id, err := c.Submit(task.Label, task.Payload{ImageID: imageID, Taboo: taboo}, 1, 0)
+				id, err := c.Submit(task.Label, p, 1, 0)
 				if err != nil {
 					errs <- fmt.Errorf("submit g%d/%d: %w", g, i, err)
 					return
@@ -138,9 +139,9 @@ func TestPooledDecodeNoCrossRequestBleed(t *testing.T) {
 					errs <- fmt.Errorf("fetch g%d/%d: %w", g, i, err)
 					return
 				}
-				if got.Payload.ImageID != imageID || len(got.Payload.Taboo) != len(taboo) {
-					errs <- fmt.Errorf("g%d/%d: payload bled: got %+v want image %d taboo %v",
-						g, i, got.Payload, imageID, taboo)
+				if got.Payload.ImageID != imageID || !reflect.DeepEqual(got.Payload.Detail, p.Detail) {
+					errs <- fmt.Errorf("g%d/%d: payload bled: got %+v want image %d detail %+v",
+						g, i, got.Payload, imageID, p.Detail)
 					return
 				}
 			}

@@ -32,7 +32,7 @@ func populated(t *testing.T, n int) *core.System {
 		}
 	}
 	for i := 0; i < n; i++ {
-		if _, err := sys.SubmitTask(task.Label, task.Payload{ImageID: i, Taboo: []int{i, i + 1, i + 2}}, 3, i%4); err != nil {
+		if _, err := sys.SubmitTask(task.Label, task.Payload{ImageID: i, Detail: &task.Detail{Taboo: []int{i, i + 1, i + 2}}}, 3, i%4); err != nil {
 			t.Fatal(err)
 		}
 	}

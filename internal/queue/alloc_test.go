@@ -10,7 +10,8 @@ import (
 // TestLeaseAnswerCycleAllocates: a redundancy-3 task leased to three
 // workers at once and answered by each costs the queue the three leases
 // and the task's answer list, nothing per task for tracking its holders:
-// they are read from the lease table.
+// they are read from the lease table. Each view a lease hands out copies
+// the task's payload Detail into the lease's own allocation.
 func TestLeaseAnswerCycleAllocates(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not the production ones under the race detector")
@@ -18,7 +19,7 @@ func TestLeaseAnswerCycleAllocates(t *testing.T) {
 	const runs = 100
 	q := New(time.Minute)
 	for i := 1; i <= runs+1; i++ {
-		tk, err := task.New(task.ID(i), task.Judge, task.Payload{ClipA: i, ClipB: i + 1}, 3, t0)
+		tk, err := task.New(task.ID(i), task.Judge, task.Payload{Detail: &task.Detail{ClipA: i, ClipB: i + 1}}, 3, t0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,6 +80,14 @@ type Lease struct {
 	next *Lease     // the task's next outstanding lease, in Queue.held
 }
 
+// detailLease is a lease on a task whose payload has a Detail, allocated
+// together with the copy of that Detail in the view the lease hands out, so
+// the view costs no allocation of its own beyond the taboo list.
+type detailLease struct {
+	Lease
+	detail task.Detail
+}
+
 // Queue is a redundancy-aware priority work queue with leases.
 //
 // The queue owns all mutation of task state while the system runs: every
@@ -418,14 +426,22 @@ func (q *Queue) leaseLocked(t *task.Task, workerID string, now time.Time, tr tra
 	}
 	q.seq++
 	id := LeaseID(q.seq)
-	l := &Lease{ID: id, WorkerID: workerID, LeasedAt: now, Expiry: now.Add(q.ttl), task: t, next: first}
+	var l *Lease
+	var d *task.Detail
+	if t.Payload.Detail != nil {
+		dl := new(detailLease)
+		l, d = &dl.Lease, &dl.detail
+	} else {
+		l = new(Lease)
+	}
+	*l = Lease{ID: id, WorkerID: workerID, LeasedAt: now, Expiry: now.Add(q.ttl), task: t, next: first}
 	if len(q.leases) == 0 || l.Expiry.Before(q.nextExpiry) {
 		q.nextExpiry = l.Expiry
 	}
 	q.leases[id] = l
 	q.held[t.ID] = l
 	q.emit(trace.StageLease, t.ID, workerID, now, tr)
-	return t.View(), id
+	return t.ViewIn(d), id
 }
 
 // eligibleLocked reports whether workerID may lease t: t is open, has a

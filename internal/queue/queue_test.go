@@ -389,7 +389,7 @@ func BenchmarkLeaseComplete(b *testing.B) {
 
 func TestFinishEarly(t *testing.T) {
 	q := New(time.Minute)
-	tk, err := task.New(1, task.Judge, task.Payload{ClipA: 1, ClipB: 2}, 5, t0)
+	tk, err := task.New(1, task.Judge, task.Payload{Detail: &task.Detail{ClipA: 1, ClipB: 2}}, 5, t0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,12 @@ func FuzzTaskCodecMatchesStdlib(f *testing.F) {
 		`{"kind":"can` + "\n" + `cel","at":"2026-07-06T12:00:00Z","task_id":3}`,
 		`{"kind":"` + "\u00e9\u2028\u2029" + `","at":"2026-07-06T12:00:00Z","task_id":3}`,
 		`{"id":1,"kind":0,"payload":{},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z","answers":[]}`,
+		// A Detail key, whatever its value, gives the payload a Detail.
 		`{"id":1,"kind":0,"payload":{"taboo":[]},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
+		`{"id":1,"kind":0,"payload":{"taboo":null},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
+		`{"id":1,"kind":1,"payload":{"word":0},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
+		`{"id":1,"kind":5,"payload":{"clip_b":2},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
+		`{"id":1,"kind":5,"payload":{"image_id":1,"Detail":{"clip_b":2}},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
 		`{"id":1,"kind":0,"payload":{"image_id":1,},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
 		`{"id":1,"kind":0,"payload":{,"image_id":1},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
 		`{"id":1,"kind":0,"payload":{"taboo":[1,,2]},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
@@ -132,7 +137,7 @@ func encodesLikeStdlib(t *testing.T, what string, got []byte, gotErr error, want
 
 // decodesLikeStdlib decodes doc as each record type, by the codec and by
 // json.Unmarshal, and requires one outcome. The codec's targets start out
-// dirty: it must replace, not merge.
+// dirty, a populated payload Detail included: it must replace, not merge.
 func decodesLikeStdlib(t *testing.T, doc []byte) {
 	t.Helper()
 	dirty := task.Answer{TaskID: 99, WorkerID: "stale", At: t0, Words: []int{9}, Text: "stale", Choice: 9}
@@ -147,7 +152,7 @@ func decodesLikeStdlib(t *testing.T, doc []byte) {
 
 	var wantTask task.Task
 	wantErr = json.Unmarshal(doc, &wantTask)
-	gotTask := task.Task{ID: 99, Payload: task.Payload{WordImg: "stale", Taboo: []int{9}, ClipB: 9}, DoneAt: t0, Answers: []task.Answer{dirty}}
+	gotTask := task.Task{ID: 99, Payload: task.Payload{Detail: &task.Detail{WordImg: "stale", Taboo: []int{9}, ClipB: 9}}, DoneAt: t0, Answers: []task.Answer{dirty}}
 	gotErr = gotTask.DecodeJSON(doc)
 	if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(gotTask, wantTask) {
 		t.Fatalf("task %q\n codec: %+v, %v\nstdlib: %+v, %v", doc, gotTask, gotErr, wantTask, wantErr)
@@ -239,10 +244,23 @@ func (g *gen) answer() *task.Answer {
 	return a
 }
 
+// detail is nil, set but empty (which encodes as no Detail at all), or
+// drawn field by field.
+func (g *gen) detail() *task.Detail {
+	switch g.byte() % 3 {
+	case 0:
+		return nil
+	case 1:
+		return &task.Detail{}
+	default:
+		return &task.Detail{Word: g.int(), WordImg: g.str(), Taboo: g.ints(), ClipA: g.int(), ClipB: g.int()}
+	}
+}
+
 func (g *gen) task() *task.Task {
 	tk := &task.Task{
 		ID: task.ID(g.int()), Kind: task.Kind(g.int()),
-		Payload:    task.Payload{ImageID: g.int(), ImageB: g.int(), Word: g.int(), WordImg: g.str(), Taboo: g.ints(), ClipA: g.int(), ClipB: g.int()},
+		Payload:    task.Payload{ImageID: g.int(), ImageB: g.int(), Detail: g.detail()},
 		Redundancy: g.int(), Priority: g.int(), Status: task.Status(g.int()),
 		CreatedAt: g.time(), DoneAt: g.time(),
 	}

@@ -53,7 +53,7 @@ func richTasks(n int) []*task.Task {
 		tk := &task.Task{
 			ID:         id,
 			Kind:       task.Kind(i % 6),
-			Payload:    task.Payload{ImageID: i, Word: i % 7, WordImg: "<img& " + fmt.Sprint(i) + ">", ClipA: i, ClipB: -i},
+			Payload:    task.Payload{ImageID: i, Detail: &task.Detail{Word: i % 7, WordImg: "<img& " + fmt.Sprint(i) + ">", ClipA: i, ClipB: -i}},
 			Redundancy: 1 + i%3,
 			Priority:   i%5 - 2,
 			Status:     task.Status(i % 3),
@@ -269,7 +269,7 @@ func fillPlain(s *Store, n int) {
 	for i := 1; i <= n; i++ {
 		id := task.ID(i)
 		s.Put(&task.Task{
-			ID: id, Kind: task.Label, Payload: task.Payload{ImageID: i, Taboo: []int{1, 2}}, Redundancy: 3,
+			ID: id, Kind: task.Label, Payload: task.Payload{ImageID: i, Detail: &task.Detail{Taboo: []int{1, 2}}}, Redundancy: 3,
 			CreatedAt: t0,
 			Answers: []task.Answer{
 				{TaskID: id, WorkerID: "alice", At: t0, Words: []int{i, 7}},

@@ -287,7 +287,7 @@ func (sp taskSpec) build() *task.Task {
 	t := &task.Task{
 		ID:         id,
 		Kind:       task.Label,
-		Payload:    task.Payload{ImageID: int(sp.ID), Taboo: []int{int(sp.Answers)}},
+		Payload:    task.Payload{ImageID: int(sp.ID), Detail: &task.Detail{Taboo: []int{int(sp.Answers)}}},
 		Redundancy: int(sp.Answers%3) + 1,
 		Priority:   int(sp.Priority),
 		Status:     task.Status(sp.Status % 3),

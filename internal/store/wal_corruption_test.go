@@ -176,7 +176,7 @@ func TestWALHeaderlessStreamStartingWithBrace(t *testing.T) {
 		var buf bytes.Buffer
 		wal := NewWAL(&buf)
 		tk := walTask(t, 1, 1)
-		tk.Payload.WordImg = strings.Repeat("x", pad)
+		tk.Payload.Detail = &task.Detail{WordImg: strings.Repeat("x", pad)}
 		if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: tk}); err != nil {
 			t.Fatal(err)
 		}

@@ -295,8 +295,10 @@ func rngNew(seed uint64) func(n int) int {
 func cloneTask(t *task.Task) *task.Task {
 	cp := *t
 	cp.Answers = append([]task.Answer(nil), t.Answers...)
-	if t.Payload.Taboo != nil {
-		cp.Payload.Taboo = append([]int(nil), t.Payload.Taboo...)
+	if t.Payload.Detail != nil {
+		d := *t.Payload.Detail
+		d.Taboo = append([]int(nil), d.Taboo...)
+		cp.Payload.Detail = &d
 	}
 	return &cp
 }

@@ -19,8 +19,8 @@ import (
 // that is a stored task and nothing else, GET /v1/tasks/{id}, which is
 // this encoder's bytes plus json.Encoder's newline.
 //
-// A field added to Task, Answer or Payload must be added here, in struct
-// order; FuzzTaskCodecMatchesStdlib fails until it is.
+// A field added to Task, Answer, Payload or Detail must be added here, in
+// struct order; FuzzTaskCodecMatchesStdlib fails until it is.
 
 // AppendJSON appends t's JSON encoding to b: byte for byte what
 // json.Marshal(t) returns, including its error for a task encoding/json
@@ -93,15 +93,17 @@ func appendPayload(b []byte, p *Payload) []byte {
 	first := len(b)
 	b = appendIntField(b, first, `,"image_id":`, p.ImageID)
 	b = appendIntField(b, first, `,"image_b":`, p.ImageB)
-	b = appendIntField(b, first, `,"word":`, p.Word)
-	if p.WordImg != "" {
-		b = jsonx.AppendString(appendKey(b, first, `,"word_img":`), p.WordImg)
+	if d := p.Detail; d != nil {
+		b = appendIntField(b, first, `,"word":`, d.Word)
+		if d.WordImg != "" {
+			b = jsonx.AppendString(appendKey(b, first, `,"word_img":`), d.WordImg)
+		}
+		if len(d.Taboo) > 0 {
+			b = jsonx.AppendInts(appendKey(b, first, `,"taboo":`), d.Taboo)
+		}
+		b = appendIntField(b, first, `,"clip_a":`, d.ClipA)
+		b = appendIntField(b, first, `,"clip_b":`, d.ClipB)
 	}
-	if len(p.Taboo) > 0 {
-		b = jsonx.AppendInts(appendKey(b, first, `,"taboo":`), p.Taboo)
-	}
-	b = appendIntField(b, first, `,"clip_a":`, p.ClipA)
-	b = appendIntField(b, first, `,"clip_b":`, p.ClipB)
 	return append(b, '}')
 }
 
@@ -195,22 +197,35 @@ func decodePayload(c *jsonx.Canon, p *Payload) {
 	if tryKey(c, &first, `,"image_b":`) {
 		p.ImageB = c.Int()
 	}
-	if tryKey(c, &first, `,"word":`) {
-		p.Word = c.Int()
-	}
-	if tryKey(c, &first, `,"word_img":`) {
-		p.WordImg = c.Str()
-	}
-	if tryKey(c, &first, `,"taboo":`) {
-		p.Taboo = c.Ints()
-	}
-	if tryKey(c, &first, `,"clip_a":`) {
-		p.ClipA = c.Int()
-	}
-	if tryKey(c, &first, `,"clip_b":`) {
-		p.ClipB = c.Int()
+	// encoding/json gives the payload a Detail as soon as it meets one of
+	// its keys, whatever the value, and none otherwise. The keys are read
+	// into a local, so a payload without them allocates nothing.
+	if d, ok := decodeDetail(c, &first); ok {
+		p.Detail = new(Detail)
+		*p.Detail = d
 	}
 	c.Lit("}")
+}
+
+// decodeDetail reads the Detail keys of a payload and reports whether
+// there were any.
+func decodeDetail(c *jsonx.Canon, first *bool) (d Detail, ok bool) {
+	if tryKey(c, first, `,"word":`) {
+		d.Word, ok = c.Int(), true
+	}
+	if tryKey(c, first, `,"word_img":`) {
+		d.WordImg, ok = c.Str(), true
+	}
+	if tryKey(c, first, `,"taboo":`) {
+		d.Taboo, ok = c.Ints(), true
+	}
+	if tryKey(c, first, `,"clip_a":`) {
+		d.ClipA, ok = c.Int(), true
+	}
+	if tryKey(c, first, `,"clip_b":`) {
+		d.ClipB, ok = c.Int(), true
+	}
+	return d, ok
 }
 
 func tryKey(c *jsonx.Canon, first *bool, key string) bool {

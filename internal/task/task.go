@@ -91,13 +91,25 @@ func (s Status) String() string {
 	}
 }
 
-// Payload carries the kind-specific inputs of a task. Exactly the fields
-// relevant to the Kind are meaningful; the rest stay at their zero values.
-// Keeping one flat struct (rather than an interface) makes the JSON wire
-// format of the dispatch service trivial and self-describing.
+// Payload carries the kind-specific inputs of a task; only the fields its
+// Kind uses are set. ImageID and ImageB are held in place: they are all the
+// image kinds a backlog is mostly made of (Label, Compare) need. The inputs
+// only the other kinds use are behind Detail, nil on a task that has none,
+// so a stored image task does not carry them as zeros. encoding/json
+// promotes Detail's fields into the payload object, so the wire format is
+// one flat, self-describing object either way, and a payload that sets a
+// Detail field decodes with a Detail.
 type Payload struct {
-	ImageID int    `json:"image_id,omitempty"` // Label, Locate, Compare (first image)
-	ImageB  int    `json:"image_b,omitempty"`  // Compare (second image)
+	ImageID int `json:"image_id,omitempty"` // Label, Locate, Compare (first image)
+	ImageB  int `json:"image_b,omitempty"`  // Compare (second image)
+	*Detail
+}
+
+// Detail holds the payload inputs only some kinds use: the Word of Locate
+// and Describe, Transcribe's WordImg, Judge's two clips and a Label task's
+// taboo list. Compare uses none of them, nor does a Label task without
+// taboo words. A task owns its Detail once submitted.
+type Detail struct {
 	Word    int    `json:"word,omitempty"`     // Locate (object to find), Describe (concept)
 	WordImg string `json:"word_img,omitempty"` // Transcribe (degraded rendering)
 	Taboo   []int  `json:"taboo,omitempty"`    // Label (off-limits words)
@@ -144,13 +156,27 @@ var (
 )
 
 // New returns an Open task. It returns ErrBadRedundancy if redundancy < 1
-// and ErrUnknownKind for an out-of-range kind.
+// and ErrUnknownKind for an out-of-range kind. The task keeps a copy of p's
+// Detail, so the caller may reuse its own, with an empty taboo list made nil;
+// a Detail that sets nothing at all is not kept: the task has none, as it
+// will after a round trip through its encoding, which omits every empty
+// field. The copy shares the taboo list's elements with the caller.
 func New(id ID, kind Kind, p Payload, redundancy int, now time.Time) (*Task, error) {
 	if kind < 0 || kind >= numKinds {
 		return nil, ErrUnknownKind
 	}
 	if redundancy < 1 {
 		return nil, ErrBadRedundancy
+	}
+	if p.Detail != nil {
+		d := *p.Detail
+		if len(d.Taboo) == 0 {
+			d.Taboo = nil
+		}
+		p.Detail = nil
+		if d.Word != 0 || d.WordImg != "" || d.Taboo != nil || d.ClipA != 0 || d.ClipB != 0 {
+			p.Detail = &d
+		}
 	}
 	return &Task{
 		ID:         id,
@@ -232,12 +258,28 @@ func (t *Task) Record(a Answer, now time.Time) error {
 type View Task
 
 // View returns a deep copy of the task: the Answers slice, each answer's
-// Words, and the payload's Taboo list are all copied, so the view shares
-// no mutable memory with the task. Callers must hold whatever lock guards
-// the task's mutations while copying (the queue and store do).
+// Words, the payload's Detail and its Taboo list are all copied, so the
+// view shares no mutable memory with the task. Callers must hold whatever
+// lock guards the task's mutations while copying (the queue and store do).
 func (t *Task) View() View {
+	var d *Detail
+	if t.Payload.Detail != nil {
+		d = new(Detail)
+	}
+	return t.ViewIn(d)
+}
+
+// ViewIn is View with the copy of the payload's Detail made in *d, which
+// must not be nil if the task has a Detail; d is unused if it has none. A
+// caller that allocates something for each view anyway (the queue's lease)
+// holds the copy in that allocation, and the view costs one less.
+func (t *Task) ViewIn(d *Detail) View {
 	v := View(*t)
-	v.Payload.Taboo = append([]int(nil), t.Payload.Taboo...)
+	if t.Payload.Detail != nil {
+		*d = *t.Payload.Detail
+		d.Taboo = append([]int(nil), d.Taboo...)
+		v.Payload.Detail = d
+	}
 	if t.Answers != nil {
 		v.Answers = make([]Answer, len(t.Answers))
 		for i, a := range t.Answers {

@@ -183,7 +183,7 @@ func TestStatusString(t *testing.T) {
 
 func TestViewIsDeepCopy(t *testing.T) {
 	tk := mustNew(t, Label, 2)
-	tk.Payload.Taboo = []int{10, 11}
+	tk.Payload.Detail = &Detail{Word: 5, Taboo: []int{10, 11}}
 	if err := tk.Record(Answer{WorkerID: "a", Words: []int{1, 2}}, t0); err != nil {
 		t.Fatal(err)
 	}
@@ -194,19 +194,26 @@ func TestViewIsDeepCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	tk.Payload.Taboo[0] = 99
+	tk.Payload.Word = 99
 	tk.Answers[0].Words[0] = 99
-	if len(v.Answers) != 1 || v.Answers[0].Words[0] != 1 || v.Payload.Taboo[0] != 10 {
+	if len(v.Answers) != 1 || v.Answers[0].Words[0] != 1 || v.Payload.Taboo[0] != 10 || v.Payload.Word != 5 {
 		t.Fatalf("view sees later mutation: %+v", v)
 	}
 
 	// Mutating the view does not reach the task.
 	v.Answers[0].Words[1] = 77
 	v.Payload.Taboo[1] = 77
-	if tk.Answers[0].Words[1] != 2 || tk.Payload.Taboo[1] != 11 {
+	v.Payload.Word = 77
+	if tk.Answers[0].Words[1] != 2 || tk.Payload.Taboo[1] != 11 || tk.Payload.Word != 99 {
 		t.Fatalf("task sees view mutation: %+v", tk)
 	}
 
 	if n := v.Redundancy - len(v.Answers); n != 1 {
 		t.Fatalf("view needs %d more answers, want 1", n)
+	}
+
+	// An image task has no Detail, and neither has its view.
+	if v := mustNew(t, Label, 2).View(); v.Payload.Detail != nil {
+		t.Fatalf("view of an image task has a Detail: %+v", v.Payload.Detail)
 	}
 }
