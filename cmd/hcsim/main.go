@@ -25,7 +25,7 @@ import (
 
 	"humancomp/internal/dispatch"
 	"humancomp/internal/games"
-	"humancomp/internal/search"
+	"humancomp/internal/metrics"
 	"humancomp/internal/sim"
 	"humancomp/internal/task"
 	"humancomp/internal/vocab"
@@ -53,7 +53,9 @@ func main() {
 
 	switch *mode {
 	case "local":
-		runLocal(*game, *players, *hours, *seed)
+		if _, err := runLocal(*game, *players, *hours, *seed); err != nil {
+			log.Fatalf("hcsim: %v", err)
+		}
 	case "http":
 		if _, _, err := runHTTP(*url, *tasks, *workers, *batch, *seed); err != nil {
 			log.Fatalf("hcsim: %v", err)
@@ -81,7 +83,10 @@ func main() {
 	}
 }
 
-func runLocal(game string, players int, hours float64, seed uint64) {
+// runLocal plays game with a simulated crowd of players for hours of
+// virtual time, prints the GWAP metrics and returns them; an unknown game
+// is an error.
+func runLocal(game string, players int, hours float64, seed uint64) (metrics.Report, error) {
 	corpusCfg := vocab.DefaultCorpusConfig()
 	corpusCfg.Lexicon.Seed = seed
 	corpusCfg.Seed = seed + 1
@@ -98,39 +103,21 @@ func runLocal(game string, players int, hours float64, seed uint64) {
 		g := games.NewESP(corpus, cfg)
 		pair, solo = g, g
 	case "peekaboom":
-		cfg := games.DefaultPeekaboomConfig()
-		cfg.Seed = seed + 2
-		pair = games.NewPeekaboom(corpus, cfg)
+		pair = games.NewPeekaboom(corpus, seed+2)
 	case "verbosity":
 		fbCfg := vocab.DefaultFactBaseConfig()
 		fbCfg.Seed = seed + 2
-		cfg := games.DefaultVerbosityConfig()
-		cfg.Seed = seed + 3
-		pair = games.NewVerbosity(vocab.NewFactBase(fbCfg), cfg)
+		pair = games.NewVerbosity(vocab.NewFactBase(fbCfg), seed+3)
 	case "tagatune":
-		cfg := games.DefaultTagATuneConfig()
-		cfg.Seed = seed + 2
-		pair = games.NewTagATune(corpus, cfg)
+		pair = games.NewTagATune(corpus, seed+2)
 	case "matchin":
-		cfg := games.DefaultMatchinConfig()
-		cfg.Seed = seed + 2
-		pair = games.NewMatchin(corpus, cfg)
+		pair = games.NewMatchin(corpus, seed+2)
 	case "squigl":
-		cfg := games.DefaultSquiglConfig()
-		cfg.Seed = seed + 2
-		pair = games.NewSquigl(corpus, cfg)
+		pair = games.NewSquigl(corpus, seed+2)
 	case "phetch":
-		ix := search.NewIndex()
-		for _, img := range corpus.Images {
-			for _, obj := range img.Objects {
-				ix.Add(img.ID, corpus.Lexicon.Canonical(obj.Tag), 2)
-			}
-		}
-		cfg := games.DefaultPhetchConfig()
-		cfg.Seed = seed + 2
-		pair = games.NewPhetch(corpus, ix, cfg)
+		pair = games.NewPhetch(corpus, games.GroundTruthIndex(corpus), seed+2)
 	default:
-		log.Fatalf("hcsim: unknown game %q", game)
+		return metrics.Report{}, fmt.Errorf("unknown game %q", game)
 	}
 
 	popCfg := worker.DefaultPopulationConfig(players)
@@ -151,6 +138,7 @@ func runLocal(game string, players int, hours float64, seed uint64) {
 	fmt.Printf("  throughput:            %.1f outputs/human-hour\n", rep.ThroughputPerHour)
 	fmt.Printf("  avg lifetime play:     %.1f min\n", rep.ALPMinutes)
 	fmt.Printf("  expected contribution: %.1f outputs/player\n", rep.ExpectedContribution)
+	return rep, nil
 }
 
 // runHTTP submits nTasks labeling tasks, drains them with the modeled

@@ -67,8 +67,7 @@ func main() {
 		100*float64(top1)/float64(queries), 100*float64(top5)/float64(queries), queries)
 
 	// Stage 4: Phetch rides the index to validate captions.
-	phCfg := games.DefaultPhetchConfig()
-	ph := games.NewPhetch(corpus, ix, phCfg)
+	ph := games.NewPhetch(corpus, ix, 1)
 	src := rng.New(9)
 	p := worker.SampleProfile(worker.DefaultPopulationConfig(4), src)
 	p.ThinkMean = 0

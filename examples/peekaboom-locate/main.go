@@ -19,7 +19,7 @@ func main() {
 	corpusCfg := vocab.DefaultCorpusConfig()
 	corpusCfg.NumImages = 100
 	corpus := vocab.NewCorpus(corpusCfg)
-	game := games.NewPeekaboom(corpus, games.DefaultPeekaboomConfig())
+	game := games.NewPeekaboom(corpus, 1)
 
 	src := rng.New(21)
 	popCfg := worker.DefaultPopulationConfig(2)
@@ -30,11 +30,15 @@ func main() {
 	for img := 0; img < 40; img++ {
 		targets = append(targets, target{img, corpus.Image(img).Objects[0].Tag})
 	}
+	hasBox := func(tg target) bool {
+		_, ok := game.Boxes.Box(tg.img, tg.word)
+		return ok
+	}
 
 	// Play rounds until every target has enough validated pings for a box.
 	solved, rounds := 0, 0
 	for _, tg := range targets {
-		for game.Boxes.Pings(tg.img, tg.word) < games.DefaultPeekaboomConfig().MinPingsForBox {
+		for !hasBox(tg) {
 			pBoom := worker.SampleProfile(popCfg, src)
 			pPeek := worker.SampleProfile(popCfg, src)
 			pBoom.ThinkMean, pPeek.ThinkMean = 0, 0

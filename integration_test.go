@@ -492,7 +492,7 @@ func TestEcosystemLabelsToSearchToCaptions(t *testing.T) {
 		t.Errorf("top-5 retrieval = %.2f over crowd-built index", frac)
 	}
 
-	ph := games.NewPhetch(corpus, ix, games.DefaultPhetchConfig())
+	ph := games.NewPhetch(corpus, ix, 1)
 	src := rng.New(9)
 	p := worker.SampleProfile(worker.DefaultPopulationConfig(4), src)
 	p.ThinkMean = 0

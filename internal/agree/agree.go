@@ -65,13 +65,15 @@ const (
 
 // The deployed ESP Game's rules, the defaults of both the simulator and
 // the live session plane: a word turns taboo on an item at its first
-// agreement there, an item with six taboo words is fully labelled, and
-// each player has a dozen guesses per round.
+// agreement there and an item with six taboo words is fully labelled.
 const (
 	DefaultPromoteAfter = 1
 	DefaultRetireAt     = 6
-	DefaultMaxGuesses   = 12
 )
+
+// MaxGuesses is each player's guesses per ESP round, a dozen as in the
+// deployed game; the simulator and the live session plane both play it.
+const MaxGuesses = 12
 
 // Reasons a round ends by its own rules; Ended reports them, and a driver
 // adds its own through Stop.
@@ -106,17 +108,17 @@ type OutputRound struct {
 }
 
 // NewOutputRound starts a round with the given taboo words (any word whose
-// canonical form is listed is rejected) and maxGuesses guesses per player.
+// canonical form is listed is rejected) and MaxGuesses guesses per player.
 // A nil recorded seats two live players; otherwise seat 1 replays recorded,
 // a past player's transcript, one word per beat of seat 0.
-func NewOutputRound(lex *vocab.Lexicon, mode MatchMode, taboo []int, maxGuesses int, recorded []int) *OutputRound {
+func NewOutputRound(lex *vocab.Lexicon, mode MatchMode, taboo []int, recorded []int) *OutputRound {
 	r := &OutputRound{lex: lex, mode: mode, taboo: make(map[int]bool, len(taboo)), agreed: -1}
 	for _, w := range taboo {
 		r.taboo[lex.Canonical(w)] = true
 	}
 	r.said[0] = make(map[int]bool)
 	r.said[1] = make(map[int]bool)
-	r.left = [2]int{maxGuesses, maxGuesses}
+	r.left = [2]int{MaxGuesses, MaxGuesses}
 	if recorded != nil {
 		r.recorded, r.left[1] = recorded, len(recorded)
 		r.replay()

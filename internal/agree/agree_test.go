@@ -36,7 +36,7 @@ func submit(r *OutputRound, seat, word int) (bool, error) {
 
 func TestOutputAgreementExactMatch(t *testing.T) {
 	l := lex(t)
-	r := NewOutputRound(l, Exact, nil, DefaultMaxGuesses, nil)
+	r := NewOutputRound(l, Exact, nil, nil)
 	if m, err := submit(r, 0, 5); err != nil || m {
 		t.Fatalf("first guess: %v %v", m, err)
 	}
@@ -61,7 +61,7 @@ func TestOutputAgreementExactMatch(t *testing.T) {
 func TestOutputAgreementExactRejectsSynonyms(t *testing.T) {
 	l := lex(t)
 	a, b := synonymPair(t, l)
-	r := NewOutputRound(l, Exact, nil, DefaultMaxGuesses, nil)
+	r := NewOutputRound(l, Exact, nil, nil)
 	_, _ = submit(r, 0, a)
 	if m, _ := submit(r, 1, b); m {
 		t.Fatal("exact mode matched synonyms")
@@ -71,7 +71,7 @@ func TestOutputAgreementExactRejectsSynonyms(t *testing.T) {
 func TestOutputAgreementCanonicalMatchesSynonyms(t *testing.T) {
 	l := lex(t)
 	a, b := synonymPair(t, l)
-	r := NewOutputRound(l, Canonical, nil, DefaultMaxGuesses, nil)
+	r := NewOutputRound(l, Canonical, nil, nil)
 	_, _ = submit(r, 0, a)
 	if m, _ := submit(r, 1, b); !m {
 		t.Fatal("canonical mode did not match synonyms")
@@ -81,7 +81,7 @@ func TestOutputAgreementCanonicalMatchesSynonyms(t *testing.T) {
 func TestOutputAgreementTaboo(t *testing.T) {
 	l := lex(t)
 	a, b := synonymPair(t, l)
-	r := NewOutputRound(l, Exact, []int{a}, DefaultMaxGuesses, nil)
+	r := NewOutputRound(l, Exact, []int{a}, nil)
 	if _, err := submit(r, 0, a); !errors.Is(err, ErrTabooWord) {
 		t.Fatalf("taboo word accepted: %v", err)
 	}
@@ -93,7 +93,7 @@ func TestOutputAgreementTaboo(t *testing.T) {
 
 func TestOutputAgreementRepeatRejected(t *testing.T) {
 	l := lex(t)
-	r := NewOutputRound(l, Exact, nil, DefaultMaxGuesses, nil)
+	r := NewOutputRound(l, Exact, nil, nil)
 	_, _ = submit(r, 0, 5)
 	if _, err := submit(r, 0, 5); !errors.Is(err, ErrRepeatWord) {
 		t.Fatalf("repeat accepted: %v", err)
@@ -105,14 +105,14 @@ func TestOutputAgreementRepeatRejected(t *testing.T) {
 }
 
 func TestOutputAgreementBadPlayer(t *testing.T) {
-	r := NewOutputRound(lex(t), Exact, nil, DefaultMaxGuesses, nil)
+	r := NewOutputRound(lex(t), Exact, nil, nil)
 	if _, err := submit(r, 2, 5); !errors.Is(err, ErrBadPlayer) {
 		t.Fatalf("bad player: %v", err)
 	}
 }
 
 func TestOutputAgreementPass(t *testing.T) {
-	r := NewOutputRound(lex(t), Exact, nil, DefaultMaxGuesses, nil)
+	r := NewOutputRound(lex(t), Exact, nil, nil)
 	_, _ = submit(r, 0, 1)
 	if !r.Pass(0) || r.Pass(0) {
 		t.Fatal("Pass must report only a seat's first pass")
@@ -138,7 +138,7 @@ func TestOutputAgreementSymmetric(t *testing.T) {
 	l := lex(t)
 	f := func(wordRaw uint8, order bool) bool {
 		w := int(wordRaw) % l.Size()
-		r := NewOutputRound(l, Exact, nil, DefaultMaxGuesses, nil)
+		r := NewOutputRound(l, Exact, nil, nil)
 		p0, p1 := 0, 1
 		if order {
 			p0, p1 = 1, 0
@@ -334,7 +334,7 @@ func TestOutputRoundTabooNonCanonicalExact(t *testing.T) {
 	if l.Canonical(a) == a {
 		nonCanon = b
 	}
-	r := NewOutputRound(l, Exact, []int{nonCanon}, DefaultMaxGuesses, nil)
+	r := NewOutputRound(l, Exact, []int{nonCanon}, nil)
 	for _, w := range l.Synonyms(nonCanon) {
 		if _, err := submit(r, 0, w); !errors.Is(err, ErrTabooWord) {
 			t.Fatalf("group member %d accepted despite taboo on %d: %v", w, nonCanon, err)
@@ -362,7 +362,7 @@ func TestOutputRoundTabooNonCanonicalExact(t *testing.T) {
 func TestOutputRoundAddTaboo(t *testing.T) {
 	l := lex(t)
 	a, b := synonymPair(t, l)
-	r := NewOutputRound(l, Exact, nil, DefaultMaxGuesses, nil)
+	r := NewOutputRound(l, Exact, nil, nil)
 	if _, err := submit(r, 0, a); err != nil {
 		t.Fatalf("pre-promotion guess rejected: %v", err)
 	}
@@ -395,7 +395,7 @@ func plainLex() *vocab.Lexicon {
 // repeat and an empty beat each use a guess, and a live round is
 // exhausted only when both seats have none left.
 func TestOutputRoundRefusalsUseGuesses(t *testing.T) {
-	r := NewOutputRound(plainLex(), Exact, []int{9}, 3, nil)
+	r := NewOutputRound(plainLex(), Exact, []int{9}, nil)
 	if err := r.Guess(0, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -407,8 +407,13 @@ func TestOutputRoundRefusalsUseGuesses(t *testing.T) {
 			t.Fatalf("guess %d: %v, want %v", c.word, err, c.want)
 		}
 	}
-	if r.Left(0) != 0 {
+	if r.Left(0) != MaxGuesses-3 {
 		t.Fatalf("Left(0) = %d after three beats", r.Left(0))
+	}
+	for w := 100; r.Left(0) > 0; w++ {
+		if err := r.Guess(0, w); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := r.Guess(0, 6); !errors.Is(err, ErrNoGuesses) {
 		t.Fatalf("guess past the budget: %v", err)
@@ -417,7 +422,9 @@ func TestOutputRoundRefusalsUseGuesses(t *testing.T) {
 	if err := r.Guess(1, -1); !errors.As(err, &ref) || ref != "empty" {
 		t.Fatalf("empty beat: %v", err)
 	}
-	_ = r.Guess(1, 7)
+	for w := 150; r.Left(1) > 1; w++ {
+		_ = r.Guess(1, w)
+	}
 	if r.Ended() != "" {
 		t.Fatalf("round ended with a guess left: %q", r.Ended())
 	}
@@ -437,7 +444,7 @@ func TestOutputRoundRefusalsUseGuesses(t *testing.T) {
 func TestOutputRoundReplay(t *testing.T) {
 	l := plainLex()
 	// The recording's first word is taboo now: lost, not retried.
-	r := NewOutputRound(l, Exact, []int{40}, 3, []int{40, 41, 43, 44, 45})
+	r := NewOutputRound(l, Exact, []int{40}, []int{40, 41, 43, 44, 45})
 	if g := r.Guesses(1); len(g) != 0 || r.Left(1) != 4 {
 		t.Fatalf("after the opening beat: entered %v, %d left", g, r.Left(1))
 	}
@@ -462,10 +469,17 @@ func TestOutputRoundReplay(t *testing.T) {
 		t.Fatal("a replay round yielded transcripts")
 	}
 
-	r = NewOutputRound(l, Exact, nil, 2, []int{50, 51, 52})
-	_ = r.Guess(0, 1)
-	_ = r.Guess(0, 2)
-	if r.Ended() != EndExhausted || len(r.Guesses(1)) != 2 {
+	// A recording longer than the budget: the live seat's last beat ends
+	// the round, with the recording's tail unplayed.
+	recorded := make([]int, MaxGuesses+3)
+	for i := range recorded {
+		recorded[i] = 50 + i
+	}
+	r = NewOutputRound(l, Exact, nil, recorded)
+	for w := 1; w <= MaxGuesses; w++ {
+		_ = r.Guess(0, w)
+	}
+	if r.Ended() != EndExhausted || len(r.Guesses(1)) != MaxGuesses {
 		t.Fatalf("Ended = %q with recorded words %v", r.Ended(), r.Guesses(1))
 	}
 	if r.Pass(0) {
@@ -474,7 +488,7 @@ func TestOutputRoundReplay(t *testing.T) {
 }
 
 func TestOutputRoundTranscriptsAndStop(t *testing.T) {
-	r := NewOutputRound(plainLex(), Exact, nil, 4, nil)
+	r := NewOutputRound(plainLex(), Exact, nil, nil)
 	_ = r.Guess(0, 3)
 	_ = r.Guess(1, 4)
 	// One seat passing leaves a live round running.
@@ -495,7 +509,7 @@ func TestOutputRoundTranscriptsAndStop(t *testing.T) {
 		t.Fatal("Transcripts shares the round's storage")
 	}
 	// A replay round ends on its live seat's pass.
-	rp := NewOutputRound(plainLex(), Exact, nil, 4, []int{7})
+	rp := NewOutputRound(plainLex(), Exact, nil, []int{7})
 	rp.Pass(0)
 	if rp.Ended() != EndPassed {
 		t.Fatalf("replay round after the live pass: %q", rp.Ended())

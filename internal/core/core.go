@@ -41,10 +41,6 @@ type Config struct {
 	// LeaseTTL is how long a worker may hold a task before it is
 	// reclaimed.
 	LeaseTTL time.Duration
-	// ReputationPrior and ReputationWeight seed the worker reputation
-	// tracker (see quality.NewReputation).
-	ReputationPrior  float64
-	ReputationWeight float64
 	// Clock supplies time; defaults to the wall clock. The simulator
 	// injects its virtual clock here.
 	Clock Clock
@@ -84,16 +80,21 @@ type Config struct {
 // wal.fsync spans. *store.WAL satisfies it.
 type Journal = queue.Journal
 
-// DefaultConfig returns production-shaped defaults: two-minute leases and
-// a 0.75/4 reputation prior.
+// DefaultConfig returns production-shaped defaults: two-minute leases.
 func DefaultConfig() Config {
 	return Config{
-		LeaseTTL:         2 * time.Minute,
-		ReputationPrior:  0.75,
-		ReputationWeight: 4,
-		Clock:            WallClock{},
+		LeaseTTL: 2 * time.Minute,
+		Clock:    WallClock{},
 	}
 }
+
+// The prior that seeds every worker's reputation (see
+// quality.NewReputation): a worker with no gold probes yet counts as 75%
+// accurate, a prior worth four probe outcomes.
+const (
+	reputationPrior  = 0.75
+	reputationWeight = 4
+)
 
 // System is one running human-computation service instance.
 type System struct {
@@ -142,7 +143,7 @@ func New(cfg Config) *System {
 		cfg:   cfg,
 		store: st,
 		queue: queue.NewLocked(cfg.LeaseTTL, st, cfg.Journal),
-		rep:   quality.NewReputation(cfg.ReputationPrior, cfg.ReputationWeight),
+		rep:   quality.NewReputation(reputationPrior, reputationWeight),
 		clock: cfg.Clock,
 		gold:  make(map[task.ID]task.Answer),
 		gwap:  metrics.NewGWAP(),

@@ -23,9 +23,7 @@ func A3(o Options) Result {
 	fbCfg.Seed = o.Seed + 901
 	fb := vocab.NewFactBase(fbCfg)
 
-	cfg := games.DefaultVerbosityConfig()
-	cfg.Seed = o.Seed + 902
-	g := games.NewVerbosity(fb, cfg)
+	g := games.NewVerbosity(fb, o.Seed+902)
 
 	src := rng.New(o.Seed + 903)
 	narrator := worker.New("n", worker.Honest, worker.Profile{Accuracy: 0.85}, src)

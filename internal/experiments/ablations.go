@@ -45,17 +45,13 @@ func A1(o Options) Result {
 	res.AddRow("output agreement", "esp", d64(espRep.Outputs), f1(espRep.ThroughputPerHour), pct(espPrecision))
 
 	// Input agreement: TagATune.
-	ttCfg := games.DefaultTagATuneConfig()
-	ttCfg.Seed = o.Seed + 804
-	ttGame := games.NewTagATune(corpus, ttCfg)
+	ttGame := games.NewTagATune(corpus, o.Seed+804)
 	ttRep := runCrowd(o, popSize, ttGame, horizon, 830)
 	ttPrecision := annotationPrecision(corpus, ttGame)
 	res.AddRow("input agreement", "tagatune", d64(ttRep.Outputs), f1(ttRep.ThroughputPerHour), pct(ttPrecision))
 
 	// Inversion problem: Verbosity.
-	vbCfg := games.DefaultVerbosityConfig()
-	vbCfg.Seed = o.Seed + 805
-	vbGame := games.NewVerbosity(fb, vbCfg)
+	vbGame := games.NewVerbosity(fb, o.Seed+805)
 	vbRep := runCrowd(o, popSize, vbGame, horizon, 840)
 	vbPrecision := factPrecision(fb, vbGame)
 	res.AddRow("inversion problem", "verbosity", d64(vbRep.Outputs), f1(vbRep.ThroughputPerHour), pct(vbPrecision))

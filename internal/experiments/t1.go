@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"humancomp/internal/games"
-	"humancomp/internal/search"
 	"humancomp/internal/sim"
 	"humancomp/internal/vocab"
 	"humancomp/internal/worker"
@@ -72,43 +71,17 @@ func T1(o Options) Result {
 	espCfg.ReplaySeed = o.Seed + 40
 	espCfg.RetireAt = 0 // a day of play must not exhaust the corpus
 
-	pbCfg := games.DefaultPeekaboomConfig()
-	pbCfg.Seed = o.Seed + 31
-
-	vbCfg := games.DefaultVerbosityConfig()
-	vbCfg.Seed = o.Seed + 32
-
-	ttCfg := games.DefaultTagATuneConfig()
-	ttCfg.Seed = o.Seed + 33
-
-	mcCfg := games.DefaultMatchinConfig()
-	mcCfg.Seed = o.Seed + 34
-
-	sqCfg := games.DefaultSquiglConfig()
-	sqCfg.Seed = o.Seed + 35
-
-	// Phetch's seekers query an index built from the corpus ground truth —
-	// a stand-in for the ESP-label index the deployed ecosystem used.
-	phIndex := search.NewIndex()
-	for _, img := range corpus.Images {
-		for _, obj := range img.Objects {
-			phIndex.Add(img.ID, corpus.Lexicon.Canonical(obj.Tag), 2)
-		}
-	}
-	phCfg := games.DefaultPhetchConfig()
-	phCfg.Seed = o.Seed + 36
-
 	// Session engagement (log-normal mu, in log-minutes) is calibrated to
 	// the published ALP ordering: ESP was the stickiest game (~91 min
 	// lifetime play), Peekaboom close behind (~72), Verbosity brief (~23).
 	entries := []entry{
 		{"esp", 3.4, games.NewESP(espCorpus, espCfg)},
-		{"peekaboom", 3.2, games.NewPeekaboom(corpus, pbCfg)},
-		{"verbosity", 2.1, games.NewVerbosity(fb, vbCfg)},
-		{"tagatune", 2.7, games.NewTagATune(corpus, ttCfg)},
-		{"matchin", 2.5, games.NewMatchin(corpus, mcCfg)},
-		{"squigl", 2.4, games.NewSquigl(corpus, sqCfg)},
-		{"phetch", 2.6, games.NewPhetch(corpus, phIndex, phCfg)},
+		{"peekaboom", 3.2, games.NewPeekaboom(corpus, o.Seed+31)},
+		{"verbosity", 2.1, games.NewVerbosity(fb, o.Seed+32)},
+		{"tagatune", 2.7, games.NewTagATune(corpus, o.Seed+33)},
+		{"matchin", 2.5, games.NewMatchin(corpus, o.Seed+34)},
+		{"squigl", 2.4, games.NewSquigl(corpus, o.Seed+35)},
+		{"phetch", 2.6, games.NewPhetch(corpus, games.GroundTruthIndex(corpus), o.Seed+36)},
 	}
 
 	for i, e := range entries {

@@ -10,7 +10,8 @@ import (
 	"humancomp/internal/worker"
 )
 
-// ESPConfig parameterizes an ESP game.
+// ESPConfig holds the ESP rules the experiments vary; every round gives
+// each player agree.MaxGuesses guesses.
 type ESPConfig struct {
 	// Mode selects exact or synonym-aware matching. The original game used
 	// exact string matching; Canonical models later intelligent matching.
@@ -21,9 +22,7 @@ type ESPConfig struct {
 	// RetireAt is the number of taboo words at which an image is
 	// considered fully labeled; 0 disables retirement.
 	RetireAt int
-	// MaxGuesses bounds each player's guesses per round.
-	MaxGuesses int
-	Seed       uint64
+	Seed     uint64
 	// ReplaySeed seeds the replay store's reservoir sampling.
 	ReplaySeed uint64
 }
@@ -35,7 +34,6 @@ func DefaultESPConfig() ESPConfig {
 		Mode:         agree.Exact,
 		PromoteAfter: agree.DefaultPromoteAfter,
 		RetireAt:     agree.DefaultRetireAt,
-		MaxGuesses:   agree.DefaultMaxGuesses,
 		Seed:         1,
 	}
 }
@@ -79,9 +77,6 @@ type ESP struct {
 
 // NewESP returns a game over corpus with the given configuration.
 func NewESP(corpus *vocab.Corpus, cfg ESPConfig) *ESP {
-	if cfg.MaxGuesses < 1 {
-		panic("games: ESP MaxGuesses must be >= 1")
-	}
 	return &ESP{
 		Corpus: corpus,
 		Taboo:  agree.NewTabooTracker(corpus.Lexicon, cfg.PromoteAfter, cfg.RetireAt),
@@ -168,7 +163,7 @@ func (g *ESP) PlayRoundReplay(a Player, partner match.ReplaySession) ESPRound {
 // open starts a round on imageID under the image's current taboo list;
 // recorded is seat 1's transcript in a replay round.
 func (g *ESP) open(imageID int, recorded []int) (*agree.OutputRound, *vocab.Image) {
-	round := agree.NewOutputRound(g.Corpus.Lexicon, g.cfg.Mode, g.Taboo.TabooFor(imageID), g.cfg.MaxGuesses, recorded)
+	round := agree.NewOutputRound(g.Corpus.Lexicon, g.cfg.Mode, g.Taboo.TabooFor(imageID), recorded)
 	return round, g.Corpus.Image(imageID)
 }
 

@@ -253,13 +253,15 @@ func TestSpammerPairRarelyPollutes(t *testing.T) {
 	}
 }
 
+// TestESPConfigPanics: of the rules ESPConfig still carries, a word must
+// agree at least once before it turns taboo.
 func TestESPConfigPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("MaxGuesses 0 did not panic")
+			t.Fatal("PromoteAfter 0 did not panic")
 		}
 	}()
-	NewESP(espCorpus(t), ESPConfig{Mode: agree.Exact, PromoteAfter: 1, MaxGuesses: 0})
+	NewESP(espCorpus(t), ESPConfig{Mode: agree.Exact, PromoteAfter: 0})
 }
 
 func BenchmarkESPPlayRound(b *testing.B) {

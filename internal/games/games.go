@@ -108,10 +108,11 @@ func pickObject(src *rng.Source, c *vocab.Corpus) (imageID, word int) {
 // k and thinks, the guesser thinks and then either knows the secret —
 // with probability its accuracy times reveal(k, hint), the share of the
 // secret the hints so far give away — or makes a wild guess drawn from the
-// lexicon. The round ends when the guess hits the secret.
-func playInversion[H any](src *rng.Source, lex *vocab.Lexicon, mode agree.MatchMode, secret, maxHints, maxGuesses int,
+// lexicon. The round ends when the guess hits the secret or any of its
+// synonyms.
+func playInversion[H any](src *rng.Source, lex *vocab.Lexicon, secret, maxHints, maxGuesses int,
 	narrator, guesser *worker.Worker, hint func(k int) H, reveal func(k int, h H) float64) (*agree.InversionRound[H], time.Duration) {
-	round := agree.NewInversionRound[H](lex, mode, secret)
+	round := agree.NewInversionRound[H](lex, agree.Canonical, secret)
 	var elapsed time.Duration
 	for k := 0; k < min(maxHints, maxGuesses); k++ {
 		h := hint(k)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"humancomp/internal/rng"
-	"humancomp/internal/search"
 	"humancomp/internal/sim"
 	"humancomp/internal/vocab"
 	"humancomp/internal/worker"
@@ -75,12 +74,7 @@ func TestPlayIsPickThenPlayRound(t *testing.T) {
 		Seed:        2,
 	})
 	fb := vocab.NewFactBase(vocab.FactBaseConfig{Lexicon: vocab.LexiconConfig{Size: 300, ZipfS: 1, SynonymRate: 0.2, Seed: 1}, FactsPerWord: 5, Seed: 2})
-	ix := search.NewIndex()
-	for _, img := range c.Images {
-		for _, obj := range img.Objects {
-			ix.Add(img.ID, c.Lexicon.Canonical(obj.Tag), 2)
-		}
-	}
+	ix := GroundTruthIndex(c)
 	type round func(a, b *worker.Worker) (int, time.Duration)
 	for _, tc := range []struct {
 		name string
@@ -97,7 +91,7 @@ func TestPlayIsPickThenPlayRound(t *testing.T) {
 			}
 		}},
 		{"peekaboom", func() (sim.PairGame, round) {
-			g := NewPeekaboom(c, DefaultPeekaboomConfig())
+			g := NewPeekaboom(c, 1)
 			return g, func(a, b *worker.Worker) (int, time.Duration) {
 				img, word := pickObject(g.src, g.Corpus)
 				r := g.PlayRound(a, b, img, word)
@@ -105,14 +99,14 @@ func TestPlayIsPickThenPlayRound(t *testing.T) {
 			}
 		}},
 		{"verbosity", func() (sim.PairGame, round) {
-			g := NewVerbosity(fb, DefaultVerbosityConfig())
+			g := NewVerbosity(fb, 1)
 			return g, func(a, b *worker.Worker) (int, time.Duration) {
 				r := g.PlayRound(a, b, g.pickConcept())
 				return len(r.Hints) * oneIf(r.Solved), r.Duration
 			}
 		}},
 		{"tagatune", func() (sim.PairGame, round) {
-			g := NewTagATune(c, DefaultTagATuneConfig())
+			g := NewTagATune(c, 1)
 			return g, func(a, b *worker.Worker) (int, time.Duration) {
 				x, y, _ := g.pickPair()
 				r := g.PlayRound(a, b, x, y)
@@ -120,7 +114,7 @@ func TestPlayIsPickThenPlayRound(t *testing.T) {
 			}
 		}},
 		{"matchin", func() (sim.PairGame, round) {
-			g := NewMatchin(c, DefaultMatchinConfig())
+			g := NewMatchin(c, 1)
 			return g, func(a, b *worker.Worker) (int, time.Duration) {
 				x, y := g.pickPair()
 				r := g.PlayRound(a, b, x, y)
@@ -128,7 +122,7 @@ func TestPlayIsPickThenPlayRound(t *testing.T) {
 			}
 		}},
 		{"squigl", func() (sim.PairGame, round) {
-			g := NewSquigl(c, DefaultSquiglConfig())
+			g := NewSquigl(c, 1)
 			return g, func(a, b *worker.Worker) (int, time.Duration) {
 				img, word := pickObject(g.src, g.Corpus)
 				r := g.PlayRound(a, b, img, word)
@@ -136,7 +130,7 @@ func TestPlayIsPickThenPlayRound(t *testing.T) {
 			}
 		}},
 		{"phetch", func() (sim.PairGame, round) {
-			g := NewPhetch(c, ix, DefaultPhetchConfig())
+			g := NewPhetch(c, ix, 1)
 			return g, func(a, b *worker.Worker) (int, time.Duration) {
 				r := g.PlayRound(a, []*worker.Worker{b}, g.PickImage())
 				return oneIf(r.Solved), r.Duration

@@ -9,19 +9,13 @@ import (
 	"humancomp/internal/worker"
 )
 
-// MatchinConfig parameterizes a Matchin game.
-type MatchinConfig struct {
-	// K is the Elo update step.
-	K float64
-	// InitialRating is every image's starting Elo score.
-	InitialRating float64
-	Seed          uint64
-}
-
-// DefaultMatchinConfig uses chess-style Elo parameters.
-func DefaultMatchinConfig() MatchinConfig {
-	return MatchinConfig{K: 24, InitialRating: 1500, Seed: 1}
-}
+// Matchin ranks images with chess-style Elo parameters.
+const (
+	// eloK is the Elo update step.
+	eloK = 24
+	// eloInitial is every image's starting Elo score.
+	eloInitial = 1500
+)
 
 // MatchinRound summarizes one Matchin round.
 type MatchinRound struct {
@@ -39,20 +33,16 @@ type MatchinRound struct {
 type Matchin struct {
 	Corpus  *vocab.Corpus
 	Ranking *Elo
-	cfg     MatchinConfig
 	src     *rng.Source
 }
 
-// NewMatchin returns a game over corpus with the given configuration.
-func NewMatchin(corpus *vocab.Corpus, cfg MatchinConfig) *Matchin {
-	if cfg.K <= 0 {
-		panic("games: Matchin Elo K must be positive")
-	}
+// NewMatchin returns a game over corpus whose random draws are seeded with
+// seed.
+func NewMatchin(corpus *vocab.Corpus, seed uint64) *Matchin {
 	return &Matchin{
 		Corpus:  corpus,
-		Ranking: NewElo(cfg.K, cfg.InitialRating),
-		cfg:     cfg,
-		src:     rng.New(cfg.Seed),
+		Ranking: NewElo(),
+		src:     rng.New(seed),
 	}
 }
 
@@ -103,15 +93,13 @@ func (g *Matchin) PlayRound(pa, pb *worker.Worker, imgA, imgB int) MatchinRound 
 
 // Elo is a standard Elo rating table over image IDs.
 type Elo struct {
-	k       float64
-	initial float64
 	ratings map[int]float64
 	games   map[int]int
 }
 
-// NewElo returns an empty table with update step k.
-func NewElo(k, initial float64) *Elo {
-	return &Elo{k: k, initial: initial, ratings: make(map[int]float64), games: make(map[int]int)}
+// NewElo returns an empty table.
+func NewElo() *Elo {
+	return &Elo{ratings: make(map[int]float64), games: make(map[int]int)}
 }
 
 // Rating returns id's current rating.
@@ -119,15 +107,15 @@ func (e *Elo) Rating(id int) float64 {
 	if r, ok := e.ratings[id]; ok {
 		return r
 	}
-	return e.initial
+	return eloInitial
 }
 
 // Update records that winner beat loser.
 func (e *Elo) Update(winner, loser int) {
 	rw, rl := e.Rating(winner), e.Rating(loser)
 	expected := 1 / (1 + math.Pow(10, (rl-rw)/400))
-	e.ratings[winner] = rw + e.k*(1-expected)
-	e.ratings[loser] = rl - e.k*(1-expected)
+	e.ratings[winner] = rw + eloK*(1-expected)
+	e.ratings[loser] = rl - eloK*(1-expected)
 	e.games[winner]++
 	e.games[loser]++
 }

@@ -24,7 +24,7 @@ func matchinCorpus(tb testing.TB) *vocab.Corpus {
 }
 
 func TestPickPairDistinct(t *testing.T) {
-	g := NewMatchin(matchinCorpus(t), DefaultMatchinConfig())
+	g := NewMatchin(matchinCorpus(t), 1)
 	for i := 0; i < 200; i++ {
 		a, b := g.pickPair()
 		if a == b {
@@ -35,7 +35,7 @@ func TestPickPairDistinct(t *testing.T) {
 
 func TestEloLearnsAestheticOrder(t *testing.T) {
 	c := matchinCorpus(t)
-	g := NewMatchin(c, DefaultMatchinConfig())
+	g := NewMatchin(c, 1)
 	pa, pb := players(t, 3, 0.9)
 	for i := 0; i < 8000; i++ {
 		a, b := g.pickPair()
@@ -62,7 +62,7 @@ func TestEloLearnsAestheticOrder(t *testing.T) {
 
 func TestAgreementRequiresSameChoice(t *testing.T) {
 	c := matchinCorpus(t)
-	g := NewMatchin(c, DefaultMatchinConfig())
+	g := NewMatchin(c, 1)
 	pa, pb := players(t, 4, 0.9)
 	agreed, rounds := 0, 500
 	for i := 0; i < rounds; i++ {
@@ -81,7 +81,7 @@ func TestAgreementRequiresSameChoice(t *testing.T) {
 }
 
 func TestEloUpdateZeroSum(t *testing.T) {
-	e := NewElo(24, 1500)
+	e := NewElo()
 	e.Update(1, 2)
 	sum := e.Rating(1) + e.Rating(2)
 	if math.Abs(sum-3000) > 1e-9 {
@@ -96,7 +96,7 @@ func TestEloUpdateZeroSum(t *testing.T) {
 }
 
 func TestEloUpsetMovesMore(t *testing.T) {
-	e := NewElo(24, 1500)
+	e := NewElo()
 	// Build a favorite.
 	for i := 0; i < 20; i++ {
 		e.Update(1, 2)
@@ -106,7 +106,7 @@ func TestEloUpsetMovesMore(t *testing.T) {
 	// Expected win barely moves ratings; upset moves them a lot.
 	e.Update(1, 2)
 	expectedGain := e.Rating(1) - strong
-	e2 := NewElo(24, 1500)
+	e2 := NewElo()
 	for i := 0; i < 20; i++ {
 		e2.Update(1, 2)
 	}
@@ -118,7 +118,7 @@ func TestEloUpsetMovesMore(t *testing.T) {
 }
 
 func TestKendallTauBounds(t *testing.T) {
-	e := NewElo(24, 1500)
+	e := NewElo()
 	// Perfectly ordered tournament: higher ID always wins.
 	for a := 0; a < 10; a++ {
 		for b := 0; b < a; b++ {
@@ -135,14 +135,14 @@ func TestKendallTauBounds(t *testing.T) {
 	if antiTau > -0.9 {
 		t.Errorf("anti-tau = %.2f", antiTau)
 	}
-	empty := NewElo(24, 1500)
+	empty := NewElo()
 	if empty.KendallTau(func(int) float64 { return 0 }, 1) != 0 {
 		t.Error("empty table tau should be 0")
 	}
 }
 
 func TestTopOrdering(t *testing.T) {
-	e := NewElo(24, 1500)
+	e := NewElo()
 	e.Update(5, 3)
 	e.Update(5, 3)
 	e.Update(3, 1)
@@ -155,18 +155,9 @@ func TestTopOrdering(t *testing.T) {
 	}
 }
 
-func TestMatchinConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("K=0 did not panic")
-		}
-	}()
-	NewMatchin(matchinCorpus(t), MatchinConfig{K: 0, InitialRating: 1500})
-}
-
 func BenchmarkMatchinPlayRound(b *testing.B) {
 	c := matchinCorpus(b)
-	g := NewMatchin(c, DefaultMatchinConfig())
+	g := NewMatchin(c, 1)
 	pa, pb := players(b, 5, 0.9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -179,7 +170,7 @@ func BenchmarkMatchinPlayRound(b *testing.B) {
 func TestEloZeroSumProperty(t *testing.T) {
 	src := rng.New(9)
 	f := func(gamesRaw []uint8) bool {
-		e := NewElo(24, 1500)
+		e := NewElo()
 		ids := map[int]bool{}
 		for _, g := range gamesRaw {
 			a := int(g % 7)

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"humancomp/internal/agree"
 	"humancomp/internal/rng"
 	"humancomp/internal/vocab"
 	"humancomp/internal/worker"
@@ -16,35 +15,20 @@ type Ping struct {
 	X, Y int
 }
 
-// PeekaboomConfig parameterizes a Peekaboom game.
-type PeekaboomConfig struct {
-	Mode agree.MatchMode
-	// MaxPings bounds Boom's reveals per round.
-	MaxPings int
-	// MaxGuesses bounds Peek's guesses per round.
-	MaxGuesses int
-	// MinPingsForBox is how many accumulated pings an object needs before
+// Peekaboom's rules, as deployed: a handful of reveals, guesses to match,
+// boxes fit from at least a dozen pings with 10% tails trimmed.
+const (
+	// peekaboomMaxPings bounds Boom's reveals per round.
+	peekaboomMaxPings = 8
+	// peekaboomMaxGuesses bounds Peek's guesses per round.
+	peekaboomMaxGuesses = 6
+	// minPingsForBox is how many accumulated pings an object needs before
 	// BoxStore will emit a bounding box for it.
-	MinPingsForBox int
-	// TrimFraction is the fraction trimmed from each coordinate tail when
+	minPingsForBox = 12
+	// boxTrim is the fraction trimmed from each coordinate tail when
 	// fitting the box — the robustness knob that rejects stray clicks.
-	TrimFraction float64
-	Seed         uint64
-}
-
-// DefaultPeekaboomConfig mirrors deployed play: a handful of reveals,
-// guesses to match, boxes fit from at least a dozen pings with 10% tails
-// trimmed.
-func DefaultPeekaboomConfig() PeekaboomConfig {
-	return PeekaboomConfig{
-		Mode:           agree.Canonical,
-		MaxPings:       8,
-		MaxGuesses:     6,
-		MinPingsForBox: 12,
-		TrimFraction:   0.1,
-		Seed:           1,
-	}
-}
+	boxTrim = 0.1
+)
 
 // PeekaboomRound summarizes one Boom/Peek round.
 type PeekaboomRound struct {
@@ -65,23 +49,16 @@ type PeekaboomRound struct {
 type Peekaboom struct {
 	Corpus *vocab.Corpus
 	Boxes  *BoxStore
-	cfg    PeekaboomConfig
 	src    *rng.Source
 }
 
-// NewPeekaboom returns a game over corpus with the given configuration.
-func NewPeekaboom(corpus *vocab.Corpus, cfg PeekaboomConfig) *Peekaboom {
-	if cfg.MaxPings < 1 || cfg.MaxGuesses < 1 {
-		panic("games: Peekaboom MaxPings and MaxGuesses must be >= 1")
-	}
-	if cfg.TrimFraction < 0 || cfg.TrimFraction >= 0.5 {
-		panic("games: Peekaboom TrimFraction must be in [0, 0.5)")
-	}
+// NewPeekaboom returns a game over corpus whose random draws are seeded
+// with seed.
+func NewPeekaboom(corpus *vocab.Corpus, seed uint64) *Peekaboom {
 	return &Peekaboom{
 		Corpus: corpus,
-		Boxes:  NewBoxStore(cfg.MinPingsForBox, cfg.TrimFraction),
-		cfg:    cfg,
-		src:    rng.New(cfg.Seed),
+		Boxes:  NewBoxStore(),
+		src:    rng.New(seed),
 	}
 }
 
@@ -96,7 +73,7 @@ func (g *Peekaboom) Play(boom, peek *worker.Worker) (int, time.Duration) {
 // PlayRound runs one round: boom reveals, peek guesses. Pings from solved
 // rounds are recorded into the box store.
 func (g *Peekaboom) PlayRound(boom, peek *worker.Worker, imageID, word int) PeekaboomRound {
-	round, elapsed := playInversion(g.src, g.Corpus.Lexicon, g.cfg.Mode, word, g.cfg.MaxPings, g.cfg.MaxGuesses, boom, peek,
+	round, elapsed := playInversion(g.src, g.Corpus.Lexicon, word, peekaboomMaxPings, peekaboomMaxGuesses, boom, peek,
 		func(int) Ping {
 			x, y := boom.Ping(g.Corpus, imageID, word)
 			return Ping{X: x, Y: y}
@@ -120,15 +97,12 @@ func (g *Peekaboom) PlayRound(boom, peek *worker.Worker, imageID, word int) Peek
 // BoxStore accumulates validated pings per (image, word) and fits robust
 // bounding boxes from them.
 type BoxStore struct {
-	minPings int
-	trim     float64
-	pings    map[objectKey][]Ping
+	pings map[objectKey][]Ping
 }
 
-// NewBoxStore returns an empty store requiring minPings pings per box and
-// trimming trim from each coordinate tail.
-func NewBoxStore(minPings int, trim float64) *BoxStore {
-	return &BoxStore{minPings: minPings, trim: trim, pings: make(map[objectKey][]Ping)}
+// NewBoxStore returns an empty store.
+func NewBoxStore() *BoxStore {
+	return &BoxStore{pings: make(map[objectKey][]Ping)}
 }
 
 // Record appends validated pings for the object named word in image.
@@ -137,14 +111,11 @@ func (s *BoxStore) Record(image, word int, pings []Ping) {
 	s.pings[k] = append(s.pings[k], pings...)
 }
 
-// Pings returns how many validated pings the object has accumulated.
-func (s *BoxStore) Pings(image, word int) int { return len(s.pings[objectKey{image, word}]) }
-
 // Box fits the trimmed bounding box of the accumulated pings. ok is false
-// until MinPingsForBox pings have been gathered.
+// until minPingsForBox pings have been gathered.
 func (s *BoxStore) Box(image, word int) (vocab.Rect, bool) {
 	ps := s.pings[objectKey{image, word}]
-	if len(ps) < s.minPings {
+	if len(ps) < minPingsForBox {
 		return vocab.Rect{}, false
 	}
 	xs := make([]int, len(ps))
@@ -154,17 +125,17 @@ func (s *BoxStore) Box(image, word int) (vocab.Rect, bool) {
 	}
 	sort.Ints(xs)
 	sort.Ints(ys)
-	lo := int(float64(len(ps)) * s.trim)
+	// A variable, so the scale below is float64 arithmetic, not a
+	// constant expression folded exactly.
+	trim := float64(boxTrim)
+	lo := int(float64(len(ps)) * trim)
 	hi := len(ps) - 1 - lo
 	// The [trim, 1-trim] quantile range of uniformly distributed clicks
 	// covers only (1-2·trim) of the object's extent; inflate the fitted
 	// box around its center to undo that shrinkage (an unbiased width
 	// estimate for in-box clicks, which stray clicks barely perturb after
 	// trimming).
-	scale := 1.0
-	if s.trim > 0 && s.trim < 0.5 {
-		scale = 1 / (1 - 2*s.trim)
-	}
+	scale := 1 / (1 - 2*trim)
 	w := float64(xs[hi]-xs[lo]+1) * scale
 	h := float64(ys[hi]-ys[lo]+1) * scale
 	cx := float64(xs[hi]+xs[lo]+1) / 2

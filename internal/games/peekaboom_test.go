@@ -20,7 +20,7 @@ func peekaboomCorpus(tb testing.TB) *vocab.Corpus {
 
 func TestRoundsSolveAndRecordPings(t *testing.T) {
 	c := peekaboomCorpus(t)
-	g := NewPeekaboom(c, DefaultPeekaboomConfig())
+	g := NewPeekaboom(c, 1)
 	boom, peek := players(t, 3, 0.9)
 	solved := 0
 	const rounds = 300
@@ -32,7 +32,7 @@ func TestRoundsSolveAndRecordPings(t *testing.T) {
 			if len(res.Pings) == 0 {
 				t.Fatal("solved round with no pings")
 			}
-			if g.Boxes.Pings(imgID, word) == 0 {
+			if len(g.Boxes.pings[objectKey{imgID, word}]) == 0 {
 				t.Fatal("solved round did not record pings")
 			}
 		}
@@ -47,7 +47,7 @@ func TestRoundsSolveAndRecordPings(t *testing.T) {
 
 func TestAggregatedBoxOverlapsTruth(t *testing.T) {
 	c := peekaboomCorpus(t)
-	g := NewPeekaboom(c, DefaultPeekaboomConfig())
+	g := NewPeekaboom(c, 1)
 	boom, peek := players(t, 4, 0.95)
 
 	// Hammer one object until it has enough pings for a box.
@@ -55,13 +55,13 @@ func TestAggregatedBoxOverlapsTruth(t *testing.T) {
 	word := c.Image(imgID).Objects[0].Tag
 	for i := 0; i < 200; i++ {
 		g.PlayRound(boom, peek, imgID, word)
-		if g.Boxes.Pings(imgID, word) >= DefaultPeekaboomConfig().MinPingsForBox {
+		if len(g.Boxes.pings[objectKey{imgID, word}]) >= minPingsForBox {
 			break
 		}
 	}
 	box, ok := g.Boxes.Box(imgID, word)
 	if !ok {
-		t.Fatalf("no box after %d pings", g.Boxes.Pings(imgID, word))
+		t.Fatalf("no box after %d pings", len(g.Boxes.pings[objectKey{imgID, word}]))
 	}
 	truth, _ := c.TrueBox(imgID, word)
 	if iou := box.IoU(truth); iou < 0.3 {
@@ -70,14 +70,16 @@ func TestAggregatedBoxOverlapsTruth(t *testing.T) {
 }
 
 func TestBoxRequiresMinPings(t *testing.T) {
-	s := NewBoxStore(5, 0.1)
-	s.Record(1, 2, []Ping{{10, 10}, {11, 11}})
-	if _, ok := s.Box(1, 2); ok {
-		t.Fatal("box emitted below MinPings")
+	s := NewBoxStore()
+	for i := 0; i < minPingsForBox-1; i++ {
+		s.Record(1, 2, []Ping{{10 + i, 10 + i}})
 	}
-	s.Record(1, 2, []Ping{{12, 12}, {13, 13}, {14, 14}})
+	if _, ok := s.Box(1, 2); ok {
+		t.Fatal("box emitted below minPingsForBox")
+	}
+	s.Record(1, 2, []Ping{{30, 30}})
 	if _, ok := s.Box(1, 2); !ok {
-		t.Fatal("box not emitted at MinPings")
+		t.Fatal("box not emitted at minPingsForBox")
 	}
 	if len(s.pings) != 1 {
 		t.Fatalf("objects = %d", len(s.pings))
@@ -85,7 +87,7 @@ func TestBoxRequiresMinPings(t *testing.T) {
 }
 
 func TestTrimRejectsOutliers(t *testing.T) {
-	s := NewBoxStore(10, 0.1)
+	s := NewBoxStore()
 	pings := make([]Ping, 0, 20)
 	for i := 0; i < 18; i++ {
 		pings = append(pings, Ping{X: 100 + i, Y: 200 + i})
@@ -101,19 +103,20 @@ func TestTrimRejectsOutliers(t *testing.T) {
 		t.Errorf("outliers leaked into box: %+v", box)
 	}
 
-	// An untrimmed store must include them — confirming the ablation knob.
-	raw := NewBoxStore(10, 0)
-	raw.Record(1, 1, pings)
-	rawBox, _ := raw.Box(1, 1)
-	if rawBox.W <= box.W {
-		t.Errorf("untrimmed box %+v not wider than trimmed %+v", rawBox, box)
+	// The pings' own extent includes them: the trim is what kept them out.
+	minX, maxX := pings[0].X, pings[0].X
+	for _, p := range pings {
+		minX, maxX = min(minX, p.X), max(maxX, p.X)
+	}
+	if maxX-minX+1 <= box.W {
+		t.Errorf("ping extent [%d, %d] not wider than trimmed %+v", minX, maxX, box)
 	}
 }
 
 func TestUnskilledPeekSolvesLess(t *testing.T) {
 	c := peekaboomCorpus(t)
 	solveRate := func(acc float64) float64 {
-		g := NewPeekaboom(c, DefaultPeekaboomConfig())
+		g := NewPeekaboom(c, 1)
 		boom, peek := players(t, 5, acc)
 		solved := 0
 		const rounds = 300
@@ -131,26 +134,9 @@ func TestUnskilledPeekSolvesLess(t *testing.T) {
 	}
 }
 
-func TestPeekaboomConfigPanics(t *testing.T) {
-	for name, cfg := range map[string]PeekaboomConfig{
-		"pings 0":  {MaxPings: 0, MaxGuesses: 3},
-		"guess 0":  {MaxPings: 3, MaxGuesses: 0},
-		"trim 0.5": {MaxPings: 3, MaxGuesses: 3, TrimFraction: 0.5},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			NewPeekaboom(peekaboomCorpus(t), cfg)
-		}()
-	}
-}
-
 func BenchmarkPeekaboomPlayRound(b *testing.B) {
 	c := peekaboomCorpus(b)
-	g := NewPeekaboom(c, DefaultPeekaboomConfig())
+	g := NewPeekaboom(c, 1)
 	boom, peek := players(b, 6, 0.9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

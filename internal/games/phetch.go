@@ -9,22 +9,16 @@ import (
 	"humancomp/internal/worker"
 )
 
-// PhetchConfig parameterizes a Phetch game.
-type PhetchConfig struct {
-	// MaxCaptionWords bounds the describer's caption length.
-	MaxCaptionWords int
-	// TopK is how many search results a seeker inspects.
-	TopK int
-	// MaxSeekerClicks bounds each seeker's guesses per round.
-	MaxSeekerClicks int
-	Seed            uint64
-}
-
-// DefaultPhetchConfig mirrors deployed play: six-word captions, first page
-// of results, two clicks per seeker.
-func DefaultPhetchConfig() PhetchConfig {
-	return PhetchConfig{MaxCaptionWords: 6, TopK: 8, MaxSeekerClicks: 2, Seed: 1}
-}
+// Phetch's rules, as deployed: six-word captions, the first page of
+// results, two clicks per seeker.
+const (
+	// maxCaptionWords bounds the describer's caption length.
+	maxCaptionWords = 6
+	// phetchTopK is how many search results a seeker inspects.
+	phetchTopK = 8
+	// maxSeekerClicks bounds each seeker's guesses per round.
+	maxSeekerClicks = 2
+)
 
 // PhetchRound summarizes one caption round.
 type PhetchRound struct {
@@ -47,23 +41,32 @@ type Phetch struct {
 	Corpus   *vocab.Corpus
 	Index    *search.Index
 	Captions *CaptionStore
-	cfg      PhetchConfig
 	src      *rng.Source
 }
 
-// NewPhetch returns a game whose seekers query ix. The index is typically
-// built from ESP labels (see the image-search example).
-func NewPhetch(corpus *vocab.Corpus, ix *search.Index, cfg PhetchConfig) *Phetch {
-	if cfg.MaxCaptionWords < 1 || cfg.TopK < 1 || cfg.MaxSeekerClicks < 1 {
-		panic("games: Phetch caption words, TopK and clicks must all be >= 1")
-	}
+// NewPhetch returns a game whose seekers query ix and whose random draws
+// are seeded with seed. The index is typically built from ESP labels (see
+// the image-search example).
+func NewPhetch(corpus *vocab.Corpus, ix *search.Index, seed uint64) *Phetch {
 	return &Phetch{
 		Corpus:   corpus,
 		Index:    ix,
 		Captions: NewCaptionStore(),
-		cfg:      cfg,
-		src:      rng.New(cfg.Seed),
+		src:      rng.New(seed),
 	}
+}
+
+// GroundTruthIndex returns a search index over corpus's true object tags,
+// each canonicalised and added at weight 2: a stand-in for the ESP-label
+// index the deployed ecosystem gave Phetch's seekers.
+func GroundTruthIndex(corpus *vocab.Corpus) *search.Index {
+	ix := search.NewIndex()
+	for _, img := range corpus.Images {
+		for _, obj := range img.Objects {
+			ix.Add(img.ID, corpus.Lexicon.Canonical(obj.Tag), 2)
+		}
+	}
+	return ix
 }
 
 // PickImage returns a random image ID.
@@ -85,7 +88,7 @@ func (g *Phetch) PlayRound(describer *worker.Worker, seekers []*worker.Worker, i
 
 	// Caption: the describer's own description of the image.
 	said := map[int]bool{}
-	for len(res.Caption) < g.cfg.MaxCaptionWords {
+	for len(res.Caption) < maxCaptionWords {
 		res.Duration += describer.ThinkTime()
 		tag := describer.GuessTag(g.Corpus.Lexicon, img, nil, said)
 		if tag < 0 {
@@ -99,9 +102,9 @@ func (g *Phetch) PlayRound(describer *worker.Worker, seekers []*worker.Worker, i
 	}
 	res.Rank = g.Index.Rank(res.Caption, imageID)
 
-	hits := g.Index.Search(res.Caption, g.cfg.TopK)
+	hits := g.Index.Search(res.Caption, phetchTopK)
 	for _, seeker := range seekers {
-		for click := 0; click < g.cfg.MaxSeekerClicks; click++ {
+		for click := 0; click < maxSeekerClicks; click++ {
 			res.Duration += seeker.ThinkTime()
 			pick, ok := g.seekerPick(seeker, hits, imageID)
 			if !ok {

@@ -8,21 +8,9 @@ import (
 	"humancomp/internal/worker"
 )
 
-// SquiglConfig parameterizes a Squigl game.
-type SquiglConfig struct {
-	// AgreeIoU is the overlap two traces need to count as agreement.
-	AgreeIoU float64
-	// MinTracesForOutline is how many agreed traces an object needs
-	// before the store emits a final outline.
-	MinTracesForOutline int
-	Seed                uint64
-}
-
-// DefaultSquiglConfig mirrors deployed play: substantial but not
-// pixel-perfect overlap (0.5), three agreed traces per outline.
-func DefaultSquiglConfig() SquiglConfig {
-	return SquiglConfig{AgreeIoU: 0.5, MinTracesForOutline: 3, Seed: 1}
-}
+// agreeIoU is the overlap two traces need to count as agreement: as
+// deployed, substantial but not pixel-perfect.
+const agreeIoU = 0.5
 
 // SquiglRound summarizes one trace round.
 type SquiglRound struct {
@@ -42,23 +30,16 @@ type SquiglRound struct {
 type Squigl struct {
 	Corpus *vocab.Corpus
 	Traces *TraceStore
-	cfg    SquiglConfig
 	src    *rng.Source
 }
 
-// NewSquigl returns a game over corpus with the given configuration.
-func NewSquigl(corpus *vocab.Corpus, cfg SquiglConfig) *Squigl {
-	if cfg.AgreeIoU <= 0 || cfg.AgreeIoU > 1 {
-		panic("games: Squigl AgreeIoU must be in (0, 1]")
-	}
-	if cfg.MinTracesForOutline < 1 {
-		panic("games: Squigl MinTracesForOutline must be >= 1")
-	}
+// NewSquigl returns a game over corpus whose random draws are seeded with
+// seed.
+func NewSquigl(corpus *vocab.Corpus, seed uint64) *Squigl {
 	return &Squigl{
 		Corpus: corpus,
-		Traces: NewTraceStore(cfg.MinTracesForOutline),
-		cfg:    cfg,
-		src:    rng.New(cfg.Seed),
+		Traces: NewTraceStore(),
+		src:    rng.New(seed),
 	}
 }
 
@@ -70,7 +51,7 @@ func (g *Squigl) Play(a, b *worker.Worker) (int, time.Duration) {
 }
 
 // PlayRound has both players trace the object; if the traces overlap at
-// AgreeIoU or better, their intersection-leaning consensus is recorded.
+// agreeIoU or better, their intersection-leaning consensus is recorded.
 func (g *Squigl) PlayRound(a, b *worker.Worker, imageID, word int) SquiglRound {
 	ta := a.TraceBox(g.Corpus, imageID, word)
 	tb := b.TraceBox(g.Corpus, imageID, word)
@@ -80,7 +61,7 @@ func (g *Squigl) PlayRound(a, b *worker.Worker, imageID, word int) SquiglRound {
 		IoU:      ta.IoU(tb),
 		Duration: a.ThinkTime() + b.ThinkTime(),
 	}
-	if res.IoU < g.cfg.AgreeIoU {
+	if res.IoU < agreeIoU {
 		return res
 	}
 	res.Agreed = true
@@ -103,13 +84,12 @@ func consensus(a, b vocab.Rect) vocab.Rect {
 // outline as the median of the trace corners — robust to the occasional
 // agreed-but-sloppy pair.
 type TraceStore struct {
-	minTraces int
-	traces    map[objectKey][]vocab.Rect
+	traces map[objectKey][]vocab.Rect
 }
 
-// NewTraceStore returns an empty store requiring minTraces per outline.
-func NewTraceStore(minTraces int) *TraceStore {
-	return &TraceStore{minTraces: minTraces, traces: make(map[objectKey][]vocab.Rect)}
+// NewTraceStore returns an empty store.
+func NewTraceStore() *TraceStore {
+	return &TraceStore{traces: make(map[objectKey][]vocab.Rect)}
 }
 
 // Record appends one agreed trace.

@@ -22,7 +22,7 @@ func squiglCorpus(tb testing.TB) *vocab.Corpus {
 
 func TestHonestPairsAgreeOften(t *testing.T) {
 	c := squiglCorpus(t)
-	g := NewSquigl(c, DefaultSquiglConfig())
+	g := NewSquigl(c, 1)
 	a, b := players(t, 3, 0.92)
 	agreed, rounds := 0, 400
 	for i := 0; i < rounds; i++ {
@@ -45,11 +45,11 @@ func TestHonestPairsAgreeOften(t *testing.T) {
 
 func TestOutlineMatchesTruth(t *testing.T) {
 	c := squiglCorpus(t)
-	g := NewSquigl(c, DefaultSquiglConfig())
+	g := NewSquigl(c, 1)
 	a, b := players(t, 4, 0.95)
 	img := 0
 	word := c.Image(img).Objects[0].Tag
-	for i := 0; i < 60 && len(g.Traces.traces[objectKey{img, word}]) < DefaultSquiglConfig().MinTracesForOutline; i++ {
+	for i := 0; i < 60 && len(g.Traces.traces[objectKey{img, word}]) < minTracesForOutline; i++ {
 		g.PlayRound(a, b, img, word)
 	}
 	outline, ok := g.Traces.Outline(img, word)
@@ -66,7 +66,7 @@ func TestSquiglTighterThanSinglePair(t *testing.T) {
 	// The median over several agreed traces must not be worse than an
 	// average single trace — the whole point of aggregation.
 	c := squiglCorpus(t)
-	g := NewSquigl(c, DefaultSquiglConfig())
+	g := NewSquigl(c, 1)
 	a, b := players(t, 5, 0.85)
 	var singleIoU float64
 	singles := 0
@@ -107,7 +107,7 @@ func TestSquiglTighterThanSinglePair(t *testing.T) {
 
 func TestCheatersRarelyAgree(t *testing.T) {
 	c := squiglCorpus(t)
-	g := NewSquigl(c, DefaultSquiglConfig())
+	g := NewSquigl(c, 1)
 	src := rng.New(6)
 	s1 := worker.New("s1", worker.Spammer, worker.Profile{}, src)
 	s2 := worker.New("s2", worker.Spammer, worker.Profile{}, src)
@@ -125,7 +125,7 @@ func TestCheatersRarelyAgree(t *testing.T) {
 }
 
 func TestOutlineRequiresMinTraces(t *testing.T) {
-	s := NewTraceStore(3)
+	s := NewTraceStore()
 	s.Record(1, 2, vocab.Rect{X: 0, Y: 0, W: 10, H: 10})
 	s.Record(1, 2, vocab.Rect{X: 1, Y: 1, W: 10, H: 10})
 	if _, ok := s.Outline(1, 2); ok {
@@ -144,27 +144,9 @@ func TestOutlineRequiresMinTraces(t *testing.T) {
 	}
 }
 
-func TestSquiglConfigPanics(t *testing.T) {
-	c := squiglCorpus(t)
-	for name, cfg := range map[string]SquiglConfig{
-		"iou 0":    {AgreeIoU: 0, MinTracesForOutline: 1},
-		"iou 2":    {AgreeIoU: 2, MinTracesForOutline: 1},
-		"traces 0": {AgreeIoU: 0.5, MinTracesForOutline: 0},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			NewSquigl(c, cfg)
-		}()
-	}
-}
-
 func BenchmarkSquiglPlayRound(b *testing.B) {
 	c := squiglCorpus(b)
-	g := NewSquigl(c, DefaultSquiglConfig())
+	g := NewSquigl(c, 1)
 	wa, wb := players(b, 7, 0.9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -173,11 +155,15 @@ func BenchmarkSquiglPlayRound(b *testing.B) {
 	}
 }
 
-// Outline returns the median-corner outline, or ok == false below the
-// trace minimum.
+// minTracesForOutline is how many agreed traces an object needs before
+// Outline emits a final outline: three, as deployed.
+const minTracesForOutline = 3
+
+// Outline returns the median-corner outline, or ok == false below
+// minTracesForOutline traces.
 func (s *TraceStore) Outline(image, word int) (vocab.Rect, bool) {
 	list := s.traces[objectKey{image, word}]
-	if len(list) < s.minTraces {
+	if len(list) < minTracesForOutline {
 		return vocab.Rect{}, false
 	}
 	n := len(list)

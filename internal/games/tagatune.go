@@ -9,20 +9,14 @@ import (
 	"humancomp/internal/worker"
 )
 
-// TagATuneConfig parameterizes a TagATune game.
-type TagATuneConfig struct {
-	// SameProb is the probability a round presents identical inputs.
-	SameProb float64
-	// MaxTags bounds each player's descriptions per round.
-	MaxTags int
-	Seed    uint64
-}
-
-// DefaultTagATuneConfig mirrors deployed play: half the rounds are
-// "same", three descriptions each.
-func DefaultTagATuneConfig() TagATuneConfig {
-	return TagATuneConfig{SameProb: 0.5, MaxTags: 3, Seed: 1}
-}
+// TagATune's rules, as deployed: half the rounds are "same", three
+// descriptions each.
+const (
+	// sameProb is the probability a round presents identical inputs.
+	sameProb = 0.5
+	// maxTags bounds each player's descriptions per round.
+	maxTags = 3
+)
 
 // TagATuneRound summarizes one input-agreement round.
 type TagATuneRound struct {
@@ -42,23 +36,16 @@ type TagATuneRound struct {
 type TagATune struct {
 	Corpus      *vocab.Corpus
 	Annotations *Tally
-	cfg         TagATuneConfig
 	src         *rng.Source
 }
 
-// NewTagATune returns a game over corpus with the given configuration.
-func NewTagATune(corpus *vocab.Corpus, cfg TagATuneConfig) *TagATune {
-	if cfg.SameProb < 0 || cfg.SameProb > 1 {
-		panic("games: TagATune SameProb must be in [0, 1]")
-	}
-	if cfg.MaxTags < 1 {
-		panic("games: TagATune MaxTags must be >= 1")
-	}
+// NewTagATune returns a game over corpus whose random draws are seeded
+// with seed.
+func NewTagATune(corpus *vocab.Corpus, seed uint64) *TagATune {
 	return &TagATune{
 		Corpus:      corpus,
 		Annotations: newTally(corpus.Lexicon),
-		cfg:         cfg,
-		src:         rng.New(cfg.Seed),
+		src:         rng.New(seed),
 	}
 }
 
@@ -66,7 +53,7 @@ func NewTagATune(corpus *vocab.Corpus, cfg TagATuneConfig) *TagATune {
 func (g *TagATune) pickPair() (a, b int, same bool) {
 	n := len(g.Corpus.Images)
 	a = g.src.Intn(n)
-	if g.src.Bool(g.cfg.SameProb) || n == 1 {
+	if g.src.Bool(sameProb) || n == 1 {
 		return a, a, true
 	}
 	for {
@@ -97,7 +84,7 @@ func (g *TagATune) PlayRound(pa, pb *worker.Worker, itemA, itemB int) TagATuneRo
 	items := [2]int{itemA, itemB}
 	for i, w := range players {
 		said := map[int]bool{}
-		for k := 0; k < g.cfg.MaxTags; k++ {
+		for k := 0; k < maxTags; k++ {
 			elapsed += w.ThinkTime()
 			tag := w.GuessTag(g.Corpus.Lexicon, g.Corpus.Image(items[i]), nil, said)
 			if tag < 0 {

@@ -20,27 +20,27 @@ func tagatuneCorpus(tb testing.TB) *vocab.Corpus {
 	})
 }
 
+// TestPickPairRespectsSameProb pins the pair draw: a pair is "same"
+// exactly when its two items are equal, and over a few hundred draws both
+// kinds occur.
 func TestPickPairRespectsSameProb(t *testing.T) {
-	c := tagatuneCorpus(t)
-	g := NewTagATune(c, TagATuneConfig{SameProb: 1, MaxTags: 3, Seed: 1})
-	for i := 0; i < 50; i++ {
+	g := NewTagATune(tagatuneCorpus(t), 1)
+	var kinds [2]int
+	for i := 0; i < 300; i++ {
 		a, b, same := g.pickPair()
-		if !same || a != b {
-			t.Fatal("SameProb=1 produced a different pair")
+		if same != (a == b) {
+			t.Fatalf("pair (%d, %d) reported same=%v", a, b, same)
 		}
+		kinds[oneIf(same)]++
 	}
-	g = NewTagATune(c, TagATuneConfig{SameProb: 0, MaxTags: 3, Seed: 2})
-	for i := 0; i < 50; i++ {
-		a, b, same := g.pickPair()
-		if same || a == b {
-			t.Fatal("SameProb=0 produced an identical pair")
-		}
+	if kinds[0] == 0 || kinds[1] == 0 {
+		t.Fatalf("300 draws gave %d different and %d same pairs", kinds[0], kinds[1])
 	}
 }
 
 func TestSkilledPlayersSucceedOften(t *testing.T) {
 	c := tagatuneCorpus(t)
-	g := NewTagATune(c, DefaultTagATuneConfig())
+	g := NewTagATune(c, 1)
 	pa, pb := players(t, 3, 0.92)
 	success, rounds := 0, 400
 	for i := 0; i < rounds; i++ {
@@ -64,7 +64,7 @@ func TestSkilledPlayersSucceedOften(t *testing.T) {
 
 func TestValidatedAnnotationsAreMostlyTrue(t *testing.T) {
 	c := tagatuneCorpus(t)
-	g := NewTagATune(c, DefaultTagATuneConfig())
+	g := NewTagATune(c, 1)
 	pa, pb := players(t, 4, 0.9)
 	for i := 0; i < 500; i++ {
 		a, b, _ := g.pickPair()
@@ -91,7 +91,7 @@ func TestValidatedAnnotationsAreMostlyTrue(t *testing.T) {
 
 func TestFailureValidatesNothing(t *testing.T) {
 	c := tagatuneCorpus(t)
-	g := NewTagATune(c, DefaultTagATuneConfig())
+	g := NewTagATune(c, 1)
 	src := rng.New(5)
 	// Spammers judge randomly, so most rounds fail and validate nothing.
 	pa := worker.New("s1", worker.Spammer, worker.Profile{Accuracy: 0.9}, src)
@@ -112,27 +112,9 @@ func TestFailureValidatesNothing(t *testing.T) {
 	}
 }
 
-func TestTagATuneConfigPanics(t *testing.T) {
-	c := tagatuneCorpus(t)
-	for name, cfg := range map[string]TagATuneConfig{
-		"sameprob -1": {SameProb: -1, MaxTags: 1},
-		"sameprob 2":  {SameProb: 2, MaxTags: 1},
-		"tags 0":      {SameProb: 0.5, MaxTags: 0},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			NewTagATune(c, cfg)
-		}()
-	}
-}
-
 func BenchmarkTagATunePlayRound(b *testing.B) {
 	c := tagatuneCorpus(b)
-	g := NewTagATune(c, DefaultTagATuneConfig())
+	g := NewTagATune(c, 1)
 	pa, pb := players(b, 6, 0.9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

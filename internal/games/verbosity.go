@@ -4,36 +4,22 @@ import (
 	"sort"
 	"time"
 
-	"humancomp/internal/agree"
 	"humancomp/internal/rng"
 	"humancomp/internal/vocab"
 	"humancomp/internal/worker"
 )
 
-// VerbosityConfig parameterizes a Verbosity game.
-type VerbosityConfig struct {
-	Mode agree.MatchMode
-	// MaxHints bounds the narrator's clues per round.
-	MaxHints int
-	// MaxGuesses bounds the guesser's tries per round.
-	MaxGuesses int
-	// CluePower is how much each true clue narrows the guesser's search:
+// Verbosity's rules, as deployed.
+const (
+	// verbosityMaxHints bounds the narrator's clues per round.
+	verbosityMaxHints = 6
+	// verbosityMaxGuesses bounds the guesser's tries per round.
+	verbosityMaxGuesses = 8
+	// cluePower is how much each true clue narrows the guesser's search:
 	// the chance of recognizing the secret after k true clues is
-	// skill × (1 − (1−CluePower)^k).
-	CluePower float64
-	Seed      uint64
-}
-
-// DefaultVerbosityConfig mirrors deployed play.
-func DefaultVerbosityConfig() VerbosityConfig {
-	return VerbosityConfig{
-		Mode:       agree.Canonical,
-		MaxHints:   6,
-		MaxGuesses: 8,
-		CluePower:  0.4,
-		Seed:       1,
-	}
-}
+	// skill × (1 − (1−cluePower)^k).
+	cluePower = 0.4
+)
 
 // VerbosityRound summarizes one narrator/guesser round.
 type VerbosityRound struct {
@@ -53,23 +39,16 @@ type VerbosityRound struct {
 type Verbosity struct {
 	FactBase *vocab.FactBase
 	Facts    *FactStore
-	cfg      VerbosityConfig
 	src      *rng.Source
 }
 
-// NewVerbosity returns a game over fb with the given configuration.
-func NewVerbosity(fb *vocab.FactBase, cfg VerbosityConfig) *Verbosity {
-	if cfg.MaxHints < 1 || cfg.MaxGuesses < 1 {
-		panic("games: Verbosity MaxHints and MaxGuesses must be >= 1")
-	}
-	if cfg.CluePower <= 0 || cfg.CluePower > 1 {
-		panic("games: Verbosity CluePower must be in (0, 1]")
-	}
+// NewVerbosity returns a game over fb whose random draws are seeded with
+// seed.
+func NewVerbosity(fb *vocab.FactBase, seed uint64) *Verbosity {
 	return &Verbosity{
 		FactBase: fb,
 		Facts:    NewFactStore(),
-		cfg:      cfg,
-		src:      rng.New(cfg.Seed),
+		src:      rng.New(seed),
 	}
 }
 
@@ -92,7 +71,7 @@ func (g *Verbosity) Play(narrator, guesser *worker.Worker) (int, time.Duration) 
 func (g *Verbosity) PlayRound(narrator, guesser *worker.Worker, subject int) VerbosityRound {
 	given := map[vocab.Fact]bool{}
 	trueClues := 0
-	round, elapsed := playInversion(g.src, g.FactBase.Lexicon, g.cfg.Mode, subject, g.cfg.MaxHints, g.cfg.MaxGuesses, narrator, guesser,
+	round, elapsed := playInversion(g.src, g.FactBase.Lexicon, subject, verbosityMaxHints, verbosityMaxGuesses, narrator, guesser,
 		func(int) vocab.Fact {
 			fact := narrator.DescribeFact(g.FactBase, subject, given)
 			given[fact] = true
@@ -104,7 +83,7 @@ func (g *Verbosity) PlayRound(narrator, guesser *worker.Worker, subject int) Ver
 			if g.FactBase.IsTrue(fact) {
 				trueClues++
 			}
-			return 1 - pow1m(g.cfg.CluePower, trueClues)
+			return 1 - pow1m(cluePower, trueClues)
 		})
 	res := VerbosityRound{
 		Subject:  subject,

@@ -28,21 +28,28 @@ type parityScript struct {
 
 type parityBeat struct{ seat, word int }
 
-const parityMaxGuesses = 4
-
-// newParityScript draws a script from a small alphabet, so matches,
-// repeats and taboo words are all common.
+// newParityScript draws a script that uses every guess of both seats.
+// Half the scripts draw from a small alphabet, so matches, repeats and
+// taboo words are all common; the other half from a large one, so a round
+// that runs out of guesses is common too.
 func newParityScript(src *rng.Source, replay bool) parityScript {
-	word := func() int { return 1 + src.Intn(8) }
+	alphabet := 8
+	if src.Bool(0.5) {
+		alphabet = 200
+	}
+	word := func() int { return 1 + src.Intn(alphabet) }
 	sc := parityScript{replay: replay, midAt: -1}
 	for len(sc.startTaboo) < src.Intn(3) {
 		if w := word(); !slices.Contains(sc.startTaboo, w) {
 			sc.startTaboo = append(sc.startTaboo, w)
 		}
 	}
-	seats := []int{0, 0, 0, 0, 1, 1, 1, 1}
+	seats := make([]int, 2*agree.MaxGuesses)
+	for k := agree.MaxGuesses; k < len(seats); k++ {
+		seats[k] = 1
+	}
 	if replay {
-		seats = seats[:parityMaxGuesses]
+		seats = seats[:agree.MaxGuesses]
 		for n := 1 + src.Intn(6); len(sc.recorded) < n; {
 			if w := word(); !slices.Contains(sc.recorded, w) {
 				sc.recorded = append(sc.recorded, w)
@@ -108,7 +115,6 @@ func playSession(t *testing.T, lex *vocab.Lexicon, sc parityScript) ([2][]int, R
 	)
 	p := newPlane(t, func(c *Config) {
 		c.Lexicon = lex
-		c.MaxGuesses = parityMaxGuesses
 		c.MatchTimeout = time.Second // pairs meet at once
 		if sc.replay {
 			c.MatchTimeout = 5 * time.Millisecond // the lone player falls back
@@ -163,9 +169,7 @@ func playSession(t *testing.T, lex *vocab.Lexicon, sc parityScript) ([2][]int, R
 
 // playSimulated plays sc through games.ESP's driver.
 func playSimulated(corpus *vocab.Corpus, sc parityScript) games.ESPRound {
-	cfg := games.DefaultESPConfig()
-	cfg.MaxGuesses = parityMaxGuesses
-	g := games.NewESP(corpus, cfg)
+	g := games.NewESP(corpus, games.DefaultESPConfig())
 	for _, w := range sc.startTaboo {
 		g.Taboo.Record(0, w)
 	}
@@ -221,11 +225,10 @@ func (p *scriptedPlayer) GuessTag(_ *vocab.Lexicon, _ *vocab.Image, taboo, _ map
 
 var _ games.Player = (*scriptedPlayer)(nil)
 
-// The defaults the session plane falls back to are the simulator's.
+// The taboo rules the session plane plays are the simulator's defaults.
 func TestSessionDefaultsAreTheSimulators(t *testing.T) {
-	p := newPlane(t, nil)
 	sim := games.DefaultESPConfig()
-	if p.cfg.MaxGuesses != sim.MaxGuesses || p.cfg.PromoteAfter != sim.PromoteAfter || agree.DefaultRetireAt != sim.RetireAt {
-		t.Fatalf("session defaults %d guesses, promote after %d; simulator %+v", p.cfg.MaxGuesses, p.cfg.PromoteAfter, sim)
+	if sim.PromoteAfter != agree.DefaultPromoteAfter || sim.RetireAt != agree.DefaultRetireAt {
+		t.Fatalf("session plane promotes after %d and retires at %d; simulator %+v", agree.DefaultPromoteAfter, agree.DefaultRetireAt, sim)
 	}
 }

@@ -16,7 +16,10 @@
 // guesses, the round matches them server-side, taboo promotions from
 // concurrent games on the same item land mid-round, and the round ends on
 // agreement, double pass, guess exhaustion, a player leaving, or the
-// monotonic round deadline. The plane adds only the wall clock, the
+// monotonic round deadline. The rule set is the deployed game's, which no
+// Config field changes: agree.MaxGuesses guesses a seat, a word taboo at
+// agree.DefaultPromoteAfter agreements on its item, an item retired at
+// agree.DefaultRetireAt taboo words. The plane adds only the wall clock, the
 // event stream and the locking. Completed live games are recorded into
 // the replay store (feeding future lone players) and every game is
 // reported through Config.OnResult, which the dispatch bridge turns into
@@ -177,12 +180,6 @@ type Config struct {
 	// SweepEvery is the sweeper cadence for round timeouts and linger
 	// expiry. Default 250ms.
 	SweepEvery time.Duration
-	// MaxGuesses bounds the guesses per seat per round, refused ones
-	// included. Default agree.DefaultMaxGuesses.
-	MaxGuesses int
-	// PromoteAfter is the agreement count that promotes a word to taboo
-	// for its item. Default agree.DefaultPromoteAfter.
-	PromoteAfter int
 	// Seed fixes the matchmaker and replay-store randomness.
 	Seed uint64
 	// Lexicon canonicalizes words for matching and taboo. Required.
@@ -291,12 +288,6 @@ func New(cfg Config) (*Plane, error) {
 	if cfg.SweepEvery <= 0 {
 		cfg.SweepEvery = 250 * time.Millisecond
 	}
-	if cfg.MaxGuesses <= 0 {
-		cfg.MaxGuesses = agree.DefaultMaxGuesses
-	}
-	if cfg.PromoteAfter <= 0 {
-		cfg.PromoteAfter = agree.DefaultPromoteAfter
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -307,7 +298,7 @@ func New(cfg Config) (*Plane, error) {
 		replays: match.NewReplayStore(src, replayPerItem),
 		sess:    make(map[ID]*session),
 		byItem:  make(map[int]map[ID]struct{}),
-		taboo:   agree.NewTabooTracker(cfg.Lexicon, cfg.PromoteAfter, agree.DefaultRetireAt),
+		taboo:   agree.NewTabooTracker(cfg.Lexicon, agree.DefaultPromoteAfter, agree.DefaultRetireAt),
 		items:   src.Split(),
 		waiters: make(map[string]*waiter),
 		stop:    make(chan struct{}),
@@ -449,7 +440,7 @@ func (p *Plane) startSession(mode Mode, item int, players [2]string, recorded []
 	// promotion on this item lands either in the initial set or, via
 	// propagateTabooLocked, as an EvTaboo.
 	p.mu.Lock()
-	s.round = agree.NewOutputRound(p.cfg.Lexicon, agree.Exact, p.taboo.TabooFor(item), p.cfg.MaxGuesses, recorded)
+	s.round = agree.NewOutputRound(p.cfg.Lexicon, agree.Exact, p.taboo.TabooFor(item), recorded)
 	p.sess[s.id] = s
 	p.appendEventLocked(s, Event{Type: EvStart, Seat: -1})
 	p.partnerEventsLocked(s, len(recorded), 0)
@@ -611,9 +602,9 @@ func (p *Plane) seatLocked(id ID, player string) (*session, int, error) {
 }
 
 // Guess submits one guess for player. Taboo words, repeats, and guesses
-// past MaxGuesses are rejected in-band (Accepted=false with a reason), as
-// the real game's UI would; the first two still use a guess. Unknown
-// sessions, non-players, and finished rounds are errors.
+// past agree.MaxGuesses are rejected in-band (Accepted=false with a
+// reason), as the real game's UI would; the first two still use a guess.
+// Unknown sessions, non-players, and finished rounds are errors.
 func (p *Plane) Guess(id ID, player string, word int) (GuessResult, error) {
 	p.mu.Lock()
 	s, seat, err := p.seatLocked(id, player)
@@ -632,7 +623,7 @@ func (p *Plane) Guess(id ID, player string, word int) (GuessResult, error) {
 	}
 	left, entered := s.round.Left(1), len(s.round.Guesses(1))
 	err = s.round.Guess(seat, word)
-	res := GuessResult{Accepted: err == nil, Guesses: p.cfg.MaxGuesses - s.round.Left(seat)}
+	res := GuessResult{Accepted: err == nil, Guesses: agree.MaxGuesses - s.round.Left(seat)}
 	var refused agree.Refusal
 	switch {
 	case errors.As(err, &refused):

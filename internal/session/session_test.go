@@ -186,13 +186,12 @@ func TestReplayFallback(t *testing.T) {
 }
 
 func TestReplayPartnerLosesRefusedWords(t *testing.T) {
-	p := newPlane(t, func(c *Config) {
-		c.MatchTimeout = 20 * time.Millisecond
-		c.MaxGuesses = 1
-	})
+	p := newPlane(t, func(c *Config) { c.MatchTimeout = 20 * time.Millisecond })
 	// The recording opens with a word that has since become taboo. The
-	// partner types it before dave's one guess and the round refuses it;
-	// it is lost, not retried, so dave's 51 stays unmatched.
+	// partner types it before dave's first guess and the round refuses
+	// it; it is lost, not retried, so the recording's 51 comes a beat
+	// later, after dave's first guess, and is the one partner guess
+	// announced. Dave never says 51, so the round runs out of guesses.
 	p.replays.Record(match.ReplaySession{Item: 0, Player: "ghost", Words: []int{50, 51}})
 	p.mu.Lock()
 	p.taboo.Record(0, 50)
@@ -201,9 +200,17 @@ func TestReplayPartnerLosesRefusedWords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Guess(info.Session, "dave", 51)
-	if err != nil || !res.Accepted || res.Matched || !res.Done {
-		t.Fatalf("guess = %+v err=%v", res, err)
+	p.mu.Lock()
+	opened := slices.Clone(p.sess[info.Session].round.Guesses(1))
+	p.mu.Unlock()
+	if len(opened) != 0 {
+		t.Fatalf("recorded seat entered %v before dave's first guess", opened)
+	}
+	for k := 0; k < agree.MaxGuesses; k++ {
+		res, err := p.Guess(info.Session, "dave", 60+k)
+		if err != nil || !res.Accepted || res.Matched || res.Done != (k == agree.MaxGuesses-1) {
+			t.Fatalf("guess %d = %+v err=%v", k, res, err)
+		}
 	}
 	evs, _, err := p.Events(context.Background(), info.Session, "dave", 0, 0)
 	if err != nil {
@@ -212,10 +219,14 @@ func TestReplayPartnerLosesRefusedWords(t *testing.T) {
 	if last := evs[len(evs)-1]; last.Reason != agree.EndExhausted {
 		t.Fatalf("round ended %q, want exhausted", last.Reason)
 	}
+	announced := 0
 	for _, ev := range evs {
 		if ev.Type == EvPartnerGuess && ev.Seat == 1 {
-			t.Fatalf("the refused recorded word was announced: %v", evs)
+			announced++
 		}
+	}
+	if announced != 1 {
+		t.Fatalf("%d recorded words announced, want 1 (the refused one is not): %v", announced, evs)
 	}
 }
 
@@ -506,7 +517,7 @@ func TestPassAndLeave(t *testing.T) {
 }
 
 func TestGuessValidation(t *testing.T) {
-	p := newPlane(t, func(c *Config) { c.MaxGuesses = 2 })
+	p := newPlane(t, nil)
 	info, _ := joinPair(t, p, "v1", "v2")
 	id := info.Session
 	if _, err := p.Guess(ID(999), "v1", 1); !errors.Is(err, ErrUnknown) {
@@ -530,12 +541,19 @@ func TestGuessValidation(t *testing.T) {
 	if res, err := p.Guess(id, "v1", 1); err != nil || res.Accepted || res.Reason != "repeat" || res.Guesses != 2 {
 		t.Fatalf("repeat guess: %+v err=%v", res, err)
 	}
-	if res, err := p.Guess(id, "v1", 2); err != nil || res.Accepted || res.Reason != "limit" || res.Guesses != 2 {
-		t.Fatalf("guess past MaxGuesses: %+v err=%v", res, err)
+	for w := 100; w < 100+agree.MaxGuesses-2; w++ {
+		if res, err := p.Guess(id, "v1", w); err != nil || !res.Accepted {
+			t.Fatalf("guess %d: %+v err=%v", w, res, err)
+		}
+	}
+	if res, err := p.Guess(id, "v1", 2); err != nil || res.Accepted || res.Reason != "limit" || res.Guesses != agree.MaxGuesses {
+		t.Fatalf("guess past agree.MaxGuesses: %+v err=%v", res, err)
 	}
 	// Partner exhausts too without matching: round ends "exhausted".
-	if _, err := p.Guess(id, "v2", 4); err != nil {
-		t.Fatal(err)
+	for w := 200; w < 200+agree.MaxGuesses-1; w++ {
+		if _, err := p.Guess(id, "v2", w); err != nil {
+			t.Fatal(err)
+		}
 	}
 	res, err := p.Guess(id, "v2", 5)
 	if err != nil || !res.Done {

@@ -31,8 +31,6 @@ func TestSessionSoak(t *testing.T) {
 		RoundTimeout: 2 * time.Second,
 		EndLinger:    50 * time.Millisecond,
 		SweepEvery:   5 * time.Millisecond,
-		MaxGuesses:   8,
-		PromoteAfter: 3,
 		Seed:         42,
 		Lexicon:      vocab.NewLexicon(vocab.LexiconConfig{Size: 2000, ZipfS: 1, SynonymRate: 0, Seed: 2}),
 		Items:        items,
@@ -52,7 +50,7 @@ func TestSessionSoak(t *testing.T) {
 
 	// play drives one player's whole session: join, long-poll events in
 	// one goroutine, guess toward agreement in another. Guessing word
-	// item*31+k means both seats of a pair converge within MaxGuesses.
+	// item*31+k means both seats of a pair converge within agree.MaxGuesses.
 	play := func(name string, idx int, disconnect bool) error {
 		ctx := context.Background()
 		var info JoinInfo

@@ -22,40 +22,42 @@ type SoloGame interface {
 	PlaySolo(a *worker.Worker) (outputs int, d time.Duration, ok bool)
 }
 
+// The crowd dynamics every run plays.
+const (
+	// waitTimeout is how long a player waits for a live partner before
+	// falling back to solo play (when Solo is set).
+	waitTimeout = 30 * time.Second
+	// arrivalSpread staggers first arrivals uniformly over this span so
+	// the lobby does not start with a thundering herd.
+	arrivalSpread = 4 * time.Hour
+	// minRoundTime guards against zero-duration rounds when worker think
+	// times are zeroed in tests: such a round would schedule the next one
+	// at the same virtual instant forever.
+	minRoundTime = 5 * time.Second
+)
+
 // CrowdConfig parameterizes a crowd run.
 type CrowdConfig struct {
 	Workers []*worker.Worker
 	Game    PairGame
 	// Solo enables replayed single-player rounds for players the
-	// matchmaker cannot pair within WaitTimeout; nil disables them.
+	// matchmaker cannot pair within waitTimeout; nil disables them.
 	Solo SoloGame
-	// WaitTimeout is how long a player waits for a live partner before
-	// falling back to solo play (when Solo is set).
-	WaitTimeout time.Duration
 	// Horizon is the simulated span of the run.
 	Horizon time.Duration
-	// ArrivalSpread staggers first arrivals uniformly over this span so
-	// the lobby does not start with a thundering herd.
-	ArrivalSpread time.Duration
 	// BreakMean is the mean pause before a returning player's next session.
 	BreakMean time.Duration
-	// MinRoundTime guards against zero-duration rounds when worker think
-	// times are zeroed in tests.
-	MinRoundTime time.Duration
-	Seed         uint64
+	Seed      uint64
 }
 
 // DefaultCrowdConfig returns the crowd dynamics used by the experiments.
 func DefaultCrowdConfig(workers []*worker.Worker, game PairGame) CrowdConfig {
 	return CrowdConfig{
-		Workers:       workers,
-		Game:          game,
-		WaitTimeout:   30 * time.Second,
-		Horizon:       24 * time.Hour,
-		ArrivalSpread: 4 * time.Hour,
-		BreakMean:     6 * time.Hour,
-		MinRoundTime:  5 * time.Second,
-		Seed:          1,
+		Workers:   workers,
+		Game:      game,
+		Horizon:   24 * time.Hour,
+		BreakMean: 6 * time.Hour,
+		Seed:      1,
 	}
 }
 
@@ -90,11 +92,6 @@ func NewCrowd(cfg CrowdConfig, start time.Time) *Crowd {
 	if cfg.Horizon <= 0 {
 		panic("sim: horizon must be positive")
 	}
-	if cfg.MinRoundTime <= 0 {
-		// A zero-duration round would schedule the next round at the same
-		// virtual instant forever; refuse rather than hang.
-		panic("sim: MinRoundTime must be positive")
-	}
 	src := rng.New(cfg.Seed)
 	c := &Crowd{
 		cfg:       cfg,
@@ -126,10 +123,7 @@ func (c *Crowd) Now() time.Time { return c.sim.Now() }
 func (c *Crowd) Run() metrics.Report {
 	for _, w := range c.cfg.Workers {
 		w := w
-		delay := time.Duration(0)
-		if c.cfg.ArrivalSpread > 0 {
-			delay = time.Duration(c.src.Float64() * float64(c.cfg.ArrivalSpread))
-		}
+		delay := time.Duration(c.src.Float64() * float64(arrivalSpread))
 		c.sim.After(delay, func() { c.arrive(w) })
 	}
 	c.sim.Run(c.horizon)
@@ -180,10 +174,10 @@ func (c *Crowd) seekPartner(w *worker.Worker) {
 		c.playBurst(c.byID[partner], w)
 		return
 	}
-	// Waiting. Fall back to solo play after WaitTimeout, and give up at
+	// Waiting. Fall back to solo play after waitTimeout, and give up at
 	// session end.
-	if c.cfg.Solo != nil && c.cfg.WaitTimeout > 0 {
-		c.sim.After(c.cfg.WaitTimeout, func() { c.soloFallback(w) })
+	if c.cfg.Solo != nil {
+		c.sim.After(waitTimeout, func() { c.soloFallback(w) })
 	}
 	c.sim.Schedule(s.end, func() {
 		if c.mm.Leave(w.ID) {
@@ -219,9 +213,7 @@ func (c *Crowd) soloRound(w *worker.Worker) {
 		return
 	}
 	c.gwap.RecordOutputs(outputs)
-	if d < c.cfg.MinRoundTime {
-		d = c.cfg.MinRoundTime
-	}
+	d = max(d, minRoundTime)
 	// Back to the lobby after each solo round: a live partner always
 	// beats a recording, so solo play only ever fills matchmaking gaps.
 	c.sim.After(d, func() { c.seekPartner(w) })
@@ -261,9 +253,7 @@ func (c *Crowd) pairRound(a, b *worker.Worker, end time.Time) {
 	}
 	outputs, d := c.cfg.Game.Play(a, b)
 	c.gwap.RecordOutputs(outputs)
-	if d < c.cfg.MinRoundTime {
-		d = c.cfg.MinRoundTime
-	}
+	d = max(d, minRoundTime)
 	c.sim.After(d, func() { c.pairRound(a, b, end) })
 }
 

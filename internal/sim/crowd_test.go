@@ -70,7 +70,6 @@ func TestSoloFallbackRescuesOddPlayer(t *testing.T) {
 		ws := worker.NewPopulation(worker.DefaultPopulationConfig(1))
 		cfg := DefaultCrowdConfig(ws, game)
 		cfg.Horizon = 6 * time.Hour
-		cfg.WaitTimeout = time.Minute
 		if solo {
 			cfg.Solo = game
 		}
@@ -114,10 +113,9 @@ func TestCrowdPanics(t *testing.T) {
 	ws := worker.NewPopulation(worker.DefaultPopulationConfig(2))
 	ad := espGame(t, 15)
 	for name, cfg := range map[string]CrowdConfig{
-		"no workers":   {Game: ad, Horizon: time.Hour, MinRoundTime: time.Second},
-		"no game":      {Workers: ws, Horizon: time.Hour, MinRoundTime: time.Second},
-		"zero horizon": {Workers: ws, Game: ad, MinRoundTime: time.Second},
-		"zero round":   {Workers: ws, Game: ad, Horizon: time.Hour},
+		"no workers":   {Game: ad, Horizon: time.Hour},
+		"no game":      {Workers: ws, Horizon: time.Hour},
+		"zero horizon": {Workers: ws, Game: ad},
 	} {
 		func() {
 			defer func() {

@@ -22,6 +22,23 @@ func mallocs(fn func()) (objects, bytes int64) {
 	return int64(after.Mallocs - before.Mallocs), int64(after.TotalAlloc - before.TotalAlloc)
 }
 
+// leastMallocs is mallocs of the function setup returns, least of three
+// trials. The counters are the whole process's, so a goroutine the runtime
+// starts meanwhile is charged to fn too; what fn itself allocates is the
+// same each trial, and the other allocations only add to it.
+func leastMallocs(setup func() func()) (objects, bytes int64) {
+	for trial := 0; trial < 3; trial++ {
+		o, b := mallocs(setup())
+		if trial == 0 || o < objects {
+			objects = o
+		}
+		if trial == 0 || b < bytes {
+			bytes = b
+		}
+	}
+	return objects, bytes
+}
+
 // TestTaskRecordSize: a task is stored as one task.Task, which the runtime
 // serves from the smallest size class that holds it, 144 B. The payload
 // inputs only some kinds use are behind one pointer, which an image task
@@ -106,11 +123,12 @@ func TestCheckpointEncodeDoesNotAllocate(t *testing.T) {
 		for i := 1; i <= n; i++ {
 			s.Put(&task.Task{ID: task.ID(i), Kind: task.Compare, Payload: task.Payload{ImageID: i, ImageB: i + 1}, Redundancy: 3, Priority: i % 4, CreatedAt: t0})
 		}
-		objects, size := mallocs(func() {
+		snapshot := func() {
 			if err := s.Snapshot(io.Discard); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		objects, size := leastMallocs(func() func() { return snapshot })
 		t.Logf("%d tasks: %d allocs, %d B", n, objects, size)
 		if objects > 24 || size > snapshotBufSize+4<<10 {
 			t.Fatalf("snapshot of %d answer-less tasks took %d allocations and %d B; want a constant few and the write buffer", n, objects, size)

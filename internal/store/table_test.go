@@ -76,11 +76,18 @@ func TestTableTakesAnyID(t *testing.T) {
 	// size class (an object over 512 B that holds pointers carries an 8-byte
 	// type header); the page map and the sorted key list grow now and then,
 	// and the process may allocate meanwhile. Two pages would be 18 944 B.
+	// Each trial stores the ID into a fresh store that holds the IDs before it.
 	const slack = 4 << 10
-	s := New()
-	for _, id := range ids {
-		tk := open(id)
-		_, size := mallocs(func() { s.Put(tk) })
+	var s *Store
+	for i, id := range ids {
+		_, size := leastMallocs(func() func() {
+			s = New()
+			for _, prev := range ids[:i] {
+				s.Put(open(prev))
+			}
+			tk := open(id)
+			return func() { s.Put(tk) }
+		})
 		if size > int64(unsafe.Sizeof(page{}))+slack {
 			t.Errorf("storing ID %d allocated %d B; want at most one page (%d B)", id, size, unsafe.Sizeof(page{}))
 		}
