@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -156,11 +157,12 @@ func serveDebugSpans(w http.ResponseWriter, r *http.Request, sys *core.System) {
 	f.Op = q.Get("op")
 	if raw := q.Get("min_ms"); raw != "" {
 		ms, err := strconv.ParseFloat(raw, 64)
-		if err != nil || ms < 0 {
+		ns := ms * float64(time.Millisecond)
+		if err != nil || ms < 0 || math.IsNaN(ms) || ns >= math.MaxInt64 { // beyond a time.Duration
 			badRequest(w, r, "dispatch: invalid min_ms %q", raw)
 			return
 		}
-		f.MinDur = time.Duration(ms * float64(time.Millisecond))
+		f.MinDur = time.Duration(ns)
 	}
 	if raw := q.Get("errors_only"); raw != "" {
 		v, err := strconv.ParseBool(raw)

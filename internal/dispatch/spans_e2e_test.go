@@ -203,7 +203,14 @@ func TestSpanDebugEndpointValidation(t *testing.T) {
 	if code, out := get("?errors_only=true"); code != http.StatusOK || len(out.Traces) != 0 {
 		t.Errorf("errors_only = %d, %d traces; want 200 with 0", code, len(out.Traces))
 	}
-	for _, q := range []string{"?trace=nothex", "?min_ms=-1", "?errors_only=maybe", "?limit=0", "?limit=5000"} {
+	// 285 years: under the 292 a time.Duration holds.
+	if code, out := get("?min_ms=9e12"); code != http.StatusOK || len(out.Traces) != 0 {
+		t.Errorf("min_ms=9e12 = %d, %d traces; want 200 with 0", code, len(out.Traces))
+	}
+	// NaN, the infinities and anything past 2^63 ns would convert to the
+	// most negative Duration, a filter that keeps every tree.
+	for _, q := range []string{"?trace=nothex", "?min_ms=-1", "?min_ms=NaN", "?min_ms=Inf", "?min_ms=-Inf", "?min_ms=1e300", "?min_ms=9.3e12",
+		"?errors_only=maybe", "?limit=0", "?limit=5000"} {
 		if code, _ := get(q); code != http.StatusBadRequest {
 			t.Errorf("GET %s = %d, want 400", q, code)
 		}

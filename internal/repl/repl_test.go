@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"sync"
@@ -221,6 +222,26 @@ func TestStreamCursorBeyondLogEndConflicts(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("from beyond end = %d, want 409", resp.StatusCode)
 	}
+}
+
+// TestStreamCursorIsADecimalSeq: the cursor is a base-10 sequence number
+// and nothing else; a cursor that only starts with one is refused, not
+// read as that number.
+func TestStreamCursorIsADecimalSeq(t *testing.T) {
+	l := newLeader(t, DefaultTailSize)
+	appendN(t, l, 1, 20)
+	for _, from := range []string{"12abc", "0x10", "7.9", "3 4", "1e1", " 5", "0", "-1", "99999999999999999999"} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		rr := httptest.NewRecorder()
+		l.src.handleWAL(rr, httptest.NewRequest(http.MethodGet, "/v1/repl/wal?from="+url.QueryEscape(from), nil).WithContext(ctx))
+		cancel()
+		if rr.Code != http.StatusBadRequest {
+			t.Errorf("from=%q: status %d, want 400", from, rr.Code)
+		}
+	}
+	w, stop := consume(t, l.src, 1)
+	defer stop()
+	waitReceived(t, l, w, 1)
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {

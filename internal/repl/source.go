@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strconv"
 	"sync"
 
 	"humancomp/internal/store"
@@ -165,7 +166,8 @@ func (s *Source) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 func (s *Source) handleWAL(w http.ResponseWriter, r *http.Request) {
 	from := int64(1)
 	if q := r.URL.Query().Get("from"); q != "" {
-		if _, err := fmt.Sscan(q, &from); err != nil || from < 1 {
+		var err error
+		if from, err = strconv.ParseInt(q, 10, 64); err != nil || from < 1 {
 			http.Error(w, "bad from cursor", http.StatusBadRequest)
 			return
 		}

@@ -12,9 +12,10 @@ import (
 	"humancomp/internal/task"
 )
 
-// decoderRestore is the restore path as it was while json.Decoder read the
-// document — a token at a time, each task through Decode — kept as the
-// reference the hand-written reader is fuzzed against.
+// decoderRestore is the reference restore: json.Decoder reads the
+// document a token at a time and decodes each task by reflection into a
+// task.Task. Restore reads the envelope through the same calls and hands
+// each task's text to the task codec instead.
 func decoderRestore(doc []byte) (tasks map[task.ID]*task.Task, version int, nextID task.ID, calibration json.RawMessage, err error) {
 	dec := json.NewDecoder(bytes.NewReader(doc))
 	tasks = make(map[task.ID]*task.Task)
@@ -69,8 +70,10 @@ func decoderRestore(doc []byte) (tasks map[task.ID]*task.Task, version int, next
 }
 
 // FuzzRestoreMatchesDecoder: on any bytes, Restore accepts exactly the
-// documents the json.Decoder-based restore accepted and builds the same
-// tasks, allocator position and sidecar from them.
+// documents decoderRestore accepts and builds the same tasks, allocator
+// position and sidecar from them — so a task restored through the codec,
+// wherever json.Decoder finds it in the document, is the task reflection
+// decodes there, and the paged table holds what the reference's map holds.
 func FuzzRestoreMatchesDecoder(f *testing.F) {
 	src := New()
 	for _, tk := range richTasks(4) {

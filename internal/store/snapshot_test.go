@@ -173,10 +173,9 @@ func manyTasks(n int) string {
 	return b.String()
 }
 
-// TestRestoreDocumentShapes: what the value-at-a-time reader accepts and
-// rejects is what decoding the whole document into a struct did (and what
-// json.Decoder, which read it before, did), and a rejected document leaves
-// the store exactly as it was.
+// TestRestoreDocumentShapes: what the restore accepts and rejects is what
+// decoding the whole document into a struct does, and a rejected document
+// leaves the store exactly as it was.
 func TestRestoreDocumentShapes(t *testing.T) {
 	tenK := manyTasks(10_000)
 	// One task twice the size of the read buffer, brackets and quotes in its text.
@@ -302,11 +301,13 @@ func TestSnapshotStreamsInBoundedWrites(t *testing.T) {
 // nor anything per field. Buffering the document before decoding it costs its
 // size again at the very least; decoding each task through encoding/json
 // cost 0.40 of it (answer and word slices grown an element at a time), and
-// a task map doubling its way up 0.08 (0.12 under -race). The hand-written
-// decoder sizes every slice once and the table's pages are never regrown,
-// so what is left is one read buffer — 0.008 of the document on these
-// two-answer tasks, 0.047 under -race, whose own bookkeeping the bound
-// there allows for.
+// a task map doubling its way up 0.08 (0.12 under -race). The task codec
+// sizes every slice once, the table's pages are never regrown, and
+// json.Decoder hands each task's text to the codec from its own buffer,
+// which holds one value and the input read behind it. What is left is that
+// buffer and the envelope's keys: 3 864 B of this 8.2 MB document of
+// two-answer tasks, 0.0005 of it, and 4 120 B under -race, where a 64 KiB
+// read-ahead buffer cost 0.008 and 0.047.
 func TestRestoreAllocatesStateNotDocument(t *testing.T) {
 	src := New()
 	fillPlain(src, 20_000)

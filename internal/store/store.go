@@ -3,7 +3,9 @@
 // snapshot/restore, so a service can checkpoint its state to disk and pick
 // up where it left off. The snapshot format is plain JSON — inspectable
 // with standard tools and stable across versions that do not change the
-// task schema.
+// task schema. It is written a task at a time by the task codec and read
+// back by encoding/json's json.Decoder, which hands each task to the same
+// codec, so what a restore accepts and refuses is encoding/json's.
 //
 // The table is paged by ID (see table): a stored task costs one slot of a
 // page, and the tasks of each status are counted as they come and change,
@@ -358,46 +360,49 @@ func (s *Store) Restore(r io.Reader) error {
 }
 
 // RestoreWith is Restore returning the snapshot's calibration sidecar (nil
-// when the snapshot predates it) for the quality plane to rebuild from. The
-// document is read a value at a time and each task decoded straight into
-// the fresh table it will live in, so a restore holds the state it builds
-// and one task's text, not the document. Fields may come in any order and
-// unknown ones are skipped; nothing is swapped in until the whole document,
-// its version included, has been accepted, so a failed restore leaves the
-// store as it was.
+// when the snapshot predates it) for the quality plane to rebuild from. A
+// json.Decoder reads the document — its punctuation and keys a token at a
+// time, each of its fields and each task one Decode — and each task goes
+// from the decoder's buffer through the task codec straight into the fresh
+// table it will live in, so a restore holds the state it builds and that
+// buffer, not the document. Fields may come in any order and unknown ones
+// are skipped; nothing is swapped in until the whole document, its version
+// included, has been accepted, so a failed restore leaves the store as it
+// was.
 func (s *Store) RestoreWith(r io.Reader) (json.RawMessage, error) {
 	var (
-		d             = docReader{r: r, buf: make([]byte, 0, snapshotBufSize)}
+		dec           = json.NewDecoder(r)
 		version       int
 		nextID, maxID task.ID
 		calibration   json.RawMessage
 		fresh         table
 	)
-	err := d.object(func(key string) error {
-		if key == "tasks" {
-			largest, err := decodeTasks(&d, &fresh)
-			maxID = max(maxID, largest)
-			return err
+	tok, err := dec.Token()
+	if err == nil && tok != json.Delim('{') {
+		err = errors.New("not an object")
+	}
+	for err == nil && dec.More() {
+		if tok, err = dec.Token(); err != nil {
+			break
 		}
-		// The document's own few fields: once a restore, so encoding/json
-		// reads (and, for the fields skipped, only checks) them.
-		raw, err := d.value()
-		if err != nil {
-			return err
-		}
-		switch key {
+		switch tok {
 		case "version":
-			return json.Unmarshal(raw, &version)
+			err = dec.Decode(&version)
 		case "next_id":
-			return json.Unmarshal(raw, &nextID)
+			err = dec.Decode(&nextID)
 		case "calibration":
-			return json.Unmarshal(raw, &calibration)
+			err = dec.Decode(&calibration)
+		case "tasks":
+			var largest task.ID
+			largest, err = decodeTasks(dec, &fresh)
+			maxID = max(maxID, largest)
+		default:
+			err = dec.Decode(new(json.RawMessage))
 		}
-		if !json.Valid(raw) {
-			return fmt.Errorf("field %q is not JSON", key)
-		}
-		return nil
-	})
+	}
+	if err == nil {
+		_, err = dec.Token() // the closing brace; what follows it is not read
+	}
 	if err != nil {
 		return nil, fmt.Errorf("store: decoding snapshot: %w", err)
 	}
@@ -411,20 +416,35 @@ func (s *Store) RestoreWith(r io.Reader) (json.RawMessage, error) {
 	return calibration, nil
 }
 
-// decodeTasks reads the tasks array next in d, one task at a time, into
-// fresh, and returns the largest task ID it held.
-func decodeTasks(d *docReader, fresh *table) (largest task.ID, err error) {
-	err = d.array(func(raw []byte) error {
-		t := new(task.Task)
-		if err := t.DecodeJSON(raw); err != nil {
-			return err
+// codecTask is what a task is decoded into: json.Decoder hands its
+// UnmarshalJSON the task's text from the decoder's own buffer, and the task
+// codec decodes it into t.
+type codecTask struct{ t *task.Task }
+
+func (c *codecTask) UnmarshalJSON(doc []byte) error { return c.t.DecodeJSON(doc) }
+
+// decodeTasks reads the tasks array next in dec — null reads as no tasks —
+// one task at a time, into fresh, and returns the largest task ID it held.
+func decodeTasks(dec *json.Decoder, fresh *table) (largest task.ID, err error) {
+	tok, err := dec.Token()
+	if err != nil || tok == nil {
+		return 0, err
+	}
+	if tok != json.Delim('[') {
+		return 0, errors.New("tasks is not an array")
+	}
+	var c codecTask
+	for dec.More() {
+		c.t = new(task.Task)
+		if err := dec.Decode(&c); err != nil {
+			return largest, err
 		}
-		if fresh.get(t.ID) != nil {
-			return fmt.Errorf("duplicate task ID %d", t.ID)
+		if fresh.get(c.t.ID) != nil {
+			return largest, fmt.Errorf("duplicate task ID %d", c.t.ID)
 		}
-		fresh.put(t)
-		largest = max(largest, t.ID)
-		return nil
-	})
+		fresh.put(c.t)
+		largest = max(largest, c.t.ID)
+	}
+	_, err = dec.Token()
 	return largest, err
 }

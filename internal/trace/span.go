@@ -187,32 +187,13 @@ func ParseTraceParent(h string) (TraceID, SpanID, bool) {
 	return t, s, true
 }
 
-func hexNibble(c byte) (byte, bool) {
-	switch {
-	case c >= '0' && c <= '9':
-		return c - '0', true
-	case c >= 'a' && c <= 'f':
-		return c - 'a' + 10, true
-	case c >= 'A' && c <= 'F':
-		return c - 'A' + 10, true
-	}
-	return 0, false
-}
-
-// parseHex fills dst from exactly 2*len(dst) hex digits without allocating.
+// parseHex fills dst from exactly 2*len(dst) hex digits.
 func parseHex(dst []byte, s string) bool {
 	if len(s) != 2*len(dst) {
 		return false
 	}
-	for i := range dst {
-		hi, ok1 := hexNibble(s[2*i])
-		lo, ok2 := hexNibble(s[2*i+1])
-		if !ok1 || !ok2 {
-			return false
-		}
-		dst[i] = hi<<4 | lo
-	}
-	return true
+	_, err := hex.Decode(dst, []byte(s))
+	return err == nil
 }
 
 // SpanData is one timed operation inside a span tree.

@@ -51,6 +51,26 @@ func TestTraceParentRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseDoesNotAllocate: a traceparent header and a trace ID query
+// parameter are parsed in place, accepted or not.
+func TestParseDoesNotAllocate(t *testing.T) {
+	h := FormatTraceParent(NewTraceID(), NewSpanID())
+	id := h[3:35]
+	bad := h[:3] + "g" + h[4:]
+	if n := testing.AllocsPerRun(100, func() {
+		ParseTraceParent(h)
+		ParseTraceParent(bad)
+	}); n != 0 {
+		t.Errorf("ParseTraceParent: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		ParseTraceID(id)
+		ParseTraceID(bad[3:35])
+	}); n != 0 {
+		t.Errorf("ParseTraceID: %v allocations, want 0", n)
+	}
+}
+
 func TestTraceIDJSON(t *testing.T) {
 	tr := NewTraceID()
 	raw, err := json.Marshal(tr)
