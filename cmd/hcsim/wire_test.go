@@ -22,7 +22,6 @@ func TestRunSession(t *testing.T) {
 	plane, err := session.New(session.Config{
 		MatchTimeout: 250 * time.Millisecond,
 		RoundTimeout: 10 * time.Second,
-		SweepEvery:   5 * time.Millisecond,
 		Lexicon:      vocab.NewLexicon(vocab.LexiconConfig{Size: 500, ZipfS: 1, SynonymRate: 0, Seed: 1}),
 		Items:        8,
 		OnResult:     bridge.OnResult,

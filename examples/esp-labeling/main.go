@@ -44,7 +44,7 @@ func main() {
 		}
 	}
 	for img := range corpus.Images {
-		if game.Taboo.Retired(img) {
+		if game.Taboo().Retired(img) {
 			retired++
 		}
 	}

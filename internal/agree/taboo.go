@@ -20,6 +20,7 @@ type TabooTracker struct {
 	maxPerItem   int                  // 0 = unlimited
 	counts       map[int]map[int]int  // item -> canonical -> agreement count
 	taboo        map[int]map[int]bool // item -> canonical set
+	retired      int                  // items Retired reports
 }
 
 // SetMaxPerItem caps how many taboo words an item may accumulate (the
@@ -62,6 +63,9 @@ func (t *TabooTracker) Record(item, word int) bool {
 			t.taboo[item] = s
 		}
 		s[can] = true
+		if len(s) == t.retireAt {
+			t.retired++
+		}
 		return true
 	}
 	return false
@@ -92,6 +96,9 @@ func (t *TabooTracker) TabooFor(item int) []int {
 func (t *TabooTracker) Retired(item int) bool {
 	return t.retireAt > 0 && len(t.taboo[item]) >= t.retireAt
 }
+
+// RetiredCount returns how many items have retired.
+func (t *TabooTracker) RetiredCount() int { return t.retired }
 
 // Pick returns an item of 0..n-1 that has not retired — the first one at
 // or after a start drawn from src, wrapping — or ok == false once all n

@@ -75,13 +75,31 @@ func sessionID(w http.ResponseWriter, r *http.Request) (session.ID, bool) {
 	return session.ID(n), true
 }
 
+// sessionRequest reads a session call: the {id} path component into id,
+// unless id is nil, and a body naming a player into req, whose Player
+// field player points at. It answers 400 and returns false on a bad id, a
+// bad body or an empty player.
+func sessionRequest(e *exchange, r *http.Request, id *session.ID, req any, player *string) bool {
+	if id != nil {
+		n, ok := sessionID(e, r)
+		if !ok {
+			return false
+		}
+		*id = n
+	}
+	if !e.decode(r, req, maxSingleBody) {
+		return false
+	}
+	if *player == "" {
+		badRequest(e, r, "dispatch: player required")
+		return false
+	}
+	return true
+}
+
 func (s *Server) handleSessionJoin(e *exchange, r *http.Request) {
 	var req SessionJoinRequest
-	if !e.decode(r, &req, maxSingleBody) {
-		return
-	}
-	if req.Player == "" {
-		badRequest(e, r, "dispatch: player required")
+	if !sessionRequest(e, r, nil, &req, &req.Player) {
 		return
 	}
 	info, err := s.sessions.Join(r.Context(), req.Player)
@@ -119,10 +137,8 @@ func (s *Server) handleSessionEvents(e *exchange, r *http.Request) {
 			badRequest(e, r, "dispatch: invalid wait_ms %q", raw)
 			return
 		}
-		wait = time.Duration(ms) * time.Millisecond
-		if wait > maxEventWait {
-			wait = maxEventWait
-		}
+		// Clamp before converting: a large ms overflows the Duration.
+		wait = time.Duration(min(ms, int(maxEventWait/time.Millisecond))) * time.Millisecond
 	}
 	evs, done, err := s.sessions.Events(r.Context(), id, player, after, wait)
 	if err != nil {
@@ -136,16 +152,9 @@ func (s *Server) handleSessionEvents(e *exchange, r *http.Request) {
 }
 
 func (s *Server) handleSessionGuess(e *exchange, r *http.Request) {
-	id, ok := sessionID(e, r)
-	if !ok {
-		return
-	}
+	var id session.ID
 	var req SessionGuessRequest
-	if !e.decode(r, &req, maxSingleBody) {
-		return
-	}
-	if req.Player == "" {
-		badRequest(e, r, "dispatch: player required")
+	if !sessionRequest(e, r, &id, &req, &req.Player) {
 		return
 	}
 	res, err := s.sessions.Guess(id, req.Player, req.Word)
@@ -157,16 +166,9 @@ func (s *Server) handleSessionGuess(e *exchange, r *http.Request) {
 }
 
 func (s *Server) handleSessionPass(e *exchange, r *http.Request) {
-	id, ok := sessionID(e, r)
-	if !ok {
-		return
-	}
+	var id session.ID
 	var req SessionPlayerRequest
-	if !e.decode(r, &req, maxSingleBody) {
-		return
-	}
-	if req.Player == "" {
-		badRequest(e, r, "dispatch: player required")
+	if !sessionRequest(e, r, &id, &req, &req.Player) {
 		return
 	}
 	done, err := s.sessions.Pass(id, req.Player)
@@ -178,16 +180,9 @@ func (s *Server) handleSessionPass(e *exchange, r *http.Request) {
 }
 
 func (s *Server) handleSessionLeave(e *exchange, r *http.Request) {
-	id, ok := sessionID(e, r)
-	if !ok {
-		return
-	}
+	var id session.ID
 	var req SessionPlayerRequest
-	if !e.decode(r, &req, maxSingleBody) {
-		return
-	}
-	if req.Player == "" {
-		badRequest(e, r, "dispatch: player required")
+	if !sessionRequest(e, r, &id, &req, &req.Player) {
 		return
 	}
 	if err := s.sessions.Leave(id, req.Player); err != nil {

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -33,8 +34,6 @@ func newSessionTestStackWith(t *testing.T, matchTimeout time.Duration, opts Opti
 	plane, err := session.New(session.Config{
 		MatchTimeout: matchTimeout,
 		RoundTimeout: 10 * time.Second,
-		SweepEvery:   5 * time.Millisecond,
-		EndLinger:    time.Minute,
 		Lexicon:      vocab.NewLexicon(vocab.LexiconConfig{Size: 500, ZipfS: 1, SynonymRate: 0, Seed: 1}),
 		Items:        4,
 		OnResult:     bridge.OnResult,
@@ -50,7 +49,30 @@ func newSessionTestStackWith(t *testing.T, matchTimeout time.Duration, opts Opti
 	return sys, bridge, plane, NewClient(srv.URL, nil)
 }
 
-// TestSessionE2E drives the issue's acceptance scenario over the wire:
+// joinPairWire pairs a and b over the wire: a joins and waits, then b
+// arrives.
+func joinPairWire(t *testing.T, plane *session.Plane, client *Client, a, b string) (session.JoinInfo, session.JoinInfo) {
+	t.Helper()
+	var infoA session.JoinInfo
+	var errA error
+	joined := make(chan struct{})
+	go func() {
+		infoA, errA = client.JoinSession(a)
+		close(joined)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for plane.Stats().Waiting == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	infoB, errB := client.JoinSession(b)
+	<-joined
+	if errA != nil || errB != nil {
+		t.Fatalf("joins failed: %v / %v", errA, errB)
+	}
+	return infoA, infoB
+}
+
+// TestSessionE2E drives a session end to end over the wire:
 // two clients get paired, play an ESP output-agreement round, and the
 // agreement lands as answers in the quality plane; a third, lone client
 // times out of matchmaking into replay mode against the first game's
@@ -59,22 +81,7 @@ func TestSessionE2E(t *testing.T) {
 	sys, bridge, plane, client := newSessionTestStack(t, 300*time.Millisecond)
 
 	// Pair alice and bob over the wire.
-	var infoA session.JoinInfo
-	var errA error
-	joined := make(chan struct{})
-	go func() {
-		infoA, errA = client.JoinSession("alice")
-		close(joined)
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for plane.Stats().Waiting == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	infoB, errB := client.JoinSession("bob")
-	<-joined
-	if errA != nil || errB != nil {
-		t.Fatalf("joins failed: %v / %v", errA, errB)
-	}
+	infoA, infoB := joinPairWire(t, plane, client, "alice", "bob")
 	if infoA.Session != infoB.Session || infoA.Mode != "live" || infoB.Mode != "live" {
 		t.Fatalf("pairing mismatch: %+v vs %+v", infoA, infoB)
 	}
@@ -265,24 +272,7 @@ func TestSessionErrorMapping(t *testing.T) {
 		t.Fatalf("no-partner join: %v", err)
 	}
 	// Stranger on someone else's session: 403.
-	var info session.JoinInfo
-	var errA error
-	joined := make(chan struct{})
-	go func() {
-		info, errA = client.JoinSession("m1")
-		close(joined)
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for plane.Stats().Waiting == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if _, err := client.JoinSession("m2"); err != nil {
-		t.Fatal(err)
-	}
-	<-joined
-	if errA != nil {
-		t.Fatal(errA)
-	}
+	info, _ := joinPairWire(t, plane, client, "m1", "m2")
 	if _, err := client.SessionGuess(info.Session, "stranger", 1); !errors.As(err, &apiErr) || apiErr.Status != 403 {
 		t.Fatalf("stranger guess: %v", err)
 	}
@@ -296,5 +286,32 @@ func TestSessionErrorMapping(t *testing.T) {
 	}
 	if _, err := client.SessionGuess(info.Session, "m1", 1); !errors.As(err, &apiErr) || apiErr.Status != 409 {
 		t.Fatalf("guess after end: %v", err)
+	}
+}
+
+// TestEventsWaitCannotWrap pins that a huge wait_ms parks the long-poll
+// for the capped wait: converted to a Duration before the clamp, these
+// values wrapped negative and the poll returned empty at once, so a
+// client re-polling with them spun.
+func TestEventsWaitCannotWrap(t *testing.T) {
+	_, _, plane, client := newSessionTestStack(t, 5*time.Second)
+	info, _ := joinPairWire(t, plane, client, "w1", "w2")
+	for _, ms := range []string{"9223372036855", "18446744073709"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		url := fmt.Sprintf("%s/v1/sessions/%d/events?player=w1&after=1&wait_ms=%s", client.baseURL, info.Session, ms)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		cancel()
+		if err == nil {
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			t.Fatalf("wait_ms=%s returned at once: %d %s", ms, resp.StatusCode, body)
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("wait_ms=%s: %v", ms, err)
+		}
 	}
 }

@@ -92,7 +92,7 @@ func F2(o Options) Result {
 			cfg.PromoteAfter = 1
 		}
 		g := games.NewESP(corpus, cfg)
-		g.Taboo.SetMaxPerItem(tabooN)
+		g.Taboo().SetMaxPerItem(tabooN)
 		src := rng.New(o.Seed + uint64(212+tabooN))
 
 		agreed, rounds := 0, 0

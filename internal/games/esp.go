@@ -6,6 +6,7 @@ import (
 	"humancomp/internal/agree"
 	"humancomp/internal/match"
 	"humancomp/internal/rng"
+	"humancomp/internal/session"
 	"humancomp/internal/vocab"
 	"humancomp/internal/worker"
 )
@@ -22,7 +23,8 @@ type ESPConfig struct {
 	// RetireAt is the number of taboo words at which an image is
 	// considered fully labeled; 0 disables retirement.
 	RetireAt int
-	Seed     uint64
+	// Seed seeds the stream PickImage draws images from.
+	Seed uint64
 	// ReplaySeed seeds the replay store's reservoir sampling.
 	ReplaySeed uint64
 }
@@ -48,68 +50,57 @@ type ESPRound struct {
 	Duration time.Duration // simulated wall time of the round
 }
 
-// Player is one seat of a simulated ESP round: it takes a think time
-// before each beat and then types a tag for the image, given the words
-// barred this round and the ones it has entered. *worker.Worker is the
-// simulated crowd's player.
-type Player interface {
-	ThinkTime() time.Duration
-	GuessTag(lex *vocab.Lexicon, img *vocab.Image, taboo, said map[int]bool) int
-}
-
 // ESP is the ESP Game, the canonical output-agreement game: two randomly
 // paired strangers see the same image and type tags until they agree on
 // one. Agreement is the correctness filter — two people who cannot
 // communicate and independently type the same word are almost certainly
 // describing something in the image. Taboo words push later pairs past the
 // labels already collected, and fully taboo'd images retire. Transcripts of
-// live rounds become the recorded partners of single-player rounds. The
-// rules are agree.OutputRound's; ESP drives it on a simulated clock.
+// live rounds become the recorded partners of single-player rounds.
+//
+// The rounds are the live service's: ESP plays them through a
+// session.Core, which holds the taboo tracker, the replay store and the
+// image stream, on a simulated clock. A simulated round has no round
+// clock — it ends by the round's rules alone — and the simulator never
+// calls Advance.
 type ESP struct {
 	Corpus *vocab.Corpus
-	Taboo  *agree.TabooTracker
 	Labels *Tally
-	// Replay holds the transcripts Play records, which PlaySolo replays.
-	Replay *match.ReplayStore
-	cfg    ESPConfig
-	src    *rng.Source
+	core   *session.Core
 }
 
 // NewESP returns a game over corpus with the given configuration.
 func NewESP(corpus *vocab.Corpus, cfg ESPConfig) *ESP {
 	return &ESP{
 		Corpus: corpus,
-		Taboo:  agree.NewTabooTracker(corpus.Lexicon, cfg.PromoteAfter, cfg.RetireAt),
 		Labels: newTally(corpus.Lexicon),
-		Replay: match.NewReplayStore(rng.New(cfg.ReplaySeed), 8),
-		cfg:    cfg,
-		src:    rng.New(cfg.Seed),
+		core: session.NewCore(corpus.Lexicon, len(corpus.Images), cfg.Mode, cfg.PromoteAfter, cfg.RetireAt,
+			rng.New(cfg.Seed), rng.New(cfg.ReplaySeed)),
 	}
 }
 
+// Taboo is the taboo tracker every round of the game plays under.
+func (g *ESP) Taboo() *agree.TabooTracker { return g.core.Taboo() }
+
 // PickImage returns a random image that has not retired, or ok == false
 // if the whole corpus is fully labeled.
-func (g *ESP) PickImage() (int, bool) { return g.Taboo.Pick(g.src, len(g.Corpus.Images)) }
+func (g *ESP) PickImage() (int, bool) { return g.core.PickItem() }
 
-// Play plays one live round on a random unretired image and records both
-// players' transcripts for replay; an agreement is one output.
+// Play plays one live round on a random unretired image; an agreement is
+// one output.
 func (g *ESP) Play(a, b *worker.Worker) (int, time.Duration) {
 	imgID, ok := g.PickImage()
 	if !ok {
 		return 0, time.Minute // corpus exhausted; idle beat
 	}
-	round, res := g.playLive(a, b, imgID)
-	ids := [2]string{a.ID, b.ID}
-	for seat, words := range round.Transcripts() {
-		g.Replay.Record(match.ReplaySession{Item: imgID, Player: ids[seat], Words: words})
-	}
+	res := g.PlayRound(a, b, imgID)
 	return oneIf(res.Agreed), res.Duration
 }
 
 // PlaySolo plays one round against a recorded partner that
 // match.ReplayStore.Partner picks for w; ok is false when it finds none.
 func (g *ESP) PlaySolo(w *worker.Worker) (int, time.Duration, bool) {
-	s, ok := g.Replay.Partner(w.ID, g.Taboo.Retired)
+	s, ok := g.core.Partner(w.ID)
 	if !ok {
 		return 0, 0, false
 	}
@@ -117,17 +108,12 @@ func (g *ESP) PlaySolo(w *worker.Worker) (int, time.Duration, bool) {
 	return oneIf(res.Agreed), res.Duration, true
 }
 
-// PlayRound runs one round between two players on the image, interleaving
-// their guesses in think-time order as the live game does. On agreement
-// the label and taboo stores are updated.
-func (g *ESP) PlayRound(a, b Player, imageID int) ESPRound {
-	_, res := g.playLive(a, b, imageID)
-	return res
-}
-
-func (g *ESP) playLive(a, b Player, imageID int) (*agree.OutputRound, ESPRound) {
-	round, img := g.open(imageID, nil)
-	players := [2]Player{a, b}
+// PlayRound runs one live round between two players on the image,
+// interleaving their guesses in think-time order as the live game does.
+func (g *ESP) PlayRound(a, b *worker.Worker, imageID int) ESPRound {
+	id, round := g.core.Open(time.Time{}, imageID, [2]string{a.ID, b.ID}, nil)
+	img := g.Corpus.Image(imageID)
+	players := [2]*worker.Worker{a, b}
 	said := [2]map[int]bool{{}, {}}
 	// next[i] is the simulated clock at which player i produces their next
 	// guess; the earlier player acts first, exactly like interleaved typing.
@@ -141,42 +127,39 @@ func (g *ESP) playLive(a, b Player, imageID int) (*agree.OutputRound, ESPRound) 
 		elapsed = next[i]
 		word := players[i].GuessTag(g.Corpus.Lexicon, img, round.Taboo(), said[i])
 		next[i] += players[i].ThinkTime()
-		g.guess(round, i, word, said[i])
+		g.guess(elapsed, id, i, word, said[i])
 	}
-	return round, g.finish(round, imageID, elapsed)
+	return g.finish(round, imageID, elapsed)
 }
 
 // PlayRoundReplay runs a single-player round against a pre-recorded
 // partner transcript on its image, the mechanism that keeps the game
 // playable when no live partner is available.
-func (g *ESP) PlayRoundReplay(a Player, partner match.ReplaySession) ESPRound {
-	round, img := g.open(partner.Item, partner.Words)
+func (g *ESP) PlayRoundReplay(a *worker.Worker, partner match.ReplaySession) ESPRound {
+	id, round := g.core.Open(time.Time{}, partner.Item, [2]string{a.ID}, partner.Words)
+	img := g.Corpus.Image(partner.Item)
 	said := map[int]bool{}
 	var elapsed time.Duration
 	for round.Ended() == "" {
 		elapsed += a.ThinkTime()
-		g.guess(round, 0, a.GuessTag(g.Corpus.Lexicon, img, round.Taboo(), said), said)
+		g.guess(elapsed, id, 0, a.GuessTag(g.Corpus.Lexicon, img, round.Taboo(), said), said)
 	}
 	return g.finish(round, partner.Item, elapsed)
 }
 
-// open starts a round on imageID under the image's current taboo list;
-// recorded is seat 1's transcript in a replay round.
-func (g *ESP) open(imageID int, recorded []int) (*agree.OutputRound, *vocab.Image) {
-	round := agree.NewOutputRound(g.Corpus.Lexicon, g.cfg.Mode, g.Taboo.TabooFor(imageID), recorded)
-	return round, g.Corpus.Image(imageID)
-}
-
-// guess plays a player's beat and, when the round enters the word, adds
-// it to what the player remembers saying.
-func (g *ESP) guess(round *agree.OutputRound, seat, word int, said map[int]bool) {
-	if round.Guess(seat, word) == nil {
+// guess plays a player's beat at the round's elapsed time and, when the
+// round enters the word, adds it to what the player remembers saying.
+func (g *ESP) guess(elapsed time.Duration, id session.ID, seat, word int, said map[int]bool) {
+	res, _, err := g.core.Guess(time.Time{}.Add(elapsed), id, seat, word)
+	if err != nil {
+		panic(err) // the rounds' own seats guess lexicon words until the round ends
+	}
+	if res.Accepted {
 		said[g.Corpus.Lexicon.Canonical(word)] = true
 	}
 }
 
-// finish summarizes an ended round; an agreement enters the label and
-// taboo stores.
+// finish summarizes an ended round; an agreement enters the label tally.
 func (g *ESP) finish(round *agree.OutputRound, imageID int, elapsed time.Duration) ESPRound {
 	res := ESPRound{
 		ImageID:  imageID,
@@ -187,7 +170,6 @@ func (g *ESP) finish(round *agree.OutputRound, imageID int, elapsed time.Duratio
 	if w, ok := round.Agreed(); ok {
 		res.Agreed, res.Word = true, w
 		g.Labels.Record(imageID, w)
-		g.Taboo.Record(imageID, w)
 	}
 	return res
 }

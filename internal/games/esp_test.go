@@ -80,7 +80,7 @@ func TestAgreementUpdatesStores(t *testing.T) {
 	}
 	// With PromoteAfter=1 the word is immediately taboo for that image.
 	found := false
-	for _, w := range g.Taboo.TabooFor(imgID) {
+	for _, w := range g.Taboo().TabooFor(imgID) {
 		if c.Lexicon.AreSynonyms(w, res.Word) {
 			found = true
 		}
@@ -121,7 +121,7 @@ func TestRetirement(t *testing.T) {
 	retired := 0
 	for imgID := 0; imgID < 100; imgID++ {
 		if res := g.PlayRound(a, b, imgID); res.Agreed {
-			if !g.Taboo.Retired(imgID) {
+			if !g.Taboo().Retired(imgID) {
 				t.Fatalf("image %d not retired after 1 taboo word (RetireAt=1)", imgID)
 			}
 			retired++
@@ -136,7 +136,7 @@ func TestRetirement(t *testing.T) {
 		if !ok {
 			break
 		}
-		if g.Taboo.Retired(id) {
+		if g.Taboo().Retired(id) {
 			t.Fatal("PickImage returned a retired image")
 		}
 	}

@@ -8,14 +8,14 @@
 // also an anti-cheat tool: a player who "agrees" with a replayed stranger
 // was verifiably not colluding.
 //
-// Both Matchmaker and ReplayStore are safe for concurrent use: the session
-// plane drives them from concurrent HTTP handlers.
+// Both Matchmaker and ReplayStore are safe for concurrent use. The session
+// core drives them under its plane's lock, and the crowd simulator from its
+// event loop.
 package match
 
 import (
 	"errors"
 	"sync"
-	"time"
 
 	"humancomp/internal/rng"
 )
@@ -28,9 +28,7 @@ type Matchmaker struct {
 	mu      sync.Mutex
 	src     *rng.Source
 	waiting []string
-	index   map[string]int       // player -> position in waiting
-	since   map[string]time.Time // player -> when they entered the pool
-	now     func() time.Time
+	index   map[string]int // player -> position in waiting
 }
 
 // NewMatchmaker returns an empty matchmaker drawing randomness from src.
@@ -38,20 +36,7 @@ func NewMatchmaker(src *rng.Source) *Matchmaker {
 	return &Matchmaker{
 		src:   src.Split(),
 		index: make(map[string]int),
-		since: make(map[string]time.Time),
-		now:   time.Now,
 	}
-}
-
-// SetNow overrides the wall clock used for requeue-age accounting.
-// Simulations and tests call it before traffic; nil restores time.Now.
-func (m *Matchmaker) SetNow(now func() time.Time) {
-	if now == nil {
-		now = time.Now
-	}
-	m.mu.Lock()
-	m.now = now
-	m.mu.Unlock()
 }
 
 // Enqueue adds id to the pool. If anyone is waiting, a partner drawn
@@ -66,7 +51,6 @@ func (m *Matchmaker) Enqueue(id string) (partner string, ok bool, err error) {
 	if len(m.waiting) == 0 {
 		m.index[id] = 0
 		m.waiting = append(m.waiting, id)
-		m.since[id] = m.now()
 		return "", false, nil
 	}
 	i := m.src.Intn(len(m.waiting))
@@ -97,27 +81,4 @@ func (m *Matchmaker) removeAt(i int) {
 	m.index[m.waiting[i]] = i
 	m.waiting = m.waiting[:last]
 	delete(m.index, id)
-	delete(m.since, id)
-}
-
-// OldestWait returns the longest current requeue age across the pool, or
-// zero when nobody is waiting — the starvation gauge on /metrics.
-func (m *Matchmaker) OldestWait() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var oldest time.Duration
-	now := m.now()
-	for _, at := range m.since {
-		if d := now.Sub(at); d > oldest {
-			oldest = d
-		}
-	}
-	return oldest
-}
-
-// Waiting returns the number of players in the pool.
-func (m *Matchmaker) Waiting() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.waiting)
 }

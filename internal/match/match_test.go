@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"humancomp/internal/rng"
 )
@@ -15,15 +14,15 @@ func TestEnqueuePairsTwoPlayers(t *testing.T) {
 	if _, ok, err := m.Enqueue("a"); err != nil || ok {
 		t.Fatalf("first enqueue: ok=%v err=%v", ok, err)
 	}
-	if m.Waiting() != 1 {
-		t.Fatalf("Waiting = %d", m.Waiting())
+	if waiting(m) != 1 {
+		t.Fatalf("Waiting = %d", waiting(m))
 	}
 	partner, ok, err := m.Enqueue("b")
 	if err != nil || !ok || partner != "a" {
 		t.Fatalf("second enqueue: partner=%q ok=%v err=%v", partner, ok, err)
 	}
-	if m.Waiting() != 0 {
-		t.Fatalf("Waiting = %d after pair", m.Waiting())
+	if waiting(m) != 0 {
+		t.Fatalf("Waiting = %d after pair", waiting(m))
 	}
 }
 
@@ -46,8 +45,8 @@ func TestLeave(t *testing.T) {
 	if m.Leave("c") {
 		t.Fatal("Leave(c) = true after leaving")
 	}
-	if m.Waiting() != 0 {
-		t.Fatalf("Waiting = %d", m.Waiting())
+	if waiting(m) != 0 {
+		t.Fatalf("Waiting = %d", waiting(m))
 	}
 	// After leaving, a new arrival waits instead of pairing with c.
 	if _, ok, _ := m.Enqueue("d"); ok {
@@ -94,8 +93,8 @@ func TestManyPlayersAllPair(t *testing.T) {
 	if paired != 500 {
 		t.Fatalf("paired %d couples from 1000 arrivals", paired)
 	}
-	if m.Waiting() != 0 {
-		t.Fatalf("Waiting = %d", m.Waiting())
+	if waiting(m) != 0 {
+		t.Fatalf("Waiting = %d", waiting(m))
 	}
 }
 
@@ -146,31 +145,6 @@ func TestReplayStorePanics(t *testing.T) {
 	NewReplayStore(rng.New(1), 0)
 }
 
-func TestWaitingSince(t *testing.T) {
-	m := NewMatchmaker(rng.New(9))
-	now := time.Unix(1000, 0)
-	m.SetNow(func() time.Time { return now })
-	_, _, _ = m.Enqueue("a")
-	now = now.Add(3 * time.Second)
-	if d := m.OldestWait(); d != 3*time.Second {
-		t.Fatalf("OldestWait = %v", d)
-	}
-	// Pairing clears the age.
-	_, _, _ = m.Enqueue("b")
-	if _, ok := m.since["a"]; ok {
-		t.Fatal("wait age survived pairing")
-	}
-	if d := m.OldestWait(); d != 0 {
-		t.Fatalf("OldestWait = %v with empty pool", d)
-	}
-	// Leaving clears it too.
-	_, _, _ = m.Enqueue("c")
-	m.Leave("c")
-	if _, ok := m.since["c"]; ok {
-		t.Fatal("wait age survived Leave")
-	}
-}
-
 // TestMatchmakerChurnRace hammers Enqueue/Leave/accessors from many
 // goroutines under -race and then checks the index/waiting bookkeeping is
 // still exactly consistent.
@@ -190,8 +164,7 @@ func TestMatchmakerChurnRace(t *testing.T) {
 				if _, ok, err := m.Enqueue(id); err == nil && !ok && i%3 == 0 {
 					m.Leave(id)
 				}
-				_ = m.Waiting()
-				_ = m.OldestWait()
+				_ = waiting(m)
 			}
 		}(w)
 	}
@@ -201,15 +174,9 @@ func TestMatchmakerChurnRace(t *testing.T) {
 	if len(m.index) != len(m.waiting) {
 		t.Fatalf("index has %d entries, waiting has %d", len(m.index), len(m.waiting))
 	}
-	if len(m.since) != len(m.waiting) {
-		t.Fatalf("since has %d entries, waiting has %d", len(m.since), len(m.waiting))
-	}
 	for i, id := range m.waiting {
 		if m.index[id] != i {
 			t.Fatalf("index[%q] = %d, want %d", id, m.index[id], i)
-		}
-		if _, ok := m.since[id]; !ok {
-			t.Fatalf("waiting player %q has no since entry", id)
 		}
 	}
 }
@@ -221,4 +188,11 @@ func BenchmarkEnqueuePair(b *testing.B) {
 		_, _, _ = m.Enqueue(fmt.Sprintf("a%d", i))
 		_, _, _ = m.Enqueue(fmt.Sprintf("b%d", i))
 	}
+}
+
+// waiting returns the number of players in m's pool.
+func waiting(m *Matchmaker) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.waiting)
 }

@@ -29,8 +29,6 @@ func TestSessionSoak(t *testing.T) {
 	cfg := Config{
 		MatchTimeout: 300 * time.Millisecond,
 		RoundTimeout: 2 * time.Second,
-		EndLinger:    50 * time.Millisecond,
-		SweepEvery:   5 * time.Millisecond,
 		Seed:         42,
 		Lexicon:      vocab.NewLexicon(vocab.LexiconConfig{Size: 2000, ZipfS: 1, SynonymRate: 0, Seed: 2}),
 		Items:        items,
