@@ -45,34 +45,22 @@ func main() {
 	flag.StringVar(&cfg.AdminAddr, "admin-addr", "", "admin listen address for /metrics, /healthz, /readyz and /debug/pprof; empty disables")
 	flag.StringVar(&cfg.Snapshot, "snapshot", "", "snapshot file to restore on start and write on shutdown")
 	flag.StringVar(&cfg.WAL, "wal", "", "write-ahead log file (requires -snapshot): replayed after the snapshot on start, checkpointed into it, then appended to while running")
-	flag.StringVar(&cfg.WALSync, "wal-sync", "interval", "WAL durability: always (fsync per append, group-committed), interval (background fsync), never")
-	flag.DurationVar(&cfg.WALSyncInterval, "wal-sync-interval", 100*time.Millisecond, "background fsync period under -wal-sync=interval")
-	flag.DurationVar(&cfg.Core.LeaseTTL, "lease-ttl", 2*time.Minute, "worker lease duration")
-	flag.DurationVar(&cfg.ExpiryInterval, "expiry-interval", 10*time.Second, "how often expired leases are reclaimed")
+	flag.StringVar(&cfg.WALSync, "wal-sync", "interval", "WAL durability: always (fsync per append, group-committed), interval (background fsync every 100ms), never")
+	flag.DurationVar(&cfg.Core.LeaseTTL, "lease-ttl", 2*time.Minute, "worker lease duration; must be positive")
 	flag.StringVar(&cfg.APIKeys, "api-keys", "", "comma-separated API keys; empty leaves the server open")
 	flag.Float64Var(&cfg.API.RatePerSec, "rate", 0, "per-key request rate limit (req/s); 0 disables")
-	flag.Float64Var(&cfg.API.Burst, "burst", 20, "rate-limit burst size")
-	flag.IntVar(&cfg.Core.TraceCapacity, "trace-capacity", 0, "lifecycle trace ring capacity in events; 0 = default, negative disables tracing")
+	flag.Float64Var(&cfg.API.Burst, "burst", 20, "rate-limit burst size; at least 1 when -rate is set")
 
 	flag.BoolVar(&cfg.Core.Spans.Enabled, "spans", true, "record request-scoped span trees, tail-sampled and served at admin GET /v1/debug/spans")
-	flag.IntVar(&cfg.Core.Spans.Capacity, "span-capacity", 0, "retained span trees in the debug ring; 0 = default (512)")
-	flag.DurationVar(&cfg.Core.Spans.SlowThreshold, "span-slow", 0, "root latency at or above which a trace is always retained; 0 = default (100ms), negative disables slow retention")
 	flag.IntVar(&cfg.Core.Spans.SampleEvery, "span-sample", 0, "keep a deterministic 1-in-N sample of fast clean traces; 0 = default (1024), negative disables sampling")
 	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 
 	flag.BoolVar(&cfg.Core.OnlineQuality, "quality-online", true, "run the online Dawid-Skene quality estimator over choice-task answers")
 	flag.Float64Var(&cfg.Core.ConfidenceTarget, "confidence-target", 0, "posterior confidence that completes a choice task before redundancy (0 disables early completion)")
-	flag.IntVar(&cfg.Core.QualityMinAnswers, "quality-min-answers", 2, "answers required before confidence can complete a task early")
 
-	flag.DurationVar(&cfg.ReadHeaderTimeout, "read-header-timeout", 5*time.Second, "http.Server ReadHeaderTimeout (slowloris guard); 0 disables")
-	flag.DurationVar(&cfg.ReadTimeout, "read-timeout", 30*time.Second, "http.Server ReadTimeout; 0 disables")
-	flag.DurationVar(&cfg.WriteTimeout, "write-timeout", 0, "http.Server WriteTimeout; 0 disables")
-	flag.IntVar(&cfg.MaxHeaderBytes, "max-header-bytes", 0, "http.Server MaxHeaderBytes; 0 = stdlib default (1 MiB)")
-	flag.DurationVar(&cfg.IdleTimeout, "idle-timeout", 2*time.Minute, "http.Server IdleTimeout for keep-alive connections; 0 disables")
 	flag.DurationVar(&cfg.API.RequestTimeout, "request-timeout", 30*time.Second, "per-request handler deadline (503 past it); 0 disables")
 	flag.IntVar(&cfg.API.MaxInFlight, "max-inflight", 1024, "per-route concurrent request cap; excess is shed with 429; 0 disables")
-	flag.IntVar(&cfg.API.IdempotencyCapacity, "idempotency-capacity", 0, "Idempotency-Key replay cache entries; 0 = default (4096), negative disables")
 
 	flag.StringVar(&cfg.Follow, "follow", "", "run as replication follower of the leader at this base URL (requires -wal and -snapshot); writes are rejected with 503 + X-Leader until promotion (POST /v1/repl/promote or SIGHUP)")
 	flag.DurationVar(&cfg.MaxReplicaLag, "max-replica-lag", 10*time.Second, "follower readiness degrades (503 on /readyz) when replication staleness exceeds this; 0 disables the check")

@@ -1,7 +1,7 @@
 package agree
 
 import (
-	"sort"
+	"slices"
 
 	"humancomp/internal/rng"
 	"humancomp/internal/vocab"
@@ -17,10 +17,10 @@ type TabooTracker struct {
 	lex          *vocab.Lexicon
 	promoteAfter int
 	retireAt     int
-	maxPerItem   int                  // 0 = unlimited
-	counts       map[int]map[int]int  // item -> canonical -> agreement count
-	taboo        map[int]map[int]bool // item -> canonical set
-	retired      int                  // items Retired reports
+	maxPerItem   int                 // 0 = unlimited
+	counts       map[int]map[int]int // item -> canonical -> agreement count
+	taboo        map[int][]int       // item -> canonicals, ascending
+	retired      int                 // items Retired reports
 }
 
 // SetMaxPerItem caps how many taboo words an item may accumulate (the
@@ -39,7 +39,7 @@ func NewTabooTracker(lex *vocab.Lexicon, promoteAfter, retireAt int) *TabooTrack
 		promoteAfter: promoteAfter,
 		retireAt:     retireAt,
 		counts:       make(map[int]map[int]int),
-		taboo:        make(map[int]map[int]bool),
+		taboo:        make(map[int][]int),
 	}
 }
 
@@ -53,43 +53,25 @@ func (t *TabooTracker) Record(item, word int) bool {
 		t.counts[item] = m
 	}
 	m[can]++
-	if m[can] >= t.promoteAfter && !t.tabooHas(item, can) {
-		if t.maxPerItem > 0 && len(t.taboo[item]) >= t.maxPerItem {
-			return false
-		}
-		s := t.taboo[item]
-		if s == nil {
-			s = make(map[int]bool)
-			t.taboo[item] = s
-		}
-		s[can] = true
-		if len(s) == t.retireAt {
-			t.retired++
-		}
-		return true
+	if m[can] < t.promoteAfter {
+		return false
 	}
-	return false
-}
-
-func (t *TabooTracker) tabooHas(item, can int) bool {
-	s, ok := t.taboo[item]
-	return ok && s[can]
-}
-
-// TabooFor returns the taboo word IDs for item in deterministic order,
-// as canonical representatives, ready to pass to NewOutputRound.
-func (t *TabooTracker) TabooFor(item int) []int {
 	s := t.taboo[item]
-	if len(s) == 0 {
-		return nil
+	i, taboo := slices.BinarySearch(s, can)
+	if taboo || t.maxPerItem > 0 && len(s) >= t.maxPerItem {
+		return false
 	}
-	out := make([]int, 0, len(s))
-	for can := range s {
-		out = append(out, can)
+	s = slices.Insert(s, i, can)
+	t.taboo[item] = s
+	if len(s) == t.retireAt {
+		t.retired++
 	}
-	sort.Ints(out)
-	return out
+	return true
 }
+
+// TabooFor returns the taboo word IDs for item in ascending order, as
+// canonical representatives, ready to pass to NewOutputRound.
+func (t *TabooTracker) TabooFor(item int) []int { return slices.Clone(t.taboo[item]) }
 
 // Retired reports whether item has accumulated enough taboo words to be
 // considered fully labeled.

@@ -384,10 +384,8 @@ func promFamilies(sys *core.System, api *Server, opts AdminOptions) []metrics.Pr
 	}
 
 	if api != nil {
-		if api.idem != nil {
-			fams = append(fams, metrics.PromGaugeFamily("hc_idempotency_cached_responses",
-				"Completed responses retained for Idempotency-Key replay.", float64(api.idem.len())))
-		}
+		fams = append(fams, metrics.PromGaugeFamily("hc_idempotency_cached_responses",
+			"Completed responses retained for Idempotency-Key replay.", float64(api.idem.len())))
 		fams = append(fams, routeFamilies(api.stats.snapshot())...)
 	}
 	return fams

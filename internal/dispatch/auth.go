@@ -20,8 +20,9 @@ type Options struct {
 	// APIKeys, when non-empty, requires every /v1 request to carry
 	// "Authorization: Bearer <key>" with one of the listed keys.
 	APIKeys []string
-	// RatePerSec and Burst, when positive, rate-limit requests per API key
-	// (or per remote host on an open server).
+	// RatePerSec, when positive, rate-limits requests per API key (or per
+	// remote host on an open server) to buckets of Burst tokens; Burst must
+	// then be at least 1.
 	RatePerSec float64
 	Burst      float64
 	// Logger receives structured request and error logs. Nil discards
@@ -37,10 +38,6 @@ type Options struct {
 	// load is shed immediately with 429 + Retry-After instead of
 	// queueing. 0 disables.
 	MaxInFlight int
-	// IdempotencyCapacity bounds the completed-response LRU behind
-	// Idempotency-Key replay on submit/answer routes. 0 selects the
-	// default (4096 entries); negative disables replay.
-	IdempotencyCapacity int
 	// Writable, when non-nil, gates every mutating route: while it reports
 	// false the route answers 503 with an X-Leader hint (see LeaderHint)
 	// before the body is even read. Replication followers use it; nil
@@ -80,7 +77,7 @@ func newAuthLimiter(o Options) *authLimiter {
 			}
 		}
 	}
-	if o.RatePerSec > 0 && o.Burst >= 1 {
+	if o.RatePerSec > 0 {
 		a.limiter = antifraud.NewRateLimiter(o.RatePerSec, o.Burst)
 	}
 	return a

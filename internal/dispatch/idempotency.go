@@ -18,9 +18,8 @@ const (
 	idempotentReplayHdr  = "Idempotent-Replay"
 )
 
-// defaultIdemCapacity bounds the completed-response cache when Options
-// leaves it unset.
-const defaultIdemCapacity = 4096
+// idemCapacity bounds a server's completed-response cache.
+const idemCapacity = 4096
 
 // idemResponse is one cached completed response.
 type idemResponse struct {
@@ -43,12 +42,8 @@ type idemCache struct {
 	m   map[string]*list.Element
 }
 
-// newIdemCache returns a cache bounded to capacity entries; capacity <= 0
-// selects the default.
+// newIdemCache returns a cache bounded to capacity entries.
 func newIdemCache(capacity int) *idemCache {
-	if capacity <= 0 {
-		capacity = defaultIdemCapacity
-	}
 	return &idemCache{cap: capacity, ll: list.New(), m: make(map[string]*list.Element)}
 }
 
@@ -107,9 +102,6 @@ const maxIdemBody = 256 << 10
 // the capture bound (the exchange has stopped capturing) are served but
 // not cached.
 func (c *idemCache) wrap(route string, next handler) handler {
-	if c == nil {
-		return next
-	}
 	return func(e *exchange, r *http.Request) {
 		key := r.Header.Get(idempotencyKeyHeader)
 		if !usableRequestID(key) { // same shape rules as request IDs

@@ -37,7 +37,6 @@ package dispatch
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -103,27 +102,13 @@ type errorResponse struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
-// discardHandler drops every record. (slog's stock discard handler
-// arrived after the Go release this module declares, so the few callers
-// that want a no-op logger get this one.)
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
-func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
-
-// DiscardLogger returns a logger that drops everything — the default when
-// Options.Logger is nil, and what tests pass to silence request logs.
-func DiscardLogger() *slog.Logger { return slog.New(discardHandler{}) }
-
 // Server wires a core.System into an http.Handler.
 type Server struct {
 	sys      *core.System
 	mux      *http.ServeMux // reached through ServeHTTP, which hands it the request's exchange
 	stats    *endpointStats
 	logger   *slog.Logger
-	idem     *idemCache       // Idempotency-Key replay cache; nil when disabled
+	idem     *idemCache       // Idempotency-Key replay cache
 	spans    *trace.SpanPlane // request span plane; nil when disabled
 	sessions *session.Plane   // live session plane; nil when disabled
 }
@@ -138,13 +123,10 @@ func NewServer(sys *core.System) *Server { return NewServerWith(sys, Options{}) 
 func NewServerWith(sys *core.System, opts Options) *Server {
 	logger := opts.Logger
 	if logger == nil {
-		logger = DiscardLogger()
+		logger = slog.New(slog.DiscardHandler)
 	}
 	s := &Server{sys: sys, mux: http.NewServeMux(), stats: newEndpointStats(), logger: logger,
-		spans: sys.Spans()}
-	if opts.IdempotencyCapacity >= 0 {
-		s.idem = newIdemCache(opts.IdempotencyCapacity)
-	}
+		idem: newIdemCache(idemCapacity), spans: sys.Spans()}
 	guard := newAuthLimiter(opts)
 	// Middleware order, outermost first: the exchange with its request ID
 	// (ServeHTTP, whole mux), auth/rate limit, metrics+log, concurrency

@@ -143,9 +143,9 @@ func T4(o Options) Result {
 			c, _, _ := quality.Weighted(votes[id], rep.Weight)
 			return c
 		})
-		em := quality.EM(votes, 2, quality.EMConfig{})
+		em := quality.EM(votes, 2)
 		emAcc := score(func(id string) int { return em.Labels[id] })
-		ds := quality.DawidSkene(votes, 2, quality.EMConfig{})
+		ds := quality.DawidSkene(votes, 2)
 		dsAcc := score(func(id string) int { return ds.Labels[id] })
 
 		res.AddRow(f2c(mean), pct(maj), pct(wtd), pct(emAcc), pct(dsAcc))

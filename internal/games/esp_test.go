@@ -264,14 +264,26 @@ func TestESPConfigPanics(t *testing.T) {
 	NewESP(espCorpus(t), ESPConfig{Mode: agree.Exact, PromoteAfter: 0})
 }
 
+// BenchmarkESPPlayRound plays espBenchRounds rounds on each fresh game: a
+// game's taboo lists grow with every round it plays, so one game played
+// b.N rounds would cost more per round the longer the benchmark ran. An
+// op is one game; ns/round is the figure to compare. The loop counts b.N,
+// not b.Loop: under Go 1.24, b.Loop measures its time budget from the last
+// StartTimer, so a loop that stops the timer for each game never ends.
 func BenchmarkESPPlayRound(b *testing.B) {
+	const espBenchRounds = 5000
 	c := espCorpus(b)
-	g := NewESP(c, DefaultESPConfig())
 	wa, wb := espPair(b, 10)
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.PlayRound(wa, wb, i%len(c.Images))
+	for range b.N {
+		b.StopTimer()
+		g := NewESP(c, DefaultESPConfig())
+		b.StartTimer()
+		for i := range espBenchRounds {
+			g.PlayRound(wa, wb, i%len(c.Images))
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*espBenchRounds), "ns/round")
 }
 
 // TestESPLabelsMakeImagesFindable is the closing-the-loop integration test:

@@ -12,10 +12,9 @@ import (
 // response from many goroutines without coordination and still extract
 // exact counts and tight p50/p99/p999 estimates afterwards.
 //
-// Unlike Histogram (a uniform reservoir sample sized for simulations),
 // LatencyHist never discards an observation: tail quantiles like p999
-// come from real counts, not from the luck of the reservoir — which is
-// what coordinated-omission-safe load measurement requires.
+// come from real counts, not from the luck of a sample — which is what
+// coordinated-omission-safe load measurement requires.
 //
 // The zero value is ready to use.
 type LatencyHist struct {

@@ -36,8 +36,6 @@ type Config struct {
 	Addr, AdminAddr string // -addr, -admin-addr ("" = no admin listener)
 	Snapshot, WAL   string // -snapshot, -wal ("" = none)
 	WALSync         string // -wal-sync: always, interval or never
-	WALSyncInterval time.Duration
-	ExpiryInterval  time.Duration
 	APIKeys         string // -api-keys, comma-separated; "" leaves the API open
 	Follow          string // -follow: leader base URL; "" = boot as leader
 	MaxReplicaLag   time.Duration
@@ -45,16 +43,12 @@ type Config struct {
 
 	MatchTimeout, RoundTimeout time.Duration // of the session plane
 
-	// The http.Server limits both listeners run with.
-	ReadHeaderTimeout, ReadTimeout, WriteTimeout, IdleTimeout time.Duration
-	MaxHeaderBytes                                            int
-
-	// Core carries -lease-ttl, -trace-capacity, -quality-*,
-	// -confidence-target and -span*; Open supplies Journal.
+	// Core carries -lease-ttl, -quality-online, -confidence-target, -spans
+	// and -span-sample; Open supplies Journal.
 	Core core.Config
-	// API carries -rate, -burst, -request-timeout, -max-inflight and
-	// -idempotency-capacity, and the logger -log-json/-log-level built (nil
-	// discards; the node logs through it too). Open supplies the rest.
+	// API carries -rate, -burst, -request-timeout and -max-inflight, and the
+	// logger -log-json/-log-level built (nil discards; the node logs through
+	// it too). Open supplies the rest.
 	API dispatch.Options
 	// Version labels hc_build_info (-ldflags "-X main.version=...").
 	Version string
@@ -68,6 +62,10 @@ func (c *Config) validate() (store.SyncPolicy, error) {
 	switch {
 	case err != nil:
 		return 0, fmt.Errorf("invalid -wal-sync: %w", err)
+	case c.Core.LeaseTTL <= 0:
+		return 0, errors.New("-lease-ttl must be positive")
+	case c.API.RatePerSec > 0 && c.API.Burst < 1:
+		return 0, errors.New("-rate needs a -burst of at least 1")
 	case c.Core.ConfidenceTarget > 0 && !c.Core.OnlineQuality:
 		return 0, errors.New("-confidence-target requires -quality-online")
 	case c.Follow != "" && (c.WAL == "" || c.Snapshot == ""):
@@ -138,7 +136,7 @@ func Open(cfg Config) (*Node, error) {
 	// errc: one send each from the two listeners and a failed promotion.
 	n := &Node{cfg: cfg, log: cfg.API.Logger, stopExpiry: make(chan struct{}), errc: make(chan error, 3)}
 	if n.log == nil {
-		n.log = dispatch.DiscardLogger()
+		n.log = slog.New(slog.DiscardHandler)
 	}
 	if n.apiLn, err = net.Listen("tcp", cfg.Addr); err != nil {
 		return nil, fmt.Errorf("binding -addr: %w", err)
@@ -168,6 +166,7 @@ func Open(cfg Config) (*Node, error) {
 // relies on. Last come the session plane, the lease expiry loop, and serving.
 func (n *Node) boot(policy store.SyncPolicy) error {
 	cfg, following := &n.cfg, n.cfg.Follow != ""
+	var leaderTerm int64
 	var err error
 	if cfg.WAL != "" {
 		n.journal = &repl.SwitchableJournal{}
@@ -180,7 +179,7 @@ func (n *Node) boot(policy store.SyncPolicy) error {
 		// Adopt the leader's snapshot as our own (chained followers can
 		// bootstrap from us) and boot from that file as a leader would.
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		err = fetchLeaderSnapshot(ctx, n.log, nil, cfg.Follow, cfg.Snapshot, time.Second)
+		leaderTerm, err = fetchLeaderSnapshot(ctx, n.log, nil, cfg.Follow, cfg.Snapshot, time.Second)
 		cancel()
 		if err != nil {
 			return fmt.Errorf("bootstrapping from leader snapshot at %s: %w", cfg.Follow, err)
@@ -205,7 +204,7 @@ func (n *Node) boot(policy store.SyncPolicy) error {
 		}
 	}
 	if cfg.WAL != "" {
-		if err = n.openWAL(policy); err != nil {
+		if err = n.openWAL(policy, leaderTerm); err != nil {
 			return err
 		}
 	}
@@ -240,13 +239,17 @@ func (n *Node) boot(policy store.SyncPolicy) error {
 // openWAL loads the term, truncates the WAL — the snapshot covers history,
 // so sequence 1 is the first record after it (on a follower: leader
 // sequence 1) — taps it into the replication source, and attaches it as
-// the journal on a leader or starts tailing the leader on a follower.
-func (n *Node) openWAL(policy store.SyncPolicy) error {
+// the journal on a leader or starts tailing the leader on a follower. A
+// follower starts at no lower a term than leaderTerm, the one its leader
+// served the bootstrap snapshot under, so a promotion before the stream
+// attaches still fences the old leader's epoch.
+func (n *Node) openWAL(policy store.SyncPolicy, leaderTerm int64) error {
 	cfg := &n.cfg
 	term, err := repl.LoadTerm(n.termPath())
 	if err != nil {
 		return fmt.Errorf("loading replication term: %w", err)
 	}
+	term = max(term, leaderTerm)
 	if n.walFile, err = os.Create(cfg.WAL); err != nil {
 		return fmt.Errorf("creating wal: %w", err)
 	}
@@ -255,11 +258,7 @@ func (n *Node) openWAL(policy store.SyncPolicy) error {
 		WALPath:  cfg.WAL,
 		Snapshot: repl.SnapshotFile(cfg.Snapshot),
 	})
-	n.wal = store.NewWALWith(n.walFile, store.WALOptions{
-		Policy:   policy,
-		Interval: cfg.WALSyncInterval,
-		OnRecord: n.source.OnRecord,
-	})
+	n.wal = store.NewWALWith(n.walFile, store.WALOptions{Policy: policy, OnRecord: n.source.OnRecord})
 	n.adminOpts.WAL, n.adminOpts.Repl = n.wal, n.replState
 	n.log.Info("wal open", "path", cfg.WAL, "sync", policy.String(), "term", term)
 	if cfg.Follow == "" {
@@ -299,9 +298,12 @@ func (n *Node) openWAL(policy store.SyncPolicy) error {
 
 func (n *Node) termPath() string { return n.cfg.WAL + ".term" }
 
+// expiryInterval is how often the expiry loop reclaims expired leases.
+const expiryInterval = 10 * time.Second
+
 func (n *Node) expireLoop() {
 	defer n.bg.Done()
-	t := time.NewTicker(n.cfg.ExpiryInterval)
+	t := time.NewTicker(expiryInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -343,13 +345,13 @@ func (n *Node) serve() {
 // listen serves h on ln in the background; a Serve that ends for any
 // reason but Close is reported on Err. who prefixes the log lines.
 func (n *Node) listen(who string, ln net.Listener, h http.Handler) *http.Server {
+	// The header deadline guards against slowloris. WriteTimeout and
+	// MaxHeaderBytes keep the stdlib defaults: none, and 1 MiB.
 	srv := &http.Server{
 		Handler:           h,
-		ReadHeaderTimeout: n.cfg.ReadHeaderTimeout,
-		ReadTimeout:       n.cfg.ReadTimeout,
-		WriteTimeout:      n.cfg.WriteTimeout,
-		IdleTimeout:       n.cfg.IdleTimeout,
-		MaxHeaderBytes:    n.cfg.MaxHeaderBytes,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
 	}
 	n.log.Info(who+"listening", "addr", ln.Addr().String())
 	n.bg.Add(1)
@@ -515,27 +517,30 @@ func (n *Node) close(persist bool) error {
 }
 
 // fetchLeaderSnapshot streams the leader's bootstrap snapshot into the file
-// at path, retrying every retry until ctx ends so a follower can start
-// slightly before its leader. A download that dies partway never shows at
-// path: store.WriteDurable renames only a complete body into place.
-func fetchLeaderSnapshot(ctx context.Context, log *slog.Logger, hc *http.Client, leader, path string, retry time.Duration) error {
+// at path and returns the leader's term, retrying every retry until ctx
+// ends so a follower can start slightly before its leader. A download that
+// dies partway never shows at path: store.WriteDurable renames only a
+// complete body into place.
+func fetchLeaderSnapshot(ctx context.Context, log *slog.Logger, hc *http.Client, leader, path string, retry time.Duration) (int64, error) {
 	for {
+		var term int64
 		err := store.WriteDurable(path, func(w io.Writer) error {
-			rc, err := repl.FetchSnapshot(ctx, hc, leader)
+			rc, t, err := repl.FetchSnapshot(ctx, hc, leader)
 			if err != nil {
 				return err
 			}
 			defer rc.Close()
+			term = t
 			_, err = io.Copy(w, rc)
 			return err
 		})
 		if err == nil {
-			return nil
+			return term, nil
 		}
 		log.Warn("leader snapshot fetch failed; retrying", "err", err)
 		select {
 		case <-ctx.Done():
-			return err
+			return 0, err
 		case <-time.After(retry):
 		}
 	}

@@ -17,25 +17,29 @@ import (
 
 	"humancomp/internal/core"
 	"humancomp/internal/dispatch"
+	"humancomp/internal/repl"
 	"humancomp/internal/session"
 	"humancomp/internal/task"
 )
 
-// config is hcservd's flag defaults over the state in dir, on free loopback
-// ports, with the lease sweep out of the way.
+// config is hcservd's flag defaults with the state in dir, both listeners
+// on free loopback ports, and -max-replica-lag 30s as CI's follower smoke
+// runs it.
 func config(dir string) Config {
 	cfg := Config{
-		Addr:            "127.0.0.1:0",
-		AdminAddr:       "127.0.0.1:0",
-		Snapshot:        filepath.Join(dir, "snap.json"),
-		WAL:             filepath.Join(dir, "wal.log"),
-		WALSync:         "interval",
-		WALSyncInterval: 100 * time.Millisecond,
-		ExpiryInterval:  time.Hour,
-		MaxReplicaLag:   30 * time.Second,
-		Core:            core.DefaultConfig(),
+		Addr:          "127.0.0.1:0",
+		AdminAddr:     "127.0.0.1:0",
+		Snapshot:      filepath.Join(dir, "snap.json"),
+		WAL:           filepath.Join(dir, "wal.log"),
+		WALSync:       "interval",
+		MaxReplicaLag: 30 * time.Second,
+		MatchTimeout:  2 * time.Second,
+		RoundTimeout:  60 * time.Second,
+		Core:          core.DefaultConfig(),
+		API:           dispatch.Options{Burst: 20, RequestTimeout: 30 * time.Second, MaxInFlight: 1024},
 	}
 	cfg.Core.OnlineQuality = true
+	cfg.Core.Spans.Enabled = true
 	return cfg
 }
 
@@ -166,6 +170,8 @@ func TestOpenRefusesBeforeTouchingState(t *testing.T) {
 		{"confidence target without the estimator", func(c *Config) { c.Core.ConfidenceTarget, c.Core.OnlineQuality = 0.9, false }, "-confidence-target requires -quality-online"},
 		{"blank api keys", func(c *Config) { c.APIKeys = " , ," }, "-api-keys contains no usable keys"},
 		{"bad wal-sync", func(c *Config) { c.WALSync = "sometimes" }, `invalid -wal-sync: store: unknown sync policy "sometimes" (want always, interval or never)`},
+		{"zero lease ttl", func(c *Config) { c.Core.LeaseTTL = 0 }, "-lease-ttl must be positive"},
+		{"rate without a burst", func(c *Config) { c.API.RatePerSec, c.API.Burst = 5, 0.5 }, "-rate needs a -burst of at least 1"},
 		{"api address taken", func(c *Config) { c.Addr = taken.Addr().String() }, "address already in use"},
 		{"admin address taken", func(c *Config) { c.AdminAddr = taken.Addr().String() }, "address already in use"},
 	} {
@@ -315,6 +321,26 @@ func follow(t *testing.T) (leader, follower *Node, fcfg Config) {
 	fcfg = config(t.TempDir())
 	fcfg.Follow = "http://" + leader.Addr()
 	return leader, open(t, fcfg), fcfg
+}
+
+// TestFollowerBootsAtItsLeadersTerm: the bootstrap snapshot carries the
+// leader's term, so a follower promoted before its stream has attached
+// still moves past the leader's epoch instead of taking it.
+func TestFollowerBootsAtItsLeadersTerm(t *testing.T) {
+	leader := open(t, config(t.TempDir()))
+	leader.source.SetTerm(3)
+	fcfg := config(t.TempDir())
+	fcfg.Follow = "http://" + leader.Addr()
+	follower := open(t, fcfg)
+	if got := follower.follower.Term(); got != 3 {
+		t.Fatalf("follower booted at term %d, want its leader's 3", got)
+	}
+	if err := follower.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := repl.LoadTerm(fcfg.WAL + ".term"); err != nil || got != 4 {
+		t.Fatalf("persisted term after promotion = %d, %v; want 4", got, err)
+	}
 }
 
 // postTask submits one task with no client in between, so a refusal is seen

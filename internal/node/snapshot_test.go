@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -14,7 +15,6 @@ import (
 	"time"
 
 	"humancomp/internal/core"
-	"humancomp/internal/dispatch"
 	"humancomp/internal/faultinject"
 	"humancomp/internal/repl"
 	"humancomp/internal/store"
@@ -148,7 +148,7 @@ func TestFollowerBootstrapSurvivesDroppedDownloads(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	hc := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
-	if err := fetchLeaderSnapshot(ctx, dispatch.DiscardLogger(), hc, "http://"+ln.Addr().String(), followerSnap, 5*time.Millisecond); err != nil {
+	if _, err := fetchLeaderSnapshot(ctx, slog.New(slog.DiscardHandler), hc, "http://"+ln.Addr().String(), followerSnap, 5*time.Millisecond); err != nil {
 		t.Fatalf("bootstrap gave up after %d attempts: %v", attempts.Load(), err)
 	}
 	if n := attempts.Load(); n != 3 {
@@ -158,7 +158,7 @@ func TestFollowerBootstrapSurvivesDroppedDownloads(t *testing.T) {
 		t.Fatalf("bootstrapped snapshot: %d bytes, %v; want the leader's %d", len(got), err, len(want))
 	}
 	sys := core.New(core.DefaultConfig())
-	if err := restore(dispatch.DiscardLogger(), sys, followerSnap); err != nil {
+	if err := restore(slog.New(slog.DiscardHandler), sys, followerSnap); err != nil {
 		t.Fatalf("booting from the bootstrapped snapshot: %v", err)
 	}
 	if got := sys.Store().Len(); got != 3002 {

@@ -17,26 +17,22 @@ type DSResult struct {
 	Iterations int
 }
 
+// The Dirichlet smoothing of both Dawid–Skene estimators, batch and online.
+const (
+	smooth     = 0.1 // on every confusion cell and class prior
+	diagSmooth = 1.0 // extra diagonal mass: workers beat chance
+)
+
 // DawidSkene runs the full confusion-matrix Dawid–Skene estimator: unlike
 // the one-coin EM (which models a single accuracy per worker), it learns a
 // per-worker confusion matrix and therefore captures *biased* workers —
 // e.g. a rater who calls everything "same" — whose errors are informative
 // rather than merely noisy. This is the classical 1979 estimator the
 // crowdsourcing quality-control literature builds on.
-func DawidSkene(votes map[string][]Vote, numClasses int, cfg EMConfig) DSResult {
+func DawidSkene(votes map[string][]Vote, numClasses int) DSResult {
 	if numClasses < 2 {
 		panic("quality: DawidSkene needs at least two classes")
 	}
-	if cfg.MaxIter <= 0 {
-		cfg.MaxIter = 50
-	}
-	if cfg.Tol <= 0 {
-		cfg.Tol = 1e-6
-	}
-	const (
-		smooth     = 0.1 // Dirichlet smoothing on confusion rows and priors
-		diagSmooth = 1.0 // extra diagonal mass: workers beat chance
-	)
 
 	// Initialize posteriors from the hard majority label (ties split).
 	// Soft vote-share initialization bleeds majority-class error mass into
@@ -72,7 +68,7 @@ func DawidSkene(votes map[string][]Vote, numClasses int, cfg EMConfig) DSResult 
 	// are learned first; priors unlock once they have stabilized.
 	const priorBurnIn = 3
 	iter := 0
-	for ; iter < cfg.MaxIter; iter++ {
+	for ; iter < emMaxIter; iter++ {
 		// M-step: class priors and per-worker confusion rows.
 		for j := range priors {
 			priors[j] = smooth
@@ -154,7 +150,7 @@ func DawidSkene(votes map[string][]Vote, numClasses int, cfg EMConfig) DSResult 
 			post[id] = softmax(logp)
 		}
 
-		if maxDelta < cfg.Tol && iter > 0 {
+		if maxDelta < emTol && iter > 0 {
 			iter++
 			break
 		}

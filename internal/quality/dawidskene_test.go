@@ -35,7 +35,7 @@ func synthBiasedVotes(src *rng.Source, nTasks int, accuracies []float64, biasedW
 func TestDawidSkeneRecoversTruth(t *testing.T) {
 	src := rng.New(1)
 	votes, truth := synthVotes(src, 400, []float64{0.9, 0.85, 0.8, 0.75, 0.9})
-	res := DawidSkene(votes, 2, EMConfig{})
+	res := DawidSkene(votes, 2)
 	if acc := accuracyOf(res.Labels, truth); acc < 0.95 {
 		t.Errorf("DS accuracy = %.3f with five good workers", acc)
 	}
@@ -47,7 +47,7 @@ func TestDawidSkeneRecoversTruth(t *testing.T) {
 func TestDawidSkeneLearnsConfusionRows(t *testing.T) {
 	src := rng.New(2)
 	votes, _ := synthVotes(src, 800, []float64{0.95, 0.60, 0.60, 0.60, 0.60})
-	res := DawidSkene(votes, 2, EMConfig{})
+	res := DawidSkene(votes, 2)
 	m := res.Confusion["w0"]
 	if m == nil {
 		t.Fatal("no confusion matrix for w0")
@@ -80,8 +80,8 @@ func TestDawidSkeneBeatsOneCoinOnBiasedWorker(t *testing.T) {
 	src := rng.New(3)
 	// Three mediocre honest workers plus one heavily biased one.
 	votes, truth := synthBiasedVotes(src, 800, []float64{0.65, 0.65, 0.65, 0}, 3, 0.9)
-	ds := DawidSkene(votes, 2, EMConfig{})
-	oneCoin := EM(votes, 2, EMConfig{})
+	ds := DawidSkene(votes, 2)
+	oneCoin := EM(votes, 2)
 	dsAcc := accuracyOf(ds.Labels, truth)
 	ocAcc := accuracyOf(oneCoin.Labels, truth)
 	if dsAcc < ocAcc-0.01 {
@@ -116,23 +116,23 @@ func TestDawidSkenePriorsReflectImbalance(t *testing.T) {
 			votes[id] = append(votes[id], v(fmt.Sprintf("w%d", w), c))
 		}
 	}
-	res := DawidSkene(votes, 2, EMConfig{})
+	res := DawidSkene(votes, 2)
 	if res.Priors[0] < 0.7 {
 		t.Errorf("prior for dominant class = %.2f, want > 0.7", res.Priors[0])
 	}
 }
 
 func TestDawidSkeneDegenerateInputs(t *testing.T) {
-	res := DawidSkene(map[string][]Vote{"t0": {v("w0", 1)}}, 2, EMConfig{})
+	res := DawidSkene(map[string][]Vote{"t0": {v("w0", 1)}}, 2)
 	if res.Labels["t0"] != 1 {
 		t.Errorf("single vote label = %d", res.Labels["t0"])
 	}
-	res = DawidSkene(map[string][]Vote{}, 2, EMConfig{})
+	res = DawidSkene(map[string][]Vote{}, 2)
 	if len(res.Labels) != 0 {
 		t.Error("empty input produced labels")
 	}
 	// Out-of-range votes ignored.
-	res = DawidSkene(map[string][]Vote{"t0": {v("w0", 9), v("w1", 0)}}, 2, EMConfig{})
+	res = DawidSkene(map[string][]Vote{"t0": {v("w0", 9), v("w1", 0)}}, 2)
 	if res.Labels["t0"] != 0 {
 		t.Errorf("out-of-range vote perturbed label: %d", res.Labels["t0"])
 	}
@@ -144,7 +144,7 @@ func TestDawidSkenePanicsOnOneClass(t *testing.T) {
 			t.Fatal("numClasses 1 did not panic")
 		}
 	}()
-	DawidSkene(nil, 1, EMConfig{})
+	DawidSkene(nil, 1)
 }
 
 func TestDawidSkeneMultiClass(t *testing.T) {
@@ -163,7 +163,7 @@ func TestDawidSkeneMultiClass(t *testing.T) {
 			votes[id] = append(votes[id], v(fmt.Sprintf("w%d", w), c))
 		}
 	}
-	res := DawidSkene(votes, k, EMConfig{})
+	res := DawidSkene(votes, k)
 	if acc := accuracyOf(res.Labels, truth); acc < 0.9 {
 		t.Errorf("4-class DS accuracy = %.3f", acc)
 	}
@@ -174,7 +174,7 @@ func BenchmarkDawidSkene500Tasks(b *testing.B) {
 	votes, _ := synthVotes(src, 500, []float64{0.9, 0.8, 0.7, 0.6, 0.85})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DawidSkene(votes, 2, EMConfig{})
+		DawidSkene(votes, 2)
 	}
 }
 

@@ -26,9 +26,7 @@ import (
 type OnlineDawidSkene struct {
 	mu sync.Mutex
 
-	k      int
-	smooth float64
-	diag   float64
+	k int
 
 	priorFor func(worker string) (acc, weight float64)
 	histCap  int
@@ -63,12 +61,6 @@ type onlineTask struct {
 type OnlineDSConfig struct {
 	// Classes is the size of the label space (>= 2).
 	Classes int
-	// Smooth and DiagSmooth mirror the batch estimator's Dirichlet
-	// smoothing: Smooth on every confusion cell and class prior,
-	// DiagSmooth of extra diagonal mass (workers beat chance).
-	// Zero selects the batch defaults (0.1 and 1.0).
-	Smooth     float64
-	DiagSmooth float64
 	// PriorFor, when set, seeds the confusion matrix of a first-seen
 	// worker from external calibration (the gold-probe reputation
 	// tracker): acc is the worker's estimated accuracy, weight the
@@ -88,19 +80,11 @@ func NewOnlineDawidSkene(cfg OnlineDSConfig) *OnlineDawidSkene {
 	if cfg.Classes < 2 {
 		panic("quality: OnlineDawidSkene needs at least two classes")
 	}
-	if cfg.Smooth <= 0 {
-		cfg.Smooth = 0.1
-	}
-	if cfg.DiagSmooth <= 0 {
-		cfg.DiagSmooth = 1.0
-	}
 	if cfg.HistoryCap == 0 {
 		cfg.HistoryCap = 1024
 	}
 	o := &OnlineDawidSkene{
 		k:        cfg.Classes,
-		smooth:   cfg.Smooth,
-		diag:     cfg.DiagSmooth,
 		priorFor: cfg.PriorFor,
 		histCap:  cfg.HistoryCap,
 		priors:   make([]float64, cfg.Classes),
@@ -109,7 +93,7 @@ func NewOnlineDawidSkene(cfg OnlineDSConfig) *OnlineDawidSkene {
 		history:  make(map[string]*onlineTask),
 	}
 	for j := range o.priors {
-		o.priors[j] = cfg.Smooth
+		o.priors[j] = smooth
 	}
 	return o
 }
@@ -210,9 +194,9 @@ func (o *OnlineDawidSkene) ensureWorkerLocked(name string) *onlineWorker {
 	if w != nil {
 		return w
 	}
-	w = &onlineWorker{counts: newMatrix(o.k, o.smooth)}
+	w = &onlineWorker{counts: newMatrix(o.k, smooth)}
 	for j := 0; j < o.k; j++ {
-		w.counts[j][j] += o.diag
+		w.counts[j][j] += diagSmooth
 	}
 	if o.priorFor != nil {
 		if acc, weight := o.priorFor(name); weight > 0 && acc > 0 && acc < 1 {
@@ -439,7 +423,7 @@ func Divergence(sample []VoteSample, numClasses int) (meanL1 float64, tasks int)
 	for _, s := range sample {
 		votes[s.TaskID] = s.Votes
 	}
-	batch := DawidSkene(votes, numClasses, EMConfig{})
+	batch := DawidSkene(votes, numClasses)
 	total := 0.0
 	for _, s := range sample {
 		bp := batch.Posteriors[s.TaskID]

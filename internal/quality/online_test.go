@@ -184,7 +184,7 @@ func TestOnlineConvergesToBatch(t *testing.T) {
 			for _, seed := range convergenceSeeds {
 				votes, truth := streamCorpus(rng.New(seed), tc.k, 150, 5, tc.bias)
 				online := feedOnline(votes, tc.k)
-				batch := DawidSkene(votes, tc.k, EMConfig{})
+				batch := DawidSkene(votes, tc.k)
 				labelAgree, meanL1 := agreement(online, batch)
 				if labelAgree < 0.80 || meanL1 > 0.37 {
 					t.Errorf("seed %d: label agreement %.3f, mean L1 %.3f", seed, labelAgree, meanL1)

@@ -87,11 +87,12 @@ func Weighted(votes []Vote, weight func(worker string) float64) (class int, tota
 	return best, bestW, true
 }
 
-// EMConfig bounds the EM iteration.
-type EMConfig struct {
-	MaxIter int     // default 50
-	Tol     float64 // convergence threshold on accuracy change, default 1e-6
-}
+// EM and DawidSkene iterate until no worker parameter moves by more than
+// emTol, or for emMaxIter rounds.
+const (
+	emMaxIter = 50
+	emTol     = 1e-6
+)
 
 // EMResult carries the output of EM.
 type EMResult struct {
@@ -113,15 +114,9 @@ type EMResult struct {
 //
 // This is the estimator that dominates majority vote when worker quality
 // is heterogeneous: one good worker outvotes three coin-flippers.
-func EM(votes map[string][]Vote, numClasses int, cfg EMConfig) EMResult {
+func EM(votes map[string][]Vote, numClasses int) EMResult {
 	if numClasses < 2 {
 		panic("quality: EM needs at least two classes")
-	}
-	if cfg.MaxIter <= 0 {
-		cfg.MaxIter = 50
-	}
-	if cfg.Tol <= 0 {
-		cfg.Tol = 1e-6
 	}
 
 	// Initialize posteriors from per-task vote shares (majority soft-start).
@@ -139,7 +134,7 @@ func EM(votes map[string][]Vote, numClasses int, cfg EMConfig) EMResult {
 
 	acc := map[string]float64{}
 	iter := 0
-	for ; iter < cfg.MaxIter; iter++ {
+	for ; iter < emMaxIter; iter++ {
 		// M-step: re-estimate worker accuracy from current posteriors,
 		// with a weak Beta(2,1)-style prior to avoid 0/1 lock-in.
 		num := map[string]float64{}
@@ -187,7 +182,7 @@ func EM(votes map[string][]Vote, numClasses int, cfg EMConfig) EMResult {
 			post[id] = softmax(logp)
 		}
 
-		if maxDelta < cfg.Tol && iter > 0 {
+		if maxDelta < emTol && iter > 0 {
 			iter++
 			break
 		}

@@ -111,7 +111,7 @@ func accuracyOf(labels map[string]int, truth map[string]int) float64 {
 func TestEMRecoversTruthWithGoodWorkers(t *testing.T) {
 	src := rng.New(2)
 	votes, truth := synthVotes(src, 300, []float64{0.9, 0.85, 0.8, 0.9, 0.75})
-	res := EM(votes, 2, EMConfig{})
+	res := EM(votes, 2)
 	if acc := accuracyOf(res.Labels, truth); acc < 0.95 {
 		t.Errorf("EM accuracy = %.3f with five good workers", acc)
 	}
@@ -126,7 +126,7 @@ func TestEMEstimatesWorkerAccuracy(t *testing.T) {
 	// five-worker panel where majority structure breaks the symmetry.
 	src := rng.New(3)
 	votes, _ := synthVotes(src, 800, []float64{0.95, 0.60, 0.60, 0.60, 0.60})
-	res := EM(votes, 2, EMConfig{})
+	res := EM(votes, 2)
 	good := res.WorkerAccuracy["w0"]
 	for _, w := range []string{"w1", "w2", "w3", "w4"} {
 		if good < res.WorkerAccuracy[w] {
@@ -147,7 +147,7 @@ func TestEMEstimatesWorkerAccuracy(t *testing.T) {
 func TestEMBeatsMajorityWithHeterogeneousWorkers(t *testing.T) {
 	src := rng.New(4)
 	votes, truth := synthVotes(src, 600, []float64{0.97, 0.55, 0.55, 0.55, 0.55})
-	res := EM(votes, 2, EMConfig{})
+	res := EM(votes, 2)
 	emAcc := accuracyOf(res.Labels, truth)
 
 	majLabels := make(map[string]int, len(votes))
@@ -168,18 +168,18 @@ func TestEMBeatsMajorityWithHeterogeneousWorkers(t *testing.T) {
 func TestEMHandlesDegenerateInputs(t *testing.T) {
 	// Single task, single vote: should return that vote's class.
 	votes := map[string][]Vote{"t0": {v("w0", 1)}}
-	res := EM(votes, 2, EMConfig{})
+	res := EM(votes, 2)
 	if res.Labels["t0"] != 1 {
 		t.Errorf("single vote label = %d", res.Labels["t0"])
 	}
 	// Out-of-range classes are ignored rather than crashing.
 	votes = map[string][]Vote{"t0": {v("w0", 7), v("w1", 1)}}
-	res = EM(votes, 2, EMConfig{})
+	res = EM(votes, 2)
 	if res.Labels["t0"] != 1 {
 		t.Errorf("out-of-range vote perturbed label: %d", res.Labels["t0"])
 	}
 	// Empty input yields empty output.
-	res = EM(map[string][]Vote{}, 2, EMConfig{})
+	res = EM(map[string][]Vote{}, 2)
 	if len(res.Labels) != 0 {
 		t.Error("empty input produced labels")
 	}
@@ -191,13 +191,13 @@ func TestEMPanicsOnOneClass(t *testing.T) {
 			t.Fatal("numClasses 1 did not panic")
 		}
 	}()
-	EM(nil, 1, EMConfig{})
+	EM(nil, 1)
 }
 
 func TestEMPosteriorsNormalized(t *testing.T) {
 	src := rng.New(5)
 	votes, _ := synthVotes(src, 50, []float64{0.8, 0.8, 0.8})
-	res := EM(votes, 2, EMConfig{})
+	res := EM(votes, 2)
 	for id, p := range res.Posteriors {
 		sum := 0.0
 		for _, x := range p {
@@ -275,6 +275,6 @@ func BenchmarkEM500Tasks(b *testing.B) {
 	votes, _ := synthVotes(src, 500, []float64{0.9, 0.8, 0.7, 0.6, 0.85})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EM(votes, 2, EMConfig{})
+		EM(votes, 2)
 	}
 }

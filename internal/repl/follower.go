@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -86,25 +87,30 @@ func NewFollower(opts FollowerOptions) *Follower {
 }
 
 // FetchSnapshot streams the leader's bootstrap snapshot — the state at
-// sequence 0 of its current WAL.
-func FetchSnapshot(ctx context.Context, hc *http.Client, leader string) (io.ReadCloser, error) {
+// sequence 0 of its current WAL — and returns the term it was served under.
+func FetchSnapshot(ctx context.Context, hc *http.Client, leader string) (io.ReadCloser, int64, error) {
 	if hc == nil {
 		hc = http.DefaultClient
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, leader+"/v1/repl/snapshot", nil)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	resp, err := hc.Do(req)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		resp.Body.Close()
-		return nil, fmt.Errorf("repl: snapshot fetch: %s: %s", resp.Status, body)
+		return nil, 0, fmt.Errorf("repl: snapshot fetch: %s: %s", resp.Status, body)
 	}
-	return resp.Body, nil
+	term, err := strconv.ParseInt(resp.Header.Get("X-Repl-Term"), 10, 64)
+	if err != nil {
+		resp.Body.Close()
+		return nil, 0, fmt.Errorf("repl: snapshot fetch: X-Repl-Term: %w", err)
+	}
+	return resp.Body, term, nil
 }
 
 // Term returns the follower's current epoch.

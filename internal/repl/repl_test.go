@@ -39,6 +39,7 @@ type leaderHarness struct {
 	walBuf *os.File
 }
 
+// newLeader's source keeps the newest tailSize frames in memory.
 func newLeader(t *testing.T, tailSize int) *leaderHarness {
 	t.Helper()
 	dir := t.TempDir()
@@ -52,8 +53,8 @@ func newLeader(t *testing.T, tailSize int) *leaderHarness {
 		Term:     1,
 		WALPath:  walPath,
 		Snapshot: func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader([]byte("{}"))), nil },
-		TailSize: tailSize,
 	})
+	src.frames = make([][]byte, tailSize)
 	wal := store.NewWALWith(f, store.WALOptions{OnRecord: src.OnRecord})
 	t.Cleanup(func() { wal.Close() })
 	srv := httptest.NewServer(src.Handler(nil))
@@ -98,7 +99,7 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 }
 
 func TestFollowerTailsLiveStream(t *testing.T) {
-	l := newLeader(t, DefaultTailSize)
+	l := newLeader(t, tailFrames)
 	for i := 1; i <= 3; i++ {
 		if err := l.wal.Append(submitEvent(t, task.ID(i))); err != nil {
 			t.Fatal(err)
@@ -170,7 +171,7 @@ func TestFollowerCatchesUpFromFileFallback(t *testing.T) {
 }
 
 func TestFollowerRefusesFencedLeader(t *testing.T) {
-	l := newLeader(t, DefaultTailSize) // term 1
+	l := newLeader(t, tailFrames) // term 1
 	rec := &applyRecorder{}
 	f := NewFollower(FollowerOptions{Leader: l.srv.URL, Term: 5, Apply: rec.apply})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -188,7 +189,7 @@ func TestFollowerRefusesFencedLeader(t *testing.T) {
 }
 
 func TestFollowerAdoptsHigherTerm(t *testing.T) {
-	l := newLeader(t, DefaultTailSize)
+	l := newLeader(t, tailFrames)
 	l.src.SetTerm(7)
 	if err := l.wal.Append(submitEvent(t, 1)); err != nil {
 		t.Fatal(err)
@@ -210,7 +211,7 @@ func TestFollowerAdoptsHigherTerm(t *testing.T) {
 }
 
 func TestStreamCursorBeyondLogEndConflicts(t *testing.T) {
-	l := newLeader(t, DefaultTailSize)
+	l := newLeader(t, tailFrames)
 	if err := l.wal.Append(submitEvent(t, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestStreamCursorBeyondLogEndConflicts(t *testing.T) {
 // and nothing else; a cursor that only starts with one is refused, not
 // read as that number.
 func TestStreamCursorIsADecimalSeq(t *testing.T) {
-	l := newLeader(t, DefaultTailSize)
+	l := newLeader(t, tailFrames)
 	appendN(t, l, 1, 20)
 	for _, from := range []string{"12abc", "0x10", "7.9", "3 4", "1e1", " 5", "0", "-1", "99999999999999999999"} {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
@@ -245,10 +246,10 @@ func TestStreamCursorIsADecimalSeq(t *testing.T) {
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
-	l := newLeader(t, DefaultTailSize)
-	rc, err := FetchSnapshot(context.Background(), nil, l.srv.URL)
-	if err != nil {
-		t.Fatal(err)
+	l := newLeader(t, tailFrames)
+	rc, term, err := FetchSnapshot(context.Background(), nil, l.srv.URL)
+	if err != nil || term != 1 {
+		t.Fatalf("snapshot fetch: term %d, %v; want the leader's 1", term, err)
 	}
 	defer rc.Close()
 	data, err := io.ReadAll(rc)
@@ -298,7 +299,7 @@ func TestSwitchableJournal(t *testing.T) {
 func TestFollowerSurvivesLeaderRestartOfStream(t *testing.T) {
 	// Kill the leader's HTTP server mid-tail and bring up a new one on the
 	// same source; the follower reconnects and resumes from applied+1.
-	l := newLeader(t, DefaultTailSize)
+	l := newLeader(t, tailFrames)
 	if err := l.wal.Append(submitEvent(t, 1)); err != nil {
 		t.Fatal(err)
 	}

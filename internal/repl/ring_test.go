@@ -210,7 +210,8 @@ func TestRingCursorBeyondWrappedLogConflicts(t *testing.T) {
 }
 
 func TestOnRecordDoesNotAllocateWithFullTail(t *testing.T) {
-	src := NewSource(SourceOptions{TailSize: ringTail})
+	src := NewSource(SourceOptions{})
+	src.frames = make([][]byte, ringTail)
 	frame := []byte("frame")
 	seq := int64(0)
 	feed := func() {

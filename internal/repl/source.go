@@ -13,10 +13,10 @@ import (
 	"humancomp/internal/store"
 )
 
-// DefaultTailSize is the default number of recent WAL frames a Source
-// keeps in memory for streaming. Followers lagging further than this are
-// served from the WAL file on disk until they re-enter the window.
-const DefaultTailSize = 4096
+// tailFrames is the number of recent WAL frames a Source keeps in memory
+// for streaming. Followers lagging further than this are served from the
+// WAL file on disk until they re-enter the window.
+const tailFrames = 4096
 
 // SourceOptions configures a replication Source.
 type SourceOptions struct {
@@ -28,8 +28,6 @@ type SourceOptions struct {
 	// Snapshot supplies the bootstrap snapshot served on
 	// /v1/repl/snapshot — the state at sequence 0 of the current WAL.
 	Snapshot func() (io.ReadCloser, error)
-	// TailSize bounds the in-memory frame tail; 0 selects DefaultTailSize.
-	TailSize int
 }
 
 // SnapshotFile adapts a snapshot path on disk to SourceOptions.Snapshot.
@@ -57,13 +55,9 @@ type Source struct {
 // NewSource returns a Source at sequence 0 of the current WAL. Install its
 // OnRecord method as the WAL's record tap.
 func NewSource(opts SourceOptions) *Source {
-	tailSize := opts.TailSize
-	if tailSize <= 0 {
-		tailSize = DefaultTailSize
-	}
 	s := &Source{
 		term:     opts.Term,
-		frames:   make([][]byte, tailSize),
+		frames:   make([][]byte, tailFrames),
 		walPath:  opts.WALPath,
 		snapshot: opts.Snapshot,
 	}
@@ -157,6 +151,7 @@ func (s *Source) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rc.Close()
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("X-Repl-Term", fmt.Sprint(s.Term()))
 	io.Copy(w, rc)
 }
 

@@ -45,9 +45,9 @@ type SyncPolicy int
 
 const (
 	// SyncInterval (the default) acknowledges an append once the bytes are
-	// handed to the OS and fsyncs in the background every SyncInterval: a
-	// process crash loses nothing, a machine crash loses at most one
-	// interval.
+	// handed to the OS and fsyncs in the background every syncEvery
+	// (100ms): a process crash loses nothing, a machine crash loses at most
+	// one interval.
 	SyncInterval SyncPolicy = iota
 	// SyncAlways fsyncs before acknowledging. Concurrent appends share one
 	// fsync (group commit): the first writer into the sync section flushes
@@ -97,9 +97,6 @@ type WALOptions struct {
 	// Policy selects the fsync discipline. Without a Syncer (and the
 	// writer not being one), every policy degrades to flush-only.
 	Policy SyncPolicy
-	// Interval is the background fsync period under SyncInterval;
-	// 0 selects 100ms.
-	Interval time.Duration
 	// Syncer overrides fsync target detection; nil type-asserts the
 	// writer itself.
 	Syncer Syncer
@@ -196,11 +193,7 @@ func NewWALWith(w io.Writer, opts WALOptions) *WAL {
 		l.syncer, _ = w.(Syncer)
 	}
 	if l.syncer != nil && l.policy == SyncInterval {
-		interval := opts.Interval
-		if interval <= 0 {
-			interval = 100 * time.Millisecond
-		}
-		go l.syncLoop(interval)
+		go l.syncLoop()
 	} else {
 		close(l.done)
 	}
@@ -391,10 +384,13 @@ func (l *WAL) syncTo(seq int64) error {
 	return nil
 }
 
+// syncEvery is the SyncInterval background fsync period.
+const syncEvery = 100 * time.Millisecond
+
 // syncLoop is the SyncInterval background fsync.
-func (l *WAL) syncLoop(interval time.Duration) {
+func (l *WAL) syncLoop() {
 	defer close(l.done)
-	t := time.NewTicker(interval)
+	t := time.NewTicker(syncEvery)
 	defer t.Stop()
 	for {
 		select {

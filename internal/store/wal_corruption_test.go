@@ -302,7 +302,7 @@ func TestWALSyncAlwaysGroupCommit(t *testing.T) {
 
 func TestWALSyncIntervalBackground(t *testing.T) {
 	sc := &syncCounter{}
-	wal := NewWALWith(sc, WALOptions{Policy: SyncInterval, Interval: time.Millisecond})
+	wal := NewWALWith(sc, WALOptions{Policy: SyncInterval})
 	if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)}); err != nil {
 		t.Fatal(err)
 	}

@@ -372,16 +372,11 @@ func (a *active) addLocked(gen uint64, op string, parent SpanRef, start time.Tim
 	return ref
 }
 
-// SpanConfig sizes a SpanPlane.
+// SpanConfig configures a SpanPlane.
 type SpanConfig struct {
 	// Enabled turns the plane on; when false NewSpanPlane returns nil and
 	// every call site degrades to a pointer test.
 	Enabled bool
-	// Capacity is the number of retained span trees (default 512).
-	Capacity int
-	// SlowThreshold retains every tree whose root duration reaches it
-	// (default 100ms; negative disables slow retention).
-	SlowThreshold time.Duration
 	// SampleEvery retains a deterministic 1-in-N sample of fast, clean
 	// trees (default 1024; negative disables sampling).
 	SampleEvery int
@@ -390,7 +385,7 @@ type SpanConfig struct {
 // SpanPlane owns the freelist and the tail-sampled retention ring under
 // one lock. All methods are nil-safe; a nil plane records nothing.
 type SpanPlane struct {
-	slow      time.Duration // negative: slow retention disabled
+	slow      time.Duration // a root at least this long is retained
 	sample    uint64        // 0: sampling disabled
 	started   atomic.Uint64
 	retained  atomic.Uint64
@@ -402,18 +397,17 @@ type SpanPlane struct {
 	next int
 }
 
+// A plane's ring holds the newest retainedTrees retained trees; a tree whose
+// root took slowRoot or longer is always retained.
+const (
+	retainedTrees = 512
+	slowRoot      = 100 * time.Millisecond
+)
+
 // NewSpanPlane builds a plane from cfg, or returns nil when disabled.
 func NewSpanPlane(cfg SpanConfig) *SpanPlane {
 	if !cfg.Enabled {
 		return nil
-	}
-	capacity := cfg.Capacity
-	if capacity <= 0 {
-		capacity = 512
-	}
-	slow := cfg.SlowThreshold
-	if slow == 0 {
-		slow = 100 * time.Millisecond
 	}
 	sample := uint64(0)
 	switch {
@@ -422,7 +416,7 @@ func NewSpanPlane(cfg SpanConfig) *SpanPlane {
 	case cfg.SampleEvery > 0:
 		sample = uint64(cfg.SampleEvery)
 	}
-	return &SpanPlane{slow: slow, sample: sample, ring: make([]*active, 0, capacity)}
+	return &SpanPlane{slow: slowRoot, sample: sample, ring: make([]*active, 0, retainedTrees)}
 }
 
 // putFreeLocked recycles a; the freelist holds at most twice the ring.
@@ -493,7 +487,7 @@ func (p *SpanPlane) Finish(h Handle, errMsg string) {
 		root.Err = errMsg
 	}
 	keep := root.Err != "" ||
-		(p.slow >= 0 && root.Dur >= p.slow) ||
+		root.Dur >= p.slow ||
 		p.sampleHit(a.trace)
 	a.mu.Unlock()
 

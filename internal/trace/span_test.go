@@ -96,9 +96,22 @@ func TestTraceIDJSON(t *testing.T) {
 	}
 }
 
+// testPlane is a plane with the sample, ring size and slow threshold that
+// production fixes set to what a test needs, so one retention rule shows at
+// a time. A threshold of an hour keeps a fast clean tree out of the ring
+// however loaded the machine is.
+func testPlane(sampleEvery, ring int, slow time.Duration) *SpanPlane {
+	p := NewSpanPlane(SpanConfig{Enabled: true, SampleEvery: sampleEvery})
+	p.slow, p.ring = slow, make([]*active, 0, ring)
+	return p
+}
+
+// errorsOnlyPlane retains errored trees only.
+func errorsOnlyPlane() *SpanPlane { return testPlane(-1, retainedTrees, time.Hour) }
+
 func TestTailSamplingErrorsRetained(t *testing.T) {
 	// Slow retention and sampling both disabled: only errors survive.
-	p := NewSpanPlane(SpanConfig{Enabled: true, SlowThreshold: -1, SampleEvery: -1})
+	p := errorsOnlyPlane()
 
 	h := p.StartTrace(mkTrace(1, 0), SpanID{}, "op.fail")
 	p.Finish(h, "boom")
@@ -116,7 +129,7 @@ func TestTailSamplingErrorsRetained(t *testing.T) {
 }
 
 func TestTailSamplingSlowRetained(t *testing.T) {
-	p := NewSpanPlane(SpanConfig{Enabled: true, SlowThreshold: time.Microsecond, SampleEvery: -1})
+	p := testPlane(-1, retainedTrees, time.Microsecond)
 	h := p.StartTrace(mkTrace(1, 0), SpanID{}, "op.slow")
 	time.Sleep(2 * time.Millisecond)
 	p.Finish(h, "")
@@ -126,7 +139,7 @@ func TestTailSamplingSlowRetained(t *testing.T) {
 }
 
 func TestTailSamplingDeterministic1InN(t *testing.T) {
-	p := NewSpanPlane(SpanConfig{Enabled: true, SlowThreshold: -1, SampleEvery: 4})
+	p := testPlane(4, retainedTrees, time.Hour)
 	// Sample word divisible by 4: kept. Not divisible: recycled.
 	p.Finish(p.StartTrace(mkTrace(8, 0), SpanID{}, "hit"), "")
 	p.Finish(p.StartTrace(mkTrace(5, 0), SpanID{}, "miss"), "")
@@ -140,9 +153,9 @@ func TestTailSamplingDeterministic1InN(t *testing.T) {
 }
 
 func TestRetentionRingBounded(t *testing.T) {
-	// Capacity 1 gives one ring slot; three errored trees must leave
+	// A one-slot ring: three errored trees must leave
 	// exactly one retained tree — the newest.
-	p := NewSpanPlane(SpanConfig{Enabled: true, Capacity: 1, SlowThreshold: -1, SampleEvery: -1})
+	p := testPlane(-1, 1, time.Hour)
 	for i := uint64(1); i <= 3; i++ {
 		h := p.StartTrace(mkTrace(i, 7), SpanID{}, "op")
 		p.Finish(h, "err")
@@ -160,7 +173,7 @@ func TestRetentionRingBounded(t *testing.T) {
 }
 
 func TestFreelistRecyclesTrees(t *testing.T) {
-	p := NewSpanPlane(SpanConfig{Enabled: true, SlowThreshold: -1, SampleEvery: -1})
+	p := errorsOnlyPlane()
 	h1 := p.StartTrace(mkTrace(1, 3), SpanID{}, "first")
 	a1 := h1.a
 	p.Finish(h1, "") // discarded -> freelist
@@ -174,7 +187,7 @@ func TestFreelistRecyclesTrees(t *testing.T) {
 }
 
 func TestStaleHandleCannotTouchRecycledTree(t *testing.T) {
-	p := NewSpanPlane(SpanConfig{Enabled: true, SlowThreshold: -1, SampleEvery: -1})
+	p := errorsOnlyPlane()
 	h1 := p.StartTrace(mkTrace(1, 3), SpanID{}, "first")
 	p.Finish(h1, "")
 	h2 := p.StartTrace(mkTrace(2, 3), SpanID{}, "second")
@@ -200,7 +213,7 @@ func TestStaleHandleCannotTouchRecycledTree(t *testing.T) {
 }
 
 func TestUnderRebasesDefaultParent(t *testing.T) {
-	p := NewSpanPlane(SpanConfig{Enabled: true, SlowThreshold: -1, SampleEvery: -1})
+	p := errorsOnlyPlane()
 	h := p.StartTrace(TraceID{}, SpanID{}, "root")
 	child := h.StartSpan("core.op", NoSpan)
 	// A layer handed the rebased handle attaches its spans under core.op
@@ -226,7 +239,7 @@ func TestUnderRebasesDefaultParent(t *testing.T) {
 }
 
 func TestObserveSinceRecordsElapsed(t *testing.T) {
-	p := NewSpanPlane(SpanConfig{Enabled: true, SlowThreshold: -1, SampleEvery: -1})
+	p := errorsOnlyPlane()
 	h := p.StartTrace(TraceID{}, SpanID{}, "root")
 	t0 := h.Now()
 	if t0.IsZero() {
@@ -245,7 +258,7 @@ func TestObserveSinceRecordsElapsed(t *testing.T) {
 }
 
 func TestSpanCapCountsDropped(t *testing.T) {
-	p := NewSpanPlane(SpanConfig{Enabled: true, SlowThreshold: -1, SampleEvery: -1})
+	p := errorsOnlyPlane()
 	h := p.StartTrace(TraceID{}, SpanID{}, "root")
 	for i := 0; i < maxSpansPerTrace+5; i++ {
 		h.Observe("child", NoSpan, time.Now(), 0, 0)
@@ -264,7 +277,7 @@ func TestSpanCapCountsDropped(t *testing.T) {
 }
 
 func TestSnapshotFilters(t *testing.T) {
-	p := NewSpanPlane(SpanConfig{Enabled: true, SlowThreshold: -1, SampleEvery: -1})
+	p := errorsOnlyPlane()
 	idA, idB := mkTrace(1, 0), mkTrace(2, 1)
 	p.Finish(p.StartTrace(idA, SpanID{}, "op.a"), "bad")
 	p.Finish(p.StartTrace(idB, SpanID{}, "op.b"), "worse")
@@ -318,7 +331,7 @@ func TestNilPlaneAndInvalidHandle(t *testing.T) {
 // — tracing, finishing, snapshotting, and deliberately misusing stale
 // handles — so the race detector can check every lock in the plane.
 func TestConcurrentSpanPlaneSoak(t *testing.T) {
-	p := NewSpanPlane(SpanConfig{Enabled: true, Capacity: 64, SlowThreshold: -1, SampleEvery: 2})
+	p := testPlane(2, 64, time.Hour)
 	const (
 		workers = 8
 		rounds  = 400
