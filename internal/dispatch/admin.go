@@ -4,7 +4,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"strings"
 	"time"
@@ -214,6 +216,7 @@ func promFamilies(sys *core.System, api *Server, opts AdminOptions) []metrics.Pr
 		fams = append(fams, metrics.PromGaugeFamily("hc_uptime_seconds",
 			"Seconds since the process started serving.", time.Since(opts.Start).Seconds()))
 	}
+	fams = append(fams, memoryFamilies()...)
 
 	qLocks, sLocks := sys.LockCounts()
 	fams = append(fams,
@@ -411,6 +414,28 @@ func routeFamilies(snap []*routeStats) []metrics.PromFamily {
 			metrics.PromHistogramSamples(rs.latency, &rs.exemplars, label)...)
 	}
 	return []metrics.PromFamily{requests, duration}
+}
+
+// memoryFamilies are the process's own memory signals: the bytes its heap
+// objects occupy, from runtime/metrics, and the peak of its resident set,
+// VmHWM in /proc/self/status, which is left out where there is no such
+// file.
+func memoryFamilies() []metrics.PromFamily {
+	sample := []rtmetrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	rtmetrics.Read(sample)
+	fams := []metrics.PromFamily{metrics.PromGaugeFamily("go_memory_classes_heap_objects_bytes",
+		"Memory occupied by live heap objects and dead ones not yet swept.", float64(sample[0].Value.Uint64()))}
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return fams
+	}
+	_, rest, _ := strings.Cut(string(status), "\nVmHWM:")
+	line, _, _ := strings.Cut(rest, "\n") // "\t   11076 kB"
+	if kb, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimSpace(line), " kB"), 10, 64); err == nil {
+		fams = append(fams, metrics.PromGaugeFamily("process_resident_memory_max_bytes",
+			"Peak resident set size in bytes.", float64(kb<<10)))
+	}
+	return fams
 }
 
 // buildInfoFamily is the constant-1 hc_build_info gauge whose labels

@@ -10,10 +10,13 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"humancomp/internal/core"
 	"humancomp/internal/task"
@@ -254,6 +257,59 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 }
 
+// fixedClock is a core.Clock that always reads one instant.
+type fixedClock struct{ at time.Time }
+
+func (c fixedClock) Now() time.Time { return c.at }
+
+// TestTraceRouteBytes pins the trace route's body for live events. The
+// ring holds each event in a compact slot and rebuilds it for the route,
+// and what it rebuilds must encode as the event did when it was recorded:
+// the clock's zone offset and nanoseconds, the worker and the trace ID.
+func TestTraceRouteBytes(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Clock = fixedClock{time.Date(2026, 7, 6, 12, 0, 0, 123456789, time.FixedZone("IST", 5*3600+30*60))}
+	cfg.Spans = trace.SpanConfig{Enabled: true, SampleEvery: 1}
+	srv := httptest.NewServer(NewServer(core.New(cfg)))
+	t.Cleanup(srv.Close)
+	call := func(method, path, body string) string {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("traceparent", "00-11111111111111110000000000000000-1111111111111111-01")
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode >= 300 {
+			t.Fatalf("%s %s = %d %s, %v", method, path, resp.StatusCode, b, err)
+		}
+		return string(b)
+	}
+	call(http.MethodPost, "/v1/tasks", `{"kind":"label","payload":{"image_id":1},"redundancy":1}`)
+	var next struct{ Lease int64 }
+	if err := json.Unmarshal([]byte(call(http.MethodPost, "/v1/next", `{"worker_id":"w1"}`)), &next); err != nil {
+		t.Fatal(err)
+	}
+	call(http.MethodPost, fmt.Sprintf("/v1/leases/%d", next.Lease), `{"answer":{"words":[3]}}`)
+
+	const at, tr = `"at":"2026-07-06T12:00:00.123456789+05:30"`, `"trace":"11111111111111110000000000000000"`
+	want := `{"task_id":1,"events":[` +
+		`{"seq":1,"task_id":1,"stage":"submit",` + at + `,` + tr + `},` +
+		`{"seq":2,"task_id":1,"stage":"persist",` + at + `,"trace":""},` +
+		`{"seq":3,"task_id":1,"stage":"enqueue",` + at + `,` + tr + `},` +
+		`{"seq":4,"task_id":1,"stage":"lease",` + at + `,"worker":"w1",` + tr + `},` +
+		`{"seq":5,"task_id":1,"stage":"answer",` + at + `,"worker":"w1",` + tr + `},` +
+		`{"seq":6,"task_id":1,"stage":"complete",` + at + `,` + tr + `}]}` + "\n"
+	if got := call(http.MethodGet, "/v1/tasks/1/trace", ""); got != want {
+		t.Fatalf("trace route body\n%s\nwant\n%s", got, want)
+	}
+}
+
 // promLine matches one valid exposition sample line; label values are
 // quoted strings, which may hold spaces and braces (a route pattern does).
 var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{([a-zA-Z_][a-zA-Z0-9_]*="[^"]*",?)*\})? (-?[0-9.eE+-]+|[+-]Inf|NaN)$`)
@@ -368,6 +424,19 @@ func TestAdminHandlerMetricsAndProbes(t *testing.T) {
 		if _, ok := values[name]; !ok {
 			t.Errorf("metric %s missing from exposition", name)
 		}
+	}
+
+	// The process's memory: heap objects always, the resident high-water
+	// mark where the kernel reports one.
+	if v, _ := strconv.ParseFloat(values["go_memory_classes_heap_objects_bytes"], 64); v < 1<<10 {
+		t.Errorf("go_memory_classes_heap_objects_bytes = %q, want a heap's worth", values["go_memory_classes_heap_objects_bytes"])
+	}
+	if _, err := os.Stat("/proc/self/status"); err == nil {
+		if v, _ := strconv.ParseFloat(values["process_resident_memory_max_bytes"], 64); v < 1<<20 {
+			t.Errorf("process_resident_memory_max_bytes = %q, want the peak resident set", values["process_resident_memory_max_bytes"])
+		}
+	} else if _, ok := values["process_resident_memory_max_bytes"]; ok {
+		t.Error("process_resident_memory_max_bytes exported without /proc/self/status")
 	}
 
 	// Every route shares one family each; the route is a label.

@@ -188,6 +188,17 @@ func (c *Canon) Int() int {
 	return int(n)
 }
 
+// Uint8 is Int64 for a value that must fit a uint8: one outside 0–255 is
+// not read, so encoding/json, which refuses it, decides the record.
+func (c *Canon) Uint8() uint8 {
+	n := c.Int64()
+	if uint64(n) > 255 {
+		c.bad = true
+		return 0
+	}
+	return uint8(n)
+}
+
 // rawString consumes a quoted string holding no escape, no control byte and
 // only valid UTF-8 — so its contents are its value — and returns the
 // contents as a sub-slice of the input.

@@ -69,18 +69,29 @@ func FuzzTaskCodecMatchesStdlib(f *testing.F) {
 		`{"kind":"can` + "\xff" + `cel","at":"2026-07-06T12:00:00Z","task_id":3}`,
 		`{"kind":"can` + "\n" + `cel","at":"2026-07-06T12:00:00Z","task_id":3}`,
 		`{"kind":"` + "\u00e9\u2028\u2029" + `","at":"2026-07-06T12:00:00Z","task_id":3}`,
-		`{"id":1,"kind":0,"payload":{},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z","answers":[]}`,
+		`{"id":1,"kind":0,"status":0,"payload":{},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z","answers":[]}`,
 		// A Detail key, whatever its value, gives the payload a Detail.
-		`{"id":1,"kind":0,"payload":{"taboo":[]},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
-		`{"id":1,"kind":0,"payload":{"taboo":null},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
-		`{"id":1,"kind":1,"payload":{"word":0},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
-		`{"id":1,"kind":5,"payload":{"clip_b":2},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
-		`{"id":1,"kind":5,"payload":{"image_id":1,"Detail":{"clip_b":2}},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
-		`{"id":1,"kind":0,"payload":{"image_id":1,},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
-		`{"id":1,"kind":0,"payload":{,"image_id":1},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
-		`{"id":1,"kind":0,"payload":{"taboo":[1,,2]},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
-		`{"id":1,"kind":0,"payload":{"clip_b":2,"clip_a":1},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
+		`{"id":1,"kind":0,"status":0,"payload":{"taboo":[]},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
+		`{"id":1,"kind":0,"status":0,"payload":{"taboo":null},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
+		`{"id":1,"kind":1,"status":0,"payload":{"word":0},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
+		`{"id":1,"kind":5,"status":0,"payload":{"clip_b":2},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
+		`{"id":1,"kind":5,"status":0,"payload":{"image_id":1,"Detail":{"clip_b":2}},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
+		`{"id":1,"kind":0,"status":0,"payload":{"image_id":1,},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
+		`{"id":1,"kind":0,"status":0,"payload":{,"image_id":1},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
+		`{"id":1,"kind":0,"status":0,"payload":{"taboo":[1,,2]},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
+		`{"id":1,"kind":0,"status":0,"payload":{"clip_b":2,"clip_a":1},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
 		`{"id":1,"kind":"label","redundancy":1}`,
+		// Kind and status are bytes: out of range, a canonical record is
+		// encoding/json's to refuse, never wrapped in place.
+		`{"id":1,"kind":300,"status":0,"payload":{},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
+		`{"id":1,"kind":0,"status":-1,"payload":{},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
+		`{"id":1,"kind":0,"status":256,"payload":{},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
+		`{"kind":"submit","at":"2026-07-06T12:00:00Z","task":{"id":1,"kind":255,"status":256,"payload":{},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}}`,
+		// The earlier key order, status after priority, and the empty box
+		// every answer used to carry.
+		`{"id":1,"kind":0,"payload":{},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
+		`{"task_id":1,"worker_id":"w","at":"2026-07-06T12:00:00Z","words":[1],"box":{"X":0,"Y":0,"W":0,"H":0}}`,
+		`{"kind":"answer","at":"2026-07-06T12:00:00Z","task_id":1,"answer":{"task_id":1,"worker_id":"w","at":"2026-07-06T12:00:00Z","box":{"X":0,"Y":0,"W":0,"H":0},"choice":1}}`,
 		`{"task_id":1,"worker_id":"w","at":"2026-07-06T12:00:00Z","box":{"X":1,"Y":2,"W":3,"H":4}}`,
 		`{"task_id":1,"worker_id":"w","at":"2026-07-06T12:00:00Z","box":{"x":1,"Y":2,"W":3,"H":4}}`,
 		`{"task_id":1,"worker_id":"w","at":"2026-07-06T12:00:00Z","words":null,"box":{"X":1,"Y":2,"W":3,"H":4}}`,

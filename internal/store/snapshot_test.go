@@ -121,25 +121,34 @@ func clip(b []byte) string {
 }
 
 // TestSnapshotGolden pins the format itself, independent of any encoder: a
-// document as every earlier version wrote it restores, and is written back
-// byte for byte.
+// document in it restores, and is written back byte for byte. The same
+// document as versions before status moved up beside kind and an empty box
+// was left out wrote it restores too, and is written back in today's form.
 func TestSnapshotGolden(t *testing.T) {
 	const golden = `{"version":1,"next_id":9,"tasks":[` +
+		`{"id":2,"kind":0,"status":1,"payload":{"image_id":7,"taboo":[4,5]},"redundancy":2,"priority":1,"created_at":"2026-07-06T12:00:00Z","done_at":"2026-07-06T12:01:00Z",` +
+		`"answers":[{"task_id":2,"worker_id":"a","at":"2026-07-06T12:00:30Z","words":[3,4]},` +
+		`{"task_id":2,"worker_id":"b \u003c\u0026\u003e","at":"2026-07-06T12:01:00Z","box":{"X":1,"Y":2,"W":3,"H":4},"text":"x","choice":1}]},` +
+		`{"id":5,"kind":3,"status":0,"payload":{"word_img":"w.png"},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}` +
+		`],"calibration":{"gold":{"5":{"text":"w"}}}}` + "\n"
+	const earlier = `{"version":1,"next_id":9,"tasks":[` +
 		`{"id":2,"kind":0,"payload":{"image_id":7,"taboo":[4,5]},"redundancy":2,"priority":1,"status":1,"created_at":"2026-07-06T12:00:00Z","done_at":"2026-07-06T12:01:00Z",` +
 		`"answers":[{"task_id":2,"worker_id":"a","at":"2026-07-06T12:00:30Z","words":[3,4],"box":{"X":0,"Y":0,"W":0,"H":0}},` +
 		`{"task_id":2,"worker_id":"b \u003c\u0026\u003e","at":"2026-07-06T12:01:00Z","box":{"X":1,"Y":2,"W":3,"H":4},"text":"x","choice":1}]},` +
 		`{"id":5,"kind":3,"payload":{"word_img":"w.png"},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}` +
 		`],"calibration":{"gold":{"5":{"text":"w"}}}}` + "\n"
-	s := New()
-	cal, err := s.RestoreWith(strings.NewReader(golden))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := string(streamedBytes(t, s, cal)); got != golden {
-		t.Fatalf("golden snapshot came back as\n%s\nwant\n%s", got, golden)
-	}
-	if id := s.NextID(); id != 10 {
-		t.Fatalf("NextID after restoring next_id 9 = %d", id)
+	for _, doc := range []string{golden, earlier} {
+		s := New()
+		cal, err := s.RestoreWith(strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(streamedBytes(t, s, cal)); got != golden {
+			t.Fatalf("golden snapshot came back as\n%s\nwant\n%s", got, golden)
+		}
+		if id := s.NextID(); id != 10 {
+			t.Fatalf("NextID after restoring next_id 9 = %d", id)
+		}
 	}
 }
 

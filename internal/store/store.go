@@ -213,8 +213,9 @@ func (s *Store) AppendJSON(b []byte, id task.ID) ([]byte, error) {
 	return t.AppendJSON(b)
 }
 
-// AnyStatus makes Count, Tasks and Views select every task.
-const AnyStatus task.Status = -1
+// AnyStatus makes Count, Tasks and Views select every task. It is the
+// largest Status, far past the three a task can be in.
+const AnyStatus task.Status = math.MaxUint8
 
 // Views returns one page of a listing: deep copies of the stored tasks that
 // have status st (or any, for AnyStatus), in ascending ID order, skipping

@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"humancomp/internal/jsonx"
+	"humancomp/internal/vocab"
 )
 
 // The storage codec. A task record is written and read millions of times
@@ -52,15 +53,15 @@ func AppendTask(b []byte, t *Task) (_ []byte, ok bool) {
 	b = append(b, `{"id":`...)
 	b = strconv.AppendInt(b, int64(t.ID), 10)
 	b = append(b, `,"kind":`...)
-	b = strconv.AppendInt(b, int64(t.Kind), 10)
+	b = strconv.AppendUint(b, uint64(t.Kind), 10)
+	b = append(b, `,"status":`...)
+	b = strconv.AppendUint(b, uint64(t.Status), 10)
 	b = append(b, `,"payload":`...)
 	b = appendPayload(b, &t.Payload)
 	b = append(b, `,"redundancy":`...)
 	b = strconv.AppendInt(b, int64(t.Redundancy), 10)
 	b = append(b, `,"priority":`...)
 	b = strconv.AppendInt(b, int64(t.Priority), 10)
-	b = append(b, `,"status":`...)
-	b = strconv.AppendInt(b, int64(t.Status), 10)
 	b = append(b, `,"created_at":`...)
 	b, ok = jsonx.AppendTime(b, t.CreatedAt)
 	if !ok {
@@ -135,15 +136,17 @@ func AppendAnswer(b []byte, a *Answer) (_ []byte, ok bool) {
 		b = append(b, `,"words":`...)
 		b = jsonx.AppendInts(b, a.Words)
 	}
-	b = append(b, `,"box":{"X":`...)
-	b = strconv.AppendInt(b, int64(a.Box.X), 10)
-	b = append(b, `,"Y":`...)
-	b = strconv.AppendInt(b, int64(a.Box.Y), 10)
-	b = append(b, `,"W":`...)
-	b = strconv.AppendInt(b, int64(a.Box.W), 10)
-	b = append(b, `,"H":`...)
-	b = strconv.AppendInt(b, int64(a.Box.H), 10)
-	b = append(b, '}')
+	if a.Box != (vocab.Rect{}) {
+		b = append(b, `,"box":{"X":`...)
+		b = strconv.AppendInt(b, int64(a.Box.X), 10)
+		b = append(b, `,"Y":`...)
+		b = strconv.AppendInt(b, int64(a.Box.Y), 10)
+		b = append(b, `,"W":`...)
+		b = strconv.AppendInt(b, int64(a.Box.W), 10)
+		b = append(b, `,"H":`...)
+		b = strconv.AppendInt(b, int64(a.Box.H), 10)
+		b = append(b, '}')
+	}
 	if a.Text != "" {
 		b = append(b, `,"text":`...)
 		b = jsonx.AppendString(b, a.Text)
@@ -162,15 +165,15 @@ func DecodeTask(c *jsonx.Canon, t *Task) {
 	c.Lit(`{"id":`)
 	t.ID = ID(c.Int64())
 	c.Lit(`,"kind":`)
-	t.Kind = Kind(c.Int())
+	t.Kind = Kind(c.Uint8())
+	c.Lit(`,"status":`)
+	t.Status = Status(c.Uint8())
 	c.Lit(`,"payload":`)
 	decodePayload(c, &t.Payload)
 	c.Lit(`,"redundancy":`)
 	t.Redundancy = c.Int()
 	c.Lit(`,"priority":`)
 	t.Priority = c.Int()
-	c.Lit(`,"status":`)
-	t.Status = Status(c.Int())
 	c.Lit(`,"created_at":`)
 	c.Time(&t.CreatedAt)
 	c.Lit(`,"done_at":`)
@@ -251,15 +254,18 @@ func DecodeAnswer(c *jsonx.Canon, a *Answer) {
 	if c.Try(`,"words":`) {
 		a.Words = c.Ints()
 	}
-	c.Lit(`,"box":{"X":`)
-	a.Box.X = c.Int()
-	c.Lit(`,"Y":`)
-	a.Box.Y = c.Int()
-	c.Lit(`,"W":`)
-	a.Box.W = c.Int()
-	c.Lit(`,"H":`)
-	a.Box.H = c.Int()
-	c.Lit("}")
+	// The encoder leaves an empty box out; a record from before it did
+	// carries one anyway, and it decodes in place like any other.
+	if c.Try(`,"box":{"X":`) {
+		a.Box.X = c.Int()
+		c.Lit(`,"Y":`)
+		a.Box.Y = c.Int()
+		c.Lit(`,"W":`)
+		a.Box.W = c.Int()
+		c.Lit(`,"H":`)
+		a.Box.H = c.Int()
+		c.Lit("}")
+	}
 	if c.Try(`,"text":`) {
 		a.Text = c.Str()
 	}

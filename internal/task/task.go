@@ -13,8 +13,9 @@ import (
 	"humancomp/internal/vocab"
 )
 
-// Kind identifies what kind of human computation a task asks for.
-type Kind int
+// Kind identifies what kind of human computation a task asks for. It is a
+// byte, as Status is, so the two share one word of a stored Task.
+type Kind uint8
 
 // The task kinds used by the GWAPs and the reCAPTCHA pipeline.
 const (
@@ -67,7 +68,7 @@ func ParseKind(s string) (Kind, error) {
 type ID int64
 
 // Status is a task's position in its lifecycle.
-type Status int
+type Status uint8
 
 // Task lifecycle states. Tasks move Open → Done or Open → Canceled;
 // leasing is tracked by the queue, not by the task itself.
@@ -117,14 +118,16 @@ type Detail struct {
 	ClipB   int    `json:"clip_b,omitempty"`   // Judge
 }
 
-// Task is one unit of human computation.
+// Task is one unit of human computation. Kind and Status are adjacent
+// bytes, which makes a Task 128 B: the runtime's 128-B size class, with no
+// slack.
 type Task struct {
 	ID         ID      `json:"id"`
 	Kind       Kind    `json:"kind"`
+	Status     Status  `json:"status"`
 	Payload    Payload `json:"payload"`
 	Redundancy int     `json:"redundancy"` // independent answers wanted (>= 1)
 	Priority   int     `json:"priority"`   // higher is scheduled first
-	Status     Status  `json:"status"`
 
 	CreatedAt time.Time `json:"created_at"`
 	DoneAt    time.Time `json:"done_at,omitempty"`
@@ -140,7 +143,7 @@ type Answer struct {
 	At       time.Time `json:"at"`
 
 	Words  []int      `json:"words,omitempty"`  // Label, Describe (objects of facts)
-	Box    vocab.Rect `json:"box,omitempty"`    // Locate
+	Box    vocab.Rect `json:"box,omitzero"`     // Locate
 	Text   string     `json:"text,omitempty"`   // Transcribe
 	Choice int        `json:"choice,omitempty"` // Compare (0 or 1), Judge (0 same / 1 different)
 }
@@ -162,7 +165,7 @@ var (
 // will after a round trip through its encoding, which omits every empty
 // field. The copy shares the taboo list's elements with the caller.
 func New(id ID, kind Kind, p Payload, redundancy int, now time.Time) (*Task, error) {
-	if kind < 0 || kind >= numKinds {
+	if kind >= numKinds {
 		return nil, ErrUnknownKind
 	}
 	if redundancy < 1 {
@@ -181,9 +184,9 @@ func New(id ID, kind Kind, p Payload, redundancy int, now time.Time) (*Task, err
 	return &Task{
 		ID:         id,
 		Kind:       kind,
+		Status:     Open,
 		Payload:    p,
 		Redundancy: redundancy,
-		Status:     Open,
 		CreatedAt:  now,
 	}, nil
 }

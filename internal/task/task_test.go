@@ -2,9 +2,11 @@ package task
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"humancomp/internal/jsonx"
 	"humancomp/internal/vocab"
 )
 
@@ -215,5 +217,39 @@ func TestViewIsDeepCopy(t *testing.T) {
 	// An image task has no Detail, and neither has its view.
 	if v := mustNew(t, Label, 2).View(); v.Payload.Detail != nil {
 		t.Fatalf("view of an image task has a Detail: %+v", v.Payload.Detail)
+	}
+}
+
+// TestByteFieldsOutOfRange: kind and status are bytes, so a record in
+// canonical form whose kind or status lies outside 0–255 is not read in
+// place, where it would wrap (300 to 44, -1 to 255); it goes to
+// encoding/json, which refuses it.
+func TestByteFieldsOutOfRange(t *testing.T) {
+	const doc = `{"id":1,"kind":0,"status":0,"payload":{"image_id":7},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`
+	var tk Task
+	if err := tk.DecodeJSON([]byte(doc)); err != nil {
+		t.Fatalf("in-range record: %v", err)
+	}
+	for _, bad := range []string{
+		strings.Replace(doc, `"kind":0`, `"kind":300`, 1),
+		strings.Replace(doc, `"kind":0`, `"kind":256`, 1),
+		strings.Replace(doc, `"status":0`, `"status":-1`, 1),
+		strings.Replace(doc, `"status":0`, `"status":256`, 1),
+	} {
+		c := jsonx.NewCanon([]byte(bad))
+		var in Task
+		DecodeTask(&c, &in)
+		if c.OK() {
+			t.Errorf("%s decoded in place as kind %d, status %d", bad, in.Kind, in.Status)
+		}
+		if err := tk.DecodeJSON([]byte(bad)); err == nil {
+			t.Errorf("%s decoded as kind %d, status %d; want encoding/json's error", bad, tk.Kind, tk.Status)
+		}
+	}
+	edge := strings.Replace(strings.Replace(doc, `"kind":0`, `"kind":255`, 1), `"status":0`, `"status":255`, 1)
+	c := jsonx.NewCanon([]byte(edge))
+	DecodeTask(&c, &tk)
+	if !c.Done() || tk.Kind != 255 || tk.Status != 255 {
+		t.Errorf("%s: in place %v, kind %d, status %d; want 255 and 255, in place", edge, c.Done(), tk.Kind, tk.Status)
 	}
 }

@@ -51,6 +51,42 @@ const (
 	StageCancel    Stage = "cancel"
 )
 
+// stages maps a stage to the byte a ring slot holds it as: its index.
+// Index 0 is the empty stage, which also stands for any stage not listed.
+var stages = [...]Stage{"", StageSubmit, StagePersist, StageEnqueue, StageLease, StageAnswer,
+	StageRelease, StageExpire, StageGold, StageAggregate, StageComplete, StageCancel}
+
+// stageCode is the index of st in stages. It is a switch, not a search of
+// stages, because every event pays for it: a loop of string compares took
+// 15 ns more an event.
+func stageCode(st Stage) uint8 {
+	switch st {
+	case StageSubmit:
+		return 1
+	case StagePersist:
+		return 2
+	case StageEnqueue:
+		return 3
+	case StageLease:
+		return 4
+	case StageAnswer:
+		return 5
+	case StageRelease:
+		return 6
+	case StageExpire:
+		return 7
+	case StageGold:
+		return 8
+	case StageAggregate:
+		return 9
+	case StageComplete:
+		return 10
+	case StageCancel:
+		return 11
+	}
+	return 0
+}
+
 // Event is one recorded lifecycle step. Trace, when non-zero, links the
 // event to the request-scoped span tree that caused it, joining the
 // per-task timeline to GET /v1/debug/spans.
@@ -69,15 +105,54 @@ const traceStripes = 16
 
 // DefaultCapacity is the total event capacity a zero-configured recorder
 // gets: enough for the recent history of tens of thousands of task steps
-// at 88 bytes per slot.
+// at 64 bytes per slot.
 const DefaultCapacity = 1 << 14
 
+// slot is an Event as the ring holds it: 64 B where an Event is 88. The
+// stage is its index in stages, and At is kept as Unix seconds and
+// nanoseconds, which hold every instant the storage codec accepts (years
+// 0–9999) and far more, plus the zone offset in whole minutes, the part of
+// the zone that the time's JSON form shows. A monotonic clock reading is
+// not kept.
+type slot struct {
+	seq    uint64
+	taskID task.ID
+	trace  TraceID
+	worker string
+	sec    int64
+	nsec   int32
+	zone   int16 // minutes east of UTC
+	stage  uint8
+}
+
+func newSlot(e *Event) slot {
+	_, off := e.At.Zone()
+	return slot{
+		taskID: e.TaskID, trace: e.Trace, worker: e.Worker,
+		sec: e.At.Unix(), nsec: int32(e.At.Nanosecond()), zone: int16(off / 60), stage: stageCode(e.Stage),
+	}
+}
+
+// event rebuilds the Event the slot was made from. At comes back as the
+// same instant in UTC when the offset was zero, so time.Time{} comes back
+// as itself, in the local zone when that has the offset at this instant,
+// as the clock's times do, and in a fixed zone of the offset otherwise.
+func (s *slot) event() Event {
+	at := time.Unix(s.sec, int64(s.nsec))
+	if off := int(s.zone) * 60; off == 0 {
+		at = at.UTC()
+	} else if _, local := at.Zone(); local != off {
+		at = at.In(time.FixedZone("", off))
+	}
+	return Event{Seq: s.seq, TaskID: s.taskID, Stage: stages[s.stage], At: at, Worker: s.worker, Trace: s.trace}
+}
+
 // stripe is one independently locked slice of the recorder: a fixed-size
-// ring of events for the task IDs that hash here.
+// ring of slots for the task IDs that hash here.
 type stripe struct {
 	mu   sync.Mutex
-	ring []Event // fixed capacity, len == cap once full
-	next int     // ring slot the next event overwrites
+	ring []slot // fixed capacity, len == cap once full
+	next int    // ring slot the next event overwrites
 	full bool
 
 	_ [32]byte // keep adjacent stripe mutexes off one cache line
@@ -112,7 +187,7 @@ func NewRecorder(capacity int) *Recorder {
 	per := (capacity + traceStripes - 1) / traceStripes
 	r := &Recorder{perStripe: per}
 	for i := range r.stripes {
-		r.stripes[i].ring = make([]Event, 0, per)
+		r.stripes[i].ring = make([]slot, 0, per)
 	}
 	return r
 }
@@ -131,21 +206,23 @@ func (r *Recorder) stripeFor(id task.ID) *stripe {
 
 // Append records one lifecycle event, stamping its global sequence number.
 // The oldest event on the owning stripe is evicted once the stripe's ring
-// is full. Nil-safe and allocation-free on the steady-state path.
+// is full. Only the stages declared above are kept; any other is recorded
+// as the empty stage. Nil-safe and allocation-free on the steady-state path.
 func (r *Recorder) Append(e Event) {
 	if r == nil {
 		return
 	}
+	sl := newSlot(&e)
 	s := r.stripeFor(e.TaskID)
 	s.mu.Lock()
 	// Drawn under the stripe lock: a task's events all land on one stripe,
 	// so its ring order is its seq order.
-	e.Seq = r.seq.Add(1)
+	sl.seq = r.seq.Add(1)
 	if len(s.ring) < cap(s.ring) {
-		s.ring = append(s.ring, e)
+		s.ring = append(s.ring, sl)
 	} else {
 		s.full = true
-		s.ring[s.next] = e
+		s.ring[s.next] = sl
 		s.next++
 		if s.next == cap(s.ring) {
 			s.next = 0
@@ -193,21 +270,14 @@ func (r *Recorder) TaskEvents(id task.ID) []Event {
 	s.mu.Lock()
 	// Ring order is append order: [next, len) is the older half once the
 	// ring has wrapped, [0, next) the newer.
+	older, newer := s.ring[:0], s.ring
 	if s.full {
-		for _, e := range s.ring[s.next:] {
-			if e.TaskID == id {
-				out = append(out, e)
-			}
-		}
-		for _, e := range s.ring[:s.next] {
-			if e.TaskID == id {
-				out = append(out, e)
-			}
-		}
-	} else {
-		for _, e := range s.ring {
-			if e.TaskID == id {
-				out = append(out, e)
+		older, newer = s.ring[s.next:], s.ring[:s.next]
+	}
+	for _, half := range [2][]slot{older, newer} {
+		for i := range half {
+			if half[i].taskID == id {
+				out = append(out, half[i].event())
 			}
 		}
 	}

@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"encoding/json"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"humancomp/internal/metrics"
 	"humancomp/internal/task"
@@ -167,5 +169,68 @@ func TestObserveStageRoutes(t *testing.T) {
 		if got != want {
 			t.Errorf("exemplar set %d holds an exemplar: %v, want %v", i, got, want)
 		}
+	}
+}
+
+// TestSlotSize pins the ring slot at 64 B, where a whole Event is 88: the
+// ring is the largest fixed allocation of an idle node.
+func TestSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got != 64 {
+		t.Errorf("ring slot is %d B; want 64", got)
+	}
+}
+
+// TestSlotRoundTrip: TaskEvents returns each event as it was appended —
+// seq order, stage, worker, trace ID and At, whose instant, zone offset
+// and JSON come back — for every stage and for instants at the edges of
+// what the storage codec accepts.
+func TestSlotRoundTrip(t *testing.T) {
+	ats := []time.Time{
+		{},
+		time.Date(1, 1, 1, 0, 0, 0, 1, time.UTC),
+		time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC),
+		time.Date(2026, 7, 6, 12, 0, 0, 5, time.FixedZone("", -(3*3600+30*60))),
+		time.Date(1, 1, 1, 0, 0, 0, 0, time.FixedZone("", 14*3600)),
+		time.Date(9999, 12, 31, 23, 59, 59, 0, time.FixedZone("NPT", 5*3600+45*60)),
+		time.Now(),
+	}
+	r := NewRecorder(0)
+	var want []Event
+	for i, st := range stages[1:] {
+		for j, at := range ats {
+			e := Event{TaskID: 9, Stage: st, At: at, Worker: []string{"", "w", "worker-ü"}[(i+j)%3]}
+			if j%2 == 0 {
+				e.Trace = TraceID{byte(i), byte(j), 0xff}
+			}
+			r.Append(e)
+			want = append(want, e)
+		}
+	}
+	got := r.TaskEvents(9)
+	if len(got) != len(want) {
+		t.Fatalf("TaskEvents returned %d events, want %d", len(got), len(want))
+	}
+	for i, g := range got {
+		w := want[i]
+		w.Seq = g.Seq
+		if i > 0 && g.Seq <= got[i-1].Seq {
+			t.Fatalf("event %d: seq %d after %d", i, g.Seq, got[i-1].Seq)
+		}
+		_, gotOff := g.At.Zone()
+		_, wantOff := w.At.Zone()
+		gotJSON, _ := json.Marshal(g)
+		wantJSON, _ := json.Marshal(w)
+		if g.TaskID != w.TaskID || g.Stage != w.Stage || g.Worker != w.Worker || g.Trace != w.Trace ||
+			!g.At.Equal(w.At) || gotOff != wantOff || string(gotJSON) != string(wantJSON) {
+			t.Errorf("event %d came back as %s, offset %d\nwant %s, offset %d", i, gotJSON, gotOff, wantJSON, wantOff)
+		}
+		if w.At.IsZero() && g.At != (time.Time{}) {
+			t.Errorf("event %d: the zero time came back as %#v", i, g.At)
+		}
+	}
+	// A stage outside the declared ones has no code: it is kept as "".
+	r.Append(Event{TaskID: 10, Stage: "bogus", At: t0})
+	if got := r.TaskEvents(10); len(got) != 1 || got[0].Stage != "" {
+		t.Errorf("an undeclared stage came back as %+v", got)
 	}
 }
