@@ -417,14 +417,24 @@ func routeFamilies(snap []*routeStats) []metrics.PromFamily {
 }
 
 // memoryFamilies are the process's own memory signals: the bytes its heap
-// objects occupy, from runtime/metrics, and the peak of its resident set,
-// VmHWM in /proc/self/status, which is left out where there is no such
-// file.
+// objects occupy and the objects and bytes it has allocated since it
+// started, from runtime/metrics, and the peak of its resident set, VmHWM
+// in /proc/self/status, which is left out where there is no such file.
 func memoryFamilies() []metrics.PromFamily {
-	sample := []rtmetrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	sample := []rtmetrics.Sample{
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/gc/heap/allocs:objects"},
+		{Name: "/gc/heap/allocs:bytes"},
+	}
 	rtmetrics.Read(sample)
-	fams := []metrics.PromFamily{metrics.PromGaugeFamily("go_memory_classes_heap_objects_bytes",
-		"Memory occupied by live heap objects and dead ones not yet swept.", float64(sample[0].Value.Uint64()))}
+	fams := []metrics.PromFamily{
+		metrics.PromGaugeFamily("go_memory_classes_heap_objects_bytes",
+			"Memory occupied by live heap objects and dead ones not yet swept.", float64(sample[0].Value.Uint64())),
+		metrics.PromCounterFamily("go_gc_heap_allocs_objects_total",
+			"Heap objects allocated since the process started.", int64(sample[1].Value.Uint64())),
+		metrics.PromCounterFamily("go_gc_heap_allocs_bytes_total",
+			"Bytes of heap objects allocated since the process started.", int64(sample[2].Value.Uint64())),
+	}
 	status, err := os.ReadFile("/proc/self/status")
 	if err != nil {
 		return fams

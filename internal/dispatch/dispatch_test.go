@@ -616,14 +616,14 @@ func TestListTasksCopiesOnlyThePage(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		id := task.ID(i)
 		tk := &task.Task{
-			ID: id, Kind: task.Label, Payload: task.Payload{ImageID: i, Detail: &task.Detail{Taboo: []int{1}}}, Redundancy: 3, CreatedAt: at,
+			ID: id, Kind: task.Label, Payload: task.Payload{ImageID: i, Detail: &task.Detail{Taboo: []int{1}}}, Redundancy: 3, CreatedAt: task.StampOf(at),
 			Answers: []task.Answer{
 				{TaskID: id, WorkerID: "a", At: at, Words: []int{i}},
 				{TaskID: id, WorkerID: "b", At: at, Words: []int{i + 1}},
 			},
 		}
 		if i%10 == 0 {
-			tk.Status, tk.DoneAt = task.Done, at
+			tk.Status, tk.DoneAt = task.Done, task.StampOf(at)
 		}
 		sys.Store().Put(tk)
 	}
@@ -691,16 +691,16 @@ func TestGetTaskBodyIsTheEncodersBytes(t *testing.T) {
 	at := time.Date(2026, 7, 6, 12, 0, 0, 5, time.FixedZone("", 3600))
 	odd := "a<b>&c\u2028d\u2029\"é"
 	stored := []*task.Task{
-		{ID: 1, Kind: task.Label, Payload: task.Payload{ImageID: 3, Detail: &task.Detail{Taboo: []int{4, 5}}}, Redundancy: 3, Priority: 2, CreatedAt: at,
+		{ID: 1, Kind: task.Label, Payload: task.Payload{ImageID: 3, Detail: &task.Detail{Taboo: []int{4, 5}}}, Redundancy: 3, Priority: 2, CreatedAt: task.StampOf(at),
 			Answers: []task.Answer{
 				{TaskID: 1, WorkerID: odd, At: at, Words: []int{7, 8}},
 				{TaskID: 1, WorkerID: "b", At: at.Add(time.Second), Words: []int{9}},
 			}},
-		{ID: 2, Kind: task.Transcribe, Payload: task.Payload{Detail: &task.Detail{WordImg: odd}}, Redundancy: 1, Status: task.Done, CreatedAt: at, DoneAt: at.Add(time.Minute),
+		{ID: 2, Kind: task.Transcribe, Payload: task.Payload{Detail: &task.Detail{WordImg: odd}}, Redundancy: 1, Status: task.Done, CreatedAt: task.StampOf(at), DoneAt: task.StampOf(at.Add(time.Minute)),
 			Answers: []task.Answer{{TaskID: 2, WorkerID: "w", At: at, Text: odd}}},
-		{ID: 3, Kind: task.Locate, Payload: task.Payload{ImageID: 1, Detail: &task.Detail{Word: 2}}, Redundancy: 2, Status: task.Canceled, CreatedAt: at, DoneAt: at,
+		{ID: 3, Kind: task.Locate, Payload: task.Payload{ImageID: 1, Detail: &task.Detail{Word: 2}}, Redundancy: 2, Status: task.Canceled, CreatedAt: task.StampOf(at), DoneAt: task.StampOf(at),
 			Answers: []task.Answer{{TaskID: 3, WorkerID: "x", At: at, Box: vocab.Rect{X: 1, Y: 2, W: 3, H: 4}}}},
-		{ID: 4, Kind: task.Compare, Payload: task.Payload{ImageID: 1, ImageB: 2}, Redundancy: 1, CreatedAt: at},
+		{ID: 4, Kind: task.Compare, Payload: task.Payload{ImageID: 1, ImageB: 2}, Redundancy: 1, CreatedAt: task.StampOf(at)},
 	}
 	for _, tk := range stored {
 		sys.Store().Put(tk)
@@ -727,7 +727,7 @@ func TestGetTaskBodyIsTheEncodersBytes(t *testing.T) {
 	if rec := get(99); rec.Code != http.StatusNotFound || !strings.Contains(rec.Body.String(), `"error":"store: task not found"`) {
 		t.Fatalf("GET unknown task: %d %s", rec.Code, rec.Body)
 	}
-	sys.Store().Put(&task.Task{ID: 5, Kind: task.Label, Redundancy: 1, CreatedAt: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)})
+	sys.Store().Put(&task.Task{ID: 5, Kind: task.Label, Redundancy: 1, CreatedAt: task.StampOf(time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC))})
 	if rec := get(5); rec.Code != http.StatusInternalServerError || rec.Body.String() != encodeFailed+"\n" {
 		t.Fatalf("GET a task encoding/json refuses: %d %q", rec.Code, rec.Body)
 	}

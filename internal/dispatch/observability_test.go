@@ -265,7 +265,8 @@ func (c fixedClock) Now() time.Time { return c.at }
 // TestTraceRouteBytes pins the trace route's body for live events. The
 // ring holds each event in a compact slot and rebuilds it for the route,
 // and what it rebuilds must encode as the event did when it was recorded:
-// the clock's zone offset and nanoseconds, the worker and the trace ID.
+// the clock's zone offset and nanoseconds, the worker and the trace ID,
+// which an event without one (persist) leaves out.
 func TestTraceRouteBytes(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Clock = fixedClock{time.Date(2026, 7, 6, 12, 0, 0, 123456789, time.FixedZone("IST", 5*3600+30*60))}
@@ -300,7 +301,7 @@ func TestTraceRouteBytes(t *testing.T) {
 	const at, tr = `"at":"2026-07-06T12:00:00.123456789+05:30"`, `"trace":"11111111111111110000000000000000"`
 	want := `{"task_id":1,"events":[` +
 		`{"seq":1,"task_id":1,"stage":"submit",` + at + `,` + tr + `},` +
-		`{"seq":2,"task_id":1,"stage":"persist",` + at + `,"trace":""},` +
+		`{"seq":2,"task_id":1,"stage":"persist",` + at + `},` +
 		`{"seq":3,"task_id":1,"stage":"enqueue",` + at + `,` + tr + `},` +
 		`{"seq":4,"task_id":1,"stage":"lease",` + at + `,"worker":"w1",` + tr + `},` +
 		`{"seq":5,"task_id":1,"stage":"answer",` + at + `,"worker":"w1",` + tr + `},` +
@@ -426,10 +427,19 @@ func TestAdminHandlerMetricsAndProbes(t *testing.T) {
 		}
 	}
 
-	// The process's memory: heap objects always, the resident high-water
-	// mark where the kernel reports one.
+	// The process's memory: heap objects and what has been allocated
+	// always, the resident high-water mark where the kernel reports one.
 	if v, _ := strconv.ParseFloat(values["go_memory_classes_heap_objects_bytes"], 64); v < 1<<10 {
 		t.Errorf("go_memory_classes_heap_objects_bytes = %q, want a heap's worth", values["go_memory_classes_heap_objects_bytes"])
+	}
+	objects, _ := strconv.ParseFloat(values["go_gc_heap_allocs_objects_total"], 64)
+	allocated, _ := strconv.ParseFloat(values["go_gc_heap_allocs_bytes_total"], 64)
+	if objects < 1 || allocated < 8*objects {
+		t.Errorf("go_gc_heap_allocs_objects_total = %q, go_gc_heap_allocs_bytes_total = %q; want some objects of 8 B or more",
+			values["go_gc_heap_allocs_objects_total"], values["go_gc_heap_allocs_bytes_total"])
+	}
+	if !strings.Contains(body, "# TYPE go_gc_heap_allocs_objects_total counter\n") || !strings.Contains(body, "# TYPE go_gc_heap_allocs_bytes_total counter\n") {
+		t.Error("the allocation totals are not counters")
 	}
 	if _, err := os.Stat("/proc/self/status"); err == nil {
 		if v, _ := strconv.ParseFloat(values["process_resident_memory_max_bytes"], 64); v < 1<<20 {

@@ -72,17 +72,10 @@ func AppendString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// zeroTime is time.Time{} as MarshalJSON writes it — what an unset
-// done_at holds in every record of an open task.
-const zeroTime = `"0001-01-01T00:00:00Z"`
-
 // AppendTime appends t as time.Time.MarshalJSON writes it. ok is false
 // where MarshalJSON returns an error instead (a year outside 0–9999, a zone
 // offset of a day or more).
 func AppendTime(b []byte, t time.Time) (_ []byte, ok bool) {
-	if t == (time.Time{}) {
-		return append(b, zeroTime...), true
-	}
 	b = append(b, '"')
 	start := len(b)
 	b = t.AppendFormat(b, time.RFC3339Nano)
@@ -96,6 +89,32 @@ func AppendTime(b []byte, t time.Time) (_ []byte, ok bool) {
 		}
 	}
 	return append(b, '"'), true
+}
+
+// AppendWall appends, as time.Time.MarshalJSON writes it, the instant
+// whose clock reads wall's UTC fields in the zone off minutes east of UTC,
+// with no time.Location built for it. ok is false where MarshalJSON
+// returns an error instead (a year outside 0–9999, an offset of a day or
+// more).
+func AppendWall(b []byte, wall time.Time, off int) (_ []byte, ok bool) {
+	b = append(b, '"')
+	start := len(b)
+	b = wall.AppendFormat(b, time.RFC3339Nano) // ends in Z: wall is in UTC
+	if b[start+len("2006")] != '-' {
+		return b, false
+	}
+	if off == 0 {
+		return append(b, '"'), true
+	}
+	sign := byte('+')
+	if off < 0 {
+		sign, off = '-', -off
+	}
+	h, m := off/60, off%60
+	if h >= 24 {
+		return b, false
+	}
+	return append(b[:len(b)-1], sign, '0'+byte(h/10), '0'+byte(h%10), ':', '0'+byte(m/10), '0'+byte(m%10), '"'), true
 }
 
 // AppendInts appends v as a JSON array of integers.
@@ -237,10 +256,6 @@ func (c *Canon) Str() string { return string(c.rawString()) }
 // function encoding/json calls — so the decoded value, zone included, is
 // the stdlib's.
 func (c *Canon) Time(t *time.Time) {
-	if c.Try(zeroTime) {
-		*t = time.Time{}
-		return
-	}
 	start := c.b
 	raw := c.rawString()
 	if c.bad || t.UnmarshalJSON(start[:len(raw)+2]) != nil {

@@ -100,7 +100,7 @@ func TestFailedSaveKeepsPreviousSnapshot(t *testing.T) {
 func TestFollowerBootstrapSurvivesDroppedDownloads(t *testing.T) {
 	dir := t.TempDir()
 	leaderSnap := filepath.Join(dir, "leader.json")
-	if err := save(populated(t, 3000), leaderSnap); err != nil {
+	if err := save(populated(t, 4000), leaderSnap); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(leaderSnap)
@@ -161,7 +161,7 @@ func TestFollowerBootstrapSurvivesDroppedDownloads(t *testing.T) {
 	if err := restore(slog.New(slog.DiscardHandler), sys, followerSnap); err != nil {
 		t.Fatalf("booting from the bootstrapped snapshot: %v", err)
 	}
-	if got := sys.Store().Len(); got != 3002 {
-		t.Fatalf("follower restored %d tasks, want 3002", got)
+	if got := sys.Store().Len(); got != 4002 {
+		t.Fatalf("follower restored %d tasks, want 4002", got)
 	}
 }

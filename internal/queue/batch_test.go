@@ -85,7 +85,7 @@ func TestLeaseBatchMatchesSingleLeases(t *testing.T) {
 		q := New(time.Minute)
 		for i, sp := range specs {
 			tk := newTask(t, task.ID(i+1), int(sp.Priority), int(sp.Redundancy%3)+1)
-			tk.CreatedAt = t0.Add(time.Duration(sp.Age) * time.Second)
+			tk.CreatedAt = task.StampOf(t0.Add(time.Duration(sp.Age) * time.Second))
 			if err := q.Add(tk); err != nil {
 				t.Fatal(err)
 			}

@@ -283,7 +283,7 @@ func (q *Queue) AddBatchTraced(ts []*task.Task, h trace.Handle) []error {
 func (q *Queue) insertLocked(t *task.Task, tr trace.TraceID) {
 	heap.Push(&q.heap, t)
 	q.open++
-	q.emit(trace.StageEnqueue, t.ID, "", t.CreatedAt, tr)
+	q.emit(trace.StageEnqueue, t.ID, "", t.CreatedAt.Time(), tr)
 }
 
 // RequeueOpen makes the store's open tasks the heap, with one heap.Init
@@ -300,7 +300,7 @@ func (q *Queue) RequeueOpen() {
 	q.heap = q.st.Tasks(task.Open)
 	q.open = len(q.heap)
 	for _, t := range q.heap {
-		q.emit(trace.StageEnqueue, t.ID, "", t.CreatedAt, trace.TraceID{})
+		q.emit(trace.StageEnqueue, t.ID, "", t.CreatedAt.Time(), trace.TraceID{})
 	}
 	heap.Init(&q.heap)
 }
@@ -421,8 +421,11 @@ func (q *Queue) LeaseBatchTraced(workerID string, max int, now time.Time, h trac
 // concurrently, and the heap key does not depend on lease state.
 func (q *Queue) leaseLocked(t *task.Task, workerID string, now time.Time, tr trace.TraceID) (task.View, LeaseID) {
 	first, leased := q.held[t.ID]
-	if !leased { // never leased: its time in queue, from the enqueue event's At, ends here
-		q.rec.ObserveStage(trace.StageLease, now.Sub(t.CreatedAt), tr)
+	// Never leased: its time in queue, from the enqueue event's At, ends
+	// here. A stored Stamp keeps no monotonic reading, so this is wall-clock
+	// time, as it always was for a task recovered after a restart.
+	if !leased {
+		q.rec.ObserveStage(trace.StageLease, now.Sub(t.CreatedAt.Time()), tr)
 	}
 	q.seq++
 	id := LeaseID(q.seq)
@@ -770,8 +773,8 @@ func (h taskHeap) Less(i, j int) bool {
 	if a.Priority != b.Priority {
 		return a.Priority > b.Priority
 	}
-	if !a.CreatedAt.Equal(b.CreatedAt) {
-		return a.CreatedAt.Before(b.CreatedAt)
+	if c := a.CreatedAt.Compare(&b.CreatedAt); c != 0 {
+		return c < 0
 	}
 	return a.ID < b.ID
 }

@@ -60,7 +60,7 @@ func TestFIFOWithinPriority(t *testing.T) {
 	q := New(time.Minute)
 	early := newTask(t, 10, 0, 1)
 	late := newTask(t, 5, 0, 1)
-	late.CreatedAt = t0.Add(time.Second)
+	late.CreatedAt = task.StampOf(t0.Add(time.Second))
 	if err := q.Add(late); err != nil {
 		t.Fatal(err)
 	}
@@ -562,7 +562,7 @@ func TestConcurrentLeasesAreExactBestFirst(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 1; i <= nTasks; i++ {
 		tk := newTask(t, task.ID(i), r.Intn(5), 1)
-		tk.CreatedAt = t0.Add(time.Duration(r.Intn(50)) * time.Second)
+		tk.CreatedAt = task.StampOf(t0.Add(time.Duration(r.Intn(50)) * time.Second))
 		if err := q.Add(tk); err != nil {
 			t.Fatal(err)
 		}
@@ -592,7 +592,7 @@ func TestConcurrentLeasesAreExactBestFirst(t *testing.T) {
 		h[1] = granted[lease]
 		if h.Less(1, 0) {
 			t.Fatalf("lease %d went to task %d (priority %d, created %v) while the better task %d (priority %d, created %v) of lease %d was unleased",
-				lease-1, h[0].ID, h[0].Priority, h[0].CreatedAt, h[1].ID, h[1].Priority, h[1].CreatedAt, lease)
+				lease-1, h[0].ID, h[0].Priority, h[0].CreatedAt.Time(), h[1].ID, h[1].Priority, h[1].CreatedAt.Time(), lease)
 		}
 		h[0] = h[1]
 	}

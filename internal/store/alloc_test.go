@@ -40,13 +40,14 @@ func leastMallocs(setup func() func()) (objects, bytes int64) {
 }
 
 // TestTaskRecordSize: a task is stored as one task.Task, which the runtime
-// serves from the smallest size class that holds it, 128 B. Kind and
-// Status are adjacent bytes, so they share a word. The payload inputs only
-// some kinds use are behind one pointer, which an image task leaves nil, so
-// the payload is two ints and that pointer.
+// serves from the smallest size class that holds it, 96 B. Kind and Status
+// are adjacent bytes, and the two 11-byte Stamps, CreatedAt and DoneAt,
+// fill the rest of their three words. The payload inputs only some kinds
+// use are behind one pointer, which an image task leaves nil, so the
+// payload is two ints and that pointer.
 func TestTaskRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(task.Task{}); got > 128 {
-		t.Errorf("task.Task is %d B; want at most 128, its size class", got)
+	if got := unsafe.Sizeof(task.Task{}); got > 96 {
+		t.Errorf("task.Task is %d B; want at most 96, its size class", got)
 	}
 	if got := unsafe.Sizeof(task.Payload{}); got != 24 {
 		t.Errorf("task.Payload is %d B; want 24: ImageID, ImageB and the Detail pointer", got)
@@ -55,7 +56,7 @@ func TestTaskRecordSize(t *testing.T) {
 
 // TestReplayAllocatesWhatItKeeps: replaying a record allocates the state
 // the record adds to the store and no decoding scratch. A submit record of
-// an image task leaves a task.Task (128 B, no Detail) and fills an 8-byte
+// an image task leaves a task.Task (96 B, no Detail) and fills an 8-byte
 // slot of a table page, which is allocated once per 1024 tasks and never
 // regrown; through encoding/json it cost 12 allocations and some 900 B,
 // and into a Go map, which doubles its way up, 1.01 allocations and 252 B.
@@ -74,7 +75,7 @@ func TestReplayAllocatesWhatItKeeps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := wal.Append(Event{Kind: EventSubmit, At: tk.CreatedAt, Task: tk}); err != nil {
+		if err := wal.Append(Event{Kind: EventSubmit, At: tk.CreatedAt.Time(), Task: tk}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,8 +99,8 @@ func TestReplayAllocatesWhatItKeeps(t *testing.T) {
 	t.Logf("submit records: %d allocs, %.0f B per record", objects, float64(size)/n)
 	// Beyond the tasks: the pages, the page map, the key list and whatever
 	// else the process allocates meanwhile, 19 to 25 on a quiet host.
-	if objects > n+n/100 || size > 160*n {
-		t.Fatalf("replaying %d submit records took %d allocations and %d B; want at most 1.01 and 160 B a record", n, objects, size)
+	if objects > n+n/100 || size > 128*n {
+		t.Fatalf("replaying %d submit records took %d allocations and %d B; want at most 1.01 and 128 B a record", n, objects, size)
 	}
 	// Three answers to each of n/3 tasks: per record a worker ID (16 B), a
 	// two-word list (16 B), a third of a three-slot answers slice (128 B).
@@ -122,7 +123,7 @@ func TestCheckpointEncodeDoesNotAllocate(t *testing.T) {
 	for _, n := range []int{1000, 16000} {
 		s := New()
 		for i := 1; i <= n; i++ {
-			s.Put(&task.Task{ID: task.ID(i), Kind: task.Compare, Payload: task.Payload{ImageID: i, ImageB: i + 1}, Redundancy: 3, Priority: i % 4, CreatedAt: t0})
+			s.Put(&task.Task{ID: task.ID(i), Kind: task.Compare, Payload: task.Payload{ImageID: i, ImageB: i + 1}, Redundancy: 3, Priority: i % 4, CreatedAt: task.StampOf(t0)})
 		}
 		snapshot := func() {
 			if err := s.Snapshot(io.Discard); err != nil {

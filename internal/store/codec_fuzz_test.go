@@ -29,7 +29,7 @@ func FuzzTaskCodecMatchesStdlib(f *testing.F) {
 		}
 		f.Add(doc)
 		f.Add(doc[:len(doc)*2/3])
-		ev, _ := json.Marshal(Event{Kind: EventSubmit, At: tk.CreatedAt, Task: tk})
+		ev, _ := json.Marshal(Event{Kind: EventSubmit, At: tk.CreatedAt.Time(), Task: tk})
 		f.Add(ev)
 		for i := range tk.Answers {
 			a := &tk.Answers[i]
@@ -69,26 +69,38 @@ func FuzzTaskCodecMatchesStdlib(f *testing.F) {
 		`{"kind":"can` + "\xff" + `cel","at":"2026-07-06T12:00:00Z","task_id":3}`,
 		`{"kind":"can` + "\n" + `cel","at":"2026-07-06T12:00:00Z","task_id":3}`,
 		`{"kind":"` + "\u00e9\u2028\u2029" + `","at":"2026-07-06T12:00:00Z","task_id":3}`,
-		`{"id":1,"kind":0,"status":0,"payload":{},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z","answers":[]}`,
+		`{"id":1,"kind":0,"status":0,"created_at":"2026-07-06T12:00:00Z","payload":{},"redundancy":1,"priority":0,"answers":[]}`,
 		// A Detail key, whatever its value, gives the payload a Detail.
-		`{"id":1,"kind":0,"status":0,"payload":{"taboo":[]},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
-		`{"id":1,"kind":0,"status":0,"payload":{"taboo":null},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
-		`{"id":1,"kind":1,"status":0,"payload":{"word":0},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
-		`{"id":1,"kind":5,"status":0,"payload":{"clip_b":2},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
-		`{"id":1,"kind":5,"status":0,"payload":{"image_id":1,"Detail":{"clip_b":2}},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
-		`{"id":1,"kind":0,"status":0,"payload":{"image_id":1,},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
-		`{"id":1,"kind":0,"status":0,"payload":{,"image_id":1},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
-		`{"id":1,"kind":0,"status":0,"payload":{"taboo":[1,,2]},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
-		`{"id":1,"kind":0,"status":0,"payload":{"clip_b":2,"clip_a":1},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
+		`{"id":1,"kind":0,"status":0,"created_at":"2026-07-06T12:00:00Z","payload":{"taboo":[]},"redundancy":1,"priority":0}`,
+		`{"id":1,"kind":0,"status":0,"created_at":"2026-07-06T12:00:00Z","payload":{"taboo":null},"redundancy":1,"priority":0}`,
+		`{"id":1,"kind":1,"status":0,"created_at":"2026-07-06T12:00:00Z","payload":{"word":0},"redundancy":1,"priority":0}`,
+		`{"id":1,"kind":5,"status":0,"created_at":"2026-07-06T12:00:00Z","payload":{"clip_b":2},"redundancy":1,"priority":0}`,
+		`{"id":1,"kind":5,"status":0,"created_at":"2026-07-06T12:00:00Z","payload":{"image_id":1,"Detail":{"clip_b":2}},"redundancy":1,"priority":0}`,
+		`{"id":1,"kind":0,"status":0,"created_at":"2026-07-06T12:00:00Z","payload":{"image_id":1,},"redundancy":1,"priority":0}`,
+		`{"id":1,"kind":0,"status":0,"created_at":"2026-07-06T12:00:00Z","payload":{,"image_id":1},"redundancy":1,"priority":0}`,
+		`{"id":1,"kind":0,"status":0,"created_at":"2026-07-06T12:00:00Z","payload":{"taboo":[1,,2]},"redundancy":1,"priority":0}`,
+		`{"id":1,"kind":0,"status":0,"created_at":"2026-07-06T12:00:00Z","payload":{"clip_b":2,"clip_a":1},"redundancy":1,"priority":0}`,
 		`{"id":1,"kind":"label","redundancy":1}`,
 		// Kind and status are bytes: out of range, a canonical record is
 		// encoding/json's to refuse, never wrapped in place.
-		`{"id":1,"kind":300,"status":0,"payload":{},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
-		`{"id":1,"kind":0,"status":-1,"payload":{},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
-		`{"id":1,"kind":0,"status":256,"payload":{},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
-		`{"kind":"submit","at":"2026-07-06T12:00:00Z","task":{"id":1,"kind":255,"status":256,"payload":{},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}}`,
-		// The earlier key order, status after priority, and the empty box
-		// every answer used to carry.
+		`{"id":1,"kind":300,"status":0,"created_at":"2026-07-06T12:00:00Z","payload":{},"redundancy":1,"priority":0}`,
+		`{"id":1,"kind":0,"status":-1,"created_at":"2026-07-06T12:00:00Z","payload":{},"redundancy":1,"priority":0}`,
+		`{"id":1,"kind":0,"status":256,"created_at":"2026-07-06T12:00:00Z","payload":{},"redundancy":1,"priority":0}`,
+		`{"kind":"submit","at":"2026-07-06T12:00:00Z","task":{"id":1,"kind":255,"status":256,"created_at":"2026-07-06T12:00:00Z","payload":{},"redundancy":1,"priority":0}}`,
+		// done_at is read where the encoder writes it, and only there; a
+		// zero one, or null, decodes as its absence.
+		`{"id":1,"kind":0,"status":1,"created_at":"2026-07-06T12:00:00Z","done_at":"2026-07-06T12:00:01.5+01:00","payload":{},"redundancy":1,"priority":0}`,
+		`{"id":1,"kind":0,"status":1,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z","payload":{},"redundancy":1,"priority":0}`,
+		`{"id":1,"kind":0,"status":1,"created_at":"2026-07-06T12:00:00Z","done_at":null,"payload":{},"redundancy":1,"priority":0}`,
+		`{"id":1,"kind":0,"status":1,"done_at":"2026-07-06T12:00:01Z","created_at":"2026-07-06T12:00:00Z","payload":{},"redundancy":1,"priority":0}`,
+		`{"id":1,"kind":0,"status":1,"created_at":"2026-07-06T12:00:00Z","payload":{},"redundancy":1,"priority":0,"done_at":"2026-07-06T12:00:01Z"}`,
+		`{"id":1,"kind":0,"status":0,"created_at":"2026-07-06T12:00:00+24:00","payload":{},"redundancy":1,"priority":0}`,
+		`{"id":1,"kind":0,"status":0,"created_at":"10000-01-01T00:00:00Z","payload":{},"redundancy":1,"priority":0}`,
+		// The key order before the times moved up, with done_at on every
+		// task, and the one before that: status after priority, and the
+		// empty box every answer used to carry.
+		`{"id":1,"kind":0,"status":0,"payload":{},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
+		`{"id":1,"kind":0,"status":2,"payload":{"image_id":1},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"2026-07-06T13:00:00Z","answers":[{"task_id":1,"worker_id":"w","at":"2026-07-06T12:00:00Z","words":[1]}]}`,
 		`{"id":1,"kind":0,"payload":{},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`,
 		`{"task_id":1,"worker_id":"w","at":"2026-07-06T12:00:00Z","words":[1],"box":{"X":0,"Y":0,"W":0,"H":0}}`,
 		`{"kind":"answer","at":"2026-07-06T12:00:00Z","task_id":1,"answer":{"task_id":1,"worker_id":"w","at":"2026-07-06T12:00:00Z","box":{"X":0,"Y":0,"W":0,"H":0},"choice":1}}`,
@@ -163,7 +175,7 @@ func decodesLikeStdlib(t *testing.T, doc []byte) {
 
 	var wantTask task.Task
 	wantErr = json.Unmarshal(doc, &wantTask)
-	gotTask := task.Task{ID: 99, Payload: task.Payload{Detail: &task.Detail{WordImg: "stale", Taboo: []int{9}, ClipB: 9}}, DoneAt: t0, Answers: []task.Answer{dirty}}
+	gotTask := task.Task{ID: 99, Payload: task.Payload{Detail: &task.Detail{WordImg: "stale", Taboo: []int{9}, ClipB: 9}}, DoneAt: task.StampOf(t0), Answers: []task.Answer{dirty}}
 	gotErr = gotTask.DecodeJSON(doc)
 	if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(gotTask, wantTask) {
 		t.Fatalf("task %q\n codec: %+v, %v\nstdlib: %+v, %v", doc, gotTask, gotErr, wantTask, wantErr)
@@ -273,7 +285,7 @@ func (g *gen) task() *task.Task {
 		ID: task.ID(g.int()), Kind: task.Kind(g.int()),
 		Payload:    task.Payload{ImageID: g.int(), ImageB: g.int(), Detail: g.detail()},
 		Redundancy: g.int(), Priority: g.int(), Status: task.Status(g.int()),
-		CreatedAt: g.time(), DoneAt: g.time(),
+		CreatedAt: task.StampOf(g.time()), DoneAt: task.StampOf(g.time()),
 	}
 	for n := g.byte() % 4; n > 0; n-- {
 		tk.Answers = append(tk.Answers, *g.answer())

@@ -50,6 +50,7 @@ func richTasks(n int) []*task.Task {
 	out := make([]*task.Task, 0, n)
 	for i := 1; i <= n; i++ {
 		id := task.ID(i * 3) // gaps in the ID space
+		created := time.Unix(int64(1_700_000_000+i), int64(i)).UTC()
 		tk := &task.Task{
 			ID:         id,
 			Kind:       task.Kind(i % 6),
@@ -57,13 +58,13 @@ func richTasks(n int) []*task.Task {
 			Redundancy: 1 + i%3,
 			Priority:   i%5 - 2,
 			Status:     task.Status(i % 3),
-			CreatedAt:  time.Unix(int64(1_700_000_000+i), int64(i)).UTC(),
+			CreatedAt:  task.StampOf(created),
 		}
 		if i%2 == 0 {
 			tk.Payload.Taboo = []int{i, i + 1, i + 2}
 		}
 		for a := 0; a < i%4; a++ {
-			ans := task.Answer{TaskID: id, WorkerID: fmt.Sprintf("w<%d>&", a), At: tk.CreatedAt.Add(time.Duration(a+1) * time.Second), Choice: a % 2}
+			ans := task.Answer{TaskID: id, WorkerID: fmt.Sprintf("w<%d>&", a), At: created.Add(time.Duration(a+1) * time.Second), Choice: a % 2}
 			switch a % 3 {
 			case 0:
 				ans.Words = []int{a, i, 42}
@@ -75,7 +76,7 @@ func richTasks(n int) []*task.Task {
 			tk.Answers = append(tk.Answers, ans)
 		}
 		if tk.Status != task.Open {
-			tk.DoneAt = tk.CreatedAt.Add(time.Hour)
+			tk.DoneAt = task.StampOf(created.Add(time.Hour))
 		}
 		out = append(out, tk)
 	}
@@ -122,22 +123,31 @@ func clip(b []byte) string {
 
 // TestSnapshotGolden pins the format itself, independent of any encoder: a
 // document in it restores, and is written back byte for byte. The same
-// document as versions before status moved up beside kind and an empty box
-// was left out wrote it restores too, and is written back in today's form.
+// document in each form earlier versions wrote restores too, and is
+// written back in today's form.
 func TestSnapshotGolden(t *testing.T) {
 	const golden = `{"version":1,"next_id":9,"tasks":[` +
+		`{"id":2,"kind":0,"status":1,"created_at":"2026-07-06T12:00:00Z","done_at":"2026-07-06T12:01:00Z","payload":{"image_id":7,"taboo":[4,5]},"redundancy":2,"priority":1,` +
+		`"answers":[{"task_id":2,"worker_id":"a","at":"2026-07-06T12:00:30Z","words":[3,4]},` +
+		`{"task_id":2,"worker_id":"b \u003c\u0026\u003e","at":"2026-07-06T12:01:00Z","box":{"X":1,"Y":2,"W":3,"H":4},"text":"x","choice":1}]},` +
+		`{"id":5,"kind":3,"status":0,"created_at":"2026-07-06T12:00:00Z","payload":{"word_img":"w.png"},"redundancy":1,"priority":0}` +
+		`],"calibration":{"gold":{"5":{"text":"w"}}}}` + "\n"
+	// The forms written before: the times after the priority and done_at
+	// always present, with the status beside the kind or, earlier, after
+	// the priority and an empty box on every answer.
+	const stampsLast = `{"version":1,"next_id":9,"tasks":[` +
 		`{"id":2,"kind":0,"status":1,"payload":{"image_id":7,"taboo":[4,5]},"redundancy":2,"priority":1,"created_at":"2026-07-06T12:00:00Z","done_at":"2026-07-06T12:01:00Z",` +
 		`"answers":[{"task_id":2,"worker_id":"a","at":"2026-07-06T12:00:30Z","words":[3,4]},` +
 		`{"task_id":2,"worker_id":"b \u003c\u0026\u003e","at":"2026-07-06T12:01:00Z","box":{"X":1,"Y":2,"W":3,"H":4},"text":"x","choice":1}]},` +
 		`{"id":5,"kind":3,"status":0,"payload":{"word_img":"w.png"},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}` +
 		`],"calibration":{"gold":{"5":{"text":"w"}}}}` + "\n"
-	const earlier = `{"version":1,"next_id":9,"tasks":[` +
+	const statusLast = `{"version":1,"next_id":9,"tasks":[` +
 		`{"id":2,"kind":0,"payload":{"image_id":7,"taboo":[4,5]},"redundancy":2,"priority":1,"status":1,"created_at":"2026-07-06T12:00:00Z","done_at":"2026-07-06T12:01:00Z",` +
 		`"answers":[{"task_id":2,"worker_id":"a","at":"2026-07-06T12:00:30Z","words":[3,4],"box":{"X":0,"Y":0,"W":0,"H":0}},` +
 		`{"task_id":2,"worker_id":"b \u003c\u0026\u003e","at":"2026-07-06T12:01:00Z","box":{"X":1,"Y":2,"W":3,"H":4},"text":"x","choice":1}]},` +
 		`{"id":5,"kind":3,"payload":{"word_img":"w.png"},"redundancy":1,"priority":0,"status":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}` +
 		`],"calibration":{"gold":{"5":{"text":"w"}}}}` + "\n"
-	for _, doc := range []string{golden, earlier} {
+	for _, doc := range []string{golden, stampsLast, statusLast} {
 		s := New()
 		cal, err := s.RestoreWith(strings.NewReader(doc))
 		if err != nil {
@@ -278,7 +288,7 @@ func fillPlain(s *Store, n int) {
 		id := task.ID(i)
 		s.Put(&task.Task{
 			ID: id, Kind: task.Label, Payload: task.Payload{ImageID: i, Detail: &task.Detail{Taboo: []int{1, 2}}}, Redundancy: 3,
-			CreatedAt: t0,
+			CreatedAt: task.StampOf(t0),
 			Answers: []task.Answer{
 				{TaskID: id, WorkerID: "alice", At: t0, Words: []int{i, 7}},
 				{TaskID: id, WorkerID: "bob", At: t0, Words: []int{i, 9}},

@@ -106,7 +106,7 @@ func (s *Store) Put(t *task.Task) {
 	s.tab.put(t)
 	s.mu.Unlock()
 	s.advanceNextID(t.ID)
-	s.rec.Append(trace.Event{TaskID: t.ID, Stage: trace.StagePersist, At: t.CreatedAt})
+	s.rec.Append(trace.Event{TaskID: t.ID, Stage: trace.StagePersist, At: t.CreatedAt.Time()})
 }
 
 // PutBatch inserts or replaces many tasks under one hold of the write
@@ -121,7 +121,7 @@ func (s *Store) PutBatch(ts []*task.Task) {
 	s.mu.Unlock()
 	s.advanceNextID(maxID)
 	for _, t := range ts {
-		s.rec.Append(trace.Event{TaskID: t.ID, Stage: trace.StagePersist, At: t.CreatedAt})
+		s.rec.Append(trace.Event{TaskID: t.ID, Stage: trace.StagePersist, At: t.CreatedAt.Time()})
 	}
 }
 
@@ -141,7 +141,7 @@ func (s *Store) Insert(ts []*task.Task) (refused []int) {
 		case held == nil:
 			s.tab.put(t)
 			maxID = max(maxID, t.ID)
-			s.rec.Append(trace.Event{TaskID: t.ID, Stage: trace.StagePersist, At: t.CreatedAt})
+			s.rec.Append(trace.Event{TaskID: t.ID, Stage: trace.StagePersist, At: t.CreatedAt.Time()})
 		}
 	}
 	s.mu.Unlock()

@@ -284,6 +284,7 @@ type taskSpec struct {
 // produce byte-identical tasks, including timestamps.
 func (sp taskSpec) build() *task.Task {
 	id := task.ID(sp.ID%4096) + 1
+	created := time.Unix(int64(id), 0).UTC()
 	t := &task.Task{
 		ID:         id,
 		Kind:       task.Label,
@@ -291,18 +292,18 @@ func (sp taskSpec) build() *task.Task {
 		Redundancy: int(sp.Answers%3) + 1,
 		Priority:   int(sp.Priority),
 		Status:     task.Status(sp.Status % 3),
-		CreatedAt:  time.Unix(int64(id), 0).UTC(),
+		CreatedAt:  task.StampOf(created),
 	}
 	for i := 0; i < int(sp.Answers%4); i++ {
 		t.Answers = append(t.Answers, task.Answer{
 			TaskID:   id,
 			WorkerID: fmt.Sprintf("w%d", i),
-			At:       t.CreatedAt.Add(time.Duration(i+1) * time.Second),
+			At:       created.Add(time.Duration(i+1) * time.Second),
 			Words:    []int{int(sp.ID), i},
 		})
 	}
 	if t.Status != task.Open {
-		t.DoneAt = t.CreatedAt.Add(time.Minute)
+		t.DoneAt = task.StampOf(created.Add(time.Minute))
 	}
 	return t
 }

@@ -18,7 +18,7 @@ import (
 func TestTableTakesAnyID(t *testing.T) {
 	ids := []task.ID{math.MinInt64, -4, 0, 1, 1023, 1024, 1 << 62, math.MaxInt64}
 	open := func(id task.ID) *task.Task {
-		return &task.Task{ID: id, Kind: task.Label, Payload: task.Payload{ImageID: 1}, Redundancy: 1, CreatedAt: t0}
+		return &task.Task{ID: id, Kind: task.Label, Payload: task.Payload{ImageID: 1}, Redundancy: 1, CreatedAt: task.StampOf(t0)}
 	}
 
 	put, inserted := New(), New()

@@ -155,7 +155,7 @@ func TestReplayRefusesWhatNoLiveOrderLogs(t *testing.T) {
 		if _, err := ReplayWALObserved(logOf(t, answerBy("a"), closeBy(EventFinish)), s, nil); err != nil {
 			t.Fatal(err)
 		}
-		if v, err := s.View(1); err != nil || v.Status != task.Done || len(v.Answers) != 1 || !v.DoneAt.Equal(t0.Add(time.Second)) {
+		if v, err := s.View(1); err != nil || v.Status != task.Done || len(v.Answers) != 1 || v.DoneAt != task.StampOf(t0.Add(time.Second)) {
 			t.Fatalf("replayed as %+v, %v", v, err)
 		}
 	})

@@ -3,6 +3,7 @@ package task
 import (
 	"encoding/json"
 	"strconv"
+	"time"
 
 	"humancomp/internal/jsonx"
 	"humancomp/internal/vocab"
@@ -56,21 +57,22 @@ func AppendTask(b []byte, t *Task) (_ []byte, ok bool) {
 	b = strconv.AppendUint(b, uint64(t.Kind), 10)
 	b = append(b, `,"status":`...)
 	b = strconv.AppendUint(b, uint64(t.Status), 10)
+	b = append(b, `,"created_at":`...)
+	if b, ok = t.CreatedAt.appendJSON(b); !ok {
+		return b, false
+	}
+	if !t.DoneAt.IsZero() {
+		b = append(b, `,"done_at":`...)
+		if b, ok = t.DoneAt.appendJSON(b); !ok {
+			return b, false
+		}
+	}
 	b = append(b, `,"payload":`...)
 	b = appendPayload(b, &t.Payload)
 	b = append(b, `,"redundancy":`...)
 	b = strconv.AppendInt(b, int64(t.Redundancy), 10)
 	b = append(b, `,"priority":`...)
 	b = strconv.AppendInt(b, int64(t.Priority), 10)
-	b = append(b, `,"created_at":`...)
-	b, ok = jsonx.AppendTime(b, t.CreatedAt)
-	if !ok {
-		return b, false
-	}
-	b = append(b, `,"done_at":`...)
-	if b, ok = jsonx.AppendTime(b, t.DoneAt); !ok {
-		return b, false
-	}
 	if len(t.Answers) > 0 {
 		b = append(b, `,"answers":[`...)
 		for i := range t.Answers {
@@ -168,16 +170,18 @@ func DecodeTask(c *jsonx.Canon, t *Task) {
 	t.Kind = Kind(c.Uint8())
 	c.Lit(`,"status":`)
 	t.Status = Status(c.Uint8())
+	c.Lit(`,"created_at":`)
+	t.CreatedAt = decodeStamp(c)
+	t.DoneAt = Stamp{}
+	if c.Try(`,"done_at":`) {
+		t.DoneAt = decodeStamp(c)
+	}
 	c.Lit(`,"payload":`)
 	decodePayload(c, &t.Payload)
 	c.Lit(`,"redundancy":`)
 	t.Redundancy = c.Int()
 	c.Lit(`,"priority":`)
 	t.Priority = c.Int()
-	c.Lit(`,"created_at":`)
-	c.Time(&t.CreatedAt)
-	c.Lit(`,"done_at":`)
-	c.Time(&t.DoneAt)
 	t.Answers = nil
 	if c.Try(`,"answers":[`) {
 		t.Answers = make([]Answer, 0, answersCap(t.Redundancy))
@@ -188,6 +192,12 @@ func DecodeTask(c *jsonx.Canon, t *Task) {
 		c.Lit("]")
 	}
 	c.Lit("}")
+}
+
+func decodeStamp(c *jsonx.Canon) Stamp {
+	var t time.Time
+	c.Time(&t)
+	return StampOf(t)
 }
 
 func decodePayload(c *jsonx.Canon, p *Payload) {

@@ -59,7 +59,7 @@ func TestRecordCompletesAtRedundancy(t *testing.T) {
 	if tk.Status != Done {
 		t.Fatalf("status = %v after redundancy met", tk.Status)
 	}
-	if tk.DoneAt != t0.Add(2*time.Second) {
+	if tk.DoneAt != StampOf(t0.Add(2*time.Second)) {
 		t.Errorf("DoneAt = %v", tk.DoneAt)
 	}
 	if tk.Remaining() != 0 {
@@ -152,7 +152,7 @@ func TestFinishEarly(t *testing.T) {
 	if err := tk.Finish(t0); err != nil {
 		t.Fatal(err)
 	}
-	if tk.Status != Done || !tk.DoneAt.Equal(t0) {
+	if tk.Status != Done || tk.DoneAt != StampOf(t0) {
 		t.Fatalf("status = %v, doneAt = %v", tk.Status, tk.DoneAt)
 	}
 	if err := tk.Finish(t0); !errors.Is(err, ErrWrongStatus) {
@@ -225,7 +225,7 @@ func TestViewIsDeepCopy(t *testing.T) {
 // place, where it would wrap (300 to 44, -1 to 255); it goes to
 // encoding/json, which refuses it.
 func TestByteFieldsOutOfRange(t *testing.T) {
-	const doc = `{"id":1,"kind":0,"status":0,"payload":{"image_id":7},"redundancy":1,"priority":0,"created_at":"2026-07-06T12:00:00Z","done_at":"0001-01-01T00:00:00Z"}`
+	const doc = `{"id":1,"kind":0,"status":0,"created_at":"2026-07-06T12:00:00Z","payload":{"image_id":7},"redundancy":1,"priority":0}`
 	var tk Task
 	if err := tk.DecodeJSON([]byte(doc)); err != nil {
 		t.Fatalf("in-range record: %v", err)

@@ -96,7 +96,7 @@ type Event struct {
 	Stage  Stage     `json:"stage"`
 	At     time.Time `json:"at"`
 	Worker string    `json:"worker,omitempty"`
-	Trace  TraceID   `json:"trace,omitempty"`
+	Trace  TraceID   `json:"trace,omitzero"`
 }
 
 // traceStripes is the number of independently locked ring stripes. Power
@@ -109,42 +109,26 @@ const traceStripes = 16
 const DefaultCapacity = 1 << 14
 
 // slot is an Event as the ring holds it: 64 B where an Event is 88. The
-// stage is its index in stages, and At is kept as Unix seconds and
-// nanoseconds, which hold every instant the storage codec accepts (years
-// 0–9999) and far more, plus the zone offset in whole minutes, the part of
-// the zone that the time's JSON form shows. A monotonic clock reading is
-// not kept.
+// stage is its index in stages, and At is a task.Stamp, which keeps the
+// instant and the zone offset in whole minutes, the part of the zone that
+// the time's JSON form shows, and comes back as Stamp.Time describes. A
+// monotonic clock reading is not kept.
 type slot struct {
 	seq    uint64
 	taskID task.ID
 	trace  TraceID
 	worker string
-	sec    int64
-	nsec   int32
-	zone   int16 // minutes east of UTC
+	at     task.Stamp
 	stage  uint8
 }
 
 func newSlot(e *Event) slot {
-	_, off := e.At.Zone()
-	return slot{
-		taskID: e.TaskID, trace: e.Trace, worker: e.Worker,
-		sec: e.At.Unix(), nsec: int32(e.At.Nanosecond()), zone: int16(off / 60), stage: stageCode(e.Stage),
-	}
+	return slot{taskID: e.TaskID, trace: e.Trace, worker: e.Worker, at: task.StampOf(e.At), stage: stageCode(e.Stage)}
 }
 
-// event rebuilds the Event the slot was made from. At comes back as the
-// same instant in UTC when the offset was zero, so time.Time{} comes back
-// as itself, in the local zone when that has the offset at this instant,
-// as the clock's times do, and in a fixed zone of the offset otherwise.
+// event rebuilds the Event the slot was made from.
 func (s *slot) event() Event {
-	at := time.Unix(s.sec, int64(s.nsec))
-	if off := int(s.zone) * 60; off == 0 {
-		at = at.UTC()
-	} else if _, local := at.Zone(); local != off {
-		at = at.In(time.FixedZone("", off))
-	}
-	return Event{Seq: s.seq, TaskID: s.taskID, Stage: stages[s.stage], At: at, Worker: s.worker, Trace: s.trace}
+	return Event{Seq: s.seq, TaskID: s.taskID, Stage: stages[s.stage], At: s.at.Time(), Worker: s.worker, Trace: s.trace}
 }
 
 // stripe is one independently locked slice of the recorder: a fixed-size
