@@ -406,22 +406,6 @@ func (s *System) NextTaskCtx(ctx context.Context, workerID string) (task.View, q
 	return v, id, err
 }
 
-// LeaseTaskFor leases the specific task id to workerID — the targeted
-// path that lets the session plane attach a completed agreement to the
-// task backing its item, flowing through the same lease/answer machinery
-// (and therefore the same WAL, quality plane, and GWAP accounting) as any
-// worker answer. Eligibility rules are exactly NextTask's: an Open task
-// this worker has not answered, with a redundancy slot free.
-func (s *System) LeaseTaskFor(id task.ID, workerID string) (task.View, queue.LeaseID, error) {
-	if workerID == "" {
-		return task.View{}, 0, errors.New("core: worker ID required")
-	}
-	if s.readOnly.Load() {
-		return task.View{}, 0, ErrReadOnly
-	}
-	return s.queue.LeaseTask(id, workerID, s.clock.Now())
-}
-
 // LeaseBatchCtx leases up to max available tasks to workerID in one call
 // (one hold of the queue lock), inside one core.lease_batch child span of
 // the handle carried by ctx. It returns however many grants were available,
@@ -583,6 +567,43 @@ func AnswerMatches(kind task.Kind, expected, got task.Answer) bool {
 	}
 }
 
+// RecordAgreement records a session agreement, players each having typed
+// word for item, as one write: a Label task on the item with one answer a
+// player is born Done, journalled as one submit record and stored. It never
+// enters the queue, so nothing leases it; replay and followers store it as
+// they store any submitted task. It counts as one submit and one answer a
+// player, and feeds GWAP one zero-length play session a player and one
+// output: the agreement.
+func (s *System) RecordAgreement(item, word int, players ...string) error {
+	if s.readOnly.Load() {
+		return ErrReadOnly
+	}
+	now := s.clock.Now()
+	t, err := task.New(s.store.NextID(), task.Label, task.Payload{ImageID: item}, len(players), now)
+	if err != nil {
+		return err
+	}
+	for _, p := range players {
+		if err := t.Record(task.Answer{WorkerID: p, Words: []int{word}}, now); err != nil {
+			return err
+		}
+	}
+	s.emit(trace.StageSubmit, t.ID, "", now, trace.TraceID{})
+	if err := s.queue.Journal(trace.Handle{}, []store.Event{{Kind: store.EventSubmit, At: now, Task: t}}); err != nil {
+		return err
+	}
+	s.store.Put(t)
+	s.tasksSubmitted.Inc()
+	s.answersTotal.Add(int64(len(players)))
+	for _, p := range players {
+		s.emit(trace.StageAnswer, t.ID, p, now, trace.TraceID{})
+		s.gwap.RecordSession(p, 0)
+	}
+	s.emit(trace.StageComplete, t.ID, "", now, trace.TraceID{})
+	s.gwap.RecordOutputs(1)
+	return nil
+}
+
 // ReleaseTask returns a leased task to the pool unanswered.
 func (s *System) ReleaseTask(lease queue.LeaseID) error {
 	if s.readOnly.Load() {
@@ -615,7 +636,8 @@ func (s *System) Trace() *trace.Recorder { return s.trace }
 func (s *System) TaskTrace(id task.ID) []trace.Event { return s.trace.TaskEvents(id) }
 
 // GWAP returns the live play metrics derived from dispatch traffic:
-// lease-to-answer spans as play time, completed tasks as outputs.
+// lease-to-answer spans as play time, completed tasks and recorded
+// agreements as outputs.
 func (s *System) GWAP() metrics.Report { return s.gwap.Report() }
 
 // LockCounts returns the lock-acquisition counts of the queue and the

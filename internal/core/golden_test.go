@@ -627,11 +627,11 @@ func checkpointSum(t *testing.T, st *store.Store) [sha256.Size]byte {
 
 // TestSubmitIsUnknownUntilItIsQueued: a submit stores and enqueues its task
 // in one hold of the queue lock, after the journal append. Until then the
-// ID resolves nowhere: a cancel or a targeted lease of the ID being
-// submitted, made from the journal just before the append and just after
-// it, gets queue.ErrUnknownTask, so nothing about the task can be decided,
-// or journalled, ahead of it. Once the submit returns, the task leases as
-// any other and the queue counts what the store holds open.
+// ID resolves nowhere: a cancel of the ID being submitted, made from the
+// journal just before the append and just after it, gets
+// queue.ErrUnknownTask, so nothing about the task can be decided, or
+// journalled, ahead of it. Once the submit returns, the task leases as any
+// other and the queue counts what the store holds open.
 func TestSubmitIsUnknownUntilItIsQueued(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Clock = sim.NewSimulator(time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC))
@@ -641,11 +641,9 @@ func TestSubmitIsUnknownUntilItIsQueued(t *testing.T) {
 		early []error
 	)
 	probe := func(e store.Event) {
-		if e.Kind != store.EventSubmit {
-			return
+		if e.Kind == store.EventSubmit {
+			early = append(early, s.CancelTask(e.Task.ID))
 		}
-		_, _, err := s.LeaseTaskFor(e.Task.ID, "early")
-		early = append(early, err, s.CancelTask(e.Task.ID))
 	}
 	cfg.Journal = &hookJournal{Journal: store.NewWAL(&wal), before: probe, after: probe}
 	s = New(cfg)
@@ -653,16 +651,15 @@ func TestSubmitIsUnknownUntilItIsQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(early) != 4 {
-		t.Fatalf("the journal saw %d probes, want 4", len(early))
+	if len(early) != 2 {
+		t.Fatalf("the journal saw %d probes, want 2", len(early))
 	}
 	for i, err := range early {
 		if !errors.Is(err, queue.ErrUnknownTask) {
-			t.Errorf("%s %s the append: %v, want queue.ErrUnknownTask",
-				[]string{"lease", "cancel"}[i%2], []string{"before", "after"}[i/2], err)
+			t.Errorf("cancel %s the append: %v, want queue.ErrUnknownTask", []string{"before", "after"}[i], err)
 		}
 	}
-	if v, _, err := s.LeaseTaskFor(id, "late"); err != nil || v.ID != id {
+	if v, _, err := s.NextTask("late"); err != nil || v.ID != id {
 		t.Fatalf("lease after the submit: task %d, %v", v.ID, err)
 	}
 	if open, stored := s.Stats().Queue.Open, s.Store().Count(task.Open); open != 1 || stored != 1 {

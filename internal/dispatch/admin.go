@@ -338,9 +338,9 @@ func promFamilies(sys *core.System, api *Server, opts AdminOptions) []metrics.Pr
 		placed, dropped := opts.SessionBridge.Stats()
 		fams = append(fams,
 			metrics.PromCounterFamily("hc_sessions_answers_placed_total",
-				"Session agreements recorded as task answers.", placed),
+				"Session answers recorded, one per agreeing live seat.", placed),
 			metrics.PromCounterFamily("hc_sessions_answers_dropped_total",
-				"Session agreements the bridge could not place as answers.", dropped),
+				"Session answers the bridge could not record, one per agreeing live seat.", dropped),
 		)
 	}
 

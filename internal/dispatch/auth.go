@@ -38,14 +38,10 @@ type Options struct {
 	// load is shed immediately with 429 + Retry-After instead of
 	// queueing. 0 disables.
 	MaxInFlight int
-	// Writable, when non-nil, gates every mutating route: while it reports
-	// false the route answers 503 with an X-Leader hint (see LeaderHint)
-	// before the body is even read. Replication followers use it; nil
-	// means always writable.
-	Writable func() bool
-	// LeaderHint supplies the current leader's base URL for the X-Leader
-	// header on rejected writes; nil or empty omits the header.
-	LeaderHint func() string
+	// Leader, when set, is the leader's base URL, named in the X-Leader
+	// header of the 503 a mutating route answers while the system is
+	// read-only (a replication follower); empty omits the header.
+	Leader string
 	// Sessions, when set, mounts the live session plane under
 	// /v1/sessions/* (paired GWAP matchmaking, long-poll event streams,
 	// replay fallback). Nil leaves the routes unregistered; followers run

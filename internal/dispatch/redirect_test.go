@@ -23,8 +23,7 @@ func newFollowerPair(t *testing.T) (leader, followerSrv *httptest.Server, leader
 	followerCore := core.New(core.DefaultConfig())
 	followerCore.SetReadOnly(true)
 	followerSrv = httptest.NewServer(NewServerWith(followerCore, Options{
-		Writable:   func() bool { return !followerCore.ReadOnly() },
-		LeaderHint: func() string { return leader.URL },
+		Leader: leader.URL,
 	}))
 	t.Cleanup(followerSrv.Close)
 	return leader, followerSrv, leaderSys
@@ -61,8 +60,7 @@ func TestClientRerouteOnlyOnce(t *testing.T) {
 	sys := core.New(core.DefaultConfig())
 	sys.SetReadOnly(true)
 	follower := httptest.NewServer(NewServerWith(sys, Options{
-		Writable:   func() bool { return !sys.ReadOnly() },
-		LeaderHint: func() string { return dead.URL },
+		Leader: dead.URL,
 	}))
 	defer follower.Close()
 
@@ -121,9 +119,7 @@ func TestFollowerRejectsWritesServesReads(t *testing.T) {
 func TestPromotedFollowerAcceptsWrites(t *testing.T) {
 	sys := core.New(core.DefaultConfig())
 	sys.SetReadOnly(true)
-	srv := httptest.NewServer(NewServerWith(sys, Options{
-		Writable: func() bool { return !sys.ReadOnly() },
-	}))
+	srv := httptest.NewServer(NewServer(sys))
 	defer srv.Close()
 	c := NewClient(srv.URL, srv.Client())
 

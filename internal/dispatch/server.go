@@ -140,23 +140,18 @@ func NewServerWith(sys *core.System, opts Options) *Server {
 		serve(pattern, newShedder(opts.MaxInFlight).wrap(withDeadline(opts.RequestTimeout, h)))
 	}
 	routeIdem := func(pattern string, h handler) { route(pattern, s.idem.wrap(pattern, h)) }
-	// write gates a mutating route behind Options.Writable: a follower
-	// answers 503 + X-Leader before reading the body. It sits inside the
-	// idempotency wrapper, which caches only 2xx responses, so a rejected
-	// write is never replayed as a success after promotion.
+	// write gates a mutating route on the system being writable: a
+	// follower answers 503 + X-Leader before reading the body. It sits
+	// inside the idempotency wrapper, which caches only 2xx responses, so a
+	// rejected write is never replayed as a success after promotion.
 	write := func(next handler) handler {
-		if opts.Writable == nil {
-			return next
-		}
 		return func(e *exchange, r *http.Request) {
-			if opts.Writable() {
+			if !s.sys.ReadOnly() {
 				next(e, r)
 				return
 			}
-			if opts.LeaderHint != nil {
-				if leader := opts.LeaderHint(); leader != "" {
-					e.Header().Set("X-Leader", leader)
-				}
+			if opts.Leader != "" {
+				e.Header().Set("X-Leader", opts.Leader)
 			}
 			writeJSON(e, http.StatusServiceUnavailable,
 				errorResponse{Error: core.ErrReadOnly.Error(), RequestID: e.id})

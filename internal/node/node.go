@@ -211,7 +211,7 @@ func (n *Node) boot(policy store.SyncPolicy) error {
 
 	// The live session plane is leader-local, in-memory state: games and
 	// matchmaking queues are not replicated, players reconnect after a
-	// failover. Session agreements journal like any other answer.
+	// failover. Each session agreement is journalled as one submit record.
 	if cfg.Sessions > 0 {
 		bridge := dispatch.NewSessionBridge(n.sys)
 		plane, err := session.New(session.Config{
@@ -266,8 +266,7 @@ func (n *Node) openWAL(policy store.SyncPolicy, leaderTerm int64) error {
 		return nil
 	}
 	// A follower refuses writes, naming its leader, until it is promoted.
-	cfg.API.Writable = func() bool { return !n.sys.ReadOnly() }
-	cfg.API.LeaderHint = func() string { return cfg.Follow }
+	cfg.API.Leader = cfg.Follow
 	n.follower = repl.NewFollower(repl.FollowerOptions{
 		Leader: cfg.Follow,
 		Term:   term,

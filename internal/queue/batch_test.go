@@ -90,7 +90,7 @@ func TestLeaseBatchMatchesSingleLeases(t *testing.T) {
 				t.Fatal(err)
 			}
 			if sp.Held {
-				if _, _, err := q.LeaseTask(tk.ID, "other", t0); err != nil {
+				if _, _, err := leaseTask(q, tk.ID, "other", t0); err != nil {
 					t.Fatal(err)
 				}
 			}

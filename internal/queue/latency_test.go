@@ -40,12 +40,12 @@ func TestStageLatencies(t *testing.T) {
 	}
 	inQueue, leaseToAnswer, toCompletion := rec.Latencies()
 
-	// Task 1: first leased by Lease at +2s, again by LeaseTask at +3s.
+	// Task 1: first leased by Lease at +2s, again by leaseTask at +3s.
 	_, la, err := q.Lease("a", at(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, lb, err := q.LeaseTask(1, "b", at(3))
+	_, lb, err := leaseTask(q, 1, "b", at(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,7 +196,7 @@ func (q *Queue) lockTraced(h trace.Handle) {
 
 // Journal writes events to the journal and waits until they are durable,
 // without the lock: a submit's journal step, taken before its tasks are
-// stored and enqueued.
+// stored and enqueued, or before an agreement's done task is stored.
 func (q *Queue) Journal(h trace.Handle, events []store.Event) error {
 	return q.writeThen(h, events, func() {})
 }
@@ -356,30 +356,6 @@ func (q *Queue) scanLocked(workerID string, want int, take func(*task.Task)) int
 		heap.Push(&q.heap, t)
 	}
 	return taken
-}
-
-// LeaseTask leases the specific task id to workerID, bypassing priority
-// selection — the targeted-lease path the live session plane uses to turn
-// a completed agreement into answers on the task backing that item. The
-// task must be eligible under exactly the Lease rules (Open, unanswered by
-// this worker, redundancy slot free); an ineligible-but-known task returns
-// ErrEmpty, an unknown one ErrUnknownTask.
-func (q *Queue) LeaseTask(id task.ID, workerID string, now time.Time) (task.View, LeaseID, error) {
-	if workerID == "" {
-		return task.View{}, 0, ErrEmpty
-	}
-	q.lock()
-	defer q.mu.Unlock()
-	q.expireLocked(now)
-	t, err := q.st.Get(id)
-	if err != nil {
-		return task.View{}, 0, ErrUnknownTask
-	}
-	if !q.eligibleLocked(t, workerID) {
-		return task.View{}, 0, ErrEmpty
-	}
-	v, lid := q.leaseLocked(t, workerID, now, trace.TraceID{})
-	return v, lid, nil
 }
 
 // LeaseGrant is one lease handed out by LeaseBatch: the task snapshot and

@@ -11,6 +11,7 @@ import (
 
 	"humancomp/internal/store"
 	"humancomp/internal/task"
+	"humancomp/internal/trace"
 )
 
 var t0 = time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
@@ -427,9 +428,32 @@ func TestFinishEarly(t *testing.T) {
 	}
 }
 
-// TestLeaseTaskTargeted covers the targeted-lease path the session plane
-// uses: lease a specific task regardless of priority order, honor the
-// same eligibility rules as Lease, and feed the normal Complete path.
+// leaseTask leases the specific task id to workerID, bypassing priority
+// selection, under exactly Lease's rules: expired leases are reclaimed
+// first, and an Open task this worker has not answered, with a redundancy
+// slot free, is granted. An ineligible but known task is ErrEmpty, an
+// unknown one ErrUnknownTask. Tests use it to hold a chosen task.
+func leaseTask(q *Queue, id task.ID, workerID string, now time.Time) (task.View, LeaseID, error) {
+	if workerID == "" {
+		return task.View{}, 0, ErrEmpty
+	}
+	q.lock()
+	defer q.mu.Unlock()
+	q.expireLocked(now)
+	t, err := q.st.Get(id)
+	if err != nil {
+		return task.View{}, 0, ErrUnknownTask
+	}
+	if !q.eligibleLocked(t, workerID) {
+		return task.View{}, 0, ErrEmpty
+	}
+	v, lid := q.leaseLocked(t, workerID, now, trace.TraceID{})
+	return v, lid, nil
+}
+
+// TestLeaseTaskTargeted pins the eligibility rules through a targeted
+// lease: a specific task leases regardless of priority order, under the
+// same rules as Lease, and feeds the normal Complete path.
 func TestLeaseTaskTargeted(t *testing.T) {
 	q := New(time.Minute)
 	if err := q.Add(newTask(t, 1, 9, 2)); err != nil {
@@ -439,27 +463,27 @@ func TestLeaseTaskTargeted(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Target the low-priority task directly; Lease would have picked 1.
-	v, lease, err := q.LeaseTask(2, "alice", t0)
+	v, lease, err := leaseTask(q, 2, "alice", t0)
 	if err != nil || v.ID != 2 {
-		t.Fatalf("LeaseTask(2) = %v, %v", v.ID, err)
+		t.Fatalf("leaseTask(2) = %v, %v", v.ID, err)
 	}
 	// Same worker cannot double-hold the task.
-	if _, _, err := q.LeaseTask(2, "alice", t0); !errors.Is(err, ErrEmpty) {
+	if _, _, err := leaseTask(q, 2, "alice", t0); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("double targeted lease: %v", err)
 	}
 	// A second worker takes the remaining redundancy slot; a third is
 	// refused.
-	if _, _, err := q.LeaseTask(2, "bob", t0); err != nil {
+	if _, _, err := leaseTask(q, 2, "bob", t0); err != nil {
 		t.Fatalf("second worker: %v", err)
 	}
-	if _, _, err := q.LeaseTask(2, "carol", t0); !errors.Is(err, ErrEmpty) {
+	if _, _, err := leaseTask(q, 2, "carol", t0); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("over-redundancy targeted lease: %v", err)
 	}
 	// Unknown task and empty worker are rejected.
-	if _, _, err := q.LeaseTask(99, "alice", t0); !errors.Is(err, ErrUnknownTask) {
+	if _, _, err := leaseTask(q, 99, "alice", t0); !errors.Is(err, ErrUnknownTask) {
 		t.Fatalf("unknown task: %v", err)
 	}
-	if _, _, err := q.LeaseTask(1, "", t0); !errors.Is(err, ErrEmpty) {
+	if _, _, err := leaseTask(q, 1, "", t0); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("empty worker: %v", err)
 	}
 	// The targeted lease completes like any other.
@@ -468,7 +492,7 @@ func TestLeaseTaskTargeted(t *testing.T) {
 		t.Fatalf("Complete = %+v, %v", res, err)
 	}
 	// A worker who already answered is no longer eligible.
-	if _, _, err := q.LeaseTask(2, "alice", t0.Add(2*time.Second)); !errors.Is(err, ErrEmpty) {
+	if _, _, err := leaseTask(q, 2, "alice", t0.Add(2*time.Second)); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("answered worker re-leased: %v", err)
 	}
 }
@@ -480,15 +504,15 @@ func TestLeaseTaskExpiresStaleLeases(t *testing.T) {
 	if err := q.Add(newTask(t, 1, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := q.LeaseTask(1, "ghost", t0); err != nil {
+	if _, _, err := leaseTask(q, 1, "ghost", t0); err != nil {
 		t.Fatal(err)
 	}
 	// Before expiry the slot is taken.
-	if _, _, err := q.LeaseTask(1, "alice", t0.Add(time.Second)); !errors.Is(err, ErrEmpty) {
+	if _, _, err := leaseTask(q, 1, "alice", t0.Add(time.Second)); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("want ErrEmpty while leased, got %v", err)
 	}
 	// After the ghost's lease expires the targeted lease succeeds.
-	if _, _, err := q.LeaseTask(1, "alice", t0.Add(2*time.Minute)); err != nil {
+	if _, _, err := leaseTask(q, 1, "alice", t0.Add(2*time.Minute)); err != nil {
 		t.Fatalf("post-expiry targeted lease: %v", err)
 	}
 }
@@ -506,14 +530,14 @@ func TestCompleteSkipsSweepUntilALeaseIsDue(t *testing.T) {
 		}
 	}
 	// One lease taken 30 s before the others: the first to fall due.
-	// (LeaseTask throughout: Lease scans past every fully leased entry.)
-	early, _, err := q.LeaseTask(n+1, "early", t0.Add(-30*time.Second))
+	// (leaseTask throughout: Lease scans past every fully leased entry.)
+	early, _, err := leaseTask(q, n+1, "early", t0.Add(-30*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	leases := make([]LeaseID, n)
 	for i := range leases {
-		if _, leases[i], err = q.LeaseTask(task.ID(i+1), "w", t0); err != nil {
+		if _, leases[i], err = leaseTask(q, task.ID(i+1), "w", t0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -537,7 +561,7 @@ func TestCompleteSkipsSweepUntilALeaseIsDue(t *testing.T) {
 	if got := q.Stats(); q.sweeps != 1 || got.ExpiredLeases != 1 || got.InFlight != n-3 {
 		t.Fatalf("after the early lease fell due: %d sweeps, stats %+v; want 1 sweep, 1 expired, %d in flight", q.sweeps, got, n-3)
 	}
-	if tk, _, err := q.LeaseTask(early.ID, "late", t0.Add(30*time.Second)); err != nil || tk.ID != early.ID {
+	if tk, _, err := leaseTask(q, early.ID, "late", t0.Add(30*time.Second)); err != nil || tk.ID != early.ID {
 		t.Fatalf("reclaimed task not leasable again: %v, %v", tk, err)
 	}
 	// That sweep recomputed the bound from the survivors (all due at

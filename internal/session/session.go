@@ -20,8 +20,8 @@
 // agree.DefaultPromoteAfter agreements on its item, an item retired at
 // agree.DefaultRetireAt taboo words. Completed live games are recorded
 // into the replay store (feeding future lone players) and every game is
-// reported through Config.OnResult, which the dispatch bridge turns into
-// answers on the quality plane.
+// reported through Config.OnResult, which the dispatch bridge records as
+// one done task per agreement on the task plane.
 //
 // The plane is two layers. Core holds every session, the taboo tracker,
 // the replay store, the item stream and matchmaking, and is given the
