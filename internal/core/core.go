@@ -661,8 +661,9 @@ func (s *System) ShardLockCounts() (queueLocks, storeLocks []int64) {
 // store's list of open tasks becomes the queue's heap: nothing is copied.
 func (s *System) RequeueOpen() { s.queue.RequeueOpen() }
 
-// ExpireLeases reclaims overdue leases; the dispatch service calls this
-// periodically.
+// ExpireLeases reclaims overdue leases and returns how many; a node calls
+// it before its shutdown snapshot. Every lease, answer, release and Stats
+// call reclaims them too.
 func (s *System) ExpireLeases() int { return s.queue.ExpireLeases(s.clock.Now()) }
 
 // ChoiceResult is the aggregated outcome of a Compare or Judge task.
@@ -755,13 +756,14 @@ type Stats struct {
 	Quality        QualityStats `json:"quality"`
 }
 
-// Stats returns a snapshot of system activity.
+// Stats returns a snapshot of system activity, after reclaiming the
+// leases that are due.
 func (s *System) Stats() Stats {
 	return Stats{
 		TasksSubmitted: s.tasksSubmitted.Value(),
 		AnswersTotal:   s.answersTotal.Value(),
 		GoldChecked:    s.goldChecked.Value(),
-		Queue:          s.queue.Stats(),
+		Queue:          s.queue.Stats(s.clock.Now()),
 		StoredTasks:    s.store.Len(),
 		Quality:        s.QualityStats(),
 	}

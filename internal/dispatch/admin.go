@@ -209,6 +209,8 @@ func promFamilies(sys *core.System, api *Server, opts AdminOptions) []metrics.Pr
 			"Outstanding leases.", float64(st.Queue.InFlight)),
 		metrics.PromCounterFamily("hc_leases_expired_total",
 			"Leases reclaimed after their deadline.", st.Queue.ExpiredLeases),
+		metrics.PromCounterFamily("hc_queue_lease_pops_total",
+			"Tasks popped from the queue heap by lease scans: one a grant, plus the worker's own skips.", st.Queue.LeasePops),
 		metrics.PromGaugeFamily("hc_store_tasks",
 			"Tasks held in the store, any status.", float64(sys.Store().Len())),
 	}

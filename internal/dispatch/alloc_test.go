@@ -111,8 +111,7 @@ func TestRouteAllocCeilings(t *testing.T) {
 		nexts[i] = request(http.MethodPost, "/v1/next", fmt.Sprintf(`{"worker_id":"w%d"}`, i), "")
 	}
 	// One task at the top of the queue with room for every worker: each
-	// next leases it on the first pop, so the figure is the route's and
-	// not the length of a scan past tasks already leased.
+	// next leases it.
 	if _, err := sys.SubmitTask(task.Label, task.Payload{ImageID: n}, n, 10); err != nil {
 		t.Fatal(err)
 	}

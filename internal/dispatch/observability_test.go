@@ -391,13 +391,14 @@ func TestAdminHandlerMetricsAndProbes(t *testing.T) {
 		values[line[:i]] = line[i+1:]
 	}
 	for name, want := range map[string]string{
-		"hc_tasks_submitted_total": "1",
-		"hc_answers_total":         "1",
-		"hc_queue_open_tasks":      "0",
-		"hc_inflight_leases":       "0",
-		"hc_store_tasks":           "1",
-		"hc_gwap_outputs_total":    "1",
-		"hc_gwap_sessions_total":   "1",
+		"hc_tasks_submitted_total":  "1",
+		"hc_answers_total":          "1",
+		"hc_queue_open_tasks":       "0",
+		"hc_inflight_leases":        "0",
+		"hc_queue_lease_pops_total": "1",
+		"hc_store_tasks":            "1",
+		"hc_gwap_outputs_total":     "1",
+		"hc_gwap_sessions_total":    "1",
 		// One lock hold per request: enqueue, lease, answer; put, record.
 		"hc_queue_lock_acquisitions_total":                                     "3",
 		"hc_store_lock_acquisitions_total":                                     "2",

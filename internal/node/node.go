@@ -117,10 +117,9 @@ type Node struct {
 	adminOpts        dispatch.AdminOptions
 	// ready is true from the moment the API listener is served until Close;
 	// /readyz is 503 outside that window.
-	ready      atomic.Bool
-	stopExpiry chan struct{}
-	bg         sync.WaitGroup // expiry loop and the listeners' Serve calls
-	errc       chan error
+	ready atomic.Bool
+	bg    sync.WaitGroup // the listeners' Serve calls
+	errc  chan error
 
 	promoteOnce, closeOnce sync.Once
 	promoteErr, closeErr   error
@@ -134,7 +133,7 @@ func Open(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	// errc: one send each from the two listeners and a failed promotion.
-	n := &Node{cfg: cfg, log: cfg.API.Logger, stopExpiry: make(chan struct{}), errc: make(chan error, 3)}
+	n := &Node{cfg: cfg, log: cfg.API.Logger, errc: make(chan error, 3)}
 	if n.log == nil {
 		n.log = slog.New(slog.DiscardHandler)
 	}
@@ -163,7 +162,7 @@ func Open(cfg Config) (*Node, error) {
 // and becomes the journal once the node leads — at boot for a leader, at
 // promotion for a follower. The boot snapshot plus the current WAL is
 // therefore always the complete state — the contract replication bootstrap
-// relies on. Last come the session plane, the lease expiry loop, and serving.
+// relies on. Last come the session plane and serving.
 func (n *Node) boot(policy store.SyncPolicy) error {
 	cfg, following := &n.cfg, n.cfg.Follow != ""
 	var leaderTerm int64
@@ -230,8 +229,6 @@ func (n *Node) boot(policy store.SyncPolicy) error {
 			"match_timeout", cfg.MatchTimeout, "round_timeout", cfg.RoundTimeout)
 	}
 
-	n.bg.Add(1)
-	go n.expireLoop()
 	n.serve()
 	return nil
 }
@@ -296,25 +293,6 @@ func (n *Node) openWAL(policy store.SyncPolicy, leaderTerm int64) error {
 }
 
 func (n *Node) termPath() string { return n.cfg.WAL + ".term" }
-
-// expiryInterval is how often the expiry loop reclaims expired leases.
-const expiryInterval = 10 * time.Second
-
-func (n *Node) expireLoop() {
-	defer n.bg.Done()
-	t := time.NewTicker(expiryInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if leases := n.sys.ExpireLeases(); leases > 0 {
-				n.log.Info("reclaimed expired leases", "leases", leases)
-			}
-		case <-n.stopExpiry:
-			return
-		}
-	}
-}
 
 // serve builds the two handlers and starts serving the bound listeners.
 func (n *Node) serve() {
@@ -445,11 +423,11 @@ func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
 }
 
 // Close runs the shutdown sequence once, later calls returning what the
-// first did: not ready; stop the expiry loop; stop tailing the leader; end
-// the replication streams this node feeds; close the session plane (which
-// wakes parked long-polls, so the drain does not wait out their timers);
-// drain the API and the admin listener, five seconds between them; close
-// the WAL; reclaim the leases that expired meanwhile — their tasks return
+// first did: not ready; stop tailing the leader; end the replication
+// streams this node feeds; close the session plane (which wakes parked
+// long-polls, so the drain does not wait out their timers); drain the API
+// and the admin listener, five seconds between them; close the WAL;
+// reclaim the leases that expired meanwhile — their tasks return
 // to Open before the snapshot, so the next boot re-leases them instead of
 // waiting out TTLs that died with this process; write the snapshot; and
 // truncate the WAL, which the snapshot now covers — the next boot must not
@@ -465,7 +443,6 @@ func (n *Node) Close() error {
 // it holds through the same steps and leaves the state files alone.
 func (n *Node) close(persist bool) error {
 	n.ready.Store(false)
-	close(n.stopExpiry)
 	if n.stopFollow != nil {
 		n.stopFollow()
 		<-n.followDone

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -20,6 +21,7 @@ import (
 	"humancomp/internal/repl"
 	"humancomp/internal/session"
 	"humancomp/internal/task"
+	"humancomp/internal/trace"
 )
 
 // config is hcservd's flag defaults with the state in dir, both listeners
@@ -278,9 +280,10 @@ func TestReopenServesTheSameState(t *testing.T) {
 }
 
 // TestCloseReclaimsExpiredLeasesBeforeSnapshot: a worker leases a task and
-// vanishes. The lease runs out while nothing sweeps; Close reclaims it before
-// it snapshots, so the next boot hands the task out at once instead of
-// waiting out a TTL that died with the process.
+// vanishes. The lease runs out while no call reclaims it — the task's trace
+// shows no expiry, where a Stats call would have reclaimed it; Close
+// reclaims it before it snapshots, so the next boot hands the task out at
+// once instead of waiting out a TTL that died with the process.
 func TestCloseReclaimsExpiredLeasesBeforeSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	cfg := config(dir)
@@ -294,8 +297,12 @@ func TestCloseReclaimsExpiredLeasesBeforeSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
-	if st := n.System().Stats(); st.Queue.InFlight != 1 || st.Queue.ExpiredLeases != 0 {
-		t.Fatalf("before Close: %+v; the ghost's lease was meant to be expired but unswept", st.Queue)
+	var stages []trace.Stage
+	for _, e := range n.System().TaskTrace(id) {
+		stages = append(stages, e.Stage)
+	}
+	if !slices.Contains(stages, trace.StageLease) || slices.Contains(stages, trace.StageExpire) {
+		t.Fatalf("before Close: stages %v; the ghost's lease was meant to be expired but unreclaimed", stages)
 	}
 	if err := n.Close(); err != nil {
 		t.Fatal(err)

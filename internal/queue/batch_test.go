@@ -58,7 +58,7 @@ func TestAddAfterPutOnlyEnqueues(t *testing.T) {
 	if errs := q.AddBatch(ts); errs != nil {
 		t.Fatalf("AddBatch after PutBatch: %v", errs)
 	}
-	if open := q.Stats().Open; open != 2 {
+	if open := q.Stats(t0).Open; open != 2 {
 		t.Fatalf("Stats().Open = %d, want 2", open)
 	}
 	var got []task.ID

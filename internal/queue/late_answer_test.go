@@ -51,7 +51,7 @@ func TestLateAnswerIsWrongStatus(t *testing.T) {
 					if dropped {
 						want = 0
 					}
-					if open := q.Stats().Open; open != want {
+					if open := q.Stats(t0).Open; open != want {
 						t.Fatalf("closed through the queue = %v, Stats().Open = %d, want %d", dropped, open, want)
 					}
 

@@ -9,14 +9,20 @@
 // well under the discrete-event simulator's virtual clock and the dispatch
 // service's wall clock. The queue is safe for concurrent use.
 //
-// One mutex guards the heap and the lease table; every operation is one
-// hold of it, so a lease is always the exact best eligible task at the
-// moment it is granted. The queue keeps no index of its own: it is built
-// over the task store, which is the one ID → task index, and a submit
-// stores and enqueues its tasks in one hold of the queue lock, so on a
-// writable node a task is open in the store exactly when it is in the heap
-// each time the lock is released. A queued task costs the queue one pointer,
-// its heap slot: what is leased, and to whom, is read from the lease table.
+// One mutex guards the two heaps and the lease table; every operation is
+// one hold of it, so a lease is always the exact best eligible task at the
+// moment it is granted. The task heap holds only the open tasks someone
+// could lease — those with a redundancy slot no lease holds — and the
+// deadline heap holds every lease, earliest expiry first, so a lease pops
+// no task another worker has filled and an expiry visits only what is due:
+// both cost O(log n) whatever is in flight. The queue keeps no index of
+// its own: it is built over the task store, which is the one ID → task
+// index, and a submit stores and enqueues its tasks in one hold of the
+// queue lock, so on a writable node a task is open in the store exactly
+// when the queue holds it — in the heap, or leased to its last slot — each
+// time the lock is released. A queued task costs the queue at most one
+// pointer, its heap slot: what is leased, and to whom, is read from the
+// lease table.
 //
 // The queue is the journal's one writer. A submit is written first, without
 // the lock (Journal), and only then stored and enqueued. An answer, cancel
@@ -78,6 +84,7 @@ type Lease struct {
 
 	task *task.Task // the leased task: an answer needs no lookup
 	next *Lease     // the task's next outstanding lease, in Queue.held
+	at   int        // the lease's index in Queue.due
 }
 
 // detailLease is a lease on a task whose payload has a Detail, allocated
@@ -103,17 +110,25 @@ type Queue struct {
 
 	mu sync.Mutex
 	// open counts the queued tasks, every one of them open: it moves in the
-	// critical section in which a task enters the heap (insertLocked) or
-	// leaves Open (closeLocked), so Stats reads occupancy without a walk. A
-	// task closed behind the queue's back — the tests do it, nothing else;
-	// a follower applies to the store and never enqueues — is drained from
+	// critical section in which a task is enqueued (insertLocked) or leaves
+	// Open (closeLocked), so Stats reads occupancy without a walk. A task
+	// closed behind the queue's back — the tests do it, nothing else; a
+	// follower applies to the store and never enqueues — is drained from
 	// the heap by the next scan that pops it but stays counted.
 	open int
-	// heap orders the queued tasks best-first by a key that never changes
-	// while a task is queued. A closed task leaves it lazily: a scan drops
-	// it when popped, and the heap is rebuilt from its open tasks whenever
-	// it grows past twice the open count (compactLocked).
+	// heap orders, best-first by a key that never changes while a task is
+	// queued, the open tasks with a free slot: fewer outstanding leases
+	// than answers still needed (Remaining). The grant that fills a task's
+	// last slot leaves it out, and the release or expiry that frees one
+	// puts it back; an answer lowers both counts at once and moves nothing.
+	// A closed task leaves lazily: a scan drops it when popped, and the
+	// heap is rebuilt from its open tasks whenever it grows past twice the
+	// open count (compactLocked).
 	heap taskHeap
+	// due holds the lease table's leases, earliest Expiry first; each
+	// lease keeps its index, so an answer or a release takes it out at once
+	// and expireLocked pops only what is due.
+	due leaseHeap
 	// leases is the lease table; held indexes it by task, each value the
 	// head of a list through Lease.next. A task has a key from its first
 	// lease until it leaves the queue, nil once every lease on it is gone,
@@ -123,14 +138,7 @@ type Queue struct {
 	seq     int64 // last lease ID granted
 	lockN   int64 // lock acquisitions through lock()
 	expired int64 // total leases reclaimed by expiry
-
-	// nextExpiry is no later than the earliest Expiry in leases: lowered by
-	// every grant, recomputed by the sweep it lets through, and left alone
-	// (early, so still a bound) when a lease is answered or released. While
-	// now is before it no lease can be overdue and expireLocked returns
-	// without looking at one. sweeps counts the times it did look.
-	nextExpiry time.Time
-	sweeps     int64
+	pops    int64 // tasks popped from the heap by lease scans
 }
 
 // lock acquires the queue mutex and counts the acquisition; the counter
@@ -324,7 +332,7 @@ func (q *Queue) LeaseTraced(workerID string, now time.Time, h trace.Handle) (tas
 	defer q.mu.Unlock()
 	q.expireLocked(now)
 	var g LeaseGrant
-	if q.scanLocked(workerID, 1, func(t *task.Task) { g.Task, g.Lease = q.leaseLocked(t, workerID, now, tr) }) == 0 {
+	if workerID == "" || q.scanLocked(workerID, 1, func(t *task.Task) { g.Task, g.Lease = q.leaseLocked(t, workerID, now, tr) }) == 0 {
 		return task.View{}, 0, ErrEmpty
 	}
 	return g.Task, g.Lease, nil
@@ -332,23 +340,31 @@ func (q *Queue) LeaseTraced(workerID string, now time.Time, h trace.Handle) (tas
 
 // scanLocked is the one walk over the heap: tasks are popped best-first
 // and take is called on each one workerID may lease, until want have been
-// taken or the heap is exhausted. Open tasks the worker may not lease are
-// skipped, closed ones are drained, and everything still open — taken or
-// skipped — is pushed back, since a task stays in the heap while leased. It
-// returns how many were taken. Caller holds the lock.
+// taken or the heap is exhausted. Closed tasks are drained; every open one
+// is pushed back unless its grant took its last free slot. Every task in
+// the heap has a free slot, so the open tasks a scan skips are the
+// worker's own — those it holds a lease on or has answered — and a scan
+// pops at most want + that many, plus closed tasks not yet drained, each
+// of which is drained once. It returns how many were taken. Caller holds
+// the lock.
 func (q *Queue) scanLocked(workerID string, want int, take func(*task.Task)) int {
 	var few [8]*task.Task // a short scan keeps what it pops on the stack
 	popped := few[:0]
 	taken := 0
 	for taken < want && q.heap.Len() > 0 {
 		t := heap.Pop(&q.heap).(*task.Task)
+		q.pops++
+		free := q.freeLocked(t, workerID)
 		switch {
-		case q.eligibleLocked(t, workerID):
-			take(t)
-			taken++
 		case t.Status != task.Open:
 			delete(q.held, t.ID)
 			continue
+		case free > 0:
+			take(t)
+			taken++
+			if free == 1 { // the grant took its last free slot
+				continue
+			}
 		}
 		popped = append(popped, t)
 	}
@@ -392,9 +408,7 @@ func (q *Queue) LeaseBatchTraced(workerID string, max int, now time.Time, h trac
 	return out
 }
 
-// leaseLocked records a lease on t for workerID. The task stays in the
-// heap while leased: other workers may take the remaining redundancy slots
-// concurrently, and the heap key does not depend on lease state.
+// leaseLocked records a lease on t for workerID.
 func (q *Queue) leaseLocked(t *task.Task, workerID string, now time.Time, tr trace.TraceID) (task.View, LeaseID) {
 	first, leased := q.held[t.ID]
 	// Never leased: its time in queue, from the enqueue event's At, ends
@@ -413,39 +427,36 @@ func (q *Queue) leaseLocked(t *task.Task, workerID string, now time.Time, tr tra
 	} else {
 		l = new(Lease)
 	}
-	*l = Lease{ID: id, WorkerID: workerID, LeasedAt: now, Expiry: now.Add(q.ttl), task: t, next: first}
-	if len(q.leases) == 0 || l.Expiry.Before(q.nextExpiry) {
-		q.nextExpiry = l.Expiry
-	}
+	*l = Lease{ID: id, WorkerID: workerID, LeasedAt: now, Expiry: now.Add(q.ttl), task: t, next: first, at: len(q.due)}
+	heap.Push(&q.due, l)
 	q.leases[id] = l
 	q.held[t.ID] = l
 	q.emit(trace.StageLease, t.ID, workerID, now, tr)
 	return t.ViewIn(d), id
 }
 
-// eligibleLocked reports whether workerID may lease t: t is open, has a
-// redundancy slot no outstanding lease holds, and neither holds a lease of
-// workerID's nor carries an answer of theirs.
-func (q *Queue) eligibleLocked(t *task.Task, workerID string) bool {
+// freeLocked returns how many of t's redundancy slots — the answers it
+// still needs — no outstanding lease holds, or 0 when workerID may not
+// lease t: t is not open, or holds a lease of workerID's or an answer of
+// theirs. workerID may lease t exactly when the result is positive. The
+// empty workerID, which is never granted a lease, reads t's free slots.
+func (q *Queue) freeLocked(t *task.Task, workerID string) int {
 	if t.Status != task.Open {
-		return false
+		return 0
 	}
-	inFlight := 0
+	free := t.Remaining()
 	for l := q.held[t.ID]; l != nil; l = l.next {
 		if l.WorkerID == workerID {
-			return false
+			return 0
 		}
-		inFlight++
-	}
-	if inFlight >= t.Remaining() {
-		return false
+		free--
 	}
 	for _, a := range t.Answers {
 		if a.WorkerID == workerID {
-			return false
+			return 0
 		}
 	}
-	return true
+	return max(free, 0)
 }
 
 // CompleteResult reports the outcome of Complete without exposing the live
@@ -583,15 +594,27 @@ func (q *Queue) Release(id LeaseID, now time.Time) error {
 	if !ok {
 		return ErrUnknownLease
 	}
-	q.dropLeaseLocked(l)
+	q.reclaimLocked(l)
 	q.emit(trace.StageRelease, l.task.ID, l.WorkerID, now, trace.TraceID{})
 	return nil
 }
 
-// dropLeaseLocked retires a lease and gives its slot back to the task, if
-// the task is still queued.
+// reclaimLocked retires a lease that ends without an answer — a release or
+// an expiry — and puts its task back in the heap when that frees the
+// task's only free slot: an open task whose leases covered Remaining.
+func (q *Queue) reclaimLocked(l *Lease) {
+	full := l.task.Status == task.Open && q.freeLocked(l.task, "") == 0
+	q.dropLeaseLocked(l)
+	if full {
+		heap.Push(&q.heap, l.task)
+	}
+}
+
+// dropLeaseLocked retires a lease: out of the lease table, the deadline
+// heap and its task's list, if the task is still queued.
 func (q *Queue) dropLeaseLocked(l *Lease) {
 	delete(q.leases, l.ID)
+	heap.Remove(&q.due, l.at)
 	first := q.held[l.task.ID]
 	if first == l {
 		q.held[l.task.ID] = l.next
@@ -659,39 +682,25 @@ func (q *Queue) closeTaskLocked(kind store.EventKind, id task.ID, now time.Time)
 }
 
 // ExpireLeases reclaims all leases that expired at or before now and
-// returns how many were reclaimed. Lease and Complete call this
-// implicitly; it is exported for callers that want eager reclamation (e.g.
-// a ticker in the dispatch service).
+// returns how many were reclaimed. Every lease, answer, release and Stats
+// call does so first; a node calls this before its shutdown snapshot.
 func (q *Queue) ExpireLeases(now time.Time) int {
 	q.lock()
 	defer q.mu.Unlock()
-	before := q.expired
-	q.expireLocked(now)
-	return int(q.expired - before)
+	return q.expireLocked(now)
 }
 
-// expireLocked reclaims the overdue leases. Every lease, complete and
-// release calls it first, so it must cost nothing while nothing is due: the
-// walk over the lease table — O(outstanding leases), thousands with a real
-// crowd — runs only once now has reached nextExpiry.
-func (q *Queue) expireLocked(now time.Time) {
-	if len(q.leases) == 0 || now.Before(q.nextExpiry) {
-		return
-	}
-	q.sweeps++
-	var next time.Time
-	for _, l := range q.leases {
-		if l.Expiry.After(now) {
-			if next.IsZero() || l.Expiry.Before(next) {
-				next = l.Expiry
-			}
-			continue
-		}
-		q.dropLeaseLocked(l)
+// expireLocked reclaims the leases due at now, popping them off the
+// deadline heap — O(log n) each, and a look at the heap's top when none
+// is — and returns how many.
+func (q *Queue) expireLocked(now time.Time) (n int) {
+	for ; q.due.Len() > 0 && !q.due[0].Expiry.After(now); n++ {
+		l := q.due[0]
+		q.reclaimLocked(l)
 		q.expired++
 		q.emit(trace.StageExpire, l.task.ID, l.WorkerID, now, trace.TraceID{})
 	}
-	q.nextExpiry = next
+	return n
 }
 
 // closeLocked takes a task that has just left Open out of the queue: out of
@@ -728,14 +737,18 @@ type Stats struct {
 	Open          int   // tasks still collecting answers
 	InFlight      int   // outstanding leases
 	ExpiredLeases int64 // cumulative reclaimed leases
+	LeasePops     int64 `json:"-"` // cumulative tasks popped by lease scans; /metrics only
 }
 
-// Stats returns a snapshot of queue occupancy: three reads under the
-// lock, whatever the backlog — it runs on every /metrics scrape.
-func (q *Queue) Stats() Stats {
+// Stats reclaims the leases due at now, then returns a snapshot of queue
+// occupancy: four reads under the lock, whatever the backlog. It runs on
+// every /metrics scrape and GET /v1/stats, so while no worker calls those
+// reclaim what is due.
+func (q *Queue) Stats(now time.Time) Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return Stats{Open: q.open, InFlight: len(q.leases), ExpiredLeases: q.expired}
+	q.expireLocked(now)
+	return Stats{Open: q.open, InFlight: len(q.leases), ExpiredLeases: q.expired, LeasePops: q.pops}
 }
 
 // taskHeap orders tasks by priority (desc), then creation time (asc), then
@@ -766,4 +779,23 @@ func (h *taskHeap) Pop() any {
 	old[n-1] = nil
 	*h = old[:n-1]
 	return t
+}
+
+// leaseHeap is a container/heap min-heap on Expiry. Each lease keeps its
+// index: set to the end of the heap when it is pushed (leaseLocked), moved
+// by Swap.
+type leaseHeap []*Lease
+
+func (h leaseHeap) Len() int           { return len(h) }
+func (h leaseHeap) Less(i, j int) bool { return h[i].Expiry.Before(h[j].Expiry) }
+func (h leaseHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].at, h[j].at = i, j
+}
+func (h *leaseHeap) Push(x any) { *h = append(*h, x.(*Lease)) }
+func (h *leaseHeap) Pop() any {
+	old := *h
+	l := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return l
 }

@@ -1,9 +1,11 @@
 package queue
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -191,8 +193,8 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	if _, err := q.Complete(lease, answer(1), t0.Add(61*time.Second)); !errors.Is(err, ErrUnknownLease) {
 		t.Fatalf("complete on expired lease: err = %v", err)
 	}
-	if q.Stats().ExpiredLeases != 1 {
-		t.Errorf("ExpiredLeases = %d", q.Stats().ExpiredLeases)
+	if q.Stats(t0).ExpiredLeases != 1 {
+		t.Errorf("ExpiredLeases = %d", q.Stats(t0).ExpiredLeases)
 	}
 }
 
@@ -212,7 +214,7 @@ func TestExpireLeasesExplicit(t *testing.T) {
 	if n := q.ExpireLeases(t0.Add(2 * time.Minute)); n != 3 {
 		t.Fatalf("expired %d, want 3", n)
 	}
-	if got := q.Stats(); got.InFlight != 0 || got.Open != 3 {
+	if got := q.Stats(t0); got.InFlight != 0 || got.Open != 3 {
 		t.Fatalf("stats after expiry: %+v", got)
 	}
 }
@@ -363,7 +365,7 @@ func TestConcurrentWorkersRace(t *testing.T) {
 	if n != nTasks {
 		t.Fatalf("completed %d distinct tasks, want %d", n, nTasks)
 	}
-	if s := q.Stats(); s.Open != 0 || s.InFlight != 0 {
+	if s := q.Stats(t0); s.Open != 0 || s.InFlight != 0 {
 		t.Fatalf("queue not drained: %+v", s)
 	}
 }
@@ -444,10 +446,14 @@ func leaseTask(q *Queue, id task.ID, workerID string, now time.Time) (task.View,
 	if err != nil {
 		return task.View{}, 0, ErrUnknownTask
 	}
-	if !q.eligibleLocked(t, workerID) {
+	free := q.freeLocked(t, workerID)
+	if free == 0 {
 		return task.View{}, 0, ErrEmpty
 	}
 	v, lid := q.leaseLocked(t, workerID, now, trace.TraceID{})
+	if free == 1 { // its last free slot: out of the heap, as a scan leaves it
+		heap.Remove(&q.heap, slices.Index(q.heap, t))
+	}
 	return v, lid, nil
 }
 
@@ -520,7 +526,9 @@ func TestLeaseTaskExpiresStaleLeases(t *testing.T) {
 // TestCompleteSkipsSweepUntilALeaseIsDue: with 10 000 leases outstanding
 // and none due, a Complete (like every Lease and Release) must not walk the
 // lease table — and the one overdue lease among them must still be reclaimed
-// by the first call made once it is due.
+// by the first call made once it is due. Once granted, the lease-table
+// entries of the leases the test does not touch are nil: a walk over the
+// table would dereference one.
 func TestCompleteSkipsSweepUntilALeaseIsDue(t *testing.T) {
 	const n = 10_000
 	q := New(time.Minute)
@@ -530,19 +538,18 @@ func TestCompleteSkipsSweepUntilALeaseIsDue(t *testing.T) {
 		}
 	}
 	// One lease taken 30 s before the others: the first to fall due.
-	// (leaseTask throughout: Lease scans past every fully leased entry.)
-	early, _, err := leaseTask(q, n+1, "early", t0.Add(-30*time.Second))
+	early, _, err := q.Lease("early", t0.Add(-30*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	leases := make([]LeaseID, n)
 	for i := range leases {
-		if _, leases[i], err = leaseTask(q, task.ID(i+1), "w", t0); err != nil {
+		if _, leases[i], err = q.Lease("w", t0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if q.sweeps != 0 {
-		t.Fatalf("%d sweeps while granting leases with none due", q.sweeps)
+	for _, id := range leases[4:] {
+		q.leases[id] = nil
 	}
 	if _, err := q.Complete(leases[0], answer(1), t0.Add(29*time.Second)); err != nil {
 		t.Fatal(err)
@@ -550,30 +557,122 @@ func TestCompleteSkipsSweepUntilALeaseIsDue(t *testing.T) {
 	if err := q.Release(leases[1], t0.Add(29*time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if q.sweeps != 0 {
-		t.Fatalf("Complete and Release swept the lease table %d times with nothing due", q.sweeps)
+	if got := q.Stats(t0.Add(29 * time.Second)); got.ExpiredLeases != 0 || got.InFlight != n-1 {
+		t.Fatalf("with nothing due: stats %+v; want 0 expired, %d in flight", got, n-1)
 	}
 	// The early lease is due at t0+30s. The next call — whatever it is —
 	// reclaims it, and only it.
 	if _, err := q.Complete(leases[2], answer(1), t0.Add(30*time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if got := q.Stats(); q.sweeps != 1 || got.ExpiredLeases != 1 || got.InFlight != n-3 {
-		t.Fatalf("after the early lease fell due: %d sweeps, stats %+v; want 1 sweep, 1 expired, %d in flight", q.sweeps, got, n-3)
+	if got := q.Stats(t0.Add(30 * time.Second)); got.ExpiredLeases != 1 || got.InFlight != n-3 {
+		t.Fatalf("after the early lease fell due: stats %+v; want 1 expired, %d in flight", got, n-3)
 	}
-	if tk, _, err := leaseTask(q, early.ID, "late", t0.Add(30*time.Second)); err != nil || tk.ID != early.ID {
+	if tk, _, err := q.Lease("late", t0.Add(30*time.Second)); err != nil || tk.ID != early.ID {
 		t.Fatalf("reclaimed task not leasable again: %v, %v", tk, err)
 	}
-	// That sweep recomputed the bound from the survivors (all due at
-	// t0+60s), so the table is left alone again until then.
+	// The survivors are all due at t0+60s: nothing is reclaimed before.
 	if _, err := q.Complete(leases[3], answer(1), t0.Add(59*time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if q.sweeps != 1 {
-		t.Fatalf("%d sweeps, want still 1 before the next lease is due", q.sweeps)
+	if got := q.Stats(t0.Add(59 * time.Second)); got.ExpiredLeases != 1 {
+		t.Fatalf("%d expired, want still 1 before the next lease is due", got.ExpiredLeases)
 	}
 	if reclaimed := q.ExpireLeases(t0.Add(60 * time.Second)); reclaimed != n-4 {
 		t.Fatalf("reclaimed %d leases at their expiry, want %d", reclaimed, n-4)
+	}
+}
+
+// TestLeasePopsPerLease pins what a lease costs in heap pops at 0, 1 000
+// and 16 000 leases in flight: one for the grant and one for each of the
+// worker's own skips — open tasks it holds a lease on or has answered —
+// however many tasks other workers hold.
+func TestLeasePopsPerLease(t *testing.T) {
+	for _, depth := range []int{0, 1_000, 16_000} {
+		q := New(time.Minute)
+		add := func(id, priority, redundancy int) {
+			if err := q.Add(newTask(t, task.ID(id), priority, redundancy)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// lease grants worker a lease, failing if it popped more than one
+		// task beyond the skips, and returns the pops and the lease.
+		lease := func(worker string, skips int) (int64, LeaseID) {
+			before := q.pops
+			_, id, err := q.Lease(worker, t0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pops := q.pops - before
+			if pops > int64(1+skips) {
+				t.Fatalf("%d in flight: a lease to %s popped %d tasks, want at most 1 + its %d own skips",
+					len(q.leases)-1, worker, pops, skips)
+			}
+			return pops, id
+		}
+		for i := 1; i <= depth+1; i++ {
+			add(i, 0, 1)
+		}
+		for i := range depth {
+			lease(fmt.Sprintf("c%d", i), 0)
+		}
+		crowd := q.pops
+		// Four tasks ahead of the rest, two answers each: p leases all four
+		// and answers two, which leaves it four own skips.
+		for i := 1; i <= 4; i++ {
+			add(depth+1+i, 1, 2)
+		}
+		var held [4]LeaseID
+		for i := range held {
+			_, held[i] = lease("p", i)
+		}
+		for _, id := range held[:2] {
+			if _, err := q.Complete(id, answer(1), t0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		own, _ := lease("p", 4)
+		fresh, _ := lease("fresh", 0)
+		t.Logf("%5d leases in flight: %d pops for %d crowd leases; %d for a lease with 4 own skips; %d for a fresh worker's",
+			depth, crowd, depth, own, fresh)
+	}
+}
+
+// TestExpiryVisitsOnlyDueLeases pins what an expiry costs: with 16 000
+// leases in flight, falling due in grant order, each expiry reclaims
+// exactly the leases due and reads the lease-table entry of no other —
+// those entries are nil while it runs, so a walk over the table would
+// dereference one.
+func TestExpiryVisitsOnlyDueLeases(t *testing.T) {
+	const n = 16_000
+	q := New(time.Minute)
+	for i := 1; i <= n; i++ {
+		if err := q.Add(newTask(t, task.ID(i), 0, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ls := make([]*Lease, n)
+	for i := range ls {
+		_, id, err := q.Lease("w", t0.Add(time.Duration(i)*time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls[i] = q.leases[id]
+	}
+	done := 0
+	for _, due := range []int{1, 10, 1_000, n} {
+		for _, l := range ls[due:] {
+			q.leases[l.ID] = nil
+		}
+		got := q.ExpireLeases(ls[due-1].Expiry)
+		for _, l := range ls[due:] {
+			q.leases[l.ID] = l
+		}
+		t.Logf("%5d leases in flight, %5d due: %5d reclaimed", n-done, due-done, got)
+		if got != due-done {
+			t.Fatalf("reclaimed %d leases, want the %d due", got, due-done)
+		}
+		done = due
 	}
 }
 
@@ -581,7 +680,7 @@ func TestCompleteSkipsSweepUntilALeaseIsDue(t *testing.T) {
 // lock, in lease-ID order, so however many workers lease at once no grant
 // ever passes over a strictly better task that was still unleased.
 func TestConcurrentLeasesAreExactBestFirst(t *testing.T) {
-	const nTasks, nWorkers = 400, 8 // a lease scans past every fully leased task: keep the backlog small
+	const nTasks, nWorkers = 400, 8
 	q := New(time.Minute)
 	r := rand.New(rand.NewSource(7))
 	for i := 1; i <= nTasks; i++ {
@@ -623,56 +722,88 @@ func TestConcurrentLeasesAreExactBestFirst(t *testing.T) {
 }
 
 // TestStatsOpenMatchesWalk drives a seeded mix of every operation that
-// moves a task into or out of Open and checks the O(1) count against a
-// brute-force walk over the store's open tasks after each step, and that
-// the heap, which closed tasks
-// leave lazily, stays within twice the open count plus 64 slots. Cancels
-// and early finishes pick the newest tasks, last in line at their priority,
-// where no scan reaches them; without the rebuild the bound breaks by step
-// 2100.
+// moves a task into or out of Open, or into or out of the heap, and checks
+// after each step the O(1) count against a brute-force walk over the
+// store's open tasks; that the heap holds each open task with a free slot
+// exactly once and no other open task, and, closed tasks leaving it
+// lazily, stays within twice the open count plus 64 slots; and that the
+// deadline heap holds exactly the lease table's leases, earliest first.
+// Cancels and early finishes pick the newest tasks, last in line at their
+// priority, where no scan reaches them; without the rebuild the bound
+// breaks by step 2950.
 func TestStatsOpenMatchesWalk(t *testing.T) {
 	q := New(time.Minute)
 	r := rand.New(rand.NewSource(11))
 	now, next := t0, task.ID(1)
 	var held []LeaseID
+	// drop takes a random held lease out of held.
+	drop := func() (LeaseID, bool) {
+		if len(held) == 0 {
+			return 0, false
+		}
+		i := r.Intn(len(held))
+		l := held[i]
+		held = append(held[:i], held[i+1:]...)
+		return l, true
+	}
 	for step := 0; step < 3000; step++ {
 		now = now.Add(time.Duration(r.Intn(4)) * time.Second)
 		// deep picks one of the newest tasks: last in line at its priority.
 		deep := func() task.ID { return next - 1 - task.ID(r.Intn(min(int(next)-1, 48)+1)) }
-		switch op := r.Intn(16); {
-		case op < 3:
+		switch op := r.Intn(19); {
+		case op < 4:
 			if err := q.Add(newTask(t, next, r.Intn(3), 1+r.Intn(3))); err != nil {
 				t.Fatal(err)
 			}
 			next++
-		case op < 7:
+		case op < 8:
 			if _, l, err := q.Lease(fmt.Sprintf("w%d", r.Intn(6)), now); err == nil {
 				held = append(held, l)
 			}
-		case op < 11:
-			if len(held) > 0 {
-				i := r.Intn(len(held))
-				_, _ = q.Complete(held[i], answer(step), now) // an expired lease is refused: also a case
-				held = append(held[:i], held[i+1:]...)
+		case op < 12:
+			if l, ok := drop(); ok {
+				_, _ = q.Complete(l, answer(step), now) // an expired lease is refused: also a case
 			}
 		case op < 14:
+			if l, ok := drop(); ok {
+				_ = q.Release(l, now)
+			}
+		case op < 17:
 			_ = q.Cancel(deep(), now)
-		case op < 15:
+		case op < 18:
 			q.FinishEarly(deep(), now)
 		default:
 			now = now.Add(time.Minute) // let every outstanding lease fall due
 			q.ExpireLeases(now)
 		}
-		open := q.Stats().Open
+		open := q.Stats(now).Open
 		if want := len(q.st.Tasks(task.Open)); open != want {
 			t.Fatalf("step %d: Stats().Open = %d, a walk finds %d", step, open, want)
 		}
 		if n := len(q.heap); n > 2*open+64 {
 			t.Fatalf("step %d: the heap holds %d slots for %d open tasks", step, n, open)
 		}
+		inHeap := map[task.ID]int{}
+		for _, tk := range q.heap {
+			inHeap[tk.ID]++
+		}
+		for _, tk := range q.st.Tasks(task.Open) {
+			free := q.freeLocked(tk, "")
+			if n := inHeap[tk.ID]; free > 0 && n != 1 || free == 0 && n != 0 {
+				t.Fatalf("step %d: task %d, %d free slots, is in the heap %d times", step, tk.ID, free, n)
+			}
+		}
+		if len(q.due) != len(q.leases) {
+			t.Fatalf("step %d: %d leases in the deadline heap, %d in the table", step, len(q.due), len(q.leases))
+		}
+		for i, l := range q.due {
+			if q.leases[l.ID] != l || l.at != i || i > 0 && l.Expiry.Before(q.due[(i-1)/2].Expiry) {
+				t.Fatalf("step %d: lease %d at slot %d of the deadline heap is out of place", step, l.ID, i)
+			}
+		}
 	}
-	if q.Stats().Open == 0 || int(next) < 500 {
-		t.Fatalf("the mix left nothing to count: %+v after %d adds", q.Stats(), next-1)
+	if q.Stats(now).Open == 0 || int(next) < 500 {
+		t.Fatalf("the mix left nothing to count: %+v after %d adds", q.Stats(now), next-1)
 	}
 }
 
@@ -695,9 +826,9 @@ func TestStatsVisitsNoEntry(t *testing.T) {
 	}
 	clear(q.heap)
 	q.st = store.New()
-	want := Stats{Open: n, InFlight: 1}
+	want := Stats{Open: n, InFlight: 1, LeasePops: 1}
 	if allocs := testing.AllocsPerRun(10, func() {
-		if got := q.Stats(); got != want {
+		if got := q.Stats(t0); got != want {
 			t.Fatalf("Stats() = %+v, want %+v", got, want)
 		}
 	}); allocs != 0 {
