@@ -19,7 +19,7 @@ func benchOpts(seed uint64) experiments.Options {
 
 func runExperiment(b *testing.B, run func(experiments.Options) experiments.Result) {
 	b.Helper()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		res := run(benchOpts(uint64(i + 1)))
 		if len(res.Rows) == 0 {
 			b.Fatalf("%s produced no rows", res.ID)

@@ -239,7 +239,7 @@ func TestPairBiasPanics(t *testing.T) {
 
 func BenchmarkPairBiasRecord(b *testing.B) {
 	p := NewPairBias(10, 2)
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		p.RecordRound("a", "b", i%2 == 0)
 	}
 }

@@ -173,7 +173,7 @@ func TestBotSolverString(t *testing.T) {
 
 func BenchmarkIssueVerify(b *testing.B) {
 	g := NewGate(lex(b), 0.5, 13)
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		ch := g.Issue()
 		_, _ = g.Verify(ch.ID, ch.Secret())
 	}

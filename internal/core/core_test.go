@@ -355,8 +355,7 @@ func BenchmarkSubmitLeaseAnswer(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := s.SubmitTask(task.Label, task.Payload{}, 1, 0); err != nil {
 			b.Fatal(err)
 		}

@@ -230,18 +230,17 @@ func promFamilies(sys *core.System, api *Server, opts AdminOptions) []metrics.Pr
 
 	if rec := sys.Trace(); rec != nil {
 		inQueue, leaseToAnswer, toCompletion := rec.Latencies()
-		exInQueue, exLeaseToAnswer, exToCompletion := rec.StageExemplars()
 		fams = append(fams,
 			metrics.PromGaugeFamily("hc_trace_events_retained",
 				"Lifecycle trace events currently held in the ring.", float64(rec.Len())),
 			metrics.PromGaugeFamily("hc_trace_ring_capacity",
 				"Lifecycle trace ring capacity in events.", float64(rec.Capacity())),
 			metrics.PromHistogramFamily("hc_task_time_in_queue_seconds",
-				"Enqueue to first lease.", inQueue, exInQueue),
+				"Enqueue to first lease.", inQueue),
 			metrics.PromHistogramFamily("hc_task_lease_to_answer_seconds",
-				"Lease grant to that worker's answer.", leaseToAnswer, exLeaseToAnswer),
+				"Lease grant to that worker's answer.", leaseToAnswer),
 			metrics.PromHistogramFamily("hc_task_answers_to_completion_seconds",
-				"First answer to task completion.", toCompletion, exToCompletion),
+				"First answer to task completion.", toCompletion),
 		)
 	}
 
@@ -333,7 +332,7 @@ func promFamilies(sys *core.System, api *Server, opts AdminOptions) []metrics.Pr
 				"Transcripts held by the replay store.", float64(ss.ReplayStored)),
 			metrics.PromHistogramFamily("hc_sessions_match_wait_seconds",
 				"Time from join to session start (matchmaking latency).",
-				opts.Sessions.MatchWaitHist(), nil),
+				opts.Sessions.MatchWaitHist()),
 		)
 	}
 	if opts.SessionBridge != nil {
@@ -413,7 +412,7 @@ func routeFamilies(snap []*routeStats) []metrics.PromFamily {
 			})
 		}
 		duration.Samples = append(duration.Samples,
-			metrics.PromHistogramSamples(rs.latency, &rs.exemplars, label)...)
+			metrics.PromHistogramSamples(rs.latency, label)...)
 	}
 	return []metrics.PromFamily{requests, duration}
 }

@@ -327,8 +327,7 @@ func TestConcurrentClients(t *testing.T) {
 
 func BenchmarkHTTPSubmitNextAnswer(b *testing.B) {
 	c, _ := newTestServer(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		if _, err := c.Submit(task.Label, task.Payload{ImageID: i}, 1, 0); err != nil {
 			b.Fatal(err)
 		}

@@ -45,10 +45,11 @@ type exchange struct {
 
 	status int
 	wrote  bool // header sent, explicitly or by the first Write or Flush
-	// capture tees the body into buf for the idempotency cache; a body
-	// that outgrows maxIdemBody clears it again and goes uncached.
+	// capture tees the body into buf for the idempotency cache, which
+	// keeps buf; a body that outgrows maxIdemBody clears it again and goes
+	// uncached.
 	capture bool
-	buf     []byte // captured body; its backing array stays with the pooled exchange
+	buf     []byte
 
 	// What decode reads a request into: the body, whose buffer stays with
 	// the pooled exchange too, and the request structs of the hot
@@ -72,21 +73,18 @@ func newExchange(w http.ResponseWriter, r *http.Request) *exchange {
 }
 
 // release stops the armed deadline, if any, and returns the exchange to
-// the pool holding nothing of the request it served but the two buffers'
-// backing arrays (each dropped, like writeJSON's, once one oversized
+// the pool holding nothing of the request it served but the request body
+// buffer's backing array (dropped, like writeJSON's, once one oversized
 // request has grown it, so it does not stay pinned forever).
 func (e *exchange) release() {
 	if e.cancel != nil {
 		e.cancel()
 	}
-	buf, body := e.buf[:0], e.body
-	if cap(buf) > maxPooledBuf {
-		buf = nil
-	}
+	body := e.body
 	if body.Reset(); body.Cap() > 4*maxPooledBuf {
 		body = bytes.Buffer{}
 	}
-	*e = exchange{buf: buf, body: body}
+	*e = exchange{body: body}
 	exchangePool.Put(e)
 }
 

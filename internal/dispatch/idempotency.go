@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"bytes"
 	"container/list"
 	"net/http"
 	"strconv"
@@ -138,7 +137,7 @@ func (c *idemCache) wrap(route string, next handler) handler {
 				key:         scoped,
 				status:      e.status,
 				contentType: e.Header().Get("Content-Type"),
-				body:        bytes.Clone(e.buf), // the exchange's buffer goes back to the pool
+				body:        e.buf,
 			})
 		}
 	}

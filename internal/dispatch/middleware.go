@@ -37,11 +37,9 @@ type routeStats struct {
 	// byClass counts responses per status class, indexed as codeClasses:
 	// a shed (429) and a fault (5xx) stay apart.
 	byClass [len(codeClasses)]metrics.Counter
+	// latency's exemplars link its buckets to the trace of a request that
+	// landed there, so a scrape can jump to GET /v1/debug/spans.
 	latency *metrics.LatencyHist
-	// exemplars pairs the latency histogram's exposition buckets with the
-	// trace ID of the most recent observation that landed in each, so a
-	// scrape can jump from a latency bucket to GET /v1/debug/spans.
-	exemplars metrics.ExemplarSet
 }
 
 // codeClasses are the code_class label values of hc_http_requests_total.
@@ -178,9 +176,8 @@ func (s *Server) instrument(route string, next handler) handler {
 		s.serveRecovered(e, r, route, next)
 		dur := time.Since(start)
 		rs.count(e.status)
-		rs.latency.Observe(dur)
+		rs.latency.ObserveTraced(dur, e.sh.Trace())
 		if e.sh.Valid() {
-			rs.exemplars.Observe(dur, e.sh.Trace().Hex())
 			var errMsg string
 			if e.status >= 500 {
 				errMsg = "http " + strconv.Itoa(e.status)

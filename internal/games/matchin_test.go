@@ -159,8 +159,7 @@ func BenchmarkMatchinPlayRound(b *testing.B) {
 	c := matchinCorpus(b)
 	g := NewMatchin(c, 1)
 	pa, pb := players(b, 5, 0.9)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		x, y := g.pickPair()
 		g.PlayRound(pa, pb, x, y)
 	}

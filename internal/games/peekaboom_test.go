@@ -138,8 +138,7 @@ func BenchmarkPeekaboomPlayRound(b *testing.B) {
 	c := peekaboomCorpus(b)
 	g := NewPeekaboom(c, 1)
 	boom, peek := players(b, 6, 0.9)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		imgID, word := pickObject(g.src, g.Corpus)
 		g.PlayRound(boom, peek, imgID, word)
 	}

@@ -165,8 +165,7 @@ func BenchmarkPhetchPlayRound(b *testing.B) {
 	c := phetchCorpus(b)
 	g := NewPhetch(c, GroundTruthIndex(c), 1)
 	describer, seekers := crew(b, 8, 0.9)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		g.PlayRound(describer, seekers, g.PickImage())
 	}
 }

@@ -148,8 +148,7 @@ func BenchmarkSquiglPlayRound(b *testing.B) {
 	c := squiglCorpus(b)
 	g := NewSquigl(c, 1)
 	wa, wb := players(b, 7, 0.9)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		img, word := pickObject(g.src, g.Corpus)
 		g.PlayRound(wa, wb, img, word)
 	}

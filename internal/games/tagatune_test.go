@@ -116,8 +116,7 @@ func BenchmarkTagATunePlayRound(b *testing.B) {
 	c := tagatuneCorpus(b)
 	g := NewTagATune(c, 1)
 	pa, pb := players(b, 6, 0.9)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		a2, b2, _ := g.pickPair()
 		g.PlayRound(pa, pb, a2, b2)
 	}

@@ -137,8 +137,7 @@ func BenchmarkVerbosityPlayRound(b *testing.B) {
 	fb := factBase(b)
 	g := NewVerbosity(fb, 1)
 	n, gu := players(b, 6, 0.9)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		g.PlayRound(n, gu, g.pickConcept())
 	}
 }

@@ -183,8 +183,7 @@ func TestMatchmakerChurnRace(t *testing.T) {
 
 func BenchmarkEnqueuePair(b *testing.B) {
 	m := NewMatchmaker(rng.New(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		_, _, _ = m.Enqueue(fmt.Sprintf("a%d", i))
 		_, _, _ = m.Enqueue(fmt.Sprintf("b%d", i))
 	}

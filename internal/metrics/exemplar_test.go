@@ -1,13 +1,16 @@
 package metrics
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
-func hexTrace(fill byte) [32]byte {
-	var t [32]byte
+func traceOf(fill byte) [16]byte {
+	var t [16]byte
 	for i := range t {
 		t[i] = fill
 	}
@@ -31,36 +34,112 @@ func TestExemplarBucketMapping(t *testing.T) {
 	}
 }
 
-func TestExemplarSetObserveLoad(t *testing.T) {
-	var s ExemplarSet
-	if _, ok := s.Load(0); ok {
+func TestObserveTracedExemplar(t *testing.T) {
+	var h LatencyHist
+	if _, ok := h.Exemplar(0); ok {
 		t.Fatal("empty slot loaded")
 	}
-	s.Observe(2*time.Millisecond, hexTrace('a')) // slot 2 (le 0.0025)
-	e, ok := s.Load(2)
-	if !ok || e.TraceID != strings.Repeat("a", 32) || e.Value != 0.002 {
-		t.Fatalf("Load(2) = %+v, %v", e, ok)
+	h.ObserveTraced(2*time.Millisecond, traceOf(0xaa)) // slot 2 (le 0.0025)
+	e, ok := h.Exemplar(2)
+	if !ok || e.TraceID != strings.Repeat("aa", 16) || e.Value != 0.002 {
+		t.Fatalf("Exemplar(2) = %+v, %v", e, ok)
 	}
 	if e.At.IsZero() {
 		t.Error("exemplar missing observation time")
 	}
 	// Newest observation in the same bucket wins.
-	s.Observe(2500*time.Microsecond, hexTrace('b'))
-	if e, _ := s.Load(2); e.TraceID != strings.Repeat("b", 32) {
+	h.ObserveTraced(2500*time.Microsecond, traceOf(0xbb))
+	if e, _ := h.Exemplar(2); e.TraceID != strings.Repeat("bb", 16) {
 		t.Errorf("newest-wins violated: %q", e.TraceID)
 	}
-	// Out-of-range loads, negative observations and nil sets are inert.
-	if _, ok := s.Load(-1); ok {
-		t.Error("Load(-1) ok")
+	// Out-of-range reads, negative observations and zero traces are inert.
+	if _, ok := h.Exemplar(-1); ok {
+		t.Error("Exemplar(-1) ok")
 	}
-	if _, ok := s.Load(exemplarSlots); ok {
-		t.Error("Load(past end) ok")
+	if _, ok := h.Exemplar(len(ExemplarBounds) + 1); ok {
+		t.Error("Exemplar(past end) ok")
 	}
-	s.Observe(-time.Second, hexTrace('c'))
-	var nilSet *ExemplarSet
-	nilSet.Observe(time.Second, hexTrace('d'))
-	if _, ok := nilSet.Load(0); ok {
-		t.Error("nil set loaded an exemplar")
+	h.ObserveTraced(-time.Second, traceOf(0xcc))
+	if _, ok := h.Exemplar(0); ok {
+		t.Error("a negative observation left an exemplar")
+	}
+	var untraced LatencyHist
+	untraced.ObserveTraced(time.Second, [16]byte{})
+	for i := 0; i <= len(ExemplarBounds); i++ {
+		if _, ok := untraced.Exemplar(i); ok {
+			t.Errorf("a zero trace left an exemplar in bucket %d", i)
+		}
+	}
+	if h.Count() != 3 || untraced.Count() != 1 {
+		t.Errorf("counts %d and %d, want every observation counted: 3 and 1", h.Count(), untraced.Count())
+	}
+}
+
+// TestExemplarsAreNeverTorn: writers racing into one bucket, each with a
+// trace ID that encodes its own duration, while a reader loops over the
+// bucket's exemplar and the rendered samples. Every exemplar read pairs a
+// trace with its own value, and the bucket counts every observation.
+func TestExemplarsAreNeverTorn(t *testing.T) {
+	const (
+		writers = 4
+		each    = 2000
+		slot    = 3 // le 0.005: every duration below lands in it
+	)
+	var h LatencyHist
+	check := func(e PromExemplar) {
+		raw, err := hex.DecodeString(e.TraceID)
+		if err != nil || len(raw) != 16 {
+			t.Errorf("exemplar trace %q is not 16 hex bytes", e.TraceID)
+			return
+		}
+		if d := time.Duration(binary.BigEndian.Uint64(raw[8:])); float64(d)/1e9 != e.Value {
+			t.Errorf("torn exemplar: trace %s encodes %v, value is %gs", e.TraceID, d, e.Value)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				d := 3*time.Millisecond + time.Duration(w*each+i)*100
+				var tr [16]byte
+				tr[0] = byte(w + 1)
+				binary.BigEndian.PutUint64(tr[8:], uint64(d))
+				h.ObserveTraced(d, tr)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		if e, ok := h.Exemplar(slot); ok {
+			check(e)
+		}
+		for _, s := range PromHistogramSamples(&h) {
+			if s.Exemplar != nil {
+				check(*s.Exemplar)
+			}
+		}
+	}
+	e, ok := h.Exemplar(slot)
+	if !ok {
+		t.Fatal("no exemplar after every writer finished")
+	}
+	check(e)
+	for i := 0; i <= len(ExemplarBounds); i++ {
+		if _, ok := h.Exemplar(i); ok && i != slot {
+			t.Errorf("bucket %d holds an exemplar; every observation landed in %d", i, slot)
+		}
+	}
+	const total = writers * each
+	if n := h.CountLE(5*time.Millisecond) - h.CountLE(2500*time.Microsecond); h.Count() != total || n != total {
+		t.Errorf("count %d, %d in le 0.005 above le 0.0025; want %d in both", h.Count(), n, total)
 	}
 }
 
@@ -114,24 +193,20 @@ hc_req_seconds_count 2
 	}
 }
 
-// TestPromHistogramFamilyExemplarsEndToEnd drives a LatencyHist and its
-// paired ExemplarSet the way the middleware does and checks the rendered
-// bucket line carries the observing trace.
+// TestPromHistogramFamilyExemplarsEndToEnd drives a LatencyHist the way
+// the middleware does and checks the rendered bucket line carries the
+// observing trace.
 func TestPromHistogramFamilyExemplarsEndToEnd(t *testing.T) {
-	var (
-		h  LatencyHist
-		ex ExemplarSet
-	)
-	h.Observe(3 * time.Millisecond)
-	ex.Observe(3*time.Millisecond, hexTrace('e')) // le="0.005" bucket
+	var h LatencyHist
+	h.ObserveTraced(3*time.Millisecond, traceOf(0xee)) // le="0.005" bucket
 
-	fam := PromHistogramFamily("hc_x_seconds", "X.", &h, &ex)
+	fam := PromHistogramFamily("hc_x_seconds", "X.", &h)
 	var sb strings.Builder
 	if err := WriteOpenMetrics(&sb, []PromFamily{fam}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	wantLine := `hc_x_seconds_bucket{le="0.005"} 1 # {trace_id="` + strings.Repeat("e", 32) + `"} 0.003`
+	wantLine := `hc_x_seconds_bucket{le="0.005"} 1 # {trace_id="` + strings.Repeat("ee", 16) + `"} 0.003`
 	if !strings.Contains(out, wantLine) {
 		t.Errorf("exposition missing exemplar line %q:\n%s", wantLine, out)
 	}
@@ -141,13 +216,15 @@ func TestPromHistogramFamilyExemplarsEndToEnd(t *testing.T) {
 	if !strings.Contains(out, `hc_x_seconds_bucket{le="+Inf"} 1`) {
 		t.Errorf("+Inf bucket missing:\n%s", out)
 	}
-	// A nil exemplar set renders plain buckets.
-	fam = PromHistogramFamily("hc_y_seconds", "Y.", &h, nil)
+	// A histogram observed without traces renders plain buckets.
+	var plain LatencyHist
+	plain.Observe(3 * time.Millisecond)
+	fam = PromHistogramFamily("hc_y_seconds", "Y.", &plain)
 	sb.Reset()
 	if err := WriteOpenMetrics(&sb, []PromFamily{fam}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(sb.String(), "trace_id") {
-		t.Errorf("nil exemplar set produced exemplars:\n%s", sb.String())
+		t.Errorf("untraced histogram produced exemplars:\n%s", sb.String())
 	}
 }

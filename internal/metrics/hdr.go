@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"encoding/hex"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -16,12 +18,44 @@ import (
 // come from real counts, not from the luck of a sample — which is what
 // coordinated-omission-safe load measurement requires.
 //
+// Each exposition bucket (ExemplarBounds) also keeps the trace of the
+// newest traced observation that landed in it, so a percentile spike on
+// a dashboard is one hop away from a concrete span tree.
+//
 // The zero value is ready to use.
 type LatencyHist struct {
-	count   atomic.Int64
-	sum     atomic.Int64 // nanoseconds
-	max     atomic.Int64 // nanoseconds
-	buckets [latBuckets]atomic.Int64
+	count     atomic.Int64
+	sum       atomic.Int64 // nanoseconds
+	max       atomic.Int64 // nanoseconds
+	buckets   [latBuckets]atomic.Int64
+	exemplars [len(ExemplarBounds) + 1]exemplarSlot // the last is +Inf
+}
+
+// ExemplarBounds are the cumulative bucket upper bounds, in seconds, used
+// when a LatencyHist is exposed as a Prometheus histogram.
+var ExemplarBounds = [...]float64{
+	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
+	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
+}
+
+// exemplarSlot is the newest traced observation of one exposition bucket;
+// at is zero while there is none.
+type exemplarSlot struct {
+	mu    sync.Mutex
+	trace [16]byte
+	d     time.Duration
+	at    time.Time
+}
+
+// exemplarBucket maps seconds to the exposition bucket index (the last is
+// +Inf).
+func exemplarBucket(sec float64) int {
+	for i, b := range ExemplarBounds {
+		if sec <= b {
+			return i
+		}
+	}
+	return len(ExemplarBounds)
 }
 
 const (
@@ -70,6 +104,38 @@ func (h *LatencyHist) Observe(d time.Duration) {
 			return
 		}
 	}
+}
+
+// ObserveTraced is Observe, and makes trace the exemplar of d's exposition
+// bucket. A zero trace or a negative d records no exemplar, and neither
+// does a writer that finds the slot busy: it skips rather than wait.
+func (h *LatencyHist) ObserveTraced(d time.Duration, trace [16]byte) {
+	h.Observe(d)
+	if trace == [16]byte{} || d < 0 {
+		return
+	}
+	sl := &h.exemplars[exemplarBucket(d.Seconds())]
+	if !sl.mu.TryLock() {
+		return
+	}
+	sl.trace, sl.d, sl.at = trace, d, time.Now()
+	sl.mu.Unlock()
+}
+
+// Exemplar returns the exemplar of exposition bucket i (an index into
+// ExemplarBounds, or len(ExemplarBounds) for +Inf); ok is false when the
+// bucket has none.
+func (h *LatencyHist) Exemplar(i int) (PromExemplar, bool) {
+	if i < 0 || i >= len(h.exemplars) {
+		return PromExemplar{}, false
+	}
+	sl := &h.exemplars[i]
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	if sl.at.IsZero() {
+		return PromExemplar{}, false
+	}
+	return PromExemplar{TraceID: hex.EncodeToString(sl.trace[:]), Value: float64(sl.d) / 1e9, At: sl.at}, true
 }
 
 // Count returns the number of observations.

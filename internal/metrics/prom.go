@@ -94,24 +94,23 @@ func PromBucketFamily(name, help string, h *BucketHist) PromFamily {
 
 // PromHistogramFamily renders a LatencyHist as a Prometheus histogram:
 // cumulative buckets at the ExemplarBounds, a +Inf bucket, _sum and
-// _count. When ex is non-nil, each bucket sample carries the exemplar of
-// the most recent observation that landed in it.
-func PromHistogramFamily(name, help string, h *LatencyHist, ex *ExemplarSet) PromFamily {
-	return PromFamily{Name: name, Help: help, Kind: PromHistogram, Samples: PromHistogramSamples(h, ex)}
+// _count. Each bucket sample carries the histogram's exemplar for it.
+func PromHistogramFamily(name, help string, h *LatencyHist) PromFamily {
+	return PromFamily{Name: name, Help: help, Kind: PromHistogram, Samples: PromHistogramSamples(h)}
 }
 
 // PromHistogramSamples is the sample list of one histogram, each sample
 // carrying labels (ahead of le on the buckets) — what a family holding
 // several labelled histograms is assembled from.
-func PromHistogramSamples(h *LatencyHist, ex *ExemplarSet, labels ...PromLabel) []PromSample {
+func PromHistogramSamples(h *LatencyHist, labels ...PromLabel) []PromSample {
 	bucket := func(le string, count int64, slot int) PromSample {
 		s := PromSample{
 			Suffix: "_bucket",
 			Labels: append(labels[:len(labels):len(labels)], PromLabel{Name: "le", Value: le}),
 			Value:  float64(count),
 		}
-		if e, ok := ex.Load(slot); ok {
-			s.Exemplar = &PromExemplar{TraceID: e.TraceID, Value: e.Value, At: e.At}
+		if e, ok := h.Exemplar(slot); ok {
+			s.Exemplar = &e
 		}
 		return s
 	}

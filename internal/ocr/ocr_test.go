@@ -181,7 +181,7 @@ func TestWordAccuracy(t *testing.T) {
 
 func BenchmarkRead(b *testing.B) {
 	e := NewEngine("A", 0.97, 0.6, 8)
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		e.Read("bandemo", 0.5)
 	}
 }

@@ -273,8 +273,7 @@ func TestReputationPanics(t *testing.T) {
 func BenchmarkEM500Tasks(b *testing.B) {
 	src := rng.New(6)
 	votes, _ := synthVotes(src, 500, []float64{0.9, 0.8, 0.7, 0.6, 0.85})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		EM(votes, 2)
 	}
 }

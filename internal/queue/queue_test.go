@@ -370,6 +370,9 @@ func TestConcurrentWorkersRace(t *testing.T) {
 	}
 }
 
+// BenchmarkLeaseComplete counts b.N, not b.Loop: the queue is filled with
+// one task per iteration before the timed loop, so the count must be known
+// up front.
 func BenchmarkLeaseComplete(b *testing.B) {
 	q := New(time.Minute)
 	for i := 0; i < b.N; i++ {

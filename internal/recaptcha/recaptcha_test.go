@@ -247,8 +247,7 @@ func TestNewPipelinePanics(t *testing.T) {
 func BenchmarkIngest1kWords(b *testing.B) {
 	l := lex(b)
 	doc := ocr.SyntheticDocument(l, ocr.DocumentConfig{NumWords: 1000, DegMean: 0.5, DegSD: 0.25, Seed: 15})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		p := NewPipeline(engines(), l, seedControls(l, 10), DefaultConfig())
 		p.Ingest(doc)
 	}

@@ -255,7 +255,7 @@ func TestLogNormPositive(t *testing.T) {
 
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		_ = r.Uint64()
 	}
 }
@@ -263,8 +263,7 @@ func BenchmarkUint64(b *testing.B) {
 func BenchmarkZipfDraw(b *testing.B) {
 	r := New(1)
 	z := NewZipf(r, 10000, 1.1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		_ = z.Draw()
 	}
 }

@@ -104,8 +104,7 @@ func BenchmarkSearch(b *testing.B) {
 		}
 	}
 	query := []int{5, 17, 123}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		ix.Search(query, 10)
 	}
 }

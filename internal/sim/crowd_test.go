@@ -127,7 +127,7 @@ func TestCrowdPanics(t *testing.T) {
 }
 
 func BenchmarkCrowdHour(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		ws := worker.NewPopulation(worker.DefaultPopulationConfig(50))
 		cfg := DefaultCrowdConfig(ws, espGame(b, uint64(i+1)))
 		cfg.Horizon = time.Hour

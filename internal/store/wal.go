@@ -120,7 +120,6 @@ type WALOptions struct {
 type WAL struct {
 	mu       sync.Mutex
 	w        io.Writer
-	n        int64
 	bytes    int64
 	wroteHdr bool
 	writeSeq int64 // appends handed to the OS
@@ -349,7 +348,6 @@ func (l *WAL) writeRecords(buf []byte, n int64) error {
 	l.wroteHdr = true
 	l.bytes += int64(len(out))
 	seq := l.writeSeq
-	l.n += n
 	l.writeSeq += n
 	l.dirty = true
 	if l.onRecord == nil {
@@ -432,12 +430,9 @@ func (l *WAL) Close() error {
 	return err
 }
 
-// Len returns the number of events appended through this WAL instance.
-func (l *WAL) Len() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
-}
+// Len returns the number of events appended through this WAL instance,
+// which is LastSeq.
+func (l *WAL) Len() int64 { return l.LastSeq() }
 
 // LastSeq returns the sequence number of the newest record flushed to the
 // OS: the count of acknowledged appends through this WAL instance. Because

@@ -64,14 +64,6 @@ func (s SpanID) String() string {
 	return hex.EncodeToString(s[:])
 }
 
-// Hex returns the fixed-size lowercase hex encoding without allocating;
-// histogram exemplars store trace IDs in this form.
-func (t TraceID) Hex() [32]byte {
-	var out [32]byte
-	hex.Encode(out[:], t[:])
-	return out
-}
-
 // MarshalJSON renders the ID as a hex string, "" when zero.
 func (t TraceID) MarshalJSON() ([]byte, error) {
 	if t.IsZero() {

@@ -23,6 +23,7 @@
 package trace
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,36 +57,8 @@ const (
 var stages = [...]Stage{"", StageSubmit, StagePersist, StageEnqueue, StageLease, StageAnswer,
 	StageRelease, StageExpire, StageGold, StageAggregate, StageComplete, StageCancel}
 
-// stageCode is the index of st in stages. It is a switch, not a search of
-// stages, because every event pays for it: a loop of string compares took
-// 15 ns more an event.
-func stageCode(st Stage) uint8 {
-	switch st {
-	case StageSubmit:
-		return 1
-	case StagePersist:
-		return 2
-	case StageEnqueue:
-		return 3
-	case StageLease:
-		return 4
-	case StageAnswer:
-		return 5
-	case StageRelease:
-		return 6
-	case StageExpire:
-		return 7
-	case StageGold:
-		return 8
-	case StageAggregate:
-		return 9
-	case StageComplete:
-		return 10
-	case StageCancel:
-		return 11
-	}
-	return 0
-}
+// stageCode is the index of st in stages.
+func stageCode(st Stage) uint8 { return uint8(max(slices.Index(stages[:], st), 0)) }
 
 // Event is one recorded lifecycle step. Trace, when non-zero, links the
 // event to the request-scoped span tree that caused it, joining the
@@ -149,16 +122,9 @@ type Recorder struct {
 	perStripe int // ring slots per stripe
 	stripes   [traceStripes]stripe
 
-	inQueue       stageLatency // enqueue → first lease
-	leaseToAnswer stageLatency // lease → answer per worker
-	toCompletion  stageLatency // first answer → done
-}
-
-// stageLatency is one stage histogram paired with the trace ID of the most
-// recent observation per bucket. Both halves are lock-free.
-type stageLatency struct {
-	hist metrics.LatencyHist
-	ex   metrics.ExemplarSet
+	inQueue       metrics.LatencyHist // enqueue → first lease
+	leaseToAnswer metrics.LatencyHist // lease → answer per worker
+	toCompletion  metrics.LatencyHist // first answer → done
 }
 
 // NewRecorder returns a recorder bounded at capacity events in total
@@ -220,26 +186,23 @@ func (r *Recorder) Append(e Event) {
 // lease-to-answer, StageComplete answers-to-completion (first answer →
 // done); any other stage is ignored. A non-zero tr becomes the bucket's
 // exemplar. The queue calls it with timestamps it already holds under its
-// own lock, so the recorder keeps no per-task state. Nil-safe, lock-free.
+// own lock, so the recorder keeps no per-task state. Nil-safe.
 func (r *Recorder) ObserveStage(stage Stage, d time.Duration, tr TraceID) {
 	if r == nil {
 		return
 	}
-	var l *stageLatency
+	var h *metrics.LatencyHist
 	switch stage {
 	case StageLease:
-		l = &r.inQueue
+		h = &r.inQueue
 	case StageAnswer:
-		l = &r.leaseToAnswer
+		h = &r.leaseToAnswer
 	case StageComplete:
-		l = &r.toCompletion
+		h = &r.toCompletion
 	default:
 		return
 	}
-	l.hist.Observe(d)
-	if !tr.IsZero() {
-		l.ex.Observe(d, tr.Hex())
-	}
+	h.ObserveTraced(d, tr)
 }
 
 // TaskEvents returns every retained event for the task, oldest first.
@@ -291,14 +254,5 @@ func (r *Recorder) Latencies() (inQueue, leaseToAnswer, answersToCompletion *met
 	if r == nil {
 		return nil, nil, nil
 	}
-	return &r.inQueue.hist, &r.leaseToAnswer.hist, &r.toCompletion.hist
-}
-
-// StageExemplars exposes the exemplar sets paired with the stage
-// histograms, in the same order as Latencies. Nil on a nil recorder.
-func (r *Recorder) StageExemplars() (inQueue, leaseToAnswer, answersToCompletion *metrics.ExemplarSet) {
-	if r == nil {
-		return nil, nil, nil
-	}
-	return &r.inQueue.ex, &r.leaseToAnswer.ex, &r.toCompletion.ex
+	return &r.inQueue, &r.leaseToAnswer, &r.toCompletion
 }

@@ -158,16 +158,14 @@ func TestObserveStageRoutes(t *testing.T) {
 			t.Errorf("histogram %d: %d observations totalling %v, want 1 of %v", i, hists[i].Count(), hists[i].Sum(), want)
 		}
 	}
-	exs := [3]*metrics.ExemplarSet{}
-	exs[0], exs[1], exs[2] = r.StageExemplars()
 	for i, want := range []bool{true, false, true} {
 		got := false
 		for b := 0; b <= len(metrics.ExemplarBounds); b++ {
-			_, ok := exs[i].Load(b)
+			_, ok := hists[i].Exemplar(b)
 			got = got || ok
 		}
 		if got != want {
-			t.Errorf("exemplar set %d holds an exemplar: %v, want %v", i, got, want)
+			t.Errorf("histogram %d holds an exemplar: %v, want %v", i, got, want)
 		}
 	}
 }
