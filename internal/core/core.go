@@ -109,7 +109,6 @@ type System struct {
 
 	trace *trace.Recorder  // lifecycle event ring; nil when disabled
 	spans *trace.SpanPlane // request-scoped span trees; nil when disabled
-	gwap  *metrics.GWAP    // live play metrics derived from leases
 	qp    *qualityPlane    // streaming quality plane; nil when disabled
 
 	tasksSubmitted metrics.Counter
@@ -146,7 +145,6 @@ func New(cfg Config) *System {
 		rep:   quality.NewReputation(reputationPrior, reputationWeight),
 		clock: cfg.Clock,
 		gold:  make(map[task.ID]task.Answer),
-		gwap:  metrics.NewGWAP(),
 	}
 	// Lifecycle tracing is on by default: the ring is bounded and every
 	// append takes one lock, cheap enough for the hot path. A
@@ -502,16 +500,6 @@ func (s *System) answerAll(h trace.Handle, items []queue.CompleteItem, out []Ans
 		}
 		res := recorded[i].Result
 		s.answersTotal.Inc()
-		// Live GWAP accounting: the lease-to-answer span is this worker's play
-		// time for the round, and a task reaching redundancy is one solved
-		// problem instance. Throughput, ALP and expected contribution on the
-		// admin /metrics endpoint derive from exactly these two records. A
-		// clock reading before the lease (a stepped wall clock) counts as
-		// zero play.
-		s.gwap.RecordSession(res.Answer.WorkerID, max(0, now.Sub(res.LeasedAt)))
-		if res.Status == task.Done {
-			s.gwap.RecordOutputs(1)
-		}
 		s.checkGold(res, tr)
 		conf, post, early := s.observeAnswer(res, now)
 		out[i] = AnswerOutcome{TaskID: res.TaskID, Status: res.Status, Confidence: conf, Posterior: post, EarlyDone: early}
@@ -572,8 +560,7 @@ func AnswerMatches(kind task.Kind, expected, got task.Answer) bool {
 // player is born Done, journalled as one submit record and stored. It never
 // enters the queue, so nothing leases it; replay and followers store it as
 // they store any submitted task. It counts as one submit and one answer a
-// player, and feeds GWAP one zero-length play session a player and one
-// output: the agreement.
+// player; the play behind it is the session plane's to count.
 func (s *System) RecordAgreement(item, word int, players ...string) error {
 	if s.readOnly.Load() {
 		return ErrReadOnly
@@ -597,10 +584,8 @@ func (s *System) RecordAgreement(item, word int, players ...string) error {
 	s.answersTotal.Add(int64(len(players)))
 	for _, p := range players {
 		s.emit(trace.StageAnswer, t.ID, p, now, trace.TraceID{})
-		s.gwap.RecordSession(p, 0)
 	}
 	s.emit(trace.StageComplete, t.ID, "", now, trace.TraceID{})
-	s.gwap.RecordOutputs(1)
 	return nil
 }
 
@@ -634,11 +619,6 @@ func (s *System) Trace() *trace.Recorder { return s.trace }
 // TaskTrace returns the retained lifecycle events for a task, oldest
 // first, or nil when tracing is disabled or nothing is retained.
 func (s *System) TaskTrace(id task.ID) []trace.Event { return s.trace.TaskEvents(id) }
-
-// GWAP returns the live play metrics derived from dispatch traffic:
-// lease-to-answer spans as play time, completed tasks and recorded
-// agreements as outputs.
-func (s *System) GWAP() metrics.Report { return s.gwap.Report() }
 
 // LockCounts returns the lock-acquisition counts of the queue and the
 // store, the raw material of the contention gauges on the admin /metrics

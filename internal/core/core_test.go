@@ -99,27 +99,6 @@ func TestSubmitLeaseAnswerFlow(t *testing.T) {
 	}
 }
 
-// TestGWAPClampsAnswerBeforeLease: a clock stepped back between lease and
-// answer records the round as zero play instead of panicking the GWAP.
-func TestGWAPClampsAnswerBeforeLease(t *testing.T) {
-	s, clk := newSystem()
-	if _, err := s.SubmitTask(task.Label, task.Payload{ImageID: 7}, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	_, lease, err := s.NextTask("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	clk.now = t0.Add(-time.Minute)
-	if err := s.SubmitAnswer(lease, task.Answer{Words: []int{3}}); err != nil {
-		t.Fatal(err)
-	}
-	rep := s.GWAP()
-	if rep.TotalPlayHours != 0 || rep.Sessions != 1 || rep.Players != 1 || rep.Outputs != 1 {
-		t.Fatalf("GWAP = %+v, want zero play, 1 session, 1 player, 1 output", rep)
-	}
-}
-
 func TestNextTaskValidation(t *testing.T) {
 	s, _ := newSystem()
 	if _, _, err := s.NextTask(""); err == nil {

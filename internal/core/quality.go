@@ -109,7 +109,6 @@ func (s *System) observeAnswer(res queue.CompleteResult, now time.Time) (conf fl
 				s.qp.redundancySaved.Add(int64(saved))
 			}
 			s.qp.earlyCompleted.Inc()
-			s.gwap.RecordOutputs(1)
 			return conf, post, true
 		}
 	}

@@ -191,8 +191,9 @@ func serveDebugSpans(w http.ResponseWriter, r *http.Request, sys *core.System) {
 
 // promFamilies gathers the system's observable state into Prometheus
 // families: lifecycle counters, queue/store occupancy, lock
-// acquisitions, stage-latency summaries from the trace recorder, live
-// GWAP throughput, WAL growth and per-route HTTP request stats.
+// acquisitions, stage-latency summaries from the trace recorder, the
+// session plane's counters and GWAP play metrics, WAL growth and
+// per-route HTTP request stats.
 func promFamilies(sys *core.System, api *Server, opts AdminOptions) []metrics.PromFamily {
 	st := sys.Stats()
 	fams := []metrics.PromFamily{
@@ -285,24 +286,8 @@ func promFamilies(sys *core.System, api *Server, opts AdminOptions) []metrics.Pr
 		}
 	}
 
-	gwap := sys.GWAP()
-	fams = append(fams,
-		metrics.PromGaugeFamily("hc_gwap_players",
-			"Distinct players observed.", float64(gwap.Players)),
-		metrics.PromCounterFamily("hc_gwap_sessions_total",
-			"Play sessions recorded.", gwap.Sessions),
-		metrics.PromCounterFamily("hc_gwap_outputs_total",
-			"Completed task outputs attributed to play.", gwap.Outputs),
-		metrics.PromGaugeFamily("hc_gwap_throughput_per_hour",
-			"Outputs per human-hour of play.", gwap.ThroughputPerHour),
-		metrics.PromGaugeFamily("hc_gwap_alp_minutes",
-			"Average lifetime play per player, minutes.", gwap.ALPMinutes),
-		metrics.PromGaugeFamily("hc_gwap_expected_contribution",
-			"Expected outputs per player: throughput x ALP.", gwap.ExpectedContribution),
-	)
-
 	if opts.Sessions != nil {
-		ss := opts.Sessions.Stats()
+		ss, gwap := opts.Sessions.Stats(), opts.Sessions.GWAP()
 		fams = append(fams,
 			metrics.PromGaugeFamily("hc_sessions_open",
 				"Live-session rounds currently running.", float64(ss.Open)),
@@ -333,6 +318,18 @@ func promFamilies(sys *core.System, api *Server, opts AdminOptions) []metrics.Pr
 			metrics.PromHistogramFamily("hc_sessions_match_wait_seconds",
 				"Time from join to session start (matchmaking latency).",
 				opts.Sessions.MatchWaitHist()),
+			metrics.PromGaugeFamily("hc_gwap_players",
+				"Distinct players who joined a session.", float64(gwap.Players)),
+			metrics.PromCounterFamily("hc_gwap_sessions_total",
+				"Visits: joins, each from the join to the end of the round it led to.", gwap.Sessions),
+			metrics.PromCounterFamily("hc_gwap_outputs_total",
+				"Session agreements.", gwap.Outputs),
+			metrics.PromGaugeFamily("hc_gwap_throughput_per_hour",
+				"Agreements per human-hour of play.", gwap.ThroughputPerHour),
+			metrics.PromGaugeFamily("hc_gwap_alp_minutes",
+				"Average lifetime play per player, minutes.", gwap.ALPMinutes),
+			metrics.PromGaugeFamily("hc_gwap_expected_contribution",
+				"Expected agreements per player: throughput x ALP.", gwap.ExpectedContribution),
 		)
 	}
 	if opts.SessionBridge != nil {

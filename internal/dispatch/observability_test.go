@@ -397,8 +397,6 @@ func TestAdminHandlerMetricsAndProbes(t *testing.T) {
 		"hc_inflight_leases":        "0",
 		"hc_queue_lease_pops_total": "1",
 		"hc_store_tasks":            "1",
-		"hc_gwap_outputs_total":     "1",
-		"hc_gwap_sessions_total":    "1",
 		// One lock hold per request: enqueue, lease, answer; put, record.
 		"hc_queue_lock_acquisitions_total":                                     "3",
 		"hc_store_lock_acquisitions_total":                                     "2",
@@ -412,9 +410,6 @@ func TestAdminHandlerMetricsAndProbes(t *testing.T) {
 	}
 	// Families that must be present with any value.
 	for _, name := range []string{
-		"hc_gwap_throughput_per_hour",
-		"hc_gwap_alp_minutes",
-		"hc_gwap_expected_contribution",
 		"hc_trace_events_retained",
 		`hc_task_time_in_queue_seconds_bucket{le="+Inf"}`,
 		"hc_task_time_in_queue_seconds_count",
@@ -425,6 +420,13 @@ func TestAdminHandlerMetricsAndProbes(t *testing.T) {
 	} {
 		if _, ok := values[name]; !ok {
 			t.Errorf("metric %s missing from exposition", name)
+		}
+	}
+	// Play is counted by the session plane alone: with none wired, task
+	// traffic exports no GWAP family.
+	for name := range values {
+		if strings.HasPrefix(name, "hc_gwap_") {
+			t.Errorf("%s exported without a session plane", name)
 		}
 	}
 

@@ -10,9 +10,10 @@ import (
 // SessionBridge connects the live session plane to the task plane: its
 // OnResult records every agreement as one core.RecordAgreement, a Label
 // task on the session's item born Done with one answer a seat, so session
-// output hits the WAL, the counters and the GWAP accounting in one write.
-// Answers it cannot record are counted in Dropped rather than blocking the
-// session path.
+// output hits the WAL and the counters in one write. The play behind an
+// agreement is counted by the session plane itself (session.Plane.GWAP),
+// not here. Answers it cannot record are counted as dropped rather than
+// blocking the session path.
 type SessionBridge struct {
 	sys *core.System
 

@@ -211,10 +211,16 @@ func TestSessionE2E(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// The play is the plane's: three visits (alice and bob's live round,
+	// carol's replay round) and one output an agreement. The task plane's
+	// answers add nothing to it.
+	if g := plane.GWAP(); g.Outputs != 2 || g.Sessions != 3 || g.Players != 3 || g.TotalPlayHours <= 0 {
+		t.Fatalf("plane GWAP %+v; want 2 outputs (the agreements), 3 sessions and 3 players", g)
+	}
 }
 
 // TestSessionAdminMetrics scrapes the admin exposition with the session
-// plane wired and checks the hc_sessions_* families render.
+// plane wired and checks the hc_sessions_* and hc_gwap_* families render.
 func TestSessionAdminMetrics(t *testing.T) {
 	sys, bridge, plane, _ := newSessionTestStack(t, 50*time.Millisecond)
 	admin := httptest.NewServer(NewAdminHandler(sys, nil, AdminOptions{
@@ -235,6 +241,8 @@ func TestSessionAdminMetrics(t *testing.T) {
 		"hc_sessions_open", "hc_sessions_replay_ratio",
 		"hc_sessions_match_wait_seconds", "hc_sessions_answers_placed_total",
 		"hc_sessions_oldest_wait_seconds",
+		"hc_gwap_players", "hc_gwap_sessions_total", "hc_gwap_outputs_total",
+		"hc_gwap_throughput_per_hour", "hc_gwap_alp_minutes", "hc_gwap_expected_contribution",
 	} {
 		if !strings.Contains(string(body), fam) {
 			t.Errorf("metrics exposition missing %s", fam)

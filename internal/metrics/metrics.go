@@ -76,7 +76,8 @@ func (h *BucketHist) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
 // GWAP accumulates the game-with-a-purpose evaluation metrics for one game.
 // Sessions contribute play time; outputs contribute solved problem
-// instances. All durations are simulated time. Safe for concurrent use.
+// instances. Durations are on the caller's clock: simulated time in the
+// simulator, wall time in the session plane. Safe for concurrent use.
 type GWAP struct {
 	mu         sync.Mutex
 	playByUser map[string]time.Duration
@@ -112,64 +113,6 @@ func (g *GWAP) RecordOutputs(n int) {
 	g.mu.Unlock()
 }
 
-// Outputs returns the total number of solved problem instances.
-func (g *GWAP) Outputs() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.outputs
-}
-
-// Sessions returns the number of recorded sessions.
-func (g *GWAP) Sessions() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.sessions
-}
-
-// Players returns the number of distinct players seen.
-func (g *GWAP) Players() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.playByUser)
-}
-
-// TotalPlay returns the cumulative play time across all players.
-func (g *GWAP) TotalPlay() time.Duration {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.totalPlay
-}
-
-// Throughput returns solved problem instances per human-hour of play,
-// the primary GWAP efficiency metric. Zero play time yields 0.
-func (g *GWAP) Throughput() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	hours := g.totalPlay.Hours()
-	if hours <= 0 {
-		return 0
-	}
-	return float64(g.outputs) / hours
-}
-
-// ALP returns the average lifetime play: total play time divided by the
-// number of distinct players. It measures how engaging the game is.
-func (g *GWAP) ALP() time.Duration {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if len(g.playByUser) == 0 {
-		return 0
-	}
-	return g.totalPlay / time.Duration(len(g.playByUser))
-}
-
-// ExpectedContribution returns throughput × ALP: the number of problem
-// instances a single average player can be expected to solve over their
-// lifetime with the game.
-func (g *GWAP) ExpectedContribution() float64 {
-	return g.Throughput() * g.ALP().Hours()
-}
-
 // Report is a flattened snapshot of the GWAP metrics, ready for printing
 // or JSON encoding by the bench harness.
 type Report struct {
@@ -182,15 +125,31 @@ type Report struct {
 	ExpectedContribution float64 `json:"expected_contribution"`
 }
 
-// Report returns a snapshot of all GWAP metrics.
+// Report returns a snapshot of all GWAP metrics, read under one hold of
+// the lock so every field describes the same moment. Throughput is
+// outputs per human-hour of play, the primary GWAP efficiency metric; ALP
+// (average lifetime play) is total play over distinct players, a measure
+// of how engaging the game is; expected contribution is throughput × ALP,
+// the problem instances one average player can be expected to solve over
+// their lifetime with the game. Zero play or no players yields zeros.
 func (g *GWAP) Report() Report {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	var throughput float64
+	if hours := g.totalPlay.Hours(); hours > 0 {
+		throughput = float64(g.outputs) / hours
+	}
+	var alp time.Duration
+	if n := len(g.playByUser); n > 0 {
+		alp = g.totalPlay / time.Duration(n)
+	}
 	return Report{
-		Players:              g.Players(),
-		Sessions:             g.Sessions(),
-		Outputs:              g.Outputs(),
-		TotalPlayHours:       g.TotalPlay().Hours(),
-		ThroughputPerHour:    g.Throughput(),
-		ALPMinutes:           g.ALP().Minutes(),
-		ExpectedContribution: g.ExpectedContribution(),
+		Players:              len(g.playByUser),
+		Sessions:             g.sessions,
+		Outputs:              g.outputs,
+		TotalPlayHours:       g.totalPlay.Hours(),
+		ThroughputPerHour:    throughput,
+		ALPMinutes:           alp.Minutes(),
+		ExpectedContribution: throughput * alp.Hours(),
 	}
 }

@@ -92,27 +92,27 @@ func TestGWAPMetrics(t *testing.T) {
 	g.RecordOutputs(100)
 	g.RecordOutputs(140)
 
-	if g.Players() != 2 || g.Sessions() != 3 {
-		t.Fatalf("players/sessions = %d/%d", g.Players(), g.Sessions())
+	r := g.Report()
+	if r.Players != 2 || r.Sessions != 3 {
+		t.Fatalf("players/sessions = %d/%d", r.Players, r.Sessions)
 	}
-	if g.TotalPlay() != 2*time.Hour {
-		t.Fatalf("TotalPlay = %v", g.TotalPlay())
+	if r.TotalPlayHours != 2 {
+		t.Fatalf("TotalPlayHours = %v", r.TotalPlayHours)
 	}
-	if tp := g.Throughput(); math.Abs(tp-120) > 1e-9 {
-		t.Errorf("Throughput = %v, want 240 outputs / 2h = 120", tp)
+	if tp := r.ThroughputPerHour; math.Abs(tp-120) > 1e-9 {
+		t.Errorf("ThroughputPerHour = %v, want 240 outputs / 2h = 120", tp)
 	}
-	if alp := g.ALP(); alp != time.Hour {
-		t.Errorf("ALP = %v, want 1h", alp)
+	if r.ALPMinutes != 60 {
+		t.Errorf("ALPMinutes = %v, want 60", r.ALPMinutes)
 	}
-	if ec := g.ExpectedContribution(); math.Abs(ec-120) > 1e-9 {
+	if ec := r.ExpectedContribution; math.Abs(ec-120) > 1e-9 {
 		t.Errorf("ExpectedContribution = %v, want 120×1h = 120", ec)
 	}
 }
 
 func TestGWAPEmpty(t *testing.T) {
-	g := NewGWAP()
-	if g.Throughput() != 0 || g.ALP() != 0 || g.ExpectedContribution() != 0 {
-		t.Error("empty GWAP should report zeros")
+	if r := NewGWAP().Report(); r != (Report{}) {
+		t.Errorf("empty GWAP should report zeros, got %+v", r)
 	}
 }
 
@@ -163,8 +163,49 @@ func TestGWAPConcurrent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if g.Outputs() != 1600 || g.TotalPlay() != 800*time.Minute {
-		t.Fatalf("outputs=%d play=%v", g.Outputs(), g.TotalPlay())
+	if r := g.Report(); r.Outputs != 1600 || r.TotalPlayHours != (800*time.Minute).Hours() {
+		t.Fatalf("outputs=%d play=%vh", r.Outputs, r.TotalPlayHours)
+	}
+}
+
+// TestGWAPReportIsOneSnapshot: a report read while writers record
+// sessions and outputs describes one moment, so its throughput is its own
+// outputs over its own play time. A report assembled from separate reads
+// pairs one moment's outputs with another's play.
+func TestGWAPReportIsOneSnapshot(t *testing.T) {
+	g := NewGWAP()
+	g.RecordSession("p", time.Minute)
+	stop := make(chan struct{})
+	var wg, running sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		running.Add(1)
+		go func() {
+			defer wg.Done()
+			g.RecordSession("p", time.Minute)
+			running.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				g.RecordSession("p", time.Minute)
+				g.RecordOutputs(1)
+			}
+		}()
+	}
+	running.Wait()
+	torn := 0
+	for i := 0; i < 20000; i++ {
+		if r := g.Report(); r.ThroughputPerHour != float64(r.Outputs)/r.TotalPlayHours {
+			torn++
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if torn > 0 {
+		t.Fatalf("%d of 20000 reports were torn", torn)
 	}
 }
 

@@ -469,7 +469,6 @@ type CompleteResult struct {
 	Kind       task.Kind
 	Status     task.Status // status after recording; Done when redundancy is met
 	Answer     task.Answer // the recorded answer, by value
-	LeasedAt   time.Time   // when the completing lease was granted
 	Answers    int         // answers on the task after recording
 	Redundancy int         // the task's requested redundancy
 }
@@ -510,7 +509,6 @@ func (q *Queue) completeLocked(id LeaseID, a task.Answer, now time.Time, tr trac
 		Kind:       t.Kind,
 		Status:     t.Status,
 		Answer:     *recorded,
-		LeasedAt:   l.LeasedAt,
 		Answers:    len(t.Answers),
 		Redundancy: t.Redundancy,
 	}

@@ -76,7 +76,8 @@ type session struct {
 	players  [2]string
 	round    *agree.OutputRound
 	start    time.Time
-	deadline time.Time // the round clock; zero when there is none
+	wait     [2]time.Duration // each seat's matchmaking wait
+	deadline time.Time        // the round clock; zero when there is none
 	endedAt  time.Time
 	events   []Event
 }
@@ -190,10 +191,12 @@ func (c *Core) Open(now time.Time, item int, players [2]string, recorded []int) 
 	return s.id, s.round
 }
 
-// joinInfo is what seat learns of s at now, having joined at since.
+// joinInfo is what seat learns of s at now, having joined at since; s
+// keeps the seat's wait for its Result.
 func (c *Core) joinInfo(now time.Time, s *session, seat int, since time.Time) JoinInfo {
 	wait := now.Sub(since)
 	c.matchWait.Observe(wait)
+	s.wait[seat] = wait
 	return JoinInfo{
 		Session:  s.id,
 		Seat:     seat,
@@ -262,6 +265,7 @@ func (c *Core) end(now time.Time, s *session) *Result {
 		Agreed:   agreed,
 		Word:     word,
 		Reason:   reason,
+		Wait:     s.wait,
 		Duration: now.Sub(s.start),
 	}
 }

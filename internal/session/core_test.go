@@ -168,6 +168,48 @@ func TestCoreOnFakeClock(t *testing.T) {
 
 // TestJoinedAgainKeepsItsOwnDeadline: a player who withdraws and joins
 // again waits a full MatchTimeout from the second join; the first join's
+// TestResultCarriesSeatWaits: a round's Result carries each seat's
+// matchmaking wait beside its duration. The partner who waited has its
+// wait, the seat whose arrival paired them has none, and a replay round's
+// recorded seat has none.
+func TestResultCarriesSeatWaits(t *testing.T) {
+	c := newCore(t, 1)
+	a, _ := pair(t, c, t0, "bob", "carol")
+	guess(t, c, t0.Add(time.Second), a.Session, "bob", 11)
+	_, end := guess(t, c, t0.Add(3*time.Second), a.Session, "carol", 11)
+	if end == nil || !end.Agreed || end.Wait != [2]time.Duration{} || end.Duration != 3*time.Second {
+		t.Fatalf("a pair that met at once: %+v", end)
+	}
+
+	// alice waits 1.5s for dave.
+	if starts, _ := c.Join(t0.Add(4*time.Second), "alice"); starts != nil {
+		t.Fatalf("alice paired on arrival: %+v", starts)
+	}
+	starts, err := c.Join(t0.Add(5500*time.Millisecond), "dave")
+	if err != nil || len(starts) != 2 || starts[0].Player != "alice" {
+		t.Fatalf("dave's join: %+v err=%v", starts, err)
+	}
+	live := starts[0].Info.Session
+	guess(t, c, t0.Add(6*time.Second), live, "alice", 12)
+	_, end = guess(t, c, t0.Add(7500*time.Millisecond), live, "dave", 12)
+	if end == nil || end.Wait != [2]time.Duration{1500 * time.Millisecond, 0} || end.Duration != 2*time.Second {
+		t.Fatalf("alice's round: %+v, want waits [1.5s 0] and a 2s round", end)
+	}
+
+	// erin falls back to a recorded partner after the match timeout.
+	if starts, _ := c.Join(t0.Add(10*time.Second), "erin"); starts != nil {
+		t.Fatalf("erin paired on arrival: %+v", starts)
+	}
+	starts, _ = c.Advance(t0.Add(12 * time.Second))
+	if len(starts) != 1 || starts[0].Err != nil || starts[0].Info.Mode != "replay" {
+		t.Fatalf("erin's fallback: %+v", starts)
+	}
+	_, end, err = c.Pass(t0.Add(13*time.Second), starts[0].Info.Session, "erin")
+	if err != nil || end == nil || end.Mode != Replay || end.Wait != [2]time.Duration{2 * time.Second, 0} || end.Duration != time.Second {
+		t.Fatalf("erin's replay round: %+v err=%v, want waits [2s 0] and a 1s round", end, err)
+	}
+}
+
 // deadline fires nothing.
 func TestJoinedAgainKeepsItsOwnDeadline(t *testing.T) {
 	c := newCore(t, 1)

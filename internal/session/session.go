@@ -19,7 +19,8 @@
 // field changes: agree.MaxGuesses guesses a seat, a word taboo at
 // agree.DefaultPromoteAfter agreements on its item, an item retired at
 // agree.DefaultRetireAt taboo words. Completed live games are recorded
-// into the replay store (feeding future lone players) and every game is
+// into the replay store (feeding future lone players), every game's play
+// is counted in the plane's GWAP metrics (Plane.GWAP), and every game is
 // reported through Config.OnResult, which the dispatch bridge records as
 // one done task per agreement on the task plane.
 //
@@ -138,6 +139,7 @@ type Result struct {
 	Agreed   bool
 	Word     int // the agreed word; -1 when !Agreed
 	Reason   string
+	Wait     [2]time.Duration // each seat's matchmaking wait; 0 for a recorded seat
 	Duration time.Duration
 }
 
@@ -189,8 +191,16 @@ const endLinger = 10 * time.Second
 
 // Plane is the live session service: Core on the wall clock. Safe for
 // concurrent use.
+//
+// The plane counts play in one metrics.GWAP, by visit: one Join, from the
+// join to the end of the round it led to. Each live seat of a finished
+// round is charged its matchmaking wait plus the round's duration (a
+// replay round's recorded seat is no one's play), and an agreement is one
+// output. A Join that ends without a round — ErrNoPartner, a cancelled
+// context, Close — is charged its wait and counts no output.
 type Plane struct {
 	onResult func(Result)
+	gwap     *metrics.GWAP
 
 	mu      sync.Mutex // guards core and everything below
 	core    *Core
@@ -221,6 +231,7 @@ func New(cfg Config) (*Plane, error) {
 	c.matchTimeout, c.roundTimeout, c.linger = cfg.MatchTimeout, cfg.RoundTimeout, endLinger
 	p := &Plane{
 		onResult: cfg.OnResult,
+		gwap:     metrics.NewGWAP(),
 		core:     c,
 		waiters:  make(map[string]chan Start),
 		polls:    make(map[ID]chan struct{}),
@@ -295,12 +306,34 @@ func (p *Plane) seatLocked(starts []Start) {
 	}
 }
 
-// report delivers a finished round to OnResult; nil is a round that has
-// not ended. Called without mu.
+// report counts a finished round's play and delivers it to OnResult; nil
+// is a round that has not ended. Called without mu.
 func (p *Plane) report(r *Result) {
-	if r != nil && p.onResult != nil {
+	if r == nil {
+		return
+	}
+	live := 2
+	if r.Mode == Replay {
+		live = 1
+	}
+	for seat := range live {
+		p.gwap.RecordSession(r.Players[seat], r.Wait[seat]+r.Duration)
+	}
+	if r.Agreed {
+		p.gwap.RecordOutputs(1)
+	}
+	if p.onResult != nil {
 		p.onResult(*r)
 	}
+}
+
+// seated returns the start handed to a parked Join; one that found no
+// partner ends the visit there, charged its wait.
+func (p *Plane) seated(st Start, joined time.Time) (JoinInfo, error) {
+	if st.Err != nil {
+		p.gwap.RecordSession(st.Player, time.Since(joined))
+	}
+	return st.Info, st.Err
 }
 
 // Join enters player into the matchmaker and blocks until a session
@@ -318,7 +351,8 @@ func (p *Plane) Join(ctx context.Context, player string) (JoinInfo, error) {
 		p.mu.Unlock()
 		return JoinInfo{}, ErrClosed
 	}
-	starts, err := p.core.Join(time.Now(), player)
+	joined := time.Now()
+	starts, err := p.core.Join(joined, player)
 	if err != nil {
 		p.mu.Unlock()
 		return JoinInfo{}, err
@@ -336,7 +370,7 @@ func (p *Plane) Join(ctx context.Context, player string) (JoinInfo, error) {
 	p.mu.Unlock()
 	select {
 	case st := <-seated:
-		return st.Info, st.Err
+		return p.seated(st, joined)
 	case <-ctx.Done():
 	case <-p.stop:
 	}
@@ -344,12 +378,12 @@ func (p *Plane) Join(ctx context.Context, player string) (JoinInfo, error) {
 	if _, waiting := p.waiters[player]; !waiting {
 		// A start won the race and is already buffered.
 		p.mu.Unlock()
-		st := <-seated
-		return st.Info, st.Err
+		return p.seated(<-seated, joined)
 	}
 	delete(p.waiters, player)
 	p.core.Withdraw(player)
 	p.mu.Unlock()
+	p.gwap.RecordSession(player, time.Since(joined))
 	if err := ctx.Err(); err != nil {
 		return JoinInfo{}, err
 	}
@@ -462,6 +496,10 @@ func (p *Plane) Stats() Stats {
 	defer p.mu.Unlock()
 	return p.core.Stats(time.Now())
 }
+
+// GWAP returns the plane's play metrics: throughput, ALP and expected
+// contribution over the visits counted so far.
+func (p *Plane) GWAP() metrics.Report { return p.gwap.Report() }
 
 // MatchWaitHist exposes the matchmaking-latency histogram for the admin
 // metrics exposition.

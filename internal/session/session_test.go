@@ -172,6 +172,48 @@ func TestReplayFallbackOnTheWallClock(t *testing.T) {
 	}
 }
 
+// TestPlaneCountsVisits: the plane's GWAP metrics count visits. An agreed
+// live round charges each seat its wait plus the round and is one output;
+// a join that finds no partner, or whose caller gives up, is charged its
+// wait alone.
+func TestPlaneCountsVisits(t *testing.T) {
+	results := make(chan Result, 1)
+	p := newPlane(t, func(c *Config) { c.OnResult = func(r Result) { results <- r } })
+	a, b := joinPair(t, p, "alice", "bob")
+	_, _ = p.Guess(a.Session, "alice", 11)
+	if res, err := p.Guess(a.Session, "bob", 11); err != nil || !res.Matched {
+		t.Fatalf("the pair did not agree: %+v err=%v", res, err)
+	}
+	r := <-results
+	if r.Wait != [2]time.Duration{a.Wait, b.Wait} || b.Wait != 0 {
+		t.Fatalf("result waits %v, want the seats' %v and %v", r.Wait, a.Wait, b.Wait)
+	}
+	g := p.GWAP()
+	if g.Sessions != 2 || g.Outputs != 1 || g.Players != 2 {
+		t.Fatalf("after one agreed round: %+v, want 2 sessions, 1 output, 2 players", g)
+	}
+	if want := r.Wait[0] + r.Wait[1] + 2*r.Duration; g.TotalPlayHours < want.Hours() {
+		t.Fatalf("total play %vh, want at least %v", g.TotalPlayHours, want)
+	}
+
+	const match = 20 * time.Millisecond
+	lone := newPlane(t, func(c *Config) { c.MatchTimeout = match })
+	if _, err := lone.Join(context.Background(), "carol"); !errors.Is(err, ErrNoPartner) {
+		t.Fatalf("lone join: %v", err)
+	}
+	if g := lone.GWAP(); g.Sessions != 1 || g.Outputs != 0 || g.Players != 1 || g.TotalPlayHours < match.Hours() {
+		t.Fatalf("after a join with no partner: %+v, want 1 session of at least %v and no output", g, match)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := p.Join(ctx, "dave"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled join: %v", err)
+	}
+	if g := p.GWAP(); g.Sessions != 3 || g.Outputs != 1 || g.Players != 3 {
+		t.Fatalf("after a cancelled join: %+v, want 3 sessions, 1 output, 3 players", g)
+	}
+}
+
 // TestTabooPromotionDuringSessionStart: a promotion on an item races the
 // start of a new session on it. Starting a session — reading the item's
 // taboo set and publishing the session — is one step of the core under

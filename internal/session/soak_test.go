@@ -164,6 +164,10 @@ func TestSessionSoak(t *testing.T) {
 	if got := results.Load(); got != st.Live+st.Replay {
 		t.Errorf("OnResult fired %d times for %d sessions", got, st.Live+st.Replay)
 	}
+	// A round's play is counted before OnResult hears of it.
+	if g, visits := p.GWAP(), 2*st.Live+st.Replay+st.NoPartner; g.Outputs != st.Agreements || g.Sessions != visits {
+		t.Errorf("GWAP %+v: want %d outputs (the agreements) and %d visits", g, st.Agreements, visits)
+	}
 	if st.MatchWait.Count == 0 {
 		t.Errorf("match-wait histogram empty: %+v", st.MatchWait)
 	}

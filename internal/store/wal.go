@@ -123,8 +123,7 @@ type WAL struct {
 	bytes    int64
 	wroteHdr bool
 	writeSeq int64 // appends handed to the OS
-	writeErr error // first failed write; sticky, see writeRecords
-	lastErr  error // most recent append/sync failure; nil once healthy again
+	err      error // first failed write or fsync; sticky, see fail
 	closed   bool  // Close called; further appends fail with ErrWALClosed
 
 	policy   SyncPolicy
@@ -253,7 +252,7 @@ func (l *WAL) appendEvents(events []Event) (write, sync time.Duration, err error
 // caller's critical section: the queue writes what it has just applied
 // before it releases its lock, which makes log order apply order. The
 // events are acknowledged once WaitDurable(seq) returns nil. A failed write
-// fails the log for good (see writeRecords).
+// or fsync fails the log for good (see fail).
 func (l *WAL) WriteEvents(events []Event) (int64, error) {
 	if len(events) == 0 {
 		return 0, nil
@@ -268,11 +267,9 @@ func (l *WAL) WriteEvents(events []Event) (int64, error) {
 		return 0, ErrWALClosed
 	}
 	if err := l.writeRecords(buf, int64(len(events))); err != nil {
-		l.lastErr = err
 		l.failures.Add(1)
 		return 0, err
 	}
-	l.lastErr = nil
 	return l.writeSeq, nil
 }
 
@@ -286,13 +283,22 @@ func (l *WAL) WaitDurable(seq int64) (time.Duration, error) {
 	}
 	t0 := time.Now()
 	if err := l.syncTo(seq); err != nil {
-		l.mu.Lock()
-		l.lastErr = err
-		l.mu.Unlock()
 		l.failures.Add(1)
 		return 0, err
 	}
 	return time.Since(t0), nil
+}
+
+// fail records the log's first failure; every later write, and every
+// fsync wait not already covered, fails with it. A failed write may have
+// left a torn record that recovery cuts the log at, so nothing behind it
+// could be recovered. A failed fsync may have dropped dirty pages that a
+// later fsync then reports clean, so no later fsync proves anything
+// durable. Caller holds mu.
+func (l *WAL) fail(err error) {
+	if l.err == nil {
+		l.err = err
+	}
 }
 
 // walRecordHint sizes the framing buffer: a typical record (header plus a
@@ -329,8 +335,8 @@ func frameEvents(events []Event) ([]byte, error) {
 // with one Write (the file header riding along on the first), then feeds
 // the tap sub-slices of buf. Caller holds mu.
 func (l *WAL) writeRecords(buf []byte, n int64) error {
-	if l.writeErr != nil {
-		return l.writeErr
+	if l.err != nil {
+		return l.err
 	}
 	recs := buf[len(walMagic):]
 	out := recs
@@ -339,10 +345,8 @@ func (l *WAL) writeRecords(buf []byte, n int64) error {
 		out = buf
 	}
 	if _, err := l.w.Write(out); err != nil {
-		// Part of out may be on the log as a torn record. Recovery cuts the
-		// log there, so nothing appended behind it could be recovered:
-		// the log stays failed rather than acknowledge such a record.
-		l.writeErr = err
+		// Part of out may be on the log as a torn record.
+		l.fail(err)
 		return err
 	}
 	l.wroteHdr = true
@@ -364,7 +368,8 @@ func (l *WAL) writeRecords(buf []byte, n int64) error {
 
 // syncTo makes every append up to seq durable, batching concurrent callers
 // behind one fsync: whoever holds syncMu first syncs the current tail, and
-// later callers see syncedSeq already past their record.
+// later callers see syncedSeq already past their record. Once the log has
+// failed, a record not yet durable never will be.
 func (l *WAL) syncTo(seq int64) error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
@@ -372,10 +377,16 @@ func (l *WAL) syncTo(seq int64) error {
 		return nil
 	}
 	l.mu.Lock()
-	cur := l.writeSeq
+	cur, err := l.writeSeq, l.err
 	l.dirty = false
 	l.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	if err := l.syncer.Sync(); err != nil {
+		l.mu.Lock()
+		l.fail(err)
+		l.mu.Unlock()
 		return err
 	}
 	l.syncedSeq = cur
@@ -401,9 +412,6 @@ func (l *WAL) syncLoop() {
 				continue
 			}
 			if err := l.syncTo(seq); err != nil {
-				l.mu.Lock()
-				l.lastErr = err
-				l.mu.Unlock()
 				l.failures.Add(1)
 			}
 		case <-l.stop:
@@ -420,7 +428,7 @@ func (l *WAL) Close() error {
 	<-l.done
 	l.mu.Lock()
 	l.closed = true
-	err := l.writeErr
+	err := l.err
 	l.mu.Unlock()
 	if l.syncer != nil && l.policy != SyncNever {
 		if serr := l.syncer.Sync(); err == nil {
@@ -454,21 +462,16 @@ func (l *WAL) Size() int64 {
 	return l.bytes
 }
 
-// Healthy reports whether the write path is working: true until an append
-// or fsync fails, true again once a later append succeeds — which after a
-// failed write none does (see writeRecords). The service's readiness probe
-// degrades on false.
-func (l *WAL) Healthy() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lastErr == nil
-}
+// Healthy reports whether the write path is working: true until a write
+// or fsync fails, and never again after that (see fail). The service's
+// readiness probe degrades on false.
+func (l *WAL) Healthy() bool { return l.Err() == nil }
 
-// Err returns the most recent append/sync failure, or nil while healthy.
+// Err returns the failure that failed the log, or nil while healthy.
 func (l *WAL) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.lastErr
+	return l.err
 }
 
 // Failures returns how many appends or fsyncs have returned an error.

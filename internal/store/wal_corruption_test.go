@@ -351,3 +351,63 @@ func TestWALHealthTracking(t *testing.T) {
 		t.Fatalf("Err = %v, Failures = %d", wal.Err(), wal.Failures())
 	}
 }
+
+// failOnceSyncer is a file whose fsync number failAt fails; every other
+// fsync succeeds, as a disk that drops dirty pages once and then reports
+// clean does.
+type failOnceSyncer struct {
+	syncCounter
+	failAt int64
+}
+
+func (s *failOnceSyncer) Sync() error {
+	if s.syncs.Add(1) == s.failAt {
+		return errors.New("fsync: input/output error")
+	}
+	return nil
+}
+
+// wantFailedForGood checks that wal refuses an append, stays unhealthy and
+// keeps its last acknowledged sequence number at seq.
+func wantFailedForGood(t *testing.T, wal *WAL, seq int64) {
+	t.Helper()
+	if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 9, 1)}); err == nil {
+		t.Fatal("an append after a failed fsync was acknowledged")
+	}
+	if wal.Healthy() || wal.Err() == nil || wal.LastSeq() != seq {
+		t.Fatalf("after a failed fsync: Healthy %v Err %v LastSeq %d, want unhealthy at %d", wal.Healthy(), wal.Err(), wal.LastSeq(), seq)
+	}
+}
+
+// TestWALFailedFsyncIsStickyAlways: under SyncAlways the append whose fsync
+// failed is refused, and so is every append after it, although the next
+// fsync would succeed.
+func TestWALFailedFsyncIsStickyAlways(t *testing.T) {
+	f := &failOnceSyncer{failAt: 2}
+	wal := NewWALWith(f, WALOptions{Policy: SyncAlways})
+	defer wal.Close()
+	if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 2, 1)}); err == nil {
+		t.Fatal("the append whose fsync failed was acknowledged")
+	}
+	wantFailedForGood(t, wal, 2)
+}
+
+// TestWALFailedFsyncIsStickyInterval: under SyncInterval a failed
+// background fsync fails the log, so the next append is refused.
+func TestWALFailedFsyncIsStickyInterval(t *testing.T) {
+	f := &failOnceSyncer{failAt: 1}
+	wal := NewWALWith(f, WALOptions{Policy: SyncInterval})
+	defer wal.Close()
+	if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); wal.Healthy(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the background fsync never failed the log (%d fsyncs)", f.syncs.Load())
+		}
+	}
+	wantFailedForGood(t, wal, 1)
+}
