@@ -1,8 +1,8 @@
 // Package faultinject provides deterministic fault injection for
-// robustness tests: an io.Writer that fails, short-writes or delays the
-// N-th write, and an http.RoundTripper that fails, delays or drops the
-// response of the N-th request — all driven by an explicit or seeded
-// schedule, so a failing run replays exactly from its seed.
+// robustness tests: an io.Writer that fails or short-writes the N-th write
+// or tears at a byte offset, an http.RoundTripper that fails or drops the
+// response of the N-th request — both driven by an explicit schedule — and
+// a net.Listener whose connections drop mid-stream or partition.
 //
 // The writer models a crashing process: after its first injected failure
 // it stays failed (every later write returns ErrInjected), because a
@@ -12,10 +12,8 @@ package faultinject
 import (
 	"errors"
 	"io"
-	"math/rand"
 	"net/http"
 	"sync"
-	"time"
 )
 
 // ErrInjected is the error returned by injected failures.
@@ -31,8 +29,6 @@ const (
 	// returns ErrInjected — a torn write. On a RoundTripper it behaves
 	// like Fail.
 	ShortWrite
-	// Delay sleeps Fault.Delay, then performs the operation normally.
-	Delay
 	// DropResponse (RoundTripper only) forwards the request, discards the
 	// response and returns ErrInjected — the server did the work but the
 	// client never heard back, the case idempotency keys exist for.
@@ -42,35 +38,11 @@ const (
 // Fault is one scheduled fault.
 type Fault struct {
 	Kind  Kind
-	Bytes int           // ShortWrite: bytes let through before failing
-	Delay time.Duration // Delay: how long to stall
+	Bytes int // ShortWrite: bytes let through before failing
 }
 
 // Schedule maps 1-based operation numbers to faults.
 type Schedule map[int]Fault
-
-// Seeded builds a deterministic schedule of n faults over operations
-// [1, maxOp] from the given seed. Kinds alternate among Fail, ShortWrite
-// and Delay; short writes cut at a pseudo-random small offset.
-func Seeded(seed int64, maxOp, n int) Schedule {
-	rng := rand.New(rand.NewSource(seed))
-	s := make(Schedule, n)
-	for len(s) < n && len(s) < maxOp {
-		op := 1 + rng.Intn(maxOp)
-		if _, dup := s[op]; dup {
-			continue
-		}
-		switch rng.Intn(3) {
-		case 0:
-			s[op] = Fault{Kind: Fail}
-		case 1:
-			s[op] = Fault{Kind: ShortWrite, Bytes: rng.Intn(8)}
-		default:
-			s[op] = Fault{Kind: Delay, Delay: time.Duration(rng.Intn(5)) * time.Millisecond}
-		}
-	}
-	return s
-}
 
 // Writer wraps an io.Writer with scheduled write faults. Operations are
 // counted from 1. Additionally, CutAt arms a byte-offset trigger: the
@@ -120,8 +92,6 @@ func (fw *Writer) Write(p []byte) (int, error) {
 	}
 	if f, ok := fw.sched[fw.op]; ok {
 		switch f.Kind {
-		case Delay:
-			time.Sleep(f.Delay)
 		case ShortWrite:
 			keep := f.Bytes
 			if keep > len(p) {
@@ -142,20 +112,6 @@ func (fw *Writer) Write(p []byte) (int, error) {
 		fw.dead = true
 	}
 	return n, err
-}
-
-// Written returns how many bytes reached the underlying writer.
-func (fw *Writer) Written() int64 {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	return fw.written
-}
-
-// Dead reports whether a fault has fired and killed the writer.
-func (fw *Writer) Dead() bool {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	return fw.dead
 }
 
 // RoundTripper wraps an http.RoundTripper with scheduled request faults,
@@ -187,9 +143,6 @@ func (frt *RoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 		return frt.rt.RoundTrip(req)
 	}
 	switch f.Kind {
-	case Delay:
-		time.Sleep(f.Delay)
-		return frt.rt.RoundTrip(req)
 	case DropResponse:
 		resp, err := frt.rt.RoundTrip(req)
 		if err != nil {

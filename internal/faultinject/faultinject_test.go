@@ -24,9 +24,6 @@ func TestWriterSchedule(t *testing.T) {
 	if sink.String() != "aaaa" {
 		t.Fatalf("sink = %q", sink.String())
 	}
-	if !fw.Dead() {
-		t.Fatal("Dead() = false after fault")
-	}
 }
 
 func TestWriterShortWrite(t *testing.T) {
@@ -57,31 +54,8 @@ func TestCutWriterTearsAtByteOffset(t *testing.T) {
 	if _, err := fw.Write([]byte("x")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("post-cut write should fail, got %v", err)
 	}
-	if fw.Written() != 10 {
-		t.Fatalf("Written = %d", fw.Written())
-	}
-}
-
-func TestSeededIsDeterministic(t *testing.T) {
-	a := Seeded(42, 100, 10)
-	b := Seeded(42, 100, 10)
-	if len(a) != 10 {
-		t.Fatalf("schedule size = %d", len(a))
-	}
-	for op, f := range a {
-		if b[op] != f {
-			t.Fatalf("schedules diverge at op %d: %+v vs %+v", op, f, b[op])
-		}
-	}
-	c := Seeded(43, 100, 10)
-	same := true
-	for op, f := range a {
-		if c[op] != f {
-			same = false
-		}
-	}
-	if same && len(c) == len(a) {
-		t.Fatal("different seeds produced identical schedules")
+	if sink.Len() != 10 {
+		t.Fatalf("%d bytes reached the sink, want 10", sink.Len())
 	}
 }
 

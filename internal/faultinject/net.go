@@ -4,20 +4,15 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"time"
 )
 
 // ConnOptions configures the network faults a Listener injects into each
 // accepted connection. All randomness is drawn from one seeded generator,
 // so a failing run replays exactly from its seed.
 type ConnOptions struct {
-	// Seed drives the per-connection jitter draws. The same seed and the
-	// same accept/IO order reproduce the same faults.
+	// Seed drives the per-connection drop-point draws. The same seed and
+	// the same accept order reproduce the same faults.
 	Seed int64
-	// Latency delays every Read and Write by this much.
-	Latency time.Duration
-	// Jitter adds a seeded extra delay in [0, Jitter) on top of Latency.
-	Jitter time.Duration
 	// DropAfter severs a connection once roughly this many bytes have
 	// moved through it (reads + writes combined): the underlying conn is
 	// closed and the pending operation returns ErrInjected — a mid-stream
@@ -42,8 +37,6 @@ type Listener struct {
 	rng         *rand.Rand
 	conns       map[*Conn]struct{}
 	partitioned bool
-	accepted    int
-	dropped     int
 }
 
 // WrapListener wraps ln with the given fault options.
@@ -66,7 +59,6 @@ func (l *Listener) Accept() (net.Conn, error) {
 			return nil, err
 		}
 		l.mu.Lock()
-		l.accepted++
 		if l.partitioned {
 			l.mu.Unlock()
 			c.Close()
@@ -74,15 +66,7 @@ func (l *Listener) Accept() (net.Conn, error) {
 			// fails, which is exactly what a partitioned endpoint does.
 			return c, nil
 		}
-		fc := &Conn{
-			Conn:    c,
-			lat:     l.opts.Latency,
-			budget:  -1,
-			release: l.forget,
-		}
-		if l.opts.Jitter > 0 {
-			fc.jit = time.Duration(l.rng.Int63n(int64(l.opts.Jitter)))
-		}
+		fc := &Conn{Conn: c, budget: -1, release: l.forget}
 		if l.opts.DropAfter > 0 {
 			fc.budget = l.opts.DropAfter
 			if l.opts.DropJitter > 0 {
@@ -112,7 +96,6 @@ func (l *Listener) Partition() {
 		live = append(live, c)
 	}
 	l.conns = make(map[*Conn]struct{})
-	l.dropped += len(live)
 	l.mu.Unlock()
 	for _, c := range live {
 		c.sever()
@@ -127,32 +110,16 @@ func (l *Listener) Heal() {
 	l.mu.Unlock()
 }
 
-// Stats reports connections accepted and severed so far.
-func (l *Listener) Stats() (accepted, severed int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.accepted, l.dropped
-}
-
-// Conn injects latency and a byte-budget mid-stream drop into one
-// connection. Once the budget is spent (or sever is called) the underlying
-// conn is closed and every further operation returns ErrInjected.
+// Conn injects a byte-budget mid-stream drop into one connection. Once the
+// budget is spent (or sever is called) the underlying conn is closed and
+// every further operation returns ErrInjected.
 type Conn struct {
 	net.Conn
-	lat     time.Duration
-	jit     time.Duration
 	release func(*Conn)
 
 	mu     sync.Mutex
 	budget int64 // bytes remaining before the drop; <0 means unlimited
 	dead   bool
-}
-
-// delay sleeps the configured latency for one operation.
-func (c *Conn) delay() {
-	if d := c.lat + c.jit; d > 0 {
-		time.Sleep(d)
-	}
 }
 
 // charge spends n bytes of the drop budget, reporting whether the
@@ -188,9 +155,8 @@ func (c *Conn) sever() {
 	}
 }
 
-// Read implements net.Conn with latency and the drop budget applied.
+// Read implements net.Conn with the drop budget applied.
 func (c *Conn) Read(p []byte) (int, error) {
-	c.delay()
 	allowed, ok := c.charge(len(p))
 	if !ok && allowed == 0 {
 		c.Conn.Close()
@@ -206,9 +172,8 @@ func (c *Conn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Write implements net.Conn with latency and the drop budget applied.
+// Write implements net.Conn with the drop budget applied.
 func (c *Conn) Write(p []byte) (int, error) {
-	c.delay()
 	allowed, ok := c.charge(len(p))
 	if !ok && allowed == 0 {
 		c.Conn.Close()

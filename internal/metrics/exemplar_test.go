@@ -78,7 +78,8 @@ func TestObserveTracedExemplar(t *testing.T) {
 // TestExemplarsAreNeverTorn: writers racing into one bucket, each with a
 // trace ID that encodes its own duration, while a reader loops over the
 // bucket's exemplar and the rendered samples. Every exemplar read pairs a
-// trace with its own value, and the bucket counts every observation.
+// trace with its own value, an observation made once the race is over
+// leaves its own exemplar, and the bucket counts every observation.
 func TestExemplarsAreNeverTorn(t *testing.T) {
 	const (
 		writers = 4
@@ -127,17 +128,24 @@ func TestExemplarsAreNeverTorn(t *testing.T) {
 			}
 		}
 	}
+	// Every racing write may have met the reader on the slot and been
+	// skipped, so the race need not leave an exemplar. With nobody else
+	// on the slot, one more traced observation must.
+	last := 4 * time.Millisecond
+	var tr [16]byte
+	tr[0] = 0xff
+	binary.BigEndian.PutUint64(tr[8:], uint64(last))
+	h.ObserveTraced(last, tr)
 	e, ok := h.Exemplar(slot)
-	if !ok {
-		t.Fatal("no exemplar after every writer finished")
+	if !ok || e.TraceID != hex.EncodeToString(tr[:]) || e.Value != last.Seconds() {
+		t.Fatalf("exemplar after the race = %+v (ok %v), want trace %x at %gs", e, ok, tr, last.Seconds())
 	}
-	check(e)
 	for i := 0; i <= len(ExemplarBounds); i++ {
 		if _, ok := h.Exemplar(i); ok && i != slot {
 			t.Errorf("bucket %d holds an exemplar; every observation landed in %d", i, slot)
 		}
 	}
-	const total = writers * each
+	const total = writers*each + 1
 	if n := h.CountLE(5*time.Millisecond) - h.CountLE(2500*time.Microsecond); h.Count() != total || n != total {
 		t.Errorf("count %d, %d in le 0.005 above le 0.0025; want %d in both", h.Count(), n, total)
 	}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -234,11 +233,10 @@ func killLeaderTrial(t *testing.T, cut int64) {
 		t.Fatal(err)
 	}
 	defer lf.Close()
-	snap := emptySnapshot(t)
 	src := repl.NewSource(repl.SourceOptions{
-		Term:     1,
-		WALPath:  leaderWALPath,
-		Snapshot: func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(snap)), nil },
+		Term:         1,
+		WALPath:      leaderWALPath,
+		SnapshotPath: emptySnapshot(t, filepath.Join(dir, "leader.snap")),
 	})
 	wal := store.NewWALWith(faultinject.NewCutWriter(lf, cut), store.WALOptions{OnRecord: src.OnRecord})
 	defer wal.Close()
@@ -373,13 +371,12 @@ func killLeaderTrial(t *testing.T, cut int64) {
 	}
 }
 
-// emptySnapshot returns a pristine system's snapshot — the leader's "state
-// at sequence 0" when it booted fresh.
-func emptySnapshot(t *testing.T) []byte {
+// emptySnapshot writes a pristine system's snapshot — the leader's "state
+// at sequence 0" when it booted fresh — to path and returns path.
+func emptySnapshot(t *testing.T, path string) string {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := core.New(core.DefaultConfig()).Snapshot(&buf); err != nil {
+	if err := save(core.New(core.DefaultConfig()), path); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return path
 }

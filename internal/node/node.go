@@ -251,9 +251,9 @@ func (n *Node) openWAL(policy store.SyncPolicy, leaderTerm int64) error {
 		return fmt.Errorf("creating wal: %w", err)
 	}
 	n.source = repl.NewSource(repl.SourceOptions{
-		Term:     term,
-		WALPath:  cfg.WAL,
-		Snapshot: repl.SnapshotFile(cfg.Snapshot),
+		Term:         term,
+		WALPath:      cfg.WAL,
+		SnapshotPath: cfg.Snapshot,
 	})
 	n.wal = store.NewWALWith(n.walFile, store.WALOptions{Policy: policy, OnRecord: n.source.OnRecord})
 	n.adminOpts.WAL, n.adminOpts.Repl = n.wal, n.replState

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -20,6 +21,7 @@ import (
 	"humancomp/internal/dispatch"
 	"humancomp/internal/repl"
 	"humancomp/internal/session"
+	"humancomp/internal/store"
 	"humancomp/internal/task"
 	"humancomp/internal/trace"
 )
@@ -419,6 +421,80 @@ func TestFollowerReplicatesFencesAndPromotes(t *testing.T) {
 		t.Errorf("node reported %v after a clean promotion", err)
 	default:
 	}
+}
+
+// TestFollowerLogIsLeaderLog: a follower re-appends every record it
+// applies, so once it has caught up its WAL file is its leader's byte for
+// byte — submits single and batched, answers, a cancel and a gold probe
+// included. What a chained follower ships from its own file is therefore
+// its leader's log.
+func TestFollowerLogIsLeaderLog(t *testing.T) {
+	leader, follower, fcfg := follow(t)
+	c := client(leader)
+	ctx := context.Background()
+	for i := 1; i <= 8; i++ {
+		if _, err := c.Submit(task.Label, task.Payload{ImageID: i}, 1+i%3, i%2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := c.SubmitBatchContext(ctx, []dispatch.SubmitRequest{
+		{Kind: task.Label.String(), Payload: task.Payload{ImageID: 20}, Redundancy: 2},
+		{Kind: task.Label.String(), Payload: task.Payload{ImageID: 21}, Redundancy: 1},
+	})
+	if err != nil || len(res) != 2 || res[0].Status != http.StatusCreated || res[1].Status != http.StatusCreated {
+		t.Fatalf("batch submit = %+v, %v", res, err)
+	}
+	if _, err := c.SubmitGoldContext(ctx, task.Label, task.Payload{ImageID: 30}, 1, 0, task.Answer{Words: []int{7}}); err != nil {
+		t.Fatal(err)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("http://%s/v1/tasks/%d", leader.Addr(), 1), nil)
+	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("cancel = %v, %v", resp, err)
+	}
+	for w := 0; w < 12; w++ {
+		tv, lease, err := c.NextContext(ctx, fmt.Sprintf("w%d", w%4))
+		if err != nil {
+			continue // nothing leasable for this worker
+		}
+		if err := c.AnswerContext(ctx, lease, task.Answer{Words: []int{w % 2, int(tv.ID)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := leader.wal.LastSeq()
+	waitFor(t, "the follower to apply the leader's log", func() bool { return follower.wal.LastSeq() == want })
+
+	lb, err := os.ReadFile(leader.cfg.WAL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]int{}
+	for sc := store.NewRecordScanner(bytes.NewReader(lb), 0); sc.Scan(); {
+		e := sc.Event()
+		kinds[string(e.Kind)]++
+		if e.Gold != nil {
+			kinds["gold"]++
+		}
+	}
+	for _, k := range []string{"submit", "answer", "cancel", "gold"} {
+		if kinds[k] == 0 {
+			t.Fatalf("the leader's log holds no %s record: %v", k, kinds)
+		}
+	}
+	t.Logf("records by kind: %v", kinds)
+	fb, err := os.ReadFile(fcfg.WAL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(lb, fb) {
+		return
+	}
+	ls, fs := store.NewRecordScanner(bytes.NewReader(lb), 0), store.NewRecordScanner(bytes.NewReader(fb), 0)
+	for lo, fo := int64(store.WALHeaderSize), int64(store.WALHeaderSize); ls.Scan() && fs.Scan(); lo, fo = ls.Offset(), fs.Offset() {
+		if l, f := lb[lo:ls.Offset()], fb[fo:fs.Offset()]; !bytes.Equal(l, f) {
+			t.Fatalf("record %d differs:\nleader   %q\nfollower %q", ls.Seq(), l, f)
+		}
+	}
+	t.Fatalf("logs differ in length: leader %d bytes, follower %d (%d of %d records)", len(lb), len(fb), follower.wal.LastSeq(), want)
 }
 
 // TestFailedPromotionLeavesNodeReadOnly: the term cannot be persisted (a

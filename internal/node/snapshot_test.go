@@ -140,7 +140,7 @@ func TestFollowerBootstrapSurvivesDroppedDownloads(t *testing.T) {
 		t.Fatalf("leader snapshot is %d KiB; the budgets above assume 550..1300", kib)
 	}
 	flaky := faultinject.WrapListener(ln, faultinject.ConnOptions{Seed: 7, DropAfter: 150 << 10, DropJitter: 1500 << 10})
-	src := repl.NewSource(repl.SourceOptions{Snapshot: repl.SnapshotFile(leaderSnap)})
+	src := repl.NewSource(repl.SourceOptions{SnapshotPath: leaderSnap})
 	defer src.Close()
 	var attempts atomic.Int32
 	routes := src.Handler(nil)

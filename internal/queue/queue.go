@@ -74,8 +74,8 @@ type Journal interface {
 type LeaseID int64
 
 // Lease records that a worker holds a task until Expiry. LeasedAt is when
-// the lease was granted; the dispatch core turns the lease-to-answer span
-// into live play-time metrics.
+// the lease was granted; the answer's lease-to-answer span, observed from
+// it, feeds only hc_task_lease_to_answer_seconds.
 type Lease struct {
 	ID       LeaseID
 	WorkerID string

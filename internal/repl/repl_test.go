@@ -39,8 +39,7 @@ type leaderHarness struct {
 	walBuf *os.File
 }
 
-// newLeader's source keeps the newest tailSize frames in memory.
-func newLeader(t *testing.T, tailSize int) *leaderHarness {
+func newLeader(t *testing.T) *leaderHarness {
 	t.Helper()
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "leader.wal")
@@ -49,12 +48,11 @@ func newLeader(t *testing.T, tailSize int) *leaderHarness {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { f.Close() })
-	src := NewSource(SourceOptions{
-		Term:     1,
-		WALPath:  walPath,
-		Snapshot: func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader([]byte("{}"))), nil },
-	})
-	src.frames = make([][]byte, tailSize)
+	snapPath := filepath.Join(dir, "leader.snap")
+	if err := os.WriteFile(snapPath, []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src := NewSource(SourceOptions{Term: 1, WALPath: walPath, SnapshotPath: snapPath})
 	wal := store.NewWALWith(f, store.WALOptions{OnRecord: src.OnRecord})
 	t.Cleanup(func() { wal.Close() })
 	srv := httptest.NewServer(src.Handler(nil))
@@ -99,7 +97,7 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 }
 
 func TestFollowerTailsLiveStream(t *testing.T) {
-	l := newLeader(t, tailFrames)
+	l := newLeader(t)
 	for i := 1; i <= 3; i++ {
 		if err := l.wal.Append(submitEvent(t, task.ID(i))); err != nil {
 			t.Fatal(err)
@@ -143,14 +141,10 @@ func TestFollowerTailsLiveStream(t *testing.T) {
 }
 
 func TestFollowerCatchesUpFromFileFallback(t *testing.T) {
-	// Tail of 2: most of the backlog is only on disk, forcing streamFile.
-	l := newLeader(t, 2)
-	const total = 50
-	for i := 1; i <= total; i++ {
-		if err := l.wal.Append(submitEvent(t, task.ID(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// The backlog crosses a mark, so the follower's stream reads past one.
+	l := newLeader(t)
+	const total = markEvery + 50
+	appendN(t, l, 1, total)
 
 	rec := &applyRecorder{}
 	f := NewFollower(FollowerOptions{Leader: l.srv.URL, Term: 1, Apply: rec.apply})
@@ -171,7 +165,7 @@ func TestFollowerCatchesUpFromFileFallback(t *testing.T) {
 }
 
 func TestFollowerRefusesFencedLeader(t *testing.T) {
-	l := newLeader(t, tailFrames) // term 1
+	l := newLeader(t) // term 1
 	rec := &applyRecorder{}
 	f := NewFollower(FollowerOptions{Leader: l.srv.URL, Term: 5, Apply: rec.apply})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -189,7 +183,7 @@ func TestFollowerRefusesFencedLeader(t *testing.T) {
 }
 
 func TestFollowerAdoptsHigherTerm(t *testing.T) {
-	l := newLeader(t, tailFrames)
+	l := newLeader(t)
 	l.src.SetTerm(7)
 	if err := l.wal.Append(submitEvent(t, 1)); err != nil {
 		t.Fatal(err)
@@ -211,7 +205,7 @@ func TestFollowerAdoptsHigherTerm(t *testing.T) {
 }
 
 func TestStreamCursorBeyondLogEndConflicts(t *testing.T) {
-	l := newLeader(t, tailFrames)
+	l := newLeader(t)
 	if err := l.wal.Append(submitEvent(t, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +223,7 @@ func TestStreamCursorBeyondLogEndConflicts(t *testing.T) {
 // and nothing else; a cursor that only starts with one is refused, not
 // read as that number.
 func TestStreamCursorIsADecimalSeq(t *testing.T) {
-	l := newLeader(t, tailFrames)
+	l := newLeader(t)
 	appendN(t, l, 1, 20)
 	for _, from := range []string{"12abc", "0x10", "7.9", "3 4", "1e1", " 5", "0", "-1", "99999999999999999999"} {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
@@ -246,7 +240,7 @@ func TestStreamCursorIsADecimalSeq(t *testing.T) {
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
-	l := newLeader(t, tailFrames)
+	l := newLeader(t)
 	rc, term, err := FetchSnapshot(context.Background(), nil, l.srv.URL)
 	if err != nil || term != 1 {
 		t.Fatalf("snapshot fetch: term %d, %v; want the leader's 1", term, err)
@@ -299,7 +293,7 @@ func TestSwitchableJournal(t *testing.T) {
 func TestFollowerSurvivesLeaderRestartOfStream(t *testing.T) {
 	// Kill the leader's HTTP server mid-tail and bring up a new one on the
 	// same source; the follower reconnects and resumes from applied+1.
-	l := newLeader(t, tailFrames)
+	l := newLeader(t)
 	if err := l.wal.Append(submitEvent(t, 1)); err != nil {
 		t.Fatal(err)
 	}

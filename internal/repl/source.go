@@ -13,74 +13,74 @@ import (
 	"humancomp/internal/store"
 )
 
-// tailFrames is the number of recent WAL frames a Source keeps in memory
-// for streaming. Followers lagging further than this are served from the
-// WAL file on disk until they re-enter the window.
-const tailFrames = 4096
+// markEvery is the spacing of a Source's offset marks: a stream opening at
+// any cursor seeks to the mark at or before it and skips at most
+// markEvery-1 records to reach it.
+const markEvery = 4096
 
 // SourceOptions configures a replication Source.
 type SourceOptions struct {
 	// Term is the node's current epoch, stamped on every stream header.
 	Term int64
-	// WALPath, when set, is the on-disk WAL this source shadows; frames
-	// older than the in-memory tail are re-read from it.
+	// WALPath is the on-disk WAL this source ships: streams read its
+	// acked bytes.
 	WALPath string
-	// Snapshot supplies the bootstrap snapshot served on
-	// /v1/repl/snapshot — the state at sequence 0 of the current WAL.
-	Snapshot func() (io.ReadCloser, error)
-}
-
-// SnapshotFile adapts a snapshot path on disk to SourceOptions.Snapshot.
-func SnapshotFile(path string) func() (io.ReadCloser, error) {
-	return func() (io.ReadCloser, error) { return os.Open(path) }
+	// SnapshotPath is the bootstrap snapshot served on /v1/repl/snapshot
+	// — the state at sequence 0 of the current WAL.
+	SnapshotPath string
 }
 
 // Source is the sending half of WAL shipping: it shadows a node's WAL via
-// the store.WALOptions.OnRecord tap, keeps a bounded in-memory tail of
-// framed records, and serves them to followers over chunked HTTP. Any node
-// can run one — followers included, so a promoted follower's own followers
-// (or fresh ones) can attach without a restart.
+// the store.WALOptions.OnRecord tap, which tells it where the acked records
+// end in the file, and serves the file's bytes to followers over chunked
+// HTTP. Any node can run one — followers included, so a promoted
+// follower's own followers (or fresh ones) can attach without a restart.
 type Source struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	term    int64
-	frames  [][]byte // fixed ring of the newest len(frames) records: sequence q sits at frames[q%len(frames)]
 	lastSeq int64
+	end     int64   // file offset just past record lastSeq
+	marks   []int64 // marks[k] is the file offset where record k*markEvery+1 starts
 	closed  bool
 
-	walPath  string
-	snapshot func() (io.ReadCloser, error)
+	walPath      string
+	snapshotPath string
 }
 
-// NewSource returns a Source at sequence 0 of the current WAL. Install its
-// OnRecord method as the WAL's record tap.
+// NewSource returns a Source at sequence 0 of the current WAL, which must
+// be empty. Install its OnRecord method as the WAL's record tap.
 func NewSource(opts SourceOptions) *Source {
 	s := &Source{
-		term:     opts.Term,
-		frames:   make([][]byte, tailFrames),
-		walPath:  opts.WALPath,
-		snapshot: opts.Snapshot,
+		term:         opts.Term,
+		end:          store.WALHeaderSize,
+		walPath:      opts.WALPath,
+		snapshotPath: opts.SnapshotPath,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
-// OnRecord feeds one flushed WAL frame into the tail. It matches
-// store.WALOptions.OnRecord and is called with the WAL's append lock held,
-// so it only stores into the ring — overwriting the oldest frame once the
-// ring is full, with no allocation or copy at any fill — and wakes waiters.
-// Sequences run 1, 2, … without gaps, so lastSeq alone says what the ring
-// holds.
+// OnRecord advances the acked end of the file past one flushed WAL frame.
+// It matches store.WALOptions.OnRecord and is called with the WAL's append
+// lock held, so it keeps only integers — the sequence, the end offset and,
+// every markEvery records, a mark (the mark slice grows by doubling, so
+// its allocations amortise to none) — and wakes waiters. Sequences run 1,
+// 2, … without gaps, so the frame lengths alone place every record.
 func (s *Source) OnRecord(seq int64, frame []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || seq != s.lastSeq+1 {
-		// Out-of-order feed would corrupt the window; the WAL tap is
-		// strictly ordered, so this only trips if a tap outlives a Reset.
+		// Out-of-order feed would misplace every later record; one WAL
+		// calls its tap in order, so this only trips on a tap wired to
+		// two logs.
 		return
 	}
-	s.frames[seq%int64(len(s.frames))] = frame
+	if (seq-1)%markEvery == 0 {
+		s.marks = append(s.marks, s.end)
+	}
 	s.lastSeq = seq
+	s.end += int64(len(frame))
 	s.cond.Broadcast()
 }
 
@@ -140,24 +140,26 @@ func (s *Source) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Source) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if s.snapshot == nil {
+	if s.snapshotPath == "" {
 		http.Error(w, "no snapshot configured", http.StatusNotFound)
 		return
 	}
-	rc, err := s.snapshot()
+	f, err := os.Open(s.snapshotPath)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	defer rc.Close()
+	defer f.Close()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Repl-Term", fmt.Sprint(s.Term()))
-	io.Copy(w, rc)
+	io.Copy(w, f)
 }
 
-// handleWAL streams frames from the requested cursor: a JSON header line,
-// then raw v2 record frames, flushed per record, blocking while caught up
-// until the client goes away or the source closes.
+// handleWAL streams the WAL file from the requested cursor: a JSON header
+// line, then the file's raw v2 record frames up to the acked end, flushed
+// as records are acked, blocking while caught up until the client goes
+// away or the source closes. The leader decodes nothing it ships; the
+// follower's scanner checks every checksum.
 func (s *Source) handleWAL(w http.ResponseWriter, r *http.Request) {
 	from := int64(1)
 	if q := r.URL.Query().Get("from"); q != "" {
@@ -169,12 +171,29 @@ func (s *Source) handleWAL(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	hdr := StreamHeader{Term: s.term, From: from, LastSeq: s.lastSeq}
+	// Record from starts at the acked end when it is the next record, and
+	// otherwise at most markEvery-1 records past the mark at or before it.
+	base, off, end := s.lastSeq, s.end, s.end
+	if from <= s.lastSeq {
+		k := (from - 1) / markEvery
+		base, off = k*markEvery, s.marks[k]
+	}
 	s.mu.Unlock()
 	if hdr.LastSeq < from-1 {
 		// The consumer is ahead of this log: its cursor comes from a
 		// different WAL epoch (e.g. a restarted leader with a fresh log).
 		// It must re-bootstrap from the snapshot, not resume.
 		http.Error(w, "cursor beyond log end; re-bootstrap from snapshot", http.StatusConflict)
+		return
+	}
+	f, err := os.Open(s.walPath)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	defer f.Close()
+	if off, err = seekRecord(f, off, end, base, from); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 
@@ -184,95 +203,53 @@ func (s *Source) handleWAL(w http.ResponseWriter, r *http.Request) {
 	if err := writeJSONLine(w, hdr); err != nil {
 		return
 	}
-	if flusher != nil {
-		flusher.Flush()
-	}
 
-	// Wake the wait loop when the client disconnects.
+	// Wake the wait when the client disconnects.
 	ctx := r.Context()
 	stopWatch := context.AfterFunc(ctx, func() { s.cond.Broadcast() })
 	defer stopWatch()
 
-	cur := from
 	for {
-		frame, ok, err := s.next(ctx, cur)
-		if err != nil || !ok {
-			return
-		}
-		if frame == nil {
-			// Evicted from the tail: catch up from the file, then re-enter
-			// the window.
-			reached, err := s.streamFile(w, flusher, cur)
-			if err != nil || reached < cur {
-				return // damaged file or no progress; client retries
-			}
-			cur = reached + 1
-			continue
-		}
-		if _, err := w.Write(frame); err != nil {
-			return
+		if _, err := io.CopyN(w, f, end-off); err != nil {
+			return // a short file or a gone client; the client retries
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
-		cur++
+		off = end
+		var ok bool
+		if end, ok = s.await(ctx, off); !ok {
+			return
+		}
 	}
 }
 
-// next blocks until sequence cur is available. It returns (frame, true) on
-// a tail hit, (nil, true) when cur has been evicted (file fallback), and
-// ok=false when the stream should end.
-func (s *Source) next(ctx context.Context, cur int64) ([]byte, bool, error) {
+// seekRecord positions f at the start of record seq, given that record
+// base+1 starts at offset off and the acked records end at end: it skips
+// seq-base-1 records with the store's scanner, reading nothing before off
+// or past end, and returns the offset reached.
+func seekRecord(f *os.File, off, end, base, seq int64) (int64, error) {
+	sc := store.NewRecordScanner(io.NewSectionReader(f, off, end-off), base)
+	for sc.Seq() < seq-1 && sc.Scan() {
+	}
+	if sc.Seq() < seq-1 {
+		return 0, fmt.Errorf("repl: wal file ends before record %d: %v", seq, sc.Err())
+	}
+	off += sc.Offset()
+	_, err := f.Seek(off, io.SeekStart)
+	return off, err
+}
+
+// await blocks until the acked records end past off and returns the new
+// end; ok is false once the client has gone or the source has closed.
+func (s *Source) await(ctx context.Context, off int64) (end int64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		if ctx.Err() != nil {
-			return nil, false, ctx.Err()
-		}
-		if s.closed {
-			return nil, false, nil
-		}
-		if cur <= s.lastSeq {
-			if cur > 0 && cur > s.lastSeq-int64(len(s.frames)) {
-				return s.frames[cur%int64(len(s.frames))], true, nil
-			}
-			if s.walPath == "" {
-				return nil, false, fmt.Errorf("repl: seq %d evicted and no wal file", cur)
-			}
-			return nil, true, nil
+	for !s.closed && ctx.Err() == nil {
+		if s.end > off {
+			return s.end, true
 		}
 		s.cond.Wait()
 	}
-}
-
-// streamFile serves frames [cur, …] straight from the WAL file until its
-// readable end, returning the last sequence written. A torn tail is normal
-// (the writer may be mid-append); the caller resumes from the tail window.
-func (s *Source) streamFile(w io.Writer, flusher http.Flusher, cur int64) (int64, error) {
-	f, err := os.Open(s.walPath)
-	if err != nil {
-		return cur - 1, err
-	}
-	defer f.Close()
-	sc := store.NewRecordScanner(f, 0)
-	reached := cur - 1
-	for sc.Scan() {
-		if sc.Seq() < cur {
-			continue
-		}
-		if sc.Seq() > reached+1 {
-			return reached, fmt.Errorf("repl: wal file skips seq %d", reached+1)
-		}
-		if _, err := w.Write(sc.Frame()); err != nil {
-			return reached, err
-		}
-		reached = sc.Seq()
-	}
-	if flusher != nil {
-		flusher.Flush()
-	}
-	if err := sc.Err(); err != nil && err != store.ErrTornRecord {
-		return reached, err
-	}
-	return reached, nil
+	return 0, false
 }

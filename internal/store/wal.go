@@ -28,7 +28,11 @@ import (
 // can only ever lose the one record that was never acknowledged. It is the
 // only format read: a v1 log (bare JSON lines, no header) is refused with an
 // error and left untouched.
-var walMagic = [8]byte{'H', 'C', 'W', 'L', 2, 0, 0, 0}
+var walMagic = [WALHeaderSize]byte{'H', 'C', 'W', 'L', 2, 0, 0, 0}
+
+// WALHeaderSize is the length of the file header: record 1 of a WAL file
+// starts at this offset.
+const WALHeaderSize = 8
 
 // walRecordHeader is the per-record framing overhead: length + checksum.
 const walRecordHeader = 8
@@ -103,12 +107,10 @@ type WALOptions struct {
 	// OnRecord, when set, is called once per appended record after the
 	// record has been handed to the OS (i.e. once the append will be
 	// acknowledged), in sequence order, with the record's 1-based sequence
-	// number and its framed bytes (length prefix, checksum, payload). The
-	// callee may retain the frame but not write to it: the frames of one
-	// append are sub-slices of one allocation, which stays reachable while
-	// any of them is. Called with the WAL's append lock held: keep it
-	// short — replication uses it to feed an in-memory tail, never to
-	// block on I/O.
+	// number and its framed bytes (length prefix, checksum, payload), which
+	// it must not write to. Called with the WAL's append lock held: keep it
+	// short — replication uses it to track where acked records end in the
+	// file, never to block on I/O.
 	OnRecord func(seq int64, frame []byte)
 }
 

@@ -122,7 +122,7 @@ func TestRecordScannerResumesAfterMidRecordCut(t *testing.T) {
 	var offsets []int // cumulative frame sizes, after the file header
 	off := len(walMagic)
 	for sc.Scan() {
-		off += len(sc.Frame())
+		off += walRecordHeader + int(binary.LittleEndian.Uint32(full[off:]))
 		offsets = append(offsets, off)
 		if sc.Offset() != int64(off) {
 			t.Fatalf("record %d: Offset = %d, want %d (header + frames so far)", sc.Seq(), sc.Offset(), off)
