@@ -177,9 +177,9 @@ func runQualityArm(name string, adaptive bool, wl *qualityWorkload, redundancy i
 			log.Fatalf("hcsim: fetching task %d: %v", id, err)
 		}
 		if v.Status != task.Done {
-			log.Fatalf("hcsim: task %d not completed (status %v, %d answers)", id, v.Status, len(v.Answers))
+			log.Fatalf("hcsim: task %d not completed (status %v, %d answers)", id, v.Status, len(v.Answers()))
 		}
-		answers += len(v.Answers)
+		answers += len(v.Answers())
 		info, err := sys.TaskPosterior(id)
 		if err != nil {
 			log.Fatalf("hcsim: posterior for task %d: %v", id, err)

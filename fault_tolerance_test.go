@@ -102,8 +102,8 @@ func TestCrashRecoverySoak(t *testing.T) {
 				if err != nil {
 					t.Fatalf("acked task %d lost: %v", id, err)
 				}
-				if len(tk.Answers) != ackedAnswers[id] {
-					t.Fatalf("task %d has %d answers, acked %d", id, len(tk.Answers), ackedAnswers[id])
+				if len(tk.Answers()) != ackedAnswers[id] {
+					t.Fatalf("task %d has %d answers, acked %d", id, len(tk.Answers()), ackedAnswers[id])
 				}
 			}
 

@@ -112,7 +112,7 @@ func TestServiceLifecycleWithJournalRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("task %d lost: %v", id, err)
 		}
-		if tk.Status != task.Done || len(tk.Answers) != 2 {
+		if tk.Status != task.Done || len(tk.Answers()) != 2 {
 			t.Fatalf("task %d state after recovery: %+v", id, tk)
 		}
 	}
@@ -418,18 +418,18 @@ func TestConcurrentDispatchSoak(t *testing.T) {
 	for _, tk := range list.Tasks {
 		switch tk.Status {
 		case task.Done:
-			if len(tk.Answers) != tk.Redundancy {
-				t.Errorf("task %d done with %d/%d answers", tk.ID, len(tk.Answers), tk.Redundancy)
+			if len(tk.Answers()) != int(tk.Redundancy) {
+				t.Errorf("task %d done with %d/%d answers", tk.ID, len(tk.Answers()), tk.Redundancy)
 			}
 		case task.Canceled:
-			if len(tk.Answers) > tk.Redundancy {
-				t.Errorf("task %d canceled with %d answers", tk.ID, len(tk.Answers))
+			if len(tk.Answers()) > int(tk.Redundancy) {
+				t.Errorf("task %d canceled with %d answers", tk.ID, len(tk.Answers()))
 			}
 		default:
 			t.Errorf("task %d still %v after drain", tk.ID, tk.Status)
 		}
 		workers := map[string]bool{}
-		for _, a := range tk.Answers {
+		for _, a := range tk.Answers() {
 			if workers[a.WorkerID] {
 				t.Errorf("task %d: worker %s answered twice", tk.ID, a.WorkerID)
 			}

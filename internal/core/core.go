@@ -521,7 +521,7 @@ func (s *System) checkGold(res queue.CompleteResult, tr trace.TraceID) {
 	}
 	s.rep.Record(res.Answer.WorkerID, AnswerMatches(res.Kind, expected, res.Answer))
 	s.goldChecked.Inc()
-	s.emit(trace.StageGold, res.TaskID, res.Answer.WorkerID, res.Answer.At, tr)
+	s.emit(trace.StageGold, res.TaskID, res.Answer.WorkerID, res.Answer.At.Time(), tr)
 }
 
 // AnswerMatches reports whether a matches the expected gold answer for a
@@ -667,12 +667,13 @@ func (s *System) AggregateChoice(id task.ID) (ChoiceResult, error) {
 	if t.Kind != task.Compare && t.Kind != task.Judge {
 		return ChoiceResult{}, fmt.Errorf("%w: %v", ErrWrongKind, t.Kind)
 	}
-	if len(t.Answers) == 0 {
+	answers := t.Answers()
+	if len(answers) == 0 {
 		return ChoiceResult{}, errors.New("core: no answers yet")
 	}
-	votes := make([]quality.Vote, len(t.Answers))
+	votes := make([]quality.Vote, len(answers))
 	totalW := 0.0
-	for i, a := range t.Answers {
+	for i, a := range answers {
 		votes[i] = quality.Vote{Worker: a.WorkerID, Class: a.Choice}
 		w := s.rep.Weight(a.WorkerID)
 		if w < 1e-6 {
@@ -703,7 +704,7 @@ func (s *System) AggregateWords(id task.ID) ([]WordCount, error) {
 		return nil, fmt.Errorf("%w: %v", ErrWrongKind, t.Kind)
 	}
 	counts := map[int]int{}
-	for _, a := range t.Answers {
+	for _, a := range t.Answers() {
 		seen := map[int]bool{}
 		for _, w := range a.Words {
 			if !seen[w] { // one vote per worker per word

@@ -90,7 +90,7 @@ func TestSubmitLeaseAnswerFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Status != task.Done || len(got.Answers) != 2 {
+	if got.Status != task.Done || len(got.Answers()) != 2 {
 		t.Fatalf("task after redundancy: %+v", got)
 	}
 	st := s.Stats()

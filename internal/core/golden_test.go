@@ -250,7 +250,7 @@ func runGoldenSchedule(t *testing.T) (walBytes, snapBytes, text []byte) {
 			if err == nil {
 				held = append(held, goldenLease{lease, v.ID, v.Kind, worker})
 			}
-			fmt.Fprintf(&log, "%03d next %s -> task=%d lease=%d answers=%d %s\n", step, worker, v.ID, lease, len(v.Answers), errStr(err))
+			fmt.Fprintf(&log, "%03d next %s -> task=%d lease=%d answers=%d %s\n", step, worker, v.ID, lease, len(v.Answers()), errStr(err))
 		case op < 12: // batch lease
 			max := 1 + r.Intn(4)
 			ctx, done := ctxFor("lease_batch")
@@ -483,7 +483,7 @@ func TestLateJournalledAnswerRecovers(t *testing.T) {
 			if err := <-cyAcked; err != nil {
 				t.Fatalf("cy's answer, recorded while the task was open, was refused: %v", err)
 			}
-			if v, err := s.Task(id); err != nil || v.Status == task.Open || v.Answers[len(v.Answers)-1].WorkerID != "cy" {
+			if v, err := s.Task(id); err != nil || v.Status == task.Open || v.Answers()[len(v.Answers())-1].WorkerID != "cy" {
 				t.Fatalf("live task after the schedule: %+v, %v; want closed with cy's answer last", v, err)
 			}
 
@@ -593,7 +593,7 @@ func TestAnswerCannotOvertakeInTheLog(t *testing.T) {
 	live, _ := s.Task(id)
 	got, _ := recovered.Task(id)
 	order := func(v task.View) (ws []string) {
-		for _, a := range v.Answers {
+		for _, a := range v.Answers() {
 			ws = append(ws, a.WorkerID)
 		}
 		return ws
@@ -813,7 +813,7 @@ func TestSubmitIsJournalledBeforeItIsLeasable(t *testing.T) {
 	if live, got := s.Store().Count(task.Open), recovered.Store().Count(task.Open); live != 1 || got != 1 {
 		t.Fatalf("open tasks: live %d, recovered %d; want 1 each", live, got)
 	}
-	if v, err := recovered.Task(id); err != nil || len(v.Answers) != 1 || v.Answers[0].WorkerID != "late" {
+	if v, err := recovered.Task(id); err != nil || len(v.Answers()) != 1 || v.Answers()[0].WorkerID != "late" {
 		t.Fatalf("recovered task %+v, %v; want late's answer alone", v, err)
 	}
 }

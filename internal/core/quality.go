@@ -105,7 +105,7 @@ func (s *System) observeAnswer(res queue.CompleteResult, now time.Time) (conf fl
 		res.Answers >= s.qp.minAnswers && !s.IsGold(res.TaskID) {
 		if v, finished := s.queue.FinishEarly(res.TaskID, now); finished {
 			s.qp.est.Complete(key)
-			if saved := v.Redundancy - len(v.Answers); saved > 0 {
+			if saved := v.Remaining(); saved > 0 {
 				s.qp.redundancySaved.Add(int64(saved))
 			}
 			s.qp.earlyCompleted.Inc()

@@ -68,10 +68,10 @@ func TestEarlyCompletionOnConfidence(t *testing.T) {
 	if got.Status != task.Done {
 		pi, perr := s.TaskPosterior(id)
 		t.Fatalf("task should have finished early: status=%v answers=%d posterior=%v (%v)",
-			got.Status, len(got.Answers), pi.Posterior, perr)
+			got.Status, len(got.Answers()), pi.Posterior, perr)
 	}
-	if len(got.Answers) != 2 {
-		t.Fatalf("early-done task has %d answers, want 2", len(got.Answers))
+	if len(got.Answers()) != 2 {
+		t.Fatalf("early-done task has %d answers, want 2", len(got.Answers()))
 	}
 	qs := s.Stats().Quality
 	if qs.EarlyCompleted != 1 || qs.RedundancySaved != 3 {
@@ -137,7 +137,7 @@ func TestGoldProbesNeverFinishEarly(t *testing.T) {
 	}
 	got, _ := s.Task(id)
 	if got.Status != task.Open {
-		t.Fatalf("gold probe finished early at %d/%d answers", len(got.Answers), len(workers))
+		t.Fatalf("gold probe finished early at %d/%d answers", len(got.Answers()), len(workers))
 	}
 }
 
@@ -173,8 +173,8 @@ func TestBadChoiceRejectedAtSubmission(t *testing.T) {
 		t.Fatalf("negative choice: %v", err)
 	}
 	got, _ := s.Task(id)
-	if len(got.Answers) != 0 {
-		t.Fatalf("poisoned votes recorded: %d", len(got.Answers))
+	if len(got.Answers()) != 0 {
+		t.Fatalf("poisoned votes recorded: %d", len(got.Answers()))
 	}
 	// Batch path: the bad item reports its own error, the good one lands.
 	if err := s.SubmitAnswer(lease, task.Answer{Choice: 1}); err != nil {
@@ -337,8 +337,8 @@ func TestCalibrationJournalReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Status != task.Done || len(v.Answers) != 2 {
-		t.Fatalf("after replay: status=%v answers=%d", v.Status, len(v.Answers))
+	if v.Status != task.Done || len(v.Answers()) != 2 {
+		t.Fatalf("after replay: status=%v answers=%d", v.Status, len(v.Answers()))
 	}
 	// Gold expectations and reputation tallies rebuilt from the journal.
 	for _, w := range workers {

@@ -70,11 +70,11 @@ func TestSubmitNextAnswerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Status != task.Done || len(got.Answers) != 2 {
+	if got.Status != task.Done || len(got.Answers()) != 2 {
 		t.Fatalf("final task = %+v", got)
 	}
-	if got.Answers[0].WorkerID != "alice" {
-		t.Fatalf("worker attribution lost: %+v", got.Answers[0])
+	if got.Answers()[0].WorkerID != "alice" {
+		t.Fatalf("worker attribution lost: %+v", got.Answers()[0])
 	}
 	words, err := c.WordsContext(context.Background(), id)
 	if err != nil {
@@ -158,8 +158,8 @@ func TestLocatePayloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Answers[0].Box != box {
-		t.Fatalf("box round trip = %+v", got.Answers[0].Box)
+	if got.Answers()[0].Box != box {
+		t.Fatalf("box round trip = %+v", got.Answers()[0].Box)
 	}
 }
 
@@ -173,9 +173,20 @@ func TestErrorMapping(t *testing.T) {
 		t.Fatalf("unknown lease: %v", err)
 	}
 
-	// Bad redundancy → 422.
-	if _, err := c.Submit(task.Label, task.Payload{}, 0, 0); !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnprocessableEntity {
-		t.Fatalf("bad redundancy: %v", err)
+	// Bad redundancy → 422: none, or more than a task can hold, singly
+	// and as items of a batch.
+	for _, r := range []int{0, task.MaxRedundancy + 1} {
+		if _, err := c.Submit(task.Label, task.Payload{}, r, 0); !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnprocessableEntity {
+			t.Fatalf("redundancy %d: %v", r, err)
+		}
+	}
+	results, err := c.SubmitBatchContext(context.Background(), []SubmitRequest{
+		{Kind: "label", Redundancy: task.MaxRedundancy + 1},
+		{Kind: "label", Redundancy: task.MaxRedundancy},
+		{Kind: "label", Redundancy: 0},
+	})
+	if err != nil || results[0].Status != http.StatusUnprocessableEntity || results[1].Status != http.StatusCreated || results[2].Status != http.StatusUnprocessableEntity {
+		t.Fatalf("batch of redundancies 65536, 65535 and 0: %+v, %v", results, err)
 	}
 
 	// Empty answer → 422.
@@ -614,17 +625,14 @@ func TestListTasksCopiesOnlyThePage(t *testing.T) {
 	at := time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
 	for i := 1; i <= n; i++ {
 		id := task.ID(i)
-		tk := &task.Task{
-			ID: id, Kind: task.Label, Payload: task.Payload{ImageID: i, Detail: &task.Detail{Taboo: []int{1}}}, Redundancy: 3, CreatedAt: task.StampOf(at),
-			Answers: []task.Answer{
-				{TaskID: id, WorkerID: "a", At: at, Words: []int{i}},
-				{TaskID: id, WorkerID: "b", At: at, Words: []int{i + 1}},
-			},
-		}
+		tk := &task.Task{ID: id, Kind: task.Label, Payload: task.Payload{ImageID: i, Detail: &task.Detail{Taboo: []int{1}}}, Redundancy: 3, CreatedAt: task.StampOf(at)}
+		var doneAt time.Time
 		if i%10 == 0 {
-			tk.Status, tk.DoneAt = task.Done, task.StampOf(at)
+			tk.Status, doneAt = task.Done, at
 		}
-		sys.Store().Put(tk)
+		sys.Store().Put(withEnded(tk, doneAt,
+			task.Answer{TaskID: id, WorkerID: "a", At: task.StampOf(at), Words: []int{i}},
+			task.Answer{TaskID: id, WorkerID: "b", At: task.StampOf(at), Words: []int{i + 1}}))
 	}
 	srv := NewServer(sys)
 	list := func(query string) TaskList {
@@ -645,7 +653,7 @@ func TestListTasksCopiesOnlyThePage(t *testing.T) {
 	if page.Total != n || len(page.Tasks) != 50 || page.Tasks[0].ID != 1001 || page.Tasks[49].ID != 1050 {
 		t.Fatalf("page: total %d, %d tasks from %d", page.Total, len(page.Tasks), page.Tasks[0].ID)
 	}
-	if got := page.Tasks[7]; len(got.Answers) != 2 || got.Answers[1].Words[0] != 1009 || got.Payload.Taboo[0] != 1 {
+	if got := page.Tasks[7]; len(got.Answers()) != 2 || got.Answers()[1].Words[0] != 1009 || got.Payload.Taboo[0] != 1 {
 		t.Fatalf("task in the page lost data: %+v", got)
 	}
 	done := list("status=done&limit=3&offset=2")
@@ -680,9 +688,34 @@ func TestListTasksCopiesOnlyThePage(t *testing.T) {
 	}
 }
 
+// withEnded gives tk the DoneAt done (none if zero) and answers.
+func withEnded(tk *task.Task, done time.Time, answers ...task.Answer) *task.Task {
+	tk.SetEnded(task.StampOf(done), answers)
+	return tk
+}
+
+// stdlibTask is a task's encoding spelled as struct tags: its field list,
+// order and tags. json.Encoder writes it by reflection, so it is the
+// reference the task codec's bytes are held to, not the codec itself.
+type stdlibTask struct {
+	ID         task.ID       `json:"id"`
+	Kind       task.Kind     `json:"kind"`
+	Status     task.Status   `json:"status"`
+	CreatedAt  task.Stamp    `json:"created_at"`
+	DoneAt     task.Stamp    `json:"done_at,omitzero"`
+	Payload    task.Payload  `json:"payload"`
+	Redundancy int           `json:"redundancy"`
+	Priority   int           `json:"priority"`
+	Answers    []task.Answer `json:"answers,omitempty"`
+}
+
+func stdlibTaskOf(tk *task.Task) stdlibTask {
+	return stdlibTask{tk.ID, tk.Kind, tk.Status, tk.CreatedAt, tk.DoneAt(), tk.Payload, int(tk.Redundancy), tk.Priority, tk.Answers()}
+}
+
 // TestGetTaskBodyIsTheEncodersBytes: GET /v1/tasks/{id} encodes the stored
 // task where it is, and the body is byte for byte what json.Encoder makes
-// of its view — answers, taboo lists, and the characters encoding/json
+// of its fields — answers, taboo lists, and the characters encoding/json
 // escapes in strings (<, >, & and U+2028) included. An unknown task is a
 // 404 and a task encoding/json cannot encode the 500 it always was.
 func TestGetTaskBodyIsTheEncodersBytes(t *testing.T) {
@@ -690,15 +723,13 @@ func TestGetTaskBodyIsTheEncodersBytes(t *testing.T) {
 	at := time.Date(2026, 7, 6, 12, 0, 0, 5, time.FixedZone("", 3600))
 	odd := "a<b>&c\u2028d\u2029\"é"
 	stored := []*task.Task{
-		{ID: 1, Kind: task.Label, Payload: task.Payload{ImageID: 3, Detail: &task.Detail{Taboo: []int{4, 5}}}, Redundancy: 3, Priority: 2, CreatedAt: task.StampOf(at),
-			Answers: []task.Answer{
-				{TaskID: 1, WorkerID: odd, At: at, Words: []int{7, 8}},
-				{TaskID: 1, WorkerID: "b", At: at.Add(time.Second), Words: []int{9}},
-			}},
-		{ID: 2, Kind: task.Transcribe, Payload: task.Payload{Detail: &task.Detail{WordImg: odd}}, Redundancy: 1, Status: task.Done, CreatedAt: task.StampOf(at), DoneAt: task.StampOf(at.Add(time.Minute)),
-			Answers: []task.Answer{{TaskID: 2, WorkerID: "w", At: at, Text: odd}}},
-		{ID: 3, Kind: task.Locate, Payload: task.Payload{ImageID: 1, Detail: &task.Detail{Word: 2}}, Redundancy: 2, Status: task.Canceled, CreatedAt: task.StampOf(at), DoneAt: task.StampOf(at),
-			Answers: []task.Answer{{TaskID: 3, WorkerID: "x", At: at, Box: vocab.Rect{X: 1, Y: 2, W: 3, H: 4}}}},
+		withEnded(&task.Task{ID: 1, Kind: task.Label, Payload: task.Payload{ImageID: 3, Detail: &task.Detail{Taboo: []int{4, 5}}}, Redundancy: 3, Priority: 2, CreatedAt: task.StampOf(at)}, time.Time{},
+			task.Answer{TaskID: 1, WorkerID: odd, At: task.StampOf(at), Words: []int{7, 8}},
+			task.Answer{TaskID: 1, WorkerID: "b", At: task.StampOf(at.Add(time.Second)), Words: []int{9}}),
+		withEnded(&task.Task{ID: 2, Kind: task.Transcribe, Payload: task.Payload{Detail: &task.Detail{WordImg: odd}}, Redundancy: 1, Status: task.Done, CreatedAt: task.StampOf(at)}, at.Add(time.Minute),
+			task.Answer{TaskID: 2, WorkerID: "w", At: task.StampOf(at), Text: odd}),
+		withEnded(&task.Task{ID: 3, Kind: task.Locate, Payload: task.Payload{ImageID: 1, Detail: &task.Detail{Word: 2}}, Redundancy: 2, Status: task.Canceled, CreatedAt: task.StampOf(at)}, at,
+			task.Answer{TaskID: 3, WorkerID: "x", At: task.StampOf(at), Box: vocab.Rect{X: 1, Y: 2, W: 3, H: 4}}),
 		{ID: 4, Kind: task.Compare, Payload: task.Payload{ImageID: 1, ImageB: 2}, Redundancy: 1, CreatedAt: task.StampOf(at)},
 	}
 	for _, tk := range stored {
@@ -712,7 +743,7 @@ func TestGetTaskBodyIsTheEncodersBytes(t *testing.T) {
 	}
 	for _, tk := range stored {
 		var want bytes.Buffer
-		if err := json.NewEncoder(&want).Encode(tk.View()); err != nil {
+		if err := json.NewEncoder(&want).Encode(stdlibTaskOf(tk)); err != nil {
 			t.Fatal(err)
 		}
 		rec := get(tk.ID)

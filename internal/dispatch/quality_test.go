@@ -153,8 +153,8 @@ func TestBatchAnswerCarriesPosterior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Status != task.Done || len(v.Answers) != 2 {
-		t.Fatalf("task after early finish: status=%v answers=%d", v.Status, len(v.Answers))
+	if v.Status != task.Done || len(v.Answers()) != 2 {
+		t.Fatalf("task after early finish: status=%v answers=%d", v.Status, len(v.Answers()))
 	}
 	if st := sys.QualityStats(); st.EarlyCompleted != 1 || st.RedundancySaved != 3 {
 		t.Fatalf("quality stats = %+v", st)

@@ -77,10 +77,10 @@ func TestAgreementIsOneRecord(t *testing.T) {
 			t.Fatalf("the agreement's record is %+v, want a submit", e)
 		}
 		tk := e.Task
-		if tk.Kind != task.Label || tk.Status != task.Done || tk.Payload.ImageID != item || len(tk.Answers) != len(players) {
+		if tk.Kind != task.Label || tk.Status != task.Done || tk.Payload.ImageID != item || len(tk.Answers()) != len(players) {
 			t.Fatalf("the agreement's task is %+v, want a done label task on item %d with %d answers", tk, item, len(players))
 		}
-		for i, a := range tk.Answers {
+		for i, a := range tk.Answers() {
 			if a.WorkerID != players[i] || len(a.Words) != 1 || a.Words[0] != word {
 				t.Fatalf("answer %d is %+v, want %s typing %d", i, a, players[i], word)
 			}

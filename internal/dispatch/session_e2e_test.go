@@ -151,11 +151,11 @@ func TestSessionE2E(t *testing.T) {
 	if backing == nil {
 		t.Fatalf("no done Label task for item %d (tasks: %+v)", item, list.Tasks)
 	}
-	if len(backing.Answers) != 2 {
-		t.Fatalf("backing task has %d answers", len(backing.Answers))
+	if len(backing.Answers()) != 2 {
+		t.Fatalf("backing task has %d answers", len(backing.Answers()))
 	}
 	workers := map[string]bool{}
-	for _, a := range backing.Answers {
+	for _, a := range backing.Answers() {
 		workers[a.WorkerID] = true
 		if len(a.Words) != 1 || a.Words[0] != word {
 			t.Fatalf("answer words = %v", a.Words)

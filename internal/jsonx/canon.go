@@ -166,6 +166,10 @@ func (c *Canon) Lit(lit string) {
 	}
 }
 
+// Fail marks the input non-canonical: for a caller that parses a piece
+// itself (see Quoted) and finds it is not what the encoder writes.
+func (c *Canon) Fail() { c.bad = true }
+
 // Int64 consumes a decimal integer as strconv.AppendInt writes it: an
 // optional minus sign, no leading zeros, no fraction or exponent.
 func (c *Canon) Int64() int64 {
@@ -218,6 +222,16 @@ func (c *Canon) Uint8() uint8 {
 	return uint8(n)
 }
 
+// Uint16 is Uint8 for a value that must fit a uint16.
+func (c *Canon) Uint16() uint16 {
+	n := c.Int64()
+	if uint64(n) > 1<<16-1 {
+		c.bad = true
+		return 0
+	}
+	return uint16(n)
+}
+
 // rawString consumes a quoted string holding no escape, no control byte and
 // only valid UTF-8 — so its contents are its value — and returns the
 // contents as a sub-slice of the input.
@@ -252,13 +266,22 @@ func (c *Canon) rawString() []byte {
 // to encoding/json.
 func (c *Canon) Str() string { return string(c.rawString()) }
 
+// Quoted consumes a string written without escapes and returns it, quotes
+// included, as a sub-slice of the input, for the caller to parse.
+func (c *Canon) Quoted() []byte {
+	start := c.b
+	raw := c.rawString()
+	if c.bad {
+		return nil
+	}
+	return start[:len(raw)+2]
+}
+
 // Time consumes a timestamp into t through time.Time.UnmarshalJSON — the
 // function encoding/json calls — so the decoded value, zone included, is
 // the stdlib's.
 func (c *Canon) Time(t *time.Time) {
-	start := c.b
-	raw := c.rawString()
-	if c.bad || t.UnmarshalJSON(start[:len(raw)+2]) != nil {
+	if q := c.Quoted(); c.bad || t.UnmarshalJSON(q) != nil {
 		c.bad = true
 	}
 }

@@ -333,10 +333,10 @@ func killLeaderTrial(t *testing.T, cut int64) {
 			failed()
 			t.Fatalf("acked task %d lost in failover: %v", id, err)
 		}
-		if len(tk.Answers) != ackedAnswers[id] {
+		if len(tk.Answers()) != ackedAnswers[id] {
 			failed()
 			t.Fatalf("task %d has %d answers after failover, acked %d",
-				id, len(tk.Answers), ackedAnswers[id])
+				id, len(tk.Answers()), ackedAnswers[id])
 		}
 		if id > maxID {
 			maxID = id

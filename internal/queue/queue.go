@@ -451,7 +451,7 @@ func (q *Queue) freeLocked(t *task.Task, workerID string) int {
 		}
 		free--
 	}
-	for _, a := range t.Answers {
+	for _, a := range t.Answers() {
 		if a.WorkerID == workerID {
 			return 0
 		}
@@ -503,14 +503,15 @@ func (q *Queue) completeLocked(id LeaseID, a task.Answer, now time.Time, tr trac
 	// The journal gets the answer as the task holds it, stamped: a pointer
 	// into the task's answer list, which only grows, and only under this
 	// lock.
-	recorded := &t.Answers[len(t.Answers)-1]
+	answers := t.Answers()
+	recorded := &answers[len(answers)-1]
 	res := CompleteResult{
 		TaskID:     t.ID,
 		Kind:       t.Kind,
 		Status:     t.Status,
 		Answer:     *recorded,
-		Answers:    len(t.Answers),
-		Redundancy: t.Redundancy,
+		Answers:    len(answers),
+		Redundancy: int(t.Redundancy),
 	}
 	q.dropLeaseLocked(l)
 	q.emit(trace.StageAnswer, t.ID, l.WorkerID, now, tr)
@@ -518,7 +519,7 @@ func (q *Queue) completeLocked(id LeaseID, a task.Answer, now time.Time, tr trac
 	if t.Status == task.Done {
 		q.closeLocked(t)
 		q.emit(trace.StageComplete, t.ID, "", now, tr)
-		q.rec.ObserveStage(trace.StageComplete, now.Sub(t.Answers[0].At), tr)
+		q.rec.ObserveStage(trace.StageComplete, now.Sub(answers[0].At.Time()), tr)
 	}
 	return res, store.Event{Kind: store.EventAnswer, At: now, TaskID: t.ID, Answer: recorded}, nil
 }
@@ -658,8 +659,8 @@ func (q *Queue) FinishEarly(id task.ID, now time.Time) (task.View, bool) {
 	}
 	v := t.View()
 	q.emit(trace.StageComplete, id, "", now, trace.TraceID{})
-	if len(v.Answers) > 0 {
-		q.rec.ObserveStage(trace.StageComplete, now.Sub(v.Answers[0].At), trace.TraceID{})
+	if answers := v.Answers(); len(answers) > 0 {
+		q.rec.ObserveStage(trace.StageComplete, now.Sub(answers[0].At.Time()), trace.TraceID{})
 	}
 	_ = q.writeThen(trace.Handle{}, []store.Event{{Kind: store.EventFinish, At: now, TaskID: id}}, q.mu.Unlock)
 	return v, true

@@ -150,7 +150,7 @@ func TestCompleteStampsLeaseWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tk.Answers) != 0 {
+	if len(tk.Answers()) != 0 {
 		t.Fatalf("lease snapshot already has answers: %+v", tk)
 	}
 	a := answer(1)
@@ -167,8 +167,8 @@ func TestCompleteStampsLeaseWorker(t *testing.T) {
 	}
 	// The lease-time snapshot is immutable: completing must not have
 	// appended to it.
-	if len(tk.Answers) != 0 {
-		t.Fatalf("lease snapshot mutated by Complete: %+v", tk.Answers)
+	if len(tk.Answers()) != 0 {
+		t.Fatalf("lease snapshot mutated by Complete: %+v", tk.Answers())
 	}
 }
 
@@ -309,11 +309,11 @@ func TestNoDoubleLeaseProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if len(tk.Answers) > redundancy {
+			if len(tk.Answers()) > redundancy {
 				return false
 			}
 			seen := map[string]bool{}
-			for _, a := range tk.Answers {
+			for _, a := range tk.Answers() {
 				if seen[a.WorkerID] {
 					return false
 				}
@@ -417,8 +417,8 @@ func TestFinishEarly(t *testing.T) {
 	if !ok {
 		t.Fatal("FinishEarly refused an open task")
 	}
-	if fv.Status != task.Done || len(fv.Answers) != 1 {
-		t.Fatalf("finished view: status=%v answers=%d", fv.Status, len(fv.Answers))
+	if fv.Status != task.Done || len(fv.Answers()) != 1 {
+		t.Fatalf("finished view: status=%v answers=%d", fv.Status, len(fv.Answers()))
 	}
 	// Idempotent: a second finish (or finishing an unknown task) is a no-op.
 	if _, ok := q.FinishEarly(v.ID, t0); ok {

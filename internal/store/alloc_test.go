@@ -39,30 +39,131 @@ func leastMallocs(setup func() func()) (objects, bytes int64) {
 	return objects, bytes
 }
 
-// TestTaskRecordSize: a task is stored as one task.Task, which the runtime
-// serves from the smallest size class that holds it, 96 B. Kind and Status
-// are adjacent bytes, and the two 11-byte Stamps, CreatedAt and DoneAt,
-// fill the rest of their three words. The payload inputs only some kinds
-// use are behind one pointer, which an image task leaves nil, so the
-// payload is two ints and that pointer.
+// liveHeap returns the bytes held by live heap objects, after a collection.
+func liveHeap() int64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestTaskRecordSize: an open task is stored as one task.Task of 64 B, the
+// runtime's 64-B size class. Kind, Status, the 16-bit Redundancy and the
+// 11-byte CreatedAt share two words; what only an answered or ended task
+// holds, its DoneAt and answers, is behind one pointer, nil while it is
+// open. The payload inputs only some kinds use are behind another, which
+// an image task leaves nil, so the payload is two ints and that pointer. A
+// stored answer's time is an 11-byte Stamp too, which makes an Answer
+// 120 B.
 func TestTaskRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(task.Task{}); got > 96 {
-		t.Errorf("task.Task is %d B; want at most 96, its size class", got)
+	if got := unsafe.Sizeof(task.Task{}); got != 64 {
+		t.Errorf("task.Task is %d B; want 64", got)
 	}
 	if got := unsafe.Sizeof(task.Payload{}); got != 24 {
 		t.Errorf("task.Payload is %d B; want 24: ImageID, ImageB and the Detail pointer", got)
+	}
+	if got := unsafe.Sizeof(task.Answer{}); got != 120 {
+		t.Errorf("task.Answer is %d B; want 120", got)
+	}
+}
+
+// replayLog replays log into a fresh store and returns the store and the
+// live heap it added, per task.
+func replayLog(t *testing.T, log []byte, tasks int) (*Store, float64) {
+	t.Helper()
+	s := New()
+	before := liveHeap()
+	if _, err := ReplayWALObserved(bytes.NewReader(log), s, nil); err != nil {
+		t.Fatal(err)
+	}
+	after := liveHeap()
+	runtime.KeepAlive(log)
+	if s.Len() != tasks {
+		t.Fatalf("replayed %d tasks, want %d", s.Len(), tasks)
+	}
+	return s, float64(after-before) / float64(tasks)
+}
+
+// compareLog is a log of n compare submits at the given redundancy, each
+// task answered by the given number of workers, whose IDs are 16 B.
+func compareLog(t *testing.T, n, redundancy, answers int) []byte {
+	t.Helper()
+	var log bytes.Buffer
+	wal := NewWAL(&log)
+	for i := 1; i <= n; i++ {
+		tk, err := task.New(task.ID(i), task.Compare, task.Payload{ImageID: i, ImageB: i + 1}, redundancy, t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: tk}); err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < answers; w++ {
+			a := task.Answer{WorkerID: fmt.Sprintf("worker-%09d", w), Choice: w & 1}
+			if err := wal.Append(Event{Kind: EventAnswer, At: t0.Add(time.Second), TaskID: tk.ID, Answer: &a}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return log.Bytes()
+}
+
+// tableSlot is what a task's slot in a table page costs: a page is 1024
+// pointers, 8 KiB, which with the 8-B header the runtime gives a
+// pointer-holding object over 512 B is served from the 9472-B size class.
+const tableSlot = 9472.0 / 1024
+
+// TestOpenTaskHeap: an open task in a backlog costs its 64-B task.Task and
+// its table slot, and nothing else: after replaying 50 000 compare submits
+// the live heap is at most 64 B a task beside the table, whose last page is
+// not full and whose page map and key list take some hundreds of bytes. A
+// 96-B task made it 105.3 B.
+func TestOpenTaskHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory is not the production heap")
+	}
+	const n = 50_000
+	s, perTask := replayLog(t, compareLog(t, n, 3, 0), n)
+	t.Logf("%.1f B of live heap per open task", perTask)
+	if perTask > 64+tableSlot+0.25 {
+		t.Fatalf("an open task holds %.1f B of heap; want at most 64 for the task and %.2f for its table slot", perTask, tableSlot)
+	}
+	runtime.KeepAlive(s)
+}
+
+// TestDoneTaskHeap: an answered task costs no more than when its answers
+// hung off a 96-B task in a slice of their own. Its ended record holds its
+// DoneAt and its answers (120 B each, with a Stamp for a time) in one
+// allocation, with room for as many answers as it wants: at redundancy 1
+// the 64-B task and a 160-B record, at redundancy 3 a 416-B record —
+// exactly what the 96-B task and a slice of one or three 128-B answers
+// cost, 224 and 480 B. Each answer's worker ID is 16 B more, and the task
+// has its table slot. Measured, both layouts come to 249.5 and 537.5 B.
+func TestDoneTaskHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory is not the production heap")
+	}
+	const n = 10_000
+	for _, c := range []struct{ redundancy, ceiling int }{{1, 224 + 16}, {3, 480 + 3*16}} {
+		s, perTask := replayLog(t, compareLog(t, n, c.redundancy, c.redundancy), n)
+		t.Logf("redundancy %d: %.1f B of live heap per done task", c.redundancy, perTask)
+		if s.Count(task.Done) != n || perTask > float64(c.ceiling)+tableSlot+1 {
+			t.Fatalf("redundancy %d: %d of %d tasks done, %.1f B a task; want all done at most %d B and the table slot", c.redundancy, s.Count(task.Done), n, perTask, c.ceiling)
+		}
+		runtime.KeepAlive(s)
 	}
 }
 
 // TestReplayAllocatesWhatItKeeps: replaying a record allocates the state
 // the record adds to the store and no decoding scratch. A submit record of
-// an image task leaves a task.Task (96 B, no Detail) and fills an 8-byte
-// slot of a table page, which is allocated once per 1024 tasks and never
-// regrown; through encoding/json it cost 12 allocations and some 900 B,
-// and into a Go map, which doubles its way up, 1.01 allocations and 252 B.
-// The scanner's read buffer is charged to the records too. An answer
-// record leaves the answer's worker ID and word list, and once a task the
-// answers slice; the Answer it is decoded into belongs to the scanner.
+// an image task leaves a task.Task (64 B, no Detail, nothing answered) and
+// fills an 8-byte slot of a table page, which is allocated once per 1024
+// tasks and never regrown; through encoding/json it cost 12 allocations
+// and some 900 B, and into a Go map, which doubles its way up, 1.01
+// allocations and 252 B. The scanner's read buffer is charged to the
+// records too. An answer record leaves the answer's worker ID and word
+// list, and once a task the ended record that holds the answers; the
+// Answer it is decoded into belongs to the scanner.
 func TestReplayAllocatesWhatItKeeps(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not the production ones under the race detector")
@@ -103,7 +204,8 @@ func TestReplayAllocatesWhatItKeeps(t *testing.T) {
 		t.Fatalf("replaying %d submit records took %d allocations and %d B; want at most 1.01 and 128 B a record", n, objects, size)
 	}
 	// Three answers to each of n/3 tasks: per record a worker ID (16 B), a
-	// two-word list (16 B), a third of a three-slot answers slice (128 B).
+	// two-word list (16 B), a third of an ended record with three answer
+	// slots (416 B).
 	objects, size = mallocs(replay(&answers))
 	t.Logf("answer records: %.2f allocs, %.0f B per record", float64(objects)/n, float64(size)/n)
 	if objects > 3*n || size > 192*n {

@@ -4,40 +4,152 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"humancomp/internal/jsonx"
 	"humancomp/internal/task"
+	"humancomp/internal/vocab"
 )
 
+// refTask, refAnswer and refEvent are the records as encoding/json reads
+// and writes them by reflection: the field lists, orders and tags a task,
+// an answer and an event are encoded by, with every time a time.Time. They
+// are the fuzzers' reference, so the codec under test is never its own.
+type (
+	refTask struct {
+		ID         task.ID      `json:"id"`
+		Kind       task.Kind    `json:"kind"`
+		Status     task.Status  `json:"status"`
+		CreatedAt  time.Time    `json:"created_at"`
+		DoneAt     time.Time    `json:"done_at,omitzero"`
+		Payload    task.Payload `json:"payload"`
+		Redundancy int          `json:"redundancy"`
+		Priority   int          `json:"priority"`
+		Answers    []refAnswer  `json:"answers,omitempty"`
+	}
+	refAnswer struct {
+		TaskID   task.ID    `json:"task_id"`
+		WorkerID string     `json:"worker_id"`
+		At       time.Time  `json:"at"`
+		Words    []int      `json:"words,omitempty"`
+		Box      vocab.Rect `json:"box,omitzero"`
+		Text     string     `json:"text,omitempty"`
+		Choice   int        `json:"choice,omitempty"`
+	}
+	refEvent struct {
+		Kind   EventKind  `json:"kind"`
+		At     time.Time  `json:"at"`
+		Task   *refTask   `json:"task,omitempty"`
+		TaskID task.ID    `json:"task_id,omitempty"`
+		Answer *refAnswer `json:"answer,omitempty"`
+		Gold   *refAnswer `json:"gold,omitempty"`
+	}
+)
+
+func refTaskOf(t *task.Task) *refTask {
+	r := &refTask{
+		ID: t.ID, Kind: t.Kind, Status: t.Status, CreatedAt: t.CreatedAt.Time(), DoneAt: t.DoneAt().Time(),
+		Payload: t.Payload, Redundancy: int(t.Redundancy), Priority: t.Priority,
+	}
+	for _, a := range t.Answers() {
+		r.Answers = append(r.Answers, *refAnswerOf(&a))
+	}
+	return r
+}
+
+func refAnswerOf(a *task.Answer) *refAnswer {
+	if a == nil {
+		return nil
+	}
+	return &refAnswer{a.TaskID, a.WorkerID, a.At.Time(), a.Words, a.Box, a.Text, a.Choice}
+}
+
+func refEventOf(e *Event) *refEvent {
+	r := &refEvent{Kind: e.Kind, At: e.At, TaskID: e.TaskID, Answer: refAnswerOf(e.Answer), Gold: refAnswerOf(e.Gold)}
+	if e.Task != nil {
+		r.Task = refTaskOf(e.Task)
+	}
+	return r
+}
+
+// errTooRedundant stands for the refusal the codec owes a record that
+// encoding/json reads but whose redundancy a task.Task cannot hold.
+var errTooRedundant = errors.New("redundancy out of range")
+
+// task is r as a task.Task, or errTooRedundant.
+func (r *refTask) task() (*task.Task, error) {
+	if r.Redundancy < 0 || r.Redundancy > task.MaxRedundancy {
+		return nil, errTooRedundant
+	}
+	t := &task.Task{
+		ID: r.ID, Kind: r.Kind, Status: r.Status, Redundancy: uint16(r.Redundancy),
+		CreatedAt: task.StampOf(r.CreatedAt), Payload: r.Payload, Priority: r.Priority,
+	}
+	var answers []task.Answer
+	for i := range r.Answers {
+		answers = append(answers, *r.Answers[i].answer())
+	}
+	t.SetEnded(task.StampOf(r.DoneAt), answers)
+	return t, nil
+}
+
+func (r *refAnswer) answer() *task.Answer {
+	if r == nil {
+		return nil
+	}
+	return &task.Answer{TaskID: r.TaskID, WorkerID: r.WorkerID, At: task.StampOf(r.At), Words: r.Words, Box: r.Box, Text: r.Text, Choice: r.Choice}
+}
+
+// event is r as an Event, or errTooRedundant.
+func (r *refEvent) event() (e Event, err error) {
+	e = Event{Kind: r.Kind, At: r.At, TaskID: r.TaskID, Answer: r.Answer.answer(), Gold: r.Gold.answer()}
+	if r.Task != nil {
+		e.Task, err = r.Task.task()
+	}
+	return e, err
+}
+
+// sameOutcome reports whether the codec's error matches the reference's:
+// both nil, both refusals of encoding/json, or a redundancy the codec
+// refuses by name.
+func sameOutcome(got, want error) bool {
+	if errors.Is(want, errTooRedundant) {
+		return errors.Is(got, task.ErrBadRedundancy) && strings.Contains(got.Error(), "redundancy")
+	}
+	return (got == nil) == (want == nil)
+}
+
 // FuzzTaskCodecMatchesStdlib is the storage codec's contract: on every
-// input it is encoding/json. Each fuzz input is used twice. As text, it is
-// decoded as an event, a task and an answer by the codec and by
-// json.Unmarshal, which must agree on error-or-not and on the value. As a
-// source of field values, it is turned into an event (with its task and
-// answers), whose encoding by the codec must be json.Marshal's bytes — or
-// json.Marshal's refusal — and those bytes are then decoded both ways too.
+// input it is encoding/json over the reference records above, but for a
+// redundancy a task cannot hold, which it refuses by name. Each fuzz input
+// is used twice. As text, it is decoded as an event, a task and an answer
+// by the codec and by json.Unmarshal, which must agree on error-or-not and
+// on the value. As a source of field values, it is turned into an event
+// (with its task and answers), whose encoding by the codec must be
+// json.Marshal's bytes — or json.Marshal's refusal — and those bytes are
+// then decoded both ways too.
 func FuzzTaskCodecMatchesStdlib(f *testing.F) {
 	// Canonical records of every shape, then each way text can be valid JSON
 	// without being canonical, then text that is not JSON at all.
 	for _, tk := range richTasks(8) {
-		doc, err := json.Marshal(tk)
+		doc, err := json.Marshal(refTaskOf(tk))
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(doc)
 		f.Add(doc[:len(doc)*2/3])
-		ev, _ := json.Marshal(Event{Kind: EventSubmit, At: tk.CreatedAt.Time(), Task: tk})
+		ev, _ := json.Marshal(refEventOf(&Event{Kind: EventSubmit, At: tk.CreatedAt.Time(), Task: tk}))
 		f.Add(ev)
-		for i := range tk.Answers {
-			a := &tk.Answers[i]
-			doc, _ := json.Marshal(a)
+		for _, a := range tk.Answers() {
+			doc, _ := json.Marshal(refAnswerOf(&a))
 			f.Add(doc)
-			ev, _ := json.Marshal(Event{Kind: EventAnswer, At: a.At, TaskID: tk.ID, Answer: a})
+			ev, _ := json.Marshal(refEventOf(&Event{Kind: EventAnswer, At: a.At.Time(), TaskID: tk.ID, Answer: &a}))
 			f.Add(ev)
-			ev, _ = json.Marshal(Event{Kind: EventSubmit, At: a.At, Task: tk, Gold: a})
+			ev, _ = json.Marshal(refEventOf(&Event{Kind: EventSubmit, At: a.At.Time(), Task: tk, Gold: &a}))
 			f.Add(ev)
 			f.Add(ev[:len(ev)-1])
 		}
@@ -107,6 +219,20 @@ func FuzzTaskCodecMatchesStdlib(f *testing.F) {
 		`{"task_id":1,"worker_id":"w","at":"2026-07-06T12:00:00Z","box":{"X":1,"Y":2,"W":3,"H":4}}`,
 		`{"task_id":1,"worker_id":"w","at":"2026-07-06T12:00:00Z","box":{"x":1,"Y":2,"W":3,"H":4}}`,
 		`{"task_id":1,"worker_id":"w","at":"2026-07-06T12:00:00Z","words":null,"box":{"X":1,"Y":2,"W":3,"H":4}}`,
+		// Redundancy is 16 bits: the largest it holds, the first it does
+		// not, and one below zero, in a task, an event and a task set twice.
+		`{"id":1,"kind":0,"status":0,"created_at":"2026-07-06T12:00:00Z","payload":{},"redundancy":65535,"priority":0}`,
+		`{"id":1,"kind":0,"status":0,"created_at":"2026-07-06T12:00:00Z","payload":{},"redundancy":65536,"priority":0}`,
+		`{"id":1,"kind":0,"status":0,"created_at":"2026-07-06T12:00:00Z","payload":{},"redundancy":-1,"priority":0}`,
+		`{"kind":"submit","at":"2026-07-06T12:00:00Z","task":{"id":1,"kind":0,"status":0,"created_at":"2026-07-06T12:00:00Z","payload":{},"redundancy":65536,"priority":0}}`,
+		`{"kind":"submit","at":"2026-07-06T12:00:00Z","task":{"id":1,"redundancy":2,"priority":5,"payload":{"image_id":3}},"task":{"id":2,"payload":{"image_b":4}}}`,
+		// Offsets the canonical reader decodes without a time.Location,
+		// and forms only time.Parse reads.
+		`{"id":1,"kind":0,"status":1,"created_at":"2026-07-06T12:00:00+05:30","done_at":"2026-07-06T12:00:00.123456789123-09:45","payload":{},"redundancy":1,"priority":0}`,
+		`{"id":1,"kind":0,"status":0,"created_at":"2026-07-06T12:00:00,5Z","payload":{},"redundancy":1,"priority":0}`,
+		`{"id":1,"kind":0,"status":0,"created_at":"2026-07-06T1:00:00Z","payload":{},"redundancy":1,"priority":0}`,
+		`{"id":1,"kind":0,"status":0,"created_at":"2024-02-29T12:00:00Z","payload":{},"redundancy":1,"priority":0}`,
+		`{"id":1,"kind":0,"status":0,"created_at":"2026-02-29T12:00:00Z","payload":{},"redundancy":1,"priority":0}`,
 		`null`, `{}`, `[]`, `7`, `"x"`, `{`, ``, `{"kind":`, "\x00",
 	} {
 		f.Add([]byte(s))
@@ -117,22 +243,25 @@ func FuzzTaskCodecMatchesStdlib(f *testing.F) {
 
 		g := gen{data}
 		e := g.event()
-		want, wantErr := json.Marshal(&e)
+		want, wantErr := json.Marshal(refEventOf(&e))
 		got, gotErr := appendEvent([]byte("prefix"), &e)
 		encodesLikeStdlib(t, "event", got, gotErr, want, wantErr)
 		if wantErr == nil {
 			decodesLikeStdlib(t, want)
 		}
 		if e.Task != nil {
-			want, wantErr := json.Marshal(e.Task)
+			want, wantErr := json.Marshal(refTaskOf(e.Task))
 			got, gotErr := e.Task.AppendJSON([]byte("prefix"))
 			encodesLikeStdlib(t, "task", got, gotErr, want, wantErr)
 			if wantErr == nil {
 				decodesLikeStdlib(t, want)
 			}
+			// The task's json.Marshaler is the codec.
+			got, gotErr = json.Marshal(e.Task)
+			encodesLikeStdlib(t, "task by json.Marshal", append([]byte("prefix"), got...), gotErr, want, wantErr)
 		}
 		if e.Answer != nil {
-			want, wantErr := json.Marshal(e.Answer)
+			want, wantErr := json.Marshal(refAnswerOf(e.Answer))
 			got, ok := task.AppendAnswer([]byte("prefix"), e.Answer)
 			if ok != (wantErr == nil) {
 				t.Fatalf("answer %+v: AppendAnswer ok=%v, json.Marshal error %v", e.Answer, ok, wantErr)
@@ -159,25 +288,38 @@ func encodesLikeStdlib(t *testing.T, what string, got []byte, gotErr error, want
 }
 
 // decodesLikeStdlib decodes doc as each record type, by the codec and by
-// json.Unmarshal, and requires one outcome. The codec's targets start out
-// dirty, a populated payload Detail included: it must replace, not merge.
+// json.Unmarshal into the reference records, and requires one outcome. The
+// codec's targets start out dirty, a populated payload Detail included: it
+// must replace, not merge. On an error DecodeJSON leaves the zero task.
 func decodesLikeStdlib(t *testing.T, doc []byte) {
 	t.Helper()
-	dirty := task.Answer{TaskID: 99, WorkerID: "stale", At: t0, Words: []int{9}, Text: "stale", Choice: 9}
+	dirty := task.Answer{TaskID: 99, WorkerID: "stale", At: task.StampOf(t0), Words: []int{9}, Text: "stale", Choice: 9}
 	dirty.Box.W = 9
 
+	var ref refEvent
 	var wantEvent Event
-	wantErr := json.Unmarshal(doc, &wantEvent)
+	wantErr := json.Unmarshal(doc, &ref)
+	if wantErr == nil {
+		wantEvent, wantErr = ref.event()
+	}
 	gotEvent, gotErr := decodeEvent(doc, &answerBox{answer: dirty, gold: dirty})
-	if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(gotEvent, wantEvent) {
+	if !sameOutcome(gotErr, wantErr) || wantErr == nil && !reflect.DeepEqual(gotEvent, wantEvent) {
 		t.Fatalf("event %q\n codec: %+v, %v\nstdlib: %+v, %v", doc, gotEvent, gotErr, wantEvent, wantErr)
 	}
 
-	var wantTask task.Task
-	wantErr = json.Unmarshal(doc, &wantTask)
-	gotTask := task.Task{ID: 99, Payload: task.Payload{Detail: &task.Detail{WordImg: "stale", Taboo: []int{9}, ClipB: 9}}, DoneAt: task.StampOf(t0), Answers: []task.Answer{dirty}}
+	var refT refTask
+	wantTask := new(task.Task)
+	wantErr = json.Unmarshal(doc, &refT)
+	if wantErr == nil {
+		wantTask, wantErr = refT.task()
+	}
+	if wantErr != nil {
+		wantTask = new(task.Task)
+	}
+	gotTask := task.Task{ID: 99, Redundancy: 3, Payload: task.Payload{Detail: &task.Detail{WordImg: "stale", Taboo: []int{9}, ClipB: 9}}}
+	gotTask.SetEnded(task.StampOf(t0), []task.Answer{dirty})
 	gotErr = gotTask.DecodeJSON(doc)
-	if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(gotTask, wantTask) {
+	if !sameOutcome(gotErr, wantErr) || !reflect.DeepEqual(&gotTask, wantTask) {
 		t.Fatalf("task %q\n codec: %+v, %v\nstdlib: %+v, %v", doc, gotTask, gotErr, wantTask, wantErr)
 	}
 
@@ -188,8 +330,8 @@ func decodesLikeStdlib(t *testing.T, doc []byte) {
 	gotAnswer := dirty
 	task.DecodeAnswer(&c, &gotAnswer)
 	if c.Done() {
-		var wantAnswer task.Answer
-		if err := json.Unmarshal(doc, &wantAnswer); err != nil || !reflect.DeepEqual(gotAnswer, wantAnswer) {
+		var wantAnswer refAnswer
+		if err := json.Unmarshal(doc, &wantAnswer); err != nil || !reflect.DeepEqual(&gotAnswer, wantAnswer.answer()) {
 			t.Fatalf("answer %q\n codec: %+v\nstdlib: %+v, %v", doc, gotAnswer, wantAnswer, err)
 		}
 	}
@@ -262,7 +404,7 @@ func (g *gen) time() time.Time {
 }
 
 func (g *gen) answer() *task.Answer {
-	a := &task.Answer{TaskID: task.ID(g.int()), WorkerID: g.str(), At: g.time(), Words: g.ints(), Text: g.str(), Choice: g.int()}
+	a := &task.Answer{TaskID: task.ID(g.int()), WorkerID: g.str(), At: task.StampOf(g.time()), Words: g.ints(), Text: g.str(), Choice: g.int()}
 	a.Box.X, a.Box.Y, a.Box.W, a.Box.H = g.int(), g.int(), g.int(), g.int()
 	return a
 }
@@ -284,12 +426,15 @@ func (g *gen) task() *task.Task {
 	tk := &task.Task{
 		ID: task.ID(g.int()), Kind: task.Kind(g.int()),
 		Payload:    task.Payload{ImageID: g.int(), ImageB: g.int(), Detail: g.detail()},
-		Redundancy: g.int(), Priority: g.int(), Status: task.Status(g.int()),
-		CreatedAt: task.StampOf(g.time()), DoneAt: task.StampOf(g.time()),
+		Redundancy: uint16(g.int()), Priority: g.int(), Status: task.Status(g.int()),
+		CreatedAt: task.StampOf(g.time()),
 	}
+	done := task.StampOf(g.time())
+	var answers []task.Answer
 	for n := g.byte() % 4; n > 0; n-- {
-		tk.Answers = append(tk.Answers, *g.answer())
+		answers = append(answers, *g.answer())
 	}
+	tk.SetEnded(done, answers)
 	return tk
 }
 

@@ -63,7 +63,7 @@ type (
 )
 
 func toBoxAnswer(a *task.Answer) boxAnswer {
-	return boxAnswer{a.TaskID, a.WorkerID, a.At, a.Words, a.Box, a.Text, a.Choice}
+	return boxAnswer{a.TaskID, a.WorkerID, a.At.Time(), a.Words, a.Box, a.Text, a.Choice}
 }
 
 // oldForm turns tasks and answers into one earlier record shape.
@@ -78,7 +78,7 @@ var oldForms = []oldForm{
 	{
 		name: "stamps last",
 		task: func(t *task.Task) any {
-			return &stampsLastTask{t.ID, t.Kind, t.Status, t.Payload, t.Redundancy, t.Priority, t.CreatedAt.Time(), t.DoneAt.Time(), t.Answers}
+			return &stampsLastTask{t.ID, t.Kind, t.Status, t.Payload, int(t.Redundancy), t.Priority, t.CreatedAt.Time(), t.DoneAt().Time(), t.Answers()}
 		},
 		answer:  func(a *task.Answer) any { return a },
 		markers: []string{`"priority":0,"created_at":`, `"done_at":"0001-01-01T00:00:00Z"`},
@@ -86,9 +86,9 @@ var oldForms = []oldForm{
 	{
 		name: "status last",
 		task: func(t *task.Task) any {
-			o := &statusLastTask{t.ID, t.Kind, t.Payload, t.Redundancy, t.Priority, t.Status, t.CreatedAt.Time(), t.DoneAt.Time(), nil}
-			for i := range t.Answers {
-				o.Answers = append(o.Answers, toBoxAnswer(&t.Answers[i]))
+			o := &statusLastTask{t.ID, t.Kind, t.Payload, int(t.Redundancy), t.Priority, t.Status, t.CreatedAt.Time(), t.DoneAt().Time(), nil}
+			for _, a := range t.Answers() {
+				o.Answers = append(o.Answers, toBoxAnswer(&a))
 			}
 			return o
 		},

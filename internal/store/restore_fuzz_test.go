@@ -14,8 +14,9 @@ import (
 
 // decoderRestore is the reference restore: json.Decoder reads the
 // document a token at a time and decodes each task by reflection into a
-// task.Task. Restore reads the envelope through the same calls and hands
-// each task's text to the task codec instead.
+// refTask, which becomes a task.Task or errTooRedundant. Restore reads the
+// envelope through the same calls and hands each task's text to the task
+// codec instead.
 func decoderRestore(doc []byte) (tasks map[task.ID]*task.Task, version int, nextID task.ID, calibration json.RawMessage, err error) {
 	dec := json.NewDecoder(bytes.NewReader(doc))
 	tasks = make(map[task.ID]*task.Task)
@@ -43,8 +44,12 @@ func decoderRestore(doc []byte) (tasks map[task.ID]*task.Task, version int, next
 				break
 			}
 			for err == nil && dec.More() {
-				t := new(task.Task)
-				if err = dec.Decode(t); err != nil {
+				var r refTask
+				if err = dec.Decode(&r); err != nil {
+					break
+				}
+				var t *task.Task
+				if t, err = r.task(); err != nil {
 					break
 				}
 				if _, dup := tasks[t.ID]; dup {
@@ -102,6 +107,9 @@ func FuzzRestoreMatchesDecoder(f *testing.F) {
 		`{"version":1,"tasks":[{"id":-4}]}`,
 		`{"version":1,"next_id":-7,"tasks":[{"id":1024},{"id":-9223372036854775808},{"id":1023},{"id":4611686018427387904},{"id":0},{"id":9223372036854775807},{"id":1},{"id":-4}]}`,
 		`{"version":1,"tasks":[{"id":-1025},{"id":-1},{"id":-1025}]}`,
+		// A redundancy a task cannot hold is refused by name.
+		`{"version":1,"tasks":[{"id":1,"redundancy":65535},{"id":2,"redundancy":65536}]}`,
+		`{"version":1,"tasks":[{"id":1,"redundancy":-3}]}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -109,7 +117,7 @@ func FuzzRestoreMatchesDecoder(f *testing.F) {
 		wantTasks, _, wantNext, wantCal, wantErr := decoderRestore(doc)
 		s := New()
 		gotCal, gotErr := s.RestoreWith(bytes.NewReader(doc))
-		if (gotErr == nil) != (wantErr == nil) {
+		if !sameOutcome(gotErr, wantErr) {
 			t.Fatalf("document %q\nRestore: %v\njson.Decoder: %v", doc, gotErr, wantErr)
 		}
 		if gotErr != nil {

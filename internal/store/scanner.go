@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"humancomp/internal/task"
 )
 
 // ErrTornRecord reports a v2 record stream that ended mid-record: the
@@ -125,6 +127,11 @@ func (sc *RecordScanner) next() error {
 		return fmt.Errorf("store: record %d: checksum mismatch: %w", sc.seq+1, errCorruptRecord)
 	}
 	e, err := decodeEvent(payload, &sc.box)
+	if errors.Is(err, task.ErrBadRedundancy) {
+		// An intact record holding a task this version cannot store is
+		// refused by name, never dropped as damage with what follows it.
+		return fmt.Errorf("store: record %d: %w", sc.seq+1, err)
+	}
 	if err != nil {
 		return fmt.Errorf("store: record %d: decode: %v: %w", sc.seq+1, err, errCorruptRecord)
 	}

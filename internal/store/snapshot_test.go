@@ -55,7 +55,7 @@ func richTasks(n int) []*task.Task {
 			ID:         id,
 			Kind:       task.Kind(i % 6),
 			Payload:    task.Payload{ImageID: i, Detail: &task.Detail{Word: i % 7, WordImg: "<img& " + fmt.Sprint(i) + ">", ClipA: i, ClipB: -i}},
-			Redundancy: 1 + i%3,
+			Redundancy: uint16(1 + i%3),
 			Priority:   i%5 - 2,
 			Status:     task.Status(i % 3),
 			CreatedAt:  task.StampOf(created),
@@ -63,8 +63,9 @@ func richTasks(n int) []*task.Task {
 		if i%2 == 0 {
 			tk.Payload.Taboo = []int{i, i + 1, i + 2}
 		}
+		var answers []task.Answer
 		for a := 0; a < i%4; a++ {
-			ans := task.Answer{TaskID: id, WorkerID: fmt.Sprintf("w<%d>&", a), At: created.Add(time.Duration(a+1) * time.Second), Choice: a % 2}
+			ans := task.Answer{TaskID: id, WorkerID: fmt.Sprintf("w<%d>&", a), At: task.StampOf(created.Add(time.Duration(a+1) * time.Second)), Choice: a % 2}
 			switch a % 3 {
 			case 0:
 				ans.Words = []int{a, i, 42}
@@ -73,11 +74,13 @@ func richTasks(n int) []*task.Task {
 			case 2:
 				ans.Box.X, ans.Box.Y, ans.Box.W, ans.Box.H = a, i, 10, 20
 			}
-			tk.Answers = append(tk.Answers, ans)
+			answers = append(answers, ans)
 		}
+		var done task.Stamp
 		if tk.Status != task.Open {
-			tk.DoneAt = task.StampOf(created.Add(time.Hour))
+			done = task.StampOf(created.Add(time.Hour))
 		}
+		tk.SetEnded(done, answers)
 		out = append(out, tk)
 	}
 	return out
@@ -286,14 +289,15 @@ func (m *maxWrite) Write(p []byte) (int, error) {
 func fillPlain(s *Store, n int) {
 	for i := 1; i <= n; i++ {
 		id := task.ID(i)
-		s.Put(&task.Task{
+		tk := &task.Task{
 			ID: id, Kind: task.Label, Payload: task.Payload{ImageID: i, Detail: &task.Detail{Taboo: []int{1, 2}}}, Redundancy: 3,
 			CreatedAt: task.StampOf(t0),
-			Answers: []task.Answer{
-				{TaskID: id, WorkerID: "alice", At: t0, Words: []int{i, 7}},
-				{TaskID: id, WorkerID: "bob", At: t0, Words: []int{i, 9}},
-			},
+		}
+		tk.SetEnded(task.Stamp{}, []task.Answer{
+			{TaskID: id, WorkerID: "alice", At: task.StampOf(t0), Words: []int{i, 7}},
+			{TaskID: id, WorkerID: "bob", At: task.StampOf(t0), Words: []int{i, 9}},
 		})
+		s.Put(tk)
 	}
 }
 

@@ -154,10 +154,10 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind != a.Kind || len(got.Answers) != 1 || got.Answers[0].WorkerID != "w" {
+	if got.Kind != a.Kind || len(got.Answers()) != 1 || got.Answers()[0].WorkerID != "w" {
 		t.Fatalf("restored task lost data: %+v", got)
 	}
-	if len(got.Answers[0].Words) != 2 {
+	if len(got.Answers()[0].Words) != 2 {
 		t.Fatal("answer words lost")
 	}
 	// Allocator continues past restored IDs.
@@ -237,13 +237,13 @@ func TestViewDeepCopy(t *testing.T) {
 	if err := tk.Record(task.Answer{WorkerID: "b", Words: []int{6}}, t0); err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Answers) != 1 || v.Answers[0].Words[0] != 5 {
+	if len(v.Answers()) != 1 || v.Answers()[0].Words[0] != 5 {
 		t.Fatalf("view not isolated: %+v", v)
 	}
 	// … and view mutation never reaches the store.
-	v.Answers[0].Words[0] = 99
+	v.Answers()[0].Words[0] = 99
 	got, _ := s.Get(tk.ID)
-	if got.Answers[0].Words[0] != 5 {
+	if got.Answers()[0].Words[0] != 5 {
 		t.Fatalf("store sees view mutation: %+v", got)
 	}
 	if _, err := s.View(9999); !errors.Is(err, ErrNotFound) {
@@ -289,22 +289,25 @@ func (sp taskSpec) build() *task.Task {
 		ID:         id,
 		Kind:       task.Label,
 		Payload:    task.Payload{ImageID: int(sp.ID), Detail: &task.Detail{Taboo: []int{int(sp.Answers)}}},
-		Redundancy: int(sp.Answers%3) + 1,
+		Redundancy: uint16(sp.Answers%3) + 1,
 		Priority:   int(sp.Priority),
 		Status:     task.Status(sp.Status % 3),
 		CreatedAt:  task.StampOf(created),
 	}
+	var answers []task.Answer
 	for i := 0; i < int(sp.Answers%4); i++ {
-		t.Answers = append(t.Answers, task.Answer{
+		answers = append(answers, task.Answer{
 			TaskID:   id,
 			WorkerID: fmt.Sprintf("w%d", i),
-			At:       created.Add(time.Duration(i+1) * time.Second),
+			At:       task.StampOf(created.Add(time.Duration(i+1) * time.Second)),
 			Words:    []int{int(sp.ID), i},
 		})
 	}
+	var done task.Stamp
 	if t.Status != task.Open {
-		t.DoneAt = task.StampOf(created.Add(time.Minute))
+		done = task.StampOf(created.Add(time.Minute))
 	}
+	t.SetEnded(done, answers)
 	return t
 }
 
@@ -389,11 +392,11 @@ func TestViewByStatusNeverTorn(t *testing.T) {
 			if v.Status != st {
 				t.Errorf("ViewByStatus(%v): task %d has status %v", st, v.ID, v.Status)
 			}
-			if st == task.Done && len(v.Answers) < v.Redundancy {
-				t.Errorf("torn view: task %d is Done with %d/%d answers", v.ID, len(v.Answers), v.Redundancy)
+			if st == task.Done && len(v.Answers()) < int(v.Redundancy) {
+				t.Errorf("torn view: task %d is Done with %d/%d answers", v.ID, len(v.Answers()), v.Redundancy)
 			}
-			if st == task.Open && len(v.Answers) >= v.Redundancy {
-				t.Errorf("torn view: task %d is Open with %d/%d answers", v.ID, len(v.Answers), v.Redundancy)
+			if st == task.Open && len(v.Answers()) >= int(v.Redundancy) {
+				t.Errorf("torn view: task %d is Open with %d/%d answers", v.ID, len(v.Answers()), v.Redundancy)
 			}
 		}
 	}

@@ -385,8 +385,8 @@ func TestApplyEventBesideViews(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if (v.Status == task.Done) != (len(v.Answers) == redundancy) {
-				t.Fatalf("task %d viewed %v with %d/%d answers", id, v.Status, len(v.Answers), redundancy)
+			if (v.Status == task.Done) != (len(v.Answers()) == redundancy) {
+				t.Fatalf("task %d viewed %v with %d/%d answers", id, v.Status, len(v.Answers()), redundancy)
 			}
 		}
 	}

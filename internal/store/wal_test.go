@@ -2,6 +2,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,7 +57,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Answers) != 1 || got.Answers[0].WorkerID != "alice" || got.Status != task.Open {
+	if len(got.Answers()) != 1 || got.Answers()[0].WorkerID != "alice" || got.Status != task.Open {
 		t.Fatalf("replayed task 1 = %+v", got)
 	}
 	got2, err := s.Get(2)
@@ -155,8 +160,8 @@ func TestReplayRefusesWhatNoLiveOrderLogs(t *testing.T) {
 		if _, err := ReplayWALObserved(logOf(t, answerBy("a"), closeBy(EventFinish)), s, nil); err != nil {
 			t.Fatal(err)
 		}
-		if v, err := s.View(1); err != nil || v.Status != task.Done || len(v.Answers) != 1 || v.DoneAt != task.StampOf(t0.Add(time.Second)) {
-			t.Fatalf("replayed as %+v, %v", v, err)
+		if tk, err := s.Get(1); err != nil || tk.Status != task.Done || len(tk.Answers()) != 1 || tk.DoneAt() != task.StampOf(t0.Add(time.Second)) {
+			t.Fatalf("replayed as %+v, %v", tk, err)
 		}
 	})
 }
@@ -206,7 +211,7 @@ func TestWALSnapshotPlusTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := recovered.Get(1)
-	if err != nil || len(got.Answers) != 1 || got.Answers[0].WorkerID != "late" {
+	if err != nil || len(got.Answers()) != 1 || got.Answers()[0].WorkerID != "late" {
 		t.Fatalf("recovered task = %+v, %v", got, err)
 	}
 }
@@ -244,7 +249,7 @@ func TestWALRoundTripProperty(t *testing.T) {
 				if err := ref.Record(a, t0); err != nil {
 					continue
 				}
-				recorded := ref.Answers[len(ref.Answers)-1]
+				recorded := ref.Answers()[len(ref.Answers())-1]
 				if err := wal.Append(Event{Kind: EventAnswer, At: t0, TaskID: id, Answer: &recorded}); err != nil {
 					t.Fatal(err)
 				}
@@ -271,7 +276,7 @@ func TestWALRoundTripProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: task %d missing", trial, want.ID)
 			}
-			if got.Status != want.Status || len(got.Answers) != len(want.Answers) {
+			if got.Status != want.Status || len(got.Answers()) != len(want.Answers()) {
 				t.Fatalf("trial %d: task %d state diverged: %+v vs %+v", trial, want.ID, got, want)
 			}
 		}
@@ -293,13 +298,7 @@ func rngNew(seed uint64) func(n int) int {
 // cloneTask deep-copies a task so the reference store's later mutations
 // don't alias the event payload.
 func cloneTask(t *task.Task) *task.Task {
-	cp := *t
-	cp.Answers = append([]task.Answer(nil), t.Answers...)
-	if t.Payload.Detail != nil {
-		d := *t.Payload.Detail
-		d.Taboo = append([]int(nil), d.Taboo...)
-		cp.Payload.Detail = &d
-	}
+	cp := task.Task(t.View())
 	return &cp
 }
 
@@ -327,7 +326,7 @@ func TestWALAppendBatchReplayRoundTrip(t *testing.T) {
 		t.Fatalf("replay: %+v, %v", st, err)
 	}
 	got, err := s.Get(1)
-	if err != nil || len(got.Answers) != 1 || got.Answers[0].WorkerID != "alice" {
+	if err != nil || len(got.Answers()) != 1 || got.Answers()[0].WorkerID != "alice" {
 		t.Fatalf("replayed task 1 = %+v, %v", got, err)
 	}
 	if got2, err := s.Get(2); err != nil || got2.Status != task.Canceled {
@@ -378,5 +377,50 @@ func TestWALAppendBatchSingleFsync(t *testing.T) {
 	}
 	if got := sc.syncs.Load(); got != 1+n {
 		t.Fatalf("syncs = %d, want %d", got, 1+n)
+	}
+}
+
+// TestRecordsRefuseRedundancyATaskCannotHold: a task's redundancy is 16
+// bits. An intact WAL record whose task asks for more than
+// task.MaxRedundancy answers fails replay with an error that names the
+// field, rather than being dropped, with every record after it, as a
+// damaged tail; a snapshot holding one fails to restore the same way. The
+// largest redundancy there is replays and restores.
+func TestRecordsRefuseRedundancyATaskCannotHold(t *testing.T) {
+	submit := func(id int, redundancy string) string {
+		return `{"kind":"submit","at":"2026-07-06T12:00:00Z","task":{"id":` + strconv.Itoa(id) +
+			`,"kind":0,"status":0,"created_at":"2026-07-06T12:00:00Z","payload":{"image_id":1},"redundancy":` + redundancy + `,"priority":0}}`
+	}
+	frame := func(payloads ...string) []byte {
+		log := append([]byte(nil), walMagic[:]...)
+		for _, p := range payloads {
+			log = binary.LittleEndian.AppendUint32(log, uint32(len(p)))
+			log = binary.LittleEndian.AppendUint32(log, crc32.Checksum([]byte(p), castagnoli))
+			log = append(log, p...)
+		}
+		return log
+	}
+	refusedByName := func(err error) bool {
+		return errors.Is(err, task.ErrBadRedundancy) && strings.Contains(err.Error(), "redundancy holds 65536")
+	}
+
+	s := New()
+	if st, err := ReplayWALObserved(bytes.NewReader(frame(submit(1, "65535"), submit(2, "1"))), s, nil); err != nil || st.Applied != 2 {
+		t.Fatalf("redundancy 65535: %+v, %v", st, err)
+	}
+	if tk, _ := s.Get(1); tk.Redundancy != task.MaxRedundancy {
+		t.Fatalf("redundancy 65535 replayed as %d", tk.Redundancy)
+	}
+	st, err := ReplayWALObserved(bytes.NewReader(frame(submit(1, "1"), submit(2, "65536"), submit(3, "1"))), New(), nil)
+	if !refusedByName(err) || st.Applied != 1 || st.TruncatedBytes != 0 {
+		t.Fatalf("redundancy 65536: replay %+v, %v; want the record refused by name, nothing truncated", st, err)
+	}
+
+	const doc = `{"version":1,"next_id":2,"tasks":[{"id":1,"kind":0,"status":0,"created_at":"2026-07-06T12:00:00Z","payload":{},"redundancy":65535,"priority":0}]}`
+	if err := New().Restore(strings.NewReader(doc)); err != nil {
+		t.Fatalf("snapshot with redundancy 65535: %v", err)
+	}
+	if err := New().Restore(strings.NewReader(strings.Replace(doc, "65535", "65536", 1))); !refusedByName(err) {
+		t.Fatalf("snapshot with redundancy 65536: %v; want it refused by name", err)
 	}
 }

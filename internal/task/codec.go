@@ -2,8 +2,8 @@ package task
 
 import (
 	"encoding/json"
+	"fmt"
 	"strconv"
-	"time"
 
 	"humancomp/internal/jsonx"
 	"humancomp/internal/vocab"
@@ -12,41 +12,110 @@ import (
 // The storage codec. A task record is written and read millions of times
 // by a node's storage path — every WAL append, every replayed record, every
 // task of every checkpoint and restore — and always in one shape: the one
-// encoding/json gives the struct tags above. These functions are that shape
+// encoding/json gives taskDoc's struct tags. These functions are that shape
 // written out by hand (see jsonx.Canon for the rule they follow). The
 // encoders produce encoding/json's bytes exactly, so the formats on disk
 // and on the replication wire are unchanged; the decoders allocate what the
-// decoded value keeps and nothing else. HTTP bodies stay on encoding/json —
-// they arrive in whatever form a client chose — but for the one response
-// that is a stored task and nothing else, GET /v1/tasks/{id}, which is
+// decoded value keeps and nothing else. Task and View are JSON through
+// this codec wherever they go, HTTP bodies included: GET /v1/tasks/{id} is
 // this encoder's bytes plus json.Encoder's newline.
 //
 // A field added to Task, Answer, Payload or Detail must be added here, in
-// struct order; FuzzTaskCodecMatchesStdlib fails until it is.
+// struct order, and to taskDoc; FuzzTaskCodecMatchesStdlib fails until it
+// is.
+
+// taskDoc is a task in the form encoding/json reads and writes: the field
+// list, order and tags that define the task's encoding. The codec hands it
+// to encoding/json for the input it does not read itself.
+type taskDoc struct {
+	ID         ID       `json:"id"`
+	Kind       Kind     `json:"kind"`
+	Status     Status   `json:"status"`
+	CreatedAt  Stamp    `json:"created_at"`
+	DoneAt     Stamp    `json:"done_at,omitzero"`
+	Payload    Payload  `json:"payload"`
+	Redundancy int      `json:"redundancy"`
+	Priority   int      `json:"priority"`
+	Answers    []Answer `json:"answers,omitempty"`
+}
 
 // AppendJSON appends t's JSON encoding to b: byte for byte what
-// json.Marshal(t) returns, including its error for a task encoding/json
-// cannot encode (a timestamp outside years 0–9999).
+// json.Marshal makes of it as a taskDoc, including its error for a task
+// encoding/json cannot encode (a timestamp outside years 0–9999).
 func (t *Task) AppendJSON(b []byte) ([]byte, error) {
 	if out, ok := AppendTask(b, t); ok {
 		return out, nil
 	}
-	doc, err := json.Marshal(t)
+	doc, err := json.Marshal(t.doc())
 	return append(b, doc...), err
 }
 
+func (t *Task) doc() taskDoc {
+	return taskDoc{
+		ID: t.ID, Kind: t.Kind, Status: t.Status, CreatedAt: t.CreatedAt, DoneAt: t.DoneAt(),
+		Payload: t.Payload, Redundancy: int(t.Redundancy), Priority: t.Priority, Answers: t.Answers(),
+	}
+}
+
+// unmarshalDoc decodes doc with json.Unmarshal into d, the task to start
+// from, and makes *t the task it then holds; on an error, or a redundancy
+// t cannot hold, *t is the zero Task.
+func (t *Task) unmarshalDoc(doc []byte, d taskDoc) error {
+	err := json.Unmarshal(doc, &d)
+	if err == nil && (d.Redundancy < 0 || d.Redundancy > MaxRedundancy) {
+		err = fmt.Errorf("task %d: field redundancy holds %d: %w", d.ID, d.Redundancy, errTooRedundant)
+	}
+	if err != nil {
+		*t = Task{}
+		return err
+	}
+	*t = Task{
+		ID: d.ID, Kind: d.Kind, Status: d.Status, Redundancy: uint16(d.Redundancy),
+		CreatedAt: d.CreatedAt, Payload: d.Payload, Priority: d.Priority,
+	}
+	t.SetEnded(d.DoneAt, d.Answers)
+	return nil
+}
+
 // DecodeJSON replaces *t with the task encoded in doc: json.Unmarshal into
-// a zero Task, on every input. A document in the form AppendJSON writes is
-// decoded in place; any other is handed to encoding/json unchanged.
+// a zero taskDoc, on every input, and a task that holds what it decoded. A
+// document in the form AppendJSON writes is decoded in place; any other is
+// handed to encoding/json unchanged. A redundancy a Task cannot hold,
+// below zero or above MaxRedundancy, is refused with an error that names
+// it and wraps ErrBadRedundancy. On an error *t is the zero Task.
 func (t *Task) DecodeJSON(doc []byte) error {
 	c := jsonx.NewCanon(doc)
 	DecodeTask(&c, t)
 	if c.Done() {
 		return nil
 	}
-	*t = Task{}
-	return json.Unmarshal(doc, t)
+	return t.unmarshalDoc(doc, taskDoc{})
 }
+
+// MarshalJSON implements json.Marshaler through AppendJSON, into one
+// buffer that holds an unanswered task's encoding without growing.
+func (t Task) MarshalJSON() ([]byte, error) { return t.AppendJSON(make([]byte, 0, 256)) }
+
+// UnmarshalJSON implements json.Unmarshaler through DecodeJSON; null
+// leaves t as it is. Into a task that is already set it decodes as
+// encoding/json decodes into any struct, setting only the fields doc
+// holds: a task whose key is repeated in its event takes the later
+// encoding's fields over the earlier's.
+func (t *Task) UnmarshalJSON(doc []byte) error {
+	switch {
+	case string(doc) == "null":
+		return nil
+	case *t == Task{}:
+		return t.DecodeJSON(doc)
+	}
+	return t.unmarshalDoc(doc, t.doc())
+}
+
+// MarshalJSON implements json.Marshaler: a view encodes as its task.
+func (v View) MarshalJSON() ([]byte, error) { return Task(v).MarshalJSON() }
+
+// UnmarshalJSON implements json.Unmarshaler: a view decodes as its task.
+func (v *View) UnmarshalJSON(doc []byte) error { return (*Task)(v).UnmarshalJSON(doc) }
 
 // AppendTask appends t in canonical form; ok is false when encoding/json
 // would not have encoded t, and b's new tail is then garbage.
@@ -61,25 +130,25 @@ func AppendTask(b []byte, t *Task) (_ []byte, ok bool) {
 	if b, ok = t.CreatedAt.appendJSON(b); !ok {
 		return b, false
 	}
-	if !t.DoneAt.IsZero() {
+	if done := t.DoneAt(); !done.IsZero() {
 		b = append(b, `,"done_at":`...)
-		if b, ok = t.DoneAt.appendJSON(b); !ok {
+		if b, ok = done.appendJSON(b); !ok {
 			return b, false
 		}
 	}
 	b = append(b, `,"payload":`...)
 	b = appendPayload(b, &t.Payload)
 	b = append(b, `,"redundancy":`...)
-	b = strconv.AppendInt(b, int64(t.Redundancy), 10)
+	b = strconv.AppendUint(b, uint64(t.Redundancy), 10)
 	b = append(b, `,"priority":`...)
 	b = strconv.AppendInt(b, int64(t.Priority), 10)
-	if len(t.Answers) > 0 {
+	if answers := t.Answers(); len(answers) > 0 {
 		b = append(b, `,"answers":[`...)
-		for i := range t.Answers {
+		for i := range answers {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			if b, ok = AppendAnswer(b, &t.Answers[i]); !ok {
+			if b, ok = AppendAnswer(b, &answers[i]); !ok {
 				return b, false
 			}
 		}
@@ -131,7 +200,7 @@ func AppendAnswer(b []byte, a *Answer) (_ []byte, ok bool) {
 	b = append(b, `,"worker_id":`...)
 	b = jsonx.AppendString(b, a.WorkerID)
 	b = append(b, `,"at":`...)
-	if b, ok = jsonx.AppendTime(b, a.At); !ok {
+	if b, ok = a.At.appendJSON(b); !ok {
 		return b, false
 	}
 	if len(a.Words) > 0 {
@@ -172,32 +241,40 @@ func DecodeTask(c *jsonx.Canon, t *Task) {
 	t.Status = Status(c.Uint8())
 	c.Lit(`,"created_at":`)
 	t.CreatedAt = decodeStamp(c)
-	t.DoneAt = Stamp{}
+	var doneAt Stamp
 	if c.Try(`,"done_at":`) {
-		t.DoneAt = decodeStamp(c)
+		doneAt = decodeStamp(c)
 	}
 	c.Lit(`,"payload":`)
 	decodePayload(c, &t.Payload)
 	c.Lit(`,"redundancy":`)
-	t.Redundancy = c.Int()
+	t.Redundancy = c.Uint16()
 	c.Lit(`,"priority":`)
 	t.Priority = c.Int()
-	t.Answers = nil
+	t.end = nil
 	if c.Try(`,"answers":[`) {
-		t.Answers = make([]Answer, 0, answersCap(t.Redundancy))
+		e := newAnswered(t.Redundancy)
 		for more := true; more && c.OK(); more = c.Try(",") {
-			t.Answers = append(t.Answers, Answer{})
-			DecodeAnswer(c, &t.Answers[len(t.Answers)-1])
+			e.answers = append(e.answers, Answer{})
+			DecodeAnswer(c, &e.answers[len(e.answers)-1])
 		}
 		c.Lit("]")
+		t.end = e
+	}
+	if !doneAt.IsZero() {
+		t.ensureEnded().doneAt = doneAt
 	}
 	c.Lit("}")
 }
 
+// decodeStamp reads a timestamp in the form Stamp.MarshalJSON writes
+// straight into a Stamp; any other form is not canonical.
 func decodeStamp(c *jsonx.Canon) Stamp {
-	var t time.Time
-	c.Time(&t)
-	return StampOf(t)
+	s, ok := parseStamp(c.Quoted())
+	if !ok {
+		c.Fail()
+	}
+	return s
 }
 
 func decodePayload(c *jsonx.Canon, p *Payload) {
@@ -260,7 +337,7 @@ func DecodeAnswer(c *jsonx.Canon, a *Answer) {
 	c.Lit(`,"worker_id":`)
 	a.WorkerID = c.Str()
 	c.Lit(`,"at":`)
-	c.Time(&a.At)
+	a.At = decodeStamp(c)
 	if c.Try(`,"words":`) {
 		a.Words = c.Ints()
 	}

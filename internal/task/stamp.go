@@ -31,11 +31,17 @@ const internalSecs = 62135596800
 // Stamp fails to encode as t would.
 func StampOf(t time.Time) Stamp {
 	_, off := t.Zone()
-	sec := min(max(t.Unix(), -1<<39-internalSecs), 1<<39-1-internalSecs) + internalSecs
+	return stampAt(t.Unix(), t.Nanosecond(), off/60)
+}
+
+// stampAt is the Stamp of the Unix time unix plus nsec nanoseconds, read
+// in the zone off minutes east of UTC, each clamped as StampOf says.
+func stampAt(unix int64, nsec, off int) Stamp {
+	sec := min(max(unix, -1<<39-internalSecs), 1<<39-1-internalSecs) + internalSecs
 	var s Stamp
 	binary.BigEndian.PutUint64(s[:8], uint64(sec)<<24)
-	binary.BigEndian.PutUint32(s[5:9], uint32(t.Nanosecond()))
-	binary.BigEndian.PutUint16(s[9:], uint16(int16(min(max(off/60, -1<<15), 1<<15-1))))
+	binary.BigEndian.PutUint32(s[5:9], uint32(nsec))
+	binary.BigEndian.PutUint16(s[9:], uint16(int16(min(max(off, -1<<15), 1<<15-1))))
 	return s
 }
 
@@ -123,10 +129,16 @@ func (s Stamp) MarshalJSON() ([]byte, error) {
 	return s.Time().MarshalJSON()
 }
 
-// UnmarshalJSON implements json.Unmarshaler through time.Time's, so it
-// accepts and refuses what that does; null leaves s as it is.
+// UnmarshalJSON implements json.Unmarshaler as time.Time's does, so it
+// accepts and refuses what that does; null leaves s as it is. The form
+// MarshalJSON writes is read straight into the Stamp (see parseStamp); any
+// other goes through time.Time's.
 func (s *Stamp) UnmarshalJSON(b []byte) error {
 	if string(b) == "null" {
+		return nil
+	}
+	if v, ok := parseStamp(b); ok {
+		*s = v
 		return nil
 	}
 	var t time.Time
@@ -135,4 +147,88 @@ func (s *Stamp) UnmarshalJSON(b []byte) error {
 	}
 	*s = StampOf(t)
 	return nil
+}
+
+// parseStamp reads b, a JSON string, as time.Time.UnmarshalJSON does when
+// it holds the strict RFC 3339 form that MarshalJSON writes: the form the
+// time package reads without falling back to time.Parse. The date and time
+// fields are range-checked as it checks them, the fraction is cut to nine
+// digits as it cuts it, and the result is the instant and offset it gives,
+// with no time.Location built for an offset. ok is false for any other
+// input, which is then time.Time's to accept or refuse.
+func parseStamp(b []byte) (_ Stamp, ok bool) {
+	if len(b) < len(`"2006-01-02T15:04:05Z"`) || b[0] != '"' || b[len(b)-1] != '"' {
+		return Stamp{}, false
+	}
+	s := b[1 : len(b)-1]
+	ok = true
+	num := func(s []byte, lo, hi int) (x int) {
+		for _, c := range s {
+			if c < '0' || c > '9' {
+				ok = false
+				return lo
+			}
+			x = x*10 + int(c-'0')
+		}
+		if x < lo || x > hi {
+			ok = false
+		}
+		return x
+	}
+	year := num(s[0:4], 0, 9999)
+	month := num(s[5:7], 1, 12)
+	day := num(s[8:10], 1, daysIn(month, year))
+	hour := num(s[11:13], 0, 23)
+	minute := num(s[14:16], 0, 59)
+	sec := num(s[17:19], 0, 59)
+	if !ok || s[4] != '-' || s[7] != '-' || s[10] != 'T' || s[13] != ':' || s[16] != ':' {
+		return Stamp{}, false
+	}
+	s = s[19:]
+	nsec := 0
+	if len(s) >= 2 && s[0] == '.' && isDigit(s[1]) {
+		n := 1
+		for n < len(s) && isDigit(s[n]) {
+			n++
+		}
+		for i := 1; i <= 9; i++ {
+			nsec *= 10
+			if i < n {
+				nsec += int(s[i] - '0')
+			}
+		}
+		s = s[n:]
+	}
+	off := 0
+	if len(s) != 1 || s[0] != 'Z' {
+		if len(s) != len("-07:00") || s[0] != '+' && s[0] != '-' || s[3] != ':' {
+			return Stamp{}, false
+		}
+		off = num(s[1:3], 0, 23)*60 + num(s[4:6], 0, 59)
+		if !ok {
+			return Stamp{}, false
+		}
+		if s[0] == '-' {
+			off = -off
+		}
+	}
+	unix := time.Date(year, time.Month(month), day, hour, minute, sec, 0, time.UTC).Unix()
+	return stampAt(unix-int64(off)*60, nsec, off), true
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// daysIn is the number of days in month of year, or 31 for a month out of
+// range (which fails its own check).
+func daysIn(month, year int) int {
+	switch month {
+	case 2:
+		if year%4 == 0 && (year%100 != 0 || year%400 == 0) {
+			return 29
+		}
+		return 28
+	case 4, 6, 9, 11:
+		return 30
+	}
+	return 31
 }

@@ -118,30 +118,132 @@ type Detail struct {
 	ClipB   int    `json:"clip_b,omitempty"`   // Judge
 }
 
-// Task is one unit of human computation. Kind and Status are adjacent
-// bytes, and the two 11-byte Stamps follow them in the same three words,
-// which makes a Task 96 B: the runtime's 96-B size class, with no slack.
-// DoneAt is zero, and left out of the encoding, until the task is done or
-// canceled.
+// Task is one unit of human computation: 64 B, the runtime's 64-B size
+// class, in this order. ID is one word. Kind, Status, Redundancy and the
+// 11-byte CreatedAt fill the next two. Payload is three words and Priority
+// one. The last word points to what only an answered or ended task holds,
+// its DoneAt and its answers, and is nil until the task's first answer,
+// cancel or early finish: an open task in a backlog carries none of it.
+//
+// Its JSON is the task codec's (codec.go): the fields' names in the
+// encoding, in order, are id, kind, status, created_at, done_at, payload,
+// redundancy, priority and answers, with done_at left out while DoneAt is
+// zero and answers while there are none.
 type Task struct {
-	ID         ID      `json:"id"`
-	Kind       Kind    `json:"kind"`
-	Status     Status  `json:"status"`
-	CreatedAt  Stamp   `json:"created_at"`
-	DoneAt     Stamp   `json:"done_at,omitzero"`
-	Payload    Payload `json:"payload"`
-	Redundancy int     `json:"redundancy"` // independent answers wanted (>= 1)
-	Priority   int     `json:"priority"`   // higher is scheduled first
+	ID         ID
+	Kind       Kind
+	Status     Status
+	Redundancy uint16 // independent answers wanted, 1 to MaxRedundancy
+	CreatedAt  Stamp
+	Payload    Payload
+	Priority   int // higher is scheduled first
 
-	Answers []Answer `json:"answers,omitempty"`
+	end *ended
+}
+
+// MaxRedundancy is the most answers a task can ask for: its Redundancy is
+// 16 bits.
+const MaxRedundancy = 1<<16 - 1
+
+// ended is what a task holds once it has an answer or has ended: the time
+// it ended, and its answers. It is allocated together with room for the
+// answers the task wants (see newEnded).
+type ended struct {
+	doneAt  Stamp
+	answers []Answer
+}
+
+// withRoom is an ended record and the array its answers start out in, as
+// one allocation.
+type withRoom[A any] struct {
+	ended
+	room A
+}
+
+// newEnded returns an ended record with room for n answers: one
+// allocation for up to eight.
+func newEnded(n int) *ended {
+	switch n {
+	case 0:
+		return new(ended)
+	case 1:
+		r := new(withRoom[[1]Answer])
+		r.answers = r.room[:0]
+		return &r.ended
+	case 2:
+		r := new(withRoom[[2]Answer])
+		r.answers = r.room[:0]
+		return &r.ended
+	case 3:
+		r := new(withRoom[[3]Answer])
+		r.answers = r.room[:0]
+		return &r.ended
+	case 4:
+		r := new(withRoom[[4]Answer])
+		r.answers = r.room[:0]
+		return &r.ended
+	case 5:
+		r := new(withRoom[[5]Answer])
+		r.answers = r.room[:0]
+		return &r.ended
+	case 6:
+		r := new(withRoom[[6]Answer])
+		r.answers = r.room[:0]
+		return &r.ended
+	case 7:
+		r := new(withRoom[[7]Answer])
+		r.answers = r.room[:0]
+		return &r.ended
+	case 8:
+		r := new(withRoom[[8]Answer])
+		r.answers = r.room[:0]
+		return &r.ended
+	default:
+		return &ended{answers: make([]Answer, 0, n)}
+	}
+}
+
+// Answers returns the answers the task holds, oldest first. The slice is
+// the task's own: it is for reading under whatever guards the task.
+func (t *Task) Answers() []Answer {
+	if t.end == nil {
+		return nil
+	}
+	return t.end.answers
+}
+
+// DoneAt returns when the task was done or canceled: the zero Stamp while
+// it is open.
+func (t *Task) DoneAt() Stamp {
+	if t.end == nil {
+		return Stamp{}
+	}
+	return t.end.doneAt
+}
+
+// SetEnded gives t the given DoneAt and a copy of answers, as a decoded
+// record does: for building a task in a given state without going through
+// its lifecycle. The answers' word lists are shared, not copied.
+func (t *Task) SetEnded(doneAt Stamp, answers []Answer) {
+	switch {
+	case len(answers) > 0:
+		t.end = newAnswered(t.Redundancy)
+	case !doneAt.IsZero():
+		t.end = newEnded(0)
+	default:
+		t.end = nil
+		return
+	}
+	t.end.doneAt = doneAt
+	t.end.answers = append(t.end.answers, answers...)
 }
 
 // Answer is one worker's response to a task. As with Payload, only the
 // fields matching the task's Kind are meaningful.
 type Answer struct {
-	TaskID   ID        `json:"task_id"`
-	WorkerID string    `json:"worker_id"`
-	At       time.Time `json:"at"`
+	TaskID   ID     `json:"task_id"`
+	WorkerID string `json:"worker_id"`
+	At       Stamp  `json:"at"`
 
 	Words  []int      `json:"words,omitempty"`  // Label, Describe (objects of facts)
 	Box    vocab.Rect `json:"box,omitzero"`     // Locate
@@ -157,20 +259,28 @@ var (
 	ErrWorkerRepeat  = errors.New("task: worker already answered this task")
 	ErrBadRedundancy = errors.New("task: redundancy must be >= 1")
 	ErrUnknownKind   = errors.New("task: unknown kind")
+
+	// errTooRedundant is ErrBadRedundancy for a task asking for more than
+	// MaxRedundancy answers.
+	errTooRedundant = fmt.Errorf("%w and <= %d", ErrBadRedundancy, MaxRedundancy)
 )
 
-// New returns an Open task. It returns ErrBadRedundancy if redundancy < 1
-// and ErrUnknownKind for an out-of-range kind. The task keeps a copy of p's
-// Detail, so the caller may reuse its own, with an empty taboo list made nil;
-// a Detail that sets nothing at all is not kept: the task has none, as it
-// will after a round trip through its encoding, which omits every empty
-// field. The copy shares the taboo list's elements with the caller.
+// New returns an Open task. It returns ErrBadRedundancy if redundancy is
+// not between 1 and MaxRedundancy, and ErrUnknownKind for an out-of-range
+// kind. The task keeps a copy of p's Detail, so the caller may reuse its
+// own, with an empty taboo list made nil; a Detail that sets nothing at all
+// is not kept: the task has none, as it will after a round trip through its
+// encoding, which omits every empty field. The copy shares the taboo list's
+// elements with the caller.
 func New(id ID, kind Kind, p Payload, redundancy int, now time.Time) (*Task, error) {
 	if kind >= numKinds {
 		return nil, ErrUnknownKind
 	}
 	if redundancy < 1 {
 		return nil, ErrBadRedundancy
+	}
+	if redundancy > MaxRedundancy {
+		return nil, errTooRedundant
 	}
 	if p.Detail != nil {
 		d := *p.Detail
@@ -187,7 +297,7 @@ func New(id ID, kind Kind, p Payload, redundancy int, now time.Time) (*Task, err
 		Kind:       kind,
 		Status:     Open,
 		Payload:    p,
-		Redundancy: redundancy,
+		Redundancy: uint16(redundancy),
 		CreatedAt:  StampOf(now),
 	}, nil
 }
@@ -219,14 +329,22 @@ func ValidateAnswer(kind Kind, a Answer) error {
 	return nil
 }
 
-// answersCap is the capacity Answers is given when the first answer
-// arrives: room for every answer the task wants, so append never grows it
-// 1→2→4 and a redundancy-3 task does not end up holding four slots. Past
-// eight, append's doubling takes over.
-func answersCap(redundancy int) int { return max(1, min(redundancy, 8)) }
+// newAnswered returns the ended record a task gets with its first answer:
+// room for every answer it wants in the same allocation, so append never
+// grows it 1→2→4 and a redundancy-3 task does not end up holding four
+// slots. Past eight, the answers start in an array of eight of their own
+// and append's doubling takes over, leaving no room stranded in the
+// record once they outgrow it.
+func newAnswered(redundancy uint16) *ended {
+	if redundancy > 8 {
+		return &ended{answers: make([]Answer, 0, 8)}
+	}
+	return newEnded(max(1, int(redundancy)))
+}
 
-// Record validates and appends a worker's answer. When the task has
-// collected Redundancy answers it transitions to Done and records DoneAt.
+// Record validates and appends a worker's answer, allocating the task's
+// ended record at the first. When the task has collected Redundancy
+// answers it transitions to Done and records DoneAt.
 // Each worker may answer a given task at most once — independent judgments
 // are the whole point of redundancy.
 func (t *Task) Record(a Answer, now time.Time) error {
@@ -236,20 +354,20 @@ func (t *Task) Record(a Answer, now time.Time) error {
 	if err := ValidateAnswer(t.Kind, a); err != nil {
 		return err
 	}
-	for _, prev := range t.Answers {
+	for _, prev := range t.Answers() {
 		if prev.WorkerID == a.WorkerID {
 			return ErrWorkerRepeat
 		}
 	}
 	a.TaskID = t.ID
-	a.At = now
-	if want := answersCap(t.Redundancy); cap(t.Answers) < want {
-		t.Answers = append(make([]Answer, 0, want), t.Answers...)
+	a.At = StampOf(now)
+	if t.end == nil {
+		t.end = newAnswered(t.Redundancy)
 	}
-	t.Answers = append(t.Answers, a)
-	if len(t.Answers) >= t.Redundancy {
+	t.end.answers = append(t.end.answers, a)
+	if len(t.end.answers) >= int(t.Redundancy) {
 		t.Status = Done
-		t.DoneAt = StampOf(now)
+		t.end.doneAt = a.At
 	}
 	return nil
 }
@@ -258,10 +376,16 @@ func (t *Task) Record(a Answer, now time.Time) error {
 // dispatch read path (HTTP handlers, snapshots, the journal) serializes
 // Views, never live *Task pointers, so readers can never observe — or
 // race with — the queue mutating a task. View has the same fields and
-// JSON encoding as Task but deliberately none of its methods.
+// JSON encoding as Task, and of its methods only the ones that read.
 type View Task
 
-// View returns a deep copy of the task: the Answers slice, each answer's
+// Answers returns the answers the view holds, oldest first.
+func (v View) Answers() []Answer { return (*Task)(&v).Answers() }
+
+// Remaining returns how many more answers the task needs.
+func (v View) Remaining() int { return (*Task)(&v).Remaining() }
+
+// View returns a deep copy of the task: its answers, each answer's
 // Words, the payload's Detail and its Taboo list are all copied, so the
 // view shares no mutable memory with the task. Callers must hold whatever
 // lock guards the task's mutations while copying (the queue and store do).
@@ -284,14 +408,25 @@ func (t *Task) ViewIn(d *Detail) View {
 		d.Taboo = append([]int(nil), d.Taboo...)
 		v.Payload.Detail = d
 	}
-	if t.Answers != nil {
-		v.Answers = make([]Answer, len(t.Answers))
-		for i, a := range t.Answers {
+	if t.end != nil {
+		v.end = newEnded(len(t.end.answers))
+		v.end.doneAt = t.end.doneAt
+		for _, a := range t.end.answers {
 			a.Words = append([]int(nil), a.Words...)
-			v.Answers[i] = a
+			v.end.answers = append(v.end.answers, a)
 		}
 	}
 	return v
+}
+
+// ensureEnded returns the task's ended record, allocating one without room
+// for answers if it has none: the one a task that ends before its first
+// answer gets.
+func (t *Task) ensureEnded() *ended {
+	if t.end == nil {
+		t.end = newEnded(0)
+	}
+	return t.end
 }
 
 // Finish transitions an Open task to Done before it has collected its full
@@ -303,7 +438,7 @@ func (t *Task) Finish(now time.Time) error {
 		return ErrWrongStatus
 	}
 	t.Status = Done
-	t.DoneAt = StampOf(now)
+	t.ensureEnded().doneAt = StampOf(now)
 	return nil
 }
 
@@ -314,13 +449,13 @@ func (t *Task) Cancel(now time.Time) error {
 		return ErrWrongStatus
 	}
 	t.Status = Canceled
-	t.DoneAt = StampOf(now)
+	t.ensureEnded().doneAt = StampOf(now)
 	return nil
 }
 
 // Remaining returns how many more answers the task needs.
 func (t *Task) Remaining() int {
-	r := t.Redundancy - len(t.Answers)
+	r := int(t.Redundancy) - len(t.Answers())
 	if r < 0 {
 		return 0
 	}

@@ -37,6 +37,12 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(1, Label, Payload{}, 0, t0); !errors.Is(err, ErrBadRedundancy) {
 		t.Errorf("redundancy 0: err = %v", err)
 	}
+	if tk, err := New(1, Label, Payload{}, MaxRedundancy, t0); err != nil || tk.Redundancy != 65535 || tk.Remaining() != 65535 {
+		t.Errorf("redundancy 65535: %+v, %v", tk, err)
+	}
+	if _, err := New(1, Label, Payload{}, MaxRedundancy+1, t0); !errors.Is(err, ErrBadRedundancy) {
+		t.Errorf("redundancy 65536: err = %v", err)
+	}
 	if _, err := New(1, Kind(99), Payload{}, 1, t0); !errors.Is(err, ErrUnknownKind) {
 		t.Errorf("kind 99: err = %v", err)
 	}
@@ -59,8 +65,8 @@ func TestRecordCompletesAtRedundancy(t *testing.T) {
 	if tk.Status != Done {
 		t.Fatalf("status = %v after redundancy met", tk.Status)
 	}
-	if tk.DoneAt != StampOf(t0.Add(2*time.Second)) {
-		t.Errorf("DoneAt = %v", tk.DoneAt)
+	if tk.DoneAt() != StampOf(t0.Add(2*time.Second)) {
+		t.Errorf("DoneAt = %v", tk.DoneAt())
 	}
 	if tk.Remaining() != 0 {
 		t.Errorf("Remaining = %d", tk.Remaining())
@@ -81,8 +87,8 @@ func TestRecordRejectsRepeatWorker(t *testing.T) {
 	if !errors.Is(err, ErrWorkerRepeat) {
 		t.Errorf("repeat worker: err = %v", err)
 	}
-	if len(tk.Answers) != 1 {
-		t.Errorf("answers = %d after rejected repeat", len(tk.Answers))
+	if len(tk.Answers()) != 1 {
+		t.Errorf("answers = %d after rejected repeat", len(tk.Answers()))
 	}
 }
 
@@ -119,11 +125,11 @@ func TestRecordStampsTaskAndTime(t *testing.T) {
 	if err := tk.Record(Answer{WorkerID: "w", Words: []int{1}, TaskID: 999}, at); err != nil {
 		t.Fatal(err)
 	}
-	got := tk.Answers[0]
+	got := tk.Answers()[0]
 	if got.TaskID != tk.ID {
 		t.Errorf("TaskID = %d, want %d (caller value must be overwritten)", got.TaskID, tk.ID)
 	}
-	if got.At != at {
+	if got.At != StampOf(at) {
 		t.Errorf("At = %v, want %v", got.At, at)
 	}
 }
@@ -152,8 +158,8 @@ func TestFinishEarly(t *testing.T) {
 	if err := tk.Finish(t0); err != nil {
 		t.Fatal(err)
 	}
-	if tk.Status != Done || tk.DoneAt != StampOf(t0) {
-		t.Fatalf("status = %v, doneAt = %v", tk.Status, tk.DoneAt)
+	if tk.Status != Done || tk.DoneAt() != StampOf(t0) {
+		t.Fatalf("status = %v, doneAt = %v", tk.Status, tk.DoneAt())
 	}
 	if err := tk.Finish(t0); !errors.Is(err, ErrWrongStatus) {
 		t.Errorf("double finish: err = %v", err)
@@ -197,20 +203,20 @@ func TestViewIsDeepCopy(t *testing.T) {
 	}
 	tk.Payload.Taboo[0] = 99
 	tk.Payload.Word = 99
-	tk.Answers[0].Words[0] = 99
-	if len(v.Answers) != 1 || v.Answers[0].Words[0] != 1 || v.Payload.Taboo[0] != 10 || v.Payload.Word != 5 {
+	tk.Answers()[0].Words[0] = 99
+	if len(v.Answers()) != 1 || v.Answers()[0].Words[0] != 1 || v.Payload.Taboo[0] != 10 || v.Payload.Word != 5 {
 		t.Fatalf("view sees later mutation: %+v", v)
 	}
 
 	// Mutating the view does not reach the task.
-	v.Answers[0].Words[1] = 77
+	v.Answers()[0].Words[1] = 77
 	v.Payload.Taboo[1] = 77
 	v.Payload.Word = 77
-	if tk.Answers[0].Words[1] != 2 || tk.Payload.Taboo[1] != 11 || tk.Payload.Word != 99 {
+	if tk.Answers()[0].Words[1] != 2 || tk.Payload.Taboo[1] != 11 || tk.Payload.Word != 99 {
 		t.Fatalf("task sees view mutation: %+v", tk)
 	}
 
-	if n := v.Redundancy - len(v.Answers); n != 1 {
+	if n := v.Remaining(); n != 1 {
 		t.Fatalf("view needs %d more answers, want 1", n)
 	}
 
@@ -251,5 +257,36 @@ func TestByteFieldsOutOfRange(t *testing.T) {
 	DecodeTask(&c, &tk)
 	if !c.Done() || tk.Kind != 255 || tk.Status != 255 {
 		t.Errorf("%s: in place %v, kind %d, status %d; want 255 and 255, in place", edge, c.Done(), tk.Kind, tk.Status)
+	}
+}
+
+// TestOffsetStampsDecodeWithoutALocation: the storage codec reads a
+// timestamp straight into a Stamp, so a task whose times carry a zone
+// offset decodes with the allocations of one whose times are in UTC.
+// Through time.Time, each offset built a time.Location.
+func TestOffsetStampsDecodeWithoutALocation(t *testing.T) {
+	const doc = `{"id":1,"kind":4,"status":1,"created_at":"2026-07-06T12:00:00Z","done_at":"2026-07-06T12:00:02.5Z","payload":{"image_id":1,"image_b":2},"redundancy":1,"priority":0,` +
+		`"answers":[{"task_id":1,"worker_id":"w","at":"2026-07-06T12:00:02.5Z","choice":1}]}`
+	decode := func(doc string) (*Task, float64) {
+		var tk Task
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := tk.DecodeJSON([]byte(doc)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return &tk, allocs
+	}
+	utc, utcAllocs := decode(doc)
+	offset := strings.ReplaceAll(doc, "Z", "+05:30")
+	tk, offsetAllocs := decode(offset)
+	if offsetAllocs != utcAllocs {
+		t.Errorf("decoding a task with +05:30 stamps takes %.0f allocations; with Z, %.0f", offsetAllocs, utcAllocs)
+	}
+	want := StampOf(time.Date(2026, 7, 6, 12, 0, 2, 5e8, time.FixedZone("", 5*3600+30*60)))
+	if tk.DoneAt() != want || tk.Answers()[0].At != want || utc.DoneAt() != StampOf(t0.Add(2500*time.Millisecond)) {
+		t.Errorf("decoded done_at %v and at %v; want %v", tk.DoneAt().Time(), tk.Answers()[0].At.Time(), want.Time())
+	}
+	if b, err := tk.AppendJSON(nil); err != nil || string(b) != offset {
+		t.Errorf("re-encoded as %s, %v", b, err)
 	}
 }
