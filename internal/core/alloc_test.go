@@ -30,7 +30,7 @@ func TestRequeueAllocatesWhatItKeeps(t *testing.T) {
 			t.Fatal(err)
 		}
 		tk.Priority = i % 4
-		if err := wal.Append(store.Event{Kind: store.EventSubmit, At: tk.CreatedAt.Time(), Task: tk}); err != nil {
+		if err := wal.AppendBatch([]store.Event{{Kind: store.EventSubmit, At: tk.CreatedAt.Time(), Task: tk}}); err != nil {
 			t.Fatal(err)
 		}
 	}

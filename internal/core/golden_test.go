@@ -438,10 +438,10 @@ func TestLateJournalledAnswerRecovers(t *testing.T) {
 						close(closed)
 					case e.Kind != store.EventAnswer:
 					case e.Answer.WorkerID == "cy":
-						cySeq.Store(log.LastSeq())
+						cySeq.Store(log.Len())
 						close(cyWritten)
 					case e.Answer.WorkerID == "bob":
-						bobSeq.Store(log.LastSeq())
+						bobSeq.Store(log.Len())
 					}
 				},
 				durable: func(seq int64) {

@@ -357,7 +357,7 @@ func promFamilies(sys *core.System, api *Server, opts AdminOptions) []metrics.Pr
 			metrics.PromGaugeFamily("hc_wal_healthy",
 				"1 while the WAL write path works, 0 after a failure.", healthy),
 			metrics.PromGaugeFamily("hc_wal_last_seq",
-				"Sequence number of the newest acknowledged WAL record.", float64(opts.WAL.LastSeq())),
+				"Sequence number of the newest acknowledged WAL record.", float64(opts.WAL.Len())),
 		)
 	}
 

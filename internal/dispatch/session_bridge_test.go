@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -144,13 +145,13 @@ func TestAgreementIsOneRecord(t *testing.T) {
 		}
 		follower.ObserveRecoveredEvent(e)
 		return nil
-	}})
+	}, WAL: store.NewWAL(io.Discard)})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- fl.Run(ctx) }()
-	for deadline := time.Now().Add(10 * time.Second); fl.Applied() < wal.LastSeq(); time.Sleep(2 * time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); fl.Applied() < wal.Len(); time.Sleep(2 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("the follower applied %d of %d records", fl.Applied(), wal.LastSeq())
+			t.Fatalf("the follower applied %d of %d records", fl.Applied(), wal.Len())
 		}
 	}
 	cancel()

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -293,13 +294,13 @@ func killLeaderTrial(t *testing.T, cut int64) {
 	}
 
 	// The follower drains everything the leader acknowledged. The leader's
-	// LastSeq counts exactly the flushed (acked) records — the cut write
+	// Len counts exactly the flushed (acked) records — the cut write
 	// was never acked and never tapped — and the follower's counts what it
 	// has applied and logged.
-	lastAcked := wal.LastSeq()
+	lastAcked := wal.Len()
 	if lastAcked != int64(ackedEvents) {
 		failed()
-		t.Fatalf("leader acked %d events but LastSeq=%d", ackedEvents, lastAcked)
+		t.Fatalf("leader acked %d events but Len=%d", ackedEvents, lastAcked)
 	}
 	waitFor(t, "follower to drain the acked log", func() bool {
 		return applied() >= lastAcked
@@ -362,6 +363,7 @@ func killLeaderTrial(t *testing.T, cut int64) {
 		Leader: leaderSrv.URL,
 		Term:   newTerm,
 		Apply:  func(int64, store.Event) error { return nil },
+		WAL:    store.NewWAL(io.Discard),
 	})
 	zctx, zcancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer zcancel()

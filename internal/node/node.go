@@ -272,8 +272,9 @@ func (n *Node) openWAL(policy store.SyncPolicy, leaderTerm int64) error {
 				return err
 			}
 			n.sys.ObserveRecoveredEvent(e)
-			return n.wal.Append(e)
+			return nil
 		},
+		WAL: n.wal,
 		OnTermChange: func(t int64) error {
 			n.source.SetTerm(t)
 			return repl.SaveTerm(n.termPath(), t)

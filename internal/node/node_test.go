@@ -460,8 +460,8 @@ func TestFollowerLogIsLeaderLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := leader.wal.LastSeq()
-	waitFor(t, "the follower to apply the leader's log", func() bool { return follower.wal.LastSeq() == want })
+	want := leader.wal.Len()
+	waitFor(t, "the follower to apply the leader's log", func() bool { return follower.wal.Len() == want })
 
 	lb, err := os.ReadFile(leader.cfg.WAL)
 	if err != nil {
@@ -494,7 +494,7 @@ func TestFollowerLogIsLeaderLog(t *testing.T) {
 			t.Fatalf("record %d differs:\nleader   %q\nfollower %q", ls.Seq(), l, f)
 		}
 	}
-	t.Fatalf("logs differ in length: leader %d bytes, follower %d (%d of %d records)", len(lb), len(fb), follower.wal.LastSeq(), want)
+	t.Fatalf("logs differ in length: leader %d bytes, follower %d (%d of %d records)", len(lb), len(fb), follower.wal.Len(), want)
 }
 
 // TestFailedPromotionLeavesNodeReadOnly: the term cannot be persisted (a

@@ -2,14 +2,17 @@
 // the task service. The leader streams its write-ahead log over HTTP as
 // the same length-prefixed, CRC32C-checksummed v2 records it writes to
 // disk (internal/store); a follower boots from the leader's snapshot,
-// tails the stream, applies each verified record to its own store, and can
-// be promoted to leader when the old one dies.
+// tails the stream, applies each verified record to its own store, writes
+// the bytes it received to its own WAL — so its log is its leader's — and
+// can be promoted to leader when the old one dies.
 //
 // Consistency contract: a record enters the stream only after the leader's
 // WAL has flushed it — exactly the set of acknowledged events — and a
-// follower applies only complete, checksum-verified records, which is the
-// streaming form of the truncating-recovery rule (longest valid prefix
-// wins, a torn tail is never applied). Promotion therefore needs no
+// follower applies and logs only complete, checksum-verified records,
+// which is the streaming form of the truncating-recovery rule (longest
+// valid prefix wins, a torn tail is never applied). A follower logs what
+// it has applied before every return from a stream, so at promotion its
+// store and its WAL hold the same records. Promotion therefore needs no
 // reconciliation: whatever the follower has applied IS the longest valid
 // prefix it ever received.
 //

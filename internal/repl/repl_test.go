@@ -99,13 +99,13 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 func TestFollowerTailsLiveStream(t *testing.T) {
 	l := newLeader(t)
 	for i := 1; i <= 3; i++ {
-		if err := l.wal.Append(submitEvent(t, task.ID(i))); err != nil {
+		if err := l.wal.AppendBatch([]store.Event{submitEvent(t, task.ID(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	rec := &applyRecorder{}
-	f := NewFollower(FollowerOptions{Leader: l.srv.URL, Term: 1, Apply: rec.apply})
+	f := NewFollower(FollowerOptions{Leader: l.srv.URL, Term: 1, Apply: rec.apply, WAL: store.NewWAL(io.Discard)})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
@@ -114,7 +114,7 @@ func TestFollowerTailsLiveStream(t *testing.T) {
 	// Catch up on the backlog, then see live appends arrive.
 	waitFor(t, 5*time.Second, func() bool { return f.Applied() >= 3 })
 	for i := 4; i <= 6; i++ {
-		if err := l.wal.Append(submitEvent(t, task.ID(i))); err != nil {
+		if err := l.wal.AppendBatch([]store.Event{submitEvent(t, task.ID(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,7 +147,7 @@ func TestFollowerCatchesUpFromFileFallback(t *testing.T) {
 	appendN(t, l, 1, total)
 
 	rec := &applyRecorder{}
-	f := NewFollower(FollowerOptions{Leader: l.srv.URL, Term: 1, Apply: rec.apply})
+	f := NewFollower(FollowerOptions{Leader: l.srv.URL, Term: 1, Apply: rec.apply, WAL: store.NewWAL(io.Discard)})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go f.Run(ctx)
@@ -167,7 +167,7 @@ func TestFollowerCatchesUpFromFileFallback(t *testing.T) {
 func TestFollowerRefusesFencedLeader(t *testing.T) {
 	l := newLeader(t) // term 1
 	rec := &applyRecorder{}
-	f := NewFollower(FollowerOptions{Leader: l.srv.URL, Term: 5, Apply: rec.apply})
+	f := NewFollower(FollowerOptions{Leader: l.srv.URL, Term: 5, Apply: rec.apply, WAL: store.NewWAL(io.Discard)})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
@@ -185,14 +185,14 @@ func TestFollowerRefusesFencedLeader(t *testing.T) {
 func TestFollowerAdoptsHigherTerm(t *testing.T) {
 	l := newLeader(t)
 	l.src.SetTerm(7)
-	if err := l.wal.Append(submitEvent(t, 1)); err != nil {
+	if err := l.wal.AppendBatch([]store.Event{submitEvent(t, 1)}); err != nil {
 		t.Fatal(err)
 	}
 
 	var persisted int64
 	rec := &applyRecorder{}
 	f := NewFollower(FollowerOptions{
-		Leader: l.srv.URL, Term: 2, Apply: rec.apply,
+		Leader: l.srv.URL, Term: 2, Apply: rec.apply, WAL: store.NewWAL(io.Discard),
 		OnTermChange: func(term int64) error { persisted = term; return nil },
 	})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -206,7 +206,7 @@ func TestFollowerAdoptsHigherTerm(t *testing.T) {
 
 func TestStreamCursorBeyondLogEndConflicts(t *testing.T) {
 	l := newLeader(t)
-	if err := l.wal.Append(submitEvent(t, 1)); err != nil {
+	if err := l.wal.AppendBatch([]store.Event{submitEvent(t, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get(l.srv.URL + "/v1/repl/wal?from=10")
@@ -285,7 +285,7 @@ func TestSwitchableJournal(t *testing.T) {
 	if _, err := sj.WaitDurable(seq); err != nil {
 		t.Fatalf("wait after Set = %v", err)
 	}
-	if wal.LastSeq() != 1 {
+	if wal.Len() != 1 {
 		t.Fatalf("record did not reach the WAL")
 	}
 }
@@ -294,7 +294,7 @@ func TestFollowerSurvivesLeaderRestartOfStream(t *testing.T) {
 	// Kill the leader's HTTP server mid-tail and bring up a new one on the
 	// same source; the follower reconnects and resumes from applied+1.
 	l := newLeader(t)
-	if err := l.wal.Append(submitEvent(t, 1)); err != nil {
+	if err := l.wal.AppendBatch([]store.Event{submitEvent(t, 1)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -335,7 +335,7 @@ func TestFollowerSurvivesLeaderRestartOfStream(t *testing.T) {
 	mu.Lock()
 	leaderURL = l.srv.URL
 	mu.Unlock()
-	f2 := NewFollower(FollowerOptions{Leader: proxy.URL, Term: 1, Apply: rec.apply})
+	f2 := NewFollower(FollowerOptions{Leader: proxy.URL, Term: 1, Apply: rec.apply, WAL: store.NewWAL(io.Discard)})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go f2.Run(ctx)
@@ -351,7 +351,7 @@ func TestFollowerSurvivesLeaderRestartOfStream(t *testing.T) {
 	mu.Unlock()
 	l.srv.CloseClientConnections()
 
-	if err := l.wal.Append(submitEvent(t, 2)); err != nil {
+	if err := l.wal.AppendBatch([]store.Event{submitEvent(t, 2)}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, func() bool { return f2.Applied() >= 2 })

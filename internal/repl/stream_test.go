@@ -121,7 +121,7 @@ func walFrames(t *testing.T, l *leaderHarness, from int64) (frames []byte, recor
 func appendN(t *testing.T, l *leaderHarness, from, to int) {
 	t.Helper()
 	for i := from; i <= to; i++ {
-		if err := l.wal.Append(submitEvent(t, task.ID(i))); err != nil {
+		if err := l.wal.AppendBatch([]store.Event{submitEvent(t, task.ID(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,7 +138,7 @@ func waitReceived(t *testing.T, l *leaderHarness, w *gatedWriter, from int64) {
 	}
 }
 
-func TestRingConsumerFallsOutAndReentersThroughFile(t *testing.T) {
+func TestStreamPausedAcrossAMarkResumesInOrder(t *testing.T) {
 	l := newLeader(t)
 	appendN(t, l, 1, 10)
 	w, stop := consume(t, l.src, 1)
@@ -168,7 +168,7 @@ func TestRingConsumerFallsOutAndReentersThroughFile(t *testing.T) {
 	}
 }
 
-func TestRingCursorBeyondWrappedLogConflicts(t *testing.T) {
+func TestStreamCursorBeyondLogAcrossAMarkConflicts(t *testing.T) {
 	l := newLeader(t)
 	const total = markEvery + 1
 	appendN(t, l, 1, total)
@@ -216,7 +216,7 @@ func TestOnRecordDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestRingConcurrentReadersAcrossWrapAround(t *testing.T) {
+func TestStreamConcurrentReadersAcrossMarks(t *testing.T) {
 	l := newLeader(t)
 	const total = 2*markEvery + 100
 	appendN(t, l, 1, markEvery+10)

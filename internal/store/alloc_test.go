@@ -95,12 +95,12 @@ func compareLog(t *testing.T, n, redundancy, answers int) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: tk}); err != nil {
+		if err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: tk}}); err != nil {
 			t.Fatal(err)
 		}
 		for w := 0; w < answers; w++ {
 			a := task.Answer{WorkerID: fmt.Sprintf("worker-%09d", w), Choice: w & 1}
-			if err := wal.Append(Event{Kind: EventAnswer, At: t0.Add(time.Second), TaskID: tk.ID, Answer: &a}); err != nil {
+			if err := wal.AppendBatch([]Event{{Kind: EventAnswer, At: t0.Add(time.Second), TaskID: tk.ID, Answer: &a}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -176,14 +176,14 @@ func TestReplayAllocatesWhatItKeeps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := wal.Append(Event{Kind: EventSubmit, At: tk.CreatedAt.Time(), Task: tk}); err != nil {
+		if err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: tk.CreatedAt.Time(), Task: tk}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	wal = NewWAL(&answers)
 	for i := 1; i <= n; i++ {
 		a := task.Answer{WorkerID: fmt.Sprintf("worker-%04d", i), Words: []int{i, 7}}
-		if err := wal.Append(Event{Kind: EventAnswer, At: t0.Add(time.Hour), TaskID: task.ID(1 + i%(n/3)), Answer: &a}); err != nil {
+		if err := wal.AppendBatch([]Event{{Kind: EventAnswer, At: t0.Add(time.Hour), TaskID: task.ID(1 + i%(n/3)), Answer: &a}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -38,9 +38,9 @@ var errLegacyWAL = errors.New("store: wal is in the v1 JSON-line format, which i
 // descriptive error for a corrupt (checksum or decode failure) record or a
 // v1 log.
 //
-//	sc := store.NewRecordScanner(r)
+//	sc := store.NewRecordScanner(r, 0)
 //	for sc.Scan() {
-//		use(sc.Seq(), sc.Event())
+//		use(sc.Seq(), sc.Event(), sc.Frame())
 //	}
 //	if err := sc.Err(); err != nil { ... }
 type RecordScanner struct {
@@ -50,6 +50,7 @@ type RecordScanner struct {
 	off     int64 // stream offset just past the current record
 	read    int64 // bytes consumed from br, damaged ones included
 	event   Event
+	frame   []byte    // the current record; a prefix of buf
 	buf     []byte    // every record is read into this one buffer
 	box     answerBox // where a record's answer and gold answer are decoded
 	err     error
@@ -138,6 +139,7 @@ func (sc *RecordScanner) next() error {
 	sc.seq++
 	sc.off = sc.read
 	sc.event = e
+	sc.frame = frame
 	return nil
 }
 
@@ -153,6 +155,11 @@ func (sc *RecordScanner) Offset() int64 { return sc.off }
 // next Scan overwrites, so a caller that keeps an answer copies it out —
 // which Task.Record and every other consumer does by taking it by value.
 func (sc *RecordScanner) Event() Event { return sc.event }
+
+// Frame returns the current record's verified bytes as they stand on the
+// log (length prefix, checksum, payload). Every record is read into one
+// buffer: the slice is valid until the next Scan.
+func (sc *RecordScanner) Frame() []byte { return sc.frame }
 
 // Err returns nil if the stream ended cleanly at a record boundary, and
 // otherwise the reason scanning stopped.

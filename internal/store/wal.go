@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,8 +92,8 @@ func (p SyncPolicy) String() string {
 // Syncer is the subset of *os.File the WAL needs for durability.
 type Syncer interface{ Sync() error }
 
-// ErrWALClosed is returned by Append/AppendBatch after Close. Callers that
-// race shutdown (a late request, a replication tap) get a stable sentinel
+// ErrWALClosed is returned by every write after Close. Callers that race
+// shutdown (a late request, a replication tap) get a stable sentinel
 // instead of a buffered-writer error from a half-torn-down log.
 var ErrWALClosed = errors.New("store: wal closed")
 
@@ -200,14 +201,6 @@ func NewWALWith(w io.Writer, opts WALOptions) *WAL {
 	return l
 }
 
-// Append writes one event, hands it to the OS and — under SyncAlways —
-// fsyncs (sharing the fsync with concurrent appends) before returning.
-// An event is acknowledged if and only if Append returns nil.
-func (l *WAL) Append(e Event) error {
-	_, _, err := l.appendEvents([]Event{e})
-	return err
-}
-
 // AppendBatch writes many events as one group: all records are framed into
 // one buffer and handed to the OS with a single write, and under
 // SyncAlways the whole group shares a single fsync (composing with the
@@ -220,9 +213,9 @@ func (l *WAL) AppendBatch(events []Event) error {
 	return err
 }
 
-// AppendObserved is Append, additionally reporting where the time went:
-// write covers framing, the wait for the write lock and the write itself;
-// sync is the fsync-group wait (zero except under SyncAlways).
+// AppendObserved is AppendBatch of one event, additionally reporting where
+// the time went: write covers framing, the wait for the write lock and the
+// write itself; sync is the fsync-group wait (zero except under SyncAlways).
 func (l *WAL) AppendObserved(e Event) (write, sync time.Duration, err error) {
 	return l.appendEvents([]Event{e})
 }
@@ -256,19 +249,29 @@ func (l *WAL) appendEvents(events []Event) (write, sync time.Duration, err error
 // events are acknowledged once WaitDurable(seq) returns nil. A failed write
 // or fsync fails the log for good (see fail).
 func (l *WAL) WriteEvents(events []Event) (int64, error) {
-	if len(events) == 0 {
-		return 0, nil
-	}
 	buf, err := frameEvents(events)
 	if err != nil {
 		return 0, err
+	}
+	return l.WriteFrames(buf, int64(len(events)))
+}
+
+// WriteFrames is WriteEvents for records already framed: frames is n whole
+// records back to back, each as frameEvents laid it out or a RecordScanner
+// verified it (Frame). It hands them to the OS with one Write, the file
+// header riding along on the log's first, and then feeds the tap each
+// record. A replication follower writes what it received this way, so its
+// log is its leader's bytes.
+func (l *WAL) WriteFrames(frames []byte, n int64) (int64, error) {
+	if n == 0 {
+		return 0, nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, ErrWALClosed
 	}
-	if err := l.writeRecords(buf, int64(len(events))); err != nil {
+	if err := l.writeRecords(frames, n); err != nil {
 		l.failures.Add(1)
 		return 0, err
 	}
@@ -308,10 +311,9 @@ func (l *WAL) fail(err error) {
 const walRecordHint = 320
 
 // frameEvents validates events and encodes them into one contiguous
-// buffer: len(walMagic) bytes reserved for the file header, then each
-// event's record header and JSON payload, encoded in place.
+// buffer: each event's record header and JSON payload, encoded in place.
 func frameEvents(events []Event) ([]byte, error) {
-	buf := make([]byte, len(walMagic), len(walMagic)+len(events)*walRecordHint)
+	buf := make([]byte, 0, len(events)*walRecordHint)
 	for i := range events {
 		if err := validateEvent(events[i]); err != nil {
 			return nil, err
@@ -333,18 +335,16 @@ func frameEvents(events []Event) ([]byte, error) {
 	return buf, nil
 }
 
-// writeRecords hands the n records frameEvents laid out in buf to the OS
-// with one Write (the file header riding along on the first), then feeds
-// the tap sub-slices of buf. Caller holds mu.
-func (l *WAL) writeRecords(buf []byte, n int64) error {
+// writeRecords hands the n records in recs to the OS with one Write (the
+// file header riding along on the log's first), then feeds the tap
+// sub-slices of recs. Caller holds mu.
+func (l *WAL) writeRecords(recs []byte, n int64) error {
 	if l.err != nil {
 		return l.err
 	}
-	recs := buf[len(walMagic):]
 	out := recs
 	if !l.wroteHdr {
-		copy(buf, walMagic[:])
-		out = buf
+		out = slices.Concat(walMagic[:], recs)
 	}
 	if _, err := l.w.Write(out); err != nil {
 		// Part of out may be on the log as a torn record.
@@ -440,16 +440,12 @@ func (l *WAL) Close() error {
 	return err
 }
 
-// Len returns the number of events appended through this WAL instance,
-// which is LastSeq.
-func (l *WAL) Len() int64 { return l.LastSeq() }
-
-// LastSeq returns the sequence number of the newest record flushed to the
-// OS: the count of acknowledged appends through this WAL instance. Because
-// the service truncates its WAL at every snapshot, sequence N is the N-th
+// Len returns the sequence number of the newest record handed to the OS:
+// the count of records written through this WAL instance. Because the
+// service truncates its WAL at every snapshot, sequence N is the N-th
 // record in the current file — the contract the replication stream's
 // from=<seq> cursor relies on.
-func (l *WAL) LastSeq() int64 {
+func (l *WAL) Len() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.writeSeq

@@ -25,7 +25,7 @@ func buildV2Log(t *testing.T, n int) ([]byte, []int64) {
 	wal := NewWAL(&buf)
 	offsets := make([]int64, 0, n)
 	for i := 1; i <= n; i++ {
-		if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, task.ID(i), 1)}); err != nil {
+		if err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: walTask(t, task.ID(i), 1)}}); err != nil {
 			t.Fatal(err)
 		}
 		offsets = append(offsets, int64(buf.Len()))
@@ -125,7 +125,7 @@ func TestWALRefusesLegacyV1(t *testing.T) {
 	// A v1 file that later had v2 records appended behind a v2 header.
 	mixed := bytes.NewBuffer(append([]byte(nil), whole...))
 	wal := NewWAL(mixed)
-	if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 4, 1)}); err != nil {
+	if err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: walTask(t, 4, 1)}}); err != nil {
 		t.Fatal(err)
 	}
 	corrupt := append([]byte(nil), whole...)
@@ -177,7 +177,7 @@ func TestWALHeaderlessStreamStartingWithBrace(t *testing.T) {
 		wal := NewWAL(&buf)
 		tk := walTask(t, 1, 1)
 		tk.Payload.Detail = &task.Detail{WordImg: strings.Repeat("x", pad)}
-		if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: tk}); err != nil {
+		if err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: tk}}); err != nil {
 			t.Fatal(err)
 		}
 		stream := buf.Bytes()[len(walMagic):]
@@ -256,7 +256,7 @@ func TestWALSyncAlwaysGroupCommit(t *testing.T) {
 
 	// Sequential appends each pay their own fsync.
 	for i := 1; i <= 3; i++ {
-		if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, task.ID(i), 1)}); err != nil {
+		if err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: walTask(t, task.ID(i), 1)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -279,7 +279,7 @@ func TestWALSyncAlwaysGroupCommit(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: tk}); err != nil {
+				if err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: tk}}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -303,7 +303,7 @@ func TestWALSyncAlwaysGroupCommit(t *testing.T) {
 func TestWALSyncIntervalBackground(t *testing.T) {
 	sc := &syncCounter{}
 	wal := NewWALWith(sc, WALOptions{Policy: SyncInterval})
-	if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)}); err != nil {
+	if err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)}}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -335,13 +335,13 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 func TestWALHealthTracking(t *testing.T) {
 	// Each append flushes once; the first flush carries header + record 1.
 	wal := NewWAL(&failAfterWriter{n: 1})
-	if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)}); err != nil {
+	if err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)}}); err != nil {
 		t.Fatal(err)
 	}
 	if !wal.Healthy() {
 		t.Fatal("healthy WAL reported unhealthy")
 	}
-	if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 2, 1)}); err == nil {
+	if err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: walTask(t, 2, 1)}}); err == nil {
 		t.Fatal("append on dead writer succeeded")
 	}
 	if wal.Healthy() {
@@ -371,11 +371,11 @@ func (s *failOnceSyncer) Sync() error {
 // keeps its last acknowledged sequence number at seq.
 func wantFailedForGood(t *testing.T, wal *WAL, seq int64) {
 	t.Helper()
-	if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 9, 1)}); err == nil {
+	if err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: walTask(t, 9, 1)}}); err == nil {
 		t.Fatal("an append after a failed fsync was acknowledged")
 	}
-	if wal.Healthy() || wal.Err() == nil || wal.LastSeq() != seq {
-		t.Fatalf("after a failed fsync: Healthy %v Err %v LastSeq %d, want unhealthy at %d", wal.Healthy(), wal.Err(), wal.LastSeq(), seq)
+	if wal.Healthy() || wal.Err() == nil || wal.Len() != seq {
+		t.Fatalf("after a failed fsync: Healthy %v Err %v Len %d, want unhealthy at %d", wal.Healthy(), wal.Err(), wal.Len(), seq)
 	}
 }
 
@@ -386,10 +386,10 @@ func TestWALFailedFsyncIsStickyAlways(t *testing.T) {
 	f := &failOnceSyncer{failAt: 2}
 	wal := NewWALWith(f, WALOptions{Policy: SyncAlways})
 	defer wal.Close()
-	if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)}); err != nil {
+	if err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 2, 1)}); err == nil {
+	if err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: walTask(t, 2, 1)}}); err == nil {
 		t.Fatal("the append whose fsync failed was acknowledged")
 	}
 	wantFailedForGood(t, wal, 2)
@@ -401,7 +401,7 @@ func TestWALFailedFsyncIsStickyInterval(t *testing.T) {
 	f := &failOnceSyncer{failAt: 1}
 	wal := NewWALWith(f, WALOptions{Policy: SyncInterval})
 	defer wal.Close()
-	if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)}); err != nil {
+	if err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)}}); err != nil {
 		t.Fatal(err)
 	}
 	for deadline := time.Now().Add(5 * time.Second); wal.Healthy(); time.Sleep(time.Millisecond) {

@@ -25,7 +25,7 @@ func FuzzWALDecode(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: tk}); err != nil {
+		if err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: tk}}); err != nil {
 			f.Fatal(err)
 		}
 	}

@@ -21,21 +21,21 @@ import (
 func TestWALAppendAfterClose(t *testing.T) {
 	var buf bytes.Buffer
 	wal := NewWAL(&buf)
-	if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)}); err != nil {
+	if err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)
 	}
-	err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 2, 1)})
+	err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: walTask(t, 2, 1)}})
 	if !errors.Is(err, ErrWALClosed) {
 		t.Fatalf("append after close = %v, want ErrWALClosed", err)
 	}
-	if err := wal.AppendBatch([]Event{{Kind: EventCancel, At: t0, TaskID: 1}}); !errors.Is(err, ErrWALClosed) {
-		t.Fatalf("batch append after close = %v, want ErrWALClosed", err)
+	if _, err := wal.WriteFrames(buf.Bytes()[WALHeaderSize:], 1); !errors.Is(err, ErrWALClosed) {
+		t.Fatalf("frames written after close = %v, want ErrWALClosed", err)
 	}
-	if got := wal.LastSeq(); got != 1 {
-		t.Fatalf("LastSeq after close = %d, want 1", got)
+	if got := wal.Len(); got != 1 {
+		t.Fatalf("Len after close = %d, want 1", got)
 	}
 }
 
@@ -49,11 +49,11 @@ func TestRecoverWALReadOnlyFile(t *testing.T) {
 	build := func(torn bool) string {
 		var buf bytes.Buffer
 		wal := NewWAL(&buf)
-		if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)}); err != nil {
+		if err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := wal.Append(Event{Kind: EventAnswer, At: t0.Add(time.Minute), TaskID: 1,
-			Answer: &answer1}); err != nil {
+		if err := wal.AppendBatch([]Event{{Kind: EventAnswer, At: t0.Add(time.Minute), TaskID: 1,
+			Answer: &answer1}}); err != nil {
 			t.Fatal(err)
 		}
 		data := buf.Bytes()
@@ -111,7 +111,7 @@ func TestRecordScannerResumesAfterMidRecordCut(t *testing.T) {
 	wal := NewWAL(&buf)
 	const total = 8
 	for i := 1; i <= total; i++ {
-		if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, task.ID(1000+i), 1)}); err != nil {
+		if err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: walTask(t, task.ID(1000+i), 1)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,7 +187,7 @@ func TestWALOnRecordTap(t *testing.T) {
 		seqs = append(seqs, seq)
 		frames = append(frames, frame)
 	}})
-	if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)}); err != nil {
+	if err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := wal.AppendBatch([]Event{
@@ -199,8 +199,8 @@ func TestWALOnRecordTap(t *testing.T) {
 	if want := []int64{1, 2, 3}; len(seqs) != 3 || seqs[0] != 1 || seqs[1] != 2 || seqs[2] != 3 {
 		t.Fatalf("tap seqs = %v, want %v", seqs, want)
 	}
-	if wal.LastSeq() != 3 {
-		t.Fatalf("LastSeq = %d", wal.LastSeq())
+	if wal.Len() != 3 {
+		t.Fatalf("Len = %d", wal.Len())
 	}
 	// Concatenated tap frames must be a valid headerless record stream —
 	// exactly what the replication source ships.
@@ -250,7 +250,7 @@ func TestWALAppendIsOneWrite(t *testing.T) {
 		seqs = append(seqs, seq)
 		tapped = append(tapped, frame...)
 	}})
-	if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 2)}); err != nil {
+	if err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 2)}}); err != nil {
 		t.Fatal(err)
 	}
 	if len(out.writes) != 1 || !bytes.HasPrefix(out.writes[0], walMagic[:]) {
@@ -285,9 +285,9 @@ func TestWALAppendIsOneWrite(t *testing.T) {
 	if len(seqs) != records || seqs[0] != 1 || seqs[records-1] != records {
 		t.Fatalf("tap saw %d records (%v…), want 1..%d", len(seqs), seqs[:min(3, len(seqs))], records)
 	}
-	if wal.LastSeq() != records || wal.Len() != records || wal.Size() != int64(len(file)) {
-		t.Fatalf("LastSeq %d Len %d Size %d, want %d %d %d",
-			wal.LastSeq(), wal.Len(), wal.Size(), records, records, len(file))
+	if wal.Len() != records || wal.Size() != int64(len(file)) {
+		t.Fatalf("Len %d Size %d, want %d %d",
+			wal.Len(), wal.Size(), records, len(file))
 	}
 	// The format is what it always was: header, then per event the length
 	// and CRC32C of its json.Marshal encoding, then that encoding.
@@ -318,7 +318,7 @@ func TestWALFailedWriteAcknowledgesNothing(t *testing.T) {
 	out := &writeLog{failAt: 2}
 	taps := 0
 	wal := NewWALWith(out, WALOptions{OnRecord: func(int64, []byte) { taps++ }})
-	if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)}); err != nil {
+	if err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)}}); err != nil {
 		t.Fatal(err)
 	}
 	size := wal.Size()
@@ -332,16 +332,16 @@ func TestWALFailedWriteAcknowledgesNothing(t *testing.T) {
 	if wal.Healthy() || wal.Err() == nil || wal.Failures() != 1 {
 		t.Fatalf("Healthy %v Err %v Failures %d after a failed write", wal.Healthy(), wal.Err(), wal.Failures())
 	}
-	if taps != 1 || wal.LastSeq() != 1 || wal.Len() != 1 || wal.Size() != size {
-		t.Fatalf("failed write moved state: taps %d LastSeq %d Len %d Size %d (was %d)",
-			taps, wal.LastSeq(), wal.Len(), wal.Size(), size)
+	if taps != 1 || wal.Len() != 1 || wal.Size() != size {
+		t.Fatalf("failed write moved state: taps %d Len %d Size %d (was %d)",
+			taps, wal.Len(), wal.Size(), size)
 	}
 	out.failAt = 0 // the disk comes back; the log must not
-	if err := wal.Append(Event{Kind: EventCancel, At: t0, TaskID: 1}); err == nil {
+	if err := wal.AppendBatch([]Event{{Kind: EventCancel, At: t0, TaskID: 1}}); err == nil {
 		t.Fatal("append after a failed write succeeded behind a possibly torn record")
 	}
-	if len(out.writes) != 1 || taps != 1 || wal.LastSeq() != 1 {
-		t.Fatalf("writes %d taps %d LastSeq %d after the log failed", len(out.writes), taps, wal.LastSeq())
+	if len(out.writes) != 1 || taps != 1 || wal.Len() != 1 {
+		t.Fatalf("writes %d taps %d Len %d after the log failed", len(out.writes), taps, wal.Len())
 	}
 }
 

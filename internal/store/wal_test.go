@@ -27,18 +27,18 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 	wal := NewWAL(&buf)
 
 	tk := walTask(t, 1, 2)
-	if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: tk}); err != nil {
+	if err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: tk}}); err != nil {
 		t.Fatal(err)
 	}
 	a1 := task.Answer{WorkerID: "alice", Words: []int{3}}
-	if err := wal.Append(Event{Kind: EventAnswer, At: t0.Add(time.Minute), TaskID: 1, Answer: &a1}); err != nil {
+	if err := wal.AppendBatch([]Event{{Kind: EventAnswer, At: t0.Add(time.Minute), TaskID: 1, Answer: &a1}}); err != nil {
 		t.Fatal(err)
 	}
 	tk2 := walTask(t, 2, 1)
-	if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: tk2}); err != nil {
+	if err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: tk2}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := wal.Append(Event{Kind: EventCancel, At: t0.Add(2 * time.Minute), TaskID: 2}); err != nil {
+	if err := wal.AppendBatch([]Event{{Kind: EventCancel, At: t0.Add(2 * time.Minute), TaskID: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if wal.Len() != 4 {
@@ -73,7 +73,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 func TestWALReplayToleratesTornTail(t *testing.T) {
 	var buf bytes.Buffer
 	wal := NewWAL(&buf)
-	if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)}); err != nil {
+	if err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)}}); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a crash mid-append: a fragment of a record at the end.
@@ -99,7 +99,7 @@ func TestWALReplayRejectsInconsistentEvents(t *testing.T) {
 	// Answer for a task that was never submitted.
 	var orphan bytes.Buffer
 	a := task.Answer{WorkerID: "w", Words: []int{1}}
-	if err := NewWAL(&orphan).Append(Event{Kind: EventAnswer, At: t0, TaskID: 7, Answer: &a}); err != nil {
+	if err := NewWAL(&orphan).AppendBatch([]Event{{Kind: EventAnswer, At: t0, TaskID: 7, Answer: &a}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReplayWALObserved(&orphan, New(), nil); err == nil {
@@ -108,8 +108,8 @@ func TestWALReplayRejectsInconsistentEvents(t *testing.T) {
 	// Duplicate submit.
 	var buf bytes.Buffer
 	wal := NewWAL(&buf)
-	_ = wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)})
-	_ = wal.Append(Event{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)})
+	_ = wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)}})
+	_ = wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 1)}})
 	s2 := New()
 	if _, err := ReplayWALObserved(&buf, s2, nil); err == nil {
 		t.Fatal("duplicate submit accepted")
@@ -133,7 +133,7 @@ func TestReplayRefusesWhatNoLiveOrderLogs(t *testing.T) {
 		wal := NewWAL(&buf)
 		events = append([]Event{{Kind: EventSubmit, At: t0, Task: walTask(t, 1, 2)}}, events...)
 		for _, e := range events {
-			if err := wal.Append(e); err != nil {
+			if err := wal.AppendBatch([]Event{e}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -176,7 +176,7 @@ func TestWALAppendValidation(t *testing.T) {
 		"unknown kind":        {Kind: "bogus"},
 	}
 	for name, e := range cases {
-		if err := wal.Append(e); err == nil {
+		if err := wal.AppendBatch([]Event{e}); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -199,7 +199,7 @@ func TestWALSnapshotPlusTailRecovery(t *testing.T) {
 	var tail bytes.Buffer
 	wal := NewWAL(&tail)
 	a := task.Answer{WorkerID: "late", Words: []int{9}}
-	if err := wal.Append(Event{Kind: EventAnswer, At: t0.Add(time.Hour), TaskID: 1, Answer: &a}); err != nil {
+	if err := wal.AppendBatch([]Event{{Kind: EventAnswer, At: t0.Add(time.Hour), TaskID: 1, Answer: &a}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -231,7 +231,7 @@ func TestWALRoundTripProperty(t *testing.T) {
 			case 0:
 				nextID++
 				tk, _ := task.New(nextID, task.Label, task.Payload{ImageID: int(nextID)}, 2, t0)
-				if err := wal.Append(Event{Kind: EventSubmit, At: t0, Task: cloneTask(tk)}); err != nil {
+				if err := wal.AppendBatch([]Event{{Kind: EventSubmit, At: t0, Task: cloneTask(tk)}}); err != nil {
 					t.Fatal(err)
 				}
 				reference.Put(tk)
@@ -250,7 +250,7 @@ func TestWALRoundTripProperty(t *testing.T) {
 					continue
 				}
 				recorded := ref.Answers()[len(ref.Answers())-1]
-				if err := wal.Append(Event{Kind: EventAnswer, At: t0, TaskID: id, Answer: &recorded}); err != nil {
+				if err := wal.AppendBatch([]Event{{Kind: EventAnswer, At: t0, TaskID: id, Answer: &recorded}}); err != nil {
 					t.Fatal(err)
 				}
 			case 2:
@@ -262,7 +262,7 @@ func TestWALRoundTripProperty(t *testing.T) {
 				if ref.Cancel(t0) != nil {
 					continue
 				}
-				if err := wal.Append(Event{Kind: EventCancel, At: t0, TaskID: id}); err != nil {
+				if err := wal.AppendBatch([]Event{{Kind: EventCancel, At: t0, TaskID: id}}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -371,7 +371,7 @@ func TestWALAppendBatchSingleFsync(t *testing.T) {
 	}
 	// Equivalent single appends pay one fsync each.
 	for i := 0; i < n; i++ {
-		if err := wal.Append(Event{Kind: EventCancel, At: t0, TaskID: task.ID(i + 1)}); err != nil {
+		if err := wal.AppendBatch([]Event{{Kind: EventCancel, At: t0, TaskID: task.ID(i + 1)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
