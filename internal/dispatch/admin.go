@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"bytes"
 	"math"
 	"net/http"
 	"net/http/pprof"
@@ -220,6 +221,7 @@ func promFamilies(sys *core.System, api *Server, opts AdminOptions) []metrics.Pr
 			"Seconds since the process started serving.", time.Since(opts.Start).Seconds()))
 	}
 	fams = append(fams, memoryFamilies()...)
+	fams = append(fams, processFamilies()...)
 
 	qLocks, sLocks := sys.LockCounts()
 	fams = append(fams,
@@ -442,6 +444,46 @@ func memoryFamilies() []metrics.PromFamily {
 	if kb, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimSpace(line), " kB"), 10, 64); err == nil {
 		fams = append(fams, metrics.PromGaugeFamily("process_resident_memory_max_bytes",
 			"Peak resident set size in bytes.", float64(kb<<10)))
+	}
+	return fams
+}
+
+// processFamilies are the process's CPU time, utime + stime from
+// /proc/self/stat, and its read and write system calls, syscr and syscw
+// from /proc/self/io, read at each scrape; a family whose file is missing
+// or unreadable is left out.
+func processFamilies() []metrics.PromFamily {
+	var fams []metrics.PromFamily
+	if stat, err := os.ReadFile("/proc/self/stat"); err == nil {
+		// The fields after the command name, which is in parentheses and
+		// may hold anything: the state is the first, utime the 12th and
+		// stime the 13th, in ticks of USER_HZ, which Linux fixes at 100 a
+		// second for every architecture Go runs on.
+		f := strings.Fields(string(stat[bytes.LastIndexByte(stat, ')')+1:]))
+		if len(f) > 12 {
+			utime, err1 := strconv.ParseUint(f[11], 10, 64)
+			stime, err2 := strconv.ParseUint(f[12], 10, 64)
+			if err1 == nil && err2 == nil {
+				fams = append(fams, metrics.PromFamily{Name: "process_cpu_seconds_total",
+					Help: "User and system CPU time the process has used, in seconds.", Kind: metrics.PromCounter,
+					Samples: []metrics.PromSample{{Value: float64(utime+stime) / 100}}})
+			}
+		}
+	}
+	if counts, err := os.ReadFile("/proc/self/io"); err == nil {
+		calls := metrics.PromFamily{Name: "process_io_syscalls_total",
+			Help: "Read and write system calls the process has made, by op.", Kind: metrics.PromCounter}
+		for _, op := range [...]struct{ key, name string }{{"\nsyscr:", "read"}, {"\nsyscw:", "write"}} {
+			_, rest, _ := strings.Cut(string(counts), op.key)
+			line, _, _ := strings.Cut(rest, "\n")
+			if n, err := strconv.ParseUint(strings.TrimSpace(line), 10, 64); err == nil {
+				calls.Samples = append(calls.Samples, metrics.PromSample{
+					Labels: []metrics.PromLabel{{Name: "op", Value: op.name}}, Value: float64(n)})
+			}
+		}
+		if len(calls.Samples) == 2 {
+			fams = append(fams, calls)
+		}
 	}
 	return fams
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"humancomp/internal/core"
+	"humancomp/internal/jsonx"
 	"humancomp/internal/task"
 	"humancomp/internal/trace"
 )
@@ -50,14 +51,13 @@ func (m *memWriter) reset() {
 // core and the JSON codec, which this package does not own. The ceilings
 // are the measured floor. Get-task encodes the stored task in place with
 // the storage codec; copying it out and encoding the copy by reflection
-// cost 14. The three body-carrying routes pay for the
-// json.Decoder that jsonx.UnmarshalStrict builds per request — the
-// Decoder, its reader and its read buffer — which cost submit 4, next 3
-// and answer 5 over the hand-written key scanner it replaced (20, 17, 19).
-// No end-to-end metric moved with them: the paired svc_p50_ms runs in
-// CHANGES.md are why they are accepted. Each is still under 55 % of what
-// the same table read before the pooled exchange (submit 53, next 44,
-// answer 45, get-task 39).
+// cost 14. The three body-carrying routes read their bodies with the task
+// codec's readers (body.go), which allocate the decoded strings and word
+// lists and nothing else, and next writes its reply with the codec too:
+// through the json.Decoder jsonx.UnmarshalStrict falls back to, and
+// json.Encoder, the same requests cost submit 24, next 19 and answer 24.
+// Before the pooled exchange the table read submit 53, next 44, answer 45
+// and get-task 39.
 func TestRouteAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not the production ones under the race detector")
@@ -123,9 +123,9 @@ func TestRouteAllocCeilings(t *testing.T) {
 		status  int
 		ceiling float64
 	}{
-		{"POST /v1/tasks", submits[:], http.StatusCreated, 24},
-		{"POST /v1/next", nexts[:], http.StatusOK, 20},
-		{"POST /v1/leases/{id}", answers[:], http.StatusNoContent, 24},
+		{"POST /v1/tasks", submits[:], http.StatusCreated, 13},
+		{"POST /v1/next", nexts[:], http.StatusOK, 10},
+		{"POST /v1/leases/{id}", answers[:], http.StatusNoContent, 12},
 		{"GET /v1/tasks/{id}", gets[:], http.StatusOK, 8},
 	} {
 		i := 0
@@ -186,5 +186,36 @@ func TestRequestLogRecord(t *testing.T) {
 			t.Errorf("%s handler: request log line costs %.0f allocs, want 0", name, got)
 		}
 		e.release()
+	}
+}
+
+// TestBatchSubmitDecodeAllocates: a 256-item :batch submit body in the
+// form dispatch.Client and bench/ send decodes into its request value, the
+// item slice and nothing else. Decoded by reflection it took 284.
+func TestBatchSubmitDecodeAllocates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not the production ones under the race detector")
+	}
+	in := BatchSubmitRequest{Tasks: make([]SubmitRequest, maxBatchItems)}
+	for i := range in.Tasks {
+		in.Tasks[i] = SubmitRequest{Kind: []string{"label", "compare"}[i%2], Payload: task.Payload{ImageID: 1000 + i, ImageB: i % 2 * 7}, Redundancy: 3, Priority: i % 5}
+	}
+	body, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out *BatchSubmitRequest
+	got := testing.AllocsPerRun(50, func() {
+		out = new(BatchSubmitRequest)
+		if err := jsonx.UnmarshalStrict(body, out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !reflect.DeepEqual(*out, in) {
+		t.Fatalf("decoded %d tasks, not the %d encoded", len(out.Tasks), len(in.Tasks))
+	}
+	t.Logf("%d-item batch submit body (%d B): %.0f allocs", len(in.Tasks), len(body), got)
+	if got > 2 {
+		t.Errorf("%d-item batch submit body: %.0f allocs, want 2: the request and its items", len(in.Tasks), got)
 	}
 }

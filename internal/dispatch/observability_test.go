@@ -452,6 +452,30 @@ func TestAdminHandlerMetricsAndProbes(t *testing.T) {
 		t.Error("process_resident_memory_max_bytes exported without /proc/self/status")
 	}
 
+	// The process's CPU time and system calls, where the kernel reports
+	// them: counters a scrape reads afresh, and the scrapes themselves are
+	// reads and writes on a socket.
+	if _, err := os.Stat("/proc/self/stat"); err == nil {
+		if v, err := strconv.ParseFloat(values["process_cpu_seconds_total"], 64); err != nil || v < 0 {
+			t.Errorf("process_cpu_seconds_total = %q, want the CPU time used", values["process_cpu_seconds_total"])
+		}
+		if !strings.Contains(body, "# TYPE process_cpu_seconds_total counter\n") {
+			t.Error("process_cpu_seconds_total is not a counter")
+		}
+	} else if _, ok := values["process_cpu_seconds_total"]; ok {
+		t.Error("process_cpu_seconds_total exported without /proc/self/stat")
+	}
+	if _, err := os.ReadFile("/proc/self/io"); err == nil {
+		for _, op := range []string{"read", "write"} {
+			name := `process_io_syscalls_total{op="` + op + `"}`
+			if v, _ := strconv.ParseFloat(values[name], 64); v < 1 {
+				t.Errorf("%s = %q, want the %s system calls made", name, values[name], op)
+			}
+		}
+	} else if _, ok := values[`process_io_syscalls_total{op="read"}`]; ok {
+		t.Error("process_io_syscalls_total exported without /proc/self/io")
+	}
+
 	// Every route shares one family each; the route is a label.
 	for _, fam := range []string{"hc_http_requests_total counter", "hc_http_request_duration_seconds histogram"} {
 		if n := strings.Count(body, "# TYPE "+fam+"\n"); n != 1 {

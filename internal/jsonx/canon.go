@@ -12,6 +12,12 @@
 // Append function that cannot reproduce encoding/json says so, a Canon that
 // meets any byte it does not expect says so, and the caller hands the whole
 // value to encoding/json, so results are the stdlib's on every input.
+//
+// The request bodies that become those records (a submit, an answer) are
+// read the same way: a request type with a reader for its canonical form,
+// or for any subset of its keys in order, is offered the body first by
+// UnmarshalStrict, and every other body goes to encoding/json. Every
+// client in the module sends such bodies.
 package jsonx
 
 import (
@@ -159,6 +165,21 @@ func (c *Canon) Try(lit string) bool {
 	return true
 }
 
+// Key consumes key if the input continues with it and reports whether it
+// did: the test for a key of an object whose keys may each be absent. key
+// is spelled with the comma that precedes every key but an object's first,
+// and *first, true until a key has been read, says whether to drop it.
+func (c *Canon) Key(first *bool, key string) bool {
+	if *first {
+		key = key[1:]
+	}
+	if !c.Try(key) {
+		return false
+	}
+	*first = false
+	return true
+}
+
 // Lit consumes lit, which must come next.
 func (c *Canon) Lit(lit string) {
 	if !c.Try(lit) {
@@ -169,6 +190,15 @@ func (c *Canon) Lit(lit string) {
 // Fail marks the input non-canonical: for a caller that parses a piece
 // itself (see Quoted) and finds it is not what the encoder writes.
 func (c *Canon) Fail() { c.bad = true }
+
+// Bool consumes true or false.
+func (c *Canon) Bool() bool {
+	if c.Try("true") {
+		return true
+	}
+	c.Lit("false")
+	return false
+}
 
 // Int64 consumes a decimal integer as strconv.AppendInt writes it: an
 // optional minus sign, no leading zeros, no fraction or exponent.

@@ -17,8 +17,10 @@ import (
 // encoders produce encoding/json's bytes exactly, so the formats on disk
 // and on the replication wire are unchanged; the decoders allocate what the
 // decoded value keeps and nothing else. Task and View are JSON through
-// this codec wherever they go, HTTP bodies included: GET /v1/tasks/{id} is
-// this encoder's bytes plus json.Encoder's newline.
+// this codec wherever they go, HTTP bodies included: the replies that
+// carry tasks are this encoder's bytes plus json.Encoder's newline, and
+// the request bodies that become records are read with ReadPayload,
+// ReadAnswer and ReadKindName.
 //
 // A field added to Task, Answer, Payload or Detail must be added here, in
 // struct order, and to taskDoc; FuzzTaskCodecMatchesStdlib fails until it
@@ -246,7 +248,8 @@ func DecodeTask(c *jsonx.Canon, t *Task) {
 		doneAt = decodeStamp(c)
 	}
 	c.Lit(`,"payload":`)
-	decodePayload(c, &t.Payload)
+	t.Payload = Payload{}
+	ReadPayload(c, &t.Payload)
 	c.Lit(`,"redundancy":`)
 	t.Redundancy = c.Uint16()
 	c.Lit(`,"priority":`)
@@ -277,73 +280,100 @@ func decodeStamp(c *jsonx.Canon) Stamp {
 	return s
 }
 
-func decodePayload(c *jsonx.Canon, p *Payload) {
-	*p = Payload{}
+// ReadPayload reads a payload object into *p as encoding/json decodes one
+// into it: a key the object holds sets its field, and the others keep
+// theirs. encoding/json gives the payload a Detail as soon as it meets one
+// of its keys, whatever the value, and decodes into the one it has; here
+// the payload then gets a Detail of its own, holding a copy of the old one
+// with those keys set, so no reader ever writes to memory it was handed.
+// The keys are read into a local, so a payload without them allocates
+// nothing.
+func ReadPayload(c *jsonx.Canon, p *Payload) {
 	c.Lit("{")
 	first := true
-	if tryKey(c, &first, `,"image_id":`) {
+	if c.Key(&first, `,"image_id":`) {
 		p.ImageID = c.Int()
 	}
-	if tryKey(c, &first, `,"image_b":`) {
+	if c.Key(&first, `,"image_b":`) {
 		p.ImageB = c.Int()
 	}
-	// encoding/json gives the payload a Detail as soon as it meets one of
-	// its keys, whatever the value, and none otherwise. The keys are read
-	// into a local, so a payload without them allocates nothing.
-	if d, ok := decodeDetail(c, &first); ok {
+	var d Detail
+	if p.Detail != nil {
+		d = *p.Detail
+	}
+	if readDetail(c, &first, &d) {
 		p.Detail = new(Detail)
 		*p.Detail = d
 	}
 	c.Lit("}")
 }
 
-// decodeDetail reads the Detail keys of a payload and reports whether
-// there were any.
-func decodeDetail(c *jsonx.Canon, first *bool) (d Detail, ok bool) {
-	if tryKey(c, first, `,"word":`) {
+// readDetail reads the Detail keys of a payload into *d and reports
+// whether there were any.
+func readDetail(c *jsonx.Canon, first *bool, d *Detail) (ok bool) {
+	if c.Key(first, `,"word":`) {
 		d.Word, ok = c.Int(), true
 	}
-	if tryKey(c, first, `,"word_img":`) {
+	if c.Key(first, `,"word_img":`) {
 		d.WordImg, ok = c.Str(), true
 	}
-	if tryKey(c, first, `,"taboo":`) {
+	if c.Key(first, `,"taboo":`) {
 		d.Taboo, ok = c.Ints(), true
 	}
-	if tryKey(c, first, `,"clip_a":`) {
+	if c.Key(first, `,"clip_a":`) {
 		d.ClipA, ok = c.Int(), true
 	}
-	if tryKey(c, first, `,"clip_b":`) {
+	if c.Key(first, `,"clip_b":`) {
 		d.ClipB, ok = c.Int(), true
 	}
-	return d, ok
+	return ok
 }
 
-func tryKey(c *jsonx.Canon, first *bool, key string) bool {
-	if *first {
-		key = key[1:]
+// ReadKindName reads a string naming a task's kind, as a submit request
+// spells it. A kind's own name comes back as the constant Kind.String
+// returns, so reading one allocates nothing.
+func ReadKindName(c *jsonx.Canon) string {
+	q := c.Quoted()
+	if len(q) < 2 {
+		return ""
 	}
-	if !c.Try(key) {
-		return false
+	name := q[1 : len(q)-1]
+	for k := Kind(0); k < numKinds; k++ {
+		if s := k.String(); string(name) == s {
+			return s
+		}
 	}
-	*first = false
-	return true
+	return string(name)
 }
 
-// DecodeAnswer is DecodeTask for an answer.
+// DecodeAnswer is DecodeTask for an answer: *a is overwritten.
 func DecodeAnswer(c *jsonx.Canon, a *Answer) {
 	*a = Answer{}
-	c.Lit(`{"task_id":`)
-	a.TaskID = ID(c.Int64())
-	c.Lit(`,"worker_id":`)
-	a.WorkerID = c.Str()
-	c.Lit(`,"at":`)
-	a.At = decodeStamp(c)
-	if c.Try(`,"words":`) {
+	ReadAnswer(c, a)
+}
+
+// ReadAnswer reads an answer object into *a as encoding/json decodes one
+// into it: each of its keys may be absent, and a key the object holds sets
+// its field while the others keep theirs. A stored answer holds the first
+// three keys; an answer a worker submits may hold any of them.
+func ReadAnswer(c *jsonx.Canon, a *Answer) {
+	c.Lit("{")
+	first := true
+	if c.Key(&first, `,"task_id":`) {
+		a.TaskID = ID(c.Int64())
+	}
+	if c.Key(&first, `,"worker_id":`) {
+		a.WorkerID = c.Str()
+	}
+	if c.Key(&first, `,"at":`) {
+		a.At = decodeStamp(c)
+	}
+	if c.Key(&first, `,"words":`) {
 		a.Words = c.Ints()
 	}
 	// The encoder leaves an empty box out; a record from before it did
 	// carries one anyway, and it decodes in place like any other.
-	if c.Try(`,"box":{"X":`) {
+	if c.Key(&first, `,"box":{"X":`) {
 		a.Box.X = c.Int()
 		c.Lit(`,"Y":`)
 		a.Box.Y = c.Int()
@@ -353,10 +383,10 @@ func DecodeAnswer(c *jsonx.Canon, a *Answer) {
 		a.Box.H = c.Int()
 		c.Lit("}")
 	}
-	if c.Try(`,"text":`) {
+	if c.Key(&first, `,"text":`) {
 		a.Text = c.Str()
 	}
-	if c.Try(`,"choice":`) {
+	if c.Key(&first, `,"choice":`) {
 		a.Choice = c.Int()
 	}
 	c.Lit("}")
