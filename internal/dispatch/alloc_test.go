@@ -51,13 +51,12 @@ func (m *memWriter) reset() {
 // core and the JSON codec, which this package does not own. The ceilings
 // are the measured floor. Get-task encodes the stored task in place with
 // the storage codec; copying it out and encoding the copy by reflection
-// cost 14. The three body-carrying routes read their bodies with the task
-// codec's readers (body.go), which allocate the decoded strings and word
-// lists and nothing else, and next writes its reply with the codec too:
-// through the json.Decoder jsonx.UnmarshalStrict falls back to, and
-// json.Encoder, the same requests cost submit 24, next 19 and answer 24.
-// Before the pooled exchange the table read submit 53, next 44, answer 45
-// and get-task 39.
+// cost 14. Submit reads its body with the task codec's readers (body.go),
+// which allocate the decoded strings and nothing else; through the
+// json.Decoder jsonx.UnmarshalStrict falls back to it cost 24. Next and
+// answer pay for that Decoder — the Decoder, its reader and its read
+// buffer. Before the pooled exchange the table read submit 53, next 44,
+// answer 45 and get-task 39.
 func TestRouteAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not the production ones under the race detector")
@@ -124,8 +123,8 @@ func TestRouteAllocCeilings(t *testing.T) {
 		ceiling float64
 	}{
 		{"POST /v1/tasks", submits[:], http.StatusCreated, 13},
-		{"POST /v1/next", nexts[:], http.StatusOK, 10},
-		{"POST /v1/leases/{id}", answers[:], http.StatusNoContent, 12},
+		{"POST /v1/next", nexts[:], http.StatusOK, 19},
+		{"POST /v1/leases/{id}", answers[:], http.StatusNoContent, 24},
 		{"GET /v1/tasks/{id}", gets[:], http.StatusOK, 8},
 	} {
 		i := 0

@@ -143,7 +143,7 @@ func (s *Server) handleSubmitBatch(e *exchange, r *http.Request) {
 		}
 		results[i] = BatchSubmitResult{Status: http.StatusCreated, ID: out.ID}
 	}
-	writeAppendedSpanned(e, http.StatusOK, func(b []byte) ([]byte, bool) { return appendSubmitResults(b, results), true })
+	writeSubmitResults(e, results)
 }
 
 // handleNextBatch serves POST /v1/leases:batch: up to Max leases for one
@@ -166,9 +166,6 @@ func (s *Server) handleNextBatch(e *exchange, r *http.Request) {
 		max = maxBatchItems
 	}
 	grants := s.sys.LeaseBatchCtx(r.Context(), req.WorkerID, max)
-	if writeAppendedSpanned(e, http.StatusOK, func(b []byte) ([]byte, bool) { return appendLeases(b, grants) }) {
-		return
-	}
 	out := BatchNextResponse{Leases: make([]NextResponse, len(grants))}
 	for i, g := range grants {
 		out.Leases[i] = NextResponse{Task: g.Task, Lease: g.Lease}

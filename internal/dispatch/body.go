@@ -6,21 +6,20 @@ import (
 	"strconv"
 
 	"humancomp/internal/jsonx"
-	"humancomp/internal/queue"
 	"humancomp/internal/task"
 	"humancomp/internal/trace"
 )
 
-// The bodies of the write path without reflection. A request body that
-// becomes a WAL record is read by the task codec's readers: each request
-// type below reads its keys in declaration order, each present or absent,
-// which is every body json.Marshal writes for it and every body bench/
-// sends. jsonx.UnmarshalStrict offers it the body first; anything else —
+// The submit bodies without reflection. A submit body, single or :batch,
+// is read by the task codec's readers: the request types below read their
+// keys in declaration order, each present or absent, which is every body
+// json.Marshal writes for them and every body bench/ sends.
+// jsonx.UnmarshalStrict offers them the body first; anything else —
 // whitespace, escapes, null, unknown, repeated or case-folded keys, a
 // number out of range — is left to encoding/json, so a body decodes to
 // the same value, and is accepted or refused with the same error, either
-// way. The replies that carry a task or an ID per item are appended into
-// the pooled buffer the same way: json.Encoder's bytes, without it.
+// way. The :batch reply is appended into the pooled buffer the same way:
+// json.Encoder's bytes, without it.
 
 // Each request type's DecodeCanonical reads the body into a copy of the
 // receiver, as encoding/json decodes into an existing value — a key the
@@ -80,8 +79,10 @@ func (r *BatchSubmitRequest) DecodeCanonical(data []byte) bool {
 		// An array reads as encoding/json decodes one into the old
 		// slice: item i into its element i wherever its capacity reaches,
 		// into a zero one past it, and [] into an empty slice, not nil.
+		// The items get the capacity of the count of the key each opens
+		// with, at most a batch's limit.
 		old := r.Tasks[:cap(r.Tasks)]
-		n.Tasks = make([]SubmitRequest, 0, itemHint(data, `{"kind":`))
+		n.Tasks = make([]SubmitRequest, 0, min(bytes.Count(data, []byte(`{"kind":`)), maxBatchItems))
 		if c.Lit("["); !c.Try("]") {
 			for more := true; more && c.OK(); more = c.Try(",") {
 				var it SubmitRequest
@@ -101,172 +102,16 @@ func (r *BatchSubmitRequest) DecodeCanonical(data []byte) bool {
 	return true
 }
 
-// itemHint is the capacity to give the items of a batch body: how often
-// the key each item opens with occurs in it, at most a batch's limit.
-func itemHint(data []byte, open string) int {
-	return min(bytes.Count(data, []byte(open)), maxBatchItems)
-}
-
-// DecodeCanonical reads an answer body without reflection.
-func (r *AnswerRequest) DecodeCanonical(data []byte) bool {
-	c, n := jsonx.NewCanon(data), *r
-	c.Lit("{")
-	first := true
-	if c.Key(&first, `,"answer":`) {
-		task.ReadAnswer(&c, &n.Answer)
-	}
-	if c.Lit("}"); !c.Done() {
-		return false
-	}
-	*r = n
-	return true
-}
-
-func (it *BatchAnswerItem) read(c *jsonx.Canon) {
-	c.Lit("{")
-	first := true
-	if c.Key(&first, `,"lease":`) {
-		it.Lease = queue.LeaseID(c.Int64())
-	}
-	if c.Key(&first, `,"answer":`) {
-		task.ReadAnswer(c, &it.Answer)
-	}
-	c.Lit("}")
-}
-
-// DecodeCanonical reads a batch answer body without reflection.
-func (r *BatchAnswerRequest) DecodeCanonical(data []byte) bool {
-	c, n := jsonx.NewCanon(data), *r
-	c.Lit("{")
-	first := true
-	if c.Key(&first, `,"answers":`) {
-		old := r.Answers[:cap(r.Answers)] // as BatchSubmitRequest's tasks
-		n.Answers = make([]BatchAnswerItem, 0, itemHint(data, `{"lease":`))
-		if c.Lit("["); !c.Try("]") {
-			for more := true; more && c.OK(); more = c.Try(",") {
-				var it BatchAnswerItem
-				if i := len(n.Answers); i < len(old) {
-					it = old[i]
-				}
-				it.read(&c)
-				n.Answers = append(n.Answers, it)
-			}
-			c.Lit("]")
-		}
-	}
-	if c.Lit("}"); !c.Done() {
-		return false
-	}
-	*r = n
-	return true
-}
-
-// DecodeCanonical reads a next body without reflection.
-func (r *NextRequest) DecodeCanonical(data []byte) bool {
-	c, n := jsonx.NewCanon(data), *r
-	c.Lit("{")
-	first := true
-	if c.Key(&first, `,"worker_id":`) {
-		n.WorkerID = c.Str()
-	}
-	if c.Lit("}"); !c.Done() {
-		return false
-	}
-	*r = n
-	return true
-}
-
-// DecodeCanonical reads a batch lease body without reflection.
-func (r *BatchNextRequest) DecodeCanonical(data []byte) bool {
-	c, n := jsonx.NewCanon(data), *r
-	c.Lit("{")
-	first := true
-	if c.Key(&first, `,"worker_id":`) {
-		n.WorkerID = c.Str()
-	}
-	if c.Key(&first, `,"max":`) {
-		n.Max = c.Int()
-	}
-	if c.Lit("}"); !c.Done() {
-		return false
-	}
-	*r = n
-	return true
-}
-
-// writeAppended sends with status the JSON body appendBody writes into a
-// pooled buffer, ended by the newline json.Encoder ends a value with. It
-// reports false, having sent nothing, where appendBody reports that the
-// body is not one it can write as encoding/json would.
-func writeAppended(w http.ResponseWriter, status int, appendBody func([]byte) ([]byte, bool)) bool {
+// writeSubmitResults sends a BatchSubmitResponse holding results, the
+// bytes json.Encoder writes for it, under an "http.encode" child span
+// (attr = status) when the request is traced.
+func writeSubmitResults(e *exchange, results []BatchSubmitResult) {
+	t0 := e.sh.Now()
 	buf := jsonBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	body, ok := appendBody(buf.AvailableBuffer())
-	if !ok {
-		jsonBufPool.Put(buf)
-		return false
-	}
-	buf.Write(append(body, '\n'))
-	writeBuffer(w, status, buf)
-	return true
-}
-
-// writeAppendedSpanned is writeAppended plus an "http.encode" child span
-// (attr = status) when the request is traced and the body was sent; a
-// caller that falls back to writeJSONSpanned gets that one's span instead.
-func writeAppendedSpanned(e *exchange, status int, appendBody func([]byte) ([]byte, bool)) bool {
-	t0 := e.sh.Now()
-	if !writeAppended(e, status, appendBody) {
-		return false
-	}
-	e.sh.ObserveSince("http.encode", trace.NoSpan, t0, int64(status))
-	return true
-}
-
-// appendLease appends a NextResponse: the task by the codec, then its
-// lease. ok is false where the codec cannot encode the task.
-func appendLease(b []byte, t *task.View, lease queue.LeaseID) (_ []byte, ok bool) {
-	b = append(b, `{"task":`...)
-	if b, ok = task.AppendTask(b, (*task.Task)(t)); !ok {
-		return b, false
-	}
-	b = append(b, `,"lease":`...)
-	b = strconv.AppendInt(b, int64(lease), 10)
-	return append(b, '}'), true
-}
-
-// appendLeases appends a BatchNextResponse holding grants.
-func appendLeases(b []byte, grants []queue.LeaseGrant) (_ []byte, ok bool) {
-	b = append(b, `{"leases":[`...)
-	for i := range grants {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		if b, ok = appendLease(b, &grants[i].Task, grants[i].Lease); !ok {
-			return b, false
-		}
-	}
-	return append(b, "]}"...), true
-}
-
-// appendTaskList appends a TaskList of page and total. ok is false where
-// the codec cannot encode a task, or page is nil.
-func appendTaskList(b []byte, page []task.View, total int) (_ []byte, ok bool) {
-	if page == nil {
-		return b, false
-	}
-	b = append(b, `{"tasks":[`...)
-	for i := range page {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		if b, ok = task.AppendTask(b, (*task.Task)(&page[i])); !ok {
-			return b, false
-		}
-	}
-	b = append(b, `],"total":`...)
-	b = strconv.AppendInt(b, int64(total), 10)
-	return append(b, '}'), true
+	buf.Write(append(appendSubmitResults(buf.AvailableBuffer(), results), '\n'))
+	writeBuffer(e, http.StatusOK, buf)
+	e.sh.ObserveSince("http.encode", trace.NoSpan, t0, int64(http.StatusOK))
 }
 
 // appendSubmitResults appends a BatchSubmitResponse holding results.

@@ -12,16 +12,14 @@ import (
 	"time"
 
 	"humancomp/internal/core"
-	"humancomp/internal/queue"
-	"humancomp/internal/sim"
 	"humancomp/internal/store"
 	"humancomp/internal/task"
 	"humancomp/internal/vocab"
 )
 
-// TestClientBodiesAreReadCanonically: the bodies Client sends (json.Marshal
-// of the request types) and the ones bench/ writes by hand (ordered subsets
-// of the keys) are taken by the request types' own readers, not handed to
+// TestClientBodiesAreReadCanonically: the submit bodies Client sends
+// (json.Marshal of the request types) and the ones bench/ writes by hand
+// (ordered subsets of the keys) are taken by the request types' own readers, not handed to
 // encoding/json, and decode to what was sent. (A string json.Marshal
 // escapes, such as one holding <, is left to encoding/json.)
 func TestClientBodiesAreReadCanonically(t *testing.T) {
@@ -31,11 +29,6 @@ func TestClientBodiesAreReadCanonically(t *testing.T) {
 		&SubmitRequest{Kind: "label", Payload: task.Payload{ImageID: 7}, Redundancy: 3, Priority: -1},
 		&SubmitRequest{Kind: "judge", Payload: task.Payload{Detail: &task.Detail{Word: 1, WordImg: "a b", Taboo: []int{-1, 2}, ClipA: 3, ClipB: 4}}, Redundancy: 1, Gold: true, Expected: &gold},
 		&BatchSubmitRequest{Tasks: []SubmitRequest{{Kind: "compare", Payload: task.Payload{ImageID: 1, ImageB: 2}, Redundancy: 3}, {Kind: "unknown", Redundancy: 1}}},
-		&AnswerRequest{Answer: task.Answer{Words: []int{42}}},
-		&AnswerRequest{Answer: gold},
-		&BatchAnswerRequest{Answers: []BatchAnswerItem{{Lease: 1, Answer: task.Answer{Choice: 1}}, {Lease: 9, Answer: gold}}},
-		&NextRequest{WorkerID: "w001"},
-		&BatchNextRequest{WorkerID: "w001", Max: 16},
 	}
 	for _, v := range sent {
 		body, err := json.Marshal(v)
@@ -50,14 +43,9 @@ func TestClientBodiesAreReadCanonically(t *testing.T) {
 	for body, want := range map[string]interface{ DecodeCanonical([]byte) bool }{
 		`{"kind":"compare","payload":{"image_id":5,"image_b":6},"redundancy":3,"priority":2}`: &SubmitRequest{Kind: "compare", Payload: task.Payload{ImageID: 5, ImageB: 6}, Redundancy: 3, Priority: 2},
 		`{"tasks":[{"kind":"label","payload":{"image_id":1},"redundancy":3,"priority":0}]}`:   &BatchSubmitRequest{Tasks: []SubmitRequest{{Kind: "label", Payload: task.Payload{ImageID: 1}, Redundancy: 3}}},
-		`{"answer":{"choice":0}}`:                              &AnswerRequest{},
-		`{"answer":{"words":[12]}}`:                            &AnswerRequest{Answer: task.Answer{Words: []int{12}}},
-		`{"worker_id":"w003"}`:                                 &NextRequest{WorkerID: "w003"},
-		`{"worker_id":"w003","max":16}`:                        &BatchNextRequest{WorkerID: "w003", Max: 16},
-		`{"tasks":[]}`:                                         &BatchSubmitRequest{Tasks: []SubmitRequest{}},
-		`{"answers":[{"lease":3}]}`:                            &BatchAnswerRequest{Answers: []BatchAnswerItem{{Lease: 3}}},
-		`{"payload":{},"gold":false}`:                          &SubmitRequest{},
-		`{"answer":{"task_id":2,"at":"0001-01-01T00:00:00Z"}}`: &AnswerRequest{Answer: task.Answer{TaskID: 2}},
+		`{"tasks":[]}`:                &BatchSubmitRequest{Tasks: []SubmitRequest{}},
+		`{"payload":{},"gold":false}`: &SubmitRequest{},
+		`{"kind":"label","gold":true,"expected":{"task_id":2,"at":"0001-01-01T00:00:00Z"}}`: &SubmitRequest{Kind: "label", Gold: true, Expected: &task.Answer{TaskID: 2}},
 	} {
 		got := reflect.New(reflect.TypeOf(want).Elem()).Interface().(interface{ DecodeCanonical([]byte) bool })
 		if !got.DecodeCanonical([]byte(body)) || !reflect.DeepEqual(got, want) {
@@ -66,24 +54,10 @@ func TestClientBodiesAreReadCanonically(t *testing.T) {
 	}
 }
 
-// stdlibLease and stdlibLeases are the lease replies spelled as struct
-// tags, with the task as stdlibTask: the reflection reference.
-type stdlibLease struct {
-	Task  stdlibTask    `json:"task"`
-	Lease queue.LeaseID `json:"lease"`
-}
-
-type stdlibLeases struct {
-	Leases []stdlibLease `json:"leases"`
-}
-
-// TestReplyBodiesAreTheEncodersBytes: the replies written by the codec —
-// a :batch submit's results, a lease, a batch of leases and a page of the
-// task list — are byte for
-// byte what json.Encoder makes of the same values by reflection, escaping
-// included, and a leased task encoding/json cannot encode is the 500 it
-// always was.
-func TestReplyBodiesAreTheEncodersBytes(t *testing.T) {
+// TestBatchSubmitReplyIsTheEncodersBytes: a :batch submit's results,
+// appended without reflection, are byte for byte what json.Encoder makes
+// of the same value, escaping included.
+func TestBatchSubmitReplyIsTheEncodersBytes(t *testing.T) {
 	sys := core.New(core.DefaultConfig())
 	srv := NewServer(sys)
 	post := func(path, body string) *httptest.ResponseRecorder {
@@ -127,71 +101,4 @@ func TestReplyBodiesAreTheEncodersBytes(t *testing.T) {
 		{Status: http.StatusUnprocessableEntity, Error: task.ErrBadRedundancy.Error()},
 		{Status: http.StatusCreated, ID: stored[2].ID},
 	}}))
-
-	leaseOf := func(reply []byte) stdlibLease {
-		var got struct {
-			Task  struct{ ID task.ID }
-			Lease queue.LeaseID
-		}
-		if err := json.Unmarshal(reply, &got); err != nil {
-			t.Fatalf("lease reply %s: %v", reply, err)
-		}
-		tk, err := sys.Store().Get(got.Task.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stdlibLease{stdlibTaskOf(tk), got.Lease}
-	}
-	rec = post("/v1/next", `{"worker_id":"w"}`)
-	same("next", rec, encoded(leaseOf(rec.Body.Bytes())))
-
-	rec = post("/v1/leases:batch", `{"worker_id":"v","max":8}`)
-	var leases struct{ Leases []json.RawMessage }
-	if err := json.Unmarshal(rec.Body.Bytes(), &leases); err != nil || len(leases.Leases) != 2 {
-		t.Fatalf("batch lease reply %s: %v", rec.Body, err)
-	}
-	var want stdlibLeases
-	for _, l := range leases.Leases {
-		want.Leases = append(want.Leases, leaseOf(l))
-	}
-	same("batch lease", rec, encoded(want))
-	same("empty batch lease", post("/v1/leases:batch", `{"worker_id":"v","max":8}`), encoded(stdlibLeases{Leases: []stdlibLease{}}))
-
-	for _, query := range []string{"", "?limit=2", "?offset=1&limit=1", "?status=done", "?offset=9"} {
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/tasks"+query, nil))
-		var list struct {
-			Tasks []struct{ ID task.ID }
-			Total int
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {
-			t.Fatalf("task list %s: %v", rec.Body, err)
-		}
-		want := struct {
-			Tasks []stdlibTask `json:"tasks"`
-			Total int          `json:"total"`
-		}{Tasks: []stdlibTask{}, Total: list.Total}
-		for _, l := range list.Tasks {
-			tk, err := sys.Store().Get(l.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want.Tasks = append(want.Tasks, stdlibTaskOf(tk))
-		}
-		same("task list"+query, rec, encoded(want))
-	}
-
-	// A task created in year 10000 is one encoding/json refuses to encode.
-	cfg := core.DefaultConfig()
-	cfg.Clock = sim.NewSimulator(time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC))
-	sys = core.New(cfg)
-	srv = NewServer(sys)
-	if rec := post("/v1/tasks:batch", `{"tasks":[{"kind":"label","redundancy":2},{"kind":"label","redundancy":2}]}`); rec.Code != http.StatusOK {
-		t.Fatalf("batch submit in year 10000: %d %s", rec.Code, rec.Body)
-	}
-	for path, body := range map[string]string{"/v1/next": `{"worker_id":"w"}`, "/v1/leases:batch": `{"worker_id":"v","max":2}`} {
-		if rec := post(path, body); rec.Code != http.StatusInternalServerError || rec.Body.String() != encodeFailed+"\n" {
-			t.Fatalf("%s with a task encoding/json refuses: %d %q", path, rec.Code, rec.Body)
-		}
-	}
 }

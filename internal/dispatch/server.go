@@ -333,13 +333,14 @@ func (e *exchange) readBody(r *http.Request, limit int64) bool {
 
 // decode reads the request body: it is slurped into the exchange's pooled
 // buffer, bounded by http.MaxBytesReader, and parsed with
-// jsonx.UnmarshalStrict — the request type's canonical reader (body.go),
-// else a json.Decoder with DisallowUnknownFields — under an "http.decode"
-// child span (attr = body bytes) when the request is traced. The decoded
-// value owns all its memory (both copy strings and allocate slices), so
-// it outlives the buffer. The hot single-call routes decode into the
-// request structs the exchange carries, so a steady-state request in
-// canonical form allocates the decoded strings and word lists alone.
+// jsonx.UnmarshalStrict — the request type's canonical reader, where it
+// has one (body.go), else a json.Decoder with DisallowUnknownFields —
+// under an "http.decode" child span (attr = body bytes) when the request
+// is traced. The decoded value owns all its memory (both copy strings and
+// allocate slices), so it outlives the buffer. The hot single-call routes
+// decode into the request structs the exchange carries, so a steady-state
+// request allocates the decoded field values, plus the Decoder where the
+// body goes to it.
 func (e *exchange) decode(r *http.Request, v any, limit int64) bool {
 	t0 := e.sh.Now()
 	ok := e.readBody(r, limit)
@@ -407,8 +408,7 @@ type TaskList struct {
 // handleListTasks serves GET /v1/tasks?status=open&offset=0&limit=50.
 // Tasks are ordered by ID; Total counts all matches before pagination.
 // Only the requested page is copied out of the store: the request costs one
-// page of views, not a copy of the table or a list of its IDs. The page is
-// written by the task codec.
+// page of views, not a copy of the table or a list of its IDs.
 func (s *Server) handleListTasks(e *exchange, r *http.Request) {
 	q := r.URL.Query()
 	st := store.AnyStatus
@@ -443,9 +443,7 @@ func (s *Server) handleListTasks(e *exchange, r *http.Request) {
 	}
 	var out TaskList
 	out.Tasks, out.Total = s.sys.Store().Views(st, offset, limit)
-	if !writeAppended(e, http.StatusOK, func(b []byte) ([]byte, bool) { return appendTaskList(b, out.Tasks, out.Total) }) {
-		writeJSON(e, http.StatusOK, out)
-	}
+	writeJSON(e, http.StatusOK, out)
 }
 
 // handleGetTask serves GET /v1/tasks/{id}. The task is encoded where it is
@@ -456,18 +454,20 @@ func (s *Server) handleGetTask(e *exchange, r *http.Request) {
 	if !ok {
 		return
 	}
-	var err error
-	if writeAppended(e, http.StatusOK, func(b []byte) ([]byte, bool) {
-		b, err = s.sys.Store().AppendJSON(b, id)
-		return b, err == nil
-	}) {
+	buf := jsonBufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	doc, err := s.sys.Store().AppendJSON(buf.AvailableBuffer(), id)
+	if err != nil {
+		jsonBufPool.Put(buf)
+		if errors.Is(err, store.ErrNotFound) {
+			writeJSON(e, http.StatusNotFound, errorResponse{Error: err.Error(), RequestID: requestIDOf(r)})
+		} else {
+			http.Error(e, encodeFailed, http.StatusInternalServerError)
+		}
 		return
 	}
-	if errors.Is(err, store.ErrNotFound) {
-		writeJSON(e, http.StatusNotFound, errorResponse{Error: err.Error(), RequestID: requestIDOf(r)})
-	} else {
-		http.Error(e, encodeFailed, http.StatusInternalServerError)
-	}
+	buf.Write(append(doc, '\n')) // json.Encoder ends a value with a newline
+	writeBuffer(e, http.StatusOK, buf)
 }
 
 // handleTrace serves GET /v1/tasks/{id}/trace: the retained lifecycle
@@ -559,9 +559,7 @@ func (s *Server) handleNext(e *exchange, r *http.Request) {
 		writeError(e, r, err)
 		return
 	}
-	if !writeAppendedSpanned(e, http.StatusOK, func(b []byte) ([]byte, bool) { return appendLease(b, &t, lease) }) {
-		writeJSONSpanned(e, http.StatusOK, NextResponse{Task: t, Lease: lease})
-	}
+	writeJSONSpanned(e, http.StatusOK, NextResponse{Task: t, Lease: lease})
 }
 
 func (s *Server) handleAnswer(e *exchange, r *http.Request) {

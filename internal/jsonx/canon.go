@@ -13,8 +13,7 @@
 // meets any byte it does not expect says so, and the caller hands the whole
 // value to encoding/json, so results are the stdlib's on every input.
 //
-// The request bodies that become those records (a submit, an answer) are
-// read the same way: a request type with a reader for its canonical form,
+// The submit bodies that become those records are read the same way: a request type with a reader for its canonical form,
 // or for any subset of its keys in order, is offered the body first by
 // UnmarshalStrict, and every other body goes to encoding/json. Every
 // client in the module sends such bodies.

@@ -31,8 +31,8 @@ func matchStdlib[T any](t *testing.T, prior, body []byte) {
 	}
 }
 
-// requestSeeds are bodies for every request type: what dispatch.Client
-// and bench/ send, and the forms a reader must leave to encoding/json.
+// requestSeeds are submit bodies: what dispatch.Client and bench/ send,
+// and the forms a reader must leave to encoding/json.
 func requestSeeds(tb testing.TB) []string {
 	at := time.Date(2026, 7, 6, 12, 0, 0, 500, time.FixedZone("", 3600))
 	gold := task.Answer{WorkerID: "w<1>", At: task.StampOf(at), Words: []int{3, 4}, Box: vocab.Rect{X: 1, Y: 2, W: 3, H: 4}, Text: "é", Choice: 1}
@@ -42,11 +42,6 @@ func requestSeeds(tb testing.TB) []string {
 		dispatch.SubmitRequest{Kind: "compare", Payload: task.Payload{ImageID: 7, ImageB: 8}, Redundancy: 3, Gold: true, Expected: &task.Answer{Choice: 1}},
 		dispatch.SubmitRequest{Kind: "judge", Payload: task.Payload{Detail: &task.Detail{Word: 1, WordImg: "a b", Taboo: []int{-1, 2}, ClipA: 3, ClipB: 4}}, Redundancy: 1, Gold: true, Expected: &gold},
 		dispatch.BatchSubmitRequest{Tasks: []dispatch.SubmitRequest{{Kind: "label", Payload: task.Payload{ImageID: 1}, Redundancy: 1}, {Kind: "nope", Redundancy: -2, Priority: 9}}},
-		dispatch.NextRequest{WorkerID: "w001"},
-		dispatch.BatchNextRequest{WorkerID: "w001", Max: 8},
-		dispatch.AnswerRequest{Answer: task.Answer{Words: []int{42}}},
-		dispatch.AnswerRequest{Answer: gold},
-		dispatch.BatchAnswerRequest{Answers: []dispatch.BatchAnswerItem{{Lease: 1, Answer: task.Answer{Choice: 1}}, {Lease: 2, Answer: gold}}},
 	} {
 		b, err := json.Marshal(v)
 		if err != nil {
@@ -58,23 +53,23 @@ func requestSeeds(tb testing.TB) []string {
 		// bench/'s bodies: ordered subsets of the keys.
 		`{"kind":"compare","payload":{"image_id":5,"image_b":6},"redundancy":3,"priority":2}`,
 		`{"tasks":[{"kind":"label","payload":{"image_id":1},"redundancy":3,"priority":0},{"kind":"label","payload":{"image_id":2},"redundancy":3,"priority":1}]}`,
-		`{"answer":{"choice":0}}`, `{"answer":{"words":[12]}}`, `{"worker_id":"w003","max":16}`,
+		`{"expected":{"choice":0}}`, `{"expected":{"words":[12]}}`,
 		`{"kind":"label","gold":true,"expected":null}`, `{"kind":"label","gold":false}`, `{"expected":{}}`,
 		`{"payload":{"word":0}}`, `{"payload":{"taboo":[]}}`, `{"payload":{"taboo":null}}`, `{"payload":{"Detail":{"word":1}}}`,
-		`{"KIND":"label"}`, `{"Kind":"label","Payload":{"Image_ID":1}}`, `{"worker_ID":"w"}`,
+		`{"KIND":"label"}`, `{"Kind":"label","Payload":{"Image_ID":1}}`, `{"Gold":true}`,
 		`{"kind":"label","kind":"compare"}`, `{"tasks":[],"tasks":[{}]}`, `{"payload":{"image_id":1,"image_id":2}}`,
-		`{"kind":"label"}`, `{"worker_id":"a\"b"}`, `{"worker_id":"😀"}`, "{\"worker_id\":\"\xff\"}",
-		` {"worker_id":"w"}`+"\n", `{ "worker_id" : "w" }`, "{\"answer\":{\"words\":[1,\t2]}}",
-		`{"worker_id":"w"}x`, `{"worker_id":"w"}{}`, `{"worker_id":"w"`,
-		`{"redundancy":99999999999999999999}`, `{"max":9223372036854775808}`, `{"max":-9223372036854775808}`,
-		`{"answers":[{"lease":18446744073709551616}]}`, `{"redundancy":-0}`, `{"priority":01}`, `{"priority":1.0}`, `{"priority":1e2}`,
-		`{"answer":{"at":"2026-07-06T12:00:00.5+01:00"}}`, `{"answer":{"at":"2026-13-06T12:00:00Z"}}`,
-		`{"answer":{"box":{"X":1,"Y":2,"W":3,"H":4}}}`, `{"answer":{"box":{"X":1}}}`, `{"answer":{"box":{}}}`,
-		`{"tasks":[]}`, `{"tasks":null}`, `{"answers":[{}]}`, `{}`, `null`, `[]`, `""`, ``)
+		`{"kind":"label"}`, `{"kind":"a\"b"}`, `{"kind":"😀"}`, "{\"kind\":\"\xff\"}",
+		` {"kind":"label"}`+"\n", `{ "kind" : "label" }`, "{\"expected\":{\"words\":[1,\t2]}}",
+		`{"kind":"label"}x`, `{"kind":"label"}{}`, `{"kind":"label"`,
+		`{"redundancy":99999999999999999999}`, `{"priority":9223372036854775808}`, `{"priority":-9223372036854775808}`,
+		`{"expected":{"task_id":18446744073709551616}}`, `{"redundancy":-0}`, `{"priority":01}`, `{"priority":1.0}`, `{"priority":1e2}`,
+		`{"expected":{"at":"2026-07-06T12:00:00.5+01:00"}}`, `{"expected":{"at":"2026-13-06T12:00:00Z"}}`,
+		`{"expected":{"box":{"X":1,"Y":2,"W":3,"H":4}}}`, `{"expected":{"box":{"X":1}}}`, `{"expected":{"box":{}}}`,
+		`{"tasks":[]}`, `{"tasks":null}`, `{"tasks":[{}]}`, `{}`, `null`, `[]`, `""`, ``)
 }
 
-// FuzzRequestsMatchStdlib: every request body type decodes through
-// UnmarshalStrict — its canonical reader first — to what encoding/json
+// FuzzRequestsMatchStdlib: the submit body types decode through
+// UnmarshalStrict — their canonical readers first — to what encoding/json
 // makes of it, accepting and refusing the same bodies, into a zero value
 // and into one a previous body already set.
 func FuzzRequestsMatchStdlib(f *testing.F) {
@@ -90,14 +85,10 @@ func FuzzRequestsMatchStdlib(f *testing.F) {
 	}
 	f.Add(`{"tasks":[{"kind":"locate","payload":{"image_id":1,"word":2},"gold":true,"expected":{"words":[1]}},{"redundancy":4},{}]}`,
 		`{"tasks":[{"payload":{"taboo":[5]},"expected":{"choice":1}},{"kind":"label"}]}`)
-	f.Add(`{"answers":[{"lease":1,"answer":{"words":[1,2],"text":"t"}},{"lease":2}]}`, `{"answers":[{"answer":{"words":[3]}}]}`)
+	f.Add(`{"kind":"label","gold":true,"expected":{"words":[1,2],"text":"t"}}`, `{"expected":{"words":[3]}}`)
 	f.Fuzz(func(t *testing.T, prior, body string) {
 		p, b := []byte(prior), []byte(body)
 		matchStdlib[dispatch.SubmitRequest](t, p, b)
 		matchStdlib[dispatch.BatchSubmitRequest](t, p, b)
-		matchStdlib[dispatch.AnswerRequest](t, p, b)
-		matchStdlib[dispatch.BatchAnswerRequest](t, p, b)
-		matchStdlib[dispatch.NextRequest](t, p, b)
-		matchStdlib[dispatch.BatchNextRequest](t, p, b)
 	})
 }

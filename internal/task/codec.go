@@ -17,10 +17,9 @@ import (
 // encoders produce encoding/json's bytes exactly, so the formats on disk
 // and on the replication wire are unchanged; the decoders allocate what the
 // decoded value keeps and nothing else. Task and View are JSON through
-// this codec wherever they go, HTTP bodies included: the replies that
-// carry tasks are this encoder's bytes plus json.Encoder's newline, and
-// the request bodies that become records are read with ReadPayload,
-// ReadAnswer and ReadKindName.
+// this codec wherever they go, HTTP bodies included: GET /v1/tasks/{id} is
+// this encoder's bytes plus json.Encoder's newline, and a submit body is
+// read with ReadPayload, ReadAnswer and ReadKindName.
 //
 // A field added to Task, Answer, Payload or Detail must be added here, in
 // struct order, and to taskDoc; FuzzTaskCodecMatchesStdlib fails until it
@@ -161,7 +160,7 @@ func AppendTask(b []byte, t *Task) (_ []byte, ok bool) {
 
 // Every Payload field is omitempty, so which key opens the object varies:
 // keys are spelled with the comma that precedes all but the first, and
-// appendKey and tryKey drop it there.
+// appendKey and jsonx.Canon.Key drop it there.
 func appendPayload(b []byte, p *Payload) []byte {
 	b = append(b, '{')
 	first := len(b)
@@ -355,7 +354,7 @@ func DecodeAnswer(c *jsonx.Canon, a *Answer) {
 // ReadAnswer reads an answer object into *a as encoding/json decodes one
 // into it: each of its keys may be absent, and a key the object holds sets
 // its field while the others keep theirs. A stored answer holds the first
-// three keys; an answer a worker submits may hold any of them.
+// three keys; the expected answer of a gold submit may hold any of them.
 func ReadAnswer(c *jsonx.Canon, a *Answer) {
 	c.Lit("{")
 	first := true
