@@ -226,13 +226,23 @@ func TestCrashRestartKeepsRecoveredState(t *testing.T) {
 	// outrank the plain tasks; two of three slots get filled, so every task
 	// stays open and leasable.
 	const probes, plain = 4, 3
-	gold := map[task.ID]int{}
+	var probeReqs []dispatch.SubmitRequest
 	for i := 0; i < probes; i++ {
-		id, err := n.c.SubmitGoldContext(context.Background(), task.Judge, task.Payload{ImageID: 100 + i}, 3, 1, task.Answer{Choice: i % 2})
-		if err != nil {
-			t.Fatal(err)
+		probeReqs = append(probeReqs, dispatch.SubmitRequest{
+			Kind: task.Judge.String(), Payload: task.Payload{ImageID: 100 + i}, Redundancy: 3, Priority: 1,
+			Gold: true, Expected: &task.Answer{Choice: i % 2},
+		})
+	}
+	res, err := n.c.SubmitBatchContext(context.Background(), probeReqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gold := map[task.ID]int{}
+	for i, r := range res {
+		if r.Status != http.StatusCreated {
+			t.Fatalf("gold probe %d: %d %s", i, r.Status, r.Error)
 		}
-		gold[id] = i % 2
+		gold[r.ID] = i % 2
 	}
 	var open task.ID
 	for i := 0; i < plain; i++ {

@@ -45,9 +45,6 @@ type Gate struct {
 	distortion float64
 	nextID     int64
 	pending    map[int64]Challenge
-
-	issued int64
-	passed int64
 }
 
 // NewGate returns a gate issuing challenges at the given distortion level.
@@ -68,7 +65,6 @@ func (g *Gate) Issue() Challenge {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.nextID++
-	g.issued++
 	ch := Challenge{
 		ID:         g.nextID,
 		Distortion: g.distortion,
@@ -89,18 +85,7 @@ func (g *Gate) Verify(id int64, answer string) (bool, error) {
 		return false, ErrUnknownChallenge
 	}
 	delete(g.pending, id)
-	pass := strings.EqualFold(strings.TrimSpace(answer), ch.secret)
-	if pass {
-		g.passed++
-	}
-	return pass, nil
-}
-
-// Stats returns (issued, passed) challenge counts.
-func (g *Gate) Stats() (issued, passed int64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.issued, g.passed
+	return strings.EqualFold(strings.TrimSpace(answer), ch.secret), nil
 }
 
 // BotSolver models an OCR-based CAPTCHA attack: per-character recognition

@@ -174,9 +174,6 @@ func (s *System) ReadOnly() bool { return s.readOnly.Load() }
 // Spans exposes the request-scoped span plane; nil when disabled.
 func (s *System) Spans() *trace.SpanPlane { return s.spans }
 
-// Reputation exposes the worker reputation tracker.
-func (s *System) Reputation() *quality.Reputation { return s.rep }
-
 // SubmitTask is SubmitTaskCtx without a request context.
 func (s *System) SubmitTask(kind task.Kind, p task.Payload, redundancy, priority int) (task.ID, error) {
 	return s.SubmitTaskCtx(context.Background(), kind, p, redundancy, priority)

@@ -135,7 +135,7 @@ func TestGoldUpdatesReputation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep := s.Reputation()
+	rep := s.rep
 	if rep.Probes("good") != 1 || rep.Probes("bad") != 1 {
 		t.Fatalf("probes: %d, %d", rep.Probes("good"), rep.Probes("bad"))
 	}

@@ -253,11 +253,11 @@ func TestCalibrationSnapshotRoundTrip(t *testing.T) {
 	}
 	// Reputation tallies survive.
 	for _, w := range workers {
-		if a, b := s.Reputation().Accuracy(w), s2.Reputation().Accuracy(w); a != b {
+		if a, b := s.rep.Accuracy(w), s2.rep.Accuracy(w); a != b {
 			t.Fatalf("reputation for %s drifted: %v vs %v", w, a, b)
 		}
-		if s2.Reputation().Probes(w) != 6 {
-			t.Fatalf("probes for %s after restore: %d", w, s2.Reputation().Probes(w))
+		if s2.rep.Probes(w) != 6 {
+			t.Fatalf("probes for %s after restore: %d", w, s2.rep.Probes(w))
 		}
 	}
 	// Estimator posteriors survive, including the in-flight task.
@@ -287,7 +287,7 @@ func TestCalibrationSnapshotRoundTrip(t *testing.T) {
 	if err := s3.Restore(&bare); err != nil {
 		t.Fatalf("old-format snapshot rejected: %v", err)
 	}
-	if s3.Reputation().Probes("w1") != 0 {
+	if s3.rep.Probes("w1") != 0 {
 		t.Fatal("stale reputation after bare restore")
 	}
 }
@@ -342,10 +342,10 @@ func TestCalibrationJournalReplay(t *testing.T) {
 	}
 	// Gold expectations and reputation tallies rebuilt from the journal.
 	for _, w := range workers {
-		if got := s2.Reputation().Probes(w); got != 10 {
+		if got := s2.rep.Probes(w); got != 10 {
 			t.Fatalf("probes for %s after replay: %d, want 10", w, got)
 		}
-		if a, b := s.Reputation().Accuracy(w), s2.Reputation().Accuracy(w); a != b {
+		if a, b := s.rep.Accuracy(w), s2.rep.Accuracy(w); a != b {
 			t.Fatalf("reputation for %s drifted after replay: %v vs %v", w, a, b)
 		}
 	}
@@ -360,7 +360,7 @@ func TestCalibrationJournalReplay(t *testing.T) {
 	}
 	// A worker answering a recovered gold probe is still scored: submit a
 	// fresh probe pre-crash, answer it post-replay.
-	if s2.Reputation().Probes("w3") != 0 {
+	if s2.rep.Probes("w3") != 0 {
 		t.Fatal("unexpected probes for w3")
 	}
 }

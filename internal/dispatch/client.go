@@ -391,19 +391,6 @@ func (c *Client) Submit(kind task.Kind, p task.Payload, redundancy, priority int
 	return c.SubmitContext(context.Background(), kind, p, redundancy, priority)
 }
 
-// SubmitGoldContext creates a gold probe task with a known expected answer.
-func (c *Client) SubmitGoldContext(ctx context.Context, kind task.Kind, p task.Payload, redundancy, priority int, expected task.Answer) (task.ID, error) {
-	req := SubmitRequest{
-		Kind: kind.String(), Payload: p, Redundancy: redundancy, Priority: priority,
-		Gold: true, Expected: &expected,
-	}
-	var resp SubmitResponse
-	if _, err := c.do(ctx, http.MethodPost, "/v1/tasks", req, &resp, c.newIdemKey()); err != nil {
-		return 0, err
-	}
-	return resp.ID, nil
-}
-
 // SubmitBatchContext submits up to 256 tasks in one request. The returned
 // results are index-aligned with reqs; each item carries the status and ID
 // or error the equivalent single Submit would have produced. The whole

@@ -32,6 +32,22 @@ func newTestServer(t testing.TB) (*Client, *core.System) {
 	return NewClient(srv.URL, srv.Client()), sys
 }
 
+// submitGold submits one gold probe, a task whose answer is known, as a
+// batch of one.
+func submitGold(t testing.TB, c *Client, kind task.Kind, p task.Payload, redundancy, priority int, expected task.Answer) task.ID {
+	t.Helper()
+	res, err := c.SubmitBatchContext(context.Background(), []SubmitRequest{{
+		Kind: kind.String(), Payload: p, Redundancy: redundancy, Priority: priority, Gold: true, Expected: &expected,
+	}})
+	if err != nil {
+		t.Fatalf("submit gold probe: %v", err)
+	}
+	if res[0].Status != http.StatusCreated {
+		t.Fatalf("submit gold probe: %d %s", res[0].Status, res[0].Error)
+	}
+	return res[0].ID
+}
+
 func TestHealthz(t *testing.T) {
 	c, _ := newTestServer(t)
 	if !c.HealthyContext(context.Background()) {
@@ -93,10 +109,8 @@ func TestNextEmptyReturnsErrNoTask(t *testing.T) {
 }
 
 func TestGoldOverHTTPUpdatesReputation(t *testing.T) {
-	c, sys := newTestServer(t)
-	if _, err := c.SubmitGoldContext(context.Background(), task.Judge, task.Payload{Detail: &task.Detail{ClipA: 1, ClipB: 2}}, 1, 0, task.Answer{Choice: 1}); err != nil {
-		t.Fatal(err)
-	}
+	c, _ := newTestServer(t)
+	submitGold(t, c, task.Judge, task.Payload{Detail: &task.Detail{ClipA: 1, ClipB: 2}}, 1, 0, task.Answer{Choice: 1})
 	_, lease, err := c.NextContext(context.Background(), "w")
 	if err != nil {
 		t.Fatal(err)
@@ -104,9 +118,7 @@ func TestGoldOverHTTPUpdatesReputation(t *testing.T) {
 	if err := c.AnswerContext(context.Background(), lease, task.Answer{Choice: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if sys.Reputation().Probes("w") != 1 {
-		t.Fatal("gold answer did not reach reputation")
-	}
+	// GoldChecked counts the gold answers scored into reputation.
 	st, err := c.StatsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -34,12 +34,7 @@ func newQualityServer(t testing.TB, target float64) (*Client, *core.System) {
 func calibrateOverHTTP(t *testing.T, c *Client, workers []string, probes int) {
 	t.Helper()
 	for i := 0; i < probes; i++ {
-		expected := task.Answer{Choice: i % 2}
-		id, err := c.SubmitGoldContext(context.Background(), task.Judge, task.Payload{ImageID: 9000 + i}, len(workers), 0, expected)
-		if err != nil {
-			t.Fatalf("submit gold probe: %v", err)
-		}
-		_ = id
+		submitGold(t, c, task.Judge, task.Payload{ImageID: 9000 + i}, len(workers), 0, task.Answer{Choice: i % 2})
 		for _, w := range workers {
 			tk, lease, err := c.NextContext(context.Background(), w)
 			if err != nil {

@@ -315,13 +315,18 @@ func TestESPLabelsMakeImagesFindable(t *testing.T) {
 	}
 
 	ix := search.NewIndex()
+	labeled := 0
 	for img := 0; img < len(corpus.Images); img++ {
-		for _, l := range g.Labels.LabelsFor(img) {
+		labels := g.Labels.LabelsFor(img)
+		for _, l := range labels {
 			ix.Add(img, l.Word, l.Count)
 		}
+		if len(labels) > 0 {
+			labeled++
+		}
 	}
-	if ix.Items() < 100 {
-		t.Fatalf("only %d images got labels", ix.Items())
+	if labeled < 100 {
+		t.Fatalf("only %d images got labels", labeled)
 	}
 
 	top5 := 0

@@ -92,9 +92,6 @@ func (t *Tally) Total() int {
 	return n
 }
 
-// objectKey names one object: a word on an image.
-type objectKey struct{ image, word int }
-
 // pickObject returns a random image and the word of a random real object
 // in it — the task generator of the games that locate objects.
 func pickObject(src *rng.Source, c *vocab.Corpus) (imageID, word int) {

@@ -2,7 +2,6 @@ package games
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"humancomp/internal/rng"
@@ -15,19 +14,12 @@ type Ping struct {
 	X, Y int
 }
 
-// Peekaboom's rules, as deployed: a handful of reveals, guesses to match,
-// boxes fit from at least a dozen pings with 10% tails trimmed.
+// Peekaboom's rules, as deployed: a handful of reveals, guesses to match.
 const (
 	// peekaboomMaxPings bounds Boom's reveals per round.
 	peekaboomMaxPings = 8
 	// peekaboomMaxGuesses bounds Peek's guesses per round.
 	peekaboomMaxGuesses = 6
-	// minPingsForBox is how many accumulated pings an object needs before
-	// BoxStore will emit a bounding box for it.
-	minPingsForBox = 12
-	// boxTrim is the fraction trimmed from each coordinate tail when
-	// fitting the box — the robustness knob that rejects stray clicks.
-	boxTrim = 0.1
 )
 
 // PeekaboomRound summarizes one Boom/Peek round.
@@ -48,7 +40,6 @@ type PeekaboomRound struct {
 // object.
 type Peekaboom struct {
 	Corpus *vocab.Corpus
-	Boxes  *BoxStore
 	src    *rng.Source
 }
 
@@ -57,7 +48,6 @@ type Peekaboom struct {
 func NewPeekaboom(corpus *vocab.Corpus, seed uint64) *Peekaboom {
 	return &Peekaboom{
 		Corpus: corpus,
-		Boxes:  NewBoxStore(),
 		src:    rng.New(seed),
 	}
 }
@@ -70,8 +60,9 @@ func (g *Peekaboom) Play(boom, peek *worker.Worker) (int, time.Duration) {
 	return oneIf(res.Solved), res.Duration
 }
 
-// PlayRound runs one round: boom reveals, peek guesses. Pings from solved
-// rounds are recorded into the box store.
+// PlayRound runs one round: boom reveals, peek guesses. The pings of a
+// solved round are the round's output: clicks certified to be on the
+// object, from which a caller fits its box.
 func (g *Peekaboom) PlayRound(boom, peek *worker.Worker, imageID, word int) PeekaboomRound {
 	round, elapsed := playInversion(g.src, g.Corpus.Lexicon, word, peekaboomMaxPings, peekaboomMaxGuesses, boom, peek,
 		func(int) Ping {
@@ -88,63 +79,5 @@ func (g *Peekaboom) PlayRound(boom, peek *worker.Worker, imageID, word int) Peek
 		Tries:    round.Tries(),
 		Duration: elapsed,
 	}
-	if res.Solved {
-		g.Boxes.Record(imageID, word, res.Pings)
-	}
 	return res
-}
-
-// BoxStore accumulates validated pings per (image, word) and fits robust
-// bounding boxes from them.
-type BoxStore struct {
-	pings map[objectKey][]Ping
-}
-
-// NewBoxStore returns an empty store.
-func NewBoxStore() *BoxStore {
-	return &BoxStore{pings: make(map[objectKey][]Ping)}
-}
-
-// Record appends validated pings for the object named word in image.
-func (s *BoxStore) Record(image, word int, pings []Ping) {
-	k := objectKey{image, word}
-	s.pings[k] = append(s.pings[k], pings...)
-}
-
-// Box fits the trimmed bounding box of the accumulated pings. ok is false
-// until minPingsForBox pings have been gathered.
-func (s *BoxStore) Box(image, word int) (vocab.Rect, bool) {
-	ps := s.pings[objectKey{image, word}]
-	if len(ps) < minPingsForBox {
-		return vocab.Rect{}, false
-	}
-	xs := make([]int, len(ps))
-	ys := make([]int, len(ps))
-	for i, p := range ps {
-		xs[i], ys[i] = p.X, p.Y
-	}
-	sort.Ints(xs)
-	sort.Ints(ys)
-	// A variable, so the scale below is float64 arithmetic, not a
-	// constant expression folded exactly.
-	trim := float64(boxTrim)
-	lo := int(float64(len(ps)) * trim)
-	hi := len(ps) - 1 - lo
-	// The [trim, 1-trim] quantile range of uniformly distributed clicks
-	// covers only (1-2·trim) of the object's extent; inflate the fitted
-	// box around its center to undo that shrinkage (an unbiased width
-	// estimate for in-box clicks, which stray clicks barely perturb after
-	// trimming).
-	scale := 1 / (1 - 2*trim)
-	w := float64(xs[hi]-xs[lo]+1) * scale
-	h := float64(ys[hi]-ys[lo]+1) * scale
-	cx := float64(xs[hi]+xs[lo]+1) / 2
-	cy := float64(ys[hi]+ys[lo]+1) / 2
-	r := vocab.Rect{
-		X: int(cx - w/2),
-		Y: int(cy - h/2),
-		W: int(w + 0.5),
-		H: int(h + 0.5),
-	}
-	return r, true
 }

@@ -38,10 +38,9 @@ type PhetchRound struct {
 // internal/search — the output of one game is the substrate of the next,
 // exactly the ecosystem the survey describes.
 type Phetch struct {
-	Corpus   *vocab.Corpus
-	Index    *search.Index
-	Captions *CaptionStore
-	src      *rng.Source
+	Corpus *vocab.Corpus
+	Index  *search.Index
+	src    *rng.Source
 }
 
 // NewPhetch returns a game whose seekers query ix and whose random draws
@@ -49,10 +48,9 @@ type Phetch struct {
 // the image-search example).
 func NewPhetch(corpus *vocab.Corpus, ix *search.Index, seed uint64) *Phetch {
 	return &Phetch{
-		Corpus:   corpus,
-		Index:    ix,
-		Captions: NewCaptionStore(),
-		src:      rng.New(seed),
+		Corpus: corpus,
+		Index:  ix,
+		src:    rng.New(seed),
 	}
 }
 
@@ -81,7 +79,7 @@ func (g *Phetch) Play(describer, seeker *worker.Worker) (int, time.Duration) {
 
 // PlayRound runs one round: describer captions the image, each seeker
 // searches with the caption and clicks among the top results. A correct
-// click solves the round and stores the caption as validated.
+// click solves the round and validates its caption.
 func (g *Phetch) PlayRound(describer *worker.Worker, seekers []*worker.Worker, imageID int) PhetchRound {
 	img := g.Corpus.Image(imageID)
 	res := PhetchRound{ImageID: imageID}
@@ -113,7 +111,6 @@ func (g *Phetch) PlayRound(describer *worker.Worker, seekers []*worker.Worker, i
 			if pick == imageID {
 				res.Solved = true
 				res.Finder = seeker.ID
-				g.Captions.Record(imageID, res.Caption)
 				return res
 			}
 		}
@@ -141,23 +138,3 @@ func (g *Phetch) seekerPick(seeker *worker.Worker, hits []search.Hit, target int
 	}
 	return hits[g.src.Intn(len(hits))].Item, true
 }
-
-// CaptionStore accumulates validated captions by image.
-type CaptionStore struct {
-	byImage map[int][][]int
-}
-
-// NewCaptionStore returns an empty store.
-func NewCaptionStore() *CaptionStore {
-	return &CaptionStore{byImage: make(map[int][][]int)}
-}
-
-// Record stores a validated caption for image.
-func (s *CaptionStore) Record(image int, caption []int) {
-	cp := make([]int, len(caption))
-	copy(cp, caption)
-	s.byImage[image] = append(s.byImage[image], cp)
-}
-
-// Images returns the number of captioned images.
-func (s *CaptionStore) Images() int { return len(s.byImage) }

@@ -18,7 +18,7 @@ type SquiglRound struct {
 	Word     int
 	Agreed   bool
 	IoU      float64    // overlap between the two traces
-	Trace    vocab.Rect // the stored consensus trace, meaningful iff Agreed
+	Trace    vocab.Rect // the consensus trace, meaningful iff Agreed
 	Duration time.Duration
 }
 
@@ -29,7 +29,6 @@ type SquiglRound struct {
 // at the cost of more effort per round.
 type Squigl struct {
 	Corpus *vocab.Corpus
-	Traces *TraceStore
 	src    *rng.Source
 }
 
@@ -38,7 +37,6 @@ type Squigl struct {
 func NewSquigl(corpus *vocab.Corpus, seed uint64) *Squigl {
 	return &Squigl{
 		Corpus: corpus,
-		Traces: NewTraceStore(),
 		src:    rng.New(seed),
 	}
 }
@@ -51,7 +49,8 @@ func (g *Squigl) Play(a, b *worker.Worker) (int, time.Duration) {
 }
 
 // PlayRound has both players trace the object; if the traces overlap at
-// agreeIoU or better, their intersection-leaning consensus is recorded.
+// agreeIoU or better, their intersection-leaning consensus is the round's
+// trace.
 func (g *Squigl) PlayRound(a, b *worker.Worker, imageID, word int) SquiglRound {
 	ta := a.TraceBox(g.Corpus, imageID, word)
 	tb := b.TraceBox(g.Corpus, imageID, word)
@@ -66,7 +65,6 @@ func (g *Squigl) PlayRound(a, b *worker.Worker, imageID, word int) SquiglRound {
 	}
 	res.Agreed = true
 	res.Trace = consensus(ta, tb)
-	g.Traces.Record(imageID, word, res.Trace)
 	return res
 }
 
@@ -78,22 +76,4 @@ func consensus(a, b vocab.Rect) vocab.Rect {
 	x2 := (a.X + a.W + b.X + b.W) / 2
 	y2 := (a.Y + a.H + b.Y + b.H) / 2
 	return vocab.Rect{X: x1, Y: y1, W: max(x2-x1, 1), H: max(y2-y1, 1)}
-}
-
-// TraceStore accumulates agreed traces per (image, word) and fits a final
-// outline as the median of the trace corners — robust to the occasional
-// agreed-but-sloppy pair.
-type TraceStore struct {
-	traces map[objectKey][]vocab.Rect
-}
-
-// NewTraceStore returns an empty store.
-func NewTraceStore() *TraceStore {
-	return &TraceStore{traces: make(map[objectKey][]vocab.Rect)}
-}
-
-// Record appends one agreed trace.
-func (s *TraceStore) Record(image, word int, r vocab.Rect) {
-	k := objectKey{image, word}
-	s.traces[k] = append(s.traces[k], r)
 }

@@ -49,16 +49,19 @@ func TestOutlineMatchesTruth(t *testing.T) {
 	a, b := players(t, 4, 0.95)
 	img := 0
 	word := c.Image(img).Objects[0].Tag
-	for i := 0; i < 60 && len(g.Traces.traces[objectKey{img, word}]) < minTracesForOutline; i++ {
-		g.PlayRound(a, b, img, word)
+	var traces []vocab.Rect
+	for i := 0; i < 60 && len(traces) < minTracesForOutline; i++ {
+		if res := g.PlayRound(a, b, img, word); res.Agreed {
+			traces = append(traces, res.Trace)
+		}
 	}
-	outline, ok := g.Traces.Outline(img, word)
+	out, ok := outline(traces)
 	if !ok {
-		t.Fatalf("no outline after %d traces", len(g.Traces.traces[objectKey{img, word}]))
+		t.Fatalf("no outline after %d traces", len(traces))
 	}
 	truth, _ := c.TrueBox(img, word)
-	if iou := outline.IoU(truth); iou < 0.6 {
-		t.Errorf("outline IoU = %.2f (outline %+v truth %+v)", iou, outline, truth)
+	if iou := out.IoU(truth); iou < 0.6 {
+		t.Errorf("outline IoU = %.2f (outline %+v truth %+v)", iou, out, truth)
 	}
 }
 
@@ -70,11 +73,13 @@ func TestSquiglTighterThanSinglePair(t *testing.T) {
 	a, b := players(t, 5, 0.85)
 	var singleIoU float64
 	singles := 0
-	for imgID := 0; imgID < 80; imgID++ {
+	traces := make([][]vocab.Rect, 80)
+	for imgID := range traces {
 		word := c.Image(imgID).Objects[0].Tag
-		for i := 0; i < 30 && len(g.Traces.traces[objectKey{imgID, word}]) < 5; i++ {
+		for i := 0; i < 30 && len(traces[imgID]) < 5; i++ {
 			res := g.PlayRound(a, b, imgID, word)
 			if res.Agreed {
+				traces[imgID] = append(traces[imgID], res.Trace)
 				truth, _ := c.TrueBox(imgID, word)
 				singleIoU += res.Trace.IoU(truth)
 				singles++
@@ -88,11 +93,11 @@ func TestSquiglTighterThanSinglePair(t *testing.T) {
 
 	var aggIoU float64
 	outlines := 0
-	for imgID := 0; imgID < 80; imgID++ {
+	for imgID, list := range traces {
 		word := c.Image(imgID).Objects[0].Tag
-		if outline, ok := g.Traces.Outline(imgID, word); ok {
+		if out, ok := outline(list); ok {
 			truth, _ := c.TrueBox(imgID, word)
-			aggIoU += outline.IoU(truth)
+			aggIoU += out.IoU(truth)
 			outlines++
 		}
 	}
@@ -125,22 +130,17 @@ func TestCheatersRarelyAgree(t *testing.T) {
 }
 
 func TestOutlineRequiresMinTraces(t *testing.T) {
-	s := NewTraceStore()
-	s.Record(1, 2, vocab.Rect{X: 0, Y: 0, W: 10, H: 10})
-	s.Record(1, 2, vocab.Rect{X: 1, Y: 1, W: 10, H: 10})
-	if _, ok := s.Outline(1, 2); ok {
+	traces := []vocab.Rect{{X: 0, Y: 0, W: 10, H: 10}, {X: 1, Y: 1, W: 10, H: 10}}
+	if _, ok := outline(traces); ok {
 		t.Fatal("outline emitted below minimum")
 	}
-	s.Record(1, 2, vocab.Rect{X: 2, Y: 2, W: 10, H: 10})
-	out, ok := s.Outline(1, 2)
+	traces = append(traces, vocab.Rect{X: 2, Y: 2, W: 10, H: 10})
+	out, ok := outline(traces)
 	if !ok {
 		t.Fatal("outline missing at minimum")
 	}
 	if out.X != 1 || out.Y != 1 {
 		t.Errorf("median outline = %+v", out)
-	}
-	if len(s.traces) != 1 {
-		t.Errorf("objects = %d", len(s.traces))
 	}
 }
 
@@ -155,13 +155,13 @@ func BenchmarkSquiglPlayRound(b *testing.B) {
 }
 
 // minTracesForOutline is how many agreed traces an object needs before
-// Outline emits a final outline: three, as deployed.
+// outline emits a final outline: three, as deployed.
 const minTracesForOutline = 3
 
-// Outline returns the median-corner outline, or ok == false below
-// minTracesForOutline traces.
-func (s *TraceStore) Outline(image, word int) (vocab.Rect, bool) {
-	list := s.traces[objectKey{image, word}]
+// outline fits an object's final outline from its agreed traces as the
+// median of their corners, robust to the occasional agreed-but-sloppy
+// pair; ok is false below minTracesForOutline traces.
+func outline(list []vocab.Rect) (vocab.Rect, bool) {
 	if len(list) < minTracesForOutline {
 		return vocab.Rect{}, false
 	}

@@ -79,16 +79,16 @@ func (h *BucketHist) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 // instances. Durations are on the caller's clock: simulated time in the
 // simulator, wall time in the session plane. Safe for concurrent use.
 type GWAP struct {
-	mu         sync.Mutex
-	playByUser map[string]time.Duration
-	totalPlay  time.Duration
-	outputs    int64
-	sessions   int64
+	mu        sync.Mutex
+	players   map[string]struct{}
+	totalPlay time.Duration
+	outputs   int64
+	sessions  int64
 }
 
 // NewGWAP returns an empty metrics accumulator.
 func NewGWAP() *GWAP {
-	return &GWAP{playByUser: make(map[string]time.Duration)}
+	return &GWAP{players: make(map[string]struct{})}
 }
 
 // RecordSession adds one play session of the given length for the player.
@@ -98,7 +98,7 @@ func (g *GWAP) RecordSession(playerID string, length time.Duration) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.playByUser[playerID] += length
+	g.players[playerID] = struct{}{}
 	g.totalPlay += length
 	g.sessions++
 }
@@ -140,11 +140,11 @@ func (g *GWAP) Report() Report {
 		throughput = float64(g.outputs) / hours
 	}
 	var alp time.Duration
-	if n := len(g.playByUser); n > 0 {
+	if n := len(g.players); n > 0 {
 		alp = g.totalPlay / time.Duration(n)
 	}
 	return Report{
-		Players:              len(g.playByUser),
+		Players:              len(g.players),
 		Sessions:             g.sessions,
 		Outputs:              g.outputs,
 		TotalPlayHours:       g.totalPlay.Hours(),

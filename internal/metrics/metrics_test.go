@@ -209,73 +209,6 @@ func TestGWAPReportIsOneSnapshot(t *testing.T) {
 	}
 }
 
-func TestTimeSeriesBuckets(t *testing.T) {
-	start := time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC)
-	ts := NewTimeSeries(start, time.Hour)
-	ts.Add(start, 1)
-	ts.Add(start.Add(30*time.Minute), 2)
-	ts.Add(start.Add(90*time.Minute), 5)
-	ts.Add(start.Add(-time.Hour), 7) // before start folds into bucket 0
-	got := ts.Buckets()
-	if len(got) != 2 || got[0] != 10 || got[1] != 5 {
-		t.Fatalf("buckets = %v", got)
-	}
-	if ts.Total() != 15 {
-		t.Fatalf("total = %v", ts.Total())
-	}
-	at, v, ok := ts.Peak()
-	if !ok || v != 10 || !at.Equal(start) {
-		t.Fatalf("peak = %v %v %v", at, v, ok)
-	}
-	if ts.String() == "" {
-		t.Fatal("empty String()")
-	}
-}
-
-func TestTimeSeriesEmptyPeak(t *testing.T) {
-	ts := NewTimeSeries(time.Now(), time.Minute)
-	if _, _, ok := ts.Peak(); ok {
-		t.Fatal("empty series has a peak")
-	}
-}
-
-func TestTimeSeriesGrowsSparsely(t *testing.T) {
-	start := time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC)
-	ts := NewTimeSeries(start, time.Minute)
-	ts.Add(start.Add(100*time.Minute), 1)
-	if got := len(ts.Buckets()); got != 101 {
-		t.Fatalf("buckets = %d", got)
-	}
-}
-
-func TestTimeSeriesConcurrent(t *testing.T) {
-	start := time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC)
-	ts := NewTimeSeries(start, time.Minute)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 250; j++ {
-				ts.Add(start.Add(time.Duration(j)*time.Second), 1)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if ts.Total() != 2000 {
-		t.Fatalf("total = %v", ts.Total())
-	}
-}
-
-func TestTimeSeriesPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero width did not panic")
-		}
-	}()
-	NewTimeSeries(time.Now(), 0)
-}
-
 func TestRetentionCurve(t *testing.T) {
 	r := NewRetention()
 	// alice: days 0, 1, 3. bob: day 0 only. carol: days 2, 3.
@@ -317,21 +250,4 @@ func TestRetentionOutOfOrderAndPanics(t *testing.T) {
 		}
 	}()
 	r.RecordVisit("q", -1)
-}
-
-// Peak returns the largest bucket value and its start time; ok is false
-// for an empty series.
-func (ts *TimeSeries) Peak() (at time.Time, v float64, ok bool) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if len(ts.buckets) == 0 {
-		return time.Time{}, 0, false
-	}
-	best := 0
-	for i, b := range ts.buckets {
-		if b > ts.buckets[best] {
-			best = i
-		}
-	}
-	return ts.start.Add(time.Duration(best) * ts.width), ts.buckets[best], true
 }

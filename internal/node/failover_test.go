@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -79,10 +80,9 @@ func TestCalibrationSurvivesCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantGoodAcc := sys.Reputation().Accuracy("good")
-	wantBadAcc := sys.Reputation().Accuracy("bad")
-	if wantGoodAcc <= wantBadAcc {
-		t.Fatalf("calibration failed before crash: good=%v bad=%v", wantGoodAcc, wantBadAcc)
+	wantRep := reputation(t, sys)
+	if wantRep.Correct["good"] != probes || wantRep.Correct["bad"] != 0 {
+		t.Fatalf("calibration failed before crash: %+v", wantRep)
 	}
 
 	// Crash: what survives is the boot snapshot of an empty system and the
@@ -105,15 +105,8 @@ func TestCalibrationSurvivesCrashRecovery(t *testing.T) {
 	defer rn.Close()
 	recovered := rn.System()
 
-	rep := recovered.Reputation()
-	if got := rep.Probes("good"); got != probes {
-		t.Fatalf("good worker has %d probes after recovery, want %d", got, probes)
-	}
-	if got := rep.Accuracy("good"); got != wantGoodAcc {
-		t.Fatalf("good worker accuracy %v after recovery, want %v", got, wantGoodAcc)
-	}
-	if got := rep.Accuracy("bad"); got != wantBadAcc {
-		t.Fatalf("bad worker accuracy %v after recovery, want %v", got, wantBadAcc)
+	if rep := reputation(t, recovered); !reflect.DeepEqual(rep, wantRep) {
+		t.Fatalf("reputation after recovery %+v, want %+v", rep, wantRep)
 	}
 	for _, id := range goldIDs {
 		if !recovered.IsGold(id) {
@@ -145,8 +138,8 @@ func TestCalibrationSurvivesCrashRecovery(t *testing.T) {
 	if err := recovered.SubmitAnswer(lease, task.Answer{Choice: (tv.Payload.ImageID - 100) % 2}); err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.Probes("late"); got != 1 {
-		t.Fatalf("late worker has %d probes, want 1 (recovered gold no longer scores)", got)
+	if got := reputation(t, recovered).Total["late"]; got != 1 {
+		t.Fatalf("late worker has %v probes, want 1 (recovered gold no longer scores)", got)
 	}
 }
 

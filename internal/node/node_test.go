@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -19,6 +20,7 @@ import (
 
 	"humancomp/internal/core"
 	"humancomp/internal/dispatch"
+	"humancomp/internal/quality"
 	"humancomp/internal/repl"
 	"humancomp/internal/session"
 	"humancomp/internal/store"
@@ -59,6 +61,25 @@ func open(t *testing.T, cfg Config) *Node {
 }
 
 func client(n *Node) *dispatch.Client { return dispatch.NewClient("http://"+n.Addr(), nil) }
+
+// reputation returns the per-worker gold tallies sys would checkpoint:
+// the reputation part of its snapshot's calibration sidecar.
+func reputation(t *testing.T, sys *core.System) quality.ReputationState {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := sys.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Calibration struct {
+			Reputation quality.ReputationState `json:"reputation"`
+		} `json:"calibration"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap.Calibration.Reputation
+}
 
 // Addr is the address the API listener is bound to.
 func (n *Node) Addr() string { return n.apiLn.Addr().String() }
@@ -212,8 +233,12 @@ func TestReopenServesTheSameState(t *testing.T) {
 	dir := t.TempDir()
 	n := open(t, config(dir))
 	c := client(n)
-	if _, err := c.SubmitGoldContext(context.Background(), task.Judge, task.Payload{ImageID: 100}, 3, 1, task.Answer{Choice: 1}); err != nil {
-		t.Fatal(err)
+	gold := []dispatch.SubmitRequest{{
+		Kind: task.Judge.String(), Payload: task.Payload{ImageID: 100}, Redundancy: 3, Priority: 1,
+		Gold: true, Expected: &task.Answer{Choice: 1},
+	}}
+	if res, err := c.SubmitBatchContext(context.Background(), gold); err != nil || res[0].Status != http.StatusCreated {
+		t.Fatalf("gold submit = %+v, %v", res, err)
 	}
 	var plain task.ID
 	for i := 0; i < 5; i++ {
@@ -276,8 +301,8 @@ func TestReopenServesTheSameState(t *testing.T) {
 			t.Errorf("posterior after reopen %v, before Close %v", repost.Posterior, post.Posterior)
 		}
 	}
-	if got := re.System().Reputation().Probes("ann"); got != 1 {
-		t.Errorf("ann has %d gold probes after reopen, want the 1 the snapshot's sidecar carries", got)
+	if got := reputation(t, re.System()).Total["ann"]; got != 1 {
+		t.Errorf("ann has %v gold probes after reopen, want the 1 the snapshot's sidecar carries", got)
 	}
 }
 
@@ -440,12 +465,10 @@ func TestFollowerLogIsLeaderLog(t *testing.T) {
 	res, err := c.SubmitBatchContext(ctx, []dispatch.SubmitRequest{
 		{Kind: task.Label.String(), Payload: task.Payload{ImageID: 20}, Redundancy: 2},
 		{Kind: task.Label.String(), Payload: task.Payload{ImageID: 21}, Redundancy: 1},
+		{Kind: task.Label.String(), Payload: task.Payload{ImageID: 30}, Redundancy: 1, Gold: true, Expected: &task.Answer{Words: []int{7}}},
 	})
-	if err != nil || len(res) != 2 || res[0].Status != http.StatusCreated || res[1].Status != http.StatusCreated {
+	if err != nil || len(res) != 3 || res[0].Status != http.StatusCreated || res[1].Status != http.StatusCreated || res[2].Status != http.StatusCreated {
 		t.Fatalf("batch submit = %+v, %v", res, err)
-	}
-	if _, err := c.SubmitGoldContext(ctx, task.Label, task.Payload{ImageID: 30}, 1, 0, task.Answer{Words: []int{7}}); err != nil {
-		t.Fatal(err)
 	}
 	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("http://%s/v1/tasks/%d", leader.Addr(), 1), nil)
 	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != http.StatusNoContent {

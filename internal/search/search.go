@@ -15,7 +15,6 @@ import (
 type Index struct {
 	postings map[int]map[int]int // word -> item -> weight (agreement count)
 	itemLen  map[int]int         // item -> total label weight
-	items    map[int]bool
 }
 
 // NewIndex returns an empty index.
@@ -23,7 +22,6 @@ func NewIndex() *Index {
 	return &Index{
 		postings: make(map[int]map[int]int),
 		itemLen:  make(map[int]int),
-		items:    make(map[int]bool),
 	}
 }
 
@@ -39,14 +37,7 @@ func (ix *Index) Add(item, word, weight int) {
 	}
 	m[item] += weight
 	ix.itemLen[item] += weight
-	ix.items[item] = true
 }
-
-// Items returns the number of indexed items.
-func (ix *Index) Items() int { return len(ix.items) }
-
-// Terms returns the number of distinct indexed words.
-func (ix *Index) Terms() int { return len(ix.postings) }
 
 // Hit is one ranked search result.
 type Hit struct {
@@ -61,7 +52,7 @@ func (ix *Index) Search(query []int, k int) []Hit {
 	if k <= 0 {
 		return nil
 	}
-	n := float64(len(ix.items))
+	n := float64(len(ix.itemLen))
 	if n == 0 {
 		return nil
 	}
@@ -102,7 +93,7 @@ func (ix *Index) Search(query []int, k int) []Hit {
 // target does not match at all. It is the evaluation primitive: a good
 // label set puts the right image at rank 1.
 func (ix *Index) Rank(query []int, target int) int {
-	hits := ix.Search(query, len(ix.items))
+	hits := ix.Search(query, len(ix.itemLen))
 	for i, h := range hits {
 		if h.Item == target {
 			return i + 1
