@@ -7,32 +7,66 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // TestReadmeListsEveryRoute fails on each route the dispatch server mounts
-// that README's route tables leave out.
+// that README's route tables leave out, and on each README route row that
+// neither the dispatch server, its admin handler nor the replication
+// source mounts. The replication patterns carry no method, so a row
+// matches a pattern without one on its path alone.
 func TestReadmeListsEveryRoute(t *testing.T) {
-	src, err := os.ReadFile(filepath.Join("internal", "dispatch", "server.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mounted := regexp.MustCompile(`(?:route|routeIdem|serve|mount|HandleFunc)\("([A-Z]+ /[^"]*)"`).FindAllStringSubmatch(string(src), -1)
-	if len(mounted) == 0 {
-		t.Fatal("no routes found in server.go")
-	}
-	for _, m := range mounted {
+	server := mountedPatterns(t, filepath.Join("internal", "dispatch", "server.go"))
+	for _, p := range server {
+		if !strings.Contains(p, " ") {
+			continue
+		}
 		// A row may show the route's query parameters after it.
-		row := "| `" + m[1]
+		row := "| `" + p
 		if !strings.Contains(string(readme), row+"`") && !strings.Contains(string(readme), row+"?") {
-			t.Errorf("README lists no row for %s", m[1])
+			t.Errorf("README lists no row for %s", p)
 		}
 	}
+	mounted := map[string]bool{}
+	for _, p := range slices.Concat(server,
+		mountedPatterns(t, filepath.Join("internal", "dispatch", "admin.go")),
+		mountedPatterns(t, filepath.Join("internal", "repl", "source.go"))) {
+		mounted[p] = true
+	}
+	rows := regexp.MustCompile("(?m)^\\| `(([A-Z]+ )?(/[^`?]*))").FindAllStringSubmatch(string(readme), -1)
+	if len(rows) == 0 {
+		t.Fatal("no route rows found in README.md")
+	}
+	for _, r := range rows {
+		// A row ending in * stands for a subtree pattern.
+		if !mounted[strings.TrimSuffix(r[1], "*")] && !mounted[strings.TrimSuffix(r[3], "*")] {
+			t.Errorf("README lists %s, which nothing mounts", r[1])
+		}
+	}
+}
+
+// mountedPatterns returns the mux patterns the source file at path
+// registers.
+func mountedPatterns(t *testing.T, path string) []string {
+	t.Helper()
+	src, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var patterns []string
+	for _, m := range regexp.MustCompile(`(?:route|routeIdem|serve|mount|HandleFunc)\("([^"]+)"`).FindAllStringSubmatch(string(src), -1) {
+		patterns = append(patterns, m[1])
+	}
+	if len(patterns) == 0 {
+		t.Fatalf("no routes found in %s", path)
+	}
+	return patterns
 }
 
 // TestExamplesCheckTheirOutput fails on an examples/ directory that holds a

@@ -145,8 +145,13 @@ func TestConcurrentDispatchSoak(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Journal = store.NewWAL(&journal)
 	sys := core.New(cfg)
-	srv := httptest.NewServer(dispatch.NewServer(sys))
+	api := dispatch.NewServer(sys)
+	srv := httptest.NewServer(api)
 	defer srv.Close()
+	// The admin listener renders the same server's route stats while
+	// requests update them.
+	admin := httptest.NewServer(dispatch.NewAdminHandler(sys, api, dispatch.AdminOptions{}))
+	defer admin.Close()
 	// Each goroutine gets its own client with its own connection pool:
 	// a shared transport would serialize requests through the pool mutex,
 	// creating happens-before edges that mask server-side races from the
@@ -316,7 +321,7 @@ func TestConcurrentDispatchSoak(t *testing.T) {
 						t.Errorf("stats: %v", err)
 						return
 					}
-					if _, err := client.Metrics(); err != nil {
+					if err := client.scrape(admin.URL + "/metrics"); err != nil {
 						t.Errorf("metrics: %v", err)
 						return
 					}
@@ -816,9 +821,18 @@ func (c routeClient) ListTasks(status string, offset, limit int) (list dispatch.
 	return list, err
 }
 
-func (c routeClient) Metrics() (ms []dispatch.RouteMetrics, err error) {
-	err = c.call(http.MethodGet, "/v1/metrics", &ms)
-	return ms, err
+// scrape reads a whole exposition body from url.
+func (c routeClient) scrape(url string) error {
+	resp, err := c.hc.Get(url)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET %s: %d", url, resp.StatusCode)
+	}
+	_, err = io.Copy(io.Discard, resp.Body)
+	return err
 }
 
 func (c routeClient) Trace(id task.ID) (tr dispatch.TraceResponse, err error) {

@@ -395,8 +395,8 @@ func promFamilies(sys *core.System, api *Server, opts AdminOptions) []metrics.Pr
 }
 
 // routeFamilies renders per-route HTTP stats as two families labelled
-// with the route pattern — the string the request log, GET /v1/metrics and
-// a span tree's root op carry — and, on the counter, the status class.
+// with the route pattern — the string the request log and a span tree's
+// root op carry — and, on the counter, the status class.
 func routeFamilies(snap []*routeStats) []metrics.PromFamily {
 	requests := metrics.PromFamily{Name: "hc_http_requests_total",
 		Help: "Responses sent, by route and status class.", Kind: metrics.PromCounter}
@@ -411,7 +411,7 @@ func routeFamilies(snap []*routeStats) []metrics.PromFamily {
 			})
 		}
 		duration.Samples = append(duration.Samples,
-			metrics.PromHistogramSamples(rs.latency, label)...)
+			metrics.PromHistogramSamples(&rs.latency, label)...)
 	}
 	return []metrics.PromFamily{requests, duration}
 }

@@ -56,11 +56,14 @@ type RetryPolicy struct {
 	// MaxAttempts is the total number of tries (first attempt included).
 	// Values below 2 disable retries.
 	MaxAttempts int
-	// BaseDelay seeds the exponential backoff; 0 selects 100ms.
-	BaseDelay time.Duration
-	// MaxDelay caps a single backoff sleep; 0 selects 5s.
-	MaxDelay time.Duration
 }
+
+// retryBaseDelay seeds the retry loop's exponential backoff, and
+// retryMaxDelay caps a single backoff sleep.
+const (
+	retryBaseDelay = 100 * time.Millisecond
+	retryMaxDelay  = 5 * time.Second
+)
 
 // ClientOptions configures optional client behavior.
 type ClientOptions struct {
@@ -202,7 +205,7 @@ func parseRetryAfter(h string) time.Duration {
 }
 
 // maxRetryAfterFactor caps how far a server's Retry-After hint can push a
-// sleep past the policy's MaxDelay. A hostile or buggy `Retry-After:
+// sleep past retryMaxDelay. A hostile or buggy `Retry-After:
 // 86400` must not park the client for a day: the hint is advice about
 // congestion, not authority over the caller's latency budget.
 const maxRetryAfterFactor = 2
@@ -210,22 +213,14 @@ const maxRetryAfterFactor = 2
 // backoff computes the sleep before attempt number `next` (1-based over
 // retries): full jitter over an exponentially growing window, floored at
 // the server's Retry-After when one was given. The honored hint is
-// clamped to maxRetryAfterFactor × MaxDelay.
-func (c *Client) backoff(next int, retryAfter time.Duration) time.Duration {
-	base := c.retry.BaseDelay
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	maxd := c.retry.MaxDelay
-	if maxd <= 0 {
-		maxd = 5 * time.Second
-	}
-	if cap := maxRetryAfterFactor * maxd; retryAfter > cap {
+// clamped to maxRetryAfterFactor × retryMaxDelay.
+func backoff(next int, retryAfter time.Duration) time.Duration {
+	if cap := maxRetryAfterFactor * retryMaxDelay; retryAfter > cap {
 		retryAfter = cap
 	}
-	window := base << (next - 1)
-	if window > maxd || window <= 0 {
-		window = maxd
+	window := retryBaseDelay << (next - 1)
+	if window > retryMaxDelay || window <= 0 {
+		window = retryMaxDelay
 	}
 	d := time.Duration(rand.Float64() * float64(window))
 	if retryAfter > d {
@@ -306,7 +301,7 @@ func (c *Client) doAttempts(ctx context.Context, method, path string, payload []
 		if errors.As(lastErr, &apiErr) {
 			retryAfter = apiErr.retryAfter
 		}
-		if err := c.sleep(ctx, c.backoff(attempt, retryAfter)); err != nil {
+		if err := c.sleep(ctx, backoff(attempt, retryAfter)); err != nil {
 			// Joined so callers can match either the cancellation or
 			// the underlying failure that was being retried.
 			return status, errors.Join(err, lastErr)

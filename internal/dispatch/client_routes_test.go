@@ -15,9 +15,8 @@ import (
 // Client calls that no binary makes; the tests drive the routes through
 // them.
 
-// DefaultRetry is the policy NewResilientClient installs: four attempts,
-// 100ms base, 5s cap.
-var DefaultRetry = RetryPolicy{MaxAttempts: 4, BaseDelay: 100 * time.Millisecond, MaxDelay: 5 * time.Second}
+// DefaultRetry is the policy NewResilientClient installs: four attempts.
+var DefaultRetry = RetryPolicy{MaxAttempts: 4}
 
 // NewResilientClient returns a client with the default retry policy.
 func NewResilientClient(baseURL string, httpClient *http.Client) *Client {
@@ -59,9 +58,6 @@ func (c *Client) Trace(id task.ID) (TraceResponse, error) {
 func (c *Client) Choice(id task.ID) (core.ChoiceResult, error) {
 	return get[core.ChoiceResult](c, fmt.Sprintf("/v1/tasks/%d/choice", id))
 }
-
-// Metrics fetches per-endpoint request metrics from the service.
-func (c *Client) Metrics() ([]RouteMetrics, error) { return get[[]RouteMetrics](c, "/v1/metrics") }
 
 // ListTasks fetches a page of tasks, optionally filtered by status
 // ("open", "done", "canceled"; empty for all).

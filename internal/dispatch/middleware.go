@@ -39,7 +39,7 @@ type routeStats struct {
 	byClass [len(codeClasses)]metrics.Counter
 	// latency's exemplars link its buckets to the trace of a request that
 	// landed there, so a scrape can jump to GET /v1/debug/spans.
-	latency *metrics.LatencyHist
+	latency metrics.LatencyHist
 }
 
 // codeClasses are the code_class label values of hc_http_requests_total.
@@ -51,9 +51,6 @@ func (rs *routeStats) count(status int) {
 	rs.byClass[min(max(status/100-2, 0), len(codeClasses)-1)].Inc()
 }
 
-// errors returns the responses with status >= 400.
-func (rs *routeStats) errors() int64 { return rs.byClass[2].Value() + rs.byClass[3].Value() }
-
 func newEndpointStats() *endpointStats {
 	return &endpointStats{byRoute: make(map[string]*routeStats)}
 }
@@ -63,7 +60,7 @@ func (s *endpointStats) get(route string) *routeStats {
 	defer s.mu.Unlock()
 	rs := s.byRoute[route]
 	if rs == nil {
-		rs = &routeStats{route: route, latency: new(metrics.LatencyHist)}
+		rs = &routeStats{route: route}
 		s.byRoute[route] = rs
 	}
 	return rs
@@ -238,33 +235,4 @@ func (s *Server) serveRecovered(e *exchange, r *http.Request, route string, next
 			errorResponse{Error: "dispatch: internal server error", RequestID: e.id})
 	}()
 	next(e, r)
-}
-
-// RouteMetrics is the per-endpoint block of GET /v1/metrics.
-type RouteMetrics struct {
-	Route    string  `json:"route"`
-	Requests int64   `json:"requests"`
-	Errors   int64   `json:"errors"`
-	MeanMs   float64 `json:"mean_ms"`
-	P50Ms    float64 `json:"p50_ms"`
-	P99Ms    float64 `json:"p99_ms"`
-	MaxMs    float64 `json:"max_ms"`
-}
-
-func (s *Server) handleMetrics(e *exchange, _ *http.Request) {
-	snap := s.stats.snapshot()
-	out := make([]RouteMetrics, 0, len(snap))
-	for _, rs := range snap {
-		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-		out = append(out, RouteMetrics{
-			Route:    rs.route,
-			Requests: rs.latency.Count(),
-			Errors:   rs.errors(),
-			MeanMs:   ms(rs.latency.Mean()),
-			P50Ms:    ms(rs.latency.Quantile(0.5)),
-			P99Ms:    ms(rs.latency.Quantile(0.99)),
-			MaxMs:    ms(rs.latency.Max()),
-		})
-	}
-	writeJSON(e, http.StatusOK, out)
 }

@@ -377,10 +377,10 @@ func TestParseRetryAfter(t *testing.T) {
 	}
 }
 
-// TestClientClampsHostileRetryAfter: a Retry-After hint far past the
-// policy's MaxDelay is advice, not authority — the honored floor is capped
-// at maxRetryAfterFactor x MaxDelay so a buggy `Retry-After: 86400` cannot
-// park the client for a day.
+// TestClientClampsHostileRetryAfter: a Retry-After hint far past
+// retryMaxDelay is advice, not authority — the honored floor is capped at
+// maxRetryAfterFactor x retryMaxDelay so a buggy `Retry-After: 86400`
+// cannot park the client for a day.
 func TestClientClampsHostileRetryAfter(t *testing.T) {
 	var calls atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -394,10 +394,7 @@ func TestClientClampsHostileRetryAfter(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	maxDelay := 200 * time.Millisecond
-	c := NewClientWith(srv.URL, nil, ClientOptions{Retry: RetryPolicy{
-		MaxAttempts: 3, BaseDelay: 10 * time.Millisecond, MaxDelay: maxDelay,
-	}})
+	c := NewClientWith(srv.URL, nil, ClientOptions{Retry: RetryPolicy{MaxAttempts: 3}})
 	var waits []time.Duration
 	instantSleep(c, &waits)
 
@@ -407,11 +404,11 @@ func TestClientClampsHostileRetryAfter(t *testing.T) {
 	if len(waits) != 1 {
 		t.Fatalf("slept %d times, want 1", len(waits))
 	}
-	if cap := time.Duration(maxRetryAfterFactor) * maxDelay; waits[0] > cap {
+	if cap := maxRetryAfterFactor * retryMaxDelay; waits[0] > cap {
 		t.Fatalf("waited %v, want <= %v (clamped Retry-After)", waits[0], cap)
 	}
 	// The hint still acts as a floor up to the cap.
-	if waits[0] < maxDelay {
-		t.Fatalf("waited %v, want >= MaxDelay %v", waits[0], maxDelay)
+	if waits[0] < retryMaxDelay {
+		t.Fatalf("waited %v, want >= retryMaxDelay %v", waits[0], retryMaxDelay)
 	}
 }

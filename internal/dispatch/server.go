@@ -11,6 +11,7 @@
 //	DELETE /v1/tasks/{id}       cancel an open task
 //	GET    /v1/tasks/{id}/words aggregated word votes (label/describe)
 //	GET    /v1/tasks/{id}/choice aggregated choice (compare/judge)
+//	GET    /v1/tasks/{id}/posterior online class posterior (choice tasks)
 //	GET    /v1/tasks/{id}/trace ordered lifecycle trace events
 //	POST   /v1/next             lease the next task for a worker
 //	POST   /v1/leases:batch     lease up to N tasks for one worker
@@ -18,14 +19,13 @@
 //	POST   /v1/leases:answers   answer up to 256 leases in one request
 //	DELETE /v1/leases/{id}      release a lease unanswered
 //	GET    /v1/stats            system counters
-//	GET    /v1/metrics          per-endpoint request metrics
 //	GET    /healthz             liveness
 //
 // Read-path contract: handlers never serialize live *task.Task pointers.
 // Every task that crosses the wire is a task.View snapshot copied under
 // the owning lock, so reads can never race with the queue recording
-// answers. All /v1 routes — including /v1/metrics — sit behind the
-// auth/rate-limit middleware when one is configured.
+// answers. All /v1 routes sit behind the auth/rate-limit middleware when
+// one is configured.
 //
 // Every request carries an ID: the server adopts a well-formed
 // X-Request-Id from the client or generates one, echoes it on the
@@ -114,8 +114,8 @@ type Server struct {
 }
 
 // NewServer returns a ready-to-serve open dispatch server over sys. Every
-// route is instrumented; GET /v1/metrics reports per-endpoint request
-// counts and latency quantiles.
+// route is instrumented; the admin handler's GET /metrics exports
+// per-route request counts and latency histograms.
 func NewServer(sys *core.System) *Server { return NewServerWith(sys, Options{}) }
 
 // NewServerWith returns a dispatch server with optional API-key auth and
@@ -186,7 +186,6 @@ func NewServerWith(sys *core.System, opts Options) *Server {
 		serve("POST /v1/sessions/{id}/leave", s.handleSessionLeave)
 		serve("GET /v1/sessions/stats", s.handleSessionStats)
 	}
-	s.mount("GET /v1/metrics", guard.wrap(s.handleMetrics))
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write([]byte("ok\n"))

@@ -5,8 +5,6 @@
 package metrics
 
 import (
-	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,47 +30,6 @@ func (c *Counter) Inc() { c.n.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n.Load() }
-
-// BucketHist is a fixed-bucket histogram of float64 observations: one
-// atomic counter per upper bound plus one for +Inf, and an atomic sum, so
-// observing never takes a lock. It is safe for concurrent use.
-type BucketHist struct {
-	bounds []float64      // ascending upper bounds
-	counts []atomic.Int64 // counts[i]: bounds[i-1] < v <= bounds[i]; the last is +Inf
-	sum    atomic.Uint64  // float64 bits
-}
-
-// NewBucketHist returns an empty histogram over the ascending bounds.
-func NewBucketHist(bounds ...float64) *BucketHist {
-	if !slices.IsSorted(bounds) {
-		panic("metrics: histogram bounds must ascend")
-	}
-	return &BucketHist{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
-}
-
-// Observe records one value.
-func (h *BucketHist) Observe(v float64) {
-	i, _ := slices.BinarySearch(h.bounds, v)
-	h.counts[i].Add(1)
-	for {
-		old := h.sum.Load()
-		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations.
-func (h *BucketHist) Count() int64 {
-	var n int64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
-// Sum returns the sum of the observations.
-func (h *BucketHist) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
 // GWAP accumulates the game-with-a-purpose evaluation metrics for one game.
 // Sessions contribute play time; outputs contribute solved problem

@@ -7,6 +7,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -76,20 +77,8 @@ func PromGaugeFamily(name, help string, v float64) PromFamily {
 // PromBucketFamily renders a BucketHist as a Prometheus histogram:
 // cumulative buckets at its bounds, a +Inf bucket, _sum and _count.
 func PromBucketFamily(name, help string, h *BucketHist) PromFamily {
-	samples := make([]PromSample, 0, len(h.bounds)+3)
-	var cum int64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		le := "+Inf"
-		if i < len(h.bounds) {
-			le = formatPromValue(h.bounds[i])
-		}
-		samples = append(samples, PromSample{Suffix: "_bucket", Labels: []PromLabel{{Name: "le", Value: le}}, Value: float64(cum)})
-	}
-	samples = append(samples,
-		PromSample{Suffix: "_sum", Value: h.Sum()},
-		PromSample{Suffix: "_count", Value: float64(cum)})
-	return PromFamily{Name: name, Help: help, Kind: PromHistogram, Samples: samples}
+	return PromFamily{Name: name, Help: help, Kind: PromHistogram,
+		Samples: cumulativeSamples(h.bounds, h.counts, h.Sum(), nil, nil)}
 }
 
 // PromHistogramFamily renders a LatencyHist as a Prometheus histogram:
@@ -103,27 +92,38 @@ func PromHistogramFamily(name, help string, h *LatencyHist) PromFamily {
 // carrying labels (ahead of le on the buckets) — what a family holding
 // several labelled histograms is assembled from.
 func PromHistogramSamples(h *LatencyHist, labels ...PromLabel) []PromSample {
-	bucket := func(le string, count int64, slot int) PromSample {
+	return cumulativeSamples(ExemplarBounds[:], h.counts[:], h.Sum().Seconds(), h.Exemplar, labels)
+}
+
+// cumulativeSamples renders per-bucket counts (the last is +Inf) as
+// cumulative _bucket samples at bounds, then _sum and _count, which is the
+// +Inf bucket's value. Every sample carries labels, ahead of le on the
+// buckets; exemplar, when non-nil, gives bucket i's exemplar.
+func cumulativeSamples(bounds []float64, counts []atomic.Int64, sum float64,
+	exemplar func(i int) (PromExemplar, bool), labels []PromLabel) []PromSample {
+	samples := make([]PromSample, 0, len(counts)+2)
+	var cum int64
+	for i := range counts {
+		cum += counts[i].Load()
+		le := "+Inf"
+		if i < len(bounds) {
+			le = formatPromValue(bounds[i])
+		}
 		s := PromSample{
 			Suffix: "_bucket",
 			Labels: append(labels[:len(labels):len(labels)], PromLabel{Name: "le", Value: le}),
-			Value:  float64(count),
+			Value:  float64(cum),
 		}
-		if e, ok := h.Exemplar(slot); ok {
-			s.Exemplar = &e
+		if exemplar != nil {
+			if e, ok := exemplar(i); ok {
+				s.Exemplar = &e
+			}
 		}
-		return s
+		samples = append(samples, s)
 	}
-	samples := make([]PromSample, 0, len(ExemplarBounds)+3)
-	for i, ub := range ExemplarBounds {
-		samples = append(samples, bucket(formatPromValue(ub), h.CountLE(time.Duration(ub*float64(time.Second))), i))
-	}
-	count := h.Count()
 	return append(samples,
-		bucket("+Inf", count, len(ExemplarBounds)),
-		PromSample{Suffix: "_sum", Labels: labels, Value: h.Sum().Seconds()},
-		PromSample{Suffix: "_count", Labels: labels, Value: float64(count)},
-	)
+		PromSample{Suffix: "_sum", Labels: labels, Value: sum},
+		PromSample{Suffix: "_count", Labels: labels, Value: float64(cum)})
 }
 
 // validPromName reports whether s matches [a-zA-Z_:][a-zA-Z0-9_:]*.

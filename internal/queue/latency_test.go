@@ -12,11 +12,12 @@ import (
 // at is t0 plus s seconds: the explicit clock these tests drive.
 func at(s int) time.Time { return t0.Add(time.Duration(s) * time.Second) }
 
-// wantHist checks a stage histogram's count and total.
+// wantHist checks a stage histogram's count (its _count sample) and total.
 func wantHist(t *testing.T, name string, h *metrics.LatencyHist, count int64, sum time.Duration) {
 	t.Helper()
-	if h.Count() != count || h.Sum() != sum {
-		t.Errorf("%s: %d observations totalling %v, want %d totalling %v", name, h.Count(), h.Sum(), count, sum)
+	samples := metrics.PromHistogramSamples(h)
+	if got := samples[len(samples)-1].Value; got != float64(count) || h.Sum() != sum {
+		t.Errorf("%s: %g observations totalling %v, want %d totalling %v", name, got, h.Sum(), count, sum)
 	}
 }
 

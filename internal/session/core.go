@@ -446,7 +446,6 @@ func (c *Core) Stats(now time.Time) Stats {
 		st.ReplayRatio = float64(st.Replay) / float64(n)
 	}
 	st.ReplayStored = c.replays.Size()
-	st.MatchWait = c.matchWait.Summary()
 	return st
 }
 

@@ -472,22 +472,21 @@ func (p *Plane) Events(ctx context.Context, id ID, player string, after int, wai
 
 // Stats is a snapshot of the plane's gauges and counters.
 type Stats struct {
-	Open            int64                  `json:"open"`     // running rounds (the open-session gauge)
-	Resident        int64                  `json:"resident"` // sessions in memory incl. lingering finished ones
-	Waiting         int                    `json:"waiting"`  // players pooled in the matchmaker
-	OldestWaitMs    int64                  `json:"oldest_wait_ms"`
-	Live            int64                  `json:"live_total"`
-	Replay          int64                  `json:"replay_total"`
-	ReplayRatio     float64                `json:"replay_ratio"`
-	Agreements      int64                  `json:"agreements"`
-	Timeouts        int64                  `json:"timeouts"`
-	Passes          int64                  `json:"passes"`
-	Abandons        int64                  `json:"abandons"`
-	Exhausted       int64                  `json:"exhausted"`
-	NoPartner       int64                  `json:"no_partner"`
-	TabooPromotions int64                  `json:"taboo_promotions"`
-	ReplayStored    int                    `json:"replay_stored"`
-	MatchWait       metrics.LatencySummary `json:"match_wait"`
+	Open            int64   `json:"open"`     // running rounds (the open-session gauge)
+	Resident        int64   `json:"resident"` // sessions in memory incl. lingering finished ones
+	Waiting         int     `json:"waiting"`  // players pooled in the matchmaker
+	OldestWaitMs    int64   `json:"oldest_wait_ms"`
+	Live            int64   `json:"live_total"`
+	Replay          int64   `json:"replay_total"`
+	ReplayRatio     float64 `json:"replay_ratio"`
+	Agreements      int64   `json:"agreements"`
+	Timeouts        int64   `json:"timeouts"`
+	Passes          int64   `json:"passes"`
+	Abandons        int64   `json:"abandons"`
+	Exhausted       int64   `json:"exhausted"`
+	NoPartner       int64   `json:"no_partner"`
+	TabooPromotions int64   `json:"taboo_promotions"`
+	ReplayStored    int     `json:"replay_stored"`
 }
 
 // Stats returns a point-in-time snapshot.

@@ -168,8 +168,8 @@ func TestSessionSoak(t *testing.T) {
 	if g, visits := p.GWAP(), 2*st.Live+st.Replay+st.NoPartner; g.Outputs != st.Agreements || g.Sessions != visits {
 		t.Errorf("GWAP %+v: want %d outputs (the agreements) and %d visits", g, st.Agreements, visits)
 	}
-	if st.MatchWait.Count == 0 {
-		t.Errorf("match-wait histogram empty: %+v", st.MatchWait)
+	if matchWaits(p) == 0 {
+		t.Error("match-wait histogram empty")
 	}
 	t.Logf("soak: %+v", st)
 }
