@@ -46,4 +46,6 @@ func BenchmarkA3Assessment(b *testing.B) { runExperiment(b, experiments.A3) }
 
 func BenchmarkA4MachinePartners(b *testing.B) { runExperiment(b, experiments.A4) }
 
+func BenchmarkA5AdaptiveRedundancy(b *testing.B) { runExperiment(b, experiments.A5) }
+
 func BenchmarkT5Retention(b *testing.B) { runExperiment(b, experiments.T5) }

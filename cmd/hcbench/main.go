@@ -20,7 +20,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "experiment ID (T1, T2, F1...A2) or 'all'")
+		experiment = flag.String("experiment", "all", "experiment ID (T1, T2, F1...A5) or 'all'")
 		seed       = flag.Uint64("seed", 1, "random seed; equal seeds give identical tables")
 		scale      = flag.Float64("scale", 1.0, "workload scale factor (1.0 = full experiment)")
 		list       = flag.Bool("list", false, "list experiments and exit")

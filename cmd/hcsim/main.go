@@ -1,18 +1,20 @@
-// Command hcsim drives simulated crowds.
+// Command hcsim drives a live hcservd with simulated crowds.
 //
-// Local mode runs a game with a virtual clock and prints GWAP metrics:
-//
-//	hcsim -game esp -players 500 -hours 24
-//
-// HTTP mode exercises a running hcservd with simulated workers: it submits
-// image-labeling tasks, has modeled humans answer them over the wire, and
-// scores the aggregated results against ground truth:
+// HTTP mode (the default) submits image-labeling tasks, has modeled
+// humans answer them over the wire, and scores the aggregated results
+// against ground truth:
 //
 //	hcsim -mode http -url http://localhost:8080 -tasks 200 -workers 8
 //
-// The http and session modes exit 1 on the first failed call (session mode
-// also when no round reached agreement), so they double as wire smoke tests
-// against a real binary.
+// Session mode plays paired ESP rounds against a server started with
+// -sessions:
+//
+//	hcsim -mode session -url http://localhost:8080 -players 40 -rounds 3
+//
+// Both modes exit 1 on the first failed call (session mode also when no
+// round reached agreement), so they double as wire smoke tests against a
+// real binary. Virtual-clock crowds are experiment T1 and the
+// adaptive-redundancy run is experiment A5, both under cmd/hcbench.
 package main
 
 import (
@@ -21,11 +23,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"time"
 
 	"humancomp/internal/dispatch"
-	"humancomp/internal/games"
-	"humancomp/internal/metrics"
 	"humancomp/internal/sim"
 	"humancomp/internal/task"
 	"humancomp/internal/vocab"
@@ -34,111 +33,29 @@ import (
 
 func main() {
 	var (
-		mode    = flag.String("mode", "local", "local (virtual-clock crowd), http (drive a live hcservd), session (live paired sessions against hcservd -sessions), or quality")
-		game    = flag.String("game", "esp", "local mode: esp, peekaboom, verbosity, tagatune, matchin, squigl, phetch")
-		players = flag.Int("players", 200, "local mode: population size")
-		hours   = flag.Float64("hours", 24, "local mode: simulated horizon")
-		url     = flag.String("url", "http://localhost:8080", "http mode: service base URL")
-		tasks   = flag.Int("tasks", 100, "http/quality mode: tasks to submit")
-		workers = flag.Int("workers", 8, "http/quality mode: simulated workers")
+		mode    = flag.String("mode", "http", "http (labeling tasks against a live hcservd) or session (live paired sessions against hcservd -sessions)")
+		url     = flag.String("url", "http://localhost:8080", "service base URL")
+		tasks   = flag.Int("tasks", 100, "http mode: tasks to submit")
+		workers = flag.Int("workers", 8, "http mode: simulated workers")
 		batch   = flag.Int("batch", 1, "http mode: batch size for submits/leases/answers (1 = single-call API)")
+		players = flag.Int("players", 40, "session mode: concurrent players")
+		rounds  = flag.Int("rounds", 2, "session mode: rounds each player plays before leaving")
 		seed    = flag.Uint64("seed", 1, "random seed")
-
-		rounds     = flag.Int("rounds", 2, "session mode: rounds each player plays before leaving")
-		redundancy = flag.Int("redundancy", 5, "quality mode: answers per task in the fixed arm")
-		target     = flag.Float64("target", 0.95, "quality mode: posterior confidence that completes a task early")
-		gate       = flag.Bool("gate", false, "quality mode: exit non-zero unless adaptive redundancy saves >=20% answers at <=1 point accuracy cost")
 	)
 	flag.Parse()
 
+	var err error
 	switch *mode {
-	case "local":
-		if _, err := runLocal(*game, *players, *hours, *seed); err != nil {
-			log.Fatalf("hcsim: %v", err)
-		}
 	case "http":
-		if _, _, err := runHTTP(*url, *tasks, *workers, *batch, *seed); err != nil {
-			log.Fatalf("hcsim: %v", err)
-		}
+		_, _, err = runHTTP(*url, *tasks, *workers, *batch, *seed)
 	case "session":
-		n := *players
-		if n == 200 {
-			// The shared -players default is sized for local mode; live
-			// HTTP sessions want a smaller concurrent crowd.
-			n = 40
-		}
-		if _, err := runSession(*url, n, *rounds, *seed); err != nil {
-			log.Fatalf("hcsim: %v", err)
-		}
-	case "quality":
-		n := *tasks
-		if n == 100 && *workers == 8 {
-			// Mode-appropriate defaults: the shared -tasks/-workers defaults
-			// are sized for http mode; quality needs a larger crowd.
-			n, *workers = 400, 40
-		}
-		runQuality(n, *redundancy, *workers, *target, *seed, *gate)
+		_, err = runSession(*url, *players, *rounds, *seed)
 	default:
-		log.Fatalf("hcsim: unknown mode %q", *mode)
+		err = fmt.Errorf("unknown mode %q", *mode)
 	}
-}
-
-// runLocal plays game with a simulated crowd of players for hours of
-// virtual time, prints the GWAP metrics and returns them; an unknown game
-// is an error.
-func runLocal(game string, players int, hours float64, seed uint64) (metrics.Report, error) {
-	corpusCfg := vocab.DefaultCorpusConfig()
-	corpusCfg.Lexicon.Seed = seed
-	corpusCfg.Seed = seed + 1
-	corpus := vocab.NewCorpus(corpusCfg)
-
-	var pair sim.PairGame
-	var solo sim.SoloGame
-	switch game {
-	case "esp":
-		cfg := games.DefaultESPConfig()
-		cfg.Seed = seed + 2
-		cfg.RetireAt = 0
-		cfg.ReplaySeed = seed + 3
-		g := games.NewESP(corpus, cfg)
-		pair, solo = g, g
-	case "peekaboom":
-		pair = games.NewPeekaboom(corpus, seed+2)
-	case "verbosity":
-		fbCfg := vocab.DefaultFactBaseConfig()
-		fbCfg.Seed = seed + 2
-		pair = games.NewVerbosity(vocab.NewFactBase(fbCfg), seed+3)
-	case "tagatune":
-		pair = games.NewTagATune(corpus, seed+2)
-	case "matchin":
-		pair = games.NewMatchin(corpus, seed+2)
-	case "squigl":
-		pair = games.NewSquigl(corpus, seed+2)
-	case "phetch":
-		pair = games.NewPhetch(corpus, games.GroundTruthIndex(corpus), seed+2)
-	default:
-		return metrics.Report{}, fmt.Errorf("unknown game %q", game)
+	if err != nil {
+		log.Fatalf("hcsim: %v", err)
 	}
-
-	popCfg := worker.DefaultPopulationConfig(players)
-	popCfg.Seed = seed + 4
-	ws := worker.NewPopulation(popCfg)
-	crowdCfg := sim.DefaultCrowdConfig(ws, pair)
-	crowdCfg.Horizon = time.Duration(hours * float64(time.Hour))
-	crowdCfg.Seed = seed + 5
-	crowdCfg.Solo = solo
-
-	start := time.Now()
-	rep := sim.NewCrowd(crowdCfg, time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC)).Run()
-	fmt.Printf("game=%s players=%d horizon=%.1fh (simulated) wall=%s\n",
-		game, players, hours, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("  sessions:              %d\n", rep.Sessions)
-	fmt.Printf("  outputs:               %d\n", rep.Outputs)
-	fmt.Printf("  total play:            %.1f human-hours\n", rep.TotalPlayHours)
-	fmt.Printf("  throughput:            %.1f outputs/human-hour\n", rep.ThroughputPerHour)
-	fmt.Printf("  avg lifetime play:     %.1f min\n", rep.ALPMinutes)
-	fmt.Printf("  expected contribution: %.1f outputs/player\n", rep.ExpectedContribution)
-	return rep, nil
 }
 
 // runHTTP submits nTasks labeling tasks, drains them with the modeled

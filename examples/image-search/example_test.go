@@ -35,8 +35,6 @@ func Example() {
 	crowdCfg := sim.DefaultCrowdConfig(players, game)
 	crowdCfg.Horizon = 10 * time.Hour
 	rep := sim.NewCrowd(crowdCfg, time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC)).Run()
-	fmt.Printf("stage 1 — ESP crowd: %d labels across %d images (%.1f labels/human-hour)\n",
-		rep.Outputs, game.Labels.Items(), rep.ThroughputPerHour)
 
 	// Stage 2: the labels become a search index.
 	ix := search.NewIndex()
@@ -51,6 +49,8 @@ func Example() {
 			indexed++
 		}
 	}
+	fmt.Printf("stage 1 — ESP crowd: %d labels across %d images (%.1f labels/human-hour)\n",
+		rep.Outputs, indexed, rep.ThroughputPerHour)
 	fmt.Printf("stage 2 — index: %d images, %d terms\n", indexed, len(terms))
 
 	// Stage 3: retrieval evaluation — query each image with its own

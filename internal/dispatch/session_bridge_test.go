@@ -37,6 +37,7 @@ func TestAgreementIsOneRecord(t *testing.T) {
 	srv := httptest.NewServer(src.Handler(nil))
 	t.Cleanup(srv.Close)
 	wal := store.NewWALWith(f, store.WALOptions{OnRecord: src.OnRecord})
+	t.Cleanup(func() { wal.Close() })
 	cfg := core.DefaultConfig()
 	cfg.OnlineQuality = true
 	recovered, follower := core.New(cfg), core.New(cfg)

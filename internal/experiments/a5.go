@@ -1,7 +1,21 @@
-// The adaptive-redundancy experiment: does the streaming quality plane
-// (online Dawid–Skene + confidence-based early completion) deliver the
-// same decision accuracy as fixed redundancy while collecting materially
-// fewer answers?
+package experiments
+
+import (
+	"errors"
+	"fmt"
+
+	"humancomp/internal/core"
+	"humancomp/internal/queue"
+	"humancomp/internal/rng"
+	"humancomp/internal/sim"
+	"humancomp/internal/task"
+	"humancomp/internal/worker"
+)
+
+// A5 is the adaptive-redundancy experiment: does the streaming quality
+// plane (online Dawid–Skene + confidence-based early completion) deliver
+// the same decision accuracy as fixed redundancy while collecting
+// materially fewer answers?
 //
 // Two arms run over identical populations and ground truth, in-process
 // against core.System so the comparison isolates the completion rule:
@@ -15,24 +29,32 @@
 // the only difference between arms is which votes get collected before
 // the completion rule fires. Both arms calibrate the crowd on gold
 // probes first and decode task labels from the estimator's posterior.
-// -gate turns the report into a CI assertion: answers saved >= 20%,
-// accuracy within 1 point of the fixed baseline, online posteriors
-// within tolerance of a batch EM re-run.
-package main
-
-import (
-	"errors"
-	"fmt"
-	"log"
-	"os"
-
-	"humancomp/internal/core"
-	"humancomp/internal/queue"
-	"humancomp/internal/rng"
-	"humancomp/internal/sim"
-	"humancomp/internal/task"
-	"humancomp/internal/worker"
-)
+// The seed is used as given, so A5 at seed 10 is the run TestA5Gate pins.
+func A5(o Options) Result {
+	const (
+		redundancy = 5
+		nWorkers   = 40
+		target     = 0.98
+	)
+	nTasks := o.n(1000, 150)
+	res := Result{
+		ID:     "A5",
+		Title:  "Adaptive redundancy: answers and accuracy, fixed vs early completion",
+		Header: []string{"arm", "answers/task", "accuracy", "early", "saved", "divergence"},
+	}
+	wl := newQualityWorkload(nTasks, nWorkers, o.Seed)
+	fixed := runQualityArm("fixed", false, wl, redundancy, target)
+	adaptive := runQualityArm("adaptive", true, wl, redundancy, target)
+	for _, arm := range []armResult{fixed, adaptive} {
+		res.AddRow(arm.name, f2c(arm.answersPerTask), f3c(arm.accuracy),
+			d64(arm.earlyCompleted), d64(arm.redundancySaved), f3c(arm.divergence))
+	}
+	res.AddNote("tasks=%d redundancy=%d workers=%d target=%.2f; divergence is the mean L1 between online and batch-EM posteriors over %d tasks",
+		nTasks, redundancy, nWorkers, target, adaptive.divergenceTasks)
+	res.AddNote("answers saved: %.1f%%  accuracy delta: %+.3f",
+		100*(1-adaptive.answersPerTask/fixed.answersPerTask), adaptive.accuracy-fixed.accuracy)
+	return res
+}
 
 // qualityGoldProbes is how many gold probes calibrate each arm's crowd
 // before real work starts.
@@ -130,7 +152,7 @@ func drainQueue(sys *core.System, wl *qualityWorkload) {
 			err = sys.SubmitAnswer(lease, a)
 			if err != nil && !errors.Is(err, task.ErrWrongStatus) &&
 				!errors.Is(err, queue.ErrUnknownLease) {
-				log.Fatalf("hcsim: answering task %d: %v", v.ID, err)
+				panic(fmt.Sprintf("experiments: A5 answering task %d: %v", v.ID, err))
 			}
 		}
 		if idle {
@@ -155,7 +177,7 @@ func runQualityArm(name string, adaptive bool, wl *qualityWorkload, redundancy i
 	for i := 0; i < qualityGoldProbes; i++ {
 		expected := task.Answer{Choice: i % 2}
 		if _, err := sys.SubmitGold(task.Judge, task.Payload{ImageID: goldImageBase + i}, len(wl.ws), 0, expected); err != nil {
-			log.Fatalf("hcsim: submitting gold probe: %v", err)
+			panic(fmt.Sprintf("experiments: A5 submitting gold probe: %v", err))
 		}
 	}
 	drainQueue(sys, wl)
@@ -164,7 +186,7 @@ func runQualityArm(name string, adaptive bool, wl *qualityWorkload, redundancy i
 	for i := range ids {
 		id, err := sys.SubmitTask(task.Judge, task.Payload{ImageID: i}, redundancy, 0)
 		if err != nil {
-			log.Fatalf("hcsim: submitting judge task: %v", err)
+			panic(fmt.Sprintf("experiments: A5 submitting judge task: %v", err))
 		}
 		ids[i] = id
 	}
@@ -174,15 +196,15 @@ func runQualityArm(name string, adaptive bool, wl *qualityWorkload, redundancy i
 	for i, id := range ids {
 		v, err := sys.Task(id)
 		if err != nil {
-			log.Fatalf("hcsim: fetching task %d: %v", id, err)
+			panic(fmt.Sprintf("experiments: A5 fetching task %d: %v", id, err))
 		}
 		if v.Status != task.Done {
-			log.Fatalf("hcsim: task %d not completed (status %v, %d answers)", id, v.Status, len(v.Answers()))
+			panic(fmt.Sprintf("experiments: A5 task %d not completed (status %v, %d answers)", id, v.Status, len(v.Answers())))
 		}
 		answers += len(v.Answers())
 		info, err := sys.TaskPosterior(id)
 		if err != nil {
-			log.Fatalf("hcsim: posterior for task %d: %v", id, err)
+			panic(fmt.Sprintf("experiments: A5 posterior for task %d: %v", id, err))
 		}
 		decided := 0
 		if info.Posterior[1] > info.Posterior[0] {
@@ -203,45 +225,4 @@ func runQualityArm(name string, adaptive bool, wl *qualityWorkload, redundancy i
 		divergence:      meanL1,
 		divergenceTasks: nDiv,
 	}
-}
-
-// runQuality runs both arms over one paired workload and prints the
-// comparison; under -gate it exits non-zero when adaptive redundancy
-// fails to pay for itself.
-func runQuality(nTasks, redundancy, nWorkers int, target float64, seed uint64, gate bool) {
-	wl := newQualityWorkload(nTasks, nWorkers, seed)
-	fixed := runQualityArm("fixed", false, wl, redundancy, target)
-	adaptive := runQualityArm("adaptive", true, wl, redundancy, target)
-
-	savings := 1 - adaptive.answersPerTask/fixed.answersPerTask
-	accDelta := adaptive.accuracy - fixed.accuracy
-
-	fmt.Printf("quality experiment: tasks=%d redundancy=%d workers=%d target=%.2f seed=%d\n",
-		nTasks, redundancy, nWorkers, target, seed)
-	for _, arm := range []armResult{fixed, adaptive} {
-		fmt.Printf("  %-8s answers/task=%.2f accuracy=%.3f early=%d saved=%d divergence=%.3f (n=%d)\n",
-			arm.name, arm.answersPerTask, arm.accuracy,
-			arm.earlyCompleted, arm.redundancySaved, arm.divergence, arm.divergenceTasks)
-	}
-	fmt.Printf("  answers saved: %.1f%%  accuracy delta: %+.3f\n", 100*savings, accDelta)
-
-	if !gate {
-		return
-	}
-	failed := false
-	check := func(ok bool, format string, args ...any) {
-		if !ok {
-			failed = true
-			fmt.Printf("  GATE FAIL: "+format+"\n", args...)
-		}
-	}
-	check(savings >= 0.20, "answers saved %.1f%% < 20%%", 100*savings)
-	check(accDelta >= -0.01, "adaptive accuracy %.3f more than 1 point below fixed %.3f",
-		adaptive.accuracy, fixed.accuracy)
-	check(adaptive.divergence <= 0.25, "online/batch divergence %.3f > 0.25", adaptive.divergence)
-	check(adaptive.earlyCompleted > 0, "no task completed early despite target %.2f", target)
-	if failed {
-		os.Exit(1)
-	}
-	fmt.Println("  gate: ok")
 }

@@ -111,6 +111,7 @@ func All() []Runner {
 		{"A2", "Ablation: replay partners vs live partners", A2},
 		{"A3", "Ablation: Verbosity assessment votes per fact", A3},
 		{"A4", "Extension: machine partners in the ESP Game", A4},
+		{"A5", "Adaptive redundancy: fixed vs early completion on one paired crowd", A5},
 	}
 }
 

@@ -304,3 +304,79 @@ func TestT1ShapeESPLongestALP(t *testing.T) {
 		}
 	}
 }
+
+// TestA5Gate is the adaptive-redundancy gate: at full scale and seed 10
+// the adaptive arm must save at least 20% of the fixed arm's answers,
+// lose at most 1 point of accuracy, keep its online posteriors within
+// 0.25 mean L1 of a batch EM re-run, and complete some task early.
+func TestA5Gate(t *testing.T) {
+	res := A5(Options{Seed: 10, Scale: 1})
+	t.Log("\n" + res.String())
+	fixed, adaptive := res.Rows[0], res.Rows[1]
+	if fixed[0] != "fixed" || adaptive[0] != "adaptive" {
+		t.Fatalf("arms = %q, %q", fixed[0], adaptive[0])
+	}
+	if saved := 1 - parseF(t, adaptive[1])/parseF(t, fixed[1]); saved < 0.20 {
+		t.Errorf("answers saved %.1f%% < 20%%", 100*saved)
+	}
+	if delta := parseF(t, adaptive[2]) - parseF(t, fixed[2]); delta < -0.01 {
+		t.Errorf("adaptive accuracy %s more than 1 point below fixed %s", adaptive[2], fixed[2])
+	}
+	if div := parseF(t, adaptive[5]); div > 0.25 {
+		t.Errorf("online/batch divergence %.3f > 0.25", div)
+	}
+	if early := parseF(t, adaptive[3]); early <= 0 {
+		t.Error("no task completed early despite target 0.98")
+	}
+}
+
+// TestAdaptiveArmSavesAnswers runs a scaled-down version of the quality
+// experiment and checks the properties the gate asserts at full scale:
+// the adaptive arm completes every task with materially fewer answers,
+// stays close to the fixed arm's accuracy, and its online posteriors
+// agree with a batch EM re-run.
+func TestAdaptiveArmSavesAnswers(t *testing.T) {
+	wl := newQualityWorkload(150, 30, 10)
+	fixed := runQualityArm("fixed", false, wl, 5, 0.98)
+	adaptive := runQualityArm("adaptive", true, wl, 5, 0.98)
+
+	if fixed.answersPerTask != 5 {
+		t.Fatalf("fixed arm answers/task = %v, want exactly 5", fixed.answersPerTask)
+	}
+	if fixed.earlyCompleted != 0 {
+		t.Fatalf("fixed arm completed %d tasks early", fixed.earlyCompleted)
+	}
+	if adaptive.earlyCompleted == 0 {
+		t.Fatal("adaptive arm never completed a task early")
+	}
+	savings := 1 - adaptive.answersPerTask/fixed.answersPerTask
+	if savings < 0.10 {
+		t.Fatalf("adaptive arm saved only %.1f%% of answers", 100*savings)
+	}
+	if delta := adaptive.accuracy - fixed.accuracy; delta < -0.05 {
+		t.Fatalf("adaptive accuracy %.3f too far below fixed %.3f", adaptive.accuracy, fixed.accuracy)
+	}
+	if adaptive.divergence > 0.30 {
+		t.Fatalf("online/batch divergence %.3f too large", adaptive.divergence)
+	}
+	if adaptive.divergenceTasks == 0 {
+		t.Fatal("divergence compared zero tasks")
+	}
+}
+
+// TestQualityWorkloadPaired checks the vote tables are deterministic per
+// seed — the property that makes the two-arm comparison paired.
+func TestQualityWorkloadPaired(t *testing.T) {
+	a := newQualityWorkload(50, 20, 7)
+	b := newQualityWorkload(50, 20, 7)
+	for ti := range a.votes {
+		for wi := range a.votes[ti] {
+			if a.votes[ti][wi] != b.votes[ti][wi] {
+				t.Fatalf("vote table not deterministic at task %d worker %d", ti, wi)
+			}
+		}
+	}
+	if a.truth[0] != b.truth[0] || len(a.truth) != len(b.truth) {
+		t.Fatal("truth table not deterministic")
+	}
+}

@@ -78,9 +78,6 @@ func (t *Tally) LabelsFor(item int) []Label {
 	return out
 }
 
-// Items returns the number of items with at least one agreement.
-func (t *Tally) Items() int { return len(t.byItem) }
-
 // Total returns the total number of recorded agreements.
 func (t *Tally) Total() int {
 	n := 0

@@ -39,8 +39,8 @@ func TestTally(t *testing.T) {
 	if len(s.LabelsFor(2)) != 0 {
 		t.Fatalf("LabelsFor(unlabeled) = %+v", s.LabelsFor(2))
 	}
-	if s.Items() != 2 || s.Total() != 4 {
-		t.Fatalf("Items=%d Total=%d", s.Items(), s.Total())
+	if len(s.byItem) != 2 || s.Total() != 4 {
+		t.Fatalf("items=%d Total=%d", len(s.byItem), s.Total())
 	}
 	// Synonyms pool.
 	var a, b int = -1, -1

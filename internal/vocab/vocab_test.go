@@ -1,8 +1,6 @@
 package vocab
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -305,66 +303,4 @@ func TestPanics(t *testing.T) {
 	mustPanic("Word out of range", func() { NewLexicon(LexiconConfig{Size: 10, Seed: 1}).Word(10) })
 	c := NewCorpus(CorpusConfig{Lexicon: LexiconConfig{Size: 10, Seed: 1}, NumImages: 1, MeanObjects: 1, CanvasW: 100, CanvasH: 100, Seed: 1})
 	mustPanic("Image out of range", func() { c.Image(5) })
-}
-
-func TestCorpusExportImportRoundTrip(t *testing.T) {
-	cfg := CorpusConfig{
-		Lexicon:     LexiconConfig{Size: 100, ZipfS: 1, SynonymRate: 0.2, Seed: 3},
-		NumImages:   40,
-		MeanObjects: 3,
-		CanvasW:     320, CanvasH: 240,
-		Seed: 4,
-	}
-	c := NewCorpus(cfg)
-	var buf bytes.Buffer
-	if err := ExportCorpus(&buf, c, cfg.Lexicon); err != nil {
-		t.Fatal(err)
-	}
-	got, lexCfg, err := ImportCorpus(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lexCfg != cfg.Lexicon {
-		t.Fatalf("lexicon config round trip: %+v", lexCfg)
-	}
-	if len(got.Images) != len(c.Images) {
-		t.Fatalf("images = %d", len(got.Images))
-	}
-	for i := range c.Images {
-		a, b := c.Images[i], got.Images[i]
-		if a.Aesthetic != b.Aesthetic || len(a.Objects) != len(b.Objects) {
-			t.Fatalf("image %d diverges", i)
-		}
-		for j := range a.Objects {
-			if a.Objects[j] != b.Objects[j] {
-				t.Fatalf("image %d object %d diverges", i, j)
-			}
-		}
-	}
-	// The reconstructed lexicon matches.
-	if got.Lexicon.Size() != c.Lexicon.Size() || got.Lexicon.Word(5) != c.Lexicon.Word(5) {
-		t.Fatal("lexicon reconstruction diverges")
-	}
-}
-
-func TestImportCorpusRejectsBadInput(t *testing.T) {
-	if _, _, err := ImportCorpus(strings.NewReader("{bad json")); err == nil {
-		t.Fatal("bad JSON accepted")
-	}
-	if _, _, err := ImportCorpus(strings.NewReader(`{"version":9}`)); err == nil {
-		t.Fatal("bad version accepted")
-	}
-	if _, _, err := ImportCorpus(strings.NewReader(`{"version":1,"lexicon":{"Size":10,"Seed":1},"images":[]}`)); err == nil {
-		t.Fatal("empty corpus accepted")
-	}
-	// Tag outside the lexicon.
-	bad := `{"version":1,"lexicon":{"Size":10,"ZipfS":1,"Seed":1},"images":[{"ID":0,"Width":10,"Height":10,"Objects":[{"Tag":99,"Box":{"X":0,"Y":0,"W":5,"H":5},"Salience":1}]}]}`
-	if _, _, err := ImportCorpus(strings.NewReader(bad)); err == nil {
-		t.Fatal("out-of-lexicon tag accepted")
-	}
-	// Non-dense IDs.
-	sparse := `{"version":1,"lexicon":{"Size":10,"ZipfS":1,"Seed":1},"images":[{"ID":5,"Width":10,"Height":10}]}`
-	if _, _, err := ImportCorpus(strings.NewReader(sparse)); err == nil {
-		t.Fatal("sparse image IDs accepted")
-	}
 }

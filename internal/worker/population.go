@@ -10,10 +10,8 @@ import (
 // PopulationConfig parameterizes a synthetic player population.
 type PopulationConfig struct {
 	Size int
-	// SpammerFrac and ColluderFrac are the fractions of adversarial
-	// players; the rest are honest. Fractions must be non-negative and
-	// sum to at most 1.
-	SpammerFrac  float64
+	// ColluderFrac is the fraction of colluding players, in [0, 1]; the
+	// rest are honest.
 	ColluderFrac float64
 	// ColludeWord is the scripted answer shared by all colluders.
 	ColludeWord int
@@ -42,25 +40,21 @@ func NewPopulation(cfg PopulationConfig) []*Worker {
 	if cfg.Size <= 0 {
 		panic("worker: population size must be positive")
 	}
-	if cfg.SpammerFrac < 0 || cfg.ColluderFrac < 0 || cfg.SpammerFrac+cfg.ColluderFrac > 1 {
-		panic("worker: adversarial fractions must be non-negative and sum to <= 1")
+	if !(cfg.ColluderFrac >= 0 && cfg.ColluderFrac <= 1) { // NaN too
+		panic("worker: colluder fraction must lie in [0, 1]")
 	}
 	src := rng.New(cfg.Seed)
 	ws := make([]*Worker, cfg.Size)
-	nSpam := int(float64(cfg.Size) * cfg.SpammerFrac)
 	nCollude := int(float64(cfg.Size) * cfg.ColluderFrac)
 	for i := range ws {
 		b := Honest
-		switch {
-		case i < nSpam:
-			b = Spammer
-		case i < nSpam+nCollude:
+		if i < nCollude {
 			b = Colluder
 		}
 		ws[i] = New(fmt.Sprintf("p%05d", i), b, SampleProfile(cfg, src), src)
 		ws[i].ColludeWord = cfg.ColludeWord
 	}
-	// Shuffle so adversaries are not clustered at the front of the roster;
+	// Shuffle so colluders are not clustered at the front of the roster;
 	// the matchmaker experiments pair players by roster position.
 	src.Shuffle(len(ws), func(i, j int) { ws[i], ws[j] = ws[j], ws[i] })
 	return ws

@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -284,7 +285,6 @@ func TestSessionAndThinkDistributions(t *testing.T) {
 
 func TestPopulationComposition(t *testing.T) {
 	cfg := DefaultPopulationConfig(1000)
-	cfg.SpammerFrac = 0.1
 	cfg.ColluderFrac = 0.2
 	cfg.ColludeWord = 42
 	ws := NewPopulation(cfg)
@@ -292,7 +292,7 @@ func TestPopulationComposition(t *testing.T) {
 	for _, w := range ws {
 		counts[w.Behavior]++
 	}
-	if counts[Spammer] != 100 || counts[Colluder] != 200 || counts[Honest] != 700 {
+	if counts[Colluder] != 200 || counts[Honest] != 800 {
 		t.Fatalf("composition = %v", counts)
 	}
 	ids := map[string]bool{}
@@ -323,8 +323,9 @@ func TestPopulationDeterministic(t *testing.T) {
 func TestPopulationPanics(t *testing.T) {
 	for name, cfg := range map[string]PopulationConfig{
 		"size 0":        {Size: 0},
-		"fractions > 1": {Size: 10, SpammerFrac: 0.6, ColluderFrac: 0.6},
-		"negative frac": {Size: 10, SpammerFrac: -0.1},
+		"fraction > 1":  {Size: 10, ColluderFrac: 1.2},
+		"negative frac": {Size: 10, ColluderFrac: -0.1},
+		"NaN frac":      {Size: 10, ColluderFrac: math.NaN()},
 	} {
 		func() {
 			defer func() {
