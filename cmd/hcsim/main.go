@@ -44,18 +44,23 @@ func main() {
 	)
 	flag.Parse()
 
-	var err error
-	switch *mode {
-	case "http":
-		_, _, err = runHTTP(*url, *tasks, *workers, *batch, *seed)
-	case "session":
-		_, err = runSession(*url, *players, *rounds, *seed)
-	default:
-		err = fmt.Errorf("unknown mode %q", *mode)
-	}
-	if err != nil {
+	if err := run(*mode, *url, *tasks, *workers, *batch, *players, *rounds, *seed); err != nil {
 		log.Fatalf("hcsim: %v", err)
 	}
+}
+
+// run plays one mode against the service at url; a mode other than http
+// and session is an error.
+func run(mode, url string, tasks, workers, batch, players, rounds int, seed uint64) error {
+	switch mode {
+	case "http":
+		_, _, err := runHTTP(url, tasks, workers, batch, seed)
+		return err
+	case "session":
+		_, err := runSession(url, players, rounds, seed)
+		return err
+	}
+	return fmt.Errorf("unknown mode %q", mode)
 }
 
 // runHTTP submits nTasks labeling tasks, drains them with the modeled

@@ -127,6 +127,28 @@ func TestRunHTTPFails(t *testing.T) {
 	}
 }
 
+// TestRunModes: http and session each reach the service (a dead one
+// fails their health check), and any other mode, the retired local and
+// quality ones included, is an error before any call is made.
+func TestRunModes(t *testing.T) {
+	srv := httptest.NewServer(http.NotFoundHandler())
+	dead := srv.URL
+	srv.Close()
+	for _, tc := range []struct{ mode, want string }{
+		{"http", "no healthy service"},
+		{"session", "no healthy service"},
+		{"local", `unknown mode "local"`},
+		{"quality", `unknown mode "quality"`},
+	} {
+		t.Run(tc.mode, func(t *testing.T) {
+			err := run(tc.mode, dead, 10, 2, 1, 4, 1, 1)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // TestNearestRank: over 1..1000 ms, one sample each, the session report's
 // p50, p99 and max are exactly 500, 990 and 1000 ms, and a single sample
 // is every quantile.

@@ -305,6 +305,27 @@ func TestT1ShapeESPLongestALP(t *testing.T) {
 	}
 }
 
+// TestT1EveryGameYieldsOutputs: each of the seven games, played by the
+// simulated crowd, holds sessions and validates outputs. The golden pins
+// the exact figures; this holds when a golden is rewritten.
+func TestT1EveryGameYieldsOutputs(t *testing.T) {
+	rows := map[string][]string{}
+	for _, row := range T1(smallOpts()).Rows {
+		rows[row[0]] = row
+	}
+	for _, game := range []string{"esp", "peekaboom", "verbosity", "tagatune", "matchin", "squigl", "phetch"} {
+		t.Run(game, func(t *testing.T) {
+			row, ok := rows[game]
+			if !ok {
+				t.Fatalf("no T1 row for %s", game)
+			}
+			if parseF(t, row[2]) <= 0 || parseF(t, row[3]) <= 0 || parseF(t, row[4]) <= 0 {
+				t.Errorf("sessions %s, outputs %s, throughput %s/h: want all above 0", row[2], row[3], row[4])
+			}
+		})
+	}
+}
+
 // TestA5Gate is the adaptive-redundancy gate: at full scale and seed 10
 // the adaptive arm must save at least 20% of the fixed arm's answers,
 // lose at most 1 point of accuracy, keep its online posteriors within
