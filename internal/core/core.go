@@ -266,7 +266,7 @@ func (s *System) SubmitBatchCtx(ctx context.Context, specs []SubmitSpec) []Submi
 // submitItem is one valid task on its way through submitAll.
 type submitItem struct {
 	at   int          // index of its spec and outcome
-	t    *task.Task   // the live task, owned by the queue once enqueued
+	t    *task.Task   // the new task; the store keeps a copy of it
 	gold *task.Answer // expected answer of a gold probe
 }
 
@@ -576,7 +576,7 @@ func (s *System) RecordAgreement(item, word int, players ...string) error {
 	if err := s.queue.Journal(trace.Handle{}, []store.Event{{Kind: store.EventSubmit, At: now, Task: t}}); err != nil {
 		return err
 	}
-	s.store.Put(t)
+	t = s.store.Put(t)
 	s.tasksSubmitted.Inc()
 	s.answersTotal.Add(int64(len(players)))
 	for _, p := range players {

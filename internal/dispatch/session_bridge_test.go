@@ -54,7 +54,14 @@ func TestAgreementIsOneRecord(t *testing.T) {
 		var out []store.Event
 		sc := store.NewRecordScanner(bytes.NewReader(data), 0)
 		for sc.Scan() {
-			out = append(out, sc.Event()) // its Task is its own; nothing else is kept
+			// An event's Task, Answer and Gold are the scanner's until the
+			// next Scan: the Task is copied, and the rest is not read.
+			e := sc.Event()
+			if e.Task != nil {
+				tk := *e.Task
+				e.Task = &tk
+			}
+			out = append(out, e)
 		}
 		if err := sc.Err(); err != nil {
 			t.Fatal(err)

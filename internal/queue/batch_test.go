@@ -20,7 +20,7 @@ func TestAddBatchPartialFailure(t *testing.T) {
 	done.Status = task.Done
 	ts := []*task.Task{
 		newTask(t, 1, 0, 1),
-		newTask(t, 2, 0, 1), // duplicate of the pre-added task
+		newTask(t, 2, 1, 1), // another task under the pre-added task's ID
 		done,                // wrong status
 		newTask(t, 4, 0, 1),
 	}
@@ -48,9 +48,19 @@ func TestAddBatchPartialFailure(t *testing.T) {
 }
 
 // TestAddAfterPutOnlyEnqueues: tasks already in the queue's store — put
-// there first, as the layer benchmark's preload does — are only enqueued,
-// counted and leasable once each.
+// there first, as the layer benchmark's preload and its leaf rung do — are
+// only enqueued, counted and leasable once each, whether the queue is
+// handed the stored tasks PutBatch leaves in the slice or the caller's own
+// copy of a task Put stored; another record under a stored ID is refused.
 func TestAddAfterPutOnlyEnqueues(t *testing.T) {
+	leased := func(q *Queue) []task.ID {
+		var got []task.ID
+		for _, g := range q.LeaseBatch("w", 8, t0) {
+			got = append(got, g.Task.ID)
+		}
+		return got
+	}
+
 	st := store.New()
 	q := NewLocked(time.Minute, st, nil)
 	ts := []*task.Task{newTask(t, 1, 0, 1), newTask(t, 2, 1, 1)}
@@ -61,12 +71,29 @@ func TestAddAfterPutOnlyEnqueues(t *testing.T) {
 	if open := q.Stats(t0).Open; open != 2 {
 		t.Fatalf("Stats().Open = %d, want 2", open)
 	}
-	var got []task.ID
-	for _, g := range q.LeaseBatch("w", 8, t0) {
-		got = append(got, g.Task.ID)
-	}
-	if !slices.Equal(got, []task.ID{2, 1}) {
+	if got := leased(q); !slices.Equal(got, []task.ID{2, 1}) {
 		t.Fatalf("leased %v, want [2 1]", got)
+	}
+
+	st = store.New()
+	q = NewLocked(time.Minute, st, nil)
+	own := newTask(t, 3, 0, 1)
+	stored := st.Put(own)
+	if stored == own {
+		t.Fatal("Put kept the caller's task rather than a copy")
+	}
+	if err := q.Add(own); err != nil {
+		t.Fatalf("Add of the caller's copy after Put: %v", err)
+	}
+	other := newTask(t, 3, 5, 1)
+	if err := q.Add(other); !errors.Is(err, ErrDuplicateID) {
+		t.Fatalf("Add of another record under a stored ID: %v, want ErrDuplicateID", err)
+	}
+	if open := q.Stats(t0).Open; open != 1 || len(q.heap) != 1 || q.heap[0] != stored {
+		t.Fatalf("Stats().Open = %d, heap %v; want the stored task, %p, enqueued once", open, q.heap, stored)
+	}
+	if got := leased(q); !slices.Equal(got, []task.ID{3}) {
+		t.Fatalf("leased %v, want [3]", got)
 	}
 }
 

@@ -41,9 +41,9 @@ func TestLateAnswerIsWrongStatus(t *testing.T) {
 					case end == "finish":
 						// The state a replica's apply loop leaves: the task is
 						// finished in place, the queue has not looked yet.
-						_ = tk.Finish(t0)
+						_ = stored(t, q, tk.ID).Finish(t0)
 					default:
-						_ = tk.Cancel(t0)
+						_ = stored(t, q, tk.ID).Cancel(t0)
 					}
 					// Closed through the queue, the task is uncounted at once; in
 					// place, it stays counted (see Queue.open).

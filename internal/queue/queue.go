@@ -236,10 +236,11 @@ func (q *Queue) writeThen(h trace.Handle, events []store.Event, release func()) 
 	return err
 }
 
-// Add stores an open task and enqueues it. The queue takes ownership of
-// the task; callers must not mutate it afterwards except through queue
-// methods. A task already in the store is only enqueued; it must not be in
-// the queue already.
+// Add stores a copy of an open task and enqueues the stored task; t itself
+// is not kept, and the task changes from then on only through queue
+// methods. A task whose record the store already holds under its ID — the
+// stored task, or a caller's own copy of what it Put — is only enqueued;
+// it must not be in the queue already.
 func (q *Queue) Add(t *task.Task) error {
 	if errs := q.AddBatch([]*task.Task{t}); errs != nil {
 		return errs[0]
@@ -247,11 +248,12 @@ func (q *Queue) Add(t *task.Task) error {
 	return nil
 }
 
-// AddBatch stores and enqueues many open tasks under one hold of the lock.
-// A nil result means every task was enqueued; otherwise the slice is
+// AddBatch stores and enqueues many open tasks under one hold of the lock,
+// replacing each entry of ts it enqueues with the stored task. A nil
+// result means every task was enqueued; otherwise the slice is
 // index-aligned with ts, a nil entry meaning that task was enqueued and a
 // non-nil one carrying the error Add would have returned: ErrDuplicateID
-// when the store holds a different task under its ID. One bad task never
+// when the store holds a different record under its ID. One bad task never
 // fails the rest of the batch.
 func (q *Queue) AddBatch(ts []*task.Task) []error {
 	return q.AddBatchTraced(ts, trace.Handle{})

@@ -34,6 +34,28 @@ func newTask(t *testing.T, id task.ID, priority, redundancy int) *task.Task {
 
 func answer(words ...int) task.Answer { return task.Answer{Words: words} }
 
+// lookup returns the task the queue's store holds under id, the live one,
+// or nil.
+func lookup(q *Queue, id task.ID) *task.Task {
+	for _, tk := range q.st.Tasks(store.AnyStatus) {
+		if tk.ID == id {
+			return tk
+		}
+	}
+	return nil
+}
+
+// stored is lookup of a task the store holds: the record a test changes
+// behind the queue's back, which Add copied from its own.
+func stored(t *testing.T, q *Queue, id task.ID) *task.Task {
+	t.Helper()
+	tk := lookup(q, id)
+	if tk == nil {
+		t.Fatalf("task %d is not stored", id)
+	}
+	return tk
+}
+
 func TestPriorityOrder(t *testing.T) {
 	q := New(time.Minute)
 	for i, pri := range []int{1, 5, 3} {
@@ -79,12 +101,14 @@ func TestFIFOWithinPriority(t *testing.T) {
 	}
 }
 
+// TestDuplicateIDRejected: another record under a stored task's ID is
+// refused.
 func TestDuplicateIDRejected(t *testing.T) {
 	q := New(time.Minute)
 	if err := q.Add(newTask(t, 1, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Add(newTask(t, 1, 0, 1)); !errors.Is(err, ErrDuplicateID) {
+	if err := q.Add(newTask(t, 1, 1, 1)); !errors.Is(err, ErrDuplicateID) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -445,8 +469,8 @@ func leaseTask(q *Queue, id task.ID, workerID string, now time.Time) (task.View,
 	q.lock()
 	defer q.mu.Unlock()
 	q.expireLocked(now)
-	t, err := q.st.Get(id)
-	if err != nil {
+	t := lookup(q, id)
+	if t == nil {
 		return task.View{}, 0, ErrUnknownTask
 	}
 	free := q.freeLocked(t, workerID)

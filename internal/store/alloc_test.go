@@ -108,25 +108,31 @@ func compareLog(t *testing.T, n, redundancy, answers int) []byte {
 	return log.Bytes()
 }
 
-// tableSlot is what a task's slot in a table page costs: a page is 1024
-// pointers, 8 KiB, which with the 8-B header the runtime gives a
-// pointer-holding object over 512 B is served from the 9472-B size class.
-const tableSlot = 9472.0 / 1024
+// pageCost is what a table page costs the heap: its 64-KiB task array,
+// served with no header and no tail, and its pageRef, 136 B, served from
+// the runtime's 144-B size class.
+const pageCost = 64<<10 + 144
 
-// TestOpenTaskHeap: an open task in a backlog costs its 64-B task.Task and
-// its table slot, and nothing else: after replaying 50 000 compare submits
-// the live heap is at most 64 B a task beside the table, whose last page is
-// not full and whose page map and key list take some hundreds of bytes. A
-// 96-B task made it 105.3 B.
+// pageShare is each task's share of the pages that hold n tasks under IDs
+// 1 to n: a full page is 64.14 B a task, and the last is partly empty.
+func pageShare(n int) float64 { return float64((n>>pageBits+1)*pageCost) / float64(n) }
+
+// TestOpenTaskHeap: an open task in a backlog costs its 64-B record in a
+// table page, and nothing else: after replaying 50 000 compare submits the
+// live heap is the 49 pages that hold them, the last of them 83 % full,
+// a page map and key list of under 2 KiB, and whatever the process
+// allocates meanwhile (the 0.25 B a task of slack). As a 64-B object of
+// its own beside an 8-B slot of a page of pointers it made 73.3 B, and as
+// a 96-B one 105.3 B.
 func TestOpenTaskHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory is not the production heap")
 	}
 	const n = 50_000
 	s, perTask := replayLog(t, compareLog(t, n, 3, 0), n)
-	t.Logf("%.1f B of live heap per open task", perTask)
-	if perTask > 64+tableSlot+0.25 {
-		t.Fatalf("an open task holds %.1f B of heap; want at most 64 for the task and %.2f for its table slot", perTask, tableSlot)
+	t.Logf("%.2f B of live heap per open task; the pages are %.2f", perTask, pageShare(n))
+	if perTask > pageShare(n)+0.25 {
+		t.Fatalf("an open task holds %.2f B of heap; want at most its %.2f B share of the pages", perTask, pageShare(n))
 	}
 	runtime.KeepAlive(s)
 }
@@ -137,8 +143,9 @@ func TestOpenTaskHeap(t *testing.T) {
 // allocation, with room for as many answers as it wants: at redundancy 1
 // the 64-B task and a 160-B record, at redundancy 3 a 416-B record —
 // exactly what the 96-B task and a slice of one or three 128-B answers
-// cost, 224 and 480 B. Each answer's worker ID is 16 B more, and the task
-// has its table slot. Measured, both layouts come to 249.5 and 537.5 B.
+// cost, 224 and 480 B. Each answer's worker ID is 16 B more. The task
+// itself is its share of the pages; as an object of its own beside a
+// pointer slot it made 249.5 and 537.5 B.
 func TestDoneTaskHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory is not the production heap")
@@ -147,8 +154,8 @@ func TestDoneTaskHeap(t *testing.T) {
 	for _, c := range []struct{ redundancy, ceiling int }{{1, 224 + 16}, {3, 480 + 3*16}} {
 		s, perTask := replayLog(t, compareLog(t, n, c.redundancy, c.redundancy), n)
 		t.Logf("redundancy %d: %.1f B of live heap per done task", c.redundancy, perTask)
-		if s.Count(task.Done) != n || perTask > float64(c.ceiling)+tableSlot+1 {
-			t.Fatalf("redundancy %d: %d of %d tasks done, %.1f B a task; want all done at most %d B and the table slot", c.redundancy, s.Count(task.Done), n, perTask, c.ceiling)
+		if want := float64(c.ceiling-64) + pageShare(n) + 1; s.Count(task.Done) != n || perTask > want {
+			t.Fatalf("redundancy %d: %d of %d tasks done, %.1f B a task; want all done at most %.1f B", c.redundancy, s.Count(task.Done), n, perTask, want)
 		}
 		runtime.KeepAlive(s)
 	}
@@ -156,11 +163,13 @@ func TestDoneTaskHeap(t *testing.T) {
 
 // TestReplayAllocatesWhatItKeeps: replaying a record allocates the state
 // the record adds to the store and no decoding scratch. A submit record of
-// an image task leaves a task.Task (64 B, no Detail, nothing answered) and
-// fills an 8-byte slot of a table page, which is allocated once per 1024
-// tasks and never regrown; through encoding/json it cost 12 allocations
-// and some 900 B, and into a Go map, which doubles its way up, 1.01
-// allocations and 252 B. The scanner's read buffer is charged to the
+// an image task (no Detail, nothing answered) is decoded into the
+// scanner's own task and copied into its 64-B slot of a table page, which
+// is allocated once per 1024 tasks and never regrown: it allocates nothing
+// of its own. Decoded into a task of its own beside a slot of a page of
+// pointers it cost 1 allocation and 73 B, through encoding/json 12
+// allocations and some 900 B, and into a Go map, which doubles its way up,
+// 1.01 allocations and 252 B. The scanner's read buffer is charged to the
 // records too. An answer record leaves the answer's worker ID and word
 // list, and once a task the ended record that holds the answers; the
 // Answer it is decoded into belongs to the scanner.
@@ -198,10 +207,11 @@ func TestReplayAllocatesWhatItKeeps(t *testing.T) {
 	}
 	objects, size := mallocs(replay(&submits))
 	t.Logf("submit records: %d allocs, %.0f B per record", objects, float64(size)/n)
-	// Beyond the tasks: the pages, the page map, the key list and whatever
-	// else the process allocates meanwhile, 19 to 25 on a quiet host.
-	if objects > n+n/100 || size > 128*n {
-		t.Fatalf("replaying %d submit records took %d allocations and %d B; want at most 1.01 and 128 B a record", n, objects, size)
+	// The pages, the page map, the key list, the scanner and whatever else
+	// the process allocates meanwhile: 23 on a quiet host. The scanner's
+	// buffers are 64 KiB and a record's.
+	if want := int64(pageShare(n)*n) + 80<<10; objects > n/100 || size > want {
+		t.Fatalf("replaying %d submit records took %d allocations and %d B; want at most %d and %d B", n, objects, size, n/100, want)
 	}
 	// Three answers to each of n/3 tasks: per record a worker ID (16 B), a
 	// two-word list (16 B), a third of an ended record with three answer

@@ -56,17 +56,23 @@ func appendCanonicalEvent(b []byte, e *Event) (_ []byte, ok bool) {
 	return append(b, '}'), true
 }
 
-// answerBox is where a canonical record's answer and gold answer are
+// eventBox is where a canonical record's task, answer and gold answer are
 // decoded: storage the reader owns and overwrites with the next record,
-// because every consumer copies the answer out (Task.Record, the gold
-// table) and none keeps the pointer.
-type answerBox struct{ answer, gold task.Answer }
+// because every consumer copies out what it keeps (the store a submitted
+// task's record, Task.Record an answer, the gold table its answer) and none
+// keeps the pointer. What the decoded values point to — a payload's
+// Detail, a task's answers — is allocated afresh each record, and the
+// store keeps it.
+type eventBox struct {
+	task         task.Task
+	answer, gold task.Answer
+}
 
 // decodeEvent decodes one record payload: json.Unmarshal into a zero Event,
 // on every input. A payload in the form appendEvent writes is decoded in
-// place — its Task freshly allocated, since the store keeps it, its Answer
-// and Gold in box — and any other is handed to encoding/json unchanged.
-func decodeEvent(doc []byte, box *answerBox) (Event, error) {
+// place, its Task, Answer and Gold into box, and any other is handed to
+// encoding/json unchanged.
+func decodeEvent(doc []byte, box *eventBox) (Event, error) {
 	var e Event
 	c := jsonx.NewCanon(doc)
 	c.Lit(`{"kind":`)
@@ -85,7 +91,7 @@ func decodeEvent(doc []byte, box *answerBox) (Event, error) {
 	c.Lit(`,"at":`)
 	c.Time(&e.At)
 	if c.Try(`,"task":`) {
-		e.Task = new(task.Task)
+		e.Task = &box.task
 		task.DecodeTask(&c, e.Task)
 	}
 	if c.Try(`,"task_id":`) {

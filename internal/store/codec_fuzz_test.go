@@ -289,12 +289,18 @@ func encodesLikeStdlib(t *testing.T, what string, got []byte, gotErr error, want
 
 // decodesLikeStdlib decodes doc as each record type, by the codec and by
 // json.Unmarshal into the reference records, and requires one outcome. The
-// codec's targets start out dirty, a populated payload Detail included: it
+// codec's targets start out dirty, a populated payload Detail included, the
+// event's task too, since a scanner decodes each record into the last's: it
 // must replace, not merge. On an error DecodeJSON leaves the zero task.
 func decodesLikeStdlib(t *testing.T, doc []byte) {
 	t.Helper()
 	dirty := task.Answer{TaskID: 99, WorkerID: "stale", At: task.StampOf(t0), Words: []int{9}, Text: "stale", Choice: 9}
 	dirty.Box.W = 9
+	stale := func() task.Task {
+		t := task.Task{ID: 99, Redundancy: 3, Payload: task.Payload{Detail: &task.Detail{WordImg: "stale", Taboo: []int{9}, ClipB: 9}}}
+		t.SetEnded(task.StampOf(t0), []task.Answer{dirty})
+		return t
+	}
 
 	var ref refEvent
 	var wantEvent Event
@@ -302,7 +308,7 @@ func decodesLikeStdlib(t *testing.T, doc []byte) {
 	if wantErr == nil {
 		wantEvent, wantErr = ref.event()
 	}
-	gotEvent, gotErr := decodeEvent(doc, &answerBox{answer: dirty, gold: dirty})
+	gotEvent, gotErr := decodeEvent(doc, &eventBox{task: stale(), answer: dirty, gold: dirty})
 	if !sameOutcome(gotErr, wantErr) || wantErr == nil && !reflect.DeepEqual(gotEvent, wantEvent) {
 		t.Fatalf("event %q\n codec: %+v, %v\nstdlib: %+v, %v", doc, gotEvent, gotErr, wantEvent, wantErr)
 	}
@@ -316,8 +322,7 @@ func decodesLikeStdlib(t *testing.T, doc []byte) {
 	if wantErr != nil {
 		wantTask = new(task.Task)
 	}
-	gotTask := task.Task{ID: 99, Redundancy: 3, Payload: task.Payload{Detail: &task.Detail{WordImg: "stale", Taboo: []int{9}, ClipB: 9}}}
-	gotTask.SetEnded(task.StampOf(t0), []task.Answer{dirty})
+	gotTask := stale()
 	gotErr = gotTask.DecodeJSON(doc)
 	if !sameOutcome(gotErr, wantErr) || !reflect.DeepEqual(&gotTask, wantTask) {
 		t.Fatalf("task %q\n codec: %+v, %v\nstdlib: %+v, %v", doc, gotTask, gotErr, wantTask, wantErr)

@@ -36,7 +36,8 @@ var errLegacyWAL = errors.New("store: wal is in the v1 JSON-line format, which i
 // it. The scanner reports how the stream ended: Err returns nil after a
 // clean end-of-stream, ErrTornRecord after a mid-record cut, and a
 // descriptive error for a corrupt (checksum or decode failure) record or a
-// v1 log.
+// v1 log. A decoded Event is the scanner's until the next Scan (see
+// Event).
 //
 //	sc := store.NewRecordScanner(r, 0)
 //	for sc.Scan() {
@@ -50,9 +51,9 @@ type RecordScanner struct {
 	off     int64 // stream offset just past the current record
 	read    int64 // bytes consumed from br, damaged ones included
 	event   Event
-	frame   []byte    // the current record; a prefix of buf
-	buf     []byte    // every record is read into this one buffer
-	box     answerBox // where a record's answer and gold answer are decoded
+	frame   []byte   // the current record; a prefix of buf
+	buf     []byte   // every record is read into this one buffer
+	box     eventBox // where a record's task, answer and gold answer are decoded
 	err     error
 	done    bool
 }
@@ -150,10 +151,10 @@ func (sc *RecordScanner) Seq() int64 { return sc.seq }
 // header included): the length of the prefix that has scanned clean.
 func (sc *RecordScanner) Offset() int64 { return sc.off }
 
-// Event returns the decoded current record. Its Task is the record's own
-// (replay puts it in the store); its Answer and Gold point into storage the
-// next Scan overwrites, so a caller that keeps an answer copies it out —
-// which Task.Record and every other consumer does by taking it by value.
+// Event returns the decoded current record. Its Task, Answer and Gold
+// point into storage the next Scan overwrites, so a caller that keeps one
+// copies it out — as the store does a submitted task, and Task.Record and
+// every other consumer an answer, by taking it by value.
 func (sc *RecordScanner) Event() Event { return sc.event }
 
 // Frame returns the current record's verified bytes as they stand on the

@@ -7,8 +7,8 @@
 // back by encoding/json's json.Decoder, which hands each task to the same
 // codec, so what a restore accepts and refuses is encoding/json's.
 //
-// The table is paged by ID (see table): a stored task costs one slot of a
-// page, and the tasks of each status are counted as they come and change,
+// The table is paged by ID (see table): a stored task is a record in a page,
+// not an allocation of its own, and the tasks of each status are counted as they come and change,
 // so Len and Count are lookups and every whole-table read — Tasks (the
 // requeue's heap), Views (a page of the dispatch task list), Snapshot, the
 // restore that fills a fresh table — is one walk in ID order, with no ID
@@ -38,7 +38,8 @@ import (
 	"humancomp/internal/trace"
 )
 
-// ErrNotFound is returned by Get for unknown task IDs.
+// ErrNotFound is returned by View, AppendJSON and Apply for unknown task
+// IDs.
 var ErrNotFound = errors.New("store: task not found")
 
 // Store is an in-memory task table. Safe for concurrent use.
@@ -100,22 +101,35 @@ func (s *Store) advanceNextID(id task.ID) {
 	}
 }
 
-// Put inserts or replaces a task.
-func (s *Store) Put(t *task.Task) {
+// Put copies t into the store, in place of any task held under its ID,
+// and returns the stored task: the one reads, Apply and the queue see from
+// then on. t itself is not kept.
+func (s *Store) Put(t *task.Task) *task.Task { return s.put(t, true) }
+
+// put copies t into the store in one hold of the write lock, over a task
+// held under its ID only if replace is set, and returns the stored task,
+// or nil when it stored nothing.
+func (s *Store) put(t *task.Task, replace bool) *task.Task {
 	s.lock()
-	s.tab.put(t)
+	if !replace && s.tab.get(t.ID) != nil {
+		s.mu.Unlock()
+		return nil
+	}
+	stored := s.tab.put(t)
 	s.mu.Unlock()
 	s.advanceNextID(t.ID)
 	s.rec.Append(trace.Event{TaskID: t.ID, Stage: trace.StagePersist, At: t.CreatedAt.Time()})
+	return stored
 }
 
-// PutBatch inserts or replaces many tasks under one hold of the write
-// lock. Per-task trace events are still emitted individually.
+// PutBatch is Put of each task of ts under one hold of the write lock; it
+// replaces each entry of ts with the stored task. Per-task trace events are
+// still emitted individually.
 func (s *Store) PutBatch(ts []*task.Task) {
 	maxID := task.ID(0)
 	s.lock()
-	for _, t := range ts {
-		s.tab.put(t)
+	for i, t := range ts {
+		ts[i] = s.tab.put(t)
 		maxID = max(maxID, t.ID)
 	}
 	s.mu.Unlock()
@@ -126,20 +140,24 @@ func (s *Store) PutBatch(ts []*task.Task) {
 }
 
 // Insert stores each open task of ts whose ID is free, under one hold of
-// the write lock, and returns the indices of the tasks it refused, in
-// order: those not open and those whose ID holds a different task. A task
-// already stored under its ID is left as it is and not refused. It is the
-// queue's half of a submit, which stores and enqueues under the queue lock.
+// the write lock, replaces each entry it accepts with the stored task, and
+// returns the indices of the tasks it refused, in order: those not open and
+// those whose ID holds a different record. A task whose very record is
+// already stored under its ID (*held == *t) is not stored again and not
+// refused: its entry becomes the held task. It is the queue's half of a
+// submit, which stores and enqueues under the queue lock.
 func (s *Store) Insert(ts []*task.Task) (refused []int) {
 	maxID := task.ID(0)
 	s.lock()
 	for i, t := range ts {
 		held := s.tab.get(t.ID)
 		switch {
-		case t.Status != task.Open || held != nil && held != t:
+		case t.Status != task.Open || held != nil && *held != *t:
 			refused = append(refused, i)
-		case held == nil:
-			s.tab.put(t)
+		case held != nil:
+			ts[i] = held
+		default:
+			ts[i] = s.tab.put(t)
 			maxID = max(maxID, t.ID)
 			s.rec.Append(trace.Event{TaskID: t.ID, Stage: trace.StagePersist, At: t.CreatedAt.Time()})
 		}
@@ -239,17 +257,6 @@ func (s *Store) Views(st task.Status, offset, limit int) (page []task.View, tota
 		return len(page) < cap(page)
 	})
 	return page, total
-}
-
-// Get returns the task with the given ID or ErrNotFound.
-func (s *Store) Get(id task.ID) (*task.Task, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t := s.tab.get(id)
-	if t == nil {
-		return nil, ErrNotFound
-	}
-	return t, nil
 }
 
 // Count returns how many stored tasks have status st (or any, for
@@ -420,12 +427,13 @@ func (s *Store) RestoreWith(r io.Reader) (json.RawMessage, error) {
 // codecTask is what a task is decoded into: json.Decoder hands its
 // UnmarshalJSON the task's text from the decoder's own buffer, and the task
 // codec decodes it into t.
-type codecTask struct{ t *task.Task }
+type codecTask struct{ t task.Task }
 
 func (c *codecTask) UnmarshalJSON(doc []byte) error { return c.t.DecodeJSON(doc) }
 
 // decodeTasks reads the tasks array next in dec — null reads as no tasks —
-// one task at a time, into fresh, and returns the largest task ID it held.
+// one task at a time, each decoded into one scratch task and copied into
+// fresh, and returns the largest task ID it held.
 func decodeTasks(dec *json.Decoder, fresh *table) (largest task.ID, err error) {
 	tok, err := dec.Token()
 	if err != nil || tok == nil {
@@ -436,14 +444,13 @@ func decodeTasks(dec *json.Decoder, fresh *table) (largest task.ID, err error) {
 	}
 	var c codecTask
 	for dec.More() {
-		c.t = new(task.Task)
 		if err := dec.Decode(&c); err != nil {
 			return largest, err
 		}
 		if fresh.get(c.t.ID) != nil {
 			return largest, fmt.Errorf("duplicate task ID %d", c.t.ID)
 		}
-		fresh.put(c.t)
+		fresh.put(&c.t)
 		largest = max(largest, c.t.ID)
 	}
 	_, err = dec.Token()

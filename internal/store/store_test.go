@@ -24,8 +24,7 @@ func mk(t *testing.T, s *Store, kind task.Kind) *task.Task {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Put(tk)
-	return tk
+	return s.Put(tk)
 }
 
 func TestPutGet(t *testing.T) {
@@ -65,9 +64,11 @@ func TestPutAdvancesAllocator(t *testing.T) {
 }
 
 // TestInsertRefusesOnlyAnotherTask: Insert stores open tasks under free
-// IDs, once each — one persist event a task — and advances the allocator;
-// a task already stored is left as it is, with no second event, and only
-// a task that is not open, or another task under a stored ID, is refused.
+// IDs, once each — one persist event a task — hands back the stored tasks
+// and advances the allocator; a record already stored is left as it is,
+// with no second event, whether it comes as the stored task or as the
+// caller's copy of it, and only a task that is not open, or another record
+// under a stored ID, is refused.
 func TestInsertRefusesOnlyAnotherTask(t *testing.T) {
 	s := New()
 	rec := trace.NewRecorder(0)
@@ -79,15 +80,19 @@ func TestInsertRefusesOnlyAnotherTask(t *testing.T) {
 		}
 		return tk
 	}
-	stored, done := newTask(1), newTask(3)
-	s.Put(stored)
+	first, other, done := newTask(1), newTask(1), newTask(3)
+	stored := s.Put(first)
+	other.Priority = 1
 	done.Status = task.Done
-	ts := []*task.Task{stored, newTask(1), done, newTask(40)}
+	ts := []*task.Task{stored, other, done, newTask(40), first}
 	if refused := s.Insert(ts); !slices.Equal(refused, []int{1, 2}) {
 		t.Fatalf("Insert refused %v, want [1 2]", refused)
 	}
-	if got, err := s.Get(1); err != nil || got != stored {
-		t.Fatalf("Get(1) = %p, %v; want the task stored first", got, err)
+	if got, err := s.Get(1); err != nil || got != stored || ts[0] != stored || ts[4] != stored {
+		t.Fatalf("Get(1) = %p, %v, entries %p and %p; want the task stored first, %p", got, err, ts[0], ts[4], stored)
+	}
+	if ts[1] != other || ts[2] != done {
+		t.Fatal("Insert rewrote the entry of a task it refused")
 	}
 	if _, err := s.Get(3); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("the done task was stored: %v", err)
@@ -429,4 +434,16 @@ func (s *Store) IDs(st task.Status) []task.ID {
 		ids = append(ids, t.ID)
 	}
 	return ids
+}
+
+// Get returns the stored task with the given ID, the live one, or
+// ErrNotFound.
+func (s *Store) Get(id task.ID) (*task.Task, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	t := s.tab.get(id)
+	if t == nil {
+		return nil, ErrNotFound
+	}
+	return t, nil
 }

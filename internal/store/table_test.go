@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
@@ -31,10 +32,11 @@ func TestTableTakesAnyID(t *testing.T) {
 		t.Fatalf("Insert refused %v of free IDs", refused)
 	}
 	held, _ := inserted.Get(-4)
-	done := open(5)
+	done, other, last := open(5), open(-4), open(math.MinInt64)
 	done.Status = task.Done
-	if refused := inserted.Insert([]*task.Task{open(-4), held, done, open(math.MinInt64)}); !slices.Equal(refused, []int{0, 2, 3}) {
-		t.Fatalf("Insert refused %v, want [0 2 3]: a second task under a held ID and a task not open", refused)
+	other.Priority, last.Priority = 1, 1
+	if refused := inserted.Insert([]*task.Task{other, held, done, last}); !slices.Equal(refused, []int{0, 2, 3}) {
+		t.Fatalf("Insert refused %v, want [0 2 3]: a second record under a held ID and a task not open", refused)
 	}
 
 	for name, s := range map[string]*Store{"Put": put, "Insert": inserted} {
@@ -72,10 +74,9 @@ func TestTableTakesAnyID(t *testing.T) {
 	if raceEnabled {
 		return // the allocation figures are the production ones only without the detector
 	}
-	// A page is 8 KiB of slots, which the runtime serves from its 9472-byte
-	// size class (an object over 512 B that holds pointers carries an 8-byte
-	// type header); the page map and the sorted key list grow now and then,
-	// and the process may allocate meanwhile. Two pages would be 18 944 B.
+	// A page is 64 KiB of task records and a 144-B pageRef; the page map
+	// and the sorted key list grow now and then, and the process may
+	// allocate meanwhile. Two pages would be 128 KiB.
 	// Each trial stores the ID into a fresh store that holds the IDs before it.
 	const slack = 4 << 10
 	var s *Store
@@ -95,4 +96,27 @@ func TestTableTakesAnyID(t *testing.T) {
 	if len(s.tab.keys) != 6 || len(s.tab.pages) != 6 {
 		t.Fatalf("%d IDs over six pages made %d pages", len(ids), len(s.tab.pages))
 	}
+}
+
+// TestPageIsWholeRuntimePages: a task record is 64 B, and a page of 1024
+// of them exactly 64 KiB, eight of the runtime's 8-KiB pages, which it
+// allocates as one large object with no header and no tail. Holding its
+// presence bitmap too, a page would be 64 KiB and 128 B, served as 72 KiB.
+func TestPageIsWholeRuntimePages(t *testing.T) {
+	if got := unsafe.Sizeof(task.Task{}); got != 64 {
+		t.Fatalf("task.Task is %d B; want 64", got)
+	}
+	if got := unsafe.Sizeof(page{}); got != 64<<10 {
+		t.Fatalf("a page's task array is %d B; want %d", got, 64<<10)
+	}
+	if raceEnabled {
+		return
+	}
+	// The process may allocate meanwhile, but not the 8 KiB more a page
+	// with a header or a tail would take.
+	var p *page
+	if _, size := leastMallocs(func() func() { return func() { p = new(page) } }); size < 64<<10 || size >= 72<<10 {
+		t.Fatalf("allocating a page took %d B; want %d", size, 64<<10)
+	}
+	runtime.KeepAlive(p)
 }

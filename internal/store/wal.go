@@ -159,7 +159,11 @@ const (
 	EventFinish EventKind = "finish"
 )
 
-// Event is one WAL record. Exactly the fields matching Kind are set.
+// Event is one WAL record. Exactly the fields matching Kind are set. An
+// Event a RecordScanner decodes points into storage the scanner owns, its
+// Task as well as its Answer and Gold, until the next Scan: the store
+// copies a submitted task in, and every other consumer copies out what it
+// keeps.
 type Event struct {
 	Kind EventKind `json:"kind"`
 	At   time.Time `json:"at"`
@@ -578,7 +582,8 @@ func RecoverWALObserved(f *os.File, s *Store, obs func(Event)) (ReplayStats, err
 }
 
 // ApplyEvent applies one decoded WAL event onto the store: a submit stores
-// its task, and any other event is Apply. Replay and replication followers
+// a copy of its task, checking and storing in one hold of the write lock,
+// and any other event is Apply. Replay and replication followers
 // call it; a duplicate submit or an event the store refuses is real
 // inconsistency and fails.
 func ApplyEvent(s *Store, e Event) error {
@@ -589,9 +594,8 @@ func ApplyEvent(s *Store, e Event) error {
 		_, err := s.Apply(e.Kind, e.TaskID, e.Answer, e.At)
 		return err
 	}
-	if _, err := s.Get(e.Task.ID); err == nil {
+	if s.put(e.Task, false) == nil {
 		return fmt.Errorf("duplicate submit for task %d", e.Task.ID)
 	}
-	s.Put(e.Task)
 	return nil
 }
